@@ -1,26 +1,27 @@
-"""Batch layout x size sweep: local pipeline throughput and call overlap.
+"""Batch size sweep: local pipeline throughput and call overlap.
 
-Two workloads, swept over the batch-granularity and batch-layout knobs:
+Two workloads, swept over the batch-granularity knob:
 
 - a **join-heavy local** pipeline (scan -> filter -> nested-loop join)
-  measured in input rows per second, in both batch layouts — the
-  columnar layout runs the compiled column-at-a-time kernels (typed
-  array columns, selection-vector filters, the hash equi-join upgrade)
-  while the row layout keeps the original row-of-tuples pipeline;
+  measured in input rows per second — compiled column-at-a-time kernels
+  over typed array columns, selection-vector filters, and the hash
+  equi-join upgrade;
 - the **WebCount-heavy** Table-1-style query (37 identically shaped
   searches) measured end-to-end with the trace-derived overlap factor —
   batching registration must never *reduce* the overlap the paper's
   speedups rest on.
 
-Every sweep point also re-checks correctness (every layout x size cell
-must reproduce the row-at-a-time results exactly), and the summary
-asserts the columnar default beats the degenerate batch=1 schedule by
->= 5x on the local micro-benchmark — the tentpole's headline number,
-gated via BENCH_leaderboard.json.  Results land in
-``benchmarks/results/batch_sweep.txt``.
+Every sweep point also re-checks correctness (every size must reproduce
+the expected rows exactly), and the summary asserts the default batch
+size beats the degenerate batch=1 (tuple-at-a-time) schedule by >= 5x
+on the local micro-benchmark — the headline number gated via
+BENCH_leaderboard.json.  The summary also records ``src_loc`` (lines of
+``src/**/*.py``), the ROADMAP's tracked source-size metric.  Results
+land in ``benchmarks/results/batch_sweep.txt``.
 """
 
 import json
+import os
 
 import pytest
 
@@ -30,9 +31,7 @@ from repro.exec import (
     Filter,
     NestedLoopJoin,
     RowsScan,
-    collect,
     collect_batches,
-    set_batch_layout,
     set_batch_size,
 )
 from repro.obs import Observability, overlap_factor
@@ -43,7 +42,6 @@ from repro.relational.schema import Column, Schema
 from repro.relational.types import DataType
 
 BATCH_SIZES = [1, 4, 16, 64, 256]
-LAYOUTS = ["columnar", "row"]
 
 # -- workload 1: join-heavy local pipeline -----------------------------------
 
@@ -77,31 +75,23 @@ EXPECTED_LOCAL = sorted((v, v) for v in INNER_VALUES)
 SQL = "Select Name, Count From Sigs, WebCount Where Name = T1 and T2 = 'Knuth'"
 CALLS = 37
 
-_LOCAL = {}  # (layout, batch_size) -> input rows/sec
+_LOCAL = {}  # batch_size -> input rows/sec
 _WEB = {}  # batch_size -> (seconds, overlap)
 
 
 @pytest.mark.parametrize(
     "batch_size", BATCH_SIZES, ids=lambda b: "batch={}".format(b)
 )
-@pytest.mark.parametrize("layout", LAYOUTS, ids=lambda v: "layout={}".format(v))
-def test_local_pipeline_sweep(benchmark, layout, batch_size):
+def test_local_pipeline_sweep(benchmark, batch_size):
     def run():
         plan = set_batch_size(_local_plan(), batch_size)
-        set_batch_layout(plan, layout)
         return collect_batches(plan, batch_size)
 
     rows = benchmark.pedantic(run, rounds=3, iterations=1)
-    # Correctness at every cell: identical to the row-at-a-time path
-    # (batch=1 in the row layout *is* the row-at-a-time schedule).
-    assert sorted(rows) == EXPECTED_LOCAL
-    assert sorted(collect(_local_plan())) == EXPECTED_LOCAL
+    assert sorted(rows) == EXPECTED_LOCAL  # correctness at every size
     seconds = benchmark.stats.stats.mean
-    _LOCAL[(layout, batch_size)] = OUTER_N / seconds
-    benchmark.extra_info["batch_layout"] = layout
-    benchmark.extra_info["input_rows_per_sec"] = round(
-        _LOCAL[(layout, batch_size)]
-    )
+    _LOCAL[batch_size] = OUTER_N / seconds
+    benchmark.extra_info["input_rows_per_sec"] = round(_LOCAL[batch_size])
 
 
 @pytest.mark.parametrize(
@@ -148,42 +138,46 @@ def test_webcount_sweep(benchmark, batch_size, warm_web):
     benchmark.extra_info["overlap_factor"] = overlap
 
 
+def _src_loc():
+    """Lines of ``src/**/*.py`` (what ``find src -name '*.py' | xargs cat | wc -l`` counts)."""
+    root = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))), "src")
+    total = 0
+    for directory, _, names in os.walk(root):
+        for name in names:
+            if name.endswith(".py"):
+                with open(os.path.join(directory, name), encoding="utf-8") as f:
+                    total += sum(1 for _ in f)
+    return total
+
+
 def test_batch_sweep_summary(benchmark):
     benchmark.pedantic(lambda: None, rounds=1, iterations=1)
     if not _LOCAL or not _WEB:
         pytest.skip("no sweep measurements collected")
     lines = [
-        "batch layout x size sweep ({} input rows local; {} calls web)".format(
+        "batch size sweep ({} input rows local; {} calls web)".format(
             OUTER_N, CALLS
         ),
-        "{:<12}{:>22}{:>18}{:>14}{:>10}".format(
-            "batch_size", "columnar rows/s", "row rows/s", "web s", "overlap"
+        "{:<12}{:>18}{:>14}{:>10}".format(
+            "batch_size", "local rows/s", "web s", "overlap"
         ),
     ]
     for batch_size in BATCH_SIZES:
         web = _WEB.get(batch_size)
         lines.append(
-            "{:<12}{:>22}{:>18}{:>14}{:>10}".format(
+            "{:<12}{:>18}{:>14}{:>10}".format(
                 batch_size,
-                round(_LOCAL.get(("columnar", batch_size), 0)) or "-",
-                round(_LOCAL.get(("row", batch_size), 0)) or "-",
+                round(_LOCAL.get(batch_size, 0)) or "-",
                 "{:.4f}".format(web[0]) if web else "-",
                 web[1] if web and web[1] is not None else "-",
             )
         )
     default = min(DEFAULT_BATCH_SIZE, max(BATCH_SIZES))
-    # Headline: the default configuration (columnar kernels at the
-    # default batch size) vs the degenerate one-row schedule.
-    speedup = _LOCAL[("columnar", default)] / _LOCAL[("columnar", 1)]
-    layout_ratio = _LOCAL[("columnar", default)] / _LOCAL[("row", default)]
+    # Headline: the default batch size vs the degenerate one-row schedule.
+    speedup = _LOCAL[default] / _LOCAL[1]
     lines.append(
-        "columnar default ({0}) vs batch=1: {1:.2f}x local speedup".format(
+        "default ({0}) vs batch=1: {1:.2f}x local speedup".format(
             default, speedup
-        )
-    )
-    lines.append(
-        "columnar vs row layout at batch={0}: {1:.2f}x".format(
-            default, layout_ratio
         )
     )
     with open(results_path("batch_sweep.txt"), "w", encoding="utf-8") as f:
@@ -192,15 +186,8 @@ def test_batch_sweep_summary(benchmark):
     # benchmarks/leaderboard.py when it assembles BENCH_leaderboard.json.
     report = {
         "benchmark": "batch_sweep",
-        "layouts": LAYOUTS,
-        "default_layout": "columnar",
         "local_rows_per_sec": {
-            layout: {
-                str(b): round(_LOCAL[(layout, b)], 1)
-                for b in BATCH_SIZES
-                if (layout, b) in _LOCAL
-            }
-            for layout in LAYOUTS
+            str(b): round(_LOCAL[b], 1) for b in BATCH_SIZES if b in _LOCAL
         },
         "web_seconds": {
             str(b): round(_WEB[b][0], 6) for b in BATCH_SIZES if b in _WEB
@@ -211,15 +198,12 @@ def test_batch_sweep_summary(benchmark):
             if b in _WEB and _WEB[b][1] is not None
         },
         "local_speedup_default_vs_1": round(speedup, 4),
-        "local_speedup_columnar_vs_row": round(layout_ratio, 4),
+        "src_loc": _src_loc(),
     }
     with open(results_path("BENCH_batch_sweep.json"), "w") as f:
         json.dump(report, f, indent=2, sort_keys=True)
     benchmark.extra_info["local_speedup_default_vs_1"] = round(speedup, 2)
-    benchmark.extra_info["local_speedup_columnar_vs_row"] = round(
-        layout_ratio, 2
-    )
-    # The tentpole's headline: compiled column kernels at the default
-    # batch size must beat the one-row schedule by at least 5x on the
-    # local scan->filter->join micro-benchmark.
+    # The headline: compiled column kernels at the default batch size
+    # must beat the one-row schedule by at least 5x on the local
+    # scan->filter->join micro-benchmark.
     assert speedup >= 5.0, "\n".join(lines)

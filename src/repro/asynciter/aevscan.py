@@ -10,7 +10,7 @@ outer batch at once and registers *all* of its external calls with the
 request pump in one go (via ``AsyncContext.register_batch``), staging one
 placeholder tuple per binding in input order.  ``open(bindings)`` is the
 degenerate single-binding case and keeps the seed's exact registration
-schedule, so the row-at-a-time path is bit-identical.
+schedule, so the tuple-at-a-time (``batch_size=1``) path is bit-identical.
 """
 
 from repro.exec.operator import Operator
@@ -67,15 +67,6 @@ class AEVScan(Operator):
             for resolved, call_id in zip(resolved_list, call_ids)
         ]
         self._position = 0
-
-    def next(self):
-        if self._rows is None:
-            raise ExecutionError("AEVScan.next() before open()")
-        if self._position >= len(self._rows):
-            return None
-        row = self._rows[self._position]
-        self._position += 1
-        return row
 
     def next_batch(self, max_rows=None):
         if self._rows is None:

@@ -12,8 +12,8 @@ their external calls complete.  When a call C returns:
 Two execution modes:
 
 - full-buffering (paper default): ``open()`` drains the child entirely —
-  which is what launches every AEVScan call below — then ``next()`` emits
-  tuples as their calls complete;
+  which is what launches every AEVScan call below — then ``next_batch()``
+  emits tuples as their calls complete;
 - streaming (``stream=True``; the paper flags this as an optimization
   choice): the child is drained lazily, complete tuples "pass directly
   through", and incomplete ones are emitted as they resolve.
@@ -169,20 +169,6 @@ class ReqSync(Operator):
             while self._pull_child_batch(self.batch_size):
                 pass
 
-    def next(self):
-        if self._buffered is None:
-            raise ExecutionError("ReqSync.next() before open()")
-        while True:
-            row = self._emit_ready()
-            if row is not None:
-                return row
-            if self.stream and not self._child_done:
-                self._pull_child()
-                continue
-            if not self._by_call:
-                return None
-            self._resolve_some()
-
     def next_batch(self, max_rows=None):
         if self._buffered is None:
             raise ExecutionError("ReqSync.next_batch() before open()")
@@ -331,15 +317,6 @@ class ReqSync(Operator):
             self.values_nulled_on_error += self.values_patched - patched_before
 
     # -- buffering ------------------------------------------------------------------
-
-    def _pull_child(self):
-        """Admit one child row; returns False when the child is exhausted."""
-        row = self.child.next()
-        if row is None:
-            self._child_done = True
-            return False
-        self._admit(row)
-        return True
 
     def _pull_child_batch(self, limit):
         """Admit up to *limit* child rows in one batch pull."""

@@ -59,7 +59,6 @@ class RewriteSettings:
         wait_timeout=None,
         on_error=None,
         batch_size=None,
-        batch_layout=None,
         shards=None,
         parallelism=None,
         rules=None,
@@ -78,9 +77,6 @@ class RewriteSettings:
         #: many child rows — and therefore how many external-call
         #: registrations — one ReqSync admission pull covers.
         self.batch_size = batch_size
-        #: Batch container stamped over rewritten plans
-        #: (``"columnar"``/``"row"``; ``None`` = the operator default).
-        self.batch_layout = batch_layout
         #: Search-tier shard count (``None`` = defer to the engine /
         #: ``REPRO_SHARDS`` resolution; ``1`` = unsharded).
         self.shards = shards

@@ -77,7 +77,6 @@ def build_engine(args):
         on_error=on_error,
         obs=obs,
         batch_size=getattr(args, "batch_size", None),
-        batch_layout=getattr(args, "batch_layout", None),
         calibration=getattr(args, "calibration", None),
         shards=getattr(args, "shards", None),
         parallelism=getattr(args, "parallelism", None),
@@ -188,14 +187,6 @@ def main(argv=None):
         default=None,
         help="execution batch granularity (rows per operator pull; "
         "1 = row-at-a-time; default 256 or $REPRO_BATCH_SIZE)",
-    )
-    parser.add_argument(
-        "--batch-layout",
-        choices=("columnar", "row"),
-        default=None,
-        help="batch container: columnar (column vectors + compiled "
-        "column-at-a-time kernels) or row (the historical row-of-tuples "
-        "pipeline; default columnar or $REPRO_BATCH_LAYOUT)",
     )
     parser.add_argument(
         "--shards",

@@ -1,33 +1,27 @@
 """Iterator-based query execution (Graefe-style Open/GetNext/Close).
 
-Every operator implements ``open()`` / ``next()`` / ``close()`` and carries
-its output :class:`~repro.relational.schema.Schema`.  Placeholder values
-flow through "oblivious" operators untouched; operators that *depend on*
+Every operator implements ``open()`` / ``next_batch(max_rows)`` /
+``close()`` and carries its output
+:class:`~repro.relational.schema.Schema`; batches are
+:class:`~repro.relational.batch.ColumnBatch` chunks, and ``next()`` is
+the base class's one-row view of the same pull (see
+:mod:`repro.exec.operator` for the contract).  Placeholder values flow
+through "oblivious" operators untouched; operators that *depend on*
 attribute values (filters, sorts, aggregates) evaluate expressions that
 raise :class:`~repro.util.errors.PlaceholderError` on unresolved
 placeholders, which turns any ReqSync-placement bug into a loud failure.
-
-Since the vectorization refactor every operator additionally speaks the
-batch protocol — ``next_batch(max_rows)`` returning
-:class:`~repro.relational.batch.RowBatch` or
-:class:`~repro.relational.batch.ColumnBatch` chunks (per the stamped
-``batch_layout``) — over the same ``open``/``close`` lifecycle; see
-:mod:`repro.exec.operator` for the dual-protocol contract and the
-exact-compatibility shims.
 """
 
 from repro.exec.operator import (
-    BatchOperator,
     Operator,
     collect,
     collect_batches,
     execute,
     execute_batches,
     open_plan,
-    set_batch_layout,
     set_batch_size,
 )
-from repro.relational.batch import ColumnBatch, RowBatch
+from repro.relational.batch import ColumnBatch
 from repro.exec.scans import RowsScan, TableScan
 from repro.exec.exchange import Exchange, MergeExchange
 from repro.exec.indexscan import IndexScan
@@ -43,7 +37,6 @@ from repro.exec.union import UnionAll
 __all__ = [
     "Aggregate",
     "AggregateSpec",
-    "BatchOperator",
     "ColumnBatch",
     "CrossProduct",
     "DependentJoin",
@@ -56,7 +49,6 @@ __all__ = [
     "NestedLoopJoin",
     "Operator",
     "Project",
-    "RowBatch",
     "RowsScan",
     "Sort",
     "TableScan",
@@ -66,6 +58,5 @@ __all__ = [
     "execute",
     "execute_batches",
     "open_plan",
-    "set_batch_layout",
     "set_batch_size",
 ]

@@ -104,58 +104,39 @@ class Aggregate(Operator):
         self.child.open()
         groups = {}
         order = []
-        # Columnar layout: gather group keys and aggregate inputs as
-        # whole columns per batch (kernel-compiled), then accumulate from
-        # the vectors — no per-row expression-tree dispatch.
-        columnar = self.batch_layout == "columnar"
-        if columnar:
-            group_evals = [compile_column_eval(e) for e in self.group_exprs]
-            spec_evals = [
-                None if s.star else compile_column_eval(s.expr) for s in self.specs
-            ]
+        # Gather group keys and aggregate inputs as whole columns per
+        # batch (kernel-compiled), then accumulate from the vectors — no
+        # per-row expression-tree dispatch.
+        group_evals = [compile_column_eval(e) for e in self.group_exprs]
+        spec_evals = [
+            None if s.star else compile_column_eval(s.expr) for s in self.specs
+        ]
         while True:
             batch = self.child.next_batch(self.batch_size)
             if batch is None:
                 break
-            if columnar:
-                key_columns = [evaluate(batch) for evaluate in group_evals]
-                input_columns = [
-                    evaluate(batch) if evaluate is not None else None
-                    for evaluate in spec_evals
-                ]
-                for i in range(len(batch)):
-                    key = tuple(
-                        require_concrete(column[i], "GROUP BY")
-                        for column in key_columns
-                    )
-                    accumulators = groups.get(key)
-                    if accumulators is None:
-                        accumulators = [_Accumulator(s.func) for s in self.specs]
-                        groups[key] = accumulators
-                        order.append(key)
-                    for spec, acc, column in zip(
-                        self.specs, accumulators, input_columns
-                    ):
-                        if column is None:
-                            acc.add(_STAR)
-                        else:
-                            acc.add(require_concrete(column[i], spec.sql()))
-                continue
-            for row in batch:
+            key_columns = [evaluate(batch) for evaluate in group_evals]
+            input_columns = [
+                evaluate(batch) if evaluate is not None else None
+                for evaluate in spec_evals
+            ]
+            for i in range(len(batch)):
                 key = tuple(
-                    require_concrete(expr.eval(row), "GROUP BY")
-                    for expr in self.group_exprs
+                    require_concrete(column[i], "GROUP BY")
+                    for column in key_columns
                 )
                 accumulators = groups.get(key)
                 if accumulators is None:
                     accumulators = [_Accumulator(s.func) for s in self.specs]
                     groups[key] = accumulators
                     order.append(key)
-                for spec, acc in zip(self.specs, accumulators):
-                    if spec.star:
+                for spec, acc, column in zip(
+                    self.specs, accumulators, input_columns
+                ):
+                    if column is None:
                         acc.add(_STAR)
                     else:
-                        acc.add(require_concrete(spec.expr.eval(row), spec.sql()))
+                        acc.add(require_concrete(column[i], spec.sql()))
         self.child.close()
         if not self.group_exprs and not groups:
             groups[()] = [_Accumulator(s.func) for s in self.specs]
@@ -164,15 +145,6 @@ class Aggregate(Operator):
             key + tuple(acc.result() for acc in groups[key]) for key in order
         ]
         self._position = 0
-
-    def next(self):
-        if self._results is None:
-            raise ExecutionError("Aggregate.next() before open()")
-        if self._position >= len(self._results):
-            return None
-        row = self._results[self._position]
-        self._position += 1
-        return row
 
     def next_batch(self, max_rows=None):
         if self._results is None:

@@ -23,16 +23,6 @@ class Distinct(Operator):
         self.child.open()
         self._seen = set()
 
-    def next(self):
-        while True:
-            row = self.child.next()
-            if row is None:
-                return None
-            key = tuple(require_concrete(v, "DISTINCT") for v in row)
-            if key not in self._seen:
-                self._seen.add(key)
-                return row
-
     def next_batch(self, max_rows=None):
         limit = max_rows if max_rows is not None else self.batch_size
         seen = self._seen

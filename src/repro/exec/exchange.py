@@ -3,9 +3,9 @@
 :class:`Exchange` fans one logical subtree out over N *partition*
 subtrees (each typically rooted at a partitioned
 :class:`~repro.exec.scans.TableScan`), runs them on worker threads, and
-re-merges their batches behind the unchanged dual-protocol operator
-contract — consumers cannot tell an Exchange from the sequential
-subtree it replaced.
+re-merges their batches behind the unchanged operator contract —
+consumers cannot tell an Exchange from the sequential subtree it
+replaced.
 
 Determinism: partitions are *contiguous* page ranges and the consumer
 emits them **partition-major** (all of partition 0, then 1, ...), so the
@@ -33,7 +33,7 @@ import os
 import queue
 import threading
 
-from repro.exec.operator import BatchOperator
+from repro.exec.operator import Operator
 from repro.exec.sort import _compare_values
 from repro.util.errors import ExecutionError, ReproError
 
@@ -76,7 +76,7 @@ class _WorkerError:
 _EOS = _EndOfStream()
 
 
-class Exchange(BatchOperator):
+class Exchange(Operator):
     """Partition-major fan-out/fan-in over worker threads.
 
     *partitions* are the per-partition subtrees; they must share one
@@ -86,7 +86,6 @@ class Exchange(BatchOperator):
     """
 
     def __init__(self, partitions):
-        super().__init__()
         partitions = list(partitions)
         if not partitions:
             raise ExecutionError("Exchange needs at least one partition")
@@ -104,7 +103,6 @@ class Exchange(BatchOperator):
     def open(self, bindings=None):
         self._reject_bindings(bindings)
         self._shutdown()  # tolerate open() after an aborted run
-        self._reset_drain()
         self._stop = threading.Event()
         self._queues = [queue.Queue(maxsize=QUEUE_DEPTH) for _ in self.partitions]
         self._current = 0
@@ -122,7 +120,6 @@ class Exchange(BatchOperator):
 
     def close(self):
         self._shutdown()
-        self._reset_drain()
         self._current = 0
         self._pending_rows = None
 

@@ -1,7 +1,7 @@
 """Selection."""
 
 from repro.exec.operator import Operator
-from repro.relational.expr import compile_batch_predicate, compile_column_predicate
+from repro.relational.expr import compile_column_predicate
 
 
 class Filter(Operator):
@@ -13,12 +13,10 @@ class Filter(Operator):
     percolation must pull this operator above the ReqSync (or vice versa)
     whenever the predicate touches placeholder-carrying columns.
 
-    Batch path: the predicate is compiled once per ``open()`` and the
-    surviving rows are expressed as a *selection vector* over the child
-    batch — no row copying.  In the columnar layout the compiled form is
-    a column kernel (:func:`compile_column_predicate`) that emits the
-    selection straight from typed column vectors; the row layout keeps
-    the tuple-at-a-time evaluator.
+    The predicate is compiled once per ``open()`` into a column kernel
+    (:func:`compile_column_predicate`) that emits the surviving rows as
+    a *selection vector* straight from the child batch's column vectors
+    — no row copying.
     """
 
     def __init__(self, child, predicate):
@@ -26,52 +24,25 @@ class Filter(Operator):
         self.predicate = predicate
         self.schema = child.schema
         self.children = (child,)
-        self._batch_predicate = None
         self._column_predicate = None
 
     def open(self, bindings=None):
         # Pass-through: a Filter may sit between a dependent join and the
         # scan it parameterizes (e.g. after percolation rewrites).
         self.child.open(bindings)
-        if self.batch_layout == "columnar":
-            self._column_predicate = compile_column_predicate(self.predicate)
-        else:
-            self._batch_predicate = compile_batch_predicate(self.predicate)
-
-    def next(self):
-        while True:
-            row = self.child.next()
-            if row is None:
-                return None
-            if self.predicate.eval(row) is True:
-                return row
+        self._column_predicate = compile_column_predicate(self.predicate)
 
     def next_batch(self, max_rows=None):
         limit = max_rows if max_rows is not None else self.batch_size
-        if self.batch_layout == "columnar":
-            predicate = self._column_predicate
-            if predicate is None:
-                predicate = compile_column_predicate(self.predicate)
-                self._column_predicate = predicate
-            while True:
-                batch = self.child.next_batch(limit)
-                if batch is None:
-                    return None
-                selection = predicate(batch)
-                if not selection:
-                    continue  # whole batch filtered out; keep pulling
-                if len(selection) == len(batch):
-                    return batch  # nothing dropped: pass the batch through
-                return batch.narrow(selection)
-        predicate = self._batch_predicate
+        predicate = self._column_predicate
         if predicate is None:
-            predicate = compile_batch_predicate(self.predicate)
-            self._batch_predicate = predicate
+            predicate = compile_column_predicate(self.predicate)
+            self._column_predicate = predicate
         while True:
             batch = self.child.next_batch(limit)
             if batch is None:
                 return None
-            selection = predicate(batch.to_rows())
+            selection = predicate(batch)
             if not selection:
                 continue  # whole batch filtered out; keep pulling
             if len(selection) == len(batch):
@@ -80,7 +51,6 @@ class Filter(Operator):
 
     def close(self):
         self.child.close()
-        self._batch_predicate = None
         self._column_predicate = None
 
     def label(self):

@@ -39,15 +39,6 @@ class IndexScan(Operator):
             self.low, self.high, self.include_low, self.include_high
         )
 
-    def next(self):
-        if self._iterator is None:
-            raise ExecutionError("IndexScan.next() before open()")
-        for _, rid in self._iterator:
-            row = self.table.read(rid)
-            if row is not None:
-                return row
-        return None
-
     def next_batch(self, max_rows=None):
         if self._iterator is None:
             raise ExecutionError("IndexScan.next_batch() before open()")

@@ -4,25 +4,22 @@ The paper's host system offers only nested-loop joins; the dependent join
 is the nested-loop variant whose inner side requires bindings from the
 current outer tuple (it feeds the virtual tables' input columns).
 
-In the columnar layout, :class:`NestedLoopJoin` upgrades the common
-``col = col`` equi-join shape to a hash join: the inner side is
-materialized once into a key table and each outer batch probes it by
-column gather, replacing the outer×inner predicate evaluations with one
-dict lookup per outer row.  The upgrade is strictly an execution
-strategy — any input that could make the nested-loop schedule raise or
-NULL differently (placeholder keys, mixed key types) demotes to an exact
-materialized nested loop, and the row layout keeps the original
-cross-product-plus-filter pipeline.
+:class:`NestedLoopJoin` upgrades the common ``col = col`` equi-join
+shape to a hash join: the inner side is materialized once into a key
+table and each outer batch probes it by column gather, replacing the
+outer×inner predicate evaluations with one dict lookup per outer row.
+The upgrade is strictly an execution strategy — any input that could
+make the nested-loop schedule raise or NULL differently (placeholder
+keys, mixed key types) demotes to an exact materialized nested loop,
+and every other predicate runs as a selection over a
+:class:`CrossProduct`.
 """
 
 from array import array
 
+from repro.exec.filter import Filter
 from repro.exec.operator import Operator
-from repro.relational.expr import (
-    Comparison,
-    compile_batch_predicate,
-    compile_scalar_eval,
-)
+from repro.relational.expr import Comparison, compile_scalar_eval
 from repro.relational.placeholder import Placeholder, require_concrete
 from repro.util.errors import ExecutionError, TypeMismatchError
 
@@ -44,22 +41,6 @@ class CrossProduct(Operator):
         self._outer_row = None
         self._opened = True
 
-    def next(self):
-        if not self._opened:
-            raise ExecutionError("CrossProduct.next() before open()")
-        while True:
-            if self._outer_row is None:
-                self._outer_row = self.left.next()
-                if self._outer_row is None:
-                    return None
-                self.right.open()
-            inner = self.right.next()
-            if inner is None:
-                self.right.close()
-                self._outer_row = None
-                continue
-            return self._outer_row + inner
-
     def next_batch(self, max_rows=None):
         if not self._opened:
             raise ExecutionError("CrossProduct.next_batch() before open()")
@@ -67,6 +48,9 @@ class CrossProduct(Operator):
         out = []
         while len(out) < limit:
             if self._outer_row is None:
+                # One outer row per pull: reading a batch ahead would
+                # issue external calls below ``left`` for outer rows a
+                # LIMIT above never emits.
                 self._outer_row = self.left.next()
                 if self._outer_row is None:
                     break
@@ -103,18 +87,8 @@ class NestedLoopJoin(Operator):
         self.predicate = predicate
         self.schema = left.schema.concat(right.schema)
         self.children = (left, right)
-        self._product = None
-        self._batch_predicate = None
-        self._hashing = False
-        self._inner_rows = None
-        self._table = None
-        self._inner_str = None
-        self._first_inner_key = None
-        self._fallback_scalar = None
-        self._pending = []
-        self._pending_pos = 0
-        self._drain_rows = None
-        self._drain_pos = 0
+        self._nested_loop = None
+        self._reset_hash_state()
 
     def _equijoin_split(self):
         """``(outer index, inner-local index, outer is lhs)`` or ``None``.
@@ -136,7 +110,7 @@ class NestedLoopJoin(Operator):
     def open(self, bindings=None):
         self._reject_bindings(bindings)
         self._reset_hash_state()
-        split = self._equijoin_split() if self.batch_layout == "columnar" else None
+        split = self._equijoin_split()
         if split is not None:
             self._hashing = True
             self._outer_key, self._inner_key, self._outer_is_lhs = split
@@ -146,11 +120,10 @@ class NestedLoopJoin(Operator):
             self.left.open()
             return
         # Built per open() so plan rewrites that swap children stay honest.
-        self._product = CrossProduct(self.left, self.right)
-        self._product.batch_size = self.batch_size
-        self._product.batch_layout = self.batch_layout
-        self._product.open()
-        self._batch_predicate = compile_batch_predicate(self.predicate)
+        product = CrossProduct(self.left, self.right)
+        self._nested_loop = Filter(product, self.predicate)
+        product.batch_size = self._nested_loop.batch_size = self.batch_size
+        self._nested_loop.open()
 
     def _reset_hash_state(self):
         self._hashing = False
@@ -161,8 +134,6 @@ class NestedLoopJoin(Operator):
         self._fallback_scalar = None
         self._pending = []
         self._pending_pos = 0
-        self._drain_rows = None
-        self._drain_pos = 0
 
     # -- hash strategy --------------------------------------------------------
 
@@ -279,7 +250,10 @@ class NestedLoopJoin(Operator):
                     self._pending = []
                     self._pending_pos = 0
                 return self.make_batch(chunk)
-            left_batch = self.left.next_batch(self.batch_size)
+            # The caller's limit bounds the outer pull too: a LIMIT above
+            # must not draw (and pay external calls for) outer rows whose
+            # matches it never emits.
+            left_batch = self.left.next_batch(limit)
             if left_batch is None:
                 return None
             if self._inner_rows is None:
@@ -294,55 +268,18 @@ class NestedLoopJoin(Operator):
 
     # -- protocol -------------------------------------------------------------
 
-    def next(self):
-        if self._hashing:
-            rows = self._drain_rows
-            if rows is not None and self._drain_pos < len(rows):
-                row = rows[self._drain_pos]
-                self._drain_pos += 1
-                return row
-            batch = self._next_batch_hash(self.batch_size)
-            if batch is None:
-                self._drain_rows = None
-                self._drain_pos = 0
-                return None
-            rows = batch.to_rows()
-            self._drain_rows = rows
-            self._drain_pos = 1
-            return rows[0]
-        while True:
-            row = self._product.next()
-            if row is None:
-                return None
-            if self.predicate.eval(row) is True:
-                return row
-
     def next_batch(self, max_rows=None):
         limit = max_rows if max_rows is not None else self.batch_size
         if self._hashing:
             return self._next_batch_hash(limit)
-        predicate = self._batch_predicate
-        if predicate is None:
-            predicate = compile_batch_predicate(self.predicate)
-            self._batch_predicate = predicate
-        while True:
-            batch = self._product.next_batch(limit)
-            if batch is None:
-                return None
-            selection = predicate(batch.to_rows())
-            if not selection:
-                continue  # no survivors in this chunk; keep pulling
-            if len(selection) == len(batch):
-                return batch
-            return batch.narrow(selection)
+        return self._nested_loop.next_batch(limit)
 
     def close(self):
-        if self._product is not None:
-            self._product.close()
-            self._product = None
+        if self._nested_loop is not None:
+            self._nested_loop.close()
+            self._nested_loop = None
         elif self._hashing:
             self.left.close()
-        self._batch_predicate = None
         self._reset_hash_state()
 
     def label(self):
@@ -361,7 +298,7 @@ class DependentJoin(Operator):
     paper: it combines whatever (possibly placeholder-carrying) tuples the
     inner scan returns.
 
-    Batch path: when the inner side supports batched parameterization
+    When the inner side supports batched parameterization
     (``open_batch(bindings_list)``, i.e. an :class:`AEVScan`, which emits
     exactly one tuple per binding), a whole outer batch is bound in one
     call — this is what registers a *batch* of external calls with the
@@ -385,26 +322,6 @@ class DependentJoin(Operator):
         self._outer_row = None
         self._opened = True
 
-    def next(self):
-        if not self._opened:
-            raise ExecutionError("DependentJoin.next() before open()")
-        while True:
-            if self._outer_row is None:
-                self._outer_row = self.left.next()
-                if self._outer_row is None:
-                    return None
-                inner_bindings = {
-                    param: self._outer_row[index]
-                    for param, index in self.binding_columns.items()
-                }
-                self.right.open(inner_bindings)
-            inner = self.right.next()
-            if inner is None:
-                self.right.close()
-                self._outer_row = None
-                continue
-            return self._outer_row + inner
-
     def next_batch(self, max_rows=None):
         if not self._opened:
             raise ExecutionError("DependentJoin.next_batch() before open()")
@@ -419,7 +336,7 @@ class DependentJoin(Operator):
 
         The inner scan contract here is *exactly one row per binding* (an
         ``AEVScan`` emits a placeholder or resolved tuple per outer row),
-        so output order is identical to the row-at-a-time schedule.
+        so output order is identical to the tuple-at-a-time schedule.
         """
         left_batch = self.left.next_batch(limit)
         if left_batch is None:
@@ -449,6 +366,8 @@ class DependentJoin(Operator):
         out = []
         while len(out) < limit:
             if self._outer_row is None:
+                # One outer row per pull, as in CrossProduct: chained
+                # dependent joins must not call out for unemitted rows.
                 self._outer_row = self.left.next()
                 if self._outer_row is None:
                     break

@@ -13,8 +13,8 @@ class Limit(Operator):
     stays idempotent with respect to that early close, and ``open()``
     re-arms the operator for re-execution.
 
-    Batch path: the child is pulled with ``min(max_rows, remaining)`` so
-    a batch never overshoots the quota.
+    The child is pulled with ``min(max_rows, remaining)`` so a batch
+    never overshoots the quota.
     """
 
     def __init__(self, child, count):
@@ -30,18 +30,6 @@ class Limit(Operator):
         self.child.open()
         self._emitted = 0
         self._child_closed = False
-
-    def next(self):
-        if self._emitted >= self.count:
-            self._close_child()
-            return None
-        row = self.child.next()
-        if row is None:
-            return None
-        self._emitted += 1
-        if self._emitted >= self.count:
-            self._close_child()
-        return row
 
     def next_batch(self, max_rows=None):
         limit = max_rows if max_rows is not None else self.batch_size

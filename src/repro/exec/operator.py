@@ -1,65 +1,43 @@
 """Base operator contract and execution helpers.
 
-Dual-protocol Volcano model
----------------------------
+Batch-at-a-time Volcano model
+-----------------------------
 
-Every operator supports two pull protocols over one ``open()``/``close()``
-lifecycle:
+Every operator implements one pull protocol over an ``open()``/``close()``
+lifecycle: ``next_batch(max_rows)`` returns a
+:class:`~repro.relational.batch.ColumnBatch` of 1..max_rows rows, or
+``None`` at end of stream.  It never returns an empty batch.
 
-- **row-at-a-time** (the seed contract): ``next()`` returns one row tuple
-  or ``None`` at end of stream;
-- **batch-at-a-time** (the primary path): ``next_batch(max_rows)``
-  returns a :class:`~repro.relational.batch.RowBatch` of 1..max_rows rows
-  or ``None`` at end of stream.  It never returns an empty batch.
-
-The base class provides an exact-compatibility shim in each direction, so
-an operator only has to implement one protocol natively:
-
-- ``Operator.next_batch()`` (the default) adapts a legacy ``next()``
-  implementation by looping it up to ``max_rows`` times — third-party
-  and test operators keep working unchanged;
-- :class:`BatchOperator` provides a ``next()`` that drains an internal
-  buffer refilled from ``next_batch()``, for operators whose native
-  protocol is the batch one.
-
-The two protocols must not be interleaved within a single execution of
-one plan (``open .. close``); switching requires a re-open.  With
-``max_rows=1`` the batch path degenerates to exactly the row-at-a-time
-schedule: one child pull, one row, identical side-effect order.
+``next()`` is the row view of that protocol and exists once, on
+:class:`Operator`: it pulls ``next_batch(1)`` and returns the row tuple
+(or ``None``).  With ``max_rows=1`` the batch path *is* the paper's
+tuple-at-a-time schedule — one child pull, one row, identical
+side-effect order — so ``next()`` never reads ahead, holds no state of
+its own between calls, and may be mixed freely with ``next_batch()``.
 
 ``batch_size`` is a per-operator attribute (class default
 :func:`~repro.relational.batch.default_batch_size`, i.e. 256 or the
-``REPRO_BATCH_SIZE`` environment override); engines stamp their
-configured size over a whole plan with :func:`set_batch_size`.
-``batch_layout`` works the same way: ``"columnar"`` (the default, or the
-``REPRO_BATCH_LAYOUT`` override) makes operators produce
-:class:`~repro.relational.batch.ColumnBatch` chunks and take their
-column-kernel fast paths; ``"row"`` keeps the original
-:class:`~repro.relational.batch.RowBatch` row-of-tuples path.  The two
-layouts are semantically identical — :func:`set_batch_layout` stamps the
-engine's choice over a plan.
+``REPRO_BATCH_SIZE`` environment override) used for
+``next_batch(max_rows=None)`` and for internal child pulls; engines
+stamp their configured size over a whole plan with
+:func:`set_batch_size`.  ``batch_size=1`` runs a whole plan on the
+tuple-at-a-time schedule.
 """
 
 from contextlib import contextmanager
 
-from repro.relational.batch import (
-    BATCH_LAYOUTS,
-    ColumnBatch,
-    RowBatch,
-    default_batch_layout,
-    default_batch_size,
-)
+from repro.relational.batch import ColumnBatch, default_batch_size
 from repro.util.errors import ExecutionError
 
 
 class Operator:
     """Base class for all physical query-plan operators.
 
-    Lifecycle: ``open() -> (next()* | next_batch()*) -> close()``;
-    operators are re-openable after ``close()`` (nested-loop joins rely
-    on this).  ``next()`` returns a row tuple or ``None`` at end of
-    stream; ``next_batch()`` returns a non-empty
-    :class:`~repro.relational.batch.RowBatch` or ``None``.
+    Lifecycle: ``open() -> next_batch()* -> close()``; operators are
+    re-openable after ``close()`` (nested-loop joins rely on this), and
+    a re-open restarts at the first row even when the previous run was
+    abandoned mid-stream.  Subclasses implement ``next_batch()``;
+    ``next()`` is inherited.
 
     ``open(bindings)``: only operators that sit on the inner side of a
     dependent join accept a bindings dict (external virtual-table scans,
@@ -76,43 +54,26 @@ class Operator:
     #: :func:`set_batch_size`.
     batch_size = default_batch_size()
 
-    #: Which batch container this operator emits (``"columnar"`` /
-    #: ``"row"``); engines override per plan via :func:`set_batch_layout`.
-    batch_layout = default_batch_layout()
-
     def make_batch(self, rows):
-        """Wrap dense *rows* in this operator's configured batch layout."""
-        if self.batch_layout == "columnar":
-            return ColumnBatch.from_rows(self.schema, rows)
-        return RowBatch(self.schema, rows)
+        """Pivot dense *rows* into a batch typed by this operator's schema."""
+        return ColumnBatch.from_rows(self.schema, rows)
 
     def open(self, bindings=None):
         raise NotImplementedError
 
-    def next(self):
+    def next_batch(self, max_rows=None):
+        """Return a batch of up to *max_rows* rows, or ``None`` at EOS."""
         raise NotImplementedError
 
     def close(self):
         raise NotImplementedError
 
-    def next_batch(self, max_rows=None):
-        """Return a batch of up to *max_rows* rows, or ``None`` at EOS.
-
-        Default adapter over a row-native ``next()`` — exact row order
-        and side-effect schedule, just grouped.
-        """
-        limit = max_rows if max_rows is not None else self.batch_size
-        next_row = self.next
-        rows = []
-        append = rows.append
-        for _ in range(limit):
-            row = next_row()
-            if row is None:
-                break
-            append(row)
-        if not rows:
+    def next(self):
+        """Return the next row tuple, or ``None`` at end of stream."""
+        batch = self.next_batch(1)
+        if batch is None:
             return None
-        return self.make_batch(rows)
+        return batch.to_rows()[0]
 
     # -- conveniences ---------------------------------------------------------
 
@@ -145,40 +106,6 @@ class Operator:
             )
 
 
-class BatchOperator(Operator):
-    """Base for operators whose *native* protocol is ``next_batch()``.
-
-    Provides the row-compatibility shim: ``next()`` drains an internal
-    buffer refilled one batch at a time (batches of ``batch_size`` rows,
-    so a row-driven consumer still amortizes the per-batch work).
-    Subclasses must call :meth:`_reset_drain` from ``open()`` and
-    ``close()``.
-    """
-
-    def __init__(self):
-        self._drain_rows = None
-        self._drain_pos = 0
-
-    def _reset_drain(self):
-        self._drain_rows = None
-        self._drain_pos = 0
-
-    def next(self):
-        rows = self._drain_rows
-        if rows is not None and self._drain_pos < len(rows):
-            row = rows[self._drain_pos]
-            self._drain_pos += 1
-            return row
-        batch = self.next_batch(self.batch_size)
-        if batch is None:
-            self._reset_drain()
-            return None
-        rows = batch.to_rows()
-        self._drain_rows = rows
-        self._drain_pos = 1
-        return rows[0]
-
-
 def set_batch_size(plan, batch_size):
     """Stamp *batch_size* over every operator in *plan* (returns *plan*).
 
@@ -195,29 +122,6 @@ def set_batch_size(plan, batch_size):
         set_batch_size(inner, batch_size)
     for child in plan.children:
         set_batch_size(child, batch_size)
-    return plan
-
-
-def set_batch_layout(plan, batch_layout):
-    """Stamp *batch_layout* over every operator in *plan* (returns *plan*).
-
-    Same traversal as :func:`set_batch_size` (``children`` plus ``inner``
-    wrappers), so one plan never mixes batch containers mid-tree.
-    """
-    if batch_layout is None:
-        return plan
-    if batch_layout not in BATCH_LAYOUTS:
-        raise ExecutionError(
-            "batch_layout must be one of {}, got {!r}".format(
-                "/".join(BATCH_LAYOUTS), batch_layout
-            )
-        )
-    plan.batch_layout = batch_layout
-    inner = getattr(plan, "inner", None)
-    if inner is not None:
-        set_batch_layout(inner, batch_layout)
-    for child in plan.children:
-        set_batch_layout(child, batch_layout)
     return plan
 
 
@@ -251,24 +155,25 @@ def open_plan(plan, bindings=None):
 def execute(plan, bindings=None):
     """Open *plan*, yield every row, and close it (even on error).
 
-    Prefer :func:`open_plan` (or fully consuming this generator): if the
-    consumer abandons the generator mid-stream, ``close()`` only runs
-    when the generator is finalized.
+    A row view over the batch protocol at the plan's own
+    ``batch_size``.  Prefer :func:`open_plan` (or fully consuming this
+    generator): if the consumer abandons the generator mid-stream,
+    ``close()`` only runs when the generator is finalized.
     """
     with open_plan(plan, bindings):
         while True:
-            row = plan.next()
-            if row is None:
+            batch = plan.next_batch()
+            if batch is None:
                 return
-            yield row
+            yield from batch.to_rows()
 
 
 def execute_batches(plan, batch_size=None, bindings=None):
-    """Open *plan*, yield :class:`RowBatch` chunks, and close it.
+    """Open *plan*, yield :class:`ColumnBatch` chunks, and close it.
 
-    The plan is driven through the batch protocol with *batch_size*
-    (``None`` = the plan's own ``batch_size``).  Same abandonment caveat
-    as :func:`execute` — engines wrap consumption in :func:`open_plan`.
+    Each pull asks for *batch_size* rows (``None`` = the plan's own
+    ``batch_size``).  Same abandonment caveat as :func:`execute` —
+    engines wrap consumption in :func:`open_plan`.
     """
     with open_plan(plan, bindings):
         while True:
@@ -284,7 +189,7 @@ def collect(plan):
 
 
 def collect_batches(plan, batch_size=None):
-    """Run *plan* through the batch protocol; returns all rows as a list."""
+    """Run *plan* to completion pulling *batch_size* rows at a time."""
     rows = []
     for batch in execute_batches(plan, batch_size):
         rows.extend(batch)

@@ -3,12 +3,8 @@
 from array import array
 
 from repro.exec.operator import Operator
-from repro.relational.batch import ColumnBatch, RowBatch, type_column
-from repro.relational.expr import (
-    ColumnRef,
-    compile_batch_projection,
-    compile_column_projection,
-)
+from repro.relational.batch import ColumnBatch, type_column
+from repro.relational.expr import compile_column_projection
 
 
 class Project(Operator):
@@ -20,11 +16,11 @@ class Project(Operator):
     on placeholders; clash rule 2 (projection must not drop placeholder
     attributes) is enforced by the plan rewriter, not here.
 
-    Batch path: the output expressions are compiled once per ``open()``.
-    In the columnar layout the projector is a column transformer
-    (:func:`compile_column_projection`) — bare references pass whole
-    column vectors through zero-copy, computed expressions run as
-    kernels, and the outputs are re-typed against the projection schema.
+    The output expressions are compiled once per ``open()`` into a
+    column transformer (:func:`compile_column_projection`) — bare
+    references pass whole column vectors through zero-copy, computed
+    expressions run as kernels, and the outputs are re-typed against
+    the projection schema.
     """
 
     def __init__(self, child, expressions, schema):
@@ -33,52 +29,29 @@ class Project(Operator):
         self.expressions = list(expressions)
         self.schema = schema
         self.children = (child,)
-        self._batch_project = None
         self._column_project = None
 
     def open(self, bindings=None):
         self.child.open(bindings)
-        if self.batch_layout == "columnar":
-            self._column_project = compile_column_projection(self.expressions)
-        else:
-            self._batch_project = compile_batch_projection(self.expressions)
-
-    def next(self):
-        row = self.child.next()
-        if row is None:
-            return None
-        return tuple(
-            expr.raw(row) if isinstance(expr, ColumnRef) else expr.eval(row)
-            for expr in self.expressions
-        )
+        self._column_project = compile_column_projection(self.expressions)
 
     def next_batch(self, max_rows=None):
         limit = max_rows if max_rows is not None else self.batch_size
-        if self.batch_layout == "columnar":
-            project = self._column_project
-            if project is None:
-                project = compile_column_projection(self.expressions)
-                self._column_project = project
-            batch = self.child.next_batch(limit)
-            if batch is None:
-                return None
-            columns = [
-                col if isinstance(col, array) else type_column(col, spec.type)
-                for col, spec in zip(project(batch), self.schema)
-            ]
-            return ColumnBatch.from_columns(self.schema, columns, len(batch))
-        project = self._batch_project
+        project = self._column_project
         if project is None:
-            project = compile_batch_projection(self.expressions)
-            self._batch_project = project
+            project = compile_column_projection(self.expressions)
+            self._column_project = project
         batch = self.child.next_batch(limit)
         if batch is None:
             return None
-        return RowBatch(self.schema, project(batch.to_rows()))
+        columns = [
+            col if isinstance(col, array) else type_column(col, spec.type)
+            for col, spec in zip(project(batch), self.schema)
+        ]
+        return ColumnBatch.from_columns(self.schema, columns, len(batch))
 
     def close(self):
         self.child.close()
-        self._batch_project = None
         self._column_project = None
 
     def label(self):

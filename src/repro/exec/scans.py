@@ -3,7 +3,7 @@
 from array import array
 
 from repro.exec.operator import Operator
-from repro.relational.batch import ColumnBatch, RowBatch, type_column
+from repro.relational.batch import ColumnBatch, type_column
 from repro.util.errors import ExecutionError
 
 
@@ -21,11 +21,10 @@ def _extend_column(dst, src):
 class TableScan(Operator):
     """Sequential scan of a stored table through the buffer pool.
 
-    Batch path: rows are pulled page-at-a-time from the heap via
-    ``Table.scan_batches()`` and re-chunked to the caller's ``max_rows``.
-    In the columnar layout the source is ``Table.scan_column_batches()``
-    when available — pages decode straight into typed column vectors, so
-    batches reach the operators column-major without a pivot.
+    Pages decode straight into typed column vectors
+    (``Table.scan_column_batches()``), which are re-chunked to the
+    caller's ``max_rows`` — batches reach the operators column-major
+    without a pivot.
 
     ``partition=(index, total)`` restricts the scan to one contiguous
     run of heap pages (see
@@ -41,71 +40,22 @@ class TableScan(Operator):
         self.partition = partition
         self.schema = table.schema.with_qualifier(self.qualifier)
         self.children = ()
-        self._iterator = None
-        self._batch_iterator = None
-        self._pending = []
+        self._chunks = None
         self._pending_cols = None
 
     def open(self, bindings=None):
         self._reject_bindings(bindings)
-        # Unpartitioned scans keep the historical zero-argument call, so
-        # duck-typed table stand-ins without a partition kwarg still work.
-        self._iterator = (
-            self.table.scan()
-            if self.partition is None
-            else self.table.scan(partition=self.partition)
-        )
-        self._batch_iterator = None
-        self._pending = []
+        self._chunks = self.table.scan_column_batches(partition=self.partition)
         self._pending_cols = None
 
-    def next(self):
-        if self._iterator is None:
-            raise ExecutionError("TableScan.next() before open()")
-        return next(self._iterator, None)
-
-    def _gather_rows(self, limit):
-        """Up to *limit* rows from the page-chunked row source."""
-        if self._batch_iterator is None:
-            scan_batches = getattr(self.table, "scan_batches", None)
-            if scan_batches is None:
-                if self.partition is not None:
-                    raise ExecutionError(
-                        "partitioned scan over a table without scan_batches()"
-                    )
-                return None
-            self._batch_iterator = (
-                scan_batches()
-                if self.partition is None
-                else scan_batches(partition=self.partition)
-            )
-        rows = self._pending
-        while len(rows) < limit:
-            chunk = next(self._batch_iterator, None)
-            if chunk is None:
-                break
-            rows.extend(chunk)
-        if not rows:
-            return []
-        if len(rows) > limit:
-            self._pending = rows[limit:]
-            rows = rows[:limit]
-        else:
-            self._pending = []
-        return rows
-
-    def _next_column_batch(self, limit):
-        """Columnar source path: page chunks arrive as column vectors."""
-        if self._batch_iterator is None:
-            self._batch_iterator = (
-                self.table.scan_column_batches()
-                if self.partition is None
-                else self.table.scan_column_batches(partition=self.partition)
-            )
+    def next_batch(self, max_rows=None):
+        if self._chunks is None:
+            raise ExecutionError("TableScan.next_batch() before open()")
+        limit = max_rows if max_rows is not None else self.batch_size
         cols = self._pending_cols
         count = len(cols[0]) if cols else 0
         while count < limit:
-            chunk = next(self._batch_iterator, None)
+            chunk = next(self._chunks, None)
             if chunk is None:
                 break
             if not cols:
@@ -126,27 +76,8 @@ class TableScan(Operator):
             self._pending_cols = None
         return ColumnBatch.from_columns(self.schema, cols, count)
 
-    def next_batch(self, max_rows=None):
-        if self._iterator is None:
-            raise ExecutionError("TableScan.next_batch() before open()")
-        limit = max_rows if max_rows is not None else self.batch_size
-        if self.batch_layout == "columnar" and callable(
-            getattr(self.table, "scan_column_batches", None)
-        ):
-            return self._next_column_batch(limit)
-        rows = self._gather_rows(limit)
-        if rows is None:
-            return Operator.next_batch(self, limit)
-        if not rows:
-            return None
-        if self.batch_layout == "columnar":
-            return self.make_batch(rows)
-        return RowBatch(self.schema, rows)
-
     def close(self):
-        self._iterator = None
-        self._batch_iterator = None
-        self._pending = []
+        self._chunks = None
         self._pending_cols = None
 
     def label(self):
@@ -176,15 +107,6 @@ class RowsScan(Operator):
         # outlive one open/close cycle.
         self._columns = None
 
-    def next(self):
-        if self._position is None:
-            raise ExecutionError("RowsScan.next() before open()")
-        if self._position >= len(self.rows_data):
-            return None
-        row = self.rows_data[self._position]
-        self._position += 1
-        return row
-
     def next_batch(self, max_rows=None):
         if self._position is None:
             raise ExecutionError("RowsScan.next_batch() before open()")
@@ -192,25 +114,21 @@ class RowsScan(Operator):
         start = self._position
         if start >= len(self.rows_data):
             return None
-        if self.batch_layout == "columnar":
-            # The row list is immutable while the scan is open, so the
-            # typed pivot is computed once per open and sliced per batch
-            # (array slices stay arrays: no per-batch re-typing).
-            if self._columns is None:
-                self._columns = [
-                    type_column(values, column.type)
-                    for values, column in zip(zip(*self.rows_data), self.schema)
-                ]
-            stop = min(start + limit, len(self.rows_data))
-            self._position = stop
-            return ColumnBatch.from_columns(
-                self.schema,
-                [col[start:stop] for col in self._columns],
-                stop - start,
-            )
-        rows = self.rows_data[start : start + limit]
-        self._position = start + len(rows)
-        return RowBatch(self.schema, rows)
+        # The row list is immutable while the scan is open, so the typed
+        # pivot is computed once per open and sliced per batch (array
+        # slices stay arrays: no per-batch re-typing).
+        if self._columns is None:
+            self._columns = [
+                type_column(values, column.type)
+                for values, column in zip(zip(*self.rows_data), self.schema)
+            ]
+        stop = min(start + limit, len(self.rows_data))
+        self._position = stop
+        return ColumnBatch.from_columns(
+            self.schema,
+            [col[start:stop] for col in self._columns],
+            stop - start,
+        )
 
     def close(self):
         self._position = None

@@ -42,24 +42,20 @@ class Sort(Operator):
     def open(self, bindings=None):
         self._reject_bindings(bindings)
         self.child.open()
-        # Columnar layout: extract each key as one column gather per
-        # batch (kernel-compiled) instead of a per-row tuple build.
-        evaluators = None
-        if self.batch_layout == "columnar" and self.keys:
-            evaluators = [compile_column_eval(expr) for expr, _ in self.keys]
+        # Each key is extracted as one kernel-compiled column gather per
+        # batch instead of a per-row tuple build.
+        evaluators = [compile_column_eval(expr) for expr, _ in self.keys]
         decorated = []
         while True:
             batch = self.child.next_batch(self.batch_size)
             if batch is None:
                 break
-            if evaluators is not None:
+            rows = batch.to_rows()
+            if evaluators:
                 key_columns = [evaluate(batch) for evaluate in evaluators]
-                decorated.extend(zip(zip(*key_columns), batch.to_rows()))
+                decorated.extend(zip(zip(*key_columns), rows))
             else:
-                decorated.extend(
-                    (tuple(expr.eval(row) for expr, _ in self.keys), row)
-                    for row in batch
-                )
+                decorated.extend(((), row) for row in rows)
         self.child.close()
         comparator = self._make_comparator()
         decorated.sort(key=functools.cmp_to_key(comparator))
@@ -77,15 +73,6 @@ class Sort(Operator):
             return 0
 
         return compare
-
-    def next(self):
-        if self._buffer is None:
-            raise ExecutionError("Sort.next() before open()")
-        if self._position >= len(self._buffer):
-            return None
-        row = self._buffer[self._position]
-        self._position += 1
-        return row
 
     def next_batch(self, max_rows=None):
         if self._buffer is None:

@@ -26,24 +26,6 @@ class UnionAll(Operator):
         self.left.open()
         self._stage = 0
 
-    def next(self):
-        if self._stage is None:
-            raise ExecutionError("UnionAll.next() before open()")
-        if self._stage == 2:
-            return None
-        if self._stage == 0:
-            row = self.left.next()
-            if row is not None:
-                return row
-            self.left.close()
-            self.right.open()
-            self._stage = 1
-        row = self.right.next()
-        if row is None:
-            self.right.close()
-            self._stage = 2
-        return row
-
     def next_batch(self, max_rows=None):
         if self._stage is None:
             raise ExecutionError("UnionAll.next_batch() before open()")
@@ -62,8 +44,7 @@ class UnionAll(Operator):
             self.right.close()
             self._stage = 2
             return None
-        # Re-tag with the union's (left-derived) schema (zero-copy in
-        # either layout).
+        # Re-tag with the union's (left-derived) schema (zero-copy).
         return batch.with_schema(self.schema)
 
     def close(self):

@@ -34,12 +34,6 @@ class ExecOptions:
     ``batch_size``
         Row granularity stamped over the lowered tree (``None`` = the
         operator default, see :func:`repro.exec.operator.set_batch_size`).
-    ``batch_layout``
-        Batch container stamped over the lowered tree
-        (``"columnar"``/``"row"``; ``None`` = the operator default, see
-        :func:`repro.exec.operator.set_batch_layout`).  Semantically
-        invisible — it selects the column-kernel fast paths vs the
-        row-of-tuples pipeline.
     ``wait_timeout``
         Per-wave ReqSync timeout in seconds (``None`` = operator
         default).
@@ -73,15 +67,14 @@ class ExecOptions:
     """
 
     __slots__ = (
-        "on_error", "batch_size", "batch_layout", "wait_timeout", "stream",
-        "cache_tier", "cache_ttl", "deadline", "shards", "parallelism",
+        "on_error", "batch_size", "wait_timeout", "stream", "cache_tier",
+        "cache_ttl", "deadline", "shards", "parallelism",
     )
 
     def __init__(
         self,
         on_error=DEFAULT_ON_ERROR,
         batch_size=None,
-        batch_layout=None,
         wait_timeout=None,
         stream=False,
         cache_tier=None,
@@ -96,15 +89,6 @@ class ExecOptions:
                     on_error
                 )
             )
-        if batch_layout is not None:
-            from repro.relational.batch import BATCH_LAYOUTS
-
-            if batch_layout not in BATCH_LAYOUTS:
-                raise PlanError(
-                    "unknown batch_layout {!r}; expected {}".format(
-                        batch_layout, "/".join(BATCH_LAYOUTS)
-                    )
-                )
         if shards is not None and shards < 1:
             raise PlanError("shards must be >= 1, got {!r}".format(shards))
         if parallelism is not None and parallelism < 1:
@@ -113,7 +97,6 @@ class ExecOptions:
             )
         self.on_error = on_error
         self.batch_size = batch_size
-        self.batch_layout = batch_layout
         self.wait_timeout = wait_timeout
         self.stream = stream
         self.cache_tier = cache_tier
@@ -129,7 +112,6 @@ class ExecOptions:
         rewrite_settings=None,
         on_error=None,
         batch_size=None,
-        batch_layout=None,
         cache=None,
         deadline=None,
         shards=None,
@@ -139,13 +121,12 @@ class ExecOptions:
 
         Precedence (most specific wins):
 
-        1. explicit ``on_error`` / ``batch_size`` / ``batch_layout`` /
-           ``shards`` / ``parallelism`` arguments (engine-level
-           overrides);
+        1. explicit ``on_error`` / ``batch_size`` / ``shards`` /
+           ``parallelism`` arguments (engine-level overrides);
         2. ``RewriteSettings`` values, when set (non-``None``);
         3. ``PlannerOptions`` values, when set;
-        4. the defaults (``"raise"`` / operator-default batch size and
-           layout / ``shards=1`` / ``parallelism=1``).
+        4. the defaults (``"raise"`` / operator-default batch size /
+           ``shards=1`` / ``parallelism=1``).
 
         This fixes the historical drift where
         ``RewriteSettings(on_error=None)`` silently meant "operator
@@ -154,7 +135,6 @@ class ExecOptions:
         """
         resolved_on_error = None
         resolved_batch = None
-        resolved_layout = None
         resolved_shards = None
         resolved_parallelism = None
         wait_timeout = None
@@ -162,7 +142,6 @@ class ExecOptions:
         if planner_options is not None:
             resolved_on_error = getattr(planner_options, "on_error", None)
             resolved_batch = getattr(planner_options, "batch_size", None)
-            resolved_layout = getattr(planner_options, "batch_layout", None)
             resolved_shards = getattr(planner_options, "shards", None)
             resolved_parallelism = getattr(planner_options, "parallelism", None)
         if rewrite_settings is not None:
@@ -170,8 +149,6 @@ class ExecOptions:
                 resolved_on_error = rewrite_settings.on_error
             if getattr(rewrite_settings, "batch_size", None) is not None:
                 resolved_batch = rewrite_settings.batch_size
-            if getattr(rewrite_settings, "batch_layout", None) is not None:
-                resolved_layout = rewrite_settings.batch_layout
             if getattr(rewrite_settings, "shards", None) is not None:
                 resolved_shards = rewrite_settings.shards
             if getattr(rewrite_settings, "parallelism", None) is not None:
@@ -182,8 +159,6 @@ class ExecOptions:
             resolved_on_error = on_error
         if batch_size is not None:
             resolved_batch = batch_size
-        if batch_layout is not None:
-            resolved_layout = batch_layout
         if shards is not None:
             resolved_shards = shards
         if parallelism is not None:
@@ -198,7 +173,6 @@ class ExecOptions:
         return cls(
             on_error=resolved_on_error or DEFAULT_ON_ERROR,
             batch_size=resolved_batch,
-            batch_layout=resolved_layout,
             wait_timeout=wait_timeout,
             stream=stream,
             cache_tier=cache_tier if cache is not None else "off",
@@ -212,12 +186,12 @@ class ExecOptions:
 
     def __repr__(self):
         return (
-            "ExecOptions(on_error={!r}, batch_size={!r}, batch_layout={!r}, "
-            "wait_timeout={!r}, stream={!r}, cache_tier={!r}, cache_ttl={!r}, "
-            "deadline={!r}, shards={!r}, parallelism={!r})".format(
-                self.on_error, self.batch_size, self.batch_layout,
-                self.wait_timeout, self.stream, self.cache_tier,
-                self.cache_ttl, self.deadline, self.shards, self.parallelism,
+            "ExecOptions(on_error={!r}, batch_size={!r}, wait_timeout={!r}, "
+            "stream={!r}, cache_tier={!r}, cache_ttl={!r}, deadline={!r}, "
+            "shards={!r}, parallelism={!r})".format(
+                self.on_error, self.batch_size, self.wait_timeout,
+                self.stream, self.cache_tier, self.cache_ttl, self.deadline,
+                self.shards, self.parallelism,
             )
         )
 
@@ -237,10 +211,6 @@ def lower(node, options=None, context=None):
         from repro.exec.operator import set_batch_size
 
         set_batch_size(plan, options.batch_size)
-    if options.batch_layout is not None:
-        from repro.exec.operator import set_batch_layout
-
-        set_batch_layout(plan, options.batch_layout)
     return plan
 
 
@@ -335,7 +305,6 @@ def _sequential(options):
     return ExecOptions(
         on_error=options.on_error,
         batch_size=options.batch_size,
-        batch_layout=options.batch_layout,
         wait_timeout=options.wait_timeout,
         stream=options.stream,
         cache_tier=options.cache_tier,
@@ -350,14 +319,10 @@ def _parallel_eligible(node):
     """True when *node* is a Filter/Project chain over a plain heap scan.
 
     Only full-table scans partition (index scans already prune pages and
-    read in key order, which page partitioning would scramble), and only
-    over tables exposing the batch scan API — duck-typed table stand-ins
-    without ``scan_batches`` keep the historical sequential lowering.
+    read in key order, which page partitioning would scramble).
     """
     if isinstance(node, L.LogicalScan):
-        return node.index is None and callable(
-            getattr(node.table, "scan_batches", None)
-        )
+        return node.index is None
     if isinstance(node, (L.LogicalFilter, L.LogicalProject)):
         return _parallel_eligible(node.child)
     return False

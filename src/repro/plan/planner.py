@@ -48,7 +48,6 @@ class PlannerOptions:
         cost_reorder=False,
         on_error="raise",
         batch_size=None,
-        batch_layout=None,
         shards=None,
         parallelism=None,
         logical_rules=None,
@@ -75,11 +74,6 @@ class PlannerOptions:
         #: the ``REPRO_BATCH_SIZE`` environment override).  ``1``
         #: degenerates batching to the exact row-at-a-time schedule.
         self.batch_size = batch_size
-        #: Batch container stamped over every operator of a produced plan
-        #: (``"columnar"``/``"row"``; ``None`` = the per-operator
-        #: default, i.e. columnar or the ``REPRO_BATCH_LAYOUT``
-        #: environment override).  Semantically invisible.
-        self.batch_layout = batch_layout
         #: Search-tier shard count (``None`` = defer to the engine /
         #: ``REPRO_SHARDS``; ``1`` = the unsharded monolith).  Carried
         #: for knob resolution — the web tier, not the planner, acts on

@@ -1015,10 +1015,10 @@ class DecorrelateInToJoin(Rule):
     ``Filter[x IN S](child)`` rewrites to
     ``Project[child cols](Join[x = s](child, Distinct(S)))``: the
     Distinct keeps matched rows from multiplying, the equi-join shape is
-    what the executor upgrades to a hash join under the columnar layout,
-    and NULL probes / NULL candidates drop on both sides (a NULL never
-    equals anything, and ``NULL IN S`` is never True).  Guards — each one
-    a soundness boundary, not a heuristic:
+    what the executor upgrades to a hash join, and NULL probes / NULL
+    candidates drop on both sides (a NULL never equals anything, and
+    ``NULL IN S`` is never True).  Guards — each one a soundness
+    boundary, not a heuristic:
 
     - non-negated only (``NOT IN`` over a NULL-containing list is
       three-valued in a way an anti-join here would not reproduce);

@@ -9,12 +9,8 @@ emits the bound expressions defined here.
 from repro.relational.types import DataType, coerce_value, infer_literal_type
 from repro.relational.schema import Column, Schema
 from repro.relational.batch import (
-    BATCH_LAYOUTS,
-    DEFAULT_BATCH_LAYOUT,
     DEFAULT_BATCH_SIZE,
     ColumnBatch,
-    RowBatch,
-    default_batch_layout,
     default_batch_size,
     type_column,
 )
@@ -27,9 +23,6 @@ from repro.relational.expr import (
     Disjunction,
     Literal,
     Negation,
-    compile_batch_eval,
-    compile_batch_predicate,
-    compile_batch_projection,
     compile_column_eval,
     compile_column_predicate,
     compile_column_projection,
@@ -42,12 +35,9 @@ from repro.relational.placeholder import (
 )
 
 __all__ = [
-    "BATCH_LAYOUTS",
-    "DEFAULT_BATCH_LAYOUT",
     "DEFAULT_BATCH_SIZE",
     "ColumnBatch",
     "Placeholder",
-    "RowBatch",
     "is_placeholder",
     "row_pending_calls",
     "BinaryOp",
@@ -62,13 +52,9 @@ __all__ = [
     "Negation",
     "Schema",
     "coerce_value",
-    "compile_batch_eval",
-    "compile_batch_predicate",
-    "compile_batch_projection",
     "compile_column_eval",
     "compile_column_predicate",
     "compile_column_projection",
-    "default_batch_layout",
     "default_batch_size",
     "infer_literal_type",
     "kernel_stats",

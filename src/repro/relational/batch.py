@@ -1,4 +1,4 @@
-"""RowBatch / ColumnBatch: the units of vectorized (batch-at-a-time) execution.
+"""ColumnBatch: the unit of vectorized (batch-at-a-time) execution.
 
 The Volcano iterator contract (``open/next/close``) pays one Python
 virtual-call round trip through the whole operator stack *per tuple*.
@@ -8,34 +8,28 @@ WSQ-specific payoff is that an :class:`~repro.asynciter.aevscan.AEVScan`
 can register a whole batch of external calls with the request pump in a
 single operator round trip.
 
-Two batch layouts implement one logical contract:
+A :class:`ColumnBatch` carries one vector per attribute, with INT/FLOAT
+columns stored in typed ``array('q')``/``array('d')`` buffers when their
+values allow it.  A typed array *proves* the column holds only clean
+numbers (no NULLs, no placeholders), which is what lets the compiled
+kernels in :mod:`repro.relational.expr` skip every per-value guard.
 
-- :class:`RowBatch` (the original, ``batch_layout="row"``) carries a list
-  of row tuples;
-- :class:`ColumnBatch` (``batch_layout="columnar"``, the default) carries
-  one vector per attribute, with INT/FLOAT columns stored in typed
-  ``array('q')``/``array('d')`` buffers when their values allow it.  A
-  typed array *proves* the column holds only clean numbers (no NULLs, no
-  placeholders), which is what lets the compiled kernels in
-  :mod:`repro.relational.expr` skip every per-value guard.
-
-Both are
+A batch is
 
 - **schema-carrying**: ``batch.schema`` is the producing operator's
   output :class:`~repro.relational.schema.Schema`;
-- **column-accessible**: ``batch.column(i)`` materializes one attribute
-  across the (selected) rows;
+- **column-accessible**: ``batch.column(i)`` is one attribute across the
+  (selected) rows;
 - **selection-aware**: a *selection vector* (a list of indexes into the
-  backing rows/columns) lets a filter "delete" rows without copying the
+  backing columns) lets a filter "delete" rows without copying the
   batch — iteration, ``len()``, and ``column()`` all respect it.
-  :meth:`narrow` composes selections *flat*: narrowing an
+  :meth:`~ColumnBatch.narrow` composes selections *flat*: narrowing an
   already-narrowed batch materializes the composed vector once, so
   chained filters never stack indirections.
 
-``to_rows()`` / ``from_rows()`` bridge the two layouts: rows are plain
-Python tuples either way (the same objects the row-at-a-time path
-produces), so placeholders, patching, and every existing helper work
-unchanged on batch contents.
+``from_rows()`` / ``to_rows()`` bridge to plain Python row tuples, so
+placeholders, patching, and every row-level helper work unchanged on
+batch contents.
 """
 
 import os
@@ -50,16 +44,6 @@ DEFAULT_BATCH_SIZE = 256
 #: suite under ``REPRO_BATCH_SIZE=1`` to pin degenerate batching to the
 #: row-at-a-time semantics).
 BATCH_SIZE_ENV = "REPRO_BATCH_SIZE"
-
-#: The two batch layouts every operator understands.
-BATCH_LAYOUTS = ("columnar", "row")
-
-#: Hard default layout (column-major with compiled kernels).
-DEFAULT_BATCH_LAYOUT = "columnar"
-
-#: Environment override, mirroring ``REPRO_BATCH_SIZE`` (CI runs a
-#: ``REPRO_BATCH_LAYOUT=row`` leg to keep the row-major fallback green).
-BATCH_LAYOUT_ENV = "REPRO_BATCH_LAYOUT"
 
 
 def default_batch_size():
@@ -78,21 +62,6 @@ def default_batch_size():
             )
         return value
     return DEFAULT_BATCH_SIZE
-
-
-def default_batch_layout():
-    """The process-wide default batch layout (env-overridable)."""
-    raw = os.environ.get(BATCH_LAYOUT_ENV)
-    if raw:
-        value = raw.strip().lower()
-        if value not in BATCH_LAYOUTS:
-            raise ValueError(
-                "{}={!r} must be one of {}".format(
-                    BATCH_LAYOUT_ENV, raw, "/".join(BATCH_LAYOUTS)
-                )
-            )
-        return value
-    return DEFAULT_BATCH_LAYOUT
 
 
 #: Schema types that get typed array storage when their values are clean.
@@ -126,98 +95,6 @@ def _gather(column, selection):
     return [column[i] for i in selection]
 
 
-class RowBatch:
-    """A fixed-capacity slice of tuples with an optional selection vector.
-
-    ``rows`` is a list of row tuples; ``selection`` (when not ``None``)
-    lists the indexes of the rows that are logically present, in order.
-    Operators that drop rows cheaply (Filter, join predicates) attach a
-    selection instead of rebuilding the row list; operators that need a
-    dense list call :meth:`to_rows` or :meth:`compact`.
-    """
-
-    __slots__ = ("schema", "rows", "selection")
-
-    def __init__(self, schema, rows, selection=None):
-        self.schema = schema
-        self.rows = rows
-        self.selection = selection
-
-    # -- construction -------------------------------------------------------
-
-    @classmethod
-    def from_rows(cls, schema, rows):
-        """A dense batch over *rows* (materialized as a list)."""
-        return cls(schema, list(rows))
-
-    def narrow(self, indexes):
-        """A new batch sharing ``rows`` but keeping only *indexes*.
-
-        *indexes* are positions in this batch's logical order.  Narrowing
-        an already-narrowed batch materializes the *composed* vector once
-        (one flat list of base indexes), so repeated narrowing never
-        builds chains of index lookups.
-        """
-        if self.selection is None:
-            return RowBatch(self.schema, self.rows, list(indexes))
-        base = self.selection
-        return RowBatch(self.schema, self.rows, [base[i] for i in indexes])
-
-    #: Historical name for :meth:`narrow`.
-    select = narrow
-
-    def with_schema(self, schema):
-        """This batch re-tagged with *schema* (zero-copy)."""
-        return RowBatch(schema, self.rows, self.selection)
-
-    # -- access -------------------------------------------------------------
-
-    def __len__(self):
-        if self.selection is not None:
-            return len(self.selection)
-        return len(self.rows)
-
-    def __bool__(self):
-        return len(self) > 0
-
-    def __iter__(self):
-        if self.selection is None:
-            return iter(self.rows)
-        rows = self.rows
-        return iter([rows[i] for i in self.selection])
-
-    def to_rows(self):
-        """The selected rows as a dense list (copies only if selected)."""
-        if self.selection is None:
-            return self.rows
-        rows = self.rows
-        return [rows[i] for i in self.selection]
-
-    def compact(self):
-        """This batch with any selection applied (dense rows, no vector)."""
-        if self.selection is None:
-            return self
-        return RowBatch(self.schema, self.to_rows())
-
-    def column(self, index):
-        """All values of attribute *index* across the selected rows."""
-        if self.selection is None:
-            return [row[index] for row in self.rows]
-        rows = self.rows
-        return [rows[i][index] for i in self.selection]
-
-    def columns(self):
-        """Every attribute as a list of column vectors."""
-        return [self.column(i) for i in range(len(self.schema))]
-
-    def __repr__(self):
-        return "RowBatch({} rows, {} cols{})".format(
-            len(self),
-            len(self.schema) if self.schema is not None else "?",
-            ", selected" if self.selection is not None else "",
-        )
-
-
 class ColumnBatch:
     """Column-major batch: one vector per attribute plus a selection vector.
 
@@ -225,7 +102,8 @@ class ColumnBatch:
     ``array`` for clean INT/FLOAT columns, a plain list otherwise (see
     :func:`type_column`).  ``rowcount`` is the backing length;
     ``selection`` (when not ``None``) lists the logically present row
-    positions, exactly like :class:`RowBatch`.
+    positions, in order.  Operators that drop rows cheaply (Filter, join
+    predicates) attach a selection instead of rebuilding the columns.
 
     The batch is read-only by convention: operators narrow (sharing the
     column buffers) or build new batches, never mutate vectors in place.
@@ -273,7 +151,10 @@ class ColumnBatch:
     def narrow(self, indexes):
         """A new batch sharing the column buffers, keeping only *indexes*.
 
-        Same flat-composition contract as :meth:`RowBatch.narrow`.
+        *indexes* are positions in this batch's logical order.  Narrowing
+        an already-narrowed batch materializes the *composed* vector once
+        (one flat list of base indexes), so repeated narrowing never
+        builds chains of index lookups.
         """
         if self.selection is None:
             return ColumnBatch(self.schema, self.data, self.rowcount, list(indexes))
@@ -281,9 +162,6 @@ class ColumnBatch:
         return ColumnBatch(
             self.schema, self.data, self.rowcount, [base[i] for i in indexes]
         )
-
-    #: Historical name for :meth:`narrow`.
-    select = narrow
 
     def with_schema(self, schema):
         """This batch re-tagged with *schema* (zero-copy)."""
@@ -312,14 +190,6 @@ class ColumnBatch:
         selection = self.selection
         return list(zip(*[_gather(column, selection) for column in data]))
 
-    def compact(self):
-        """This batch with any selection applied (dense columns, no vector)."""
-        if self.selection is None:
-            return self
-        selection = self.selection
-        columns = [_gather(column, selection) for column in self.data]
-        return ColumnBatch(self.schema, columns, len(selection))
-
     def column(self, index):
         """Attribute *index* across the selected rows.
 
@@ -330,13 +200,6 @@ class ColumnBatch:
         if self.selection is None:
             return column
         return _gather(column, self.selection)
-
-    def columns(self):
-        """Every attribute as a list of column vectors (dense: zero-copy)."""
-        if self.selection is None:
-            return list(self.data)
-        selection = self.selection
-        return [_gather(column, selection) for column in self.data]
 
     def __repr__(self):
         return "ColumnBatch({} rows, {} cols{})".format(

@@ -25,16 +25,6 @@ class BoundExpr:
     def eval(self, row):
         raise NotImplementedError
 
-    def batch_eval(self, rows):
-        """Evaluate over a sequence of rows; returns a list of values.
-
-        The default is row-wise; operators that evaluate expressions on
-        the hot path compile the tree once per ``open()`` with
-        :func:`compile_batch_eval` instead of calling this repeatedly.
-        """
-        eval_one = self.eval
-        return [eval_one(row) for row in rows]
-
     def referenced_columns(self):
         """Set of row indexes this expression reads."""
         raise NotImplementedError
@@ -567,11 +557,12 @@ class InSubqueryPredicate(BoundExpr, SubqueryMixin):
         return id(self)
 
 
-# -- batch (vectorized) evaluation --------------------------------------------
+# -- compiled row-wise evaluation ------------------------------------------------
 #
-# The batch executor compiles a BoundExpr tree *once per operator open()*
-# into a closure over plain Python locals, removing the per-row virtual
-# dispatch through the expression tree.  Semantics are mirrored exactly:
+# ``compile_scalar_eval`` compiles a BoundExpr tree once into a
+# ``row -> value`` closure over plain Python locals, removing the per-row
+# virtual dispatch through the expression tree.  It is the exact
+# fallback under the column kernels below.  Semantics are mirrored exactly:
 # evaluation order (left operand first), three-valued logic including
 # per-row short-circuiting of AND/OR (a row whose first conjunct is False
 # must never evaluate — and possibly raise on — the second), placeholder
@@ -663,75 +654,6 @@ def compile_scalar_eval(expr):
     # is already correct; compiling buys nothing beyond the dispatch we
     # save at the shapes above.
     return expr.eval
-
-
-def compile_batch_eval(expr):
-    """Compile *expr* into a ``rows -> [values]`` batch evaluator.
-
-    Call once per operator ``open()``; the returned closure is the
-    per-batch hot path.  Row-wise evaluation order within the batch is
-    preserved, so any error a row-at-a-time run would raise is raised at
-    the same logical row.
-    """
-    if isinstance(expr, Literal):
-        value = expr.value
-        return lambda rows: [value] * len(rows)
-    if isinstance(expr, ColumnRef):
-        index = expr.index
-        context = expr.sql()
-
-        def column(rows):
-            out = []
-            append = out.append
-            for row in rows:
-                value = row[index]
-                if isinstance(value, Placeholder):
-                    require_concrete(value, context=context)
-                append(value)
-            return out
-
-        return column
-    scalar = compile_scalar_eval(expr)
-    return lambda rows: [scalar(row) for row in rows]
-
-
-def compile_batch_predicate(expr):
-    """Compile a predicate into ``rows -> selection`` (indexes where True).
-
-    SQL filter semantics: rows whose predicate is False *or NULL* are
-    dropped, exactly like the row-at-a-time ``eval(row) is True`` check.
-    """
-    evaluator = compile_batch_eval(expr)
-
-    def predicate(rows):
-        values = evaluator(rows)
-        return [i for i, value in enumerate(values) if value is True]
-
-    return predicate
-
-
-def compile_batch_projection(expressions):
-    """Compile projection expressions into ``rows -> [output rows]``.
-
-    Bare column references are copied *raw* (placeholders flow through,
-    mirroring :meth:`ColumnRef.raw`); computed expressions evaluate with
-    the usual placeholder guard.
-    """
-    getters = []
-    for expr in expressions:
-        if isinstance(expr, ColumnRef):
-            index = expr.index
-            getters.append(
-                lambda rows, _i=index: [row[_i] for row in rows]
-            )
-        else:
-            getters.append(compile_batch_eval(expr))
-
-    def project(rows):
-        columns = [getter(rows) for getter in getters]
-        return list(zip(*columns))
-
-    return project
 
 
 # -- column-at-a-time (kernel) evaluation -------------------------------------
@@ -1102,8 +1024,9 @@ def compile_column_eval(expr):
 def compile_column_predicate(expr):
     """Compile a predicate into ``batch -> selection`` (positions where True).
 
-    The columnar twin of :func:`compile_batch_predicate`: rows whose
-    predicate is False *or NULL* are dropped.  The common hot shape —
+    SQL filter semantics: rows whose predicate is False *or NULL* are
+    dropped, exactly like a per-row ``eval(row) is True`` check.  The
+    common hot shape —
     a comparison of a typed array column against a numeric literal —
     emits the selection vector directly from the array, skipping the
     intermediate truth-value list.
@@ -1142,8 +1065,7 @@ def compile_column_predicate(expr):
 def compile_column_projection(expressions):
     """Compile projections into ``batch -> [column vectors]``.
 
-    The columnar twin of :func:`compile_batch_projection`: bare column
-    references are passed through *raw* (zero-copy on dense batches,
+    Bare column references are passed through *raw* (zero-copy on dense batches,
     placeholders flow, mirroring :meth:`ColumnRef.raw`), computed
     expressions run as column kernels with the usual guards.
     """

@@ -54,26 +54,15 @@ class Table:
         for _, record in self.heap.scan(partition=partition):
             yield decode_record(record, self.schema)
 
-    def scan_batches(self, partition=None):
-        """Yield lists of decoded rows, one list per non-empty heap page.
-
-        Storage order is identical to :meth:`scan`; only the grouping
-        differs.  This feeds ``TableScan.next_batch()``.  *partition*
-        restricts to one contiguous page run, as for :meth:`scan`.
-        """
-        schema = self.schema
-        for chunk in self.heap.scan_batches(partition=partition):
-            yield [decode_record(record, schema) for _, record in chunk]
-
     def scan_column_batches(self, partition=None):
-        """Yield schema-typed column vectors, one group per heap page.
+        """Yield schema-typed column vectors, one group per non-empty heap page.
 
-        The columnar twin of :meth:`scan_batches`: each yielded value is
-        a list of per-attribute vectors (typed ``array`` for clean
-        INT/FLOAT columns, plain lists otherwise) covering the page's
-        rows in storage order.  This feeds ``TableScan`` in the columnar
-        batch layout, so pages decode straight into the layout the
-        operators execute on.
+        Each yielded value is a list of per-attribute vectors (typed
+        ``array`` for clean INT/FLOAT columns, plain lists otherwise)
+        covering the page's rows in the storage order of :meth:`scan`.
+        This feeds ``TableScan.next_batch()``, so pages decode straight
+        into the layout the operators execute on.  *partition* restricts
+        to one contiguous page run, as for :meth:`scan`.
         """
         schema = self.schema
         types = [column.type for column in schema]

@@ -168,15 +168,6 @@ class EVScan(Operator):
                     destination=call.destination,
                 )
 
-    def next(self):
-        if self._rows is None:
-            raise ExecutionError("EVScan.next() before open()")
-        if self._position >= len(self._rows):
-            return None
-        row = self._rows[self._position]
-        self._position += 1
-        return row
-
     def next_batch(self, max_rows=None):
         if self._rows is None:
             raise ExecutionError("EVScan.next_batch() before open()")

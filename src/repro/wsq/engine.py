@@ -12,7 +12,7 @@ from repro.plan import logical as logical_ir
 from repro.plan.physical import ExecOptions, lower
 from repro.plan.planner import Planner, PlannerOptions
 from repro.plan.rules import default_rules, parse_rules_spec
-from repro.relational.batch import default_batch_layout, default_batch_size
+from repro.relational.batch import default_batch_size
 from repro.relational.expr import kernel_stats
 from repro.sql import ast
 from repro.sql.parser import parse, parse_select
@@ -89,7 +89,6 @@ class WsqEngine:
         on_error=None,
         obs=None,
         batch_size=None,
-        batch_layout=None,
         single_flight=None,
         calibration=None,
         shards=None,
@@ -168,20 +167,6 @@ class WsqEngine:
         )
         if self.rewrite_settings.batch_size is None:
             self.rewrite_settings.batch_size = self.batch_size
-        #: Batch container every plan is stamped with: ``"columnar"``
-        #: (the default — column-vector batches driven by compiled
-        #: column-at-a-time kernels) or ``"row"`` (the historical
-        #: row-of-tuples pipeline, also reachable process-wide via
-        #: ``REPRO_BATCH_LAYOUT=row``).  Semantically invisible.
-        if batch_layout is None:
-            batch_layout = self.rewrite_settings.batch_layout
-        if batch_layout is None:
-            batch_layout = self.planner_options.batch_layout
-        self.batch_layout = (
-            batch_layout if batch_layout is not None else default_batch_layout()
-        )
-        if self.rewrite_settings.batch_layout is None:
-            self.rewrite_settings.batch_layout = self.batch_layout
         #: Search-tier shard count.  ``1`` (the default) keeps the plain
         #: unsharded :class:`SearchClient` — plans, traces, and results
         #: are byte-identical to the pre-sharding engine.  ``> 1`` puts a
@@ -340,7 +325,6 @@ class WsqEngine:
             planner_options=self.planner_options,
             rewrite_settings=self.rewrite_settings,
             batch_size=self.batch_size,
-            batch_layout=self.batch_layout,
             cache=self.cache,
             deadline=deadline,
             shards=self.shards,
@@ -499,13 +483,7 @@ class WsqEngine:
                 )
                 return header + text
             return text
-        text = plan.explain()
-        if self.batch_layout != default_batch_layout():
-            # Annotate only when this engine deviates from the process
-            # default, so golden plan snapshots stay byte-identical under
-            # every CI layout leg.
-            text = "-- batch_layout: {}\n".format(self.batch_layout) + text
-        return text
+        return plan.explain()
 
     def _latency_mean(self):
         """Mean per-request latency in seconds (for the default cost model)."""

@@ -2,13 +2,13 @@
 
 ``WsqEngine.profile(sql)`` runs a query with every plan operator wrapped
 in a timing/counting decorator and returns a :class:`ProfileReport`:
-rows produced, ``next()`` calls, opens, and cumulative/self wall-clock
-per operator, plus the engine-level deltas (external requests, cache and
+rows produced, ``next_batch()`` pulls, opens, and cumulative/self
+wall-clock per operator, plus the engine-level deltas (external requests, cache and
 dedup hits).  The report makes the paper's core claim *visible*: in a
 sequential WSQ plan virtually all time sits in the EVScan row, and after
 the rewrite it moves into the single ReqSync wait.
 
-``close()`` is timed like ``open``/``next``: operator teardown — e.g.
+``close()`` is timed like ``open``/``next_batch``: operator teardown — e.g.
 ReqSync draining and cancelling its pending calls — shows up in
 ``cum(s)`` rather than vanishing.
 
@@ -29,28 +29,20 @@ from repro.util.timing import resolve_clock
 class OperatorStats:
     """Counters for one wrapped operator.
 
-    ``nexts`` counts row pulls, ``batches`` counts batch pulls; ``rows``
-    accumulates across both protocols (a batch of *n* adds *n*).
+    ``pulls`` counts ``next_batch()`` round trips (a ``next()`` is one
+    pull of one row); a batch of *n* adds *n* to ``rows``.
     """
 
-    __slots__ = (
-        "label", "depth", "opens", "nexts", "batches", "closes", "rows", "seconds",
-    )
+    __slots__ = ("label", "depth", "opens", "pulls", "closes", "rows", "seconds")
 
     def __init__(self, label, depth):
         self.label = label
         self.depth = depth
         self.opens = 0
-        self.nexts = 0
-        self.batches = 0
+        self.pulls = 0
         self.closes = 0
         self.rows = 0
         self.seconds = 0.0
-
-    @property
-    def pulls(self):
-        """Consumer round trips, whichever protocol drove the operator."""
-        return self.nexts + self.batches
 
 
 class _ProfiledOperator(Operator):
@@ -98,15 +90,8 @@ class _ProfiledOperator(Operator):
         else:
             self._timed(self.inner.open_batch, bindings_list)
 
-    def next(self):
-        self.stats.nexts += 1
-        row = self._timed(self.inner.next)
-        if row is not None:
-            self.stats.rows += 1
-        return row
-
     def next_batch(self, max_rows=None):
-        self.stats.batches += 1
+        self.stats.pulls += 1
         if self.tracer is not None:
             with self.tracer.span(
                 "op.next_batch", query_id=self.query_id, operator=self.stats.label

@@ -1,16 +1,19 @@
-"""The dual-protocol batch contract.
+"""The batch contract.
 
-Every operator must produce identical results through the row path
-(``next()``) and the batch path (``next_batch()``) at any batch size,
-must never interleave-break, and must be re-openable after ``close()``.
-These tests pin that contract down for the local operators, for the
-external-table operators (EVScan/AEVScan/ReqSync — including
-proliferation and cancellation), and for the batched external-call
-registration chain (DependentJoin -> AEVScan.open_batch ->
+Every operator implements ``next_batch()`` only; ``next()`` is the base
+class's one-row view of it.  At any batch size, and through either view,
+an operator must produce exactly the rows of the tuple-at-a-time
+schedule (the same plan at ``batch_size=1``), and must be re-openable
+after ``close()`` — also when the previous run was abandoned
+mid-stream.  These tests pin that contract down for the local
+operators, for the external-table operators (EVScan/AEVScan/ReqSync —
+including proliferation and cancellation), and for the batched
+external-call registration chain (DependentJoin -> AEVScan.open_batch ->
 AsyncContext.register_batch -> RequestPump.register_batch).
 """
 
 import asyncio
+import functools
 
 import pytest
 
@@ -25,17 +28,19 @@ from repro.exec import (
     CrossProduct,
     DependentJoin,
     Distinct,
+    Exchange,
     Filter,
+    IndexScan,
     Limit,
     NestedLoopJoin,
     Project,
-    RowBatch,
     RowsScan,
     Sort,
+    TableScan,
     UnionAll,
     collect,
     collect_batches,
-    set_batch_layout,
+    open_plan,
     set_batch_size,
 )
 from repro.obs import Tracer
@@ -44,66 +49,35 @@ from repro.relational.expr import BinaryOp, ColumnRef, Comparison, Literal
 from repro.relational.placeholder import Placeholder
 from repro.relational.schema import Column, Schema
 from repro.relational.types import DataType
+from repro.storage import Database
 from repro.util.errors import ExecutionError
 from repro.vtables.base import ExternalCall
 from repro.vtables.evscan import EVScan
 
 BATCH_SIZES = [1, 2, 7, 256]
-BATCH_LAYOUTS = ["columnar", "row"]
 
 
-# ---------------------------------------------------------------------------
-# RowBatch itself
-# ---------------------------------------------------------------------------
+def collect_rows(plan, batch_size=None):
+    """Drain *plan* through the inherited ``next()`` view.
+
+    Takes *batch_size* only to be callable like ``collect_batches``:
+    the view itself always pulls one row.
+    """
+    with open_plan(plan):
+        return list(iter(plan.next, None))
+
+
+#: The two consumer views of the one protocol: ColumnBatch chunks from
+#: ``next_batch()`` and row tuples from the base-class ``next()``.
+VIEWS = {"columnar": collect_batches, "row": collect_rows}
+
+
+def reference_rows(plan):
+    """The tuple-at-a-time schedule: every pull in the tree asks for 1 row."""
+    return collect_batches(set_batch_size(plan, 1), 1)
 
 
 SCHEMA_V = Schema([Column("v", DataType.INT)], allow_duplicates=True)
-
-
-class TestRowBatch:
-    def test_len_and_iter(self):
-        batch = RowBatch(SCHEMA_V, [(1,), (2,), (3,)])
-        assert len(batch) == 3
-        assert list(batch) == [(1,), (2,), (3,)]
-
-    def test_selection_restricts_view(self):
-        batch = RowBatch(SCHEMA_V, [(1,), (2,), (3,), (4,)], selection=[0, 2])
-        assert len(batch) == 2
-        assert list(batch) == [(1,), (3,)]
-        assert batch.to_rows() == [(1,), (3,)]
-
-    def test_select_composes(self):
-        batch = RowBatch(SCHEMA_V, [(1,), (2,), (3,), (4,)])
-        first = batch.select([1, 2, 3])
-        second = first.select([0, 2])  # indexes *into the selected view*
-        assert list(second) == [(2,), (4,)]
-
-    def test_to_rows_is_cheap_when_dense(self):
-        rows = [(1,), (2,)]
-        batch = RowBatch(SCHEMA_V, rows)
-        assert batch.to_rows() is rows  # no copy without a selection
-
-    def test_empty_selection(self):
-        batch = RowBatch(SCHEMA_V, [(1,)], selection=[])
-        assert len(batch) == 0
-        assert list(batch) == []
-
-    def test_narrow_of_narrow_composes_flat(self):
-        # Regression: composing selections must materialize ONE flat
-        # vector of base indexes sharing the original rows — not a view
-        # whose indexes are misread against the backing list (the
-        # historical double-indirection bug returned base-positioned
-        # rows for view-positioned indexes).
-        rows = [(10,), (11,), (12,), (13,), (14,), (15,)]
-        batch = RowBatch(SCHEMA_V, rows)
-        first = batch.narrow([1, 3, 4, 5])
-        second = first.narrow([0, 2, 3])
-        assert second.rows is rows  # shared backing, no copy
-        assert second.selection == [1, 4, 5]  # flat composed base indexes
-        assert list(second) == [(11,), (14,), (15,)]
-        third = second.narrow([1])
-        assert third.selection == [4]
-        assert list(third) == [(14,)]
 
 
 class TestColumnBatch:
@@ -145,14 +119,10 @@ class TestColumnBatch:
         batch = ColumnBatch.from_rows(SCHEMA_V, [(1,), (2,)])
         assert batch.column(0) is batch.data[0]
 
-    def test_empty_selection_and_compact(self):
+    def test_empty_selection(self):
         batch = ColumnBatch.from_rows(SCHEMA_V, [(1,), (2,)]).narrow([])
         assert len(batch) == 0
         assert batch.to_rows() == []
-        dense = ColumnBatch.from_rows(SCHEMA_V, [(1,), (2,), (3,)]).narrow([2, 0])
-        compacted = dense.compact()
-        assert compacted.selection is None
-        assert compacted.to_rows() == [(3,), (1,)]
 
     def test_zero_width_batch(self):
         batch = ColumnBatch(Schema([]), [], 4)
@@ -161,7 +131,7 @@ class TestColumnBatch:
 
 
 # ---------------------------------------------------------------------------
-# Local operators: row path == batch path at every batch size, re-openable
+# Local operators: either view == the batch_size=1 schedule, re-openable
 # ---------------------------------------------------------------------------
 
 
@@ -244,6 +214,57 @@ def _nlj_plan():
     )
 
 
+@functools.lru_cache(maxsize=None)
+def _stored():
+    """``(table, index on id)`` over a multi-page heap (built once, read-only)."""
+    db = Database()
+    table = db.create_table_from_rows(
+        "People",
+        [("id", DataType.INT), ("tag", DataType.STR)],
+        [(i, "tag-{:03d}".format(i % 17)) for i in range(600)],
+    )
+    return table, db.create_index("People", "id")
+
+
+def _table_scan_plan():
+    return TableScan(_stored()[0])
+
+
+def _index_scan_plan():
+    table, index = _stored()
+    return IndexScan(table, index, low=40, high=460)
+
+
+def _exchange_plan():
+    table, _ = _stored()
+    return Exchange([TableScan(table, partition=(i, 3)) for i in range(3)])
+
+
+def _dependent_join_plan():
+    # EVScan has no open_batch: the looped (one outer row per pull) path,
+    # with a proliferating ('k2') and a cancelling ('k3') binding.
+    return DependentJoin(_outer_scan(), EVScan(FakeInstance(RESULTS)), {"T1": 0})
+
+
+def _nlj_fanout_plan():
+    # Several matches per outer row: the hash probe's pending buffer
+    # spans pulls whenever the caller's limit is smaller than a match run.
+    return NestedLoopJoin(
+        int_scan("l", range(6)),
+        int_scan("r", [i % 3 for i in range(12)]),
+        Comparison("=", ColumnRef(0), ColumnRef(1)),
+    )
+
+
+def _nlj_theta_plan():
+    # Not an equi-join: the selection-over-cross-product strategy.
+    return NestedLoopJoin(
+        int_scan("l", range(8)),
+        int_scan("r", range(8)),
+        Comparison("<", ColumnRef(0), ColumnRef(1)),
+    )
+
+
 PLAN_FACTORIES = {
     "filter": _filter_plan,
     "filter_all_pass": _filter_all_pass_plan,
@@ -256,30 +277,72 @@ PLAN_FACTORIES = {
     "union": _union_plan,
     "cross": _cross_plan,
     "nlj": _nlj_plan,
+    "nlj_fanout": _nlj_fanout_plan,
+    "nlj_theta": _nlj_theta_plan,
+    "table_scan": _table_scan_plan,
+    "index_scan": _index_scan_plan,
+    "exchange": _exchange_plan,
+    "dependent_join": _dependent_join_plan,
 }
 
 
 @pytest.mark.parametrize("factory", PLAN_FACTORIES.values(), ids=PLAN_FACTORIES.keys())
 @pytest.mark.parametrize("batch_size", BATCH_SIZES)
-@pytest.mark.parametrize("batch_layout", BATCH_LAYOUTS)
+@pytest.mark.parametrize("view", VIEWS)
 class TestLocalOperatorEquivalence:
-    def test_batch_path_matches_row_path(self, factory, batch_size, batch_layout):
-        expected = collect(factory())
+    def test_batch_path_matches_row_path(self, factory, batch_size, view):
+        expected = reference_rows(factory())
         plan = set_batch_size(factory(), batch_size)
-        set_batch_layout(plan, batch_layout)
-        assert collect_batches(plan, batch_size) == expected
+        assert VIEWS[view](plan, batch_size) == expected
 
-    def test_reopen_after_close_both_protocols(self, factory, batch_size, batch_layout):
+    def test_reopen_after_close_both_protocols(self, factory, batch_size, view):
         plan = set_batch_size(factory(), batch_size)
-        set_batch_layout(plan, batch_layout)
-        first = collect_batches(plan, batch_size)
-        # Batch run, then row run, then batch run again — each execution
-        # is a fresh open/close, protocols never interleave.
-        assert collect(plan) == first
-        assert collect_batches(plan, batch_size) == first
+        other = "row" if view == "columnar" else "columnar"
+        first = VIEWS[view](plan, batch_size)
+        assert first == reference_rows(factory())
+        # Abandon a run mid-stream (one pull, then close): whatever the
+        # operator buffered for its next pull must not leak into the
+        # re-opened run, which starts over at the first row...
+        with open_plan(plan):
+            if view == "row":
+                plan.next()
+            else:
+                plan.next_batch(batch_size)
+        # ...through the other view, and through this one again.
+        assert VIEWS[other](plan, batch_size) == first
+        assert VIEWS[view](plan, batch_size) == first
+
+
+def _all_subclasses(cls):
+    for sub in cls.__subclasses__():
+        yield sub
+        yield from _all_subclasses(sub)
 
 
 class TestBatchProtocolEdges:
+    def test_only_operator_defines_next(self):
+        # One native protocol: every operator under src/repro inherits
+        # the row view instead of hand-writing a second iteration path.
+        import importlib
+        import pkgutil
+
+        import repro
+        from repro.exec import Operator
+
+        for module in pkgutil.walk_packages(repro.__path__, "repro."):
+            importlib.import_module(module.name)
+        operators = [
+            cls
+            for cls in _all_subclasses(Operator)
+            if cls.__module__.startswith("repro.")
+        ]
+        # The walk reached every layer that defines operators...
+        assert {"TableScan", "EVScan", "AEVScan", "ReqSync", "_ProfiledOperator"} <= {
+            cls.__name__ for cls in operators
+        }
+        # ...and none of them overrides the inherited row view.
+        assert [cls.__name__ for cls in operators if "next" in vars(cls)] == []
+
     def test_never_returns_empty_batch(self):
         plan = set_batch_size(_filter_none_pass_plan(), 4)
         plan.open()
@@ -328,6 +391,47 @@ class TestBatchProtocolEdges:
         plan = Limit(scan, 5)
         assert collect_batches(plan, 2) == [(i,) for i in range(5)]
         assert len(closes) >= 1
+
+    @pytest.mark.parametrize("batch_size", [None, 1], ids=["default", "batch1"])
+    @pytest.mark.parametrize(
+        "sql,expected",
+        [
+            # Hash equi-join above the dependent join: the probe must pull
+            # its outer side with the caller's limit (it used to pull a
+            # full batch_size, i.e. one request per state: 50, not 1).
+            (
+                "Select S.Name, Count, Pop From States S, WebCount, Caps C "
+                "Where S.Name = T1 and C.Name = S.Name Limit 1",
+                {"AV": 1, "Google": 0},
+            ),
+            # Chained dependent joins (Template-3 shape): the looped path
+            # takes one outer row per pull, so one request per engine.
+            (
+                "Select S.Name, AV.URL, G.URL "
+                "From States S, WebPages_AV AV, WebPages_Google G "
+                "Where S.Name = AV.T1 and S.Name = G.T1 "
+                "and AV.Rank <= 2 and G.Rank <= 2 Limit 1",
+                {"AV": 1, "Google": 1},
+            ),
+        ],
+        ids=["hash_join", "chained_dependent_joins"],
+    )
+    def test_sync_limit_issues_no_unneeded_requests(
+        self, web, paper_db, sql, expected, batch_size
+    ):
+        from repro.wsq import WsqEngine
+
+        paper_db.create_table_from_rows(
+            "Caps",
+            [("Name", DataType.STR), ("Pop", DataType.INT)],
+            [(name, population) for name, population, _ in paper_db.table("States").scan()],
+        )
+        engine = WsqEngine(
+            database=paper_db, web=web, batch_size=batch_size, cache=False, shards=1
+        )
+        assert len(engine.execute(sql, mode="sync").rows) == 1
+        sent = {name: client.requests_sent for name, client in engine.clients.items()}
+        assert sent == expected
 
 
 # ---------------------------------------------------------------------------
@@ -414,22 +518,18 @@ def _async_plan(pump, preserve_order=False, delay=0.0, tracer=None):
 
 @pytest.mark.parametrize("batch_size", BATCH_SIZES)
 class TestExternalEquivalence:
-    @pytest.mark.parametrize("batch_layout", BATCH_LAYOUTS)
-    def test_async_batch_path_matches_row_path(self, pump, batch_size, batch_layout):
-        plan, _ = _async_plan(pump)
-        row_rows = sorted(collect(plan))
+    @pytest.mark.parametrize("view", VIEWS)
+    def test_async_batch_path_matches_row_path(self, pump, batch_size, view):
         plan, _ = _async_plan(pump)
         set_batch_size(plan, batch_size)
-        set_batch_layout(plan, batch_layout)
-        batch_rows = sorted(collect_batches(plan, batch_size))
-        assert row_rows == batch_rows == EXPECTED_ROWS
+        assert sorted(VIEWS[view](plan, batch_size)) == EXPECTED_ROWS
 
     def test_preserve_order_exact_equality(self, pump, batch_size):
-        # With ordered emission the async result is deterministic, so the
-        # two protocols must agree *exactly*, proliferation and
-        # cancellation included.
+        # With ordered emission the async result is deterministic, so
+        # every batch size must agree *exactly* with the tuple-at-a-time
+        # schedule, proliferation and cancellation included.
         plan, _ = _async_plan(pump, preserve_order=True, delay=0.005)
-        expected = collect(plan)
+        expected = reference_rows(plan)
         plan, _ = _async_plan(pump, preserve_order=True, delay=0.005)
         set_batch_size(plan, batch_size)
         assert collect_batches(plan, batch_size) == expected
@@ -438,17 +538,22 @@ class TestExternalEquivalence:
         plan, _ = _async_plan(pump)
         set_batch_size(plan, batch_size)
         first = sorted(collect_batches(plan, batch_size))
+        # Abandoned mid-stream: close() cancels what is still pending and
+        # the next open registers and patches everything afresh.
+        with open_plan(plan):
+            plan.next_batch(batch_size)
         second = sorted(collect_batches(plan, batch_size))
         assert first == second == EXPECTED_ROWS
 
     def test_evscan_batch_path_matches_row_path(self, pump, batch_size):
         # EVScan has no open_batch: the dependent join falls back to the
-        # looped path, which must still match the row path exactly.
+        # looped path, which must still match the tuple-at-a-time
+        # schedule exactly.
         def make_plan():
             scan = EVScan(FakeInstance(RESULTS))
             return DependentJoin(_outer_scan(), scan, {"T1": 0})
 
-        expected = collect(make_plan())
+        expected = reference_rows(make_plan())
         plan = set_batch_size(make_plan(), batch_size)
         assert collect_batches(plan, batch_size) == expected
         assert sorted(expected) == EXPECTED_ROWS
@@ -553,17 +658,13 @@ class TestBatchedRegistration:
             results = {}
             for mode in ("sync", "async"):
                 for batch_size in (1, None):
-                    for batch_layout in BATCH_LAYOUTS:
-                        engine = WsqEngine(
-                            database=paper_db,
-                            web=web,
-                            batch_size=batch_size,
-                            batch_layout=batch_layout,
-                        )
-                        results[(mode, batch_size, batch_layout)] = (
-                            engine.execute(sql, mode=mode).rows
-                        )
-            baseline = results[("sync", 1, "row")]
+                    engine = WsqEngine(
+                        database=paper_db, web=web, batch_size=batch_size
+                    )
+                    results[(mode, batch_size)] = engine.execute(
+                        sql, mode=mode
+                    ).rows
+            baseline = results[("sync", 1)]
             assert all(rows == baseline for rows in results.values()), sql
 
     def test_register_batch_dedups_against_in_flight(self, pump):

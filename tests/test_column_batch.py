@@ -1,4 +1,4 @@
-"""Columnar batch core: round-trip oracle, kernels, hash join, knobs.
+"""Columnar batch core: round-trip oracle, kernels, hash join.
 
 Three layers of guarantees:
 
@@ -9,11 +9,11 @@ Three layers of guarantees:
   with per-row ``Expr.eval`` on results *and* on which error fires
   (3-valued logic, per-row short-circuit, type mismatches, placeholder
   guards, division by zero).
-- **Knob threading**: ``batch_layout`` resolves through
-  RewriteSettings/PlannerOptions/ExecOptions/engine/CLI with the same
-  precedence as ``batch_size``, the hash-join upgrade demotes itself on
-  every input that could change nested-loop semantics, and the kernel
-  counters surface through the engine's metrics registry.
+- **Hash join**: the equi-join upgrade agrees with the nested loop it
+  replaces — a selection over a cross product — on rows, order and
+  errors, demotes itself on every input that could change nested-loop
+  semantics, and the kernel counters surface through the engine's
+  metrics registry.
 """
 
 from array import array
@@ -23,19 +23,15 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.exec import (
+    CrossProduct,
     Filter,
     NestedLoopJoin,
     RowsScan,
-    collect,
     collect_batches,
-    set_batch_layout,
+    open_plan,
     set_batch_size,
 )
-from repro.relational.batch import (
-    ColumnBatch,
-    default_batch_layout,
-    type_column,
-)
+from repro.relational.batch import ColumnBatch
 from repro.relational.expr import (
     BinaryOp,
     ColumnRef,
@@ -52,12 +48,7 @@ from repro.relational.expr import (
 from repro.relational.placeholder import Placeholder
 from repro.relational.schema import Column, Schema
 from repro.relational.types import DataType
-from repro.util.errors import (
-    ExecutionError,
-    PlaceholderError,
-    PlanError,
-    TypeMismatchError,
-)
+from repro.util.errors import PlaceholderError, TypeMismatchError
 
 # ---------------------------------------------------------------------------
 # Round-trip oracle: from_rows(to_rows(b)) == b
@@ -354,88 +345,87 @@ def _scan(name, rows, types):
     return RowsScan(schema, rows, name=name)
 
 
-def _join(left_rows, right_rows, op="=", left_types=None, right_types=None):
+def _join(
+    left_rows, right_rows, op="=", left_types=None, right_types=None, hash_join=True
+):
+    """The join under test, or (``hash_join=False``) the nested loop it
+    must agree with: the same predicate as a selection over the cross
+    product, which evaluates every combined row in outer-major order."""
     left = _scan("l", left_rows, left_types or [DataType.INT])
     right = _scan("r", right_rows, right_types or [DataType.INT])
-    return NestedLoopJoin(
-        left, right, Comparison(op, ColumnRef(0), ColumnRef(len(left.schema)))
-    )
+    predicate = Comparison(op, ColumnRef(0), ColumnRef(len(left.schema)))
+    if hash_join:
+        return NestedLoopJoin(left, right, predicate)
+    return Filter(CrossProduct(left, right), predicate)
 
 
-def _both_layouts(make_plan, batch_size=4):
-    """(columnar rows, row-layout rows) for the same plan factory."""
-    results = []
-    for layout in ("columnar", "row"):
-        plan = set_batch_size(make_plan(), batch_size)
-        set_batch_layout(plan, layout)
-        results.append(collect_batches(plan, batch_size))
-    return results
+def _hash_and_nested_loop(batch_size=4, **join_args):
+    """(hash-join rows, nested-loop rows) for the same inputs."""
+    return [
+        collect_batches(
+            set_batch_size(_join(hash_join=hash_join, **join_args), batch_size),
+            batch_size,
+        )
+        for hash_join in (True, False)
+    ]
 
 
 class TestHashJoin:
-    def test_equijoin_matches_row_layout(self):
+    def test_equijoin_matches_nested_loop(self):
         left = [(i,) for i in range(10)]
         right = [(i % 4, i * 100) for i in range(12)]
-        columnar, row = _both_layouts(
-            lambda: _join(left, right, right_types=[DataType.INT, DataType.INT])
+        hashed, looped = _hash_and_nested_loop(
+            left_rows=left, right_rows=right, right_types=[DataType.INT, DataType.INT]
         )
-        assert columnar == row
-        assert len(columnar) == sum(1 for l, in left for r, _ in right if l == r)
+        assert hashed == looped
+        assert len(hashed) == sum(1 for l, in left for r, _ in right if l == r)
 
     def test_string_keys(self):
-        left = [("a",), ("b",), ("c",)]
-        right = [("b",), ("c",), ("c",)]
-        columnar, row = _both_layouts(
-            lambda: _join(
-                left, right, left_types=[DataType.STR], right_types=[DataType.STR]
-            )
+        hashed, looped = _hash_and_nested_loop(
+            left_rows=[("a",), ("b",), ("c",)],
+            right_rows=[("b",), ("c",), ("c",)],
+            left_types=[DataType.STR],
+            right_types=[DataType.STR],
         )
-        assert columnar == row == [("b", "b"), ("c", "c"), ("c", "c")]
+        assert hashed == looped == [("b", "b"), ("c", "c"), ("c", "c")]
 
     def test_null_inner_keys_demote_exactly(self):
         # NULL = x is NULL, never True: those inner rows silently match
         # nothing under the nested loop, and the demoted path must agree.
-        left = [(1,), (2,)]
-        right = [(1,), (None,), (2,)]
-        columnar, row = _both_layouts(lambda: _join(left, right))
-        assert columnar == row == [(1, 1), (2, 2)]
+        hashed, looped = _hash_and_nested_loop(
+            left_rows=[(1,), (2,)], right_rows=[(1,), (None,), (2,)]
+        )
+        assert hashed == looped == [(1, 1), (2, 2)]
 
     def test_null_outer_keys_skip_without_error(self):
-        left = [(1,), (None,), (2,)]
-        right = [(1,), (2,)]
-        columnar, row = _both_layouts(lambda: _join(left, right))
-        assert columnar == row == [(1, 1), (2, 2)]
+        hashed, looped = _hash_and_nested_loop(
+            left_rows=[(1,), (None,), (2,)], right_rows=[(1,), (2,)]
+        )
+        assert hashed == looped == [(1, 1), (2, 2)]
 
     def test_mixed_type_outer_key_raises_like_nested_loop(self):
-        left = [(1,), ("oops",)]
-        right = [(1,), (2,)]
-
-        def run(layout):
-            plan = set_batch_size(_join(left, right), 4)
-            set_batch_layout(plan, layout)
+        def run(hash_join):
+            plan = _join([(1,), ("oops",)], [(1,), (2,)], hash_join=hash_join)
             with pytest.raises(TypeMismatchError) as info:
-                collect_batches(plan, 4)
+                collect_batches(set_batch_size(plan, 4), 4)
             return str(info.value)
 
         # Same error, same operand order as the per-row comparison.
-        assert run("columnar") == run("row")
+        assert run(True) == run(False)
 
     def test_mixed_type_inner_keys_demote_and_raise(self):
-        left = [(1,)]
-        right = [(1,), ("oops",)]
-        for layout in ("columnar", "row"):
-            plan = set_batch_size(_join(left, right), 4)
-            set_batch_layout(plan, layout)
+        for hash_join in (True, False):
+            plan = _join([(1,)], [(1,), ("oops",)], hash_join=hash_join)
             with pytest.raises(TypeMismatchError):
-                collect_batches(plan, 4)
+                collect_batches(set_batch_size(plan, 4), 4)
 
     def test_empty_inner_never_probes_dirty_outer_keys(self):
         # The nested loop never evaluates the predicate when the inner
         # side is empty, so even a mistyped outer key must not raise.
-        left = [(1,), ("oops",)]
-        right = []
-        columnar, row = _both_layouts(lambda: _join(left, right))
-        assert columnar == row == []
+        hashed, looped = _hash_and_nested_loop(
+            left_rows=[(1,), ("oops",)], right_rows=[]
+        )
+        assert hashed == looped == []
 
     def test_empty_outer_leaves_inner_unopened(self):
         opens = []
@@ -446,120 +436,35 @@ class TestHashJoin:
         plan = NestedLoopJoin(
             left, right, Comparison("=", ColumnRef(0), ColumnRef(1))
         )
-        set_batch_layout(plan, "columnar")
         assert collect_batches(plan, 4) == []
         assert not opens
 
     def test_non_equijoin_keeps_cross_product_pipeline(self):
-        left = [(i,) for i in range(6)]
-        right = [(i,) for i in range(6)]
-        columnar, row = _both_layouts(lambda: _join(left, right, op="<"))
-        assert columnar == row
-        assert len(columnar) == sum(1 for a in range(6) for b in range(6) if a < b)
+        rows = [(i,) for i in range(6)]
+        hashed, looped = _hash_and_nested_loop(left_rows=rows, right_rows=rows, op="<")
+        assert hashed == looped
+        assert len(hashed) == sum(1 for a in range(6) for b in range(6) if a < b)
 
     def test_row_protocol_drains_hash_result(self):
-        left = [(i,) for i in range(8)]
-        right = [(i % 3, i) for i in range(9)]
-        plan = _join(left, right, right_types=[DataType.INT, DataType.INT])
-        set_batch_layout(plan, "columnar")
-        via_rows = collect(plan)
-        plan2 = _join(left, right, right_types=[DataType.INT, DataType.INT])
-        set_batch_layout(plan2, "row")
-        assert via_rows == collect(plan2)
-
-
-# ---------------------------------------------------------------------------
-# Knob threading: env, options, engine, explain, metrics, CLI
-# ---------------------------------------------------------------------------
-
-
-class TestLayoutKnob:
-    def test_default_layout_env(self, monkeypatch):
-        monkeypatch.delenv("REPRO_BATCH_LAYOUT", raising=False)
-        assert default_batch_layout() == "columnar"
-        monkeypatch.setenv("REPRO_BATCH_LAYOUT", "row")
-        assert default_batch_layout() == "row"
-        monkeypatch.setenv("REPRO_BATCH_LAYOUT", "diagonal")
-        with pytest.raises(ValueError, match="REPRO_BATCH_LAYOUT"):
-            default_batch_layout()
-
-    def test_exec_options_validates_layout(self):
-        from repro.plan.physical import ExecOptions
-
-        with pytest.raises(PlanError, match="batch_layout"):
-            ExecOptions(batch_layout="diagonal")
-
-    def test_set_batch_layout_validates(self):
-        scan = _scan("t", [(1,)], [DataType.INT])
-        with pytest.raises(ExecutionError, match="batch_layout"):
-            set_batch_layout(scan, "diagonal")
-
-    def test_set_batch_layout_stamps_whole_tree(self):
-        plan = Filter(
-            _scan("t", [(1,)], [DataType.INT]),
-            Comparison(">", ColumnRef(0), Literal(0)),
+        # next() pulls the hash result one row at a time: probe output
+        # larger than the pull stays pending across calls, in order.
+        join_args = dict(
+            left_rows=[(i,) for i in range(8)],
+            right_rows=[(i % 3, i) for i in range(9)],
+            right_types=[DataType.INT, DataType.INT],
         )
-        other = "row" if default_batch_layout() == "columnar" else "columnar"
-        set_batch_layout(plan, other)
-        assert plan.batch_layout == other
-        assert plan.children[0].batch_layout == other
-
-    def test_exec_options_precedence(self):
-        from repro.asynciter.rewrite import RewriteSettings
-        from repro.plan.physical import ExecOptions
-        from repro.plan.planner import PlannerOptions
-
-        options = ExecOptions.from_knobs(
-            planner_options=PlannerOptions(batch_layout="columnar"),
-            rewrite_settings=RewriteSettings(batch_layout="row"),
-        )
-        assert options.batch_layout == "row"  # rewrite beats planner
-        options = ExecOptions.from_knobs(
-            rewrite_settings=RewriteSettings(batch_layout="row"),
-            batch_layout="columnar",
-        )
-        assert options.batch_layout == "columnar"  # explicit beats rewrite
+        with open_plan(_join(**join_args)) as plan:
+            via_rows = list(iter(plan.next, None))
+        assert via_rows == collect_batches(_join(hash_join=False, **join_args), 4)
 
 
-class TestEngineLayout:
-    def test_engine_resolution_and_writeback(self, web, paper_db):
-        from repro.wsq import WsqEngine
-
-        engine = WsqEngine(database=paper_db, web=web, batch_layout="row")
-        assert engine.batch_layout == "row"
-        assert engine.rewrite_settings.batch_layout == "row"
-        assert engine.exec_options().batch_layout == "row"
-        default_engine = WsqEngine(database=paper_db, web=web)
-        assert default_engine.batch_layout == default_batch_layout()
-
-    def test_engine_stamps_plan(self, web, paper_db):
-        from repro.wsq import WsqEngine
-
-        other = "row" if default_batch_layout() == "columnar" else "columnar"
-        engine = WsqEngine(database=paper_db, web=web, batch_layout=other)
-        plan = engine.plan("Select Name From States", mode="sync")
-        assert plan.batch_layout == other
-
-    def test_explain_annotates_only_non_default_layout(self, web, paper_db):
-        from repro.wsq import WsqEngine
-
-        default_engine = WsqEngine(database=paper_db, web=web)
-        text = default_engine.explain("Select Name From States", mode="sync")
-        assert "batch_layout" not in text
-        other = "row" if default_batch_layout() == "columnar" else "columnar"
-        engine = WsqEngine(database=paper_db, web=web, batch_layout=other)
-        text = engine.explain("Select Name From States", mode="sync")
-        assert text.startswith("-- batch_layout: {}\n".format(other))
-
+class TestKernelMetrics:
     def test_kernel_metrics_surface_in_registry(self, web, paper_db):
         from repro.obs import Observability
         from repro.wsq import WsqEngine
 
         engine = WsqEngine(
-            database=paper_db,
-            web=web,
-            obs=Observability.enabled(),
-            batch_layout="columnar",
+            database=paper_db, web=web, obs=Observability.enabled()
         )
         engine.execute(
             "Select Name From States Where Population > 5000", mode="sync"
@@ -567,17 +472,3 @@ class TestEngineLayout:
         metrics = engine.pump.metrics
         assert metrics.counter_value("batch.kernel_compiled") > 0
         assert metrics.counter_value("batch.kernel_invoked") > 0
-
-    def test_cli_flag_reaches_engine(self):
-        from repro.cli import build_engine
-
-        class Args:
-            db = None
-            load_datasets = False
-            latency = 0.0
-            cache = False
-            sync = False
-            command = None
-            batch_layout = "row"
-
-        assert build_engine(Args()).batch_layout == "row"

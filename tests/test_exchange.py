@@ -22,7 +22,6 @@ from repro.exec import (
     Sort,
     TableScan,
     collect,
-    set_batch_layout,
     set_batch_size,
 )
 from repro.exec.exchange import default_parallelism
@@ -61,10 +60,10 @@ class TestExchange:
         plan = Exchange(_partition_scans(table, workers))
         assert collect(plan) == collect(TableScan(table))
 
-    @pytest.mark.parametrize("layout", ("row", "columnar"))
-    def test_equal_under_both_batch_layouts(self, table, layout):
+    def test_equal_at_small_batch_size(self, table):
+        # 7 divides neither a page nor a partition: every worker batch is
+        # re-chunked through the pending-rows buffer.
         plan = Exchange(_partition_scans(table, 4))
-        set_batch_layout(plan, layout)
         set_batch_size(plan, 7)
         assert collect(plan) == ROWS
 

@@ -31,6 +31,7 @@ def write_artifacts(
             "web_seconds": {"1": 0.05, "64": 0.05},
             "web_overlap": {"1": 37, "64": 37},
             "local_speedup_default_vs_1": 2.5,
+            "src_loc": 24000,
         })
     if "cache" in families:
         dump("BENCH_cache_sweep.json", {
@@ -109,6 +110,11 @@ class TestBuild:
         assert batch["local_speedup_default_vs_1"]["value"] == 2.5
         assert batch["web_overlap_min"] == {
             "value": 37, "direction": "higher", "gate": True, "tolerance": 0.0,
+        }
+        assert batch["local_rows_per_sec_best"]["value"] == 2500.0
+        assert batch["src_loc"] == {
+            "value": 24000, "direction": "lower", "gate": False,
+            "tolerance": None,
         }
         # Raw wall-clock figures are recorded but never gate.
         assert not payload["benchmarks"]["cache_sweep"][

@@ -38,6 +38,7 @@ from repro.obs.trace import (
     END,
     INSTANT,
 )
+from repro.relational.batch import ColumnBatch
 from repro.util.timing import (
     SYSTEM_CLOCK,
     Stopwatch,
@@ -430,12 +431,12 @@ class _FakeOp:
     def open(self, bindings=None):
         self.clock.advance(self.open_cost)
 
-    def next(self):
+    def next_batch(self, max_rows=None):
         self.clock.advance(self.next_cost)
         if self._remaining <= 0:
             return None
         self._remaining -= 1
-        return ("row",)
+        return ColumnBatch.from_rows(None, [("row",)])
 
     def close(self):
         self.clock.advance(self.close_cost)
@@ -479,7 +480,7 @@ class TestProfileFixes:
         (stat,) = stats
         assert (stat.opens, stat.closes) == (1, 1)
         assert stat.rows == 3
-        assert stat.nexts == 4  # 3 rows + exhausted call
+        assert stat.pulls == 4  # 3 rows + exhausted call
         assert stat.seconds == pytest.approx(0.1 + 4 * 0.01 + 0.2)
 
     def test_hottest_raises_on_empty_stats(self):

@@ -215,7 +215,7 @@ class TestAggregate:
 class TestExecuteHelper:
     def test_execute_closes_on_error(self):
         class Boom(RowsScan):
-            def next(self):
+            def next_batch(self, max_rows=None):
                 raise ExecutionError("boom")
 
         scan = Boom(Schema([Column("v", DataType.INT)]), [(1,)])

@@ -3,7 +3,7 @@
 Four layers of guarantees, one per test class group:
 
 - **Oracles** — every pack-on plan returns exactly the pack-off rows,
-  across sync/async modes, both batch layouts, and cache on/off.
+  across sync/async modes and cache on/off.
 - **Guards** — each pack provably does NOT fire where firing would be
   unsound, with one regression case per guard (including a cost-gate
   refusal per pack: ``matches()`` True, firing refused by the model).
@@ -99,11 +99,10 @@ class TestPackOracles:
         assert PACK_FIRES[pack] in fired
 
     @pytest.mark.parametrize("mode", ["sync", "async"])
-    @pytest.mark.parametrize("layout", ["columnar", "row"])
     @pytest.mark.parametrize("pack,sql", PACK_QUERIES, ids=[p for p, _ in PACK_QUERIES])
-    def test_equivalence_across_modes_and_layouts(self, pack_db, pack, sql, mode, layout):
-        expected = _rows(pack_db, sql, rules=(), mode=mode, batch_layout=layout)
-        actual = _rows(pack_db, sql, rules=(pack,), mode=mode, batch_layout=layout)
+    def test_equivalence_across_modes(self, pack_db, pack, sql, mode):
+        expected = _rows(pack_db, sql, rules=(), mode=mode)
+        actual = _rows(pack_db, sql, rules=(pack,), mode=mode)
         assert actual == expected
 
     @pytest.mark.parametrize("pack,sql", PACK_QUERIES, ids=[p for p, _ in PACK_QUERIES])
@@ -410,7 +409,6 @@ IDENTITY_QUERIES = [
 
 IDENTITY_SETTINGS = [
     {},
-    {"batch_layout": "row"},
     {"batch_size": 1},
     {"parallelism": 2},
     {"shards": 2},
@@ -431,7 +429,7 @@ class TestDefaultIdentity:
     @pytest.mark.parametrize(
         "settings",
         IDENTITY_SETTINGS,
-        ids=["default", "row", "batch1", "parallel2", "shards2"],
+        ids=["default", "batch1", "parallel2", "shards2"],
     )
     def test_default_plans_match_rules_off(
         self, paper_db, web, settings, monkeypatch
