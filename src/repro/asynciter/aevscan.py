@@ -13,32 +13,23 @@ degenerate single-binding case and keeps the seed's exact registration
 schedule, so the tuple-at-a-time (``batch_size=1``) path is bit-identical.
 """
 
-from repro.exec.operator import Operator
-from repro.util.errors import ExecutionError
+from repro.vtables.evscan import ExternalScan
 
 
-class AEVScan(Operator):
-    """Asynchronous counterpart of :class:`~repro.vtables.evscan.EVScan`."""
+class AEVScan(ExternalScan):
+    """Asynchronous counterpart of :class:`~repro.vtables.evscan.EVScan`:
+    the same registration, without the wait."""
 
     def __init__(self, instance, context):
-        self.instance = instance
-        self.context = context
-        self.schema = instance.schema
-        self.children = ()
-        self._rows = None
-        self._position = 0
-        self.calls_registered = 0
+        super().__init__(instance, context)
         #: Number of multi-binding ``open_batch`` invocations (statistics
         #: for the batched-registration tests/benchmarks).
         self.batches_bound = 0
 
     def open(self, bindings=None):
-        resolved = self.instance.resolve_bindings(bindings)
-        call = self.instance.make_call(resolved)
+        resolved, call = self._make_call(bindings)
         call_id = self.context.register(call)
-        self.calls_registered += 1
-        self._rows = [self.instance.placeholder_row(resolved, call_id)]
-        self._position = 0
+        self._stage([self.instance.placeholder_row(resolved, call_id)])
 
     def open_batch(self, bindings_list):
         """Bind a whole batch of outer tuples in one registration burst.
@@ -48,10 +39,8 @@ class AEVScan(Operator):
         within a single consumer round trip.  Emission order matches the
         binding order exactly (one placeholder tuple per binding).
         """
-        resolved_list = [
-            self.instance.resolve_bindings(bindings) for bindings in bindings_list
-        ]
-        calls = [self.instance.make_call(resolved) for resolved in resolved_list]
+        pairs = [self._make_call(bindings) for bindings in bindings_list]
+        calls = [call for _, call in pairs]
         register_batch = getattr(self.context, "register_batch", None)
         if len(calls) > 1 and callable(register_batch):
             call_ids = register_batch(calls)
@@ -59,29 +48,14 @@ class AEVScan(Operator):
             # Degenerate single-binding batch: keep the seed's exact
             # registration schedule (and trace shape).
             call_ids = [self.context.register(call) for call in calls]
-        self.calls_registered += len(call_ids)
         if len(call_ids) > 1:
             self.batches_bound += 1
-        self._rows = [
-            self.instance.placeholder_row(resolved, call_id)
-            for resolved, call_id in zip(resolved_list, call_ids)
-        ]
-        self._position = 0
-
-    def next_batch(self, max_rows=None):
-        if self._rows is None:
-            raise ExecutionError("AEVScan.next_batch() before open()")
-        limit = max_rows if max_rows is not None else self.batch_size
-        start = self._position
-        if start >= len(self._rows):
-            return None
-        rows = self._rows[start : start + limit]
-        self._position = start + len(rows)
-        return self.make_batch(rows)
-
-    def close(self):
-        self._rows = None
-        self._position = 0
+        self._stage(
+            [
+                self.instance.placeholder_row(resolved, call_id)
+                for (resolved, _), call_id in zip(pairs, call_ids)
+            ]
+        )
 
     def label(self):
         return "AEVScan: {}".format(self.instance.describe())

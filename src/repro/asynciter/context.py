@@ -22,6 +22,9 @@ from repro.obs.trace import CALL_DEDUP
 from repro.util.errors import ExecutionError
 from repro.util.timing import resolve_clock
 
+#: Safety valve so a lost completion signal cannot hang a query forever.
+DEFAULT_WAIT_TIMEOUT = 60.0
+
 
 class AsyncContext:
     """Result store + producer/consumer synchronization for one query.
@@ -54,7 +57,7 @@ class AsyncContext:
 
     # -- producer side (pump thread) --------------------------------------------
 
-    def register(self, call):
+    def register(self, call, mode="async"):
         """Launch *call* through the pump (or reuse an identical in-flight
         call when deduplication applies); returns the call id."""
         if self.dedup and call.key is not None:
@@ -63,7 +66,7 @@ class AsyncContext:
                 self._reuse_inflight(existing, call)
                 return existing
         call_id = self.pump.register(
-            call, self._on_complete, query_id=self.query_id,
+            call, self._on_complete, query_id=self.query_id, mode=mode,
             **self._deadline_kwargs()
         )
         self.calls_registered += 1
@@ -74,6 +77,27 @@ class AsyncContext:
             self._by_key[call.key] = call_id
             self._key_of[call_id] = call.key
         return call_id
+
+    def run(self, call):
+        """Register *call* and wait for it alone: ``(call_id, rows, error)``.
+
+        The blocking form of :meth:`register`.  A query that reaches the
+        pump only through here has one call outstanding at a time — the
+        paper's sequential schedule, on the same path as the concurrent
+        one.  The error comes back raw (not wrapped as by
+        :meth:`take_result`), so the caller chooses between raising it
+        and degrading.
+        """
+        call_id = self.register(call, mode="sync")
+        try:
+            self.wait_for_any((call_id,), timeout=DEFAULT_WAIT_TIMEOUT)
+        except BaseException:
+            self.pump.cancel(call_id)
+            raise
+        error = self.error_of(call_id)
+        if error is not None:
+            return call_id, None, error
+        return call_id, self.take_result(call_id), None
 
     def register_batch(self, calls):
         """Register many calls in one go; returns their call ids in order.

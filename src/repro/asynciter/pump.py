@@ -32,6 +32,7 @@ check.
 
 import asyncio
 import concurrent.futures
+import selectors
 import threading
 import time
 
@@ -122,9 +123,6 @@ class _PumpStats:
         self.metrics.gauge("pump.in_flight").dec()
 
     def observe_latency(self, kind, destination, seconds):
-        # "request.*" (not "pump.*"): the sequential EVScan path feeds
-        # the same histograms, so per-destination percentiles compare
-        # across modes.
         self.metrics.observe(
             "request.{}_seconds".format(kind), seconds, destination=destination
         )
@@ -309,7 +307,13 @@ class RequestPump:
             started = threading.Event()
 
             def run():
-                loop = asyncio.new_event_loop()
+                # select() takes its timeout in microseconds; epoll_wait
+                # (the default selector) rounds every wait up to whole
+                # milliseconds, which would stretch each simulated 3-9 ms
+                # round trip by ~1 ms — a sixth of a sequential plan's
+                # wall-clock.  The loop only ever watches its own wake-up
+                # pipe, so select()'s descriptor limit does not matter.
+                loop = asyncio.SelectorEventLoop(selectors.SelectSelector())
                 asyncio.set_event_loop(loop)
                 self._loop = loop
                 started.set()
@@ -365,12 +369,15 @@ class RequestPump:
 
     # -- registration ---------------------------------------------------------------
 
-    def register(self, call, on_complete, query_id=None, deadline=None):
+    def register(
+        self, call, on_complete, query_id=None, deadline=None, mode="async"
+    ):
         """Launch *call* asynchronously; returns its call id.
 
         ``on_complete(call_id, rows, error)`` fires on the pump thread when
         the call finishes (exactly one of *rows*/*error* is not None).
-        *query_id* is a correlation id for tracing only.  *deadline* (a
+        *query_id* and *mode* (``"sync"`` when the registrant waits for
+        this call alone) only label the trace.  *deadline* (a
         :class:`~repro.serve.deadline.Deadline`, duck-typed) bounds the
         call end-to-end: the per-attempt timeout becomes
         ``min(policy.call_timeout, deadline.remaining())`` and an
@@ -387,7 +394,7 @@ class RequestPump:
         registered_at = self.clock.now()
         self._launch(
             call, call_id, on_complete, query_id, loop, registered_at,
-            deadline=deadline,
+            deadline=deadline, mode=mode,
         )
         return call_id
 
@@ -440,6 +447,7 @@ class RequestPump:
         registered_at,
         batch=None,
         deadline=None,
+        mode="async",
     ):
         """Common registration tail: stats, trace, and task/flight wiring.
 
@@ -454,7 +462,7 @@ class RequestPump:
         tracer = self.tracer
         if tracer is not None:
             args = {
-                "mode": "async",
+                "mode": mode,
                 "key": str(call.key) if call.key is not None else None,
             }
             if batch is not None:
@@ -669,47 +677,52 @@ class RequestPump:
     def _settle(self, call_id, destination, future):
         """Final accounting for one call; runs exactly once per future."""
         with self._futures_lock:
-            self._futures.pop(call_id, None)
             timing = self._timings.pop(call_id, None)
-        cancelled = future.cancelled()
-        failed = False
-        if not cancelled:
-            error = future.exception()
-            failed = error is not None or future.result() == "error"
-        settled_at = None
-        if timing is not None:
-            settled_at = timing.finished_at  # stamped inside the slot
-        if settled_at is None:
-            settled_at = self.clock.now()
-        if cancelled:
-            outcome, event = "cancelled", CALL_CANCEL
-        elif failed:
-            outcome, event = "failed", CALL_FAIL
-        else:
-            outcome, event = "completed", CALL_COMPLETE
-        self.stats.bump(destination, outcome)
-        query_id = timing.query_id if timing is not None else None
-        if timing is not None:
-            if timing.issued_at is not None:
+        try:
+            cancelled = future.cancelled()
+            failed = False
+            if not cancelled:
+                error = future.exception()
+                failed = error is not None or future.result() == "error"
+            settled_at = None
+            if timing is not None:
+                settled_at = timing.finished_at  # stamped inside the slot
+            if settled_at is None:
+                settled_at = self.clock.now()
+            if cancelled:
+                outcome, event = "cancelled", CALL_CANCEL
+            elif failed:
+                outcome, event = "failed", CALL_FAIL
+            else:
+                outcome, event = "completed", CALL_COMPLETE
+            self.stats.bump(destination, outcome)
+            query_id = timing.query_id if timing is not None else None
+            if timing is not None:
+                if timing.issued_at is not None:
+                    self.stats.observe_latency(
+                        "queue_wait", destination, timing.issued_at - timing.registered_at
+                    )
+                    self.stats.observe_latency(
+                        "service", destination, settled_at - timing.issued_at
+                    )
                 self.stats.observe_latency(
-                    "queue_wait", destination, timing.issued_at - timing.registered_at
+                    "e2e", destination, settled_at - timing.registered_at
                 )
-                self.stats.observe_latency(
-                    "service", destination, settled_at - timing.issued_at
+            tracer = self.tracer
+            if tracer is not None:
+                tracer.emit(
+                    event,
+                    call_id=call_id,
+                    query_id=query_id,
+                    destination=destination,
+                    ts=settled_at,
+                    attempts=(timing.attempts if timing is not None else None),
                 )
-            self.stats.observe_latency(
-                "e2e", destination, settled_at - timing.registered_at
-            )
-        tracer = self.tracer
-        if tracer is not None:
-            tracer.emit(
-                event,
-                call_id=call_id,
-                query_id=query_id,
-                destination=destination,
-                ts=settled_at,
-                attempts=(timing.attempts if timing is not None else None),
-            )
+        finally:
+            # Last, so that quiesce() returning means this call's counters,
+            # histograms and closing trace event are all in place.
+            with self._futures_lock:
+                self._futures.pop(call_id, None)
 
     async def _run_call(self, call_id, call, on_complete):
         global_sem = self._semaphore()

@@ -44,6 +44,7 @@ expose how much degradation a query absorbed.
 
 from collections import deque
 
+from repro.asynciter.context import DEFAULT_WAIT_TIMEOUT
 from repro.exec.operator import Operator
 from repro.obs.trace import (
     BEGIN,
@@ -56,9 +57,6 @@ from repro.obs.trace import (
 )
 from repro.relational.placeholder import Placeholder, row_pending_calls
 from repro.util.errors import ExecutionError, QueryDeadlineExceeded
-
-#: Safety valve so a lost completion signal cannot hang a query forever.
-DEFAULT_WAIT_TIMEOUT = 60.0
 
 #: With a deadline attached, the blocking wait is sliced this fine so
 #: expiry/cancellation is observed within one slice, not one wait_timeout.

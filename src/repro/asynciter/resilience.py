@@ -3,10 +3,10 @@
 The paper's asynchronous iteration multiplies the number of in-flight
 external calls per query — which is exactly where partial failure
 surfaces in a real DB-IR federation.  This module provides the policy
-objects the :class:`~repro.asynciter.pump.RequestPump` (async path) and
-:class:`~repro.web.client.SearchClient` (sync baseline) share, so both
-paths classify, retry, and give up on the *same* requests in the same
-way — preserving result equivalence between the two execution modes.
+objects the :class:`~repro.asynciter.pump.RequestPump` applies around
+every external call.  Sequential and asynchronous plans run their calls
+through the same pump loop, so both classify, retry, and give up on the
+*same* requests in the same way.
 
 Components:
 
@@ -75,7 +75,7 @@ class RetryPolicy:
 
         Exponential in *attempt*, capped, then jittered by a stable
         function of ``(salt, key, attempt)`` — the same request backs
-        off identically in sync and async runs, while distinct requests
+        off identically in every run, while distinct requests
         decorrelate (no thundering-herd re-synchronisation).
         """
         delay = min(self.max_backoff, self.base_backoff * self.multiplier**attempt)
@@ -247,28 +247,3 @@ class ResiliencePolicy:
 
     def max_attempts(self):
         return self.retry.max_attempts if self.retry is not None else 1
-
-
-def run_sync_with_retries(key, attempt_fn, policy, on_retry=None):
-    """Drive *attempt_fn(attempt)* under *policy* on the calling thread.
-
-    This is the synchronous twin of the pump's async retry loop: the
-    sequential baseline must retry exactly the requests the pump
-    retries, or the sync/async result-equivalence the benchmarks rely
-    on would break under faults.  ``on_retry(attempt, exc)`` is invoked
-    before each backoff sleep (for the client's counters).
-    """
-    retry = policy.retry if policy is not None else None
-    attempt = 0
-    while True:
-        try:
-            return attempt_fn(attempt)
-        except Exception as exc:  # noqa: BLE001 - classified below
-            if retry is None or not retry.should_retry(exc, attempt):
-                raise
-            if on_retry is not None:
-                on_retry(attempt, exc)
-            delay = retry.backoff_delay(key, attempt)
-            if delay > 0:
-                time.sleep(delay)
-            attempt += 1

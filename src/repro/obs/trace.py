@@ -173,10 +173,8 @@ class Tracer:
         self.capacity = capacity
         self._events = deque(maxlen=capacity)
         self._dropped = 0
-        # Query ids are tracer-scoped; sync-path call ids are negative so
-        # they can never collide with pump call ids (which count up from 0).
+        # Query ids are tracer-scoped (call ids belong to the pump).
         self._query_ids = itertools.count(0)
-        self._sync_call_ids = itertools.count(-1, -1)
         self._id_lock = threading.Lock()
 
     # -- emission (hot path) --------------------------------------------------
@@ -210,11 +208,6 @@ class Tracer:
     def next_query_id(self):
         with self._id_lock:
             return next(self._query_ids)
-
-    def next_sync_call_id(self):
-        """Negative call ids for the sequential (EVScan) path."""
-        with self._id_lock:
-            return next(self._sync_call_ids)
 
     # -- inspection -----------------------------------------------------------
 

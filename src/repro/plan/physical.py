@@ -50,9 +50,9 @@ class ExecOptions:
         transparent; wiring lives in the web clients and the engine).
     ``deadline``
         The query's end-to-end :class:`~repro.serve.deadline.Deadline`
-        (duck-typed; ``None`` = unbounded).  Stamped on every ReqSync
-        and synchronous EVScan so both the blocking wait loop and the
-        sequential call path observe expiry/cancellation.
+        (duck-typed; ``None`` = unbounded).  Stamped on every ReqSync so
+        the blocking wait loop observes expiry/cancellation; external
+        calls of either mode carry it through the query's context.
     ``shards``
         Search-tier shard count the engine resolved (carried for
         introspection and cost pricing; the web clients — not lowering —
@@ -199,9 +199,10 @@ class ExecOptions:
 def lower(node, options=None, context=None):
     """Lower *node* (a logical tree) to an executable operator tree.
 
-    *context* is the :class:`~repro.asynciter.context.AsyncContext`
+    *context* is the query's :class:`~repro.asynciter.context.AsyncContext`:
     required when the tree contains asynchronous nodes (AEVScan /
-    ReqSync); lowering a purely synchronous tree needs none.  When
+    ReqSync), optional otherwise (an EVScan lowered without one waits on
+    a private context over the shared default pump).  When
     ``options.batch_size`` is set the finished tree is stamped with it
     (exactly as the legacy pipeline did after planning + rewriting).
     """
@@ -404,7 +405,7 @@ def _lower_vtable_scan(node, options, context):
     from repro.vtables.evscan import EVScan
 
     on_error = node.on_error if node.on_error is not None else options.on_error
-    return EVScan(node.instance, on_error=on_error, deadline=options.deadline)
+    return EVScan(node.instance, context, on_error=on_error)
 
 
 def _lower_reqsync(node, options, context):

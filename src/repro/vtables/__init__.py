@@ -8,14 +8,15 @@ dynamically-generated tuples".  This package provides:
   instance split (the paper's tables are "an infinite family of infinitely
   large virtual tables": the column count is fixed per *query*, not per
   table).
-- :class:`~repro.vtables.base.ExternalCall` — one external request with
-  synchronous and asynchronous execution paths.
+- :class:`~repro.vtables.base.ExternalCall` — one external request: a
+  key, a destination, and the coroutine factory a request pump runs.
 - :mod:`repro.vtables.webcount` / :mod:`repro.vtables.webpages` — the
   paper's two tables over a search engine.
 - :mod:`repro.vtables.webfetch` — ``WebFetch``/``WebLinks`` over the page
   store, for the Section 4.2 crawler scenario.
 - :class:`~repro.vtables.evscan.EVScan` — the blocking external
-  virtual-table scan (the sequential baseline).
+  virtual-table scan (the sequential baseline): it registers its call
+  like ``AEVScan`` and waits for it.
 """
 
 from repro.vtables.base import ExternalCall, VTableInstance, VirtualTableDef

@@ -15,16 +15,17 @@ External calls
 --------------
 
 ``VTableInstance.make_call(bindings)`` packages one external request as an
-:class:`ExternalCall` with both a blocking and a coroutine execution path.
-Results are normalized to a list of field dicts, so the synchronous
-:class:`~repro.vtables.evscan.EVScan`, the asynchronous ``AEVScan``, and
-``ReqSync`` all share one patching vocabulary:
+:class:`ExternalCall`: a key, a destination, and a factory for the
+coroutine that performs one attempt of it.  Every call runs on a
+:class:`~repro.asynciter.pump.RequestPump`; a caller that wants to block
+(:class:`~repro.vtables.evscan.EVScan`) waits for the pump to settle
+it.  Results are normalized to a list of field
+dicts, so ``EVScan``, ``AEVScan``, and ``ReqSync`` all share one patching
+vocabulary:
 
 - ``WebCount`` → ``[{"count": 42}]`` (always exactly one row),
 - ``WebPages`` → one dict per hit (possibly none — tuple cancellation).
 """
-
-import inspect
 
 from repro.relational.placeholder import Placeholder
 from repro.relational.schema import Schema
@@ -37,35 +38,22 @@ class ExternalCall:
     ``key`` identifies the request for caching/debugging; ``destination``
     names the rate-limit bucket (the paper's per-destination counters).
 
-    ``async_factory`` may optionally accept a 0-based *attempt* argument;
-    the request pump passes the retry attempt through so fault injection
-    stays a stable function of ``(destination, request, attempt)``.
-    Zero-argument factories (pre-resilience call sites, tests) still
-    work: the attempt is simply not forwarded.
+    ``factory(attempt)`` returns the coroutine for one attempt; the
+    request pump passes the 0-based retry attempt through so fault
+    injection stays a stable function of
+    ``(destination, request, attempt)``.
     """
 
-    __slots__ = ("key", "destination", "_sync_fn", "_async_factory", "_takes_attempt")
+    __slots__ = ("key", "destination", "_factory")
 
-    def __init__(self, key, destination, sync_fn, async_factory):
+    def __init__(self, key, destination, factory):
         self.key = key
         self.destination = destination
-        self._sync_fn = sync_fn
-        self._async_factory = async_factory
-        try:
-            parameters = inspect.signature(async_factory).parameters
-            self._takes_attempt = len(parameters) >= 1
-        except (TypeError, ValueError):  # builtins / exotic callables
-            self._takes_attempt = False
-
-    def execute_sync(self):
-        """Blocking execution; returns a list of result-field dicts."""
-        return self._sync_fn()
+        self._factory = factory
 
     def execute_async(self, attempt=0):
         """Return a coroutine producing the list of result-field dicts."""
-        if self._takes_attempt:
-            return self._async_factory(attempt)
-        return self._async_factory()
+        return self._factory(attempt)
 
     def __repr__(self):
         return "ExternalCall({} -> {})".format(self.key, self.destination)

@@ -67,10 +67,9 @@ class WebCountInstance(VTableInstance):
         return ExternalCall(
             key=("count", client.name, expr_text),
             destination=client.name,
-            sync_fn=lambda: [{"count": client.count(expr_text)}],
-            async_factory=lambda attempt=0: _count_async(client, expr_text, attempt),
+            factory=lambda attempt: _count_async(client, expr_text, attempt),
         )
 
 
-async def _count_async(client, expr_text, attempt=0):
+async def _count_async(client, expr_text, attempt):
     return [{"count": await client.count_async(expr_text, attempt=attempt)}]

@@ -65,8 +65,7 @@ class WebFetchInstance(VTableInstance):
         return ExternalCall(
             key=("fetch", url),
             destination="fetch",
-            sync_fn=lambda: [_fetch_row(service.fetch(url))],
-            async_factory=lambda: _fetch_async(service, url),
+            factory=lambda attempt: _fetch_async(service, url),
         )
 
 
@@ -124,8 +123,7 @@ class WebLinksInstance(VTableInstance):
         return ExternalCall(
             key=("links", url),
             destination="fetch",
-            sync_fn=lambda: _link_rows(service.fetch(url)),
-            async_factory=lambda: _links_async(service, url),
+            factory=lambda attempt: _links_async(service, url),
         )
 
 

@@ -77,10 +77,7 @@ class WebPagesInstance(VTableInstance):
         return ExternalCall(
             key=("search", client.name, expr_text, limit),
             destination=client.name,
-            sync_fn=lambda: _hit_rows(client.search(expr_text, limit)),
-            async_factory=lambda attempt=0: _search_async(
-                client, expr_text, limit, attempt
-            ),
+            factory=lambda attempt: _search_async(client, expr_text, limit, attempt),
         )
 
 
@@ -88,5 +85,5 @@ def _hit_rows(hits):
     return [{"url": h.url, "rank": h.rank, "date": h.date} for h in hits]
 
 
-async def _search_async(client, expr_text, limit, attempt=0):
+async def _search_async(client, expr_text, limit, attempt):
     return _hit_rows(await client.search_async(expr_text, limit, attempt=attempt))

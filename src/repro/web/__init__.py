@@ -16,7 +16,7 @@ package provides that black box, built from scratch:
   (:mod:`repro.web.ranking`); two instances ("AV", "Google") rank
   differently so cross-engine agreement is rare, as in the paper's Query 6.
 - :mod:`repro.web.latency` / :mod:`repro.web.client` — per-request delay
-  models and the blocking/async clients the query processor uses.
+  models and the search clients the query processor uses.
 - :mod:`repro.web.cache` — a search-result cache ([HN96]-style memoization).
 - :mod:`repro.web.fetch` — page fetch + link extraction for the crawler
   scenario (paper Section 4.2).

@@ -1,44 +1,70 @@
 """Clients that add latency (and caching, and faults) in front of a search engine.
 
 The engine computes answers instantly; the client charges the simulated
-network delay.  Synchronous calls block the calling thread (this is the
-paper's sequential baseline, where "the query processor is idle during the
-request"); asynchronous calls ``await`` the same delay, so many can be in
-flight at once on one event loop — the request-pump side.
+network delay.  Each request kind is one coroutine —
+:meth:`SearchClient.count_async`, :meth:`SearchClient.search_async` —
+that performs one *attempt*: read the cache, consult the fault schedule,
+``await`` the round trips, compute, write the cache.  Everything around
+an attempt (retries, the per-call timeout, circuit breaking, concurrency
+limits, lifecycle tracing) belongs to the
+:class:`~repro.asynciter.pump.RequestPump` that runs it, whatever the
+execution mode: an asynchronous plan keeps many attempts in flight on the
+pump's loop, a synchronous plan registers one and waits for it — the
+paper's sequential baseline, where "the query processor is idle during
+the request".
 
 A cache hit skips the delay entirely, modelling a local result cache that
 avoids the network round trip.
 
-Fault injection & resilience
-----------------------------
+Fault injection
+---------------
 
-With a :class:`~repro.web.faults.FaultModel` attached, each request
-*attempt* first consults the fault schedule (a stable function of
-``(engine, expr, attempt)``):
+With a :class:`~repro.web.faults.FaultModel` attached, each attempt first
+consults the fault schedule (a stable function of
+``(destination, expr, attempt)``):
 
 - transient/hard faults charge one latency round trip, then raise —
   the request went out and came back an error;
 - an engine outage raises immediately (connection refused is fast);
-- a hung request sleeps.  On the sync path the client itself enforces
-  the resilience policy's per-call timeout (there is no event loop to
-  do it), sleeping ``min(hang, timeout)`` before raising
-  :class:`~repro.util.errors.RequestTimeoutError`; on the async path
-  the hang sleeps under the pump's ``asyncio.wait_for``.
+- a hung request sleeps ``hang_seconds`` and then raises
+  :class:`~repro.util.errors.RequestTimeoutError`; the pump's per-call
+  timeout (or the query deadline) cuts the sleep short.
 
-The *sync* methods additionally run the shared
-:class:`~repro.asynciter.resilience.RetryPolicy` retry loop internally;
-on the async path the pump owns retries.  Both paths therefore retry the
-same attempts of the same requests, so a faulted workload yields
-identical results in sequential and asynchronous execution.
+Negative caching
+----------------
+
+An attempt that fails with an error the resilience policy would not
+retry (no policy, a non-retryable error, or the last permitted attempt)
+is final for its request.  Under a cache with a negative TTL it is
+recorded, and replays as :class:`~repro.util.errors.CachedFailureError`
+until the record expires.  A cancelled attempt records nothing.
+
+Blocking conveniences
+---------------------
+
+``count``/``search`` send the same coroutine through the shared
+:func:`~repro.asynciter.pump.default_pump` and wait for it.  That pump
+carries no resilience policy, so they make exactly one attempt; queries
+run on their engine's pump.
 """
 
 import asyncio
-import time
 
-from repro.asynciter.resilience import run_sync_with_retries
+from repro.asynciter.context import AsyncContext
+from repro.asynciter.pump import default_pump
 from repro.util.errors import CachedFailureError, RequestTimeoutError
+from repro.vtables.base import ExternalCall
 from repro.web.cache import ResultCache
 from repro.web.faults import HANG, OUTAGE
+
+
+def run_blocking(key, destination, factory):
+    """Run one external call on the shared pump and wait for its outcome."""
+    call = ExternalCall(key, destination, factory)
+    _, rows, error = AsyncContext(default_pump(), dedup=False).run(call)
+    if error is not None:
+        raise error
+    return rows
 
 
 class SearchClient:
@@ -52,10 +78,10 @@ class SearchClient:
     sequential round trips; counts cost one.
 
     ``faults`` is an optional :class:`~repro.web.faults.FaultModel`;
-    ``resilience`` an optional
-    :class:`~repro.asynciter.resilience.ResiliencePolicy` used by the
-    sync path's internal retry loop (the pump applies the same policy on
-    the async path).
+    ``resilience`` the :class:`~repro.asynciter.resilience.ResiliencePolicy`
+    of the pump that runs this client's attempts — the client only reads
+    it to tell a final failure (negatively cached) from one the pump
+    will retry.
     """
 
     def __init__(
@@ -79,178 +105,115 @@ class SearchClient:
         self.obs = obs  # optional repro.obs.Observability bundle
         self.requests_sent = 0  # actual (non-cache-hit) request round trips
         self.faults_seen = 0  # injected faults observed by this client
-        self.retries = 0  # sync-path retry attempts
 
     @property
     def name(self):
         return self.engine.name
 
-    # -- synchronous (sequential query processing) ---------------------------
+    # -- blocking conveniences ----------------------------------------------------
 
     def count(self, expr_text):
-        key = ResultCache.key(self.engine.name, "count", expr_text)
-        cached = self._cache_get(key)
-        if cached is not None:
-            return cached
-
-        def attempt(n):
-            self._fault_gate_sync(expr_text, n)
-            self._sleep(expr_text)
-            return self.engine.count(expr_text)
-
-        result = self._retry_with_failure_caching(key, expr_text, attempt)
-        self._cache_put(key, result)
-        return result
-
-    def search(self, expr_text, limit):
-        key = ResultCache.key(self.engine.name, "search", expr_text, limit)
-        cached = self._cache_get(key)
-        if cached is not None:
-            return cached
-
-        def attempt(n):
-            self._fault_gate_sync(expr_text, n)
-            for _ in range(self._pages_for(limit)):
-                self._sleep(expr_text)
-            return self.engine.search(expr_text, limit)
-
-        result = self._retry_with_failure_caching(key, expr_text, attempt)
-        self._cache_put(key, result)
-        return result
-
-    # -- asynchronous (request pump) -------------------------------------------
-
-    async def count_async(self, expr_text, attempt=0):
-        """One *attempt* of an asynchronous count (the pump retries)."""
-        key = ResultCache.key(self.engine.name, "count", expr_text)
-        cached = self._cache_get(key)
-        if cached is not None:
-            return cached
-        await self._fault_gate_async(expr_text, attempt)
-        await self._async_sleep(expr_text)
-        result = self.engine.count(expr_text)
-        self._cache_put(key, result)
-        return result
-
-    async def search_async(self, expr_text, limit, attempt=0):
-        """One *attempt* of an asynchronous search (the pump retries)."""
-        key = ResultCache.key(self.engine.name, "search", expr_text, limit)
-        cached = self._cache_get(key)
-        if cached is not None:
-            return cached
-        await self._fault_gate_async(expr_text, attempt)
-        # Result pages arrive sequentially even on the async path: page
-        # k+1 cannot be requested before page k's response names it.
-        for _ in range(self._pages_for(limit)):
-            await self._async_sleep(expr_text)
-        result = self.engine.search(expr_text, limit)
-        self._cache_put(key, result)
-        return result
-
-    def _pages_for(self, limit):
-        return max(1, -(-limit // self.page_size))  # ceil, at least one page
-
-    # -- fault injection ------------------------------------------------------------
-
-    def _retry_sync(self, expr_text, attempt_fn):
-        if self.resilience is None:
-            return attempt_fn(0)
-
-        def on_retry(attempt, exc):
-            self.retries += 1
-
-        return run_sync_with_retries(
-            (self.engine.name, expr_text),
-            attempt_fn,
-            self.resilience,
-            on_retry=on_retry,
+        """:meth:`count_async` sent through the shared pump and waited for."""
+        return run_blocking(
+            ("count", self.name, expr_text),
+            self.name,
+            lambda attempt: self.count_async(expr_text, attempt),
         )
 
-    def _next_fault(self, expr_text, attempt):
+    def search(self, expr_text, limit):
+        """:meth:`search_async` sent through the shared pump and waited for."""
+        return run_blocking(
+            ("search", self.name, expr_text, limit),
+            self.name,
+            lambda attempt: self.search_async(expr_text, limit, attempt),
+        )
+
+    # -- one attempt of one request -------------------------------------------------
+
+    async def count_async(self, expr_text, attempt=0):
+        """One *attempt* of a count (the pump retries)."""
+        return await self._attempt("count", expr_text, None, attempt)
+
+    async def search_async(self, expr_text, limit, attempt=0):
+        """One *attempt* of a ranked search (the pump retries)."""
+        return await self._attempt("search", expr_text, limit, attempt)
+
+    async def _attempt(self, kind, expr_text, limit, attempt):
+        key = ResultCache.key(self.engine.name, kind, expr_text, limit)
+        cached = self._cache_get(key)
+        if cached is not None:
+            return cached
+        try:
+            result = await self._request(kind, expr_text, limit, attempt)
+        except Exception as exc:  # cancellation is a BaseException: not recorded
+            retry = self.resilience.retry if self.resilience is not None else None
+            if retry is None or not retry.should_retry(exc, attempt):
+                put_failure = getattr(self.cache, "put_failure", None)
+                if put_failure is not None:
+                    put_failure(key, exc)
+            raise
+        self._cache_put(key, result)
+        return result
+
+    async def _request(self, kind, expr_text, limit, attempt):
+        """The network half of one attempt: fault gate, round trips, compute."""
+        destination = self.engine.name
+        await self._fault_gate(destination, expr_text, attempt)
+        # Result pages arrive sequentially: page k+1 cannot be requested
+        # before page k's response names it.
+        for _ in range(self._round_trips(kind, limit)):
+            await self._round_trip(destination, expr_text)
+        if kind == "count":
+            return self.engine.count(expr_text)
+        return self.engine.search(expr_text, limit)
+
+    def _round_trips(self, kind, limit):
+        if kind == "count":
+            return 1
+        return max(1, -(-limit // self.page_size))  # ceil, at least one page
+
+    # -- the simulated network ----------------------------------------------------
+
+    def _next_fault(self, destination, expr_text, attempt):
         if self.faults is None:
             return None
-        fault = self.faults.fault_for(self.engine.name, expr_text, attempt)
+        fault = self.faults.fault_for(destination, expr_text, attempt)
         if fault is not None:
             self.faults_seen += 1
         return fault
 
-    def _fault_gate_sync(self, expr_text, attempt):
-        fault = self._next_fault(expr_text, attempt)
+    async def _fault_gate(self, destination, expr_text, attempt):
+        fault = self._next_fault(destination, expr_text, attempt)
         if fault is None:
             return
         if fault.kind == OUTAGE:
             raise fault.error  # connection refused: no round trip charged
         if fault.kind == HANG:
-            self._count_round_trip()
-            timeout = (
-                self.resilience.call_timeout if self.resilience is not None else None
-            )
-            wait = (
-                fault.hang_seconds
-                if timeout is None
-                else min(fault.hang_seconds, timeout)
-            )
-            if wait > 0:
-                time.sleep(wait)
-            raise RequestTimeoutError(
-                "request to {!r} for {!r} hung (gave up after {:.3f}s)".format(
-                    self.engine.name, expr_text, wait
-                )
-            )
-        # Transient or hard: the round trip happened and returned an error.
-        self._count_round_trip()
-        delay = self._delay(expr_text)
-        if delay > 0:
-            time.sleep(delay)
-        raise fault.error
-
-    async def _fault_gate_async(self, expr_text, attempt):
-        fault = self._next_fault(expr_text, attempt)
-        if fault is None:
-            return
-        if fault.kind == OUTAGE:
-            raise fault.error
-        if fault.kind == HANG:
-            self._count_round_trip()
-            # Hang under the pump's asyncio.wait_for; if no timeout is
-            # configured the hang eventually resolves into a timeout
-            # error itself, mirroring the sync path.
+            self._count_round_trip(destination)
             if fault.hang_seconds > 0:
                 await asyncio.sleep(fault.hang_seconds)
             raise RequestTimeoutError(
                 "request to {!r} for {!r} hung (gave up after {:.3f}s)".format(
-                    self.engine.name, expr_text, fault.hang_seconds
+                    destination, expr_text, fault.hang_seconds
                 )
             )
-        self._count_round_trip()
-        delay = self._delay(expr_text)
-        if delay > 0:
-            await asyncio.sleep(delay)
+        # Transient or hard: the round trip happened and returned an error.
+        await self._round_trip(destination, expr_text)
         raise fault.error
 
-    # -- internals ----------------------------------------------------------------
+    async def _round_trip(self, destination, expr_text):
+        self._count_round_trip(destination)
+        if self.latency is not None:
+            delay = self.latency.delay(destination, expr_text)
+            if delay > 0:
+                await asyncio.sleep(delay)
 
-    def _delay(self, expr_text):
-        if self.latency is None:
-            return 0.0
-        return self.latency.delay(self.engine.name, expr_text)
-
-    def _sleep(self, expr_text):
-        self._count_round_trip()
-        delay = self._delay(expr_text)
-        if delay > 0:
-            time.sleep(delay)
-
-    async def _async_sleep(self, expr_text):
-        self._count_round_trip()
-        delay = self._delay(expr_text)
-        if delay > 0:
-            await asyncio.sleep(delay)
-
-    def _count_round_trip(self):
+    def _count_round_trip(self, destination):
         self.requests_sent += 1
         if self.obs is not None:
             self.obs.metrics.inc("web.round_trips", engine=self.engine.name)
+
+    # -- the cache ----------------------------------------------------------------
 
     def _cache_get(self, key):
         """Read the cache: a value, ``None`` (miss), or a replayed failure.
@@ -292,23 +255,6 @@ class SearchClient:
                 tracer.emit(
                     "web.cache_hit", destination=self.engine.name, key=str(key)
                 )
-
-    def _retry_with_failure_caching(self, key, expr_text, attempt_fn):
-        """Sync-path execution with negative caching of exhausted failures.
-
-        Only the *synchronous* client writes failure records: here the
-        retry loop has already run its course, so the failure is final
-        for this request.  On the async path the pump owns retries —
-        caching a per-attempt error there would negatively cache an
-        outcome the very next retry might fix.
-        """
-        try:
-            return self._retry_sync(expr_text, attempt_fn)
-        except Exception as exc:
-            put_failure = getattr(self.cache, "put_failure", None)
-            if put_failure is not None:
-                put_failure(key, exc)
-            raise
 
     def _cache_put(self, key, value):
         if self.cache is not None:

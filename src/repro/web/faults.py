@@ -92,7 +92,7 @@ class FaultModel:
         self.hang_seconds = hang_seconds
         self._outages = set(outages)
         self._lock = threading.Lock()
-        # Injection counters (sync + async paths both feed these).
+        # Injection counters.
         self.transient_injected = 0
         self.hard_injected = 0
         self.hangs_injected = 0

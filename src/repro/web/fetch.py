@@ -8,9 +8,9 @@ exposes the outgoing links (for the next crawl round).
 """
 
 import asyncio
-import time
 
 from repro.web.cache import ResultCache
+from repro.web.client import run_blocking
 
 
 class FetchResult:
@@ -65,18 +65,10 @@ class FetchService:
         return found.value if found.hit else None
 
     def fetch(self, url):
-        key = ResultCache.key("fetch", "fetch", url)
-        cached = self._cache_get(key)
-        if cached is not None:
-            return cached
-        delay = self._delay(url)
-        self.requests_sent += 1
-        if delay > 0:
-            time.sleep(delay)
-        result = self._resolve(url)
-        if self.cache is not None:
-            self.cache.put(key, result)
-        return result
+        """:meth:`fetch_async` sent through the shared pump and waited for."""
+        return run_blocking(
+            ("fetch", url), "fetch", lambda attempt: self.fetch_async(url)
+        )
 
     async def fetch_async(self, url):
         key = ResultCache.key("fetch", "fetch", url)

@@ -4,10 +4,16 @@
 search tier (:mod:`repro.web.sharding` is the compute half).  It is a
 drop-in :class:`~repro.web.client.SearchClient`: the vtables, the
 request pump, the cache, and the cost model all keep talking to one
-destination (the engine name) — internally every ``count``/``search``
-scatters one probe per shard, charges per-shard latency keyed on the
-destination ``{engine}:shard{i}``, gathers the partials, and merges
-them exactly (count summation, deterministic top-k merge).
+destination (the engine name) — internally the network half of every
+attempt scatters one probe per shard, charges per-shard latency keyed
+on the destination ``{engine}:shard{i}``, gathers the partials, and
+merges them exactly (count summation, deterministic top-k merge).
+
+The probes of one scatter are sibling tasks on the loop that runs the
+attempt, so per-shard waits overlap in either execution mode: what a
+synchronous plan serializes is the *logical* call (one scatter
+outstanding per query), as a broker serializes nothing for a caller
+that happens to block.
 
 Resilience is per shard:
 
@@ -22,24 +28,23 @@ Resilience is per shard:
   exist to avoid.  Anything else (hard errors, exhausted transients)
   propagates, so the on_error/retry semantics of the unsharded client
   are preserved;
-- retries wrap the *scatter* (the same
-  :func:`~repro.asynciter.resilience.run_sync_with_retries` loop and
-  backoff keys the unsharded client uses); per-shard fault draws are
-  keyed on the scatter attempt, so a retry re-draws every shard.
+- the pump retries the *scatter* (one attempt of the logical call);
+  per-shard fault draws are keyed on the scatter attempt, so a retry
+  re-draws every shard.
 
-Hedged requests (async path only — the sync baseline is sequential, a
-backup probe could never overlap): once enough service-time samples
-accumulate for a shard, a probe that has not answered within that
-shard's observed p95 gets a **backup probe to a replica** of the same
-shard (latency/fault draws keyed on ``{dest}~hedge``).  First success
-wins; the loser is cancelled (or, if it already settled, simply
+Hedged requests: once enough service-time samples accumulate for a
+shard, a probe that has not answered within that shard's observed p95
+gets a **backup probe to a replica** of the same shard (latency draws
+keyed on ``{dest}~hedge``, fault draws shared with the primary).  First
+success wins; the loser is cancelled (or, if it already settled, simply
 dropped) with exact accounting::
 
     hedges_issued == hedges_won + hedges_lost
     hedge_cancels + hedge_losers_settled == hedges_issued
 
-Replica probes compute the same partial from the same shard index, so
-hedging can never change a result — only its latency.
+Replica probes compute the same partial from the same shard index and
+fail exactly when their primary does, so hedging can never change a
+result — only its latency — whenever it happens to arm.
 """
 
 import asyncio
@@ -53,14 +58,9 @@ from repro.obs.trace import (
     SHARD_OUTAGE,
     SHARD_SCATTER,
 )
-from repro.util.errors import (
-    BreakerOpenError,
-    EngineOutageError,
-    RequestTimeoutError,
-)
-from repro.web.cache import ResultCache
+from repro.util.errors import BreakerOpenError, EngineOutageError
 from repro.web.client import SearchClient
-from repro.web.faults import HANG, OUTAGE, Fault
+from repro.web.faults import OUTAGE, Fault
 from repro.web.sharding import (
     merge_count_partials,
     merge_search_partials,
@@ -162,88 +162,24 @@ class ShardedSearchClient(SearchClient):
         self.hedge_cancels = 0
         self.hedge_losers_settled = 0
 
-    # -- synchronous scatter (sequential baseline) ----------------------------
-
-    def count(self, expr_text):
-        key = ResultCache.key(self.engine.name, "count", expr_text)
-        cached = self._cache_get(key)
-        if cached is not None:
-            return cached
-
-        def attempt(n):
-            return self._scatter_sync(expr_text, "count", None, n)
-
-        result = self._retry_with_failure_caching(key, expr_text, attempt)
-        self._cache_put(key, result)
-        return result
-
-    def search(self, expr_text, limit):
-        key = ResultCache.key(self.engine.name, "search", expr_text, limit)
-        cached = self._cache_get(key)
-        if cached is not None:
-            return cached
-
-        def attempt(n):
-            return self._scatter_sync(expr_text, "search", limit, n)
-
-        result = self._retry_with_failure_caching(key, expr_text, attempt)
-        self._cache_put(key, result)
-        return result
-
-    # -- asynchronous scatter (request pump) ----------------------------------
-
-    async def count_async(self, expr_text, attempt=0):
-        key = ResultCache.key(self.engine.name, "count", expr_text)
-        cached = self._cache_get(key)
-        if cached is not None:
-            return cached
-        result = await self._scatter_async(expr_text, "count", None, attempt)
-        self._cache_put(key, result)
-        return result
-
-    async def search_async(self, expr_text, limit, attempt=0):
-        key = ResultCache.key(self.engine.name, "search", expr_text, limit)
-        cached = self._cache_get(key)
-        if cached is not None:
-            return cached
-        result = await self._scatter_async(expr_text, "search", limit, attempt)
-        self._cache_put(key, result)
-        return result
-
     # -- the scatter ----------------------------------------------------------
 
-    def _scatter_sync(self, expr_text, kind, limit, attempt):
-        """One sequential scatter attempt: probe every shard in order.
-
-        Degradable failures are collected; anything else fails the
-        attempt immediately (the outer retry loop decides what happens
-        next, exactly as for the unsharded client).
-        """
-        self._emit_scatter(kind, expr_text)
-        expression = self.engine.parse(expr_text)
-        partials, failures = [], []
-        for shard_id in range(self.num_shards):
-            try:
-                partials.append(
-                    self._probe_sync(shard_id, expression, expr_text, kind, limit, attempt)
-                )
-            except DEGRADABLE_ERRORS as exc:
-                failures.append((shard_id, exc))
-        return self._gather(kind, expr_text, limit, partials, failures)
-
-    async def _scatter_async(self, expr_text, kind, limit, attempt):
-        """One concurrent scatter attempt: all shard probes in flight.
+    async def _request(self, kind, expr_text, limit, attempt):
+        """The network half of one attempt: all shard probes in flight.
 
         Probes run as sibling tasks (the whole point — per-shard waits
-        overlap), each with its own hedge race.  Cancellation of the
-        scatter (pump timeout, deadline) cancels every outstanding
-        probe before propagating, so no shard task outlives its call.
+        overlap), each with its own hedge race.  Degradable failures
+        are collected; anything else fails the attempt (the pump's
+        retry loop decides what happens next, exactly as for the
+        unsharded client).  Cancellation of the scatter (pump timeout,
+        deadline) cancels every outstanding probe before propagating,
+        so no shard task outlives its call.
         """
         self._emit_scatter(kind, expr_text)
         expression = self.engine.parse(expr_text)
         tasks = [
             asyncio.ensure_future(
-                self._probe_async(shard_id, expression, expr_text, kind, limit, attempt)
+                self._probe(shard_id, expression, expr_text, kind, limit, attempt)
             )
             for shard_id in range(self.num_shards)
         ]
@@ -305,22 +241,7 @@ class ShardedSearchClient(SearchClient):
 
     # -- one shard probe ------------------------------------------------------
 
-    def _probe_sync(self, shard_id, expression, expr_text, kind, limit, attempt):
-        dest = self.destinations[shard_id]
-        self._breaker_gate(dest)
-        started = time.monotonic()
-        try:
-            self._shard_fault_gate_sync(dest, expr_text, attempt)
-            for _ in range(self._round_trips(kind, limit)):
-                self._shard_sleep_sync(dest, expr_text)
-            partial = self._compute(shard_id, expression, kind, limit)
-        except Exception:
-            self._record_outcome(dest, ok=False)
-            raise
-        self._record_outcome(dest, ok=True, elapsed=time.monotonic() - started)
-        return partial
-
-    async def _probe_async(self, shard_id, expression, expr_text, kind, limit, attempt):
+    async def _probe(self, shard_id, expression, expr_text, kind, limit, attempt):
         """One shard's probe, hedged: primary now, backup after the trigger.
 
         The hedge trigger is the shard's observed p95 service time (or
@@ -334,7 +255,7 @@ class ShardedSearchClient(SearchClient):
         started = time.monotonic()
         trigger = self._hedge_trigger(dest)
         primary = asyncio.ensure_future(
-            self._probe_once_async(shard_id, dest, expression, expr_text, kind, limit, attempt)
+            self._probe_once(shard_id, dest, expression, expr_text, kind, limit, attempt)
         )
         racers = {primary: "primary"}
         try:
@@ -351,7 +272,7 @@ class ShardedSearchClient(SearchClient):
                         delay=trigger,
                     )
                     backup = asyncio.ensure_future(
-                        self._probe_once_async(
+                        self._probe_once(
                             shard_id,
                             dest + "~hedge",
                             expression,
@@ -430,20 +351,23 @@ class ShardedSearchClient(SearchClient):
                 task.cancel()
         raise primary.exception()
 
-    async def _probe_once_async(
-        self, shard_id, fault_dest, expression, expr_text, kind, limit, attempt
+    async def _probe_once(
+        self, shard_id, replica_dest, expression, expr_text, kind, limit, attempt
     ):
         """One replica's attempt: fault gate, latency waits, compute.
 
-        ``fault_dest`` keys the latency and fault draws — the primary
-        uses the shard destination, a hedge backup uses
-        ``{dest}~hedge`` (a different replica of the same shard, so its
-        network weather is independent).  The computed partial is
+        ``replica_dest`` keys the latency draws — the primary uses the
+        shard destination, a hedge backup uses ``{dest}~hedge`` (a
+        different replica of the same shard, with its own network
+        weather).  The fault draw and the computed partial are
         identical either way.
         """
-        await self._shard_fault_gate_async(fault_dest, expr_text, attempt)
+        await self._fault_gate(replica_dest, expr_text, attempt)
+        # A count is one request per shard; a ranked probe pages through
+        # up to *limit* candidates per shard (each shard may hold the
+        # entire global top-k), sequentially, like the unsharded client.
         for _ in range(self._round_trips(kind, limit)):
-            await self._shard_sleep_async(fault_dest, expr_text)
+            await self._round_trip(replica_dest, expr_text)
         return self._compute(shard_id, expression, kind, limit)
 
     def _compute(self, shard_id, expression, kind, limit):
@@ -451,48 +375,24 @@ class ShardedSearchClient(SearchClient):
             return self.engine.shard_count(shard_id, expression)
         return self.engine.shard_search_partials(shard_id, expression, limit)
 
-    def _round_trips(self, kind, limit):
-        # A count is one request per shard; a ranked probe pages through
-        # up to *limit* candidates per shard (each shard may hold the
-        # entire global top-k), sequentially, like the unsharded client.
-        if kind == "count":
-            return 1
-        return self._pages_for(limit)
-
     # -- per-shard network simulation -----------------------------------------
 
-    def _shard_delay(self, dest, expr_text):
-        if self.latency is None:
-            return 0.0
-        return self.latency.delay(dest, expr_text)
-
-    def _shard_sleep_sync(self, dest, expr_text):
-        self._count_shard_round_trip(dest)
-        delay = self._shard_delay(dest, expr_text)
-        if delay > 0:
-            time.sleep(delay)
-
-    async def _shard_sleep_async(self, dest, expr_text):
-        self._count_shard_round_trip(dest)
-        delay = self._shard_delay(dest, expr_text)
-        if delay > 0:
-            await asyncio.sleep(delay)
-
-    def _count_shard_round_trip(self, dest):
-        self.requests_sent += 1
+    def _count_round_trip(self, dest):
+        super()._count_round_trip(dest)
         base = dest.split("~", 1)[0]
         if base in self._per_shard:
             self._per_shard[base]["requests"] += 1
         if self.obs is not None:
-            self.obs.metrics.inc("web.round_trips", engine=self.engine.name)
             self.obs.metrics.inc("shard.round_trips", destination=dest)
 
-    def _shard_fault(self, dest, expr_text, attempt):
-        if self.faults is None:
-            return None
+    def _next_fault(self, dest, expr_text, attempt):
         # A whole-engine outage window downs every shard at once; the
         # per-destination draw covers single-shard weather.
-        if self.faults.is_down(self.engine.name) and not self.faults.is_down(dest):
+        if (
+            self.faults is not None
+            and self.faults.is_down(self.engine.name)
+            and not self.faults.is_down(dest)
+        ):
             self.faults_seen += 1
             return Fault(
                 OUTAGE,
@@ -500,60 +400,9 @@ class ShardedSearchClient(SearchClient):
                     "engine {!r} is down (connection refused)".format(self.engine.name)
                 ),
             )
-        fault = self.faults.fault_for(dest, expr_text, attempt)
-        if fault is not None:
-            self.faults_seen += 1
-        return fault
-
-    def _shard_fault_gate_sync(self, dest, expr_text, attempt):
-        fault = self._shard_fault(dest, expr_text, attempt)
-        if fault is None:
-            return
-        if fault.kind == OUTAGE:
-            raise fault.error
-        if fault.kind == HANG:
-            self._count_shard_round_trip(dest)
-            timeout = (
-                self.resilience.call_timeout if self.resilience is not None else None
-            )
-            wait = (
-                fault.hang_seconds
-                if timeout is None
-                else min(fault.hang_seconds, timeout)
-            )
-            if wait > 0:
-                time.sleep(wait)
-            raise RequestTimeoutError(
-                "request to {!r} for {!r} hung (gave up after {:.3f}s)".format(
-                    dest, expr_text, wait
-                )
-            )
-        self._count_shard_round_trip(dest)
-        delay = self._shard_delay(dest, expr_text)
-        if delay > 0:
-            time.sleep(delay)
-        raise fault.error
-
-    async def _shard_fault_gate_async(self, dest, expr_text, attempt):
-        fault = self._shard_fault(dest, expr_text, attempt)
-        if fault is None:
-            return
-        if fault.kind == OUTAGE:
-            raise fault.error
-        if fault.kind == HANG:
-            self._count_shard_round_trip(dest)
-            if fault.hang_seconds > 0:
-                await asyncio.sleep(fault.hang_seconds)
-            raise RequestTimeoutError(
-                "request to {!r} for {!r} hung (gave up after {:.3f}s)".format(
-                    dest, expr_text, fault.hang_seconds
-                )
-            )
-        self._count_shard_round_trip(dest)
-        delay = self._shard_delay(dest, expr_text)
-        if delay > 0:
-            await asyncio.sleep(delay)
-        raise fault.error
+        # A hedge replica shares its primary's fault draw (only its latency
+        # is its own): hedging changes when a probe answers, never whether.
+        return super()._next_fault(dest.split("~", 1)[0], expr_text, attempt)
 
     # -- breakers, samples, hedge calibration ---------------------------------
 

@@ -19,7 +19,6 @@ from repro.sql.parser import parse, parse_select
 from repro.storage.database import Database
 from repro.util.errors import PlanError
 from repro.util.timing import resolve_clock
-from repro.vtables.evscan import EVScan
 from repro.vtables.webcount import WebCountDef
 from repro.vtables.webfetch import WebFetchDef, WebLinksDef
 from repro.vtables.webpages import WebPagesDef
@@ -51,8 +50,8 @@ class WsqEngine:
         A :class:`~repro.web.latency.LatencyModel` applied to every
         search/fetch (``None`` = instantaneous, for tests).
     cache:
-        Optional :class:`~repro.web.cache.ResultCache`, shared by the
-        sync and async paths.
+        Optional :class:`~repro.web.cache.ResultCache`, shared by
+        every query in either mode.
     pump:
         A :class:`~repro.asynciter.pump.RequestPump` (defaults to the
         process-wide one).
@@ -290,26 +289,6 @@ class WsqEngine:
         self._fallback_query_ids += 1
         return self._fallback_query_ids - 1
 
-    def _instrument_plan(self, plan, tracer, query_id):
-        """Attach tracer/metrics/query-id to the plan's sync-path scans.
-
-        The async path is correlated through :class:`AsyncContext`; the
-        sequential :class:`EVScan` has no context, so the engine walks
-        the plan and hands each scan the same handles.
-        """
-        if isinstance(plan, EVScan):
-            plan.attach_observability(
-                tracer=tracer,
-                metrics=self.pump.metrics,
-                query_id=query_id,
-                clock=self.clock,
-            )
-        inner = getattr(plan, "inner", None)
-        if inner is not None:
-            self._instrument_plan(inner, tracer, query_id)
-        for child in plan.children:
-            self._instrument_plan(child, tracer, query_id)
-
     # -- planning -----------------------------------------------------------------
 
     def exec_options(self, deadline=None):
@@ -350,16 +329,19 @@ class WsqEngine:
         )
         mode = self._resolve_mode(logical, mode)
         context = None
-        if mode == ASYNC:
+        if mode == ASYNC or logical_ir.contains_external_scan(logical):
             if query_id is None:
                 query_id = self._next_query_id(tracer)
+            # One call outstanding at a time leaves nothing in flight to
+            # deduplicate against, so sync contexts skip the bookkeeping.
             context = AsyncContext(
                 self.pump,
-                dedup=self.dedup_calls,
+                dedup=self.dedup_calls and mode == ASYNC,
                 tracer=tracer,
                 query_id=query_id,
                 deadline=deadline,
             )
+        if mode == ASYNC:
             logical, placement = rewrite_logical(
                 logical,
                 self.rewrite_settings,
@@ -540,13 +522,11 @@ class WsqEngine:
     # -- execution ---------------------------------------------------------------------
 
     def _prepare(self, query, mode, tracer, deadline=None):
-        """Plan + rewrite + instrument one SELECT; returns (plan, mode, qid)."""
+        """Plan + rewrite one SELECT; returns (plan, mode, qid)."""
         query_id = self._next_query_id(tracer)
         plan, _, _, mode, _ = self._pipeline(
             query, mode, tracer, query_id, deadline=deadline
         )
-        if tracer is not None:
-            self._instrument_plan(plan, tracer, query_id)
         return plan, mode, query_id
 
     def _cache_scope(self):
@@ -694,10 +674,6 @@ class WsqEngine:
             self.pump.tracer = tracer
         try:
             plan, mode, query_id = self._prepare(query, mode, tracer)
-            # _prepare attached the engine tracer via self.tracer paths
-            # only for async contexts; re-instrument sync scans with the
-            # (possibly borrowed) tracer.
-            self._instrument_plan(plan, tracer, query_id)
             wrapped, stats = profile_plan(
                 plan, clock=self.clock, tracer=tracer, query_id=query_id
             )
@@ -785,9 +761,6 @@ class WsqEngine:
             )
         if self.faults is not None:
             payload["faults"] = self.faults.snapshot()
-            payload["client_retries"] = {
-                name: client.retries for name, client in self.clients.items()
-            }
         return payload
 
     def metrics_snapshot(self):
@@ -831,7 +804,7 @@ class WsqEngine:
 
 
 def _find_context(plan):
-    """The AsyncContext of the first ReqSync/AEVScan in *plan*, if any."""
+    """The AsyncContext of the first ReqSync/external scan in *plan*, if any."""
     context = getattr(plan, "context", None)
     if context is not None:
         return context

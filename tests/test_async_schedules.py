@@ -31,12 +31,12 @@ _KEYS = iter(range(10**9))
 
 
 def make_call(rows, delay):
-    async def run():
+    async def run(attempt=0):
         if delay:
             await asyncio.sleep(delay)
         return rows
 
-    return ExternalCall(("sched", next(_KEYS)), "AV", lambda: rows, run)
+    return ExternalCall(("sched", next(_KEYS)), "AV", run)
 
 
 class _ScheduledScan(RowsScan):

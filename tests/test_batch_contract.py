@@ -467,7 +467,7 @@ class FakeInstance:
                 await asyncio.sleep(delay)
             return rows
 
-        return ExternalCall(("fake", bindings["T1"]), "AV", lambda: rows, run)
+        return ExternalCall(("fake", bindings["T1"]), "AV", run)
 
     def placeholder_row(self, bindings, call_id):
         return (bindings["T1"], Placeholder(call_id, "value"))

@@ -22,9 +22,10 @@ from repro.datasets import SIGS
 def fast_engine(web, paper_db):
     from repro.wsq import WsqEngine
 
-    # cache=False: these tests count raw network calls, which the
-    # REPRO_CACHE transparency leg would legitimately change.
-    return WsqEngine(database=paper_db, web=web, cache=False)
+    # cache=False, shards=1: these tests count raw network calls, which
+    # the REPRO_CACHE / REPRO_SHARDS transparency legs would legitimately
+    # change.
+    return WsqEngine(database=paper_db, web=web, cache=False, shards=1)
 
 
 class TestWorkloads:

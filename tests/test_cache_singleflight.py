@@ -39,14 +39,14 @@ def gated_call(release, key="k", destination="AV", rows=None, error=None):
     """
     rows = rows if rows is not None else [{"count": 1}]
 
-    async def run():
+    async def run(attempt=0):
         while not release.is_set():
             await asyncio.sleep(0.002)
         if error is not None:
             raise error
         return rows
 
-    return ExternalCall(key, destination, lambda: rows, run)
+    return ExternalCall(key, destination, run)
 
 
 class Collector:
@@ -367,9 +367,7 @@ class TestConcurrentQueryStress:
             def query(i):
                 barrier.wait()
                 for _ in range(per_thread):
-                    call = ExternalCall(
-                        "hot-key", "AV", lambda: [{"count": 1}], _slow_rows
-                    )
+                    call = ExternalCall("hot-key", "AV", _slow_rows)
                     pump.register(call, collector, query_id="q{}".format(i))
                     time.sleep(0.001)
 
@@ -399,7 +397,7 @@ class TestConcurrentQueryStress:
             pump.shutdown()
 
 
-async def _slow_rows():
+async def _slow_rows(attempt=0):
     await asyncio.sleep(0.01)
     return [{"count": 1}]
 
@@ -425,7 +423,7 @@ class TestDetachDuringLeaderBackoff:
     def _flaky_call(self, attempts, release):
         """Fails transiently on attempt 1, then blocks until *release*."""
 
-        async def run():
+        async def run(attempt=0):
             attempts.append(1)
             if len(attempts) == 1:
                 raise TransientWebError("first attempt fails")
@@ -433,7 +431,7 @@ class TestDetachDuringLeaderBackoff:
                 await asyncio.sleep(0.002)
             return [{"count": 7}]
 
-        return ExternalCall("k", "AV", lambda: [], run)
+        return ExternalCall("k", "AV", run)
 
     def _wait_for_backoff(self, pump):
         """Block until attempt 1 has failed and the retry is scheduled."""

@@ -85,7 +85,8 @@ def uniform_profile(latency, destinations=("AV",), samples=50, **kwargs):
 
 class TestEndToEndLoop:
     def test_skewed_workload_flips_the_plan_choice(self, tmp_path):
-        engine = make_engine(latency=SkewedLatency())
+        # shards=1: SkewedLatency keys its schedule on the engine destination.
+        engine = make_engine(latency=SkewedLatency(), shards=1)
         for sql in (SQL_AV, SQL_GOOGLE):
             assert len(engine.execute(sql, mode="async")) == 37
         engine.pump.quiesce(timeout=10.0)

@@ -85,6 +85,9 @@ def test_matrix_combo_is_logically_exact(combo, shared_db, baseline_rows):
         ),
         single_flight=coalesce,
         batch_size=batch_size,
+        # The fault schedule is keyed on the engine destination; the
+        # sharded tier has its own matrix below.
+        shards=1,
     )
     try:
         for round_index in range(2):  # second round exercises cache hits

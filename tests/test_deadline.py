@@ -71,7 +71,7 @@ class TestDeadlineObject:
 
 
 def _call(key, run, destination="AV"):
-    return ExternalCall(key, destination, lambda: [], run)
+    return ExternalCall(key, destination, lambda attempt: run())
 
 
 def _wait_one(pump, call, deadline=None, timeout=5.0):

@@ -57,9 +57,16 @@ def fast_policy(max_attempts=2, call_timeout=None, breaker=None):
     )
 
 
-def chaos_engine(faults, resilience, on_error=None):
+def chaos_engine(faults, resilience, on_error=None, shards=None):
+    """*shards=1* pins the tests whose predictions key the fault schedule
+    (or a breaker) on the engine destination; the rest run at whatever
+    ``REPRO_SHARDS`` says."""
     return bench_engine(
-        latency=None, faults=faults, resilience=resilience, on_error=on_error
+        latency=None,
+        faults=faults,
+        resilience=resilience,
+        on_error=on_error,
+        shards=shards,
     )
 
 
@@ -94,6 +101,7 @@ class TestGracefulDegradation:
             FaultModel(seed=SEED, transient_rate=RATE),
             fast_policy(max_attempts=2),
             on_error="drop",
+            shards=1,
         )
         try:
             result = engine.execute(QUERY, mode="async")
@@ -111,6 +119,7 @@ class TestGracefulDegradation:
             FaultModel(seed=SEED, transient_rate=RATE),
             fast_policy(max_attempts=2),
             on_error="null",
+            shards=1,
         )
         try:
             result = engine.execute(QUERY, mode="async")
@@ -148,7 +157,6 @@ class TestGracefulDegradation:
             assert snapshot["per_destination"]["AV"]["retries"] > 0
             payload = engine.stats()
             assert payload["faults"]["transient_injected"] > 0
-            assert "client_retries" in payload
         finally:
             engine.pump.shutdown()
 
@@ -175,9 +183,9 @@ class TestSyncAsyncEquivalence:
         assert runs["sync"] == runs["async"]
 
     def test_identical_results_with_hangs_and_timeouts(self):
-        # Hung requests resolve as timeouts on both paths: sync sleeps
-        # min(hang, call_timeout) itself, async is cut by the pump's
-        # asyncio.wait_for — the classification and retry schedule match.
+        # Hung requests are cut by the pump's asyncio.wait_for in either
+        # mode, so the classification and retry schedule match — also
+        # over a sharded engine (deliberately not pinned to shards=1).
         predictor = FaultModel(seed=3, hang_rate=0.1, hang_seconds=5.0)
         hangs = [
             n
@@ -221,7 +229,7 @@ class TestOutageAndBreaker:
                 failure_threshold=3, recovery_timeout=5.0, clock=clock
             ),
         )
-        engine = chaos_engine(faults, resilience, on_error="drop")
+        engine = chaos_engine(faults, resilience, on_error="drop", shards=1)
         try:
             # Every Google call fails fast during the outage; the query
             # still completes (drop policy) with zero rows.

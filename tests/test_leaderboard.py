@@ -63,7 +63,7 @@ def write_artifacts(
         })
     if "shard" in families:
         dump("BENCH_shard.json", {
-            "scatter": {"sync_seconds": 1.2, "async_seconds": 0.4,
+            "scatter": {"service_seconds": 1.2, "async_seconds": 0.4,
                         "speedup": 3.0, "floor": 2.0},
             "outage": {"down_destination": "AV:shard2",
                        "degraded_gathers": 48, "counts_exact": True},

@@ -163,8 +163,6 @@ class TestTracer:
     def test_id_allocation(self):
         tracer = Tracer(clock=VirtualClock())
         assert [tracer.next_query_id() for _ in range(3)] == [0, 1, 2]
-        # Sync call ids are negative so they never collide with pump ids.
-        assert [tracer.next_sync_call_id() for _ in range(3)] == [-1, -2, -3]
 
     def test_enabled_tracer_normalizes(self):
         tracer = Tracer(clock=VirtualClock())

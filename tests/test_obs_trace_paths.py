@@ -26,6 +26,7 @@ from repro.asynciter.resilience import (
     ResiliencePolicy,
     RetryPolicy,
 )
+from repro.bench.workloads import CALLS_PER_QUERY, template_queries
 from repro.exec import RowsScan, collect
 from repro.obs import Observability, Tracer, overlap_factor, request_table
 from repro.obs.trace import (
@@ -85,7 +86,7 @@ def make_call(rows, delay=0.0, key=None):
 
     if key is None:
         key = ("test", next(_KEY_COUNTER))
-    return ExternalCall(key, "AV", lambda: rows, run)
+    return ExternalCall(key, "AV", run)
 
 
 SCHEMA = Schema(
@@ -248,7 +249,7 @@ class TestFaultPathTraces:
                     raise TransientWebError("flaky")
                 return [{"value": 7}]
 
-            call = ExternalCall(("retry", 0), "AV", lambda: None, run)
+            call = ExternalCall(("retry", 0), "AV", run)
             call_id, box = settle_one(pump, call)
             assert box["error"] is None
             retries = tracer.events(name=CALL_RETRY)
@@ -288,11 +289,11 @@ class TestFaultPathTraces:
                 raise HardWebError("400 bad request")
 
             _, first = settle_one(
-                pump, ExternalCall(("brk", 0), "AV", lambda: None, fail)
+                pump, ExternalCall(("brk", 0), "AV", fail)
             )
             assert isinstance(first["error"], HardWebError)
             rejected_id, second = settle_one(
-                pump, ExternalCall(("brk", 1), "AV", lambda: None, fail)
+                pump, ExternalCall(("brk", 1), "AV", fail)
             )
             assert isinstance(second["error"], BreakerOpenError)
             (reject,) = tracer.events(name=CALL_BREAKER_REJECT)
@@ -316,7 +317,7 @@ class TestFaultPathTraces:
                 return []
 
             call_id, box = settle_one(
-                pump, ExternalCall(("hang", 0), "AV", lambda: None, hang)
+                pump, ExternalCall(("hang", 0), "AV", hang)
             )
             assert isinstance(box["error"], RequestTimeoutError)
             (timeout,) = tracer.events(name=CALL_TIMEOUT)
@@ -353,6 +354,18 @@ def traced_engine(web, paper_db, latency=None):
     model = UniformLatency(*latency) if latency else None
     return WsqEngine(
         database=paper_db, web=web, latency=model, obs=Observability.enabled()
+    )
+
+
+def call_sequences(tracer):
+    """Sorted ``(request key, [call.* event names])``, one entry per call id."""
+    by_call = {}
+    for event in tracer.events():
+        if event.name.startswith("call."):
+            by_call.setdefault(event.call_id, []).append(event)
+    return sorted(
+        (events[0].args["key"], [event.name for event in events])
+        for events in by_call.values()
     )
 
 
@@ -395,15 +408,14 @@ class TestEngineTraces:
     def test_sync_query_emits_logical_lifecycle(self, web, paper_db):
         engine = traced_engine(web, paper_db)
         result = engine.execute(QUERY, mode="sync")
+        engine.pump.quiesce(timeout=2.0)
         tracer = engine.tracer
         registers = tracer.events(name=CALL_REGISTER)
         assert len(registers) == len(result.rows) == 50
         assert all(e.args["mode"] == "sync" for e in registers)
-        assert all(e.call_id < 0 for e in registers)  # sync id space
-        # No queue on the sequential path: register and issue coincide.
-        issues = {e.call_id: e.ts for e in tracer.events(name=CALL_ISSUE)}
-        for event in registers:
-            assert issues[event.call_id] == event.ts
+        # Same tracer as the async path: the pump's, with its call ids.
+        for name in (CALL_ENQUEUE, CALL_ISSUE, CALL_COMPLETE):
+            assert len(tracer.events(name=name)) == 50
         # ... and never more than one request in service at a time.
         assert overlap_factor(tracer.events()) == 1
 
@@ -423,6 +435,33 @@ class TestEngineTraces:
                 sync_events = sorted(d for d, _ in sync_events)
                 async_events = sorted(d for d, _ in async_events)
             assert sync_events == async_events
+
+    @pytest.mark.parametrize("template", [1, 2, 3])
+    def test_sync_is_async_with_one_outstanding_call(
+        self, web, paper_db, template
+    ):
+        sql = template_queries(template, instances=1)[0]
+        rows, sequences = {}, {}
+        for mode in ("sync", "async"):
+            engine = traced_engine(web, paper_db)
+            try:
+                rows[mode] = sorted(engine.execute(sql, mode=mode).rows, key=repr)
+                assert engine.pump.quiesce(timeout=2.0)
+                sequences[mode] = call_sequences(engine.tracer)
+                if mode == "sync":
+                    assert overlap_factor(engine.tracer.events()) == 1
+                    assert engine.pump.stats.snapshot()["max_in_flight"] == 1
+            finally:
+                engine.pump.shutdown()
+        assert rows["sync"] == rows["async"]
+        # The asynchronous plan issues every call of the template; the
+        # sequential one skips those whose outer tuple was cancelled.
+        # Each call it does issue goes through the same events.
+        assert len(sequences["async"]) == CALLS_PER_QUERY[template]
+        async_by_key = dict(sequences["async"])
+        assert sequences["sync"]
+        for key, names in sequences["sync"]:
+            assert names == async_by_key[key]
 
     def test_metrics_percentiles_per_destination(self, web, paper_db):
         engine = traced_engine(web, paper_db)

@@ -15,14 +15,14 @@ from repro.vtables.base import ExternalCall
 def make_call(key="k", destination="AV", delay=0.0, rows=None, error=None):
     rows = rows if rows is not None else [{"count": 1}]
 
-    async def run():
+    async def run(attempt=0):
         if delay:
             await asyncio.sleep(delay)
         if error is not None:
             raise error
         return rows
 
-    return ExternalCall(key, destination, lambda: rows, run)
+    return ExternalCall(key, destination, run)
 
 
 @pytest.fixture()
@@ -197,11 +197,11 @@ class TestInFlightDedup:
     """[CDY95]-style call minimization inside one query context."""
 
     def _slow_call(self, rows, key):
-        async def run():
+        async def run(attempt=0):
             await asyncio.sleep(0.05)
             return rows
 
-        return ExternalCall(key, "AV", lambda: rows, run)
+        return ExternalCall(key, "AV", run)
 
     def test_identical_calls_share_one_id(self, pump):
         context = AsyncContext(pump, dedup=True)
@@ -256,9 +256,10 @@ class TestInFlightDedup:
         from repro.exec import collect
 
         for dedup, expected in ((False, 37 + 37 * 4), (True, 37 + 37)):
-            # cache=False: this asserts raw *network* counts, which the
-            # REPRO_CACHE transparency leg would legitimately change.
-            engine = bench_engine(latency=None, cache=False)
+            # cache=False, shards=1: this asserts raw *network* counts,
+            # which the REPRO_CACHE / REPRO_SHARDS transparency legs
+            # would legitimately change.
+            engine = bench_engine(latency=None, cache=False, shards=1)
             plan, _ = build_figure7_plan(engine, "a", r_size=4, dedup=dedup)
             before = sum(c.requests_sent for c in engine.clients.values())
             rows = collect(plan)
@@ -288,5 +289,34 @@ class TestQueuedGauge:
             assert snapshot["queued"] >= 1
             assert done.wait(3)
             assert pump.stats.snapshot()["queued"] == 0
+        finally:
+            pump.shutdown()
+
+
+class TestQuiesce:
+    def test_quiesce_covers_the_settlement_accounting(self):
+        """``quiesce()`` returning means histograms and the closing trace
+        event of every call are recorded — not merely that results were
+        delivered (the settlement callback runs after ``on_complete``)."""
+        from repro.obs.trace import CALL_COMPLETE, Tracer
+
+        class SlowTracer(Tracer):
+            def emit(self, name, *args, **kwargs):
+                if name == CALL_COMPLETE:
+                    time.sleep(0.05)  # widen the window after on_complete
+                return super().emit(name, *args, **kwargs)
+
+        tracer = SlowTracer()
+        pump = RequestPump(tracer=tracer)
+        try:
+            delivered = threading.Event()
+            pump.register(make_call(), lambda *outcome: delivered.set())
+            assert delivered.wait(2)
+            assert pump.quiesce(timeout=2.0)
+            assert len(tracer.events(name=CALL_COMPLETE)) == 1
+            histogram = pump.metrics.histogram(
+                "request.e2e_seconds", destination="AV"
+            )
+            assert histogram.count == 1
         finally:
             pump.shutdown()

@@ -32,7 +32,7 @@ _KEY_COUNTER = iter(range(10**9))
 
 
 def make_call(rows, delay=0.0, error=None):
-    async def run():
+    async def run(attempt=0):
         if delay:
             await asyncio.sleep(delay)
         if error is not None:
@@ -41,7 +41,7 @@ def make_call(rows, delay=0.0, error=None):
 
     # Unique keys so the context's in-flight deduplication never merges
     # two logically distinct test calls.
-    return ExternalCall(("test", next(_KEY_COUNTER)), "AV", lambda: rows, run)
+    return ExternalCall(("test", next(_KEY_COUNTER)), "AV", run)
 
 
 SCHEMA = Schema(

@@ -25,7 +25,6 @@ from repro.asynciter.resilience import (
     CircuitBreakerConfig,
     ResiliencePolicy,
     RetryPolicy,
-    run_sync_with_retries,
 )
 from repro.exec import RowsScan, collect
 from repro.relational.placeholder import Placeholder
@@ -195,49 +194,6 @@ class TestRetryPolicy:
         with pytest.raises(ValueError):
             ResiliencePolicy(call_timeout=0)
 
-    def test_run_sync_with_retries(self):
-        policy = ResiliencePolicy(
-            retry=RetryPolicy(max_attempts=3, base_backoff=0.0, jitter=0.0)
-        )
-        attempts = []
-
-        def flaky(attempt):
-            attempts.append(attempt)
-            if attempt < 2:
-                raise TransientWebError("503")
-            return "done"
-
-        retried = []
-        result = run_sync_with_retries(
-            "k", flaky, policy, on_retry=lambda a, e: retried.append(a)
-        )
-        assert result == "done"
-        assert attempts == [0, 1, 2]
-        assert retried == [0, 1]
-
-    def test_run_sync_exhausts_budget(self):
-        policy = ResiliencePolicy(
-            retry=RetryPolicy(max_attempts=2, base_backoff=0.0, jitter=0.0)
-        )
-
-        def always_fails(attempt):
-            raise TransientWebError("503 again")
-
-        with pytest.raises(TransientWebError):
-            run_sync_with_retries("k", always_fails, policy)
-
-    def test_run_sync_fatal_is_immediate(self):
-        policy = ResiliencePolicy(retry=RetryPolicy(max_attempts=5))
-        attempts = []
-
-        def hard(attempt):
-            attempts.append(attempt)
-            raise HardWebError("404")
-
-        with pytest.raises(HardWebError):
-            run_sync_with_retries("k", hard, policy)
-        assert attempts == [0]  # no retry for fatal errors
-
 
 # ---------------------------------------------------------------------------
 # CircuitBreaker
@@ -346,7 +302,6 @@ def attempt_call(behaviour, destination="AV", delay=0.0, key=None):
     return ExternalCall(
         key if key is not None else ("res", next(_KEY_COUNTER)),
         destination,
-        lambda: behaviour(0),
         run,
     )
 
@@ -465,7 +420,7 @@ class TestPumpResilience:
                     await asyncio.sleep(5)  # first attempt hangs
                 return [{"count": 3}]
 
-            call = ExternalCall(("hang", next(_KEY_COUNTER)), "AV", None, run)
+            call = ExternalCall(("hang", next(_KEY_COUNTER)), "AV", run)
             rows, error = wait_one(pump, call)
             assert error is None and rows == [{"count": 3}]
             snapshot = pump.stats.snapshot()

@@ -197,7 +197,10 @@ class TestWsqOracle:
             if faulty:
                 engine.pump.shutdown()
 
-    def test_shards_one_uses_plain_client_and_identical_plans(self, shared_db):
+    def test_shards_one_uses_plain_client_and_identical_plans(
+        self, shared_db, monkeypatch
+    ):
+        monkeypatch.delenv("REPRO_SHARDS", raising=False)  # "plain" = no env
         plain = WsqEngine(database=shared_db, cache=False)
         pinned = WsqEngine(database=shared_db, cache=False, shards=1)
         assert not hasattr(pinned.clients["AV"], "shard_stats")
@@ -207,7 +210,8 @@ class TestWsqOracle:
                 COUNT_SQL, form=form
             )
 
-    def test_destinations_in_metrics_snapshot(self, shared_db):
+    def test_destinations_in_metrics_snapshot(self, shared_db, monkeypatch):
+        monkeypatch.delenv("REPRO_SHARDS", raising=False)  # "plain" = no env
         engine = WsqEngine(database=shared_db, cache=False, shards=3)
         engine.execute(COUNT_SQL, mode="sync")
         snapshot = engine.metrics_snapshot()
@@ -382,6 +386,33 @@ class TestHedging:
             )
         assert unhedged.shard_stats()["hedges"]["issued"] == 0
 
+    def test_hedging_never_changes_outcomes_under_faults(self, small_web):
+        # A replica shares its primary's fault draw, so a probe fails (or
+        # succeeds) the same whether or not a hedge was in flight — the
+        # property that keeps results independent of *when* hedging arms.
+        def outcome(client, expr):
+            try:
+                return asyncio.run(client.count_async(expr))
+            except ReproError as exc:
+                return type(exc)
+
+        exprs = ['"{}"'.format(t) for t in ("texas", "austin", "dallas", "ohio")]
+        outcomes = []
+        for hedge in (True, False):
+            client = ShardedSearchClient(
+                sharded_view(small_web.engine("AV"), 2),
+                latency=_ReplicaLatency(slow=0.02),
+                faults=FaultModel(seed=4, transient_rate=0.4),
+                hedge=hedge,
+                hedge_delay=0.002,
+            )
+            outcomes.append([outcome(client, expr) for expr in exprs])
+            if hedge:
+                assert client.shard_stats()["hedges"]["issued"] > 0
+        assert outcomes[0] == outcomes[1]
+        assert any(isinstance(o, type) for o in outcomes[0])  # faults bit
+        assert any(isinstance(o, int) for o in outcomes[0])
+
     def test_calibrated_trigger_needs_samples(self, small_web):
         client = ShardedSearchClient(
             sharded_view(small_web.engine("AV"), 2),
@@ -393,7 +424,12 @@ class TestHedging:
             client._samples[dest].append(0.01)
         assert client._hedge_trigger(dest) == pytest.approx(0.01)
 
-    def test_sync_path_never_hedges(self, small_web):
+    def test_blocking_count_hedges_like_the_coroutine(self, small_web):
+        # One scatter path: a caller that blocks gets the same hedged
+        # probes as one that awaits.
         client = self._client(small_web)
-        client.count('"texas"')
-        assert client.shard_stats()["hedges"]["issued"] == 0
+        expected = sharded_view(small_web.engine("AV"), 2).count('"texas"')
+        assert client.count('"texas"') == expected
+        hedges = client.shard_stats()["hedges"]
+        assert hedges["issued"] == 2
+        assert hedges["issued"] == hedges["won"] + hedges["lost"]

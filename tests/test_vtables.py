@@ -1,5 +1,7 @@
 """Virtual tables: instances, schemas, calls, EVScan."""
 
+import asyncio
+
 import pytest
 
 from repro.relational.placeholder import Placeholder, is_placeholder
@@ -8,6 +10,11 @@ from repro.util.errors import BindingError, VirtualTableError
 from repro.vtables import EVScan, WebCountDef, WebFetchDef, WebLinksDef, WebPagesDef
 from repro.vtables.webpages import DEFAULT_MAX_RANK
 from repro.web.client import SearchClient
+
+
+def run_call(call):
+    """One attempt of *call*'s coroutine, outside any pump."""
+    return asyncio.run(call.execute_async())
 
 
 @pytest.fixture()
@@ -76,7 +83,7 @@ class TestWebCountInstance:
         inst = WebCountDef("WebCount", av_client).instantiate("WC", n=1)
         bindings = inst.resolve_bindings({"T1": "Wyoming"})
         call = inst.make_call(bindings)
-        rows = call.execute_sync()
+        rows = run_call(call)
         assert len(rows) == 1  # WebCount always returns exactly one row
         assert rows[0]["count"] == av_client.engine.count('"Wyoming"')
         assert call.destination == "AV"
@@ -109,14 +116,14 @@ class TestWebPagesInstance:
     def test_explicit_rank_limit(self, av_client):
         inst = WebPagesDef("WebPages", av_client).instantiate("WP", 1, rank_limit=3)
         bindings = inst.resolve_bindings({"T1": "California"})
-        rows = inst.make_call(bindings).execute_sync()
+        rows = run_call(inst.make_call(bindings))
         assert len(rows) == 3
         assert [r["rank"] for r in rows] == [1, 2, 3]
 
     def test_zero_results_possible(self, av_client):
         inst = WebPagesDef("WebPages", av_client).instantiate("WP", 1, rank_limit=3)
         bindings = inst.resolve_bindings({"T1": "zzyzzxqq"})
-        assert inst.make_call(bindings).execute_sync() == []
+        assert run_call(inst.make_call(bindings)) == []
 
     def test_negative_rank_limit_rejected(self, av_client):
         with pytest.raises(VirtualTableError):
@@ -139,21 +146,21 @@ class TestWebFetchTables:
         service = small_web.fetch_service()
         inst = WebFetchDef("WebFetch", service).instantiate("F", 0)
         url = small_web.corpus.documents[0].url
-        rows = inst.make_call(inst.resolve_bindings({"Url": url})).execute_sync()
+        rows = run_call(inst.make_call(inst.resolve_bindings({"Url": url})))
         assert len(rows) == 1
         assert rows[0]["status"] == 200
 
     def test_fetch_404_still_one_row(self, small_web):
         service = small_web.fetch_service()
         inst = WebFetchDef("WebFetch", service).instantiate("F", 0)
-        rows = inst.make_call(inst.resolve_bindings({"Url": "nowhere/x"})).execute_sync()
+        rows = run_call(inst.make_call(inst.resolve_bindings({"Url": "nowhere/x"})))
         assert rows[0]["status"] == 404
 
     def test_links_rows(self, small_web):
         service = small_web.fetch_service()
         doc = next(d for d in small_web.corpus.documents if len(d.links) >= 2)
         inst = WebLinksDef("WebLinks", service).instantiate("L", 0)
-        rows = inst.make_call(inst.resolve_bindings({"Url": doc.url})).execute_sync()
+        rows = run_call(inst.make_call(inst.resolve_bindings({"Url": doc.url})))
         assert [r["link_url"] for r in rows] == doc.links
         assert [r["link_rank"] for r in rows] == list(range(1, len(doc.links) + 1))
 
@@ -184,7 +191,7 @@ class TestEVScan:
         california = scan.next()[2]
         scan.close()
         assert california > utah
-        assert scan.calls_issued == 2
+        assert scan.calls_registered == 2
 
     def test_next_before_open(self, av_client):
         from repro.util.errors import ExecutionError
