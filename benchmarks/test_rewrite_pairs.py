@@ -30,13 +30,14 @@ import os
 import time
 
 from conftest import results_path
+from repro.config import EngineConfig
 from repro.exec import collect
 from repro.exec.aggregate import AggregateSpec
 from repro.obs import Observability
 from repro.plan import logical as L
 from repro.plan import rules as R
-from repro.plan.physical import ExecOptions, lower
-from repro.plan.planner import Planner, PlannerOptions
+from repro.plan.physical import lower
+from repro.plan.planner import Planner
 from repro.relational.expr import ColumnRef, Comparison, Literal
 from repro.relational.schema import Column, Schema
 from repro.relational.types import DataType
@@ -45,6 +46,7 @@ from repro.wsq import WsqEngine
 
 ROWS = int(os.environ.get("REWRITE_PAIRS_ROWS", "12000"))
 REPEATS = 3
+CONFIG = EngineConfig.resolve()
 PAIR_FLOOR = 1.0
 HEADLINE_FLOOR = 2.0
 HEADLINE_PAIRS = ("or_to_union_disjoint_windows", "early_filter_derived_window")
@@ -126,7 +128,7 @@ def _timed_plan(tree):
     for _ in range(REPEATS):
         copy = R._clone_tree(tree)
         started = time.perf_counter()
-        rows = sorted(collect(lower(copy, ExecOptions())))
+        rows = sorted(collect(lower(copy, CONFIG)))
         best = min(best, time.perf_counter() - started)
     return best, rows
 
@@ -174,9 +176,7 @@ def test_rewrite_pairs(capsys):
         }
 
     # -- merge_union: the one pair driven at plan level ----------------------
-    planner = Planner(
-        db, options=PlannerOptions(logical_rules=("agg_single_pass",))
-    )
+    planner = Planner(db, options=CONFIG.override(rules=("agg_single_pass",)))
     original = _union_aggregate_plan(db)
     merged, firings = planner.optimize(_union_aggregate_plan(db))
     assert "agg_single_pass.merge_union" in {f.rule for f in firings}

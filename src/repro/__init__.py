@@ -11,9 +11,10 @@ Public API re-exports; see README.md for a tour.
 
 __version__ = "1.0.0"
 
+from repro.config import EngineConfig
 from repro.datasets import load_all
 from repro.dsq import DsqSession
-from repro.plan import CostModel, PlannerOptions
+from repro.plan import CostModel
 from repro.relational import Column, DataType, Schema
 from repro.storage import Database
 from repro.web import (
@@ -34,8 +35,8 @@ __all__ = [
     "DataType",
     "Database",
     "DsqSession",
+    "EngineConfig",
     "FixedLatency",
-    "PlannerOptions",
     "ProfileReport",
     "QueryResult",
     "ResultCache",

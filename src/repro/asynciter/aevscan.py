@@ -41,9 +41,8 @@ class AEVScan(ExternalScan):
         """
         pairs = [self._make_call(bindings) for bindings in bindings_list]
         calls = [call for _, call in pairs]
-        register_batch = getattr(self.context, "register_batch", None)
-        if len(calls) > 1 and callable(register_batch):
-            call_ids = register_batch(calls)
+        if len(calls) > 1:
+            call_ids = self.context.register_batch(calls)
         else:
             # Degenerate single-binding batch: keep the seed's exact
             # registration schedule (and trace shape).

@@ -66,8 +66,11 @@ class AsyncContext:
                 self._reuse_inflight(existing, call)
                 return existing
         call_id = self.pump.register(
-            call, self._on_complete, query_id=self.query_id, mode=mode,
-            **self._deadline_kwargs()
+            call,
+            self._on_complete,
+            query_id=self.query_id,
+            deadline=self.deadline,
+            mode=mode,
         )
         self.calls_registered += 1
         with self._cond:
@@ -106,7 +109,7 @@ class AsyncContext:
         against already in-flight calls and *within* the batch (the
         paper's Figure 7 workload sends many identical searches per
         batch); only novel calls reach the pump, in one burst via
-        ``pump.register_batch`` when available.
+        ``pump.register_batch``.
         """
         calls = list(calls)
         if not calls:
@@ -130,21 +133,12 @@ class AsyncContext:
                 batch_anchor[key] = position
             fresh.append((position, call))
         if fresh:
-            fresh_calls = [call for _, call in fresh]
-            pump_batch = getattr(self.pump, "register_batch", None)
-            if callable(pump_batch):
-                new_ids = pump_batch(
-                    fresh_calls, self._on_complete, query_id=self.query_id,
-                    **self._deadline_kwargs()
-                )
-            else:
-                new_ids = [
-                    self.pump.register(
-                        c, self._on_complete, query_id=self.query_id,
-                        **self._deadline_kwargs()
-                    )
-                    for c in fresh_calls
-                ]
+            new_ids = self.pump.register_batch(
+                [call for _, call in fresh],
+                self._on_complete,
+                query_id=self.query_id,
+                deadline=self.deadline,
+            )
             self.calls_registered += len(new_ids)
             with self._cond:
                 for (position, call), call_id in zip(fresh, new_ids):
@@ -161,13 +155,6 @@ class AsyncContext:
             self._reuse_inflight(call_id, calls[position])
             call_ids[position] = call_id
         return call_ids
-
-    def _deadline_kwargs(self):
-        # Only pass the kwarg when a deadline exists, so pump doubles
-        # (tests, alternative pumps) need not grow the parameter.
-        if self.deadline is None:
-            return {}
-        return {"deadline": self.deadline}
 
     def _reuse_inflight(self, call_id, call):
         """Account one dedup hit: a new lease on an in-flight call."""

@@ -105,7 +105,6 @@ class ReqSync(Operator):
         preserve_order=False,
         wait_timeout=DEFAULT_WAIT_TIMEOUT,
         on_error=ON_ERROR_RAISE,
-        deadline=None,
     ):
         if on_error not in ON_ERROR_POLICIES:
             raise ExecutionError(
@@ -119,11 +118,6 @@ class ReqSync(Operator):
         self.preserve_order = preserve_order
         self.wait_timeout = wait_timeout
         self.on_error = on_error
-        #: Per-query budget/cancellation token (duck-typed Deadline).
-        #: The wait loop is the query thread's deadline checkpoint: rows
-        #: already materialized still flow, but blocking on the network
-        #: past expiry raises :class:`QueryDeadlineExceeded` instead.
-        self.deadline = deadline
         self.schema = child.schema
         self.children = (child,)
         # Buffering state (created at open()).
@@ -219,8 +213,9 @@ class ReqSync(Operator):
                     # cut the call and its error won the race against our
                     # own checkpoint): surface the typed expiry rather
                     # than degrading or wrapping it.
-                    if self.deadline is not None and self.deadline.expired:
-                        self._raise_if_expired(self.deadline)
+                    deadline = self.context.deadline
+                    if deadline is not None:
+                        self._raise_if_expired(deadline)
                     self._degrade(call_id)
                 else:
                     self._apply_completion(call_id, rows)
@@ -228,13 +223,17 @@ class ReqSync(Operator):
     def _wait_for_any(self, outstanding):
         """Wait for a completion, slicing the block under a deadline.
 
-        Without a deadline this is the historical single blocking wait.
-        With one, the wait runs in :data:`DEADLINE_POLL_INTERVAL` slices
-        so expiry — including :meth:`Deadline.cancel` from a client
-        disconnect — interrupts the query within one slice; the overall
-        ``wait_timeout`` safety valve still applies across slices.
+        The query's deadline travels on the context.  Without one this is
+        the historical single blocking wait.  With one, this loop is the
+        query thread's deadline checkpoint — rows already materialized
+        still flow, but blocking on the network past expiry raises
+        :class:`QueryDeadlineExceeded` — and the wait runs in
+        :data:`DEADLINE_POLL_INTERVAL` slices so expiry (including
+        :meth:`Deadline.cancel` from a client disconnect) interrupts the
+        query within one slice; the overall ``wait_timeout`` safety valve
+        still applies across slices.
         """
-        deadline = self.deadline
+        deadline = self.context.deadline
         if deadline is None:
             return self.context.wait_for_any(outstanding, timeout=self.wait_timeout)
         budget = (

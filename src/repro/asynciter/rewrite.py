@@ -36,66 +36,14 @@ Finally, adjacent ReqSync operators are merged (their runtime already
 manages any number of pending calls per tuple, Section 4.4).
 """
 
+from repro.config import EngineConfig
 from repro.plan.logical import lift, placeholder_columns
-from repro.plan.physical import ExecOptions, lower
+from repro.plan.physical import lower
 from repro.plan.rules import RuleEngine, reqsync_pack
 
 
-class RewriteSettings:
-    """Knobs for the placement algorithm (defaults follow the paper).
-
-    Kept as the back-compat configuration surface; at lowering time the
-    knobs are consolidated into one
-    :class:`~repro.plan.physical.ExecOptions` (see
-    :meth:`~repro.plan.physical.ExecOptions.from_knobs` for the
-    precedence that resolves them against ``PlannerOptions``).
-    """
-
-    def __init__(
-        self,
-        stream=False,
-        pull_above_order_sensitive=False,
-        consolidate=True,
-        wait_timeout=None,
-        on_error=None,
-        batch_size=None,
-        shards=None,
-        parallelism=None,
-        rules=None,
-    ):
-        self.stream = stream
-        self.pull_above_order_sensitive = pull_above_order_sensitive
-        self.consolidate = consolidate
-        self.wait_timeout = wait_timeout
-        #: Graceful-degradation policy for failed calls: ``None`` (defer
-        #: to the resolved :class:`~repro.plan.physical.ExecOptions`
-        #: policy, default "raise"), "raise", "drop", or "null" — see
-        #: :class:`~repro.asynciter.reqsync.ReqSync`.
-        self.on_error = on_error
-        #: Batch granularity stamped onto every ReqSync this rewrite
-        #: creates (``None`` = the operator default).  This governs how
-        #: many child rows — and therefore how many external-call
-        #: registrations — one ReqSync admission pull covers.
-        self.batch_size = batch_size
-        #: Search-tier shard count (``None`` = defer to the engine /
-        #: ``REPRO_SHARDS`` resolution; ``1`` = unsharded).
-        self.shards = shards
-        #: Intra-query Exchange parallelism (``None`` = defer to the
-        #: engine / ``REPRO_PARALLELISM`` resolution; ``1`` = off).
-        self.parallelism = parallelism
-        #: Opt-in logical rule packs (``None`` = defer to the engine /
-        #: ``$REPRO_RULES`` resolution; ``()`` = explicitly none).  Pack
-        #: names / Rule classes / Rule instances, as accepted by
-        #: :func:`repro.plan.rules.resolve_packs`.
-        self.rules = rules
-
-    def exec_options(self):
-        """The consolidated execution knobs these settings imply."""
-        return ExecOptions.from_knobs(rewrite_settings=self)
-
-
 def apply_asynchronous_iteration(
-    plan, context, settings=None, tracer=None, metrics=None, query_id=None
+    plan, context, config=None, tracer=None, metrics=None, query_id=None
 ):
     """Rewrite *plan* for asynchronous iteration; returns the new root.
 
@@ -106,24 +54,25 @@ def apply_asynchronous_iteration(
     ``planner.rules_fired`` counter; the firings are also returned by
     :func:`rewrite_logical` for callers that want them.
     """
-    settings = settings or RewriteSettings()
     node, _ = rewrite_logical(
-        lift(plan), settings, tracer=tracer, metrics=metrics, query_id=query_id
+        lift(plan), config, tracer=tracer, metrics=metrics, query_id=query_id
     )
-    return lower(node, settings.exec_options(), context)
+    return lower(node, config, context)
 
 
-def rewrite_logical(node, settings=None, tracer=None, metrics=None, query_id=None):
+def rewrite_logical(node, config=None, tracer=None, metrics=None, query_id=None):
     """Run the ReqSync rule pack over a *logical* tree.
 
     Returns ``(optimized_node, firings)`` without lowering — the
-    engine's native path, which lowers once with its fully resolved
-    :class:`~repro.plan.physical.ExecOptions`.
+    engine's native path, which lowers once under the same *config*
+    (an :class:`~repro.config.EngineConfig`; ``None`` resolves one from
+    the environment).
     """
-    settings = settings or RewriteSettings()
+    if config is None:
+        config = EngineConfig.resolve()
     engine = RuleEngine(
-        reqsync_pack(settings),
-        settings=settings,
+        reqsync_pack(config),
+        settings=config,
         tracer=tracer,
         metrics=metrics,
         query_id=query_id,

@@ -20,10 +20,11 @@ from repro.asynciter.resilience import (
     ResiliencePolicy,
     RetryPolicy,
 )
+from repro.config import EngineConfig
 from repro.datasets import load_all
 from repro.obs import Observability, render_waterfall, write_chrome_trace
 from repro.storage import Database
-from repro.util.errors import ReproError
+from repro.util.errors import ConfigError, ReproError
 from repro.web.cache import make_cache
 from repro.web.faults import FaultModel
 from repro.web.latency import UniformLatency
@@ -60,7 +61,6 @@ def build_engine(args):
         latency = UniformLatency(seconds * 0.5, seconds * 1.5)
     cache = _cache_config(args)
     faults, resilience = _chaos_config(args)
-    on_error = getattr(args, "on_error", None)
     obs = None
     if (
         getattr(args, "trace", None)
@@ -74,13 +74,14 @@ def build_engine(args):
         cache=cache,
         faults=faults,
         resilience=resilience,
-        on_error=on_error,
         obs=obs,
-        batch_size=getattr(args, "batch_size", None),
         calibration=getattr(args, "calibration", None),
-        shards=getattr(args, "shards", None),
-        parallelism=getattr(args, "parallelism", None),
-        rules=getattr(args, "rules", None),
+        config=EngineConfig.resolve(
+            on_error=getattr(args, "on_error", None),
+            batch_size=getattr(args, "batch_size", None),
+            shards=getattr(args, "shards", None),
+            rules=getattr(args, "rules", None),
+        ),
     )
 
 
@@ -99,7 +100,7 @@ def _cache_config(args):
     ttl = getattr(args, "cache_ttl", None)
     if tier is None:
         if not getattr(args, "cache", False) and ttl is None:
-            return None  # defer to REPRO_CACHE (engine-side env fallback)
+            return None  # the engine falls back to $REPRO_CACHE
         tier = "memory"
     return make_cache(
         tier=tier,
@@ -197,14 +198,6 @@ def main(argv=None):
         "(default 1 or $REPRO_SHARDS; 1 = the unsharded monolith)",
     )
     parser.add_argument(
-        "--parallelism",
-        type=int,
-        default=None,
-        help="intra-query worker count: N > 1 fans eligible local scan "
-        "pipelines over an Exchange operator "
-        "(default 1 or $REPRO_PARALLELISM; 1 = sequential plans)",
-    )
-    parser.add_argument(
         "--rules",
         default=None,
         metavar="PACKS",
@@ -291,7 +284,10 @@ def main(argv=None):
     )
     args = parser.parse_args(argv)
 
-    engine = build_engine(args)
+    try:
+        engine = build_engine(args)
+    except ConfigError as exc:
+        parser.error(str(exc))
     mode = "sync" if args.sync else "async"
 
     if args.command is not None:

@@ -23,7 +23,6 @@ from repro.exec.operator import (
 )
 from repro.relational.batch import ColumnBatch
 from repro.exec.scans import RowsScan, TableScan
-from repro.exec.exchange import Exchange, MergeExchange
 from repro.exec.indexscan import IndexScan
 from repro.exec.filter import Filter
 from repro.exec.project import Project
@@ -41,11 +40,9 @@ __all__ = [
     "CrossProduct",
     "DependentJoin",
     "Distinct",
-    "Exchange",
     "Filter",
     "IndexScan",
     "Limit",
-    "MergeExchange",
     "NestedLoopJoin",
     "Operator",
     "Project",

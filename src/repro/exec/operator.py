@@ -16,17 +16,17 @@ side-effect order — so ``next()`` never reads ahead, holds no state of
 its own between calls, and may be mixed freely with ``next_batch()``.
 
 ``batch_size`` is a per-operator attribute (class default
-:func:`~repro.relational.batch.default_batch_size`, i.e. 256 or the
-``REPRO_BATCH_SIZE`` environment override) used for
-``next_batch(max_rows=None)`` and for internal child pulls; engines
-stamp their configured size over a whole plan with
+:data:`~repro.relational.batch.DEFAULT_BATCH_SIZE`) used for
+``next_batch(max_rows=None)`` and for internal child pulls; lowering
+stamps the configured size (``EngineConfig.batch_size``, which is what
+``REPRO_BATCH_SIZE`` overrides) over a whole plan with
 :func:`set_batch_size`.  ``batch_size=1`` runs a whole plan on the
 tuple-at-a-time schedule.
 """
 
 from contextlib import contextmanager
 
-from repro.relational.batch import ColumnBatch, default_batch_size
+from repro.relational.batch import DEFAULT_BATCH_SIZE, ColumnBatch
 from repro.util.errors import ExecutionError
 
 
@@ -50,9 +50,9 @@ class Operator:
     children = ()
 
     #: Default batch granularity for ``next_batch(max_rows=None)`` and
-    #: for internal child pulls; engines override per plan via
+    #: for internal child pulls; lowering overrides it per plan via
     #: :func:`set_batch_size`.
-    batch_size = default_batch_size()
+    batch_size = DEFAULT_BATCH_SIZE
 
     def make_batch(self, rows):
         """Pivot dense *rows* into a batch typed by this operator's schema."""

@@ -25,19 +25,11 @@ class TableScan(Operator):
     (``Table.scan_column_batches()``), which are re-chunked to the
     caller's ``max_rows`` — batches reach the operators column-major
     without a pivot.
-
-    ``partition=(index, total)`` restricts the scan to one contiguous
-    run of heap pages (see
-    :func:`repro.storage.heap.partition_pages`) — the leaves an
-    :class:`~repro.exec.exchange.Exchange` fans a subtree over.  The
-    partitions of a table concatenate, in index order, to exactly the
-    unpartitioned scan.
     """
 
-    def __init__(self, table, qualifier=None, partition=None):
+    def __init__(self, table, qualifier=None):
         self.table = table
         self.qualifier = qualifier or table.name
-        self.partition = partition
         self.schema = table.schema.with_qualifier(self.qualifier)
         self.children = ()
         self._chunks = None
@@ -45,7 +37,7 @@ class TableScan(Operator):
 
     def open(self, bindings=None):
         self._reject_bindings(bindings)
-        self._chunks = self.table.scan_column_batches(partition=self.partition)
+        self._chunks = self.table.scan_column_batches()
         self._pending_cols = None
 
     def next_batch(self, max_rows=None):
@@ -81,10 +73,6 @@ class TableScan(Operator):
         self._pending_cols = None
 
     def label(self):
-        if self.partition is not None:
-            return "Scan: {} [partition {}/{}]".format(
-                self.qualifier, self.partition[0], self.partition[1]
-            )
         return "Scan: {}".format(self.qualifier)
 
 

@@ -10,13 +10,12 @@ reorderer that moves virtual tables after their binding providers.
 
 from repro.plan.binder import Binder
 from repro.plan.cost import CostModel, PlanEstimate, predicate_selectivity
-from repro.plan.planner import Planner, PlannerOptions
+from repro.plan.planner import Planner
 
 __all__ = [
     "Binder",
     "CostModel",
     "PlanEstimate",
     "Planner",
-    "PlannerOptions",
     "predicate_selectivity",
 ]

@@ -31,7 +31,6 @@ from repro.asynciter.aevscan import AEVScan
 from repro.asynciter.reqsync import ReqSync
 from repro.exec.aggregate import Aggregate
 from repro.exec.distinct import Distinct
-from repro.exec.exchange import Exchange
 from repro.exec.filter import Filter
 from repro.exec.indexscan import IndexScan
 from repro.exec.joins import CrossProduct, DependentJoin, NestedLoopJoin
@@ -502,32 +501,7 @@ class CostModel:
                 column_stats = {}
             if isinstance(op, IndexScan):
                 rows *= self._index_selectivity(op, column_stats)
-            partition = getattr(op, "partition", None)
-            if partition is not None:
-                # One contiguous 1/total slice of the heap pages.
-                rows /= float(partition[1])
             return PlanEstimate(rows=rows, local_rows=rows, column_stats=column_stats)
-        if isinstance(op, Exchange):
-            # The partitions cover disjoint page runs of one table, so
-            # their estimates *sum* back to the sequential plan's.  The
-            # model prices total work, not wall-clock overlap — a
-            # deliberately conservative view that keeps Exchange-lowered
-            # plans comparable to (never cheaper than) their inputs.
-            parts = [self._walk(child) for child in op.children]
-            merged = PlanEstimate()
-            for part in parts:
-                merged.rows += part.rows
-                merged.local_rows += part.local_rows
-                merged.calls = (
-                    merged.merged_calls(part) if merged.calls else dict(part.calls)
-                )
-                merged.waves += part.waves
-                merged.patched_values += part.patched_values
-                merged.issued += part.issued
-                merged.wave_seconds += part.wave_seconds
-            if parts:
-                merged.column_stats = dict(parts[0].column_stats)
-            return merged
         if isinstance(op, RowsScan):
             rows = float(len(op.rows_data))
             return PlanEstimate(rows=rows, local_rows=rows)

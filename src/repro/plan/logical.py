@@ -17,8 +17,7 @@ Three-layer planning stack
    over this algebra.
 3. **Physical** (:mod:`repro.plan.physical`): :func:`~repro.plan.physical.lower`
    maps an optimized logical tree onto the existing exec operators,
-   configured by one consolidated
-   :class:`~repro.plan.physical.ExecOptions`.
+   configured by one :class:`~repro.config.EngineConfig`.
 
 The logical layer deliberately *carries* catalog handles (table objects,
 virtual-table instances) and already-bound expression trees, so lowering
@@ -209,7 +208,7 @@ class LogicalVTableScan(LogicalNode):
         self.instance = instance
         self.asynchronous = asynchronous
         #: Explicit per-scan degradation policy (``None`` = take the
-        #: resolved :class:`~repro.plan.physical.ExecOptions` policy).
+        #: :class:`~repro.config.EngineConfig` policy).
         self.on_error = on_error
         self.schema = instance.schema
 
@@ -348,7 +347,7 @@ class LogicalReqSync(LogicalNode):
     Schema-transparent; resolves every placeholder below it, so its own
     placeholder set is empty.  Lowering configures the physical
     :class:`~repro.asynciter.reqsync.ReqSync` from the node's flags plus
-    the resolved :class:`~repro.plan.physical.ExecOptions`.
+    the :class:`~repro.config.EngineConfig`.
     """
 
     def __init__(self, child, stream=False, preserve_order=False):

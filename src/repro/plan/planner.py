@@ -16,7 +16,7 @@
    columns for non-projected keys), and LIMIT complete the plan.
 
 ``Planner.optimize(node)`` then runs the opt-in relational rule packs
-(``PlannerOptions(logical_rules=...)``) through the
+(``EngineConfig(rules=...)``) through the
 :mod:`repro.plan.rules` engine, and ``Planner.plan(query)`` — the
 historical entry point — composes all three layers: build, optimize,
 then :func:`repro.plan.physical.lower` to executable operators.
@@ -27,72 +27,16 @@ logical form (or, for legacy physical plans, through the
 :func:`repro.asynciter.rewrite.apply_asynchronous_iteration` adapter).
 """
 
+from repro.config import EngineConfig
 from repro.exec import AggregateSpec
 from repro.plan import logical as L
 from repro.plan.analysis import analyze_vtables, validate_bindings
 from repro.plan.binder import Binder, collect_aggregates, collect_names
-from repro.plan.physical import ExecOptions, lower
+from repro.plan.physical import lower
 from repro.relational.expr import ColumnRef, make_conjunction
 from repro.relational.schema import Column, Schema
 from repro.sql import ast
 from repro.util.errors import BindingError, PlanError
-
-
-class PlannerOptions:
-    """Planner knobs."""
-
-    def __init__(
-        self,
-        reorder=False,
-        use_indexes=True,
-        cost_reorder=False,
-        on_error="raise",
-        batch_size=None,
-        shards=None,
-        parallelism=None,
-        logical_rules=None,
-    ):
-        #: Reorder FROM items so virtual tables follow their providers
-        #: (otherwise the FROM order must already be feasible).
-        self.reorder = reorder
-        #: Use a B+tree index scan when a sargable predicate (qualified
-        #: column vs constant, or any column in single-table queries)
-        #: matches an index.
-        self.use_indexes = use_indexes
-        #: With ``reorder``, additionally order stored tables smallest
-        #: first (by row count) instead of FROM order — a coarse
-        #: cost-based heuristic for nested-loop plans.
-        self.cost_reorder = cost_reorder
-        #: Graceful-degradation policy for EVScan call failures in
-        #: synchronous plans ("raise" | "drop" | "null") — must match the
-        #: ReqSync policy for sync/async result equivalence under faults.
-        #: (Kept as a back-compat kwarg; the single source of truth at
-        #: lowering time is :class:`repro.plan.physical.ExecOptions`.)
-        self.on_error = on_error
-        #: Batch granularity stamped over every operator of a produced
-        #: plan (``None`` = leave the per-operator default, i.e. 256 or
-        #: the ``REPRO_BATCH_SIZE`` environment override).  ``1``
-        #: degenerates batching to the exact row-at-a-time schedule.
-        self.batch_size = batch_size
-        #: Search-tier shard count (``None`` = defer to the engine /
-        #: ``REPRO_SHARDS``; ``1`` = the unsharded monolith).  Carried
-        #: for knob resolution — the web tier, not the planner, acts on
-        #: it — and priced by the cost model's scatter waves.
-        self.shards = shards
-        #: Intra-query worker parallelism (``None`` = defer to the
-        #: engine / ``REPRO_PARALLELISM``; ``1`` = sequential).  At
-        #: ``> 1`` lowering fans eligible local scan chains out over an
-        #: :class:`~repro.exec.exchange.Exchange`.
-        self.parallelism = parallelism
-        #: Opt-in logical rule packs run by ``Planner.optimize`` — pack
-        #: names (``"pushdown"``/``"prune"``/``"reorder"``), Rule
-        #: classes, or Rule instances (see :data:`repro.plan.rules.PACKS`).
-        #: ``None``/empty keeps the seed pipeline's exact plan shapes.
-        self.logical_rules = tuple(logical_rules or ())
-
-    def exec_options(self):
-        """The consolidated execution knobs this planner configuration implies."""
-        return ExecOptions.from_knobs(planner_options=self)
 
 
 class _Relation:
@@ -118,7 +62,9 @@ class Planner:
         self.vtable_catalog = {
             name.lower(): vdef for name, vdef in (vtable_catalog or {}).items()
         }
-        self.options = options or PlannerOptions()
+        #: The :class:`~repro.config.EngineConfig` planned under
+        #: (``None`` resolves one from the environment).
+        self.options = options if options is not None else EngineConfig.resolve()
 
     # -- public API -----------------------------------------------------------
 
@@ -131,7 +77,7 @@ class Planner:
         :func:`repro.plan.physical.lower`.
         """
         node, _ = self.optimize(self.plan_logical(query))
-        return lower(node, self.options.exec_options())
+        return lower(node, self.options)
 
     def plan_logical(self, query):
         """Build the (unoptimized) logical plan for a parsed SELECT."""
@@ -145,7 +91,7 @@ class Planner:
         """Run the configured opt-in rule packs over *node*.
 
         Returns ``(optimized_node, firings)``.  With no
-        ``logical_rules`` configured this is the identity — the default
+        ``rules`` configured this is the identity — the default
         pipeline preserves the seed planner's exact plan shapes.
 
         *cost_model* feeds the cost-gated packs (decorrelate /
@@ -157,7 +103,7 @@ class Planner:
         """
         from repro.plan.rules import RuleEngine, resolve_packs
 
-        groups = resolve_packs(self.options.logical_rules)
+        groups = resolve_packs(self.options.rules)
         if not groups:
             return node, []
         if cost_model is None:

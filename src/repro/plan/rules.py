@@ -40,8 +40,8 @@ Rule packs
 :data:`PUSHDOWN_PACK`, :data:`PRUNE_PACK`, :data:`REORDER_PACK`
     Classic relational rewrites (predicate pushdown, projection
     pruning/identity elimination, size-based cross-product reordering).
-    These are *opt-in* via ``PlannerOptions(logical_rules=...)`` — the
-    default pipeline keeps the seed's exact plan shapes.
+    These are *opt-in* via ``EngineConfig(rules=...)`` — the default
+    pipeline keeps the seed's exact plan shapes.
 :data:`DECORRELATE_PACK`, :data:`OR_TO_UNION_PACK`,
 :data:`EARLY_FILTER_PACK`, :data:`AGG_SINGLE_PASS_PACK`
     GOLD-style cost-gated packs (querytorque's biggest wins: IN-subquery
@@ -51,12 +51,11 @@ Rule packs
     only replaces the original when the model prices it strictly
     cheaper, so calibration profiles (measured latencies, ANALYZE
     statistics, cache hit ratios) can flip each decision.  Also opt-in:
-    through ``PlannerOptions(logical_rules=...)``,
-    ``WsqEngine(rules=...)``, CLI ``--rules``, or ``$REPRO_RULES``.
+    through ``EngineConfig(rules=...)`` / ``WsqEngine(rules=...)``, CLI
+    ``--rules``, or ``$REPRO_RULES``.
 """
 
-import os
-
+from repro.config import EngineConfig
 from repro.obs.trace import PLAN_RULE_FIRED
 from repro.plan import logical as L
 from repro.relational.expr import (
@@ -350,8 +349,9 @@ class InsertReqSync(Rule):
         parent = ctx.parent_of(node)
         scan = L.LogicalVTableScan(node.instance, asynchronous=True)
         scan.annotations.update(node.annotations)
-        stream = bool(ctx.settings.stream) if ctx.settings is not None else False
-        parent.replace_child(node, L.LogicalReqSync(scan, stream=stream))
+        parent.replace_child(
+            node, L.LogicalReqSync(scan, stream=ctx.settings.stream)
+        )
         return True
 
 
@@ -519,10 +519,7 @@ class PullAboveSortOrdered(_ReqSyncRule):
     parent_type = L.LogicalSort
 
     def admits(self, reqsync, parent, ctx):
-        settings = ctx.settings
-        if settings is None or not getattr(
-            settings, "pull_above_order_sensitive", False
-        ):
+        if not ctx.settings.pull_above_order_sensitive:
             return False
         filled = _filled_in_parent(reqsync, parent, ctx)
         keys = set()
@@ -535,7 +532,7 @@ class PullAboveSortOrdered(_ReqSyncRule):
         return super().apply(node, ctx)
 
 
-def reqsync_pack(settings=None):
+def reqsync_pack(settings):
     """Priority groups implementing the paper's placement algorithm.
 
     Group order reproduces the seed rewriter: insertion first, then
@@ -545,9 +542,8 @@ def reqsync_pack(settings=None):
     Aggregate/Distinct (clash rule 3) and Limit (counting) have no
     rule: ReqSync simply never rises past them.
     """
-    consolidate = settings is None or getattr(settings, "consolidate", True)
     groups = [[InsertReqSync()]]
-    if consolidate:
+    if settings.consolidate:
         groups.append([ConsolidateReqSyncs()])
     groups.append(
         [
@@ -565,7 +561,7 @@ def reqsync_pack(settings=None):
 
 
 # ---------------------------------------------------------------------------
-# Opt-in relational packs (PlannerOptions(logical_rules=...)).
+# Opt-in relational packs (EngineConfig(rules=...)).
 # ---------------------------------------------------------------------------
 
 
@@ -849,11 +845,11 @@ def _local_only(node):
     )
 
 
-def _plan_seconds(model, node):
+def _plan_seconds(model, node, config):
     """Price a logical subtree by lowering it through the physical mapper."""
-    from repro.plan.physical import ExecOptions, lower
+    from repro.plan.physical import lower
 
-    return model.seconds(lower(node, ExecOptions()))
+    return model.seconds(lower(node, config))
 
 
 def _cheaper(ctx, before, after):
@@ -871,8 +867,11 @@ def _cheaper(ctx, before, after):
         return True
     gate = model.clone()
     gate.hash_joins = True
+    config = EngineConfig()  # pricing does not depend on any knob
     try:
-        return _plan_seconds(gate, after) < _plan_seconds(gate, before)
+        return _plan_seconds(gate, after, config) < _plan_seconds(
+            gate, before, config
+        )
     except Exception:
         return False
 
@@ -1447,7 +1446,7 @@ class MergeUnionAggregate(Rule):
         return True
 
 
-#: Opt-in packs, keyed for ``PlannerOptions(logical_rules=...)``.
+#: Opt-in packs, keyed for ``EngineConfig(rules=...)``.
 PUSHDOWN_PACK = (PushFilterThroughReorderable, PushFilterIntoProduct)
 PRUNE_PACK = (ComposeProjections, RemoveIdentityProject)
 REORDER_PACK = (ReorderProductBySize,)
@@ -1499,14 +1498,8 @@ def parse_rules_spec(raw):
     return tuple(dict.fromkeys(names))
 
 
-def default_rules():
-    """Opt-in rule packs from ``$REPRO_RULES`` (unset/empty = none —
-    the default pipeline keeps the seed's exact plan shapes)."""
-    return parse_rules_spec(os.environ.get("REPRO_RULES", ""))
-
-
 def resolve_packs(logical_rules):
-    """Expand ``PlannerOptions.logical_rules`` into engine groups.
+    """Expand ``EngineConfig.rules`` into engine groups.
 
     Accepts pack names (``"pushdown"``), Rule classes, or Rule
     instances, in any mix; returns a list with one group holding all
@@ -1531,7 +1524,7 @@ def resolve_packs(logical_rules):
             group.append(entry())
         else:
             raise TypeError(
-                "logical_rules entries must be pack names, Rule classes, "
+                "rules entries must be pack names, Rule classes, "
                 "or Rule instances (got {!r})".format(entry)
             )
     return [group] if group else []

@@ -11,7 +11,6 @@ from repro.relational.schema import Column, Schema
 from repro.relational.batch import (
     DEFAULT_BATCH_SIZE,
     ColumnBatch,
-    default_batch_size,
     type_column,
 )
 from repro.relational.expr import (
@@ -55,7 +54,6 @@ __all__ = [
     "compile_column_eval",
     "compile_column_predicate",
     "compile_column_projection",
-    "default_batch_size",
     "infer_literal_type",
     "kernel_stats",
     "type_column",

@@ -32,36 +32,14 @@ placeholders, patching, and every row-level helper work unchanged on
 batch contents.
 """
 
-import os
 from array import array
 
 from repro.relational.types import DataType
 
-#: Hard default when neither the engine nor the environment says otherwise.
+#: Rows per operator pull when no :class:`~repro.config.EngineConfig`
+#: says otherwise (its ``batch_size`` default, and the class default of
+#: operators in hand-built plans).
 DEFAULT_BATCH_SIZE = 256
-
-#: Environment override consumed at import time (CI runs the tier-1
-#: suite under ``REPRO_BATCH_SIZE=1`` to pin degenerate batching to the
-#: row-at-a-time semantics).
-BATCH_SIZE_ENV = "REPRO_BATCH_SIZE"
-
-
-def default_batch_size():
-    """The process-wide default batch size (env-overridable, >= 1)."""
-    raw = os.environ.get(BATCH_SIZE_ENV)
-    if raw:
-        try:
-            value = int(raw)
-        except ValueError:
-            raise ValueError(
-                "{}={!r} is not an integer".format(BATCH_SIZE_ENV, raw)
-            ) from None
-        if value < 1:
-            raise ValueError(
-                "{}={!r} must be >= 1".format(BATCH_SIZE_ENV, raw)
-            )
-        return value
-    return DEFAULT_BATCH_SIZE
 
 
 #: Schema types that get typed array storage when their values are clean.

@@ -2,9 +2,8 @@
 
 A :class:`Deadline` is the per-query time budget the service layer
 threads from its API down through :class:`~repro.wsq.engine.WsqEngine`,
-:class:`~repro.plan.physical.ExecOptions`,
-:class:`~repro.asynciter.context.AsyncContext`,
-:class:`~repro.asynciter.reqsync.ReqSync`, and
+:class:`~repro.asynciter.context.AsyncContext` (where
+:class:`~repro.asynciter.reqsync.ReqSync` reads it), and
 :meth:`~repro.asynciter.pump.RequestPump.register`: every external
 call's remaining timeout is ``min(policy.call_timeout,
 deadline.remaining())``, and a query that has already spent its budget

@@ -66,10 +66,11 @@ class BufferPool:
         self.capacity = capacity
         self.no_steal = no_steal
         self._frames = OrderedDict()  # page_id -> Frame, LRU order
-        # Frame-table lock: partitioned scans under an Exchange pin pages
-        # from several worker threads at once.  Guards the map, the LRU
-        # order, pin counts, and eviction — page *bytes* need no lock
-        # (readers share immutably-sized buffers; writers hold pins).
+        # Frame-table lock: queries served concurrently (QueryService
+        # workers) scan the same table from several threads at once.
+        # Guards the map, the LRU order, pin counts, and eviction — page
+        # *bytes* need no lock (readers share immutably-sized buffers;
+        # writers hold pins).
         self._lock = threading.RLock()
         self.hits = 0
         self.misses = 0

@@ -11,29 +11,6 @@ from repro.storage.page import SlottedPage, max_record_size
 from repro.util.errors import StorageError
 
 
-def partition_pages(page_count, partition):
-    """The contiguous page range ``[start, stop)`` for *partition*.
-
-    *partition* is ``(index, total)``.  Pages split into *total*
-    contiguous runs whose sizes differ by at most one (the first
-    ``page_count % total`` runs get the extra page), so concatenating
-    the runs in index order reproduces ``range(page_count)`` exactly —
-    the property partitioned scans and the Exchange operator's
-    partition-major merge rely on for deterministic output order.
-    """
-    index, total = partition
-    if total < 1 or not 0 <= index < total:
-        raise StorageError(
-            "invalid partition {!r} (expected (i, n) with 0 <= i < n)".format(
-                partition
-            )
-        )
-    base, extra = divmod(page_count, total)
-    start = index * base + min(index, extra)
-    stop = start + base + (1 if index < extra else 0)
-    return start, stop
-
-
 class RID:
     """Record identifier: ``(page_id, slot)``; stable across compaction."""
 
@@ -95,39 +72,24 @@ class HeapFile:
             SlottedPage(guard.data).delete(rid.slot)
             guard.mark_dirty()
 
-    def _page_range(self, partition):
-        """The page ids a scan covers: all of them, or one partition's run."""
-        page_count = self.pool.disk.page_count
-        if partition is None:
-            return range(page_count)
-        start, stop = partition_pages(page_count, partition)
-        return range(start, stop)
-
-    def scan(self, partition=None):
-        """Yield ``(rid, record_bytes)`` over all live records.
-
-        *partition* (``(index, total)`` or ``None``) restricts the scan
-        to one contiguous run of pages; concatenating every partition's
-        output in index order equals the unpartitioned scan.
-        """
-        for page_id in self._page_range(partition):
+    def scan(self):
+        """Yield ``(rid, record_bytes)`` over all live records."""
+        for page_id in range(self.pool.disk.page_count):
             with self.pool.pin(page_id) as guard:
                 page = SlottedPage(guard.data)
                 rows = list(page.records())
             for slot, record in rows:
                 yield RID(page_id, slot), record
 
-    def scan_batches(self, partition=None):
+    def scan_batches(self):
         """Yield one ``[(rid, record_bytes), ...]`` list per non-empty page.
 
         The batched counterpart of :meth:`scan`: each page is pinned once
         and its live records are emitted together, so batch consumers do
         one buffer-pool round trip per page instead of re-entering the
-        generator per record.  Storage order matches :meth:`scan` exactly;
-        *partition* restricts to one contiguous page run, as for
-        :meth:`scan`.
+        generator per record.  Storage order matches :meth:`scan` exactly.
         """
-        for page_id in self._page_range(partition):
+        for page_id in range(self.pool.disk.page_count):
             with self.pool.pin(page_id) as guard:
                 page = SlottedPage(guard.data)
                 rows = list(page.records())

@@ -44,29 +44,23 @@ class Table:
     def insert_many(self, rows):
         return [self.insert(row) for row in rows]
 
-    def scan(self, partition=None):
-        """Yield decoded rows (tuples) in storage order.
-
-        *partition* (``(index, total)`` or ``None``) restricts the scan
-        to one contiguous run of heap pages; the partitions concatenate
-        — in index order — to exactly the full scan.
-        """
-        for _, record in self.heap.scan(partition=partition):
+    def scan(self):
+        """Yield decoded rows (tuples) in storage order."""
+        for _, record in self.heap.scan():
             yield decode_record(record, self.schema)
 
-    def scan_column_batches(self, partition=None):
+    def scan_column_batches(self):
         """Yield schema-typed column vectors, one group per non-empty heap page.
 
         Each yielded value is a list of per-attribute vectors (typed
         ``array`` for clean INT/FLOAT columns, plain lists otherwise)
         covering the page's rows in the storage order of :meth:`scan`.
         This feeds ``TableScan.next_batch()``, so pages decode straight
-        into the layout the operators execute on.  *partition* restricts
-        to one contiguous page run, as for :meth:`scan`.
+        into the layout the operators execute on.
         """
         schema = self.schema
         types = [column.type for column in schema]
-        for chunk in self.heap.scan_batches(partition=partition):
+        for chunk in self.heap.scan_batches():
             rows = [decode_record(record, schema) for _, record in chunk]
             if not rows:
                 continue

@@ -50,6 +50,15 @@ class PlanError(ReproError):
     """Planner failure: unresolvable name, ambiguous column, bad plan shape."""
 
 
+class ConfigError(PlanError):
+    """An engine knob, or the environment variable behind it, is invalid.
+
+    Raised when the configuration is built — never at the first query —
+    and the message names the :class:`~repro.config.EngineConfig` field
+    or the ``REPRO_*`` variable at fault.
+    """
+
+
 class BindingError(PlanError):
     """A virtual table's input columns cannot be bound.
 

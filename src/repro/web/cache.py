@@ -801,7 +801,7 @@ def make_cache(
     disk_path=None,
     clock=None,
 ):
-    """Build a cache for a tier name (the CLI/env entry point).
+    """Build a cache for a tier name (the CLI / ``$REPRO_CACHE`` entry point).
 
     ``tier``: ``"off"``/``"none"`` → ``None``; ``"memory"`` → a plain
     :class:`ResultCache`; ``"tiered"`` → scratch+memory;
@@ -827,20 +827,3 @@ def make_cache(
     raise ValueError(
         "unknown cache tier {!r}; expected off/memory/tiered/disk".format(tier)
     )
-
-
-def cache_from_env(environ=None):
-    """The cache the ``REPRO_CACHE`` environment variable asks for.
-
-    ``REPRO_CACHE=memory|tiered|disk`` forces a default cache into every
-    engine that did not configure one — the CI transparency leg runs the
-    whole suite this way to prove caching never changes query results.
-    Unset/empty/``off`` → ``None``.
-    """
-    if environ is None:
-        environ = os.environ
-    spec = environ.get("REPRO_CACHE", "").strip().lower()
-    if spec in ("", "off", "none", "0"):
-        return None
-    ttl = environ.get("REPRO_CACHE_TTL", "").strip()
-    return make_cache(tier=spec, ttl=float(ttl) if ttl else None)

@@ -148,9 +148,8 @@ class SearchClient:
         except Exception as exc:  # cancellation is a BaseException: not recorded
             retry = self.resilience.retry if self.resilience is not None else None
             if retry is None or not retry.should_retry(exc, attempt):
-                put_failure = getattr(self.cache, "put_failure", None)
-                if put_failure is not None:
-                    put_failure(key, exc)
+                if self.cache is not None:
+                    self.cache.put_failure(key, exc)
             raise
         self._cache_put(key, result)
         return result
@@ -218,9 +217,9 @@ class SearchClient:
     def _cache_get(self, key):
         """Read the cache: a value, ``None`` (miss), or a replayed failure.
 
-        Uses the status-carrying :meth:`~repro.web.cache.ResultCache.lookup`
-        when the cache provides it, so fresh *and* stale entries serve and
-        negatively-cached failures replay as
+        Uses the status-carrying :meth:`~repro.web.cache.ResultCache.lookup`,
+        so fresh *and* stale entries serve and negatively-cached failures
+        replay as
         :class:`~repro.util.errors.CachedFailureError` (deliberately not a
         :class:`~repro.util.errors.TransientWebError`: a replayed failure
         is never retried — the negative TTL, not the retry policy, decides
@@ -228,13 +227,7 @@ class SearchClient:
         """
         if self.cache is None:
             return None
-        lookup = getattr(self.cache, "lookup", None)
-        if lookup is None:  # duck-typed stand-in cache: legacy surface
-            value = self.cache.get(key)
-            if value is not None:
-                self._note_cache_hit(key)
-            return value
-        found = lookup(key)
+        found = self.cache.lookup(key)
         if found.failure:
             self._note_cache_hit(key)
             raise CachedFailureError(

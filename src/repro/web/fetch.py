@@ -58,10 +58,7 @@ class FetchService:
         """
         if self.cache is None:
             return None
-        lookup = getattr(self.cache, "lookup", None)
-        if lookup is None:
-            return self.cache.get(key)
-        found = lookup(key)
+        found = self.cache.lookup(key)
         return found.value if found.hit else None
 
     def fetch(self, url):

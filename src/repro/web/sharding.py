@@ -27,29 +27,9 @@ the instantaneous compute tier, exactly as ``SearchEngine`` is for the
 monolith.
 """
 
-import os
-
 from repro.util.errors import ReproError
 from repro.web.engine import SearchEngine, SearchHit
 from repro.web.index import InvertedIndex
-
-
-def default_shards():
-    """Shard count from ``$REPRO_SHARDS`` (default 1 — unsharded)."""
-    raw = os.environ.get("REPRO_SHARDS")
-    if not raw:
-        return 1
-    try:
-        value = int(raw)
-    except ValueError:
-        raise ReproError(
-            "REPRO_SHARDS must be a positive integer, got {!r}".format(raw)
-        )
-    if value < 1:
-        raise ReproError(
-            "REPRO_SHARDS must be a positive integer, got {!r}".format(raw)
-        )
-    return value
 
 
 def shard_of(doc_id, num_shards):

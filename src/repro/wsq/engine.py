@@ -4,15 +4,14 @@ from contextlib import nullcontext
 
 from repro.asynciter.context import AsyncContext
 from repro.asynciter.pump import RequestPump, default_pump
-from repro.asynciter.rewrite import RewriteSettings, rewrite_logical
+from repro.asynciter.rewrite import rewrite_logical
+from repro.config import EngineConfig, default_cache
 from repro.exec.operator import execute_batches
 from repro.obs import Observability
 from repro.obs.trace import BEGIN, END, QUERY_SPAN, Tracer
 from repro.plan import logical as logical_ir
-from repro.plan.physical import ExecOptions, lower
-from repro.plan.planner import Planner, PlannerOptions
-from repro.plan.rules import default_rules, parse_rules_spec
-from repro.relational.batch import default_batch_size
+from repro.plan.physical import lower
+from repro.plan.planner import Planner
 from repro.relational.expr import kernel_stats
 from repro.sql import ast
 from repro.sql.parser import parse, parse_select
@@ -22,11 +21,9 @@ from repro.util.timing import resolve_clock
 from repro.vtables.webcount import WebCountDef
 from repro.vtables.webfetch import WebFetchDef, WebLinksDef
 from repro.vtables.webpages import WebPagesDef
-from repro.exec.exchange import default_parallelism
-from repro.web.cache import cache_from_env
 from repro.web.client import SearchClient
 from repro.web.shardclient import ShardedSearchClient
-from repro.web.sharding import default_shards, sharded_view
+from repro.web.sharding import sharded_view
 from repro.web.world import default_web
 from repro.wsq.result import QueryResult
 
@@ -51,20 +48,43 @@ class WsqEngine:
         search/fetch (``None`` = instantaneous, for tests).
     cache:
         Optional :class:`~repro.web.cache.ResultCache`, shared by
-        every query in either mode.
+        every query in either mode.  ``None`` builds the one
+        ``REPRO_CACHE`` asks for, if any
+        (:func:`repro.config.default_cache`); ``False`` means no cache
+        whatever the environment says.
     pump:
-        A :class:`~repro.asynciter.pump.RequestPump` (defaults to the
-        process-wide one).
-    planner_options / rewrite_settings:
-        Pass-through knobs for planning and ReqSync placement.
+        A :class:`~repro.asynciter.pump.RequestPump`, used exactly as
+        it was built: its registry is the engine's registry, and its
+        tracer, resilience policy and single-flight setting are its own
+        (build it with ``tracer=obs.tracer`` to see request lifecycles
+        in the engine's trace).  ``None`` takes the process-wide pump —
+        or, for an observed, resilient or single-flight engine, a
+        dedicated one wired to *obs* and *resilience*, because attaching
+        those to the shared pump would change every other engine.
     obs:
         An :class:`~repro.obs.Observability` bundle.  With one attached
         (e.g. ``Observability.enabled()``), every query is traced —
-        request lifecycle, ReqSync activity, query spans — and the
-        engine gets a *dedicated* pump wired to the bundle's tracer,
-        metrics registry, and clock (attaching a tracer to the shared
-        process-wide pump would trace every other engine too).  Without
-        one, tracing is off and only the pump's always-on metrics run.
+        ReqSync activity, query spans, cache events and, on a pump the
+        engine built, request lifecycles.  Without one, tracing is off
+        and only the pump's always-on metrics run.
+    faults / resilience:
+        A :class:`~repro.web.faults.FaultModel` for the clients and the
+        :class:`~repro.asynciter.resilience.ResiliencePolicy` of the
+        engine's pump.
+    cost_model / calibration:
+        A :class:`~repro.plan.cost.CostModel` for ``mode="auto"``,
+        ``explain(form="costs")`` and the cost-gated packs, and a
+        :class:`~repro.obs.calibration.CalibrationProfile` (or a path
+        to a saved one) to re-price it from measured figures.
+    config:
+        The :class:`~repro.config.EngineConfig` (``None`` resolves one
+        from the environment).  Any of its field names may also be given
+        as a keyword — ``WsqEngine(shards=4, on_error="drop")`` — and
+        overrides that field; the planner, the ReqSync rewrite and
+        lowering all receive ``engine.config`` whole.
+
+    Whatever the engine wires — its pump, its clients, its cache —
+    counts into the one registry :attr:`metrics` returns.
 
     For every engine name ``E`` the catalog has ``WebCount_E`` and
     ``WebPages_E``; the first engine (alphabetically) also provides plain
@@ -79,142 +99,55 @@ class WsqEngine:
         latency=None,
         cache=None,
         pump=None,
-        planner_options=None,
-        rewrite_settings=None,
-        dedup_calls=True,
-        cost_model=None,
+        obs=None,
         faults=None,
         resilience=None,
-        on_error=None,
-        obs=None,
-        batch_size=None,
-        single_flight=None,
+        cost_model=None,
         calibration=None,
-        shards=None,
-        parallelism=None,
-        rules=None,
+        config=None,
+        **overrides
     ):
+        if config is None:
+            config = EngineConfig.resolve(**overrides)
+        else:
+            config = config.override(**overrides)
+        self.config = config
         self.database = database if database is not None else Database()
         self.web = web if web is not None else default_web()
         self.latency = latency
-        # Cache resolution: an explicit cache wins; ``None`` consults the
-        # ``REPRO_CACHE`` environment (the CI transparency leg forces a
-        # default cache into every engine this way); ``False`` forces the
-        # cache off even under the env override.
         if cache is None:
-            cache = cache_from_env()
+            cache = default_cache()
         elif cache is False:
             cache = None
         self.cache = cache
         self.faults = faults
         self.resilience = resilience
-        self.obs = obs
         self.clock = resolve_clock(obs.clock if obs is not None else None)
-        self.on_error = on_error if on_error is not None else "raise"
         if pump is None:
-            if resilience is not None or obs is not None or single_flight:
-                # A resilient, observed, or single-flight engine gets its
-                # own pump: attaching the policy/tracer/coalescing to the
-                # shared default pump would change every other engine in
-                # the process.
+            if resilience is None and obs is None and not config.single_flight:
+                pump = default_pump()
+            else:
                 pump = RequestPump(
                     name="reqpump-engine",
                     resilience=resilience,
                     tracer=obs.tracer if obs is not None else None,
                     metrics=obs.metrics if obs is not None else None,
                     clock=self.clock,
-                    single_flight=(
-                        single_flight if single_flight is not None else True
-                    ),
+                    single_flight=config.single_flight is not False,
                 )
-            else:
-                pump = default_pump()
-        else:
-            if resilience is not None:
-                pump.resilience = resilience
-            if obs is not None:
-                pump.tracer = obs.tracer
-            if single_flight is not None:
-                pump.single_flight = bool(single_flight)
         self.pump = pump
-        # Re-bind the cache's counters/trace onto the engine's
-        # observability bundle, so ``cache.stats()`` and
-        # ``metrics_snapshot()`` read the same storage and cache events
-        # land in the validated trace.  Only a *dedicated* registry is
-        # safe to share — migrating counters into the process-wide default
-        # pump's registry would mix every engine's caches together.
-        if obs is not None and self.cache is not None:
-            attach = getattr(self.cache, "attach_observability", None)
-            if attach is not None:
-                attach(metrics=obs.metrics, tracer=obs.tracer)
-        self.dedup_calls = dedup_calls
+        if obs is not None and obs.metrics is not pump.metrics:
+            # A pump that came with its own registry: the clients and the
+            # cache count there too, so one engine has one registry.
+            obs = Observability(
+                tracer=obs.tracer, metrics=pump.metrics, clock=obs.clock
+            )
+        self.obs = obs
+        if obs is not None and cache is not None:
+            # Only an observed engine's registry is the engine's alone;
+            # the shared default pump's would mix every engine's caches.
+            cache.attach_observability(metrics=obs.metrics, tracer=obs.tracer)
         self.cost_model = cost_model
-        self.planner_options = planner_options or PlannerOptions()
-        self.rewrite_settings = rewrite_settings or RewriteSettings()
-        if on_error is not None:
-            self.planner_options.on_error = on_error
-            self.rewrite_settings.on_error = on_error
-        #: Batch granularity every plan is stamped with and driven at.
-        #: ``1`` degenerates to the exact row-at-a-time schedule (also
-        #: reachable process-wide via ``REPRO_BATCH_SIZE=1``).
-        if batch_size is None:
-            batch_size = self.rewrite_settings.batch_size
-        if batch_size is None:
-            batch_size = self.planner_options.batch_size
-        self.batch_size = (
-            batch_size if batch_size is not None else default_batch_size()
-        )
-        if self.rewrite_settings.batch_size is None:
-            self.rewrite_settings.batch_size = self.batch_size
-        #: Search-tier shard count.  ``1`` (the default) keeps the plain
-        #: unsharded :class:`SearchClient` — plans, traces, and results
-        #: are byte-identical to the pre-sharding engine.  ``> 1`` puts a
-        #: :class:`~repro.web.shardclient.ShardedSearchClient` broker in
-        #: front of each engine (also reachable process-wide via
-        #: ``REPRO_SHARDS``).
-        if shards is None:
-            shards = self.rewrite_settings.shards
-        if shards is None:
-            shards = self.planner_options.shards
-        self.shards = shards if shards is not None else default_shards()
-        if self.rewrite_settings.shards is None:
-            self.rewrite_settings.shards = self.shards
-        #: Intra-query Exchange parallelism for local scan pipelines
-        #: (``REPRO_PARALLELISM``); ``1`` lowers byte-identical plans.
-        if parallelism is None:
-            parallelism = self.rewrite_settings.parallelism
-        if parallelism is None:
-            parallelism = self.planner_options.parallelism
-        self.parallelism = (
-            parallelism if parallelism is not None else default_parallelism()
-        )
-        if self.rewrite_settings.parallelism is None:
-            self.rewrite_settings.parallelism = self.parallelism
-        #: Opt-in logical rewrite packs (GOLD-style cost-gated rewrites;
-        #: see :data:`repro.plan.rules.PACKS`).  A comma-separated string
-        #: (``"or_to_union,early_filter"`` or ``"all"``), a sequence of
-        #: pack names / Rule classes / Rule instances, or ``None`` to
-        #: defer: ``rewrite_settings.rules``, then
-        #: ``planner_options.logical_rules``, then ``$REPRO_RULES``.
-        #: Empty (the default) keeps the seed pipeline's exact plan
-        #: shapes.
-        if isinstance(rules, str):
-            rules = parse_rules_spec(rules)
-        if rules is None:
-            rules = self.rewrite_settings.rules
-            if isinstance(rules, str):
-                rules = parse_rules_spec(rules)
-        if rules is None and self.planner_options.logical_rules:
-            rules = self.planner_options.logical_rules
-        self.rules = tuple(rules) if rules is not None else default_rules()
-        if self.rewrite_settings.rules is None:
-            self.rewrite_settings.rules = self.rules
-        self.planner_options.logical_rules = tuple(self.rules)
-        # Calibration: a CalibrationProfile (or a path to a persisted
-        # one) re-prices the cost model from *measured* figures at
-        # construction; ``recalibrate()`` does the same from live
-        # observability at any later point.  (After knob resolution, so
-        # the default model prices the resolved shard count.)
         if calibration is not None:
             from repro.obs.calibration import CalibrationProfile
 
@@ -227,17 +160,40 @@ class WsqEngine:
         }
         self.fetch_service = self.web.fetch_service(latency=latency, cache=cache)
         self.vtables = self._build_catalog()
-        self._planner = Planner(
-            self.database, self.vtables, options=self.planner_options
-        )
+        self._planner = Planner(self.database, self.vtables, options=config)
         self._fallback_query_ids = 0
+
+    # Three views of ``config`` kept for the frozen benchmark adapter
+    # (perf/adapter.py); nothing else in src/, tests/, benchmarks/ or
+    # examples/ may use them.
+
+    @property
+    def planner_options(self):
+        return self.config
+
+    @property
+    def rewrite_settings(self):
+        return self.config
+
+    def exec_options(self):
+        return self.config
+
+    @property
+    def batch_size(self):
+        """Rows per operator pull (``config.batch_size``)."""
+        return self.config.batch_size
+
+    @property
+    def dedup_calls(self):
+        """Per-query in-flight deduplication (``config.dedup_calls``)."""
+        return self.config.dedup_calls
 
     def _build_client(self, engine_name):
         """The web client for one engine: sharded broker or monolith."""
         engine = self.web.engine(engine_name)
-        if self.shards > 1:
+        if self.config.shards > 1:
             return ShardedSearchClient(
-                sharded_view(engine, self.shards),
+                sharded_view(engine, self.config.shards),
                 latency=self.latency,
                 cache=self.cache,
                 faults=self.faults,
@@ -291,25 +247,6 @@ class WsqEngine:
 
     # -- planning -----------------------------------------------------------------
 
-    def exec_options(self, deadline=None):
-        """The consolidated :class:`~repro.plan.physical.ExecOptions`.
-
-        One resolution point for the historical ``on_error`` /
-        ``batch_size`` / ``wait_timeout`` knob triplet across
-        ``PlannerOptions``, ``RewriteSettings``, and the engine — the
-        sync and async paths lower with the same struct.  *deadline* is
-        the per-query budget stamped over the lowered plan.
-        """
-        return ExecOptions.from_knobs(
-            planner_options=self.planner_options,
-            rewrite_settings=self.rewrite_settings,
-            batch_size=self.batch_size,
-            cache=self.cache,
-            deadline=deadline,
-            shards=self.shards,
-            parallelism=self.parallelism,
-        )
-
     def _pipeline(self, query, mode, tracer, query_id=None, deadline=None):
         """The three-layer pipeline: build -> rules -> lower.
 
@@ -336,7 +273,7 @@ class WsqEngine:
             # deduplicate against, so sync contexts skip the bookkeeping.
             context = AsyncContext(
                 self.pump,
-                dedup=self.dedup_calls and mode == ASYNC,
+                dedup=self.config.dedup_calls and mode == ASYNC,
                 tracer=tracer,
                 query_id=query_id,
                 deadline=deadline,
@@ -344,13 +281,13 @@ class WsqEngine:
         if mode == ASYNC:
             logical, placement = rewrite_logical(
                 logical,
-                self.rewrite_settings,
+                self.config,
                 tracer=tracer,
                 metrics=metrics,
                 query_id=query_id,
             )
             firings = firings + placement
-        plan = lower(logical, self.exec_options(deadline=deadline), context)
+        plan = lower(logical, self.config, context)
         return plan, logical, firings, mode, query_id
 
     def plan(self, sql, mode=ASYNC):
@@ -382,7 +319,7 @@ class WsqEngine:
         if not logical_ir.contains_external_scan(logical):
             return SYNC
         if self.cost_model is not None:
-            sync_plan = lower(logical, self.exec_options())
+            sync_plan = lower(logical, self.config)
             sync_estimate = self.cost_model.estimate(sync_plan)
             sync_seconds = self.cost_model.seconds(sync_plan)
             # Model the consolidated rewrite without building it: the same
@@ -447,7 +384,7 @@ class WsqEngine:
                 model = CostModel(
                     latency_mean=self._latency_mean(),
                     cache=self.cache,
-                    shards=self.shards,
+                    shards=self.config.shards,
                 )
             text = model.annotated_explain(plan)
             if model.calibrated:
@@ -486,7 +423,7 @@ class WsqEngine:
             self.cost_model = CostModel(
                 latency_mean=self._latency_mean(),
                 cache=self.cache,
-                shards=self.shards,
+                shards=self.config.shards,
             )
         return self.cost_model
 
@@ -572,7 +509,7 @@ class WsqEngine:
         rows = []
         extend = rows.extend
         try:
-            for batch in execute_batches(plan, self.batch_size):
+            for batch in execute_batches(plan, self.config.batch_size):
                 observe("batch.rows", len(batch))
                 extend(batch)
         finally:

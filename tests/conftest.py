@@ -7,11 +7,18 @@ need latency use tiny fixed delays so the whole suite stays fast.
 
 import pytest
 
+from repro.config import EngineConfig
 from repro.datasets import load_all
+from repro.exec.operator import Operator
 from repro.storage import Database
 from repro.web.corpus import CorpusConfig
 from repro.web.world import SimulatedWeb, default_web
 from repro.wsq import WsqEngine
+
+# Lowered plans are stamped with the configured batch size; operator trees
+# a test builds by hand take the class default.  Point that at the
+# configured size too, so the REPRO_BATCH_SIZE=1 leg reaches them as well.
+Operator.batch_size = EngineConfig.resolve().batch_size
 
 
 @pytest.fixture(scope="session")

@@ -74,10 +74,8 @@ class TestAsyncEquivalence:
     @given(wsq_query(), st.booleans())
     def test_streaming_and_ordered_modes_equal(self, sql, use_stream):
         from repro.asynciter.context import AsyncContext
-        from repro.asynciter.rewrite import (
-            RewriteSettings,
-            apply_asynchronous_iteration,
-        )
+        from repro.asynciter.rewrite import apply_asynchronous_iteration
+        from repro.config import EngineConfig
         from repro.exec import collect
 
         engine = shared_engine()
@@ -86,7 +84,7 @@ class TestAsyncEquivalence:
         rewritten = apply_asynchronous_iteration(
             plan,
             AsyncContext(engine.pump),
-            RewriteSettings(
+            EngineConfig.resolve(
                 stream=use_stream, pull_above_order_sensitive=not use_stream
             ),
         )

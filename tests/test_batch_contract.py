@@ -28,7 +28,6 @@ from repro.exec import (
     CrossProduct,
     DependentJoin,
     Distinct,
-    Exchange,
     Filter,
     IndexScan,
     Limit,
@@ -235,11 +234,6 @@ def _index_scan_plan():
     return IndexScan(table, index, low=40, high=460)
 
 
-def _exchange_plan():
-    table, _ = _stored()
-    return Exchange([TableScan(table, partition=(i, 3)) for i in range(3)])
-
-
 def _dependent_join_plan():
     # EVScan has no open_batch: the looped (one outer row per pull) path,
     # with a proliferating ('k2') and a cancelling ('k3') binding.
@@ -281,7 +275,6 @@ PLAN_FACTORIES = {
     "nlj_theta": _nlj_theta_plan,
     "table_scan": _table_scan_plan,
     "index_scan": _index_scan_plan,
-    "exchange": _exchange_plan,
     "dependent_join": _dependent_join_plan,
 }
 

@@ -209,8 +209,9 @@ class TestPlannerUsesIndex:
         plan = engine.plan(sql, mode="sync")
         assert "IndexScan" in plan.explain()
         with_index = engine.execute(sql, mode="sync").rows
-        engine.planner_options.use_indexes = False
-        without_index = engine.execute(sql, mode="sync").rows
+        unindexed = type(engine)(database=paper_db, web=web, use_indexes=False)
+        assert "IndexScan" not in unindexed.plan(sql, mode="sync").explain()
+        without_index = unindexed.execute(sql, mode="sync").rows
         assert with_index == without_index
 
     def test_between_uses_index(self, paper_db, web):
@@ -231,15 +232,10 @@ class TestPlannerUsesIndex:
         assert "IndexScan" in plan.explain()
 
     def test_disabled_via_options(self, paper_db, web):
-        from repro.plan.planner import PlannerOptions
         from repro.wsq import WsqEngine
 
         paper_db.create_index("States", "Name")
-        engine = WsqEngine(
-            database=paper_db,
-            web=web,
-            planner_options=PlannerOptions(use_indexes=False),
-        )
+        engine = WsqEngine(database=paper_db, web=web, use_indexes=False)
         plan = engine.plan(
             "Select Population From States Where Name = 'Utah'", mode="sync"
         )

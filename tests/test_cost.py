@@ -113,8 +113,8 @@ class TestStructuralEstimates:
         engine = WsqEngine(database=paper_db, web=web)
         sql = "Select Population From States Where Name = 'Utah'"
         indexed = engine.plan(sql, mode="sync")
-        engine.planner_options.use_indexes = False
-        scanned = engine.plan(sql, mode="sync")
+        unindexed = WsqEngine(database=paper_db, web=web, use_indexes=False)
+        scanned = unindexed.plan(sql, mode="sync")
         assert model.seconds(indexed) < model.seconds(scanned)
 
 

@@ -1,9 +1,9 @@
 """End-to-end deadlines: the Deadline object and its propagation path.
 
-The deadline is threaded service → engine → ExecOptions → AsyncContext →
-RequestPump (async) / EVScan (sync), with checkpoints at registration,
-slot acquisition, the per-attempt timeout, the retry loop, and the
-ReqSync wait loop.  These tests pin each checkpoint plus the composition
+The deadline is threaded service → engine → AsyncContext → RequestPump
+(either mode; ReqSync reads it off the context), with checkpoints at
+registration, slot acquisition, the per-attempt timeout, the retry loop,
+and the ReqSync wait loop.  These tests pin each checkpoint plus the composition
 rule: every external call's effective timeout is
 ``min(policy.call_timeout, deadline.remaining())``.
 """

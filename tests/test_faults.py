@@ -138,7 +138,7 @@ class TestGracefulDegradation:
             fast_policy(max_attempts=2),
         )
         try:
-            assert engine.on_error == "raise"
+            assert engine.config.on_error == "raise"
             with pytest.raises(ExecutionError, match="failed"):
                 engine.execute(QUERY, mode="async")
             # The sequential path propagates the original web error.

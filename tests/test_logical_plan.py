@@ -3,7 +3,7 @@
 import pytest
 
 from repro.plan import logical as L
-from repro.plan.physical import ExecOptions, lower
+from repro.plan.physical import lower
 from repro.sql.parser import parse_select
 from repro.util.errors import PlanError
 
@@ -80,9 +80,9 @@ class TestPlaceholders:
         assert L.placeholder_columns(_logical(engine, Q1)) == set()
 
     def test_async_scan_introduces_result_columns(self, engine):
-        from repro.asynciter.rewrite import RewriteSettings, rewrite_logical
+        from repro.asynciter.rewrite import rewrite_logical
 
-        root, _ = rewrite_logical(_logical(engine, Q1), RewriteSettings())
+        root, _ = rewrite_logical(_logical(engine, Q1))
         scans = [
             n
             for n in L.walk(root)
@@ -92,9 +92,9 @@ class TestPlaceholders:
         assert L.placeholder_columns(scans[0])
 
     def test_reqsync_resolves_everything(self, engine):
-        from repro.asynciter.rewrite import RewriteSettings, rewrite_logical
+        from repro.asynciter.rewrite import rewrite_logical
 
-        root, _ = rewrite_logical(_logical(engine, Q1), RewriteSettings())
+        root, _ = rewrite_logical(_logical(engine, Q1))
         syncs = [n for n in L.walk(root) if isinstance(n, L.LogicalReqSync)]
         assert syncs
         for sync in syncs:
@@ -104,9 +104,9 @@ class TestPlaceholders:
     def test_schemas_stay_consistent_after_rewrite(self, engine):
         """Regression: percolation must refresh ancestor schemas (the
         grandparent used to keep the pre-swap schema)."""
-        from repro.asynciter.rewrite import RewriteSettings, rewrite_logical
+        from repro.asynciter.rewrite import rewrite_logical
 
-        root, _ = rewrite_logical(_logical(engine, Q1), RewriteSettings())
+        root, _ = rewrite_logical(_logical(engine, Q1))
         for node in L.walk(root):
             if isinstance(
                 node,
@@ -127,7 +127,7 @@ class TestLiftLower:
     @pytest.mark.parametrize("sql", [Q1, Q_STORED])
     def test_round_trip_reproduces_plan_shape(self, engine, sql):
         physical = engine.plan(sql, mode="sync")
-        again = lower(L.lift(physical), ExecOptions())
+        again = lower(L.lift(physical))
         assert again.explain() == physical.explain()
 
     def test_render_matches_explain_indentation(self, engine):

@@ -12,8 +12,9 @@ from repro.exec import (
     Project,
     Sort,
 )
+from repro.config import EngineConfig
 from repro.plan.analysis import analyze_vtables
-from repro.plan.planner import Planner, PlannerOptions
+from repro.plan.planner import Planner
 from repro.sql.parser import parse_select
 from repro.util.errors import BindingError, PlanError
 from repro.vtables.evscan import EVScan
@@ -198,7 +199,7 @@ class TestBindingErrors:
 
     def test_reorder_option_fixes_order(self, engine):
         planner = Planner(
-            engine.database, engine.vtables, options=PlannerOptions(reorder=True)
+            engine.database, engine.vtables, options=EngineConfig.resolve(reorder=True)
         )
         plan = planner.plan(
             parse_select("Select * From WebCount, States Where Name = T1")
@@ -208,7 +209,7 @@ class TestBindingErrors:
 
     def test_reorder_cannot_fix_unprovidable(self, engine):
         planner = Planner(
-            engine.database, engine.vtables, options=PlannerOptions(reorder=True)
+            engine.database, engine.vtables, options=EngineConfig.resolve(reorder=True)
         )
         with pytest.raises(BindingError):
             planner.plan(

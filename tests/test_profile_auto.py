@@ -1,7 +1,8 @@
 """Profiling, auto mode, and cost-based reordering."""
 
+from repro.config import EngineConfig
 from repro.plan.cost import CostModel
-from repro.plan.planner import Planner, PlannerOptions
+from repro.plan.planner import Planner
 from repro.sql.parser import parse_select
 from repro.wsq import WsqEngine
 
@@ -96,7 +97,7 @@ class TestAutoMode:
 
 class TestCostReorder:
     def test_smaller_table_becomes_outer(self, engine):
-        options = PlannerOptions(reorder=True, cost_reorder=True)
+        options = EngineConfig.resolve(reorder=True, cost_reorder=True)
         planner = Planner(engine.database, engine.vtables, options=options)
         # CSFields (12 rows) should end up outer of States (50 rows).
         plan = planner.plan(
@@ -108,7 +109,7 @@ class TestCostReorder:
         assert scans[0].endswith("CSFields")
 
     def test_vtables_still_follow_providers(self, engine):
-        options = PlannerOptions(reorder=True, cost_reorder=True)
+        options = EngineConfig.resolve(reorder=True, cost_reorder=True)
         planner = Planner(engine.database, engine.vtables, options=options)
         plan = planner.plan(
             parse_select(
@@ -130,7 +131,7 @@ class TestCostReorder:
         assert dj is not None  # WebCount placed after its provider
 
     def test_results_unchanged_by_reorder(self, engine):
-        options = PlannerOptions(reorder=True, cost_reorder=True)
+        options = EngineConfig.resolve(reorder=True, cost_reorder=True)
         planner = Planner(engine.database, engine.vtables, options=options)
         from repro.exec import collect
 

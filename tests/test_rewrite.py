@@ -6,11 +6,8 @@ from repro.asynciter.aevscan import AEVScan
 from repro.asynciter.context import AsyncContext
 from repro.asynciter.pump import default_pump
 from repro.asynciter.reqsync import ReqSync
-from repro.asynciter.rewrite import (
-    RewriteSettings,
-    apply_asynchronous_iteration,
-    filled_columns,
-)
+from repro.asynciter.rewrite import apply_asynchronous_iteration, filled_columns
+from repro.config import EngineConfig
 from repro.exec import DependentJoin, Project, TableScan
 from repro.relational.schema import Column, Schema
 from repro.relational.types import DataType
@@ -36,7 +33,7 @@ def plan_shape(plan):
 def rewrite_sql(engine, sql, **settings):
     sync_plan = engine.plan(sql, mode="sync")
     return apply_asynchronous_iteration(
-        sync_plan, context(), RewriteSettings(**settings)
+        sync_plan, context(), EngineConfig.resolve(**settings)
     )
 
 

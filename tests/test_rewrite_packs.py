@@ -9,19 +9,20 @@ Four layers of guarantees, one per test class group:
   refusal per pack: ``matches()`` True, firing refused by the model).
 - **Default identity** — with no packs configured (the default) the
   optimizer is the identity and plans are byte-identical to the seed's.
-- **Knob threading** — ``rules=`` kwarg / ``RewriteSettings`` /
-  ``PlannerOptions`` / ``$REPRO_RULES`` / CLI ``--rules`` resolve with
-  the documented precedence.
+- **Knob threading** — ``rules=`` kwarg / ``EngineConfig`` /
+  ``$REPRO_RULES`` / CLI ``--rules`` resolve with the documented
+  precedence.
 """
 
 import pytest
 
+from repro.config import EngineConfig
 from repro.exec.aggregate import AggregateSpec
 from repro.obs import Observability, validate_trace_events
 from repro.obs.trace import PLAN_RULE_FIRED
 from repro.plan import logical as L
 from repro.plan import rules as R
-from repro.plan.planner import Planner, PlannerOptions
+from repro.plan.planner import Planner
 from repro.relational.expr import (
     ColumnRef,
     Comparison,
@@ -62,7 +63,7 @@ def pack_db():
 
 
 def _optimize(db, sql, packs):
-    planner = Planner(db, options=PlannerOptions(logical_rules=tuple(packs)))
+    planner = Planner(db, options=EngineConfig.resolve(rules=tuple(packs)))
     node, firings = planner.optimize(planner.plan_logical(parse_select(sql)))
     return node, {f.rule for f in firings}
 
@@ -289,7 +290,7 @@ class TestEarlyFilterGuards:
     def test_derivations_fire_once_per_constraint(self, pack_db):
         sql = "Select T.A From T, S Where T.A = S.X and S.X > 300"
         planner = Planner(
-            pack_db, options=PlannerOptions(logical_rules=("early_filter",))
+            pack_db, options=EngineConfig.resolve(rules=("early_filter",))
         )
         node, firings = planner.optimize(
             planner.plan_logical(parse_select(sql))
@@ -410,7 +411,6 @@ IDENTITY_QUERIES = [
 IDENTITY_SETTINGS = [
     {},
     {"batch_size": 1},
-    {"parallelism": 2},
     {"shards": 2},
 ]
 
@@ -429,7 +429,7 @@ class TestDefaultIdentity:
     @pytest.mark.parametrize(
         "settings",
         IDENTITY_SETTINGS,
-        ids=["default", "batch1", "parallel2", "shards2"],
+        ids=["default", "batch1", "shards2"],
     )
     def test_default_plans_match_rules_off(
         self, paper_db, web, settings, monkeypatch
@@ -439,7 +439,7 @@ class TestDefaultIdentity:
         explicit_off = WsqEngine(
             database=paper_db, web=web, rules=(), **settings
         )
-        assert default.rules == ()
+        assert default.config.rules == ()
         for sql in IDENTITY_QUERIES:
             for form in ("physical", "rules"):
                 assert default.explain(sql, form=form) == explicit_off.explain(
@@ -463,36 +463,28 @@ class TestKnobThreading:
 
     def test_engine_kwarg_accepts_spec_string(self, pack_db):
         engine = WsqEngine(database=pack_db, rules="decorrelate, early_filter")
-        assert engine.rules == ("decorrelate", "early_filter")
-        assert engine.planner_options.logical_rules == engine.rules
-        assert engine.rewrite_settings.rules == engine.rules
+        assert engine.config.rules == ("decorrelate", "early_filter")
+        assert engine._planner.options.rules == engine.config.rules
 
-    def test_rewrite_settings_path(self, pack_db):
-        from repro.asynciter.rewrite import RewriteSettings
+    def test_config_path(self, pack_db):
+        config = EngineConfig(rules=("agg_single_pass",))
+        engine = WsqEngine(database=pack_db, config=config)
+        assert engine.config.rules == ("agg_single_pass",)
 
-        engine = WsqEngine(
-            database=pack_db,
-            rewrite_settings=RewriteSettings(rules=("agg_single_pass",)),
-        )
-        assert engine.rules == ("agg_single_pass",)
-
-    def test_planner_options_path(self, pack_db):
-        engine = WsqEngine(
-            database=pack_db,
-            planner_options=PlannerOptions(logical_rules=("prune",)),
-        )
-        assert engine.rules == ("prune",)
+    def test_kwarg_overrides_config(self, pack_db):
+        config = EngineConfig(rules=("prune",))
+        engine = WsqEngine(database=pack_db, config=config, rules="reorder")
+        assert engine.config.rules == ("reorder",)
 
     def test_env_default(self, pack_db, monkeypatch):
         monkeypatch.setenv("REPRO_RULES", "or_to_union")
-        assert R.default_rules() == ("or_to_union",)
         engine = WsqEngine(database=pack_db)
-        assert engine.rules == ("or_to_union",)
+        assert engine.config.rules == ("or_to_union",)
 
     def test_kwarg_beats_env(self, pack_db, monkeypatch):
         monkeypatch.setenv("REPRO_RULES", "or_to_union")
         engine = WsqEngine(database=pack_db, rules=())
-        assert engine.rules == ()
+        assert engine.config.rules == ()
 
     def test_cli_rules_flag_threads_through(self, pack_db):
         from repro.cli import build_engine
@@ -507,7 +499,7 @@ class TestKnobThreading:
             rules = "decorrelate,agg_single_pass"
 
         engine = build_engine(Args())
-        assert engine.rules == ("decorrelate", "agg_single_pass")
+        assert engine.config.rules == ("decorrelate", "agg_single_pass")
 
     def test_explain_rules_form_pins_pack_output(self, pack_db):
         engine = WsqEngine(database=pack_db, rules="or_to_union")

@@ -2,7 +2,7 @@
 
 ``tests/_legacy_rewrite.py`` is a verbatim copy of the pre-optimizer
 ReqSync placement code.  For a spread of query shapes (and every
-``RewriteSettings`` knob), both rewriters transform the same synchronous
+placement knob of ``EngineConfig``), both rewriters transform the same synchronous
 physical plan; the resulting trees must be structurally identical —
 same operator classes, same explain labels, same ReqSync/scan
 configuration.  This is the acceptance-criterion proof that moving the
@@ -15,7 +15,8 @@ import _legacy_rewrite as legacy
 from repro.asynciter.aevscan import AEVScan
 from repro.asynciter.context import AsyncContext
 from repro.asynciter.reqsync import ReqSync
-from repro.asynciter.rewrite import RewriteSettings, apply_asynchronous_iteration
+from repro.asynciter.rewrite import apply_asynchronous_iteration
+from repro.config import EngineConfig
 from repro.vtables.evscan import EVScan
 
 QUERIES = [
@@ -46,11 +47,11 @@ QUERIES = [
 ]
 
 SETTINGS = [
-    RewriteSettings(),
-    RewriteSettings(stream=True),
-    RewriteSettings(consolidate=False),
-    RewriteSettings(pull_above_order_sensitive=True),
-    RewriteSettings(on_error="null", wait_timeout=1.5, batch_size=32),
+    EngineConfig(),
+    EngineConfig(stream=True),
+    EngineConfig(consolidate=False),
+    EngineConfig(pull_above_order_sensitive=True),
+    EngineConfig(on_error="null", wait_timeout=1.5, batch_size=32),
 ]
 
 

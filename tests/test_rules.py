@@ -2,12 +2,13 @@
 
 import pytest
 
-from repro.asynciter.rewrite import RewriteSettings, rewrite_logical
+from repro.asynciter.rewrite import rewrite_logical
+from repro.config import EngineConfig
 from repro.obs import Observability, validate_trace_events
 from repro.obs.trace import PLAN_RULE_FIRED
 from repro.plan import logical as L
 from repro.plan import rules as R
-from repro.plan.planner import Planner, PlannerOptions
+from repro.plan.planner import Planner
 from repro.relational.types import DataType
 from repro.sql.parser import parse_select
 from repro.storage import Database
@@ -37,7 +38,7 @@ def _kinds(root):
 
 class TestEngineMechanics:
     def test_firings_record_node_counts(self, engine):
-        _, firings = rewrite_logical(_logical(engine, Q1), RewriteSettings())
+        _, firings = rewrite_logical(_logical(engine, Q1))
         assert firings
         assert firings[0].rule == "reqsync.insert"
         # Insertion adds exactly one node (the ReqSync cap).
@@ -49,8 +50,8 @@ class TestEngineMechanics:
     def test_fire_budget_bounds_the_run(self, engine):
         node = _logical(engine, Q1)
         rules_engine = R.RuleEngine(
-            R.reqsync_pack(RewriteSettings()),
-            settings=RewriteSettings(),
+            R.reqsync_pack(EngineConfig()),
+            settings=EngineConfig(),
             fire_budget=1,
         )
         rules_engine.run(node)
@@ -63,51 +64,47 @@ class TestEngineMechanics:
     def test_budget_exhaustion_is_reported(self, engine):
         node = _logical(engine, Q_TWO_VTABLES)
         rules_engine = R.RuleEngine(
-            R.reqsync_pack(RewriteSettings()),
-            settings=RewriteSettings(),
+            R.reqsync_pack(EngineConfig()),
+            settings=EngineConfig(),
             fire_budget=1,
         )
         rules_engine.run(node)
         assert "reqsync.insert" in rules_engine.exhausted
 
     def test_fixed_point_is_idempotent(self, engine):
-        root, first = rewrite_logical(_logical(engine, Q1), RewriteSettings())
-        again, second = rewrite_logical(root, RewriteSettings())
+        root, first = rewrite_logical(_logical(engine, Q1))
+        again, second = rewrite_logical(root)
         assert not second
         assert again == root
 
 
 class TestReqSyncPack:
     def test_consolidation_merges_adjacent_reqsyncs(self, engine):
-        root, _ = rewrite_logical(
-            _logical(engine, Q_TWO_VTABLES), RewriteSettings()
-        )
+        root, _ = rewrite_logical(_logical(engine, Q_TWO_VTABLES))
         assert _kinds(root).count("LogicalReqSync") == 1
 
     def test_consolidate_off_keeps_both(self, engine):
         root, _ = rewrite_logical(
-            _logical(engine, Q_TWO_VTABLES), RewriteSettings(consolidate=False)
+            _logical(engine, Q_TWO_VTABLES), EngineConfig(consolidate=False)
         )
         assert _kinds(root).count("LogicalReqSync") == 2
 
     def test_sort_on_filled_key_blocks_percolation(self, engine):
-        root, _ = rewrite_logical(_logical(engine, Q1), RewriteSettings())
+        root, _ = rewrite_logical(_logical(engine, Q1))
         assert isinstance(root, L.LogicalSort)
         assert isinstance(root.children[0], L.LogicalReqSync)
 
     def test_pull_above_sort_sets_preserve_order(self, engine):
         root, firings = rewrite_logical(
             _logical(engine, Q_SORT_LOCAL_KEY),
-            RewriteSettings(pull_above_order_sensitive=True),
+            EngineConfig(pull_above_order_sensitive=True),
         )
         assert isinstance(root, L.LogicalReqSync)
         assert root.preserve_order
         assert "reqsync.pull_above_sort" in {f.rule for f in firings}
 
     def test_without_extension_sort_stays_on_top(self, engine):
-        root, _ = rewrite_logical(
-            _logical(engine, Q_SORT_LOCAL_KEY), RewriteSettings()
-        )
+        root, _ = rewrite_logical(_logical(engine, Q_SORT_LOCAL_KEY))
         assert isinstance(root, L.LogicalSort)
 
 
@@ -160,7 +157,7 @@ def _stored_db():
 
 
 def _run(db, sql, **options):
-    planner = Planner(db, options=PlannerOptions(**options))
+    planner = Planner(db, options=EngineConfig.resolve(**options))
     return collect(planner.plan(parse_select(sql)))
 
 
@@ -182,7 +179,7 @@ class TestOptInPacks:
 
     def test_pushdown_routes_one_sided_conjuncts(self):
         from repro.exec import collect
-        from repro.plan.physical import ExecOptions, lower
+        from repro.plan.physical import lower
 
         db = _stored_db()
         sql = "Select T.Name, U.N From T, U Where U.N > 8 and T.Name = U.Name"
@@ -199,33 +196,33 @@ class TestOptInPacks:
             n for n in L.walk(optimized) if isinstance(n, L.LogicalCrossProduct)
         )
         assert isinstance(product.right, L.LogicalFilter)
-        assert sorted(collect(lower(optimized, ExecOptions()))) == baseline
+        assert sorted(collect(lower(optimized))) == baseline
 
     def test_prune_removes_identity_projection(self):
         db = _stored_db()
-        planner = Planner(db, options=PlannerOptions(logical_rules=("prune",)))
+        planner = Planner(db, options=EngineConfig.resolve(rules=("prune",)))
         sql = "Select Name, N From T"
         node, firings = planner.optimize(planner.plan_logical(parse_select(sql)))
         assert "prune.identity_project" in {f.rule for f in firings}
-        assert sorted(_run(db, sql, logical_rules=("prune",))) == sorted(
+        assert sorted(_run(db, sql, rules=("prune",))) == sorted(
             _run(db, sql)
         )
 
     def test_reorder_swaps_smaller_table_outer(self):
         db = _stored_db()
         sql = "Select T.Name, U.Name From T, U"
-        planner = Planner(db, options=PlannerOptions(logical_rules=("reorder",)))
+        planner = Planner(db, options=EngineConfig.resolve(rules=("reorder",)))
         node, firings = planner.optimize(planner.plan_logical(parse_select(sql)))
         assert "reorder.product_by_size" in {f.rule for f in firings}
         # Compensating projection restores the original column order.
-        assert sorted(_run(db, sql, logical_rules=("reorder",))) == sorted(
+        assert sorted(_run(db, sql, rules=("reorder",))) == sorted(
             _run(db, sql)
         )
 
     def test_all_packs_compose(self):
         db = _stored_db()
         packs = ("pushdown", "prune", "reorder")
-        assert sorted(_run(db, self.SQL, logical_rules=packs)) == sorted(
+        assert sorted(_run(db, self.SQL, rules=packs)) == sorted(
             _run(db, self.SQL)
         )
 

@@ -25,7 +25,6 @@ from repro.storage import Database
 from repro.util.errors import EngineOutageError, ReproError
 from repro.web.faults import FaultModel
 from repro.web.sharding import (
-    default_shards,
     merge_count_partials,
     merge_search_partials,
     shard_destination,
@@ -227,13 +226,12 @@ class TestWsqOracle:
 
     def test_env_default(self, shared_db, monkeypatch):
         monkeypatch.setenv("REPRO_SHARDS", "5")
-        assert default_shards() == 5
         engine = WsqEngine(database=shared_db, cache=False)
-        assert engine.shards == 5
+        assert engine.config.shards == 5
         assert engine.clients["AV"].num_shards == 5
         monkeypatch.setenv("REPRO_SHARDS", "zero")
-        with pytest.raises(ReproError):
-            default_shards()
+        with pytest.raises(ReproError, match="REPRO_SHARDS"):
+            WsqEngine(database=shared_db, cache=False)
 
     def test_shard_trace_events_validate(self, shared_db):
         engine = WsqEngine(

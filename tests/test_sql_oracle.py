@@ -11,7 +11,8 @@ import pytest
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
-from repro.plan.planner import Planner, PlannerOptions
+from repro.config import EngineConfig
+from repro.plan.planner import Planner
 from repro.relational.types import DataType
 from repro.sql.parser import parse_select
 from repro.storage import Database
@@ -90,7 +91,7 @@ def build_db(rows_t, rows_u=None):
 
 
 def run(db, sql, logical_rules=None):
-    planner = Planner(db, options=PlannerOptions(logical_rules=logical_rules))
+    planner = Planner(db, options=EngineConfig.resolve(rules=logical_rules))
     return collect(planner.plan(parse_select(sql)))
 
 
@@ -262,7 +263,7 @@ class TestOptimizerEquivalenceEngine:
         optimized = WsqEngine(
             database=paper_db,
             web=web,
-            planner_options=PlannerOptions(logical_rules=ALL_PACKS),
+            rules=ALL_PACKS,
         )
         got = optimized.run(self.SQL, mode=mode).rows
         expected = baseline.run(self.SQL, mode=mode).rows
