@@ -182,7 +182,7 @@ def _extract_shard(report):
 def _extract_rewrite_pairs(report):
     metrics = {}
     if "min_speedup" in report:
-        # The no-harm floor across the whole pair corpus: a pack that
+        # The no-harm floor across the whole pair corpus: a rule that
         # fires must never lose to the plan it replaced.  The wide band
         # absorbs jitter around the weakest (~1.1x) pair while still
         # catching a rewrite that started losing outright.
@@ -198,7 +198,7 @@ def _extract_rewrite_pairs(report):
         if cell:
             # Headline wins: index windows vs full scans and a derived
             # join constraint vs a nested-loop sweep — ratios, so stable
-            # across machines; the band still catches a pack whose gate
+            # across machines; the band still catches a rule whose gate
             # or rewrite quietly stopped firing (~1x).
             metrics[key] = _metric(cell["speedup"], "higher", tolerance=0.5)
     if pairs:

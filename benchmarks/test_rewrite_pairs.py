@@ -1,21 +1,20 @@
-"""Rewrite-pack pair benchmark: original vs optimized, gated speedups.
+"""Rewrite pair benchmark: unoptimized vs optimized, gated speedups.
 
-A curated corpus of original:optimized query pairs, one or more per
-opt-in rewrite pack.  Each pair executes the *same* SQL (or, for the
-union-merge shape the SQL grammar cannot express, the same hand-built
-logical plan) twice under traced engines sharing one calibrated cost
-model — once with every pack off, once with the pack under test on —
-asserts the two row sets are identical, and records the wall-clock
-speedup.
+A curated corpus of SQL statements, one per structural rule of the
+relational pipeline.  Each pair executes the *same* SQL twice on one
+traced, calibrated engine — once as the unoptimized plan
+(``lower(planner.plan_logical(q))``, the tree no rule has touched),
+once as the engine runs it — asserts the two row sets are identical,
+and records the wall-clock speedup.
 
-The engines are calibrated from their own warm-up trace before any
-timed run (``recalibrate()``), so the cost gates that admit each
-rewrite are exercised with measured figures, not the static defaults.
+The engine is calibrated from its own warm-up trace before any timed
+run (``recalibrate()``), so the cost gates that admit each rewrite are
+exercised with measured figures, not the static defaults.
 
 Gates (also enforced downstream by the leaderboard family
 ``rewrite_pairs``):
 
-- every pair's speedup clears the no-harm floor (>= 1.0x — a pack that
+- every pair's speedup clears the no-harm floor (>= 1.0x — a rule that
   fires must never lose to the plan it replaced);
 - the ``or_to_union`` and ``early_filter`` headline pairs clear 2x.
 
@@ -30,44 +29,35 @@ import os
 import time
 
 from conftest import results_path
-from repro.config import EngineConfig
 from repro.exec import collect
-from repro.exec.aggregate import AggregateSpec
 from repro.obs import Observability
-from repro.plan import logical as L
-from repro.plan import rules as R
 from repro.plan.physical import lower
 from repro.plan.planner import Planner
-from repro.relational.expr import ColumnRef, Comparison, Literal
-from repro.relational.schema import Column, Schema
 from repro.relational.types import DataType
+from repro.sql.parser import parse_select
 from repro.storage import Database
 from repro.wsq import WsqEngine
 
 ROWS = int(os.environ.get("REWRITE_PAIRS_ROWS", "12000"))
 REPEATS = 3
-CONFIG = EngineConfig.resolve()
 PAIR_FLOOR = 1.0
 HEADLINE_FLOOR = 2.0
 HEADLINE_PAIRS = ("or_to_union_disjoint_windows", "early_filter_derived_window")
 
-#: (pair name, pack, SQL, rule the pack must fire on it).
+#: (pair name, SQL, rule that must fire on it).
 SQL_PAIRS = [
     (
         "decorrelate_in_probe",
-        "decorrelate",
         "Select K From Big Where K In (Select K From Sub)",
         "decorrelate.in_to_join",
     ),
     (
         "or_to_union_disjoint_windows",
-        "or_to_union",
         "Select K, Pad From Big Where G = 3 or G = 97 or G = 151",
         "or_to_union.split_disjunction",
     ),
     (
         "early_filter_derived_window",
-        "early_filter",
         "Select Big.K From Big, Dim Where Big.K = Dim.K and Dim.K > {}".format(
             ROWS * 5 // 6
         ),
@@ -75,7 +65,6 @@ SQL_PAIRS = [
     ),
     (
         "agg_single_pass_drop_distinct",
-        "agg_single_pass",
         "Select Distinct K, Count(*) From Big Group By K",
         "agg_single_pass.drop_distinct",
     ),
@@ -104,9 +93,9 @@ def _pair_db():
     return db
 
 
-def _calibrated_engine(db, rules):
+def _calibrated_engine(db):
     """Traced engine whose cost model is calibrated from its own trace."""
-    engine = WsqEngine(database=db, rules=rules, obs=Observability.enabled())
+    engine = WsqEngine(database=db, obs=Observability.enabled())
     engine.execute("Select K From Big Where G = 3")
     engine.execute("Select Count(*) From Big")
     applied, _, reason = engine.recalibrate()
@@ -114,83 +103,40 @@ def _calibrated_engine(db, rules):
     return engine
 
 
-def _timed_sql(engine, sql):
+def _best_of(run):
     best, rows = float("inf"), None
     for _ in range(REPEATS):
         started = time.perf_counter()
-        rows = sorted(engine.execute(sql).rows)
+        rows = sorted(run())
         best = min(best, time.perf_counter() - started)
     return best, rows
 
 
-def _timed_plan(tree):
-    best, rows = float("inf"), None
-    for _ in range(REPEATS):
-        copy = R._clone_tree(tree)
-        started = time.perf_counter()
-        rows = sorted(collect(lower(copy, CONFIG)))
-        best = min(best, time.perf_counter() - started)
-    return best, rows
-
-
-def _union_aggregate_plan(db):
-    """Aggregate over a UNION ALL of disjointly filtered copies of Big —
-    the multi-scan shape the grammar cannot spell but legacy/lifted
-    plans expose, which ``agg_single_pass.merge_union`` collapses."""
-    low = L.LogicalFilter(
-        L.LogicalScan(db.table("Big")),
-        Comparison("<", ColumnRef(0), Literal(ROWS // 2)),
-    )
-    high = L.LogicalFilter(
-        L.LogicalScan(db.table("Big")),
-        Comparison(">", ColumnRef(0), Literal(ROWS * 7 // 10)),
-    )
-    union = L.LogicalUnion(low, high)
-    schema = Schema([Column("G", DataType.INT), Column("C", DataType.INT)])
-    return L.LogicalAggregate(
-        union, [ColumnRef(1)], [AggregateSpec("COUNT", star=True)], schema
-    )
+def _unoptimized(engine, sql):
+    """Plan and run *sql* with no optimizer rule applied."""
+    planner = Planner(engine.database, engine.vtables, options=engine.config)
+    return collect(lower(planner.plan_logical(parse_select(sql)), engine.config))
 
 
 def test_rewrite_pairs(capsys):
-    db = _pair_db()
-    baseline = _calibrated_engine(db, rules=())
+    engine = _calibrated_engine(_pair_db())
     pairs = {}
 
-    for name, pack, sql, rule in SQL_PAIRS:
-        optimized = _calibrated_engine(db, rules=(pack,))
-        fired = optimized.explain(sql, form="rules")
+    for name, sql, rule in SQL_PAIRS:
+        fired = engine.explain(sql, form="rules")
         assert rule in fired, (
             "{}: expected {} to fire, got: {}".format(name, rule, fired)
         )
-        base_seconds, base_rows = _timed_sql(baseline, sql)
-        opt_seconds, opt_rows = _timed_sql(optimized, sql)
+        base_seconds, base_rows = _best_of(lambda: _unoptimized(engine, sql))
+        opt_seconds, opt_rows = _best_of(lambda: engine.execute(sql).rows)
         assert opt_rows == base_rows, "{}: row mismatch".format(name)
         pairs[name] = {
-            "pack": pack,
             "rule": rule,
             "base_seconds": round(base_seconds, 6),
             "optimized_seconds": round(opt_seconds, 6),
             "speedup": round(base_seconds / opt_seconds, 4),
             "rows": len(base_rows),
         }
-
-    # -- merge_union: the one pair driven at plan level ----------------------
-    planner = Planner(db, options=CONFIG.override(rules=("agg_single_pass",)))
-    original = _union_aggregate_plan(db)
-    merged, firings = planner.optimize(_union_aggregate_plan(db))
-    assert "agg_single_pass.merge_union" in {f.rule for f in firings}
-    base_seconds, base_rows = _timed_plan(original)
-    opt_seconds, opt_rows = _timed_plan(merged)
-    assert opt_rows == base_rows, "merge_union: row mismatch"
-    pairs["agg_single_pass_merge_union"] = {
-        "pack": "agg_single_pass",
-        "rule": "agg_single_pass.merge_union",
-        "base_seconds": round(base_seconds, 6),
-        "optimized_seconds": round(opt_seconds, 6),
-        "speedup": round(base_seconds / opt_seconds, 4),
-        "rows": len(base_rows),
-    }
 
     min_pair = min(pairs, key=lambda n: pairs[n]["speedup"])
     report = {

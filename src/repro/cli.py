@@ -80,7 +80,6 @@ def build_engine(args):
             on_error=getattr(args, "on_error", None),
             batch_size=getattr(args, "batch_size", None),
             shards=getattr(args, "shards", None),
-            rules=getattr(args, "rules", None),
         ),
     )
 
@@ -196,14 +195,6 @@ def main(argv=None):
         help="search-tier shard count: N > 1 splits each engine's index "
         "into N deterministic shards behind a scatter-gather broker "
         "(default 1 or $REPRO_SHARDS; 1 = the unsharded monolith)",
-    )
-    parser.add_argument(
-        "--rules",
-        default=None,
-        metavar="PACKS",
-        help="opt-in logical rewrite packs, comma-separated: pushdown, "
-        "prune, reorder, decorrelate, or_to_union, early_filter, "
-        "agg_single_pass, or 'all' (default none or $REPRO_RULES)",
     )
     parser.add_argument(
         "-c", "--command", help="run one statement and exit", default=None

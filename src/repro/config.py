@@ -7,7 +7,7 @@ default* and validates, and the planner, the ReqSync rewrite, lowering
 and the CLI all receive the resulting immutable object whole.
 
 This is also the only module under ``src/`` that reads the process
-environment (:data:`ENV_VARIABLES` lists what it reads): three variables
+environment (:data:`ENV_VARIABLES` lists what it reads): two variables
 feed config fields, and ``REPRO_CACHE``/``REPRO_CACHE_TTL`` name the
 result cache an engine builds when it is handed none
 (:func:`default_cache` — the cache is a collaborator, not a knob).
@@ -18,7 +18,7 @@ from dataclasses import dataclass, fields, replace
 from typing import Optional
 
 from repro.relational.batch import DEFAULT_BATCH_SIZE
-from repro.util.errors import ConfigError, PlanError
+from repro.util.errors import ConfigError
 
 ON_ERROR_POLICIES = ("raise", "drop", "null")
 
@@ -28,7 +28,6 @@ ON_ERROR_POLICIES = ("raise", "drop", "null")
 FIELD_ENV = {
     "batch_size": "REPRO_BATCH_SIZE",
     "shards": "REPRO_SHARDS",
-    "rules": "REPRO_RULES",
 }
 CACHE_ENV = "REPRO_CACHE"
 CACHE_TTL_ENV = "REPRO_CACHE_TTL"
@@ -69,20 +68,6 @@ def _on_error(value, source):
     return value
 
 
-def _rules(value, source):
-    """Pack names (or a comma-separated spec), Rule classes or instances."""
-    from repro.plan.rules import parse_rules_spec, resolve_packs
-
-    try:
-        if isinstance(value, str):
-            return parse_rules_spec(value)
-        value = tuple(value)
-        resolve_packs(value)
-    except (PlanError, TypeError, ValueError) as exc:
-        raise ConfigError("{}: {}".format(source, exc)) from None
-    return value
-
-
 def _wait_timeout(value, source):
     if (
         isinstance(value, bool)
@@ -102,7 +87,6 @@ _CHECKS = {
     "on_error": _on_error,
     "batch_size": _positive_int,
     "shards": _positive_int,
-    "rules": _rules,
     "wait_timeout": _wait_timeout,
 }
 
@@ -127,11 +111,6 @@ class EngineConfig:
     #: puts a scatter-gather broker in front of each engine
     #: (``REPRO_SHARDS``); the cost model prices the scatter waves.
     shards: int = 1
-    #: Opt-in logical rewrite packs (:data:`repro.plan.rules.PACKS`):
-    #: pack names, Rule classes or Rule instances; a comma-separated
-    #: string (``"all"`` = every pack) is parsed (``REPRO_RULES``).
-    #: Empty keeps the seed pipeline's exact plan shapes.
-    rules: tuple = ()
     #: Seconds one ReqSync wait may block before it reports a lost
     #: completion signal.
     wait_timeout: float = 60.0
@@ -144,8 +123,6 @@ class EngineConfig:
     consolidate: bool = True
     #: Reorder FROM items so virtual tables follow their providers.
     reorder: bool = False
-    #: Use a B+tree index scan when a sargable predicate matches one.
-    use_indexes: bool = True
     #: With ``reorder``, also order stored tables smallest first.
     cost_reorder: bool = False
     #: Share one in-flight call between identical calls of one query.

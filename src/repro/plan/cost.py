@@ -235,7 +235,7 @@ class CostModel:
         self.shards = int(shards) if shards and shards >= 1 else 1
         #: Price clean equi-joins as hash build + probe instead of the
         #: quadratic pair scan.  Off by default (keeps every historical
-        #: estimate bit-identical); the rewrite packs' cost gates turn it
+        #: estimate bit-identical); the rewrite rules' cost gates turn it
         #: on, since lowering upgrades exactly these joins at runtime.
         self.hash_joins = bool(hash_joins)
         #: Calibration state: a :class:`repro.obs.calibration.

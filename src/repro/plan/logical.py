@@ -10,11 +10,10 @@ Three-layer planning stack
    *placeholder-attribute* analysis (:func:`placeholder_columns`) — the
    paper's "filled attribute set" A_i that drives every ReqSync clash
    rule.
-2. **Rules** (:mod:`repro.plan.rules`): a fixed-point rule engine whose
-   packs re-express predicate pushdown, projection pruning, join
-   reordering, and the paper's full ReqSync Insertion → Percolation →
-   Consolidation algorithm as :class:`~repro.plan.rules.Rule` objects
-   over this algebra.
+2. **Rules** (:mod:`repro.plan.rules`): a fixed-point rule engine
+   running the cost-gated relational pipeline and the paper's full
+   ReqSync Insertion → Percolation → Consolidation algorithm as
+   :class:`~repro.plan.rules.Rule` objects over this algebra.
 3. **Physical** (:mod:`repro.plan.physical`): :func:`~repro.plan.physical.lower`
    maps an optimized logical tree onto the existing exec operators,
    configured by one :class:`~repro.config.EngineConfig`.

