@@ -9,6 +9,7 @@ finishes quickly; sync/async *ratios* are unaffected by the scale.
 
 import os
 import sys
+import time
 
 import pytest
 
@@ -36,3 +37,22 @@ def engine_factory():
 def results_path(name):
     os.makedirs(RESULTS_DIR, exist_ok=True)
     return os.path.join(RESULTS_DIR, name)
+
+
+def timed(fn):
+    """``(wrapper, seconds)``: *wrapper* runs *fn* and appends each call's
+    wall-clock seconds to the list *seconds*.
+
+    ``benchmark.stats`` is ``None`` under ``--benchmark-disable``, so
+    tests that report a timing take it from here and pass either way.
+    """
+    seconds = []
+
+    def wrapper(*args, **kwargs):
+        started = time.perf_counter()
+        try:
+            return fn(*args, **kwargs)
+        finally:
+            seconds.append(time.perf_counter() - started)
+
+    return wrapper, seconds

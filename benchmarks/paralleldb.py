@@ -24,7 +24,7 @@ paid for parity.
 import threading
 import time
 
-from repro.bench.alternatives import _expressions
+from alternatives import _expressions
 
 
 def run_parallel_dbms(

@@ -5,15 +5,24 @@ achieves concurrency *within* one join but blocks between joins; a
 parallel DBMS is heavyweight.  Expected shape on the two-join Template-3
 workload: sequential ~ 74 network waits, thread-per-join ~ 2 waits (one
 per join stage), asynchronous iteration ~ 1 wait.
+
+The strategy drivers (``alternatives.py``, ``paralleldb.py``) are support
+modules of this benchmark; the classes at the bottom check the drivers
+themselves (same results under every strategy) and the wall-clock
+ordering the paper predicts.
 """
+
+import time
 
 import pytest
 
-from repro.bench.alternatives import (
+from alternatives import (
+    compare,
     run_async_iteration,
     run_sequential,
     run_thread_per_join,
 )
+from paralleldb import run_parallel_dbms, sweep_degrees
 from repro.bench.workloads import bench_engine
 from repro.datasets import SIGS
 
@@ -54,7 +63,6 @@ def test_alternative_parallel_dbms(benchmark, degree):
     """Gamma-style partitioned parallelism (the paper's future-work
     comparison): better than sequential, but pays thread startup and
     still blocks per call within each worker."""
-    from repro.bench.paralleldb import run_parallel_dbms
 
     def run():
         engine = bench_engine()
@@ -63,3 +71,59 @@ def test_alternative_parallel_dbms(benchmark, degree):
 
     results = benchmark.pedantic(run, rounds=2, iterations=1)
     assert len(results) == 2 * len(TERMS)
+
+
+class TestAlternatives:
+    def test_all_strategies_agree_on_results(self):
+        engine = bench_engine(latency=None)
+        terms = [s.name for s in SIGS[:5]]
+        clients = clients_of(engine)
+        seq = run_sequential(clients, terms, "computer")
+        par = run_thread_per_join(clients, terms, "computer")
+        assert seq == par  # same calls, same engine, same hits
+
+    def test_async_iteration_runs(self):
+        engine = bench_engine(latency=None)
+        result = run_async_iteration(engine, "computer")
+        assert result.columns == ["Name", "URL", "URL"]
+
+    def test_compare_orders_strategies(self):
+        engine = bench_engine(latency=(0.003, 0.006))
+        timings = compare(engine, [s.name for s in SIGS[:8]], "beaches")
+        assert timings["async_iteration"] < timings["sequential"]
+        assert timings["thread_per_join"] < timings["sequential"]
+
+
+class TestParallelDbms:
+    def test_same_results_as_sequential(self):
+        engine = bench_engine(latency=None)
+        clients = clients_of(engine)
+        terms = [s.name for s in SIGS[:9]]
+        parallel = run_parallel_dbms(
+            clients, terms, "computer", degree=4, thread_startup=0
+        )
+        sequential = run_sequential(clients, terms, "computer")
+        key = lambda hits: sorted(repr(h) for h in hits)
+        assert sorted(map(key, parallel)) == sorted(map(key, sequential))
+
+    def test_degree_speedup_shape(self):
+        engine = bench_engine(latency=(0.004, 0.008))
+        timings = sweep_degrees(engine, TERMS, "beaches", degrees=(1, 8, 37))
+        assert timings[8] < timings[1]
+        assert timings[37] < timings[1]
+
+    def test_async_iteration_beats_moderate_degree_parallelism(self):
+        """The paper's expectation: a parallel DBMS needs one thread per
+        tuple to approach asynchronous iteration.  At a realistic degree
+        (8-way) the gap is wide and stable; at degree == |outer| the two
+        are within scheduling noise of each other, so that comparison is
+        reported by the sweep above, not asserted."""
+        engine = bench_engine(latency=(0.004, 0.008))
+        started = time.perf_counter()
+        run_parallel_dbms(clients_of(engine), TERMS, "politics", degree=8)
+        parallel_seconds = time.perf_counter() - started
+        engine2 = bench_engine(latency=(0.004, 0.008))
+        started = time.perf_counter()
+        run_async_iteration(engine2, "politics")
+        async_seconds = time.perf_counter() - started
+        assert async_seconds < parallel_seconds / 1.5

@@ -14,18 +14,15 @@ Two workloads, swept over the batch-granularity knob:
 Every sweep point also re-checks correctness (every size must reproduce
 the expected rows exactly), and the summary asserts the default batch
 size beats the degenerate batch=1 (tuple-at-a-time) schedule by >= 5x
-on the local micro-benchmark — the headline number gated via
-BENCH_leaderboard.json.  The summary also records ``src_loc`` (lines of
-``src/**/*.py``), the ROADMAP's tracked source-size metric.  Results
-land in ``benchmarks/results/batch_sweep.txt``.
+on the local micro-benchmark.  Results land in
+``benchmarks/results/batch_sweep.txt``.
 """
 
-import json
-import os
+from statistics import mean
 
 import pytest
 
-from conftest import results_path
+from conftest import results_path, timed
 from repro.bench.workloads import bench_engine
 from repro.exec import (
     Filter,
@@ -87,10 +84,10 @@ def test_local_pipeline_sweep(benchmark, batch_size):
         plan = set_batch_size(_local_plan(), batch_size)
         return collect_batches(plan, batch_size)
 
+    run, seconds = timed(run)
     rows = benchmark.pedantic(run, rounds=3, iterations=1)
     assert sorted(rows) == EXPECTED_LOCAL  # correctness at every size
-    seconds = benchmark.stats.stats.mean
-    _LOCAL[batch_size] = OUTER_N / seconds
+    _LOCAL[batch_size] = OUTER_N / mean(seconds)
     benchmark.extra_info["input_rows_per_sec"] = round(_LOCAL[batch_size])
 
 
@@ -116,6 +113,7 @@ def test_webcount_sweep(benchmark, batch_size, warm_web):
         finally:
             engine.pump.shutdown()
 
+    run, seconds = timed(run)
     overlap, frontier_first, result = benchmark.pedantic(
         run, rounds=2, iterations=1
     )
@@ -132,22 +130,10 @@ def test_webcount_sweep(benchmark, batch_size, warm_web):
         # would flake — the degenerate schedule keeps the structural
         # guarantee only.
         assert overlap == CALLS
-        _WEB[batch_size] = (benchmark.stats.stats.mean, overlap)
+        _WEB[batch_size] = (mean(seconds), overlap)
     else:
-        _WEB[batch_size] = (benchmark.stats.stats.mean, None)
+        _WEB[batch_size] = (mean(seconds), None)
     benchmark.extra_info["overlap_factor"] = overlap
-
-
-def _src_loc():
-    """Lines of ``src/**/*.py`` (what ``find src -name '*.py' | xargs cat | wc -l`` counts)."""
-    root = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))), "src")
-    total = 0
-    for directory, _, names in os.walk(root):
-        for name in names:
-            if name.endswith(".py"):
-                with open(os.path.join(directory, name), encoding="utf-8") as f:
-                    total += sum(1 for _ in f)
-    return total
 
 
 def test_batch_sweep_summary(benchmark):
@@ -182,26 +168,6 @@ def test_batch_sweep_summary(benchmark):
     )
     with open(results_path("batch_sweep.txt"), "w", encoding="utf-8") as f:
         f.write("\n".join(lines) + "\n")
-    # Machine-readable twin of the text table, consumed by
-    # benchmarks/leaderboard.py when it assembles BENCH_leaderboard.json.
-    report = {
-        "benchmark": "batch_sweep",
-        "local_rows_per_sec": {
-            str(b): round(_LOCAL[b], 1) for b in BATCH_SIZES if b in _LOCAL
-        },
-        "web_seconds": {
-            str(b): round(_WEB[b][0], 6) for b in BATCH_SIZES if b in _WEB
-        },
-        "web_overlap": {
-            str(b): _WEB[b][1]
-            for b in BATCH_SIZES
-            if b in _WEB and _WEB[b][1] is not None
-        },
-        "local_speedup_default_vs_1": round(speedup, 4),
-        "src_loc": _src_loc(),
-    }
-    with open(results_path("BENCH_batch_sweep.json"), "w") as f:
-        json.dump(report, f, indent=2, sort_keys=True)
     benchmark.extra_info["local_speedup_default_vs_1"] = round(speedup, 2)
     # The headline: compiled column kernels at the default batch size
     # must beat the one-row schedule by at least 5x on the local

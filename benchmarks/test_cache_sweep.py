@@ -8,15 +8,12 @@ speedup the cache bought at each point — the "hit-ratio vs speedup"
 curve that motivates :meth:`repro.plan.cost.CostModel.miss_fraction`.
 
 A second table compares *warm* runs across the tier stacks (memory /
-tiered / scratch+memory+disk): all tiers must clear the >= 2x
-warm-speedup bar the issue sets, since a warm cache removes every
-simulated network round trip from the critical path.
+memory+disk): both must clear the >= 2x warm-speedup bar, since a warm
+cache removes every simulated network round trip from the critical path.
 
-Results land in ``benchmarks/results/cache_sweep.txt`` (uploaded as a CI
-artifact).
+Results land in ``benchmarks/results/cache_sweep.txt``.
 """
 
-import json
 import time
 
 import pytest
@@ -28,7 +25,7 @@ from repro.web.cache import make_cache
 SQL = "Select Name, Count From Sigs, WebCount Where Name = T1 and T2 = 'computer'"
 ROWS = 37  # |Sigs|
 REPEAT_COUNTS = [1, 2, 3, 5]
-TIERS = ["memory", "tiered", "disk"]
+TIERS = ["memory", "disk"]
 
 _CURVE = {}  # repeats -> (hit_ratio, uncached_s, cached_s, speedup)
 _WARM = {}  # tier -> (cold_s, warm_s, speedup, hit_ratio)
@@ -119,30 +116,6 @@ def test_write_sweep_artifact():
     body = "\n".join(lines) + "\n"
     with open(results_path("cache_sweep.txt"), "w") as f:
         f.write(body)
-    # Machine-readable twin for benchmarks/leaderboard.py.
-    report = {
-        "benchmark": "cache_sweep",
-        "curve": {
-            str(r): {
-                "hit_ratio": round(_CURVE[r][0], 6),
-                "uncached_seconds": round(_CURVE[r][1], 6),
-                "cached_seconds": round(_CURVE[r][2], 6),
-                "speedup": round(_CURVE[r][3], 4),
-            }
-            for r in REPEAT_COUNTS
-        },
-        "warm": {
-            tier: {
-                "cold_seconds": round(_WARM[tier][0], 6),
-                "warm_seconds": round(_WARM[tier][1], 6),
-                "speedup": round(_WARM[tier][2], 4),
-                "hit_ratio": round(_WARM[tier][3], 6),
-            }
-            for tier in TIERS
-        },
-    }
-    with open(results_path("BENCH_cache_sweep.json"), "w") as f:
-        json.dump(report, f, indent=2, sort_keys=True)
     print()
     print(body)
     # Monotone sanity: more repeats -> higher hit ratio, and the curve's

@@ -2,28 +2,20 @@
 
 Drives a burst of concurrent WSQ queries from several tenants through
 one :class:`~repro.serve.session.QueryService` over a fault-injecting
-web, with offered load far above the pump's slot capacity.  Reports
+web, with offered load far above the pump's slot capacity.  Prints
 admitted-vs-shed latency percentiles (from the engine's
-``MetricsRegistry``) plus per-tenant outcome counts, persists them to
-``benchmarks/results/BENCH_serve.json``, and enforces the overload
-contract:
+``MetricsRegistry``) plus per-tenant outcome counts, and enforces the
+overload contract:
 
-- shed queries fail *fast* (typed, bounded p99 — the CI gate);
+- shed queries fail *fast* (typed, p99 <= 1 s);
 - admitted generous-deadline queries complete (bounded failure rate);
 - the weighted tenant demonstrably gets the better queue waits;
 - the pump's accounting is exact once the storm has drained.
-
-Scale knobs (environment): ``SERVE_LOAD_QUERIES`` total queries
-(default 600), ``SERVE_LOAD_SHED_P99`` the shed fast-fail p99 bound in
-seconds (default 1.0).
 """
 
-import json
-import os
 import threading
 import zlib
 
-from conftest import results_path
 from repro.asynciter.pump import PumpLimits, RequestPump
 from repro.asynciter.resilience import (
     CircuitBreakerConfig,
@@ -38,8 +30,8 @@ from repro.web.faults import FaultModel
 from repro.web.latency import UniformLatency
 from repro.wsq import WsqEngine
 
-TOTAL_QUERIES = int(os.environ.get("SERVE_LOAD_QUERIES", "600"))
-SHED_P99_BOUND = float(os.environ.get("SERVE_LOAD_SHED_P99", "1.0"))
+TOTAL_QUERIES = 300
+SHED_P99_BOUND = 1.0  # seconds
 
 PUMP_SLOTS = 8  # offered load below is tens of times this capacity
 WORKERS = 8
@@ -167,34 +159,9 @@ def test_serve_overload(capsys):
 
     snapshot = engine.metrics_snapshot()
     pump_snap = engine.pump.stats.snapshot()
-    admission = service.stats()["admission"]
-    e2e = _summaries(engine, "serve.e2e_seconds")
     shed_latency = snapshot["histograms"].get("serve.shed_latency_seconds")
     queue_wait = _summaries(engine, "serve.queue_wait_seconds")
 
-    report = {
-        "config": {
-            "total_queries": len(plan),
-            "pump_slots": PUMP_SLOTS,
-            "workers": WORKERS,
-            "submitter_threads": threads,
-            "fault_rate": FAULT_RATE,
-            "tight_fraction": TIGHT_FRACTION,
-            "tight_deadline_s": TIGHT_DEADLINE,
-            "shed_p99_bound_s": SHED_P99_BOUND,
-            "seed": SEED,
-        },
-        "outcomes": outcomes,
-        "admitted_e2e_seconds": e2e,
-        "queue_wait_seconds": queue_wait,
-        "shed_latency_seconds": shed_latency,
-        "tenants": admission["tenants"],
-        "breakers": snapshot["breakers"],
-        "pump": pump_snap,
-    }
-    path = results_path("BENCH_serve.json")
-    with open(path, "w") as fh:
-        json.dump(report, fh, indent=2, sort_keys=True)
     with capsys.disabled():
         print("\nserve load: {} queries → {}".format(len(plan), outcomes))
         if shed_latency:
@@ -214,7 +181,6 @@ def test_serve_overload(capsys):
                         tenant, wait["p50"], wait["p99"], wait["count"]
                     )
                 )
-        print("results -> {}".format(path))
 
     # -- the overload contract ------------------------------------------------
     total = sum(outcomes.values())
@@ -226,7 +192,7 @@ def test_serve_overload(capsys):
     assert outcomes["expired"] + outcomes["failed"] <= max(
         5, total // 20
     ), "admitted queries missed generous deadlines: {}".format(outcomes)
-    # Shed queries failed fast (the CI gate).
+    # Shed queries failed fast.
     assert shed_latency is not None
     assert shed_latency["p99"] <= SHED_P99_BOUND, (
         "shed fast-fail p99 {:.4f}s exceeds bound {}s".format(

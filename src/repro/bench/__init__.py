@@ -1,8 +1,8 @@
-"""Benchmark harness: workloads, the Table-1 driver, and alternatives.
+"""Benchmark harness: workloads, the Table-1 driver, Figure-7 placement.
 
-Everything here is importable library code; the ``benchmarks/`` directory
-contains thin pytest-benchmark wrappers around it, and the examples reuse
-it for demos.
+Everything here is importable library code that an example or a tier-1
+test reuses; the ``benchmarks/`` directory contains thin pytest wrappers
+around it (harnesses only a benchmark needs live beside it there).
 """
 
 from repro.bench.workloads import (

@@ -153,10 +153,10 @@ def main(argv=None):
     cache_group = parser.add_argument_group("result cache")
     cache_group.add_argument(
         "--cache-tier",
-        choices=("off", "memory", "tiered", "disk"),
+        choices=("off", "memory", "disk"),
         default=None,
         help="result-cache stack: off, a shared memory LRU, "
-        "scratch+memory (tiered), or scratch+memory+disk",
+        "or memory over a persistent disk tier",
     )
     cache_group.add_argument(
         "--cache-ttl",

@@ -174,7 +174,7 @@ def _given(explicit):
 def default_cache(environ=None):
     """The result cache ``$REPRO_CACHE`` asks for, or ``None``.
 
-    ``REPRO_CACHE=memory|tiered|disk`` puts a cache into every engine
+    ``REPRO_CACHE=memory|disk`` puts a cache into every engine
     that was handed none — the CI transparency leg runs the whole suite
     this way to prove caching never changes query results.
     ``REPRO_CACHE_TTL`` is its default TTL in seconds.

@@ -20,9 +20,9 @@ Robustness is the headline contract:
   flight members, without disturbing other tenants' identical calls.
 
 Thread model: ``max_workers`` daemon threads execute admitted queries
-against the shared engine.  The engine is safe to share — the pump and
-metrics registry are lock-guarded, and the tiered cache's per-query
-scratch tier is thread-local.
+against the shared engine.  The engine is safe to share — the pump,
+the metrics registry and the memory cache tier are lock-guarded, and the
+disk tier replaces files atomically.
 """
 
 import concurrent.futures

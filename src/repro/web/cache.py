@@ -19,11 +19,8 @@ subsystem (DESIGN.md §11):
   written atomically (temp file + ``os.replace``) under versioned,
   hashed keys, validated on read so a format bump or hash collision can
   never resurrect a wrong value.
-- :class:`TieredResultCache` — the stack: a per-query *scratch* tier
-  (query-lifetime snapshot consistency: one query never sees two
-  different answers for the same request, even across TTL expiry),
-  then the shared memory tier, then the disk tier, with read-promotion
-  upward and write-through downward.
+- :class:`TieredResultCache` — the stack: the shared memory tier over
+  the disk tier, with read-promotion upward and write-through downward.
 
 All tiers speak the same protocol (``lookup``/``get``/``put``/
 ``put_failure``/``stats``), and are shared by the synchronous client,
@@ -40,7 +37,6 @@ import pickle
 import tempfile
 import threading
 from collections import OrderedDict
-from contextlib import contextmanager
 
 from repro.obs.metrics import MetricsRegistry
 from repro.obs.trace import CACHE_EVICT, CACHE_HIT, CACHE_MISS, CACHE_STALE
@@ -612,19 +608,12 @@ class DiskCacheTier:
 
 
 class TieredResultCache:
-    """The cache stack: per-query scratch → shared memory → disk.
+    """The cache stack: shared memory → disk.
 
     Reads walk downward and *promote* lower-tier hits upward (a disk hit
-    refills the memory LRU; any hit lands in the active query's scratch
-    dict).  Writes go through every tier.  The scratch tier is scoped by
-    :meth:`query_scope` (the engine wraps each query in one): it gives a
-    single query snapshot consistency — once a query has seen an answer
-    for a key, it keeps seeing that answer even if the shared tiers
-    expire or evict mid-query — and makes repeated identical calls
-    within one query free without touching shared-tier locks.
+    refills the memory LRU).  Writes go through every tier.
     """
 
-    tier_name = "tiered"
     key = staticmethod(ResultCache.key)
 
     def __init__(
@@ -635,7 +624,6 @@ class TieredResultCache:
         clock=None,
         metrics=None,
         tracer=None,
-        scratch=True,
         memory=None,
         disk=None,
     ):
@@ -661,47 +649,12 @@ class TieredResultCache:
                 tracer=tracer,
             )
         self.disk = disk
-        self.scratch_enabled = scratch
-        self.telemetry = _TierTelemetry(
-            "scratch", metrics if metrics is not None else self.memory.metrics, tracer
-        )
-        self._local = threading.local()
-
-    # -- scratch tier ----------------------------------------------------------
-
-    def _scratch(self):
-        if not self.scratch_enabled:
-            return None
-        stack = getattr(self._local, "stack", None)
-        return stack[-1] if stack else None
-
-    @contextmanager
-    def query_scope(self):
-        """Activate a per-query scratch tier on this thread."""
-        stack = getattr(self._local, "stack", None)
-        if stack is None:
-            stack = self._local.stack = []
-        stack.append({})
-        try:
-            yield self
-        finally:
-            stack.pop()
 
     # -- lookups ---------------------------------------------------------------
 
     def lookup(self, key):
-        scratch = self._scratch()
-        if scratch is not None and key in scratch:
-            self.telemetry.count("cache.hit")
-            self.telemetry.trace(CACHE_HIT, key, status=FRESH)
-            value = scratch[key]
-            if isinstance(value, CachedFailure):
-                return CacheLookup(NEGATIVE, value, tier="scratch")
-            return CacheLookup(FRESH, value, tier="scratch")
         found = self.memory.lookup(key)
         if found.hit or found.failure:
-            if scratch is not None:
-                scratch[key] = found.value
             return found
         if self.disk is not None:
             found = self.disk.lookup(key)
@@ -712,8 +665,6 @@ class TieredResultCache:
                     self.memory._store(key, found.value, negative=True)
                 else:
                     self.memory.put(key, found.value)
-                if scratch is not None:
-                    scratch[key] = found.value
                 return found
         return _MISS
 
@@ -724,9 +675,6 @@ class TieredResultCache:
     # -- stores ---------------------------------------------------------------
 
     def put(self, key, value):
-        scratch = self._scratch()
-        if scratch is not None:
-            scratch[key] = value
         self.memory.put(key, value)
         if self.disk is not None:
             self.disk.put(key, value)
@@ -745,7 +693,7 @@ class TieredResultCache:
 
     @property
     def hits(self):
-        total = self.memory.hits + self.telemetry.value("cache.hit")
+        total = self.memory.hits
         if self.disk is not None:
             total += self.disk.hits
         return total
@@ -767,9 +715,6 @@ class TieredResultCache:
         self.memory.clear()
         if self.disk is not None:
             self.disk.clear()
-        stack = getattr(self._local, "stack", None)
-        if stack:
-            stack[-1].clear()
 
     def stats(self):
         return {"hits": self.hits, "misses": self.misses, "size": len(self.memory)}
@@ -777,10 +722,7 @@ class TieredResultCache:
     def detailed_stats(self):
         payload = self.stats()
         payload["hit_ratio"] = self.hit_ratio()
-        payload["tiers"] = {
-            "scratch": {"hits": self.telemetry.value("cache.hit")},
-            "memory": self.memory.detailed_stats(),
-        }
+        payload["tiers"] = {"memory": self.memory.detailed_stats()}
         if self.disk is not None:
             payload["tiers"]["disk"] = self.disk.detailed_stats()
         return payload
@@ -789,7 +731,6 @@ class TieredResultCache:
         self.memory.attach_observability(metrics, tracer)
         if self.disk is not None:
             self.disk.attach_observability(metrics, tracer)
-        self.telemetry.attach_observability(metrics, tracer)
 
 
 def make_cache(
@@ -804,9 +745,8 @@ def make_cache(
     """Build a cache for a tier name (the CLI / ``$REPRO_CACHE`` entry point).
 
     ``tier``: ``"off"``/``"none"`` → ``None``; ``"memory"`` → a plain
-    :class:`ResultCache`; ``"tiered"`` → scratch+memory;
-    ``"disk"`` → scratch+memory+disk (``disk_path`` defaults to
-    ``.wsq-cache`` under the working directory).
+    :class:`ResultCache`; ``"disk"`` → memory over disk (``disk_path``
+    defaults to ``.wsq-cache`` under the working directory).
     """
     if tier in (None, "off", "none", ""):
         return None
@@ -815,8 +755,6 @@ def make_cache(
     )
     if tier == "memory":
         return ResultCache(capacity=capacity, policy=policy, clock=clock)
-    if tier == "tiered":
-        return TieredResultCache(capacity=capacity, policy=policy, clock=clock)
     if tier == "disk":
         return TieredResultCache(
             capacity=capacity,
@@ -825,5 +763,5 @@ def make_cache(
             disk_path=disk_path if disk_path is not None else ".wsq-cache",
         )
     raise ValueError(
-        "unknown cache tier {!r}; expected off/memory/tiered/disk".format(tier)
+        "unknown cache tier {!r}; expected off/memory/disk".format(tier)
     )

@@ -1,7 +1,5 @@
 """The WSQ engine facade."""
 
-from contextlib import nullcontext
-
 from repro.asynciter.context import AsyncContext
 from repro.asynciter.pump import RequestPump, default_pump
 from repro.asynciter.rewrite import rewrite_logical
@@ -466,19 +464,6 @@ class WsqEngine:
         )
         return plan, mode, query_id
 
-    def _cache_scope(self):
-        """The per-query scratch-tier scope (no-op for plain caches).
-
-        A :class:`~repro.web.cache.TieredResultCache` gets one scratch
-        dict per query: repeated identical calls within the query are
-        served without shared-tier locks, and the query keeps seeing one
-        consistent answer per key even if shared tiers expire mid-run.
-        """
-        scope = getattr(self.cache, "query_scope", None)
-        if scope is not None:
-            return scope()
-        return nullcontext()
-
     def _run_select(self, query, mode, deadline=None):
         tracer = self.tracer
         plan, mode, query_id = self._prepare(query, mode, tracer, deadline)
@@ -486,8 +471,7 @@ class WsqEngine:
             tracer.emit(QUERY_SPAN, kind=BEGIN, query_id=query_id, mode=mode)
         started = self.clock.now()
         try:
-            with self._cache_scope():
-                rows = self._drain_batches(plan)
+            rows = self._drain_batches(plan)
         finally:
             if tracer is not None:
                 tracer.emit(QUERY_SPAN, kind=END, query_id=query_id)
@@ -626,8 +610,7 @@ class WsqEngine:
             tracer.emit(QUERY_SPAN, kind=BEGIN, query_id=query_id, mode=mode, sql=sql)
             started = self.clock.now()
             try:
-                with self._cache_scope():
-                    rows = self._drain_batches(wrapped)
+                rows = self._drain_batches(wrapped)
             finally:
                 tracer.emit(QUERY_SPAN, kind=END, query_id=query_id)
             elapsed = self.clock.now() - started

@@ -2,12 +2,6 @@
 
 import pytest
 
-from repro.bench.alternatives import (
-    compare,
-    run_async_iteration,
-    run_sequential,
-    run_thread_per_join,
-)
 from repro.bench.placement import build_figure7_plan, measure_figure7
 from repro.bench.table1 import PAPER_TABLE1, Table1Row, format_table1, run_table1
 from repro.bench.workloads import (
@@ -15,7 +9,6 @@ from repro.bench.workloads import (
     bench_engine,
     template_queries,
 )
-from repro.datasets import SIGS
 
 
 @pytest.fixture()
@@ -62,11 +55,14 @@ class TestTable1:
     def test_quick_run_shapes(self):
         rows = run_table1(instances=2, runs=1, latency=(0.002, 0.004))
         assert len(rows) == 3  # one per template
+        assert [(row.template, row.run, row.queries) for row in rows] == [
+            (1, 1, 2), (2, 1, 2), (3, 1, 2)
+        ]
         for row in rows:
             assert row.sync_seconds > 0
             assert row.async_seconds > 0
-            # The headline claim: async wins clearly.
-            assert row.improvement > 2
+        # The headline claim (async wins by > 4x) is a wall-clock floor:
+        # benchmarks/test_table1.py asserts it on the paper's full layout.
 
     def test_format_includes_paper_comparison(self):
         rows = [Table1Row(1, 1, 8, 1.0, 0.1)]
@@ -79,27 +75,6 @@ class TestTable1:
     def test_improvement_property(self):
         assert Table1Row(1, 1, 8, 2.0, 0.5).improvement == 4.0
         assert Table1Row(1, 1, 8, 2.0, 0.0).improvement == float("inf")
-
-
-class TestAlternatives:
-    def test_all_strategies_agree_on_results(self, web, paper_db):
-        engine = bench_engine(latency=None)
-        terms = [s.name for s in SIGS[:5]]
-        clients = [engine.clients[n] for n in sorted(engine.clients)]
-        seq = run_sequential(clients, terms, "computer")
-        par = run_thread_per_join(clients, terms, "computer")
-        assert seq == par  # same calls, same engine, same hits
-
-    def test_async_iteration_runs(self):
-        engine = bench_engine(latency=None)
-        result = run_async_iteration(engine, "computer")
-        assert result.columns == ["Name", "URL", "URL"]
-
-    def test_compare_orders_strategies(self):
-        engine = bench_engine(latency=(0.003, 0.006))
-        timings = compare(engine, [s.name for s in SIGS[:8]], "beaches")
-        assert timings["async_iteration"] < timings["sequential"]
-        assert timings["thread_per_join"] < timings["sequential"]
 
 
 class TestFigure7Placement:
@@ -124,51 +99,3 @@ class TestFigure7Placement:
         engine = bench_engine(latency=None)
         with pytest.raises(ValueError):
             build_figure7_plan(engine, "c", 2)
-
-
-class TestParallelDbms:
-    def test_same_results_as_sequential(self):
-        from repro.bench.paralleldb import run_parallel_dbms
-
-        engine = bench_engine(latency=None)
-        clients = [engine.clients[n] for n in sorted(engine.clients)]
-        terms = [s.name for s in SIGS[:9]]
-        parallel = run_parallel_dbms(
-            clients, terms, "computer", degree=4, thread_startup=0
-        )
-        sequential = run_sequential(clients, terms, "computer")
-        key = lambda hits: sorted(repr(h) for h in hits)
-        assert sorted(map(key, parallel)) == sorted(map(key, sequential))
-
-    def test_degree_speedup_shape(self):
-        from repro.bench.paralleldb import sweep_degrees
-
-        engine = bench_engine(latency=(0.004, 0.008))
-        terms = [s.name for s in SIGS]
-        timings = sweep_degrees(
-            engine, terms, "beaches", degrees=(1, 8, 37)
-        )
-        assert timings[8] < timings[1]
-        assert timings[37] < timings[1]
-
-    def test_async_iteration_beats_moderate_degree_parallelism(self):
-        """The paper's expectation: a parallel DBMS needs one thread per
-        tuple to approach asynchronous iteration.  At a realistic degree
-        (8-way) the gap is wide and stable; at degree == |outer| the two
-        are within scheduling noise of each other, so that comparison
-        lives in the benchmarks, not in an assertion."""
-        import time
-
-        from repro.bench.paralleldb import run_parallel_dbms
-
-        engine = bench_engine(latency=(0.004, 0.008))
-        clients = [engine.clients[n] for n in sorted(engine.clients)]
-        terms = [s.name for s in SIGS]
-        started = time.perf_counter()
-        run_parallel_dbms(clients, terms, "politics", degree=8)
-        parallel_seconds = time.perf_counter() - started
-        engine2 = bench_engine(latency=(0.004, 0.008))
-        started = time.perf_counter()
-        run_async_iteration(engine2, "politics")
-        async_seconds = time.perf_counter() - started
-        assert async_seconds < parallel_seconds / 1.5

@@ -2,8 +2,8 @@
 
 Hypothesis generates WSQ queries over the paper's tables; every query is
 run against an *uncached* baseline engine and then twice (cold + warm)
-against cached engines spanning the tier matrix — memory / tiered /
-scratch+memory+disk — under TTL policies from "never expires" through
+against cached engines spanning the tier matrix — memory /
+memory+disk — under TTL policies from "never expires" through
 "always stale-served" to "expires instantly".  Across all of
 {tier × TTL × sync/async × faults on/off} the result multiset must be
 identical to the baseline, and every emitted trace event must validate
@@ -17,6 +17,7 @@ import shutil
 import tempfile
 from collections import Counter
 
+import pytest
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
@@ -75,16 +76,13 @@ def _build_cache(name):
         return ResultCache(
             policy=CachePolicy(default_ttl=None, negative_ttl=1e9)
         )
-    if name == "tiered":
-        return TieredResultCache()
     if name == "disk":
         return TieredResultCache(disk_path=_DISK_DIR)
     raise AssertionError(name)
 
 
 CACHE_CONFIGS = (
-    "memory", "memory-expire", "memory-stale", "memory-negative",
-    "tiered", "disk",
+    "memory", "memory-expire", "memory-stale", "memory-negative", "disk",
 )
 
 
@@ -177,7 +175,7 @@ class TestCacheTransparency:
     @given(wsq_query())
     def test_sync_and_async_agree_through_one_shared_cache(self, sql):
         """Both execution modes read and write the *same* cache."""
-        engine = cached_engine("tiered")
+        engine = cached_engine("disk")
         assert run_and_validate(engine, sql, "sync") == run_and_validate(
             engine, sql, "async"
         )
@@ -195,6 +193,21 @@ class TestCacheTransparency:
         engine.run(sql, mode="sync")
         assert engine.cache.misses == misses_before  # nothing re-fetched
         assert engine.cache.hits > hits_before
+
+    @pytest.mark.parametrize("repeats", [1, 2, 3, 5])
+    def test_hit_ratio_curve_is_k_minus_one_over_k(self, repeats):
+        """k executions of one query: the first misses, every re-run hits
+        (the curve ``benchmarks/test_cache_sweep.py`` times)."""
+        cache = ResultCache()
+        engine = WsqEngine(database=db(), web=web(), cache=cache, shards=1)
+        sql = (
+            "Select Name, Count From Sigs, WebCount "
+            "Where Name = T1 and T2 = 'computer'"
+        )
+        for _ in range(repeats):
+            assert len(engine.run(sql, mode="sync").rows) == 37
+        assert cache.misses == 37
+        assert cache.hit_ratio() == pytest.approx((repeats - 1) / repeats)
 
 
 class TestCacheTransparencyUnderFaults:
@@ -221,17 +234,14 @@ class TestCacheTransparencyUnderFaults:
     )
     @given(
         st.sampled_from(["Sigs", "CSFields"]),
-        st.sampled_from(["memory", "tiered"]),
         st.sampled_from(["sync", "async"]),
     )
-    def test_drop_set_identical_with_and_without_cache(
-        self, table, config, mode
-    ):
+    def test_drop_set_identical_with_and_without_cache(self, table, mode):
         sql = (
             "Select {t}.Name, Count From {t}, WebCount Where Name = T1"
         ).format(t=table)
         uncached = self._engine(cache=False)
-        cached = self._engine(cache=_build_cache(config))
+        cached = self._engine(cache=ResultCache())
         try:
             expected = multiset(uncached.run(sql, mode=mode))
             cold = multiset(cached.run(sql, mode=mode))

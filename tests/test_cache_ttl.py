@@ -211,34 +211,15 @@ class TestDiskTierTtl:
         assert disk.lookup(KEY).status == MISS
 
 
-class TestScratchSnapshotConsistency:
-    def test_query_scope_pins_answers_across_expiry(self, tmp_path):
-        # Within one query a key keeps its first answer even if the
-        # shared tiers expire it mid-query.
-        clock = VirtualClock()
-        policy = CachePolicy(default_ttl=5.0)
-        cache = TieredResultCache(
-            policy=policy, clock=clock, disk_path=str(tmp_path)
-        )
-        cache.put(KEY, "first")
-        with cache.query_scope():
-            assert cache.lookup(KEY).value == "first"
-            clock.advance(10.0)  # shared tiers expire the entry
-            found = cache.lookup(KEY)
-            assert found.status == FRESH and found.tier == "scratch"
-            assert found.value == "first"
-        # Outside the scope the expiry is visible again.
-        assert cache.lookup(KEY).status == MISS
-
-    def test_scopes_nest_and_do_not_leak(self):
-        cache = TieredResultCache(clock=VirtualClock())
-        with cache.query_scope():
-            cache.put(KEY, "outer")
-            with cache.query_scope():
-                # Inner scope starts empty but reads through to memory.
-                assert cache.lookup(KEY).value == "outer"
-            assert cache.lookup(KEY).value == "outer"
-        assert cache.lookup(KEY).value == "outer"  # memory tier persists
+class TestTieredStack:
+    def test_disk_hit_promotes_to_memory(self, tmp_path):
+        # Write-through fills both tiers; a fresh stack over the same
+        # directory finds the value on disk and refills its memory LRU.
+        TieredResultCache(disk_path=str(tmp_path)).put(KEY, "v")
+        cache = TieredResultCache(disk_path=str(tmp_path))
+        assert cache.lookup(KEY).tier == "disk"
+        assert cache.lookup(KEY).tier == "memory"
+        assert set(cache.detailed_stats()["tiers"]) == {"memory", "disk"}
 
 
 class TestCounterRegression:
@@ -336,6 +317,10 @@ class TestMakeCacheTtlKnobs:
 
     def test_make_cache_off_is_none(self):
         assert make_cache(tier="off") is None
+
+    def test_make_cache_names_the_tiers_it_accepts(self):
+        with pytest.raises(ValueError, match="off/memory/disk"):
+            make_cache(tier="tiered")
 
     def test_policy_rejects_bad_windows(self):
         with pytest.raises(ValueError):

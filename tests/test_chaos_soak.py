@@ -36,7 +36,7 @@ WSQ_SQL = (
 #: tier must stay transparent; coalescing and batching must not change
 #: results; a generous deadline must be invisible.
 FAULT_RATES = (0.0, 0.1)
-CACHE_TIERS = ("off", "memory", "tiered")
+CACHE_TIERS = ("off", "memory")
 SINGLE_FLIGHT = (False, True)
 BATCH_SIZES = (1, 16)
 DEADLINES = (None, 60.0)

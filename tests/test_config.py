@@ -22,7 +22,7 @@ from repro.obs import Observability
 from repro.serve import Deadline
 from repro.util.errors import ConfigError, PlanError, ReproError
 from repro.vtables.evscan import EVScan
-from repro.web.cache import ResultCache, TieredResultCache, make_cache
+from repro.web.cache import ResultCache, make_cache
 from repro.wsq import WsqEngine
 
 SQL = "Select Name, Count From States, WebCount Where Name = T1"
@@ -188,13 +188,15 @@ class TestDefaultCache:
 
     def test_tiers_and_ttl(self):
         assert type(default_cache({"REPRO_CACHE": "memory"})) is ResultCache
-        tiered = default_cache({"REPRO_CACHE": "Tiered", "REPRO_CACHE_TTL": "2.5"})
-        assert isinstance(tiered, TieredResultCache)
-        assert tiered.policy.default_ttl == 2.5
+        memory = default_cache({"REPRO_CACHE": "Memory", "REPRO_CACHE_TTL": "2.5"})
+        assert type(memory) is ResultCache
+        assert memory.policy.default_ttl == 2.5
 
     def test_invalid_values_name_their_variable(self):
-        with pytest.raises(ConfigError, match=r"\$REPRO_CACHE\b"):
+        with pytest.raises(ConfigError, match=r"\$REPRO_CACHE\b.*off/memory/disk"):
             default_cache({"REPRO_CACHE": "floppy"})
+        with pytest.raises(ConfigError, match="off/memory/disk"):
+            default_cache({"REPRO_CACHE": "tiered"})
         with pytest.raises(ConfigError, match=r"\$REPRO_CACHE_TTL"):
             default_cache({"REPRO_CACHE": "memory", "REPRO_CACHE_TTL": "soon"})
 
