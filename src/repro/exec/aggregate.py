@@ -111,6 +111,7 @@ class Aggregate(Operator):
         spec_evals = [
             None if s.star else compile_column_eval(s.expr) for s in self.specs
         ]
+        labels = [s.sql() for s in self.specs]  # error context, once per open
         while True:
             batch = self.child.next_batch(self.batch_size)
             if batch is None:
@@ -130,13 +131,11 @@ class Aggregate(Operator):
                     accumulators = [_Accumulator(s.func) for s in self.specs]
                     groups[key] = accumulators
                     order.append(key)
-                for spec, acc, column in zip(
-                    self.specs, accumulators, input_columns
-                ):
+                for label, acc, column in zip(labels, accumulators, input_columns):
                     if column is None:
                         acc.add(_STAR)
                     else:
-                        acc.add(require_concrete(column[i], spec.sql()))
+                        acc.add(require_concrete(column[i], label))
         self.child.close()
         if not self.group_exprs and not groups:
             groups[()] = [_Accumulator(s.func) for s in self.specs]

@@ -24,11 +24,14 @@ class TableScan(Operator):
     Pages decode straight into typed column vectors
     (``Table.scan_column_batches()``), which are re-chunked to the
     caller's ``max_rows`` — batches reach the operators column-major
-    without a pivot.
+    without a pivot.  *columns* is the set of schema positions the plan
+    above reads (``None`` = all, what a hand-built plan gets); lowering
+    computes it, and the other positions arrive NULL-filled, undecoded.
     """
 
-    def __init__(self, table, qualifier=None):
+    def __init__(self, table, qualifier=None, columns=None):
         self.table = table
+        self.columns = columns
         self.qualifier = qualifier or table.name
         self.schema = table.schema.with_qualifier(self.qualifier)
         self.children = ()
@@ -37,7 +40,7 @@ class TableScan(Operator):
 
     def open(self, bindings=None):
         self._reject_bindings(bindings)
-        self._chunks = self.table.scan_column_batches()
+        self._chunks = self.table.scan_column_batches(self.columns)
         self._pending_cols = None
 
     def next_batch(self, max_rows=None):

@@ -32,10 +32,54 @@ def lower(node, config=None, context=None):
     """
     if config is None:
         config = EngineConfig.resolve()
-    return set_batch_size(_lower(node, config, context), config.batch_size)
+    return set_batch_size(_lower(node, config, context, None), config.batch_size)
 
 
-def _lower(node, config, context):
+def _refs(expressions):
+    return set().union(*(e.referenced_columns() for e in expressions))
+
+
+def child_columns(node, needed):
+    """The output positions each child of *node* must produce.
+
+    *needed* is the set of *node*'s own output positions its ancestors
+    read (``None`` = all of them: the root's answer).  Each child gets
+    the positions *node* reads itself plus the ones it hands through.
+    The sets only ever reach a ``TableScan``, which skips decoding the
+    stored columns outside them; ``None`` is always a safe answer.
+    """
+    if isinstance(node, L.LogicalProject):
+        return [_refs(node.expressions)]
+    if isinstance(node, L.LogicalAggregate):
+        return [
+            _refs(node.group_exprs + [s.expr for s in node.specs if not s.star])
+        ]
+    if needed is not None:
+        if isinstance(node, (L.LogicalLimit, L.LogicalReqSync)):
+            return [needed]
+        if isinstance(node, L.LogicalFilter):
+            return [needed | node.predicate.referenced_columns()]
+        if isinstance(node, L.LogicalSort):
+            return [needed | _refs(expr for expr, _ in node.keys)]
+        if isinstance(node, L.LogicalUnion):
+            return [needed, needed]
+        if isinstance(
+            node, (L.LogicalJoin, L.LogicalCrossProduct, L.LogicalDependentJoin)
+        ):
+            if isinstance(node, L.LogicalJoin):
+                needed = needed | node.predicate.referenced_columns()
+            width = len(node.left.schema)
+            left = {i for i in needed if i < width}
+            if isinstance(node, L.LogicalDependentJoin):
+                left.update(node.binding_columns.values())
+            return [left, {i - width for i in needed if i >= width}]
+    # Distinct compares whole rows, and a node this analysis does not
+    # know may read anything: every column of every child.
+    return [None] * len(node.children)
+
+
+def _lower(node, config, context, needed):
+    """Lower *node*, whose ancestors read its output positions *needed*."""
     # Imports are local so `repro.plan` stays importable without pulling
     # the full exec/asynciter stack at module-import time.
     from repro.exec.aggregate import Aggregate
@@ -49,6 +93,11 @@ def _lower(node, config, context):
     from repro.exec.sort import Sort
     from repro.exec.union import UnionAll
 
+    needs = child_columns(node, needed)
+
+    def child(position=0):
+        return _lower(node.children[position], config, context, needs[position])
+
     if isinstance(node, L.LogicalScan):
         if node.index is not None:
             return IndexScan(
@@ -60,54 +109,34 @@ def _lower(node, config, context):
                 include_low=node.include_low,
                 include_high=node.include_high,
             )
-        return TableScan(node.table, node.alias)
+        columns = None if needed is None else tuple(sorted(needed))
+        return TableScan(node.table, node.alias, columns)
     if isinstance(node, L.LogicalRowsScan):
         return RowsScan(node.schema, node.rows_data, node.name)
     if isinstance(node, L.LogicalVTableScan):
         return _lower_vtable_scan(node, config, context)
     if isinstance(node, L.LogicalReqSync):
-        return _lower_reqsync(node, config, context)
+        return _lower_reqsync(node, config, context, child)
     if isinstance(node, L.LogicalFilter):
-        return Filter(_lower(node.child, config, context), node.predicate)
+        return Filter(child(), node.predicate)
     if isinstance(node, L.LogicalProject):
-        return Project(
-            _lower(node.child, config, context), node.expressions, node.schema
-        )
+        return Project(child(), node.expressions, node.schema)
     if isinstance(node, L.LogicalAggregate):
-        return Aggregate(
-            _lower(node.child, config, context),
-            node.group_exprs,
-            node.specs,
-            node.schema,
-        )
+        return Aggregate(child(), node.group_exprs, node.specs, node.schema)
     if isinstance(node, L.LogicalDistinct):
-        return Distinct(_lower(node.child, config, context))
+        return Distinct(child())
     if isinstance(node, L.LogicalSort):
-        return Sort(_lower(node.child, config, context), node.keys)
+        return Sort(child(), node.keys)
     if isinstance(node, L.LogicalLimit):
-        return Limit(_lower(node.child, config, context), node.count)
+        return Limit(child(), node.count)
     if isinstance(node, L.LogicalJoin):
-        return NestedLoopJoin(
-            _lower(node.left, config, context),
-            _lower(node.right, config, context),
-            node.predicate,
-        )
+        return NestedLoopJoin(child(0), child(1), node.predicate)
     if isinstance(node, L.LogicalDependentJoin):
-        return DependentJoin(
-            _lower(node.left, config, context),
-            _lower(node.right, config, context),
-            node.binding_columns,
-        )
+        return DependentJoin(child(0), child(1), node.binding_columns)
     if isinstance(node, L.LogicalCrossProduct):
-        return CrossProduct(
-            _lower(node.left, config, context),
-            _lower(node.right, config, context),
-        )
+        return CrossProduct(child(0), child(1))
     if isinstance(node, L.LogicalUnion):
-        return UnionAll(
-            _lower(node.left, config, context),
-            _lower(node.right, config, context),
-        )
+        return UnionAll(child(0), child(1))
     raise PlanError("cannot lower logical node {!r}".format(node))
 
 
@@ -126,13 +155,13 @@ def _lower_vtable_scan(node, config, context):
     return EVScan(node.instance, context, on_error=on_error)
 
 
-def _lower_reqsync(node, config, context):
+def _lower_reqsync(node, config, context, child):
     from repro.asynciter.reqsync import ReqSync
 
     if context is None:
         raise PlanError("lowering a ReqSync requires an AsyncContext")
     return ReqSync(
-        _lower(node.child, config, context),
+        child(),
         context,
         stream=node.stream,
         preserve_order=node.preserve_order,

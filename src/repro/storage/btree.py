@@ -19,7 +19,9 @@ Splits happen when an insert does not fit in the page's byte budget; the
 split point is the median entry.  Deletes remove entries in place without
 rebalancing (nodes may become underfull — standard for secondary indexes
 at this scale; a `vacuum`-style rebuild is available via
-:meth:`BPlusTree.bulk_rebuild`).
+:meth:`BPlusTree.bulk_rebuild`).  Building over existing rows
+(:meth:`BPlusTree.bulk_load`) is bottom-up: sort, pack the leaves left to
+right, then build the levels above them.
 """
 
 import struct
@@ -38,6 +40,13 @@ _CHILD = struct.Struct("<I")
 
 _INT = struct.Struct("<q")
 _FLOAT = struct.Struct("<d")
+
+# One whole (leaf, internal) entry of a fixed-width-key node, so a node's
+# entry run reads in one call.
+_FIXED_ENTRIES = {
+    DataType.INT: (struct.Struct("<HqIH"), struct.Struct("<HqI")),
+    DataType.FLOAT: (struct.Struct("<HdIH"), struct.Struct("<HdI")),
+}
 
 
 class KeyCodec:
@@ -168,21 +177,62 @@ class BPlusTree:
     def entry_count(self):
         return sum(1 for _ in self.scan_all())
 
-    def bulk_rebuild(self, entries):
-        """Rebuild from scratch over sorted-or-not (key, rid) pairs.
+    def bulk_load(self, entries):
+        """Replace the tree's contents with *entries*, built bottom-up.
 
-        Reclaims nothing on disk (old pages are orphaned) but restores
-        balanced structure; callers persist the returned new root id.
+        *entries* are ``(key, rid)`` pairs in any order, NULL keys dropped;
+        a lazy scan of this very tree is fine (sorting consumes it before
+        a page is written).  Leaves are packed left to right to the page's
+        byte budget and linked; each level above separates two children
+        by the first key of the right one, which :meth:`_child_for` needs
+        when a duplicate run spans leaves.  Old pages are orphaned, not
+        reclaimed; callers persist the returned new root id.
         """
-        # Materialize first: *entries* may be a lazy scan of this very
-        # tree, which must complete before the root is replaced.
-        entries = list(entries)
-        root = _Node(self._allocate(), _LEAF)
-        self._write(root)
-        self.root_page_id = root.page_id
-        for key, rid in entries:
-            self.insert(key, rid)
-        return self.root_page_id
+        entries = sorted(
+            ((key, rid) for key, rid in entries if key is not None),
+            key=lambda entry: (entry[0], entry[1].page_id, entry[1].slot),
+        )
+        level = self._pack(_LEAF, entries) or [(None, _Node(self._allocate(), _LEAF))]
+        for (_, node), (_, following) in zip(level, level[1:]):
+            node.next_leaf = following.page_id
+        while True:
+            for _, node in level:
+                self._write(node)
+            if len(level) == 1:
+                self.root_page_id = level[0][1].page_id
+                return self.root_page_id
+            level = self._pack(
+                _INTERNAL, [(first_key, node.page_id) for first_key, node in level]
+            )
+
+    def bulk_rebuild(self, entries):
+        """Rebuild from scratch (e.g. after many deletes): :meth:`bulk_load`."""
+        return self.bulk_load(entries)
+
+    def _pack(self, kind, items):
+        """Fill nodes of *kind* left to right; ``[(first key below, node)]``.
+
+        A leaf stores every ``(key, payload)`` item; an internal node takes
+        its first item's payload as ``children[0]`` and keys the rest.
+        """
+        budget = self.pool.disk.page_size
+        reference = _RIDREF.size if kind == _LEAF else _CHILD.size
+        packed = []
+        node, size = None, 0
+        for key, payload in items:
+            need = _KEYLEN.size + len(self.codec.encode(key)) + reference
+            if node is None or size + need > budget:
+                node = _Node(self._allocate(), kind)
+                packed.append((key, node))
+                size = _HEADER.size
+                if kind == _INTERNAL:
+                    node.children.append(payload)
+                    size += _CHILD.size
+                    continue
+            node.keys.append(key)
+            (node.rids if kind == _LEAF else node.children).append(payload)
+            size += need
+        return packed
 
     # -- descent -----------------------------------------------------------------
 
@@ -325,27 +375,43 @@ class BPlusTree:
             node = _Node(page_id, kind)
             node.next_leaf = None if next_ref == 0 else next_ref - 1
             offset = _HEADER.size
-            if kind == _LEAF:
-                for _ in range(count):
-                    (key_len,) = _KEYLEN.unpack_from(data, offset)
-                    offset += _KEYLEN.size
-                    key = self.codec.decode(bytes(data[offset : offset + key_len]))
-                    offset += key_len
-                    page, slot = _RIDREF.unpack_from(data, offset)
-                    offset += _RIDREF.size
-                    node.keys.append(key)
-                    node.rids.append(RID(page, slot))
-            else:
-                (first_child,) = _CHILD.unpack_from(data, offset)
+            if kind != _LEAF:
+                node.children.append(_CHILD.unpack_from(data, offset)[0])
                 offset += _CHILD.size
-                node.children.append(first_child)
-                for _ in range(count):
-                    (key_len,) = _KEYLEN.unpack_from(data, offset)
-                    offset += _KEYLEN.size
-                    key = self.codec.decode(bytes(data[offset : offset + key_len]))
-                    offset += key_len
-                    (child,) = _CHILD.unpack_from(data, offset)
-                    offset += _CHILD.size
-                    node.keys.append(key)
-                    node.children.append(child)
+            if self.key_type in _FIXED_ENTRIES:
+                if count:
+                    self._read_fixed_entries(node, data, offset, count)
+                return node
+            reference = _RIDREF if kind == _LEAF else _CHILD
+            for _ in range(count):
+                (key_len,) = _KEYLEN.unpack_from(data, offset)
+                offset += _KEYLEN.size
+                node.keys.append(
+                    self.codec.decode(bytes(data[offset : offset + key_len]))
+                )
+                offset += key_len
+                target = reference.unpack_from(data, offset)
+                offset += reference.size
+                if kind == _LEAF:
+                    node.rids.append(RID(*target))
+                else:
+                    node.children.append(target[0])
             return node
+
+    def _read_fixed_entries(self, node, data, offset, count):
+        """An INT/FLOAT node's whole entry run, read with one ``struct`` call."""
+        entry = _FIXED_ENTRIES[self.key_type][node.kind]
+        lengths, keys, *targets = zip(
+            *entry.iter_unpack(data[offset : offset + count * entry.size])
+        )
+        if lengths.count(_INT.size) != count:
+            raise StorageError(
+                "corrupt index node {}: a fixed-width key is not {} bytes".format(
+                    node.page_id, _INT.size
+                )
+            )
+        node.keys = list(keys)
+        if node.is_leaf:
+            node.rids = list(map(RID, *targets))
+        else:
+            node.children.extend(targets[0])

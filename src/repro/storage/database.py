@@ -79,8 +79,9 @@ class Database:
         )
         self.catalog.register_index(index_name, table_name, column_name)
         index = self._open_index(index_name)
-        for rid, row in table.scan_with_rids():
-            index.tree.insert(row[column_index], rid)
+        index.tree.bulk_load(
+            (row[column_index], rid) for rid, row in table.scan_with_rids()
+        )
         self.catalog.set_index_root(index_name, index.tree.root_page_id)
         index._last_root = index.tree.root_page_id
         return index

@@ -7,7 +7,7 @@ small systems like Redbase).  Inserts fill the last page and allocate a new
 one when full; scans walk pages in order through the buffer pool.
 """
 
-from repro.storage.page import SlottedPage, max_record_size
+from repro.storage.page import SlottedPage, max_record_size, read_directory
 from repro.util.errors import StorageError
 
 
@@ -42,25 +42,16 @@ class HeapFile:
 
     def insert(self, record):
         """Store *record* bytes; return its :class:`RID`."""
-        limit = max_record_size(self.pool.disk.page_size)
-        if len(record) > limit:
-            raise StorageError(
-                "record of {} bytes exceeds page capacity {}".format(len(record), limit)
-            )
-        page_count = self.pool.disk.page_count
-        if page_count > 0:
-            last = page_count - 1
-            with self.pool.pin(last) as guard:
-                page = SlottedPage(guard.data)
-                if page.has_room_for(len(record)):
-                    slot = page.insert(record)
-                    guard.mark_dirty()
-                    return RID(last, slot)
-        with self.pool.new_page() as guard:
-            page = SlottedPage(guard.data)
-            slot = page.insert(record)
-            guard.mark_dirty()
-            return RID(guard.page_id, slot)
+        with self.appender() as append:
+            return append(record)
+
+    def appender(self):
+        """A ``with`` block yielding ``append(record) -> RID``.
+
+        The tail page stays pinned while it fills, so a bulk insert makes
+        one buffer-pool round trip per page instead of one per record.
+        """
+        return _Appender(self)
 
     def read(self, rid):
         """Return record bytes for *rid* (``None`` if deleted)."""
@@ -81,20 +72,18 @@ class HeapFile:
             for slot, record in rows:
                 yield RID(page_id, slot), record
 
-    def scan_batches(self):
-        """Yield one ``[(rid, record_bytes), ...]`` list per non-empty page.
+    def scan_pages(self, decode):
+        """Yield ``(page_id, directory, decode(data, directory))`` per page.
 
-        The batched counterpart of :meth:`scan`: each page is pinned once
-        and its live records are emitted together, so batch consumers do
-        one buffer-pool round trip per page instead of re-entering the
-        generator per record.  Storage order matches :meth:`scan` exactly.
+        *decode* (a compiled page decoder) runs under the pin and must
+        return nothing that aliases the frame; ``directory`` is the
+        page's flat slot directory.  Page order matches :meth:`scan`.
         """
         for page_id in range(self.pool.disk.page_count):
             with self.pool.pin(page_id) as guard:
-                page = SlottedPage(guard.data)
-                rows = list(page.records())
-            if rows:
-                yield [(RID(page_id, slot), record) for slot, record in rows]
+                directory = read_directory(guard.data)
+                decoded = decode(guard.data, directory)
+            yield page_id, directory, decoded
 
     def record_count(self):
         count = 0
@@ -109,3 +98,44 @@ class HeapFile:
             with self.pool.pin(page_id) as guard:
                 SlottedPage(guard.data).compact()
                 guard.mark_dirty()
+
+
+class _Appender:
+    """One :meth:`HeapFile.appender` block: the tail page, pinned while it fills."""
+
+    def __init__(self, heap):
+        self.pool = heap.pool
+        self.limit = max_record_size(heap.pool.disk.page_size)
+        self.guard = None
+        self.page = None
+
+    def __enter__(self):
+        return self.append
+
+    def __exit__(self, *exc):
+        self._turn_to(None)
+
+    def _turn_to(self, pin):
+        """Unpin the held page *before* ``pin()`` asks the pool for the next."""
+        if self.guard is not None:
+            self.guard.__exit__()
+        self.guard = self.page = None  # nothing held if pin() raises
+        if pin is not None:
+            self.guard = pin()
+            self.page = SlottedPage(self.guard.data)
+
+    def append(self, record):
+        if len(record) > self.limit:
+            raise StorageError(
+                "record of {} bytes exceeds page capacity {}".format(
+                    len(record), self.limit
+                )
+            )
+        pool = self.pool
+        if self.guard is None and pool.disk.page_count > 0:
+            self._turn_to(lambda: pool.pin(pool.disk.page_count - 1))
+        if self.guard is None or not self.page.has_room_for(len(record)):
+            self._turn_to(pool.new_page)
+        slot = self.page.insert(record)
+        self.guard.mark_dirty()
+        return RID(self.guard.page_id, slot)

@@ -16,8 +16,27 @@ from repro.util.errors import StorageError
 _HEADER = struct.Struct("<HH")  # slot_count, free_end
 _SLOT = struct.Struct("<HH")  # offset, length
 
-# Sentinel offset for a tombstoned slot (length is also 0).
-_TOMBSTONE = 0xFFFF
+# Sentinel offset for a tombstoned slot (length is also 0).  No live record
+# starts there: offset + length <= page size <= 0xFFFF.
+TOMBSTONE = 0xFFFF
+
+
+def read_directory(data):
+    """A page's slot directory from one ``struct`` call.
+
+    Returns the flat tuple ``(offset, length, offset, length, ...)`` in
+    slot order — what a compiled page decoder
+    (:func:`repro.storage.serialization.page_decoder`) walks.
+    """
+    slot_count, _ = _HEADER.unpack_from(data, 0)
+    return struct.unpack_from("<{}H".format(2 * slot_count), data, _HEADER.size)
+
+
+def live_slots(directory):
+    """Slot numbers of the live records in a flat *directory*, in order."""
+    return [
+        slot for slot, offset in enumerate(directory[::2]) if offset != TOMBSTONE
+    ]
 
 
 class SlottedPage:
@@ -67,16 +86,16 @@ class SlottedPage:
     def read(self, slot):
         """Return record bytes at *slot*, or ``None`` for a tombstone."""
         offset, length = self._read_slot(slot)
-        if offset == _TOMBSTONE and length == 0:
+        if offset == TOMBSTONE and length == 0:
             return None
         return bytes(self.data[offset : offset + length])
 
     def delete(self, slot):
         """Tombstone *slot*.  Space is reclaimed by :meth:`compact`."""
         offset, length = self._read_slot(slot)
-        if offset == _TOMBSTONE and length == 0:
+        if offset == TOMBSTONE and length == 0:
             raise StorageError("slot {} already deleted".format(slot))
-        _SLOT.pack_into(self.data, self._slot_pos(slot), _TOMBSTONE, 0)
+        _SLOT.pack_into(self.data, self._slot_pos(slot), TOMBSTONE, 0)
 
     def records(self):
         """Yield ``(slot, record_bytes)`` for live records in slot order."""
@@ -86,7 +105,7 @@ class SlottedPage:
                 yield slot, record
 
     def live_count(self):
-        return sum(1 for _ in self.records())
+        return self.slot_count - read_directory(self.data)[::2].count(TOMBSTONE)
 
     def compact(self):
         """Rewrite live records contiguously, reclaiming tombstone space.
@@ -107,10 +126,10 @@ class SlottedPage:
     # -- internals ----------------------------------------------------------
 
     def _find_free_slot(self):
-        for slot in range(self.slot_count):
-            offset, length = self._read_slot(slot)
-            if offset == _TOMBSTONE and length == 0:
-                return slot
+        """The first tombstoned slot (``None`` if every slot is live)."""
+        offsets = read_directory(self.data)[::2]
+        if TOMBSTONE in offsets:
+            return offsets.index(TOMBSTONE)
         return None
 
     def _read_slot(self, slot):

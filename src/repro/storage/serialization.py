@@ -10,16 +10,30 @@ Rows are encoded against their table schema:
 
 The encoding is self-delimiting given the schema, so records can be packed
 back-to-back inside slotted pages.
+
+Decoding is *compiled*: :func:`page_decoder` generates, once per (column
+types, wanted columns), a function that walks a whole page's slot
+directory and appends every live record's wanted fields straight into
+per-column vectors.  Every read is bounded by the record's slot length,
+so a damaged record raises :class:`~repro.util.errors.StorageError`
+instead of returning its neighbour's bytes.
 """
 
+import functools
 import struct
 
+from repro.relational.batch import type_column
 from repro.relational.types import DataType, coerce_value
+from repro.storage.page import TOMBSTONE
 from repro.util.errors import StorageError
 
 _INT = struct.Struct("<q")
 _FLOAT = struct.Struct("<d")
 _LEN = struct.Struct("<I")
+
+#: struct code and width of the fixed-width types (STR/DATE are
+#: length-prefixed).
+_FIXED = {DataType.INT: ("q", 8), DataType.FLOAT: ("d", 8), DataType.BOOL: ("?", 1)}
 
 
 def null_bitmap_size(column_count):
@@ -55,35 +69,142 @@ def encode_record(row, schema):
 
 def decode_record(data, schema):
     """Deserialize bytes produced by :func:`encode_record` into a tuple."""
-    bitmap_size = null_bitmap_size(len(schema))
-    if len(data) < bitmap_size:
-        raise StorageError("truncated record: missing null bitmap")
-    bitmap = data[:bitmap_size]
-    offset = bitmap_size
-    values = []
-    for i, column in enumerate(schema):
-        if bitmap[i // 8] & (1 << (i % 8)):
-            values.append(None)
+    decode = page_decoder(tuple(column.type for column in schema), None)
+    return tuple(vector[0] for vector in decode(data, (0, len(data))))
+
+
+def _damaged(consumed, end):
+    """The error for a record whose fields end at *consumed*, not at *end*."""
+    if consumed < end:
+        return StorageError("record has {} trailing bytes".format(end - consumed))
+    return StorageError(
+        "truncated record: its fields need {} more bytes".format(consumed - end)
+    )
+
+
+@functools.lru_cache(maxsize=None)
+def page_decoder(types, columns):
+    """Compile ``decode(data, directory) -> [vector per schema position]``.
+
+    *types* is the schema's tuple of :class:`DataType`; *columns* the
+    sorted tuple of positions to decode (``None`` = all).  *directory* is
+    a page's flat slot directory (:func:`repro.storage.page.read_directory`)
+    over the buffer *data*.  Each vector has one entry per live record, in
+    slot order: a wanted INT/FLOAT column is a typed ``array`` where no
+    NULL fell on the page, any other wanted column a list, an unwanted
+    position a NULL-filled list.  Compiled once per ``(types, columns)``:
+    a pure function of its arguments, like a ``struct`` format.
+    """
+    width = len(types)
+    wanted = sorted(set(range(width) if columns is None else columns))
+    if wanted and not 0 <= wanted[0] <= wanted[-1] < width:
+        raise StorageError("decoder columns {} outside the schema".format(wanted))
+    namespace = {
+        "StorageError": StorageError,
+        "damaged": _damaged,
+        "type_column": type_column,
+        "INT": DataType.INT,
+        "FLOAT": DataType.FLOAT,
+    }
+    lines = []
+
+    def emit(depth, line, *args):
+        lines.append("    " * depth + line.format(*args))
+
+    def unpack(fmt):
+        """The name of a bound ``unpack_from`` for little-endian *fmt*."""
+        name = "unpack_" + fmt.replace("?", "b")
+        namespace[name] = struct.Struct("<" + fmt).unpack_from
+        return name
+
+    bitmap = null_bitmap_size(width)
+    sizes = [_FIXED[t][1] if t in _FIXED else _LEN.size for t in types]
+    strings = [i for i, t in enumerate(types) if t not in _FIXED]
+    clean = bitmap + sum(sizes)  # the shortest record without a NULL
+    keep_record = ["a{0}(v{0})".format(i) for i in wanted] or ["n += 1"]
+
+    emit(0, "def decode(data, directory):")
+    for i in wanted:
+        emit(1, "c{0} = []; a{0} = c{0}.append", i)
+    emit(1, "n = 0")
+    emit(1, "slots = iter(directory)")
+    emit(1, "try:")
+    emit(2, "for off, length in zip(slots, slots):")
+    emit(3, "end = off + length")
+
+    # No NULLs: each run of fixed-width fields, and the length prefix that
+    # closes it, is one fused read at an offset fixed by the previous
+    # string's end.  ``rest`` is the least the record still needs after a
+    # string, so one comparison per string bounds every read that follows.
+    emit(3, "if length {} {} and not {}:", ">=" if strings else "==", clean,
+         "data[off]" if bitmap == 1 else "any(data[off:off + {}])".format(bitmap))
+    base, skip, rest = "off", bitmap, clean - bitmap
+    fmt, targets = "", []
+    for i, data_type in enumerate(types):
+        rest -= sizes[i]
+        if data_type in _FIXED:
+            if i in wanted:
+                fmt += _FIXED[data_type][0]
+                targets.append("v{}".format(i))
+            else:
+                fmt += "{}x".format(sizes[i])
             continue
-        if column.type is DataType.INT:
-            (value,) = _INT.unpack_from(data, offset)
-            offset += _INT.size
-        elif column.type is DataType.FLOAT:
-            (value,) = _FLOAT.unpack_from(data, offset)
-            offset += _FLOAT.size
-        elif column.type is DataType.BOOL:
-            value = data[offset] != 0
-            offset += 1
-        else:
-            (length,) = _LEN.unpack_from(data, offset)
-            offset += _LEN.size
-            value = data[offset : offset + length].decode("utf-8")
-            if len(value.encode("utf-8")) != length and offset + length > len(data):
-                raise StorageError("truncated record: string overruns buffer")
-            offset += length
-        values.append(value)
-    if offset != len(data):
-        raise StorageError(
-            "record has {} trailing bytes".format(len(data) - offset)
-        )
-    return tuple(values)
+        emit(4, "{}, = {}(data, {} + {})",
+             ", ".join(targets + ["size"]), unpack(fmt + "I"), base, skip)
+        emit(4, "p = {} + {}", base, skip + struct.calcsize("<" + fmt + "I"))
+        emit(4, "q = p + size")
+        emit(4, "if q + {} {} end:", rest, "!=" if i == strings[-1] else ">")
+        emit(5, "raise damaged(q + {}, end)", rest)
+        if i in wanted:
+            emit(4, "v{} = data[p:q].decode()", i)
+        base, skip, fmt, targets = "q", 0, "", []
+    if targets:  # a trailing pad reads nothing: drop it from the format
+        emit(4, "{}, = {}(data, {} + {})",
+             ", ".join(targets), unpack(fmt.rstrip("0123456789x")), base, skip)
+    for line in keep_record:
+        emit(4, line)
+
+    # NULL-carrying (or short) records: the same walk, field by field.
+    emit(3, "elif length or off != {}:", TOMBSTONE)
+    emit(4, "if length < {}:", bitmap)
+    emit(5, 'raise StorageError("truncated record: missing null bitmap")')
+    emit(4, 'bits = int.from_bytes(data[off:off + {}], "little")', bitmap)
+    emit(4, "p = off + {}", bitmap)
+    for i, data_type in enumerate(types):
+        if i in wanted:
+            emit(4, "v{} = None", i)
+        emit(4, "if not bits & {}:", 1 << i)
+        emit(5, "if p + {} > end:", sizes[i])
+        emit(6, "raise damaged(p + {}, end)", sizes[i])
+        if data_type in _FIXED:
+            if i in wanted:
+                emit(5, "v{}, = {}(data, p)", i, unpack(_FIXED[data_type][0]))
+            emit(5, "p += {}", sizes[i])
+            continue
+        emit(5, "size, = {}(data, p)", unpack("I"))
+        emit(5, "p += 4")
+        emit(5, "q = p + size")
+        emit(5, "if q > end:")
+        emit(6, "raise damaged(q, end)")
+        if i in wanted:
+            emit(5, "v{} = data[p:q].decode()", i)
+        emit(5, "p = q")
+    emit(4, "if p != end:")
+    emit(5, "raise damaged(p, end)")
+    for line in keep_record:
+        emit(4, line)
+
+    emit(1, "except UnicodeDecodeError as exc:")
+    emit(2, 'raise StorageError("corrupt record: {{}}".format(exc))')
+    if wanted:
+        emit(1, "n = len(c{})", wanted[0])
+    vectors = [
+        "[None] * n" if i not in wanted
+        else "type_column(c{}, {})".format(i, t.name) if t.is_numeric
+        else "c{}".format(i)
+        for i, t in enumerate(types)
+    ]
+    emit(1, "return [{}]", ", ".join(vectors))
+    name = "<page_decoder {} {}>".format("-".join(t.value for t in types), columns)
+    exec(compile("\n".join(lines), name, "exec"), namespace)
+    return namespace["decode"]

@@ -1,7 +1,8 @@
 """Typed table API over a heap file."""
 
-from repro.relational.batch import type_column
-from repro.storage.serialization import decode_record, encode_record
+from repro.storage.heap import RID
+from repro.storage.page import live_slots
+from repro.storage.serialization import decode_record, encode_record, page_decoder
 from repro.util.errors import StorageError
 
 
@@ -12,6 +13,7 @@ class Table:
         self.name = name
         self.schema = schema
         self.heap = heap
+        self._types = tuple(column.type for column in schema)
         self.indexes = []  # TableIndex objects, kept in sync by DML
         #: Optional WAL hook: ``journal(op, row)`` called *before* the heap
         #: is touched (the write-ahead rule); installed by Database in WAL
@@ -34,44 +36,50 @@ class Table:
 
     def insert(self, row):
         """Insert one row (sequence of values in schema order); return RID."""
-        if self.journal is not None:
-            self.journal("insert", row)
-        rid = self.heap.insert(encode_record(row, self.schema))
-        for index in self.indexes:
-            index.insert(row, rid)
-        return rid
+        return self.insert_many((row,))[0]
 
     def insert_many(self, rows):
-        return [self.insert(row) for row in rows]
+        """Insert *rows* in order, a heap page per pool round trip; return RIDs."""
+        rids = []
+        with self.heap.appender() as append:
+            for row in rows:
+                if self.journal is not None:
+                    self.journal("insert", row)
+                rid = append(encode_record(row, self.schema))
+                for index in self.indexes:
+                    index.insert(row, rid)
+                rids.append(rid)
+        return rids
+
+    def scan_column_batches(self, columns=None):
+        """Yield schema-typed column vectors, one group per non-empty heap page.
+
+        Each yielded value is a list with one vector per attribute (typed
+        ``array`` for INT/FLOAT columns with no NULL on the page, plain
+        lists otherwise) covering the page's rows in the storage order of
+        :meth:`scan`.  *columns* names the positions a caller reads
+        (``None`` = all): the others are not decoded and arrive as
+        NULL-filled lists, so every vector still has one entry per row.
+        This feeds ``TableScan.next_batch()``: pages decode straight into
+        the layout the operators execute on, with no row tuples between.
+        """
+        if columns is not None:
+            columns = tuple(sorted(set(columns)))
+            if len(columns) == len(self._types):
+                columns = None  # share the bare call's decoder
+        for _, _, vectors in self.heap.scan_pages(page_decoder(self._types, columns)):
+            if vectors and len(vectors[0]):
+                yield vectors
 
     def scan(self):
         """Yield decoded rows (tuples) in storage order."""
-        for _, record in self.heap.scan():
-            yield decode_record(record, self.schema)
-
-    def scan_column_batches(self):
-        """Yield schema-typed column vectors, one group per non-empty heap page.
-
-        Each yielded value is a list of per-attribute vectors (typed
-        ``array`` for clean INT/FLOAT columns, plain lists otherwise)
-        covering the page's rows in the storage order of :meth:`scan`.
-        This feeds ``TableScan.next_batch()``, so pages decode straight
-        into the layout the operators execute on.
-        """
-        schema = self.schema
-        types = [column.type for column in schema]
-        for chunk in self.heap.scan_batches():
-            rows = [decode_record(record, schema) for _, record in chunk]
-            if not rows:
-                continue
-            yield [
-                type_column(values, data_type)
-                for values, data_type in zip(zip(*rows), types)
-            ]
+        for vectors in self.scan_column_batches():
+            yield from zip(*vectors)
 
     def scan_with_rids(self):
-        for rid, record in self.heap.scan():
-            yield rid, decode_record(record, self.schema)
+        for page_id, directory, vectors in self.heap.scan_pages(page_decoder(self._types, None)):
+            for slot, row in zip(live_slots(directory), zip(*vectors)):
+                yield RID(page_id, slot), row
 
     def read(self, rid):
         record = self.heap.read(rid)

@@ -133,6 +133,137 @@ class TestRebuild:
         assert [k for k, _ in tree.scan_all()] == list(range(1, 500, 2))
 
 
+def _entries(tree, *bounds, **flags):
+    return [(k, r.page_id, r.slot) for k, r in tree.range_scan(*bounds, **flags)]
+
+
+def _assert_same_answers(loaded, inserted, probes):
+    assert sorted(_entries(loaded)) == sorted(_entries(inserted))
+    assert [k for k, _ in loaded.scan_all()] == [k for k, _ in inserted.scan_all()]
+    for key in probes:
+        assert sorted(map(repr, loaded.search(key))) == sorted(
+            map(repr, inserted.search(key))
+        )
+    for low, high in zip(probes, probes[1:]):
+        low, high = min(low, high), max(low, high)
+        for flags in (
+            {},
+            {"include_low": False},
+            {"include_high": False},
+            {"include_low": False, "include_high": False},
+        ):
+            assert sorted(_entries(loaded, low, high, **flags)) == sorted(
+                _entries(inserted, low, high, **flags)
+            )
+        assert sorted(_entries(loaded, low, None)) == sorted(_entries(inserted, low, None))
+        assert sorted(_entries(loaded, None, high)) == sorted(_entries(inserted, None, high))
+
+
+class TestBulkLoad:
+    """``bulk_load`` answers every question like a tree built by inserts."""
+
+    CASES = {
+        # A run of 700 equal keys is longer than a packed leaf (255 entries).
+        "int_duplicate_runs": (
+            DataType.INT,
+            [(i // 700, RID(i, i % 5)) for i in range(2500)] + [(None, RID(9, 9))] * 3,
+        ),
+        "float": (DataType.FLOAT, [(i / 8.0, RID(i, 0)) for i in range(1200)]),
+        "str": (
+            DataType.STR,
+            [("k\u00e9y-{:04d}".format(i % 400), RID(i, 1)) for i in range(1500)]
+            + [(None, RID(0, 0))],
+        ),
+        "one_leaf": (DataType.INT, [(3, RID(0, 0)), (1, RID(0, 1)), (3, RID(0, 2))]),
+        "empty": (DataType.INT, []),
+    }
+
+    def _pair(self, name):
+        key_type, entries = self.CASES[name]
+        shuffled = list(entries)
+        random.Random(7).shuffle(shuffled)
+        loaded, inserted = make_tree(key_type), make_tree(key_type)
+        loaded.bulk_load(iter(shuffled))
+        for key, rid in shuffled:
+            inserted.insert(key, rid)
+        keys = sorted({k for k, _ in entries if k is not None})
+        probes = keys[:: max(1, len(keys) // 12)] + keys[-1:]
+        if key_type is DataType.STR:
+            probes.append("zzz")
+        elif keys:
+            probes.append(keys[-1] + 1)
+        return loaded, inserted, probes
+
+    @pytest.mark.parametrize("name", list(CASES))
+    def test_equivalent_to_inserts(self, name):
+        loaded, inserted, probes = self._pair(name)
+        _assert_same_answers(loaded, inserted, probes)
+        if name in ("int_duplicate_runs", "float", "str"):
+            assert loaded.height() >= 2  # the separators were exercised
+
+    @pytest.mark.parametrize("name", ["int_duplicate_runs", "str"])
+    def test_inserts_and_deletes_after_the_load(self, name):
+        loaded, inserted, probes = self._pair(name)
+        victims = list(loaded.scan_all())[::3]
+        fresh = [(key, RID(10_000 + i, 0)) for i, key in enumerate(probes * 40)]
+        for tree in (loaded, inserted):
+            for key, rid in victims:
+                assert tree.delete(key, rid)
+            for key, rid in fresh:  # packed leaves split like any full leaf
+                tree.insert(key, rid)
+        _assert_same_answers(loaded, inserted, probes)
+
+    def test_result_is_deterministic_and_packed(self):
+        entries = [(i % 50, RID(i, 0)) for i in range(3000)]
+        pages = []
+        for seed in (1, 2):
+            shuffled = list(entries)
+            random.Random(seed).shuffle(shuffled)
+            tree = make_tree()
+            tree.bulk_load(shuffled)
+            disk = tree.pool.disk
+            tree.pool.flush_all()
+            pages.append([bytes(disk.read_page(i)) for i in range(disk.page_count)])
+        assert pages[0] == pages[1]
+        # 3000 sixteen-byte entries in 4089-byte budgets: 12 leaves + a root
+        # (+ the empty root the constructor made, now orphaned).
+        assert len(pages[0]) == 14
+
+    def test_survives_close_and_reopen(self, tmp_path):
+        path = str(tmp_path / "index.dat")
+        entries = [(i % 300, RID(i, i % 7)) for i in range(4000)]
+        with DiskManager(path) as disk:
+            pool = BufferPool(disk, capacity=8)
+            root = BPlusTree(pool, DataType.INT).bulk_load(entries)
+            pool.flush_all()
+        with DiskManager(path) as disk:
+            tree = BPlusTree(BufferPool(disk, capacity=8), DataType.INT, root_page_id=root)
+            assert sorted(_entries(tree)) == sorted((k, r.page_id, r.slot) for k, r in entries)
+            assert len(tree.search(17)) == 14
+            tree.insert(17, RID(99_999, 0))
+            assert len(tree.search(17)) == 15
+
+    def test_create_index_and_rebuild_do_not_loop_over_insert(self, paper_db, monkeypatch):
+        def no_insert(self, key, rid):
+            raise AssertionError("per-row insert during a bulk build")
+
+        monkeypatch.setattr(BPlusTree, "insert", no_insert)
+        index = paper_db.create_index("States", "Population")
+        assert len(list(index.range_scan())) == 50
+        index.tree.bulk_rebuild(index.tree.scan_all())
+        assert len(list(index.range_scan())) == 50
+
+
+class TestFixedWidthNodes:
+    def test_wrong_key_length_is_a_storage_error(self):
+        tree = make_tree()
+        tree.bulk_load((i, RID(i, 0)) for i in range(10))
+        with tree.pool.pin(tree.root_page_id) as guard:
+            guard.data[7 + 16 * 4] = 9  # the fifth entry's key_len
+        with pytest.raises(StorageError, match="corrupt index node"):
+            tree.search(3)
+
+
 class TestDatabaseIntegration:
     def test_create_index_and_query(self, paper_db):
         paper_db.create_index("States", "Population")
