@@ -2,7 +2,8 @@
 
 The paper stores each completed call's data "in a hash table ReqPumpHash,
 keyed on C", and has ReqPump signal the consuming ReqSync.  AsyncContext
-is that pair: a results dict filled from the pump thread, and a condition
+is that pair: a results dict filled by the pump (from its thread, or on the
+registering thread for a call the result cache answers), and a condition
 variable the query thread waits on.  One context serves a whole query, so
 a plan with several ReqSync operators (Figure 7(b)) shares it.
 
@@ -45,6 +46,7 @@ class AsyncContext:
         self.deadline = deadline
         self.clock = resolve_clock(getattr(pump, "clock", None))
         self._cond = threading.Condition()
+        self._waiting = 0  # consumers inside wait_for_any (under _cond)
         self._results = {}  # call_id -> list of result-field dicts
         self._errors = {}  # call_id -> Exception
         self._by_key = {}  # call.key -> call_id (for dedup)
@@ -171,12 +173,19 @@ class AsyncContext:
             )
 
     def _on_complete(self, call_id, rows, error):
+        """Store one outcome; wake the consumer only if it is waiting.
+
+        Runs on the pump thread — or, for a call the pump answered from
+        the cache at registration, on the registering thread itself,
+        before ``register`` has returned.
+        """
         with self._cond:
             if error is not None:
                 self._errors[call_id] = error
             else:
                 self._results[call_id] = rows
-            self._cond.notify_all()
+            if self._waiting:
+                self._cond.notify_all()
 
     # -- consumer side (query thread) ----------------------------------------------
 
@@ -208,7 +217,12 @@ class AsyncContext:
                 }
                 if done:
                     return done
-                if not self._cond.wait(timeout=timeout):
+                self._waiting += 1
+                try:
+                    signalled = self._cond.wait(timeout=timeout)
+                finally:
+                    self._waiting -= 1
+                if not signalled:
                     elapsed = self.clock.now() - started
                     destinations = sorted(
                         {
@@ -258,8 +272,16 @@ class AsyncContext:
             return rows
 
     def cancel(self, call_ids):
-        """Best-effort cancellation (used when a plan closes early)."""
+        """Best-effort cancellation (used when a plan closes early).
+
+        The ids also stop anchoring dedup: a cancelled call never
+        completes, so an identical call registered later (the plan
+        re-opened) must go out afresh, not wait on it.
+        """
         for cid in call_ids:
+            key = self._key_of.pop(cid, None)
+            if key is not None and self._by_key.get(key) == cid:
+                del self._by_key[key]
             self.pump.cancel(cid)
 
     def destination_of(self, call_id):

@@ -31,7 +31,6 @@ check.
 """
 
 import asyncio
-import concurrent.futures
 import selectors
 import threading
 import time
@@ -100,40 +99,53 @@ class _PumpStats:
     registry, so anything reading ``pump.metrics`` (exporters, the CLI's
     ``--metrics``, later subsystems) sees the same numbers with no
     double accounting.
+
+    The registry is fixed for the pump's life, so each metric is looked
+    up once, on first use, and the handle kept: the per-call cost is a
+    dict probe and the increment, not a name format and a label sort.
     """
 
     def __init__(self, metrics=None):
         self.metrics = metrics if metrics is not None else MetricsRegistry()
-        self.lock = threading.Lock()  # guards the destination set
-        self._destinations = set()
+        self._counters = {}  # (destination, key) -> (total, per-destination)
+        self._histograms = {}  # (destination, kind) -> Histogram
+        self._in_flight = self.metrics.gauge("pump.in_flight")
 
     # -- write side -----------------------------------------------------------
 
     def bump(self, destination, key, amount=1):
-        with self.lock:
-            self._destinations.add(destination)
-        self.metrics.counter("pump." + key).inc(amount)
-        self.metrics.counter("pump." + key, destination=destination).inc(amount)
+        pair = self._counters.get((destination, key))
+        if pair is None:
+            pair = self._counters[destination, key] = (
+                self.metrics.counter("pump." + key),
+                self.metrics.counter("pump." + key, destination=destination),
+            )
+        pair[0].inc(amount)
+        pair[1].inc(amount)
 
     def enter_flight(self):
         """Returns the new in-flight depth (for max tracking/tracing)."""
-        return self.metrics.gauge("pump.in_flight").inc()
+        return self._in_flight.inc()
 
     def exit_flight(self):
-        self.metrics.gauge("pump.in_flight").dec()
+        self._in_flight.dec()
 
     def observe_latency(self, kind, destination, seconds):
-        self.metrics.observe(
-            "request.{}_seconds".format(kind), seconds, destination=destination
-        )
+        histogram = self._histograms.get((destination, kind))
+        if histogram is None:
+            histogram = self._histograms[destination, kind] = self.metrics.histogram(
+                "request.{}_seconds".format(kind), destination=destination
+            )
+        histogram.observe(seconds)
 
     # -- read side ------------------------------------------------------------
 
+    def _destinations(self):
+        return sorted({destination for destination, _ in list(self._counters)})
+
     def snapshot(self):
         counter = self.metrics.counter_value
-        gauge = self.metrics.gauge("pump.in_flight")
-        with self.lock:
-            destinations = sorted(self._destinations)
+        gauge = self._in_flight
         payload = {key: counter("pump." + key) for key in _DEST_COUNTER_KEYS}
         payload["in_flight"] = gauge.value
         payload["max_in_flight"] = gauge.max_value
@@ -150,109 +162,90 @@ class _PumpStats:
                 key: counter("pump." + key, destination=destination)
                 for key in _DEST_COUNTER_KEYS
             }
-            for destination in destinations
+            for destination in self._destinations()
         }
         return payload
 
     def latencies(self):
         """Per-destination latency summaries (p50/p95/p99, mean, count)."""
-        with self.lock:
-            destinations = sorted(self._destinations)
         table = {}
-        for destination in destinations:
-            summaries = {}
+        for destination in self._destinations():
             for kind in _LATENCY_KINDS:
-                histogram = self.metrics.histogram(
-                    "request.{}_seconds".format(kind), destination=destination
-                )
-                if histogram.count:
-                    summaries[kind] = histogram.summary()
-            if summaries:
-                table[destination] = summaries
+                histogram = self._histograms.get((destination, kind))
+                if histogram is not None:
+                    table.setdefault(destination, {})[kind] = histogram.summary()
         return table
 
 
-class _CallTiming:
-    """Registration/issue timestamps for one in-flight call.
+class _Call:
+    """One registered call, from registration to its one settlement.
 
-    ``finished_at`` is stamped inside the concurrency slot, *before* the
-    semaphore is released: the settlement callback runs later (on the
-    future's done-callback), and using its wall-clock would overstate
-    service time by the scheduling lag — enough to make the trace show
-    ``limit + 1`` overlapping requests under a concurrency limit.
+    The pump's only per-call state.  Who waits (``on_complete``,
+    ``query_id``, ``deadline``), when it moved (``registered_at``, and
+    for a call that went out ``issued_at``/``finished_at``/``attempts``
+    — ``finished_at`` is stamped inside the concurrency slot, before the
+    semaphore is released, so a trace never shows ``limit + 1``
+    overlapping requests), and how it is answered:
+
+    - a call the probe answers is born settled — it never enters the
+      call table, owns no task and waits on nobody;
+    - otherwise it *anchors* a flight: ``waiters`` maps call id → record
+      for every call its one physical request (``task``) will answer,
+      itself first.  Alone that is the whole story; under single-flight
+      (DESIGN.md §11) a later registration with the same key *joins*
+      (``anchor`` points here) instead of going out.  Cancelling a
+      waiter only takes it out of ``waiters``; the task is cancelled
+      when the last one leaves, and until then it keeps labelling its
+      retry/timeout events with the anchor's query id even after the
+      anchor itself left.
+
+    A record is settled by whoever removes it from ``waiters`` under the
+    pump lock — the fan-out or ``cancel`` — which is what makes
+    settlement exactly-once.
     """
 
     __slots__ = (
+        "call_id",
+        "call",
+        "on_complete",
+        "query_id",
+        "deadline",
         "registered_at",
         "issued_at",
         "finished_at",
-        "query_id",
         "attempts",
-        "deadline",
+        "anchor",
+        "waiters",
+        "task",
     )
 
-    def __init__(self, registered_at, query_id, deadline=None):
+    def __init__(self, call_id, call, on_complete, query_id, deadline, registered_at):
+        self.call_id = call_id
+        self.call = call
+        self.on_complete = on_complete
+        self.query_id = query_id
+        self.deadline = deadline
         self.registered_at = registered_at
         self.issued_at = None
         self.finished_at = None
-        self.query_id = query_id
         self.attempts = 0
-        self.deadline = deadline
+        self.anchor = None  # the record whose task answers this one, if not its own
+        self.waiters = None
+        self.task = None
 
 
-class _Flight:
-    """One *physical* in-flight call shared by several logical registrations.
-
-    Single-flight coalescing (DESIGN.md §11): when two registrations carry
-    the same call key while the first is still in flight — typically the
-    same ``SearchExp`` issued by *different* queries, which per-query
-    :class:`~repro.asynciter.context.AsyncContext` dedup cannot see — the
-    pump runs one network call and fans its outcome out to every member.
-
-    Every member (the anchor that launched the coroutine included) gets
-    its own call id, its own :class:`_CallTiming`, and its own settlement
-    future, so per-call accounting (registered/completed/cancelled,
-    latency histograms, lifecycle trace) is indistinguishable from the
-    uncoalesced case *except* that only the anchor's call id ever appears
-    in a ``call.issue`` event.  Cancelling a member merely detaches it;
-    the physical task is cancelled only when the last live member leaves.
-    """
-
-    __slots__ = ("key", "destination", "anchor_id", "members", "task_future", "settled")
-
-    def __init__(self, key, destination, anchor_id):
-        self.key = key
-        self.destination = destination
-        self.anchor_id = anchor_id
-        self.members = {}  # call_id -> on_complete callback
-        self.task_future = None  # the anchor coroutine's future
-        self.settled = False
-
-
-def _settle_member_future(future, outcome):
-    """Settle a flight member's future, tolerating a lost cancel race.
-
-    A member can be cancelled (client disconnect) in the window between
-    :meth:`RequestPump._drain_flight` collecting the futures and the
-    fan-out loop reaching this one; ``set_result`` on the
-    already-cancelled future would raise ``InvalidStateError`` *inside
-    the fan-out loop* and strand every member after it — an unsettled
-    flight and leaked futures.  The done-check + exception guard makes
-    fan-out unconditional progress.
-    """
-    if future is None or future.done():
-        return
-    try:
-        future.set_result(outcome)
-    except concurrent.futures.InvalidStateError:
-        pass  # cancelled between the check and the set: already settled
+_SETTLE_EVENTS = {
+    "completed": CALL_COMPLETE,
+    "failed": CALL_FAIL,
+    "cancelled": CALL_CANCEL,
+}
 
 
 class RequestPump:
     """Issues external calls concurrently on a background event loop.
 
     ``single_flight=True`` enables cross-registration coalescing of
-    identical in-flight calls (see :class:`_Flight`).  It is off by
+    identical in-flight calls (see :class:`_Call`).  It is off by
     default so the shared process-wide pump keeps the seed's
     call-per-registration behaviour; engines opt their own pumps in.
     """
@@ -277,21 +270,24 @@ class RequestPump:
             else (tracer.clock if tracer is not None else None)
         )
         self.stats = _PumpStats(metrics)
+        self.single_flight = bool(single_flight)
+        # One lock for the loop handle, the id counter and both tables:
+        # the query threads (register/cancel) and the loop thread
+        # (fan-out) meet here and nowhere else.
         self._lock = threading.Lock()
-        # Guards _futures/_timings against concurrent mutation from the
-        # query thread (register/cancel) and the loop thread (settlement).
-        self._futures_lock = threading.Lock()
         self._loop = None
         self._thread = None
         self._next_call_id = 0
-        self._futures = {}  # call_id -> concurrent.futures.Future
-        self._timings = {}  # call_id -> _CallTiming
-        self.single_flight = bool(single_flight)
-        self._flights = {}  # call key -> live _Flight
-        self._members = {}  # call_id -> its _Flight
+        self._calls = {}  # call_id -> _Call, every call not yet settled
+        self._flights = {}  # call key -> the anchor a same-key call may join
         self._global_sem = None
         self._dest_sems = {}
         self._breakers = {}  # destination -> CircuitBreaker
+
+    # The leak checks in tests/test_chaos_soak.py and
+    # tests/test_cache_singleflight.py read the call table under the
+    # names of two of the four dicts it replaced.
+    _futures = _members = property(lambda self: self._calls)
 
     @property
     def metrics(self):
@@ -333,7 +329,7 @@ class RequestPump:
 
         Cancellation is *drained* before the loop stops: every task gets
         to unwind (releasing semaphores, running ``finally`` blocks, and
-        settling its future) so no ``on_complete`` callback can fire
+        settling its waiters) so no ``on_complete`` callback can fire
         after this method returns, and a subsequent
         :meth:`ensure_started` yields a clean pump.
         """
@@ -361,282 +357,230 @@ class RequestPump:
             pass
         loop.call_soon_threadsafe(loop.stop)
         thread.join(timeout=5)
-        with self._futures_lock:
-            self._futures = {}
-            self._timings = {}
+        with self._lock:
+            self._calls = {}
             self._flights = {}
-            self._members = {}
 
     # -- registration ---------------------------------------------------------------
 
     def register(
         self, call, on_complete, query_id=None, deadline=None, mode="async"
     ):
-        """Launch *call* asynchronously; returns its call id.
+        """Register *call*; returns its call id.
 
-        ``on_complete(call_id, rows, error)`` fires on the pump thread when
-        the call finishes (exactly one of *rows*/*error* is not None).
-        *query_id* and *mode* (``"sync"`` when the registrant waits for
-        this call alone) only label the trace.  *deadline* (a
-        :class:`~repro.serve.deadline.Deadline`, duck-typed) bounds the
-        call end-to-end: the per-attempt timeout becomes
-        ``min(policy.call_timeout, deadline.remaining())`` and an
+        ``on_complete(call_id, rows, error)`` fires exactly once unless
+        the call is cancelled first (exactly one of *rows*/*error* is not
+        None): on the registering thread, before this method returns,
+        when ``call.probe`` answers; otherwise on the pump thread when
+        the request finishes.  *query_id* and *mode* (``"sync"`` when the
+        registrant waits for this call alone) only label the trace.
+        *deadline* (a :class:`~repro.serve.deadline.Deadline`,
+        duck-typed) bounds the call end-to-end: the per-attempt timeout
+        becomes ``min(policy.call_timeout, deadline.remaining())`` and an
         already-expired deadline fails the call fast with
-        :class:`QueryDeadlineExceeded` before it can occupy a pump slot.
+        :class:`QueryDeadlineExceeded` before the cache is read or a pump
+        slot occupied.
         """
-        self.ensure_started()
-        with self._lock:
-            if self._loop is None:
-                raise ExecutionError("request pump is shut down")
-            call_id = self._next_call_id
-            self._next_call_id += 1
-            loop = self._loop
-        registered_at = self.clock.now()
-        self._launch(
-            call, call_id, on_complete, query_id, loop, registered_at,
-            deadline=deadline, mode=mode,
-        )
-        return call_id
+        return self._register((call,), on_complete, query_id, deadline, mode, None)[0]
 
     def register_batch(self, calls, on_complete, query_id=None, deadline=None):
         """Register many calls in one go; returns their call ids in order.
 
         The batched counterpart of :meth:`register` for vectorized scans:
-        ids are allocated under a single lock acquisition and the call
-        coroutines are submitted to the loop back-to-back, so a whole
-        batch of external requests enters the event loop in one burst —
-        the pump can saturate its concurrency limits within one consumer
-        round trip instead of one registration per produced tuple.
-        Per-call semantics (tracing, stats, settlement) are identical to
-        :meth:`register`.
+        ids are allocated under a single lock acquisition and every
+        request the cache cannot answer enters the event loop in one
+        burst — the pump can saturate its concurrency limits within one
+        consumer round trip instead of one registration per produced
+        tuple.  Per-call semantics (tracing, stats, settlement) are
+        identical to :meth:`register`.
         """
         calls = list(calls)
+        return self._register(
+            calls, on_complete, query_id, deadline, "async", len(calls)
+        )
+
+    def _register(self, calls, on_complete, query_id, deadline, mode, batch):
+        """The one registration path: ids, accounting, probe, then flights."""
         if not calls:
             return []
         self.ensure_started()
         with self._lock:
-            if self._loop is None:
+            loop = self._loop
+            if loop is None:
                 raise ExecutionError("request pump is shut down")
             first_id = self._next_call_id
             self._next_call_id += len(calls)
-            loop = self._loop
         registered_at = self.clock.now()
-        call_ids = []
-        for offset, call in enumerate(calls):
-            call_id = first_id + offset
-            self._launch(
-                call,
-                call_id,
-                on_complete,
-                query_id,
-                loop,
-                registered_at,
-                batch=len(calls),
-                deadline=deadline,
-            )
-            call_ids.append(call_id)
-        return call_ids
-
-    def _launch(
-        self,
-        call,
-        call_id,
-        on_complete,
-        query_id,
-        loop,
-        registered_at,
-        batch=None,
-        deadline=None,
-        mode="async",
-    ):
-        """Common registration tail: stats, trace, and task/flight wiring.
-
-        With single-flight off (or a keyless call) this is exactly the
-        historical path: one coroutine per registration, the coroutine's
-        future doubling as the settlement future.  With single-flight on,
-        registration routes through :meth:`_register_flight`, which
-        either launches a new :class:`_Flight` or joins an existing one.
-        """
-        destination = call.destination
-        self.stats.bump(destination, "registered")
         tracer = self.tracer
-        if tracer is not None:
-            args = {
-                "mode": mode,
-                "key": str(call.key) if call.key is not None else None,
-            }
-            if batch is not None:
-                args["batch"] = batch
-            tracer.emit(
-                CALL_REGISTER,
-                call_id=call_id,
-                query_id=query_id,
-                destination=destination,
-                ts=registered_at,
-                **args,
+        misses = []
+        for call_id, call in enumerate(calls, first_id):
+            record = _Call(
+                call_id, call, on_complete, query_id, deadline, registered_at
             )
-        if self.single_flight and call.key is not None:
-            self._register_flight(
-                call, call_id, on_complete, query_id, loop, registered_at,
-                deadline=deadline,
-            )
-            return
-        # Store the future *under the lock before the loop thread can
-        # settle the call*: the settlement callback (attached below)
-        # performs the pop, so a fast completion can no longer race the
-        # assignment and leak the entry.
-        with self._futures_lock:
-            self._timings[call_id] = _CallTiming(
-                registered_at, query_id, deadline
-            )
-            future = asyncio.run_coroutine_threadsafe(
-                self._run_call(call_id, call, on_complete), loop
-            )
-            self._futures[call_id] = future
-        future.add_done_callback(
-            lambda fut: self._settle(call_id, destination, fut)
-        )
+            self.stats.bump(call.destination, "registered")
+            if tracer is not None:
+                args = {
+                    "mode": mode,
+                    "key": str(call.key) if call.key is not None else None,
+                }
+                if batch is not None:
+                    args["batch"] = batch
+                self._trace(CALL_REGISTER, record, ts=registered_at, **args)
+            if call.probe is None or not self._answer(record):
+                misses.append(record)
+        if misses:
+            self._launch(misses, loop)
+        return list(range(first_id, first_id + len(calls)))
 
-    # -- single-flight coalescing -----------------------------------------------
+    def _answer(self, record):
+        """Settle *record* here and now if its probe can; False on a miss.
 
-    def _register_flight(
-        self, call, call_id, on_complete, query_id, loop, registered_at,
-        deadline=None,
-    ):
-        """Join the live flight for ``call.key``, or anchor a new one.
-
-        Members may carry different deadlines; the *anchor's* deadline
-        governs the shared physical task (a follower with a tighter
-        budget observes its own expiry at the ReqSync wait loop, not
-        here — cancelling the shared task would fail the other queries'
-        identical call).
+        A cached result, a replayed failure or a spent deadline ends the
+        call on the registering thread: no slot is queued for, the
+        breaker is neither asked nor told, nothing reaches the loop.  A
+        miss is the cache lookup of record; the request that follows
+        only writes.
         """
-        destination = call.destination
-        key = call.key
-        with self._futures_lock:
-            self._timings[call_id] = _CallTiming(
-                registered_at, query_id, deadline
-            )
-            member_future = concurrent.futures.Future()
-            self._futures[call_id] = member_future
-            flight = self._flights.get(key)
-            joined = flight is not None and not flight.settled
-            if joined:
-                flight.members[call_id] = on_complete
-                self._members[call_id] = flight
-                anchor_id = flight.anchor_id
-            else:
-                flight = _Flight(key, destination, call_id)
-                flight.members[call_id] = on_complete
-                self._flights[key] = flight
-                self._members[call_id] = flight
-                flight.task_future = asyncio.run_coroutine_threadsafe(
-                    self._run_call(call_id, call, self._flight_deliver(flight)),
-                    loop,
-                )
-        member_future.add_done_callback(
-            lambda fut, cid=call_id, dest=destination: self._settle(cid, dest, fut)
-        )
-        if joined:
+        call = record.call
+        rows = error = None
+        try:
+            self._check_deadline(record.deadline, call.destination, "enqueue")
+            rows = call.probe()
+        except Exception as exc:  # noqa: BLE001 - surfaced to the registrant
+            error = exc
+        if rows is None and error is None:
+            return False
+        self._settle(record, self._hand_over(record, rows, error))
+        return True
+
+    def _launch(self, misses, loop):
+        """Table *misses*; each joins a live same-key flight or anchors one.
+
+        However many flights the burst anchors, the loop is woken once:
+        one callback starts all of their tasks.  A joiner may carry a
+        tighter deadline than its anchor; the anchor's governs the shared
+        task (the joiner notices its own expiry at the ReqSync wait loop —
+        cutting the task short would fail the other queries' call).
+        """
+        joined = []
+        anchors = []
+        with self._lock:
+            for record in misses:
+                self._calls[record.call_id] = record
+                key = record.call.key if self.single_flight else None
+                anchor = self._flights.get(key) if key is not None else None
+                if anchor is not None:
+                    record.anchor = anchor
+                    anchor.waiters[record.call_id] = record
+                    joined.append(record)
+                    continue
+                record.waiters = {record.call_id: record}
+                if key is not None:
+                    self._flights[key] = record
+                anchors.append(record)
+            if anchors:
+                loop.call_soon_threadsafe(self._start, loop, anchors)
+        for record in joined:
+            destination = record.call.destination
             self.stats.bump(destination, "coalesced")
             self.metrics.counter("cache.coalesce").inc()
-            self.metrics.counter(
-                "cache.coalesce", destination=destination
-            ).inc()
-            tracer = self.tracer
-            if tracer is not None:
-                tracer.emit(
-                    CACHE_COALESCE,
-                    call_id=call_id,
-                    query_id=query_id,
-                    destination=destination,
-                    ts=registered_at,
-                    anchor=anchor_id,
-                    key=str(key),
-                )
-        else:
-            flight.task_future.add_done_callback(
-                lambda fut, fl=flight: self._settle_flight(fl, fut)
+            self.metrics.counter("cache.coalesce", destination=destination).inc()
+            self._trace(
+                CACHE_COALESCE,
+                record,
+                ts=record.registered_at,
+                anchor=record.anchor.call_id,
+                key=str(record.call.key),
             )
 
-    def _flight_deliver(self, flight):
-        """The ``on_complete`` the anchor coroutine fans out through."""
+    def _start(self, loop, anchors):
+        """On the loop thread: one task per flight of a registration burst."""
+        with self._lock:
+            for anchor in anchors:
+                if anchor.waiters:  # else abandoned before it could start
+                    anchor.task = loop.create_task(self._run_call(anchor))
 
-        def deliver(_anchor_id, rows, error):
-            members, futures = self._drain_flight(flight)
-            outcome = "error" if error is not None else "ok"
-            for member_id, callback in members:
-                future = futures.get(member_id)
-                try:
-                    callback(member_id, rows, error)
-                except Exception:  # noqa: BLE001 - isolate member callbacks
-                    _settle_member_future(future, "error")
-                else:
-                    _settle_member_future(future, outcome)
+    # -- settlement -------------------------------------------------------------------
 
-        return deliver
+    def _deliver(self, anchor, rows, error, cancelled=False):
+        """Fan the flight's outcome out to every call still waiting on it.
 
-    def _drain_flight(self, flight):
-        """Atomically retire *flight*; returns its members + their futures."""
-        with self._futures_lock:
-            if flight.settled:
-                return [], {}
-            flight.settled = True
-            if self._flights.get(flight.key) is flight:
-                del self._flights[flight.key]
-            members = list(flight.members.items())
-            flight.members.clear()
-            futures = {}
-            for member_id, _callback in members:
-                self._members.pop(member_id, None)
-                futures[member_id] = self._futures.get(member_id)
-        return members, futures
-
-    def _settle_flight(self, flight, task_future):
-        """Backstop when the anchor task ends without delivering.
-
-        The normal path (:meth:`_flight_deliver`) runs *inside* the task
-        and retires the flight before the task future resolves — this
-        callback then finds it settled and does nothing.  It only acts
-        when the task was torn down without calling ``on_complete``:
-        cancellation (all members detached, or pump shutdown) or an
-        unexpected exception escaping :meth:`_run_call`.
+        Runs on the loop thread as the last act of the task.  Retiring
+        the flight and taking its waiters is one step under the lock, so
+        a ``cancel`` racing this either got its record out first (and
+        settles it as cancelled) or finds it gone.
         """
-        members, futures = self._drain_flight(flight)
-        if not members:
-            return
-        if task_future.cancelled():
-            for member_id, _callback in members:
-                future = futures.get(member_id)
-                if future is not None:
-                    future.cancel()
-            return
-        error = task_future.exception()
-        for member_id, callback in members:
-            future = futures.get(member_id)
-            try:
-                if error is not None:
-                    callback(member_id, None, error)
-            except Exception:  # noqa: BLE001 - isolate member callbacks
-                pass
-            finally:
-                _settle_member_future(
-                    future, "error" if error is not None else "ok"
+        with self._lock:
+            waiters = list(anchor.waiters.values())
+            anchor.waiters.clear()
+            self._retire(anchor)
+        try:
+            for record in waiters:
+                self._settle(
+                    record,
+                    "cancelled" if cancelled else self._hand_over(record, rows, error),
                 )
+        finally:
+            # Last, so that quiesce() returning means every counter,
+            # histogram and closing trace event of these calls is in place.
+            with self._lock:
+                for record in waiters:
+                    self._calls.pop(record.call_id, None)
+
+    def _retire(self, anchor):
+        """Stop offering *anchor*'s flight to joiners (lock held)."""
+        key = anchor.call.key
+        if self._flights.get(key) is anchor:
+            del self._flights[key]
+
+    def _hand_over(self, record, rows, error):
+        """Give one registrant its outcome; returns how the call ended."""
+        try:
+            record.on_complete(record.call_id, rows, error)
+        except Exception:  # noqa: BLE001 - one callback cannot strand the rest
+            return "failed"
+        return "failed" if error is not None else "completed"
+
+    def _settle(self, record, outcome):
+        """The one settlement: counter, histograms, closing trace event.
+
+        Called exactly once per registered call, by whoever took the
+        record out of its flight (or by :meth:`_answer` for a call that
+        never joined one).
+        """
+        destination = record.call.destination
+        settled_at = record.finished_at  # stamped inside the slot
+        if settled_at is None:
+            settled_at = self.clock.now()
+        self.stats.bump(destination, outcome)
+        if record.issued_at is not None:
+            self.stats.observe_latency(
+                "queue_wait", destination, record.issued_at - record.registered_at
+            )
+            self.stats.observe_latency(
+                "service", destination, settled_at - record.issued_at
+            )
+        self.stats.observe_latency(
+            "e2e", destination, settled_at - record.registered_at
+        )
+        if self.tracer is not None:
+            self._trace(
+                _SETTLE_EVENTS[outcome], record, ts=settled_at, attempts=record.attempts
+            )
 
     def quiesce(self, timeout=1.0):
         """Wait (real time) until every registered call has settled.
 
         The query thread observes results via ``on_complete`` *before*
-        the loop thread runs the settlement callback, so a reader that
+        the loop thread finishes the call's accounting, so a reader that
         wants complete lifecycle traces/latency histograms right after a
         query returns should quiesce first.  Returns True when the pump
         settled within *timeout* seconds.
         """
         deadline = time.monotonic() + timeout
         while True:
-            with self._futures_lock:
-                if not self._futures:
+            with self._lock:
+                if not self._calls:
                     return True
             if time.monotonic() >= deadline:
                 return False
@@ -645,140 +589,75 @@ class RequestPump:
     def cancel(self, call_id):
         """Best-effort cancellation of one registered call.
 
-        Accounting happens at settlement (the future's done callback),
-        so a call is counted as *cancelled* exactly once, and never also
-        as completed/failed — the ``snapshot()["queued"]`` invariant
-        holds under cancellation, double-cancellation, and
-        cancel-vs-complete races.
+        A call already settled (or settled at registration) is left
+        alone; one still waiting is taken out of its flight and counted
+        as *cancelled* — exactly once, and never also as
+        completed/failed, so the ``snapshot()["queued"]`` invariant holds
+        under cancellation, double-cancellation, and cancel-vs-complete
+        races.
 
-        A single-flight member is merely *detached*: its own settlement
-        future is cancelled (it counts as cancelled, emits
-        ``call.cancel``), but the shared network task keeps running for
-        the surviving members.  Only when the last live member leaves is
-        the physical task cancelled too — so a query abandoning a
-        coalesced call can never fail another query's identical call.
+        Under single-flight that only *detaches* the call: the shared
+        network task keeps running for the surviving waiters.  Only when
+        the last one leaves is the physical task cancelled too — so a
+        query abandoning a coalesced call can never fail another query's
+        identical call.
         """
-        task_future = None
-        with self._futures_lock:
-            flight = self._members.pop(call_id, None)
-            if flight is not None and not flight.settled:
-                flight.members.pop(call_id, None)
-                if not flight.members:
-                    flight.settled = True
-                    if self._flights.get(flight.key) is flight:
-                        del self._flights[flight.key]
-                    task_future = flight.task_future
-            future = self._futures.get(call_id)
-        if future is not None:
-            future.cancel()
-        if task_future is not None:
-            task_future.cancel()
-
-    def _settle(self, call_id, destination, future):
-        """Final accounting for one call; runs exactly once per future."""
-        with self._futures_lock:
-            timing = self._timings.pop(call_id, None)
+        with self._lock:
+            record = self._calls.get(call_id)
+            if record is None:
+                return
+            anchor = record.anchor or record
+            if anchor.waiters.pop(call_id, None) is None:
+                return  # the fan-out has it: settling as completed/failed
+            if not anchor.waiters:
+                self._retire(anchor)
+                # Under the lock, so shutdown cannot close the loop between
+                # the check and the call.  No task yet: _start will skip it.
+                if anchor.task is not None and self._loop is not None:
+                    self._loop.call_soon_threadsafe(anchor.task.cancel)
         try:
-            cancelled = future.cancelled()
-            failed = False
-            if not cancelled:
-                error = future.exception()
-                failed = error is not None or future.result() == "error"
-            settled_at = None
-            if timing is not None:
-                settled_at = timing.finished_at  # stamped inside the slot
-            if settled_at is None:
-                settled_at = self.clock.now()
-            if cancelled:
-                outcome, event = "cancelled", CALL_CANCEL
-            elif failed:
-                outcome, event = "failed", CALL_FAIL
-            else:
-                outcome, event = "completed", CALL_COMPLETE
-            self.stats.bump(destination, outcome)
-            query_id = timing.query_id if timing is not None else None
-            if timing is not None:
-                if timing.issued_at is not None:
-                    self.stats.observe_latency(
-                        "queue_wait", destination, timing.issued_at - timing.registered_at
-                    )
-                    self.stats.observe_latency(
-                        "service", destination, settled_at - timing.issued_at
-                    )
-                self.stats.observe_latency(
-                    "e2e", destination, settled_at - timing.registered_at
-                )
-            tracer = self.tracer
-            if tracer is not None:
-                tracer.emit(
-                    event,
-                    call_id=call_id,
-                    query_id=query_id,
-                    destination=destination,
-                    ts=settled_at,
-                    attempts=(timing.attempts if timing is not None else None),
-                )
+            self._settle(record, "cancelled")
         finally:
-            # Last, so that quiesce() returning means this call's counters,
-            # histograms and closing trace event are all in place.
-            with self._futures_lock:
-                self._futures.pop(call_id, None)
+            with self._lock:
+                self._calls.pop(call_id, None)
 
-    async def _run_call(self, call_id, call, on_complete):
-        global_sem = self._semaphore()
-        dest_sem = self._dest_semaphore(call.destination)
+    async def _run_call(self, anchor):
+        """One physical request: queue for a slot, go out, fan the outcome out."""
+        call = anchor.call
+        destination = call.destination
+        deadline = anchor.deadline
         tracer = self.tracer
-        timing = self._timing_for(call_id)
-        deadline = timing.deadline if timing is not None else None
+        rows = error = None
         try:
             if tracer is not None:
-                tracer.emit(
-                    CALL_ENQUEUE,
-                    call_id=call_id,
-                    query_id=(timing.query_id if timing is not None else None),
-                    destination=call.destination,
-                )
+                self._trace(CALL_ENQUEUE, anchor)
             # Fail fast *before* queueing for a slot: a call whose query
             # already spent its budget must not displace live work.
-            self._check_deadline(deadline, call.destination, "enqueue")
-            async with _maybe(global_sem):
-                async with _maybe(dest_sem):
+            self._check_deadline(deadline, destination, "enqueue")
+            async with _maybe(self._semaphore()):
+                async with _maybe(self._dest_semaphore(destination)):
                     # Re-check after the (possibly long) semaphore wait:
                     # the slot was just acquired, but issuing a network
                     # round trip nobody is waiting for would waste it.
-                    self._check_deadline(deadline, call.destination, "issue")
-                    issued_at = self.clock.now()
-                    if timing is not None:
-                        timing.issued_at = issued_at
+                    self._check_deadline(deadline, destination, "issue")
+                    anchor.issued_at = self.clock.now()
                     depth = self.stats.enter_flight()
                     if tracer is not None:
-                        tracer.emit(
-                            CALL_ISSUE,
-                            call_id=call_id,
-                            query_id=(
-                                timing.query_id if timing is not None else None
-                            ),
-                            destination=call.destination,
-                            ts=issued_at,
-                            in_flight=depth,
+                        self._trace(
+                            CALL_ISSUE, anchor, ts=anchor.issued_at, in_flight=depth
                         )
                     try:
-                        rows = await self._execute_resilient(call_id, call)
+                        rows = await self._execute_resilient(anchor)
                     finally:
-                        if timing is not None:
-                            timing.finished_at = self.clock.now()
+                        anchor.finished_at = self.clock.now()
                         self.stats.exit_flight()
         except asyncio.CancelledError:
+            # Every waiter left, or the pump is shutting down.
+            self._deliver(anchor, None, None, cancelled=True)
             raise
         except Exception as exc:  # noqa: BLE001 - surfaced to the query thread
-            on_complete(call_id, None, exc)
-            return "error"
-        on_complete(call_id, rows, None)
-        return "ok"
-
-    def _timing_for(self, call_id):
-        with self._futures_lock:
-            return self._timings.get(call_id)
+            error = exc
+        self._deliver(anchor, rows, error)
 
     def _check_deadline(self, deadline, destination, stage):
         """Raise ``QueryDeadlineExceeded`` if *deadline* is spent."""
@@ -792,27 +671,20 @@ class RequestPump:
             deadline=deadline,
         )
 
-    def _trace_call(self, name, call_id, destination, timing=None, **args):
-        # *timing* is passed by callers that already hold the entry:
-        # after an anchor detaches from a coalesced flight its timing is
-        # popped, and a fresh lookup would lose the query_id attribution
-        # on the retry/timeout events the surviving task still emits.
+    def _trace(self, name, record, **args):
         tracer = self.tracer
-        if tracer is None:
-            return
-        if timing is None:
-            timing = self._timing_for(call_id)
-        tracer.emit(
-            name,
-            call_id=call_id,
-            query_id=(timing.query_id if timing is not None else None),
-            destination=destination,
-            **args,
-        )
+        if tracer is not None:
+            tracer.emit(
+                name,
+                call_id=record.call_id,
+                query_id=record.query_id,
+                destination=record.call.destination,
+                **args,
+            )
 
     # -- resilience ---------------------------------------------------------------
 
-    async def _execute_resilient(self, call_id, call):
+    async def _execute_resilient(self, record):
         """One call under the resilience policy: timeout, retry, breaker.
 
         With a deadline attached the per-attempt timeout tightens to
@@ -824,11 +696,10 @@ class RequestPump:
         budget.
         """
         policy = self.resilience
-        timing = self._timing_for(call_id)
-        deadline = timing.deadline if timing is not None else None
+        call = record.call
+        deadline = record.deadline
         if policy is None:
-            if timing is not None:
-                timing.attempts = 1
+            record.attempts = 1
             bound = deadline.budget() if deadline is not None else None
             if bound is None:
                 return await call.execute_async()
@@ -848,13 +719,7 @@ class RequestPump:
         while True:
             if breaker is not None and not breaker.allow():
                 self.stats.bump(call.destination, "breaker_open_rejections")
-                self._trace_call(
-                    CALL_BREAKER_REJECT,
-                    call_id,
-                    call.destination,
-                    timing=timing,
-                    attempt=attempt,
-                )
+                self._trace(CALL_BREAKER_REJECT, record, attempt=attempt)
                 raise BreakerOpenError(
                     "circuit breaker open for destination {!r}: "
                     "failing fast without a network round trip".format(
@@ -874,8 +739,7 @@ class RequestPump:
                 timeout = policy.call_timeout
                 deadline_bound = False
             try:
-                if timing is not None:
-                    timing.attempts = attempt + 1
+                record.attempts = attempt + 1
                 coroutine = call.execute_async(attempt)
                 if timeout is not None:
                     rows = await asyncio.wait_for(coroutine, timeout)
@@ -884,9 +748,8 @@ class RequestPump:
             except asyncio.CancelledError:
                 raise
             except Exception as exc:  # noqa: BLE001 - classified below
-                if isinstance(exc, asyncio.TimeoutError) and not isinstance(
-                    exc, RequestTimeoutError
-                ):
+                timed_out = isinstance(exc, RequestTimeoutError)
+                if isinstance(exc, asyncio.TimeoutError) and not timed_out:
                     if deadline_bound and deadline.expired:
                         # The *query's* budget ran out mid-attempt, not
                         # the per-call policy timeout.  Not a breaker
@@ -903,23 +766,10 @@ class RequestPump:
                             call.destination, timeout, attempt + 1
                         )
                     )
+                    timed_out = True
+                if timed_out:
                     self.stats.bump(call.destination, "timeouts")
-                    self._trace_call(
-                        CALL_TIMEOUT,
-                        call_id,
-                        call.destination,
-                        timing=timing,
-                        attempt=attempt,
-                    )
-                elif isinstance(exc, RequestTimeoutError):
-                    self.stats.bump(call.destination, "timeouts")
-                    self._trace_call(
-                        CALL_TIMEOUT,
-                        call_id,
-                        call.destination,
-                        timing=timing,
-                        attempt=attempt,
-                    )
+                    self._trace(CALL_TIMEOUT, record, attempt=attempt)
                 if breaker is not None:
                     breaker.record_failure()
                 if (
@@ -931,11 +781,9 @@ class RequestPump:
                     delay = retry.backoff_delay(call.key, attempt)
                     if deadline is not None:
                         delay = min(delay, deadline.remaining())
-                    self._trace_call(
+                    self._trace(
                         CALL_RETRY,
-                        call_id,
-                        call.destination,
-                        timing=timing,
+                        record,
                         attempt=attempt,
                         backoff_s=delay,
                         error=type(exc).__name__,

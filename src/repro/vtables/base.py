@@ -15,11 +15,12 @@ External calls
 --------------
 
 ``VTableInstance.make_call(bindings)`` packages one external request as an
-:class:`ExternalCall`: a key, a destination, and a factory for the
-coroutine that performs one attempt of it.  Every call runs on a
-:class:`~repro.asynciter.pump.RequestPump`; a caller that wants to block
-(:class:`~repro.vtables.evscan.EVScan`) waits for the pump to settle
-it.  Results are normalized to a list of field
+:class:`ExternalCall`: a key, a destination, a factory for the coroutine
+that performs one attempt of it, and a probe that reads the result cache.
+Every call is registered with a :class:`~repro.asynciter.pump.RequestPump`,
+which answers a cached one on the spot and runs the rest; a caller that
+wants to block (:class:`~repro.vtables.evscan.EVScan`) waits for the pump
+to settle it.  Results are normalized to a list of field
 dicts, so ``EVScan``, ``AEVScan``, and ``ReqSync`` all share one patching
 vocabulary:
 
@@ -42,14 +43,21 @@ class ExternalCall:
     request pump passes the 0-based retry attempt through so fault
     injection stays a stable function of
     ``(destination, request, attempt)``.
+
+    ``probe()`` (or ``None`` when the source keeps no cache) answers from
+    what is already known, without I/O: the call's rows, ``None`` for a
+    miss, or a negatively cached failure raised.  The pump asks it once,
+    at registration, on the registering thread; only a miss becomes a
+    coroutine.
     """
 
-    __slots__ = ("key", "destination", "_factory")
+    __slots__ = ("key", "destination", "_factory", "probe")
 
-    def __init__(self, key, destination, factory):
+    def __init__(self, key, destination, factory, probe=None):
         self.key = key
         self.destination = destination
         self._factory = factory
+        self.probe = probe
 
     def execute_async(self, attempt=0):
         """Return a coroutine producing the list of result-field dicts."""
@@ -57,6 +65,23 @@ class ExternalCall:
 
     def __repr__(self):
         return "ExternalCall({} -> {})".format(self.key, self.destination)
+
+
+def cache_probe(source, shape, *request):
+    """The ``probe`` of a call to *source* (a client or fetch service).
+
+    ``source.probe(*request)`` is the source's one cache read; *shape*
+    turns what it finds into the rows the call's coroutine would have
+    produced.  ``None`` when the source has no cache to ask.
+    """
+    if source.cache is None:
+        return None
+
+    def probe():
+        value = source.probe(*request)
+        return None if value is None else shape(value)
+
+    return probe
 
 
 class VirtualTableDef:
@@ -80,34 +105,33 @@ class VirtualTableDef:
 class VTableInstance:
     """One FROM-clause occurrence of a virtual table.
 
-    Subclasses define ``columns()`` (name/type pairs in row order),
-    ``result_fields`` (output column name -> result dict key), and
-    ``make_call``.
+    Subclasses define ``columns()`` (name/type pairs in row order) and
+    ``make_call``, and hand ``__init__`` the two things every call
+    consults: ``input_params`` (all bindable input column names, in
+    order) and ``result_fields`` (output column name -> result dict
+    key).  Both are fixed per instance, so they are built once here, not
+    per binding.
     """
 
-    def __init__(self, definition, qualifier, fixed_bindings):
+    def __init__(self, definition, qualifier, fixed_bindings, input_params, result_fields):
         self.definition = definition
         self.qualifier = qualifier
         self.fixed_bindings = dict(fixed_bindings)
+        self.input_params = list(input_params)
+        self.result_fields = dict(result_fields)
         self._schema = Schema(
             [col.with_qualifier(qualifier) for col in self.columns()]
         )
         self._positions = {c.name: i for i, c in enumerate(self._schema)}
+        self._result_slots = [
+            (self._positions[column], field)
+            for column, field in self.result_fields.items()
+        ]
 
     # -- subclass interface ------------------------------------------------------
 
     def columns(self):
         """Unqualified :class:`~repro.relational.schema.Column` list."""
-        raise NotImplementedError
-
-    @property
-    def input_params(self):
-        """All bindable input column names, in order."""
-        raise NotImplementedError
-
-    @property
-    def result_fields(self):
-        """Mapping of output column name -> key into result dicts."""
         raise NotImplementedError
 
     def make_call(self, bindings):
@@ -164,16 +188,16 @@ class VTableInstance:
         rows = []
         for result in result_rows:
             row = list(prefix)
-            for column, field in self.result_fields.items():
-                row[self._positions[column]] = result[field]
+            for position, field in self._result_slots:
+                row[position] = result[field]
             rows.append(tuple(row))
         return rows
 
     def placeholder_row(self, bindings, call_id):
         """The optimistic single row AEVScan returns before the call lands."""
-        row = list(self._echo_prefix(bindings))
-        for column, field in self.result_fields.items():
-            row[self._positions[column]] = Placeholder(call_id, field)
+        row = self._echo_prefix(bindings)
+        for position, field in self._result_slots:
+            row[position] = Placeholder(call_id, field)
         return tuple(row)
 
     def _echo_prefix(self, bindings):

@@ -8,7 +8,12 @@ binding, always — tuple cancellation never applies to WebCount.
 from repro.relational.schema import Column
 from repro.relational.types import DataType
 from repro.util.errors import VirtualTableError
-from repro.vtables.base import ExternalCall, VTableInstance, VirtualTableDef
+from repro.vtables.base import (
+    ExternalCall,
+    VTableInstance,
+    VirtualTableDef,
+    cache_probe,
+)
 from repro.web.searchexpr import default_template, instantiate_template
 
 SEARCH_EXP = "SearchExp"
@@ -44,32 +49,36 @@ class WebCountInstance(VTableInstance):
             )
         self.n = n
         self.template = template
-        super().__init__(definition, qualifier, {SEARCH_EXP: template})
+        self._terms = term_names(n)
+        super().__init__(
+            definition,
+            qualifier,
+            {SEARCH_EXP: template},
+            input_params=[SEARCH_EXP] + self._terms,
+            result_fields={"Count": "count"},
+        )
 
     def columns(self):
         cols = [Column(SEARCH_EXP, DataType.STR)]
-        cols += [Column(t, DataType.STR) for t in term_names(self.n)]
+        cols += [Column(t, DataType.STR) for t in self._terms]
         cols.append(Column("Count", DataType.INT))
         return cols
 
-    @property
-    def input_params(self):
-        return [SEARCH_EXP] + term_names(self.n)
-
-    @property
-    def result_fields(self):
-        return {"Count": "count"}
-
     def make_call(self, bindings):
-        terms = [bindings[t] for t in term_names(self.n)]
+        terms = [bindings[t] for t in self._terms]
         expr_text = instantiate_template(bindings[SEARCH_EXP], terms)
         client = self.definition.client
         return ExternalCall(
             key=("count", client.name, expr_text),
             destination=client.name,
             factory=lambda attempt: _count_async(client, expr_text, attempt),
+            probe=cache_probe(client, _count_rows, "count", expr_text),
         )
 
 
+def _count_rows(count):
+    return [{"count": count}]
+
+
 async def _count_async(client, expr_text, attempt):
-    return [{"count": await client.count_async(expr_text, attempt=attempt)}]
+    return _count_rows(await client.count_async(expr_text, attempt=attempt))

@@ -17,7 +17,12 @@ generality beyond search engines.
 from repro.relational.schema import Column
 from repro.relational.types import DataType
 from repro.util.errors import VirtualTableError
-from repro.vtables.base import ExternalCall, VTableInstance, VirtualTableDef
+from repro.vtables.base import (
+    ExternalCall,
+    VTableInstance,
+    VirtualTableDef,
+    cache_probe,
+)
 
 URL_PARAM = "Url"
 
@@ -40,7 +45,18 @@ class WebFetchDef(VirtualTableDef):
 
 class WebFetchInstance(VTableInstance):
     def __init__(self, definition, qualifier):
-        super().__init__(definition, qualifier, {})
+        super().__init__(
+            definition,
+            qualifier,
+            {},
+            input_params=[URL_PARAM],
+            result_fields={
+                "Status": "status",
+                "Bytes": "bytes",
+                "Title": "title",
+                "Date": "date",
+            },
+        )
 
     def columns(self):
         return [
@@ -51,14 +67,6 @@ class WebFetchInstance(VTableInstance):
             Column("Date", DataType.DATE),
         ]
 
-    @property
-    def input_params(self):
-        return [URL_PARAM]
-
-    @property
-    def result_fields(self):
-        return {"Status": "status", "Bytes": "bytes", "Title": "title", "Date": "date"}
-
     def make_call(self, bindings):
         url = bindings[URL_PARAM]
         service = self.definition.fetch_service
@@ -66,20 +74,23 @@ class WebFetchInstance(VTableInstance):
             key=("fetch", url),
             destination="fetch",
             factory=lambda attempt: _fetch_async(service, url),
+            probe=cache_probe(service, _fetch_rows, url),
         )
 
 
-def _fetch_row(result):
-    return {
-        "status": result.status,
-        "bytes": result.length,
-        "title": result.title,
-        "date": result.date,
-    }
+def _fetch_rows(result):
+    return [
+        {
+            "status": result.status,
+            "bytes": result.length,
+            "title": result.title,
+            "date": result.date,
+        }
+    ]
 
 
 async def _fetch_async(service, url):
-    return [_fetch_row(await service.fetch_async(url))]
+    return _fetch_rows(await service.fetch_async(url))
 
 
 class WebLinksDef(VirtualTableDef):
@@ -100,7 +111,13 @@ class WebLinksDef(VirtualTableDef):
 
 class WebLinksInstance(VTableInstance):
     def __init__(self, definition, qualifier):
-        super().__init__(definition, qualifier, {})
+        super().__init__(
+            definition,
+            qualifier,
+            {},
+            input_params=[URL_PARAM],
+            result_fields={"LinkUrl": "link_url", "LinkRank": "link_rank"},
+        )
 
     def columns(self):
         return [
@@ -109,14 +126,6 @@ class WebLinksInstance(VTableInstance):
             Column("LinkRank", DataType.INT),
         ]
 
-    @property
-    def input_params(self):
-        return [URL_PARAM]
-
-    @property
-    def result_fields(self):
-        return {"LinkUrl": "link_url", "LinkRank": "link_rank"}
-
     def make_call(self, bindings):
         url = bindings[URL_PARAM]
         service = self.definition.fetch_service
@@ -124,6 +133,7 @@ class WebLinksInstance(VTableInstance):
             key=("links", url),
             destination="fetch",
             factory=lambda attempt: _links_async(service, url),
+            probe=cache_probe(service, _link_rows, url),
         )
 
 

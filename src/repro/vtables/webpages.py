@@ -9,7 +9,12 @@ paper's default selection predicate ``Rank < 20`` applies.
 from repro.relational.schema import Column
 from repro.relational.types import DataType
 from repro.util.errors import VirtualTableError
-from repro.vtables.base import ExternalCall, VTableInstance, VirtualTableDef
+from repro.vtables.base import (
+    ExternalCall,
+    VTableInstance,
+    VirtualTableDef,
+    cache_probe,
+)
 from repro.vtables.webcount import SEARCH_EXP, term_names
 from repro.web.searchexpr import default_template, instantiate_template
 
@@ -46,11 +51,18 @@ class WebPagesInstance(VTableInstance):
         self.n = n
         self.template = template
         self.rank_limit = rank_limit
-        super().__init__(definition, qualifier, {SEARCH_EXP: template})
+        self._terms = term_names(n)
+        super().__init__(
+            definition,
+            qualifier,
+            {SEARCH_EXP: template},
+            input_params=[SEARCH_EXP] + self._terms,
+            result_fields={"URL": "url", "Rank": "rank", "Date": "date"},
+        )
 
     def columns(self):
         cols = [Column(SEARCH_EXP, DataType.STR)]
-        cols += [Column(t, DataType.STR) for t in term_names(self.n)]
+        cols += [Column(t, DataType.STR) for t in self._terms]
         cols += [
             Column("URL", DataType.STR),
             Column("Rank", DataType.INT),
@@ -58,19 +70,11 @@ class WebPagesInstance(VTableInstance):
         ]
         return cols
 
-    @property
-    def input_params(self):
-        return [SEARCH_EXP] + term_names(self.n)
-
-    @property
-    def result_fields(self):
-        return {"URL": "url", "Rank": "rank", "Date": "date"}
-
     def describe(self):
         return "{} (Rank <= {})".format(self.qualifier, self.rank_limit)
 
     def make_call(self, bindings):
-        terms = [bindings[t] for t in term_names(self.n)]
+        terms = [bindings[t] for t in self._terms]
         expr_text = instantiate_template(bindings[SEARCH_EXP], terms)
         client = self.definition.client
         limit = self.rank_limit
@@ -78,6 +82,7 @@ class WebPagesInstance(VTableInstance):
             key=("search", client.name, expr_text, limit),
             destination=client.name,
             factory=lambda attempt: _search_async(client, expr_text, limit, attempt),
+            probe=cache_probe(client, _hit_rows, "search", expr_text, limit),
         )
 
 

@@ -224,14 +224,21 @@ class _TierTelemetry:
 
     def __init__(self, tier, metrics=None, tracer=None):
         self.tier = tier
-        self.metrics = metrics if metrics is not None else MetricsRegistry()
         self.tracer = tracer
+        self._bind(metrics if metrics is not None else MetricsRegistry())
+
+    def _bind(self, metrics):
+        """Look the tier's counters up once per registry, not per lookup."""
+        self.metrics = metrics
+        self._handles = {
+            name: metrics.counter(name, tier=self.tier) for name in self._COUNTERS
+        }
 
     def count(self, name, amount=1):
-        self.metrics.counter(name, tier=self.tier).inc(amount)
+        self._handles[name].inc(amount)
 
     def value(self, name):
-        return self.metrics.counter_value(name, tier=self.tier)
+        return self._handles[name].value
 
     def trace(self, event, key, **args):
         tracer = self.tracer
@@ -245,11 +252,11 @@ class _TierTelemetry:
 
     def attach_observability(self, metrics=None, tracer=None):
         if metrics is not None and metrics is not self.metrics:
-            for name in self._COUNTERS:
-                moved = self.value(name)
-                if moved:
-                    metrics.counter(name, tier=self.tier).inc(moved)
-            self.metrics = metrics
+            moved = {name: self.value(name) for name in self._COUNTERS}
+            self._bind(metrics)
+            for name, amount in moved.items():
+                if amount:
+                    self.count(name, amount)
         if tracer is not None:
             self.tracer = tracer
 

@@ -3,10 +3,14 @@
 The engine computes answers instantly; the client charges the simulated
 network delay.  Each request kind is one coroutine —
 :meth:`SearchClient.count_async`, :meth:`SearchClient.search_async` —
-that performs one *attempt*: read the cache, consult the fault schedule,
-``await`` the round trips, compute, write the cache.  Everything around
-an attempt (retries, the per-call timeout, circuit breaking, concurrency
-limits, lifecycle tracing) belongs to the
+that performs one *attempt*: consult the fault schedule, ``await`` the
+round trips, compute, write the cache.  The cache is *read* in one place,
+:meth:`SearchClient.probe`, which the pump calls on the registering
+thread before any coroutine exists (an
+:class:`~repro.vtables.base.ExternalCall` carries it): a request the
+cache can answer never becomes an attempt.  Everything around an attempt
+(retries, the per-call timeout, circuit breaking, concurrency limits,
+lifecycle tracing) belongs to the
 :class:`~repro.asynciter.pump.RequestPump` that runs it, whatever the
 execution mode: an asynchronous plan keeps many attempts in flight on the
 pump's loop, a synchronous plan registers one and waits for it — the
@@ -14,7 +18,8 @@ paper's sequential baseline, where "the query processor is idle during
 the request".
 
 A cache hit skips the delay entirely, modelling a local result cache that
-avoids the network round trip.
+avoids the network round trip — and the pump's loop thread, slot limits
+and circuit breaker with it.
 
 Fault injection
 ---------------
@@ -42,8 +47,8 @@ until the record expires.  A cancelled attempt records nothing.
 Blocking conveniences
 ---------------------
 
-``count``/``search`` send the same coroutine through the shared
-:func:`~repro.asynciter.pump.default_pump` and wait for it.  That pump
+``count``/``search`` register the same probe and coroutine with the shared
+:func:`~repro.asynciter.pump.default_pump` and wait for the outcome.  That pump
 carries no resilience policy, so they make exactly one attempt; queries
 run on their engine's pump.
 """
@@ -58,9 +63,9 @@ from repro.web.cache import ResultCache
 from repro.web.faults import HANG, OUTAGE
 
 
-def run_blocking(key, destination, factory):
+def run_blocking(key, destination, factory, probe=None):
     """Run one external call on the shared pump and wait for its outcome."""
-    call = ExternalCall(key, destination, factory)
+    call = ExternalCall(key, destination, factory, probe)
     _, rows, error = AsyncContext(default_pump(), dedup=False).run(call)
     if error is not None:
         raise error
@@ -118,6 +123,7 @@ class SearchClient:
             ("count", self.name, expr_text),
             self.name,
             lambda attempt: self.count_async(expr_text, attempt),
+            lambda: self.probe("count", expr_text),
         )
 
     def search(self, expr_text, limit):
@@ -126,6 +132,7 @@ class SearchClient:
             ("search", self.name, expr_text, limit),
             self.name,
             lambda attempt: self.search_async(expr_text, limit, attempt),
+            lambda: self.probe("search", expr_text, limit),
         )
 
     # -- one attempt of one request -------------------------------------------------
@@ -140,9 +147,6 @@ class SearchClient:
 
     async def _attempt(self, kind, expr_text, limit, attempt):
         key = ResultCache.key(self.engine.name, kind, expr_text, limit)
-        cached = self._cache_get(key)
-        if cached is not None:
-            return cached
         try:
             result = await self._request(kind, expr_text, limit, attempt)
         except Exception as exc:  # cancellation is a BaseException: not recorded
@@ -213,6 +217,17 @@ class SearchClient:
             self.obs.metrics.inc("web.round_trips", engine=self.engine.name)
 
     # -- the cache ----------------------------------------------------------------
+
+    def probe(self, kind, expr_text, limit=None):
+        """What the cache holds for one request, without any I/O.
+
+        The value, ``None`` (a miss, or no cache), or a replayed failure
+        raised.  The only cache read of a request: a miss here is the
+        miss of record, and the attempt that follows only writes.
+        """
+        return self._cache_get(
+            ResultCache.key(self.engine.name, kind, expr_text, limit)
+        )
 
     def _cache_get(self, key):
         """Read the cache: a value, ``None`` (miss), or a replayed failure.

@@ -40,6 +40,10 @@ def render_html(doc):
     ).format(title=doc.title(), body=body, anchors=anchors)
 
 
+def _cache_key(url):
+    return ResultCache.key("fetch", "fetch", url)
+
+
 class FetchService:
     """Fetch pages of the simulated Web with latency and optional caching."""
 
@@ -49,36 +53,37 @@ class FetchService:
         self.cache = cache
         self.requests_sent = 0
 
-    def _cache_get(self, key):
-        """Status-aware read: serves fresh *and* stale entries.
+    def probe(self, url):
+        """The cached :class:`FetchResult` for *url*, or ``None``: no I/O.
 
-        Fetch results are plain values (a 404 is a :class:`FetchResult`,
-        not an exception), so there is no failure-replay path here —
-        the TTL policy alone decides how long a page stays cached.
+        Status-aware: serves fresh *and* stale entries.  Fetch results
+        are plain values (a 404 is a :class:`FetchResult`, not an
+        exception), so there is no failure-replay path here — the TTL
+        policy alone decides how long a page stays cached.  The only
+        cache read of a fetch; :meth:`fetch_async` only writes.
         """
         if self.cache is None:
             return None
-        found = self.cache.lookup(key)
+        found = self.cache.lookup(_cache_key(url))
         return found.value if found.hit else None
 
     def fetch(self, url):
         """:meth:`fetch_async` sent through the shared pump and waited for."""
         return run_blocking(
-            ("fetch", url), "fetch", lambda attempt: self.fetch_async(url)
+            ("fetch", url),
+            "fetch",
+            lambda attempt: self.fetch_async(url),
+            lambda: self.probe(url),
         )
 
     async def fetch_async(self, url):
-        key = ResultCache.key("fetch", "fetch", url)
-        cached = self._cache_get(key)
-        if cached is not None:
-            return cached
         delay = self._delay(url)
         self.requests_sent += 1
         if delay > 0:
             await asyncio.sleep(delay)
         result = self._resolve(url)
         if self.cache is not None:
-            self.cache.put(key, result)
+            self.cache.put(_cache_key(url), result)
         return result
 
     def _delay(self, url):

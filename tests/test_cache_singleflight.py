@@ -518,27 +518,38 @@ class TestDetachDuringLeaderBackoff:
             pump.shutdown()
 
     def test_settle_tolerates_lost_cancel_race(self):
-        """White-box: ``_settle_member_future`` must swallow the
-        InvalidStateError from a future cancelled between the ``done()``
-        check and ``set_result`` (the race the fan-out loop can lose)."""
-        import concurrent.futures
+        """A cancel that loses to the fan-out must neither raise inside
+        it nor count: a member's callback cancelling itself and every
+        sibling lands after the fan-out took all of them out of the
+        flight (they are still in the call table), so all three complete
+        and every later member is still reached."""
+        pump = RequestPump(tracer=Tracer(), single_flight=True)
+        try:
+            release = threading.Event()
+            seen = Collector(3)
+            ids = []
 
-        from repro.asynciter.pump import _settle_member_future
+            def cancel_everyone(call_id, rows, error):
+                for member in ids:
+                    pump.cancel(member)  # too late for all three: no-ops
+                seen(call_id, rows, error)
 
-        class RacyFuture(concurrent.futures.Future):
-            # Report "not done" even after cancellation, simulating the
-            # member's cancel landing just after the caller's check.
-            def done(self):
-                return False
+            for _ in range(3):
+                ids.append(pump.register(gated_call(release), cancel_everyone))
+            release.set()
+            assert seen.done.wait(5)
+            assert pump.quiesce()
 
-        racy = RacyFuture()
-        racy.cancel()
-        _settle_member_future(racy, ([{"count": 1}], None))  # must not raise
-
-        settled = concurrent.futures.Future()
-        _settle_member_future(settled, "outcome")
-        assert settled.result(timeout=0) == "outcome"
-        # Settling again (or settling None) is a no-op, not an error.
-        _settle_member_future(settled, "other")
-        assert settled.result(timeout=0) == "outcome"
-        _settle_member_future(None, "ignored")
+            snap = pump.stats.snapshot()
+            assert snap["completed"] == 3
+            assert snap["cancelled"] == 0 and snap["failed"] == 0
+            assert sorted(seen.results) == ids
+            assert len(events_named(pump.tracer, CALL_COMPLETE)) == 3
+            assert not events_named(pump.tracer, CALL_CANCEL)
+            # Cancelling again, once everything has left the table, too.
+            for member in ids:
+                pump.cancel(member)
+            assert pump.stats.snapshot()["cancelled"] == 0
+            assert pump._flights == {} and pump._members == {}
+        finally:
+            pump.shutdown()

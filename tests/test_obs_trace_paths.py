@@ -29,6 +29,7 @@ from repro.asynciter.resilience import (
 from repro.bench.workloads import CALLS_PER_QUERY, template_queries
 from repro.exec import RowsScan, collect
 from repro.obs import Observability, Tracer, overlap_factor, request_table
+from repro.obs.schema import validate_trace_events
 from repro.obs.trace import (
     CALL_BREAKER_REJECT,
     CALL_COMPLETE,
@@ -55,6 +56,7 @@ from repro.util.errors import (
     TransientWebError,
 )
 from repro.vtables.base import ExternalCall
+from repro.web.cache import ResultCache
 from repro.web.latency import UniformLatency
 from repro.wsq import WsqEngine
 
@@ -350,8 +352,10 @@ QUERY = (
 )
 
 
-def traced_engine(web, paper_db):
-    return WsqEngine(database=paper_db, web=web, obs=Observability.enabled())
+def traced_engine(web, paper_db, cache=None):
+    return WsqEngine(
+        database=paper_db, web=web, obs=Observability.enabled(), cache=cache
+    )
 
 
 def call_sequences(tracer):
@@ -459,7 +463,11 @@ class TestEngineTraces:
         sql = template_queries(template, instances=1)[0]
         rows, sequences = {}, {}
         for mode in ("sync", "async"):
-            engine = traced_engine(web, paper_db)
+            # No cache, whatever $REPRO_CACHE says: the sequential plan
+            # re-registers a repeated request after the first completed,
+            # where a cache would answer it and the concurrent plan's
+            # dedup would not (the hit sequence is pinned below).
+            engine = traced_engine(web, paper_db, cache=False)
             try:
                 rows[mode] = sorted(engine.execute(sql, mode=mode).rows, key=repr)
                 assert engine.pump.quiesce(timeout=2.0)
@@ -478,6 +486,41 @@ class TestEngineTraces:
         assert sequences["sync"]
         for key, names in sequences["sync"]:
             assert names == async_by_key[key]
+
+    @pytest.mark.parametrize("mode", ["sync", "async"])
+    def test_cached_call_is_register_then_complete(self, web, paper_db, mode):
+        sql = template_queries(3, instances=1)[0]
+        engine = traced_engine(web, paper_db, cache=ResultCache())
+        try:
+            cold = sorted(engine.execute(sql, mode=mode).rows, key=repr)
+            assert engine.pump.quiesce(timeout=2.0)
+            went_out = [CALL_REGISTER, CALL_ENQUEUE, CALL_ISSUE, CALL_COMPLETE]
+            answered = [CALL_REGISTER, CALL_COMPLETE]
+            cold_sequences = [names for _, names in call_sequences(engine.tracer)]
+            # Cold, a call either went out or repeated one that had.
+            assert went_out in cold_sequences
+            assert all(names in (went_out, answered) for names in cold_sequences)
+            mark = len(engine.tracer)
+
+            warm = sorted(engine.execute(sql, mode=mode).rows, key=repr)
+            assert warm == cold
+            events = engine.tracer.events()[mark:]
+            by_call = {}
+            for event in events:
+                if event.name.startswith("call."):
+                    by_call.setdefault(event.call_id, []).append(event)
+            # Warm, every call is answered at registration: no enqueue,
+            # no issue (no slot was queued for or taken), no attempt.
+            assert by_call
+            for call in by_call.values():
+                assert [e.name for e in call] == answered
+                assert call[0].args["mode"] == mode
+                assert call[1].args["attempts"] == 0
+            assert all(r.issued_at is None for r in request_table(events).values())
+            assert overlap_factor(events) == 0
+            assert not validate_trace_events(events)
+        finally:
+            engine.pump.shutdown()
 
     def test_metrics_percentiles_per_destination(self, web, paper_db):
         engine = traced_engine(web, paper_db)

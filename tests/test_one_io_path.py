@@ -66,6 +66,52 @@ def identifiers(tree):
             yield node, (node.asname or node.name).rsplit(".", 1)[-1]
 
 
+#: What answers a call from the cache: ``ExternalCall.probe`` is built by
+#: ``cache_probe`` over a source's ``probe``, which is ``_cache_get``.
+PROBE_PATH = {"probe", "cache_probe", "_cache_get", "_note_cache_hit"}
+
+#: The network half of an attempt, and what decides about retrying it.
+NETWORK_HALF = {
+    "sleep",
+    "_attempt",
+    "_request",
+    "_round_trip",
+    "_fault_gate",
+    "_next_fault",
+    "faults",
+    "retry",
+    "resilience",
+    "should_retry",
+}
+
+
+def probe_violations(source):
+    """What makes a probe more than a cache read, as ``(line, what)`` pairs.
+
+    An inline hit is still "one path" only while the probe is a plain
+    ``def`` that cannot wait, cannot fault and cannot loop: no ``await``
+    (or any other async construct), no sleep, no fault gate, no retry
+    loop, nothing of the network half of an attempt.
+    """
+    found = []
+    for node in ast.walk(ast.parse(source)):
+        if not isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)):
+            continue
+        if node.name not in PROBE_PATH:
+            continue
+        if isinstance(node, ast.AsyncFunctionDef):
+            found.append((node.lineno, "async " + node.name))
+        for inner in ast.walk(node):
+            if isinstance(
+                inner, (ast.Await, ast.AsyncFor, ast.AsyncWith, ast.While, ast.For)
+            ):
+                found.append((inner.lineno, type(inner).__name__ + " in " + node.name))
+        for inner, name in identifiers(node):
+            if name in NETWORK_HALF:
+                found.append((inner.lineno, name + " in " + node.name))
+    return found
+
+
 def violations(source, io_layer):
     """Blocking-path constructs in *source* as ``(line, what)`` pairs.
 
@@ -108,8 +154,48 @@ class TestStructuralGuard:
         assert found == []
 
     def test_external_call_has_no_blocking_member(self):
-        assert ExternalCall.__slots__ == ("key", "destination", "_factory")
+        assert ExternalCall.__slots__ == ("key", "destination", "_factory", "probe")
         assert not any("sync" in slot for slot in ExternalCall.__slots__)
+
+    def test_probe_path_is_a_plain_cache_read(self):
+        found, defined = [], set()
+        for package in ("web", "vtables"):
+            for path in sorted((SRC / package).rglob("*.py")):
+                source = path.read_text()
+                defined |= {
+                    name
+                    for node, name in identifiers(ast.parse(source))
+                    if isinstance(node, ast.FunctionDef) and name in PROBE_PATH
+                }
+                for line, what in probe_violations(source):
+                    found.append("{}:{}: {}".format(path.relative_to(SRC), line, what))
+        assert found == []
+        assert defined == PROBE_PATH  # the guard is looking at real code
+        # ... and the attempt coroutine kept only the cache's write side.
+        client = ast.parse((SRC / "web" / "client.py").read_text())
+        (attempt,) = [
+            node
+            for node in ast.walk(client)
+            if isinstance(node, ast.AsyncFunctionDef) and node.name == "_attempt"
+        ]
+        names = {name for _, name in identifiers(attempt)}
+        assert {"_cache_put", "put_failure"} <= names
+        assert not names & {"_cache_get", "lookup", "get", "probe"}
+
+    @pytest.mark.parametrize(
+        "mutant",
+        [
+            "async def probe(self):\n    return await self.cache.lookup(key)\n",
+            "def probe(self, key):\n    time.sleep(0.1)\n    return self._cache_get(key)\n",
+            "def _cache_get(self, key):\n    self._fault_gate(key)\n",
+            "def probe(self):\n    while True:\n        return self._cache_get(1)\n",
+            "def cache_probe(source, shape):\n"
+            "    def probe():\n        return source._attempt('count')\n    return probe\n",
+            "def probe(self):\n    if self.resilience.retry.should_retry(e, 0):\n        pass\n",
+        ],
+    )
+    def test_probe_guard_catches_a_probe_that_waits_faults_or_retries(self, mutant):
+        assert probe_violations(mutant)
 
     @pytest.mark.parametrize(
         "mutant",
