@@ -206,39 +206,30 @@ class RuleEngine:
     def run(self, node):
         """Optimize *node* to a fixed point; returns the (new) root node."""
         root = _Root(node)
-        changed = True
-        while changed:
-            changed = False
-            for group in self.groups:
-                if self._scan_group(root, group):
-                    changed = True
-                    break  # restart from the highest-priority group
+        while self._step(root):
+            pass  # a firing restarts from the highest-priority group
         return root.child
-
-    def rules(self):
-        for group in self.groups:
-            yield from group
 
     # -- driver ---------------------------------------------------------------
 
-    def _scan_group(self, root, group):
-        """Fire at most one rule from *group*; True when the tree changed."""
-        active = [r for r in group if not self._budget_spent(r)]
-        if not active:
-            return False
-        # One traversal serves both scan orders: a scan that fires returns
-        # at once, so the tree the second scan sees is the one walked here.
+    def _step(self, root):
+        """Fire at most one rule, first group first; True when the tree changed."""
+        # One traversal serves every group and both scan orders: a scan
+        # that fires returns at once, so the tree each later scan sees is
+        # the one walked here.
         pairs = list(L.walk_with_parents(root.child, root))
         parents = {id(child): parent for parent, child in pairs}
         ctx = RuleContext(root, parents, self.settings, self.cost_model)
         preorder = [child for _, child in pairs]
-        for direction, order in (
-            (TOP_DOWN, preorder),
-            (BOTTOM_UP, preorder[::-1]),
-        ):
-            rules = [r for r in active if r.direction == direction]
-            if rules and self._scan(root, ctx, rules, order):
-                return True
+        for group in self.groups:
+            active = [r for r in group if not self._budget_spent(r)]
+            for direction, order in (
+                (TOP_DOWN, preorder),
+                (BOTTOM_UP, preorder[::-1]),
+            ):
+                rules = [r for r in active if r.direction == direction]
+                if rules and self._scan(root, ctx, rules, order):
+                    return True
         return False
 
     def _scan(self, root, ctx, rules, order):

@@ -44,7 +44,8 @@ class Token:
         self.position = position
 
     def is_keyword(self, word):
-        return self.type is TokenType.KEYWORD and self.value == word.lower()
+        """Is this the keyword *word* (given in lower case, as KEYWORDS is)?"""
+        return self.type is TokenType.KEYWORD and self.value == word
 
     def is_symbol(self, symbol):
         return self.type is TokenType.SYMBOL and self.value == symbol

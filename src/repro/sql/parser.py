@@ -88,7 +88,8 @@ class _Parser:
         return token
 
     def accept_keyword(self, *words):
-        if any(self.current.is_keyword(w) for w in words):
+        token = self.current
+        if token.type is TokenType.KEYWORD and token.value in words:
             return self.advance()
         return None
 

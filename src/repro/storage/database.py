@@ -6,6 +6,8 @@ storage/catalog object; query planning and execution live in
 :mod:`repro.wsq`.
 """
 
+import itertools
+
 from repro.relational.schema import Column, Schema
 from repro.storage.btree import BPlusTree
 from repro.storage.buffer import BufferPool
@@ -22,6 +24,10 @@ class Database:
 
     ``Database()`` is fully in-memory; ``Database(directory)`` persists the
     catalog and heap files under *directory* and re-opens them next time.
+
+    ``generation`` moves on every DDL statement, ``analyze`` and table
+    mutation — all a planner reads here — so a plan remembered under one
+    value is still the plan a planner would build while it stands.
     """
 
     def __init__(self, directory=None, buffer_capacity=64, durability="none"):
@@ -37,12 +43,17 @@ class Database:
         self._disks = []  # for close()
         self._index_pools = []  # buffer pools of open indexes, for flush()
         self.wal = None
+        self.generation = 0
+        self._generations = itertools.count(1)  # next() is atomic
         for name in self.catalog.table_names():
             self._open_table(name)
         for index_name in self.catalog.index_names():
             self._open_index(index_name)
         if durability == "wal":
             self._start_wal()
+
+    def _changed(self):
+        self.generation = next(self._generations)
 
     # -- table lifecycle ----------------------------------------------------
 
@@ -67,6 +78,7 @@ class Database:
     def drop_table(self, name):
         self.catalog.unregister(name)
         self._tables.pop(name.lower(), None)
+        self._changed()
 
     # -- indexes --------------------------------------------------------------
 
@@ -84,6 +96,7 @@ class Database:
         )
         self.catalog.set_index_root(index_name, index.tree.root_page_id)
         index._last_root = index.tree.root_page_id
+        self._changed()
         return index
 
     def drop_index(self, index_name):
@@ -92,6 +105,7 @@ class Database:
             table.indexes = [
                 i for i in table.indexes if i.name.lower() != index_name.lower()
             ]
+        self._changed()
 
     def index_names(self):
         return self.catalog.index_names()
@@ -106,6 +120,7 @@ class Database:
         for name in names:
             table = self.table(name)
             table.stats = analyze_table(table)
+        self._changed()
         return {name: self.table(name).stats for name in names}
 
     def table(self, name):
@@ -173,8 +188,11 @@ class Database:
             capacity=self.buffer_capacity,
             no_steal=(self.durability == "wal"),
         )
-        table = Table(name, self.catalog.schema_of(name), HeapFile(pool))
+        table = Table(
+            name, self.catalog.schema_of(name), HeapFile(pool), self._changed
+        )
         self._tables[name.lower()] = table
+        self._changed()
         if self.wal is not None:
             self._install_journal(table)
         return table

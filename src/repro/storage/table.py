@@ -9,7 +9,7 @@ from repro.util.errors import StorageError
 class Table:
     """A named relation: schema + heap file + attached secondary indexes."""
 
-    def __init__(self, name, schema, heap):
+    def __init__(self, name, schema, heap, changed=lambda: None):
         self.name = name
         self.schema = schema
         self.heap = heap
@@ -23,6 +23,11 @@ class Table:
         #: (``None`` until one runs; not invalidated by DML — like real
         #: systems, statistics go stale until re-analyzed).
         self.stats = None
+        #: Called as every mutating method starts; the Database moves its
+        #: ``generation`` stamp here.
+        self.changed = changed
+        #: Live records: one walk at open, then kept by every DML method.
+        self._rows = heap.record_count()
 
     def attach_index(self, index):
         self.indexes.append(index)
@@ -40,12 +45,14 @@ class Table:
 
     def insert_many(self, rows):
         """Insert *rows* in order, a heap page per pool round trip; return RIDs."""
+        self.changed()
         rids = []
         with self.heap.appender() as append:
             for row in rows:
                 if self.journal is not None:
                     self.journal("insert", row)
                 rid = append(encode_record(row, self.schema))
+                self._rows += 1
                 for index in self.indexes:
                     index.insert(row, rid)
                 rids.append(rid)
@@ -88,6 +95,7 @@ class Table:
         return decode_record(record, self.schema)
 
     def delete(self, rid):
+        self.changed()
         row = self.read(rid) if (self.indexes or self.journal is not None) else None
         if row is not None and self.journal is not None:
             self.journal("delete", row)
@@ -95,9 +103,11 @@ class Table:
             for index in self.indexes:
                 index.delete(row, rid)
         self.heap.delete(rid)
+        self._rows -= 1
 
     def delete_where(self, predicate):
         """Delete rows for which ``predicate(row)`` is truthy; return count."""
+        self.changed()
         victims = [
             (rid, row) for rid, row in self.scan_with_rids() if predicate(row)
         ]
@@ -107,6 +117,7 @@ class Table:
             for index in self.indexes:
                 index.delete(row, rid)
             self.heap.delete(rid)
+            self._rows -= 1
         return len(victims)
 
     def update_where(self, predicate, updater):
@@ -115,6 +126,7 @@ class Table:
         Implemented as delete + re-insert, which is how small heap-file
         systems handle variable-length updates; returns the update count.
         """
+        self.changed()
         changed = 0
         for rid, row in list(self.scan_with_rids()):
             if predicate(row):
@@ -127,14 +139,16 @@ class Table:
                 for index in self.indexes:
                     index.delete(row, rid)
                 self.heap.delete(rid)
+                self._rows -= 1
                 new_rid = self.heap.insert(encode_record(new_row, self.schema))
+                self._rows += 1
                 for index in self.indexes:
                     index.insert(new_row, new_rid)
                 changed += 1
         return changed
 
     def row_count(self):
-        return self.heap.record_count()
+        return self._rows
 
     def __repr__(self):
         return "Table({}, {} columns)".format(self.name, len(self.schema))

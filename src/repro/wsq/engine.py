@@ -1,16 +1,19 @@
 """The WSQ engine facade."""
 
+import threading
+from collections import OrderedDict, namedtuple
+
 from repro.asynciter.context import AsyncContext
 from repro.asynciter.pump import RequestPump, default_pump
 from repro.asynciter.rewrite import rewrite_logical
 from repro.config import EngineConfig, default_cache
 from repro.exec.operator import execute_batches
 from repro.obs import Observability
-from repro.obs.trace import BEGIN, END, QUERY_SPAN, Tracer
+from repro.obs.trace import BEGIN, END, PLAN_RULE_FIRED, QUERY_SPAN, Tracer
 from repro.plan import logical as logical_ir
 from repro.plan.physical import lower
 from repro.plan.planner import Planner
-from repro.relational.expr import kernel_stats
+from repro.relational.expr import SubqueryMixin, kernel_stats
 from repro.sql import ast
 from repro.sql.parser import parse, parse_select
 from repro.storage.database import Database
@@ -28,6 +31,37 @@ from repro.wsq.result import QueryResult
 SYNC = "sync"
 ASYNC = "async"
 AUTO = "auto"
+
+#: Entries the statement table keeps, least recently used out first: a
+#: stored statement measures 2.7–8.3 KB (tracemalloc, EXPERIMENTS.md
+#: "Statement table"), so a full table stays at about 1 MB.
+STATEMENT_CAPACITY = 128
+
+
+#: What parse → bind → rules → rewrite make of one SELECT text: the
+#: finished logical tree, every rule firing that produced it, the
+#: resolved *mode* (never "auto"), whether the tree holds an *external*
+#: scan, and the ``Database.generation`` it was planned under.  A stored
+#: one is shared by every execution and thread that hits it: ``lower``
+#: builds operators from it and nothing writes to it.
+_Statement = namedtuple("_Statement", "logical firings mode external generation")
+
+
+def _holds_subquery(logical):
+    """Does a predicate of the tree embed a subplan (``IN``/``EXISTS``)?
+
+    Such a predicate memoises its subquery's rows on itself, which is
+    execution state: a tree holding one is planned per execution.
+    """
+    stack = [getattr(node, "predicate", None) for node in logical_ir.walk(logical)]
+    while stack:
+        expr = stack.pop()
+        if isinstance(expr, SubqueryMixin):
+            return True
+        for slot in getattr(type(expr), "__slots__", ()):
+            value = getattr(expr, slot)
+            stack.extend(value if isinstance(value, tuple) else (value,))
+    return False
 
 
 class WsqEngine:
@@ -160,6 +194,8 @@ class WsqEngine:
         self.vtables = self._build_catalog()
         self._planner = Planner(self.database, self.vtables, options=config)
         self._fallback_query_ids = 0
+        self._statements = OrderedDict()  # (sql, requested mode) -> _Statement
+        self._statements_lock = threading.Lock()
 
     # Three views of ``config`` kept for the frozen benchmark adapter
     # (perf/adapter.py); nothing else in src/, tests/, benchmarks/ or
@@ -245,14 +281,9 @@ class WsqEngine:
 
     # -- planning -----------------------------------------------------------------
 
-    def _pipeline(self, query, mode, tracer, query_id=None, deadline=None):
-        """The three-layer pipeline: build -> rules -> lower.
-
-        Returns ``(plan, logical, firings, mode, query_id)`` where
-        *logical* is the optimized logical tree the physical *plan* was
-        lowered from and *firings* lists every optimizer-rule
-        application (relational pipeline + ReqSync placement).
-        """
+    def _derive(self, query, mode, tracer, query_id):
+        """Build -> rules -> (async mode) ReqSync placement: a :class:`_Statement`."""
+        generation = self.database.generation  # before the catalog is read
         metrics = self.pump.metrics
         logical = self._planner.plan_logical(query)
         logical, firings = self._planner.optimize(
@@ -263,19 +294,7 @@ class WsqEngine:
             cost_model=self.cost_model,
         )
         mode = self._resolve_mode(logical, mode)
-        context = None
-        if mode == ASYNC or logical_ir.contains_external_scan(logical):
-            if query_id is None:
-                query_id = self._next_query_id(tracer)
-            # One call outstanding at a time leaves nothing in flight to
-            # deduplicate against, so sync contexts skip the bookkeeping.
-            context = AsyncContext(
-                self.pump,
-                dedup=self.config.dedup_calls and mode == ASYNC,
-                tracer=tracer,
-                query_id=query_id,
-                deadline=deadline,
-            )
+        external = logical_ir.contains_external_scan(logical)
         if mode == ASYNC:
             logical, placement = rewrite_logical(
                 logical,
@@ -285,8 +304,71 @@ class WsqEngine:
                 query_id=query_id,
             )
             firings = firings + placement
-        plan = lower(logical, self.config, context)
-        return plan, logical, firings, mode, query_id
+        return _Statement(logical, firings, mode, external, generation)
+
+    def _lower(self, statement, tracer, query_id, deadline=None):
+        """One execution's operators over a (possibly shared) statement."""
+        context = None
+        if statement.mode == ASYNC or statement.external:
+            # One call outstanding at a time leaves nothing in flight to
+            # deduplicate against, so sync contexts skip the bookkeeping.
+            context = AsyncContext(
+                self.pump,
+                dedup=self.config.dedup_calls and statement.mode == ASYNC,
+                tracer=tracer,
+                query_id=query_id,
+                deadline=deadline,
+            )
+        return lower(statement.logical, self.config, context)
+
+    def _statement(self, sql, mode, tracer, parser=parse_select):
+        """The statement table: ``(statement, query_id)`` for *sql*.
+
+        A hit is exactly what :meth:`_derive` would build now: an entry
+        is checked against ``Database.generation``, and what that stamp
+        cannot cover is never stored — a tree holding a subquery
+        predicate, and any plan priced by an attached cost model (a
+        function of live measurements).  A hit's rule firings are traced
+        and counted again under the new query id.  A miss parses with
+        *parser*; what is not a SELECT comes back as ``(parsed, None)``.
+        """
+        key = (sql, mode)
+        metrics = self.pump.metrics
+        entry = None
+        outcome = "unstored"
+        if self.cost_model is None:
+            with self._statements_lock:
+                entry = self._statements.get(key)
+                if entry is None:
+                    outcome = "miss"
+                elif entry.generation == self.database.generation:
+                    outcome = "hit"
+                    self._statements.move_to_end(key)
+                else:
+                    outcome = "stale"
+                    entry = None
+                    del self._statements[key]
+        if entry is not None:
+            query_id = self._next_query_id(tracer)
+            for firing in entry.firings:
+                if tracer is not None:
+                    tracer.emit(PLAN_RULE_FIRED, query_id=query_id, **firing.as_dict())
+                metrics.inc("planner.rules_fired", rule=firing.rule)
+        else:
+            query = parser(sql)
+            if not isinstance(query, ast.SelectQuery):
+                return query, None
+            query_id = self._next_query_id(tracer)
+            entry = self._derive(query, mode, tracer, query_id)
+            if outcome == "unstored" or _holds_subquery(entry.logical):
+                outcome = "unstored"
+            else:
+                with self._statements_lock:
+                    self._statements[key] = entry
+                    if len(self._statements) > STATEMENT_CAPACITY:
+                        self._statements.popitem(last=False)
+        metrics.inc("planner.statements", outcome=outcome)
+        return entry, query_id
 
     def plan(self, sql, mode=ASYNC):
         """Build (and for async mode, rewrite) the plan for *sql*.
@@ -296,9 +378,9 @@ class WsqEngine:
         by a :class:`~repro.plan.cost.CostModel` passed as
         ``self.cost_model``): local-only queries skip the rewrite.
         """
-        query = parse_select(sql)
-        plan, _, _, _, _ = self._pipeline(query, mode, self.tracer)
-        return plan
+        tracer = self.tracer
+        statement, query_id = self._statement(sql, mode, tracer)
+        return self._lower(statement, tracer, query_id)
 
     def _resolve_mode(self, logical, mode):
         """Resolve ``auto`` against the (still-synchronous) logical plan.
@@ -359,12 +441,13 @@ class WsqEngine:
                     form, "/".join(self.EXPLAIN_FORMS)
                 )
             )
-        plan, logical, firings, mode, _ = self._pipeline(
-            query, mode, self.tracer
-        )
+        tracer = self.tracer
+        query_id = self._next_query_id(tracer)
+        statement = self._derive(query, mode, tracer, query_id)
         if form == "optimized":
-            return logical_ir.render(logical)
+            return logical_ir.render(statement.logical)
         if form == "rules":
+            firings = statement.firings
             if not firings:
                 return "(no rules fired)"
             width = max(len(f.rule) for f in firings)
@@ -374,6 +457,7 @@ class WsqEngine:
                 )
                 for f in firings
             )
+        plan = self._lower(statement, tracer, query_id)
         if form == "costs":
             model = self.cost_model
             if model is None:
@@ -456,19 +540,18 @@ class WsqEngine:
 
     # -- execution ---------------------------------------------------------------------
 
-    def _prepare(self, query, mode, tracer, deadline=None):
-        """Plan + rewrite one SELECT; returns (plan, mode, qid)."""
-        query_id = self._next_query_id(tracer)
-        plan, _, _, mode, _ = self._pipeline(
-            query, mode, tracer, query_id, deadline=deadline
-        )
-        return plan, mode, query_id
-
-    def _run_select(self, query, mode, deadline=None):
+    def _run(self, sql, mode, deadline, parser=parse_select):
+        """Execute what *parser* makes of *sql*: a SELECT here, the rest in
+        :meth:`_run_other`."""
         tracer = self.tracer
-        plan, mode, query_id = self._prepare(query, mode, tracer, deadline)
+        statement, query_id = self._statement(sql, mode, tracer, parser)
+        if not isinstance(statement, _Statement):
+            return self._run_other(statement)
+        plan = self._lower(statement, tracer, query_id, deadline)
         if tracer is not None:
-            tracer.emit(QUERY_SPAN, kind=BEGIN, query_id=query_id, mode=mode)
+            tracer.emit(
+                QUERY_SPAN, kind=BEGIN, query_id=query_id, mode=statement.mode
+            )
         started = self.clock.now()
         try:
             rows = self._drain_batches(plan)
@@ -518,13 +601,14 @@ class WsqEngine:
         :class:`~repro.util.errors.QueryDeadlineExceeded` at the next
         checkpoint once the budget is spent (or the deadline cancelled).
         """
-        return self._run_select(parse_select(sql), mode, deadline=deadline)
+        return self._run(sql, mode, deadline)
 
     def run(self, statement_sql, mode=ASYNC, deadline=None):
         """Execute any supported statement (SELECT or DDL/DML)."""
-        statement = parse(statement_sql)
-        if isinstance(statement, ast.SelectQuery):
-            return self._run_select(statement, mode, deadline=deadline)
+        return self._run(statement_sql, mode, deadline, parse)
+
+    def _run_other(self, statement):
+        """Carry out a parsed statement that is not a SELECT."""
         if isinstance(statement, ast.Analyze):
             stats = self.database.analyze(statement.table)
             return QueryResult(
@@ -594,7 +678,10 @@ class WsqEngine:
             borrowed_tracer = True
             self.pump.tracer = tracer
         try:
-            plan, mode, query_id = self._prepare(query, mode, tracer)
+            query_id = self._next_query_id(tracer)
+            statement = self._derive(query, mode, tracer, query_id)
+            plan = self._lower(statement, tracer, query_id)
+            mode = statement.mode
             wrapped, stats = profile_plan(
                 plan, clock=self.clock, tracer=tracer, query_id=query_id
             )

@@ -9,7 +9,7 @@ from hypothesis import strategies as st
 from repro.relational.types import DataType
 from repro.storage import Database
 from repro.storage.wal import WriteAheadLog
-from repro.util.errors import CatalogError
+from repro.util.errors import CatalogError, StorageError
 
 COLUMNS = [("Name", DataType.STR), ("N", DataType.INT)]
 
@@ -188,6 +188,54 @@ class TestCrashRecovery:
         recovered = Database(directory, durability="wal")
         assert sorted(recovered.table("T").scan()) == sorted(model)
         recovered.close()
+
+
+class TestLiveRowCount:
+    """``Table.row_count()`` is a kept count, not a walk: it must agree
+    with a scan after every kind of change and every way of opening."""
+
+    @staticmethod
+    def check(table):
+        assert table.row_count() == sum(1 for _ in table.scan())
+        return table.row_count()
+
+    def test_follows_dml_a_reopen_and_a_wal_replay(self, tmp_path):
+        directory = str(tmp_path)
+        db = Database(directory, durability="wal")
+        table = db.create_table("T", COLUMNS)
+        assert self.check(table) == 0
+        rids = table.insert_many([("r{}".format(i), i) for i in range(700)])
+        assert self.check(table) == 700
+        table.delete(rids[3])
+        table.delete_where(lambda r: r[1] % 10 == 0)
+        table.update_where(lambda r: r[1] % 10 == 1, lambda r: (r[0] + "!", -r[1]))
+        assert self.check(table) == 700 - 1 - 70
+        with pytest.raises(StorageError):
+            table.insert_many([("fits", 1), ("x" * 10000, 2)])
+        assert self.check(table) == 630  # the row before the oversized one stayed
+        table.heap.vacuum()
+        assert self.check(table) == 630
+        db.close()
+        with Database(directory, durability="wal") as reopened:
+            table = reopened.table("T")
+            assert self.check(table) == 630
+            table.insert(("after checkpoint", 1))
+            table.delete_where(lambda r: r[1] < 0)
+            expected = self.check(table)
+            crash(reopened)
+        recovered = Database(directory, durability="wal")
+        assert recovered.recovered_operations == 1 + 70
+        assert self.check(recovered.table("T")) == expected == 561
+        recovered.close()
+
+    def test_no_page_is_pinned_to_answer(self):
+        db = Database()
+        table = db.create_table_from_rows(
+            "T", COLUMNS, [("r{}".format(i), i) for i in range(2000)]
+        )
+        before = db.buffer_stats()
+        assert table.row_count() == 2000
+        assert db.buffer_stats() == before
 
 
 class TestNoStealPool:
