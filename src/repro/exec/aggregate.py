@@ -98,6 +98,7 @@ class Aggregate(Operator):
         self.children = (child,)
         self._results = None
         self._position = 0
+        self._evaluators = None
 
     def open(self, bindings=None):
         self._reject_bindings(bindings)
@@ -106,11 +107,13 @@ class Aggregate(Operator):
         order = []
         # Gather group keys and aggregate inputs as whole columns per
         # batch (kernel-compiled), then accumulate from the vectors — no
-        # per-row expression-tree dispatch.
-        group_evals = [compile_column_eval(e) for e in self.group_exprs]
-        spec_evals = [
-            None if s.star else compile_column_eval(s.expr) for s in self.specs
-        ]
+        # per-row expression-tree dispatch.  Compiled once per operator.
+        if self._evaluators is None:
+            self._evaluators = (
+                [compile_column_eval(e) for e in self.group_exprs],
+                [None if s.star else compile_column_eval(s.expr) for s in self.specs],
+            )
+        group_evals, spec_evals = self._evaluators
         labels = [s.sql() for s in self.specs]  # error context, once per open
         while True:
             batch = self.child.next_batch(self.batch_size)

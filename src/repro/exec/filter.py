@@ -13,10 +13,10 @@ class Filter(Operator):
     percolation must pull this operator above the ReqSync (or vice versa)
     whenever the predicate touches placeholder-carrying columns.
 
-    The predicate is compiled once per ``open()`` into a column kernel
-    (:func:`compile_column_predicate`) that emits the surviving rows as
-    a *selection vector* straight from the child batch's column vectors
-    — no row copying.
+    The predicate is compiled once per operator, at the first pull (a
+    Filter re-opened per outer row of a dependent join keeps it), into a
+    kernel (:func:`compile_column_predicate`) that emits the survivors as
+    a *selection vector* straight from the child's columns — no copying.
     """
 
     def __init__(self, child, predicate):
@@ -30,14 +30,12 @@ class Filter(Operator):
         # Pass-through: a Filter may sit between a dependent join and the
         # scan it parameterizes (e.g. after percolation rewrites).
         self.child.open(bindings)
-        self._column_predicate = compile_column_predicate(self.predicate)
 
     def next_batch(self, max_rows=None):
         limit = max_rows if max_rows is not None else self.batch_size
+        if self._column_predicate is None:
+            self._column_predicate = compile_column_predicate(self.predicate)
         predicate = self._column_predicate
-        if predicate is None:
-            predicate = compile_column_predicate(self.predicate)
-            self._column_predicate = predicate
         while True:
             batch = self.child.next_batch(limit)
             if batch is None:
@@ -51,7 +49,6 @@ class Filter(Operator):
 
     def close(self):
         self.child.close()
-        self._column_predicate = None
 
     def label(self):
         return "Select: {}".format(self.predicate.sql(self.schema))

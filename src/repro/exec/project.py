@@ -16,11 +16,11 @@ class Project(Operator):
     on placeholders; clash rule 2 (projection must not drop placeholder
     attributes) is enforced by the plan rewriter, not here.
 
-    The output expressions are compiled once per ``open()`` into a
-    column transformer (:func:`compile_column_projection`) — bare
-    references pass whole column vectors through zero-copy, computed
-    expressions run as kernels, and the outputs are re-typed against
-    the projection schema.
+    The output expressions are compiled once per operator, at the first
+    pull, into a column transformer (:func:`compile_column_projection`)
+    — bare references pass whole column vectors through zero-copy,
+    computed expressions run as kernels, and the outputs are re-typed
+    against the projection schema.
     """
 
     def __init__(self, child, expressions, schema):
@@ -33,14 +33,12 @@ class Project(Operator):
 
     def open(self, bindings=None):
         self.child.open(bindings)
-        self._column_project = compile_column_projection(self.expressions)
 
     def next_batch(self, max_rows=None):
         limit = max_rows if max_rows is not None else self.batch_size
+        if self._column_project is None:
+            self._column_project = compile_column_projection(self.expressions)
         project = self._column_project
-        if project is None:
-            project = compile_column_projection(self.expressions)
-            self._column_project = project
         batch = self.child.next_batch(limit)
         if batch is None:
             return None
@@ -52,7 +50,6 @@ class Project(Operator):
 
     def close(self):
         self.child.close()
-        self._column_project = None
 
     def label(self):
         rendered = ", ".join(

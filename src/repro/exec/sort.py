@@ -38,21 +38,23 @@ class Sort(Operator):
         self.children = (child,)
         self._buffer = None
         self._position = 0
+        self._evaluators = None
 
     def open(self, bindings=None):
         self._reject_bindings(bindings)
         self.child.open()
         # Each key is extracted as one kernel-compiled column gather per
-        # batch instead of a per-row tuple build.
-        evaluators = [compile_column_eval(expr) for expr, _ in self.keys]
+        # batch instead of a per-row tuple build; compiled once per operator.
+        if self._evaluators is None:
+            self._evaluators = [compile_column_eval(expr) for expr, _ in self.keys]
         decorated = []
         while True:
             batch = self.child.next_batch(self.batch_size)
             if batch is None:
                 break
             rows = batch.to_rows()
-            if evaluators:
-                key_columns = [evaluate(batch) for evaluate in evaluators]
+            if self._evaluators:
+                key_columns = [evaluate(batch) for evaluate in self._evaluators]
                 decorated.extend(zip(zip(*key_columns), rows))
             else:
                 decorated.extend(((), row) for row in rows)

@@ -10,12 +10,15 @@ yield NULL, conjunction/disjunction propagate unknown, and filters treat a
 non-True result as "drop the row".
 """
 
+import collections
+import itertools
 import operator
+import threading
 from array import array
-from itertools import repeat
 
 from repro.relational.placeholder import Placeholder, require_concrete
 from repro.relational.types import DataType, common_numeric_type, infer_literal_type
+from repro.util.codegen import compile_function
 from repro.util.errors import TypeMismatchError
 
 
@@ -557,544 +560,300 @@ class InSubqueryPredicate(BoundExpr, SubqueryMixin):
         return id(self)
 
 
-# -- compiled row-wise evaluation ------------------------------------------------
+# -- compiled evaluation: one generator ----------------------------------------
 #
-# ``compile_scalar_eval`` compiles a BoundExpr tree once into a
-# ``row -> value`` closure over plain Python locals, removing the per-row
-# virtual dispatch through the expression tree.  It is the exact
-# fallback under the column kernels below.  Semantics are mirrored exactly:
-# evaluation order (left operand first), three-valued logic including
-# per-row short-circuiting of AND/OR (a row whose first conjunct is False
-# must never evaluate — and possibly raise on — the second), placeholder
-# guards, and the string/number comparison type check.
-
-
-def _scalar_operand(expr):
-    """A fast ``row -> value`` getter for comparison/arithmetic operands."""
-    if isinstance(expr, Literal):
-        value = expr.value
-        return lambda row: value
-    if isinstance(expr, ColumnRef):
-        index = expr.index
-        context = expr.sql()
-
-        def read(row):
-            value = row[index]
-            if isinstance(value, Placeholder):
-                require_concrete(value, context=context)
-            return value
-
-        return read
-    return compile_scalar_eval(expr)
-
-
-def compile_scalar_eval(expr):
-    """Compile *expr* into a ``row -> value`` closure (exact semantics)."""
-    if isinstance(expr, Literal):
-        value = expr.value
-        return lambda row: value
-    if isinstance(expr, ColumnRef):
-        return _scalar_operand(expr)
-    if isinstance(expr, Comparison):
-        compare = _COMPARATORS[expr.op]
-        left = _scalar_operand(expr.left)
-        right = _scalar_operand(expr.right)
-
-        def comparison(row):
-            lhs = left(row)
-            rhs = right(row)
-            if lhs is None or rhs is None:
-                return None
-            if isinstance(lhs, str) != isinstance(rhs, str):
-                raise TypeMismatchError(
-                    "cannot compare {!r} with {!r}".format(lhs, rhs)
-                )
-            return compare(lhs, rhs)
-
-        return comparison
-    if isinstance(expr, Conjunction):
-        terms = [compile_scalar_eval(term) for term in expr.terms]
-
-        def conjunction(row):
-            saw_null = False
-            for term in terms:
-                value = term(row)
-                if value is False:
-                    return False
-                if value is None:
-                    saw_null = True
-            return None if saw_null else True
-
-        return conjunction
-    if isinstance(expr, Disjunction):
-        terms = [compile_scalar_eval(term) for term in expr.terms]
-
-        def disjunction(row):
-            saw_null = False
-            for term in terms:
-                value = term(row)
-                if value is True:
-                    return True
-                if value is None:
-                    saw_null = True
-            return None if saw_null else False
-
-        return disjunction
-    if isinstance(expr, Negation):
-        term = compile_scalar_eval(expr.term)
-
-        def negation(row):
-            value = term(row)
-            if value is None:
-                return None
-            return not value
-
-        return negation
-    # Arithmetic, LIKE, NULL checks, subqueries, ...: the tree's own eval
-    # is already correct; compiling buys nothing beyond the dispatch we
-    # save at the shapes above.
-    return expr.eval
-
-
-# -- column-at-a-time (kernel) evaluation -------------------------------------
+# Operators do not walk the tree per row.  :func:`_generate` writes the
+# source of one function around one per-row Python expression, compiled
+# once per distinct text (literals, error contexts and opaque
+# sub-expressions are its globals, not text).  It is the only
+# implementation below ``BoundExpr.eval``, which stays the reference
+# tests compare it with: same values, same exception with the same
+# message at the same logical row.
 #
-# The columnar executor compiles a BoundExpr tree once per operator
-# ``open()`` into a *kernel*: a closure ``(cols, n) -> values`` over
-# dense column vectors instead of row tuples.  Typed ``array`` columns
-# (see :func:`repro.relational.batch.type_column`) structurally prove
-# "only clean numbers here", so the hot loops drop every per-value
-# guard; anything else (NULLs, placeholders, strings, mixed types) takes
-# a guarded per-element loop or — for short-circuit-sensitive shapes —
-# falls back to the exact row-wise evaluator over ``zip(*cols)``.
-# Semantics are identical to row-at-a-time evaluation either way: same
-# results, same error type at the same logical row.
+# The generator is told which referenced columns are typed arrays *in
+# this batch* (:func:`repro.relational.batch.type_column`: a proof of
+# "clean numbers only") and carries for every node what is proven about
+# its value: may be NULL, may raise, is a number / bool / str.  It spends
+# a NULL test, a placeholder guard, a str-number check or three-valued
+# AND/OR bookkeeping only where that proof does not reach.
+#
+# Evaluation order is ``eval``'s by construction — Python evaluates the
+# emitted conditionals left to right and short-circuits per row — with
+# one licence: evaluating an operand that can neither be NULL nor raise
+# (a typed column, a non-NULL literal, comparisons and logic over those)
+# cannot be observed, so it may be read late, twice, or not at all on a
+# row whose result is already NULL.
 
-#: Process-global kernel counters, surfaced as ``batch.kernel_compiled``
-#: / ``batch.kernel_invoked`` metrics by the engine (see
-#: :meth:`repro.wsq.engine.WsqEngine._drain_batches`).
-_KERNEL_STATS = {"compiled": 0, "invoked": 0}
+#: Process-wide counters.  Counting is one atomic ``next()``: query
+#: threads share them and ``+=`` is a read-modify-write.
+_TICKS = {"compiled": itertools.count(), "invoked": itertools.count()}
+_READ_LOCK = threading.Lock()
+_reads = 0
 
 
 def kernel_stats():
     """A snapshot of the process-wide kernel compile/invoke counters."""
-    return dict(_KERNEL_STATS)
+    global _reads
+    with _READ_LOCK:  # reading takes a tick too: subtract the reads so far
+        stats = {name: next(ticks) - _reads for name, ticks in _TICKS.items()}
+        _reads += 1
+    return stats
 
 
-def _guard_value(value, context):
-    """The exact per-value read semantics of :meth:`ColumnRef.eval`."""
-    if isinstance(value, Placeholder):
-        require_concrete(value, context=context)
-    return value
+def _mismatch(lhs, rhs):
+    raise TypeMismatchError("cannot compare {!r} with {!r}".format(lhs, rhs))
 
 
-def _clean_literal(expr):
-    """The literal's value when it can never NULL- or type-surprise a
-    numeric array operand, else ``None`` (as a no-match marker)."""
-    if isinstance(expr, Literal) and isinstance(expr.value, (int, float)):
-        return expr.value
-    return None
+#: What generated text may name besides its arguments and constants.
+_NAMESPACE = {"Placeholder": Placeholder, "unresolved": require_concrete, "mismatch": _mismatch}
+
+#: One emitted node.  ``code`` evaluates it (spending its guards);
+#: ``again`` re-reads the result once ``code`` has run (``None``: nothing
+#: holds it yet); ``kind`` is ``"num"``/``"bool"``/``"str"`` when every
+#: non-NULL value provably is one.
+_Value = collections.namedtuple("_Value", "code again nullable raises kind")
+
+_LITERAL_KINDS = ((bool, "bool"), ((int, float), "num"), (str, "str"))
+
+#: kind -> whether its values are ``str`` (an unproven kind is absent).
+_IS_STR = {"str": True, "num": False, "bool": False}
 
 
-def _rowwise_kernel(expr):
-    """Exact fallback: pivot columns back to rows, run the scalar closure.
+class _Emitter:
+    """Emits one expression for one set of typed columns."""
 
-    Used for shapes where column-at-a-time evaluation could change which
-    error fires first (per-row AND/OR short-circuit, LIKE, subqueries).
-    The caller gathers only ``expr.referenced_columns()`` — a complete
-    contract on every expression type — so unmaterialized slots can
-    never be read and are pivoted as ``None`` streams.
+    def __init__(self, refs, typed, row):
+        self.names = {index: "v{}".format(j) for j, index in enumerate(refs)}
+        self.typed = typed
+        self.row = row  # what an opaque node's eval is handed, if not a pivot
+        self.constants = dict(_NAMESPACE)  # the generated function's globals
+        self.temps = itertools.count()
+
+    def constant(self, value):
+        name = "k{}".format(len(self.constants))
+        self.constants[name] = value
+        return name
+
+    def twice(self, value):
+        """``(first read, later reads)`` of a value that is read repeatedly."""
+        if value.again is not None:
+            return value.code, value.again
+        name = "t{}".format(next(self.temps))
+        return "({} := {})".format(name, value.code), name
+
+    def emit(self, expr):
+        if isinstance(expr, Literal):
+            value, name = expr.value, self.constant(expr.value)
+            kind = next((k for types, k in _LITERAL_KINDS if isinstance(value, types)), None)
+            return _Value(name, name, value is None, False, kind)
+        if isinstance(expr, ColumnRef):
+            name = self.names[expr.index]
+            if expr.index in self.typed:
+                return _Value(name, name, False, False, "num")
+            guarded = "(unresolved({0}, {1}) if isinstance({0}, Placeholder) else {0})".format(
+                name, self.constant(expr.sql())
+            )
+            return _Value(guarded, name, True, True, None)
+        if isinstance(expr, (Comparison, BinaryOp)):
+            return self.binary(expr)
+        if isinstance(expr, (Conjunction, Disjunction)):
+            return self.logic(expr)
+        if isinstance(expr, Negation):
+            term = self.emit(expr.term)
+            code = "(not {})".format(term.code)
+            if term.nullable:
+                code = "(None if {} is None else not {})".format(*self.twice(term))
+            return _Value(code, None, term.nullable, term.raises, "bool")
+        # LIKE, IS NULL, subqueries, anything new: the node's own eval over
+        # a row holding the columns it reads.
+        width = max(expr.referenced_columns(), default=-1) + 1
+        row = self.row or "({})".format(
+            "".join(self.names.get(i, "None") + ", " for i in range(width))
+        )
+        return _Value("{}({})".format(self.constant(expr.eval), row), None, True, True, None)
+
+    def binary(self, expr):
+        """A comparison or an arithmetic node: operands left first, NULL in
+        → NULL out, then the str-number check or the zero-divisor test."""
+        left, right = self.emit(expr.left), self.emit(expr.right)
+        op = "==" if expr.op == "=" else expr.op
+        nullable = left.nullable or right.nullable
+        is_str = _IS_STR.get(left.kind), _IS_STR.get(right.kind)
+        check = zero_test = False
+        if isinstance(expr, Comparison):
+            check = None in is_str or is_str[0] != is_str[1]
+            result = _Value(None, None, nullable, left.raises or right.raises or check, "bool")
+        else:
+            zero_test = op == "/" and not (
+                isinstance(expr.right, Literal) and is_str[1] is False and expr.right.value != 0
+            )
+            result = _Value(None, None, nullable or zero_test, True,
+                            "num" if is_str == (False, False) else None)
+        if not (nullable or check or zero_test):
+            return result._replace(code="({} {} {})".format(left.code, op, right.code))
+        # Anything but the plain ``L op R``: what may be NULL or may raise
+        # is evaluated up front, in order, by its NULL test (dead for a
+        # non-NULL operand, but it pins the order); the rest is read in place.
+        tests, names = [], []
+        for value in (left, right):
+            name = value.code
+            if value.nullable or value.raises:
+                first, name = self.twice(value)
+                tests.append("({} is None)".format(first))
+            names.append(name)
+        code = "{} {} {}".format(names[0], op, names[1])
+        if check:
+            same = " is ".join(
+                "isinstance({}, str)".format(name) if known is None else str(known)
+                for name, known in zip(names, is_str)
+            )
+            code = "{} if {} else mismatch({}, {})".format(code, same, *names)
+        elif zero_test:
+            code = "None if {} == 0 else {}".format(names[1], code)
+        if tests:
+            code = "None if {} else {}".format(" | ".join(tests), code)
+        return result._replace(code="({})".format(code))
+
+    def logic(self, expr):
+        """AND/OR: stop at the first False (True), else NULL if any term was."""
+        is_and = isinstance(expr, Conjunction)
+        terms = [self.emit(term) for term in expr.terms]
+        stop, other = ("False", "True") if is_and else ("True", "False")
+        plain = [term.kind == "bool" and not term.nullable for term in terms]
+        if all(plain):
+            code = (" and " if is_and else " or ").join(term.code for term in terms)
+        else:
+            code, unknown = "", []
+            for term, is_plain in zip(terms, plain):
+                if is_plain:
+                    test = ("not " if is_and else "") + term.code
+                else:
+                    first, name = self.twice(term)
+                    test = "{} is {}".format(first, stop)
+                    if term.nullable:
+                        unknown.append(name + " is None")
+                code += "{} if {} else ".format(stop, test)
+            if unknown:
+                code += "None if {} else ".format(" or ".join(unknown))
+            code += other
+        return _Value(
+            "({})".format(code), None,
+            any(term.nullable for term in terms), any(term.raises for term in terms), "bool",
+        )
+
+
+def _generate(expr, shape, typed=frozenset()):
+    """The function computing *expr* in *shape*, given that the columns
+    whose indexes are in *typed* are typed arrays.
+
+    Shapes: ``"values"`` and ``"selection"`` are ``run(n, *columns)``, one
+    column per referenced index in order, returning the value vector /
+    the positions where the value is True; ``"scalar"`` is ``run(row)``.
     """
-    scalar = compile_scalar_eval(expr)
+    refs = sorted(expr.referenced_columns())
+    emitter = _Emitter(refs, typed, "row" if shape == "scalar" else None)
+    names = [emitter.names[index] for index in refs]
+    columns = ["c{}".format(j) for j in range(len(refs))]
+    head = "def run(n, {}):".format(", ".join(columns))
+    if not refs:
+        each, source = "_", "range(n)"
+    elif len(refs) == 1:
+        each, source = names[0], columns[0]
+    else:
+        each, source = ", ".join(names), "zip({})".format(", ".join(columns))
+    if shape == "values" and isinstance(expr, ColumnRef):
+        # A bare column as a value is the column itself, after one
+        # placeholder scan if it is untyped: no per-value copy.
+        body = ["return " + source]
+        if not typed:
+            body.insert(0, "for {} in {}: {}".format(each, source, emitter.emit(expr).code))
+    elif shape == "values":
+        body = ["return [{} for {} in {}]".format(emitter.emit(expr).code, each, source)]
+    elif shape == "selection":
+        value = emitter.emit(expr)
+        wanted = value.code if value.kind == "bool" else value.code + " is True"
+        body = ["return [i for i, ({}) in enumerate({}) if {}]".format(each, source, wanted)]
+    else:
+        head = "def run(row):"
+        body = ["{} = row[{}]".format(name, index) for name, index in zip(names, refs)]
+        body.append("return " + emitter.emit(expr).code)
+    source = "".join([head + "\n"] + ["    {}\n".format(line) for line in body])
+    return compile_function(source, "expr", emitter.constants, "run")
 
-    def kernel(cols, n):
-        if not cols:
-            empty = ()
-            return [scalar(empty) for _ in range(n)]
-        pivot = [repeat(None, n) if col is None else col for col in cols]
-        return [scalar(row) for row in zip(*pivot)]
+
+def _kernel(expr, shape):
+    """``batch -> result`` for *expr*: one generated variant per set of
+    typed columns, chosen from what each batch is."""
+    refs = sorted(expr.referenced_columns())
+    variants = {}
+
+    def run(batch):
+        columns = [batch.column(index) for index in refs]
+        types = tuple(map(type, columns))
+        function = variants.get(types)
+        if function is None:
+            typed = {i for i, kind in zip(refs, types) if issubclass(kind, array)}
+            function = variants[types] = _generate(expr, shape, typed)
+        return function(len(batch), *columns)
+
+    return run
+
+
+def _counted(run):
+    """*run*, counted: one compile now, one invocation per call."""
+    next(_TICKS["compiled"])
+    tick = _TICKS["invoked"].__next__
+
+    def kernel(batch):
+        tick()
+        return run(batch)
 
     return kernel
 
 
-def _columnref_kernel(expr):
-    index = expr.index
-    context = expr.sql()
-
-    def kernel(cols, n):
-        col = cols[index]
-        if isinstance(col, array):
-            return col
-        for value in col:
-            if isinstance(value, Placeholder):
-                require_concrete(value, context=context)
-        return col
-
-    return kernel
-
-
-def _comparison_kernel(expr):
-    """Kernel + safe column refs for a comparison, or ``(None, None)``.
-
-    The second element lists the referenced column indexes when the
-    comparison is *array-safe*: operands are column refs / numeric
-    literals, so if every referenced column is a typed array the kernel
-    can neither raise nor return NULL — which is what lets AND/OR
-    combine term masks without observable short-circuit differences.
-    """
-    compare = _COMPARATORS[expr.op]
-    left, right = expr.left, expr.right
-
-    if isinstance(left, ColumnRef) and isinstance(right, ColumnRef):
-        li, ri = left.index, right.index
-        lctx, rctx = left.sql(), right.sql()
-
-        def colcol(cols, n):
-            a, b = cols[li], cols[ri]
-            if isinstance(a, array) and isinstance(b, array):
-                return [compare(x, y) for x, y in zip(a, b)]
-            out = []
-            append = out.append
-            for x, y in zip(a, b):
-                x = _guard_value(x, lctx)
-                y = _guard_value(y, rctx)
-                if x is None or y is None:
-                    append(None)
-                elif isinstance(x, str) != isinstance(y, str):
-                    raise TypeMismatchError(
-                        "cannot compare {!r} with {!r}".format(x, y)
-                    )
-                else:
-                    append(compare(x, y))
-            return out
-
-        return colcol, (li, ri)
-
-    if isinstance(left, ColumnRef) and isinstance(right, Literal):
-        index, context = left.index, left.sql()
-        value = right.value
-        clean = _clean_literal(right) is not None
-        value_is_str = isinstance(value, str)
-
-        def collit(cols, n):
-            col = cols[index]
-            if clean and isinstance(col, array):
-                return [compare(x, value) for x in col]
-            out = []
-            append = out.append
-            for x in col:
-                x = _guard_value(x, context)
-                if x is None or value is None:
-                    append(None)
-                elif isinstance(x, str) != value_is_str:
-                    raise TypeMismatchError(
-                        "cannot compare {!r} with {!r}".format(x, value)
-                    )
-                else:
-                    append(compare(x, value))
-            return out
-
-        return collit, ((index,) if clean else None)
-
-    if isinstance(left, Literal) and isinstance(right, ColumnRef):
-        value = left.value
-        index, context = right.index, right.sql()
-        clean = _clean_literal(left) is not None
-        value_is_str = isinstance(value, str)
-
-        def litcol(cols, n):
-            col = cols[index]
-            if clean and isinstance(col, array):
-                return [compare(value, y) for y in col]
-            out = []
-            append = out.append
-            for y in col:
-                y = _guard_value(y, context)
-                if value is None or y is None:
-                    append(None)
-                elif value_is_str != isinstance(y, str):
-                    raise TypeMismatchError(
-                        "cannot compare {!r} with {!r}".format(value, y)
-                    )
-                else:
-                    append(compare(value, y))
-            return out
-
-        return litcol, ((index,) if clean else None)
-
-    return None, None
-
-
-def _binaryop_kernel(expr):
-    """Kernel for arithmetic over column/literal operands, or ``None``."""
-    op = expr.op
-    arith = _ARITH_OPS[op]
-    left, right = expr.left, expr.right
-
-    if isinstance(left, ColumnRef) and isinstance(right, ColumnRef):
-        li, ri = left.index, right.index
-        lctx, rctx = left.sql(), right.sql()
-
-        def colcol(cols, n):
-            a, b = cols[li], cols[ri]
-            fast = isinstance(a, array) and isinstance(b, array)
-            if fast and op != "/":
-                return [arith(x, y) for x, y in zip(a, b)]
-            if fast:
-                return [None if y == 0 else x / y for x, y in zip(a, b)]
-            out = []
-            append = out.append
-            for x, y in zip(a, b):
-                x = _guard_value(x, lctx)
-                y = _guard_value(y, rctx)
-                if x is None or y is None:
-                    append(None)
-                elif op == "/":
-                    append(None if y == 0 else x / y)
-                else:
-                    append(arith(x, y))
-            return out
-
-        return colcol
-
-    if isinstance(left, ColumnRef) and isinstance(right, Literal):
-        index, context = left.index, left.sql()
-        value = right.value
-        clean = _clean_literal(right) is not None
-
-        def collit(cols, n):
-            col = cols[index]
-            if clean and isinstance(col, array):
-                if op == "/":
-                    if value == 0:
-                        return [None] * n
-                    return [x / value for x in col]
-                return [arith(x, value) for x in col]
-            out = []
-            append = out.append
-            for x in col:
-                x = _guard_value(x, context)
-                if x is None or value is None:
-                    append(None)
-                elif op == "/":
-                    append(None if value == 0 else x / value)
-                else:
-                    append(arith(x, value))
-            return out
-
-        return collit
-
-    if isinstance(left, Literal) and isinstance(right, ColumnRef):
-        value = left.value
-        index, context = right.index, right.sql()
-        clean = _clean_literal(left) is not None
-
-        def litcol(cols, n):
-            col = cols[index]
-            if clean and isinstance(col, array):
-                if op == "/":
-                    return [None if y == 0 else value / y for y in col]
-                return [arith(value, y) for y in col]
-            out = []
-            append = out.append
-            for y in col:
-                y = _guard_value(y, context)
-                if value is None or y is None:
-                    append(None)
-                elif op == "/":
-                    append(None if y == 0 else value / y)
-                else:
-                    append(arith(value, y))
-            return out
-
-        return litcol
-
-    return None
-
-
-def _logic_kernel(expr):
-    """Mask-combining kernel for AND/OR, or ``None``.
-
-    Row-at-a-time AND/OR short-circuits *per row* — a row whose first
-    conjunct is False must never evaluate (and possibly raise on) the
-    second.  Combining term masks evaluates every term for every row, so
-    it is only used when that difference is unobservable: every term is
-    an array-safe comparison (see :func:`_comparison_kernel`) *and*, at
-    runtime, every referenced column actually is a typed array — then no
-    term can raise or produce NULL, and the combine is pure boolean
-    algebra.  Otherwise the kernel defers to the exact row-wise path.
-    """
-    is_and = isinstance(expr, Conjunction)
-    terms = []
-    refs = set()
-    for term in expr.terms:
-        kernel, safe = _comparison_kernel(term) if isinstance(term, Comparison) else (None, None)
-        if kernel is None or safe is None:
-            return None
-        terms.append(kernel)
-        refs.update(safe)
-    refs = sorted(refs)
-    rowwise = _rowwise_kernel(expr)
-
-    def kernel(cols, n):
-        for i in refs:
-            if not isinstance(cols[i], array):
-                return rowwise(cols, n)
-        out = list(terms[0](cols, n))
-        for term in terms[1:]:
-            mask = term(cols, n)
-            if is_and:
-                out = [a and b for a, b in zip(out, mask)]
-            else:
-                out = [a or b for a, b in zip(out, mask)]
-        return out
-
-    return kernel
-
-
-def _column_kernel(expr):
-    """The best column kernel for *expr* (exact; falls back to row-wise)."""
-    if isinstance(expr, Literal):
-        value = expr.value
-        return lambda cols, n: [value] * n
-    if isinstance(expr, ColumnRef):
-        return _columnref_kernel(expr)
-    if isinstance(expr, Comparison):
-        kernel, _ = _comparison_kernel(expr)
-        if kernel is not None:
-            return kernel
-        return _rowwise_kernel(expr)
-    if isinstance(expr, BinaryOp):
-        kernel = _binaryop_kernel(expr)
-        if kernel is not None:
-            return kernel
-        return _rowwise_kernel(expr)
-    if isinstance(expr, (Conjunction, Disjunction)):
-        kernel = _logic_kernel(expr)
-        if kernel is not None:
-            return kernel
-        return _rowwise_kernel(expr)
-    if isinstance(expr, Negation):
-        term = _column_kernel(expr.term)
-
-        def negation(cols, n):
-            return [None if v is None else not v for v in term(cols, n)]
-
-        return negation
-    return _rowwise_kernel(expr)
-
-
-def _gather_columns(batch, refs, width):
-    """A sparse column list for *batch*: only *refs* are materialized.
-
-    Kernels index columns by absolute position, but a predicate usually
-    touches a few of them — unreferenced slots stay ``None`` so a
-    narrowed batch never gathers columns nobody reads.
-    """
-    cols = [None] * width
-    for i in refs:
-        cols[i] = batch.column(i)
-    return cols
-
-
-def _kernel_width(expr_refs, batch):
-    if batch.schema is not None:
-        return len(batch.schema)
-    return (max(expr_refs) + 1) if expr_refs else 0
+def compile_scalar_eval(expr):
+    """Compile *expr* into a ``row -> value`` function (exact semantics)."""
+    return _generate(expr, "scalar")
 
 
 def compile_column_eval(expr):
-    """Compile *expr* into a ``batch -> [values]`` column evaluator.
+    """Compile *expr* into a ``batch -> values`` column evaluator.
 
-    Call once per operator ``open()``.  Exact row-at-a-time semantics
-    (same values, same error at the same logical row) with typed-array
-    fast paths when the batch's columns allow them.
+    Compile once per operator.  Exact row-at-a-time semantics (same
+    values, same error at the same logical row); a bare column reference
+    returns the batch's column itself — do not mutate.
     """
-    _KERNEL_STATS["compiled"] += 1
-    kernel = _column_kernel(expr)
-    refs = sorted(expr.referenced_columns())
-
-    def evaluate(batch):
-        _KERNEL_STATS["invoked"] += 1
-        cols = _gather_columns(batch, refs, _kernel_width(refs, batch))
-        return kernel(cols, len(batch))
-
-    return evaluate
+    return _counted(_kernel(expr, "values"))
 
 
 def compile_column_predicate(expr):
     """Compile a predicate into ``batch -> selection`` (positions where True).
 
     SQL filter semantics: rows whose predicate is False *or NULL* are
-    dropped, exactly like a per-row ``eval(row) is True`` check.  The
-    common hot shape —
-    a comparison of a typed array column against a numeric literal —
-    emits the selection vector directly from the array, skipping the
-    intermediate truth-value list.
+    dropped, exactly like a per-row ``eval(row) is True`` check.
     """
-    _KERNEL_STATS["compiled"] += 1
-    kernel = _column_kernel(expr)
-    refs = sorted(expr.referenced_columns())
-
-    direct = None
-    if isinstance(expr, Comparison):
-        if isinstance(expr.left, ColumnRef):
-            value = _clean_literal(expr.right)
-            if value is not None:
-                direct = (_COMPARATORS[expr.op], expr.left.index, value, False)
-        elif isinstance(expr.right, ColumnRef):
-            value = _clean_literal(expr.left)
-            if value is not None:
-                direct = (_COMPARATORS[expr.op], expr.right.index, value, True)
-
-    def predicate(batch):
-        _KERNEL_STATS["invoked"] += 1
-        cols = _gather_columns(batch, refs, _kernel_width(refs, batch))
-        if direct is not None:
-            compare, index, value, flipped = direct
-            col = cols[index]
-            if isinstance(col, array):
-                if flipped:
-                    return [i for i, v in enumerate(col) if compare(value, v)]
-                return [i for i, v in enumerate(col) if compare(v, value)]
-        values = kernel(cols, len(batch))
-        return [i for i, v in enumerate(values) if v is True]
-
-    return predicate
+    return _counted(_kernel(expr, "selection"))
 
 
 def compile_column_projection(expressions):
     """Compile projections into ``batch -> [column vectors]``.
 
-    Bare column references are passed through *raw* (zero-copy on dense batches,
-    placeholders flow, mirroring :meth:`ColumnRef.raw`), computed
-    expressions run as column kernels with the usual guards.
+    Bare column references are passed through *raw* (zero-copy on dense
+    batches, placeholders flow, mirroring :meth:`ColumnRef.raw`);
+    computed expressions are evaluated with the usual guards.
     """
-    _KERNEL_STATS["compiled"] += 1
-    plans = []
-    refs = set()
-    for expr in expressions:
-        if isinstance(expr, ColumnRef):
-            plans.append((expr.index, None))
-        else:
-            plans.append((None, _column_kernel(expr)))
-            refs |= expr.referenced_columns()
-    refs = sorted(refs)
+    slots = [
+        expr.index if isinstance(expr, ColumnRef) else _kernel(expr, "values")
+        for expr in expressions
+    ]
 
     def project(batch):
-        _KERNEL_STATS["invoked"] += 1
-        n = len(batch)
-        cols = None
-        out = []
-        for raw_index, kernel in plans:
-            if kernel is None:
-                out.append(batch.column(raw_index))
-            else:
-                if cols is None:
-                    cols = _gather_columns(batch, refs, _kernel_width(refs, batch))
-                out.append(kernel(cols, n))
-        return out
+        return [
+            batch.column(slot) if isinstance(slot, int) else slot(batch)
+            for slot in slots
+        ]
 
-    return project
+    return _counted(project)
 
 
 class ExistsPredicate(BoundExpr, SubqueryMixin):

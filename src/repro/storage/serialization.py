@@ -25,6 +25,7 @@ import struct
 from repro.relational.batch import type_column
 from repro.relational.types import DataType, coerce_value
 from repro.storage.page import TOMBSTONE
+from repro.util.codegen import compile_function
 from repro.util.errors import StorageError
 
 _INT = struct.Struct("<q")
@@ -205,6 +206,4 @@ def page_decoder(types, columns):
         for i, t in enumerate(types)
     ]
     emit(1, "return [{}]", ", ".join(vectors))
-    name = "<page_decoder {} {}>".format("-".join(t.value for t in types), columns)
-    exec(compile("\n".join(lines), name, "exec"), namespace)
-    return namespace["decode"]
+    return compile_function("\n".join(lines) + "\n", "page_decoder", namespace, "decode")

@@ -570,26 +570,12 @@ class WsqEngine:
         size histogram so the vectorization's effective granularity is
         observable per engine.
         """
-        metrics = self.pump.metrics
-        observe = metrics.observe
-        before = kernel_stats()
+        observe = self.pump.metrics.observe
         rows = []
         extend = rows.extend
-        try:
-            for batch in execute_batches(plan, self.config.batch_size):
-                observe("batch.rows", len(batch))
-                extend(batch)
-        finally:
-            # Bridge the process-global kernel counters into this
-            # engine's registry as per-drain deltas, so obs snapshots
-            # show how much work the columnar fast paths actually did.
-            after = kernel_stats()
-            compiled = after["compiled"] - before["compiled"]
-            invoked = after["invoked"] - before["invoked"]
-            if compiled:
-                metrics.inc("batch.kernel_compiled", compiled)
-            if invoked:
-                metrics.inc("batch.kernel_invoked", invoked)
+        for batch in execute_batches(plan, self.config.batch_size):
+            observe("batch.rows", len(batch))
+            extend(batch)
         return rows
 
     def execute(self, sql, mode=ASYNC, deadline=None):
@@ -784,8 +770,11 @@ class WsqEngine:
         buffer's fill and — crucially for calibration — how many events
         it has **dropped** since the last clear: a non-zero count means
         any trace-derived view is incomplete.
+        ``"kernels_process_wide"`` is :func:`~repro.relational.expr.kernel_stats`
+        read now: every engine's expression kernels, not this one's alone.
         """
         payload = self.pump.metrics.snapshot()
+        payload["kernels_process_wide"] = kernel_stats()
         payload["breakers"] = self.pump.breakers()
         destinations = {
             name: client.shard_stats()

@@ -16,6 +16,9 @@ Three layers of guarantees:
   metrics registry.
 """
 
+import inspect
+import sys
+import traceback
 from array import array
 
 import pytest
@@ -38,11 +41,15 @@ from repro.relational.expr import (
     Comparison,
     Conjunction,
     Disjunction,
+    LikePredicate,
     Literal,
     Negation,
+    NullCheck,
+    _generate,
     compile_column_eval,
     compile_column_predicate,
     compile_column_projection,
+    compile_scalar_eval,
     kernel_stats,
 )
 from repro.relational.placeholder import Placeholder
@@ -236,15 +243,174 @@ KERNEL_CASES = {
 }
 
 
-@pytest.mark.parametrize(
+def _outcome(compute):
+    """What *compute* did: its value (by ``repr``: 1, 1.0, True and NaN
+    all stay distinct) or the exception's type and message."""
+    try:
+        return "value", repr(compute())
+    except Exception as exc:  # noqa: BLE001 - the outcome under comparison
+        return type(exc), str(exc)
+
+
+def _assert_exact(expr, batch):
+    """All three compiled shapes do what the row loop over ``eval`` does:
+    the same values, or the exception the loop raises first."""
+    rows = batch.to_rows()
+    expected = _outcome(lambda: [expr.eval(row) for row in rows])
+    assert _outcome(lambda: list(compile_column_eval(expr)(batch))) == expected
+    selected = _outcome(
+        lambda: [i for i, row in enumerate(rows) if expr.eval(row) is True]
+    )
+    assert _outcome(lambda: compile_column_predicate(expr)(batch)) == selected
+    scalar = compile_scalar_eval(expr)
+    for row in rows:
+        assert _outcome(lambda: scalar(row)) == _outcome(lambda: expr.eval(row))
+
+
+#: Column flavours of the differential fuzz: schema type + value strategy.
+_MARKER = Placeholder(7, "value")
+_FLAVOURS = {
+    "int": (DataType.INT, st.integers(-4, 4)),
+    "float": (DataType.FLOAT, st.sampled_from([-1.5, 0.0, 0.5, 2.0, 1e300])),
+    "int_nulls": (DataType.INT, st.one_of(st.none(), st.integers(-4, 4))),
+    "str": (DataType.STR, st.one_of(st.none(), st.sampled_from(["", "a", "ab", "b"]))),
+    "lying": (DataType.INT, st.one_of(st.integers(-4, 4), st.just("a"))),
+    "pending": (DataType.INT, st.one_of(st.integers(-4, 4), st.just(_MARKER))),
+}
+_LITERALS = st.one_of(
+    st.none(),
+    st.booleans(),
+    st.integers(-3, 3),
+    st.sampled_from([0, 0.0, 2.5, 10**400, "", "a", "b"]),
+)
+
+
+def _trees(width, depth):
+    """Expression trees nested at most *depth* deep over *width* columns."""
+    leaves = st.one_of(
+        st.builds(Literal, _LITERALS),
+        st.builds(ColumnRef, st.integers(0, width - 1)),
+    )
+    if depth == 0:
+        return leaves
+    child = _trees(width, depth - 1)
+    terms = st.lists(child, min_size=1, max_size=3)
+    return st.one_of(
+        leaves,
+        st.builds(Comparison, st.sampled_from(["=", "<>", "<", "<=", ">", ">="]), child, child),
+        st.builds(BinaryOp, st.sampled_from(["+", "-", "*", "/"]), child, child),
+        st.builds(Conjunction, terms),
+        st.builds(Disjunction, terms),
+        st.builds(Negation, child),
+        st.builds(LikePredicate, child, st.sampled_from(["a%", "_", "%b"]), st.booleans()),
+        st.builds(NullCheck, child, st.booleans()),
+    )
+
+
+@st.composite
+def _fuzz_cases(draw):
+    """(expression, batch): random tree x column flavours x batch form."""
+    flavours = draw(st.lists(st.sampled_from(sorted(_FLAVOURS)), min_size=1, max_size=3))
+    n = draw(st.sampled_from([0, 1, 3, 6]))  # empty, one-row, small
+    rows = [tuple(draw(_FLAVOURS[f][1]) for f in flavours) for _ in range(n)]
+    batch = _batch(rows, [_FLAVOURS[f][0] for f in flavours])
+    if n and draw(st.booleans()):
+        batch = batch.narrow(
+            draw(st.lists(st.integers(0, n - 1), min_size=1, max_size=n))
+        )
+    return draw(_trees(len(flavours), 3)), batch
+
+
+_HUGE = Literal(10**400)  # meets a float: OverflowError from a typed column
+
+#: Shapes where *which* operand is evaluated, and when, can be seen:
+#: (expression, rows, types); the last row is the one that decides.
+ORDER_CASES = {
+    "null_left_still_reads_right": (
+        Comparison("<", ColumnRef(0), ColumnRef(1)),
+        [(1, 2), (None, _MARKER)],
+        [DataType.INT, DataType.INT],
+    ),
+    "raising_left_beats_placeholder_right": (
+        Comparison("<", BinaryOp("+", ColumnRef(0), _HUGE), ColumnRef(1)),
+        [(0.5, _MARKER)],
+        [DataType.FLOAT, DataType.INT],
+    ),
+    "null_left_still_computes_right": (
+        BinaryOp("+", ColumnRef(1), BinaryOp("+", ColumnRef(0), _HUGE)),
+        [(0.5, None)],
+        [DataType.FLOAT, DataType.INT],
+    ),
+    "dividend_raises_before_divisor": (
+        BinaryOp(
+            "/",
+            BinaryOp("+", ColumnRef(0), _HUGE),
+            BinaryOp("-", ColumnRef(1), Literal("a")),
+        ),
+        [(0.5, 1)],
+        [DataType.FLOAT, DataType.INT],
+    ),
+    "zero_divisor_is_null_for_any_dividend": (
+        BinaryOp("/", ColumnRef(0), Literal(0)),
+        [(1,), ("a",), (None,)],
+        [DataType.INT],
+    ),
+    "false_conjunct_hides_the_second": (
+        Conjunction(
+            [
+                Comparison(">", ColumnRef(0), Literal(100)),
+                Comparison("=", ColumnRef(1), Literal("x")),
+            ]
+        ),
+        [(1, 5), (2, _MARKER)],
+        [DataType.INT, DataType.INT],
+    ),
+    "null_conjunct_does_not_hide_the_second": (
+        Conjunction(
+            [
+                Comparison(">", ColumnRef(0), Literal(1)),
+                Comparison(">", ColumnRef(1), Literal(1)),
+            ]
+        ),
+        [(5, 5), (None, _MARKER)],
+        [DataType.INT, DataType.INT],
+    ),
+    "true_disjunct_hides_the_second": (
+        Disjunction(
+            [
+                Comparison(">", ColumnRef(0), Literal(1)),
+                Comparison(">", ColumnRef(1), Literal(1)),
+            ]
+        ),
+        [(5, _MARKER), (0, 0), (None, 5)],
+        [DataType.INT, DataType.INT],
+    ),
+    "terms_that_are_not_bools": (
+        Conjunction([Literal(1), ColumnRef(0), Negation(Literal(0))]),
+        [(0,), (None,), (3,)],
+        [DataType.INT],
+    ),
+    "like_over_a_number_raises_at_its_row": (
+        Disjunction([NullCheck(ColumnRef(0)), LikePredicate(ColumnRef(1), "a%")]),
+        [(None, 5), (1, "ab"), (2, 7)],
+        [DataType.INT, DataType.STR],
+    ),
+}
+
+
+_kernel_cases = pytest.mark.parametrize(
     "case", KERNEL_CASES.values(), ids=KERNEL_CASES.keys()
 )
+
+
 class TestKernelExactness:
+    @_kernel_cases
     def test_eval_matches_rowwise(self, case):
         expr, rows, types = case
         batch = _batch(rows, types)
         assert list(compile_column_eval(expr)(batch)) == _rowwise(expr, batch)
 
+    @_kernel_cases
     def test_eval_matches_on_narrowed_batch(self, case):
         expr, rows, types = case
         batch = _batch(rows, types).narrow(
@@ -252,12 +418,41 @@ class TestKernelExactness:
         )
         assert list(compile_column_eval(expr)(batch)) == _rowwise(expr, batch)
 
+    @_kernel_cases
     def test_predicate_selects_true_rows_only(self, case):
         expr, rows, types = case
         batch = _batch(rows, types)
         values = _rowwise(expr, batch)
         expected = [i for i, v in enumerate(values) if v is True]
         assert compile_column_predicate(expr)(batch) == expected
+
+    @pytest.mark.parametrize("case", ORDER_CASES.values(), ids=ORDER_CASES.keys())
+    def test_evaluation_order_matches_the_row_loop(self, case):
+        expr, rows, types = case
+        _assert_exact(expr, _batch(rows, types))
+        _assert_exact(expr, _batch(rows + rows, types).narrow([len(rows) - 1]))
+
+    @given(_fuzz_cases())
+    @settings(max_examples=400, deadline=None)
+    def test_random_trees_match_the_row_loop(self, case):
+        _assert_exact(*case)
+
+    def test_elision_is_structural(self):
+        # What a typed column proves is left out of the text, not
+        # skipped at run time; what it does not prove is still there.
+        expr = Conjunction(
+            [
+                Comparison("<", ColumnRef(0), Literal(5)),
+                Comparison(">", ColumnRef(1), Literal(5)),
+            ]
+        )
+        typed = inspect.getsource(_generate(expr, "selection", {0, 1}))
+        assert "isinstance" not in typed and "is None" not in typed
+        guarded = inspect.getsource(_generate(expr, "selection", {0}))
+        assert "isinstance" in guarded and "is None" in guarded
+        rows = [(i, 10 - i) for i in range(10)]
+        for types in ([DataType.INT, DataType.INT], [DataType.INT, DataType.STR]):
+            _assert_exact(expr, _batch(rows, types))
 
 
 class TestKernelErrors:
@@ -274,6 +469,18 @@ class TestKernelErrors:
         )
         with pytest.raises(PlaceholderError):
             compile_column_eval(expr)(batch)
+
+    def test_traceback_shows_the_generated_line(self):
+        expr = Comparison(">", ColumnRef(0), Literal(5))
+        batch = _batch([(1,), ("oops",)], [DataType.INT])
+        with pytest.raises(TypeMismatchError) as info:
+            compile_column_eval(expr)(batch)
+        generated = [
+            frame
+            for frame in traceback.extract_tb(info.tb)
+            if frame.filename.startswith("<expr ")
+        ]
+        assert generated and "mismatch(" in generated[0].line
 
     def test_short_circuit_suppresses_second_term_error(self):
         # Per-row AND must not evaluate (and raise on) the second term
@@ -459,16 +666,60 @@ class TestHashJoin:
 
 
 class TestKernelMetrics:
+    def test_reopened_operators_compile_once(self):
+        # A DependentJoin re-opens its inner subtree per outer row: the
+        # kernels are the operator's, not the open()'s.
+        from repro.exec import Aggregate, AggregateSpec, Project, Sort
+
+        scan = _scan("t", [(i, i % 3) for i in range(10)], [DataType.INT, DataType.INT])
+        double = BinaryOp("*", ColumnRef(0), Literal(2))
+        out = Schema([Column("d", DataType.INT)])
+        plans = [
+            Filter(scan, Comparison(">", ColumnRef(0), Literal(4))),
+            Project(scan, [double], out),
+            Sort(scan, [(double, True)]),
+            Aggregate(scan, [], [AggregateSpec("SUM", double)], out),
+        ]
+        for plan in plans:
+            before = kernel_stats()["compiled"]
+            runs = [collect_batches(plan, 4) for _ in range(3)]
+            assert runs[0] == runs[1] == runs[2] and runs[0]
+            assert kernel_stats()["compiled"] == before + 1
+
     def test_kernel_metrics_surface_in_registry(self, web, paper_db):
-        from repro.obs import Observability
+        # Query threads share the process-wide counters: under eight
+        # concurrent sessions the snapshot must report every invocation
+        # exactly once — no lost update, and no overlapping query's
+        # kernels counted again.
+        from repro.serve import QueryService
         from repro.wsq import WsqEngine
 
-        engine = WsqEngine(
-            database=paper_db, web=web, obs=Observability.enabled()
-        )
-        engine.execute(
-            "Select Name From States Where Population > 5000", mode="sync"
-        )
-        metrics = engine.pump.metrics
-        assert metrics.counter_value("batch.kernel_compiled") > 0
-        assert metrics.counter_value("batch.kernel_invoked") > 0
+        engine = WsqEngine(database=paper_db, web=web)
+        sql = "Select Name From States Where Population > 5000"
+
+        def moved(run):
+            before = engine.metrics_snapshot()["kernels_process_wide"]
+            run()
+            after = engine.metrics_snapshot()["kernels_process_wide"]
+            return {name: after[name] - before[name] for name in after}
+
+        def storm():
+            service = QueryService(engine, max_workers=8)
+            try:
+                pending = [service.submit(sql, timeout=60.0) for _ in range(48)]
+                for query in pending:
+                    assert len(query.result(timeout=60.0).rows) == len(expected.rows)
+            finally:
+                service.close()
+
+        expected = engine.execute(sql)
+        one = moved(lambda: engine.execute(sql))
+        assert one["compiled"] > 0 and one["invoked"] > 0
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-5)
+        try:
+            many = moved(storm)
+        finally:
+            sys.setswitchinterval(interval)
+        assert many == {name: 48 * count for name, count in one.items()}
+        assert engine.metrics_snapshot()["kernels_process_wide"] == kernel_stats()
