@@ -6,12 +6,22 @@ proliferate tuples.  Its input expressions raise on placeholders.
 """
 
 from repro.exec.operator import Operator
-from repro.relational.expr import compile_column_eval
-from repro.relational.placeholder import require_concrete
+from repro.relational.expr import compile_grouping
 from repro.relational.types import DataType
 from repro.util.errors import ExecutionError, TypeMismatchError
 
-AGG_FUNCTIONS = ("COUNT", "SUM", "AVG", "MIN", "MAX")
+#: func -> (initial accumulator, its update by one non-NULL input,
+#: the result from the non-NULL count and the accumulator).  COUNT has
+#: no accumulator; SUM/AVG/MIN/MAX of no non-NULL input is NULL.
+_FOLDS = {
+    "COUNT": (0, None, lambda count, acc: count),
+    "SUM": (0, "{acc} += {x}", lambda count, acc: acc if count else None),
+    "AVG": (0, "{acc} += {x}", lambda count, acc: acc / count if count else None),
+    "MIN": (None, "if {acc} is None or {x} < {acc}: {acc} = {x}", lambda count, acc: acc),
+    "MAX": (None, "if {acc} is None or {x} > {acc}: {acc} = {x}", lambda count, acc: acc),
+}
+
+AGG_FUNCTIONS = tuple(_FOLDS)
 
 
 class AggregateSpec:
@@ -41,46 +51,6 @@ class AggregateSpec:
         return "{}({})".format(self.func, inner)
 
 
-class _Accumulator:
-    __slots__ = ("func", "count", "total", "best")
-
-    def __init__(self, func):
-        self.func = func
-        self.count = 0
-        self.total = 0
-        self.best = None
-
-    def add(self, value):
-        if self.func == "COUNT":
-            if value is not _STAR and value is None:
-                return
-            self.count += 1
-            return
-        if value is None:  # SQL aggregates skip NULLs
-            return
-        self.count += 1
-        if self.func in ("SUM", "AVG"):
-            self.total += value
-        elif self.func == "MIN":
-            self.best = value if self.best is None or value < self.best else self.best
-        elif self.func == "MAX":
-            self.best = value if self.best is None or value > self.best else self.best
-
-    def result(self):
-        if self.func == "COUNT":
-            return self.count
-        if self.count == 0:
-            return None  # SUM/AVG/MIN/MAX of no rows is NULL
-        if self.func == "SUM":
-            return self.total
-        if self.func == "AVG":
-            return self.total / self.count
-        return self.best
-
-
-_STAR = object()
-
-
 class Aggregate(Operator):
     """GROUP BY *group_exprs* computing *specs*.
 
@@ -98,53 +68,38 @@ class Aggregate(Operator):
         self.children = (child,)
         self._results = None
         self._position = 0
-        self._evaluators = None
+        self._accumulate = None
 
     def open(self, bindings=None):
         self._reject_bindings(bindings)
         self.child.open()
-        groups = {}
-        order = []
-        # Gather group keys and aggregate inputs as whole columns per
-        # batch (kernel-compiled), then accumulate from the vectors — no
-        # per-row expression-tree dispatch.  Compiled once per operator.
-        if self._evaluators is None:
-            self._evaluators = (
-                [compile_column_eval(e) for e in self.group_exprs],
-                [None if s.star else compile_column_eval(s.expr) for s in self.specs],
+        # One generated loop per typed-column variant evaluates the keys
+        # and the inputs inline and accumulates into flat per-group slots
+        # (first-seen order is the dict's).  Compiled once per operator.
+        folds = [_FOLDS[spec.func] for spec in self.specs]
+        if self._accumulate is None:
+            self._accumulate = compile_grouping(
+                self.group_exprs,
+                [
+                    (None if spec.star else spec.expr, start, update)
+                    for spec, (start, update, _) in zip(self.specs, folds)
+                ],
             )
-        group_evals, spec_evals = self._evaluators
-        labels = [s.sql() for s in self.specs]  # error context, once per open
+        groups = {}
         while True:
             batch = self.child.next_batch(self.batch_size)
             if batch is None:
                 break
-            key_columns = [evaluate(batch) for evaluate in group_evals]
-            input_columns = [
-                evaluate(batch) if evaluate is not None else None
-                for evaluate in spec_evals
-            ]
-            for i in range(len(batch)):
-                key = tuple(
-                    require_concrete(column[i], "GROUP BY")
-                    for column in key_columns
-                )
-                accumulators = groups.get(key)
-                if accumulators is None:
-                    accumulators = [_Accumulator(s.func) for s in self.specs]
-                    groups[key] = accumulators
-                    order.append(key)
-                for label, acc, column in zip(labels, accumulators, input_columns):
-                    if column is None:
-                        acc.add(_STAR)
-                    else:
-                        acc.add(require_concrete(column[i], label))
+            self._accumulate(batch, groups)
         self.child.close()
         if not self.group_exprs and not groups:
-            groups[()] = [_Accumulator(s.func) for s in self.specs]
-            order.append(())
+            groups[()] = [value for start, _, _ in folds for value in (0, start)]
         self._results = [
-            key + tuple(acc.result() for acc in groups[key]) for key in order
+            key + tuple(
+                result(count, acc)
+                for (_, _, result), count, acc in zip(folds, slots[::2], slots[1::2])
+            )
+            for key, slots in groups.items()
         ]
         self._position = 0
 

@@ -27,11 +27,17 @@ class TableScan(Operator):
     without a pivot.  *columns* is the set of schema positions the plan
     above reads (``None`` = all, what a hand-built plan gets); lowering
     computes it, and the other positions arrive NULL-filled, undecoded.
+    *predicate* is a selection the page decoder runs: a row it is not
+    true on reaches no vector, and a pull gathers ``max_rows`` survivors
+    (or to the table's end).  ``decode`` is resolved once, here; ``None``
+    (the predicate may raise) keeps lowering's ``Filter`` and fails ``open()``.
     """
 
-    def __init__(self, table, qualifier=None, columns=None):
+    def __init__(self, table, qualifier=None, columns=None, predicate=None):
         self.table = table
         self.columns = columns
+        self.predicate = predicate
+        self.decode = table.decoder(columns, predicate)
         self.qualifier = qualifier or table.name
         self.schema = table.schema.with_qualifier(self.qualifier)
         self.children = ()
@@ -40,7 +46,7 @@ class TableScan(Operator):
 
     def open(self, bindings=None):
         self._reject_bindings(bindings)
-        self._chunks = self.table.scan_column_batches(self.columns)
+        self._chunks = self.table.scan_decoded(self.decode)
         self._pending_cols = None
 
     def next_batch(self, max_rows=None):
@@ -76,7 +82,8 @@ class TableScan(Operator):
         self._pending_cols = None
 
     def label(self):
-        return "Scan: {}".format(self.qualifier)
+        where = "" if self.predicate is None else " where " + self.predicate.sql(self.schema)
+        return "Scan: {}{}".format(self.qualifier, where)
 
 
 class RowsScan(Operator):

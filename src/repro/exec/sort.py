@@ -1,25 +1,8 @@
 """Sorting (full materialization, stable)."""
 
-import functools
-
 from repro.exec.operator import Operator
 from repro.relational.expr import compile_column_eval
 from repro.util.errors import ExecutionError
-
-
-def _compare_values(a, b):
-    """SQL-ish comparison with NULLs last (ascending)."""
-    if a is None and b is None:
-        return 0
-    if a is None:
-        return 1
-    if b is None:
-        return -1
-    if a < b:
-        return -1
-    if a > b:
-        return 1
-    return 0
 
 
 class Sort(Operator):
@@ -47,34 +30,24 @@ class Sort(Operator):
         # batch instead of a per-row tuple build; compiled once per operator.
         if self._evaluators is None:
             self._evaluators = [compile_column_eval(expr) for expr, _ in self.keys]
-        decorated = []
+        rows = []
+        key_columns = [[] for _ in self.keys]
         while True:
             batch = self.child.next_batch(self.batch_size)
             if batch is None:
                 break
-            rows = batch.to_rows()
-            if self._evaluators:
-                key_columns = [evaluate(batch) for evaluate in self._evaluators]
-                decorated.extend(zip(zip(*key_columns), rows))
-            else:
-                decorated.extend(((), row) for row in rows)
+            rows.extend(batch.to_rows())
+            for column, evaluate in zip(key_columns, self._evaluators):
+                column.extend(evaluate(batch))
         self.child.close()
-        comparator = self._make_comparator()
-        decorated.sort(key=functools.cmp_to_key(comparator))
-        self._buffer = [row for _, row in decorated]
+        # One stable pass per key, last key first: NULLs sort as the
+        # largest value (last ascending, first descending) and ties keep
+        # arrival order under ``reverse`` too.
+        order = list(range(len(rows)))
+        for column, (_, descending) in reversed(list(zip(key_columns, self.keys))):
+            order.sort(key=lambda i: (column[i] is None, column[i]), reverse=descending)
+        self._buffer = [rows[i] for i in order]
         self._position = 0
-
-    def _make_comparator(self):
-        directions = [descending for _, descending in self.keys]
-
-        def compare(a, b):
-            for i, descending in enumerate(directions):
-                result = _compare_values(a[0][i], b[0][i])
-                if result != 0:
-                    return -result if descending else result
-            return 0
-
-        return compare
 
     def next_batch(self, max_rows=None):
         if self._buffer is None:

@@ -501,7 +501,11 @@ class CostModel:
                 column_stats = {}
             if isinstance(op, IndexScan):
                 rows *= self._index_selectivity(op, column_stats)
-            return PlanEstimate(rows=rows, local_rows=rows, column_stats=column_stats)
+            scan = PlanEstimate(rows=rows, local_rows=rows, column_stats=column_stats)
+            if isinstance(op, TableScan) and op.predicate is not None:
+                # A selection the page decoder runs: the Filter it replaced.
+                return self._selected(scan, op.predicate)
+            return scan
         if isinstance(op, RowsScan):
             rows = float(len(op.rows_data))
             return PlanEstimate(rows=rows, local_rows=rows)
@@ -509,19 +513,7 @@ class CostModel:
             # Cost is attributed at the dependent join (per-binding call).
             return PlanEstimate(rows=self._vtable_fanout(op.instance))
         if isinstance(op, Filter):
-            child = self._walk(op.child)
-            selectivity = predicate_selectivity(op.predicate, child.column_stats)
-            probe = self._subquery_probe_rows(op.predicate, child.rows)
-            return PlanEstimate(
-                rows=child.rows * selectivity,
-                local_rows=child.local_rows + child.rows + probe,
-                calls=child.calls,
-                waves=child.waves,
-                patched_values=child.patched_values,
-                issued=child.issued,
-                wave_seconds=child.wave_seconds,
-                column_stats=child.column_stats,
-            )
+            return self._selected(self._walk(op.child), op.predicate)
         if isinstance(op, (Project, Limit)):
             child = self._walk(op.children[0])
             rows = child.rows
@@ -743,6 +735,21 @@ class CostModel:
             patched_values=child.patched_values + child.rows,
             issued=child.issued + total,
             wave_seconds=child.wave_seconds + wave_latency,
+        )
+
+    def _selected(self, child, predicate):
+        """*child*'s estimate after a selection by *predicate*."""
+        selectivity = predicate_selectivity(predicate, child.column_stats)
+        probe = self._subquery_probe_rows(predicate, child.rows)
+        return PlanEstimate(
+            rows=child.rows * selectivity,
+            local_rows=child.local_rows + child.rows + probe,
+            calls=child.calls,
+            waves=child.waves,
+            patched_values=child.patched_values,
+            issued=child.issued,
+            wave_seconds=child.wave_seconds,
+            column_stats=child.column_stats,
         )
 
     def _subquery_probe_rows(self, predicate, rows):

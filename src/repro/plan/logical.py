@@ -557,7 +557,10 @@ def lift(plan):
             include_high=plan.include_high,
         )
     if isinstance(plan, TableScan):
-        return LogicalScan(plan.table, plan.qualifier)
+        scan = LogicalScan(plan.table, plan.qualifier)
+        if plan.predicate is not None:  # a fused selection: the Filter it was
+            return LogicalFilter(scan, plan.predicate)
+        return scan
     if isinstance(plan, RowsScan):
         return LogicalRowsScan(plan.schema, plan.rows_data, plan.name)
     if isinstance(plan, EVScan):

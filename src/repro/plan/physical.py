@@ -2,10 +2,10 @@
 
 Layer 3 of the planning stack (see :mod:`repro.plan.logical`).
 :func:`lower` walks an (optimized) logical tree and instantiates the
-existing exec operators 1:1 — payloads (table handles, bound
-expressions, virtual-table instances, binding maps) were carried by
-reference through the logical layer, so the produced plan is
-structurally identical to what the pre-IR pipeline built.
+existing exec operators 1:1 — but for a selection a stored scan's page
+decoder can run, which becomes that ``TableScan``'s.  Payloads (table
+handles, bound expressions, virtual-table instances, binding maps) were
+carried by reference through the logical layer.
 
 Execution knobs arrive as one :class:`~repro.config.EngineConfig`; the
 per-query :class:`~repro.serve.deadline.Deadline` travels on the
@@ -93,6 +93,18 @@ def _lower(node, config, context, needed):
     from repro.exec.sort import Sort
     from repro.exec.union import UnionAll
 
+    columns = None if needed is None else tuple(sorted(needed))
+    if (
+        isinstance(node, L.LogicalFilter)
+        and isinstance(node.child, L.LogicalScan)
+        and node.child.index is None
+    ):
+        # A selection that provably cannot raise is the scan's: the page
+        # decoder reads the predicate's columns without keeping them, so
+        # *needed* is the scan's as well.
+        scan = TableScan(node.child.table, node.child.alias, columns, node.predicate)
+        if scan.decode is not None:
+            return scan
     needs = child_columns(node, needed)
 
     def child(position=0):
@@ -109,7 +121,6 @@ def _lower(node, config, context, needed):
                 include_low=node.include_low,
                 include_high=node.include_high,
             )
-        columns = None if needed is None else tuple(sorted(needed))
         return TableScan(node.table, node.alias, columns)
     if isinstance(node, L.LogicalRowsScan):
         return RowsScan(node.schema, node.rows_data, node.name)

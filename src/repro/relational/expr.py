@@ -620,11 +620,14 @@ _IS_STR = {"str": True, "num": False, "bool": False}
 
 
 class _Emitter:
-    """Emits one expression for one set of typed columns."""
+    """Emits expressions over one set of proven columns."""
 
-    def __init__(self, refs, typed, row):
+    def __init__(self, refs, proven, row):
         self.names = {index: "v{}".format(j) for j, index in enumerate(refs)}
-        self.typed = typed
+        #: index -> (may be NULL, kind) of the columns that hold neither a
+        #: placeholder nor a value of another kind: a typed array's, or a
+        #: stored fixed-width field's.
+        self.proven = proven
         self.row = row  # what an opaque node's eval is handed, if not a pivot
         self.constants = dict(_NAMESPACE)  # the generated function's globals
         self.temps = itertools.count()
@@ -648,8 +651,9 @@ class _Emitter:
             return _Value(name, name, value is None, False, kind)
         if isinstance(expr, ColumnRef):
             name = self.names[expr.index]
-            if expr.index in self.typed:
-                return _Value(name, name, False, False, "num")
+            if expr.index in self.proven:
+                nullable, kind = self.proven[expr.index]
+                return _Value(name, name, nullable, False, kind)
             guarded = "(unresolved({0}, {1}) if isinstance({0}, Placeholder) else {0})".format(
                 name, self.constant(expr.sql())
             )
@@ -742,16 +746,28 @@ class _Emitter:
         )
 
 
+def _columns_read(expr, shape):
+    """The sorted row indexes the function generated for *expr* reads."""
+    exprs = [expr]
+    if shape == "groups":
+        exprs = expr[0] + [fold[0] for fold in expr[1] if fold[0] is not None]
+    return sorted(set().union(*(e.referenced_columns() for e in exprs)))
+
+
 def _generate(expr, shape, typed=frozenset()):
     """The function computing *expr* in *shape*, given that the columns
     whose indexes are in *typed* are typed arrays.
 
     Shapes: ``"values"`` and ``"selection"`` are ``run(n, *columns)``, one
     column per referenced index in order, returning the value vector /
-    the positions where the value is True; ``"scalar"`` is ``run(row)``.
+    the positions where the value is True; ``"scalar"`` is ``run(row)``;
+    ``"groups"`` is ``run(n, groups, *columns)`` for *expr* = ``(keys,
+    folds)``, see :func:`compile_grouping`.
     """
-    refs = sorted(expr.referenced_columns())
-    emitter = _Emitter(refs, typed, "row" if shape == "scalar" else None)
+    refs = _columns_read(expr, shape)
+    emitter = _Emitter(
+        refs, dict.fromkeys(typed, (False, "num")), "row" if shape == "scalar" else None
+    )
     names = [emitter.names[index] for index in refs]
     columns = ["c{}".format(j) for j in range(len(refs))]
     head = "def run(n, {}):".format(", ".join(columns))
@@ -773,6 +789,9 @@ def _generate(expr, shape, typed=frozenset()):
         value = emitter.emit(expr)
         wanted = value.code if value.kind == "bool" else value.code + " is True"
         body = ["return [i for i, ({}) in enumerate({}) if {}]".format(each, source, wanted)]
+    elif shape == "groups":
+        head = "def run(n, groups, {}):".format(", ".join(columns))
+        body = _group_loop(emitter, expr[0], expr[1], "for {} in {}:".format(each, source))
     else:
         head = "def run(row):"
         body = ["{} = row[{}]".format(name, index) for name, index in zip(names, refs)]
@@ -781,20 +800,50 @@ def _generate(expr, shape, typed=frozenset()):
     return compile_function(source, "expr", emitter.constants, "run")
 
 
+def _group_loop(emitter, keys, folds, loop):
+    """The body of the ``"groups"`` shape: per row, in ``eval``'s order, the
+    key tuple, its slots (``[count, accumulator]`` per fold, made at the
+    group's first row), then each fold's input into its two slots."""
+    initial = ", ".join("0, {!r}".format(start) for _, start, _ in folds)
+    probe = [
+        "slot = get(key := ({}))".format("".join(emitter.emit(k).code + ", " for k in keys)),
+        "if slot is None: slot = groups[key] = [{}]".format(initial),
+    ]
+    steps = []
+    for j, (argument, _, update) in enumerate(folds):
+        count, accumulator = "slot[{}]".format(2 * j), "slot[{}]".format(2 * j + 1)
+        fold = [count + " += 1"]
+        if argument is None:  # COUNT(*)
+            steps += fold
+            continue
+        value = emitter.emit(argument)
+        first, name = emitter.twice(value)
+        if update:
+            fold.append(update.format(acc=accumulator, x=name))
+        if value.nullable:  # aggregates skip NULLs
+            steps.append("if {} is not None:".format(first))
+            steps += ["    " + line for line in fold]
+        else:
+            steps += ([first] if first != name else []) + fold
+    if keys:
+        return ["get = groups.get", loop] + ["    " + line for line in probe + steps]
+    return ["get = groups.get"] + probe + [loop] + ["    " + line for line in steps]
+
+
 def _kernel(expr, shape):
-    """``batch -> result`` for *expr*: one generated variant per set of
-    typed columns, chosen from what each batch is."""
-    refs = sorted(expr.referenced_columns())
+    """``(batch, *state) -> result`` for *expr*: one generated variant per
+    set of typed columns, chosen from what each batch is."""
+    refs = _columns_read(expr, shape)
     variants = {}
 
-    def run(batch):
+    def run(batch, *state):
         columns = [batch.column(index) for index in refs]
         types = tuple(map(type, columns))
         function = variants.get(types)
         if function is None:
             typed = {i for i, kind in zip(refs, types) if issubclass(kind, array)}
             function = variants[types] = _generate(expr, shape, typed)
-        return function(len(batch), *columns)
+        return function(len(batch), *state, *columns)
 
     return run
 
@@ -804,9 +853,9 @@ def _counted(run):
     next(_TICKS["compiled"])
     tick = _TICKS["invoked"].__next__
 
-    def kernel(batch):
+    def kernel(*args):
         tick()
-        return run(batch)
+        return run(*args)
 
     return kernel
 
@@ -854,6 +903,43 @@ def compile_column_projection(expressions):
         ]
 
     return _counted(project)
+
+
+def compile_grouping(keys, folds):
+    """Compile GROUP BY accumulation into ``(batch, groups) -> None``.
+
+    *keys* are the group expressions; each of *folds* is ``(input
+    expression or None for ``*``, initial accumulator, update statement
+    over ``{acc}`` and ``{x}`` or None)``.  *groups* maps a key tuple, in
+    first-seen order, to flat slots ``[count, accumulator, ...]`` — two
+    per fold: the non-NULL inputs seen and what the updates made of them.
+    """
+    return _counted(_kernel((list(keys), list(folds)), "groups"))
+
+
+def compile_row_test(expr, kinds):
+    """*expr* as a test over one stored record, for the page decoder.
+
+    *kinds* maps each position whose stored type proves its kind
+    (a fixed-width field holds a ``"num"`` or a ``"bool"``, never a
+    placeholder) to it.  Returns ``None`` unless that proves *expr*
+    cannot raise; otherwise ``(positions read, tests, {name: literal})``
+    with the test of a record without NULLs, then of one with — each
+    source over ``v<position>`` and the literal names, true where
+    ``eval`` is ``True``.
+    """
+    refs = sorted(expr.referenced_columns())
+    emitter = _Emitter(refs, None, None)
+    emitter.names = {index: "v{}".format(index) for index in refs}
+    tests = []
+    for nullable in (False, True):
+        emitter.proven = {i: (nullable, kinds[i]) for i in refs if i in kinds}
+        value = emitter.emit(expr)
+        if value.raises:
+            return None
+        tests.append(value.code if value.kind == "bool" else value.code + " is True")
+    literals = {k: v for k, v in emitter.constants.items() if k not in _NAMESPACE}
+    return tuple(refs), tuple(tests), literals
 
 
 class ExistsPredicate(BoundExpr, SubqueryMixin):

@@ -12,17 +12,19 @@ The encoding is self-delimiting given the schema, so records can be packed
 back-to-back inside slotted pages.
 
 Decoding is *compiled*: :func:`page_decoder` generates, once per (column
-types, wanted columns), a function that walks a whole page's slot
-directory and appends every live record's wanted fields straight into
-per-column vectors.  Every read is bounded by the record's slot length,
-so a damaged record raises :class:`~repro.util.errors.StorageError`
-instead of returning its neighbour's bytes.
+types, wanted columns, selection text), a function that walks a whole
+page's slot directory, tests each live record and appends the wanted
+fields of those that pass straight into per-column vectors.  Every read
+is bounded by the record's slot length, so a damaged record raises
+:class:`~repro.util.errors.StorageError` instead of returning its
+neighbour's bytes.
 """
 
 import functools
 import struct
 
 from repro.relational.batch import type_column
+from repro.relational.expr import compile_row_test
 from repro.relational.types import DataType, coerce_value
 from repro.storage.page import TOMBSTONE
 from repro.util.codegen import compile_function
@@ -32,9 +34,11 @@ _INT = struct.Struct("<q")
 _FLOAT = struct.Struct("<d")
 _LEN = struct.Struct("<I")
 
-#: struct code and width of the fixed-width types (STR/DATE are
-#: length-prefixed).
-_FIXED = {DataType.INT: ("q", 8), DataType.FLOAT: ("d", 8), DataType.BOOL: ("?", 1)}
+#: struct code, width and expression-compiler kind of the fixed-width
+#: types (STR/DATE are length-prefixed).
+_FIXED = {
+    DataType.INT: ("q", 8, "num"), DataType.FLOAT: ("d", 8, "num"), DataType.BOOL: ("?", 1, "bool"),
+}
 
 
 def null_bitmap_size(column_count):
@@ -83,23 +87,49 @@ def _damaged(consumed, end):
     )
 
 
-@functools.lru_cache(maxsize=None)
-def page_decoder(types, columns):
+def page_decoder(types, columns, predicate=None):
     """Compile ``decode(data, directory) -> [vector per schema position]``.
 
     *types* is the schema's tuple of :class:`DataType`; *columns* the
     sorted tuple of positions to decode (``None`` = all).  *directory* is
     a page's flat slot directory (:func:`repro.storage.page.read_directory`)
-    over the buffer *data*.  Each vector has one entry per live record, in
+    over the buffer *data*.  Each vector has one entry per kept record, in
     slot order: a wanted INT/FLOAT column is a typed ``array`` where no
-    NULL fell on the page, any other wanted column a list, an unwanted
-    position a NULL-filled list.  Compiled once per ``(types, columns)``:
-    a pure function of its arguments, like a ``struct`` format.
+    NULL was kept, any other wanted column a list, an unwanted position a
+    NULL-filled list.
+
+    *predicate* (a bound expression over the schema's positions) keeps
+    only the live records it is ``True`` on; the test runs inside the
+    walk, before any string is decoded or any value appended.  It must be
+    one :func:`~repro.relational.expr.compile_row_test` proves cannot
+    raise over the fixed-width fields: for anything else there is no
+    decoder (``None``), and a plan keeps its ``Filter``.
+
+    The generated function is memoised per ``(types, columns, test
+    text)``: a pure function of those, like a ``struct`` format.  The
+    predicate's literals are its arguments, bound on the way out.
     """
+    if predicate is None:
+        return _decoder(types, columns, (), ("", ""), ())
+    kinds = {i: _FIXED[t][2] for i, t in enumerate(types) if t in _FIXED}
+    test = compile_row_test(predicate, kinds)
+    if test is None:
+        return None
+    reads, tests, literals = test
+    decode = _decoder(types, columns, reads, tests, tuple(literals))
+    return functools.partial(decode, **literals) if literals else decode
+
+
+@functools.lru_cache(maxsize=None)
+def _decoder(types, columns, reads, tests, literals):
+    """The decoder of *columns* that keeps a record where its test (one of
+    *tests*: without NULLs, with) over the fields *reads* and the
+    arguments named *literals* holds; an empty test keeps every record."""
     width = len(types)
     wanted = sorted(set(range(width) if columns is None else columns))
     if wanted and not 0 <= wanted[0] <= wanted[-1] < width:
         raise StorageError("decoder columns {} outside the schema".format(wanted))
+    read = set(wanted).union(reads)  # decoded; only the wanted are kept
     namespace = {
         "StorageError": StorageError,
         "damaged": _damaged,
@@ -118,13 +148,22 @@ def page_decoder(types, columns):
         namespace[name] = struct.Struct("<" + fmt).unpack_from
         return name
 
+    def keep(depth, test, value):
+        """The record passed its walk: test it, then (and only then)
+        decode its strings and append; ``value(i)`` is field *i*."""
+        if test:
+            emit(depth, "if {}:", test)
+        for i in wanted:
+            emit(depth + bool(test), "a{}({})", i, value(i))
+        if not wanted:
+            emit(depth + bool(test), "n += 1")
+
     bitmap = null_bitmap_size(width)
     sizes = [_FIXED[t][1] if t in _FIXED else _LEN.size for t in types]
     strings = [i for i, t in enumerate(types) if t not in _FIXED]
     clean = bitmap + sum(sizes)  # the shortest record without a NULL
-    keep_record = ["a{0}(v{0})".format(i) for i in wanted] or ["n += 1"]
 
-    emit(0, "def decode(data, directory):")
+    emit(0, "def decode(data, directory{}):", "".join(", " + name for name in literals))
     for i in wanted:
         emit(1, "c{0} = []; a{0} = c{0}.append", i)
     emit(1, "n = 0")
@@ -144,7 +183,7 @@ def page_decoder(types, columns):
     for i, data_type in enumerate(types):
         rest -= sizes[i]
         if data_type in _FIXED:
-            if i in wanted:
+            if i in read:
                 fmt += _FIXED[data_type][0]
                 targets.append("v{}".format(i))
             else:
@@ -152,18 +191,15 @@ def page_decoder(types, columns):
             continue
         emit(4, "{}, = {}(data, {} + {})",
              ", ".join(targets + ["size"]), unpack(fmt + "I"), base, skip)
-        emit(4, "p = {} + {}", base, skip + struct.calcsize("<" + fmt + "I"))
-        emit(4, "q = p + size")
-        emit(4, "if q + {} {} end:", rest, "!=" if i == strings[-1] else ">")
-        emit(5, "raise damaged(q + {}, end)", rest)
-        if i in wanted:
-            emit(4, "v{} = data[p:q].decode()", i)
-        base, skip, fmt, targets = "q", 0, "", []
+        emit(4, "p{} = {} + {}", i, base, skip + struct.calcsize("<" + fmt + "I"))
+        emit(4, "q{0} = p{0} + size", i)
+        emit(4, "if q{} + {} {} end:", i, rest, "!=" if i == strings[-1] else ">")
+        emit(5, "raise damaged(q{} + {}, end)", i, rest)
+        base, skip, fmt, targets = "q{}".format(i), 0, "", []
     if targets:  # a trailing pad reads nothing: drop it from the format
         emit(4, "{}, = {}(data, {} + {})",
              ", ".join(targets), unpack(fmt.rstrip("0123456789x")), base, skip)
-    for line in keep_record:
-        emit(4, line)
+    keep(4, tests[0], lambda i: ("data[p{0}:q{0}].decode()" if i in strings else "v{0}").format(i))
 
     # NULL-carrying (or short) records: the same walk, field by field.
     emit(3, "elif length or off != {}:", TOMBSTONE)
@@ -172,28 +208,27 @@ def page_decoder(types, columns):
     emit(4, 'bits = int.from_bytes(data[off:off + {}], "little")', bitmap)
     emit(4, "p = off + {}", bitmap)
     for i, data_type in enumerate(types):
-        if i in wanted:
+        if i in read and data_type in _FIXED:
             emit(4, "v{} = None", i)
         emit(4, "if not bits & {}:", 1 << i)
         emit(5, "if p + {} > end:", sizes[i])
         emit(6, "raise damaged(p + {}, end)", sizes[i])
         if data_type in _FIXED:
-            if i in wanted:
+            if i in read:
                 emit(5, "v{}, = {}(data, p)", i, unpack(_FIXED[data_type][0]))
             emit(5, "p += {}", sizes[i])
             continue
         emit(5, "size, = {}(data, p)", unpack("I"))
-        emit(5, "p += 4")
-        emit(5, "q = p + size")
-        emit(5, "if q > end:")
-        emit(6, "raise damaged(q, end)")
-        if i in wanted:
-            emit(5, "v{} = data[p:q].decode()", i)
-        emit(5, "p = q")
+        emit(5, "p{} = p + 4", i)
+        emit(5, "p = q{0} = p{0} + size", i)
+        emit(5, "if p > end:")
+        emit(6, "raise damaged(p, end)")
     emit(4, "if p != end:")
     emit(5, "raise damaged(p, end)")
-    for line in keep_record:
-        emit(4, line)
+    keep(4, tests[1], lambda i: (
+        "None if bits & {0} else data[p{1}:q{1}].decode()".format(1 << i, i)
+        if i in strings else "v{}".format(i)
+    ))
 
     emit(1, "except UnicodeDecodeError as exc:")
     emit(2, 'raise StorageError("corrupt record: {{}}".format(exc))')

@@ -58,25 +58,38 @@ class Table:
                 rids.append(rid)
         return rids
 
-    def scan_column_batches(self, columns=None):
-        """Yield schema-typed column vectors, one group per non-empty heap page.
+    def scan_column_batches(self, columns=None, predicate=None):
+        """Schema-typed column vectors, one group per heap page that keeps a row.
 
-        Each yielded value is a list with one vector per attribute (typed
-        ``array`` for INT/FLOAT columns with no NULL on the page, plain
-        lists otherwise) covering the page's rows in the storage order of
-        :meth:`scan`.  *columns* names the positions a caller reads
-        (``None`` = all): the others are not decoded and arrive as
+        Each group is a list with one vector per attribute (typed
+        ``array`` for INT/FLOAT columns with no NULL kept from the page,
+        plain lists otherwise) covering the page's rows in the storage
+        order of :meth:`scan`.  *columns* names the positions a caller
+        reads (``None`` = all): the others are not decoded and arrive as
         NULL-filled lists, so every vector still has one entry per row.
-        This feeds ``TableScan.next_batch()``: pages decode straight into
-        the layout the operators execute on, with no row tuples between.
+        *predicate* keeps only the rows it is true on, tested inside the
+        page decoder (:func:`~repro.storage.serialization.page_decoder`
+        says which predicates qualify; the columns it reads need not be
+        in *columns*).  This feeds ``TableScan.next_batch()``: pages
+        decode straight into the layout the operators execute on, with no
+        row tuples between and no vector entry for a row that is dropped.
         """
+        return self.scan_decoded(self.decoder(columns, predicate))
+
+    def decoder(self, columns=None, predicate=None):
+        """The page decoder :meth:`scan_column_batches` runs, for a caller
+        that keeps it across scans; ``None`` when *predicate* may raise."""
         if columns is not None:
             columns = tuple(sorted(set(columns)))
             if len(columns) == len(self._types):
                 columns = None  # share the bare call's decoder
-        for _, _, vectors in self.heap.scan_pages(page_decoder(self._types, columns)):
-            if vectors and len(vectors[0]):
-                yield vectors
+        return page_decoder(self._types, columns, predicate)
+
+    def scan_decoded(self, decode):
+        """:meth:`scan_column_batches` through a kept :meth:`decoder`."""
+        if decode is None:
+            raise StorageError("the predicate may raise: not a scan predicate")
+        return (v for _, _, v in self.heap.scan_pages(decode) if v and len(v[0]))
 
     def scan(self):
         """Yield decoded rows (tuples) in storage order."""

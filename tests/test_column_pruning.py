@@ -43,10 +43,12 @@ def _scans(plan):
 @contextlib.contextmanager
 def every_column_decoded():
     """The same physical trees, but no scan skips a column (subplans too)."""
-    original = Table.scan_column_batches
+    original = Table.decoder
     with pytest.MonkeyPatch.context() as patch:
         patch.setattr(
-            Table, "scan_column_batches", lambda self, columns=None: original(self)
+            Table,
+            "decoder",
+            lambda self, columns=None, predicate=None: original(self, None, predicate),
         )
         yield
 
@@ -97,8 +99,11 @@ class TestRowsDoNotChange:
         assert _assert_pruning_is_invisible(local_engine, sql)
         scan = _scans(local_engine.plan(sql, mode="sync"))[0]
         assert scan.table.name == "Orders"
+        # The selection is the scan's: Qty (join: Amount) is read by the
+        # page decoder's test and kept in no vector.
+        assert scan.predicate is not None
         assert scan.columns == {
-            "filter": (0, 2, 3), "group": (1, 2, 3), "join": (0, 1, 2), "sort": (0, 2, 3),
+            "filter": (0, 2), "group": (1, 2), "join": (0, 1), "sort": (0, 2),
         }[shape]
 
 
@@ -110,7 +115,7 @@ class TestNamedCases:
 
     def test_count_star_under_a_filter(self, engine):
         sql = "Select Count(*) From States Where Population > 5000"
-        assert _scans(engine.plan(sql, mode="sync"))[0].columns == (1,)
+        assert _scans(engine.plan(sql, mode="sync"))[0].columns == ()  # tested, not kept
         assert _assert_pruning_is_invisible(engine, sql)[0][0] > 0
 
     def test_select_distinct_star_reads_everything(self, engine):
@@ -144,7 +149,7 @@ class TestNamedCases:
         union = L.LogicalUnion(*arms)
         tree = L.LogicalProject(union, [ColumnRef(0, "Name")], union.schema.project([0]))
         plan = lower(tree)
-        assert [scan.columns for scan in _scans(plan)] == [(0, 1), (0, 1)]
+        assert [scan.columns for scan in _scans(plan)] == [(0,), (0,)]  # + the tested 1
         rows = collect(plan)
         assert len(rows) > 2
         with every_column_decoded():
@@ -211,16 +216,16 @@ class TestAnalysis:
     def test_lowering_keeps_schemas_and_labels(self, engine):
         sql = "Select Name From States Where Population > 5000"
         scan = _scans(engine.plan(sql, mode="sync"))[0]
-        assert scan.columns == (0, 1)
+        assert scan.columns == (0,)
         assert scan.schema.names() == ["Name", "Population", "Capital"]
-        assert scan.label() == "Scan: States"
+        assert scan.label() == "Scan: States where States.Population > 5000"
 
 
 class TestCompileOnce:
     def test_n_scans_compile_one_decoder_per_distinct_column_set(self):
         from repro.relational.types import DataType
         from repro.storage import Database
-        from repro.storage.serialization import page_decoder
+        from repro.storage.serialization import _decoder as page_decoder
 
         # A column-type sequence no other test uses, so the memo is cold.
         types = [DataType.DATE, DataType.BOOL, DataType.BOOL, DataType.FLOAT, DataType.DATE]

@@ -150,7 +150,8 @@ class TestPlanShapes:
             "Select * From States, Sigs Where Population > 10000", mode="sync"
         )
         product = first(plan, CrossProduct)
-        assert isinstance(product.left, Filter)  # pushed onto States scan
+        # Pushed onto the States scan, and from there into its page decoder.
+        assert product.left.label() == "Scan: States where States.Population > 10000"
 
     def test_limit_and_distinct(self, engine):
         plan = engine.plan(

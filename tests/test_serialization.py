@@ -6,10 +6,12 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from repro.relational.expr import ColumnRef, Comparison, Literal
 from repro.relational.schema import Column, Schema
 from repro.relational.types import DataType
 from repro.storage.page import SlottedPage, live_slots, read_directory
-from repro.storage.serialization import decode_record, encode_record, page_decoder
+from repro.storage.serialization import _decoder, decode_record, encode_record, page_decoder
+from repro.util import codegen
 from repro.util.errors import StorageError, TypeMismatchError
 
 SCHEMA = Schema(
@@ -239,10 +241,22 @@ class TestPageDecoder:
     def test_compiled_once_per_column_set(self):
         # The memo is process-wide: thirteen columns is a schema no
         # generator in the suite draws (the storage oracle stops at twelve).
+        # Its key is (types, columns, predicate text): a literal is an
+        # argument of the compiled function, not part of its source.
         types = (DataType.BOOL, DataType.DATE, DataType.BOOL, DataType.INT) * 3 + (
             DataType.STR,
         )
-        before = page_decoder.cache_info().misses
+        before = _decoder.cache_info().misses
         decoders = {page_decoder(types, cols) for cols in [None, (0, 3), (0, 3), None, ()]}
         assert len(decoders) == 3
-        assert page_decoder.cache_info().misses == before + 3
+        assert _decoder.cache_info().misses == before + 3
+        code = len(codegen._CODE)
+        selecting = {
+            page_decoder(types, (0, 3), Comparison("=", ColumnRef(3), Literal(k))).func
+            for k in range(1000)
+        }
+        assert len(selecting) == 1
+        assert _decoder.cache_info().misses == before + 4
+        assert len(codegen._CODE) == code + 1
+        page_decoder(types, (0, 3), Comparison("<", ColumnRef(3), Literal(1)))
+        assert _decoder.cache_info().misses == before + 5
