@@ -284,11 +284,6 @@ class RequestPump:
         self._dest_sems = {}
         self._breakers = {}  # destination -> CircuitBreaker
 
-    # The leak checks in tests/test_chaos_soak.py and
-    # tests/test_cache_singleflight.py read the call table under the
-    # names of two of the four dicts it replaced.
-    _futures = _members = property(lambda self: self._calls)
-
     @property
     def metrics(self):
         """The backing registry (shared with ``stats``)."""

@@ -85,21 +85,21 @@ def build_engine(args):
 
 
 def _cache_config(args):
-    """Resolve the cache flags into a cache instance (or the off sentinel).
+    """Resolve the cache flags into a cache, ``None`` or ``False``.
 
-    ``--no-cache`` returns ``False`` — the explicit "even if
-    ``REPRO_CACHE`` is set, run this engine uncached" sentinel the
-    engine recognises.  ``--cache`` is the historical boolean (a plain
-    in-memory cache); ``--cache-tier`` selects the stack explicitly and
-    ``--cache-ttl`` / ``--cache-dir`` parameterize it.
+    ``--cache-tier`` selects the cache and ``--cache-ttl`` /
+    ``--cache-dir`` parameterize it (a TTL alone implies ``memory``).
+    With neither, ``None`` lets the engine fall back to ``$REPRO_CACHE``;
+    ``--cache-tier off`` returns ``False``, the engine's "uncached even
+    if ``REPRO_CACHE`` is set" sentinel.
     """
-    if getattr(args, "no_cache", False):
-        return False
     tier = getattr(args, "cache_tier", None)
     ttl = getattr(args, "cache_ttl", None)
+    if tier == "off":
+        return False
     if tier is None:
-        if not getattr(args, "cache", False) and ttl is None:
-            return None  # the engine falls back to $REPRO_CACHE
+        if ttl is None:
+            return None
         tier = "memory"
     return make_cache(
         tier=tier,
@@ -147,16 +147,13 @@ def main(argv=None):
         default=0.0,
         help="simulated search latency midpoint in milliseconds",
     )
-    parser.add_argument(
-        "--cache", action="store_true", help="enable the search-result cache"
-    )
     cache_group = parser.add_argument_group("result cache")
     cache_group.add_argument(
         "--cache-tier",
         choices=("off", "memory", "disk"),
         default=None,
-        help="result-cache stack: off, a shared memory LRU, "
-        "or memory over a persistent disk tier",
+        help="result cache: off (even if REPRO_CACHE is set), an "
+        "in-memory LRU, or the same LRU persisted to --cache-dir",
     )
     cache_group.add_argument(
         "--cache-ttl",
@@ -169,14 +166,8 @@ def main(argv=None):
         "--cache-dir",
         default=None,
         metavar="DIR",
-        help="directory for the persistent disk tier "
+        help="directory the cache persists to "
         "(default .wsq-cache, only with --cache-tier disk)",
-    )
-    cache_group.add_argument(
-        "--no-cache",
-        action="store_true",
-        help="force the result cache off (overrides --cache/--cache-tier "
-        "and the REPRO_CACHE environment variable)",
     )
     parser.add_argument(
         "--sync", action="store_true", help="start in synchronous mode"

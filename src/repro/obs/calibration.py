@@ -194,7 +194,7 @@ class CalibrationProfile:
           latency percentiles from the buffered window.
 
         The cache hit ratio prefers a live *cache* object's
-        ``hit_ratio()`` (exact, tier-aware); without one it is derived
+        ``hit_ratio()`` (exact); without one it is derived
         from ``cache.{hit,stale,miss}`` trace events.
         """
         destinations = {}
@@ -372,13 +372,8 @@ class CalibrationProfile:
 
 def _observed_hit_ratio(cache, tracer):
     """Hit ratio: live cache (exact) > trace-event derivation > None."""
-    if cache is not None:
-        hit_ratio = getattr(cache, "hit_ratio", None)
-        if callable(hit_ratio):
-            stats = getattr(cache, "stats", None)
-            counts = stats() if callable(stats) else {}
-            if counts.get("hits", 0) or counts.get("misses", 0):
-                return float(hit_ratio())
+    if cache is not None and (cache.hits or cache.misses):
+        return float(cache.hit_ratio())
     if tracer is not None:
         hits = misses = 0
         for event in tracer.events((CACHE_HIT, CACHE_STALE, CACHE_MISS)):

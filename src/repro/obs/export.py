@@ -281,7 +281,7 @@ def render_waterfall(events, width=64, query_id=None, dropped=0):
 def cache_summary_line(events, query_id=None):
     """One-line result-cache summary for a trace slice (or ``None``).
 
-    Counts ``cache.{hit,stale,miss}`` events (any tier) plus
+    Counts ``cache.{hit,stale,miss}`` events (one per lookup) plus
     ``cache.coalesce`` single-flight joins and derives the hit ratio the
     same way :meth:`~repro.web.cache.ResultCache.hit_ratio` does — so the
     waterfall footer, ``profile()`` deltas, and ``detailed_stats()`` all

@@ -40,7 +40,6 @@ KNOWN_EVENT_NAMES = frozenset(
         _trace.OP_NEXT,
         _trace.OP_NEXT_BATCH,
         _trace.OP_CLOSE,
-        _trace.WEB_CACHE_HIT,
         _trace.CACHE_HIT,
         _trace.CACHE_MISS,
         _trace.CACHE_STALE,

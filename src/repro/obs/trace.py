@@ -59,17 +59,16 @@ SYNC_CANCEL_TUPLE = "reqsync.cancel_tuple"
 SYNC_PROLIFERATE = "reqsync.proliferate"
 SYNC_DEGRADE = "reqsync.degrade"
 
-#: Query / operator / web-client events.
+#: Query / operator events.
 QUERY_SPAN = "query"
 OP_OPEN = "op.open"
 OP_NEXT = "op.next"
 OP_NEXT_BATCH = "op.next_batch"
 OP_CLOSE = "op.close"
-WEB_CACHE_HIT = "web.cache_hit"
 
 #: Result-cache events (DESIGN.md §11).  ``cache.hit``/``cache.miss``/
-#: ``cache.stale``/``cache.evict`` are emitted by the cache tiers
-#: themselves (args carry the tier and request kind); ``cache.coalesce``
+#: ``cache.stale``/``cache.evict`` are emitted by the cache itself (args
+#: carry the key; one of hit/stale/miss per lookup); ``cache.coalesce``
 #: is emitted by the request pump when a registration joins an identical
 #: in-flight call instead of issuing a new one (single-flight).
 CACHE_HIT = "cache.hit"

@@ -190,10 +190,6 @@ class CostModel:
     local work to seconds.
     """
 
-    #: Fraction of ``cpu_per_row`` attributed to per-pull iterator
-    #: dispatch (the part batch execution amortizes over a whole batch).
-    DISPATCH_SHARE = 0.5
-
     def __init__(
         self,
         latency_mean,
@@ -202,7 +198,6 @@ class CostModel:
         cpu_per_row=2e-6,
         cpu_per_patch=4e-6,
         call_overhead=2e-4,
-        batch_size=None,
         cache=None,
         expected_hit_ratio=None,
         shards=None,
@@ -214,12 +209,8 @@ class CostModel:
         self.cpu_per_row = cpu_per_row
         self.cpu_per_patch = cpu_per_patch
         self.call_overhead = call_overhead
-        #: Batch granularity the priced plans run at (``None`` or ``<= 1``
-        #: = row-at-a-time, no discount — keeps historical estimates
-        #: bit-identical).
-        self.batch_size = batch_size
-        #: Cache-aware pricing: a live cache (anything exposing
-        #: ``hit_ratio()``) lets the model discount the expected fraction
+        #: Cache-aware pricing: a live :class:`~repro.web.cache.
+        #: ResultCache` lets the model discount the expected fraction
         #: of external calls that will be served locally; an explicit
         #: ``expected_hit_ratio`` overrides the live estimate (useful for
         #: what-if planning before any traffic exists).  Both unset — the
@@ -312,7 +303,6 @@ class CostModel:
             cpu_per_row=self.cpu_per_row,
             cpu_per_patch=self.cpu_per_patch,
             call_overhead=self.call_overhead,
-            batch_size=self.batch_size,
             cache=self.cache,
             expected_hit_ratio=self.expected_hit_ratio,
             shards=self.shards,
@@ -390,27 +380,10 @@ class CostModel:
         if ratio is None and self.profile is not None:
             ratio = self.profile.cache_hit_ratio
         if ratio is None and self.cache is not None:
-            hit_ratio = getattr(self.cache, "hit_ratio", None)
-            if callable(hit_ratio):
-                ratio = hit_ratio()
+            ratio = self.cache.hit_ratio()
         if ratio is None:
             return 1.0
         return min(1.0, max(0.0, 1.0 - float(ratio)))
-
-    def batch_discount(self):
-        """Multiplier on per-row CPU under batch-at-a-time execution.
-
-        A batch of *B* rows pays one ``next_batch`` dispatch instead of
-        *B* ``next()`` dispatches, so the dispatch share of the per-row
-        cost shrinks by 1/B: ``discount = (1 - s) + s / B`` with
-        ``s = DISPATCH_SHARE``.  ``B <= 1`` (or unset) yields exactly
-        1.0 — the degenerate schedule prices like the seed model.
-        """
-        size = self.batch_size
-        if size is None or size <= 1:
-            return 1.0
-        share = self.DISPATCH_SHARE
-        return (1.0 - share) + share / float(size)
 
     # -- public API -------------------------------------------------------------
 
@@ -439,7 +412,7 @@ class CostModel:
             * float(self.shards)
         )
         local = (
-            estimate.local_rows * self.cpu_per_row * self.batch_discount()
+            estimate.local_rows * self.cpu_per_row
             + estimate.patched_values * self.cpu_per_patch
         )
         return network + local

@@ -21,8 +21,8 @@ Robustness is the headline contract:
 
 Thread model: ``max_workers`` daemon threads execute admitted queries
 against the shared engine.  The engine is safe to share — the pump,
-the metrics registry and the memory cache tier are lock-guarded, and the
-disk tier replaces files atomically.
+the metrics registry and the result cache are lock-guarded, and the
+cache replaces its files atomically.
 """
 
 import concurrent.futures

@@ -27,9 +27,7 @@ from repro.web.cache import (
     CachedFailure,
     CacheLookup,
     CachePolicy,
-    DiskCacheTier,
     ResultCache,
-    TieredResultCache,
     make_cache,
 )
 from repro.web.client import SearchClient
@@ -45,7 +43,6 @@ __all__ = [
     "CachedFailure",
     "Corpus",
     "CorpusConfig",
-    "DiskCacheTier",
     "FetchService",
     "FixedLatency",
     "ResultCache",
@@ -53,7 +50,6 @@ __all__ = [
     "SearchEngine",
     "SearchHit",
     "SimulatedWeb",
-    "TieredResultCache",
     "UniformLatency",
     "ZeroLatency",
     "build_corpus",

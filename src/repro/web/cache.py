@@ -1,34 +1,16 @@
-"""Multi-tier search-result caching.
+"""The search-result cache.
 
 The paper notes (citing Hellerstein & Naughton [HN96]) that caching is
 "very important" for plans that would otherwise re-issue identical
 external calls — e.g. its Figure 7 plan sends |R| identical searches per
-Sig.  This module grew from a single bounded LRU into a small caching
-subsystem (DESIGN.md §11):
-
-- :class:`ResultCache` — the shared in-memory LRU tier.  Entries carry a
-  store timestamp on an injectable :class:`~repro.util.timing.Clock`, so
-  a :class:`CachePolicy` can give each request *kind* (``count`` /
-  ``search`` / ``fetch``) its own TTL, a serve-stale window
-  (stale-while-revalidate-lite), and a shorter *negative* TTL for empty
-  results and cached failures.  Hit/miss/stale/evict counters live on a
-  :class:`~repro.obs.metrics.MetricsRegistry` (a private one by default;
-  an engine re-binds the cache onto its own registry so ``stats()`` and
-  ``metrics_snapshot()`` can never disagree).
-- :class:`DiskCacheTier` — an optional persistent tier: pickle payloads
-  written atomically (temp file + ``os.replace``) under versioned,
-  hashed keys, validated on read so a format bump or hash collision can
-  never resurrect a wrong value.
-- :class:`TieredResultCache` — the stack: the shared memory tier over
-  the disk tier, with read-promotion upward and write-through downward.
-
-All tiers speak the same protocol (``lookup``/``get``/``put``/
-``put_failure``/``stats``), and are shared by the synchronous client,
-the asynchronous request pump path, and the fetch service, so both
-execution modes benefit equally.  The *coalescing* of concurrent
-identical in-flight calls — which a completed-results cache cannot catch
-— lives in :class:`~repro.asynciter.pump.RequestPump` (single-flight)
-and :class:`~repro.asynciter.context.AsyncContext` (per-query dedup).
+Sig.  :class:`ResultCache` is that cache (DESIGN.md §11): a bounded LRU
+whose entries carry a store time on an injectable
+:class:`~repro.util.timing.Clock`, so a :class:`CachePolicy` can give
+each request kind its own TTL, a serve-stale window and a shorter
+*negative* TTL for empty results and cached failures.  With ``path`` it
+also persists every store, one file per key.  One cache serves the
+client, the request pump and the fetch service in both execution modes;
+coalescing identical *in-flight* calls is the pump's job (single-flight).
 """
 
 import hashlib
@@ -43,9 +25,9 @@ from repro.obs.trace import CACHE_EVICT, CACHE_HIT, CACHE_MISS, CACHE_STALE
 from repro.util.timing import resolve_clock
 
 #: Version stamp for persisted cache payloads.  Bump when the entry
-#: format (or the semantics of cached values) changes: the disk tier
-#: silently treats any other version as a miss, so stale-format files
-#: age out instead of poisoning reads.
+#: format (or the semantics of cached values) changes: a file of any
+#: other version reads as a miss, so stale-format files age out instead
+#: of poisoning reads.
 CACHE_FORMAT_VERSION = 1
 
 #: Lookup statuses.
@@ -54,12 +36,15 @@ STALE = "stale"  # past TTL but within the serve-stale window
 NEGATIVE = "negative"  # a cached failure record
 MISS = "miss"  # absent, expired, or unusable
 
+_SUFFIX = ".wsqc"
+_COUNTERS = ("cache.hit", "cache.miss", "cache.stale", "cache.evict", "cache.store")
+
 
 class CachedFailure:
     """The value stored for a negatively-cached *failure*.
 
     Carries enough to replay a faithful error (type name + message)
-    while staying trivially picklable for the disk tier.
+    while staying trivially picklable for a persisted cache.
     """
 
     __slots__ = ("error_type", "message")
@@ -73,14 +58,13 @@ class CachedFailure:
 
 
 class CacheLookup:
-    """Outcome of a tier lookup: a status plus the value (if usable)."""
+    """Outcome of a lookup: a status plus the value (if usable)."""
 
-    __slots__ = ("status", "value", "tier")
+    __slots__ = ("status", "value")
 
-    def __init__(self, status, value=None, tier=None):
+    def __init__(self, status, value=None):
         self.status = status
         self.value = value
-        self.tier = tier
 
     @property
     def hit(self):
@@ -93,7 +77,7 @@ class CacheLookup:
         return self.status == NEGATIVE
 
     def __repr__(self):
-        return "CacheLookup({}, tier={})".format(self.status, self.tier)
+        return "CacheLookup({})".format(self.status)
 
 
 _MISS = CacheLookup(MISS)
@@ -211,229 +195,226 @@ def _is_empty_result(value):
     return isinstance(value, (list, tuple, dict, set)) and len(value) == 0
 
 
-class _TierTelemetry:
-    """Shared counter/trace plumbing for all tiers.
-
-    Counters are ``cache.{hit,miss,stale,evict,store}`` labelled by
-    ``tier``; the registry is private by default and re-bindable via
-    :meth:`attach_observability` (existing counts migrate, so a cache
-    wired into an engine's registry after warm-up stays consistent).
-    """
-
-    _COUNTERS = ("cache.hit", "cache.miss", "cache.stale", "cache.evict", "cache.store")
-
-    def __init__(self, tier, metrics=None, tracer=None):
-        self.tier = tier
-        self.tracer = tracer
-        self._bind(metrics if metrics is not None else MetricsRegistry())
-
-    def _bind(self, metrics):
-        """Look the tier's counters up once per registry, not per lookup."""
-        self.metrics = metrics
-        self._handles = {
-            name: metrics.counter(name, tier=self.tier) for name in self._COUNTERS
-        }
-
-    def count(self, name, amount=1):
-        self._handles[name].inc(amount)
-
-    def value(self, name):
-        return self._handles[name].value
-
-    def trace(self, event, key, **args):
-        tracer = self.tracer
-        if tracer is not None:
-            destination = None
-            if isinstance(key, tuple) and key:
-                destination = str(key[0])
-            tracer.emit(
-                event, destination=destination, tier=self.tier, key=str(key), **args
-            )
-
-    def attach_observability(self, metrics=None, tracer=None):
-        if metrics is not None and metrics is not self.metrics:
-            moved = {name: self.value(name) for name in self._COUNTERS}
-            self._bind(metrics)
-            for name, amount in moved.items():
-                if amount:
-                    self.count(name, amount)
-        if tracer is not None:
-            self.tracer = tracer
+def _unlink(path):
+    try:
+        os.unlink(path)
+    except OSError:
+        pass
 
 
 class ResultCache:
-    """The shared in-memory tier: a bounded LRU with TTL + staleness.
+    """A bounded LRU with TTL + staleness, optionally persisted to *path*.
 
-    Backwards compatible with the original 52-line cache: ``get``/
-    ``put``/``stats()``/``hits``/``misses`` keep their exact shapes, and
-    the default :class:`CachePolicy` never expires anything.  New
-    surface: :meth:`lookup` (status-carrying), :meth:`put_failure`
-    (negative caching), an injectable ``clock``, and metrics-backed
-    counters (the hit/miss fields used to be racy-by-design plain ints;
-    they are now views over :class:`~repro.obs.metrics.MetricsRegistry`
-    counters, so ``stats()`` and an engine's ``metrics_snapshot()``
-    read the same storage).
+    :meth:`lookup` is the one read: it counts exactly one of
+    ``cache.hit``/``cache.stale``/``cache.miss`` and traces the matching
+    event.  :meth:`put` and :meth:`put_failure` (negative caching) are
+    the writes.  ``hits``/``misses`` are views over the registry's
+    counters, so :meth:`detailed_stats` and an engine's
+    ``metrics_snapshot()`` read the same storage.
+
+    With ``path``, each store is also written to one file per key (see
+    the module docstring); an expired entry is dropped from memory and
+    its file alike.
     """
 
-    tier_name = "memory"
-
     def __init__(
-        self, capacity=None, policy=None, clock=None, metrics=None, tracer=None
+        self, capacity=None, policy=None, clock=None, metrics=None, tracer=None, path=None
     ):
         if capacity is not None and capacity < 1:
             raise ValueError("cache capacity must be positive (or None)")
         self.capacity = capacity
         self.policy = policy if policy is not None else DEFAULT_POLICY
         self.clock = resolve_clock(clock)
-        self.telemetry = _TierTelemetry(self.tier_name, metrics, tracer)
+        self.tracer = tracer
+        self.path = None if path is None else str(path)
+        if self.path is not None:
+            os.makedirs(self.path, exist_ok=True)
         self._lock = threading.Lock()
         self._entries = OrderedDict()
+        self._bind(metrics if metrics is not None else MetricsRegistry())
 
-    # -- legacy counter surface ----------------------------------------------
-
-    @property
-    def metrics(self):
-        return self.telemetry.metrics
+    def _bind(self, metrics):
+        """Look the counters up once per registry, not per lookup."""
+        self.metrics = metrics
+        self._counters = tuple(metrics.counter(name) for name in _COUNTERS)
+        self._hit, self._miss, self._stale, self._evict, self._stored = self._counters
 
     @property
     def hits(self):
         """Value-returning lookups (fresh + stale serves)."""
-        return self.telemetry.value("cache.hit") + self.telemetry.value("cache.stale")
+        return self._hit.value + self._stale.value
 
     @property
     def misses(self):
-        return self.telemetry.value("cache.miss")
-
-    @property
-    def stale_hits(self):
-        return self.telemetry.value("cache.stale")
-
-    @property
-    def evictions(self):
-        return self.telemetry.value("cache.evict")
+        return self._miss.value
 
     @staticmethod
     def key(engine_name, kind, expr_text, limit=None):
         return (engine_name, kind, expr_text, limit)
 
-    # -- lookups ---------------------------------------------------------------
+    # -- the read ---------------------------------------------------------------
 
     def lookup(self, key):
-        """Status-carrying lookup; counts hit/miss/stale and evicts lazily."""
+        """Status-carrying lookup; expired entries are evicted lazily."""
         now = self.clock.now()
+        kind = CachePolicy.kind_of(key)
+        status = MISS
         with self._lock:
             entry = self._entries.get(key)
-            if entry is None:
-                status = MISS
-            else:
-                status = self.policy.classify(entry, CachePolicy.kind_of(key), now)
+            if entry is not None:
+                status = self.policy.classify(entry, kind, now)
                 if status == MISS:
-                    del self._entries[key]  # expired: lazy eviction
+                    del self._entries[key]
                 else:
                     self._entries.move_to_end(key)
-            value = entry.value if (entry is not None and status != MISS) else None
-        if status == FRESH or status == NEGATIVE:
-            self.telemetry.count("cache.hit")
-            self.telemetry.trace(CACHE_HIT, key, status=status)
-        elif status == STALE:
-            self.telemetry.count("cache.stale")
-            self.telemetry.trace(CACHE_STALE, key)
-        else:
+        if entry is None and self.path is not None:
+            entry = self._read(key)
             if entry is not None:
-                self.telemetry.count("cache.evict")
-                self.telemetry.trace(CACHE_EVICT, key, reason="expired")
-            self.telemetry.count("cache.miss")
-            self.telemetry.trace(CACHE_MISS, key)
-        if status == MISS:
-            return _MISS
-        return CacheLookup(status, value, tier=self.tier_name)
+                status = self.policy.classify(entry, kind, now)
+                if status != MISS:
+                    self._admit(key, entry, keep_existing=True)
+        traced = self.tracer is not None
+        if status != MISS:
+            stale = status == STALE
+            (self._stale if stale else self._hit).inc()
+            if traced:
+                self._trace(CACHE_STALE if stale else CACHE_HIT, key, status=status)
+            return CacheLookup(status, entry.value)
+        if entry is not None:  # expired: drop its file too
+            if self.path is not None:
+                _unlink(self._file(key))
+            self._evict.inc()
+            if traced:
+                self._trace(CACHE_EVICT, key, reason="expired")
+        self._miss.inc()
+        if traced:
+            self._trace(CACHE_MISS, key)
+        return _MISS
 
-    def get(self, key):
-        """Return the cached value or ``None`` (misses are counted).
+    def _trace(self, event, key, **args):
+        destination = str(key[0]) if isinstance(key, tuple) and key else None
+        self.tracer.emit(event, destination=destination, key=str(key), **args)
 
-        The historical surface: failure records read as misses here —
-        only :meth:`lookup` callers opt into negative-result replay.
-        """
-        found = self.lookup(key)
-        if found.hit:
-            return found.value
-        return None
-
-    # -- stores ---------------------------------------------------------------
+    # -- the writes -------------------------------------------------------------
 
     def put(self, key, value):
-        negative = (
-            self.policy.negative_ttl is not None and _is_empty_result(value)
-        )
+        negative = self.policy.negative_ttl is not None and _is_empty_result(value)
         self._store(key, value, negative)
 
     def put_failure(self, key, error):
         """Negatively cache a failed request (no-op without a negative TTL)."""
         if self.policy.negative_ttl is None:
             return False
-        self._store(
-            key, CachedFailure(type(error).__name__, str(error)), negative=True
-        )
+        self._store(key, CachedFailure(type(error).__name__, str(error)), negative=True)
         return True
 
     def _store(self, key, value, negative):
+        entry = _Entry(value, self.clock.now(), negative)
+        self._admit(key, entry)
+        self._stored.inc()
+        if self.path is not None:
+            self._write(key, entry)
+
+    def _admit(self, key, entry, keep_existing=False):
+        """Put *entry* at the LRU's hot end, evicting past ``capacity``.
+
+        ``keep_existing`` (a file read) leaves a concurrent store's newer
+        entry in place.
+        """
         evicted = 0
         with self._lock:
-            self._entries[key] = _Entry(value, self.clock.now(), negative)
+            if keep_existing and key in self._entries:
+                return
+            self._entries[key] = entry
             self._entries.move_to_end(key)
             if self.capacity is not None:
                 while len(self._entries) > self.capacity:
                     self._entries.popitem(last=False)
                     evicted += 1
-        self.telemetry.count("cache.store")
         if evicted:
-            self.telemetry.count("cache.evict", evicted)
-            self.telemetry.trace(CACHE_EVICT, key, reason="capacity", count=evicted)
+            self._evict.inc(evicted)
+            if self.tracer is not None:
+                self._trace(CACHE_EVICT, key, reason="capacity", count=evicted)
 
-    # -- maintenance -----------------------------------------------------------
+    # -- persistence ------------------------------------------------------------
 
-    def purge_expired(self):
-        """Eagerly drop every expired entry; returns the count removed."""
-        now = self.clock.now()
-        with self._lock:
-            doomed = [
-                key
-                for key, entry in self._entries.items()
-                if self.policy.classify(entry, CachePolicy.kind_of(key), now) == MISS
-            ]
-            for key in doomed:
-                del self._entries[key]
-        if doomed:
-            self.telemetry.count("cache.evict", len(doomed))
-        return len(doomed)
+    def _file(self, key):
+        digest = hashlib.sha256(
+            "v{}:{!r}".format(CACHE_FORMAT_VERSION, key).encode("utf-8")
+        ).hexdigest()
+        return os.path.join(self.path, digest + _SUFFIX)
+
+    def _read(self, key):
+        """The entry persisted for *key*, or ``None`` (absent, torn, foreign)."""
+        try:
+            with open(self._file(key), "rb") as f:
+                payload = pickle.load(f)
+        except (OSError, pickle.UnpicklingError, EOFError, AttributeError):
+            return None
+        if (
+            isinstance(payload, dict)
+            and payload.get("version") == CACHE_FORMAT_VERSION
+            and payload.get("key") == repr(key)
+        ):
+            return _Entry(
+                payload.get("value"),
+                payload.get("stored_at", 0.0),
+                bool(payload.get("negative", False)),
+            )
+        return None
+
+    def _write(self, key, entry):
+        """Persist *entry* atomically; an unpicklable value stays memory-only."""
+        payload = {
+            "version": CACHE_FORMAT_VERSION,
+            "key": repr(key),
+            "stored_at": entry.stored_at,
+            "negative": bool(entry.negative),
+            "value": entry.value,
+        }
+        try:
+            blob = pickle.dumps(payload)
+        except Exception:  # noqa: BLE001 - unpicklable values are not persisted
+            return
+        fd, temp_path = tempfile.mkstemp(dir=self.path, prefix=".tmp-", suffix=_SUFFIX)
+        try:
+            with os.fdopen(fd, "wb") as f:
+                f.write(blob)
+            os.replace(temp_path, self._file(key))  # atomic on POSIX and Windows
+        except OSError:
+            _unlink(temp_path)
+
+    # -- maintenance and statistics ----------------------------------------------
 
     def __len__(self):
         with self._lock:
             return len(self._entries)
 
     def clear(self):
+        """Drop every entry, and every persisted file with it."""
         with self._lock:
             self._entries.clear()
-
-    # -- statistics ------------------------------------------------------------
-
-    def stats(self):
-        """The historical three-field shape (regression-pinned)."""
-        return {"hits": self.hits, "misses": self.misses, "size": len(self)}
+        if self.path is not None:
+            try:
+                names = os.listdir(self.path)
+            except OSError:
+                names = []
+            for name in names:
+                if name.endswith(_SUFFIX) and not name.startswith("."):
+                    _unlink(os.path.join(self.path, name))
 
     def detailed_stats(self):
-        """Everything: per-outcome counters plus the legacy fields."""
-        payload = self.stats()
-        payload.update(
-            {
-                "stale_hits": self.stale_hits,
-                "evictions": self.evictions,
-                "stores": self.telemetry.value("cache.store"),
-                "hit_ratio": self.hit_ratio(),
-                "tier": self.tier_name,
-            }
-        )
-        return payload
+        """Every counter, the LRU's size, the hit ratio and the path."""
+        return {
+            "hits": self.hits,
+            "misses": self.misses,
+            "size": len(self),
+            "stale_hits": self._stale.value,
+            "evictions": self._evict.value,
+            "stores": self._stored.value,
+            "hit_ratio": self.hit_ratio(),
+            "path": self.path,
+        }
 
     def hit_ratio(self):
         """Observed hit fraction in [0, 1] (0.0 before any traffic)."""
@@ -443,301 +424,14 @@ class ResultCache:
 
     def attach_observability(self, metrics=None, tracer=None):
         """Re-bind counters onto an engine's registry (counts migrate)."""
-        self.telemetry.attach_observability(metrics, tracer)
-
-
-class DiskCacheTier:
-    """Persistent cache tier: one pickle file per key, written atomically.
-
-    Keys are hashed (SHA-256 over the repr plus the format version) into
-    flat filenames; each payload embeds the format version and the full
-    key repr, both verified on read, so hash collisions and format bumps
-    degrade to misses rather than wrong answers.  Writes go through a
-    temp file in the same directory plus ``os.replace``, so a reader can
-    never observe a torn entry and a crash mid-write leaves the previous
-    value intact.
-    """
-
-    tier_name = "disk"
-    _SUFFIX = ".wsqc"
-
-    def __init__(self, path, policy=None, clock=None, metrics=None, tracer=None):
-        self.path = str(path)
-        self.policy = policy if policy is not None else DEFAULT_POLICY
-        self.clock = resolve_clock(clock)
-        self.telemetry = _TierTelemetry(self.tier_name, metrics, tracer)
-        os.makedirs(self.path, exist_ok=True)
-
-    @property
-    def metrics(self):
-        return self.telemetry.metrics
-
-    @property
-    def hits(self):
-        return self.telemetry.value("cache.hit") + self.telemetry.value("cache.stale")
-
-    @property
-    def misses(self):
-        return self.telemetry.value("cache.miss")
-
-    def _path_for(self, key):
-        digest = hashlib.sha256(
-            "v{}:{!r}".format(CACHE_FORMAT_VERSION, key).encode("utf-8")
-        ).hexdigest()
-        return os.path.join(self.path, digest + self._SUFFIX)
-
-    # -- lookups ---------------------------------------------------------------
-
-    def lookup(self, key):
-        path = self._path_for(key)
-        payload = None
-        try:
-            with open(path, "rb") as f:
-                payload = pickle.load(f)
-        except (OSError, pickle.UnpicklingError, EOFError, AttributeError):
-            payload = None
-        entry = None
-        if (
-            isinstance(payload, dict)
-            and payload.get("version") == CACHE_FORMAT_VERSION
-            and payload.get("key") == repr(key)
-        ):
-            entry = _Entry(
-                payload.get("value"),
-                payload.get("stored_at", 0.0),
-                bool(payload.get("negative", False)),
-            )
-        if entry is None:
-            self.telemetry.count("cache.miss")
-            return _MISS
-        status = self.policy.classify(
-            entry, CachePolicy.kind_of(key), self.clock.now()
-        )
-        if status == MISS:
-            self._unlink(path)
-            self.telemetry.count("cache.evict")
-            self.telemetry.trace(CACHE_EVICT, key, reason="expired")
-            self.telemetry.count("cache.miss")
-            self.telemetry.trace(CACHE_MISS, key)
-            return _MISS
-        if status == STALE:
-            self.telemetry.count("cache.stale")
-            self.telemetry.trace(CACHE_STALE, key)
-        else:
-            self.telemetry.count("cache.hit")
-            self.telemetry.trace(CACHE_HIT, key, status=status)
-        return CacheLookup(status, entry.value, tier=self.tier_name)
-
-    def get(self, key):
-        found = self.lookup(key)
-        return found.value if found.hit else None
-
-    # -- stores ---------------------------------------------------------------
-
-    def put(self, key, value, negative=None):
-        if negative is None:
-            negative = (
-                self.policy.negative_ttl is not None and _is_empty_result(value)
-            )
-        payload = {
-            "version": CACHE_FORMAT_VERSION,
-            "key": repr(key),
-            "stored_at": self.clock.now(),
-            "negative": bool(negative),
-            "value": value,
-        }
-        try:
-            blob = pickle.dumps(payload)
-        except Exception:  # noqa: BLE001 - unpicklable values just skip the tier
-            return False
-        path = self._path_for(key)
-        fd, temp_path = tempfile.mkstemp(
-            dir=self.path, prefix=".tmp-", suffix=self._SUFFIX
-        )
-        try:
-            with os.fdopen(fd, "wb") as f:
-                f.write(blob)
-            os.replace(temp_path, path)  # atomic on POSIX and Windows
-        except OSError:
-            self._unlink(temp_path)
-            return False
-        self.telemetry.count("cache.store")
-        return True
-
-    def put_failure(self, key, error):
-        if self.policy.negative_ttl is None:
-            return False
-        return self.put(
-            key, CachedFailure(type(error).__name__, str(error)), negative=True
-        )
-
-    # -- maintenance -----------------------------------------------------------
-
-    def _files(self):
-        try:
-            names = os.listdir(self.path)
-        except OSError:
-            return []
-        return [n for n in names if n.endswith(self._SUFFIX) and not n.startswith(".")]
-
-    @staticmethod
-    def _unlink(path):
-        try:
-            os.unlink(path)
-        except OSError:
-            pass
-
-    def __len__(self):
-        return len(self._files())
-
-    def clear(self):
-        for name in self._files():
-            self._unlink(os.path.join(self.path, name))
-
-    def stats(self):
-        return {"hits": self.hits, "misses": self.misses, "size": len(self)}
-
-    def detailed_stats(self):
-        payload = self.stats()
-        payload.update(
-            {
-                "stale_hits": self.telemetry.value("cache.stale"),
-                "evictions": self.telemetry.value("cache.evict"),
-                "stores": self.telemetry.value("cache.store"),
-                "tier": self.tier_name,
-                "path": self.path,
-            }
-        )
-        return payload
-
-    def attach_observability(self, metrics=None, tracer=None):
-        self.telemetry.attach_observability(metrics, tracer)
-
-
-class TieredResultCache:
-    """The cache stack: shared memory → disk.
-
-    Reads walk downward and *promote* lower-tier hits upward (a disk hit
-    refills the memory LRU).  Writes go through every tier.
-    """
-
-    key = staticmethod(ResultCache.key)
-
-    def __init__(
-        self,
-        capacity=None,
-        policy=None,
-        disk_path=None,
-        clock=None,
-        metrics=None,
-        tracer=None,
-        memory=None,
-        disk=None,
-    ):
-        clock = resolve_clock(clock)
-        self.policy = policy if policy is not None else DEFAULT_POLICY
-        self.memory = (
-            memory
-            if memory is not None
-            else ResultCache(
-                capacity=capacity,
-                policy=self.policy,
-                clock=clock,
-                metrics=metrics,
-                tracer=tracer,
-            )
-        )
-        if disk is None and disk_path is not None:
-            disk = DiskCacheTier(
-                disk_path,
-                policy=self.policy,
-                clock=clock,
-                metrics=metrics if metrics is not None else self.memory.metrics,
-                tracer=tracer,
-            )
-        self.disk = disk
-
-    # -- lookups ---------------------------------------------------------------
-
-    def lookup(self, key):
-        found = self.memory.lookup(key)
-        if found.hit or found.failure:
-            return found
-        if self.disk is not None:
-            found = self.disk.lookup(key)
-            if found.hit or found.failure:
-                # Promote: refill the memory LRU so the next reader stays
-                # off disk (store the raw value; negativity re-derives).
-                if found.failure:
-                    self.memory._store(key, found.value, negative=True)
-                else:
-                    self.memory.put(key, found.value)
-                return found
-        return _MISS
-
-    def get(self, key):
-        found = self.lookup(key)
-        return found.value if found.hit else None
-
-    # -- stores ---------------------------------------------------------------
-
-    def put(self, key, value):
-        self.memory.put(key, value)
-        if self.disk is not None:
-            self.disk.put(key, value)
-
-    def put_failure(self, key, error):
-        stored = self.memory.put_failure(key, error)
-        if self.disk is not None:
-            self.disk.put_failure(key, error)
-        return stored
-
-    # -- statistics / maintenance ---------------------------------------------
-
-    @property
-    def metrics(self):
-        return self.memory.metrics
-
-    @property
-    def hits(self):
-        total = self.memory.hits
-        if self.disk is not None:
-            total += self.disk.hits
-        return total
-
-    @property
-    def misses(self):
-        """Lookups no tier could serve (the deepest tier's misses)."""
-        return self.disk.misses if self.disk is not None else self.memory.misses
-
-    def hit_ratio(self):
-        hits, misses = self.hits, self.misses
-        total = hits + misses
-        return hits / total if total else 0.0
-
-    def __len__(self):
-        return len(self.memory)
-
-    def clear(self):
-        self.memory.clear()
-        if self.disk is not None:
-            self.disk.clear()
-
-    def stats(self):
-        return {"hits": self.hits, "misses": self.misses, "size": len(self.memory)}
-
-    def detailed_stats(self):
-        payload = self.stats()
-        payload["hit_ratio"] = self.hit_ratio()
-        payload["tiers"] = {"memory": self.memory.detailed_stats()}
-        if self.disk is not None:
-            payload["tiers"]["disk"] = self.disk.detailed_stats()
-        return payload
-
-    def attach_observability(self, metrics=None, tracer=None):
-        self.memory.attach_observability(metrics, tracer)
-        if self.disk is not None:
-            self.disk.attach_observability(metrics, tracer)
+        if metrics is not None and metrics is not self.metrics:
+            moved = [counter.value for counter in self._counters]
+            self._bind(metrics)
+            for counter, amount in zip(self._counters, moved):
+                if amount:
+                    counter.inc(amount)
+        if tracer is not None:
+            self.tracer = tracer
 
 
 def make_cache(
@@ -749,26 +443,24 @@ def make_cache(
     disk_path=None,
     clock=None,
 ):
-    """Build a cache for a tier name (the CLI / ``$REPRO_CACHE`` entry point).
+    """Build a cache by name (the CLI / ``$REPRO_CACHE`` entry point).
 
-    ``tier``: ``"off"``/``"none"`` → ``None``; ``"memory"`` → a plain
-    :class:`ResultCache`; ``"disk"`` → memory over disk (``disk_path``
-    defaults to ``.wsq-cache`` under the working directory).
+    ``tier``: ``"off"``/``"none"`` → ``None``; ``"memory"`` → a
+    :class:`ResultCache`; ``"disk"`` → one persisted to ``disk_path``
+    (default ``.wsq-cache`` under the working directory).
     """
     if tier in (None, "off", "none", ""):
         return None
+    if tier not in ("memory", "disk"):
+        raise ValueError(
+            "unknown cache tier {!r}; expected off/memory/disk".format(tier)
+        )
     policy = CachePolicy(
         default_ttl=ttl, max_staleness=max_staleness, negative_ttl=negative_ttl
     )
-    if tier == "memory":
-        return ResultCache(capacity=capacity, policy=policy, clock=clock)
-    if tier == "disk":
-        return TieredResultCache(
-            capacity=capacity,
-            policy=policy,
-            clock=clock,
-            disk_path=disk_path if disk_path is not None else ".wsq-cache",
-        )
-    raise ValueError(
-        "unknown cache tier {!r}; expected off/memory/disk".format(tier)
+    return ResultCache(
+        capacity=capacity,
+        policy=policy,
+        clock=clock,
+        path=(disk_path or ".wsq-cache") if tier == "disk" else None,
     )

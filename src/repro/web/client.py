@@ -223,18 +223,8 @@ class SearchClient:
 
         The value, ``None`` (a miss, or no cache), or a replayed failure
         raised.  The only cache read of a request: a miss here is the
-        miss of record, and the attempt that follows only writes.
-        """
-        return self._cache_get(
-            ResultCache.key(self.engine.name, kind, expr_text, limit)
-        )
-
-    def _cache_get(self, key):
-        """Read the cache: a value, ``None`` (miss), or a replayed failure.
-
-        Uses the status-carrying :meth:`~repro.web.cache.ResultCache.lookup`,
-        so fresh *and* stale entries serve and negatively-cached failures
-        replay as
+        miss of record, and the attempt that follows only writes.  Fresh
+        *and* stale entries serve; a negatively-cached failure replays as
         :class:`~repro.util.errors.CachedFailureError` (deliberately not a
         :class:`~repro.util.errors.TransientWebError`: a replayed failure
         is never retried — the negative TTL, not the retry policy, decides
@@ -242,27 +232,15 @@ class SearchClient:
         """
         if self.cache is None:
             return None
+        key = ResultCache.key(self.engine.name, kind, expr_text, limit)
         found = self.cache.lookup(key)
         if found.failure:
-            self._note_cache_hit(key)
             raise CachedFailureError(
                 "negatively cached failure for {!r}: {}: {}".format(
                     key, found.value.error_type, found.value.message
                 )
             )
-        if found.hit:
-            self._note_cache_hit(key)
-            return found.value
-        return None
-
-    def _note_cache_hit(self, key):
-        if self.obs is not None:
-            self.obs.metrics.inc("web.cache_hits", engine=self.engine.name)
-            tracer = self.obs.tracer
-            if tracer is not None:
-                tracer.emit(
-                    "web.cache_hit", destination=self.engine.name, key=str(key)
-                )
+        return found.value
 
     def _cache_put(self, key, value):
         if self.cache is not None:

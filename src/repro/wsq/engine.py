@@ -748,10 +748,7 @@ class WsqEngine:
         if latencies:
             payload["latencies"] = latencies
         if self.cache is not None:
-            detailed = getattr(self.cache, "detailed_stats", None)
-            payload["cache"] = (
-                detailed() if detailed is not None else self.cache.stats()
-            )
+            payload["cache"] = self.cache.detailed_stats()
         if self.faults is not None:
             payload["faults"] = self.faults.snapshot()
         return payload

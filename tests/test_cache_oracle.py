@@ -2,10 +2,10 @@
 
 Hypothesis generates WSQ queries over the paper's tables; every query is
 run against an *uncached* baseline engine and then twice (cold + warm)
-against cached engines spanning the tier matrix — memory /
-memory+disk — under TTL policies from "never expires" through
+against cached engines spanning the cache matrix — in memory /
+persisted to a directory — under TTL policies from "never expires" through
 "always stale-served" to "expires instantly".  Across all of
-{tier × TTL × sync/async × faults on/off} the result multiset must be
+{persistence × TTL × sync/async × faults on/off} the result multiset must be
 identical to the baseline, and every emitted trace event must validate
 against the registered taxonomy (:func:`validate_trace_events`) — the
 cache may change *when* the engine talks to the network, never *what*
@@ -26,7 +26,7 @@ from repro.datasets import load_all
 from repro.obs import Observability
 from repro.obs.schema import validate_trace_events
 from repro.storage import Database
-from repro.web.cache import CachePolicy, ResultCache, TieredResultCache
+from repro.web.cache import CachePolicy, ResultCache
 from repro.web.faults import FaultModel
 from repro.web.world import default_web
 from repro.wsq import WsqEngine
@@ -77,7 +77,7 @@ def _build_cache(name):
             policy=CachePolicy(default_ttl=None, negative_ttl=1e9)
         )
     if name == "disk":
-        return TieredResultCache(disk_path=_DISK_DIR)
+        return ResultCache(path=_DISK_DIR)
     raise AssertionError(name)
 
 

@@ -475,10 +475,9 @@ class TestDetachDuringLeaderBackoff:
                 rows == [{"count": 7}] and error is None
                 for rows, error in keeper.results.values()
             )
-            # The flight fully retired: no stranded members or futures.
+            # The flight fully retired: no stranded call left in the table.
             assert pump._flights == {}
-            assert pump._members == {}
-            assert pump._futures == {}
+            assert pump._calls == {}
         finally:
             pump.shutdown()
 
@@ -513,7 +512,7 @@ class TestDetachDuringLeaderBackoff:
             retry_events = events_named(pump.tracer, CALL_RETRY)
             assert len(retry_events) == 1
             assert retry_events[0].query_id == "q0"  # not None
-            assert pump._flights == {} and pump._members == {}
+            assert pump._flights == {} and pump._calls == {}
         finally:
             pump.shutdown()
 
@@ -550,6 +549,6 @@ class TestDetachDuringLeaderBackoff:
             for member in ids:
                 pump.cancel(member)
             assert pump.stats.snapshot()["cancelled"] == 0
-            assert pump._flights == {} and pump._members == {}
+            assert pump._flights == {} and pump._calls == {}
         finally:
             pump.shutdown()

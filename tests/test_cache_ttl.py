@@ -11,10 +11,11 @@ These tests pin the boundary semantics documented in
   window and may use a shorter ``negative_ttl``.
 
 They also pin the counter migration onto ``MetricsRegistry`` — the old
-racy plain-int hit/miss fields are gone, but ``stats()`` keeps its exact
-historical three-field shape.
+racy plain-int hit/miss fields are gone — and the same semantics for a
+cache persisted to a ``path``.
 """
 
+import os
 import threading
 
 import pytest
@@ -30,9 +31,7 @@ from repro.web.cache import (
     STALE,
     CachedFailure,
     CachePolicy,
-    DiskCacheTier,
     ResultCache,
-    TieredResultCache,
     make_cache,
 )
 
@@ -61,7 +60,7 @@ class TestTtlBoundaries:
         found = cache.lookup(KEY)
         assert found.status == MISS
         assert not found.hit
-        assert cache.get(KEY) is None
+        assert found.value is None
 
     def test_stale_window_opens_exactly_at_ttl(self):
         cache, clock = make(ttl=10.0, max_staleness=5.0)
@@ -90,7 +89,7 @@ class TestTtlBoundaries:
         clock.advance(2.0)
         assert cache.lookup(KEY).status == MISS
         assert len(cache) == 0  # the expired entry is gone
-        assert cache.evictions == 1
+        assert cache.detailed_stats()["evictions"] == 1
 
     def test_none_ttl_never_expires(self):
         cache, clock = make(ttl=None)
@@ -109,17 +108,6 @@ class TestTtlBoundaries:
         clock.advance(5.0)
         assert cache.lookup(count_key).status == MISS  # count TTL hit
         assert cache.lookup(search_key).status == FRESH  # default TTL not
-
-    def test_purge_expired_is_eager_and_counted(self):
-        cache, clock = make(ttl=1.0)
-        cache.put(("a",), 1)
-        cache.put(("b",), 2)
-        clock.advance(0.5)
-        cache.put(("c",), 3)
-        clock.advance(0.6)  # a, b are now 1.1s old; c is 0.6s old
-        assert cache.purge_expired() == 2
-        assert len(cache) == 1
-        assert cache.lookup(("c",)).status == FRESH
 
 
 class TestNegativeCaching:
@@ -173,99 +161,109 @@ class TestNegativeCaching:
         assert cache.lookup(KEY).status == MISS
         assert len(cache) == 0
 
-    def test_legacy_get_never_replays_failures(self):
-        # Only lookup() callers opt into negative replay; the historical
-        # get() surface reads a failure record as a miss.
-        cache, clock = make(ttl=100.0, negative_ttl=10.0)
-        cache.put_failure(KEY, TransientWebError("boom"))
-        assert cache.get(KEY) is None
+
+def persisted(tmp_path, **policy):
+    """A writer and a fresh reader over one directory, on one clock.
+
+    The reader's LRU starts empty, so its first lookup of a key is
+    served from the writer's file.
+    """
+    clock = VirtualClock()
+    policy = CachePolicy(**policy)
+    writer, reader = (
+        ResultCache(policy=policy, clock=clock, path=str(tmp_path)) for _ in range(2)
+    )
+    return writer, reader, clock
 
 
 class TestDiskTierTtl:
     def test_disk_entries_expire_on_virtual_clock(self, tmp_path):
-        clock = VirtualClock()
-        policy = CachePolicy(default_ttl=5.0)
-        disk = DiskCacheTier(str(tmp_path), policy=policy, clock=clock)
-        disk.put(KEY, ["row"])
-        assert disk.lookup(KEY).status == FRESH
+        writer, reader, clock = persisted(tmp_path, default_ttl=5.0)
+        writer.put(KEY, ["row"])
+        assert reader.lookup(KEY).status == FRESH
         clock.advance(5.0)
-        assert disk.lookup(KEY).status == MISS
-        assert len(disk) == 0  # the expired file was unlinked
+        assert reader.lookup(KEY).status == MISS
+        assert len(reader) == 0
+        assert os.listdir(tmp_path) == []  # the expired file was unlinked
 
     def test_disk_stale_window(self, tmp_path):
-        clock = VirtualClock()
-        policy = CachePolicy(default_ttl=5.0, max_staleness=5.0)
-        disk = DiskCacheTier(str(tmp_path), policy=policy, clock=clock)
-        disk.put(KEY, ["row"])
+        writer, reader, clock = persisted(tmp_path, default_ttl=5.0, max_staleness=5.0)
+        writer.put(KEY, ["row"])
         clock.advance(7.0)
-        found = disk.lookup(KEY)
+        found = reader.lookup(KEY)
         assert found.status == STALE and found.value == ["row"]
 
     def test_disk_negative_entries_expire_first(self, tmp_path):
-        clock = VirtualClock()
-        policy = CachePolicy(default_ttl=100.0, negative_ttl=1.0)
-        disk = DiskCacheTier(str(tmp_path), policy=policy, clock=clock)
-        disk.put_failure(KEY, TransientWebError("down"))
-        assert disk.lookup(KEY).status == NEGATIVE
+        writer, reader, clock = persisted(tmp_path, default_ttl=100.0, negative_ttl=1.0)
+        writer.put_failure(KEY, TransientWebError("down"))
+        assert reader.lookup(KEY).status == NEGATIVE
         clock.advance(1.0)
-        assert disk.lookup(KEY).status == MISS
+        assert reader.lookup(KEY).status == MISS
+
+    def test_a_file_read_keeps_its_first_store_time(self, tmp_path):
+        # Read from the file at t=9 with ttl=10: the entry is still the
+        # one stored at t=0, so at t=14 it has expired for the reader
+        # exactly as it has for the writer.
+        writer, reader, clock = persisted(tmp_path, default_ttl=10.0)
+        writer.put(KEY, "v")
+        clock.advance(9.0)
+        assert reader.lookup(KEY).status == FRESH
+        clock.advance(5.0)
+        assert writer.lookup(KEY).status == MISS
+        assert reader.lookup(KEY).status == MISS
 
 
 class TestTieredStack:
     def test_disk_hit_promotes_to_memory(self, tmp_path):
-        # Write-through fills both tiers; a fresh stack over the same
-        # directory finds the value on disk and refills its memory LRU.
-        TieredResultCache(disk_path=str(tmp_path)).put(KEY, "v")
-        cache = TieredResultCache(disk_path=str(tmp_path))
-        assert cache.lookup(KEY).tier == "disk"
-        assert cache.lookup(KEY).tier == "memory"
-        assert set(cache.detailed_stats()["tiers"]) == {"memory", "disk"}
+        # Every store is also written to its file; a fresh cache over
+        # the same directory finds the value there and keeps it in its
+        # LRU, so the next read needs no file.
+        writer, reader, _ = persisted(tmp_path)
+        writer.put(KEY, "v")
+        assert len(reader) == 0
+        assert reader.lookup(KEY).value == "v"
+        assert len(reader) == 1
+        for name in os.listdir(tmp_path):
+            os.unlink(os.path.join(tmp_path, name))
+        assert reader.lookup(KEY).value == "v"
+        assert reader.detailed_stats()["path"] == str(tmp_path)
 
 
 class TestCounterRegression:
     """Satellite: hit/miss counters moved onto MetricsRegistry."""
 
-    def test_stats_keeps_exact_historical_shape(self):
-        cache = ResultCache()
-        cache.get(("missing",))
-        cache.put(("k",), "v")
-        cache.get(("k",))
-        assert cache.stats() == {"hits": 1, "misses": 1, "size": 1}
-        assert set(cache.stats()) == {"hits", "misses", "size"}
-
     def test_counters_are_registry_backed(self):
         registry = MetricsRegistry()
         cache = ResultCache(metrics=registry)
-        cache.get(("missing",))
+        cache.lookup(("missing",))
         cache.put(("k",), "v")
-        cache.get(("k",))
-        assert registry.counter_value("cache.hit", tier="memory") == 1
-        assert registry.counter_value("cache.miss", tier="memory") == 1
-        assert registry.counter_value("cache.store", tier="memory") == 1
+        cache.lookup(("k",))
+        assert registry.counter_value("cache.hit") == 1
+        assert registry.counter_value("cache.miss") == 1
+        assert registry.counter_value("cache.store") == 1
         # The legacy properties are views over the same storage.
         assert cache.hits == 1 and cache.misses == 1
 
     def test_attach_observability_migrates_counts(self):
         cache = ResultCache()
-        cache.get(("missing",))
+        cache.lookup(("missing",))
         cache.put(("k",), "v")
-        cache.get(("k",))
-        before = cache.stats()
+        cache.lookup(("k",))
+        before = cache.detailed_stats()
         registry = MetricsRegistry()
         cache.attach_observability(metrics=registry)
-        # Counts carried over; stats() unchanged by the re-bind.
-        assert cache.stats() == before
-        assert registry.counter_value("cache.hit", tier="memory") == 1
-        assert registry.counter_value("cache.miss", tier="memory") == 1
+        # Counts carried over; the stats are unchanged by the re-bind.
+        assert cache.detailed_stats() == before
+        assert registry.counter_value("cache.hit") == 1
+        assert registry.counter_value("cache.miss") == 1
 
     def test_stale_serves_count_as_hits_in_stats(self):
         cache, clock = make(ttl=10.0, max_staleness=10.0)
         cache.put(KEY, "v")
         clock.advance(12.0)
         assert cache.lookup(KEY).status == STALE
-        stats = cache.stats()
-        assert stats["hits"] == 1 and stats["misses"] == 0
         detailed = cache.detailed_stats()
+        assert detailed["hits"] == 1 and detailed["misses"] == 0
         assert detailed["stale_hits"] == 1
         assert detailed["hit_ratio"] == 1.0
 
@@ -282,9 +280,9 @@ class TestCounterRegression:
             barrier.wait()
             for j in range(per_thread):
                 if j % 2:
-                    cache.get(("k",))
+                    cache.lookup(("k",))
                 else:
-                    cache.get(("missing", i, j))
+                    cache.lookup(("missing", i, j))
 
         threads = [
             threading.Thread(target=hammer, args=(i,)) for i in range(n_threads)
@@ -298,13 +296,13 @@ class TestCounterRegression:
     def test_trace_events_carry_tier_and_key(self):
         tracer = Tracer()
         cache = ResultCache(tracer=tracer, clock=VirtualClock())
-        cache.get(KEY)
+        cache.lookup(KEY)
         cache.put(KEY, "v")
-        cache.get(KEY)
+        cache.lookup(KEY)
         names = [e.name for e in tracer.events()]
         assert names == ["cache.miss", "cache.hit"]
         hit = tracer.events()[-1]
-        assert hit.args["tier"] == "memory"
+        assert "tier" not in hit.args
         assert hit.destination == "AV"
         assert "austin" in hit.args["key"]
 

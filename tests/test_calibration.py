@@ -272,9 +272,6 @@ class TestCostModelCalibration:
             def hit_ratio(self):
                 return 0.5
 
-            def stats(self):
-                return {"hits": 1, "misses": 1}
-
         model = CostModel(0.05, cache=FakeCache())
         assert model.miss_fraction() == pytest.approx(0.5)  # live cache
         model.apply_profile(uniform_profile(0.05, cache_hit_ratio=0.25))

@@ -113,8 +113,7 @@ def _assert_pump_exact(engine):
     assert snap["queued"] == 0
     assert snap["in_flight"] == 0
     assert engine.pump._flights == {}
-    assert engine.pump._members == {}
-    assert engine.pump._futures == {}
+    assert engine.pump._calls == {}
 
 
 # -- the sharded tier under shard-level chaos ---------------------------------

@@ -7,7 +7,7 @@ class _Args:
     db = None
     load_datasets = True
     latency = 0.0
-    cache = False
+    cache_tier = None
     sync = False
     command = None
 
@@ -28,8 +28,15 @@ class TestBuildEngine:
 
     def test_cache_flag(self):
         args = _Args()
-        args.cache = True
+        args.cache_tier = "memory"
         assert build_engine(args).cache is not None
+
+    def test_cache_tier_off_overrides_the_environment(self, monkeypatch):
+        monkeypatch.setenv("REPRO_CACHE", "memory")
+        assert build_engine(_Args()).cache is not None
+        args = _Args()
+        args.cache_tier = "off"
+        assert build_engine(args).cache is None
 
 
 class TestRunStatement:

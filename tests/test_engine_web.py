@@ -131,18 +131,19 @@ class TestResultCache:
         cache = ResultCache(capacity=2)
         cache.put(("a",), 1)
         cache.put(("b",), 2)
-        cache.get(("a",))  # refresh a
+        cache.lookup(("a",))  # refresh a
         cache.put(("c",), 3)  # evicts b
-        assert cache.get(("b",)) is None
-        assert cache.get(("a",)) == 1
+        assert cache.lookup(("b",)).value is None
+        assert cache.lookup(("a",)).value == 1
         assert len(cache) == 2
 
     def test_stats(self):
         cache = ResultCache()
-        cache.get(("missing",))
+        cache.lookup(("missing",))
         cache.put(("k",), "v")
-        cache.get(("k",))
-        assert cache.stats() == {"hits": 1, "misses": 1, "size": 1}
+        cache.lookup(("k",))
+        stats = cache.detailed_stats()
+        assert (stats["hits"], stats["misses"], stats["size"]) == (1, 1, 1)
 
     def test_capacity_validation(self):
         with pytest.raises(ValueError):

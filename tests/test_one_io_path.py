@@ -67,8 +67,8 @@ def identifiers(tree):
 
 
 #: What answers a call from the cache: ``ExternalCall.probe`` is built by
-#: ``cache_probe`` over a source's ``probe``, which is ``_cache_get``.
-PROBE_PATH = {"probe", "cache_probe", "_cache_get", "_note_cache_hit"}
+#: ``cache_probe`` over a source's ``probe``, which reads the cache.
+PROBE_PATH = {"probe", "cache_probe"}
 
 #: The network half of an attempt, and what decides about retrying it.
 NETWORK_HALF = {
@@ -186,9 +186,9 @@ class TestStructuralGuard:
         "mutant",
         [
             "async def probe(self):\n    return await self.cache.lookup(key)\n",
-            "def probe(self, key):\n    time.sleep(0.1)\n    return self._cache_get(key)\n",
-            "def _cache_get(self, key):\n    self._fault_gate(key)\n",
-            "def probe(self):\n    while True:\n        return self._cache_get(1)\n",
+            "def probe(self, key):\n    time.sleep(0.1)\n    return self.cache.lookup(key)\n",
+            "def probe(self, key):\n    self._fault_gate(key)\n",
+            "def probe(self):\n    while True:\n        return self.cache.lookup(1)\n",
             "def cache_probe(source, shape):\n"
             "    def probe():\n        return source._attempt('count')\n    return probe\n",
             "def probe(self):\n    if self.resilience.retry.should_retry(e, 0):\n        pass\n",

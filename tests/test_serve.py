@@ -355,8 +355,7 @@ class TestDisconnects:
         assert snapshot["in_flight"] == 0
         # No coalesced flight left unsettled (white-box).
         assert engine.pump._flights == {}
-        assert engine.pump._members == {}
-        assert engine.pump._futures == {}
+        assert engine.pump._calls == {}
 
 
 class TestServeObservability:
