@@ -5,6 +5,7 @@ from collections import OrderedDict, namedtuple
 
 from repro.asynciter.context import AsyncContext
 from repro.asynciter.pump import RequestPump, default_pump
+from repro.asynciter.reqsync import ReqSync
 from repro.asynciter.rewrite import rewrite_logical
 from repro.config import EngineConfig, default_cache
 from repro.exec.operator import execute_batches
@@ -19,6 +20,7 @@ from repro.sql.parser import parse, parse_select
 from repro.storage.database import Database
 from repro.util.errors import PlanError
 from repro.util.timing import resolve_clock
+from repro.vtables.evscan import ExternalScan
 from repro.vtables.webcount import WebCountDef
 from repro.vtables.webfetch import WebFetchDef, WebLinksDef
 from repro.vtables.webpages import WebPagesDef
@@ -33,18 +35,26 @@ ASYNC = "async"
 AUTO = "auto"
 
 #: Entries the statement table keeps, least recently used out first: a
-#: stored statement measures 2.7–8.3 KB (tracemalloc, EXPERIMENTS.md
-#: "Statement table"), so a full table stays at about 1 MB.
+#: stored statement measures 2.7–8.3 KB and its kept plan 1.8–7.0 KB
+#: (tracemalloc, EXPERIMENTS.md), so a full table stays under 2 MB.
 STATEMENT_CAPACITY = 128
 
 
-#: What parse → bind → rules → rewrite make of one SELECT text: the
-#: finished logical tree, every rule firing that produced it, the
-#: resolved *mode* (never "auto"), whether the tree holds an *external*
-#: scan, and the ``Database.generation`` it was planned under.  A stored
-#: one is shared by every execution and thread that hits it: ``lower``
-#: builds operators from it and nothing writes to it.
-_Statement = namedtuple("_Statement", "logical firings mode external generation")
+class _Statement(namedtuple("_Statement", "logical firings mode external generation")):
+    """What parse → bind → rules → rewrite make of one SELECT text.
+
+    The finished logical tree, every rule firing that produced it, the
+    resolved *mode* (never "auto"), whether the tree holds an *external*
+    scan, and the ``Database.generation`` it was planned under.  A stored
+    one is shared by every execution and thread that hits it: ``lower``
+    builds operators from it and nothing writes to it.
+
+    ``idle`` is the one lowered plan :meth:`WsqEngine._run` keeps between
+    executions, as ``(plan, holders)``: *holders* are its operators that
+    take the query's ``AsyncContext``, detached while the plan is idle.
+    """
+
+    idle = None
 
 
 def _holds_subquery(logical):
@@ -306,19 +316,22 @@ class WsqEngine:
             firings = firings + placement
         return _Statement(logical, firings, mode, external, generation)
 
-    def _lower(self, statement, tracer, query_id, deadline=None):
-        """One execution's operators over a (possibly shared) statement."""
-        context = None
+    def _context(self, statement, tracer, query_id, deadline=None):
+        """One execution's ``AsyncContext``, or None for a local-only plan."""
         if statement.mode == ASYNC or statement.external:
             # One call outstanding at a time leaves nothing in flight to
             # deduplicate against, so sync contexts skip the bookkeeping.
-            context = AsyncContext(
+            return AsyncContext(
                 self.pump,
                 dedup=self.config.dedup_calls and statement.mode == ASYNC,
                 tracer=tracer,
                 query_id=query_id,
                 deadline=deadline,
             )
+
+    def _lower(self, statement, tracer, query_id, deadline=None):
+        """One execution's operators over a (possibly shared) statement."""
+        context = self._context(statement, tracer, query_id, deadline)
         return lower(statement.logical, self.config, context)
 
     def _statement(self, sql, mode, tracer, parser=parse_select):
@@ -547,7 +560,18 @@ class WsqEngine:
         statement, query_id = self._statement(sql, mode, tracer, parser)
         if not isinstance(statement, _Statement):
             return self._run_other(statement)
-        plan = self._lower(statement, tracer, query_id, deadline)
+        # The statement's idle plan, when no other run holds it; a run
+        # that finds the slot empty lowers its own copy.
+        context = self._context(statement, tracer, query_id, deadline)
+        with self._statements_lock:
+            idle, statement.idle = statement.idle, None
+        if idle is None:
+            plan = lower(statement.logical, self.config, context)
+            holders = _context_holders(plan)
+        else:
+            plan, holders = idle
+            for operator in holders:
+                operator.context = context
         if tracer is not None:
             tracer.emit(
                 QUERY_SPAN, kind=BEGIN, query_id=query_id, mode=statement.mode
@@ -559,6 +583,10 @@ class WsqEngine:
             if tracer is not None:
                 tracer.emit(QUERY_SPAN, kind=END, query_id=query_id)
         elapsed = self.clock.now() - started
+        # Only a cleanly closed plan goes back, holding nothing of this run.
+        for operator in holders:
+            operator.context = None
+        statement.idle = plan, holders
         return QueryResult(plan.schema.names(), rows, elapsed=elapsed)
 
     def _drain_batches(self, plan):
@@ -671,7 +699,8 @@ class WsqEngine:
             wrapped, stats = profile_plan(
                 plan, clock=self.clock, tracer=tracer, query_id=query_id
             )
-            context = _find_context(plan)
+            holders = _context_holders(plan)
+            context = holders[0].context if holders else None
             requests_before = {
                 name: client.requests_sent for name, client in self.clients.items()
             }
@@ -796,21 +825,15 @@ class WsqEngine:
         return self.obs
 
 
-def _find_context(plan):
-    """The AsyncContext of the first ReqSync/external scan in *plan*, if any."""
-    context = getattr(plan, "context", None)
-    if context is not None:
-        return context
-    inner = getattr(plan, "inner", None)
-    if inner is not None:
-        context = _find_context(inner)
-        if context is not None:
-            return context
-    for child in plan.children:
-        context = _find_context(child)
-        if context is not None:
-            return context
-    return None
+def _context_holders(plan):
+    """The operators of *plan* that take the query's ``AsyncContext``."""
+    stack, holders = [plan], []
+    while stack:
+        operator = stack.pop()
+        if isinstance(operator, (ExternalScan, ReqSync)):
+            holders.append(operator)
+        stack.extend(operator.children)
+    return tuple(holders)
 
 
 def _sum_plan_attr(plan, attribute):

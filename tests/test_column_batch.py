@@ -686,14 +686,24 @@ class TestKernelMetrics:
             assert runs[0] == runs[1] == runs[2] and runs[0]
             assert kernel_stats()["compiled"] == before + 1
 
-    def test_kernel_metrics_surface_in_registry(self, web, paper_db):
+    def test_kernel_metrics_surface_in_registry(self, web, paper_db, monkeypatch):
         # Query threads share the process-wide counters: under eight
         # concurrent sessions the snapshot must report every invocation
         # exactly once — no lost update, and no overlapping query's
-        # kernels counted again.
+        # kernels counted again.  A repeat runs the statement's kept plan,
+        # so only a copy lowered for a concurrent run compiles anything.
         from repro.serve import QueryService
         from repro.wsq import WsqEngine
+        from repro.wsq import engine as engine_module
 
+        lowered = []
+
+        def counting_lower(*args):
+            lowered.append(args)
+            return lower(*args)
+
+        lower = engine_module.lower
+        monkeypatch.setattr(engine_module, "lower", counting_lower)
         engine = WsqEngine(database=paper_db, web=web)
         sql = "Select Name From States Where Population > 5000"
 
@@ -712,14 +722,18 @@ class TestKernelMetrics:
             finally:
                 service.close()
 
-        expected = engine.execute(sql)
+        results = []
+        first = moved(lambda: results.append(engine.execute(sql)))
+        (expected,) = results
         one = moved(lambda: engine.execute(sql))
-        assert one["compiled"] > 0 and one["invoked"] > 0
+        assert first["compiled"] > 0 and one["invoked"] > 0
+        assert one["compiled"] == 0 and len(lowered) == 1
         interval = sys.getswitchinterval()
         sys.setswitchinterval(1e-5)
         try:
             many = moved(storm)
         finally:
             sys.setswitchinterval(interval)
-        assert many == {name: 48 * count for name, count in one.items()}
+        assert many["invoked"] == 48 * one["invoked"]
+        assert many["compiled"] <= (len(lowered) - 1) * first["compiled"]
         assert engine.metrics_snapshot()["kernels_process_wide"] == kernel_stats()

@@ -336,19 +336,23 @@ class TestEnginePathsAgree:
         self, web, paper_db, monkeypatch
     ):
         """The config carries no deadline: ``execute(deadline=)`` puts it
-        on the query's context, which is where each ReqSync reads it."""
+        on the query's context, which is where each ReqSync reads it
+        while the plan runs."""
         engine = WsqEngine(database=paper_db, web=web, consolidate=False)
         executed = []
         drain = engine._drain_batches
-        monkeypatch.setattr(
-            engine, "_drain_batches", lambda plan: executed.append(plan) or drain(plan)
-        )
+
+        def watched(plan):
+            executed.append([r.context for r in _only(plan, ReqSync)])
+            return drain(plan)
+
+        monkeypatch.setattr(engine, "_drain_batches", watched)
         deadline = Deadline(30.0)
         engine.execute(SQL_TWO_VTABLES, deadline=deadline)
-        reqsyncs = _only(executed[0], ReqSync)
-        assert len(reqsyncs) == 2
-        assert all(r.context.deadline is deadline for r in reqsyncs)
-        assert len({id(r.context) for r in reqsyncs}) == 1
+        (contexts,) = executed
+        assert len(contexts) == 2
+        assert all(context.deadline is deadline for context in contexts)
+        assert len({id(context) for context in contexts}) == 1
 
 
 # -- structural guard ------------------------------------------------------------
