@@ -10,9 +10,7 @@ under deterministic per-destination latency, and reports:
   ``request.service_seconds{destination=shard}`` observations) exceeds
   its wall-clock; with 4 shards the ratio must clear 2x;
 - **outage survival** — with one shard down, every gather degrades to
-  the live shards and the counts match the degraded oracle exactly;
-- **hedging** — with one deliberately straggling shard and an
-  aggressive hedge trigger, backups win without changing any result.
+  the live shards and the counts match the degraded oracle exactly.
 
 Scale knob (environment): ``SHARD_LOAD_PROBES`` workload size
 (default 48).
@@ -54,27 +52,11 @@ def _skewed_workload(engine, total):
 
 
 def _client(view, **kwargs):
-    kwargs.setdefault("latency", UniformLatency(*LATENCY))
-    kwargs.setdefault("hedge", False)
-    return ShardedSearchClient(view, **kwargs)
+    return ShardedSearchClient(view, latency=UniformLatency(*LATENCY), **kwargs)
 
 
 async def _run_async(client, workload):
     return [await client.count_async(expr) for expr in workload]
-
-
-class _StragglerLatency(UniformLatency):
-    """The bench band everywhere except one slow shard."""
-
-    def __init__(self, slow_destination, slow_seconds=0.05):
-        UniformLatency.__init__(self, *LATENCY)
-        self.slow_destination = slow_destination
-        self.slow_seconds = slow_seconds
-
-    def delay(self, destination, expr_text):
-        if destination == self.slow_destination:
-            return self.slow_seconds
-        return UniformLatency.delay(self, destination, expr_text)
 
 
 def test_shard_load(warm_web, capsys):
@@ -115,21 +97,6 @@ def test_shard_load(warm_web, capsys):
     assert outage_stats["degraded_gathers"] == len(workload)
     assert outage_stats["per_shard"][down]["degraded"] == len(workload)
 
-    # -- hedging: a straggling shard loses to its backup, results hold --------
-    slow = shard_destination(engine.name, 0)
-    hedge_client = _client(
-        view,
-        latency=_StragglerLatency(slow),
-        hedge=True,
-        hedge_delay=0.002,
-    )
-    hedge_counts = asyncio.run(_run_async(hedge_client, workload))
-    assert hedge_counts == oracle
-    hedges = hedge_client.shard_stats()["hedges"]
-    assert hedges["issued"] == hedges["won"] + hedges["lost"]
-    assert hedges["cancelled"] + hedges["losers_settled"] == hedges["issued"]
-    assert hedges["won"] > 0, "straggler hedges never won a race"
-
     with capsys.disabled():
         print(
             "\nshard load: {} probes x {} shards — per-shard service {:.3f}s "
@@ -143,12 +110,8 @@ def test_shard_load(warm_web, capsys):
             )
         )
         print(
-            "outage: {} down -> {} degraded gathers, counts exact; "
-            "hedges {}/{} won".format(
-                down,
-                outage_stats["degraded_gathers"],
-                hedges["won"],
-                hedges["issued"],
+            "outage: {} down -> {} degraded gathers, counts exact".format(
+                down, outage_stats["degraded_gathers"]
             )
         )
 

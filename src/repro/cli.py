@@ -384,39 +384,24 @@ def _dot_command(engine, line, mode):
                     snap["rejections"],
                 )
                 print(line)
-        destinations = {
-            name: client.shard_stats()
-            for name, client in engine.clients.items()
-            if hasattr(client, "shard_stats")
-        }
+        destinations = engine.metrics_snapshot().get("destinations")
         if destinations:
             print("  shards:")
             for name, view in sorted(destinations.items()):
-                hedges = view["hedges"]
                 print(
-                    "    {}: {} shards, scatters={} degraded_gathers={} "
-                    "hedges(issued={} won={} lost={} cancelled={})".format(
+                    "    {}: {} shards, scatters={} degraded_gathers={}".format(
                         name,
                         view["num_shards"],
                         view["scatters"],
                         view["degraded_gathers"],
-                        hedges["issued"],
-                        hedges["won"],
-                        hedges["lost"],
-                        hedges["cancelled"],
                     )
                 )
                 for dest, entry in sorted(view["per_shard"].items()):
-                    line = "      {}: requests={} failures={} degraded={}".format(
-                        dest,
-                        entry["requests"],
-                        entry["failures"],
-                        entry["degraded"],
+                    print(
+                        "      {}: requests={} degraded={}".format(
+                            dest, entry["requests"], entry["degraded"]
+                        )
                     )
-                    breaker = entry.get("breaker")
-                    if breaker is not None:
-                        line += " breaker={}".format(breaker["state"])
-                    print(line)
     elif command == ".metrics":
         if argument.strip() in ("--prom", "prom"):
             print(engine.metrics.to_prometheus(), end="")

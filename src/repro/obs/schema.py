@@ -55,7 +55,6 @@ KNOWN_EVENT_NAMES = frozenset(
         _trace.SERVE_SLO_VIOLATION,
         _trace.SHARD_SCATTER,
         _trace.SHARD_GATHER,
-        _trace.SHARD_HEDGE,
         _trace.SHARD_OUTAGE,
     }
 )

@@ -100,14 +100,11 @@ SERVE_SLO_VIOLATION = "serve.slo_violation"
 
 #: Sharded search-tier events (DESIGN.md §15): one ``shard.scatter``
 #: per fan-out wave (args carry the request kind and shard count), one
-#: ``shard.gather`` per merge (ok/failed/degraded tallies), one
-#: ``shard.hedge`` per backup probe issued against a straggling shard
-#: (args carry the trigger delay and, at settlement, who won), and one
+#: ``shard.gather`` per merge (ok/failed/degraded tallies), and one
 #: ``shard.outage`` per shard whose failure was degraded into a partial
 #: gather instead of failing the query.
 SHARD_SCATTER = "shard.scatter"
 SHARD_GATHER = "shard.gather"
-SHARD_HEDGE = "shard.hedge"
 SHARD_OUTAGE = "shard.outage"
 
 #: Names that settle a call (used by the analyzers).

@@ -21,7 +21,7 @@ monolith uses, extended with a ``(doc_id, shard_id)`` tie-break so even
 a pathological corpus with duplicate score+URL pairs merges
 deterministically.
 
-Network behaviour (per-shard latency, faults, breakers, hedging) lives
+Network behaviour (per-shard latency, faults, outage degradation) lives
 in :class:`~repro.web.shardclient.ShardedSearchClient`; this module is
 the instantaneous compute tier, exactly as ``SearchEngine`` is for the
 monolith.
@@ -38,7 +38,7 @@ def shard_of(doc_id, num_shards):
 
 
 def shard_destination(engine_name, shard_id):
-    """The per-shard destination name latency/fault/breaker keys use."""
+    """The per-shard destination name latency/fault/metric keys use."""
     return "{}:shard{}".format(engine_name, shard_id)
 
 

@@ -789,9 +789,9 @@ class WsqEngine:
         (closed/open/half-open plus transition timestamps) so operators
         can tell *why* a destination is failing fast, not just how often.
         ``"destinations"`` (present only when the search tier is
-        sharded) adds each engine's per-shard scatter/gather view —
-        requests, failures, degraded gathers, hedge tallies, and the
-        per-shard breaker state.
+        sharded) adds each engine's scatter/gather view: scatters,
+        degraded gathers, and per-shard requests and degradations.
+        Retries, timeouts and breakers are the pump's, per engine.
         ``"trace"`` (present only when tracing is on) reports the ring
         buffer's fill and — crucially for calibration — how many events
         it has **dropped** since the last clear: a non-zero count means

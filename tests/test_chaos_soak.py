@@ -10,8 +10,8 @@ so logical equivalence is the bar, not "mostly works".
 A second matrix soaks the *sharded* search tier: with one shard down
 the partial gather must deterministically equal the degraded oracle
 (live shards only), and with one shard straggling the result must stay
-bit-identical to the clean run while hedge accounting balances — all
-with the same exact pump accounting at the end.
+bit-identical to the clean run — all with the same exact pump
+accounting at the end.
 """
 
 import itertools
@@ -130,7 +130,7 @@ SHARD_MATRIX = list(
 
 
 class _StragglerLatency:
-    """One shard is consistently slow; hedge replicas answer instantly."""
+    """One shard is consistently slow; the others answer instantly."""
 
     def delay(self, destination, expr_text):
         return 0.01 if destination.endswith(":shard0") else 0.0
@@ -197,13 +197,6 @@ def test_sharded_combo_is_logically_exact(
                 )
             )
         destinations = engine.metrics_snapshot()["destinations"]
-        for name, stats in destinations.items():
-            hedges = stats["hedges"]
-            assert hedges["issued"] == hedges["won"] + hedges["lost"]
-            assert (
-                hedges["cancelled"] + hedges["losers_settled"]
-                == hedges["issued"]
-            )
         if chaos == "outage":
             probed = [
                 stats
@@ -212,6 +205,12 @@ def test_sharded_combo_is_logically_exact(
             ]
             assert probed and all(
                 stats["degraded_gathers"] > 0 for stats in probed
+            )
+        else:
+            # Only an outage degrades: a straggler (or a transient that
+            # exhausts an attempt) never thins a gather.
+            assert all(
+                stats["degraded_gathers"] == 0 for stats in destinations.values()
             )
         _assert_pump_exact(engine)
     finally:

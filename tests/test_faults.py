@@ -209,6 +209,32 @@ class TestSyncAsyncEquivalence:
                 engine.pump.shutdown()
         assert runs["sync"] == runs["async"]
 
+    def test_exact_shard_round_trip_accounting(self):
+        # Each scatter sends exactly one round trip per shard (a count is
+        # one page), so what goes out is a function of the fault schedule
+        # alone and the two modes send the same requests.
+        runs, sent = {}, {}
+        for mode in ("sync", "async"):
+            engine = chaos_engine(
+                FaultModel(
+                    seed=3, transient_rate=0.2, hang_rate=0.1, hang_seconds=5.0
+                ),
+                fast_policy(max_attempts=2, call_timeout=0.02),
+                on_error="drop",
+                shards=4,
+            )
+            try:
+                runs[mode] = sorted(
+                    engine.execute(QUERY, mode=mode).rows, key=str
+                )
+                client = engine.clients["AV"]
+                assert client.requests_sent == client.num_shards * client.scatters
+                sent[mode] = client.requests_sent
+            finally:
+                engine.pump.shutdown()
+        assert runs["sync"] == runs["async"]
+        assert sent["sync"] == sent["async"]
+
 
 class TestOutageAndBreaker:
     def _fake_clock(self):

@@ -4,7 +4,9 @@ Every external request is one coroutine run by a request pump; a caller
 that blocks (``EVScan``, ``SearchClient.count``) waits for the pump.  The
 guard below keeps a second, blocking implementation from growing back in
 ``repro.web`` / ``repro.vtables``; the behavioural tests pin what only one
-of the former twins did.
+of the former twins did.  A second guard keeps one resilience layer: the
+pump's retry/timeout/breaker loop is the only place a circuit breaker is
+built, and no web client races probes of its own.
 """
 
 import ast
@@ -141,6 +143,85 @@ def violations(source, io_layer):
             if sleeps:
                 found.append((node.lineno, "time.sleep"))
     return found
+
+
+#: The one module that builds circuit breakers: the pump's resilience loop.
+BREAKER_HOME = ("asynciter", "pump.py")
+
+#: The destination suffix of the retired backup-probe replica, spelled in
+#: pieces for the same reason as the retired names above.
+REPLICA_SUFFIX = "~" + "he" + "dge"
+
+
+def resilience_violations(source, parts):
+    """A second resilience layer in *source* as ``(line, what)`` pairs.
+
+    *parts* is the module's path under ``src/repro``.  Only the pump
+    constructs a ``CircuitBreaker``; nothing under ``repro.web`` races
+    probes with ``asyncio.wait`` or names a backup replica.
+    """
+    web = parts[0] == "web"
+    found = []
+    for node in ast.walk(ast.parse(source)):
+        if isinstance(node, ast.Call):
+            func = node.func
+            name = func.attr if isinstance(func, ast.Attribute) else getattr(func, "id", None)
+            if name == "CircuitBreaker" and tuple(parts) != BREAKER_HOME:
+                found.append((node.lineno, "CircuitBreaker outside the pump"))
+            race = (
+                name == "wait"
+                and isinstance(func, ast.Attribute)
+                and isinstance(func.value, ast.Name)
+                and func.value.id == "asyncio"
+            )
+            if web and race:
+                found.append((node.lineno, "asyncio.wait race"))
+        elif web and isinstance(node, ast.ImportFrom) and node.module == "asyncio":
+            if any(alias.name == "wait" for alias in node.names):
+                found.append((node.lineno, "asyncio.wait race"))
+    if web:
+        for number, line in enumerate(source.splitlines(), 1):
+            if REPLICA_SUFFIX in line:
+                found.append((number, "backup replica " + REPLICA_SUFFIX))
+    return found
+
+
+class TestOneResilienceLayer:
+    SHARDCLIENT = ("web", "shardclient.py")
+
+    def test_source_tree_has_one_resilience_layer(self):
+        found = []
+        for path in sorted(SRC.rglob("*.py")):
+            parts = path.relative_to(SRC).parts
+            for line, what in resilience_violations(path.read_text(), parts):
+                found.append("{}:{}: {}".format("/".join(parts), line, what))
+        assert found == []
+        # The guard is looking at real code: the pump's breaker would be
+        # refused anywhere else.
+        pump = (SRC.joinpath(*BREAKER_HOME)).read_text()
+        assert resilience_violations(pump, self.SHARDCLIENT)
+
+    @pytest.mark.parametrize(
+        "mutant",
+        [
+            "def _breakers(self, config):\n"
+            "    return {d: CircuitBreaker(d, config) for d in self.destinations}\n",
+            "async def _race(primary, backup):\n"
+            "    return await asyncio.wait({primary, backup}, timeout=0.01)\n",
+            "from asyncio import wait\n",
+            "BACKUP = 'AV:shard0' + " + repr(REPLICA_SUFFIX) + "\n",
+        ],
+        ids=["breaker-dict", "wait-race", "wait-import", "replica"],
+    )
+    def test_guard_catches_a_second_layer_in_the_shard_client(self, mutant):
+        source = (SRC.joinpath(*self.SHARDCLIENT)).read_text()
+        assert resilience_violations(source, self.SHARDCLIENT) == []
+        assert resilience_violations(source + "\n\n" + mutant, self.SHARDCLIENT)
+
+    def test_wait_races_are_refused_only_in_the_web_layer(self):
+        race = "async def f(t):\n    await asyncio.wait(t)\n"
+        assert resilience_violations(race, ("web", "client.py"))
+        assert not resilience_violations(race, ("asynciter", "pump.py"))
 
 
 class TestStructuralGuard:
