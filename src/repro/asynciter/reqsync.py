@@ -9,19 +9,10 @@ their external calls complete.  When a call C returns:
    from one result row; references to *other* pending calls are copied
    too, so a later call patches every copy (Section 4.4's nuance).
 
-Two execution modes:
-
-- full-buffering (paper default): ``open()`` drains the child entirely —
-  which is what launches every AEVScan call below — then ``next_batch()``
-  emits tuples as their calls complete;
-- streaming (``stream=True``; the paper flags this as an optimization
-  choice): the child is drained lazily, complete tuples "pass directly
-  through", and incomplete ones are emitted as they resolve.
-
-``preserve_order=True`` additionally emits tuples in child order (head-of-
-line blocking instead of completion order), which lets the rewriter pull a
-ReqSync above order-sensitive operators without breaking their output
-order.
+ReqSync buffers fully, as the paper chose "for the sake of simplicity"
+(Section 4.1): ``open()`` drains the child entirely — which is what
+launches every AEVScan call below — then ``next_batch()`` emits tuples in
+completion order.  Complete tuples pass straight through.
 
 Graceful degradation (``on_error``)
 -----------------------------------
@@ -98,13 +89,7 @@ class ReqSync(Operator):
     """Patches placeholder-carrying tuples as their external calls land."""
 
     def __init__(
-        self,
-        child,
-        context,
-        stream=False,
-        preserve_order=False,
-        wait_timeout=DEFAULT_WAIT_TIMEOUT,
-        on_error=ON_ERROR_RAISE,
+        self, child, context, wait_timeout=DEFAULT_WAIT_TIMEOUT, on_error=ON_ERROR_RAISE
     ):
         if on_error not in ON_ERROR_POLICIES:
             raise ExecutionError(
@@ -114,8 +99,6 @@ class ReqSync(Operator):
             )
         self.child = child
         self.context = context
-        self.stream = stream
-        self.preserve_order = preserve_order
         self.wait_timeout = wait_timeout
         self.on_error = on_error
         self.schema = child.schema
@@ -123,11 +106,8 @@ class ReqSync(Operator):
         # Buffering state (created at open()).
         self._buffered = None  # tid -> _Buffered
         self._by_call = None  # call_id -> set(tid)
-        self._order = None  # emission order of tids (preserve_order mode)
-        self._ready = None  # deque of completed rows (completion-order mode)
-        self._completed = None  # tid -> row (preserve_order mode)
+        self._ready = None  # deque of completed rows
         self._next_tid = 0
-        self._child_done = False
         # Statistics for the benchmarks/tests.
         self.tuples_buffered = 0
         self.tuples_cancelled = 0
@@ -148,37 +128,31 @@ class ReqSync(Operator):
         self.child.open(bindings)
         self._buffered = {}
         self._by_call = {}
-        self._order = deque()
         self._ready = deque()
-        self._completed = {}
         self._next_tid = 0
-        self._child_done = False
-        if not self.stream:
-            # Full buffering: drain the child *batch-wise*, which
-            # registers every external call below us with the pump in
-            # one burst (an AEVScan below a dependent join gets whole
-            # batches of bindings at a time).
-            while self._pull_child_batch(self.batch_size):
-                pass
+        # Drain the child *batch-wise*, which registers every external
+        # call below us with the pump in one burst (an AEVScan below a
+        # dependent join gets whole batches of bindings at a time).
+        admit = self._admit
+        batch = self.child.next_batch(self.batch_size)
+        while batch is not None:
+            for row in batch:
+                admit(row)
+            batch = self.child.next_batch(self.batch_size)
 
     def next_batch(self, max_rows=None):
         if self._buffered is None:
             raise ExecutionError("ReqSync.next_batch() before open()")
         limit = max_rows if max_rows is not None else self.batch_size
         out = []
+        ready = self._ready
         while len(out) < limit:
-            row = self._emit_ready()
-            if row is not None:
-                out.append(row)
+            if ready:
+                out.append(ready.popleft())
                 continue
-            if self.stream and not self._child_done:
-                self._pull_child_batch(limit)
-                continue
-            if not self._by_call:
-                break
-            if out:
-                # Rows are ready to flow: emit them rather than blocking
-                # on the network to top the batch up.
+            if out or not self._by_call:
+                # Rows ready to flow are emitted rather than blocking on
+                # the network to top the batch up.
                 break
             self._resolve_some()
         if not out:
@@ -269,20 +243,12 @@ class ReqSync(Operator):
         self.child.close()
         self._buffered = None
         self._by_call = None
-        self._order = None
         self._ready = None
-        self._completed = None
 
     def label(self):
-        modes = []
-        if self.stream:
-            modes.append("stream")
-        if self.preserve_order:
-            modes.append("ordered")
         if self.on_error != ON_ERROR_RAISE:
-            modes.append("on_error={}".format(self.on_error))
-        suffix = " [{}]".format(", ".join(modes)) if modes else ""
-        return "ReqSync{}".format(suffix)
+            return "ReqSync [on_error={}]".format(self.on_error)
+        return "ReqSync"
 
     # -- graceful degradation (failed calls) --------------------------------------
 
@@ -315,34 +281,16 @@ class ReqSync(Operator):
 
     # -- buffering ------------------------------------------------------------------
 
-    def _pull_child_batch(self, limit):
-        """Admit up to *limit* child rows in one batch pull."""
-        batch = self.child.next_batch(limit)
-        if batch is None:
-            self._child_done = True
-            return False
-        admit = self._admit
-        for row in batch:
-            admit(row)
-        return True
-
     def _admit(self, row):
         pending = row_pending_calls(row)
         if not pending:
             # Complete tuples pass straight through the synchronizer.
-            if self.preserve_order:
-                tid = self._allocate_tid()
-                self._order.append(tid)
-                self._completed[tid] = row
-            else:
-                self._ready.append(row)
+            self._ready.append(row)
             return
         tid = self._allocate_tid()
         self.tuples_buffered += 1
         self._buffered[tid] = _Buffered(list(row), pending)
         self.max_buffered = max(self.max_buffered, len(self._buffered))
-        if self.preserve_order:
-            self._order.append(tid)
         for call_id in pending:
             self._by_call.setdefault(call_id, set()).add(tid)
 
@@ -350,26 +298,6 @@ class ReqSync(Operator):
         tid = self._next_tid
         self._next_tid += 1
         return tid
-
-    # -- emission ----------------------------------------------------------------------
-
-    def _emit_ready(self):
-        if not self.preserve_order:
-            if self._ready:
-                return self._ready.popleft()
-            return None
-        # Ordered mode: only the head of the queue may be emitted.
-        while self._order:
-            head = self._order[0]
-            if head in self._completed:
-                self._order.popleft()
-                return self._completed.pop(head)
-            if head not in self._buffered:
-                # Cancelled tuple: skip its slot.
-                self._order.popleft()
-                continue
-            return None
-        return None
 
     # -- patching (Sections 4.3 / 4.4) ------------------------------------------------------
 
@@ -423,8 +351,6 @@ class ReqSync(Operator):
         for other in tuple_state.pending:
             if other != call_id and other in self._by_call:
                 self._by_call[other].discard(tid)
-        # In ordered mode the tid stays in self._order and is skipped at
-        # emission time (it is no longer in _buffered or _completed).
 
     def _register_copy(self, original_tid, copy, call_id=None):
         tid = self._allocate_tid()
@@ -446,31 +372,12 @@ class ReqSync(Operator):
             self._buffered[tid] = copy
             for other in copy.pending:
                 self._by_call.setdefault(other, set()).add(tid)
-            if self.preserve_order:
-                self._insert_after(original_tid, tid)
         else:
-            if self.preserve_order:
-                self._insert_after(original_tid, tid)
-                self._completed[tid] = tuple(copy.values)
-            else:
-                self._ready.append(tuple(copy.values))
+            self._ready.append(tuple(copy.values))
 
     def _finish_tuple(self, tid, tuple_state):
         del self._buffered[tid]
-        row = tuple(tuple_state.values)
-        if self.preserve_order:
-            self._completed[tid] = row
-        else:
-            self._ready.append(row)
-
-    def _insert_after(self, anchor_tid, new_tid):
-        """Place a proliferated copy right after its original in the order."""
-        try:
-            position = self._order.index(anchor_tid)
-        except ValueError:
-            self._order.append(new_tid)
-            return
-        self._order.insert(position + 1, new_tid)
+        self._ready.append(tuple(tuple_state.values))
 
 
 def _patch_values(values, call_id, result_row):

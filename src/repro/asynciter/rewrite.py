@@ -3,7 +3,7 @@
 Historically this module *was* the placement algorithm, implemented as
 ad-hoc pattern matching over the physical operator classes.  Since the
 optimizer refactor the algorithm lives in the rule-driven optimizer —
-:func:`repro.plan.rules.reqsync_pack` over the
+:data:`repro.plan.rules.REQSYNC_PACK` over the
 :mod:`repro.plan.logical` algebra — and this module is a thin
 backward-compatible adapter: :func:`apply_asynchronous_iteration` lifts
 a physical plan into the algebra, runs the rule engine to its fixed
@@ -25,21 +25,17 @@ Enabling rewrites (each is one :class:`~repro.plan.rules.Rule`):
   cross-product (the paper's Example 3), letting ReqSync rise through the
   cross-product while the selection stays above;
 - a clashing selection is hoisted above *its* parent when they commute,
-  clearing the way for ReqSync;
-- order-sensitive operators (Sort) normally clash through rule 1 since
-  their keys are values; when the keys do NOT overlap A_i, the rewriter
-  can optionally still pull ReqSync above them by switching the ReqSync
-  to order-preserving emission (``pull_above_order_sensitive=True`` — an
-  extension the paper leaves open).
+  clearing the way for ReqSync.
+
+ReqSync emits in completion order, so it never rises past a Sort.
 
 Finally, adjacent ReqSync operators are merged (their runtime already
 manages any number of pending calls per tuple, Section 4.4).
 """
 
-from repro.config import EngineConfig
 from repro.plan.logical import lift, placeholder_columns
 from repro.plan.physical import lower
-from repro.plan.rules import RuleEngine, reqsync_pack
+from repro.plan.rules import REQSYNC_PACK, RuleEngine
 
 
 def apply_asynchronous_iteration(
@@ -64,18 +60,13 @@ def rewrite_logical(node, config=None, tracer=None, metrics=None, query_id=None)
     """Run the ReqSync rule pack over a *logical* tree.
 
     Returns ``(optimized_node, firings)`` without lowering — the
-    engine's native path, which lowers once under the same *config*
-    (an :class:`~repro.config.EngineConfig`; ``None`` resolves one from
-    the environment).
+    engine's native path, which lowers once afterwards.  The pack reads
+    no knob, so *config* is unused; it stays for callers, the benchmark
+    adapter among them, that hand the engine's
+    :class:`~repro.config.EngineConfig` to every planning layer.
     """
-    if config is None:
-        config = EngineConfig.resolve()
     engine = RuleEngine(
-        reqsync_pack(config),
-        settings=config,
-        tracer=tracer,
-        metrics=metrics,
-        query_id=query_id,
+        REQSYNC_PACK, tracer=tracer, metrics=metrics, query_id=query_id
     )
     return engine.run(node), engine.firings
 

@@ -15,7 +15,6 @@ result cache an engine builds when it is handed none
 
 import os
 from dataclasses import dataclass, fields, replace
-from typing import Optional
 
 from repro.relational.batch import DEFAULT_BATCH_SIZE
 from repro.util.errors import ConfigError
@@ -68,26 +67,11 @@ def _on_error(value, source):
     return value
 
 
-def _wait_timeout(value, source):
-    if (
-        isinstance(value, bool)
-        or not isinstance(value, (int, float))
-        or not value > 0
-    ):
-        raise ConfigError(
-            "{} must be a positive number of seconds, got {!r}".format(
-                source, value
-            )
-        )
-    return value
-
-
-#: Fields whose values are checked (the rest are plain flags).
+#: Each field's check.
 _CHECKS = {
     "on_error": _on_error,
     "batch_size": _positive_int,
     "shards": _positive_int,
-    "wait_timeout": _wait_timeout,
 }
 
 
@@ -111,25 +95,6 @@ class EngineConfig:
     #: puts a scatter-gather broker in front of each engine
     #: (``REPRO_SHARDS``); the cost model prices the scatter waves.
     shards: int = 1
-    #: Seconds one ReqSync wait may block before it reports a lost
-    #: completion signal.
-    wait_timeout: float = 60.0
-    #: Default streaming mode for ReqSyncs whose logical node pins none.
-    stream: bool = False
-    #: Let ReqSync rise above a Sort whose keys it does not fill, by
-    #: switching it to order-preserving emission.
-    pull_above_order_sensitive: bool = False
-    #: Merge adjacent ReqSync operators (Section 4.5, Consolidation).
-    consolidate: bool = True
-    #: Reorder FROM items so virtual tables follow their providers.
-    reorder: bool = False
-    #: With ``reorder``, also order stored tables smallest first.
-    cost_reorder: bool = False
-    #: Share one in-flight call between identical calls of one query.
-    dedup_calls: bool = True
-    #: Coalesce identical in-flight calls across queries on the engine's
-    #: own pump; ``None`` = on whenever the engine builds itself a pump.
-    single_flight: Optional[bool] = None
 
     def __post_init__(self):
         for name, check in _CHECKS.items():

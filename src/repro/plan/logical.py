@@ -345,31 +345,21 @@ class LogicalReqSync(LogicalNode):
 
     Schema-transparent; resolves every placeholder below it, so its own
     placeholder set is empty.  Lowering configures the physical
-    :class:`~repro.asynciter.reqsync.ReqSync` from the node's flags plus
-    the :class:`~repro.config.EngineConfig`.
+    :class:`~repro.asynciter.reqsync.ReqSync` from the
+    :class:`~repro.config.EngineConfig`.
     """
 
-    def __init__(self, child, stream=False, preserve_order=False):
+    def __init__(self, child):
         super().__init__()
         self.child = child
-        self.stream = stream
-        self.preserve_order = preserve_order
         self.children = (child,)
         self.schema = child.schema
 
     def _refresh_schema(self):
         self.schema = self.child.schema
 
-    def payload_key(self):
-        return (self.stream, self.preserve_order)
-
     def label(self):
-        modes = []
-        if self.stream:
-            modes.append("stream")
-        if self.preserve_order:
-            modes.append("ordered")
-        return "ReqSync{}".format(" [{}]".format(", ".join(modes)) if modes else "")
+        return "ReqSync"
 
 
 # -- binary ---------------------------------------------------------------------
@@ -568,11 +558,7 @@ def lift(plan):
     if isinstance(plan, AEVScan):
         return LogicalVTableScan(plan.instance, asynchronous=True)
     if isinstance(plan, ReqSync):
-        return LogicalReqSync(
-            lift(plan.child),
-            stream=plan.stream,
-            preserve_order=plan.preserve_order,
-        )
+        return LogicalReqSync(lift(plan.child))
     if isinstance(plan, Filter):
         return LogicalFilter(lift(plan.child), plan.predicate)
     if isinstance(plan, Project):

@@ -171,11 +171,4 @@ def _lower_reqsync(node, config, context, child):
 
     if context is None:
         raise PlanError("lowering a ReqSync requires an AsyncContext")
-    return ReqSync(
-        child(),
-        context,
-        stream=node.stream,
-        preserve_order=node.preserve_order,
-        wait_timeout=config.wait_timeout,
-        on_error=config.on_error,
-    )
+    return ReqSync(child(), context, on_error=config.on_error)

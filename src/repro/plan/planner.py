@@ -6,10 +6,10 @@
 1. FROM items resolve to stored tables or virtual-table occurrences.
 2. Virtual-table usage analysis (:mod:`repro.plan.analysis`) fixes each
    occurrence's arity *n*, template, rank limit, and input bindings.
-3. Relations are joined left-deep in FROM order (the paper's prototype
-   lets users control join order this way); ``reorder=True`` instead
-   topologically sorts so every virtual table follows its binding
-   providers.
+3. Relations are joined left-deep in FROM order, as in the paper's
+   Redbase prototype: the user controls the join order, and a virtual
+   table listed before the relation that binds its inputs is a
+   :class:`~repro.util.errors.BindingError`.
 4. Predicates are pushed to the lowest operator whose schema can bind
    them; virtual tables hang off dependent joins.
 5. GROUP BY/aggregates, HAVING, DISTINCT, ORDER BY (with hidden sort
@@ -24,7 +24,7 @@ then :func:`repro.plan.physical.lower` to executable operators.
 reference the equivalence tests compare against.
 
 The output is a *synchronous* plan (EVScan leaves); asynchronous
-iteration is the :func:`repro.plan.rules.reqsync_pack` applied over the
+iteration is :data:`repro.plan.rules.REQSYNC_PACK` applied over the
 logical form (or, for legacy physical plans, through the
 :func:`repro.asynciter.rewrite.apply_asynchronous_iteration` adapter).
 """
@@ -88,8 +88,7 @@ class Planner:
     def plan_logical(self, query):
         """Build the (unoptimized) logical plan for a parsed SELECT."""
         relations = self._resolve_from(query)
-        usages, residual = self._analyze(query, relations)
-        relations = self._order_relations(query, relations)
+        residual = self._analyze(query, relations)
         plan, residual = self._build_join_tree(query, relations, residual)
         return self._finish(query, plan, residual)
 
@@ -158,7 +157,7 @@ class Planner:
             )
             relation.instance.fixed_bindings.update(usage.constant_terms)
             validate_bindings(usage, relation.instance)
-        return usages, residual
+        return residual
 
     def _analyze_url_vtable(self, query, relation, residual):
         """Bindings for WebFetch-style tables (single ``Url`` input)."""
@@ -195,71 +194,6 @@ class Planner:
             if not consumed:
                 remaining.append(conjunct)
         return usage, remaining
-
-    # -- join ordering --------------------------------------------------------------------
-
-    def _order_relations(self, query, relations):
-        if not self.options.reorder:
-            return relations
-        candidates = list(relations)
-        if self.options.cost_reorder:
-            # Stored tables smallest-first keeps nested-loop outer sides
-            # small; stable sort preserves FROM order among equals and
-            # leaves virtual tables' relative order to the binding pass.
-            candidates.sort(
-                key=lambda r: r.table.row_count() if r.table is not None else float("inf")
-            )
-        placed = []
-        placed_aliases = set()
-        pending = candidates
-        while pending:
-            progressed = False
-            for relation in list(pending):
-                if self._providers_satisfied(relation, relations, placed_aliases):
-                    placed.append(relation)
-                    placed_aliases.add(relation.alias.lower())
-                    pending.remove(relation)
-                    progressed = True
-            if not progressed:
-                raise BindingError(
-                    "cannot order FROM items to satisfy virtual-table "
-                    "bindings: {}".format([r.alias for r in pending])
-                )
-        return placed
-
-    def _providers_satisfied(self, relation, all_relations, placed_aliases):
-        if not relation.is_vtable:
-            return True
-        for provider in relation.usage.dependent_terms.values():
-            alias = self._provider_alias(provider, all_relations, relation)
-            if alias is None or alias.lower() not in placed_aliases:
-                return False
-        return True
-
-    def _provider_alias(self, name_node, relations, consumer):
-        """Which FROM alias supplies *name_node*?"""
-        if name_node.qualifier is not None:
-            for relation in relations:
-                if relation.alias.lower() == name_node.qualifier.lower():
-                    return relation.alias
-            return None
-        candidates = []
-        for relation in relations:
-            if relation is consumer:
-                continue
-            schema = self._relation_schema(relation)
-            if schema is not None and schema.maybe_resolve(name_node.name) is not None:
-                candidates.append(relation.alias)
-        if len(candidates) == 1:
-            return candidates[0]
-        return None
-
-    def _relation_schema(self, relation):
-        if relation.table is not None:
-            return relation.table.schema.with_qualifier(relation.alias)
-        if relation.instance is not None:
-            return relation.instance.schema
-        return None
 
     # -- join tree -----------------------------------------------------------------------------
 

@@ -31,7 +31,7 @@ registry as ``planner.rules_fired{rule=...}``.
 Rules
 -----
 
-:func:`reqsync_pack`
+:data:`REQSYNC_PACK`
     The paper's placement algorithm.  Runs by default on the
     asynchronous path; behavior-preserving with respect to the seed
     implementation (verified by golden snapshots and an A/B structural
@@ -335,9 +335,7 @@ class InsertReqSync(Rule):
         parent = ctx.parent_of(node)
         scan = L.LogicalVTableScan(node.instance, asynchronous=True)
         scan.annotations.update(node.annotations)
-        parent.replace_child(
-            node, L.LogicalReqSync(scan, stream=ctx.settings.stream)
-        )
+        parent.replace_child(node, L.LogicalReqSync(scan))
         return True
 
 
@@ -345,7 +343,7 @@ class ConsolidateReqSyncs(Rule):
     """Consolidation: merge ReqSync directly over ReqSync (paper step 3).
 
     One ReqSync manages any number of pending calls per tuple (Section
-    4.4), so stacked synchronizers collapse; order preservation is OR'd.
+    4.4), so stacked synchronizers collapse.
     """
 
     name = "reqsync.consolidate"
@@ -356,9 +354,7 @@ class ConsolidateReqSyncs(Rule):
         )
 
     def apply(self, node, ctx):
-        inner = node.child
-        node.preserve_order = node.preserve_order or inner.preserve_order
-        node.replace_child(inner, inner.child)
+        node.replace_child(node.child, node.child.child)
         return True
 
 
@@ -496,54 +492,27 @@ class PercolateAboveCrossProduct(_ReqSyncRule):
     parent_type = (L.LogicalCrossProduct, L.LogicalUnion)
 
 
-class PullAboveSortOrdered(_ReqSyncRule):
-    """Extension: pull ReqSync above a Sort whose keys do not read a
-    filled attribute, switching to order-preserving emission so the
-    sorted order survives (``pull_above_order_sensitive=True``)."""
-
-    name = "reqsync.pull_above_sort"
-    parent_type = L.LogicalSort
-
-    def admits(self, reqsync, parent, ctx):
-        if not ctx.settings.pull_above_order_sensitive:
-            return False
-        filled = _filled_in_parent(reqsync, parent, ctx)
-        keys = set()
-        for expr, _ in parent.keys:
-            keys |= expr.referenced_columns()
-        return not (keys & filled)
-
-    def apply(self, node, ctx):
-        node.preserve_order = True
-        return super().apply(node, ctx)
-
-
-def reqsync_pack(settings):
-    """Priority groups implementing the paper's placement algorithm.
-
-    Group order reproduces the seed rewriter: insertion first, then
-    eager consolidation (when enabled), then the percolation rules —
-    each firing restarts from the top, so adjacent ReqSyncs merge
-    before either floats to the top of the plan as a no-op.
-    Aggregate/Distinct (clash rule 3) and Limit (counting) have no
-    rule: ReqSync simply never rises past them.
-    """
-    groups = [[InsertReqSync()]]
-    if settings.consolidate:
-        groups.append([ConsolidateReqSyncs()])
-    groups.append(
-        [
-            PercolateAboveFilter(),
-            HoistClashingSelection(),
-            PercolateAboveProject(),
-            PercolateAboveDependentJoin(),
-            JoinToSelectionOverCrossProduct(),
-            PercolateAboveJoin(),
-            PercolateAboveCrossProduct(),
-            PullAboveSortOrdered(),
-        ]
-    )
-    return groups
+#: The paper's placement algorithm as priority groups.  Group order
+#: reproduces the seed rewriter: insertion first, then eager
+#: consolidation, then the percolation rules — each firing restarts from
+#: the top, so adjacent ReqSyncs merge before either floats to the top
+#: of the plan as a no-op.  Sort (clash rule 1 on its keys),
+#: Aggregate/Distinct (clash rule 3) and Limit (counting) have no rule:
+#: ReqSync never rises past them.  Stateless, like
+#: :data:`RELATIONAL_PIPELINE`.
+REQSYNC_PACK = (
+    (InsertReqSync(),),
+    (ConsolidateReqSyncs(),),
+    (
+        PercolateAboveFilter(),
+        HoistClashingSelection(),
+        PercolateAboveProject(),
+        PercolateAboveDependentJoin(),
+        JoinToSelectionOverCrossProduct(),
+        PercolateAboveJoin(),
+        PercolateAboveCrossProduct(),
+    ),
+)
 
 
 # ---------------------------------------------------------------------------
@@ -663,11 +632,7 @@ def _clone_tree(node):
     elif isinstance(node, L.LogicalLimit):
         twin = L.LogicalLimit(_clone_tree(node.child), node.count)
     elif isinstance(node, L.LogicalReqSync):
-        twin = L.LogicalReqSync(
-            _clone_tree(node.child),
-            stream=node.stream,
-            preserve_order=node.preserve_order,
-        )
+        twin = L.LogicalReqSync(_clone_tree(node.child))
     elif isinstance(node, L.LogicalJoin):
         twin = L.LogicalJoin(
             _clone_tree(node.left), _clone_tree(node.right), node.predicate

@@ -100,9 +100,10 @@ class WsqEngine:
         tracer, resilience policy and single-flight setting are its own
         (build it with ``tracer=obs.tracer`` to see request lifecycles
         in the engine's trace).  ``None`` takes the process-wide pump —
-        or, for an observed, resilient or single-flight engine, a
-        dedicated one wired to *obs* and *resilience*, because attaching
-        those to the shared pump would change every other engine.
+        or, for an observed or resilient engine, a dedicated
+        single-flight one wired to *obs* and *resilience*, because
+        attaching those to the shared pump would change every other
+        engine.
     obs:
         An :class:`~repro.obs.Observability` bundle.  With one attached
         (e.g. ``Observability.enabled()``), every query is traced —
@@ -166,7 +167,7 @@ class WsqEngine:
         self.resilience = resilience
         self.clock = resolve_clock(obs.clock if obs is not None else None)
         if pump is None:
-            if resilience is None and obs is None and not config.single_flight:
+            if resilience is None and obs is None:
                 pump = default_pump()
             else:
                 pump = RequestPump(
@@ -175,7 +176,7 @@ class WsqEngine:
                     tracer=obs.tracer if obs is not None else None,
                     metrics=obs.metrics if obs is not None else None,
                     clock=self.clock,
-                    single_flight=config.single_flight is not False,
+                    single_flight=True,
                 )
         self.pump = pump
         if obs is not None and obs.metrics is not pump.metrics:
@@ -207,9 +208,9 @@ class WsqEngine:
         self._statements = OrderedDict()  # (sql, requested mode) -> _Statement
         self._statements_lock = threading.Lock()
 
-    # Three views of ``config`` kept for the frozen benchmark adapter
-    # (perf/adapter.py); nothing else in src/, tests/, benchmarks/ or
-    # examples/ may use them.
+    # Three views of ``config`` and the per-query deduplication flag,
+    # kept for the frozen benchmark adapter (perf/adapter.py); nothing
+    # else in src/, tests/, benchmarks/ or examples/ may use them.
 
     @property
     def planner_options(self):
@@ -222,15 +223,12 @@ class WsqEngine:
     def exec_options(self):
         return self.config
 
+    dedup_calls = True
+
     @property
     def batch_size(self):
         """Rows per operator pull (``config.batch_size``)."""
         return self.config.batch_size
-
-    @property
-    def dedup_calls(self):
-        """Per-query in-flight deduplication (``config.dedup_calls``)."""
-        return self.config.dedup_calls
 
     def _build_client(self, engine_name):
         """The web client for one engine: sharded broker or monolith."""
@@ -323,7 +321,7 @@ class WsqEngine:
             # deduplicate against, so sync contexts skip the bookkeeping.
             return AsyncContext(
                 self.pump,
-                dedup=self.config.dedup_calls and statement.mode == ASYNC,
+                dedup=statement.mode == ASYNC,
                 tracer=tracer,
                 query_id=query_id,
                 deadline=deadline,

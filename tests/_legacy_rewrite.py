@@ -7,7 +7,9 @@ replaced it.  It is kept verbatim as an executable specification:
 plans and asserts the resulting physical trees are structurally
 identical.  Do not "fix" or modernize this module — its value is that it
 does not change.  (Its knobs are read off an
-:class:`~repro.config.EngineConfig`, the one settings object there is.)
+:class:`~repro.config.EngineConfig`, the one settings object there is;
+the placement switches it once read are fixed at the defaults they had:
+consolidation on, full buffering, no pull above a Sort.)
 """
 
 
@@ -32,8 +34,7 @@ def apply_asynchronous_iteration(plan, context, settings=None):
     root = _Root(plan)
     _insert(root, context, settings)
     _percolate(root, settings)
-    if settings.consolidate:
-        _consolidate(root)
+    _consolidate(root)
     return root.child
 
 
@@ -128,9 +129,7 @@ def _insert(root, context, settings):
 
 
 def _make_reqsync(child, context, settings):
-    kwargs = {"stream": settings.stream}
-    if settings.wait_timeout is not None:
-        kwargs["wait_timeout"] = settings.wait_timeout
+    kwargs = {}
     if settings.on_error is not None:
         kwargs["on_error"] = settings.on_error
     reqsync = ReqSync(child, context, **kwargs)
@@ -149,7 +148,7 @@ def _percolate(root, settings):
         # Merge adjacent ReqSyncs eagerly: an outer ReqSync over an inner
         # one has an empty filled set, so it would otherwise float to the
         # top of the plan as a no-op instead of merging.
-        if settings.consolidate and _consolidate_once(root):
+        if _consolidate_once(root):
             continue
         parents = {id(c): p for p, c in _walk_with_parents(root.child, root)}
         for parent, node in list(_walk_with_parents(root.child, root)):
@@ -216,13 +215,7 @@ def _try_advance(parents, parent, reqsync, settings):
             keys |= expr.referenced_columns()
         if keys & filled_in_parent:
             return False  # clash rule 1
-        if not settings.pull_above_order_sensitive:
-            return False
-        # Extension: pull above the sort, switching to ordered emission so
-        # the sorted order survives.
-        reqsync.preserve_order = True
-        _swap_up(grandparent, parent, reqsync)
-        return True
+        return False  # completion-order emission would break the order
 
     # Aggregate, Distinct (rule 3), Limit (counting) and anything unknown.
     return False
@@ -293,7 +286,6 @@ def _consolidate_once(root):
             node.child = inner.child
             node.children = (inner.child,)
             node.schema = inner.child.schema
-            node.preserve_order = node.preserve_order or inner.preserve_order
             return True
     return False
 

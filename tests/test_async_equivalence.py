@@ -69,24 +69,3 @@ class TestAsyncEquivalence:
         sync_rows = engine.execute(sql, mode="sync").rows
         async_rows = engine.execute(sql, mode="async").rows
         assert sorted(sync_rows, key=repr) == sorted(async_rows, key=repr), sql
-
-    @settings(max_examples=15, deadline=None)
-    @given(wsq_query(), st.booleans())
-    def test_streaming_and_ordered_modes_equal(self, sql, use_stream):
-        from repro.asynciter.context import AsyncContext
-        from repro.asynciter.rewrite import apply_asynchronous_iteration
-        from repro.config import EngineConfig
-        from repro.exec import collect
-
-        engine = shared_engine()
-        sync_rows = engine.execute(sql, mode="sync").rows
-        plan = engine.plan(sql, mode="sync")
-        rewritten = apply_asynchronous_iteration(
-            plan,
-            AsyncContext(engine.pump),
-            EngineConfig.resolve(
-                stream=use_stream, pull_above_order_sensitive=not use_stream
-            ),
-        )
-        rows = collect(rewritten)
-        assert sorted(rows, key=repr) == sorted(sync_rows, key=repr), sql

@@ -3,8 +3,7 @@
 Hypothesis drives random mixes of call outcomes (delays, row counts
 including cancellations and proliferations, multi-call tuples); the
 ReqSync output must always equal the straightforward relational
-expectation, regardless of completion order, emission mode, or buffering
-mode.  This is the strongest correctness net over Sections 4.3/4.4.
+expectation, regardless of completion order or call deduplication.  This is the strongest correctness net over Sections 4.3/4.4.
 """
 
 import asyncio
@@ -115,47 +114,12 @@ class TestRandomSchedules:
         deadline=None,
         suppress_health_check=[HealthCheck.too_slow, HealthCheck.function_scoped_fixture],
     )
-    @given(
-        specs=spec_strategy,
-        stream=st.booleans(),
-        preserve_order=st.booleans(),
-        dedup=st.booleans(),
-    )
-    def test_output_matches_relational_semantics(
-        self, pump, specs, stream, preserve_order, dedup
-    ):
+    @given(specs=spec_strategy, dedup=st.booleans())
+    def test_output_matches_relational_semantics(self, pump, specs, dedup):
         context = AsyncContext(pump, dedup=dedup)
-        sync = ReqSync(
-            _ScheduledScan(context, specs),
-            context,
-            stream=stream,
-            preserve_order=preserve_order,
-            wait_timeout=10,
-        )
+        sync = ReqSync(_ScheduledScan(context, specs), context, wait_timeout=10)
         rows = collect(sync)
         assert sorted(rows) == sorted(expected_rows(specs))
-
-    @settings(
-        max_examples=20,
-        deadline=None,
-        suppress_health_check=[HealthCheck.too_slow, HealthCheck.function_scoped_fixture],
-    )
-    @given(specs=spec_strategy)
-    def test_preserve_order_emits_in_child_order(self, pump, specs):
-        context = AsyncContext(pump, dedup=False)
-        sync = ReqSync(
-            _ScheduledScan(context, specs),
-            context,
-            preserve_order=True,
-            wait_timeout=10,
-        )
-        rows = collect(sync)
-        tags = [row[0] for row in rows]
-        # Child order: tag blocks appear in spec order (copies adjacent).
-        expected_tag_order = [
-            spec[0] for spec in specs for _ in range(_fanout(spec))
-        ]
-        assert tags == [t for t in expected_tag_order if t in set(tags)]
 
     @settings(
         max_examples=20,
@@ -174,9 +138,3 @@ class TestRandomSchedules:
         assert sync.max_buffered <= sync.tuples_buffered
         assert len(rows) == len(expected_rows(specs))
 
-
-def _fanout(spec):
-    _, rows_a, _, rows_b, _ = spec
-    a = len(rows_a) if rows_a is not None else 1
-    b = len(rows_b) if rows_b is not None else 1
-    return a * b

@@ -501,11 +501,11 @@ def _outer_scan():
     return RowsScan(OUTER_SCHEMA, [(k,) for k in sorted(RESULTS)], name="outer")
 
 
-def _async_plan(pump, preserve_order=False, delay=0.0, tracer=None):
+def _async_plan(pump, delay=0.0, tracer=None):
     context = AsyncContext(pump, tracer=tracer, query_id=0)
     scan = AEVScan(FakeInstance(RESULTS, delay=delay), context)
     join = DependentJoin(_outer_scan(), scan, {"T1": 0})
-    sync = ReqSync(join, context, preserve_order=preserve_order, wait_timeout=5)
+    sync = ReqSync(join, context, wait_timeout=5)
     return sync, scan
 
 
@@ -516,16 +516,6 @@ class TestExternalEquivalence:
         plan, _ = _async_plan(pump)
         set_batch_size(plan, batch_size)
         assert sorted(VIEWS[view](plan, batch_size)) == EXPECTED_ROWS
-
-    def test_preserve_order_exact_equality(self, pump, batch_size):
-        # With ordered emission the async result is deterministic, so
-        # every batch size must agree *exactly* with the tuple-at-a-time
-        # schedule, proliferation and cancellation included.
-        plan, _ = _async_plan(pump, preserve_order=True, delay=0.005)
-        expected = reference_rows(plan)
-        plan, _ = _async_plan(pump, preserve_order=True, delay=0.005)
-        set_batch_size(plan, batch_size)
-        assert collect_batches(plan, batch_size) == expected
 
     def test_reqsync_reopen_after_close(self, pump, batch_size):
         plan, _ = _async_plan(pump)

@@ -333,10 +333,9 @@ class TestOptInBoundaries:
         )
         assert engine.pump is not default_pump()
         assert engine.pump.single_flight is True
-        engine_off = WsqEngine(
-            database=paper_db, web=web, resilience=ResiliencePolicy(),
-            single_flight=False,
-        )
+        # A non-coalescing engine passes its own pump.
+        given = RequestPump(single_flight=False)
+        engine_off = WsqEngine(database=paper_db, web=web, pump=given)
         assert engine_off.pump.single_flight is False
         # Without any dedicated-pump trigger the shared pump is used
         # untouched (and stays non-coalescing).

@@ -18,6 +18,7 @@ import itertools
 
 import pytest
 
+from repro.asynciter.pump import RequestPump
 from repro.asynciter.resilience import ResiliencePolicy, RetryPolicy
 from repro.datasets import load_all
 from repro.serve import Deadline
@@ -70,6 +71,11 @@ def _combo_id(combo):
 def test_matrix_combo_is_logically_exact(combo, shared_db, baseline_rows):
     fault_rate, tier, coalesce, batch_size, deadline_s = combo
     seed = MATRIX.index(combo) + 1  # seeded per combo, stable across runs
+    # Always set a policy: transients must recover, and every combo gets
+    # a dedicated pump so the final accounting is exact.
+    policy = ResiliencePolicy(
+        retry=RetryPolicy(max_attempts=6, base_backoff=0.005, jitter=0.0)
+    )
     engine = WsqEngine(
         database=shared_db,
         cache=make_cache(tier) if tier != "off" else False,
@@ -78,12 +84,10 @@ def test_matrix_combo_is_logically_exact(combo, shared_db, baseline_rows):
             if fault_rate
             else None
         ),
-        # Always set a policy: transients must recover, and every combo
-        # gets a dedicated pump so the final accounting is exact.
-        resilience=ResiliencePolicy(
-            retry=RetryPolicy(max_attempts=6, base_backoff=0.005, jitter=0.0)
+        resilience=policy,
+        pump=RequestPump(
+            name="chaos-soak", resilience=policy, single_flight=coalesce
         ),
-        single_flight=coalesce,
         batch_size=batch_size,
         # The fault schedule is keyed on the engine destination; the
         # sharded tier has its own matrix below.

@@ -9,6 +9,7 @@ as a plain dict throughout — no test here touches ``os.environ``.
 
 import ast
 import dataclasses
+import inspect
 import pathlib
 import re
 
@@ -19,6 +20,7 @@ from repro.asynciter.reqsync import ReqSync
 from repro.asynciter.resilience import ResiliencePolicy, RetryPolicy
 from repro.config import ENV_VARIABLES, FIELD_ENV, EngineConfig, default_cache
 from repro.obs import Observability
+from repro.plan.logical import LogicalReqSync
 from repro.serve import Deadline
 from repro.util.errors import ConfigError, PlanError, ReproError
 from repro.vtables.evscan import EVScan
@@ -26,9 +28,11 @@ from repro.web.cache import ResultCache, make_cache
 from repro.wsq import WsqEngine
 
 SQL = "Select Name, Count From States, WebCount Where Name = T1"
-SQL_TWO_VTABLES = (
-    "Select Name, Count, URL From States, WebCount, WebPages "
-    "Where Name = WebCount.T1 and Name = WebPages.T1 and Rank <= 2"
+#: WebCount binds to a WebPages URL, so consolidation cannot merge the
+#: two ReqSyncs: the default plan keeps both.
+SQL_TWO_REQSYNCS = (
+    "Select Name, URL, WebCount.Count From States, WebPages, WebCount "
+    "Where Name = WebPages.T1 and Rank <= 2 and WebCount.T1 = URL"
 )
 
 #: field -> (default, an explicit non-default value)
@@ -36,14 +40,6 @@ FIELDS = {
     "on_error": ("raise", "null"),
     "batch_size": (256, 3),
     "shards": (1, 2),
-    "wait_timeout": (60.0, 1.5),
-    "stream": (False, True),
-    "pull_above_order_sensitive": (False, True),
-    "consolidate": (True, False),
-    "reorder": (False, True),
-    "cost_reorder": (False, True),
-    "dedup_calls": (True, False),
-    "single_flight": (None, False),
 }
 
 #: field -> (raw environment text, the value it resolves to)
@@ -69,7 +65,7 @@ def _only(plan, cls):
 
 
 class TestResolve:
-    def test_fields_are_exactly_the_documented_eleven(self):
+    def test_fields_are_exactly_the_documented_three(self):
         names = [field.name for field in dataclasses.fields(EngineConfig)]
         assert names == list(FIELDS)
         assert set(FIELD_ENV) == set(ENV_VALUES)
@@ -136,8 +132,6 @@ class TestResolve:
             ("batch_size", True),
             ("shards", 0),
             ("shards", -3),
-            ("wait_timeout", 0),
-            ("wait_timeout", "soon"),
         ],
     )
     def test_invalid_value_names_its_field(self, build, name, value):
@@ -170,14 +164,21 @@ class TestResolve:
             EngineConfig().override(workers=2)
 
     def test_retired_options_are_refused_like_any_unknown_one(self):
-        # The optimizer pipeline and access-path selection have no switch.
-        for name in ("rules", _spell("use_", "indexes")):
+        # The optimizer pipeline and access-path selection have no
+        # switch, and neither do ReqSync's emission, consolidation, the
+        # join order, call deduplication or the built pump's coalescing.
+        for name in RETIRED_OPTIONS:
             with pytest.raises(ConfigError, match=name):
                 EngineConfig.resolve(environ={}, **{name: ()})
             with pytest.raises(ConfigError, match=name):
                 WsqEngine(**{name: ()})
         environ = {_spell("REPRO_", "RULES"): "all"}
         assert EngineConfig.resolve(environ=environ) == EngineConfig()
+
+    @pytest.mark.parametrize("cls", [ReqSync, LogicalReqSync])
+    def test_reqsync_has_one_emission_mode(self, cls):
+        parameters = inspect.signature(cls).parameters
+        assert not {"stream", _spell("preserve_", "order")} & set(parameters)
 
 
 class TestDefaultCache:
@@ -236,7 +237,6 @@ class TestEngineConstruction:
         engine = WsqEngine(database=paper_db, web=web, shards=1)
         assert engine._planner.options is engine.config
         assert engine.batch_size == engine.config.batch_size
-        assert engine.dedup_calls is engine.config.dedup_calls
 
     def test_a_given_pump_is_used_as_built(self, web, paper_db):
         pump = RequestPump(PumpLimits(), name="given")
@@ -247,7 +247,6 @@ class TestEngineConstruction:
                 pump=pump,
                 obs=Observability.enabled(),
                 resilience=ResiliencePolicy(retry=RetryPolicy(max_attempts=2)),
-                single_flight=True,
             )
             assert engine.pump is pump
             assert (pump.tracer, pump.resilience, pump.single_flight) == (
@@ -320,11 +319,6 @@ class TestEnginePathsAgree:
             sizes = {op.batch_size for op in _walk(plan)}
             assert sizes == {7}, "mode={} resolved {}".format(mode, sizes)
 
-    def test_wait_timeout_reaches_reqsync(self, web, paper_db):
-        engine = WsqEngine(database=paper_db, web=web, wait_timeout=0.75)
-        plan = engine.plan(SQL, mode="async")
-        assert {r.wait_timeout for r in _only(plan, ReqSync)} == {0.75}
-
     def test_results_agree_under_drop_policy(self, web, paper_db):
         """Same rows from sync and async when both degrade with 'drop'."""
         engine = WsqEngine(database=paper_db, web=web, on_error="drop")
@@ -338,7 +332,7 @@ class TestEnginePathsAgree:
         """The config carries no deadline: ``execute(deadline=)`` puts it
         on the query's context, which is where each ReqSync reads it
         while the plan runs."""
-        engine = WsqEngine(database=paper_db, web=web, consolidate=False)
+        engine = WsqEngine(database=paper_db, web=web)
         executed = []
         drain = engine._drain_batches
 
@@ -348,7 +342,7 @@ class TestEnginePathsAgree:
 
         monkeypatch.setattr(engine, "_drain_batches", watched)
         deadline = Deadline(30.0)
-        engine.execute(SQL_TWO_VTABLES, deadline=deadline)
+        engine.execute(SQL_TWO_REQSYNCS, deadline=deadline)
         (contexts,) = executed
         assert len(contexts) == 2
         assert all(context.deadline is deadline for context in contexts)
@@ -367,11 +361,27 @@ def _spell(*parts):
     return "".join(parts)
 
 
+#: The config fields that only tests ever set, with ``rules`` and the
+#: index switch before them.
+RETIRED_OPTIONS = [
+    "rules",
+    _spell("use_", "indexes"),
+    "wait_timeout",
+    "stream",
+    _spell("pull_above_", "order_sensitive"),
+    "consolidate",
+    "reorder",
+    _spell("cost_", "reorder"),
+    "dedup_calls",
+    "single_flight",
+]
+
 #: The structs, env parsers and the intra-query worker-thread path this
 #: file's config replaced, then the optimizer's pack knob chain, the
 #: index switch, the result-cache tier classes and the client's copy of
 #: the cache-hit signal (``web.cache_hit_fraction``, a benchmark metric,
-#: does not match); none may come back in code, CI or the docs.
+#: does not match), then ReqSync's ordered mode, the rule that used it
+#: and the join reorderer; none may come back in code, CI or the docs.
 RETIRED = [
     _spell("Planner", "Options"),
     _spell("Rewrite", "Settings"),
@@ -393,6 +403,13 @@ RETIRED = [
     _spell("_Tier", "Telemetry"),
     _spell("purge_", "expired"),
     _spell(r"web\.cache_", r"hits?\b"),
+    _spell("pull_above_", "order_sensitive"),
+    _spell("preserve_", "order"),
+    _spell("cost_", "reorder"),
+    _spell("PullAbove", "SortOrdered"),
+    _spell("pull_above", "_sort"),
+    _spell("_order_", "relations"),
+    _spell("_insert_", "after"),
 ]
 
 #: Where they may not appear (EXPERIMENTS.md, CHANGES.md and ROADMAP.md
@@ -458,6 +475,21 @@ class TestStructuralGuard:
         assert environment_reads(mutant)
         assert not environment_reads("import os\npath = os.path.join('a', 'b')\n")
 
+    @pytest.mark.parametrize(
+        "mutant",
+        [
+            _spell("    pull_above_", "order_sensitive: bool = False"),
+            _spell("        self.preserve_", "order = True"),
+            _spell("        if self.options.cost_", "reorder:"),
+            _spell("class PullAbove", "SortOrdered(_ReqSyncRule):"),
+            _spell('    name = "reqsync.pull_above', '_sort"'),
+            _spell("        relations = self._order_", "relations(query, relations)"),
+            _spell("                self._insert_", "after(original_tid, tid)"),
+        ],
+    )
+    def test_retired_guard_catches_a_revived_name(self, mutant):
+        assert re.search("|".join(RETIRED), mutant)
+
     def test_retired_names_are_gone(self):
         pattern = re.compile("|".join(RETIRED))
         found = []
@@ -478,9 +510,12 @@ class TestStructuralGuard:
         assert named <= set(ENV_VARIABLES)
 
     def test_engine_keeps_only_the_adapter_views(self):
-        """``planner_options``/``rewrite_settings``/``exec_options`` exist
-        for the frozen benchmark adapter and nothing else uses them."""
-        views = re.compile(r"\b(planner_options|rewrite_settings|exec_options)\b")
+        """``planner_options``/``rewrite_settings``/``exec_options`` and
+        ``dedup_calls`` exist for the frozen benchmark adapter and nothing
+        else uses them."""
+        views = re.compile(
+            r"\b(planner_options|rewrite_settings|exec_options|dedup_calls)\b"
+        )
         users = set()
         for path in guarded_files():
             relative = path.relative_to(ROOT)

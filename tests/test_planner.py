@@ -12,9 +12,7 @@ from repro.exec import (
     Project,
     Sort,
 )
-from repro.config import EngineConfig
 from repro.plan.analysis import analyze_vtables
-from repro.plan.planner import Planner
 from repro.sql.parser import parse_select
 from repro.util.errors import BindingError, PlanError
 from repro.vtables.evscan import EVScan
@@ -193,28 +191,12 @@ class TestBindingErrors:
             engine.plan("Select * From States, WebCount Where T2 = 'x'", mode="sync")
 
     def test_vtable_before_provider(self, engine):
-        with pytest.raises(BindingError):
+        # FROM order is the join order: nothing moves WebCount after States.
+        with pytest.raises(
+            BindingError, match="first in the join order but input T1 depends on Name"
+        ):
             engine.plan(
                 "Select * From WebCount, States Where Name = T1", mode="sync"
-            )
-
-    def test_reorder_option_fixes_order(self, engine):
-        planner = Planner(
-            engine.database, engine.vtables, options=EngineConfig.resolve(reorder=True)
-        )
-        plan = planner.plan(
-            parse_select("Select * From WebCount, States Where Name = T1")
-        )
-        dj = first(plan, DependentJoin)
-        assert isinstance(dj.right, EVScan)
-
-    def test_reorder_cannot_fix_unprovidable(self, engine):
-        planner = Planner(
-            engine.database, engine.vtables, options=EngineConfig.resolve(reorder=True)
-        )
-        with pytest.raises(BindingError):
-            planner.plan(
-                parse_select("Select * From WebCount Where Missing = T1")
             )
 
     def test_unknown_table(self, engine):

@@ -1,9 +1,6 @@
-"""Profiling, auto mode, and cost-based reordering."""
+"""Profiling and auto mode."""
 
-from repro.config import EngineConfig
 from repro.plan.cost import CostModel
-from repro.plan.planner import Planner
-from repro.sql.parser import parse_select
 from repro.wsq import WsqEngine
 
 SIGS_KNUTH = (
@@ -94,51 +91,3 @@ class TestAutoMode:
         result = engine.run("Select Count(*) From States", mode="auto")
         assert result.rows == [(50,)]
 
-
-class TestCostReorder:
-    def test_smaller_table_becomes_outer(self, engine):
-        options = EngineConfig.resolve(reorder=True, cost_reorder=True)
-        planner = Planner(engine.database, engine.vtables, options=options)
-        # CSFields (12 rows) should end up outer of States (50 rows).
-        plan = planner.plan(
-            parse_select("Select * From States, CSFields")
-        )
-        explain = plan.explain()
-        lines = explain.splitlines()
-        scans = [line.strip() for line in lines if "Scan:" in line]
-        assert scans[0].endswith("CSFields")
-
-    def test_vtables_still_follow_providers(self, engine):
-        options = EngineConfig.resolve(reorder=True, cost_reorder=True)
-        planner = Planner(engine.database, engine.vtables, options=options)
-        plan = planner.plan(
-            parse_select(
-                "Select * From WebCount, States, Sigs Where States.Name = T1"
-            )
-        )
-        from repro.exec import DependentJoin
-
-        def find(op):
-            if isinstance(op, DependentJoin):
-                return op
-            for child in op.children:
-                found = find(child)
-                if found is not None:
-                    return found
-            return None
-
-        dj = find(plan)
-        assert dj is not None  # WebCount placed after its provider
-
-    def test_results_unchanged_by_reorder(self, engine):
-        options = EngineConfig.resolve(reorder=True, cost_reorder=True)
-        planner = Planner(engine.database, engine.vtables, options=options)
-        from repro.exec import collect
-
-        sql = (
-            "Select States.Name, Sigs.Name From States, Sigs "
-            "Where Population > 15000"
-        )
-        reordered = collect(planner.plan(parse_select(sql)))
-        baseline = engine.execute(sql, mode="sync").rows
-        assert sorted(reordered) == sorted(baseline)

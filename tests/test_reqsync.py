@@ -1,4 +1,4 @@
-"""ReqSync: buffering, patching, cancellation, proliferation, ordering.
+"""ReqSync: buffering, patching, cancellation, proliferation, emission order.
 
 These tests drive ReqSync directly with hand-built children and fake
 external calls, so every paper behaviour (Sections 4.3/4.4) is pinned
@@ -6,7 +6,6 @@ down in isolation from SQL planning.
 """
 
 import asyncio
-import time
 
 import pytest
 
@@ -115,36 +114,6 @@ class TestCompletion:
         rows = collect(ReqSync(child, context, wait_timeout=5))
         assert rows == [("fast", 2), ("slow", 1)]  # fast emitted first
 
-    def test_preserve_order_emission(self, pump):
-        context = AsyncContext(pump)
-        child = _GatedScan(
-            context,
-            [("slow", [{"value": 1}], 0.2), ("fast", [{"value": 2}], 0.0)],
-        )
-        rows = collect(ReqSync(child, context, preserve_order=True, wait_timeout=5))
-        assert rows == [("slow", 1), ("fast", 2)]  # child order kept
-
-    def test_preserve_order_with_cancellation(self, pump):
-        context = AsyncContext(pump)
-        child = _GatedScan(
-            context,
-            [("gone", [], 0.1), ("kept", [{"value": 5}], 0.0)],
-        )
-        rows = collect(ReqSync(child, context, preserve_order=True, wait_timeout=5))
-        assert rows == [("kept", 5)]
-
-    def test_preserve_order_with_proliferation(self, pump):
-        context = AsyncContext(pump)
-        child = _GatedScan(
-            context,
-            [
-                ("first", [{"value": 1}, {"value": 2}], 0.1),
-                ("second", [{"value": 9}], 0.0),
-            ],
-        )
-        rows = collect(ReqSync(child, context, preserve_order=True, wait_timeout=5))
-        assert rows == [("first", 1), ("first", 2), ("second", 9)]
-
 
 class TestMultiplePlaceholders:
     def _two_call_child(self, context, rows_a, rows_b, delay_a=0.0, delay_b=0.05):
@@ -200,33 +169,6 @@ class TestMultiplePlaceholders:
             context, [{"value": 1}, {"value": 2}], [], delay_a=0.0, delay_b=0.1
         )
         assert collect(ReqSync(child, context, wait_timeout=5)) == []
-
-
-class TestStreaming:
-    def test_streaming_results_match_buffered(self, pump):
-        context = AsyncContext(pump)
-        specs = [("r{}".format(i), [{"value": i}], 0.0) for i in range(20)]
-        buffered = collect(ReqSync(_GatedScan(context, list(specs)), context, wait_timeout=5))
-        context2 = AsyncContext(pump)
-        streaming = collect(
-            ReqSync(_GatedScan(context2, list(specs)), context2, stream=True, wait_timeout=5)
-        )
-        assert sorted(buffered) == sorted(streaming)
-
-    def test_streaming_emits_complete_rows_immediately(self, pump):
-        context = AsyncContext(pump)
-        child = _GatedScan(
-            context,
-            [("ready", None, 0), ("pending", [{"value": 1}], 0.3)],
-        )
-        sync = ReqSync(child, context, stream=True, wait_timeout=5)
-        sync.open()
-        started = time.perf_counter()
-        first = sync.next()
-        assert first == ("ready", 0)
-        assert time.perf_counter() - started < 0.2  # did not wait for the call
-        assert sync.next() == ("pending", 1)
-        sync.close()
 
 
 class TestFailureAndLifecycle:

@@ -152,39 +152,6 @@ class TestClashRules:
         shape = [s.lstrip(".") for s in plan_shape(plan)]
         assert shape.count("ReqSync") == 1
 
-    def test_sort_pull_with_order_preservation_extension(self, engine):
-        """With the extension enabled, ReqSync rises above a Sort whose
-        keys are not filled, switching to ordered emission."""
-        # The projection must keep every filled attribute (URL, Rank, AND
-        # Date) or clash rule 2 pins the ReqSync below it.
-        sql = (
-            "Select Name, URL, Rank, Date From States, WebPages "
-            "Where Name = T1 and Rank <= 2 Order By Name"
-        )
-        baseline = rewrite_sql(engine, sql)
-        base_shape = [s.lstrip(".") for s in plan_shape(baseline)]
-        assert base_shape.index("Sort") < base_shape.index("ReqSync")
-
-        extended = rewrite_sql(engine, sql, pull_above_order_sensitive=True)
-        ext_shape = [s.lstrip(".") for s in plan_shape(extended)]
-        assert ext_shape.index("ReqSync") < ext_shape.index("Sort")
-        reqsync = extended if isinstance(extended, ReqSync) else None
-        node = extended
-        while not isinstance(node, ReqSync):
-            node = node.children[0]
-        assert node.preserve_order
-
-    def test_order_preserving_pull_results_still_sorted(self, engine):
-        sql = (
-            "Select Name, URL, Rank From States, WebPages "
-            "Where Name = T1 and Rank <= 2 Order By Name, Rank"
-        )
-        expected = engine.execute(sql, mode="sync").rows
-        plan = rewrite_sql(engine, sql, pull_above_order_sensitive=True)
-        from repro.exec import collect
-
-        assert collect(plan) == expected
-
 
 class TestFilledColumns:
     def test_aevscan_filled(self, engine):
@@ -242,14 +209,6 @@ class TestEquivalence:
         sync_rows = engine.execute(sql, mode="sync").rows
         async_rows = engine.execute(sql, mode="async").rows
         assert sorted(sync_rows, key=repr) == sorted(async_rows, key=repr)
-
-    @pytest.mark.parametrize("sql", QUERIES[:3])
-    def test_streaming_mode_same_rows(self, engine, sql):
-        from repro.exec import collect
-
-        sync_rows = engine.execute(sql, mode="sync").rows
-        plan = rewrite_sql(engine, sql, stream=True)
-        assert sorted(collect(plan), key=repr) == sorted(sync_rows, key=repr)
 
 
 class TestFilterHoist:

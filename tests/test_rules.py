@@ -1,7 +1,6 @@
 """Unit tests for the rule engine and its rules (layer 2 of the stack)."""
 
 from repro.asynciter.rewrite import rewrite_logical
-from repro.config import EngineConfig
 from repro.obs import Observability, validate_trace_events
 from repro.obs.trace import PLAN_RULE_FIRED
 from repro.plan import logical as L
@@ -48,11 +47,7 @@ class TestEngineMechanics:
 
     def test_fire_budget_bounds_the_run(self, engine):
         node = _logical(engine, Q1)
-        rules_engine = R.RuleEngine(
-            R.reqsync_pack(EngineConfig()),
-            settings=EngineConfig(),
-            fire_budget=1,
-        )
+        rules_engine = R.RuleEngine(R.REQSYNC_PACK, fire_budget=1)
         rules_engine.run(node)
         per_rule = {}
         for firing in rules_engine.firings:
@@ -62,11 +57,7 @@ class TestEngineMechanics:
 
     def test_budget_exhaustion_is_reported(self, engine):
         node = _logical(engine, Q_TWO_VTABLES)
-        rules_engine = R.RuleEngine(
-            R.reqsync_pack(EngineConfig()),
-            settings=EngineConfig(),
-            fire_budget=1,
-        )
+        rules_engine = R.RuleEngine(R.REQSYNC_PACK, fire_budget=1)
         rules_engine.run(node)
         assert "reqsync.insert" in rules_engine.exhausted
 
@@ -83,9 +74,13 @@ class TestReqSyncPack:
         assert _kinds(root).count("LogicalReqSync") == 1
 
     def test_consolidate_off_keeps_both(self, engine):
-        root, _ = rewrite_logical(
-            _logical(engine, Q_TWO_VTABLES), EngineConfig(consolidate=False)
-        )
+        # Consolidation is what merges them: the pack without that group
+        # leaves one ReqSync per virtual table.
+        groups = [
+            group for group in R.REQSYNC_PACK
+            if not isinstance(group[0], R.ConsolidateReqSyncs)
+        ]
+        root = R.RuleEngine(groups).run(_logical(engine, Q_TWO_VTABLES))
         assert _kinds(root).count("LogicalReqSync") == 2
 
     def test_sort_on_filled_key_blocks_percolation(self, engine):
@@ -93,16 +88,9 @@ class TestReqSyncPack:
         assert isinstance(root, L.LogicalSort)
         assert isinstance(root.children[0], L.LogicalReqSync)
 
-    def test_pull_above_sort_sets_preserve_order(self, engine):
-        root, firings = rewrite_logical(
-            _logical(engine, Q_SORT_LOCAL_KEY),
-            EngineConfig(pull_above_order_sensitive=True),
-        )
-        assert isinstance(root, L.LogicalReqSync)
-        assert root.preserve_order
-        assert "reqsync.pull_above_sort" in {f.rule for f in firings}
-
     def test_without_extension_sort_stays_on_top(self, engine):
+        # Completion-order emission would scramble the sort, so ReqSync
+        # stays below it even when no key is filled.
         root, _ = rewrite_logical(_logical(engine, Q_SORT_LOCAL_KEY))
         assert isinstance(root, L.LogicalSort)
 

@@ -11,6 +11,7 @@ import time
 
 import pytest
 
+from repro.asynciter.pump import RequestPump
 from repro.datasets import load_all
 from repro.obs import Observability
 from repro.serve import (
@@ -324,7 +325,8 @@ class TestDisconnects:
         # No round trip can land before 0.3s, so the 0.15s storm below
         # is guaranteed to catch every query still in flight.
         engine = make_engine(
-            latency=UniformLatency(0.3, 0.5), single_flight=True
+            latency=UniformLatency(0.3, 0.5),
+            pump=RequestPump(name="storm-pump", single_flight=True),
         )
         service = QueryService(engine, max_workers=4)
         try:
