@@ -45,7 +45,6 @@ HELP = """Statements end with ';'.  Dot-commands:
   .stats             pump / engine / cache statistics
   .metrics [--prom]  metrics-registry snapshot (latency percentiles);
                      --prom prints Prometheus text exposition instead
-  .slo               per-tenant SLO status (serve.slo.* counters)
   .recalibrate       re-price the cost model from the live trace/metrics
   .quit              exit
 """
@@ -407,21 +406,6 @@ def _dot_command(engine, line, mode):
             print(engine.metrics.to_prometheus(), end="")
         else:
             print(json.dumps(engine.metrics_snapshot(), indent=1, sort_keys=True))
-    elif command == ".slo":
-        from repro.serve.slo import slo_counters_view
-
-        view = slo_counters_view(engine.metrics)
-        if not view:
-            print("(no SLO activity recorded)")
-        for tenant, stats in view.items():
-            line = "  {}: met {}/{}".format(
-                tenant, stats["met"], stats["total"]
-            )
-            if "met_fraction" in stats:
-                line += " ({:.1%})".format(stats["met_fraction"])
-            if "burn" in stats:
-                line += "  burn {:.2f}x".format(stats["burn"])
-            print(line)
     elif command == ".recalibrate":
         applied, profile, reason = engine.recalibrate()
         print(

@@ -93,11 +93,6 @@ SERVE_START = "serve.start"
 SERVE_FINISH = "serve.finish"
 SERVE_CANCEL = "serve.cancel"
 
-#: SLO accounting: emitted when a served query misses its tenant's
-#: latency objective (args carry the objective, the observed e2e, and
-#: the terminal outcome the miss was charged to).
-SERVE_SLO_VIOLATION = "serve.slo_violation"
-
 #: Sharded search-tier events (DESIGN.md §15): one ``shard.scatter``
 #: per fan-out wave (args carry the request kind and shard count), one
 #: ``shard.gather`` per merge (ok/failed/degraded tallies), and one

@@ -17,8 +17,7 @@ from repro.serve.admission import (
 )
 from repro.serve.deadline import Deadline
 from repro.serve.scheduler import FairScheduler
-from repro.serve.session import QueryHandle, QueryService, Session
-from repro.serve.slo import render_slo_report, slo_report
+from repro.serve.session import QueryHandle, QueryService
 from repro.util.errors import AdmissionRejected, QueryDeadlineExceeded
 
 __all__ = [
@@ -34,8 +33,5 @@ __all__ = [
     "QueryDeadlineExceeded",
     "QueryHandle",
     "QueryService",
-    "Session",
     "TenantPolicy",
-    "render_slo_report",
-    "slo_report",
 ]

@@ -1,4 +1,4 @@
-"""Admission control: per-tenant budgets, bounded queues, load shedding.
+"""Admission control: bounded queues, load shedding, fair dispatch.
 
 The admission controller is the gate between :class:`~repro.serve.session.QueryService`'s
 API and its worker pool.  Its state machine per query:
@@ -17,8 +17,7 @@ consumes any queue memory.
 
 Fairness across tenants is delegated to
 :class:`~repro.serve.scheduler.FairScheduler` (weighted stride
-scheduling); this module adds the per-tenant *concurrency budget*
-(``TenantPolicy.max_active``) as the scheduler's eligibility gate.
+scheduling); the worker pool is the only concurrency bound.
 """
 
 import threading
@@ -46,61 +45,26 @@ class TenantPolicy:
 
     ``weight``
         Fair-share weight (relative pump-slot share under contention).
-    ``max_active``
-        Concurrent queries this tenant may have running (``None`` =
-        bounded only by the worker pool).
     ``max_queued``
         Queue-depth cap; submissions beyond it are shed immediately
         with ``reason="queue_full"``.
-    ``slo_seconds``
-        End-to-end latency objective (submit → settle).  ``None`` (the
-        default) means no SLO accounting for this tenant; set, every
-        settled query counts toward ``serve.slo.{met,violated}`` and the
-        error-budget burn gauge (see DESIGN.md §13).
-    ``slo_target``
-        The fraction of queries expected to meet the objective (the
-        "three nines" in "p99 under 2s"); the complement is the error
-        budget the burn gauge is normalized against.
     """
 
-    __slots__ = (
-        "name", "weight", "max_active", "max_queued", "slo_seconds",
-        "slo_target",
-    )
+    __slots__ = ("name", "weight", "max_queued")
 
-    def __init__(
-        self,
-        name,
-        weight=1.0,
-        max_active=None,
-        max_queued=None,
-        slo_seconds=None,
-        slo_target=0.99,
-    ):
+    def __init__(self, name, weight=1.0, max_queued=None):
         if weight <= 0:
             raise ValueError("tenant weight must be positive")
-        if max_active is not None and max_active < 1:
-            raise ValueError("max_active must be at least 1")
         if max_queued is not None and max_queued < 0:
             raise ValueError("max_queued cannot be negative")
-        if slo_seconds is not None and slo_seconds <= 0:
-            raise ValueError("slo_seconds must be positive")
-        if not 0.0 < slo_target < 1.0:
-            raise ValueError("slo_target must be in (0, 1)")
         self.name = name
         self.weight = float(weight)
-        self.max_active = max_active
         self.max_queued = max_queued
-        self.slo_seconds = slo_seconds
-        self.slo_target = float(slo_target)
 
     def __repr__(self):
-        text = "TenantPolicy({!r}, weight={}, max_active={}, max_queued={}".format(
-            self.name, self.weight, self.max_active, self.max_queued
+        return "TenantPolicy({!r}, weight={}, max_queued={})".format(
+            self.name, self.weight, self.max_queued
         )
-        if self.slo_seconds is not None:
-            text += ", slo={}s@{}".format(self.slo_seconds, self.slo_target)
-        return text + ")"
 
 
 class _TenantState:
@@ -147,25 +111,19 @@ class AdmissionController:
     """Bounded, deadline-aware, weighted-fair admission queue.
 
     ``max_queued`` is the *service-wide* queue bound (per-tenant caps
-    come from each :class:`TenantPolicy`).  ``service_time_estimate``
-    seeds the EWMA used for ``retry_after`` hints; every completion
-    reported via :meth:`observe_service_time` refines it.
+    come from each :class:`TenantPolicy`).  ``retry_after`` hints come
+    from an EWMA of service times, seeded with 0.1 s and refined by
+    every :meth:`release`.
     """
 
-    def __init__(
-        self,
-        policies=None,
-        max_queued=256,
-        service_time_estimate=0.1,
-        clock=None,
-    ):
+    def __init__(self, policies=None, max_queued=256, clock=None):
         self.clock = resolve_clock(clock)
         self.max_queued = max_queued
         self._cond = threading.Condition()
         self._scheduler = FairScheduler()
         self._states = {}
         self._closed = False
-        self._mean_service = float(service_time_estimate)
+        self._mean_service = 0.1
         for policy in policies or ():
             self._ensure(policy.name, policy)
 
@@ -178,17 +136,6 @@ class AdmissionController:
             self._states[tenant] = state
             self._scheduler.set_weight(tenant, state.policy.weight)
         return state
-
-    def policy_for(self, tenant):
-        with self._cond:
-            return self._ensure(tenant).policy
-
-    def policies(self):
-        """Snapshot of every registered tenant's policy."""
-        with self._cond:
-            return {
-                tenant: state.policy for tenant, state in self._states.items()
-            }
 
     # -- submit side -----------------------------------------------------------
 
@@ -229,11 +176,9 @@ class AdmissionController:
         """Seconds until a retry plausibly finds room (an estimate).
 
         The backlog ahead of a retry drains at roughly one query per
-        mean service time per active slot the tenant can use.
+        mean service time.
         """
-        slots = state.policy.max_active or 1
-        backlog = max(1, state.queued)
-        return round(self._mean_service * backlog / slots, 4)
+        return round(self._mean_service * max(1, state.queued), 4)
 
     # -- dispatch side (worker threads) ----------------------------------------
 
@@ -256,17 +201,17 @@ class AdmissionController:
         )
         with self._cond:
             while True:
-                picked = self._scheduler.pop(eligible=self._eligible_locked)
+                picked = self._scheduler.pop()
                 if picked is not None:
                     tenant, ticket = picked
                     state = self._states[tenant]
                     state.queued -= 1
                     ticket_deadline = getattr(ticket, "deadline", None)
                     if ticket_deadline is not None and ticket_deadline.expired:
-                        state.shed += 1
                         if ticket_deadline.cancelled:
                             state.cancelled += 1
                             return tenant, ticket, CANCELLED
+                        state.shed += 1
                         return tenant, ticket, SHED
                     state.active += 1
                     state.admitted += 1
@@ -279,11 +224,6 @@ class AdmissionController:
                 if remaining is not None and remaining <= 0:
                     return None
                 self._cond.wait(timeout=remaining)
-
-    def _eligible_locked(self, tenant):
-        state = self._states[tenant]
-        cap = state.policy.max_active
-        return cap is None or state.active < cap
 
     def shed_verdict(self, tenant, ticket):
         """The typed rejection for a deadline-shed ticket."""
@@ -317,11 +257,11 @@ class AdmissionController:
             for tenant, ticket in self._scheduler.drain_where(_expired):
                 state = self._states[tenant]
                 state.queued -= 1
-                state.shed += 1
                 if ticket.deadline.cancelled:
                     state.cancelled += 1
                     out.append((tenant, ticket, CANCELLED))
                 else:
+                    state.shed += 1
                     out.append((tenant, ticket, SHED))
         return out
 
@@ -341,11 +281,6 @@ class AdmissionController:
                 self._mean_service += 0.2 * (
                     service_seconds - self._mean_service
                 )
-            self._cond.notify_all()
-
-    def observe_service_time(self, seconds):
-        with self._cond:
-            self._mean_service += 0.2 * (seconds - self._mean_service)
 
     def withdraw(self, tenant, ticket):
         """Remove an abandoned ticket still sitting in the queue.

@@ -2,7 +2,7 @@
 
 Classic stride scheduling over per-tenant FIFO queues: each dispatch
 advances the chosen tenant's *virtual time* by ``1 / weight``, and the
-next dispatch goes to the eligible backlogged tenant with the smallest
+next dispatch goes to the backlogged tenant with the smallest
 virtual time.  A tenant with weight 2 therefore drains twice as fast as
 a weight-1 tenant under contention, while an uncontended tenant is
 unaffected — the standard WFQ contract.
@@ -51,19 +51,15 @@ class FairScheduler:
             )
         queue.append(item)
 
-    def pop(self, eligible=None):
+    def pop(self):
         """Dispatch from the min-vtime backlogged tenant.
 
-        *eligible* optionally gates tenants (e.g. a per-tenant active
-        budget); an ineligible tenant keeps its backlog and its place.
-        Returns ``(tenant, item)`` or ``None`` when nothing is
-        dispatchable.  Ties break on tenant name for determinism.
+        Returns ``(tenant, item)`` or ``None`` when nothing is queued.
+        Ties break on tenant name for determinism.
         """
         best = None
         for tenant, queue in self._queues.items():
             if not queue:
-                continue
-            if eligible is not None and not eligible(tenant):
                 continue
             key = (self._vtime.get(tenant, 0.0), str(tenant))
             if best is None or key < best[0]:
@@ -109,15 +105,5 @@ class FairScheduler:
             return False
         return True
 
-    def depth(self, tenant):
-        queue = self._queues.get(tenant)
-        return len(queue) if queue is not None else 0
-
     def total_depth(self):
         return sum(len(queue) for queue in self._queues.values())
-
-    def backlogged(self):
-        """Tenants with at least one queued item (sorted, for tests)."""
-        return sorted(
-            str(t) for t, queue in self._queues.items() if queue
-        )

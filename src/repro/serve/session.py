@@ -1,8 +1,7 @@
-"""The multi-tenant query service: sessions, handles, worker pool.
+"""The multi-tenant query service: handles and the worker pool.
 
-:class:`QueryService` is the long-lived front end the ROADMAP's
-"millions of users" north star asks for: many concurrent sessions
-multiplexed over **one** shared :class:`~repro.wsq.engine.WsqEngine`
+:class:`QueryService` is the long-lived front end: many concurrent
+clients multiplexed over **one** shared :class:`~repro.wsq.engine.WsqEngine`
 (hence one shared :class:`~repro.asynciter.pump.RequestPump` and one
 shared result cache — coalescing and cache hits work *across* tenants).
 
@@ -15,8 +14,8 @@ Robustness is the headline contract:
   queueing unboundedly;
 - pump slots are shared fairly across tenants
   (:mod:`repro.serve.scheduler`);
-- a client disconnect (:meth:`Session.close` / :meth:`QueryHandle.cancel`)
-  cancels the query's in-flight work all the way down to coalesced
+- a client disconnect (:meth:`QueryHandle.cancel` on each outstanding
+  handle) cancels the query's in-flight work all the way down to coalesced
   flight members, without disturbing other tenants' identical calls.
 
 Thread model: ``max_workers`` daemon threads execute admitted queries
@@ -45,7 +44,6 @@ from repro.serve.admission import (
     SHED_SHUTDOWN,
 )
 from repro.serve.deadline import Deadline
-from repro.serve.slo import record_settlement, slo_report
 from repro.util.errors import AdmissionRejected, QueryDeadlineExceeded
 from repro.util.timing import resolve_clock
 
@@ -136,66 +134,6 @@ class QueryHandle:
         )
 
 
-class Session:
-    """One client's connection to the service.
-
-    Closing the session is the disconnect event: every outstanding
-    handle is cancelled, which propagates down to the pump (coalesced
-    flight members detach; sole members cancel the physical call).
-    """
-
-    def __init__(self, service, tenant):
-        self.service = service
-        self.tenant = tenant
-        self._lock = threading.Lock()
-        self._handles = []
-        self._closed = False
-
-    def submit(self, sql, timeout=None, mode=None):
-        """Submit asynchronously; returns a :class:`QueryHandle`.
-
-        Raises :class:`AdmissionRejected` when shed at submit time
-        (queue full / shutting down).
-        """
-        with self._lock:
-            if self._closed:
-                raise AdmissionRejected(
-                    "session is closed", tenant=self.tenant, reason=SHED_SHUTDOWN
-                )
-        handle = self.service.submit(
-            sql, tenant=self.tenant, timeout=timeout, mode=mode
-        )
-        with self._lock:
-            self._handles.append(handle)
-        return handle
-
-    def execute(self, sql, timeout=None, mode=None):
-        """Submit and block for the result (convenience)."""
-        return self.submit(sql, timeout=timeout, mode=mode).result()
-
-    def outstanding(self):
-        with self._lock:
-            return [h for h in self._handles if not h.done()]
-
-    def close(self):
-        """Disconnect: cancel everything still queued or running."""
-        with self._lock:
-            if self._closed:
-                return
-            self._closed = True
-            handles = list(self._handles)
-        for handle in handles:
-            if not handle.done():
-                handle.cancel(reason="session closed")
-
-    def __enter__(self):
-        return self
-
-    def __exit__(self, *exc):
-        self.close()
-        return False
-
-
 class QueryService:
     """Multi-tenant query front end over one shared engine.
 
@@ -212,9 +150,6 @@ class QueryService:
     max_queued:
         Service-wide admission-queue bound (per-tenant caps come from
         the policies).
-    default_timeout:
-        Deadline (seconds) applied to queries submitted without one
-        (``None`` = unbounded, still cancellable).
     calibration:
         Opt-in :class:`~repro.obs.calibration.CalibrationPolicy`.  When
         set, the reaper periodically rebuilds a
@@ -230,15 +165,11 @@ class QueryService:
         tenants=None,
         max_workers=4,
         max_queued=256,
-        default_timeout=None,
-        name="wsq-serve",
         calibration=None,
     ):
         if max_workers < 1:
             raise ValueError("max_workers must be at least 1")
         self.engine = engine
-        self.name = name
-        self.default_timeout = default_timeout
         self.clock = resolve_clock(getattr(engine, "clock", None))
         self.admission = AdmissionController(
             policies=tenants, max_queued=max_queued, clock=self.clock
@@ -262,14 +193,14 @@ class QueryService:
             for index in range(self.max_workers):
                 worker = threading.Thread(
                     target=self._worker_loop,
-                    name="{}-worker-{}".format(self.name, index),
+                    name="wsq-serve-worker-{}".format(index),
                     daemon=True,
                 )
                 worker.start()
                 self._workers.append(worker)
             reaper = threading.Thread(
                 target=self._reaper_loop,
-                name="{}-reaper".format(self.name),
+                name="wsq-serve-reaper",
                 daemon=True,
             )
             reaper.start()
@@ -308,19 +239,15 @@ class QueryService:
 
     # -- client API ------------------------------------------------------------
 
-    def session(self, tenant=DEFAULT_TENANT):
-        return Session(self, tenant)
-
     def submit(self, sql, tenant=DEFAULT_TENANT, timeout=None, mode=None):
         """Admit one query; returns its :class:`QueryHandle`.
 
         Raises :class:`AdmissionRejected` for submit-time sheds (queue
         full, shutdown); dispatch-time sheds and execution failures
-        surface from :meth:`QueryHandle.result` instead.
+        surface from :meth:`QueryHandle.result` instead.  A disconnect
+        is :meth:`QueryHandle.cancel` on each handle still outstanding.
         """
         self._ensure_workers()
-        if timeout is None:
-            timeout = self.default_timeout
         submitted_at = self.clock.now()
         deadline = Deadline(timeout, clock=self.clock)
         handle = QueryHandle(
@@ -457,19 +384,6 @@ class QueryService:
                 "serve.e2e_seconds", finished_at - handle.submitted_at,
                 tenant=tenant,
             )
-        if outcome != ABANDONED:
-            # SLO accounting: completions (timely or late), failures,
-            # and expiries all settle against the objective; a client
-            # cancel is the caller's choice and charges nothing.
-            record_settlement(
-                metrics,
-                self.engine.tracer,
-                self.admission.policy_for(tenant),
-                tenant,
-                outcome,
-                finished_at - handle.submitted_at,
-                completed=outcome == COMPLETED,
-            )
         if outcome == ABANDONED:
             self._emit(SERVE_CANCEL, tenant=tenant, where="running")
         else:
@@ -510,17 +424,6 @@ class QueryService:
             reason=exc.reason,
             retry_after=exc.retry_after,
         )
-        # A shed is an answer the service failed to give in time — it
-        # charges the tenant's error budget like a late completion.
-        record_settlement(
-            metrics,
-            self.engine.tracer,
-            self.admission.policy_for(handle.tenant),
-            handle.tenant,
-            SHED,
-            handle.finished_at - handle.submitted_at,
-            completed=False,
-        )
         handle._settle_exception(exc)
 
     def _settle_abandoned(self, handle):
@@ -554,19 +457,12 @@ class QueryService:
         if tracer is not None:
             tracer.emit(name, **args)
 
-    def slo_report(self):
-        """Per-tenant SLO status (see :func:`repro.serve.slo.slo_report`)."""
-        return slo_report(self.engine.metrics, self.admission.policies())
-
     def stats(self):
         """Admission + pump accounting, one dict."""
         payload = {
             "admission": self.admission.stats(),
             "pump": self.engine.pump.snapshot(),
         }
-        slo = self.slo_report()
-        if slo:
-            payload["slo"] = slo
         if self.last_profile is not None:
             payload["calibration"] = self.last_profile.to_dict()
         return payload

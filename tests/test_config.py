@@ -21,7 +21,8 @@ from repro.asynciter.resilience import ResiliencePolicy, RetryPolicy
 from repro.config import ENV_VARIABLES, FIELD_ENV, EngineConfig, default_cache
 from repro.obs import Observability
 from repro.plan.logical import LogicalReqSync
-from repro.serve import Deadline
+import repro.serve
+from repro.serve import Deadline, QueryService, TenantPolicy
 from repro.util.errors import ConfigError, PlanError, ReproError
 from repro.vtables.evscan import EVScan
 from repro.web.cache import ResultCache, make_cache
@@ -381,7 +382,9 @@ RETIRED_OPTIONS = [
 #: index switch, the result-cache tier classes and the client's copy of
 #: the cache-hit signal (``web.cache_hit_fraction``, a benchmark metric,
 #: does not match), then ReqSync's ordered mode, the rule that used it
-#: and the join reorderer; none may come back in code, CI or the docs.
+#: and the join reorderer, then the serving layer's SLO accounting, its
+#: per-tenant active budget and its unused options; none may come back
+#: in code, CI or the docs.
 RETIRED = [
     _spell("Planner", "Options"),
     _spell("Rewrite", "Settings"),
@@ -410,6 +413,15 @@ RETIRED = [
     _spell("pull_above", "_sort"),
     _spell("_order_", "relations"),
     _spell("_insert_", "after"),
+    _spell("slo_", "seconds"),
+    _spell("slo_", "target"),
+    _spell("max_", "active"),
+    _spell("default_", "timeout"),
+    _spell(r"serve\.", "slo"),
+    _spell("render_slo", "_report"),
+    _spell("slo_counters", "_view"),
+    _spell("SERVE_SLO", "_VIOLATION"),
+    _spell("observe_service", "_time"),
 ]
 
 #: Where they may not appear (EXPERIMENTS.md, CHANGES.md and ROADMAP.md
@@ -485,10 +497,32 @@ class TestStructuralGuard:
             _spell('    name = "reqsync.pull_above', '_sort"'),
             _spell("        relations = self._order_", "relations(query, relations)"),
             _spell("                self._insert_", "after(original_tid, tid)"),
+            _spell("        slo_", "seconds=None,"),
+            _spell("        slo_", "target=0.99,"),
+            _spell("        return cap is None or state.active < state.policy.max_", "active"),
+            _spell("        default_", "timeout=None,"),
+            _spell('SLO_MET = "serve.', 'slo.met"'),
+            _spell("from repro.serve import render_slo", "_report"),
+            _spell("        view = slo_counters", "_view(engine.metrics)"),
+            _spell("        _trace.SERVE_SLO", "_VIOLATION,"),
+            _spell("    def observe_service", "_time(self, seconds):"),
         ],
     )
     def test_retired_guard_catches_a_revived_name(self, mutant):
         assert re.search("|".join(RETIRED), mutant)
+
+    def test_serve_keeps_the_parameters_its_callers_pass(self):
+        def parameters(fn):
+            return list(inspect.signature(fn).parameters)
+
+        assert parameters(TenantPolicy) == ["name", "weight", "max_queued"]
+        assert parameters(QueryService) == [
+            "engine", "tenants", "max_workers", "max_queued", "calibration",
+        ]
+        assert parameters(QueryService.submit) == [
+            "self", "sql", "tenant", "timeout", "mode",
+        ]
+        assert "Session" not in repro.serve.__all__
 
     def test_retired_names_are_gone(self):
         pattern = re.compile("|".join(RETIRED))

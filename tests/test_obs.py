@@ -532,9 +532,9 @@ class TestPrometheusExport:
 
     def test_name_and_label_sanitization(self):
         registry = MetricsRegistry()
-        registry.inc("serve.slo.met", tenant='ac"me\n2')
+        registry.inc("demo.requests", tenant='ac"me\n2')
         text = registry.to_prometheus()
-        assert 'serve_slo_met{tenant="ac\\"me\\n2"} 1' in text
+        assert 'demo_requests{tenant="ac\\"me\\n2"} 1' in text
 
     def test_empty_registry_renders_empty(self):
         assert MetricsRegistry().to_prometheus() == ""
@@ -552,14 +552,14 @@ class TestPrometheusExport:
 
     def test_named_accessors(self):
         registry = MetricsRegistry()
-        registry.inc("serve.slo.met", tenant="gold")
-        registry.inc("serve.slo.met", tenant="silver")
-        registry.gauge("serve.slo.burn", tenant="gold").set(0.5)
+        registry.inc("demo.requests", tenant="gold")
+        registry.inc("demo.requests", tenant="silver")
+        registry.gauge("demo.level", tenant="gold").set(0.5)
         registry.observe("request.service_seconds", 0.01, destination="AV")
         assert {
-            c.labels["tenant"] for c in registry.counters_named("serve.slo.met")
+            c.labels["tenant"] for c in registry.counters_named("demo.requests")
         } == {"gold", "silver"}
-        assert len(registry.gauges_named("serve.slo.burn")) == 1
+        assert len(registry.gauges_named("demo.level")) == 1
         assert (
             registry.histograms_named("request.service_seconds")[0]
             .labels["destination"]

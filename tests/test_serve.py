@@ -2,9 +2,9 @@
 
 Covers the DESIGN.md §12 state machine end to end: submit-time
 ``queue_full`` sheds, dispatch-time ``deadline`` sheds, weighted fair
-scheduling, per-tenant concurrency budgets, cancellation on disconnect
-(including a disconnect *storm* with exact pump accounting afterwards),
-and the serve.* trace/metric surfaces.
+scheduling, cancellation on disconnect (``QueryHandle.cancel`` on every
+outstanding handle, including a disconnect *storm* with exact pump
+accounting afterwards), and the serve.* trace/metric surfaces.
 """
 
 import time
@@ -72,14 +72,6 @@ class TestFairScheduler:
         order = [scheduler.pop()[0] for _ in range(10)]
         assert order.count("idle") <= 6
 
-    def test_eligibility_gate_skips_tenant(self):
-        scheduler = FairScheduler()
-        scheduler.push("a", 1)
-        scheduler.push("b", 2)
-        tenant, item = scheduler.pop(eligible=lambda t: t != "a")
-        assert tenant == "b" and item == 2
-        assert scheduler.depth("a") == 1
-
     def test_remove_withdraws_queued_item(self):
         scheduler = FairScheduler()
         scheduler.push("a", "x")
@@ -108,26 +100,6 @@ class TestAdmissionController:
         with pytest.raises(AdmissionRejected):
             admission.submit("b", object())
 
-    def test_per_tenant_active_budget_gates_dispatch(self):
-        admission = AdmissionController(
-            policies=[TenantPolicy("t", max_active=1)]
-        )
-
-        class Ticket:
-            deadline = None
-
-        first, second = Ticket(), Ticket()
-        admission.submit("t", first)
-        admission.submit("t", second)
-        tenant, ticket, verdict = admission.next_ready(timeout=0.1)
-        assert ticket is first and verdict == "admitted"
-        # Budget exhausted: the second ticket waits.
-        assert admission.next_ready(timeout=0.05) is None
-        admission.release("t")
-        tenant, ticket, verdict = admission.next_ready(timeout=0.5)
-        assert ticket is second and verdict == "admitted"
-        admission.release("t")
-
     def test_reap_expired_sheds_dead_queued_tickets(self):
         admission = AdmissionController()
 
@@ -147,10 +119,28 @@ class TestAdmissionController:
             for _tenant, ticket, verdict in admission.reap_expired()
         }
         assert reaped == {id(dead): "shed", id(gone): "cancelled"}
+        # The abandoned ticket counts once, as cancelled (as withdraw()
+        # and the serve.cancelled counter count it), not also as shed.
+        counts = admission.stats()["tenants"]["t"]
+        assert (counts["shed"], counts["cancelled"]) == (1, 1)
         # The live ticket kept its place and dispatches normally.
         tenant, ticket, verdict = admission.next_ready(timeout=0.5)
         assert ticket is live and verdict == "admitted"
         admission.release("t")
+
+    def test_ticket_abandoned_in_queue_counts_once_at_dispatch(self):
+        admission = AdmissionController()
+
+        class Ticket:
+            deadline = Deadline()
+
+        ticket = Ticket()
+        ticket.deadline.cancel("client left")
+        admission.submit("t", ticket)
+        tenant, out, verdict = admission.next_ready(timeout=0.5)
+        assert out is ticket and verdict == "cancelled"
+        counts = admission.stats()["tenants"]["t"]
+        assert (counts["shed"], counts["cancelled"]) == (0, 1)
 
     def test_deadline_consumed_in_queue_sheds_at_dispatch(self):
         admission = AdmissionController()
@@ -183,9 +173,10 @@ class TestServiceBasics:
         engine = make_engine()
         expected = engine.execute(WSQ_SQL)
         with QueryService(engine, max_workers=4) as service:
-            sessions = [service.session("tenant-{}".format(i)) for i in range(4)]
             handles = [
-                s.submit(WSQ_SQL, timeout=30.0) for s in sessions for _ in range(3)
+                service.submit(WSQ_SQL, tenant="tenant-{}".format(i), timeout=30.0)
+                for i in range(4)
+                for _ in range(3)
             ]
             for handle in handles:
                 rows = handle.result(timeout=30.0).rows
@@ -202,7 +193,7 @@ class TestServiceBasics:
         engine = make_engine(latency=UniformLatency(0.1, 0.2), obs=True)
         service = QueryService(
             engine,
-            tenants=[TenantPolicy("t", max_queued=1, max_active=1)],
+            tenants=[TenantPolicy("t", max_queued=1)],
             max_workers=1,
         )
         try:
@@ -308,10 +299,13 @@ class TestDisconnects:
         engine = make_engine(latency=UniformLatency(0.2, 0.3))
         service = QueryService(engine, max_workers=2)
         try:
-            session = service.session("t")
-            handles = [session.submit(WSQ_SQL, timeout=30.0) for _ in range(4)]
+            handles = [
+                service.submit(WSQ_SQL, tenant="t", timeout=30.0)
+                for _ in range(4)
+            ]
             time.sleep(0.1)  # some running, some queued
-            session.close()
+            for handle in handles:  # the client disconnects
+                handle.cancel()
             for handle in handles:
                 with pytest.raises(Exception) as info:
                     handle.result(timeout=30.0)
@@ -330,18 +324,14 @@ class TestDisconnects:
         )
         service = QueryService(engine, max_workers=4)
         try:
-            sessions = [
-                service.session("tenant-{}".format(i)) for i in range(6)
+            all_handles = [
+                service.submit(WSQ_SQL, tenant="tenant-{}".format(i), timeout=30.0)
+                for i in range(6)
+                for _ in range(3)
             ]
-            for session in sessions:
-                for _ in range(3):
-                    session.submit(WSQ_SQL, timeout=30.0)
-            all_handles = []
-            for session in sessions:
-                all_handles.extend(session.outstanding())
             time.sleep(0.15)  # a mix of queued / running / in-flight
-            for session in sessions:  # the storm
-                session.close()
+            for handle in all_handles:  # the storm
+                handle.cancel()
             for handle in all_handles:  # block until each settles
                 assert handle.exception(timeout=30.0) is not None
         finally:
@@ -373,7 +363,6 @@ class TestServeObservability:
                     engine,
                     tenants=[TenantPolicy("t", max_queued=0)],
                     max_workers=1,
-                    name="wsq-serve-2",
                 )
                 try:
                     bad.submit(WSQ_SQL, tenant="t")
@@ -419,108 +408,3 @@ class TestServeObservability:
         assert tripped and all(
             s["opened_at"] is not None for s in tripped
         )
-
-
-class TestSlo:
-    def test_policy_slo_validation(self):
-        with pytest.raises(ValueError):
-            TenantPolicy("t", slo_seconds=0)
-        with pytest.raises(ValueError):
-            TenantPolicy("t", slo_seconds=1.0, slo_target=1.0)
-        policy = TenantPolicy("t", slo_seconds=0.5, slo_target=0.9)
-        assert "slo=0.5s@0.9" in repr(policy)
-
-    def test_record_settlement_unit(self):
-        from repro.obs import MetricsRegistry, Tracer
-        from repro.serve.slo import (
-            SLO_BURN,
-            SLO_MET,
-            SLO_VIOLATED,
-            record_settlement,
-        )
-
-        metrics = MetricsRegistry()
-        tracer = Tracer()
-        policy = TenantPolicy("gold", slo_seconds=1.0, slo_target=0.9)
-        # No SLO configured: nothing moves.
-        assert record_settlement(
-            metrics, tracer, TenantPolicy("free"), "free", "completed", 0.1,
-            completed=True,
-        ) is None
-        assert metrics.counter_value(SLO_MET, tenant="free") == 0
-        # Within objective: met.
-        assert record_settlement(
-            metrics, tracer, policy, "gold", "completed", 0.5, completed=True
-        ) is True
-        # Late completion and a shed both charge the budget.
-        assert record_settlement(
-            metrics, tracer, policy, "gold", "completed", 2.0, completed=True
-        ) is False
-        assert record_settlement(
-            metrics, tracer, policy, "gold", "shed", 0.01, completed=False
-        ) is False
-        assert metrics.counter_value(SLO_MET, tenant="gold") == 1
-        assert metrics.counter_value(SLO_VIOLATED, tenant="gold") == 2
-        # burn = (2/3) / (1 - 0.9)
-        burn = metrics.gauge(SLO_BURN, tenant="gold").value
-        assert burn == pytest.approx((2 / 3) / 0.1)
-        violations = tracer.events("serve.slo_violation")
-        assert len(violations) == 2
-        assert violations[0].args["tenant"] == "gold"
-        assert violations[0].args["objective_s"] == 1.0
-
-    def test_service_tracks_slo_end_to_end(self):
-        from repro.serve import render_slo_report
-        from repro.serve.slo import slo_counters_view
-
-        engine = make_engine(obs=True)
-        tenants = [
-            TenantPolicy("gold", slo_seconds=30.0, slo_target=0.9),
-            TenantPolicy("tight", slo_seconds=1e-9, slo_target=0.99),
-            TenantPolicy("free"),  # no SLO: excluded from the report
-        ]
-        with QueryService(engine, tenants=tenants, max_workers=2) as service:
-            for tenant in ("gold", "tight", "free"):
-                service.submit(LOCAL_SQL, tenant=tenant).result(timeout=30.0)
-            report = service.slo_report()
-            stats = service.stats()
-
-        assert set(report) == {"gold", "tight"}
-        assert report["gold"]["met"] == 1
-        assert report["gold"]["violated"] == 0
-        assert report["gold"]["met_fraction"] == 1.0
-        # Every real query exceeds a 1ns objective: pure budget burn.
-        assert report["tight"]["violated"] == 1
-        assert report["tight"]["burn"] == pytest.approx(100.0)
-        assert stats["slo"] == report
-
-        text = render_slo_report(report)
-        assert "gold" in text and "burn 100.00x" in text
-        assert "met 1/1 (100.0%)" in text
-        # The policy-free counters view reconstructs the same picture.
-        view = slo_counters_view(engine.metrics)
-        assert view["gold"]["met"] == 1
-        assert view["tight"]["burn"] == pytest.approx(100.0)
-        assert "free" not in view
-
-    def test_client_cancel_excluded_from_slo(self):
-        engine = make_engine(latency=UniformLatency(0.2, 0.3), obs=True)
-        tenants = [TenantPolicy("gold", slo_seconds=30.0, slo_target=0.9)]
-        service = QueryService(engine, tenants=tenants, max_workers=1)
-        try:
-            handle = service.submit(WSQ_SQL, tenant="gold")
-            handle.cancel("client left")
-            with pytest.raises(Exception):
-                handle.result(timeout=30.0)
-        finally:
-            service.close()
-        # The caller walked away: neither side of the ratio moves.
-        from repro.serve.slo import SLO_MET, SLO_VIOLATED
-
-        assert engine.metrics.counter_value(SLO_MET, tenant="gold") == 0
-        assert engine.metrics.counter_value(SLO_VIOLATED, tenant="gold") == 0
-
-    def test_render_empty_report(self):
-        from repro.serve import render_slo_report
-
-        assert "no tenants" in render_slo_report({})
