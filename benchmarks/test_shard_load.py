@@ -16,7 +16,6 @@ Scale knob (environment): ``SHARD_LOAD_PROBES`` workload size
 (default 48).
 """
 
-import asyncio
 import os
 import time
 
@@ -55,8 +54,10 @@ def _client(view, **kwargs):
     return ShardedSearchClient(view, latency=UniformLatency(*LATENCY), **kwargs)
 
 
-async def _run_async(client, workload):
-    return [await client.count_async(expr) for expr in workload]
+def _run(client, workload):
+    """One blocking count per probe: each scatter goes out through the
+    shared request pump and is waited for before the next."""
+    return [client.count(expr) for expr in workload]
 
 
 def test_shard_load(warm_web, capsys):
@@ -68,7 +69,7 @@ def test_shard_load(warm_web, capsys):
     obs = Observability.disabled()  # metrics only
     async_client = _client(view, obs=obs)
     started = time.perf_counter()
-    async_counts = asyncio.run(_run_async(async_client, workload))
+    async_counts = _run(async_client, workload)
     async_seconds = time.perf_counter() - started
     service_seconds = sum(
         obs.metrics.histogram("request.service_seconds", destination=dest).total
@@ -83,7 +84,7 @@ def test_shard_load(warm_web, capsys):
     down = shard_destination(engine.name, DOWN_SHARD)
     faults = FaultModel(seed=7, outages=(down,))
     outage_client = _client(view, faults=faults)
-    outage_counts = asyncio.run(_run_async(outage_client, workload))
+    outage_counts = _run(outage_client, workload)
     degraded_oracle = [
         sum(
             view.shards[i].count(view.parse(expr), view.near_window)

@@ -1,20 +1,26 @@
 """ReqPump: the global asynchronous request module (paper Section 4.1).
 
-One daemon thread runs an asyncio event loop; every registered external
-call becomes a task on that loop.  This is deliberately *not* parallel
-query processing: like the event-driven web servers the paper points to,
-a single process multiplexes many in-flight network waits.
+One daemon thread runs a deadline heap.  A registered external call is
+an *attempt generator* that yields the seconds of each network wait and
+returns its rows; the thread sleeps on one condition until the earliest
+entry is due, resumes that attempt (its compute runs there and then) and
+pushes its next wait.  Every wait in this simulation is a known delay,
+so a heap of due times is all the event loop the pump needs.  This is
+deliberately *not* parallel query processing: like the event-driven web
+servers the paper points to, one thread multiplexes many in-flight
+network waits.
 
 Resource control (the paper's "monitoring and controlling resource usage")
-is two layers of counting semaphores: one global, one per destination.
+is two layers of slot counters: one global, one per destination.
 "When a call is registered with ReqPump but cannot be executed because of
-resource limits, the call is placed on a queue" — the semaphore wait queue
-plays that role, and the statistics expose how much queueing happened.
+resource limits, the call is placed on a queue" — a FIFO admitted oldest
+first as slots free up, and the statistics expose how much queueing
+happened.
 
 Resilience (a deliberate departure from the paper, which assumed reliable
 engines): with a :class:`~repro.asynciter.resilience.ResiliencePolicy`
-attached, every call runs under a per-attempt ``asyncio.wait_for``
-timeout, transient failures are retried with deterministic backoff, and a
+attached, every attempt races a per-attempt timeout entry on the heap,
+transient failures are retried after a deterministic backoff entry, and a
 per-destination :class:`~repro.asynciter.resilience.CircuitBreaker` fails
 fast while a destination is down.
 
@@ -30,8 +36,9 @@ query id.  Without a tracer each would-be event costs one ``None``
 check.
 """
 
-import asyncio
-import selectors
+import collections
+import heapq
+import math
 import threading
 import time
 
@@ -113,15 +120,15 @@ class _PumpStats:
 
     # -- write side -----------------------------------------------------------
 
-    def bump(self, destination, key, amount=1):
+    def bump(self, destination, key):
         pair = self._counters.get((destination, key))
         if pair is None:
             pair = self._counters[destination, key] = (
                 self.metrics.counter("pump." + key),
                 self.metrics.counter("pump." + key, destination=destination),
             )
-        pair[0].inc(amount)
-        pair[1].inc(amount)
+        pair[0].inc()
+        pair[1].inc()
 
     def enter_flight(self):
         """Returns the new in-flight depth (for max tracking/tracing)."""
@@ -183,21 +190,26 @@ class _Call:
     The pump's only per-call state.  Who waits (``on_complete``,
     ``query_id``, ``deadline``), when it moved (``registered_at``, and
     for a call that went out ``issued_at``/``finished_at``/``attempts``
-    — ``finished_at`` is stamped inside the concurrency slot, before the
-    semaphore is released, so a trace never shows ``limit + 1``
-    overlapping requests), and how it is answered:
+    — ``finished_at`` is stamped before the slot is freed, so a trace
+    never shows ``limit + 1`` overlapping requests), and how it is
+    answered:
 
     - a call the probe answers is born settled — it never enters the
-      call table, owns no task and waits on nobody;
+      call table, owns no heap entry and waits on nobody;
     - otherwise it *anchors* a flight: ``waiters`` maps call id → record
-      for every call its one physical request (``task``) will answer,
-      itself first.  Alone that is the whole story; under single-flight
-      (DESIGN.md §11) a later registration with the same key *joins*
-      (``anchor`` points here) instead of going out.  Cancelling a
-      waiter only takes it out of ``waiters``; the task is cancelled
-      when the last one leaves, and until then it keeps labelling its
-      retry/timeout events with the anchor's query id even after the
-      anchor itself left.
+      for every call its one physical request will answer, itself first.
+      Alone that is the whole story; under single-flight (DESIGN.md §11)
+      a later registration with the same key *joins* (``anchor`` points
+      here) instead of going out.  Cancelling a waiter only takes it out
+      of ``waiters``; the request is abandoned when the last one leaves,
+      and until then it keeps labelling its retry/timeout events with the
+      anchor's query id even after the anchor itself left.
+
+    An anchor's flight state belongs to the pump thread: ``gen`` (the
+    running attempt), ``timeout``/``cutoff`` (the attempt's bound,
+    relative and absolute), ``slot`` (a concurrency slot is held),
+    ``done``, and ``wake``, the sequence number of its one live heap
+    entry.
 
     A record is settled by whoever removes it from ``waiters`` under the
     pump lock — the fan-out or ``cancel`` — which is what makes
@@ -216,7 +228,12 @@ class _Call:
         "attempts",
         "anchor",
         "waiters",
-        "task",
+        "gen",
+        "timeout",
+        "cutoff",
+        "slot",
+        "done",
+        "wake",
     )
 
     def __init__(self, call_id, call, on_complete, query_id, deadline, registered_at):
@@ -229,9 +246,14 @@ class _Call:
         self.issued_at = None
         self.finished_at = None
         self.attempts = 0
-        self.anchor = None  # the record whose task answers this one, if not its own
+        self.anchor = None  # the record whose request answers this one, if not its own
         self.waiters = None
-        self.task = None
+        self.gen = None
+        self.timeout = None
+        self.cutoff = None
+        self.slot = False
+        self.done = False
+        self.wake = None
 
 
 _SETTLE_EVENTS = {
@@ -242,7 +264,7 @@ _SETTLE_EVENTS = {
 
 
 class RequestPump:
-    """Issues external calls concurrently on a background event loop.
+    """Issues external calls concurrently from one deadline-heap thread.
 
     ``single_flight=True`` enables cross-registration coalescing of
     identical in-flight calls (see :class:`_Call`).  It is off by
@@ -271,17 +293,24 @@ class RequestPump:
         )
         self.stats = _PumpStats(metrics)
         self.single_flight = bool(single_flight)
-        # One lock for the loop handle, the id counter and both tables:
-        # the query threads (register/cancel) and the loop thread
-        # (fan-out) meet here and nowhere else.
+        # One lock (under one condition) for the thread handle, the id
+        # counter, both tables and the heap: the query threads
+        # (register/cancel/quiesce) and the pump thread meet here and
+        # nowhere else.
         self._lock = threading.Lock()
-        self._loop = None
+        self._cond = threading.Condition(self._lock)
         self._thread = None
         self._next_call_id = 0
         self._calls = {}  # call_id -> _Call, every call not yet settled
         self._flights = {}  # call key -> the anchor a same-key call may join
-        self._global_sem = None
-        self._dest_sems = {}
+        self._heap = []  # (due, seq): a replaced entry pins nothing
+        self._live = {}  # seq -> (handler, anchor), the entries still wanted
+        self._seq = 0
+        self._wake_at = -math.inf  # the pump thread's wait target; -inf: awake
+        # Pump-thread state: slots in use, the FIFO waiting for one, breakers.
+        self._busy = 0
+        self._busy_at = {}  # destination -> slots in use
+        self._queue = collections.deque()
         self._breakers = {}  # destination -> CircuitBreaker
 
     @property
@@ -289,72 +318,98 @@ class RequestPump:
         """The backing registry (shared with ``stats``)."""
         return self.stats.metrics
 
+    # -- the clock: every schedule reads _now, the thread sleeps in _wait -----------
+
+    def _now(self):
+        return time.monotonic()
+
+    def _wait(self, seconds):
+        """The pump thread's one sleep (lock held): *seconds* (``None``: no
+        bound), or until a push lands before the current wait target."""
+        self._cond.wait(seconds)
+
     # -- lifecycle ----------------------------------------------------------------
 
     def ensure_started(self):
         with self._lock:
-            if self._loop is not None:
-                return
-            started = threading.Event()
-
-            def run():
-                # select() takes its timeout in microseconds; epoll_wait
-                # (the default selector) rounds every wait up to whole
-                # milliseconds, which would stretch each simulated 3-9 ms
-                # round trip by ~1 ms — a sixth of a sequential plan's
-                # wall-clock.  The loop only ever watches its own wake-up
-                # pipe, so select()'s descriptor limit does not matter.
-                loop = asyncio.SelectorEventLoop(selectors.SelectSelector())
-                asyncio.set_event_loop(loop)
-                self._loop = loop
-                started.set()
-                loop.run_forever()
-                # Drain callbacks scheduled during shutdown.
-                loop.run_until_complete(loop.shutdown_asyncgens())
-                loop.close()
-
-            self._thread = threading.Thread(
-                target=run, name=self.name, daemon=True
-            )
-            self._thread.start()
-            started.wait()
+            if self._thread is None:
+                self._thread = threading.Thread(target=self._run, name=self.name, daemon=True)
+                self._thread.start()
 
     def shutdown(self):
-        """Stop the loop thread.  Pending calls are cancelled.
+        """Stop the pump thread.  Pending calls are cancelled.
 
-        Cancellation is *drained* before the loop stops: every task gets
-        to unwind (releasing semaphores, running ``finally`` blocks, and
-        settling its waiters) so no ``on_complete`` callback can fire
-        after this method returns, and a subsequent
-        :meth:`ensure_started` yields a clean pump.
+        The thread abandons every flight it holds before it exits (each
+        waiter settles as cancelled), so no ``on_complete`` callback can
+        fire after this method returns, and the next registration
+        restarts a clean pump.
         """
         with self._lock:
-            loop, thread = self._loop, self._thread
-            self._loop = None
-            self._thread = None
-            self._global_sem = None
-            self._dest_sems = {}
-            self._breakers = {}
-        if loop is None:
-            return
+            thread, self._thread = self._thread, None
+            self._cond.notify_all()
+        if thread is not None and thread is not threading.current_thread():
+            thread.join(timeout=5)
 
-        async def drain():
-            current = asyncio.current_task()
-            tasks = [t for t in asyncio.all_tasks() if t is not current]
-            for task in tasks:
-                task.cancel()
-            if tasks:
-                await asyncio.gather(*tasks, return_exceptions=True)
-
+    def _run(self):
+        me = threading.current_thread()
         try:
-            asyncio.run_coroutine_threadsafe(drain(), loop).result(timeout=5)
-        except Exception:  # noqa: BLE001 - best-effort teardown
-            pass
-        loop.call_soon_threadsafe(loop.stop)
-        thread.join(timeout=5)
+            while self._turn(me):
+                pass
+        finally:
+            # Stopped, or a handler raised: either way nothing this
+            # thread held may strand.  A crashed thread lets go of the
+            # handle, so the next registration starts a new one.
+            with self._lock:
+                if self._thread is me:
+                    self._thread = None
+                anchors = [anchor for _, anchor in self._live.values()]
+                anchors += self._queue
+                # A handler that raised took its turn's due entries with it.
+                anchors += [record.anchor or record for record in self._calls.values()]
+                self._live.clear()
+                del self._heap[:]
+                self._cond.notify_all()
+            self._queue.clear()
+            for anchor in anchors:
+                self._abandon(anchor)
+            self._breakers = {}
+
+    def _turn(self, me):
+        """Sleep until an entry is due, then run every entry that is;
+        False once this thread is no longer the pump's."""
+        heap = self._heap
         with self._lock:
-            self._calls = {}
-            self._flights = {}
+            while True:
+                if self._thread is not me:
+                    return False
+                now = self._now()
+                if heap and heap[0][0] <= now:
+                    break
+                self._wake_at = heap[0][0] if heap else math.inf
+                self._wait(self._wake_at - now if heap else None)
+            self._wake_at = -math.inf
+            ready = []
+            while heap and heap[0][0] <= now:
+                entry = self._live.pop(heapq.heappop(heap)[1], None)
+                if entry is not None:
+                    ready.append(entry)
+        for handler, anchor in ready:
+            handler(anchor)
+        with self._lock:
+            self._cond.notify_all()  # for registrants waiting on their burst
+        return True
+
+    def _push(self, due, handler, anchor):
+        """Heap ``handler(anchor)`` at *due* in place of the anchor's
+        pending entry (lock held)."""
+        self._live.pop(anchor.wake, None)
+        self._seq += 1
+        anchor.wake = self._seq
+        self._live[self._seq] = (handler, anchor)
+        heapq.heappush(self._heap, (due, self._seq))
+        if due < self._wake_at:
+            self._wake_at = -math.inf
+            self._cond.notify_all()
 
     # -- registration ---------------------------------------------------------------
 
@@ -374,7 +429,9 @@ class RequestPump:
         becomes ``min(policy.call_timeout, deadline.remaining())`` and an
         already-expired deadline fails the call fast with
         :class:`QueryDeadlineExceeded` before the cache is read or a pump
-        slot occupied.
+        slot occupied.  A registration that loses a race with
+        :meth:`shutdown` is settled as cancelled and refused with
+        :class:`ExecutionError`.
         """
         return self._register((call,), on_complete, query_id, deadline, mode, None)[0]
 
@@ -383,11 +440,11 @@ class RequestPump:
 
         The batched counterpart of :meth:`register` for vectorized scans:
         ids are allocated under a single lock acquisition and every
-        request the cache cannot answer enters the event loop in one
-        burst — the pump can saturate its concurrency limits within one
-        consumer round trip instead of one registration per produced
-        tuple.  Per-call semantics (tracing, stats, settlement) are
-        identical to :meth:`register`.
+        request the cache cannot answer goes on the heap in one burst
+        that wakes the pump thread once — the pump can saturate its
+        concurrency limits within one consumer round trip instead of one
+        registration per produced tuple.  Per-call semantics (tracing,
+        stats, settlement) are identical to :meth:`register`.
         """
         calls = list(calls)
         return self._register(
@@ -400,9 +457,6 @@ class RequestPump:
             return []
         self.ensure_started()
         with self._lock:
-            loop = self._loop
-            if loop is None:
-                raise ExecutionError("request pump is shut down")
             first_id = self._next_call_id
             self._next_call_id += len(calls)
         registered_at = self.clock.now()
@@ -424,7 +478,7 @@ class RequestPump:
             if call.probe is None or not self._answer(record):
                 misses.append(record)
         if misses:
-            self._launch(misses, loop)
+            self._launch(misses, handoff=mode != "sync")
         return list(range(first_id, first_id + len(calls)))
 
     def _answer(self, record):
@@ -432,35 +486,45 @@ class RequestPump:
 
         A cached result, a replayed failure or a spent deadline ends the
         call on the registering thread: no slot is queued for, the
-        breaker is neither asked nor told, nothing reaches the loop.  A
-        miss is the cache lookup of record; the request that follows
-        only writes.
+        breaker is neither asked nor told, nothing reaches the pump
+        thread.  A miss is the cache lookup of record; the request that
+        follows only writes.
         """
-        call = record.call
-        rows = error = None
-        try:
-            self._check_deadline(record.deadline, call.destination, "enqueue")
-            rows = call.probe()
-        except Exception as exc:  # noqa: BLE001 - surfaced to the registrant
-            error = exc
+        rows = None
+        error = self._spent(record, "enqueue")
+        if error is None:
+            try:
+                rows = record.call.probe()
+            except Exception as exc:  # noqa: BLE001 - surfaced to the registrant
+                error = exc
         if rows is None and error is None:
             return False
         self._settle(record, self._hand_over(record, rows, error))
         return True
 
-    def _launch(self, misses, loop):
+    def _launch(self, misses, handoff):
         """Table *misses*; each joins a live same-key flight or anchors one.
 
-        However many flights the burst anchors, the loop is woken once:
-        one callback starts all of their tasks.  A joiner may carry a
-        tighter deadline than its anchor; the anchor's governs the shared
-        task (the joiner notices its own expiry at the ReqSync wait loop —
-        cutting the task short would fail the other queries' call).
+        However many flights the burst anchors, the pump thread is woken
+        once.  A joiner may carry a tighter deadline than its anchor; the
+        anchor's governs the shared request (the joiner notices its own
+        expiry at the ReqSync wait loop — cutting the request short would
+        fail the other queries' call).
+
+        Tabling and :meth:`shutdown` serialise on the lock: a stopped
+        pump (a probe may have stopped it) tables nothing, and the misses
+        are settled as cancelled and refused instead of stranded.  With
+        *handoff* the registrant then waits until the pump thread has
+        issued (or queued) the burst: under the GIL the thread could not
+        run before the registrant blocks, and the burst's waits would
+        start late by however long the registrant computes on.
         """
         joined = []
-        anchors = []
+        last = None
         with self._lock:
-            for record in misses:
+            running = self._thread is not None
+            now = self._now()
+            for record in misses if running else ():
                 self._calls[record.call_id] = record
                 key = record.call.key if self.single_flight else None
                 anchor = self._flights.get(key) if key is not None else None
@@ -472,9 +536,14 @@ class RequestPump:
                 record.waiters = {record.call_id: record}
                 if key is not None:
                     self._flights[key] = record
-                anchors.append(record)
-            if anchors:
-                loop.call_soon_threadsafe(self._start, loop, anchors)
+                self._push(now, self._begin, record)
+                last = record.wake
+            if handoff and last is not None and self._thread is not threading.current_thread():
+                self._cond.wait_for(lambda: last not in self._live or self._thread is None, 1.0)
+        if not running:
+            for record in misses:
+                self._settle(record, "cancelled")
+            raise ExecutionError("request pump is shut down")
         for record in joined:
             destination = record.call.destination
             self.stats.bump(destination, "coalesced")
@@ -488,21 +557,225 @@ class RequestPump:
                 key=str(record.call.key),
             )
 
-    def _start(self, loop, anchors):
-        """On the loop thread: one task per flight of a registration burst."""
+    # -- one flight, on the pump thread -----------------------------------------------
+
+    def _begin(self, anchor):
+        """Trace the enqueue, then take a slot or join the queue for one."""
+        self._trace(CALL_ENQUEUE, anchor)
+        # Fail fast *before* queueing for a slot: a call whose query
+        # already spent its budget must not displace live work.
+        error = self._spent(anchor, "enqueue")
+        if error is not None:
+            self._end(anchor, None, error)
+        elif self._claim(anchor):
+            self._issue(anchor)
+        else:
+            self._queue.append(anchor)
+
+    def _issue(self, anchor):
+        """The slot is held: re-check the deadline, then go out."""
+        # Re-check after the (possibly long) queue wait: issuing a network
+        # round trip nobody is waiting for would waste the slot.
+        error = self._spent(anchor, "issue")
+        if error is not None:
+            return self._end(anchor, None, error)
+        anchor.issued_at = self.clock.now()
+        depth = self.stats.enter_flight()
+        self._trace(CALL_ISSUE, anchor, ts=anchor.issued_at, in_flight=depth)
+        self._attempt(anchor)
+
+    def _attempt(self, anchor):
+        """Start the next attempt under the resilience policy.
+
+        The breaker is asked first.  The attempt's timeout is
+        ``min(policy.call_timeout, deadline.remaining())``; with no
+        budget left the attempt is timed out before it starts, so no
+        request goes out after the deadline.
+        """
+        call = anchor.call
+        policy = self.resilience
+        breaker = self._breaker_for(call.destination)
+        if breaker is not None and not breaker.allow():
+            self.stats.bump(call.destination, "breaker_open_rejections")
+            self._trace(CALL_BREAKER_REJECT, anchor, attempt=anchor.attempts)
+            error = BreakerOpenError(
+                "circuit breaker open for destination {!r}: "
+                "failing fast without a network round trip".format(call.destination)
+            )
+            return self._end(anchor, None, error)
+        cap = policy.call_timeout if policy is not None else None
+        timeout = anchor.deadline.budget(cap) if anchor.deadline is not None else cap
+        number = anchor.attempts
+        anchor.attempts += 1
+        anchor.timeout = timeout
+        if timeout is not None and timeout <= 0:
+            return self._time_out(anchor)
+        try:
+            anchor.gen = call.execute_async(number)
+        except Exception as exc:  # noqa: BLE001 - classified by _failed
+            return self._failed(anchor, exc)
+        if timeout is not None:
+            anchor.cutoff = self._now() + timeout
+        self._step(anchor)
+
+    def _step(self, anchor):
+        """Resume the attempt: heap its next wait, or settle how it ended."""
+        try:
+            delay = next(anchor.gen)
+        except StopIteration as stop:
+            anchor.gen = anchor.cutoff = None
+            breaker = self._breaker_for(anchor.call.destination)
+            if breaker is not None:
+                breaker.record_success()
+            self._end(anchor, stop.value, None)
+        except Exception as exc:  # noqa: BLE001 - classified by _failed
+            self._failed(anchor, exc)
+        else:
+            self._schedule(anchor, delay, self._step)
+
+    def _schedule(self, anchor, delay, handler):
+        """``handler(anchor)`` after *delay*, or the timeout if the cutoff
+        comes first — unless every waiter left."""
+        due = self._now() + delay
+        if anchor.cutoff is not None and anchor.cutoff < due:
+            due, handler = anchor.cutoff, self._time_out
         with self._lock:
-            for anchor in anchors:
-                if anchor.waiters:  # else abandoned before it could start
-                    anchor.task = loop.create_task(self._run_call(anchor))
+            if anchor.waiters:
+                return self._push(due, handler, anchor)
+        self._abandon(anchor)
+
+    def _time_out(self, anchor):
+        """The cutoff came first: close the attempt.
+
+        Hitting the query *deadline* (rather than the policy timeout) is
+        terminal — retrying could not possibly finish in time — so it is
+        :class:`QueryDeadlineExceeded`, never retried and not a breaker
+        failure (the destination may be healthy).
+        """
+        self._close(anchor)
+        destination = anchor.call.destination
+        deadline = anchor.deadline
+        if deadline is not None and deadline.expired:
+            self.stats.bump(destination, "deadline_expired")
+            error = QueryDeadlineExceeded(
+                "call to {!r} cut off by query deadline (attempt {})".format(
+                    destination, anchor.attempts
+                ),
+                deadline=deadline,
+            )
+            return self._end(anchor, None, error)
+        error = RequestTimeoutError(
+            "call to {!r} timed out after {}s (attempt {})".format(
+                destination, anchor.timeout, anchor.attempts
+            )
+        )
+        self._failed(anchor, error)
+
+    def _failed(self, anchor, exc):
+        """Retry a failed attempt after its backoff (capped at the
+        deadline's remaining budget), or end the flight with *exc*."""
+        anchor.gen = anchor.cutoff = None
+        policy = self.resilience
+        if policy is None:
+            return self._end(anchor, None, exc)
+        call = anchor.call
+        destination = call.destination
+        attempt = anchor.attempts - 1
+        if isinstance(exc, RequestTimeoutError):
+            self.stats.bump(destination, "timeouts")
+            self._trace(CALL_TIMEOUT, anchor, attempt=attempt)
+        breaker = self._breaker_for(destination)
+        if breaker is not None:
+            breaker.record_failure()
+        retry = policy.retry
+        deadline = anchor.deadline
+        spent = deadline is not None and deadline.expired
+        if retry is None or spent or not retry.should_retry(exc, attempt):
+            return self._end(anchor, None, exc)
+        self.stats.bump(destination, "retries")
+        delay = retry.backoff_delay(call.key, attempt)
+        if deadline is not None:
+            delay = min(delay, deadline.remaining())
+        self._trace(CALL_RETRY, anchor, attempt=attempt, backoff_s=delay, error=type(exc).__name__)
+        self._schedule(anchor, delay, self._attempt)
+
+    def _close(self, anchor):
+        """Close the running attempt; ``GeneratorExit`` records nothing."""
+        gen, anchor.gen = anchor.gen, None
+        if gen is not None:
+            try:
+                gen.close()
+            except Exception:  # noqa: BLE001 - the attempt is abandoned anyway
+                pass
+
+    def _abandon(self, anchor):
+        """Every waiter left, or the pump is stopping: end as cancelled."""
+        if not anchor.done:
+            self._close(anchor)
+            self._end(anchor, None, None, cancelled=True)
+
+    def _end(self, anchor, rows, error, cancelled=False):
+        """The flight is over: stamp it, fan the outcome out, free the slot."""
+        anchor.done = True
+        anchor.cutoff = None
+        if anchor.issued_at is not None:
+            anchor.finished_at = self.clock.now()
+            self.stats.exit_flight()
+        self._deliver(anchor, rows, error, cancelled)
+        if anchor.slot:
+            self._free_slot(anchor)
+
+    # -- slots --------------------------------------------------------------------
+
+    def _claim(self, anchor):
+        """Take a concurrency slot for *anchor* if the limits allow."""
+        destination = anchor.call.destination
+        held = self._busy_at.get(destination, 0)
+        cap = self.limits.limit_for(destination)
+        total = self.limits.max_total
+        if (total is not None and self._busy >= total) or (cap is not None and held >= cap):
+            return False
+        anchor.slot = True
+        self._busy += 1
+        self._busy_at[destination] = held + 1
+        return True
+
+    def _free_slot(self, anchor):
+        """Give *anchor*'s slot back, then admit queued calls, oldest first.
+
+        An admitted call is issued from a heap entry due now, not from
+        here: a run of calls that end as soon as they are issued (a spent
+        deadline, an open breaker) then frees and re-admits in a loop of
+        heap turns instead of recursing once per queued call.
+        """
+        anchor.slot = False
+        self._busy -= 1
+        self._busy_at[anchor.call.destination] -= 1
+        if not self._queue:
+            return
+        waiting, self._queue = self._queue, collections.deque()
+        total = self.limits.max_total
+        admitted = []
+        while waiting and (total is None or self._busy < total):
+            queued = waiting.popleft()
+            if not queued.done:
+                (admitted if self._claim(queued) else self._queue).append(queued)
+        self._queue.extend(waiting)
+        if admitted:
+            now = self._now()
+            with self._lock:
+                for queued in admitted:
+                    # A call whose every waiter left holds its slot until abandoned.
+                    self._push(now, self._issue if queued.waiters else self._abandon, queued)
 
     # -- settlement -------------------------------------------------------------------
 
     def _deliver(self, anchor, rows, error, cancelled=False):
         """Fan the flight's outcome out to every call still waiting on it.
 
-        Runs on the loop thread as the last act of the task.  Retiring
-        the flight and taking its waiters is one step under the lock, so
-        a ``cancel`` racing this either got its record out first (and
+        Runs on the pump thread as the flight's last act.  Retiring the
+        flight and taking its waiters is one step under the lock, so a
+        ``cancel`` racing this either got its record out first (and
         settles it as cancelled) or finds it gone.
         """
         with self._lock:
@@ -518,9 +791,15 @@ class RequestPump:
         finally:
             # Last, so that quiesce() returning means every counter,
             # histogram and closing trace event of these calls is in place.
-            with self._lock:
-                for record in waiters:
-                    self._calls.pop(record.call_id, None)
+            self._untable(waiters)
+
+    def _untable(self, records):
+        """Drop settled *records*; wake ``quiesce`` when the table empties."""
+        with self._lock:
+            for record in records:
+                self._calls.pop(record.call_id, None)
+            if not self._calls:
+                self._cond.notify_all()
 
     def _retire(self, anchor):
         """Stop offering *anchor*'s flight to joiners (lock held)."""
@@ -544,7 +823,7 @@ class RequestPump:
         never joined one).
         """
         destination = record.call.destination
-        settled_at = record.finished_at  # stamped inside the slot
+        settled_at = record.finished_at  # stamped before the slot was freed
         if settled_at is None:
             settled_at = self.clock.now()
         self.stats.bump(destination, outcome)
@@ -567,19 +846,14 @@ class RequestPump:
         """Wait (real time) until every registered call has settled.
 
         The query thread observes results via ``on_complete`` *before*
-        the loop thread finishes the call's accounting, so a reader that
+        the pump thread finishes the call's accounting, so a reader that
         wants complete lifecycle traces/latency histograms right after a
         query returns should quiesce first.  Returns True when the pump
-        settled within *timeout* seconds.
+        settled within *timeout* seconds; the wait is on the pump's
+        condition, which is notified when the call table empties.
         """
-        deadline = time.monotonic() + timeout
-        while True:
-            with self._lock:
-                if not self._calls:
-                    return True
-            if time.monotonic() >= deadline:
-                return False
-            time.sleep(0.001)
+        with self._cond:
+            return self._cond.wait_for(lambda: not self._calls, timeout)
 
     def cancel(self, call_id):
         """Best-effort cancellation of one registered call.
@@ -592,10 +866,11 @@ class RequestPump:
         races.
 
         Under single-flight that only *detaches* the call: the shared
-        network task keeps running for the surviving waiters.  Only when
-        the last one leaves is the physical task cancelled too — so a
-        query abandoning a coalesced call can never fail another query's
-        identical call.
+        request keeps running for the surviving waiters.  Only when the
+        last one leaves is the request abandoned too (an entry due now
+        replaces the flight's pending one, and the pump thread closes the
+        attempt) — so a query abandoning a coalesced call can never fail
+        another query's identical call.
         """
         with self._lock:
             record = self._calls.get(call_id)
@@ -606,63 +881,22 @@ class RequestPump:
                 return  # the fan-out has it: settling as completed/failed
             if not anchor.waiters:
                 self._retire(anchor)
-                # Under the lock, so shutdown cannot close the loop between
-                # the check and the call.  No task yet: _start will skip it.
-                if anchor.task is not None and self._loop is not None:
-                    self._loop.call_soon_threadsafe(anchor.task.cancel)
+                if self._thread is not None:
+                    self._push(self._now(), self._abandon, anchor)
         try:
             self._settle(record, "cancelled")
         finally:
-            with self._lock:
-                self._calls.pop(call_id, None)
+            self._untable((record,))
 
-    async def _run_call(self, anchor):
-        """One physical request: queue for a slot, go out, fan the outcome out."""
-        call = anchor.call
-        destination = call.destination
-        deadline = anchor.deadline
-        tracer = self.tracer
-        rows = error = None
-        try:
-            if tracer is not None:
-                self._trace(CALL_ENQUEUE, anchor)
-            # Fail fast *before* queueing for a slot: a call whose query
-            # already spent its budget must not displace live work.
-            self._check_deadline(deadline, destination, "enqueue")
-            async with _maybe(self._semaphore()):
-                async with _maybe(self._dest_semaphore(destination)):
-                    # Re-check after the (possibly long) semaphore wait:
-                    # the slot was just acquired, but issuing a network
-                    # round trip nobody is waiting for would waste it.
-                    self._check_deadline(deadline, destination, "issue")
-                    anchor.issued_at = self.clock.now()
-                    depth = self.stats.enter_flight()
-                    if tracer is not None:
-                        self._trace(
-                            CALL_ISSUE, anchor, ts=anchor.issued_at, in_flight=depth
-                        )
-                    try:
-                        rows = await self._execute_resilient(anchor)
-                    finally:
-                        anchor.finished_at = self.clock.now()
-                        self.stats.exit_flight()
-        except asyncio.CancelledError:
-            # Every waiter left, or the pump is shutting down.
-            self._deliver(anchor, None, None, cancelled=True)
-            raise
-        except Exception as exc:  # noqa: BLE001 - surfaced to the query thread
-            error = exc
-        self._deliver(anchor, rows, error)
-
-    def _check_deadline(self, deadline, destination, stage):
-        """Raise ``QueryDeadlineExceeded`` if *deadline* is spent."""
+    def _spent(self, record, stage):
+        """``QueryDeadlineExceeded`` (counted) if *record*'s deadline is spent."""
+        deadline = record.deadline
         if deadline is None or not deadline.expired:
-            return
+            return None
+        destination = record.call.destination
         self.stats.bump(destination, "deadline_expired")
-        raise QueryDeadlineExceeded(
-            "deadline expired before {} for destination {!r}".format(
-                stage, destination
-            ),
+        return QueryDeadlineExceeded(
+            "deadline expired before {} for destination {!r}".format(stage, destination),
             deadline=deadline,
         )
 
@@ -678,120 +912,6 @@ class RequestPump:
             )
 
     # -- resilience ---------------------------------------------------------------
-
-    async def _execute_resilient(self, record):
-        """One call under the resilience policy: timeout, retry, breaker.
-
-        With a deadline attached the per-attempt timeout tightens to
-        ``min(policy.call_timeout, deadline.remaining())``; hitting the
-        *deadline* (rather than the policy timeout) is terminal —
-        retrying could not possibly finish in time, so the attempt raises
-        :class:`QueryDeadlineExceeded` and the retry loop refuses to
-        continue.  Backoff sleeps are likewise capped at the remaining
-        budget.
-        """
-        policy = self.resilience
-        call = record.call
-        deadline = record.deadline
-        if policy is None:
-            record.attempts = 1
-            bound = deadline.budget() if deadline is not None else None
-            if bound is None:
-                return await call.execute_async()
-            try:
-                return await asyncio.wait_for(call.execute_async(), bound)
-            except asyncio.TimeoutError:
-                self.stats.bump(call.destination, "deadline_expired")
-                raise QueryDeadlineExceeded(
-                    "call to {!r} cut off by query deadline".format(
-                        call.destination
-                    ),
-                    deadline=deadline,
-                ) from None
-        breaker = self._breaker_for(call.destination)
-        retry = policy.retry
-        attempt = 0
-        while True:
-            if breaker is not None and not breaker.allow():
-                self.stats.bump(call.destination, "breaker_open_rejections")
-                self._trace(CALL_BREAKER_REJECT, record, attempt=attempt)
-                raise BreakerOpenError(
-                    "circuit breaker open for destination {!r}: "
-                    "failing fast without a network round trip".format(
-                        call.destination
-                    )
-                )
-            if deadline is not None:
-                timeout = deadline.budget(policy.call_timeout)
-                deadline_bound = (
-                    timeout is not None
-                    and (
-                        policy.call_timeout is None
-                        or timeout < policy.call_timeout
-                    )
-                )
-            else:
-                timeout = policy.call_timeout
-                deadline_bound = False
-            try:
-                record.attempts = attempt + 1
-                coroutine = call.execute_async(attempt)
-                if timeout is not None:
-                    rows = await asyncio.wait_for(coroutine, timeout)
-                else:
-                    rows = await coroutine
-            except asyncio.CancelledError:
-                raise
-            except Exception as exc:  # noqa: BLE001 - classified below
-                timed_out = isinstance(exc, RequestTimeoutError)
-                if isinstance(exc, asyncio.TimeoutError) and not timed_out:
-                    if deadline_bound and deadline.expired:
-                        # The *query's* budget ran out mid-attempt, not
-                        # the per-call policy timeout.  Not a breaker
-                        # failure (the destination may be healthy), and
-                        # never retried.
-                        self.stats.bump(call.destination, "deadline_expired")
-                        raise QueryDeadlineExceeded(
-                            "call to {!r} cut off by query deadline "
-                            "(attempt {})".format(call.destination, attempt + 1),
-                            deadline=deadline,
-                        ) from None
-                    exc = RequestTimeoutError(
-                        "call to {!r} timed out after {}s (attempt {})".format(
-                            call.destination, timeout, attempt + 1
-                        )
-                    )
-                    timed_out = True
-                if timed_out:
-                    self.stats.bump(call.destination, "timeouts")
-                    self._trace(CALL_TIMEOUT, record, attempt=attempt)
-                if breaker is not None:
-                    breaker.record_failure()
-                if (
-                    retry is not None
-                    and retry.should_retry(exc, attempt)
-                    and (deadline is None or not deadline.expired)
-                ):
-                    self.stats.bump(call.destination, "retries")
-                    delay = retry.backoff_delay(call.key, attempt)
-                    if deadline is not None:
-                        delay = min(delay, deadline.remaining())
-                    self._trace(
-                        CALL_RETRY,
-                        record,
-                        attempt=attempt,
-                        backoff_s=delay,
-                        error=type(exc).__name__,
-                    )
-                    if delay > 0:
-                        await asyncio.sleep(delay)
-                    attempt += 1
-                    continue
-                raise exc
-            else:
-                if breaker is not None:
-                    breaker.record_success()
-                return rows
 
     def _breaker_for(self, destination):
         policy = self.resilience
@@ -819,40 +939,6 @@ class RequestPump:
     def latencies(self):
         """Per-destination queue-wait/service/e2e summaries (p50/p95/p99)."""
         return self.stats.latencies()
-
-    # -- semaphores (created lazily on the loop thread) ---------------------------------
-
-    def _semaphore(self):
-        if self.limits.max_total is None:
-            return None
-        if self._global_sem is None:
-            self._global_sem = asyncio.Semaphore(self.limits.max_total)
-        return self._global_sem
-
-    def _dest_semaphore(self, destination):
-        limit = self.limits.limit_for(destination)
-        if limit is None:
-            return None
-        sem = self._dest_sems.get(destination)
-        if sem is None:
-            sem = asyncio.Semaphore(limit)
-            self._dest_sems[destination] = sem
-        return sem
-
-
-class _maybe:
-    """Async context manager for an optional semaphore."""
-
-    def __init__(self, semaphore):
-        self.semaphore = semaphore
-
-    async def __aenter__(self):
-        if self.semaphore is not None:
-            await self.semaphore.acquire()
-
-    async def __aexit__(self, *exc):
-        if self.semaphore is not None:
-            self.semaphore.release()
 
 
 _DEFAULT_PUMP = None

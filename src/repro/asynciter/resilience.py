@@ -19,7 +19,7 @@ Components:
   ``recovery_timeout`` elapses, then a limited number of half-open
   probes decide between closing and re-opening.
 - :class:`ResiliencePolicy` — bundle of the above plus the per-call
-  timeout the pump applies with ``asyncio.wait_for``.
+  timeout the pump races against each attempt on its deadline heap.
 """
 
 import threading
@@ -29,9 +29,9 @@ from repro.util.errors import RequestTimeoutError, TransientWebError
 from repro.util.rng import stable_uniform
 
 #: Errors a retry can plausibly fix.  ``TransientWebError`` covers the
-#: fault model's 5xx/outage/hang-timeout family; ``TimeoutError`` covers
-#: ``asyncio.wait_for`` expiry; ``ConnectionError``/``OSError`` cover a
-#: future real-socket backend.
+#: fault model's 5xx/outage/hang-timeout family; ``RequestTimeoutError``
+#: the pump's per-call timeout; ``TimeoutError``/``ConnectionError``
+#: cover a future real-socket backend.
 DEFAULT_RETRYABLE = (TransientWebError, RequestTimeoutError, TimeoutError, ConnectionError)
 
 

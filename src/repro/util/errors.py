@@ -90,7 +90,7 @@ class QueryDeadlineExceeded(ExecutionError):
 
     Raised at every deadline checkpoint — registration with the request
     pump, the pre-issue check inside a concurrency slot, the per-attempt
-    ``asyncio.wait_for`` bound, and the ReqSync wait loop — so an
+    timeout entry on the pump's deadline heap, and the ReqSync wait loop — so an
     expired query fails *fast* instead of burning pump slots or network
     round trips on an answer nobody is waiting for.  ``deadline`` is the
     originating :class:`repro.serve.deadline.Deadline` (or ``None`` for

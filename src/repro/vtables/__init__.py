@@ -9,7 +9,7 @@ dynamically-generated tuples".  This package provides:
   large virtual tables": the column count is fixed per *query*, not per
   table).
 - :class:`~repro.vtables.base.ExternalCall` — one external request: a
-  key, a destination, and the coroutine factory a request pump runs.
+  key, a destination, and the attempt-generator factory a request pump runs.
 - :mod:`repro.vtables.webcount` / :mod:`repro.vtables.webpages` — the
   paper's two tables over a search engine.
 - :mod:`repro.vtables.webfetch` — ``WebFetch``/``WebLinks`` over the page

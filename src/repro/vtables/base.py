@@ -15,7 +15,7 @@ External calls
 --------------
 
 ``VTableInstance.make_call(bindings)`` packages one external request as an
-:class:`ExternalCall`: a key, a destination, a factory for the coroutine
+:class:`ExternalCall`: a key, a destination, a factory for the generator
 that performs one attempt of it, and a probe that reads the result cache.
 Every call is registered with a :class:`~repro.asynciter.pump.RequestPump`,
 which answers a cached one on the spot and runs the rest; a caller that
@@ -39,16 +39,18 @@ class ExternalCall:
     ``key`` identifies the request for caching/debugging; ``destination``
     names the rate-limit bucket (the paper's per-destination counters).
 
-    ``factory(attempt)`` returns the coroutine for one attempt; the
-    request pump passes the 0-based retry attempt through so fault
-    injection stays a stable function of
+    ``factory(attempt)`` returns the generator for one attempt: it
+    yields the seconds of each network wait (the pump resumes it when
+    that much time has passed) and returns the list of result-field
+    dicts.  The request pump passes the 0-based retry attempt through so
+    fault injection stays a stable function of
     ``(destination, request, attempt)``.
 
     ``probe()`` (or ``None`` when the source keeps no cache) answers from
     what is already known, without I/O: the call's rows, ``None`` for a
     miss, or a negatively cached failure raised.  The pump asks it once,
-    at registration, on the registering thread; only a miss becomes a
-    coroutine.
+    at registration, on the registering thread; only a miss becomes an
+    attempt.
     """
 
     __slots__ = ("key", "destination", "_factory", "probe")
@@ -60,7 +62,7 @@ class ExternalCall:
         self.probe = probe
 
     def execute_async(self, attempt=0):
-        """Return a coroutine producing the list of result-field dicts."""
+        """Return the generator for attempt *attempt* (see above)."""
         return self._factory(attempt)
 
     def __repr__(self):
@@ -71,7 +73,7 @@ def cache_probe(source, shape, *request):
     """The ``probe`` of a call to *source* (a client or fetch service).
 
     ``source.probe(*request)`` is the source's one cache read; *shape*
-    turns what it finds into the rows the call's coroutine would have
+    turns what it finds into the rows the call's attempt would have
     produced.  ``None`` when the source has no cache to ask.
     """
     if source.cache is None:

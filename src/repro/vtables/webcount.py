@@ -80,5 +80,5 @@ def _count_rows(count):
     return [{"count": count}]
 
 
-async def _count_async(client, expr_text, attempt):
-    return _count_rows(await client.count_async(expr_text, attempt=attempt))
+def _count_async(client, expr_text, attempt):
+    return _count_rows((yield from client.count_async(expr_text, attempt=attempt)))

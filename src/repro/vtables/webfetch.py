@@ -89,8 +89,8 @@ def _fetch_rows(result):
     ]
 
 
-async def _fetch_async(service, url):
-    return _fetch_rows(await service.fetch_async(url))
+def _fetch_async(service, url):
+    return _fetch_rows((yield from service.fetch_async(url)))
 
 
 class WebLinksDef(VirtualTableDef):
@@ -144,5 +144,5 @@ def _link_rows(result):
     ]
 
 
-async def _links_async(service, url):
-    return _link_rows(await service.fetch_async(url))
+def _links_async(service, url):
+    return _link_rows((yield from service.fetch_async(url)))

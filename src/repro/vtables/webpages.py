@@ -90,5 +90,5 @@ def _hit_rows(hits):
     return [{"url": h.url, "rank": h.rank, "date": h.date} for h in hits]
 
 
-async def _search_async(client, expr_text, limit, attempt):
-    return _hit_rows(await client.search_async(expr_text, limit, attempt=attempt))
+def _search_async(client, expr_text, limit, attempt):
+    return _hit_rows((yield from client.search_async(expr_text, limit, attempt=attempt)))

@@ -1,25 +1,25 @@
 """Clients that add latency (and caching, and faults) in front of a search engine.
 
 The engine computes answers instantly; the client charges the simulated
-network delay.  Each request kind is one coroutine —
+network delay.  Each request kind is one *attempt generator* —
 :meth:`SearchClient.count_async`, :meth:`SearchClient.search_async` —
-that performs one *attempt*: consult the fault schedule, ``await`` the
-round trips, compute, write the cache.  The cache is *read* in one place,
-:meth:`SearchClient.probe`, which the pump calls on the registering
-thread before any coroutine exists (an
-:class:`~repro.vtables.base.ExternalCall` carries it): a request the
+that performs one attempt: consult the fault schedule, ``yield`` the
+seconds of each round trip, compute, write the cache, and return the
+result.  The cache is *read* in one place, :meth:`SearchClient.probe`,
+which the pump calls on the registering thread before any attempt exists
+(an :class:`~repro.vtables.base.ExternalCall` carries it): a request the
 cache can answer never becomes an attempt.  Everything around an attempt
-(retries, the per-call timeout, circuit breaking, concurrency limits,
-lifecycle tracing) belongs to the
+(the waits themselves, retries, the per-call timeout, circuit breaking,
+concurrency limits, lifecycle tracing) belongs to the
 :class:`~repro.asynciter.pump.RequestPump` that runs it, whatever the
 execution mode: an asynchronous plan keeps many attempts in flight on the
-pump's loop, a synchronous plan registers one and waits for it — the
-paper's sequential baseline, where "the query processor is idle during
-the request".
+pump's deadline heap, a synchronous plan registers one and waits for it
+— the paper's sequential baseline, where "the query processor is idle
+during the request".
 
 A cache hit skips the delay entirely, modelling a local result cache that
-avoids the network round trip — and the pump's loop thread, slot limits
-and circuit breaker with it.
+avoids the network round trip — and the pump thread, slot limits and
+circuit breaker with it.
 
 Fault injection
 ---------------
@@ -31,9 +31,9 @@ consults the fault schedule (a stable function of
 - transient/hard faults charge one latency round trip, then raise —
   the request went out and came back an error;
 - an engine outage raises immediately (connection refused is fast);
-- a hung request sleeps ``hang_seconds`` and then raises
+- a hung request waits ``hang_seconds`` and then raises
   :class:`~repro.util.errors.RequestTimeoutError`; the pump's per-call
-  timeout (or the query deadline) cuts the sleep short.
+  timeout (or the query deadline) cuts the wait short.
 
 Negative caching
 ----------------
@@ -42,18 +42,17 @@ An attempt that fails with an error the resilience policy would not
 retry (no policy, a non-retryable error, or the last permitted attempt)
 is final for its request.  Under a cache with a negative TTL it is
 recorded, and replays as :class:`~repro.util.errors.CachedFailureError`
-until the record expires.  A cancelled attempt records nothing.
+until the record expires.  A cancelled attempt (closed by the pump:
+``GeneratorExit`` is not an ``Exception``) records nothing.
 
 Blocking conveniences
 ---------------------
 
-``count``/``search`` register the same probe and coroutine with the shared
+``count``/``search`` register the same probe and attempt with the shared
 :func:`~repro.asynciter.pump.default_pump` and wait for the outcome.  That pump
 carries no resilience policy, so they make exactly one attempt; queries
 run on their engine's pump.
 """
-
-import asyncio
 
 from repro.asynciter.context import AsyncContext
 from repro.asynciter.pump import default_pump
@@ -137,18 +136,18 @@ class SearchClient:
 
     # -- one attempt of one request -------------------------------------------------
 
-    async def count_async(self, expr_text, attempt=0):
-        """One *attempt* of a count (the pump retries)."""
-        return await self._attempt("count", expr_text, None, attempt)
+    def count_async(self, expr_text, attempt=0):
+        """One *attempt* of a count, as a generator (the pump retries)."""
+        return self._attempt("count", expr_text, None, attempt)
 
-    async def search_async(self, expr_text, limit, attempt=0):
-        """One *attempt* of a ranked search (the pump retries)."""
-        return await self._attempt("search", expr_text, limit, attempt)
+    def search_async(self, expr_text, limit, attempt=0):
+        """One *attempt* of a ranked search, as a generator (the pump retries)."""
+        return self._attempt("search", expr_text, limit, attempt)
 
-    async def _attempt(self, kind, expr_text, limit, attempt):
+    def _attempt(self, kind, expr_text, limit, attempt):
         key = ResultCache.key(self.engine.name, kind, expr_text, limit)
         try:
-            result = await self._request(kind, expr_text, limit, attempt)
+            result = yield from self._request(kind, expr_text, limit, attempt)
         except Exception as exc:  # cancellation is a BaseException: not recorded
             retry = self.resilience.retry if self.resilience is not None else None
             if retry is None or not retry.should_retry(exc, attempt):
@@ -158,14 +157,21 @@ class SearchClient:
         self._cache_put(key, result)
         return result
 
-    async def _request(self, kind, expr_text, limit, attempt):
+    def _request(self, kind, expr_text, limit, attempt):
         """The network half of one attempt: fault gate, round trips, compute."""
         destination = self.engine.name
-        await self._fault_gate(destination, expr_text, attempt)
+        gate = self._fault_gate(destination, expr_text, attempt)
+        if gate is not None:
+            seconds, error = gate
+            if seconds > 0:
+                yield seconds
+            raise error
         # Result pages arrive sequentially: page k+1 cannot be requested
         # before page k's response names it.
         for _ in range(self._round_trips(kind, limit)):
-            await self._round_trip(destination, expr_text)
+            delay = self._round_trip(destination, expr_text)
+            if delay > 0:
+                yield delay
         if kind == "count":
             return self.engine.count(expr_text)
         return self.engine.search(expr_text, limit)
@@ -185,31 +191,30 @@ class SearchClient:
             self.faults_seen += 1
         return fault
 
-    async def _fault_gate(self, destination, expr_text, attempt):
+    def _fault_gate(self, destination, expr_text, attempt):
+        """The fault draw of one attempt: ``None``, or ``(seconds, error)``
+        — how long the faulty request takes before *error* comes back."""
         fault = self._next_fault(destination, expr_text, attempt)
         if fault is None:
-            return
+            return None
         if fault.kind == OUTAGE:
-            raise fault.error  # connection refused: no round trip charged
+            return 0.0, fault.error  # connection refused: no round trip charged
         if fault.kind == HANG:
             self._count_round_trip(destination)
-            if fault.hang_seconds > 0:
-                await asyncio.sleep(fault.hang_seconds)
-            raise RequestTimeoutError(
+            return fault.hang_seconds, RequestTimeoutError(
                 "request to {!r} for {!r} hung (gave up after {:.3f}s)".format(
                     destination, expr_text, fault.hang_seconds
                 )
             )
         # Transient or hard: the round trip happened and returned an error.
-        await self._round_trip(destination, expr_text)
-        raise fault.error
+        return self._round_trip(destination, expr_text), fault.error
 
-    async def _round_trip(self, destination, expr_text):
+    def _round_trip(self, destination, expr_text):
+        """Count one round trip; returns the seconds it takes."""
         self._count_round_trip(destination)
-        if self.latency is not None:
-            delay = self.latency.delay(destination, expr_text)
-            if delay > 0:
-                await asyncio.sleep(delay)
+        if self.latency is None:
+            return 0.0
+        return self.latency.delay(destination, expr_text)
 
     def _count_round_trip(self, destination):
         self.requests_sent += 1

@@ -7,8 +7,6 @@ it renders a page's HTML from the corpus document, charges latency, and
 exposes the outgoing links (for the next crawl round).
 """
 
-import asyncio
-
 from repro.web.cache import ResultCache
 from repro.web.client import run_blocking
 
@@ -76,11 +74,12 @@ class FetchService:
             lambda: self.probe(url),
         )
 
-    async def fetch_async(self, url):
+    def fetch_async(self, url):
+        """One fetch attempt, as a generator: yields the latency, returns the page."""
         delay = self._delay(url)
         self.requests_sent += 1
         if delay > 0:
-            await asyncio.sleep(delay)
+            yield delay
         result = self._resolve(url)
         if self.cache is not None:
             self.cache.put(_cache_key(url), result)

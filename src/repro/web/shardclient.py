@@ -9,11 +9,12 @@ attempt scatters one probe per shard, charges per-shard latency keyed
 on the destination ``{engine}:shard{i}``, gathers the partials, and
 merges them exactly (count summation, deterministic top-k merge).
 
-The probes of one scatter are sibling tasks on the loop that runs the
-attempt, so per-shard waits overlap in either execution mode: what a
-synchronous plan serializes is the *logical* call (one scatter
-outstanding per query), as a broker serializes nothing for a caller
-that happens to block.
+The probes of one scatter are described up front — each shard's fault
+draw and round trips — and the attempt waits once, for the slowest
+shard, which is what a gather waits for.  So per-shard waits overlap in
+either execution mode: what a synchronous plan serializes is the
+*logical* call (one scatter outstanding per query), as a broker
+serializes nothing for a caller that happens to block.
 
 The pump is the only resilience layer; this client keeps the broker's
 network model and nothing the pump already does:
@@ -31,7 +32,6 @@ A probe charges one round trip per page, so ``requests_sent`` is a
 function of the fault schedule alone, the same in both modes.
 """
 
-import asyncio
 import time
 
 from repro.obs.trace import SHARD_GATHER, SHARD_OUTAGE, SHARD_SCATTER
@@ -66,11 +66,13 @@ class ShardedSearchClient(SearchClient):
 
     # -- the scatter ----------------------------------------------------------
 
-    async def _request(self, kind, expr_text, limit, attempt):
-        """The network half of one attempt: all shard probes in flight.
+    def _request(self, kind, expr_text, limit, attempt):
+        """The network half of one attempt: every shard probe at once.
 
-        Cancelling the scatter (pump timeout, deadline) cancels every
-        outstanding probe first, so no shard task outlives its call.
+        Each shard draws its fault and charges its round trips up front;
+        the attempt then waits for the slowest shard's gate-plus-pages
+        time.  Closing the attempt (pump timeout, deadline) cuts that
+        one wait, so no shard outlives its call.
         """
         self.scatters += 1
         self._emit(
@@ -81,27 +83,28 @@ class ShardedSearchClient(SearchClient):
             shards=self.num_shards,
         )
         expression = self.engine.parse(expr_text)
-        tasks = [
-            asyncio.ensure_future(
-                self._probe(shard_id, expression, expr_text, kind, limit, attempt)
-            )
-            for shard_id in range(self.num_shards)
+        waits, errors = [], []
+        for dest in self.destinations:
+            gate = self._fault_gate(dest, expr_text, attempt)
+            if gate is None:
+                pages = range(self._round_trips(kind, limit))
+                gate = sum(self._round_trip(dest, expr_text) for _ in pages), None
+            waits.append(gate[0])
+            errors.append(gate[1])
+        slowest = max(waits)
+        if slowest > 0:
+            yield slowest
+        partials = [
+            self._probe(shard_id, expression, kind, limit, waits[shard_id])
+            for shard_id, error in enumerate(errors)
+            if error is None
         ]
-        try:
-            outcomes = await asyncio.gather(*tasks, return_exceptions=True)
-        except asyncio.CancelledError:
-            for task in tasks:
-                task.cancel()
-            await asyncio.gather(*tasks, return_exceptions=True)
-            raise
-        partials, failures = [], []
-        for shard_id, outcome in enumerate(outcomes):
-            if isinstance(outcome, DEGRADABLE_ERRORS):
-                failures.append((shard_id, outcome))
-            elif isinstance(outcome, BaseException):
-                raise outcome
-            else:
-                partials.append(outcome)
+        failures = []
+        for shard_id, error in enumerate(errors):
+            if isinstance(error, DEGRADABLE_ERRORS):
+                failures.append((shard_id, error))
+            elif error is not None:
+                raise error
         return self._gather(kind, expr_text, limit, partials, failures)
 
     def _gather(self, kind, expr_text, limit, partials, failures):
@@ -133,19 +136,15 @@ class ShardedSearchClient(SearchClient):
             return merge_count_partials(partials)
         return merge_search_partials(partials, limit)
 
-    async def _probe(self, shard_id, expression, expr_text, kind, limit, attempt):
-        """One shard's probe: fault gate, latency waits, compute.
+    def _probe(self, shard_id, expression, kind, limit, waited):
+        """One healthy shard's compute, after its *waited* seconds of pages.
 
         A ranked probe pages through up to *limit* candidates (one shard
-        may hold the whole global top-k).  A successful probe observes
-        its service time under the shard destination, which calibration
-        and the cost model read.
+        may hold the whole global top-k).  The shard's service time — its
+        own waits plus its compute — is observed under the shard
+        destination, which calibration and the cost model read.
         """
-        dest = self.destinations[shard_id]
         started = time.monotonic()
-        await self._fault_gate(dest, expr_text, attempt)
-        for _ in range(self._round_trips(kind, limit)):
-            await self._round_trip(dest, expr_text)
         if kind == "count":
             partial = self.engine.shard_count(shard_id, expression)
         else:
@@ -153,8 +152,8 @@ class ShardedSearchClient(SearchClient):
         if self.obs is not None:
             self.obs.metrics.observe(
                 "request.service_seconds",
-                time.monotonic() - started,
-                destination=dest,
+                waited + time.monotonic() - started,
+                destination=self.destinations[shard_id],
             )
         return partial
 

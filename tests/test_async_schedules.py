@@ -6,7 +6,6 @@ ReqSync output must always equal the straightforward relational
 expectation, regardless of completion order or call deduplication.  This is the strongest correctness net over Sections 4.3/4.4.
 """
 
-import asyncio
 
 import pytest
 from hypothesis import HealthCheck, given, settings
@@ -30,9 +29,9 @@ _KEYS = iter(range(10**9))
 
 
 def make_call(rows, delay):
-    async def run(attempt=0):
+    def run(attempt=0):
         if delay:
-            await asyncio.sleep(delay)
+            yield delay
         return rows
 
     return ExternalCall(("sched", next(_KEYS)), "AV", run)

@@ -12,7 +12,6 @@ external-call registration chain (DependentJoin -> AEVScan.open_batch ->
 AsyncContext.register_batch -> RequestPump.register_batch).
 """
 
-import asyncio
 import functools
 
 import pytest
@@ -455,9 +454,9 @@ class FakeInstance:
         rows = self.results[bindings["T1"]]
         delay = self.delay
 
-        async def run(attempt=0):
+        def run(attempt=0):
             if delay:
-                await asyncio.sleep(delay)
+                yield delay
             return rows
 
         return ExternalCall(("fake", bindings["T1"]), "AV", run)

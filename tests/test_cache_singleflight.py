@@ -10,7 +10,6 @@ many registrants (and ``cache.coalesce`` for every follower), including
 the leader-cancelled and leader-timeout paths the issue calls out.
 """
 
-import asyncio
 import threading
 import time
 
@@ -39,9 +38,9 @@ def gated_call(release, key="k", destination="AV", rows=None, error=None):
     """
     rows = rows if rows is not None else [{"count": 1}]
 
-    async def run(attempt=0):
+    def run(attempt=0):
         while not release.is_set():
-            await asyncio.sleep(0.002)
+            yield 0.002
         if error is not None:
             raise error
         return rows
@@ -396,8 +395,8 @@ class TestConcurrentQueryStress:
             pump.shutdown()
 
 
-async def _slow_rows(attempt=0):
-    await asyncio.sleep(0.01)
+def _slow_rows(attempt=0):
+    yield 0.01
     return [{"count": 1}]
 
 
@@ -422,12 +421,12 @@ class TestDetachDuringLeaderBackoff:
     def _flaky_call(self, attempts, release):
         """Fails transiently on attempt 1, then blocks until *release*."""
 
-        async def run(attempt=0):
+        def run(attempt=0):
             attempts.append(1)
             if len(attempts) == 1:
                 raise TransientWebError("first attempt fails")
             while not release.is_set():
-                await asyncio.sleep(0.002)
+                yield 0.002
             return [{"count": 7}]
 
         return ExternalCall("k", "AV", run)

@@ -98,9 +98,10 @@ class TestPumpDeadlines:
         pump = RequestPump()
         issued = []
 
-        async def run():
+        def run():
             issued.append(1)
             return []
+            yield  # an attempt is a generator, even one that never waits
 
         try:
             rows, error = _wait_one(pump, _call("k1", run), deadline=deadline)
@@ -120,10 +121,8 @@ class TestPumpDeadlines:
         policy = ResiliencePolicy(retry=None, call_timeout=10.0)
         pump = RequestPump(resilience=policy)
 
-        async def hang():
-            import asyncio
-
-            await asyncio.sleep(30)
+        def hang():
+            yield 30
 
         deadline = Deadline(0.15)
         try:
@@ -141,10 +140,8 @@ class TestPumpDeadlines:
     def test_no_policy_pump_still_honors_deadline(self):
         pump = RequestPump()  # resilience=None
 
-        async def hang():
-            import asyncio
-
-            await asyncio.sleep(30)
+        def hang():
+            yield 30
 
         try:
             rows, error = _wait_one(
@@ -164,9 +161,10 @@ class TestPumpDeadlines:
         pump = RequestPump(resilience=policy)
         attempts = []
 
-        async def flaky():
+        def flaky():
             attempts.append(1)
             raise TransientWebError("boom")
+            yield
 
         try:
             # Budget covers roughly one attempt + part of one backoff:

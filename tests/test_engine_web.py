@@ -9,6 +9,7 @@ from repro.web.cache import ResultCache
 from repro.web.client import SearchClient
 from repro.web.fetch import render_html
 from repro.web.latency import FixedLatency, UniformLatency, ZeroLatency
+from test_vtables import drive
 
 
 class TestSearchEngine:
@@ -115,14 +116,12 @@ class TestSearchClient:
         assert cache.hits == 1
 
     def test_async_equals_sync(self, web):
-        import asyncio
-
         client = SearchClient(web.engine("AV"))
         sync_result = client.count('"Utah"')
-        async_result = asyncio.run(client.count_async('"Utah"'))
+        async_result = drive(client.count_async('"Utah"'))
         assert sync_result == async_result
         sync_hits = client.search('"Utah"', 4)
-        async_hits = asyncio.run(client.search_async('"Utah"', 4))
+        async_hits = drive(client.search_async('"Utah"', 4))
         assert sync_hits == async_hits
 
 
@@ -180,12 +179,10 @@ class TestFetchService:
             assert link in html
 
     def test_fetch_async_equals_sync(self, small_web):
-        import asyncio
-
         doc = small_web.corpus.documents[1]
         service = small_web.fetch_service()
         sync_result = service.fetch(doc.url)
-        async_result = asyncio.run(service.fetch_async(doc.url))
+        async_result = drive(service.fetch_async(doc.url))
         assert sync_result.length == async_result.length
 
     def test_fetch_cache(self, small_web):
@@ -225,11 +222,9 @@ class TestPagination:
         assert time.perf_counter() - started >= 0.03
 
     def test_async_pagination_matches_sync(self, web):
-        import asyncio
-
         client = SearchClient(web.engine("AV"), page_size=5)
         sync_hits = client.search('"Wyoming"', 12)
-        async_hits = asyncio.run(client.search_async('"Wyoming"', 12))
+        async_hits = drive(client.search_async('"Wyoming"', 12))
         assert sync_hits == async_hits
         assert client.requests_sent == 6  # 3 pages each
 

@@ -183,7 +183,7 @@ class TestSyncAsyncEquivalence:
         assert runs["sync"] == runs["async"]
 
     def test_identical_results_with_hangs_and_timeouts(self):
-        # Hung requests are cut by the pump's asyncio.wait_for in either
+        # Hung requests are cut by the pump's timeout entry in either
         # mode, so the classification and retry schedule match — also
         # over a sharded engine (deliberately not pinned to shards=1).
         predictor = FaultModel(seed=3, hang_rate=0.1, hang_seconds=5.0)

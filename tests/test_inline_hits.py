@@ -5,13 +5,12 @@ cache read of its request.  ``RequestPump`` asks it once, at registration;
 a fresh or stale hit, a negatively cached failure or a spent deadline
 settles the call there and then: counted and traced like any other call
 (``call.register → call.complete|fail``, ``attempts=0``), but with no
-coroutine, no slot, no breaker and no loop wake-up.  Only a miss goes out.
+attempt, no slot, no breaker and no pump wake-up.  Only a miss goes out.
 
 The first half drives the pump directly with hand-made probes; the second
 runs queries through an engine with a cache in front of it, in both modes.
 """
 
-import asyncio
 import sys
 import threading
 from collections import Counter
@@ -74,15 +73,15 @@ class Sink:
 def probed_call(key="k", answer=ROWS, went_out=None, release=None, error=None):
     """A call whose probe returns/raises *answer* (``None`` = a miss).
 
-    *went_out* collects one entry per attempt that reached the coroutine;
-    *release* (an Event) holds the coroutine open until set.
+    *went_out* collects one entry per attempt that started;
+    *release* (an Event) holds the attempt open until set.
     """
 
-    async def run(attempt=0):
+    def run(attempt=0):
         if went_out is not None:
             went_out.append(key)
         while release is not None and not release.is_set():
-            await asyncio.sleep(0.002)
+            yield 0.002
         if error is not None:
             raise error
         return ROWS
@@ -136,7 +135,7 @@ class TestPumpAnswersAtRegistration:
         snap = assert_exact(pump)
         assert (snap["registered"], snap["completed"]) == (1, 1)
         assert snap["max_in_flight"] == 0  # no slot was taken
-        assert went_out == []  # no coroutine was built
+        assert went_out == []  # no attempt was started
         events = call_events(pump.tracer, call_id)
         assert [e.name for e in events] == [CALL_REGISTER, CALL_COMPLETE]
         assert events[0].args.get("batch") == (1 if batched else None)
@@ -152,9 +151,10 @@ class TestPumpAnswersAtRegistration:
     def test_miss_is_asked_once_and_goes_out(self, pump):
         asked, went_out, sink = [], [], Sink()
 
-        async def run(attempt=0):
+        def run(attempt=0):
             went_out.append(attempt)
             return ROWS
+            yield  # an attempt is a generator, even one that never waits
 
         def probe():
             asked.append(1)
@@ -196,8 +196,9 @@ class TestPumpAnswersAtRegistration:
             asked.append(1)
             return ROWS
 
-        async def run(attempt=0):
+        def run(attempt=0):
             return ROWS
+            yield
 
         call_id = pump.register(
             ExternalCall("k", "AV", run, probe), sink, deadline=deadline
@@ -207,7 +208,7 @@ class TestPumpAnswersAtRegistration:
         assert asked == []  # the cache was not even read
         snap = assert_exact(pump)
         assert snap["failed"] == 1
-        # Exactly what the coroutine's enqueue check counts for a miss.
+        # Exactly what the pump's enqueue check counts for a miss.
         assert snap["per_destination"]["AV"]["deadline_expired"] == 1
 
     def test_cancel_of_an_inline_settled_id_is_a_noop(self, pump):
@@ -358,8 +359,9 @@ class TestCoalescingStillCounts:
                 asked.append(1)
                 return answer
 
-            async def run(attempt=0):
+            def run(attempt=0):
                 return ROWS
+                yield
 
             ids = context.register_batch(
                 [ExternalCall("same", "AV", run, probe) for _ in range(3)]

@@ -13,7 +13,6 @@ The satellite checklist from the observability issue:
   though the physical schedules differ completely.
 """
 
-import asyncio
 import threading
 
 import pytest
@@ -81,9 +80,9 @@ _KEY_COUNTER = iter(range(10**9))
 
 
 def make_call(rows, delay=0.0, key=None):
-    async def run(attempt=0):
+    def run(attempt=0):
         if delay:
-            await asyncio.sleep(delay)
+            yield delay
         return rows
 
     if key is None:
@@ -245,11 +244,12 @@ class TestFaultPathTraces:
         try:
             attempts = []
 
-            async def run(attempt=0):
+            def run(attempt=0):
                 attempts.append(attempt)
                 if len(attempts) < 3:
                     raise TransientWebError("flaky")
                 return [{"value": 7}]
+                yield  # an attempt is a generator, even one that never waits
 
             call = ExternalCall(("retry", 0), "AV", run)
             call_id, box = settle_one(pump, call)
@@ -287,8 +287,9 @@ class TestFaultPathTraces:
         )
         try:
 
-            async def fail(attempt=0):
+            def fail(attempt=0):
                 raise HardWebError("400 bad request")
+                yield
 
             _, first = settle_one(
                 pump, ExternalCall(("brk", 0), "AV", fail)
@@ -314,8 +315,8 @@ class TestFaultPathTraces:
         )
         try:
 
-            async def hang(attempt=0):
-                await asyncio.sleep(5.0)
+            def hang(attempt=0):
+                yield 5.0
                 return []
 
             call_id, box = settle_one(

@@ -1,12 +1,15 @@
 """One I/O path: structural guard and the behaviours the collapse fixed.
 
-Every external request is one coroutine run by a request pump; a caller
-that blocks (``EVScan``, ``SearchClient.count``) waits for the pump.  The
-guard below keeps a second, blocking implementation from growing back in
-``repro.web`` / ``repro.vtables``; the behavioural tests pin what only one
-of the former twins did.  A second guard keeps one resilience layer: the
-pump's retry/timeout/breaker loop is the only place a circuit breaker is
-built, and no web client races probes of its own.
+Every external request is one attempt generator run by a request pump; a
+caller that blocks (``EVScan``, ``SearchClient.count``) waits for the
+pump.  The guard below keeps a second, blocking implementation from
+growing back in ``repro.web`` / ``repro.vtables``; the behavioural tests
+pin what only one of the former twins did.  A second guard keeps one
+resilience layer: the pump's retry/timeout/breaker loop is the only place
+a circuit breaker is built, and no web client races probes of its own.  A
+third keeps one clock: the pump's deadline heap is the only scheduler, so
+no ``asyncio`` import, ``async def`` or ``await`` comes back under
+``src/repro``.
 """
 
 import ast
@@ -87,13 +90,26 @@ NETWORK_HALF = {
 }
 
 
+#: Constructs a probe may not contain: a ``yield`` is an attempt's wait.
+WAITS_OR_LOOPS = (
+    ast.Yield,
+    ast.YieldFrom,
+    ast.Await,
+    ast.AsyncFor,
+    ast.AsyncWith,
+    ast.While,
+    ast.For,
+)
+
+
 def probe_violations(source):
     """What makes a probe more than a cache read, as ``(line, what)`` pairs.
 
     An inline hit is still "one path" only while the probe is a plain
-    ``def`` that cannot wait, cannot fault and cannot loop: no ``await``
-    (or any other async construct), no sleep, no fault gate, no retry
-    loop, nothing of the network half of an attempt.
+    ``def`` that cannot wait, cannot fault and cannot loop: no ``yield``
+    (an attempt's wait), no ``await`` (or any other async construct), no
+    sleep, no fault gate, no retry loop, nothing of the network half of
+    an attempt.
     """
     found = []
     for node in ast.walk(ast.parse(source)):
@@ -104,9 +120,7 @@ def probe_violations(source):
         if isinstance(node, ast.AsyncFunctionDef):
             found.append((node.lineno, "async " + node.name))
         for inner in ast.walk(node):
-            if isinstance(
-                inner, (ast.Await, ast.AsyncFor, ast.AsyncWith, ast.While, ast.For)
-            ):
+            if isinstance(inner, WAITS_OR_LOOPS):
                 found.append((inner.lineno, type(inner).__name__ + " in " + node.name))
         for inner, name in identifiers(node):
             if name in NETWORK_HALF:
@@ -224,6 +238,68 @@ class TestOneResilienceLayer:
         assert not resilience_violations(race, ("asynciter", "pump.py"))
 
 
+def event_loop_violations(source):
+    """What brings an event loop back, as ``(line, what)`` pairs.
+
+    An ``asyncio`` import (of the package or any submodule), an ``async``
+    function, loop or ``with``, and an ``await``: the pump's deadline heap
+    resumes attempt generators, and nothing else schedules.
+    """
+    found = []
+    for node in ast.walk(ast.parse(source)):
+        if isinstance(node, ast.Import):
+            modules = [alias.name for alias in node.names]
+        elif isinstance(node, ast.ImportFrom):
+            modules = [node.module or ""]
+        else:
+            modules = []
+        if any(module.split(".")[0] == "asyncio" for module in modules):
+            found.append((node.lineno, "asyncio import"))
+        if isinstance(node, (ast.AsyncFunctionDef, ast.AsyncFor, ast.AsyncWith)):
+            found.append((node.lineno, type(node).__name__))
+        elif isinstance(node, ast.Await):
+            found.append((node.lineno, "await"))
+    return found
+
+
+class TestOneClock:
+    PUMP = ("asynciter", "pump.py")
+
+    def test_source_tree_runs_no_event_loop(self):
+        found = []
+        for path in sorted(SRC.rglob("*.py")):
+            for line, what in event_loop_violations(path.read_text()):
+                found.append("{}:{}: {}".format(path.relative_to(SRC), line, what))
+        assert found == []
+        # The guard is looking at real code: the attempt it would refuse
+        # as a coroutine is a generator delegating to the network half.
+        client = ast.parse((SRC / "web" / "client.py").read_text())
+        (attempt,) = [
+            node
+            for node in ast.walk(client)
+            if isinstance(node, ast.FunctionDef) and node.name == "_attempt"
+        ]
+        assert any(isinstance(node, ast.YieldFrom) for node in ast.walk(attempt))
+
+    @pytest.mark.parametrize(
+        "mutant",
+        [
+            "import asyncio\n",
+            "import asyncio.events as events\n",
+            "from asyncio import sleep\n",
+            "async def _run_call(self, anchor):\n    pass\n",
+            "def _step(self, anchor):\n    await anchor.gen\n",
+            "async def _drain(tasks):\n    async for task in tasks:\n        pass\n",
+            "async def _slot(sem):\n    async with sem:\n        pass\n",
+        ],
+        ids=["import", "submodule", "import-from", "async-def", "await", "async-for", "async-with"],
+    )
+    def test_guard_catches_an_event_loop_in_the_pump(self, mutant):
+        source = SRC.joinpath(*self.PUMP).read_text()
+        assert event_loop_violations(source) == []
+        assert event_loop_violations(source + "\n\n" + mutant)
+
+
 class TestStructuralGuard:
     def test_source_tree_has_one_io_path(self):
         found = []
@@ -252,12 +328,12 @@ class TestStructuralGuard:
                     found.append("{}:{}: {}".format(path.relative_to(SRC), line, what))
         assert found == []
         assert defined == PROBE_PATH  # the guard is looking at real code
-        # ... and the attempt coroutine kept only the cache's write side.
+        # ... and the attempt generator kept only the cache's write side.
         client = ast.parse((SRC / "web" / "client.py").read_text())
         (attempt,) = [
             node
             for node in ast.walk(client)
-            if isinstance(node, ast.AsyncFunctionDef) and node.name == "_attempt"
+            if isinstance(node, ast.FunctionDef) and node.name == "_attempt"
         ]
         names = {name for _, name in identifiers(attempt)}
         assert {"_cache_put", "put_failure"} <= names
@@ -270,6 +346,8 @@ class TestStructuralGuard:
             "def probe(self, key):\n    time.sleep(0.1)\n    return self.cache.lookup(key)\n",
             "def probe(self, key):\n    self._fault_gate(key)\n",
             "def probe(self):\n    while True:\n        return self.cache.lookup(1)\n",
+            "def probe(self):\n    yield 0.01\n    return self.cache.lookup(1)\n",
+            "def probe(self):\n    return (yield from self.cache.pages(1))\n",
             "def cache_probe(source, shape):\n"
             "    def probe():\n        return source._attempt('count')\n    return probe\n",
             "def probe(self):\n    if self.resilience.retry.should_retry(e, 0):\n        pass\n",
@@ -315,7 +393,7 @@ SINGLE_CALL = (
 
 
 class TestNegativeCachingInBothModes:
-    """A final failure is recorded by the one attempt coroutine.
+    """A final failure is recorded by the one attempt generator.
 
     Before the collapse only the blocking client wrote failure records,
     so an asynchronous query re-issued a request that had just failed for

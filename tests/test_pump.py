@@ -1,6 +1,6 @@
 """The request pump: concurrency, limits, queueing, failures."""
 
-import asyncio
+import sys
 import threading
 import time
 
@@ -15,9 +15,9 @@ from repro.vtables.base import ExternalCall
 def make_call(key="k", destination="AV", delay=0.0, rows=None, error=None):
     rows = rows if rows is not None else [{"count": 1}]
 
-    async def run(attempt=0):
+    def run(attempt=0):
         if delay:
-            await asyncio.sleep(delay)
+            yield delay
         if error is not None:
             raise error
         return rows
@@ -197,8 +197,8 @@ class TestInFlightDedup:
     """[CDY95]-style call minimization inside one query context."""
 
     def _slow_call(self, rows, key):
-        async def run(attempt=0):
-            await asyncio.sleep(0.05)
+        def run(attempt=0):
+            yield 0.05
             return rows
 
         return ExternalCall(key, "AV", run)
@@ -320,3 +320,228 @@ class TestQuiesce:
             assert histogram.count == 1
         finally:
             pump.shutdown()
+
+    def test_quiesce_on_an_idle_pump_does_not_wait(self, pump):
+        assert pump.quiesce(timeout=0)
+        pump.ensure_started()
+        assert pump.quiesce(timeout=0)
+
+    def test_accounting_is_exact_after_a_settled_burst(self, pump):
+        count = 12
+        settled = threading.Event()
+        seen = []
+
+        def on_complete(call_id, rows, error):
+            seen.append(call_id)
+            if len(seen) == count:
+                settled.set()
+
+        for i in range(count):
+            call = make_call(
+                key=("burst", i),
+                delay=0.001 * (i % 4),
+                error=ValueError("boom") if i % 3 == 0 else None,
+            )
+            pump.register(call, on_complete)
+        assert settled.wait(5)
+        assert pump.quiesce(timeout=2.0)
+        assert pump.quiesce(timeout=0)
+        snapshot = pump.stats.snapshot()
+        assert (snapshot["registered"], snapshot["completed"], snapshot["failed"]) == (
+            count,
+            8,
+            4,
+        )
+        assert (snapshot["cancelled"], snapshot["queued"], snapshot["in_flight"]) == (0, 0, 0)
+        histogram = pump.metrics.histogram("request.e2e_seconds", destination="AV")
+        assert histogram.count == count
+
+
+class TestShutdownRace:
+    def test_registration_racing_shutdown_is_refused_not_stranded(self):
+        """A probe that shuts the pump down runs between the
+        registration's id allocation and the tabling of its miss: the
+        call must be refused and settled, not tabled on a dead pump."""
+        pump = RequestPump()
+        completions = []
+
+        def probe():
+            pump.shutdown()
+            return None  # a miss: the call would go out
+
+        call = ExternalCall("k", "AV", make_call().execute_async, probe)
+        try:
+            with pytest.raises(ExecutionError, match="request pump is shut down"):
+                pump.register(call, lambda *outcome: completions.append(outcome))
+            assert pump.quiesce(0.5)
+            snapshot = pump.stats.snapshot()
+            assert snapshot["registered"] == 1
+            assert snapshot["cancelled"] == 1
+            assert snapshot["queued"] == 0 and snapshot["in_flight"] == 0
+            time.sleep(0.05)
+            assert completions == []
+            # The pump is usable again afterwards.
+            done = threading.Event()
+            pump.register(make_call(key="after"), lambda *outcome: done.set())
+            assert done.wait(2)
+        finally:
+            pump.shutdown()
+
+
+class TestRegisterCancelStress:
+    def test_concurrent_registers_and_cancels_settle_exactly_once(self):
+        """More registering threads than cores, a short switch interval:
+        every call is completed or cancelled exactly once, nothing is
+        left in flight or queued, and the pump still holds no record."""
+        pump = RequestPump(limits=PumpLimits(max_total=3), single_flight=True)
+        threads, per_thread = 6, 30
+        old_interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-5)
+        try:
+
+            def worker(n):
+                for i in range(per_thread):
+                    call = make_call(key=("stress", i % 7), delay=0.001 * (i % 3))
+                    call_id = pump.register(call, lambda *outcome: None)
+                    if (n + i) % 3 == 0:
+                        pump.cancel(call_id)
+
+            workers = [threading.Thread(target=worker, args=(n,)) for n in range(threads)]
+            for thread in workers:
+                thread.start()
+            for thread in workers:
+                thread.join(timeout=30)
+            assert not any(thread.is_alive() for thread in workers)
+            assert pump.quiesce(timeout=10)
+        finally:
+            sys.setswitchinterval(old_interval)
+            pump.shutdown()
+        snapshot = pump.stats.snapshot()
+        settled = snapshot["completed"] + snapshot["failed"] + snapshot["cancelled"]
+        assert snapshot["registered"] == settled == threads * per_thread
+        assert snapshot["cancelled"] > 0 and snapshot["failed"] == 0
+        assert (snapshot["queued"], snapshot["in_flight"]) == (0, 0)
+        assert snapshot["max_in_flight"] <= 3
+        assert pump._calls == {} and pump._flights == {}
+
+
+class TestHandoff:
+    def test_an_async_burst_is_issued_before_register_returns(self, pump):
+        """The registrant hands the burst to the pump thread and waits for
+        it to be issued, so its waits start at registration, not when the
+        registrant next blocks."""
+        calls = [make_call(key=("burst", i), delay=0.2) for i in range(5)]
+        pump.register_batch(calls, lambda *outcome: None)
+        snapshot = pump.stats.snapshot()
+        assert (snapshot["in_flight"], snapshot["queued"]) == (5, 0)
+        latencies = pump.latencies()
+        assert "queue_wait" not in latencies.get("AV", {})  # nothing settled yet
+        pump.register(make_call(key="single", delay=0.2), lambda *outcome: None)
+        assert pump.stats.snapshot()["in_flight"] == 6
+
+
+class TestQueuedCallsThatEndAtOnce:
+    """A long run of queued calls that each end as soon as they are issued
+    must settle one after another, not by recursing once per call."""
+
+    QUEUED = 2000
+
+    @pytest.mark.parametrize("reason", ["spent_deadline", "open_breaker"])
+    def test_every_queued_call_settles(self, reason):
+        from repro.asynciter.resilience import CircuitBreakerConfig, ResiliencePolicy
+        from repro.serve import Deadline
+        from repro.util.errors import BreakerOpenError, QueryDeadlineExceeded
+
+        if reason == "spent_deadline":
+            # Alive when queued, spent by the time a slot frees up.
+            resilience, deadline, expected = None, Deadline(0.2), QueryDeadlineExceeded
+            slow = make_call(key="slow", delay=0.4)
+        else:
+            # The slow call's failure opens the breaker for the rest.
+            breaker = CircuitBreakerConfig(failure_threshold=1, recovery_timeout=60.0)
+            resilience = ResiliencePolicy(breaker=breaker)
+            deadline, expected = None, BreakerOpenError
+            slow = make_call(key="slow", delay=0.4, error=ValueError("down"))
+        pump = RequestPump(limits=PumpLimits(max_total=1), resilience=resilience)
+        errors = []
+        try:
+            pump.register(slow, lambda *outcome: None)
+            calls = [make_call(key=("queued", i)) for i in range(self.QUEUED)]
+            pump.register_batch(calls, lambda _id, rows, error: errors.append(error),
+                                deadline=deadline)
+            assert pump.quiesce(timeout=10)
+            snapshot = pump.stats.snapshot()
+        finally:
+            pump.shutdown()
+        assert len(errors) == self.QUEUED
+        assert all(isinstance(error, expected) for error in errors)
+        settled = snapshot["completed"] + snapshot["failed"] + snapshot["cancelled"]
+        assert snapshot["registered"] == settled == self.QUEUED + 1
+        assert (snapshot["queued"], snapshot["in_flight"]) == (0, 0)
+
+
+class TestPumpThreadFailure:
+    def test_a_dead_pump_thread_strands_nothing(self, monkeypatch):
+        """A handler that raises past the pump's own error handling kills
+        the thread: its flights settle as cancelled and the next
+        registration starts a new thread."""
+
+        class Escaped(BaseException):
+            pass
+
+        def run(attempt=0):
+            yield 0.01
+            raise Escaped()
+
+        monkeypatch.setattr(threading, "excepthook", lambda args: None)
+        pump = RequestPump()
+        completions = []
+        try:
+            pump.register(ExternalCall("boom", "AV", run), lambda *o: completions.append(o))
+            pump.register(make_call(key="bystander", delay=0.2), lambda *o: completions.append(o))
+            assert pump.quiesce(timeout=2)
+            assert completions == []  # both cancelled: nobody is told
+            snapshot = pump.stats.snapshot()
+            assert (snapshot["cancelled"], snapshot["in_flight"], snapshot["queued"]) == (2, 0, 0)
+            done = threading.Event()
+            pump.register(make_call(key="after"), lambda *outcome: done.set())
+            assert done.wait(2)
+        finally:
+            pump.shutdown()
+
+
+class TestNoAttemptWithoutBudget:
+    def test_a_retry_with_no_budget_left_never_starts(self):
+        """The deadline runs out during the backoff: the retry is cut off
+        before its attempt starts, so no second request goes out."""
+        from repro.asynciter.resilience import ResiliencePolicy, RetryPolicy
+        from repro.serve import Deadline
+        from repro.util.errors import QueryDeadlineExceeded, TransientWebError
+        from repro.util.timing import VirtualClock
+
+        clock = VirtualClock()
+        started = []
+
+        class SpendingRetry(RetryPolicy):
+            def backoff_delay(self, key, attempt):
+                clock.advance(10.0)  # the query's budget runs out meanwhile
+                return 0.001
+
+        def run(attempt=0):
+            started.append(attempt)
+            yield 0.001
+            raise TransientWebError("flaky")
+
+        pump = RequestPump(resilience=ResiliencePolicy(retry=SpendingRetry(max_attempts=3)))
+        outcome = []
+        try:
+            pump.register(ExternalCall("k", "AV", run), lambda *o: outcome.append(o),
+                          deadline=Deadline(1.0, clock=clock))
+            assert pump.quiesce(timeout=2)
+            snapshot = pump.stats.snapshot()
+        finally:
+            pump.shutdown()
+        assert started == [0]
+        ((_, rows, error),) = outcome
+        assert rows is None and isinstance(error, QueryDeadlineExceeded)
+        assert (snapshot["retries"], snapshot["deadline_expired"], snapshot["failed"]) == (1, 1, 1)

@@ -5,7 +5,6 @@ external calls, so every paper behaviour (Sections 4.3/4.4) is pinned
 down in isolation from SQL planning.
 """
 
-import asyncio
 
 import pytest
 
@@ -31,9 +30,9 @@ _KEY_COUNTER = iter(range(10**9))
 
 
 def make_call(rows, delay=0.0, error=None):
-    async def run(attempt=0):
+    def run(attempt=0):
         if delay:
-            await asyncio.sleep(delay)
+            yield delay
         if error is not None:
             raise error
         return rows

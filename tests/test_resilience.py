@@ -8,7 +8,6 @@ accounting/lifecycle fixes (cancellation counting, shutdown-while-busy,
 timeout diagnostics, ReqSync graceful degradation).
 """
 
-import asyncio
 import threading
 import time
 
@@ -294,9 +293,9 @@ _KEY_COUNTER = iter(range(10**9))
 def attempt_call(behaviour, destination="AV", delay=0.0, key=None):
     """An ExternalCall whose async path runs ``behaviour(attempt)``."""
 
-    async def run(attempt=0):
+    def run(attempt=0):
         if delay:
-            await asyncio.sleep(delay)
+            yield delay
         return behaviour(attempt)
 
     return ExternalCall(
@@ -415,9 +414,9 @@ class TestPumpResilience:
         )
         try:
 
-            async def run(attempt=0):
+            def run(attempt=0):
                 if attempt == 0:
-                    await asyncio.sleep(5)  # first attempt hangs
+                    yield 5  # first attempt hangs
                 return [{"count": 3}]
 
             call = ExternalCall(("hang", next(_KEY_COUNTER)), "AV", run)

@@ -8,7 +8,6 @@ deterministic merges under score ties, degraded partial gathers when a
 shard is down (and only then), and the ``shard.*`` trace taxonomy.
 """
 
-import asyncio
 
 import pytest
 
@@ -32,6 +31,7 @@ from repro.web.sharding import (
 )
 from repro.web.shardclient import ShardedSearchClient
 from repro.wsq import WsqEngine
+from test_vtables import drive
 
 SHARD_COUNTS = (1, 2, 4, 7)
 
@@ -286,7 +286,7 @@ class TestDegradedGather:
             if runner == "sync":
                 results.append(client.count('"texas"'))
             else:
-                results.append(asyncio.run(client.count_async('"texas"')))
+                results.append(drive(client.count_async('"texas"')))
         assert results[0] == results[1]
 
     def test_all_shards_down_raises(self, small_web):

@@ -1,6 +1,7 @@
 """Virtual tables: instances, schemas, calls, EVScan."""
 
-import asyncio
+import time
+
 
 import pytest
 
@@ -12,9 +13,19 @@ from repro.vtables.webpages import DEFAULT_MAX_RANK
 from repro.web.client import SearchClient
 
 
+def drive(attempt):
+    """Run one attempt generator to its result on this thread, outside
+    any pump: sleep through each wait it yields."""
+    try:
+        while True:
+            time.sleep(next(attempt))
+    except StopIteration as done:
+        return done.value
+
+
 def run_call(call):
-    """One attempt of *call*'s coroutine, outside any pump."""
-    return asyncio.run(call.execute_async())
+    """One attempt of *call*, outside any pump."""
+    return drive(call.execute_async())
 
 
 @pytest.fixture()
