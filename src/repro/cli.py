@@ -78,7 +78,6 @@ def build_engine(args):
         config=EngineConfig.resolve(
             on_error=getattr(args, "on_error", None),
             batch_size=getattr(args, "batch_size", None),
-            shards=getattr(args, "shards", None),
         ),
     )
 
@@ -177,14 +176,6 @@ def main(argv=None):
         default=None,
         help="execution batch granularity (rows per operator pull; "
         "1 = row-at-a-time; default 256 or $REPRO_BATCH_SIZE)",
-    )
-    parser.add_argument(
-        "--shards",
-        type=int,
-        default=None,
-        help="search-tier shard count: N > 1 splits each engine's index "
-        "into N deterministic shards behind a scatter-gather broker "
-        "(default 1 or $REPRO_SHARDS; 1 = the unsharded monolith)",
     )
     parser.add_argument(
         "-c", "--command", help="run one statement and exit", default=None
@@ -383,24 +374,6 @@ def _dot_command(engine, line, mode):
                     snap["rejections"],
                 )
                 print(line)
-        destinations = engine.metrics_snapshot().get("destinations")
-        if destinations:
-            print("  shards:")
-            for name, view in sorted(destinations.items()):
-                print(
-                    "    {}: {} shards, scatters={} degraded_gathers={}".format(
-                        name,
-                        view["num_shards"],
-                        view["scatters"],
-                        view["degraded_gathers"],
-                    )
-                )
-                for dest, entry in sorted(view["per_shard"].items()):
-                    print(
-                        "      {}: requests={} degraded={}".format(
-                            dest, entry["requests"], entry["degraded"]
-                        )
-                    )
     elif command == ".metrics":
         if argument.strip() in ("--prom", "prom"):
             print(engine.metrics.to_prometheus(), end="")

@@ -7,8 +7,8 @@ default* and validates, and the planner, the ReqSync rewrite, lowering
 and the CLI all receive the resulting immutable object whole.
 
 This is also the only module under ``src/`` that reads the process
-environment (:data:`ENV_VARIABLES` lists what it reads): two variables
-feed config fields, and ``REPRO_CACHE``/``REPRO_CACHE_TTL`` name the
+environment (:data:`ENV_VARIABLES` lists what it reads): one variable
+feeds a config field, and ``REPRO_CACHE``/``REPRO_CACHE_TTL`` name the
 result cache an engine builds when it is handed none
 (:func:`default_cache` — the cache is a collaborator, not a knob).
 """
@@ -26,7 +26,6 @@ ON_ERROR_POLICIES = ("raise", "drop", "null")
 #: fills it on one).
 FIELD_ENV = {
     "batch_size": "REPRO_BATCH_SIZE",
-    "shards": "REPRO_SHARDS",
 }
 CACHE_ENV = "REPRO_CACHE"
 CACHE_TTL_ENV = "REPRO_CACHE_TTL"
@@ -71,7 +70,6 @@ def _on_error(value, source):
 _CHECKS = {
     "on_error": _on_error,
     "batch_size": _positive_int,
-    "shards": _positive_int,
 }
 
 
@@ -91,10 +89,10 @@ class EngineConfig:
     #: Rows per operator pull, stamped over every lowered plan; ``1`` is
     #: the paper's tuple-at-a-time schedule (``REPRO_BATCH_SIZE``).
     batch_size: int = DEFAULT_BATCH_SIZE
-    #: Search-tier shard count: ``1`` is the unsharded client, ``> 1``
-    #: puts a scatter-gather broker in front of each engine
-    #: (``REPRO_SHARDS``); the cost model prices the scatter waves.
-    shards: int = 1
+
+    def __new__(cls, *args, **explicit):
+        _given(explicit)  # an unknown or retired field is a ConfigError
+        return super().__new__(cls)
 
     def __post_init__(self):
         for name, check in _CHECKS.items():

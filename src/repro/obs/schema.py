@@ -52,9 +52,6 @@ KNOWN_EVENT_NAMES = frozenset(
         _trace.SERVE_START,
         _trace.SERVE_FINISH,
         _trace.SERVE_CANCEL,
-        _trace.SHARD_SCATTER,
-        _trace.SHARD_GATHER,
-        _trace.SHARD_OUTAGE,
     }
 )
 

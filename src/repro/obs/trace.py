@@ -93,15 +93,6 @@ SERVE_START = "serve.start"
 SERVE_FINISH = "serve.finish"
 SERVE_CANCEL = "serve.cancel"
 
-#: Sharded search-tier events (DESIGN.md §15): one ``shard.scatter``
-#: per fan-out wave (args carry the request kind and shard count), one
-#: ``shard.gather`` per merge (ok/failed/degraded tallies), and one
-#: ``shard.outage`` per shard whose failure was degraded into a partial
-#: gather instead of failing the query.
-SHARD_SCATTER = "shard.scatter"
-SHARD_GATHER = "shard.gather"
-SHARD_OUTAGE = "shard.outage"
-
 #: Names that settle a call (used by the analyzers).
 CALL_SETTLED = (CALL_COMPLETE, CALL_CANCEL, CALL_FAIL)
 

@@ -200,7 +200,6 @@ class CostModel:
         call_overhead=2e-4,
         cache=None,
         expected_hit_ratio=None,
-        shards=None,
         hash_joins=False,
     ):
         self.latency_mean = latency_mean
@@ -218,12 +217,6 @@ class CostModel:
         #: the seed model.
         self.cache = cache
         self.expected_hit_ratio = expected_hit_ratio
-        #: Search-tier shard count the priced engine scatters over.
-        #: ``1`` (or ``None``) keeps every estimate bit-identical to the
-        #: unsharded model; ``N`` prices each external call as N probes
-        #: and each blocking wave at the *slowest* shard's latency (see
-        #: :meth:`scatter_latency`).
-        self.shards = int(shards) if shards and shards >= 1 else 1
         #: Price clean equi-joins as hash build + probe instead of the
         #: quadratic pair scan.  Off by default (keeps every historical
         #: estimate bit-identical); the rewrite rules' cost gates turn it
@@ -305,7 +298,6 @@ class CostModel:
             call_overhead=self.call_overhead,
             cache=self.cache,
             expected_hit_ratio=self.expected_hit_ratio,
-            shards=self.shards,
             hash_joins=self.hash_joins,
         )
         twin.profile = self.profile
@@ -324,28 +316,6 @@ class CostModel:
     def destination_latency(self, destination):
         """Expected per-request latency for *destination* (calibrated or mean)."""
         return self.latency_by_destination.get(destination, self.latency_mean)
-
-    def scatter_latency(self, destination):
-        """Latency of one blocking wave against *destination*, shard-aware.
-
-        Unsharded this is just :meth:`destination_latency`.  With
-        ``shards=N`` a wave is a scatter that settles when its slowest
-        shard answers: calibrated per-shard entries (the broker observes
-        service times under destinations ``{dest}:shard{i}``) price the
-        wave at their max; shards the profile never measured fall back
-        to the destination's own (or mean) latency.
-        """
-        base = self.destination_latency(destination)
-        if self.shards <= 1:
-            return base
-        from repro.web.sharding import shard_destination
-
-        return max(
-            self.latency_by_destination.get(
-                shard_destination(destination, shard_id), base
-            )
-            for shard_id in range(self.shards)
-        )
 
     def _weighted_latency(self, calls):
         """Call-count-weighted mean latency across a calls dict."""
@@ -404,13 +374,7 @@ class CostModel:
             network = estimate.wave_seconds
         else:
             network = estimate.waves * self.latency_mean
-        # A sharded tier turns every logical call into one probe per
-        # shard, each paying the fixed per-call overhead.
-        network += (
-            (estimate.total_calls() + estimate.issued)
-            * self.call_overhead
-            * float(self.shards)
-        )
+        network += (estimate.total_calls() + estimate.issued) * self.call_overhead
         local = (
             estimate.local_rows * self.cpu_per_row
             + estimate.patched_values * self.cpu_per_patch
@@ -645,10 +609,9 @@ class CostModel:
             wave_seconds = left.wave_seconds
             if isinstance(scan, EVScan):
                 # Sequential: every (non-cached) call is its own
-                # blocking wave — a scatter wave under sharding —
-                # priced at its slowest shard's latency.
+                # blocking wave, priced at its destination's latency.
                 waves += network_calls
-                wave_seconds += network_calls * self.scatter_latency(destination)
+                wave_seconds += network_calls * self.destination_latency(destination)
             return PlanEstimate(
                 rows=rows,
                 local_rows=left.local_rows + rows,
@@ -684,7 +647,7 @@ class CostModel:
             width = math.ceil(count / limit) if limit else 1.0
             wave = max(wave, width)
             wave_latency = max(
-                wave_latency, width * self.scatter_latency(destination)
+                wave_latency, width * self.destination_latency(destination)
             )
         total = sum(child.calls.values())
         if self.global_limit and total:
@@ -697,7 +660,7 @@ class CostModel:
             wave = max(wave, 1.0)
             wave_latency = max(
                 wave_latency,
-                max(self.scatter_latency(d) for d in child.calls),
+                max(self.destination_latency(d) for d in child.calls),
             )
         # Each buffered tuple's placeholder values get patched once.
         return PlanEstimate(

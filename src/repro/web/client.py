@@ -158,17 +158,32 @@ class SearchClient:
         return result
 
     def _request(self, kind, expr_text, limit, attempt):
-        """The network half of one attempt: fault gate, round trips, compute."""
+        """The network half of one attempt: a fault, or pages then compute."""
         destination = self.engine.name
-        gate = self._fault_gate(destination, expr_text, attempt)
-        if gate is not None:
-            seconds, error = gate
+        fault = None
+        if self.faults is not None:
+            fault = self.faults.fault_for(destination, expr_text, attempt)
+        if fault is not None:
+            self.faults_seen += 1
+            if fault.kind == OUTAGE:
+                raise fault.error  # connection refused: no round trip charged
+            # The request went out: a transient or hard fault comes back
+            # after one round trip, a hung one never does.
+            seconds, error = self._round_trip(destination, expr_text), fault.error
+            if fault.kind == HANG:
+                seconds = fault.hang_seconds
+                error = RequestTimeoutError(
+                    "request to {!r} for {!r} hung (gave up after {:.3f}s)".format(
+                        destination, expr_text, seconds
+                    )
+                )
             if seconds > 0:
                 yield seconds
             raise error
         # Result pages arrive sequentially: page k+1 cannot be requested
         # before page k's response names it.
-        for _ in range(self._round_trips(kind, limit)):
+        pages = 1 if kind == "count" else max(1, -(-limit // self.page_size))
+        for _ in range(pages):
             delay = self._round_trip(destination, expr_text)
             if delay > 0:
                 yield delay
@@ -176,50 +191,14 @@ class SearchClient:
             return self.engine.count(expr_text)
         return self.engine.search(expr_text, limit)
 
-    def _round_trips(self, kind, limit):
-        if kind == "count":
-            return 1
-        return max(1, -(-limit // self.page_size))  # ceil, at least one page
-
-    # -- the simulated network ----------------------------------------------------
-
-    def _next_fault(self, destination, expr_text, attempt):
-        if self.faults is None:
-            return None
-        fault = self.faults.fault_for(destination, expr_text, attempt)
-        if fault is not None:
-            self.faults_seen += 1
-        return fault
-
-    def _fault_gate(self, destination, expr_text, attempt):
-        """The fault draw of one attempt: ``None``, or ``(seconds, error)``
-        — how long the faulty request takes before *error* comes back."""
-        fault = self._next_fault(destination, expr_text, attempt)
-        if fault is None:
-            return None
-        if fault.kind == OUTAGE:
-            return 0.0, fault.error  # connection refused: no round trip charged
-        if fault.kind == HANG:
-            self._count_round_trip(destination)
-            return fault.hang_seconds, RequestTimeoutError(
-                "request to {!r} for {!r} hung (gave up after {:.3f}s)".format(
-                    destination, expr_text, fault.hang_seconds
-                )
-            )
-        # Transient or hard: the round trip happened and returned an error.
-        return self._round_trip(destination, expr_text), fault.error
-
     def _round_trip(self, destination, expr_text):
         """Count one round trip; returns the seconds it takes."""
-        self._count_round_trip(destination)
+        self.requests_sent += 1
+        if self.obs is not None:
+            self.obs.metrics.inc("web.round_trips", engine=destination)
         if self.latency is None:
             return 0.0
         return self.latency.delay(destination, expr_text)
-
-    def _count_round_trip(self, destination):
-        self.requests_sent += 1
-        if self.obs is not None:
-            self.obs.metrics.inc("web.round_trips", engine=self.engine.name)
 
     # -- the cache ----------------------------------------------------------------
 

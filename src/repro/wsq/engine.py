@@ -25,8 +25,6 @@ from repro.vtables.webcount import WebCountDef
 from repro.vtables.webfetch import WebFetchDef, WebLinksDef
 from repro.vtables.webpages import WebPagesDef
 from repro.web.client import SearchClient
-from repro.web.shardclient import ShardedSearchClient
-from repro.web.sharding import sharded_view
 from repro.web.world import default_web
 from repro.wsq.result import QueryResult
 
@@ -122,7 +120,7 @@ class WsqEngine:
     config:
         The :class:`~repro.config.EngineConfig` (``None`` resolves one
         from the environment).  Any of its field names may also be given
-        as a keyword — ``WsqEngine(shards=4, on_error="drop")`` — and
+        as a keyword — ``WsqEngine(batch_size=64, on_error="drop")`` — and
         overrides that field; the planner, the ReqSync rewrite and
         lowering all receive ``engine.config`` whole.
 
@@ -231,19 +229,9 @@ class WsqEngine:
         return self.config.batch_size
 
     def _build_client(self, engine_name):
-        """The web client for one engine: sharded broker or monolith."""
-        engine = self.web.engine(engine_name)
-        if self.config.shards > 1:
-            return ShardedSearchClient(
-                sharded_view(engine, self.config.shards),
-                latency=self.latency,
-                cache=self.cache,
-                faults=self.faults,
-                resilience=self.resilience,
-                obs=self.obs,
-            )
+        """The web client for one engine."""
         return SearchClient(
-            engine,
+            self.web.engine(engine_name),
             latency=self.latency,
             cache=self.cache,
             faults=self.faults,
@@ -477,7 +465,6 @@ class WsqEngine:
                 model = CostModel(
                     latency_mean=self._latency_mean(),
                     cache=self.cache,
-                    shards=self.config.shards,
                 )
             text = model.annotated_explain(plan)
             if model.calibrated:
@@ -516,7 +503,6 @@ class WsqEngine:
             self.cost_model = CostModel(
                 latency_mean=self._latency_mean(),
                 cache=self.cache,
-                shards=self.config.shards,
             )
         return self.cost_model
 
@@ -786,9 +772,6 @@ class WsqEngine:
         ``"breakers"`` adds the per-destination circuit-breaker states
         (closed/open/half-open plus transition timestamps) so operators
         can tell *why* a destination is failing fast, not just how often.
-        ``"destinations"`` (present only when the search tier is
-        sharded) adds each engine's scatter/gather view: scatters,
-        degraded gathers, and per-shard requests and degradations.
         Retries, timeouts and breakers are the pump's, per engine.
         ``"trace"`` (present only when tracing is on) reports the ring
         buffer's fill and — crucially for calibration — how many events
@@ -800,13 +783,6 @@ class WsqEngine:
         payload = self.pump.metrics.snapshot()
         payload["kernels_process_wide"] = kernel_stats()
         payload["breakers"] = self.pump.breakers()
-        destinations = {
-            name: client.shard_stats()
-            for name, client in self.clients.items()
-            if hasattr(client, "shard_stats")
-        }
-        if destinations:
-            payload["destinations"] = destinations
         tracer = self.tracer
         if tracer is not None:
             payload["trace"] = {

@@ -418,9 +418,7 @@ class TestBatchProtocolEdges:
             [("Name", DataType.STR), ("Pop", DataType.INT)],
             [(name, population) for name, population, _ in paper_db.table("States").scan()],
         )
-        engine = WsqEngine(
-            database=paper_db, web=web, batch_size=batch_size, cache=False, shards=1
-        )
+        engine = WsqEngine(database=paper_db, web=web, batch_size=batch_size, cache=False)
         assert len(engine.execute(sql, mode="sync").rows) == 1
         sent = {name: client.requests_sent for name, client in engine.clients.items()}
         assert sent == expected

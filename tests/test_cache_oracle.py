@@ -199,7 +199,7 @@ class TestCacheTransparency:
         """k executions of one query: the first misses, every re-run hits
         (the curve ``benchmarks/test_cache_sweep.py`` times)."""
         cache = ResultCache()
-        engine = WsqEngine(database=db(), web=web(), cache=cache, shards=1)
+        engine = WsqEngine(database=db(), web=web(), cache=cache)
         sql = (
             "Select Name, Count From Sigs, WebCount "
             "Where Name = T1 and T2 = 'computer'"

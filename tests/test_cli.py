@@ -141,17 +141,6 @@ class TestDotCommands:
         _dot_command(engine, ".stats", "async")
         assert "pump" in capsys.readouterr().out
 
-    def test_stats_prints_the_shard_view(self, capsys):
-        args = _Args()
-        args.shards = 2
-        engine = build_engine(args)
-        engine.execute("Select Name, Count From States, WebCount Where Name = T1")
-        _dot_command(engine, ".stats", "async")
-        out = capsys.readouterr().out
-        lines = out.splitlines()
-        assert "    AV: 2 shards, scatters=50 degraded_gathers=0" in lines
-        assert "      AV:shard0: requests=50 degraded=0" in lines
-
     def test_help(self, capsys):
         engine = build_engine(_Args())
         _dot_command(engine, ".help", "async")

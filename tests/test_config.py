@@ -40,13 +40,11 @@ SQL_TWO_REQSYNCS = (
 FIELDS = {
     "on_error": ("raise", "null"),
     "batch_size": (256, 3),
-    "shards": (1, 2),
 }
 
 #: field -> (raw environment text, the value it resolves to)
 ENV_VALUES = {
-    "batch_size": ("7", 7),
-    "shards": (" 4 ", 4),
+    "batch_size": (" 7 ", 7),
 }
 
 
@@ -66,7 +64,7 @@ def _only(plan, cls):
 
 
 class TestResolve:
-    def test_fields_are_exactly_the_documented_three(self):
+    def test_fields_are_exactly_the_documented_two(self):
         names = [field.name for field in dataclasses.fields(EngineConfig)]
         assert names == list(FIELDS)
         assert set(FIELD_ENV) == set(ENV_VALUES)
@@ -107,10 +105,9 @@ class TestResolve:
         assert hash(config) == hash(EngineConfig())
 
     def test_override_returns_a_new_config(self):
-        base = EngineConfig(shards=2)
+        base = EngineConfig(batch_size=2)
         changed = base.override(on_error="drop", batch_size=None)
-        assert (changed.shards, changed.on_error) == (2, "drop")
-        assert changed.batch_size == base.batch_size
+        assert (changed.batch_size, changed.on_error) == (2, "drop")
         assert base.on_error == "raise"
         assert base.override() is base
 
@@ -131,8 +128,6 @@ class TestResolve:
             ("batch_size", "many"),
             ("batch_size", 2.5),
             ("batch_size", True),
-            ("shards", 0),
-            ("shards", -3),
         ],
     )
     def test_invalid_value_names_its_field(self, build, name, value):
@@ -144,8 +139,6 @@ class TestResolve:
         [
             ("REPRO_BATCH_SIZE", "abc"),
             ("REPRO_BATCH_SIZE", "0"),
-            ("REPRO_SHARDS", "x"),
-            ("REPRO_SHARDS", "-1"),
         ],
     )
     def test_invalid_variable_names_itself(self, variable, raw):
@@ -222,10 +215,14 @@ class TestEngineConstruction:
     def test_invalid_knobs_fail_at_construction(self, web, paper_db):
         with pytest.raises(ConfigError, match="on_error"):
             WsqEngine(database=paper_db, web=web, on_error="bogus", batch_size=0)
-        with pytest.raises(ConfigError, match="shards"):
-            WsqEngine(database=paper_db, web=web, shards=0)
         with pytest.raises(ConfigError, match="workers"):
             WsqEngine(database=paper_db, web=web, workers=2)
+
+    def test_the_search_tier_has_no_shard_option(self, web, paper_db):
+        with pytest.raises(ConfigError, match="shards"):
+            WsqEngine(database=paper_db, web=web, shards=4)
+        with pytest.raises(ConfigError, match="shards"):
+            EngineConfig(shards=2)
 
     def test_keywords_override_the_given_config(self, web, paper_db):
         config = EngineConfig(on_error="drop", batch_size=9)
@@ -235,7 +232,7 @@ class TestEngineConstruction:
         assert WsqEngine(database=paper_db, web=web, config=config).config is config
 
     def test_every_layer_receives_the_same_object(self, web, paper_db):
-        engine = WsqEngine(database=paper_db, web=web, shards=1)
+        engine = WsqEngine(database=paper_db, web=web)
         assert engine._planner.options is engine.config
         assert engine.batch_size == engine.config.batch_size
 
@@ -270,7 +267,6 @@ class TestEngineConstruction:
                 cache=make_cache("memory"),
                 pump=pump,
                 obs=Observability.enabled(),
-                shards=1,
             )
             engine.execute(SQL)
             engine.execute(SQL)
@@ -383,8 +379,9 @@ RETIRED_OPTIONS = [
 #: the cache-hit signal (``web.cache_hit_fraction``, a benchmark metric,
 #: does not match), then ReqSync's ordered mode, the rule that used it
 #: and the join reorderer, then the serving layer's SLO accounting, its
-#: per-tenant active budget and its unused options; none may come back
-#: in code, CI or the docs.
+#: per-tenant active budget and its unused options, then the sharded
+#: search tier (its client, view, stats, cost pricing, variable, flag
+#: and trace events); none may come back in code, CI or the docs.
 RETIRED = [
     _spell("Planner", "Options"),
     _spell("Rewrite", "Settings"),
@@ -422,6 +419,14 @@ RETIRED = [
     _spell("slo_counters", "_view"),
     _spell("SERVE_SLO", "_VIOLATION"),
     _spell("observe_service", "_time"),
+    _spell("Sharded", "Search"),
+    _spell("shard", "client"),
+    _spell("sharded", "_view"),
+    _spell("shard", "_stats"),
+    _spell("scatter", "_latency"),
+    _spell("REPRO_", "SHARDS"),
+    _spell("--", "shards"),
+    _spell(r"shard\.", "(scatter|gather|outage)"),
 ]
 
 #: Where they may not appear (EXPERIMENTS.md, CHANGES.md and ROADMAP.md
@@ -506,6 +511,16 @@ class TestStructuralGuard:
             _spell("        view = slo_counters", "_view(engine.metrics)"),
             _spell("        _trace.SERVE_SLO", "_VIOLATION,"),
             _spell("    def observe_service", "_time(self, seconds):"),
+            _spell("from repro.web.shard", "client import ", "Sharded", "SearchClient"),
+            _spell("class Sharded", "SearchEngine:"),
+            _spell("                sharded", "_view(engine, self.config.shards),"),
+            _spell("    def shard", "_stats(self):"),
+            _spell("    def scatter", "_latency(self, destination):"),
+            _spell('    "shards": "REPRO_', 'SHARDS",'),
+            _spell('        "--', 'shards",'),
+            _spell('SHARD_SCATTER = "shard.', 'scatter"'),
+            _spell('SHARD_GATHER = "shard.', 'gather"'),
+            _spell('SHARD_OUTAGE = "shard.', 'outage"'),
         ],
     )
     def test_retired_guard_catches_a_revived_name(self, mutant):
@@ -540,7 +555,7 @@ class TestStructuralGuard:
         into a second default leg without anyone noticing."""
         workflow = (ROOT / ".github" / "workflows" / "ci.yml").read_text()
         named = set(re.findall(r"\bREPRO_\w+", workflow))
-        assert {"REPRO_BATCH_SIZE", "REPRO_CACHE", "REPRO_SHARDS"} <= named
+        assert {"REPRO_BATCH_SIZE", "REPRO_CACHE"} <= named
         assert named <= set(ENV_VARIABLES)
 
     def test_engine_keeps_only_the_adapter_views(self):

@@ -57,16 +57,9 @@ def fast_policy(max_attempts=2, call_timeout=None, breaker=None):
     )
 
 
-def chaos_engine(faults, resilience, on_error=None, shards=None):
-    """*shards=1* pins the tests whose predictions key the fault schedule
-    (or a breaker) on the engine destination; the rest run at whatever
-    ``REPRO_SHARDS`` says."""
+def chaos_engine(faults, resilience, on_error=None):
     return bench_engine(
-        latency=None,
-        faults=faults,
-        resilience=resilience,
-        on_error=on_error,
-        shards=shards,
+        latency=None, faults=faults, resilience=resilience, on_error=on_error
     )
 
 
@@ -101,7 +94,6 @@ class TestGracefulDegradation:
             FaultModel(seed=SEED, transient_rate=RATE),
             fast_policy(max_attempts=2),
             on_error="drop",
-            shards=1,
         )
         try:
             result = engine.execute(QUERY, mode="async")
@@ -119,7 +111,6 @@ class TestGracefulDegradation:
             FaultModel(seed=SEED, transient_rate=RATE),
             fast_policy(max_attempts=2),
             on_error="null",
-            shards=1,
         )
         try:
             result = engine.execute(QUERY, mode="async")
@@ -184,8 +175,7 @@ class TestSyncAsyncEquivalence:
 
     def test_identical_results_with_hangs_and_timeouts(self):
         # Hung requests are cut by the pump's timeout entry in either
-        # mode, so the classification and retry schedule match — also
-        # over a sharded engine (deliberately not pinned to shards=1).
+        # mode, so the classification and retry schedule match.
         predictor = FaultModel(seed=3, hang_rate=0.1, hang_seconds=5.0)
         hangs = [
             n
@@ -209,10 +199,10 @@ class TestSyncAsyncEquivalence:
                 engine.pump.shutdown()
         assert runs["sync"] == runs["async"]
 
-    def test_exact_shard_round_trip_accounting(self):
-        # Each scatter sends exactly one round trip per shard (a count is
-        # one page), so what goes out is a function of the fault schedule
-        # alone and the two modes send the same requests.
+    def test_exact_round_trip_accounting(self):
+        # Each attempt sends exactly one round trip (a count is one page,
+        # and a hung request went out), so what goes out is a function of
+        # the fault schedule alone and the two modes send the same requests.
         runs, sent = {}, {}
         for mode in ("sync", "async"):
             engine = chaos_engine(
@@ -221,14 +211,15 @@ class TestSyncAsyncEquivalence:
                 ),
                 fast_policy(max_attempts=2, call_timeout=0.02),
                 on_error="drop",
-                shards=4,
             )
             try:
                 runs[mode] = sorted(
                     engine.execute(QUERY, mode=mode).rows, key=str
                 )
                 client = engine.clients["AV"]
-                assert client.requests_sent == client.num_shards * client.scatters
+                calls = engine.pump.stats.snapshot()["per_destination"]["AV"]
+                attempts = calls["registered"] - calls["coalesced"] + calls["retries"]
+                assert client.requests_sent == attempts
                 sent[mode] = client.requests_sent
             finally:
                 engine.pump.shutdown()
@@ -255,7 +246,7 @@ class TestOutageAndBreaker:
                 failure_threshold=3, recovery_timeout=5.0, clock=clock
             ),
         )
-        engine = chaos_engine(faults, resilience, on_error="drop", shards=1)
+        engine = chaos_engine(faults, resilience, on_error="drop")
         try:
             # Every Google call fails fast during the outage; the query
             # still completes (drop policy) with zero rows.

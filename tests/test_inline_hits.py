@@ -444,7 +444,7 @@ class TestWarmQueries:
     def test_warm_query_never_leaves_the_query_thread(self, web, db, mode):
         cache = ResultCache()
         engine = WsqEngine(
-            database=db, web=web, cache=cache, obs=Observability.enabled(), shards=1
+            database=db, web=web, cache=cache, obs=Observability.enabled()
         )
         try:
             cold = engine.execute(SIGS_COUNT, mode=mode)
@@ -496,7 +496,6 @@ class TestWarmQueries:
                     retry=RetryPolicy(max_attempts=1, base_backoff=0.0, jitter=0.0)
                 ),
                 on_error=on_error,
-                shards=1,
             )
             try:
                 first = self._run(engine, mode)

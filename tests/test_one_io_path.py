@@ -201,7 +201,7 @@ def resilience_violations(source, parts):
 
 
 class TestOneResilienceLayer:
-    SHARDCLIENT = ("web", "shardclient.py")
+    CLIENT = ("web", "client.py")
 
     def test_source_tree_has_one_resilience_layer(self):
         found = []
@@ -213,7 +213,7 @@ class TestOneResilienceLayer:
         # The guard is looking at real code: the pump's breaker would be
         # refused anywhere else.
         pump = (SRC.joinpath(*BREAKER_HOME)).read_text()
-        assert resilience_violations(pump, self.SHARDCLIENT)
+        assert resilience_violations(pump, self.CLIENT)
 
     @pytest.mark.parametrize(
         "mutant",
@@ -223,14 +223,14 @@ class TestOneResilienceLayer:
             "async def _race(primary, backup):\n"
             "    return await asyncio.wait({primary, backup}, timeout=0.01)\n",
             "from asyncio import wait\n",
-            "BACKUP = 'AV:shard0' + " + repr(REPLICA_SUFFIX) + "\n",
+            "BACKUP = 'AV' + " + repr(REPLICA_SUFFIX) + "\n",
         ],
         ids=["breaker-dict", "wait-race", "wait-import", "replica"],
     )
-    def test_guard_catches_a_second_layer_in_the_shard_client(self, mutant):
-        source = (SRC.joinpath(*self.SHARDCLIENT)).read_text()
-        assert resilience_violations(source, self.SHARDCLIENT) == []
-        assert resilience_violations(source + "\n\n" + mutant, self.SHARDCLIENT)
+    def test_guard_catches_a_second_layer_in_the_client(self, mutant):
+        source = (SRC.joinpath(*self.CLIENT)).read_text()
+        assert resilience_violations(source, self.CLIENT) == []
+        assert resilience_violations(source + "\n\n" + mutant, self.CLIENT)
 
     def test_wait_races_are_refused_only_in_the_web_layer(self):
         race = "async def f(t):\n    await asyncio.wait(t)\n"
@@ -409,7 +409,6 @@ class TestNegativeCachingInBothModes:
             resilience=ResiliencePolicy(
                 retry=RetryPolicy(max_attempts=2, base_backoff=0.0, jitter=0.0)
             ),
-            shards=1,
         )
         client = engine.clients["AV"]
         try:
@@ -442,7 +441,6 @@ class TestNegativeCachingInBothModes:
             resilience=ResiliencePolicy(
                 retry=RetryPolicy(max_attempts=2, base_backoff=0.0, jitter=0.0)
             ),
-            shards=1,
         )
         try:
             sql = SINGLE_CALL.replace("Utah", name)

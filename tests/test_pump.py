@@ -256,10 +256,9 @@ class TestInFlightDedup:
         from repro.exec import collect
 
         for dedup, expected in ((False, 37 + 37 * 4), (True, 37 + 37)):
-            # cache=False, shards=1: this asserts raw *network* counts,
-            # which the REPRO_CACHE / REPRO_SHARDS transparency legs
-            # would legitimately change.
-            engine = bench_engine(latency=None, cache=False, shards=1)
+            # cache=False: this asserts raw *network* counts, which the
+            # REPRO_CACHE transparency leg would legitimately change.
+            engine = bench_engine(latency=None, cache=False)
             plan, _ = build_figure7_plan(engine, "a", r_size=4, dedup=dedup)
             before = sum(c.requests_sent for c in engine.clients.values())
             rows = collect(plan)
