@@ -74,7 +74,6 @@ def build_engine(args):
         faults=faults,
         resilience=resilience,
         obs=obs,
-        calibration=getattr(args, "calibration", None),
         config=EngineConfig.resolve(
             on_error=getattr(args, "on_error", None),
             batch_size=getattr(args, "batch_size", None),
@@ -247,13 +246,6 @@ def main(argv=None):
         help="format for the --metrics dump: the JSON snapshot (default) "
         "or Prometheus text exposition",
     )
-    observability.add_argument(
-        "--calibration",
-        metavar="PROFILE",
-        default=None,
-        help="load a persisted calibration profile (JSON written by "
-        "CalibrationProfile.save) and price plans from measured figures",
-    )
     args = parser.parse_args(argv)
 
     try:
@@ -380,13 +372,7 @@ def _dot_command(engine, line, mode):
         else:
             print(json.dumps(engine.metrics_snapshot(), indent=1, sort_keys=True))
     elif command == ".recalibrate":
-        applied, profile, reason = engine.recalibrate()
-        print(
-            "calibration {}: {}".format(
-                "applied" if applied else "rejected ({})".format(reason),
-                profile.summary(),
-            )
-        )
+        print("calibration applied: {}".format(engine.recalibrate().summary()))
     else:
         print("unknown command {!r}; try .help".format(command))
     return mode

@@ -15,9 +15,9 @@ Three layers, one bundle:
   text exposition, and JSON metrics dumps, plus tiny schema checkers
   for CI.
 - :class:`~repro.obs.calibration.CalibrationProfile` — the feedback
-  loop: measured per-destination latency/fan-out/concurrency plus cache
-  hit ratio, distilled from the tracer and registry, persisted as
-  validated JSON, and fed back into the planner's cost model.
+  loop: measured per-destination latency and fan-out plus cache hit
+  ratio, distilled from the tracer and registry and fed back into the
+  planner's cost model.
 
 :class:`Observability` is the bundle an engine threads through its
 components; ``Observability.disabled()`` (the default) costs one ``is
@@ -25,13 +25,7 @@ None`` check per would-be event.
 """
 
 from repro.obs.analysis import destination_latencies, overlap_factor, request_table
-from repro.obs.calibration import (
-    CalibrationPolicy,
-    CalibrationProfile,
-    DestinationCalibration,
-    assert_valid_profile,
-    validate_profile,
-)
+from repro.obs.calibration import CalibrationProfile, DestinationCalibration
 from repro.obs.export import (
     metrics_json,
     render_waterfall,
@@ -88,7 +82,6 @@ class Observability:
 
 
 __all__ = [
-    "CalibrationPolicy",
     "CalibrationProfile",
     "DestinationCalibration",
     "MetricsRegistry",
@@ -96,7 +89,6 @@ __all__ = [
     "TraceEvent",
     "Tracer",
     "assert_valid_chrome_trace",
-    "assert_valid_profile",
     "destination_latencies",
     "enabled_tracer",
     "metrics_json",
@@ -105,7 +97,6 @@ __all__ = [
     "request_table",
     "to_chrome_trace",
     "validate_chrome_trace",
-    "validate_profile",
     "validate_trace_events",
     "write_chrome_trace",
     "write_metrics",

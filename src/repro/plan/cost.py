@@ -18,8 +18,7 @@ This module is that model, kept deliberately transparent:
   performs one wave per ReqSync (all its calls overlap), widened by
   pump concurrency limits: ``waves_d = ceil(calls_d / limit_d)``.
 - **Local work** counts rows processed per operator, plus the ReqSync
-  patch work (buffered placeholder values), at a configurable per-row
-  cost.
+  patch work (buffered placeholder values), at a fixed per-row cost.
 
 ``CostModel.estimate`` prices any plan (sync or rewritten);
 ``choose_figure7_variant`` applies it to the paper's Example 2 trade-off.
@@ -181,47 +180,27 @@ class PlanEstimate:
         )
 
 
+#: Seconds of local CPU per row an operator processes, per buffered
+#: placeholder value ReqSync patches, and per external call issued.
+CPU_PER_ROW = 2e-6
+CPU_PER_PATCH = 4e-6
+CALL_OVERHEAD = 2e-4
+
+
 class CostModel:
     """Prices plans in estimated seconds.
 
-    ``latency_mean`` is the expected per-request network delay;
-    ``per_destination_limits`` mirrors the pump's concurrency caps
-    (``None`` = unbounded); ``cpu_per_row`` and ``cpu_per_patch`` convert
-    local work to seconds.
+    ``latency_mean`` is the expected per-request network delay; *cache*
+    is the engine's live :class:`~repro.web.cache.ResultCache` (its
+    observed hit ratio discounts external calls); *limits* is the
+    engine's :class:`~repro.asynciter.pump.PumpLimits`, whose caps widen
+    an asynchronous wave (``None`` = unbounded).
     """
 
-    def __init__(
-        self,
-        latency_mean,
-        per_destination_limits=None,
-        global_limit=None,
-        cpu_per_row=2e-6,
-        cpu_per_patch=4e-6,
-        call_overhead=2e-4,
-        cache=None,
-        expected_hit_ratio=None,
-        hash_joins=False,
-    ):
+    def __init__(self, latency_mean, cache=None, limits=None):
         self.latency_mean = latency_mean
-        self.per_destination_limits = dict(per_destination_limits or {})
-        self.global_limit = global_limit
-        self.cpu_per_row = cpu_per_row
-        self.cpu_per_patch = cpu_per_patch
-        self.call_overhead = call_overhead
-        #: Cache-aware pricing: a live :class:`~repro.web.cache.
-        #: ResultCache` lets the model discount the expected fraction
-        #: of external calls that will be served locally; an explicit
-        #: ``expected_hit_ratio`` overrides the live estimate (useful for
-        #: what-if planning before any traffic exists).  Both unset — the
-        #: default — prices every call at full latency, bit-identical to
-        #: the seed model.
         self.cache = cache
-        self.expected_hit_ratio = expected_hit_ratio
-        #: Price clean equi-joins as hash build + probe instead of the
-        #: quadratic pair scan.  Off by default (keeps every historical
-        #: estimate bit-identical); the rewrite rules' cost gates turn it
-        #: on, since lowering upgrades exactly these joins at runtime.
-        self.hash_joins = bool(hash_joins)
+        self.limits = limits
         #: Calibration state: a :class:`repro.obs.calibration.
         #: CalibrationProfile` attached via :meth:`apply_profile` (duck
         #: typed — anything with the same read surface works).  Empty
@@ -232,33 +211,20 @@ class CostModel:
         self.fanout_by_destination = {}
         self._static = None  # pre-calibration twin, for comparisons
 
-    @classmethod
-    def from_profile(cls, profile, latency_mean=0.05, **kwargs):
-        """A model whose figures come from *profile* (measured, not guessed).
-
-        *latency_mean* and **kwargs** seed the static base (they remain
-        the fallbacks for destinations the profile never observed); the
-        profile then overrides everything it measured.
-        """
-        return cls(latency_mean, **kwargs).apply_profile(profile)
-
-    def apply_profile(self, profile, use_observed_concurrency=False):
+    def apply_profile(self, profile):
         """Re-price this model from *profile*; returns ``self``.
 
         Overrides ``latency_mean`` (sample-weighted across destinations)
         plus the per-destination latency and fan-out tables, and attaches
         the profile so :meth:`miss_fraction` can use the *observed* cache
-        hit ratio.  With *use_observed_concurrency*, destinations without
-        a configured pump limit adopt the trace-observed peak overlap as
-        their effective width — off by default, since a low observed
-        overlap may just mean light traffic, not a real ceiling.
+        hit ratio.
 
         The first application snapshots the static figures, so
         :meth:`uncalibrated` (and explain's calibrated-vs-static column)
         can always compare against the pre-profile model.
         """
         if self._static is None:
-            self._static = self.clone()
+            self._static = CostModel(self.latency_mean, self.cache, self.limits)
         mean = profile.latency_mean()
         if mean is not None:
             self.latency_mean = mean
@@ -272,38 +238,12 @@ class CostModel:
             for name, calibration in profile.destinations.items()
             if calibration.fanout is not None
         }
-        if use_observed_concurrency:
-            for name, calibration in profile.destinations.items():
-                if (
-                    calibration.concurrency
-                    and calibration.concurrency >= 1
-                    and name not in self.per_destination_limits
-                ):
-                    self.per_destination_limits[name] = int(calibration.concurrency)
         self.profile = profile
         return self
 
     @property
     def calibrated(self):
         return self.profile is not None
-
-    def clone(self):
-        """An independent copy (shares the live cache reference only)."""
-        twin = CostModel(
-            self.latency_mean,
-            per_destination_limits=self.per_destination_limits,
-            global_limit=self.global_limit,
-            cpu_per_row=self.cpu_per_row,
-            cpu_per_patch=self.cpu_per_patch,
-            call_overhead=self.call_overhead,
-            cache=self.cache,
-            expected_hit_ratio=self.expected_hit_ratio,
-            hash_joins=self.hash_joins,
-        )
-        twin.profile = self.profile
-        twin.latency_by_destination = dict(self.latency_by_destination)
-        twin.fanout_by_destination = dict(self.fanout_by_destination)
-        return twin
 
     def uncalibrated(self):
         """The static model from before any profile was applied.
@@ -334,20 +274,18 @@ class CostModel:
         """Expected fraction of external calls that actually hit the network.
 
         ``1.0`` without a cache signal; otherwise ``1 - hit_ratio``,
-        clamped to [0, 1].  Precedence of the hit-ratio source:
-
-        1. explicit ``expected_hit_ratio`` (what-if override wins),
-        2. an attached calibration profile's *observed* ratio,
-        3. a live cache's current ``hit_ratio()``,
-        4. none of the above — price every call at full latency (1.0).
+        clamped to [0, 1].  The hit ratio is an attached calibration
+        profile's *observed* one, else the live cache's current
+        ``hit_ratio()``, else there is none and every call is priced at
+        full latency.
 
         The live estimate deliberately lags reality (it is the cache's
         *observed* ratio, not the workload's future one) — good enough
         to steer sync-vs-async arbitration and wave pricing, and it
         converges as the cache warms.
         """
-        ratio = self.expected_hit_ratio
-        if ratio is None and self.profile is not None:
+        ratio = None
+        if self.profile is not None:
             ratio = self.profile.cache_hit_ratio
         if ratio is None and self.cache is not None:
             ratio = self.cache.hit_ratio()
@@ -374,10 +312,10 @@ class CostModel:
             network = estimate.wave_seconds
         else:
             network = estimate.waves * self.latency_mean
-        network += (estimate.total_calls() + estimate.issued) * self.call_overhead
+        network += (estimate.total_calls() + estimate.issued) * CALL_OVERHEAD
         local = (
-            estimate.local_rows * self.cpu_per_row
-            + estimate.patched_values * self.cpu_per_patch
+            estimate.local_rows * CPU_PER_ROW
+            + estimate.patched_values * CPU_PER_PATCH
         )
         return network + local
 
@@ -560,9 +498,9 @@ class CostModel:
             combined_stats = _concat_stats(left, right, len(op.left.schema))
             pairs = left.rows * right.rows
             rows = pairs * predicate_selectivity(op.predicate, combined_stats)
-            if self.hash_joins and op._equijoin_split() is not None:
-                # Hash upgrade: one build pass + one probe pass, no
-                # quadratic pair scan (mirrors NestedLoopJoin.open).
+            if op._equijoin_split() is not None:
+                # NestedLoopJoin.open runs a clean equi-join as one hash
+                # build pass and one probe pass, not the pair scan.
                 local = (
                     left.local_rows
                     + right.local_rows
@@ -640,18 +578,19 @@ class CostModel:
         # ``wave_latency`` prices the same widths per destination, so a
         # calibrated slow destination dominates the wave it gates.  With
         # uniform latencies the two agree: wave_latency == wave * mean.
+        limits = self.limits
         wave = 0.0
         wave_latency = 0.0
         for destination, count in child.calls.items():
-            limit = self.per_destination_limits.get(destination)
+            limit = limits.limit_for(destination) if limits is not None else None
             width = math.ceil(count / limit) if limit else 1.0
             wave = max(wave, width)
             wave_latency = max(
                 wave_latency, width * self.destination_latency(destination)
             )
         total = sum(child.calls.values())
-        if self.global_limit and total:
-            widened = math.ceil(total / self.global_limit)
+        if limits is not None and limits.max_total and total:
+            widened = math.ceil(total / limits.max_total)
             wave = max(wave, widened)
             wave_latency = max(
                 wave_latency, widened * self._weighted_latency(child.calls)
@@ -803,14 +742,6 @@ def choose_figure7_variant(cost_model, sigs_rows, r_rows, destination=None):
     patch_b = sigs_rows * (1.0 + r_rows)
     calls_a = sigs_rows + sigs_rows * r_rows
     calls_b = calls_a
-    time_a = (
-        1.0 * latency
-        + calls_a * cost_model.call_overhead
-        + patch_a * cost_model.cpu_per_patch
-    )
-    time_b = (
-        2.0 * latency
-        + calls_b * cost_model.call_overhead
-        + patch_b * cost_model.cpu_per_patch
-    )
+    time_a = 1.0 * latency + calls_a * CALL_OVERHEAD + patch_a * CPU_PER_PATCH
+    time_b = 2.0 * latency + calls_b * CALL_OVERHEAD + patch_b * CPU_PER_PATCH
     return ("a" if time_a <= time_b else "b"), time_a, time_b

@@ -694,21 +694,16 @@ def _plan_seconds(model, node, config):
 def _cheaper(ctx, before, after):
     """The cost gate: does the model price *after* strictly below *before*?
 
-    Gating prices both shapes under a ``hash_joins``-enabled clone of the
-    engine's model, because lowering upgrades clean equi-joins to hash
-    joins at runtime and a gate blind to that would never accept a
-    decorrelation.  No model on the context (rule engines driven outside
-    the planner) means no gate — the structural guards alone decide.
-    Pricing failures (subtrees the model cannot walk) refuse the rewrite.
+    No model on the context (rule engines driven outside the planner)
+    means no gate — the structural guards alone decide.  Pricing failures
+    (subtrees the model cannot walk) refuse the rewrite.
     """
     model = getattr(ctx, "cost_model", None)
     if model is None:
         return True
-    gate = model.clone()
-    gate.hash_joins = True
     try:
-        return _plan_seconds(gate, after, ctx.settings) < _plan_seconds(
-            gate, before, ctx.settings
+        return _plan_seconds(model, after, ctx.settings) < _plan_seconds(
+            model, before, ctx.settings
         )
     except Exception:
         return False

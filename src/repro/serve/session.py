@@ -150,13 +150,6 @@ class QueryService:
     max_queued:
         Service-wide admission-queue bound (per-tenant caps come from
         the policies).
-    calibration:
-        Opt-in :class:`~repro.obs.calibration.CalibrationPolicy`.  When
-        set, the reaper periodically rebuilds a
-        :class:`~repro.obs.calibration.CalibrationProfile` from the
-        engine's live tracer/metrics and re-prices the shared cost
-        model — gated by the policy's sample floor and incompleteness
-        rule (see :meth:`maybe_recalibrate`).
     """
 
     def __init__(
@@ -165,7 +158,6 @@ class QueryService:
         tenants=None,
         max_workers=4,
         max_queued=256,
-        calibration=None,
     ):
         if max_workers < 1:
             raise ValueError("max_workers must be at least 1")
@@ -175,9 +167,6 @@ class QueryService:
             policies=tenants, max_queued=max_queued, clock=self.clock
         )
         self.max_workers = max_workers
-        self.calibration = calibration
-        self.last_profile = None
-        self._last_calibration_attempt = None
         self._lock = threading.Lock()
         self._workers = []
         self._started = False
@@ -289,13 +278,7 @@ class QueryService:
                 )
 
     def _reaper_loop(self):
-        """Periodically shed queued tickets whose deadline already died.
-
-        The sweep doubles as the recalibration heartbeat: with a
-        :class:`CalibrationPolicy` attached, each pass gives
-        :meth:`maybe_recalibrate` a chance to re-price the cost model
-        from live traffic (the policy's interval does the pacing).
-        """
+        """Periodically shed queued tickets whose deadline already died."""
         admission = self.admission
         while True:
             for tenant, handle, verdict in admission.reap_expired():
@@ -305,48 +288,9 @@ class QueryService:
                     self._settle_shed(
                         handle, admission.shed_verdict(tenant, handle)
                     )
-            if self.calibration is not None:
-                self.maybe_recalibrate()
             if admission.closed:
                 return
             time.sleep(REAP_INTERVAL)
-
-    # -- calibration -----------------------------------------------------------
-
-    def maybe_recalibrate(self, force=False):
-        """Recalibrate the engine's cost model from live traffic.
-
-        Respects the attached :class:`CalibrationPolicy`'s interval
-        (*force* skips the pacing but not the sample/completeness gate)
-        and records the attempt either way:
-        ``serve.recalibrate.applied`` / ``serve.recalibrate.rejected``
-        counters plus a ``serve.calibration.samples`` gauge.  Returns
-        True when a new profile was applied.  Safe to call directly —
-        deterministic tests on a :class:`~repro.util.timing.VirtualClock`
-        drive this instead of waiting on the reaper's wall-clock sweep.
-        """
-        policy = self.calibration
-        if policy is None:
-            return False
-        now = self.clock.now()
-        with self._lock:
-            last = self._last_calibration_attempt
-            if (
-                not force
-                and last is not None
-                and now - last < policy.interval_seconds
-            ):
-                return False
-            self._last_calibration_attempt = now
-        applied, profile, reason = self.engine.recalibrate(policy=policy)
-        metrics = self.engine.metrics
-        if applied:
-            self.last_profile = profile
-            metrics.inc("serve.recalibrate.applied")
-            metrics.gauge("serve.calibration.samples").set(profile.samples)
-        else:
-            metrics.inc("serve.recalibrate.rejected")
-        return applied
 
     def _run_admitted(self, tenant, handle):
         metrics = self.engine.metrics
@@ -459,10 +403,7 @@ class QueryService:
 
     def stats(self):
         """Admission + pump accounting, one dict."""
-        payload = {
+        return {
             "admission": self.admission.stats(),
             "pump": self.engine.pump.snapshot(),
         }
-        if self.last_profile is not None:
-            payload["calibration"] = self.last_profile.to_dict()
-        return payload

@@ -10,8 +10,10 @@ from repro.asynciter.rewrite import rewrite_logical
 from repro.config import EngineConfig, default_cache
 from repro.exec.operator import execute_batches
 from repro.obs import Observability
+from repro.obs.calibration import CalibrationProfile
 from repro.obs.trace import BEGIN, END, PLAN_RULE_FIRED, QUERY_SPAN, Tracer
 from repro.plan import logical as logical_ir
+from repro.plan.cost import CPU_PER_PATCH, CostModel
 from repro.plan.physical import lower
 from repro.plan.planner import Planner
 from repro.relational.expr import SubqueryMixin, kernel_stats
@@ -112,11 +114,11 @@ class WsqEngine:
         A :class:`~repro.web.faults.FaultModel` for the clients and the
         :class:`~repro.asynciter.resilience.ResiliencePolicy` of the
         engine's pump.
-    cost_model / calibration:
+    cost_model:
         A :class:`~repro.plan.cost.CostModel` for ``mode="auto"``,
-        ``explain(form="costs")`` and the optimizer's cost gates, and a
-        :class:`~repro.obs.calibration.CalibrationProfile` (or a path
-        to a saved one) to re-price it from measured figures.
+        ``explain(form="costs")`` and the optimizer's cost gates;
+        :meth:`recalibrate` re-prices it (or a default one) from the
+        engine's own measurements.
     config:
         The :class:`~repro.config.EngineConfig` (``None`` resolves one
         from the environment).  Any of its field names may also be given
@@ -144,7 +146,6 @@ class WsqEngine:
         faults=None,
         resilience=None,
         cost_model=None,
-        calibration=None,
         config=None,
         **overrides
     ):
@@ -189,12 +190,6 @@ class WsqEngine:
             # the shared default pump's would mix every engine's caches.
             cache.attach_observability(metrics=obs.metrics, tracer=obs.tracer)
         self.cost_model = cost_model
-        if calibration is not None:
-            from repro.obs.calibration import CalibrationProfile
-
-            if isinstance(calibration, str):
-                calibration = CalibrationProfile.load(calibration)
-            self._ensure_cost_model().apply_profile(calibration)
         self.clients = {
             name: self._build_client(name)
             for name in self.web.engine_names()
@@ -407,7 +402,7 @@ class WsqEngine:
                 sync_seconds
                 - sync_estimate.waves * self.cost_model.latency_mean
                 + 1.0 * self.cost_model.latency_mean
-                + sync_estimate.rows * self.cost_model.cpu_per_patch
+                + sync_estimate.rows * CPU_PER_PATCH
             )
             return ASYNC if async_seconds < sync_seconds else SYNC
         return ASYNC
@@ -458,14 +453,7 @@ class WsqEngine:
             )
         plan = self._lower(statement, tracer, query_id)
         if form == "costs":
-            model = self.cost_model
-            if model is None:
-                from repro.plan.cost import CostModel
-
-                model = CostModel(
-                    latency_mean=self._latency_mean(),
-                    cache=self.cache,
-                )
+            model = self.cost_model or self._default_cost_model()
             text = model.annotated_explain(plan)
             if model.calibrated:
                 static = model.uncalibrated()
@@ -495,45 +483,30 @@ class WsqEngine:
 
     # -- calibration -----------------------------------------------------------
 
-    def _ensure_cost_model(self):
-        """``self.cost_model``, creating the default lazily."""
-        if self.cost_model is None:
-            from repro.plan.cost import CostModel
+    def _default_cost_model(self):
+        """A static model priced from this engine's latency, cache and pump."""
+        return CostModel(
+            latency_mean=self._latency_mean(),
+            cache=self.cache,
+            limits=self.pump.limits,
+        )
 
-            self.cost_model = CostModel(
-                latency_mean=self._latency_mean(),
-                cache=self.cache,
-            )
-        return self.cost_model
+    def recalibrate(self):
+        """Re-price ``self.cost_model`` from the engine's own measurements.
 
-    def recalibrate(self, profile=None, policy=None):
-        """Re-price ``self.cost_model`` from measured figures.
-
-        Without *profile*, one is built from the engine's own tracer,
-        metrics registry, and cache (so a traced workload is all the
-        setup needed).  With a
-        :class:`~repro.obs.calibration.CalibrationPolicy` as *policy*,
-        the profile must pass its sample-floor/completeness gate first.
-
-        Returns ``(applied, profile, reason)`` — ``reason`` explains a
-        rejection (``"ok"`` when applied), and the profile is returned
-        either way so callers can inspect or persist it.
+        The profile is built from the engine's tracer, metrics registry
+        and cache (so a traced workload is all the setup needed) and
+        applied to ``self.cost_model``, a default one if none is set.
+        Returns the applied
+        :class:`~repro.obs.calibration.CalibrationProfile`.
         """
-        if profile is None:
-            from repro.obs.calibration import CalibrationProfile
-
-            profile = CalibrationProfile.from_sources(
-                tracer=self.tracer,
-                metrics=self.metrics,
-                cache=self.cache,
-                created_at=self.clock.now(),
-            )
-        if policy is not None:
-            ok, reason = policy.admits(profile)
-            if not ok:
-                return False, profile, reason
-        self._ensure_cost_model().apply_profile(profile)
-        return True, profile, "ok"
+        profile = CalibrationProfile.from_sources(
+            tracer=self.tracer, metrics=self.metrics, cache=self.cache
+        )
+        if self.cost_model is None:
+            self.cost_model = self._default_cost_model()
+        self.cost_model.apply_profile(profile)
+        return profile
 
     # -- execution ---------------------------------------------------------------------
 

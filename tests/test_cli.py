@@ -264,24 +264,6 @@ class TestObservabilityCommands:
         assert engine.cost_model is not None
         assert engine.cost_model.calibrated
 
-    def test_calibration_flag_loads_profile(self, tmp_path):
-        from repro.obs import CalibrationProfile, DestinationCalibration
-
-        path = tmp_path / "profile.json"
-        CalibrationProfile(
-            destinations={
-                "AV": DestinationCalibration(
-                    "AV", samples=40, latency_mean=0.25
-                )
-            },
-            samples=40,
-        ).save(str(path))
-        args = _Args()
-        args.calibration = str(path)
-        engine = build_engine(args)
-        assert engine.cost_model.calibrated
-        assert engine.cost_model.destination_latency("AV") == 0.25
-
     def test_help_lists_new_commands(self, capsys):
         engine = build_engine(_Args())
         _dot_command(engine, ".help", "async")

@@ -224,6 +224,10 @@ class TestEngineConstruction:
         with pytest.raises(ConfigError, match="shards"):
             EngineConfig(shards=2)
 
+    def test_the_engine_takes_no_calibration_file(self, web, paper_db):
+        with pytest.raises(ConfigError, match="calibration"):
+            WsqEngine(database=paper_db, web=web, calibration="x")
+
     def test_keywords_override_the_given_config(self, web, paper_db):
         config = EngineConfig(on_error="drop", batch_size=9)
         engine = WsqEngine(database=paper_db, web=web, config=config, batch_size=4)
@@ -381,7 +385,9 @@ RETIRED_OPTIONS = [
 #: and the join reorderer, then the serving layer's SLO accounting, its
 #: per-tenant active budget and its unused options, then the sharded
 #: search tier (its client, view, stats, cost pricing, variable, flag
-#: and trace events); none may come back in code, CI or the docs.
+#: and trace events), then the cost model's unset knobs, calibration
+#: profile persistence and policy, and served recalibration; none may
+#: come back in code, CI or the docs.
 RETIRED = [
     _spell("Planner", "Options"),
     _spell("Rewrite", "Settings"),
@@ -427,6 +433,20 @@ RETIRED = [
     _spell("REPRO_", "SHARDS"),
     _spell("--", "shards"),
     _spell(r"shard\.", "(scatter|gather|outage)"),
+    _spell("Calibration", "Policy"),
+    _spell("maybe_", "recalibrate"),
+    _spell("validate_", "profile"),
+    _spell("assert_valid", "_profile"),
+    _spell("PROFILE_", "KIND"),
+    _spell("from_", "profile"),
+    _spell("use_observed", "_concurrency"),
+    _spell("expected_hit", "_ratio"),
+    _spell("hash_", "joins"),
+    _spell("per_destination", "_limits"),
+    _spell("effective_", "concurrency"),
+    _spell("reqsync_", "fanout"),
+    _spell(r"serve\.", "(recalibrate|calibration)"),
+    _spell("--", "calibration"),
 ]
 
 #: Where they may not appear (EXPERIMENTS.md, CHANGES.md and ROADMAP.md
@@ -521,6 +541,21 @@ class TestStructuralGuard:
             _spell('SHARD_SCATTER = "shard.', 'scatter"'),
             _spell('SHARD_GATHER = "shard.', 'gather"'),
             _spell('SHARD_OUTAGE = "shard.', 'outage"'),
+            _spell("class Calibration", "Policy:"),
+            _spell("    def maybe_", "recalibrate(self, force=False):"),
+            _spell("def validate_", "profile(payload):"),
+            _spell("def assert_valid", "_profile(payload):"),
+            _spell('PROFILE_', 'KIND = "repro.calibration_profile"'),
+            _spell("    def from_", "profile(cls, profile, latency_mean=0.05):"),
+            _spell("    def apply_profile(self, profile, use_observed", "_concurrency=False):"),
+            _spell("        expected_hit", "_ratio=None,"),
+            _spell("        hash_", "joins=False,"),
+            _spell("        per_destination", "_limits=None,"),
+            _spell("    def effective_", "concurrency(self, destination):"),
+            _spell("        self.reqsync_", "fanout = reqsync_", "fanout"),
+            _spell('            metrics.inc("serve.', 'recalibrate.applied")'),
+            _spell('            metrics.gauge("serve.', 'calibration.samples")'),
+            _spell('        "--', 'calibration",'),
         ],
     )
     def test_retired_guard_catches_a_revived_name(self, mutant):
@@ -532,7 +567,7 @@ class TestStructuralGuard:
 
         assert parameters(TenantPolicy) == ["name", "weight", "max_queued"]
         assert parameters(QueryService) == [
-            "engine", "tenants", "max_workers", "max_queued", "calibration",
+            "engine", "tenants", "max_workers", "max_queued",
         ]
         assert parameters(QueryService.submit) == [
             "self", "sql", "tenant", "timeout", "mode",

@@ -1,8 +1,12 @@
 """The cost model: selectivities, wave accounting, mode predictions."""
 
+import inspect
+
 import pytest
 
+from repro.asynciter.pump import PumpLimits, RequestPump
 from repro.bench.workloads import bench_engine, template_queries
+from repro.datasets import load_all
 from repro.plan.cost import (
     CostModel,
     EQUALITY_SELECTIVITY,
@@ -20,7 +24,10 @@ from repro.relational.expr import (
     Literal,
     Negation,
 )
+from repro.relational.types import DataType
+from repro.storage import Database
 from repro.util.timing import time_call
+from repro.wsq import WsqEngine
 
 MEAN_LATENCY = 0.006  # midpoint of the bench band (0.003, 0.009)
 
@@ -94,11 +101,52 @@ class TestStructuralEstimates:
         assert estimate.issued == pytest.approx(37 + 37 * 2.4, rel=0.2)
 
     def test_concurrency_limit_widens_wave(self, engine):
-        limited = CostModel(latency_mean=MEAN_LATENCY, global_limit=10)
+        limited = CostModel(
+            latency_mean=MEAN_LATENCY, limits=PumpLimits(max_total=10)
+        )
         plan = engine.plan(
             "Select Name, Count From States, WebCount Where Name = T1", mode="async"
         )
         assert limited.estimate(plan).waves == 5.0  # ceil(50/10)
+
+    def test_per_destination_cap_widens_only_its_wave(self, engine):
+        plan = engine.plan(
+            "Select Name, Count From States, WebCount Where Name = T1", mode="async"
+        )
+        capped = CostModel(MEAN_LATENCY, limits=PumpLimits(per_destination={"AV": 8}))
+        other = CostModel(MEAN_LATENCY, limits=PumpLimits(per_destination={"G": 8}))
+        assert capped.estimate(plan).waves == 7.0  # ceil(50/8)
+        assert other.estimate(plan).waves == 1.0
+
+    def test_engine_model_reads_its_pump_limits(self, web):
+        # Table-1 template 1 over 50 states, on a pump that keeps at most
+        # four calls in flight: the one ReqSync waits ceil(50/4) waves.
+        pump = RequestPump(limits=PumpLimits(max_total=4))
+        try:
+            engine = WsqEngine(database=load_all(Database()), web=web, pump=pump)
+            text = engine.explain(template_queries(1, instances=1)[0], form="costs")
+        finally:
+            pump.shutdown()
+        reqsync = [line for line in text.splitlines() if "ReqSync" in line]
+        assert reqsync and all("waves~13.0" in line for line in reqsync)
+
+    def test_equijoin_is_priced_as_the_hash_join_it_runs(self):
+        db = Database()
+        for name in ("A", "B"):
+            db.create_table_from_rows(
+                name, [("Id", DataType.INT), ("V", DataType.INT)], [(i, i) for i in range(200)]
+            )
+        plan = WsqEngine(database=db).plan(
+            "Select A.V From A, B Where A.Id = B.Id", mode="sync"
+        )
+        assert "Join" in plan.explain()
+        # One build and one probe pass, not the 200 x 200 pair scan.
+        assert CostModel(latency_mean=0.05).estimate(plan).local_rows < 200 * 200
+
+    def test_the_model_takes_only_what_the_engine_gives_it(self):
+        assert list(inspect.signature(CostModel).parameters) == [
+            "latency_mean", "cache", "limits",
+        ]
 
     def test_webcount_fanout_one(self, model, engine):
         plan = engine.plan(
@@ -107,8 +155,6 @@ class TestStructuralEstimates:
         assert model.estimate(plan).rows == pytest.approx(37.0)
 
     def test_index_scan_cheaper_than_table_scan(self, model, paper_db, web):
-        from repro.wsq import WsqEngine
-
         engine = WsqEngine(database=paper_db, web=web)
         sql = "Select Population From States Where Name = 'Utah'"
         scanned = engine.plan(sql, mode="sync")
