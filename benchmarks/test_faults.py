@@ -32,7 +32,7 @@ def chaos_engine():
     return bench_engine(
         faults=FaultModel(seed=SEED, transient_rate=RATE),
         resilience=ResiliencePolicy(
-            retry=RetryPolicy(max_attempts=3, base_backoff=0.001, jitter=0.5)
+            retry=RetryPolicy(max_attempts=3, base_backoff=0.001)
         ),
         on_error="drop",
     )

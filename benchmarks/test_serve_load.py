@@ -57,7 +57,7 @@ TIGHT_DEADLINE = 0.02
 
 def _build_service():
     policy = ResiliencePolicy(
-        retry=RetryPolicy(max_attempts=4, base_backoff=0.002, jitter=0.5),
+        retry=RetryPolicy(max_attempts=4, base_backoff=0.002),
         call_timeout=5.0,
         breaker=CircuitBreakerConfig(failure_threshold=50),
     )

@@ -21,8 +21,8 @@ Resilience (a deliberate departure from the paper, which assumed reliable
 engines): with a :class:`~repro.asynciter.resilience.ResiliencePolicy`
 attached, every attempt races a per-attempt timeout entry on the heap,
 transient failures are retried after a deterministic backoff entry, and a
-per-destination :class:`~repro.asynciter.resilience.CircuitBreaker` fails
-fast while a destination is down.
+per-destination :class:`~repro.asynciter.resilience.CircuitBreaker`, on
+the pump's ``clock``, fails fast while a destination is down.
 
 Observability: the pump's statistics (:class:`_PumpStats`) are a view
 over a :class:`~repro.obs.metrics.MetricsRegistry` — counters and the
@@ -42,7 +42,7 @@ import math
 import threading
 import time
 
-from repro.asynciter.resilience import CircuitBreaker
+from repro.asynciter.resilience import HALF_OPEN, CircuitBreaker
 from repro.obs.metrics import MetricsRegistry
 from repro.obs.trace import (
     CACHE_COALESCE,
@@ -208,8 +208,9 @@ class _Call:
     An anchor's flight state belongs to the pump thread: ``gen`` (the
     running attempt), ``timeout``/``cutoff`` (the attempt's bound,
     relative and absolute), ``slot`` (a concurrency slot is held),
-    ``done``, and ``wake``, the sequence number of its one live heap
-    entry.
+    ``permit`` (the attempt is its breaker's half-open probe and owes it
+    a verdict), ``done``, and ``wake``, the sequence number of its one
+    live heap entry.
 
     A record is settled by whoever removes it from ``waiters`` under the
     pump lock — the fan-out or ``cancel`` — which is what makes
@@ -232,6 +233,7 @@ class _Call:
         "timeout",
         "cutoff",
         "slot",
+        "permit",
         "done",
         "wake",
     )
@@ -252,6 +254,7 @@ class _Call:
         self.timeout = None
         self.cutoff = None
         self.slot = False
+        self.permit = False
         self.done = False
         self.wake = None
 
@@ -484,7 +487,7 @@ class RequestPump:
     def _answer(self, record):
         """Settle *record* here and now if its probe can; False on a miss.
 
-        A cached result, a replayed failure or a spent deadline ends the
+        A cached result, a spent deadline or a probe that raised ends the
         call on the registering thread: no slot is queued for, the
         breaker is neither asked nor told, nothing reaches the pump
         thread.  A miss is the cache lookup of record; the request that
@@ -595,14 +598,17 @@ class RequestPump:
         call = anchor.call
         policy = self.resilience
         breaker = self._breaker_for(call.destination)
-        if breaker is not None and not breaker.allow():
-            self.stats.bump(call.destination, "breaker_open_rejections")
-            self._trace(CALL_BREAKER_REJECT, anchor, attempt=anchor.attempts)
-            error = BreakerOpenError(
-                "circuit breaker open for destination {!r}: "
-                "failing fast without a network round trip".format(call.destination)
-            )
-            return self._end(anchor, None, error)
+        if breaker is not None:
+            admitted = breaker.allow()
+            if admitted is None:
+                self.stats.bump(call.destination, "breaker_open_rejections")
+                self._trace(CALL_BREAKER_REJECT, anchor, attempt=anchor.attempts)
+                error = BreakerOpenError(
+                    "circuit breaker open for destination {!r}: "
+                    "failing fast without a network round trip".format(call.destination)
+                )
+                return self._end(anchor, None, error)
+            anchor.permit = admitted == HALF_OPEN
         cap = policy.call_timeout if policy is not None else None
         timeout = anchor.deadline.budget(cap) if anchor.deadline is not None else cap
         number = anchor.attempts
@@ -626,6 +632,7 @@ class RequestPump:
             anchor.gen = anchor.cutoff = None
             breaker = self._breaker_for(anchor.call.destination)
             if breaker is not None:
+                anchor.permit = False
                 breaker.record_success()
             self._end(anchor, stop.value, None)
         except Exception as exc:  # noqa: BLE001 - classified by _failed
@@ -686,6 +693,7 @@ class RequestPump:
             self._trace(CALL_TIMEOUT, anchor, attempt=attempt)
         breaker = self._breaker_for(destination)
         if breaker is not None:
+            anchor.permit = False
             breaker.record_failure()
         retry = policy.retry
         deadline = anchor.deadline
@@ -715,9 +723,17 @@ class RequestPump:
             self._end(anchor, None, None, cancelled=True)
 
     def _end(self, anchor, rows, error, cancelled=False):
-        """The flight is over: stamp it, fan the outcome out, free the slot."""
+        """The flight is over: stamp it, fan the outcome out, free the slot.
+
+        A half-open probe that ends here with no verdict (cancelled, or cut
+        off by its query deadline) hands its permit back, or its breaker
+        would stay half-open and reject every later call.
+        """
         anchor.done = True
         anchor.cutoff = None
+        if anchor.permit:
+            anchor.permit = False
+            self._breaker_for(anchor.call.destination).release()
         if anchor.issued_at is not None:
             anchor.finished_at = self.clock.now()
             self.stats.exit_flight()
@@ -919,7 +935,7 @@ class RequestPump:
             return None
         breaker = self._breakers.get(destination)
         if breaker is None:
-            breaker = CircuitBreaker(destination, policy.breaker)
+            breaker = CircuitBreaker(destination, policy.breaker, self.clock)
             self._breakers[destination] = breaker
         return breaker
 

@@ -16,14 +16,13 @@ Components:
 - :class:`CircuitBreaker` — a per-destination closed/open/half-open
   state machine: after ``failure_threshold`` consecutive failures the
   destination is failed fast (no queue slot, no network wait) until
-  ``recovery_timeout`` elapses, then a limited number of half-open
-  probes decide between closing and re-opening.
+  :data:`RECOVERY_SECONDS` elapse on the owning pump's clock, then one
+  half-open probe decides between closing and re-opening.
 - :class:`ResiliencePolicy` — bundle of the above plus the per-call
   timeout the pump races against each attempt on its deadline heap.
 """
 
 import threading
-import time
 
 from repro.util.errors import RequestTimeoutError, TransientWebError
 from repro.util.rng import stable_uniform
@@ -32,39 +31,36 @@ from repro.util.rng import stable_uniform
 #: fault model's 5xx/outage/hang-timeout family; ``RequestTimeoutError``
 #: the pump's per-call timeout; ``TimeoutError``/``ConnectionError``
 #: cover a future real-socket backend.
-DEFAULT_RETRYABLE = (TransientWebError, RequestTimeoutError, TimeoutError, ConnectionError)
+RETRYABLE = (TransientWebError, RequestTimeoutError, TimeoutError, ConnectionError)
+
+#: The backoff before attempt ``n + 1`` is ``base_backoff *
+#: BACKOFF_MULTIPLIER**n``, capped at ``MAX_BACKOFF`` seconds, then scaled
+#: by a factor in ``[1 - JITTER/2, 1 + JITTER/2)`` drawn from a stable
+#: function of ``(BACKOFF_SALT, key, n)``.
+BACKOFF_MULTIPLIER = 2.0
+MAX_BACKOFF = 2.0
+JITTER = 0.5
+BACKOFF_SALT = 0
+
+#: Seconds an open breaker fails fast before it admits a half-open probe.
+RECOVERY_SECONDS = 1.0
 
 
 class RetryPolicy:
     """Bounded retries with exponential backoff and deterministic jitter."""
 
-    def __init__(
-        self,
-        max_attempts=3,
-        base_backoff=0.05,
-        multiplier=2.0,
-        max_backoff=2.0,
-        jitter=0.5,
-        retryable=DEFAULT_RETRYABLE,
-        salt=0,
-    ):
+    def __init__(self, max_attempts=3, base_backoff=0.05):
         if max_attempts < 1:
             raise ValueError("max_attempts must be at least 1")
-        if base_backoff < 0 or max_backoff < 0:
+        if base_backoff < 0:
             raise ValueError("backoff delays cannot be negative")
-        if not 0.0 <= jitter <= 1.0:
-            raise ValueError("jitter must be in [0, 1]")
         self.max_attempts = max_attempts
         self.base_backoff = base_backoff
-        self.multiplier = multiplier
-        self.max_backoff = max_backoff
-        self.jitter = jitter
-        self.retryable = tuple(retryable)
-        self.salt = salt
 
-    def retryable_error(self, exc):
+    @staticmethod
+    def retryable_error(exc):
         """Is *exc* in the transient (retry-worthy) family?"""
-        return isinstance(exc, self.retryable)
+        return isinstance(exc, RETRYABLE)
 
     def should_retry(self, exc, attempt):
         """Retry after *exc* on 0-based attempt *attempt*?"""
@@ -74,14 +70,14 @@ class RetryPolicy:
         """Seconds to sleep before attempt ``attempt + 1``.
 
         Exponential in *attempt*, capped, then jittered by a stable
-        function of ``(salt, key, attempt)`` — the same request backs
+        function of the request and *attempt* — the same request backs
         off identically in every run, while distinct requests
         decorrelate (no thundering-herd re-synchronisation).
         """
-        delay = min(self.max_backoff, self.base_backoff * self.multiplier**attempt)
-        if self.jitter > 0.0 and delay > 0.0:
-            u = stable_uniform("backoff", self.salt, key, attempt)
-            delay *= 1.0 - self.jitter / 2.0 + self.jitter * u
+        delay = min(MAX_BACKOFF, self.base_backoff * BACKOFF_MULTIPLIER**attempt)
+        if delay > 0.0:
+            u = stable_uniform("backoff", BACKOFF_SALT, key, attempt)
+            delay *= 1.0 - JITTER / 2.0 + JITTER * u
         return delay
 
 
@@ -92,29 +88,13 @@ HALF_OPEN = "half_open"
 
 
 class CircuitBreakerConfig:
-    """Thresholds for per-destination circuit breakers.
+    """Per-destination circuit breaking: trip after ``failure_threshold``
+    consecutive failures."""
 
-    ``clock`` is injectable for deterministic tests (defaults to
-    ``time.monotonic``).
-    """
-
-    def __init__(
-        self,
-        failure_threshold=5,
-        recovery_timeout=1.0,
-        half_open_max_calls=1,
-        clock=time.monotonic,
-    ):
+    def __init__(self, failure_threshold=5):
         if failure_threshold < 1:
             raise ValueError("failure_threshold must be at least 1")
-        if recovery_timeout < 0:
-            raise ValueError("recovery_timeout cannot be negative")
-        if half_open_max_calls < 1:
-            raise ValueError("half_open_max_calls must be at least 1")
         self.failure_threshold = failure_threshold
-        self.recovery_timeout = recovery_timeout
-        self.half_open_max_calls = half_open_max_calls
-        self.clock = clock
 
 
 class CircuitBreaker:
@@ -123,20 +103,24 @@ class CircuitBreaker:
     - **closed**: requests flow; ``failure_threshold`` *consecutive*
       failures trip it open (a success resets the streak).
     - **open**: every request is rejected without touching the network
-      until ``recovery_timeout`` has elapsed since opening.
-    - **half-open**: up to ``half_open_max_calls`` probe requests are
-      admitted; one success closes the breaker, one failure re-opens it
-      (and restarts the recovery clock).
+      until :data:`RECOVERY_SECONDS` have elapsed since opening.
+    - **half-open**: one probe request is admitted; its success closes
+      the breaker, its failure re-opens it (and restarts the recovery
+      clock).  A probe that ends with neither hands its permit back
+      (:meth:`release`), so the next request becomes the probe.
+
+    *clock* is the owning pump's :class:`~repro.util.timing.Clock`.
     """
 
-    def __init__(self, destination, config=None):
+    def __init__(self, destination, config, clock):
         self.destination = destination
-        self.config = config or CircuitBreakerConfig()
+        self.config = config
+        self.clock = clock
         self._lock = threading.Lock()
         self._state = CLOSED
         self._consecutive_failures = 0
         self._opened_at = None
-        self._half_open_probes = 0
+        self._probing = False
         #: Clock reading of the most recent state change (None while the
         #: breaker has never left its initial closed state) — operators
         #: reading a snapshot can tell a breaker that opened a second ago
@@ -155,24 +139,33 @@ class CircuitBreaker:
             return self._state
 
     def allow(self):
-        """May one request proceed right now?  (Counts rejections.)"""
+        """May one request proceed right now?  (Counts rejections.)
+
+        Returns the state the request is admitted under — ``CLOSED``, or
+        ``HALF_OPEN`` for the probe — or ``None`` when it is rejected.
+        """
         with self._lock:
             self._maybe_half_open_locked()
             if self._state == CLOSED:
-                return True
-            if self._state == HALF_OPEN:
-                if self._half_open_probes < self.config.half_open_max_calls:
-                    self._half_open_probes += 1
-                    return True
+                return CLOSED
+            if self._state == HALF_OPEN and not self._probing:
+                self._probing = True
+                return HALF_OPEN
             self.rejections += 1
-            return False
+            return None
+
+    def release(self):
+        """The half-open probe ended with no verdict: admit another."""
+        with self._lock:
+            if self._state == HALF_OPEN:
+                self._probing = False
 
     def record_success(self):
         with self._lock:
             self._consecutive_failures = 0
             if self._state == HALF_OPEN:
                 self._state = CLOSED
-                self._last_transition_at = self.config.clock()
+                self._last_transition_at = self.clock.now()
                 self.closes += 1
 
     def record_failure(self):
@@ -189,19 +182,19 @@ class CircuitBreaker:
 
     def _trip_locked(self):
         self._state = OPEN
-        self._opened_at = self.config.clock()
+        self._opened_at = self.clock.now()
         self._last_transition_at = self._opened_at
         self._consecutive_failures = 0
         self.opens += 1
 
     def _maybe_half_open_locked(self):
-        if self._state == OPEN and (
-            self.config.clock() - self._opened_at >= self.config.recovery_timeout
-        ):
-            self._state = HALF_OPEN
-            self._half_open_probes = 0
-            self._last_transition_at = self.config.clock()
-            self.half_opens += 1
+        if self._state == OPEN:
+            now = self.clock.now()
+            if now - self._opened_at >= RECOVERY_SECONDS:
+                self._state = HALF_OPEN
+                self._probing = False
+                self._last_transition_at = now
+                self.half_opens += 1
 
     def snapshot(self):
         with self._lock:
@@ -235,15 +228,3 @@ class ResiliencePolicy:
         self.retry = retry
         self.call_timeout = call_timeout
         self.breaker = breaker  # a CircuitBreakerConfig, or None
-
-    @classmethod
-    def default(cls):
-        """Sensible production-ish defaults (documented in DESIGN.md)."""
-        return cls(
-            retry=RetryPolicy(),
-            call_timeout=10.0,
-            breaker=CircuitBreakerConfig(),
-        )
-
-    def max_attempts(self):
-        return self.retry.max_attempts if self.retry is not None else 1

@@ -25,7 +25,7 @@ from repro.datasets import load_all
 from repro.obs import Observability, render_waterfall, write_chrome_trace
 from repro.storage import Database
 from repro.util.errors import ConfigError, ReproError
-from repro.web.cache import make_cache
+from repro.web.cache import check_ttl, make_cache
 from repro.web.faults import FaultModel
 from repro.web.latency import UniformLatency
 from repro.wsq import WsqEngine, format_table
@@ -105,6 +105,14 @@ def _cache_config(args):
     )
 
 
+def _cache_ttl(text):
+    """``--cache-ttl``'s type: seconds >= 0, or an argparse error."""
+    try:
+        return check_ttl(float(text))
+    except ValueError as exc:
+        raise argparse.ArgumentTypeError(str(exc)) from None
+
+
 def _chaos_config(args):
     """Fault model + resilience policy from the chaos CLI flags."""
     fault_rate = getattr(args, "fault_rate", 0.0) or 0.0
@@ -154,7 +162,7 @@ def main(argv=None):
     )
     cache_group.add_argument(
         "--cache-ttl",
-        type=float,
+        type=_cache_ttl,
         default=None,
         metavar="SECONDS",
         help="seconds a cached result stays fresh (default: forever)",

@@ -142,17 +142,17 @@ def default_cache(environ=None):
     this way to prove caching never changes query results.
     ``REPRO_CACHE_TTL`` is its default TTL in seconds.
     """
-    from repro.web.cache import make_cache
+    from repro.web.cache import check_ttl, make_cache
 
     tier = _env(environ, CACHE_ENV).lower()
     if tier in ("", "off", "none", "0"):
         return None
     raw_ttl = _env(environ, CACHE_TTL_ENV)
     try:
-        ttl = float(raw_ttl) if raw_ttl else None
+        ttl = check_ttl(float(raw_ttl)) if raw_ttl else None
     except ValueError:
         raise ConfigError(
-            "${} must be a number of seconds, got {!r}".format(
+            "${} must be a number of seconds >= 0, got {!r}".format(
                 CACHE_TTL_ENV, raw_ttl
             )
         ) from None

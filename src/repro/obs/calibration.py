@@ -27,7 +27,7 @@ registry and cache and applies it to the engine's cost model
 """
 
 from repro.obs.analysis import destination_latencies, request_table
-from repro.obs.trace import CACHE_HIT, CACHE_MISS, CACHE_STALE, SYNC_PATCH
+from repro.obs.trace import CACHE_HIT, CACHE_MISS, SYNC_PATCH
 
 
 class DestinationCalibration:
@@ -96,7 +96,7 @@ class CalibrationProfile:
 
         The cache hit ratio prefers a live *cache* object's
         ``hit_ratio()`` (exact); without one it is derived
-        from ``cache.{hit,stale,miss}`` trace events.
+        from ``cache.{hit,miss}`` trace events.
         """
         destinations = {}
 
@@ -188,7 +188,7 @@ def _observed_hit_ratio(cache, tracer):
         return float(cache.hit_ratio())
     if tracer is not None:
         hits = misses = 0
-        for event in tracer.events((CACHE_HIT, CACHE_STALE, CACHE_MISS)):
+        for event in tracer.events((CACHE_HIT, CACHE_MISS)):
             if event.name == CACHE_MISS:
                 misses += 1
             else:

@@ -23,7 +23,6 @@ from repro.obs.trace import (
     CACHE_COALESCE,
     CACHE_HIT,
     CACHE_MISS,
-    CACHE_STALE,
     END,
     INSTANT,
 )
@@ -281,35 +280,31 @@ def render_waterfall(events, width=64, query_id=None, dropped=0):
 def cache_summary_line(events, query_id=None):
     """One-line result-cache summary for a trace slice (or ``None``).
 
-    Counts ``cache.{hit,stale,miss}`` events (one per lookup) plus
+    Counts ``cache.{hit,miss}`` events (one per lookup) plus
     ``cache.coalesce`` single-flight joins and derives the hit ratio the
     same way :meth:`~repro.web.cache.ResultCache.hit_ratio` does — so the
     waterfall footer, ``profile()`` deltas, and ``detailed_stats()`` all
     tell one story.
     """
-    hits = stale = misses = coalesced = 0
+    hits = misses = coalesced = 0
     for event in events:
         if query_id is not None and event.query_id != query_id:
             continue
         if event.name == CACHE_HIT:
             hits += 1
-        elif event.name == CACHE_STALE:
-            stale += 1
         elif event.name == CACHE_MISS:
             misses += 1
         elif event.name == CACHE_COALESCE:
             coalesced += 1
-    total = hits + stale + misses
+    total = hits + misses
     if not total and not coalesced:
         return None
-    ratio = (hits + stale) / total if total else 0.0
+    ratio = hits / total if total else 0.0
     parts = [
-        "cache: {} hit(s)".format(hits + stale),
+        "cache: {} hit(s)".format(hits),
         "{} miss(es)".format(misses),
         "hit-ratio {:.0%}".format(ratio),
     ]
-    if stale:
-        parts.insert(1, "{} stale".format(stale))
     if coalesced:
         parts.append("{} coalesced".format(coalesced))
     return ", ".join(parts)

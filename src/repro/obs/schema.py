@@ -42,7 +42,6 @@ KNOWN_EVENT_NAMES = frozenset(
         _trace.OP_CLOSE,
         _trace.CACHE_HIT,
         _trace.CACHE_MISS,
-        _trace.CACHE_STALE,
         _trace.CACHE_EVICT,
         _trace.CACHE_COALESCE,
         _trace.PLAN_RULE_FIRED,

@@ -67,13 +67,12 @@ OP_NEXT_BATCH = "op.next_batch"
 OP_CLOSE = "op.close"
 
 #: Result-cache events (DESIGN.md §11).  ``cache.hit``/``cache.miss``/
-#: ``cache.stale``/``cache.evict`` are emitted by the cache itself (args
-#: carry the key; one of hit/stale/miss per lookup); ``cache.coalesce``
-#: is emitted by the request pump when a registration joins an identical
-#: in-flight call instead of issuing a new one (single-flight).
+#: ``cache.evict`` are emitted by the cache itself (args carry the key;
+#: one of hit/miss per lookup); ``cache.coalesce`` is emitted by the
+#: request pump when a registration joins an identical in-flight call
+#: instead of issuing a new one (single-flight).
 CACHE_HIT = "cache.hit"
 CACHE_MISS = "cache.miss"
-CACHE_STALE = "cache.stale"
 CACHE_EVICT = "cache.evict"
 CACHE_COALESCE = "cache.coalesce"
 

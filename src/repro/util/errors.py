@@ -151,15 +151,3 @@ class RequestTimeoutError(TransientWebError):
 
 class BreakerOpenError(WebRequestError):
     """The circuit breaker for a destination is open: failing fast."""
-
-
-class CachedFailureError(WebRequestError):
-    """A negatively-cached failure was replayed without a network round trip.
-
-    Raised when the result cache holds a recent failure record for a
-    request (see :class:`~repro.web.cache.CachePolicy` ``negative_ttl``):
-    repeating a request that just failed within the negative-TTL window
-    yields the same failure immediately instead of re-issuing the call.
-    Deliberately *not* a :class:`TransientWebError` so retry policies
-    never spin on a cached outcome.
-    """

@@ -47,10 +47,9 @@ class ExternalCall:
     ``(destination, request, attempt)``.
 
     ``probe()`` (or ``None`` when the source keeps no cache) answers from
-    what is already known, without I/O: the call's rows, ``None`` for a
-    miss, or a negatively cached failure raised.  The pump asks it once,
-    at registration, on the registering thread; only a miss becomes an
-    attempt.
+    what is already known, without I/O: the call's rows, or ``None`` for
+    a miss.  The pump asks it once, at registration, on the registering
+    thread; only a miss becomes an attempt.
     """
 
     __slots__ = ("key", "destination", "_factory", "probe")

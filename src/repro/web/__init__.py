@@ -23,13 +23,7 @@ package provides that black box, built from scratch:
 - :mod:`repro.web.world` — bundles corpus, engines, and fetch service.
 """
 
-from repro.web.cache import (
-    CachedFailure,
-    CacheLookup,
-    CachePolicy,
-    ResultCache,
-    make_cache,
-)
+from repro.web.cache import ResultCache, make_cache
 from repro.web.client import SearchClient
 from repro.web.corpus import Corpus, CorpusConfig, build_corpus
 from repro.web.engine import SearchEngine, SearchHit
@@ -38,9 +32,6 @@ from repro.web.latency import FixedLatency, UniformLatency, ZeroLatency
 from repro.web.world import SimulatedWeb, default_web
 
 __all__ = [
-    "CachePolicy",
-    "CacheLookup",
-    "CachedFailure",
     "Corpus",
     "CorpusConfig",
     "FetchService",

@@ -35,15 +35,8 @@ consults the fault schedule (a stable function of
   :class:`~repro.util.errors.RequestTimeoutError`; the pump's per-call
   timeout (or the query deadline) cuts the wait short.
 
-Negative caching
-----------------
-
-An attempt that fails with an error the resilience policy would not
-retry (no policy, a non-retryable error, or the last permitted attempt)
-is final for its request.  Under a cache with a negative TTL it is
-recorded, and replays as :class:`~repro.util.errors.CachedFailureError`
-until the record expires.  A cancelled attempt (closed by the pump:
-``GeneratorExit`` is not an ``Exception``) records nothing.
+A failed attempt writes nothing to the cache; whether it is retried is
+the pump's decision alone.
 
 Blocking conveniences
 ---------------------
@@ -56,7 +49,7 @@ run on their engine's pump.
 
 from repro.asynciter.context import AsyncContext
 from repro.asynciter.pump import default_pump
-from repro.util.errors import CachedFailureError, RequestTimeoutError
+from repro.util.errors import RequestTimeoutError
 from repro.vtables.base import ExternalCall
 from repro.web.cache import ResultCache
 from repro.web.faults import HANG, OUTAGE
@@ -81,23 +74,10 @@ class SearchClient:
     ranked search for *limit* hits costs ``ceil(limit / page_size)``
     sequential round trips; counts cost one.
 
-    ``faults`` is an optional :class:`~repro.web.faults.FaultModel`;
-    ``resilience`` the :class:`~repro.asynciter.resilience.ResiliencePolicy`
-    of the pump that runs this client's attempts — the client only reads
-    it to tell a final failure (negatively cached) from one the pump
-    will retry.
+    ``faults`` is an optional :class:`~repro.web.faults.FaultModel`.
     """
 
-    def __init__(
-        self,
-        engine,
-        latency=None,
-        cache=None,
-        page_size=10,
-        faults=None,
-        resilience=None,
-        obs=None,
-    ):
+    def __init__(self, engine, latency=None, cache=None, page_size=10, faults=None, obs=None):
         if page_size < 1:
             raise ValueError("page size must be positive")
         self.engine = engine
@@ -105,7 +85,6 @@ class SearchClient:
         self.cache = cache
         self.page_size = page_size
         self.faults = faults
-        self.resilience = resilience
         self.obs = obs  # optional repro.obs.Observability bundle
         self.requests_sent = 0  # actual (non-cache-hit) request round trips
         self.faults_seen = 0  # injected faults observed by this client
@@ -145,16 +124,9 @@ class SearchClient:
         return self._attempt("search", expr_text, limit, attempt)
 
     def _attempt(self, kind, expr_text, limit, attempt):
-        key = ResultCache.key(self.engine.name, kind, expr_text, limit)
-        try:
-            result = yield from self._request(kind, expr_text, limit, attempt)
-        except Exception as exc:  # cancellation is a BaseException: not recorded
-            retry = self.resilience.retry if self.resilience is not None else None
-            if retry is None or not retry.should_retry(exc, attempt):
-                if self.cache is not None:
-                    self.cache.put_failure(key, exc)
-            raise
-        self._cache_put(key, result)
+        result = yield from self._request(kind, expr_text, limit, attempt)
+        if self.cache is not None:
+            self.cache.put(ResultCache.key(self.engine.name, kind, expr_text, limit), result)
         return result
 
     def _request(self, kind, expr_text, limit, attempt):
@@ -205,27 +177,10 @@ class SearchClient:
     def probe(self, kind, expr_text, limit=None):
         """What the cache holds for one request, without any I/O.
 
-        The value, ``None`` (a miss, or no cache), or a replayed failure
-        raised.  The only cache read of a request: a miss here is the
-        miss of record, and the attempt that follows only writes.  Fresh
-        *and* stale entries serve; a negatively-cached failure replays as
-        :class:`~repro.util.errors.CachedFailureError` (deliberately not a
-        :class:`~repro.util.errors.TransientWebError`: a replayed failure
-        is never retried — the negative TTL, not the retry policy, decides
-        when the destination is probed again).
+        The value, or ``None`` (a miss, or no cache).  The only cache
+        read of a request: a miss here is the miss of record, and the
+        attempt that follows only writes.
         """
         if self.cache is None:
             return None
-        key = ResultCache.key(self.engine.name, kind, expr_text, limit)
-        found = self.cache.lookup(key)
-        if found.failure:
-            raise CachedFailureError(
-                "negatively cached failure for {!r}: {}: {}".format(
-                    key, found.value.error_type, found.value.message
-                )
-            )
-        return found.value
-
-    def _cache_put(self, key, value):
-        if self.cache is not None:
-            self.cache.put(key, value)
+        return self.cache.lookup(ResultCache.key(self.engine.name, kind, expr_text, limit))

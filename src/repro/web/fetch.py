@@ -54,16 +54,12 @@ class FetchService:
     def probe(self, url):
         """The cached :class:`FetchResult` for *url*, or ``None``: no I/O.
 
-        Status-aware: serves fresh *and* stale entries.  Fetch results
-        are plain values (a 404 is a :class:`FetchResult`, not an
-        exception), so there is no failure-replay path here — the TTL
-        policy alone decides how long a page stays cached.  The only
-        cache read of a fetch; :meth:`fetch_async` only writes.
+        The only cache read of a fetch; :meth:`fetch_async` only writes.
+        A 404 is a :class:`FetchResult` like any other page.
         """
         if self.cache is None:
             return None
-        found = self.cache.lookup(_cache_key(url))
-        return found.value if found.hit else None
+        return self.cache.lookup(_cache_key(url))
 
     def fetch(self, url):
         """:meth:`fetch_async` sent through the shared pump and waited for."""

@@ -163,7 +163,6 @@ class WsqEngine:
             cache = None
         self.cache = cache
         self.faults = faults
-        self.resilience = resilience
         self.clock = resolve_clock(obs.clock if obs is not None else None)
         if pump is None:
             if resilience is None and obs is None:
@@ -230,7 +229,6 @@ class WsqEngine:
             latency=self.latency,
             cache=self.cache,
             faults=self.faults,
-            resilience=self.resilience,
             obs=self.obs,
         )
 

@@ -3,8 +3,8 @@
 Hypothesis generates WSQ queries over the paper's tables; every query is
 run against an *uncached* baseline engine and then twice (cold + warm)
 against cached engines spanning the cache matrix — in memory /
-persisted to a directory — under TTL policies from "never expires" through
-"always stale-served" to "expires instantly".  Across all of
+persisted to a directory — with a TTL of "never expires" or "expires
+instantly".  Across all of
 {persistence × TTL × sync/async × faults on/off} the result multiset must be
 identical to the baseline, and every emitted trace event must validate
 against the registered taxonomy (:func:`validate_trace_events`) — the
@@ -26,7 +26,7 @@ from repro.datasets import load_all
 from repro.obs import Observability
 from repro.obs.schema import validate_trace_events
 from repro.storage import Database
-from repro.web.cache import CachePolicy, ResultCache
+from repro.web.cache import ResultCache
 from repro.web.faults import FaultModel
 from repro.web.world import default_web
 from repro.wsq import WsqEngine
@@ -67,23 +67,13 @@ def _build_cache(name):
     if name == "memory":
         return ResultCache()
     if name == "memory-expire":  # every entry expires instantly
-        return ResultCache(policy=CachePolicy(default_ttl=0.0))
-    if name == "memory-stale":  # every read is a stale serve
-        return ResultCache(
-            policy=CachePolicy(default_ttl=0.0, max_staleness=1e9)
-        )
-    if name == "memory-negative":  # empty results negatively cached
-        return ResultCache(
-            policy=CachePolicy(default_ttl=None, negative_ttl=1e9)
-        )
+        return ResultCache(ttl=0.0)
     if name == "disk":
         return ResultCache(path=_DISK_DIR)
     raise AssertionError(name)
 
 
-CACHE_CONFIGS = (
-    "memory", "memory-expire", "memory-stale", "memory-negative", "disk",
-)
+CACHE_CONFIGS = ("memory", "memory-expire", "disk")
 
 
 def cached_engine(name):
@@ -222,7 +212,7 @@ class TestCacheTransparencyUnderFaults:
             cache=cache,
             faults=FaultModel(seed=self.SEED, transient_rate=self.RATE),
             resilience=ResiliencePolicy(
-                retry=RetryPolicy(max_attempts=2, base_backoff=0.0, jitter=0.0)
+                retry=RetryPolicy(max_attempts=2, base_backoff=0.0)
             ),
             on_error="drop",
         )

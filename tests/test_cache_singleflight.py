@@ -412,7 +412,7 @@ class TestDetachDuringLeaderBackoff:
             tracer=Tracer(),
             resilience=ResiliencePolicy(
                 retry=RetryPolicy(
-                    max_attempts=3, base_backoff=0.3, jitter=0.0
+                    max_attempts=3, base_backoff=0.3
                 )
             ),
             single_flight=True,

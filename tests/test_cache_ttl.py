@@ -1,14 +1,8 @@
-"""TTL / staleness semantics on a VirtualClock — no ``time.sleep`` anywhere.
+"""TTL semantics on a VirtualClock — no ``time.sleep`` anywhere.
 
-These tests pin the boundary semantics documented in
-:meth:`repro.web.cache.CachePolicy.classify`:
-
-- an entry is **fresh** strictly before ``stored_at + ttl``;
-- **stale** (served, counted under ``cache.stale``) from exactly ``ttl``
-  up to (exclusive) ``ttl + max_staleness``;
-- **expired** from exactly ``ttl + max_staleness`` on;
-- **negative** entries (failures, empty results) get *no* serve-stale
-  window and may use a shorter ``negative_ttl``.
+These tests pin the boundary documented on
+:class:`repro.web.cache.ResultCache`: an entry is **fresh** strictly
+before ``stored_at + ttl`` and **expired** from exactly then on.
 
 They also pin the counter migration onto ``MetricsRegistry`` — the old
 racy plain-int hit/miss fields are gone — and the same semantics for a
@@ -22,28 +16,15 @@ import pytest
 
 from repro.obs.metrics import MetricsRegistry
 from repro.obs.trace import Tracer
-from repro.util.errors import TransientWebError
 from repro.util.timing import VirtualClock
-from repro.web.cache import (
-    FRESH,
-    MISS,
-    NEGATIVE,
-    STALE,
-    CachedFailure,
-    CachePolicy,
-    ResultCache,
-    make_cache,
-)
+from repro.web.cache import ResultCache, make_cache
 
 KEY = ("AV", "search", "austin", 10)
 
 
-def make(ttl=10.0, max_staleness=0.0, negative_ttl=None, **kwargs):
+def make(ttl=10.0, **kwargs):
     clock = VirtualClock()
-    policy = CachePolicy(
-        default_ttl=ttl, max_staleness=max_staleness, negative_ttl=negative_ttl
-    )
-    return ResultCache(policy=policy, clock=clock, **kwargs), clock
+    return ResultCache(ttl=ttl, clock=clock, **kwargs), clock
 
 
 class TestTtlBoundaries:
@@ -51,43 +32,21 @@ class TestTtlBoundaries:
         cache, clock = make(ttl=10.0)
         cache.put(KEY, "v")
         clock.advance(9.999999)
-        assert cache.lookup(KEY).status == FRESH
+        assert cache.lookup(KEY) == "v"
 
     def test_expires_exactly_at_ttl_without_staleness(self):
-        cache, clock = make(ttl=10.0, max_staleness=0.0)
+        cache, clock = make(ttl=10.0)
         cache.put(KEY, "v")
         clock.advance(10.0)
-        found = cache.lookup(KEY)
-        assert found.status == MISS
-        assert not found.hit
-        assert found.value is None
-
-    def test_stale_window_opens_exactly_at_ttl(self):
-        cache, clock = make(ttl=10.0, max_staleness=5.0)
-        cache.put(KEY, "v")
-        clock.advance(10.0)
-        found = cache.lookup(KEY)
-        assert found.status == STALE
-        assert found.hit  # stale entries are still served
-        assert found.value == "v"
-
-    def test_stale_window_is_exclusive_at_upper_bound(self):
-        # The off-by-one the issue calls out: ttl + max_staleness is
-        # already expired; one tick before is still stale.
-        cache, clock = make(ttl=10.0, max_staleness=5.0)
-        cache.put(KEY, "v")
-        clock.advance(14.999999)
-        assert cache.lookup(KEY).status == STALE
-        cache.put(KEY, "v")  # re-store at t=14.999999
-        clock.advance(15.0)  # age of the new entry: exactly 15.0
-        assert cache.lookup(KEY).status == MISS
+        assert cache.lookup(KEY) is None
+        assert cache.detailed_stats()["misses"] == 1
 
     def test_expired_entry_is_lazily_evicted(self):
         cache, clock = make(ttl=1.0)
         cache.put(KEY, "v")
         assert len(cache) == 1
         clock.advance(2.0)
-        assert cache.lookup(KEY).status == MISS
+        assert cache.lookup(KEY) is None
         assert len(cache) == 0  # the expired entry is gone
         assert cache.detailed_stats()["evictions"] == 1
 
@@ -95,122 +54,42 @@ class TestTtlBoundaries:
         cache, clock = make(ttl=None)
         cache.put(KEY, "v")
         clock.advance(10**9)
-        assert cache.lookup(KEY).status == FRESH
+        assert cache.lookup(KEY) == "v"
 
-    def test_per_kind_ttl_overrides_default(self):
-        clock = VirtualClock()
-        policy = CachePolicy(default_ttl=100.0, ttl_by_kind={"count": 5.0})
-        cache = ResultCache(policy=policy, clock=clock)
-        count_key = ("AV", "count", "austin", None)
-        search_key = ("AV", "search", "austin", 10)
-        cache.put(count_key, 7)
-        cache.put(search_key, ["r"])
-        clock.advance(5.0)
-        assert cache.lookup(count_key).status == MISS  # count TTL hit
-        assert cache.lookup(search_key).status == FRESH  # default TTL not
-
-
-class TestNegativeCaching:
-    def test_failure_replayed_while_negative_ttl_fresh(self):
-        cache, clock = make(ttl=100.0, negative_ttl=2.0)
-        assert cache.put_failure(KEY, TransientWebError("engine down"))
-        found = cache.lookup(KEY)
-        assert found.status == NEGATIVE
-        assert found.failure and not found.hit
-        assert isinstance(found.value, CachedFailure)
-        assert found.value.error_type == "TransientWebError"
-        assert "engine down" in found.value.message
-
-    def test_negative_ttl_shorter_than_positive(self):
-        # A failure record and a value stored at the same instant: the
-        # failure ages out first, the value outlives it.
-        cache, clock = make(ttl=100.0, negative_ttl=2.0)
-        other = ("Google", "search", "dallas", 10)
-        cache.put_failure(KEY, TransientWebError("boom"))
-        cache.put(other, ["row"])
-        clock.advance(2.0)
-        assert cache.lookup(KEY).status == MISS  # failure expired
-        assert cache.lookup(other).status == FRESH  # value still good
-
-    def test_negative_entries_get_no_stale_window(self):
-        cache, clock = make(ttl=100.0, max_staleness=50.0, negative_ttl=2.0)
-        cache.put_failure(KEY, TransientWebError("boom"))
-        clock.advance(1.999999)
-        assert cache.lookup(KEY).status == NEGATIVE
-        cache, clock = make(ttl=100.0, max_staleness=50.0, negative_ttl=2.0)
-        cache.put_failure(KEY, TransientWebError("boom"))
-        clock.advance(2.0)  # exactly negative_ttl: no stale window applies
-        assert cache.lookup(KEY).status == MISS  # straight to expired
-
-    def test_empty_results_are_negative_when_enabled(self):
-        cache, clock = make(ttl=100.0, negative_ttl=2.0)
-        cache.put(KEY, [])  # empty → negative TTL applies
-        assert cache.lookup(KEY).status == FRESH  # still a value, not a failure
-        clock.advance(2.0)
-        assert cache.lookup(KEY).status == MISS
-
-    def test_empty_results_age_normally_without_negative_ttl(self):
-        cache, clock = make(ttl=100.0, negative_ttl=None)
-        cache.put(KEY, [])
-        clock.advance(50.0)
-        assert cache.lookup(KEY).status == FRESH
-
-    def test_put_failure_is_noop_without_negative_ttl(self):
-        cache, clock = make(ttl=100.0, negative_ttl=None)
-        assert cache.put_failure(KEY, TransientWebError("boom")) is False
-        assert cache.lookup(KEY).status == MISS
-        assert len(cache) == 0
-
-
-def persisted(tmp_path, **policy):
+def persisted(tmp_path, ttl=None):
     """A writer and a fresh reader over one directory, on one clock.
 
     The reader's LRU starts empty, so its first lookup of a key is
     served from the writer's file.
     """
     clock = VirtualClock()
-    policy = CachePolicy(**policy)
     writer, reader = (
-        ResultCache(policy=policy, clock=clock, path=str(tmp_path)) for _ in range(2)
+        ResultCache(ttl=ttl, clock=clock, path=str(tmp_path)) for _ in range(2)
     )
     return writer, reader, clock
 
 
 class TestDiskTierTtl:
     def test_disk_entries_expire_on_virtual_clock(self, tmp_path):
-        writer, reader, clock = persisted(tmp_path, default_ttl=5.0)
+        writer, reader, clock = persisted(tmp_path, ttl=5.0)
         writer.put(KEY, ["row"])
-        assert reader.lookup(KEY).status == FRESH
+        assert reader.lookup(KEY) == ["row"]
         clock.advance(5.0)
-        assert reader.lookup(KEY).status == MISS
+        assert reader.lookup(KEY) is None
         assert len(reader) == 0
         assert os.listdir(tmp_path) == []  # the expired file was unlinked
-
-    def test_disk_stale_window(self, tmp_path):
-        writer, reader, clock = persisted(tmp_path, default_ttl=5.0, max_staleness=5.0)
-        writer.put(KEY, ["row"])
-        clock.advance(7.0)
-        found = reader.lookup(KEY)
-        assert found.status == STALE and found.value == ["row"]
-
-    def test_disk_negative_entries_expire_first(self, tmp_path):
-        writer, reader, clock = persisted(tmp_path, default_ttl=100.0, negative_ttl=1.0)
-        writer.put_failure(KEY, TransientWebError("down"))
-        assert reader.lookup(KEY).status == NEGATIVE
-        clock.advance(1.0)
-        assert reader.lookup(KEY).status == MISS
 
     def test_a_file_read_keeps_its_first_store_time(self, tmp_path):
         # Read from the file at t=9 with ttl=10: the entry is still the
         # one stored at t=0, so at t=14 it has expired for the reader
         # exactly as it has for the writer.
-        writer, reader, clock = persisted(tmp_path, default_ttl=10.0)
+        writer, reader, clock = persisted(tmp_path, ttl=10.0)
         writer.put(KEY, "v")
         clock.advance(9.0)
-        assert reader.lookup(KEY).status == FRESH
+        assert reader.lookup(KEY) == "v"
         clock.advance(5.0)
-        assert writer.lookup(KEY).status == MISS
-        assert reader.lookup(KEY).status == MISS
+        assert writer.lookup(KEY) is None
+        assert reader.lookup(KEY) is None
 
 
 class TestTieredStack:
@@ -221,11 +100,11 @@ class TestTieredStack:
         writer, reader, _ = persisted(tmp_path)
         writer.put(KEY, "v")
         assert len(reader) == 0
-        assert reader.lookup(KEY).value == "v"
+        assert reader.lookup(KEY) == "v"
         assert len(reader) == 1
         for name in os.listdir(tmp_path):
             os.unlink(os.path.join(tmp_path, name))
-        assert reader.lookup(KEY).value == "v"
+        assert reader.lookup(KEY) == "v"
         assert reader.detailed_stats()["path"] == str(tmp_path)
 
 
@@ -256,16 +135,6 @@ class TestCounterRegression:
         assert cache.detailed_stats() == before
         assert registry.counter_value("cache.hit") == 1
         assert registry.counter_value("cache.miss") == 1
-
-    def test_stale_serves_count_as_hits_in_stats(self):
-        cache, clock = make(ttl=10.0, max_staleness=10.0)
-        cache.put(KEY, "v")
-        clock.advance(12.0)
-        assert cache.lookup(KEY).status == STALE
-        detailed = cache.detailed_stats()
-        assert detailed["hits"] == 1 and detailed["misses"] == 0
-        assert detailed["stale_hits"] == 1
-        assert detailed["hit_ratio"] == 1.0
 
     def test_concurrent_hammer_loses_no_counts(self):
         # The point of the migration: plain-int += was racy under
@@ -309,9 +178,8 @@ class TestCounterRegression:
 
 class TestMakeCacheTtlKnobs:
     def test_make_cache_threads_ttl_through(self):
-        cache = make_cache(tier="memory", ttl=30.0, max_staleness=5.0)
-        assert cache.policy.default_ttl == 30.0
-        assert cache.policy.max_staleness == 5.0
+        cache = make_cache(tier="memory", ttl=30.0)
+        assert cache.ttl == 30.0
 
     def test_make_cache_off_is_none(self):
         assert make_cache(tier="off") is None
@@ -320,8 +188,9 @@ class TestMakeCacheTtlKnobs:
         with pytest.raises(ValueError, match="off/memory/disk"):
             make_cache(tier="tiered")
 
-    def test_policy_rejects_bad_windows(self):
-        with pytest.raises(ValueError):
-            CachePolicy(max_staleness=-1.0)
-        with pytest.raises(ValueError):
-            CachePolicy(negative_ttl=-0.5)
+    @pytest.mark.parametrize("ttl", [-5.0, float("nan")])
+    def test_a_negative_or_nan_ttl_is_refused(self, ttl):
+        with pytest.raises(ValueError, match="ttl"):
+            ResultCache(ttl=ttl)
+        with pytest.raises(ValueError, match="ttl"):
+            make_cache(tier="memory", ttl=ttl)

@@ -67,7 +67,7 @@ def test_matrix_combo_is_logically_exact(combo, shared_db, baseline_rows):
     # Always set a policy: transients must recover, and every combo gets
     # a dedicated pump so the final accounting is exact.
     policy = ResiliencePolicy(
-        retry=RetryPolicy(max_attempts=6, base_backoff=0.005, jitter=0.0)
+        retry=RetryPolicy(max_attempts=6, base_backoff=0.005)
     )
     engine = WsqEngine(
         database=shared_db,

@@ -2,6 +2,10 @@
 
 import re
 
+import pytest
+
+import repro.cli
+from repro.asynciter.resilience import CircuitBreakerConfig
 from repro.cli import HELP, _dot_command, _run_statement, build_engine, main
 
 
@@ -39,6 +43,65 @@ class TestBuildEngine:
         args = _Args()
         args.cache_tier = "off"
         assert build_engine(args).cache is None
+
+
+UTAH_COUNT = "Select Name, Count From States, WebCount Where Name = T1 and Name = 'Utah';"
+
+
+def engine_from_flags(monkeypatch, *flags, statement="Select Name From Sigs Limit 1;"):
+    """Run ``wsq --load-datasets <flags> -c <statement>``; return the engine it built."""
+    built = []
+    monkeypatch.setattr(
+        repro.cli, "build_engine", lambda args: built.append(build_engine(args)) or built[0]
+    )
+    assert main(["--load-datasets", *flags, "-c", statement]) == 0
+    (engine,) = built
+    return engine
+
+
+class TestCacheAndChaosFlags:
+    def test_disk_tier_answers_a_second_shell_from_disk(self, monkeypatch, tmp_path, capsys):
+        flags = ("--cache-tier", "disk", "--cache-dir", str(tmp_path))
+        first = engine_from_flags(monkeypatch, *flags, statement=UTAH_COUNT)
+        cold = capsys.readouterr().out
+        assert first.clients["AV"].requests_sent == 1
+        second = engine_from_flags(monkeypatch, *flags, statement=UTAH_COUNT)
+        warm = capsys.readouterr().out
+        assert second.cache.path == str(tmp_path) and second.cache is not first.cache
+        assert second.clients["AV"].requests_sent == 0
+        assert second.cache.hits == 1
+        assert warm.splitlines()[:-1] == cold.splitlines()[:-1]  # all but the timing line
+
+    def test_cache_tier_off_wins_over_the_environment(self, monkeypatch):
+        monkeypatch.setenv("REPRO_CACHE", "memory")
+        assert engine_from_flags(monkeypatch).cache is not None
+        assert engine_from_flags(monkeypatch, "--cache-tier", "off").cache is None
+
+    def test_cache_ttl_reaches_the_cache(self, monkeypatch):
+        monkeypatch.delenv("REPRO_CACHE", raising=False)
+        assert engine_from_flags(monkeypatch, "--cache-ttl", "30").cache.ttl == 30.0
+        memory = engine_from_flags(monkeypatch, "--cache-tier", "memory", "--cache-ttl", "0.5")
+        assert memory.cache.ttl == 0.5 and memory.cache.path is None
+
+    @pytest.mark.parametrize("ttl", ["-5", "nan"])
+    def test_a_negative_or_nan_cache_ttl_is_a_usage_error(self, ttl, capsys):
+        with pytest.raises(SystemExit) as exit:
+            main(["--cache-ttl", ttl, "-c", "Select 1;"])
+        assert exit.value.code != 0
+        assert "--cache-ttl" in capsys.readouterr().err
+
+    def test_chaos_flags_build_the_pump_policy(self, monkeypatch):
+        engine = engine_from_flags(
+            monkeypatch, "--fault-rate", "0.2", "--retry-attempts", "4", "--call-timeout", "5"
+        )
+        try:
+            policy = engine.pump.resilience
+            assert engine.faults.transient_rate == 0.2
+            assert policy.retry.max_attempts == 4
+            assert policy.call_timeout == 5.0
+            assert isinstance(policy.breaker, CircuitBreakerConfig)
+        finally:
+            engine.pump.shutdown()
 
 
 class TestRunStatement:

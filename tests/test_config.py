@@ -17,7 +17,7 @@ import pytest
 
 from repro.asynciter.pump import PumpLimits, RequestPump
 from repro.asynciter.reqsync import ReqSync
-from repro.asynciter.resilience import ResiliencePolicy, RetryPolicy
+from repro.asynciter.resilience import CircuitBreakerConfig, ResiliencePolicy, RetryPolicy
 from repro.config import ENV_VARIABLES, FIELD_ENV, EngineConfig, default_cache
 from repro.obs import Observability
 from repro.plan.logical import LogicalReqSync
@@ -26,6 +26,7 @@ from repro.serve import Deadline, QueryService, TenantPolicy
 from repro.util.errors import ConfigError, PlanError, ReproError
 from repro.vtables.evscan import EVScan
 from repro.web.cache import ResultCache, make_cache
+from repro.web.client import SearchClient
 from repro.wsq import WsqEngine
 
 SQL = "Select Name, Count From States, WebCount Where Name = T1"
@@ -185,7 +186,7 @@ class TestDefaultCache:
         assert type(default_cache({"REPRO_CACHE": "memory"})) is ResultCache
         memory = default_cache({"REPRO_CACHE": "Memory", "REPRO_CACHE_TTL": "2.5"})
         assert type(memory) is ResultCache
-        assert memory.policy.default_ttl == 2.5
+        assert memory.ttl == 2.5
 
     def test_invalid_values_name_their_variable(self):
         with pytest.raises(ConfigError, match=r"\$REPRO_CACHE\b.*off/memory/disk"):
@@ -194,6 +195,13 @@ class TestDefaultCache:
             default_cache({"REPRO_CACHE": "tiered"})
         with pytest.raises(ConfigError, match=r"\$REPRO_CACHE_TTL"):
             default_cache({"REPRO_CACHE": "memory", "REPRO_CACHE_TTL": "soon"})
+
+    @pytest.mark.parametrize("raw", ["-5", "nan", "-inf"])
+    def test_a_negative_or_nan_ttl_names_its_variable(self, raw):
+        # Accepted, such a TTL expired every entry at once: each lookup a
+        # miss and an eviction, the cache silently off.
+        with pytest.raises(ConfigError, match=r"\$REPRO_CACHE_TTL.*>= 0"):
+            default_cache({"REPRO_CACHE": "memory", "REPRO_CACHE_TTL": raw})
 
     def test_env_variables_lists_everything_that_is_read(self):
         class Recording(dict):
@@ -386,8 +394,10 @@ RETIRED_OPTIONS = [
 #: per-tenant active budget and its unused options, then the sharded
 #: search tier (its client, view, stats, cost pricing, variable, flag
 #: and trace events), then the cost model's unset knobs, calibration
-#: profile persistence and policy, and served recalibration; none may
-#: come back in code, CI or the docs.
+#: profile persistence and policy, and served recalibration, then the
+#: result cache's freshness policy (per-kind TTLs, serve-stale, negative
+#: caching and the failure replay) and the breaker's unset knobs; none
+#: may come back in code, CI or the docs.
 RETIRED = [
     _spell("Planner", "Options"),
     _spell("Rewrite", "Settings"),
@@ -447,6 +457,18 @@ RETIRED = [
     _spell("reqsync_", "fanout"),
     _spell(r"serve\.", "(recalibrate|calibration)"),
     _spell("--", "calibration"),
+    _spell("Cache", "Policy"),
+    _spell("Cached", "Failure"),
+    _spell("Cache", "Lookup"),
+    _spell("put_", "failure"),
+    _spell("max_", "staleness"),
+    _spell("negative", "_ttl"),
+    _spell("ttl_by", "_kind"),
+    _spell(r"cache\.", "stale"),
+    _spell("CACHE_", "STALE"),
+    _spell("stale", "_hits"),
+    _spell("half_open_max", "_calls"),
+    _spell(r"\brecovery", r"_timeout\b"),
 ]
 
 #: Where they may not appear (EXPERIMENTS.md, CHANGES.md and ROADMAP.md
@@ -556,6 +578,18 @@ class TestStructuralGuard:
             _spell('            metrics.inc("serve.', 'recalibrate.applied")'),
             _spell('            metrics.gauge("serve.', 'calibration.samples")'),
             _spell('        "--', 'calibration",'),
+            _spell("from repro.web.cache import Cache", "Policy, ResultCache"),
+            _spell("class Cached", "FailureError(WebRequestError):"),
+            _spell("        return Cache", "Lookup(status, entry.value)"),
+            _spell("                    self.cache.put_", "failure(key, exc)"),
+            _spell("    max_", "staleness=0.0,"),
+            _spell("    negative", "_ttl=None,"),
+            _spell("        self.ttl_by", "_kind = dict(ttl_by", "_kind or {})"),
+            _spell('_COUNTERS = ("cache.hit", "cache.miss", "cache.', 'stale")'),
+            _spell('CACHE_', 'STALE = "cache.', 'stale"'),
+            _spell('            "stale', '_hits": self._stale.value,'),
+            _spell("        half_open_max", "_calls=1,"),
+            _spell("        recovery", "_timeout=1.0,"),
         ],
     )
     def test_retired_guard_catches_a_revived_name(self, mutant):
@@ -573,6 +607,18 @@ class TestStructuralGuard:
             "self", "sql", "tenant", "timeout", "mode",
         ]
         assert "Session" not in repro.serve.__all__
+
+    def test_external_call_path_keeps_the_parameters_its_callers_pass(self):
+        def parameters(fn):
+            return list(inspect.signature(fn).parameters)
+
+        assert parameters(ResultCache) == [
+            "capacity", "ttl", "clock", "metrics", "tracer", "path",
+        ]
+        assert parameters(make_cache) == ["tier", "capacity", "ttl", "disk_path", "clock"]
+        assert parameters(RetryPolicy) == ["max_attempts", "base_backoff"]
+        assert parameters(CircuitBreakerConfig) == ["failure_threshold"]
+        assert "resilience" not in parameters(SearchClient)
 
     def test_retired_names_are_gone(self):
         pattern = re.compile("|".join(RETIRED))

@@ -155,7 +155,7 @@ class TestPumpDeadlines:
         from repro.util.errors import TransientWebError
 
         policy = ResiliencePolicy(
-            retry=RetryPolicy(max_attempts=5, base_backoff=0.3, jitter=0.0),
+            retry=RetryPolicy(max_attempts=5, base_backoff=0.3),
             call_timeout=10.0,
         )
         pump = RequestPump(resilience=policy)

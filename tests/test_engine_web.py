@@ -132,8 +132,8 @@ class TestResultCache:
         cache.put(("b",), 2)
         cache.lookup(("a",))  # refresh a
         cache.put(("c",), 3)  # evicts b
-        assert cache.lookup(("b",)).value is None
-        assert cache.lookup(("a",)).value == 1
+        assert cache.lookup(("b",)) is None
+        assert cache.lookup(("a",)) == 1
         assert len(cache) == 2
 
     def test_stats(self):

@@ -14,6 +14,7 @@ seeded transient-fault schedule (plus an engine outage) must
 
 import pytest
 
+from repro.asynciter.pump import RequestPump
 from repro.asynciter.resilience import (
     CircuitBreakerConfig,
     ResiliencePolicy,
@@ -21,6 +22,7 @@ from repro.asynciter.resilience import (
 )
 from repro.bench.workloads import bench_engine
 from repro.util.errors import ExecutionError, ReproError
+from repro.util.timing import VirtualClock
 from repro.web.faults import HANG, FaultModel
 
 #: Template-1-style multi-binding query: one WebCount call per state.
@@ -51,7 +53,7 @@ def google_expr(name):
 def fast_policy(max_attempts=2, call_timeout=None, breaker=None):
     """A retry policy with zero backoff, for fast deterministic tests."""
     return ResiliencePolicy(
-        retry=RetryPolicy(max_attempts=max_attempts, base_backoff=0.0, jitter=0.0),
+        retry=RetryPolicy(max_attempts=max_attempts, base_backoff=0.0),
         call_timeout=call_timeout,
         breaker=breaker,
     )
@@ -228,25 +230,20 @@ class TestSyncAsyncEquivalence:
 
 
 class TestOutageAndBreaker:
-    def _fake_clock(self):
-        class _Clock:
-            now = 0.0
-
-            def __call__(self):
-                return self.now
-
-        return _Clock()
-
     def test_breaker_opens_during_outage_and_recovers(self, state_names):
-        clock = self._fake_clock()
+        clock = VirtualClock()
         faults = FaultModel(seed=0, outages=("Google",))
         resilience = ResiliencePolicy(
             retry=None,  # isolate the breaker behaviour
-            breaker=CircuitBreakerConfig(
-                failure_threshold=3, recovery_timeout=5.0, clock=clock
-            ),
+            breaker=CircuitBreakerConfig(failure_threshold=3),
         )
-        engine = chaos_engine(faults, resilience, on_error="drop")
+        # The breakers run on the pump's clock.
+        engine = bench_engine(
+            latency=None,
+            faults=faults,
+            on_error="drop",
+            pump=RequestPump(resilience=resilience, clock=clock, single_flight=True),
+        )
         try:
             # Every Google call fails fast during the outage; the query
             # still completes (drop policy) with zero rows.
@@ -268,7 +265,7 @@ class TestOutageAndBreaker:
             # Outage ends, recovery window passes: the next call is the
             # half-open probe; its success closes the breaker.
             faults.end_outage("Google")
-            clock.now += 10.0
+            clock.advance(10.0)
             single = (
                 "Select Name, Count From States, WebCount_Google "
                 "Where Name = T1 and WebCount_Google.T2 = 'capital' "

@@ -2,8 +2,8 @@
 
 An :class:`~repro.vtables.base.ExternalCall` carries a ``probe`` — the one
 cache read of its request.  ``RequestPump`` asks it once, at registration;
-a fresh or stale hit, a negatively cached failure or a spent deadline
-settles the call there and then: counted and traced like any other call
+a hit, a probe that raises or a spent deadline settles the call there
+and then: counted and traced like any other call
 (``call.register → call.complete|fail``, ``attempts=0``), but with no
 attempt, no slot, no breaker and no pump wake-up.  Only a miss goes out.
 
@@ -20,11 +20,7 @@ from hypothesis import HealthCheck, given, settings
 
 from repro.asynciter.context import AsyncContext
 from repro.asynciter.pump import PumpLimits, RequestPump
-from repro.asynciter.resilience import (
-    CircuitBreakerConfig,
-    ResiliencePolicy,
-    RetryPolicy,
-)
+from repro.asynciter.resilience import CircuitBreakerConfig, ResiliencePolicy
 from repro.datasets import load_all
 from repro.obs import Observability
 from repro.obs.analysis import request_table
@@ -36,17 +32,10 @@ from repro.obs.trace import (
 )
 from repro.serve import Deadline
 from repro.storage import Database
-from repro.util.errors import (
-    BreakerOpenError,
-    CachedFailureError,
-    ExecutionError,
-    QueryDeadlineExceeded,
-    TransientWebError,
-)
+from repro.util.errors import BreakerOpenError, QueryDeadlineExceeded, TransientWebError
 from repro.util.timing import VirtualClock
 from repro.vtables.base import ExternalCall
-from repro.web.cache import CachePolicy, ResultCache
-from repro.web.faults import FaultModel
+from repro.web.cache import ResultCache
 from repro.web.world import default_web
 from repro.wsq import WsqEngine
 from test_cache_oracle import multiset, wsq_query
@@ -176,8 +165,10 @@ class TestPumpAnswersAtRegistration:
         assert sink.outcomes == {call_id: ([], None)} and went_out == []
 
     def test_replayed_failure_fails_inline(self, pump):
+        # A probe is caller-supplied code: a failure it raises (replays)
+        # is the call's error.
         sink, went_out = Sink(), []
-        failure = CachedFailureError("negatively cached failure for 'k'")
+        failure = RuntimeError("replayed failure")
         call_id = pump.register(probed_call(answer=failure, went_out=went_out), sink)
         assert sink.outcomes == {call_id: (None, failure)}
         assert sink.threads == {threading.get_ident()} and went_out == []
@@ -233,14 +224,10 @@ class TestHitsBypassBreakerAndLimits:
     """The satellite bugfix: a request the cache can answer is not gated
     by (and does not feed) machinery that exists to protect the network."""
 
-    def _tripped_pump(self, now):
+    def _tripped_pump(self, clock):
         pump = RequestPump(
-            tracer=Tracer(),
-            resilience=ResiliencePolicy(
-                breaker=CircuitBreakerConfig(
-                    failure_threshold=1, recovery_timeout=10.0, clock=lambda: now[0]
-                )
-            ),
+            tracer=Tracer(clock=clock),  # the pump, and so its breakers, run on it
+            resilience=ResiliencePolicy(breaker=CircuitBreakerConfig(failure_threshold=1)),
         )
         sink = Sink()
         pump.register(
@@ -251,7 +238,7 @@ class TestHitsBypassBreakerAndLimits:
         return pump
 
     def test_hit_is_served_while_the_breaker_is_open(self):
-        pump = self._tripped_pump([0.0])
+        pump = self._tripped_pump(VirtualClock())
         try:
             hit, miss = Sink(), Sink()
             hit_id = pump.register(probed_call("cached"), hit)
@@ -268,10 +255,10 @@ class TestHitsBypassBreakerAndLimits:
             pump.shutdown()
 
     def test_hit_during_half_open_leaves_the_breaker_half_open(self):
-        now = [0.0]
-        pump = self._tripped_pump(now)
+        clock = VirtualClock()
+        pump = self._tripped_pump(clock)
         try:
-            now[0] = 11.0  # past the recovery timeout
+            clock.advance(11.0)  # past the recovery timeout
             assert pump.breakers()["AV"]["state"] == "half_open"
             hit = Sink()
             pump.register(probed_call("cached"), hit)
@@ -296,7 +283,7 @@ class TestHitsBypassBreakerAndLimits:
             )
         )
         try:
-            pump.register(probed_call(answer=CachedFailureError("replayed")), Sink())
+            pump.register(probed_call(answer=RuntimeError("replayed failure")), Sink())
             assert pump.stats.snapshot()["failed"] == 1
             assert pump.breakers() == {}  # never consulted, never told
         finally:
@@ -482,57 +469,6 @@ class TestWarmQueries:
             assert all(r.issued_at is None and r.mode == mode for r in warm_records)
         finally:
             engine.pump.shutdown()
-
-    @pytest.mark.parametrize("on_error", ["raise", "drop", "null"])
-    def test_cached_failure_replays_alike_in_both_modes(self, web, db, on_error):
-        outcomes = {}
-        for mode in ("sync", "async"):
-            engine = WsqEngine(
-                database=db,
-                web=web,
-                cache=ResultCache(policy=CachePolicy(negative_ttl=1e9)),
-                faults=FaultModel(seed=11, transient_rate=0.4),
-                resilience=ResiliencePolicy(
-                    retry=RetryPolicy(max_attempts=1, base_backoff=0.0, jitter=0.0)
-                ),
-                on_error=on_error,
-            )
-            try:
-                first = self._run(engine, mode)
-                sent = engine.clients["AV"].requests_sent
-                failed = engine.pump.stats.snapshot()["failed"]
-                assert failed > 0  # the schedule did inject failures
-                again = self._run(engine, mode)
-                assert again == first
-                assert engine.pump.quiesce(timeout=5.0)
-                snap = assert_exact(engine.pump)
-                if on_error != "raise":
-                    # Both runs went through every call, every failure of
-                    # the first was final and so recorded: the re-run
-                    # replays them without asking the network.  (Under
-                    # "raise" the first failure aborts the query and
-                    # cancels whatever else was in flight, so how much
-                    # the re-run finds cached is a matter of timing.)
-                    assert engine.clients["AV"].requests_sent == sent
-                    assert snap["failed"] == 2 * failed
-                    assert snap["cancelled"] == 0
-                assert engine.pump.breakers() == {}
-                outcomes[mode] = again
-            finally:
-                engine.pump.shutdown()
-        assert outcomes["sync"] == outcomes["async"]
-
-    @staticmethod
-    def _run(engine, mode):
-        """Sorted rows, or the web-level cause of the failure."""
-        try:
-            return sorted(engine.execute(SIGS_COUNT, mode=mode).rows, key=repr)
-        except (ExecutionError, TransientWebError, CachedFailureError) as exc:
-            while exc.__cause__ is not None:
-                exc = exc.__cause__
-            # First run: the injected fault; re-run: its cached record.
-            assert isinstance(exc, (TransientWebError, CachedFailureError))
-            return "failed"
 
 
 @settings(max_examples=15, deadline=None, suppress_health_check=[HealthCheck.too_slow])

@@ -54,6 +54,7 @@ from repro.util.errors import (
     RequestTimeoutError,
     TransientWebError,
 )
+from repro.util.timing import VirtualClock
 from repro.vtables.base import ExternalCall
 from repro.web.cache import ResultCache
 from repro.web.latency import UniformLatency
@@ -232,7 +233,7 @@ class TestCancellationTrace:
 
 def fast_policy(max_attempts=3, call_timeout=None, breaker=None):
     return ResiliencePolicy(
-        retry=RetryPolicy(max_attempts=max_attempts, base_backoff=0.0, jitter=0.0),
+        retry=RetryPolicy(max_attempts=max_attempts, base_backoff=0.0),
         call_timeout=call_timeout,
         breaker=breaker,
     )
@@ -279,8 +280,11 @@ class TestFaultPathTraces:
         finally:
             pump.shutdown()
 
-    def test_breaker_open_rejection(self, tracer):
-        breaker = CircuitBreakerConfig(failure_threshold=1, recovery_timeout=60.0)
+    def test_breaker_open_rejection(self):
+        # The pump, and so its breaker, run on the tracer's clock; it
+        # never moves, so the breaker stays open.
+        tracer = Tracer(clock=VirtualClock())
+        breaker = CircuitBreakerConfig(failure_threshold=1)
         pump = RequestPump(
             tracer=tracer,
             resilience=fast_policy(max_attempts=1, breaker=breaker),

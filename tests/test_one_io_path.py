@@ -3,8 +3,7 @@
 Every external request is one attempt generator run by a request pump; a
 caller that blocks (``EVScan``, ``SearchClient.count``) waits for the
 pump.  The guard below keeps a second, blocking implementation from
-growing back in ``repro.web`` / ``repro.vtables``; the behavioural tests
-pin what only one of the former twins did.  A second guard keeps one
+growing back in ``repro.web`` / ``repro.vtables``.  A second guard keeps one
 resilience layer: the pump's retry/timeout/breaker loop is the only place
 a circuit breaker is built, and no web client races probes of its own.  A
 third keeps one clock: the pump's deadline heap is the only scheduler, so
@@ -17,14 +16,7 @@ import pathlib
 
 import pytest
 
-from repro.asynciter.resilience import ResiliencePolicy, RetryPolicy
-from repro.datasets import load_all
-from repro.storage import Database
-from repro.util.errors import CachedFailureError, ExecutionError, TransientWebError
 from repro.vtables.base import ExternalCall
-from repro.web.cache import CachePolicy, ResultCache
-from repro.web.faults import FaultModel
-from repro.wsq import WsqEngine
 
 SRC = pathlib.Path(__file__).resolve().parent.parent / "src" / "repro"
 
@@ -336,7 +328,7 @@ class TestStructuralGuard:
             if isinstance(node, ast.FunctionDef) and node.name == "_attempt"
         ]
         names = {name for _, name in identifiers(attempt)}
-        assert {"_cache_put", "put_failure"} <= names
+        assert "put" in names
         assert not names & {"_cache_get", "lookup", "get", "probe"}
 
     @pytest.mark.parametrize(
@@ -384,74 +376,3 @@ class TestStructuralGuard:
         assert not violations("def plan_sync(): pass\n", io_layer=False)
         for name in RETIRED:
             assert violations("engine.{}(plan)\n".format(name), io_layer=False)
-
-
-SINGLE_CALL = (
-    "Select Name, Count From States, WebCount "
-    "Where Name = T1 and Name = 'Utah'"
-)
-
-
-class TestNegativeCachingInBothModes:
-    """A final failure is recorded by the one attempt generator.
-
-    Before the collapse only the blocking client wrote failure records,
-    so an asynchronous query re-issued a request that had just failed for
-    good.
-    """
-
-    @pytest.mark.parametrize("mode", ["sync", "async"])
-    def test_final_failure_replays_from_the_cache(self, mode):
-        engine = WsqEngine(
-            database=load_all(Database()),
-            cache=ResultCache(policy=CachePolicy(negative_ttl=1e9)),
-            faults=FaultModel(seed=5, transient_rate=1.0),
-            resilience=ResiliencePolicy(
-                retry=RetryPolicy(max_attempts=2, base_backoff=0.0, jitter=0.0)
-            ),
-        )
-        client = engine.clients["AV"]
-        try:
-            with pytest.raises((TransientWebError, ExecutionError)) as first:
-                engine.execute(SINGLE_CALL, mode=mode)
-            assert isinstance(_web_error(first.value), TransientWebError)
-            assert client.requests_sent == 2  # both attempts went out
-
-            with pytest.raises((CachedFailureError, ExecutionError)) as second:
-                engine.execute(SINGLE_CALL, mode=mode)
-            assert isinstance(_web_error(second.value), CachedFailureError)
-            assert client.requests_sent == 2  # replayed, not re-issued
-        finally:
-            engine.pump.shutdown()
-
-    def test_retryable_attempt_is_not_recorded(self):
-        # Attempt 0 fails but the policy will retry it: recording it would
-        # negatively cache an outcome the next attempt fixes.
-        predictor = FaultModel(seed=5, transient_rate=0.5)
-        name = next(
-            state
-            for state in ("Utah", "Ohio", "Iowa", "Texas", "Maine", "Idaho")
-            if predictor.peek("AV", '"{}"'.format(state), 0) is not None
-            and predictor.peek("AV", '"{}"'.format(state), 1) is None
-        )
-        engine = WsqEngine(
-            database=load_all(Database()),
-            cache=ResultCache(policy=CachePolicy(negative_ttl=1e9)),
-            faults=FaultModel(seed=5, transient_rate=0.5),
-            resilience=ResiliencePolicy(
-                retry=RetryPolicy(max_attempts=2, base_backoff=0.0, jitter=0.0)
-            ),
-        )
-        try:
-            sql = SINGLE_CALL.replace("Utah", name)
-            rows = engine.execute(sql, mode="async").rows
-            assert len(rows) == 1 and rows[0][1] is not None
-            assert engine.pump.stats.snapshot()["retries"] == 1
-            assert engine.execute(sql, mode="async").rows == rows
-        finally:
-            engine.pump.shutdown()
-
-
-def _web_error(error):
-    """The web-layer error behind what a query raised in either mode."""
-    return error.__cause__ if isinstance(error, ExecutionError) else error

@@ -233,7 +233,7 @@ class TestReopenEqualsFreshLowering:
             on_error=on_error,
             faults=FaultModel(seed=11, transient_rate=0.35),
             resilience=ResiliencePolicy(
-                retry=RetryPolicy(max_attempts=2, base_backoff=0.0, jitter=0.0)
+                retry=RetryPolicy(max_attempts=2, base_backoff=0.0)
             ),
         )
         _assert_reopens_match_fresh(engine, (Q1, Q5, FIG4), mode)

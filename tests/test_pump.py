@@ -450,6 +450,7 @@ class TestQueuedCallsThatEndAtOnce:
         from repro.asynciter.resilience import CircuitBreakerConfig, ResiliencePolicy
         from repro.serve import Deadline
         from repro.util.errors import BreakerOpenError, QueryDeadlineExceeded
+        from repro.util.timing import VirtualClock
 
         if reason == "spent_deadline":
             # Alive when queued, spent by the time a slot frees up.
@@ -457,11 +458,14 @@ class TestQueuedCallsThatEndAtOnce:
             slow = make_call(key="slow", delay=0.4)
         else:
             # The slow call's failure opens the breaker for the rest.
-            breaker = CircuitBreakerConfig(failure_threshold=1, recovery_timeout=60.0)
+            breaker = CircuitBreakerConfig(failure_threshold=1)
             resilience = ResiliencePolicy(breaker=breaker)
             deadline, expected = None, BreakerOpenError
             slow = make_call(key="slow", delay=0.4, error=ValueError("down"))
-        pump = RequestPump(limits=PumpLimits(max_total=1), resilience=resilience)
+        # The breaker stays open: the pump's clock, which it runs on, never moves.
+        pump = RequestPump(
+            limits=PumpLimits(max_total=1), resilience=resilience, clock=VirtualClock()
+        )
         errors = []
         try:
             pump.register(slow, lambda *outcome: None)

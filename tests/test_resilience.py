@@ -20,6 +20,7 @@ from repro.asynciter.resilience import (
     CLOSED,
     HALF_OPEN,
     OPEN,
+    RECOVERY_SECONDS,
     CircuitBreaker,
     CircuitBreakerConfig,
     ResiliencePolicy,
@@ -29,29 +30,20 @@ from repro.exec import RowsScan, collect
 from repro.relational.placeholder import Placeholder
 from repro.relational.schema import Column, Schema
 from repro.relational.types import DataType
+from repro.serve.deadline import Deadline
 from repro.util.errors import (
     BreakerOpenError,
     EngineOutageError,
     ExecutionError,
     HardWebError,
+    QueryDeadlineExceeded,
     RequestTimeoutError,
     TransientWebError,
 )
+from repro.util.rng import stable_uniform
+from repro.util.timing import VirtualClock
 from repro.vtables.base import ExternalCall
 from repro.web.faults import HARD, OUTAGE, TRANSIENT, FaultModel
-
-
-class FakeClock:
-    """Injectable monotonic clock for deterministic breaker tests."""
-
-    def __init__(self, now=0.0):
-        self.now = now
-
-    def __call__(self):
-        return self.now
-
-    def advance(self, seconds):
-        self.now += seconds
 
 
 # ---------------------------------------------------------------------------
@@ -171,25 +163,26 @@ class TestRetryPolicy:
         assert not policy.should_retry(HardWebError("x"), 0)
 
     def test_backoff_is_exponential_capped_and_deterministic(self):
-        policy = RetryPolicy(
-            base_backoff=0.1, multiplier=2.0, max_backoff=0.5, jitter=0.0
-        )
-        assert policy.backoff_delay("k", 0) == pytest.approx(0.1)
-        assert policy.backoff_delay("k", 1) == pytest.approx(0.2)
-        assert policy.backoff_delay("k", 2) == pytest.approx(0.4)
-        assert policy.backoff_delay("k", 3) == pytest.approx(0.5)  # capped
-        jittered = RetryPolicy(base_backoff=0.1, jitter=0.5)
-        once = jittered.backoff_delay("k", 1)
-        assert once == jittered.backoff_delay("k", 1)  # stable
-        # Jitter window: delay * [1 - j/2, 1 + j/2]
-        assert 0.2 * 0.75 <= once <= 0.2 * 1.25
-        assert jittered.backoff_delay("other", 1) != once  # decorrelated
+        policy = RetryPolicy(base_backoff=0.1)
+        # Doubling from 0.1 s, capped at 2 s, then scaled by a stable
+        # factor in [0.75, 1.25): the schedule of every request is fixed.
+        for attempt, unjittered in enumerate([0.1, 0.2, 0.4, 0.8, 1.6, 2.0, 2.0]):
+            u = stable_uniform("backoff", 0, "k", attempt)
+            delay = policy.backoff_delay("k", attempt)
+            assert delay == unjittered * (0.75 + 0.5 * u)
+            assert unjittered * 0.75 <= delay < unjittered * 1.25
+        once = policy.backoff_delay("k", 1)
+        assert once == policy.backoff_delay("k", 1)  # stable
+        assert policy.backoff_delay("other", 1) != once  # decorrelated
+        assert RetryPolicy(base_backoff=0.0).backoff_delay("k", 3) == 0.0
 
     def test_validation(self):
         with pytest.raises(ValueError):
             RetryPolicy(max_attempts=0)
         with pytest.raises(ValueError):
-            RetryPolicy(jitter=2.0)
+            RetryPolicy(base_backoff=-0.1)
+        with pytest.raises(ValueError):
+            CircuitBreakerConfig(failure_threshold=0)
         with pytest.raises(ValueError):
             ResiliencePolicy(call_timeout=0)
 
@@ -200,19 +193,11 @@ class TestRetryPolicy:
 
 
 class TestCircuitBreaker:
-    def _breaker(self, clock, threshold=3, recovery=5.0, probes=1):
-        return CircuitBreaker(
-            "AV",
-            CircuitBreakerConfig(
-                failure_threshold=threshold,
-                recovery_timeout=recovery,
-                half_open_max_calls=probes,
-                clock=clock,
-            ),
-        )
+    def _breaker(self, clock, threshold=3):
+        return CircuitBreaker("AV", CircuitBreakerConfig(failure_threshold=threshold), clock)
 
     def test_trips_after_consecutive_failures(self):
-        clock = FakeClock()
+        clock = VirtualClock()
         breaker = self._breaker(clock, threshold=3)
         for _ in range(2):
             breaker.record_failure()
@@ -222,7 +207,7 @@ class TestCircuitBreaker:
         assert breaker.snapshot()["opens"] == 1
 
     def test_success_resets_the_streak(self):
-        clock = FakeClock()
+        clock = VirtualClock()
         breaker = self._breaker(clock, threshold=3)
         breaker.record_failure()
         breaker.record_failure()
@@ -232,7 +217,7 @@ class TestCircuitBreaker:
         assert breaker.state == CLOSED
 
     def test_open_rejects_without_network(self):
-        clock = FakeClock()
+        clock = VirtualClock()
         breaker = self._breaker(clock, threshold=1)
         breaker.record_failure()
         assert not breaker.allow()
@@ -240,29 +225,30 @@ class TestCircuitBreaker:
         assert breaker.snapshot()["rejections"] == 2
 
     def test_half_open_after_recovery_timeout(self):
-        clock = FakeClock()
-        breaker = self._breaker(clock, threshold=1, recovery=5.0)
+        clock = VirtualClock()
+        breaker = self._breaker(clock, threshold=1)
         breaker.record_failure()
         assert breaker.state == OPEN
-        clock.advance(4.9)
+        clock.advance(RECOVERY_SECONDS - 0.1)
         assert breaker.state == OPEN
         clock.advance(0.2)
         assert breaker.state == HALF_OPEN
         assert breaker.snapshot()["half_opens"] == 1
 
     def test_half_open_probe_success_closes(self):
-        clock = FakeClock()
-        breaker = self._breaker(clock, threshold=1, recovery=1.0)
+        clock = VirtualClock()
+        breaker = self._breaker(clock, threshold=1)
         breaker.record_failure()
         clock.advance(2.0)
-        assert breaker.allow()  # the probe
+        assert breaker.allow() == HALF_OPEN  # the probe
+        assert not breaker.allow()  # one probe at a time
         breaker.record_success()
         assert breaker.state == CLOSED
         assert breaker.snapshot()["closes"] == 1
 
     def test_half_open_probe_failure_reopens(self):
-        clock = FakeClock()
-        breaker = self._breaker(clock, threshold=1, recovery=1.0)
+        clock = VirtualClock()
+        breaker = self._breaker(clock, threshold=1)
         breaker.record_failure()
         clock.advance(2.0)
         assert breaker.allow()
@@ -272,15 +258,6 @@ class TestCircuitBreaker:
         # The recovery clock restarted at the re-open.
         clock.advance(0.5)
         assert breaker.state == OPEN
-
-    def test_half_open_probe_budget(self):
-        clock = FakeClock()
-        breaker = self._breaker(clock, threshold=1, recovery=1.0, probes=2)
-        breaker.record_failure()
-        clock.advance(2.0)
-        assert breaker.allow()
-        assert breaker.allow()
-        assert not breaker.allow()  # probe budget exhausted
 
 
 # ---------------------------------------------------------------------------
@@ -305,7 +282,7 @@ def attempt_call(behaviour, destination="AV", delay=0.0, key=None):
     )
 
 
-def wait_one(pump, call):
+def wait_one(pump, call, deadline=None):
     """Register *call*, block for its completion, return (rows, error)."""
     done = threading.Event()
     payload = {}
@@ -314,7 +291,7 @@ def wait_one(pump, call):
         payload["rows"], payload["error"] = rows, error
         done.set()
 
-    pump.register(call, on_complete)
+    pump.register(call, on_complete, deadline=deadline)
     assert done.wait(5)
     return payload["rows"], payload["error"]
 
@@ -336,7 +313,7 @@ def wait_settled(pump, expected, timeout=2.0):
 def fast_retry_policy(max_attempts=3, **kwargs):
     return ResiliencePolicy(
         retry=RetryPolicy(
-            max_attempts=max_attempts, base_backoff=0.0, jitter=0.0
+            max_attempts=max_attempts, base_backoff=0.0
         ),
         **kwargs
     )
@@ -429,13 +406,10 @@ class TestPumpResilience:
             pump.shutdown()
 
     def test_breaker_opens_half_opens_and_closes(self):
-        clock = FakeClock()
+        clock = VirtualClock()
         pump = RequestPump(
-            resilience=ResiliencePolicy(
-                breaker=CircuitBreakerConfig(
-                    failure_threshold=2, recovery_timeout=5.0, clock=clock
-                )
-            )
+            clock=clock,
+            resilience=ResiliencePolicy(breaker=CircuitBreakerConfig(failure_threshold=2)),
         )
         try:
 
@@ -468,6 +442,62 @@ class TestPumpResilience:
             assert breaker["state"] == CLOSED
             assert breaker["half_opens"] == 1
             assert breaker["closes"] == 1
+        finally:
+            pump.shutdown()
+
+    def _half_open_pump(self, clock):
+        """A pump whose AV breaker has tripped and sat out its recovery."""
+        pump = RequestPump(
+            clock=clock,
+            resilience=ResiliencePolicy(breaker=CircuitBreakerConfig(failure_threshold=1)),
+        )
+
+        def failing(attempt):
+            raise TransientWebError("down")
+
+        _, error = wait_one(pump, attempt_call(failing))
+        assert isinstance(error, TransientWebError)
+        clock.advance(RECOVERY_SECONDS)
+        assert pump.snapshot()["breakers"]["AV"]["state"] == HALF_OPEN
+        return pump
+
+    def _assert_healthy_call_closes(self, pump, clock):
+        clock.advance(10.0)
+        rows, error = wait_one(pump, attempt_call(lambda a: [{"count": 1}]))
+        assert error is None and rows == [{"count": 1}]
+        breaker = pump.snapshot()["breakers"]["AV"]
+        assert breaker["state"] == CLOSED and breaker["closes"] == 1
+
+    def test_cancelled_half_open_probe_hands_its_permit_back(self):
+        clock = VirtualClock()
+        pump = self._half_open_pump(clock)
+        try:
+            started = threading.Event()
+
+            def hang(attempt=0):
+                started.set()
+                yield 60.0
+                return [{"count": 0}]
+
+            call_id = pump.register(
+                ExternalCall(("probe", next(_KEY_COUNTER)), "AV", hang), lambda *args: None
+            )
+            assert started.wait(5)  # the breaker admitted it as the probe
+            pump.cancel(call_id)
+            assert pump.quiesce(5)
+            self._assert_healthy_call_closes(pump, clock)
+        finally:
+            pump.shutdown()
+
+    def test_probe_cut_off_by_its_deadline_hands_its_permit_back(self):
+        clock = VirtualClock()
+        pump = self._half_open_pump(clock)
+        try:
+            _, error = wait_one(
+                pump, attempt_call(lambda a: [{"count": 0}], delay=0.2), deadline=Deadline(0.05)
+            )
+            assert isinstance(error, QueryDeadlineExceeded)
+            self._assert_healthy_call_closes(pump, clock)
         finally:
             pump.shutdown()
 
