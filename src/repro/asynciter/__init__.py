@@ -18,14 +18,14 @@ The technique has three runtime components plus a plan rewriter:
   and patches, cancels (0 result rows), or proliferates (n > 1 rows) them
   as calls complete.
 - :mod:`repro.asynciter.rewrite` — the Insertion / Percolation /
-  Consolidation placement algorithm of Section 4.5.
+  Consolidation placement algorithm of Section 4.5, over the logical
+  plan (:func:`~repro.asynciter.rewrite.rewrite_logical`).
 """
 
 from repro.asynciter.aevscan import AEVScan
 from repro.asynciter.context import AsyncContext
 from repro.asynciter.pump import PumpLimits, RequestPump, default_pump
 from repro.asynciter.reqsync import ReqSync
-from repro.asynciter.rewrite import apply_asynchronous_iteration
 
 __all__ = [
     "AEVScan",
@@ -33,6 +33,5 @@ __all__ = [
     "PumpLimits",
     "ReqSync",
     "RequestPump",
-    "apply_asynchronous_iteration",
     "default_pump",
 ]

@@ -18,9 +18,10 @@ from repro.util.errors import PlanError
 class Binder:
     """Resolves column names against one schema.
 
-    *subquery_planner*, when provided, plans uncorrelated subqueries
-    (``IN (SELECT ...)`` / ``EXISTS (SELECT ...)``) into executable
-    subplans; contexts that cannot host subqueries leave it unset.
+    *subquery_planner*, when provided, binds uncorrelated subqueries
+    (``IN (SELECT ...)`` / ``EXISTS (SELECT ...)``) to optimized logical
+    trees, which are lowered with the query; contexts that cannot host
+    subqueries leave it unset.
     """
 
     def __init__(self, schema, subquery_planner=None):
@@ -66,11 +67,11 @@ class Binder:
         if isinstance(node, ast.InSelect):
             from repro.relational.expr import InSubqueryPredicate
 
-            subplan = self._plan_subquery(node.subquery)
-            if len(subplan.schema) != 1:
+            logical = self._plan_subquery(node.subquery)
+            if len(logical.schema) != 1:
                 raise PlanError("IN subquery must produce exactly one column")
             return InSubqueryPredicate(
-                self.bind(node.expr), subplan, negated=node.negated
+                self.bind(node.expr), logical, negated=node.negated
             )
         if isinstance(node, ast.Exists):
             from repro.relational.expr import ExistsPredicate

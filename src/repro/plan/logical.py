@@ -5,11 +5,10 @@ Three-layer planning stack
 
 1. **Logical** (this module): :class:`LogicalNode` trees built by
    :meth:`repro.plan.planner.Planner.plan_logical`.  Nodes carry their
-   output :class:`~repro.relational.schema.Schema`, structural
-   equality/hashing, free-form per-node ``annotations``, and a
-   *placeholder-attribute* analysis (:func:`placeholder_columns`) — the
-   paper's "filled attribute set" A_i that drives every ReqSync clash
-   rule.
+   output :class:`~repro.relational.schema.Schema`, free-form per-node
+   ``annotations``, and a *placeholder-attribute* analysis
+   (:func:`placeholder_columns`) — the paper's "filled attribute set"
+   A_i that drives every ReqSync clash rule.
 2. **Rules** (:mod:`repro.plan.rules`): a fixed-point rule engine
    running the cost-gated relational pipeline and the paper's full
    ReqSync Insertion → Percolation → Consolidation algorithm as
@@ -23,6 +22,10 @@ virtual-table instances) and already-bound expression trees, so lowering
 is a 1:1 structural mapping and the physical plan produced through the
 stack is bit-identical in shape to what the pre-IR pipeline built.
 
+Plans flow one way: nothing maps operators back to the algebra, and a
+subquery predicate carries its subquery's logical tree, which ``lower``
+lowers with the query that evaluates it.  Nodes compare by identity.
+
 Tree conventions mirror the physical operators: unary nodes expose
 ``child``, binary nodes ``left``/``right``, and every node keeps a
 ``children`` tuple — so analyses and rewrites can be ported between the
@@ -35,23 +38,12 @@ from repro.util.errors import PlanError
 _CHILD_SLOTS = ("child", "left", "right")
 
 
-def _expr_key(expr):
-    """A structural fingerprint for a bound expression (or None)."""
-    if expr is None:
-        return None
-    try:
-        return (type(expr).__name__, expr.sql())
-    except Exception:  # pragma: no cover - exotic expression payloads
-        return (type(expr).__name__, id(expr))
-
 
 class LogicalNode:
     """Base class for all logical-plan nodes.
 
-    Structural identity: two nodes are equal when they have the same
-    class, the same :meth:`payload_key`, and structurally equal children.
     ``annotations`` is a free-form per-node dict (rule bookkeeping, cost
-    notes, ...) excluded from identity.
+    notes, ...).
     """
 
     #: Short name used by :func:`render` (defaults to the class name
@@ -82,32 +74,6 @@ class LogicalNode:
 
     def _refresh_schema(self):
         """Recompute a derived schema after a child swap (default: none)."""
-
-    # -- structural identity ---------------------------------------------------
-
-    def payload_key(self):
-        """Hashable payload identifying this node beyond class/children."""
-        return ()
-
-    def __eq__(self, other):
-        if type(self) is not type(other):
-            return NotImplemented
-        if self.payload_key() != other.payload_key():
-            return False
-        if len(self.children) != len(other.children):
-            return False
-        return all(a == b for a, b in zip(self.children, other.children))
-
-    def __ne__(self, other):
-        result = self.__eq__(other)
-        if result is NotImplemented:
-            return result
-        return not result
-
-    def __hash__(self):
-        return hash(
-            (type(self).__name__, self.payload_key(), tuple(hash(c) for c in self.children))
-        )
 
     # -- rendering -------------------------------------------------------------
 
@@ -149,17 +115,6 @@ class LogicalScan(LogicalNode):
         self.include_high = include_high
         self.schema = table.schema.with_qualifier(self.alias)
 
-    def payload_key(self):
-        return (
-            self.table.name,
-            self.alias,
-            self.index.column_name if self.index is not None else None,
-            self.low,
-            self.high,
-            self.include_low,
-            self.include_high,
-        )
-
     def label(self):
         if self.index is not None:
             bounds = []
@@ -186,9 +141,6 @@ class LogicalRowsScan(LogicalNode):
         self.rows_data = rows
         self.name = name
 
-    def payload_key(self):
-        return (self.name, len(self.rows_data))
-
     def label(self):
         return "Rows {} ({})".format(self.name, len(self.rows_data))
 
@@ -211,9 +163,6 @@ class LogicalVTableScan(LogicalNode):
         self.on_error = on_error
         self.schema = instance.schema
 
-    def payload_key(self):
-        return (self.instance.describe(), self.asynchronous, self.on_error)
-
     def label(self):
         prefix = "AVTableScan" if self.asynchronous else "VTableScan"
         return "{}: {}".format(prefix, self.instance.describe())
@@ -233,9 +182,6 @@ class LogicalFilter(LogicalNode):
     def _refresh_schema(self):
         self.schema = self.child.schema
 
-    def payload_key(self):
-        return _expr_key(self.predicate)
-
     def label(self):
         return "Filter: {}".format(self.predicate.sql(self.schema))
 
@@ -247,12 +193,6 @@ class LogicalProject(LogicalNode):
         self.expressions = list(expressions)
         self.children = (child,)
         self.schema = schema
-
-    def payload_key(self):
-        return (
-            tuple(_expr_key(e) for e in self.expressions),
-            tuple(self.schema.names()),
-        )
 
     def label(self):
         return "Project [{}]".format(", ".join(self.schema.names()))
@@ -266,12 +206,6 @@ class LogicalAggregate(LogicalNode):
         self.specs = list(specs)
         self.children = (child,)
         self.schema = schema
-
-    def payload_key(self):
-        return (
-            tuple(_expr_key(e) for e in self.group_exprs),
-            tuple(spec.sql() for spec in self.specs),
-        )
 
     def label(self):
         parts = [spec.sql(self.children[0].schema) for spec in self.specs]
@@ -311,9 +245,6 @@ class LogicalSort(LogicalNode):
     def _refresh_schema(self):
         self.schema = self.child.schema
 
-    def payload_key(self):
-        return tuple((_expr_key(e), bool(desc)) for e, desc in self.keys)
-
     def label(self):
         rendered = ", ".join(
             "{}{}".format(expr.sql(self.schema), " desc" if desc else "")
@@ -332,9 +263,6 @@ class LogicalLimit(LogicalNode):
 
     def _refresh_schema(self):
         self.schema = self.child.schema
-
-    def payload_key(self):
-        return (self.count,)
 
     def label(self):
         return "Limit {}".format(self.count)
@@ -389,9 +317,6 @@ class LogicalJoin(_Binary):
         self.predicate = predicate
         super().__init__(left, right)
 
-    def payload_key(self):
-        return _expr_key(self.predicate)
-
     def label(self):
         return "Join: {}".format(self.predicate.sql(self.schema))
 
@@ -402,9 +327,6 @@ class LogicalDependentJoin(_Binary):
     def __init__(self, left, right, binding_columns):
         self.binding_columns = dict(binding_columns)
         super().__init__(left, right)
-
-    def payload_key(self):
-        return tuple(sorted(self.binding_columns.items()))
 
     def label(self):
         pairs = ", ".join(
@@ -505,84 +427,3 @@ def render(node, annotate=None, indent=0):
         lines.append(render(child, annotate, indent + 1))
     return "\n".join(lines)
 
-
-# -- lifting physical plans into the algebra ------------------------------------
-
-
-def lift(plan):
-    """Lift a *physical* operator tree into an equivalent logical tree.
-
-    The inverse of :func:`repro.plan.physical.lower` (up to per-operator
-    execution state): payloads — table handles, bound expressions,
-    virtual-table instances, binding maps — are carried by reference, so
-    ``lower(lift(plan))`` reproduces the exact plan shape.  Used by the
-    :func:`repro.asynciter.rewrite.apply_asynchronous_iteration` adapter
-    to run the rule-based optimizer over plans built by legacy paths.
-    """
-    # Imported here: repro.exec imports repro.relational which is
-    # dependency-light, but keeping the planner importable without the
-    # full exec stack is still good hygiene for this module.
-    from repro.asynciter.aevscan import AEVScan
-    from repro.asynciter.reqsync import ReqSync
-    from repro.exec.aggregate import Aggregate
-    from repro.exec.distinct import Distinct
-    from repro.exec.filter import Filter
-    from repro.exec.indexscan import IndexScan
-    from repro.exec.joins import CrossProduct, DependentJoin, NestedLoopJoin
-    from repro.exec.limit import Limit
-    from repro.exec.project import Project
-    from repro.exec.scans import RowsScan, TableScan
-    from repro.exec.sort import Sort
-    from repro.exec.union import UnionAll
-    from repro.vtables.evscan import EVScan
-
-    if isinstance(plan, IndexScan):
-        return LogicalScan(
-            plan.table,
-            plan.qualifier,
-            index=plan.index,
-            low=plan.low,
-            high=plan.high,
-            include_low=plan.include_low,
-            include_high=plan.include_high,
-        )
-    if isinstance(plan, TableScan):
-        scan = LogicalScan(plan.table, plan.qualifier)
-        if plan.predicate is not None:  # a fused selection: the Filter it was
-            return LogicalFilter(scan, plan.predicate)
-        return scan
-    if isinstance(plan, RowsScan):
-        return LogicalRowsScan(plan.schema, plan.rows_data, plan.name)
-    if isinstance(plan, EVScan):
-        return LogicalVTableScan(plan.instance, on_error=plan.on_error)
-    if isinstance(plan, AEVScan):
-        return LogicalVTableScan(plan.instance, asynchronous=True)
-    if isinstance(plan, ReqSync):
-        return LogicalReqSync(lift(plan.child))
-    if isinstance(plan, Filter):
-        return LogicalFilter(lift(plan.child), plan.predicate)
-    if isinstance(plan, Project):
-        return LogicalProject(lift(plan.child), plan.expressions, plan.schema)
-    if isinstance(plan, Aggregate):
-        return LogicalAggregate(
-            lift(plan.child), plan.group_exprs, plan.specs, plan.schema
-        )
-    if isinstance(plan, Distinct):
-        return LogicalDistinct(lift(plan.child))
-    if isinstance(plan, Sort):
-        return LogicalSort(lift(plan.child), plan.keys)
-    if isinstance(plan, Limit):
-        return LogicalLimit(lift(plan.child), plan.count)
-    if isinstance(plan, NestedLoopJoin):
-        return LogicalJoin(lift(plan.left), lift(plan.right), plan.predicate)
-    if isinstance(plan, DependentJoin):
-        return LogicalDependentJoin(
-            lift(plan.left), lift(plan.right), plan.binding_columns
-        )
-    if isinstance(plan, CrossProduct):
-        return LogicalCrossProduct(lift(plan.left), lift(plan.right))
-    if isinstance(plan, UnionAll):
-        return LogicalUnion(lift(plan.left), lift(plan.right))
-    raise PlanError(
-        "cannot lift physical operator {!r} into the logical algebra".format(plan)
-    )

@@ -9,11 +9,13 @@ carried by reference through the logical layer.
 
 Execution knobs arrive as one :class:`~repro.config.EngineConfig`; the
 per-query :class:`~repro.serve.deadline.Deadline` travels on the
-context, not here.
+context, not here.  A subquery predicate's logical tree is lowered here
+too, under the same config and context as the query that evaluates it.
 """
 
 from repro.config import EngineConfig
 from repro.exec.operator import set_batch_size
+from repro.relational.expr import subqueries
 from repro.util.errors import PlanError
 
 from repro.plan import logical as L
@@ -28,7 +30,9 @@ def lower(node, config=None, context=None):
     :class:`~repro.asynciter.context.AsyncContext`: required when the
     tree contains asynchronous nodes (AEVScan / ReqSync), optional
     otherwise (an EVScan lowered without one waits on a private context
-    over the shared default pump).
+    over the shared default pump).  Each subquery in a predicate gets a
+    subplan lowered under the same *config* and *context*, with an empty
+    row memo.
     """
     if config is None:
         config = EngineConfig.resolve()
@@ -93,6 +97,8 @@ def _lower(node, config, context, needed):
     from repro.exec.sort import Sort
     from repro.exec.union import UnionAll
 
+    for subquery in subqueries(getattr(node, "predicate", None)):
+        subquery.set_subplan(lower(subquery.logical, config, context))
     columns = None if needed is None else tuple(sorted(needed))
     if (
         isinstance(node, L.LogicalFilter)

@@ -17,16 +17,16 @@
 
 ``Planner.optimize(node)`` then runs the one cost-gated relational
 pipeline (:data:`repro.plan.rules.RELATIONAL_PIPELINE`) through the
-:mod:`repro.plan.rules` engine, and ``Planner.plan(query)`` — the
-historical entry point — composes all three layers: build, optimize,
-then :func:`repro.plan.physical.lower` to executable operators.
-``lower(planner.plan_logical(query), config)`` is the unoptimized
-reference the equivalence tests compare against.
+:mod:`repro.plan.rules` engine, and :func:`repro.plan.physical.lower`
+turns the result into executable operators.  An ``IN``/``EXISTS``
+subquery is bound to its own built and optimized logical tree, which
+``lower`` lowers with the query.  ``lower(planner.plan_logical(query),
+config)`` is the unoptimized reference the equivalence tests compare
+against.
 
 The output is a *synchronous* plan (EVScan leaves); asynchronous
 iteration is :data:`repro.plan.rules.REQSYNC_PACK` applied over the
-logical form (or, for legacy physical plans, through the
-:func:`repro.asynciter.rewrite.apply_asynchronous_iteration` adapter).
+logical form (:func:`repro.asynciter.rewrite.rewrite_logical`).
 """
 
 from repro.config import EngineConfig
@@ -35,7 +35,6 @@ from repro.plan import logical as L
 from repro.plan.analysis import analyze_vtables, validate_bindings
 from repro.plan.binder import Binder, collect_aggregates, collect_names
 from repro.plan.cost import CostModel
-from repro.plan.physical import lower
 from repro.plan.rules import RELATIONAL_PIPELINE, RuleEngine, access_path
 from repro.relational.expr import ColumnRef, make_conjunction
 from repro.relational.schema import Column, Schema
@@ -74,17 +73,6 @@ class Planner:
 
     # -- public API -----------------------------------------------------------
 
-    def plan(self, query):
-        """Build the physical plan for a parsed SELECT statement.
-
-        The historical entry point, now a composition of the three
-        planning layers: ``plan_logical`` (algebra construction),
-        ``optimize`` (the relational pipeline), and
-        :func:`repro.plan.physical.lower`.
-        """
-        node, _ = self.optimize(self.plan_logical(query))
-        return lower(node, self.options)
-
     def plan_logical(self, query):
         """Build the (unoptimized) logical plan for a parsed SELECT."""
         relations = self._resolve_from(query)
@@ -113,6 +101,10 @@ class Planner:
         )
         node = engine.run(node)
         return node, engine.firings
+
+    def _subquery(self, query):
+        """A subquery's optimized logical tree (the binder's hook)."""
+        return self.optimize(self.plan_logical(query))[0]
 
     # -- FROM resolution ------------------------------------------------------------
 
@@ -287,14 +279,14 @@ class Planner:
         if plan is None:
             return scan
         combined = plan.schema.concat(scan.schema)
-        binder = Binder(combined, subquery_planner=self.plan)
+        binder = Binder(combined, subquery_planner=self._subquery)
         join_conjuncts = []
         for conjunct in list(residual):
             names = collect_names(conjunct)
             if not names:
                 continue
             if binder.can_bind(conjunct) and not Binder(
-                plan.schema, subquery_planner=self.plan
+                plan.schema, subquery_planner=self._subquery
             ).can_bind(conjunct):
                 # Touches the new relation (not bindable before it joined).
                 if collect_aggregates(conjunct):
@@ -310,7 +302,7 @@ class Planner:
 
     def _push_filters(self, plan, residual):
         """Attach every residual conjunct that the current schema can bind."""
-        binder = Binder(plan.schema, subquery_planner=self.plan)
+        binder = Binder(plan.schema, subquery_planner=self._subquery)
         bound = []
         remaining = []
         for conjunct in residual:
@@ -331,7 +323,7 @@ class Planner:
             # Surface the *underlying* binding failure (unknown column,
             # malformed subquery, ...) rather than a generic complaint —
             # can_bind() swallowed it during placement.
-            binder = Binder(plan.schema, subquery_planner=self.plan)
+            binder = Binder(plan.schema, subquery_planner=self._subquery)
             for conjunct in residual:
                 try:
                     binder.bind(conjunct)

@@ -54,6 +54,8 @@ Rules
     rewrites call it on the ``Filter(Scan)`` shapes they mint.
 """
 
+import copy
+
 from repro.obs.trace import PLAN_RULE_FIRED
 from repro.plan import logical as L
 from repro.relational.expr import (
@@ -69,7 +71,6 @@ from repro.relational.expr import (
     NullCheck,
     make_conjunction,
 )
-from repro.util.errors import PlanError
 
 TOP_DOWN = "top_down"
 BOTTOM_UP = "bottom_up"
@@ -109,12 +110,6 @@ class RuleContext:
 
     def parent_of(self, node):
         return self._parents.get(id(node))
-
-    def grandparent_of(self, node):
-        parent = self.parent_of(node)
-        if parent is None or isinstance(parent, _Root):
-            return None
-        return self._parents.get(id(parent))
 
     def is_left_child(self, parent, node):
         return getattr(parent, "left", None) is node
@@ -597,57 +592,16 @@ def _clone_tree(node):
     Rules that duplicate an input subtree (one copy per UNION-ALL branch)
     need independent child links so later rewrites of one branch cannot
     corrupt a sibling; table handles, bound expressions, and vtable
-    instances are shared, exactly like :func:`~repro.plan.logical.lift`.
+    instances are shared, and each node gets a shallow copy of its
+    annotations.
     """
-    if isinstance(node, L.LogicalScan):
-        twin = L.LogicalScan(
-            node.table,
-            node.alias,
-            index=node.index,
-            low=node.low,
-            high=node.high,
-            include_low=node.include_low,
-            include_high=node.include_high,
-        )
-    elif isinstance(node, L.LogicalRowsScan):
-        twin = L.LogicalRowsScan(node.schema, node.rows_data, node.name)
-    elif isinstance(node, L.LogicalVTableScan):
-        twin = L.LogicalVTableScan(
-            node.instance, asynchronous=node.asynchronous, on_error=node.on_error
-        )
-    elif isinstance(node, L.LogicalFilter):
-        twin = L.LogicalFilter(_clone_tree(node.child), node.predicate)
-    elif isinstance(node, L.LogicalProject):
-        twin = L.LogicalProject(
-            _clone_tree(node.child), list(node.expressions), node.schema
-        )
-    elif isinstance(node, L.LogicalAggregate):
-        twin = L.LogicalAggregate(
-            _clone_tree(node.child), node.group_exprs, node.specs, node.schema
-        )
-    elif isinstance(node, L.LogicalDistinct):
-        twin = L.LogicalDistinct(_clone_tree(node.child))
-    elif isinstance(node, L.LogicalSort):
-        twin = L.LogicalSort(_clone_tree(node.child), node.keys)
-    elif isinstance(node, L.LogicalLimit):
-        twin = L.LogicalLimit(_clone_tree(node.child), node.count)
-    elif isinstance(node, L.LogicalReqSync):
-        twin = L.LogicalReqSync(_clone_tree(node.child))
-    elif isinstance(node, L.LogicalJoin):
-        twin = L.LogicalJoin(
-            _clone_tree(node.left), _clone_tree(node.right), node.predicate
-        )
-    elif isinstance(node, L.LogicalDependentJoin):
-        twin = L.LogicalDependentJoin(
-            _clone_tree(node.left), _clone_tree(node.right), node.binding_columns
-        )
-    elif isinstance(node, L.LogicalCrossProduct):
-        twin = L.LogicalCrossProduct(_clone_tree(node.left), _clone_tree(node.right))
-    elif isinstance(node, L.LogicalUnion):
-        twin = L.LogicalUnion(_clone_tree(node.left), _clone_tree(node.right))
-    else:  # pragma: no cover - new node types must be added here
-        raise PlanError("cannot clone logical node {!r}".format(node))
-    twin.annotations.update(node.annotations)
+    twin = copy.copy(node)
+    twin.annotations = dict(node.annotations)
+    twin.children = tuple(_clone_tree(child) for child in node.children)
+    if hasattr(twin, "child"):
+        (twin.child,) = twin.children
+    elif twin.children:
+        twin.left, twin.right = twin.children
     return twin
 
 
@@ -907,9 +861,9 @@ class DecorrelateInToJoin(Rule):
     - non-negated only (``NOT IN`` over a NULL-containing list is
       three-valued in a way an anti-join here would not reproduce);
     - the probe must be a bare column reference;
-    - the subplan must lift into the algebra and be fully local (no
-      external scans whose call behavior the duplicate evaluation in a
-      join build would change);
+    - the subquery's tree must be fully local (no external scans whose
+      call behavior the duplicate evaluation in a join build would
+      change);
     - probe and candidate column types must agree (``IN`` compares
       mismatched types loosely as non-matches; a join predicate raises).
     """
@@ -928,27 +882,24 @@ class DecorrelateInToJoin(Rule):
                 continue
             if not isinstance(term.expr, ColumnRef):
                 continue
-            try:
-                lifted = L.lift(term.subplan)
-            except PlanError:
-                continue
-            if len(lifted.schema) != 1 or not _local_only(lifted):
+            subquery = term.logical
+            if len(subquery.schema) != 1 or not _local_only(subquery):
                 continue
             probe_type = node.child.schema[term.expr.index].type
-            if probe_type.is_numeric != lifted.schema[0].type.is_numeric:
+            if probe_type.is_numeric != subquery.schema[0].type.is_numeric:
                 continue
-            return conjuncts, position, lifted
+            return conjuncts, position, subquery
         return None
 
     def apply(self, node, ctx):
-        conjuncts, position, lifted = self._target(node)
+        conjuncts, position, subquery = self._target(node)
         probe = conjuncts[position]
         rest = conjuncts[:position] + conjuncts[position + 1 :]
         child = node.child
         width = len(child.schema)
         join = L.LogicalJoin(
             child,
-            L.LogicalDistinct(lifted),
+            L.LogicalDistinct(_clone_tree(subquery)),
             Comparison("=", ColumnRef(probe.expr.index), ColumnRef(width)),
         )
         keep = [

@@ -494,10 +494,18 @@ class NullCheck(BoundExpr):
 class SubqueryMixin:
     """Shared lazy materialization for subquery predicates.
 
-    The subplan is executed once, on first evaluation, and its result is
-    cached for the lifetime of the expression — sound because only
-    *uncorrelated* subqueries are planned into these nodes.
+    The binder gives the predicate its subquery's optimized *logical*
+    tree; :func:`repro.plan.physical.lower` lowers it with the query
+    that evaluates the predicate (:meth:`set_subplan`), so its calls use
+    that query's pump, deadline and context.  The subplan is executed
+    once, on first evaluation, and its result is cached until the next
+    lowering — sound because only *uncorrelated* subqueries are bound
+    into these nodes.
     """
+
+    def set_subplan(self, subplan):
+        self.subplan = subplan
+        self._rows = None
 
     def _subplan_rows(self):
         if self._rows is None:
@@ -508,19 +516,19 @@ class SubqueryMixin:
 
 
 class InSubqueryPredicate(BoundExpr, SubqueryMixin):
-    """``expr [NOT] IN (subplan)`` with SQL NULL semantics.
+    """``expr [NOT] IN (subquery)`` with SQL NULL semantics.
 
     ``x IN (...)`` is True on a match, NULL if no match but the subquery
     produced a NULL, else False; NOT IN negates through 3-valued logic.
     """
 
-    __slots__ = ("expr", "subplan", "negated", "_rows")
+    __slots__ = ("expr", "logical", "negated", "subplan", "_rows")
 
-    def __init__(self, expr, subplan, negated=False):
+    def __init__(self, expr, logical, negated=False):
         self.expr = expr
-        self.subplan = subplan
+        self.logical = logical
         self.negated = negated
-        self._rows = None
+        self.set_subplan(None)
 
     def eval(self, row):
         value = self.expr.eval(row)
@@ -541,9 +549,7 @@ class InSubqueryPredicate(BoundExpr, SubqueryMixin):
         return self.expr.referenced_columns()
 
     def remap(self, index_map):
-        clone = InSubqueryPredicate(self.expr.remap(index_map), self.subplan, self.negated)
-        clone._rows = self._rows
-        return clone
+        return InSubqueryPredicate(self.expr.remap(index_map), self.logical, self.negated)
 
     def result_type(self, schema):
         return DataType.BOOL
@@ -943,13 +949,13 @@ def compile_row_test(expr, kinds):
 
 
 class ExistsPredicate(BoundExpr, SubqueryMixin):
-    """``EXISTS (subplan)``: true iff the subquery returns any row."""
+    """``EXISTS (subquery)``: true iff the subquery returns any row."""
 
-    __slots__ = ("subplan", "_rows")
+    __slots__ = ("logical", "subplan", "_rows")
 
-    def __init__(self, subplan):
-        self.subplan = subplan
-        self._rows = None
+    def __init__(self, logical):
+        self.logical = logical
+        self.set_subplan(None)
 
     def eval(self, row):
         return len(self._subplan_rows()) > 0
@@ -958,9 +964,7 @@ class ExistsPredicate(BoundExpr, SubqueryMixin):
         return set()
 
     def remap(self, index_map):
-        clone = ExistsPredicate(self.subplan)
-        clone._rows = self._rows
-        return clone
+        return ExistsPredicate(self.logical)
 
     def result_type(self, schema):
         return DataType.BOOL
@@ -973,3 +977,22 @@ class ExistsPredicate(BoundExpr, SubqueryMixin):
 
     def __hash__(self):
         return id(self)
+
+
+def subqueries(expr):
+    """The subquery predicates (``IN``/``EXISTS``) inside *expr*.
+
+    Their own subqueries are not included: lowering one subquery lowers
+    what it holds.
+    """
+    found, stack = [], [expr]
+    while stack:
+        node = stack.pop()
+        if isinstance(node, SubqueryMixin):
+            found.append(node)
+            stack.append(getattr(node, "expr", None))
+            continue
+        for slot in getattr(type(node), "__slots__", ()):
+            value = getattr(node, slot)
+            stack.extend(value if isinstance(value, tuple) else (value,))
+    return found

@@ -16,7 +16,7 @@ from repro.plan import logical as logical_ir
 from repro.plan.cost import CPU_PER_PATCH, CostModel
 from repro.plan.physical import lower
 from repro.plan.planner import Planner
-from repro.relational.expr import SubqueryMixin, kernel_stats
+from repro.relational.expr import kernel_stats, subqueries
 from repro.sql import ast
 from repro.sql.parser import parse, parse_select
 from repro.storage.database import Database
@@ -45,7 +45,8 @@ class _Statement(namedtuple("_Statement", "logical firings mode external generat
 
     The finished logical tree, every rule firing that produced it, the
     resolved *mode* (never "auto"), whether the tree holds an *external*
-    scan, and the ``Database.generation`` it was planned under.  A stored
+    scan or a subquery (either needs the engine's pump), and the
+    ``Database.generation`` it was planned under.  A stored
     one is shared by every execution and thread that hits it: ``lower``
     builds operators from it and nothing writes to it.
 
@@ -58,20 +59,16 @@ class _Statement(namedtuple("_Statement", "logical firings mode external generat
 
 
 def _holds_subquery(logical):
-    """Does a predicate of the tree embed a subplan (``IN``/``EXISTS``)?
+    """Does a predicate of the tree hold an ``IN``/``EXISTS`` subquery?
 
-    Such a predicate memoises its subquery's rows on itself, which is
-    execution state: a tree holding one is planned per execution.
+    Such a predicate keeps the subplan ``lower`` gave it and memoises its
+    rows on itself, which is execution state: a tree holding one is
+    planned per execution.
     """
-    stack = [getattr(node, "predicate", None) for node in logical_ir.walk(logical)]
-    while stack:
-        expr = stack.pop()
-        if isinstance(expr, SubqueryMixin):
-            return True
-        for slot in getattr(type(expr), "__slots__", ()):
-            value = getattr(expr, slot)
-            stack.extend(value if isinstance(value, tuple) else (value,))
-    return False
+    return any(
+        subqueries(getattr(node, "predicate", None))
+        for node in logical_ir.walk(logical)
+    )
 
 
 class WsqEngine:
@@ -283,7 +280,9 @@ class WsqEngine:
             cost_model=self.cost_model,
         )
         mode = self._resolve_mode(logical, mode)
-        external = logical_ir.contains_external_scan(logical)
+        external = logical_ir.contains_external_scan(logical) or _holds_subquery(
+            logical
+        )
         if mode == ASYNC:
             logical, placement = rewrite_logical(
                 logical,

@@ -9,7 +9,10 @@ identical.  Do not "fix" or modernize this module — its value is that it
 does not change.  (Its knobs are read off an
 :class:`~repro.config.EngineConfig`, the one settings object there is;
 the placement switches it once read are fixed at the defaults they had:
-consolidation on, full buffering, no pull above a Sort.)
+consolidation on, full buffering, no pull above a Sort.  Its entry point
+and its filled-set analysis are renamed, ``place_reqsyncs`` and
+``filled_attributes``, so that the names of the retired physical
+adapter stay guarded; the code is unchanged.)
 """
 
 
@@ -28,7 +31,7 @@ from repro.util.errors import PlanError
 from repro.vtables.evscan import EVScan
 
 
-def apply_asynchronous_iteration(plan, context, settings=None):
+def place_reqsyncs(plan, context, settings=None):
     """Rewrite *plan* for asynchronous iteration; returns the new root."""
     settings = settings or EngineConfig()
     root = _Root(plan)
@@ -83,7 +86,7 @@ def _left_arity(parent):
 # -- filled-attribute analysis ---------------------------------------------------------
 
 
-def filled_columns(op):
+def filled_attributes(op):
     """Indexes in ``op.schema`` that may still hold placeholders.
 
     A ReqSync resolves everything below it, so its own filled set is
@@ -95,7 +98,7 @@ def filled_columns(op):
     if isinstance(op, (ReqSync, EVScan)):
         return set()
     if isinstance(op, Project):
-        below = filled_columns(op.child)
+        below = filled_attributes(op.child)
         filled = set()
         for out_index, expr in enumerate(op.expressions):
             if isinstance(expr, ColumnRef) and expr.index in below:
@@ -103,16 +106,16 @@ def filled_columns(op):
         return filled
     if isinstance(op, (CrossProduct, NestedLoopJoin, DependentJoin)):
         left_width = len(op.left.schema)
-        return filled_columns(op.left) | {
-            i + left_width for i in filled_columns(op.right)
+        return filled_attributes(op.left) | {
+            i + left_width for i in filled_attributes(op.right)
         }
     if isinstance(op, UnionAll):
-        return filled_columns(op.left) | filled_columns(op.right)
+        return filled_attributes(op.left) | filled_attributes(op.right)
     if isinstance(op, Aggregate):
         return set()
     if op.children:
         # Unary pass-through operators (Filter, Sort, Distinct, Limit).
-        return filled_columns(op.children[0])
+        return filled_attributes(op.children[0])
     return set()  # leaf scans
 
 
@@ -164,7 +167,7 @@ def _try_advance(parents, parent, reqsync, settings):
     if isinstance(parent, (_Root, ReqSync)):
         return False
     grandparent = parents[id(parent)]
-    filled = filled_columns(reqsync.child)
+    filled = filled_attributes(reqsync.child)
     # Translate to the parent's output coordinates.
     if isinstance(parent, (CrossProduct, NestedLoopJoin, DependentJoin)) and not _is_left_child(parent, reqsync):
         offset = _left_arity(parent)

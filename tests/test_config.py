@@ -396,8 +396,10 @@ RETIRED_OPTIONS = [
 #: and trace events), then the cost model's unset knobs, calibration
 #: profile persistence and policy, and served recalibration, then the
 #: result cache's freshness policy (per-kind TTLs, serve-stale, negative
-#: caching and the failure replay) and the breaker's unset knobs; none
-#: may come back in code, CI or the docs.
+#: caching and the failure replay) and the breaker's unset knobs, then
+#: the physical rewrite adapter, the physical-to-logical lift, structural
+#: plan identity and the unused grandparent lookup; none may come back
+#: in code, CI or the docs.
 RETIRED = [
     _spell("Planner", "Options"),
     _spell("Rewrite", "Settings"),
@@ -469,6 +471,12 @@ RETIRED = [
     _spell("stale", "_hits"),
     _spell("half_open_max", "_calls"),
     _spell(r"\brecovery", r"_timeout\b"),
+    _spell("apply_asynchronous", "_iteration"),
+    _spell("filled", "_columns"),
+    _spell("payload", "_key"),
+    _spell("_expr", "_key"),
+    _spell("grandparent", "_of"),
+    _spell(r"\blift", r"\("),
 ]
 
 #: Where they may not appear (EXPERIMENTS.md, CHANGES.md and ROADMAP.md
@@ -590,6 +598,12 @@ class TestStructuralGuard:
             _spell('            "stale', '_hits": self._stale.value,'),
             _spell("        half_open_max", "_calls=1,"),
             _spell("        recovery", "_timeout=1.0,"),
+            _spell("from repro.asynciter.rewrite import apply_asynchronous", "_iteration"),
+            _spell("def filled", "_columns(op):"),
+            _spell("    def payload", "_key(self):"),
+            _spell("        return _expr", "_key(self.predicate)"),
+            _spell("    def grandparent", "_of(self, node):"),
+            _spell("                lifted = L.lift", "(term.subplan)"),
         ],
     )
     def test_retired_guard_catches_a_revived_name(self, mutant):

@@ -2,19 +2,8 @@
 
 import pytest
 
-from repro.asynciter.aevscan import AEVScan
-from repro.asynciter.context import AsyncContext
-from repro.asynciter.pump import default_pump
-from repro.asynciter.reqsync import ReqSync
-from repro.asynciter.rewrite import apply_asynchronous_iteration, filled_columns
 from repro.config import EngineConfig
-from repro.exec import DependentJoin, Project, TableScan
-from repro.relational.schema import Column, Schema
-from repro.relational.types import DataType
-
-
-def context():
-    return AsyncContext(default_pump())
+from repro.wsq import WsqEngine
 
 
 def plan_shape(plan):
@@ -31,10 +20,14 @@ def plan_shape(plan):
 
 
 def rewrite_sql(engine, sql, **settings):
-    sync_plan = engine.plan(sql, mode="sync")
-    return apply_asynchronous_iteration(
-        sync_plan, context(), EngineConfig.resolve(**settings)
+    """The async plan the engine ships for *sql*, under *settings*."""
+    configured = WsqEngine(
+        database=engine.database,
+        web=engine.web,
+        cache=False,
+        config=EngineConfig.resolve(**settings),
     )
+    return configured.plan(sql, mode="async")
 
 
 class TestInsertionAndBasicPercolation:
@@ -82,12 +75,13 @@ class TestInsertionAndBasicPercolation:
         assert all(d > top_reqsync_depth for d in dj_depths)
 
     def test_figure8_join_rewritten_to_selection_over_cross_product(self, engine):
-        plan = rewrite_sql(
-            engine,
-            "Select S.URL From Sigs, WebPages S, CSFields, WebPages_AV C "
-            "Where Sigs.Name = S.T1 and CSFields.Name = C.T1 and "
-            "S.Rank <= 5 and C.Rank <= 5 and S.URL = C.URL",
+        # The join predicate reads the filled attribute Count (Example 3).
+        sql = (
+            "Select States.Name, Count, S2.Name From States, WebCount, States S2 "
+            "Where States.Name = T1 and Count < S2.Population"
         )
+        assert "reqsync.join_to_selection" in engine.explain(sql, form="rules")
+        plan = rewrite_sql(engine, sql)
         shape = [s.lstrip(".") for s in plan_shape(plan)]
         assert "NestedLoopJoin" not in shape
         assert "CrossProduct" in shape
@@ -151,43 +145,6 @@ class TestClashRules:
         )
         shape = [s.lstrip(".") for s in plan_shape(plan)]
         assert shape.count("ReqSync") == 1
-
-
-class TestFilledColumns:
-    def test_aevscan_filled(self, engine):
-        instance = engine.vtables["WebCount"].instantiate("WC", n=1)
-        scan = AEVScan(instance, context())
-        assert filled_columns(scan) == {2}  # Count of [SearchExp, T1, Count]
-
-    def test_reqsync_masks_below(self, engine):
-        instance = engine.vtables["WebCount"].instantiate("WC", n=1)
-        scan = AEVScan(instance, context())
-        assert filled_columns(ReqSync(scan, context())) == set()
-
-    def test_join_offsets_right_side(self, engine):
-        instance = engine.vtables["WebCount"].instantiate("WC", n=1)
-        scan = AEVScan(instance, context())
-        left = TableScan(engine.database.table("Sigs"), "Sigs")
-        join = DependentJoin(left, scan, {"T1": 0})
-        assert filled_columns(join) == {3}  # 1 (left) + 2
-
-    def test_project_remaps(self, engine):
-        from repro.relational.expr import ColumnRef
-
-        instance = engine.vtables["WebCount"].instantiate("WC", n=1)
-        scan = AEVScan(instance, context())
-        schema = Schema([Column("c", DataType.INT), Column("t", DataType.STR)], True)
-        project = Project(scan, [ColumnRef(2), ColumnRef(1)], schema)
-        assert filled_columns(project) == {0}
-
-    def test_project_dropping_filled_column(self, engine):
-        from repro.relational.expr import ColumnRef
-
-        instance = engine.vtables["WebCount"].instantiate("WC", n=1)
-        scan = AEVScan(instance, context())
-        schema = Schema([Column("t", DataType.STR)])
-        project = Project(scan, [ColumnRef(1)], schema)
-        assert filled_columns(project) == set()
 
 
 class TestEquivalence:

@@ -67,6 +67,11 @@ def _optimize(db, sql):
     return node, {f.rule for f in firings}
 
 
+def _subquery(planner, sql):
+    """*sql*'s tree as the binder gives it to a subquery predicate."""
+    return planner.optimize(planner.plan_logical(parse_select(sql)))[0]
+
+
 def _unoptimized_rows(db, sql):
     """The reference: the planner's tree lowered with no rule run."""
     planner = Planner(db)
@@ -157,29 +162,29 @@ class TestDecorrelateGuards:
         assert _rows(pack_db, sql) == _unoptimized_rows(pack_db, sql)
 
     def test_non_column_probe_never_rewritten(self, pack_db):
-        subplan = Planner(pack_db).plan(parse_select("Select X From S"))
+        subquery = _subquery(Planner(pack_db), "Select X From S")
         scan = L.LogicalScan(pack_db.table("T"))
         probe = Literal(3)  # not a bare ColumnRef
-        node = L.LogicalFilter(scan, InSubqueryPredicate(probe, subplan))
+        node = L.LogicalFilter(scan, InSubqueryPredicate(probe, subquery))
         assert not R.DecorrelateInToJoin().matches(node, None)
 
     def test_wide_subquery_never_rewritten(self, pack_db):
-        subplan = Planner(pack_db).plan(parse_select("Select X, X From S"))
+        subquery = _subquery(Planner(pack_db), "Select X, X From S")
         scan = L.LogicalScan(pack_db.table("T"))
         node = L.LogicalFilter(
-            scan, InSubqueryPredicate(ColumnRef(0), subplan)
+            scan, InSubqueryPredicate(ColumnRef(0), subquery)
         )
         assert not R.DecorrelateInToJoin().matches(node, None)
 
     def test_external_subplan_never_rewritten(self, pack_db, engine):
         # A join build would re-evaluate the subquery's external calls.
-        subplan = engine.plan(
-            "Select Count From States, WebCount Where Name = T1", mode="sync"
+        subquery = _subquery(
+            engine._planner, "Select Count From States, WebCount Where Name = T1"
         )
-        assert len(L.lift(subplan).schema) == 1
+        assert len(subquery.schema) == 1
         scan = L.LogicalScan(pack_db.table("T"))
         node = L.LogicalFilter(
-            scan, InSubqueryPredicate(ColumnRef(0), subplan)
+            scan, InSubqueryPredicate(ColumnRef(0), subquery)
         )
         assert not R.DecorrelateInToJoin().matches(node, None)
 
@@ -234,17 +239,14 @@ class TestOrToUnionGuards:
     def test_external_child_never_cloned(self, engine):
         # Splitting clones the input per branch; cloning an external
         # scan would multiply web calls.
-        lifted = L.lift(
-            engine.plan(
-                "Select Count From States, WebCount Where Name = T1",
-                mode="sync",
-            )
+        child = _subquery(
+            engine._planner, "Select Count From States, WebCount Where Name = T1"
         )
         assert any(
-            isinstance(n, L.LogicalVTableScan) for n in L.walk(lifted)
+            isinstance(n, L.LogicalVTableScan) for n in L.walk(child)
         )
         node = L.LogicalFilter(
-            lifted,
+            child,
             Disjunction(
                 [
                     Comparison("=", ColumnRef(0), Literal(1)),

@@ -2,11 +2,13 @@
 
 ``tests/_legacy_rewrite.py`` is a verbatim copy of the pre-optimizer
 ReqSync placement code.  For a spread of query shapes (and the
-``on_error``/``batch_size`` knobs the ReqSync carries), both rewriters
-transform the same synchronous physical plan; the resulting trees must
-be structurally identical — same operator classes, same explain labels,
-same ReqSync/scan configuration.  This is the acceptance-criterion proof that moving the
-placement algorithm onto the logical algebra changed nothing observable.
+``on_error``/``batch_size`` knobs the ReqSync carries), the legacy
+rewriter transforms the engine's synchronous physical plan, and the
+engine plans the same text in async mode, the path it ships; the
+resulting trees must be structurally identical — same operator classes,
+same explain labels, same ReqSync/scan configuration.  This is the
+proof that running the placement algorithm over the logical algebra
+changed nothing observable.
 """
 
 import pytest
@@ -15,9 +17,10 @@ import _legacy_rewrite as legacy
 from repro.asynciter.aevscan import AEVScan
 from repro.asynciter.context import AsyncContext
 from repro.asynciter.reqsync import ReqSync
-from repro.asynciter.rewrite import apply_asynchronous_iteration
 from repro.config import EngineConfig
+from repro.plan.rules import REQSYNC_PACK
 from repro.vtables.evscan import EVScan
+from repro.wsq import WsqEngine
 
 QUERIES = [
     # Table-1 shapes: dependent join + clash-y sort above a projection.
@@ -44,6 +47,18 @@ QUERIES = [
     "Select Name From States, WebCount Where Name = T1",
     # No virtual table at all: both rewriters must be an identity.
     "Select Name, Population From States Order By Population Desc",
+    # A join that reads no filled attribute: ReqSync percolates past it.
+    "Select States.Name, Count, S2.Name From States, WebCount, States S2 "
+    "Where States.Name = T1 and States.Population = S2.Population",
+    # A join on the filled attribute: selection over a cross-product
+    # (Example 3), then ReqSync rises through the cross-product.
+    "Select States.Name, Count, S2.Name From States, WebCount, States S2 "
+    "Where States.Name = T1 and Count < S2.Population",
+    # A filter that reads no filled attribute: ReqSync percolates past it.
+    "Select Name, Count From States, WebCount Where Name = T1 and T1 <> 'Texas'",
+    # A clashing selection between two dependent joins is hoisted.
+    "Select * From States, WebPages W, WebCount C "
+    "Where Name = W.T1 and W.Rank = 3 and Name = C.T1",
 ]
 
 SETTINGS = [
@@ -83,6 +98,14 @@ def _sync_plan(engine, sql):
     return engine.plan(sql, mode="sync")
 
 
+def _async_plan(engine, sql, settings=None):
+    """The async plan a fresh engine under *settings* ships for *sql*."""
+    configured = WsqEngine(
+        database=engine.database, web=engine.web, cache=False, config=settings
+    )
+    return configured.plan(sql, mode="async")
+
+
 @pytest.mark.parametrize("sql", QUERIES)
 @pytest.mark.parametrize(
     "settings_index", range(len(SETTINGS)), ids=lambda i: "settings{}".format(i)
@@ -90,12 +113,8 @@ def _sync_plan(engine, sql):
 def test_rewriters_agree_structurally(engine, sql, settings_index):
     settings = SETTINGS[settings_index]
     context = AsyncContext(engine.pump, dedup=False)
-    old = legacy.apply_asynchronous_iteration(
-        _sync_plan(engine, sql), context, settings
-    )
-    new = apply_asynchronous_iteration(
-        _sync_plan(engine, sql), context, settings
-    )
+    old = legacy.place_reqsyncs(_sync_plan(engine, sql), context, settings)
+    new = _async_plan(engine, sql, settings)
     assert _fingerprint(new) == _fingerprint(old)
     assert new.explain() == old.explain()
 
@@ -103,7 +122,17 @@ def test_rewriters_agree_structurally(engine, sql, settings_index):
 @pytest.mark.parametrize("sql", QUERIES[:4])
 def test_rewrite_is_reproducible(engine, sql):
     """The rule engine is deterministic: same input, same tree."""
-    context = AsyncContext(engine.pump, dedup=False)
-    a = apply_asynchronous_iteration(_sync_plan(engine, sql), context)
-    b = apply_asynchronous_iteration(_sync_plan(engine, sql), context)
+    a = _async_plan(engine, sql)
+    b = _async_plan(engine, sql)
     assert _fingerprint(a) == _fingerprint(b)
+
+
+def test_every_placement_rule_fires_on_some_query(engine):
+    """Each rule of the pack is compared with the legacy rewriter above."""
+    fired = {
+        line.split()[0]
+        for sql in QUERIES
+        for line in engine.explain(sql, form="rules").splitlines()
+    }
+    pack = {rule.name for group in REQSYNC_PACK for rule in group}
+    assert pack - fired == set()

@@ -119,7 +119,8 @@ def build_db(rows_t, rows_u=None, indexed=False):
 
 def run(db, sql):
     """Rows through the whole planner: build, optimize, lower."""
-    return collect(Planner(db).plan(parse_select(sql)))
+    planner = Planner(db)
+    return collect(lower(planner.optimize(planner.plan_logical(parse_select(sql)))[0]))
 
 
 def run_unoptimized(db, sql):

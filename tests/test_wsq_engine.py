@@ -1,10 +1,17 @@
 """The WsqEngine facade: execution modes, DDL/DML, stats, results."""
 
+import time
+
 import pytest
 
-from repro.util.errors import PlanError
+from repro.asynciter.pump import default_pump
+from repro.asynciter.resilience import ResiliencePolicy, RetryPolicy
+from repro.obs import Observability
+from repro.serve import Deadline
+from repro.util.errors import PlanError, QueryDeadlineExceeded
 from repro.web.cache import ResultCache
-from repro.web.latency import FixedLatency
+from repro.web.faults import FaultModel
+from repro.web.latency import FixedLatency, UniformLatency
 from repro.wsq import QueryResult, WsqEngine, format_table
 
 
@@ -127,3 +134,61 @@ class TestQueryResult:
     def test_format_table_nulls(self):
         rendered = format_table(QueryResult(["a"], [(None,)]))
         assert "NULL" in rendered
+
+
+class TestSubqueryCalls:
+    """A subquery's web calls go through the query's pump and context.
+
+    Each case runs the subquery and its top-level twin, which makes the
+    same one search, and expects the same treatment for both.
+    """
+
+    SUB = (
+        "Select Name From States Where Capital In "
+        "(Select T1 From WebCount Where T1 = 'Austin')"
+    )
+    TWIN = "Select Name From States, WebCount Where Capital = T1 and Name = 'Texas'"
+
+    @pytest.mark.parametrize("sql", [SUB, TWIN], ids=["subquery", "twin"])
+    def test_the_engine_pump_retries_them(self, web, paper_db, sql):
+        engine = WsqEngine(
+            database=paper_db,
+            web=web,
+            cache=False,
+            faults=FaultModel(seed=6, transient_rate=0.5),
+            resilience=ResiliencePolicy(
+                retry=RetryPolicy(max_attempts=6, base_backoff=0.0)
+            ),
+        )
+        try:
+            assert engine.execute(sql).rows == [("Texas",)]
+        finally:
+            engine.pump.shutdown()
+
+    @pytest.mark.parametrize("sql", [SUB, TWIN], ids=["subquery", "twin"])
+    def test_the_query_deadline_bounds_them(self, web, paper_db, sql):
+        engine = WsqEngine(
+            database=paper_db, web=web, cache=False, latency=UniformLatency(0.3, 0.3)
+        )
+        started = time.perf_counter()
+        with pytest.raises(QueryDeadlineExceeded):
+            engine.execute(sql, deadline=Deadline(0.05))
+        assert time.perf_counter() - started < 0.25
+
+    @pytest.mark.parametrize("mode", ["sync", "async"])
+    @pytest.mark.parametrize("sql", [SUB, TWIN], ids=["subquery", "twin"])
+    def test_the_engine_pump_counts_them(self, web, paper_db, sql, mode):
+        engine = WsqEngine(
+            database=paper_db, web=web, cache=False, obs=Observability.enabled()
+        )
+
+        def registered(pump):
+            return pump.stats.snapshot()["registered"]
+
+        try:
+            before = registered(engine.pump), registered(default_pump())
+            assert engine.execute(sql, mode=mode).rows == [("Texas",)]
+            after = registered(engine.pump), registered(default_pump())
+        finally:
+            engine.pump.shutdown()
+        assert (after[0] - before[0], after[1] - before[1]) == (1, 0)
