@@ -31,7 +31,6 @@ from repro.exec.sort import Sort
 from repro.exec.distinct import Distinct
 from repro.exec.aggregate import Aggregate, AggregateSpec
 from repro.exec.limit import Limit
-from repro.exec.union import UnionAll
 
 __all__ = [
     "Aggregate",
@@ -49,7 +48,6 @@ __all__ = [
     "RowsScan",
     "Sort",
     "TableScan",
-    "UnionAll",
     "collect",
     "collect_batches",
     "execute",

@@ -19,7 +19,7 @@ class Binder:
     """Resolves column names against one schema.
 
     *subquery_planner*, when provided, binds uncorrelated subqueries
-    (``IN (SELECT ...)`` / ``EXISTS (SELECT ...)``) to optimized logical
+    (``IN (SELECT ...)`` / ``EXISTS (SELECT ...)``) to their logical
     trees, which are lowered with the query; contexts that cannot host
     subqueries leave it unset.
     """

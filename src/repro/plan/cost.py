@@ -37,7 +37,6 @@ from repro.exec.limit import Limit
 from repro.exec.project import Project
 from repro.exec.scans import RowsScan, TableScan
 from repro.exec.sort import Sort
-from repro.exec.union import UnionAll
 from repro.relational.expr import (
     Comparison,
     Conjunction,
@@ -469,17 +468,6 @@ class CostModel:
                 issued=child.issued,
                 wave_seconds=child.wave_seconds,
             )
-        if isinstance(op, UnionAll):
-            left, right = self._walk(op.left), self._walk(op.right)
-            return PlanEstimate(
-                rows=left.rows + right.rows,
-                local_rows=left.local_rows + right.local_rows,
-                calls=left.merged_calls(right),
-                waves=left.waves + right.waves,
-                patched_values=left.patched_values + right.patched_values,
-                issued=left.issued + right.issued,
-                wave_seconds=left.wave_seconds + right.wave_seconds,
-            )
         if isinstance(op, CrossProduct):
             left, right = self._walk(op.left), self._walk(op.right)
             rows = left.rows * right.rows
@@ -631,11 +619,9 @@ class CostModel:
         """Local work hidden inside subquery predicates (IN / EXISTS).
 
         The executor materializes each subplan once, then ``IN`` probes
-        it linearly per input row (half the candidate list on average).
-        Plain predicates contribute zero, keeping historical Filter
-        estimates bit-identical; external work inside a subplan is not
-        separately priced (the decorrelation rewrite refuses non-local
-        subplans anyway).
+        its hash set once per input row.  Plain predicates contribute
+        zero, keeping historical Filter estimates bit-identical; external
+        work inside a subplan is not separately priced.
         """
         from repro.relational.expr import ExistsPredicate, InSubqueryPredicate
 
@@ -645,7 +631,7 @@ class CostModel:
             expr = stack.pop()
             if isinstance(expr, InSubqueryPredicate):
                 inner = self._walk(expr.subplan)
-                total += inner.local_rows + rows * max(inner.rows, 1.0) * 0.5
+                total += inner.local_rows + rows
             elif isinstance(expr, ExistsPredicate):
                 total += self._walk(expr.subplan).local_rows
             elif isinstance(expr, (Conjunction, Disjunction)):

@@ -10,11 +10,11 @@ Three-layer planning stack
    (:func:`placeholder_columns`) — the paper's "filled attribute set"
    A_i that drives every ReqSync clash rule.
 2. **Rules** (:mod:`repro.plan.rules`): a fixed-point rule engine
-   running the cost-gated relational pipeline and the paper's full
-   ReqSync Insertion → Percolation → Consolidation algorithm as
-   :class:`~repro.plan.rules.Rule` objects over this algebra.
+   running the paper's full ReqSync Insertion → Percolation →
+   Consolidation algorithm as :class:`~repro.plan.rules.Rule` objects
+   over this algebra.
 3. **Physical** (:mod:`repro.plan.physical`): :func:`~repro.plan.physical.lower`
-   maps an optimized logical tree onto the existing exec operators,
+   maps a (rewritten) logical tree onto the existing exec operators,
    configured by one :class:`~repro.config.EngineConfig`.
 
 The logical layer deliberately *carries* catalog handles (table objects,
@@ -336,14 +336,6 @@ class LogicalDependentJoin(_Binary):
         return "DependentJoin: {}".format(pairs)
 
 
-class LogicalUnion(_Binary):
-    def _refresh_schema(self):
-        self.schema = self.left.schema
-
-    def label(self):
-        return "UnionAll"
-
-
 # -- analyses -------------------------------------------------------------------
 
 
@@ -375,8 +367,6 @@ def placeholder_columns(node):
         return placeholder_columns(node.left) | {
             i + left_width for i in placeholder_columns(node.right)
         }
-    if isinstance(node, LogicalUnion):
-        return placeholder_columns(node.left) | placeholder_columns(node.right)
     if isinstance(node, LogicalAggregate):
         return set()
     if node.children:

@@ -1,7 +1,7 @@
 """Lowering: logical algebra -> the executable operator tree.
 
 Layer 3 of the planning stack (see :mod:`repro.plan.logical`).
-:func:`lower` walks an (optimized) logical tree and instantiates the
+:func:`lower` walks a logical tree and instantiates the
 existing exec operators 1:1 — but for a selection a stored scan's page
 decoder can run, which becomes that ``TableScan``'s.  Payloads (table
 handles, bound expressions, virtual-table instances, binding maps) were
@@ -65,8 +65,6 @@ def child_columns(node, needed):
             return [needed | node.predicate.referenced_columns()]
         if isinstance(node, L.LogicalSort):
             return [needed | _refs(expr for expr, _ in node.keys)]
-        if isinstance(node, L.LogicalUnion):
-            return [needed, needed]
         if isinstance(
             node, (L.LogicalJoin, L.LogicalCrossProduct, L.LogicalDependentJoin)
         ):
@@ -95,7 +93,6 @@ def _lower(node, config, context, needed):
     from repro.exec.project import Project
     from repro.exec.scans import RowsScan, TableScan
     from repro.exec.sort import Sort
-    from repro.exec.union import UnionAll
 
     for subquery in subqueries(getattr(node, "predicate", None)):
         subquery.set_subplan(lower(subquery.logical, config, context))
@@ -152,8 +149,6 @@ def _lower(node, config, context, needed):
         return DependentJoin(child(0), child(1), node.binding_columns)
     if isinstance(node, L.LogicalCrossProduct):
         return CrossProduct(child(0), child(1))
-    if isinstance(node, L.LogicalUnion):
-        return UnionAll(child(0), child(1))
     raise PlanError("cannot lower logical node {!r}".format(node))
 
 

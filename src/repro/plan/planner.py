@@ -15,14 +15,12 @@
 5. GROUP BY/aggregates, HAVING, DISTINCT, ORDER BY (with hidden sort
    columns for non-projected keys), and LIMIT complete the plan.
 
-``Planner.optimize(node)`` then runs the one cost-gated relational
-pipeline (:data:`repro.plan.rules.RELATIONAL_PIPELINE`) through the
-:mod:`repro.plan.rules` engine, and :func:`repro.plan.physical.lower`
-turns the result into executable operators.  An ``IN``/``EXISTS``
-subquery is bound to its own built and optimized logical tree, which
-``lower`` lowers with the query.  ``lower(planner.plan_logical(query),
-config)`` is the unoptimized reference the equivalence tests compare
-against.
+There is no relational rewrite pass: a conjunct over one stored table
+is that table's selection, and the planner builds no identity
+projection and no DISTINCT over an aggregate that is already unique.
+:func:`repro.plan.physical.lower` turns the tree into executable
+operators.  An ``IN``/``EXISTS`` subquery is bound to its own built
+logical tree, which ``lower`` lowers with the query.
 
 The output is a *synchronous* plan (EVScan leaves); asynchronous
 iteration is :data:`repro.plan.rules.REQSYNC_PACK` applied over the
@@ -34,8 +32,7 @@ from repro.exec import AggregateSpec
 from repro.plan import logical as L
 from repro.plan.analysis import analyze_vtables, validate_bindings
 from repro.plan.binder import Binder, collect_aggregates, collect_names
-from repro.plan.cost import CostModel
-from repro.plan.rules import RELATIONAL_PIPELINE, RuleEngine, access_path
+from repro.plan.rules import access_path
 from repro.relational.expr import ColumnRef, make_conjunction
 from repro.relational.schema import Column, Schema
 from repro.sql import ast
@@ -68,43 +65,27 @@ class Planner:
         #: The :class:`~repro.config.EngineConfig` planned under
         #: (``None`` resolves one from the environment).
         self.options = options if options is not None else EngineConfig.resolve()
-        #: Gates the pipeline when ``optimize`` is handed no model.
-        self._default_cost_model = CostModel(latency_mean=0.05)
 
     # -- public API -----------------------------------------------------------
 
     def plan_logical(self, query):
-        """Build the (unoptimized) logical plan for a parsed SELECT."""
+        """Build the logical plan for a parsed SELECT."""
         relations = self._resolve_from(query)
         residual = self._analyze(query, relations)
         plan, residual = self._build_join_tree(query, relations, residual)
         return self._finish(query, plan, residual)
 
     def optimize(self, node, tracer=None, metrics=None, query_id=None, cost_model=None):
-        """Run the relational pipeline over *node*.
+        """``(node, [])``: there is no relational rewrite pass.
 
-        Returns ``(optimized_node, firings)``.  Every structural rewrite
-        is cost-gated: a calibrated engine passes its own *cost_model*
-        so measured latencies and statistics steer the gates; ``None``
-        falls back to a static default model, so standalone planners
-        still gate structurally-sound rewrites on estimated work.
+        Kept, with its signature, for the frozen benchmark adapter
+        (perf/adapter.py); nothing else calls it.
         """
-        if cost_model is None:
-            cost_model = self._default_cost_model
-        engine = RuleEngine(
-            [RELATIONAL_PIPELINE],
-            settings=self.options,
-            tracer=tracer,
-            metrics=metrics,
-            query_id=query_id,
-            cost_model=cost_model,
-        )
-        node = engine.run(node)
-        return node, engine.firings
+        return node, []
 
     def _subquery(self, query):
-        """A subquery's optimized logical tree (the binder's hook)."""
-        return self.optimize(self.plan_logical(query))[0]
+        """A subquery's logical tree (the binder's hook)."""
+        return self.plan_logical(query)
 
     # -- FROM resolution ------------------------------------------------------------
 
@@ -280,7 +261,9 @@ class Planner:
             return scan
         combined = plan.schema.concat(scan.schema)
         binder = Binder(combined, subquery_planner=self._subquery)
+        own = Binder(scan.schema, subquery_planner=self._subquery)
         join_conjuncts = []
+        scan_conjuncts = []
         for conjunct in list(residual):
             names = collect_names(conjunct)
             if not names:
@@ -291,8 +274,15 @@ class Planner:
                 # Touches the new relation (not bindable before it joined).
                 if collect_aggregates(conjunct):
                     continue
-                join_conjuncts.append(conjunct)
+                # Over the new relation alone, it is that scan's selection:
+                # the join keeps a bare equi-join to hash on.
+                if own.can_bind(conjunct):
+                    scan_conjuncts.append(own.bind(conjunct))
+                else:
+                    join_conjuncts.append(conjunct)
                 residual.remove(conjunct)
+        if scan_conjuncts:
+            scan = L.LogicalFilter(scan, make_conjunction(scan_conjuncts))
         if join_conjuncts:
             predicate = make_conjunction(
                 [binder.bind(c) for c in join_conjuncts]
@@ -357,7 +347,7 @@ class Planner:
         plan, output_schema = self._plan_order_and_project(
             query, plan, select_exprs, select_asts, output_schema
         )
-        if query.distinct:
+        if query.distinct and not _unique(plan):
             plan = L.LogicalDistinct(plan)
         if query.limit is not None:
             plan = L.LogicalLimit(plan, query.limit)
@@ -459,10 +449,7 @@ class Planner:
     ):
         """Project, then sort — adding hidden sort columns when needed."""
         if not query.order_by:
-            return (
-                L.LogicalProject(plan, select_exprs, output_schema),
-                output_schema,
-            )
+            return _project(plan, select_exprs, output_schema), output_schema
 
         input_binder = Binder(plan.schema)
         sort_keys = []  # (index into extended projection, descending)
@@ -481,8 +468,7 @@ class Planner:
             sort_keys.append((ColumnRef(index), order.descending))
 
         extended_schema = Schema(extended_columns, allow_duplicates=True)
-        plan = L.LogicalProject(plan, extended_exprs, extended_schema)
-        plan = L.LogicalSort(plan, sort_keys)
+        plan = L.LogicalSort(_project(plan, extended_exprs, extended_schema), sort_keys)
         if len(extended_exprs) > len(select_exprs):
             # Drop the hidden sort columns.
             keep = [
@@ -507,6 +493,28 @@ class Planner:
         if isinstance(order_expr, ast.Name) and order_expr.qualifier is None:
             return output_schema.maybe_resolve(order_expr.name)
         return None
+
+
+def _project(plan, exprs, schema):
+    """A projection of *plan*, or *plan* itself when it would be the
+    identity: every input column in place, under the same names."""
+    identity = schema.names() == plan.schema.names() and all(
+        isinstance(expr, ColumnRef) and expr.index == i for i, expr in enumerate(exprs)
+    )
+    return plan if identity else L.LogicalProject(plan, exprs, schema)
+
+
+def _unique(plan):
+    """Are *plan*'s rows distinct already?  True over an aggregate, bare or
+    under a column projection that keeps every group key."""
+    if isinstance(plan, L.LogicalAggregate):
+        return True
+    if isinstance(plan, L.LogicalProject) and isinstance(plan.child, L.LogicalAggregate):
+        if not all(isinstance(e, ColumnRef) for e in plan.expressions):
+            return False
+        kept = {e.index for e in plan.expressions}
+        return set(range(len(plan.child.group_exprs))) <= kept
+    return False
 
 
 def _fail_type(group_ast):

@@ -90,7 +90,10 @@ class ColumnRef(BoundExpr):
         self.display = display
 
     def eval(self, row):
-        return require_concrete(row[self.index], context=self.sql())
+        value = row[self.index]
+        if isinstance(value, Placeholder):
+            require_concrete(value, context=self.sql())
+        return value
 
     def raw(self, row):
         """Read the value without the placeholder guard (for projections)."""
@@ -494,10 +497,10 @@ class NullCheck(BoundExpr):
 class SubqueryMixin:
     """Shared lazy materialization for subquery predicates.
 
-    The binder gives the predicate its subquery's optimized *logical*
-    tree; :func:`repro.plan.physical.lower` lowers it with the query
-    that evaluates the predicate (:meth:`set_subplan`), so its calls use
-    that query's pump, deadline and context.  The subplan is executed
+    The binder gives the predicate its subquery's *logical* tree;
+    :func:`repro.plan.physical.lower` lowers it with the query that
+    evaluates the predicate (:meth:`set_subplan`), so its calls use that
+    query's pump, deadline and context.  The subplan is executed
     once, on first evaluation, and its result is cached until the next
     lowering — sound because only *uncorrelated* subqueries are bound
     into these nodes.
@@ -520,9 +523,11 @@ class InSubqueryPredicate(BoundExpr, SubqueryMixin):
 
     ``x IN (...)`` is True on a match, NULL if no match but the subquery
     produced a NULL, else False; NOT IN negates through 3-valued logic.
+    A row probes a hash set of the subquery's first column, built once
+    per lowering.
     """
 
-    __slots__ = ("expr", "logical", "negated", "subplan", "_rows")
+    __slots__ = ("expr", "logical", "negated", "subplan", "_rows", "_members")
 
     def __init__(self, expr, logical, negated=False):
         self.expr = expr
@@ -530,20 +535,23 @@ class InSubqueryPredicate(BoundExpr, SubqueryMixin):
         self.negated = negated
         self.set_subplan(None)
 
+    def set_subplan(self, subplan):
+        SubqueryMixin.set_subplan(self, subplan)
+        self._members = None
+
     def eval(self, row):
         value = self.expr.eval(row)
         if value is None:
             return None
-        candidates = self._subplan_rows()
-        has_null = False
-        for candidate in candidates:
-            if candidate[0] is None:
-                has_null = True
-            elif candidate[0] == value:
-                return False if self.negated else True
-        if has_null:
+        if self._members is None:
+            values = {candidate[0] for candidate in self._subplan_rows()}
+            self._members = values, None in values
+        values, saw_null = self._members
+        if value in values:
+            return not self.negated
+        if saw_null:
             return None
-        return True if self.negated else False
+        return self.negated
 
     def referenced_columns(self):
         return self.expr.referenced_columns()

@@ -112,10 +112,9 @@ class WsqEngine:
         :class:`~repro.asynciter.resilience.ResiliencePolicy` of the
         engine's pump.
     cost_model:
-        A :class:`~repro.plan.cost.CostModel` for ``mode="auto"``,
-        ``explain(form="costs")`` and the optimizer's cost gates;
-        :meth:`recalibrate` re-prices it (or a default one) from the
-        engine's own measurements.
+        A :class:`~repro.plan.cost.CostModel` for ``mode="auto"`` and
+        ``explain(form="costs")``; :meth:`recalibrate` re-prices it (or
+        a default one) from the engine's own measurements.
     config:
         The :class:`~repro.config.EngineConfig` (``None`` resolves one
         from the environment).  Any of its field names may also be given
@@ -268,30 +267,22 @@ class WsqEngine:
     # -- planning -----------------------------------------------------------------
 
     def _derive(self, query, mode, tracer, query_id):
-        """Build -> rules -> (async mode) ReqSync placement: a :class:`_Statement`."""
+        """Build -> (async mode) ReqSync placement: a :class:`_Statement`."""
         generation = self.database.generation  # before the catalog is read
-        metrics = self.pump.metrics
         logical = self._planner.plan_logical(query)
-        logical, firings = self._planner.optimize(
-            logical,
-            tracer=tracer,
-            metrics=metrics,
-            query_id=query_id,
-            cost_model=self.cost_model,
-        )
+        firings = []
         mode = self._resolve_mode(logical, mode)
         external = logical_ir.contains_external_scan(logical) or _holds_subquery(
             logical
         )
         if mode == ASYNC:
-            logical, placement = rewrite_logical(
+            logical, firings = rewrite_logical(
                 logical,
                 self.config,
                 tracer=tracer,
-                metrics=metrics,
+                metrics=self.pump.metrics,
                 query_id=query_id,
             )
-            firings = firings + placement
         return _Statement(logical, firings, mode, external, generation)
 
     def _context(self, statement, tracer, query_id, deadline=None):
@@ -318,16 +309,16 @@ class WsqEngine:
         A hit is exactly what :meth:`_derive` would build now: an entry
         is checked against ``Database.generation``, and what that stamp
         cannot cover is never stored — a tree holding a subquery
-        predicate, and any plan priced by an attached cost model (a
-        function of live measurements).  A hit's rule firings are traced
-        and counted again under the new query id.  A miss parses with
+        predicate, and an ``auto`` statement while a cost model is
+        attached (its mode is a function of live measurements).  A hit's
+        rule firings are traced and counted again under the new query id.  A miss parses with
         *parser*; what is not a SELECT comes back as ``(parsed, None)``.
         """
         key = (sql, mode)
         metrics = self.pump.metrics
         entry = None
         outcome = "unstored"
-        if self.cost_model is None:
+        if self.cost_model is None or mode != AUTO:
             with self._statements_lock:
                 entry = self._statements.get(key)
                 if entry is None:
@@ -415,9 +406,9 @@ class WsqEngine:
           historical Figure-2/3 style output.
         - ``"logical"``: the algebra tree straight out of the planner,
           before any rule runs.
-        - ``"optimized"``: the logical tree after the relational
-          pipeline and (for async mode) ReqSync placement.
-        - ``"rules"``: one line per fired optimizer rule with
+        - ``"optimized"``: the logical tree after (for async mode)
+          ReqSync placement.
+        - ``"rules"``: one line per fired placement rule with
           before/after node counts.
         - ``"costs"``: the physical form with a per-operator cost column
           (uses ``self.cost_model`` or a default

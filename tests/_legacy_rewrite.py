@@ -25,7 +25,6 @@ from repro.exec.filter import Filter
 from repro.exec.joins import CrossProduct, DependentJoin, NestedLoopJoin
 from repro.exec.project import Project
 from repro.exec.sort import Sort
-from repro.exec.union import UnionAll
 from repro.relational.expr import ColumnRef
 from repro.util.errors import PlanError
 from repro.vtables.evscan import EVScan
@@ -109,8 +108,6 @@ def filled_attributes(op):
         return filled_attributes(op.left) | {
             i + left_width for i in filled_attributes(op.right)
         }
-    if isinstance(op, UnionAll):
-        return filled_attributes(op.left) | filled_attributes(op.right)
     if isinstance(op, Aggregate):
         return set()
     if op.children:
@@ -208,7 +205,7 @@ def _try_advance(parents, parent, reqsync, settings):
         _swap_up(grandparent, parent, reqsync)
         return True
 
-    if isinstance(parent, (CrossProduct, UnionAll)):
+    if isinstance(parent, CrossProduct):
         _swap_up(grandparent, parent, reqsync)
         return True
 

@@ -35,7 +35,6 @@ from repro.exec import (
     RowsScan,
     Sort,
     TableScan,
-    UnionAll,
     collect,
     collect_batches,
     open_plan,
@@ -196,10 +195,6 @@ def _limit_plan():
     return Limit(int_scan("t", range(100)), 9)
 
 
-def _union_plan():
-    return UnionAll(int_scan("l", range(13)), int_scan("r", range(100, 108)))
-
-
 def _cross_plan():
     return CrossProduct(int_scan("l", range(6)), int_scan("r", range(10, 15)))
 
@@ -267,7 +262,6 @@ PLAN_FACTORIES = {
     "distinct": _distinct_plan,
     "aggregate": _aggregate_plan,
     "limit": _limit_plan,
-    "union": _union_plan,
     "cross": _cross_plan,
     "nlj": _nlj_plan,
     "nlj_fanout": _nlj_fanout_plan,

@@ -11,8 +11,7 @@ import pathlib
 
 import pytest
 from test_paper_queries import FIG4, KNUTH, Q1, Q2, Q3, Q4, Q5, Q6
-from test_plan_goldens import PACK_TEMPLATES
-from test_rewrite_packs import _pack_db
+from test_rewrite_packs import PACK_TEMPLATES, _pack_db
 
 from repro.exec import TableScan, collect
 from repro.plan import logical as L
@@ -134,26 +133,9 @@ class TestNamedCases:
             "Where A.Name = B.Name and B.Population > 10000"
         )
         left, right = _scans(engine.plan(sql, mode="sync"))
-        assert {left.columns, right.columns} == {(0,), (0, 1, 2)}
+        # B's bound is its scan's selection: Population is tested, not kept.
+        assert {left.columns, right.columns} == {(0,), (0, 2)}
         assert _assert_pruning_is_invisible(engine, sql)
-
-    def test_union_prunes_both_arms_alike(self, paper_db):
-        """SQL has no UNION; the or-to-union rule builds this shape."""
-        arms = [
-            L.LogicalFilter(
-                L.LogicalScan(paper_db.table("States")),
-                Comparison(op, ColumnRef(1), Literal(bound)),
-            )
-            for op, bound in ((">", 15000), ("<", 700))
-        ]
-        union = L.LogicalUnion(*arms)
-        tree = L.LogicalProject(union, [ColumnRef(0, "Name")], union.schema.project([0]))
-        plan = lower(tree)
-        assert [scan.columns for scan in _scans(plan)] == [(0,), (0,)]  # + the tested 1
-        rows = collect(plan)
-        assert len(rows) > 2
-        with every_column_decoded():
-            assert collect(lower(tree)) == rows
 
     def test_subquery_plans_get_their_own_analysis(self, engine):
         sql = (
@@ -202,7 +184,6 @@ class TestAnalysis:
         assert child_columns(L.LogicalSort(scan, [(ColumnRef(2), True)]), {0}) == [{0, 2}]
         assert child_columns(L.LogicalLimit(scan, 3), {1}) == [{1}]
         assert child_columns(L.LogicalDistinct(scan), {1}) == [None]
-        assert child_columns(L.LogicalUnion(scan, other), {2}) == [{2}, {2}]
         assert child_columns(L.LogicalCrossProduct(scan, other), {1, 4}) == [{1}, {1}]
         join = L.LogicalJoin(scan, other, Comparison("=", ColumnRef(0), ColumnRef(3)))
         assert child_columns(join, {5}) == [{0}, {0, 2}]

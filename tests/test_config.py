@@ -398,8 +398,10 @@ RETIRED_OPTIONS = [
 #: result cache's freshness policy (per-kind TTLs, serve-stale, negative
 #: caching and the failure replay) and the breaker's unset knobs, then
 #: the physical rewrite adapter, the physical-to-logical lift, structural
-#: plan identity and the unused grandparent lookup; none may come back
-#: in code, CI or the docs.
+#: plan identity and the unused grandparent lookup, then the relational
+#: rewrite pass (its six rules, their pipeline, the cost gate, the bag
+#: union only one of them built, and the bottom-up scan order); none may
+#: come back in code, CI or the docs.
 RETIRED = [
     _spell("Planner", "Options"),
     _spell("Rewrite", "Settings"),
@@ -477,6 +479,17 @@ RETIRED = [
     _spell("_expr", "_key"),
     _spell("grandparent", "_of"),
     _spell(r"\blift", r"\("),
+    _spell("Decorrelate", "InToJoin"),
+    _spell("SplitDisjunction", "ToUnion"),
+    _spell("DeriveJoin", "Constraint"),
+    _spell("DropDistinct", "OverAggregate"),
+    _spell("Compose", "Projections"),
+    _spell("RemoveIdentity", "Project"),
+    _spell("RELATIONAL_", "PIPELINE"),
+    _spell(r"\b_cheap", r"er\b"),
+    _spell("Logical", "Union"),
+    _spell("Union", "All"),
+    _spell("BOTTOM", "_UP"),
 ]
 
 #: Where they may not appear (EXPERIMENTS.md, CHANGES.md and ROADMAP.md
@@ -604,6 +617,17 @@ class TestStructuralGuard:
             _spell("        return _expr", "_key(self.predicate)"),
             _spell("    def grandparent", "_of(self, node):"),
             _spell("                lifted = L.lift", "(term.subplan)"),
+            _spell("class Decorrelate", "InToJoin(Rule):"),
+            _spell("class SplitDisjunction", "ToUnion(Rule):"),
+            _spell("class DeriveJoin", "Constraint(Rule):"),
+            _spell("class DropDistinct", "OverAggregate(Rule):"),
+            _spell("class Compose", "Projections(Rule):"),
+            _spell("class RemoveIdentity", "Project(Rule):"),
+            _spell("from repro.plan.rules import RELATIONAL_", "PIPELINE, RuleEngine"),
+            _spell("        if not _cheap", "er(ctx, node, candidate):"),
+            _spell("            union = L.Logical", "Union(union, branch)"),
+            _spell("from repro.exec.union import Union", "All"),
+            _spell('BOTTOM', '_UP = "bottom_up"'),
         ],
     )
     def test_retired_guard_catches_a_revived_name(self, mutant):

@@ -7,6 +7,7 @@ import pytest
 from repro.asynciter.pump import PumpLimits, RequestPump
 from repro.bench.workloads import bench_engine, template_queries
 from repro.datasets import load_all
+from repro.exec import Filter
 from repro.plan.cost import (
     CostModel,
     EQUALITY_SELECTIVITY,
@@ -30,6 +31,12 @@ from repro.util.timing import time_call
 from repro.wsq import WsqEngine
 
 MEAN_LATENCY = 0.006  # midpoint of the bench band (0.003, 0.009)
+
+
+def _ops(plan):
+    yield plan
+    for child in plan.children:
+        yield from _ops(child)
 
 
 @pytest.fixture()
@@ -142,6 +149,31 @@ class TestStructuralEstimates:
         assert "Join" in plan.explain()
         # One build and one probe pass, not the 200 x 200 pair scan.
         assert CostModel(latency_mean=0.05).estimate(plan).local_rows < 200 * 200
+
+    def test_in_probe_is_priced_as_one_hash_probe_per_row(self):
+        # IN probes its subquery's hash set: doubling the subquery's table
+        # adds the subquery's own work to the filter, not rows x that work.
+        model = CostModel(latency_mean=0.05)
+
+        def priced(sub_rows):
+            db = Database()
+            db.create_table_from_rows(
+                "T", [("K", DataType.INT)], [(i,) for i in range(100)]
+            )
+            db.create_table_from_rows(
+                "Sub", [("K", DataType.INT)], [(i,) for i in range(sub_rows)]
+            )
+            plan = WsqEngine(database=db).plan(
+                "Select K From T Where K In (Select K From Sub)", mode="sync"
+            )
+            (selection,) = [op for op in _ops(plan) if isinstance(op, Filter)]
+            subplan = selection.predicate.subplan
+            return model.estimate(selection).local_rows, model.estimate(subplan).local_rows
+
+        base, base_subquery = priced(200)
+        grown, grown_subquery = priced(400)
+        assert grown_subquery > base_subquery
+        assert grown - base == pytest.approx(grown_subquery - base_subquery)
 
     def test_the_model_takes_only_what_the_engine_gives_it(self):
         assert list(inspect.signature(CostModel).parameters) == [

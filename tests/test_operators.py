@@ -13,7 +13,6 @@ from repro.exec import (
     Project,
     RowsScan,
     Sort,
-    UnionAll,
     collect,
     execute,
 )
@@ -142,19 +141,6 @@ class TestDistinctLimitUnion:
 
     def test_limit_larger_than_input(self):
         assert len(collect(Limit(int_scan("t", [1, 2]), 10))) == 2
-
-    def test_union_all(self):
-        plan = UnionAll(int_scan("l", [1, 2]), int_scan("r", [2, 3]))
-        assert collect(plan) == [(1,), (2,), (2,), (3,)]
-
-    def test_union_arity_mismatch(self):
-        with pytest.raises(ExecutionError, match="arity"):
-            UnionAll(int_scan("l", []), pair_scan("r", []))
-
-    def test_union_reopen(self):
-        plan = UnionAll(int_scan("l", [1]), int_scan("r", [2]))
-        assert collect(plan) == [(1,), (2,)]
-        assert collect(plan) == [(1,), (2,)]
 
 
 class TestAggregate:

@@ -62,61 +62,12 @@ def test_plan_snapshot(engine, update_goldens, name, sql, form):
     )
 
 
-#: The headline query of each rule family in the relational pipeline,
-#: over the ``tests/test_rewrite_packs.py`` corpus.  The ``optimized``
-#: snapshot pins the rewritten plan shape; the ``rules`` snapshot pins
-#: the exact ``explain(form="rules")`` firing log.
-PACK_TEMPLATES = [
-    ("pack_decorrelate", "Select A From T Where A In (Select X From S)"),
-    ("pack_or_to_union", "Select A, Name From T Where B = 1 or B = 3 or B = 5"),
-    ("pack_early_filter", "Select T.A From T, S Where T.A = S.X and S.X > 300"),
-    ("pack_agg_single_pass", "Select Distinct B, Count(A) From T Group By B"),
-]
-
-PACK_FORMS = ("optimized", "rules")
-
-
-@pytest.fixture(scope="module")
-def pack_engine():
-    """One engine over the shared rewrite corpus."""
-    from test_rewrite_packs import _pack_db
-
-    from repro.wsq import WsqEngine
-
-    return WsqEngine(database=_pack_db())
-
-
-@pytest.mark.parametrize("form", PACK_FORMS)
-@pytest.mark.parametrize(
-    "name,sql", PACK_TEMPLATES, ids=[t[0] for t in PACK_TEMPLATES]
-)
-def test_pack_plan_snapshot(pack_engine, update_goldens, name, sql, form):
-    rendered = pack_engine.explain(sql, form=form) + "\n"
-    path = _golden_path(name, form)
-    if update_goldens:
-        path.parent.mkdir(parents=True, exist_ok=True)
-        path.write_text(rendered)
-        return
-    assert path.exists(), (
-        "missing golden {}; run with --update-goldens to create it".format(path)
-    )
-    assert rendered == path.read_text(), (
-        "plan snapshot drift for {} ({} form); if intentional, refresh with "
-        "--update-goldens and commit the diff".format(name, form)
-    )
-
-
 def test_no_orphan_goldens():
     """Every committed snapshot corresponds to a live (query, form) pair."""
     expected = {
         "{}.{}.txt".format(name, form)
         for name, _ in TEMPLATES
         for form in FORMS
-    }
-    expected |= {
-        "{}.{}.txt".format(name, form)
-        for name, _ in PACK_TEMPLATES
-        for form in PACK_FORMS
     }
     actual = {p.name for p in GOLDEN_DIR.glob("*.txt")}
     assert actual == expected

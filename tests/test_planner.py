@@ -13,9 +13,12 @@ from repro.exec import (
     Sort,
 )
 from repro.plan.analysis import analyze_vtables
+from repro.relational.types import DataType
 from repro.sql.parser import parse_select
+from repro.storage import Database
 from repro.util.errors import BindingError, PlanError
 from repro.vtables.evscan import EVScan
+from repro.wsq import WsqEngine
 
 
 def ops(plan):
@@ -183,6 +186,35 @@ class TestPlanShapes:
     def test_select_star_qualified(self, engine):
         result = engine.execute("Select S.* From States S Limit 1", mode="sync")
         assert result.columns == ["Name", "Population", "Capital"]
+
+
+def _big_dim_engine():
+    db = Database()
+    db.create_table_from_rows("Big", [("K", DataType.INT)], [(i,) for i in range(600)])
+    db.create_table_from_rows("Dim", [("K", DataType.INT)], [(i * 12,) for i in range(50)])
+    return WsqEngine(database=db)
+
+
+class TestNoDeadWork:
+    """Each conjunct sits where it binds, and no node is built to be a no-op."""
+
+    def test_one_table_bound_is_its_scans_selection(self):
+        engine = _big_dim_engine()
+        sql = "Select Big.K From Big, Dim Where Big.K = Dim.K and Dim.K > 500"
+        join = first(engine.plan(sql, mode="sync"), NestedLoopJoin)
+        # A bare equi-join, which the join hashes; the bound is Dim's.
+        assert join.label() == "Join: Big.K = Dim.K"
+        assert join.right.label() == "Scan: Dim where Dim.K > 500"
+        assert sorted(engine.execute(sql).rows) == [(k,) for k in range(504, 600, 12)]
+
+    def test_identity_projection_is_not_built(self, engine):
+        assert "Project" not in engine.explain("Select * From States", form="logical")
+        assert len(engine.execute("Select * From States").rows) == 50
+
+    def test_distinct_over_a_unique_aggregate_is_not_built(self, engine):
+        sql = "Select Distinct Capital, Count(*) From States Group By Capital"
+        assert "Distinct" not in engine.explain(sql, form="logical")
+        assert len(engine.execute(sql).rows) == 50
 
 
 class TestBindingErrors:

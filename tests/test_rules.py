@@ -5,12 +5,7 @@ from repro.obs import Observability, validate_trace_events
 from repro.obs.trace import PLAN_RULE_FIRED
 from repro.plan import logical as L
 from repro.plan import rules as R
-from repro.plan.physical import lower
-from repro.plan.planner import Planner
-from repro.relational.types import DataType
 from repro.sql.parser import parse_select
-from repro.storage import Database
-from repro.exec import collect
 from repro.wsq import WsqEngine
 
 Q1 = (
@@ -128,39 +123,3 @@ class TestObservabilityWiring:
         )
         assert any("before_nodes" in p for p in problems)
         assert any("after_nodes" in p for p in problems)
-
-
-def _stored_db():
-    db = Database()
-    db.create_table_from_rows(
-        "T",
-        [("Name", DataType.STR), ("N", DataType.INT)],
-        [("ada", 1), ("bob", 2), ("cy", 3), ("dee", 4)],
-    )
-    db.create_table_from_rows(
-        "U", [("Name", DataType.STR), ("N", DataType.INT)], [("ada", 9), ("cy", 7)]
-    )
-    return db
-
-
-def _plan(db, sql, optimized=True):
-    planner = Planner(db)
-    node = planner.plan_logical(parse_select(sql))
-    firings = []
-    if optimized:
-        node, firings = planner.optimize(node)
-    return sorted(collect(lower(node, planner.options))), {f.rule for f in firings}
-
-
-class TestRelationalPipeline:
-    def test_prune_removes_identity_projection(self):
-        db = _stored_db()
-        sql = "Select Name, N From T"
-        rows, fired = _plan(db, sql)
-        assert "prune.identity_project" in fired
-        assert rows == _plan(db, sql, optimized=False)[0]
-
-    def test_all_packs_compose(self):
-        db = _stored_db()
-        sql = "Select T.Name, U.N From T, U Where T.Name = U.Name and T.N > 1"
-        assert _plan(db, sql)[0] == _plan(db, sql, optimized=False)[0]
