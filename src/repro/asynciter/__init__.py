@@ -2,12 +2,12 @@
 
 The technique has three runtime components plus a plan rewriter:
 
-- :class:`~repro.asynciter.pump.RequestPump` — the global "ReqPump": an
-  event-driven module (one deadline heap on one daemon thread — the paper
-  cites the Flash web server's single-process event loop as the model)
-  that issues many concurrent external calls, stores results keyed by call
-  id, enforces global and per-destination concurrency limits, and queues
-  excess calls.
+- :class:`~repro.asynciter.pump.RequestPump` — the "ReqPump", one per
+  engine: an event-driven module (one deadline heap on one daemon thread
+  — the paper cites the Flash web server's single-process event loop as
+  the model) that issues many concurrent external calls, stores results
+  keyed by call id, enforces global and per-destination concurrency
+  limits, and queues excess calls.
 - :class:`~repro.asynciter.context.AsyncContext` — per-query view of the
   pump: the "ReqPumpHash" result store plus the producer/consumer
   signalling between pump and ReqSync operators.
@@ -24,7 +24,7 @@ The technique has three runtime components plus a plan rewriter:
 
 from repro.asynciter.aevscan import AEVScan
 from repro.asynciter.context import AsyncContext
-from repro.asynciter.pump import PumpLimits, RequestPump, default_pump
+from repro.asynciter.pump import PumpLimits, RequestPump
 from repro.asynciter.reqsync import ReqSync
 
 __all__ = [
@@ -33,5 +33,4 @@ __all__ = [
     "PumpLimits",
     "ReqSync",
     "RequestPump",
-    "default_pump",
 ]

@@ -8,7 +8,10 @@ pushes its next wait.  Every wait in this simulation is a known delay,
 so a heap of due times is all the event loop the pump needs.  This is
 deliberately *not* parallel query processing: like the event-driven web
 servers the paper points to, one thread multiplexes many in-flight
-network waits.
+network waits.  The thread lives only while there is work: it exits
+once every call has settled and nothing new came for ``IDLE_LINGER``
+seconds, and the next registration starts a new one, so a pump per
+engine costs no idle thread.
 
 Resource control (the paper's "monitoring and controlling resource usage")
 is two layers of slot counters: one global, one per destination.
@@ -63,6 +66,12 @@ from repro.util.errors import (
     RequestTimeoutError,
 )
 from repro.util.timing import resolve_clock
+
+
+#: Seconds an idle pump thread waits for work before it exits: the next
+#: call of a sequential query, or the next query, finds it running (a
+#: restart costs about 40 µs), and an engine left unshut soon holds none.
+IDLE_LINGER = 0.05
 
 
 class PumpLimits:
@@ -270,9 +279,10 @@ class RequestPump:
     """Issues external calls concurrently from one deadline-heap thread.
 
     ``single_flight=True`` enables cross-registration coalescing of
-    identical in-flight calls (see :class:`_Call`).  It is off by
-    default so the shared process-wide pump keeps the seed's
-    call-per-registration behaviour; engines opt their own pumps in.
+    identical in-flight calls (see :class:`_Call`).  Every pump a
+    :class:`~repro.wsq.engine.WsqEngine` builds for itself sets it; a
+    pump built by hand issues one request per registration unless it
+    asks for it too.
     """
 
     def __init__(
@@ -303,6 +313,7 @@ class RequestPump:
         self._lock = threading.Lock()
         self._cond = threading.Condition(self._lock)
         self._thread = None
+        self._stops = 0  # shutdown() calls so far: a registration racing one is refused
         self._next_call_id = 0
         self._calls = {}  # call_id -> _Call, every call not yet settled
         self._flights = {}  # call key -> the anchor a same-key call may join
@@ -333,54 +344,56 @@ class RequestPump:
 
     # -- lifecycle ----------------------------------------------------------------
 
-    def ensure_started(self):
-        with self._lock:
-            if self._thread is None:
-                self._thread = threading.Thread(target=self._run, name=self.name, daemon=True)
-                self._thread.start()
-
     def shutdown(self):
         """Stop the pump thread.  Pending calls are cancelled.
 
         The thread abandons every flight it holds before it exits (each
         waiter settles as cancelled), so no ``on_complete`` callback can
         fire after this method returns, and the next registration
-        restarts a clean pump.
+        restarts a clean pump: no breaker survives a shutdown.
         """
         with self._lock:
             thread, self._thread = self._thread, None
+            self._stops += 1
+            if thread is None:
+                self._breakers = {}  # idle: no stopping thread to drop them
             self._cond.notify_all()
         if thread is not None and thread is not threading.current_thread():
             thread.join(timeout=5)
 
     def _run(self):
         me = threading.current_thread()
+        turn = True
         try:
-            while self._turn(me):
-                pass
+            while turn:
+                turn = self._turn(me)
         finally:
+            # Went idle (None): nothing is held, and the breakers stay.
             # Stopped, or a handler raised: either way nothing this
             # thread held may strand.  A crashed thread lets go of the
             # handle, so the next registration starts a new one.
-            with self._lock:
-                if self._thread is me:
-                    self._thread = None
-                anchors = [anchor for _, anchor in self._live.values()]
-                anchors += self._queue
-                # A handler that raised took its turn's due entries with it.
-                anchors += [record.anchor or record for record in self._calls.values()]
-                self._live.clear()
-                del self._heap[:]
-                self._cond.notify_all()
-            self._queue.clear()
-            for anchor in anchors:
-                self._abandon(anchor)
-            self._breakers = {}
+            if turn is not None:
+                with self._lock:
+                    if self._thread is me:
+                        self._thread = None
+                    anchors = [anchor for _, anchor in self._live.values()]
+                    anchors += self._queue
+                    # A handler that raised took its turn's due entries with it.
+                    anchors += [record.anchor or record for record in self._calls.values()]
+                    self._live.clear()
+                    del self._heap[:]
+                    self._cond.notify_all()
+                self._queue.clear()
+                for anchor in anchors:
+                    self._abandon(anchor)
+                self._breakers = {}
 
     def _turn(self, me):
         """Sleep until an entry is due, then run every entry that is;
-        False once this thread is no longer the pump's."""
+        False once this thread is no longer the pump's, None once it
+        went idle."""
         heap = self._heap
+        linger = None  # when this thread exits if it stays idle
         with self._lock:
             while True:
                 if self._thread is not me:
@@ -388,6 +401,19 @@ class RequestPump:
                 now = self._now()
                 if heap and heap[0][0] <= now:
                     break
+                if not self._live and not self._calls:
+                    # Idle: nothing is wanted.  After IDLE_LINGER, let go
+                    # of the handle and hold nothing (the breakers stay).
+                    del heap[:]
+                    if linger is None:
+                        linger = now + IDLE_LINGER
+                    elif now >= linger:
+                        self._thread = None
+                        return None
+                    self._wake_at = math.inf
+                    self._wait(linger - now)
+                    continue
+                linger = None
                 self._wake_at = heap[0][0] if heap else math.inf
                 self._wait(self._wake_at - now if heap else None)
             self._wake_at = -math.inf
@@ -458,10 +484,10 @@ class RequestPump:
         """The one registration path: ids, accounting, probe, then flights."""
         if not calls:
             return []
-        self.ensure_started()
         with self._lock:
             first_id = self._next_call_id
             self._next_call_id += len(calls)
+            stops = self._stops
         registered_at = self.clock.now()
         tracer = self.tracer
         misses = []
@@ -481,7 +507,7 @@ class RequestPump:
             if call.probe is None or not self._answer(record):
                 misses.append(record)
         if misses:
-            self._launch(misses, handoff=mode != "sync")
+            self._launch(misses, handoff=mode != "sync", stops=stops)
         return list(range(first_id, first_id + len(calls)))
 
     def _answer(self, record):
@@ -505,7 +531,7 @@ class RequestPump:
         self._settle(record, self._hand_over(record, rows, error))
         return True
 
-    def _launch(self, misses, handoff):
+    def _launch(self, misses, handoff, stops):
         """Table *misses*; each joins a live same-key flight or anchors one.
 
         However many flights the burst anchors, the pump thread is woken
@@ -514,9 +540,11 @@ class RequestPump:
         expiry at the ReqSync wait loop — cutting the request short would
         fail the other queries' call).
 
-        Tabling and :meth:`shutdown` serialise on the lock: a stopped
-        pump (a probe may have stopped it) tables nothing, and the misses
-        are settled as cancelled and refused instead of stranded.  With
+        Tabling and :meth:`shutdown` serialise on the lock: a pump
+        stopped since the registration began (*stops* counts the
+        shutdowns it saw; a probe may have stopped it) tables nothing,
+        and the misses are settled as cancelled and refused instead of
+        stranded; otherwise a pump with no thread starts one.  With
         *handoff* the registrant then waits until the pump thread has
         issued (or queued) the burst: under the GIL the thread could not
         run before the registrant blocks, and the burst's waits would
@@ -525,7 +553,10 @@ class RequestPump:
         joined = []
         last = None
         with self._lock:
-            running = self._thread is not None
+            running = self._stops == stops
+            if running and self._thread is None:
+                self._thread = threading.Thread(target=self._run, name=self.name, daemon=True)
+                self._thread.start()
             now = self._now()
             for record in misses if running else ():
                 self._calls[record.call_id] = record
@@ -957,14 +988,12 @@ class RequestPump:
         return self.stats.latencies()
 
 
-_DEFAULT_PUMP = None
-_DEFAULT_LOCK = threading.Lock()
-
-
-def default_pump():
-    """The process-wide shared pump (unbounded limits, no resilience)."""
-    global _DEFAULT_PUMP
-    with _DEFAULT_LOCK:
-        if _DEFAULT_PUMP is None:
-            _DEFAULT_PUMP = RequestPump(name="reqpump-default")
-        return _DEFAULT_PUMP
+def drive(attempt):
+    """Run one attempt generator on the calling thread: sleep through
+    each wait it yields, return its rows (a failure propagates).  No
+    pump, so no retry, timeout, breaker or slot."""
+    try:
+        while True:
+            time.sleep(next(attempt))
+    except StopIteration as done:
+        return done.value

@@ -41,8 +41,8 @@ def build_figure7_plan(engine, variant, r_size, constant="computer", dedup=False
 
     The plan computes ``Sigs x WC_AV x R x WC_Google`` with the cross
     product *between* the two dependent joins, exactly as in the paper.
-    ``dedup=False`` reproduces the paper's baseline, where the |R|
-    identical Google calls per Sig really hit the network.
+    ``dedup=False`` registers the |R| identical Google calls per Sig, as
+    the paper's baseline does; an engine's pump joins those in flight.
     """
     context = AsyncContext(engine.pump, dedup=dedup)
     sigs = TableScan(engine.database.table("Sigs"), "Sigs")

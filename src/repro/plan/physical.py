@@ -28,9 +28,8 @@ def lower(node, config=None, context=None):
     (``None`` resolves one from the environment); the finished tree is
     stamped with its ``batch_size``.  *context* is the query's
     :class:`~repro.asynciter.context.AsyncContext`: required when the
-    tree contains asynchronous nodes (AEVScan / ReqSync), optional
-    otherwise (an EVScan lowered without one waits on a private context
-    over the shared default pump).  Each subquery in a predicate gets a
+    tree scans a virtual table (EVScan, AEVScan) or holds a ReqSync, and
+    unused otherwise.  Each subquery in a predicate gets a
     subplan lowered under the same *config* and *context*, with an empty
     row memo.
     """
@@ -153,13 +152,11 @@ def _lower(node, config, context, needed):
 
 
 def _lower_vtable_scan(node, config, context):
+    if context is None:
+        raise PlanError("lowering an external scan requires an AsyncContext")
     if node.asynchronous:
         from repro.asynciter.aevscan import AEVScan
 
-        if context is None:
-            raise PlanError(
-                "lowering an asynchronous plan requires an AsyncContext"
-            )
         return AEVScan(node.instance, context)
     from repro.vtables.evscan import EVScan
 

@@ -303,7 +303,7 @@ class QueryService:
         self._emit(SERVE_ADMIT, tenant=tenant, queue_wait_s=queue_wait)
         self._emit(SERVE_START, tenant=tenant)
         handle.status = RUNNING
-        outcome = COMPLETED
+        outcome, result, error = COMPLETED, None, None
         kwargs = {"deadline": handle.deadline}
         if handle.mode is not None:
             kwargs["mode"] = handle.mode
@@ -311,15 +311,16 @@ class QueryService:
             result = self.engine.execute(handle.sql, **kwargs)
         except QueryDeadlineExceeded as exc:
             outcome = ABANDONED if handle.deadline.cancelled else EXPIRED
-            handle._settle_exception(exc)
+            error = exc
         except Exception as exc:  # noqa: BLE001 - surfaced via the handle
-            outcome = FAILED
-            handle._settle_exception(exc)
+            outcome, error = FAILED, exc
+        finished_at = handle.finished_at = self.clock.now()
+        handle.status = outcome
+        # Stamped first: a caller that wakes on the result reads both.
+        if error is not None:
+            handle._settle_exception(error)
         else:
             handle._settle_result(result)
-        finished_at = self.clock.now()
-        handle.finished_at = finished_at
-        handle.status = outcome
         service_seconds = finished_at - dispatched_at
         metrics.inc("serve." + outcome)
         metrics.inc("serve." + outcome, tenant=tenant)

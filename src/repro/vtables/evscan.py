@@ -20,8 +20,6 @@ propagates the failure (default), ``"drop"`` behaves like a zero-row
 result, and ``"null"`` yields one row whose external attributes are NULL.
 """
 
-from repro.asynciter.context import AsyncContext
-from repro.asynciter.pump import default_pump
 from repro.exec.operator import Operator
 from repro.obs.trace import SYNC_DEGRADE
 from repro.util.errors import ExecutionError, QueryDeadlineExceeded, ReproError
@@ -70,22 +68,20 @@ class ExternalScan(Operator):
 class EVScan(ExternalScan):
     """Sequential scan of one virtual-table instance.
 
-    *context* is the query's :class:`AsyncContext` (the engine builds one
+    *context* is the query's
+    :class:`~repro.asynciter.context.AsyncContext` (the engine builds one
     per query in either mode, which is what correlates the pump's
-    ``call.register → issue → complete|fail`` events with the query); a
-    scan built without one — a hand-built plan, ``lower()`` with no
-    context — waits on a private context over the shared default pump.
+    ``call.register → issue → complete|fail`` events with the query); the
+    call runs on that context's pump.
     """
 
-    def __init__(self, instance, context=None, on_error="raise"):
+    def __init__(self, instance, context, on_error="raise"):
         if on_error not in ("raise", "drop", "null"):
             raise ExecutionError(
                 "unknown on_error policy {!r}; expected raise/drop/null".format(
                     on_error
                 )
             )
-        if context is None:
-            context = AsyncContext(default_pump(), dedup=False)
         super().__init__(instance, context)
         self.on_error = on_error
         self.call_errors = 0

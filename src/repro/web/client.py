@@ -41,27 +41,15 @@ the pump's decision alone.
 Blocking conveniences
 ---------------------
 
-``count``/``search`` register the same probe and attempt with the shared
-:func:`~repro.asynciter.pump.default_pump` and wait for the outcome.  That pump
-carries no resilience policy, so they make exactly one attempt; queries
-run on their engine's pump.
+``count``/``search`` ask the same probe, and on a miss run one attempt on
+the calling thread (:func:`~repro.asynciter.pump.drive`): exactly one
+attempt, no retry.  Queries run on their engine's pump.
 """
 
-from repro.asynciter.context import AsyncContext
-from repro.asynciter.pump import default_pump
+from repro.asynciter.pump import drive
 from repro.util.errors import RequestTimeoutError
-from repro.vtables.base import ExternalCall
 from repro.web.cache import ResultCache
 from repro.web.faults import HANG, OUTAGE
-
-
-def run_blocking(key, destination, factory, probe=None):
-    """Run one external call on the shared pump and wait for its outcome."""
-    call = ExternalCall(key, destination, factory, probe)
-    _, rows, error = AsyncContext(default_pump(), dedup=False).run(call)
-    if error is not None:
-        raise error
-    return rows
 
 
 class SearchClient:
@@ -96,22 +84,16 @@ class SearchClient:
     # -- blocking conveniences ----------------------------------------------------
 
     def count(self, expr_text):
-        """:meth:`count_async` sent through the shared pump and waited for."""
-        return run_blocking(
-            ("count", self.name, expr_text),
-            self.name,
-            lambda attempt: self.count_async(expr_text, attempt),
-            lambda: self.probe("count", expr_text),
-        )
+        """The cached count, or one :meth:`count_async` attempt run here."""
+        cached = self.probe("count", expr_text)
+        return cached if cached is not None else drive(self.count_async(expr_text))
 
     def search(self, expr_text, limit):
-        """:meth:`search_async` sent through the shared pump and waited for."""
-        return run_blocking(
-            ("search", self.name, expr_text, limit),
-            self.name,
-            lambda attempt: self.search_async(expr_text, limit, attempt),
-            lambda: self.probe("search", expr_text, limit),
-        )
+        """The cached hits, or one :meth:`search_async` attempt run here."""
+        cached = self.probe("search", expr_text, limit)
+        if cached is not None:
+            return cached
+        return drive(self.search_async(expr_text, limit))
 
     # -- one attempt of one request -------------------------------------------------
 

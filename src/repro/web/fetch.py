@@ -7,8 +7,8 @@ it renders a page's HTML from the corpus document, charges latency, and
 exposes the outgoing links (for the next crawl round).
 """
 
+from repro.asynciter.pump import drive
 from repro.web.cache import ResultCache
-from repro.web.client import run_blocking
 
 
 class FetchResult:
@@ -62,13 +62,9 @@ class FetchService:
         return self.cache.lookup(_cache_key(url))
 
     def fetch(self, url):
-        """:meth:`fetch_async` sent through the shared pump and waited for."""
-        return run_blocking(
-            ("fetch", url),
-            "fetch",
-            lambda attempt: self.fetch_async(url),
-            lambda: self.probe(url),
-        )
+        """The cached page, or one :meth:`fetch_async` attempt run here."""
+        cached = self.probe(url)
+        return cached if cached is not None else drive(self.fetch_async(url))
 
     def fetch_async(self, url):
         """One fetch attempt, as a generator: yields the latency, returns the page."""

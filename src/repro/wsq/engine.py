@@ -4,7 +4,7 @@ import threading
 from collections import OrderedDict, namedtuple
 
 from repro.asynciter.context import AsyncContext
-from repro.asynciter.pump import RequestPump, default_pump
+from repro.asynciter.pump import RequestPump
 from repro.asynciter.reqsync import ReqSync
 from repro.asynciter.rewrite import rewrite_logical
 from repro.config import EngineConfig, default_cache
@@ -96,11 +96,11 @@ class WsqEngine:
         it was built: its registry is the engine's registry, and its
         tracer, resilience policy and single-flight setting are its own
         (build it with ``tracer=obs.tracer`` to see request lifecycles
-        in the engine's trace).  ``None`` takes the process-wide pump —
-        or, for an observed or resilient engine, a dedicated
-        single-flight one wired to *obs* and *resilience*, because
-        attaching those to the shared pump would change every other
-        engine.
+        in the engine's trace).  ``None`` builds the engine its own
+        single-flight pump, the same way whatever else is passed: with
+        *resilience*, on the engine's clock, and with *obs*'s tracer and
+        registry when observed.  Its thread exits shortly after the last
+        call settles, so an engine left unshut holds no thread.
     obs:
         An :class:`~repro.obs.Observability` bundle.  With one attached
         (e.g. ``Observability.enabled()``), every query is traced —
@@ -161,17 +161,14 @@ class WsqEngine:
         self.faults = faults
         self.clock = resolve_clock(obs.clock if obs is not None else None)
         if pump is None:
-            if resilience is None and obs is None:
-                pump = default_pump()
-            else:
-                pump = RequestPump(
-                    name="reqpump-engine",
-                    resilience=resilience,
-                    tracer=obs.tracer if obs is not None else None,
-                    metrics=obs.metrics if obs is not None else None,
-                    clock=self.clock,
-                    single_flight=True,
-                )
+            pump = RequestPump(
+                name="reqpump-engine",
+                resilience=resilience,
+                tracer=obs and obs.tracer,
+                metrics=obs and obs.metrics,
+                clock=self.clock,
+                single_flight=True,
+            )
         self.pump = pump
         if obs is not None and obs.metrics is not pump.metrics:
             # A pump that came with its own registry: the clients and the
@@ -181,8 +178,9 @@ class WsqEngine:
             )
         self.obs = obs
         if obs is not None and cache is not None:
-            # Only an observed engine's registry is the engine's alone;
-            # the shared default pump's would mix every engine's caches.
+            # A cache may serve several engines: it counts into the
+            # registry of an engine that asks for observability, and
+            # otherwise into its own.
             cache.attach_observability(metrics=obs.metrics, tracer=obs.tracer)
         self.cost_model = cost_model
         self.clients = {
@@ -381,7 +379,8 @@ class WsqEngine:
         if not logical_ir.contains_external_scan(logical):
             return SYNC
         if self.cost_model is not None:
-            sync_plan = lower(logical, self.config)
+            # Priced, never run: the context only lets its scans lower.
+            sync_plan = lower(logical, self.config, AsyncContext(self.pump))
             sync_estimate = self.cost_model.estimate(sync_plan)
             sync_seconds = self.cost_model.seconds(sync_plan)
             # Model the consolidated rewrite without building it: the same

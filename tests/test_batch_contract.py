@@ -230,8 +230,10 @@ def _index_scan_plan():
 
 def _dependent_join_plan():
     # EVScan has no open_batch: the looped (one outer row per pull) path,
-    # with a proliferating ('k2') and a cancelling ('k3') binding.
-    return DependentJoin(_outer_scan(), EVScan(FakeInstance(RESULTS)), {"T1": 0})
+    # with a proliferating ('k2') and a cancelling ('k3') binding.  The
+    # plan owns its pump, whose thread runs only while a call is out.
+    context = AsyncContext(RequestPump(), dedup=False)
+    return DependentJoin(_outer_scan(), EVScan(FakeInstance(RESULTS), context), {"T1": 0})
 
 
 def _nlj_fanout_plan():
@@ -524,7 +526,7 @@ class TestExternalEquivalence:
         # looped path, which must still match the tuple-at-a-time
         # schedule exactly.
         def make_plan():
-            scan = EVScan(FakeInstance(RESULTS))
+            scan = EVScan(FakeInstance(RESULTS), AsyncContext(pump, dedup=False))
             return DependentJoin(_outer_scan(), scan, {"T1": 0})
 
         expected = reference_rows(make_plan())

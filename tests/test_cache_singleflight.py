@@ -15,7 +15,7 @@ import time
 
 import pytest
 
-from repro.asynciter.pump import PumpLimits, RequestPump, default_pump
+from repro.asynciter.pump import PumpLimits, RequestPump
 from repro.asynciter.resilience import ResiliencePolicy, RetryPolicy
 from repro.obs.trace import (
     CACHE_COALESCE,
@@ -323,24 +323,23 @@ class TestOptInBoundaries:
         pump.quiesce()
         assert len(events_named(pump.tracer, CALL_ISSUE)) == 3
 
-    def test_default_pump_stays_non_coalescing(self):
-        assert default_pump().single_flight is False
-
     def test_engine_dedicated_pumps_opt_in(self, web, paper_db):
-        engine = WsqEngine(
+        """Every engine handed no pump builds its own coalescing one,
+        whatever else it was given; a pump passed in is used as built."""
+        plain = WsqEngine(database=paper_db, web=web)
+        other = WsqEngine(database=paper_db, web=web)
+        resilient = WsqEngine(
             database=paper_db, web=web, resilience=ResiliencePolicy()
         )
-        assert engine.pump is not default_pump()
-        assert engine.pump.single_flight is True
-        # A non-coalescing engine passes its own pump.
+        pumps = [plain.pump, other.pump, resilient.pump]
+        assert len({id(pump) for pump in pumps}) == 3
+        assert all(pump.single_flight for pump in pumps)
+        assert resilient.pump.resilience is not None
+        assert plain.pump.resilience is None
         given = RequestPump(single_flight=False)
         engine_off = WsqEngine(database=paper_db, web=web, pump=given)
+        assert engine_off.pump is given
         assert engine_off.pump.single_flight is False
-        # Without any dedicated-pump trigger the shared pump is used
-        # untouched (and stays non-coalescing).
-        plain = WsqEngine(database=paper_db, web=web)
-        assert plain.pump is default_pump()
-        assert plain.pump.single_flight is False
 
 
 class TestConcurrentQueryStress:

@@ -64,8 +64,8 @@ def _combo_id(combo):
 def test_matrix_combo_is_logically_exact(combo, shared_db, baseline_rows):
     fault_rate, tier, coalesce, batch_size, deadline_s = combo
     seed = MATRIX.index(combo) + 1  # seeded per combo, stable across runs
-    # Always set a policy: transients must recover, and every combo gets
-    # a dedicated pump so the final accounting is exact.
+    # Always set a policy: transients must recover.  Each combo's engine
+    # builds its own pump, so the final accounting is exact.
     policy = ResiliencePolicy(
         retry=RetryPolicy(max_attempts=6, base_backoff=0.005)
     )

@@ -400,8 +400,10 @@ RETIRED_OPTIONS = [
 #: the physical rewrite adapter, the physical-to-logical lift, structural
 #: plan identity and the unused grandparent lookup, then the relational
 #: rewrite pass (its six rules, their pipeline, the cost gate, the bag
-#: union only one of them built, and the bottom-up scan order); none may
-#: come back in code, CI or the docs.
+#: union only one of them built, and the bottom-up scan order), then the
+#: process-wide pump (its accessor, singleton and lock), the blocking
+#: conveniences' trip through it and the pump's separate start-up; none
+#: may come back in code, CI or the docs.
 RETIRED = [
     _spell("Planner", "Options"),
     _spell("Rewrite", "Settings"),
@@ -490,6 +492,11 @@ RETIRED = [
     _spell("Logical", "Union"),
     _spell("Union", "All"),
     _spell("BOTTOM", "_UP"),
+    _spell("default", "_pump"),
+    _spell("_DEFAULT", "_PUMP"),
+    _spell("_DEFAULT", "_LOCK"),
+    _spell("run", "_blocking"),
+    _spell("ensure", "_started"),
 ]
 
 #: Where they may not appear (EXPERIMENTS.md, CHANGES.md and ROADMAP.md
@@ -628,6 +635,12 @@ class TestStructuralGuard:
             _spell("            union = L.Logical", "Union(union, branch)"),
             _spell("from repro.exec.union import Union", "All"),
             _spell('BOTTOM', '_UP = "bottom_up"'),
+            _spell("                pump = default", "_pump()"),
+            _spell("_DEFAULT", "_PUMP = None"),
+            _spell("_DEFAULT", "_LOCK = threading.Lock()"),
+            _spell("    _, rows, error = AsyncContext(default", "_pump(), dedup=False).run(call)"),
+            _spell("from repro.web.client import run", "_blocking"),
+            _spell("        self.ensure", "_started()"),
         ],
     )
     def test_retired_guard_catches_a_revived_name(self, mutant):

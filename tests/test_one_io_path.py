@@ -1,8 +1,9 @@
 """One I/O path: structural guard and the behaviours the collapse fixed.
 
-Every external request is one attempt generator run by a request pump; a
-caller that blocks (``EVScan``, ``SearchClient.count``) waits for the
-pump.  The guard below keeps a second, blocking implementation from
+Every external request is one attempt generator: a query's run by its
+engine's request pump (``EVScan`` waits for the pump), a blocking
+convenience's (``SearchClient.count``) run on the calling thread by
+``repro.asynciter.pump.drive``.  The guard below keeps a second, blocking implementation from
 growing back in ``repro.web`` / ``repro.vtables``.  A second guard keeps one
 resilience layer: the pump's retry/timeout/breaker loop is the only place
 a circuit breaker is built, and no web client races probes of its own.  A

@@ -7,7 +7,7 @@ import time
 import pytest
 
 from repro.asynciter.context import AsyncContext
-from repro.asynciter.pump import PumpLimits, RequestPump, default_pump
+from repro.asynciter.pump import PumpLimits, RequestPump
 from repro.util.errors import ExecutionError
 from repro.vtables.base import ExternalCall
 
@@ -73,15 +73,15 @@ class TestBasics:
 
     def test_pump_restarts_after_shutdown(self):
         pump = RequestPump()
-        pump.ensure_started()
+        started = threading.Event()
+        pump.register(make_call(key="before", delay=0.2), lambda *a: None)
+        pump.register(make_call(key="probe"), lambda *a: started.set())
+        assert started.wait(2)
         pump.shutdown()
         done = threading.Event()
         pump.register(make_call(), lambda *a: done.set())
         assert done.wait(2)
         pump.shutdown()
-
-    def test_default_pump_is_singleton(self):
-        assert default_pump() is default_pump()
 
 
 class TestConcurrency:
@@ -255,7 +255,7 @@ class TestInFlightDedup:
         from repro.bench.workloads import bench_engine
         from repro.exec import collect
 
-        for dedup, expected in ((False, 37 + 37 * 4), (True, 37 + 37)):
+        for dedup, registered in ((False, 37 + 37 * 4), (True, 37 + 37)):
             # cache=False: this asserts raw *network* counts, which the
             # REPRO_CACHE transparency leg would legitimately change.
             engine = bench_engine(latency=None, cache=False)
@@ -264,7 +264,16 @@ class TestInFlightDedup:
             rows = collect(plan)
             issued = sum(c.requests_sent for c in engine.clients.values()) - before
             assert len(rows) == 37 * 4
-            assert issued == expected
+            assert engine.pump.quiesce(timeout=2.0)
+            snapshot = engine.pump.stats.snapshot()
+            # Without the query's dedup every call reaches the pump, whose
+            # single-flight still joins each one that finds its twin in
+            # flight; with it the pump sees each distinct call once.
+            assert snapshot["registered"] == registered
+            assert issued == registered - snapshot["coalesced"]
+            assert issued >= 37 + 37
+            if dedup:
+                assert snapshot["coalesced"] == 0
 
 
 class TestQueuedGauge:
@@ -322,7 +331,10 @@ class TestQuiesce:
 
     def test_quiesce_on_an_idle_pump_does_not_wait(self, pump):
         assert pump.quiesce(timeout=0)
-        pump.ensure_started()
+        done = threading.Event()
+        pump.register(make_call(), lambda *outcome: done.set())
+        assert done.wait(2)
+        assert pump.quiesce(timeout=2.0)
         assert pump.quiesce(timeout=0)
 
     def test_accounting_is_exact_after_a_settled_burst(self, pump):

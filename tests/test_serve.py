@@ -188,8 +188,8 @@ class TestServiceBasics:
         assert total_completed == 12
 
     def test_submit_time_shed_is_typed_and_fast(self):
-        # obs=True gives the engine a dedicated metrics registry, so the
-        # exact-count assertions below cannot see other tests' traffic.
+        # The engine's own pump carries its registry, so the exact-count
+        # assertions below cannot see other tests' traffic.
         engine = make_engine(latency=UniformLatency(0.1, 0.2), obs=True)
         service = QueryService(
             engine,

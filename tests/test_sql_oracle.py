@@ -20,6 +20,7 @@ import pytest
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
+from repro.asynciter.context import AsyncContext
 from repro.exec import collect
 from repro.plan.physical import lower
 from repro.plan.planner import Planner
@@ -305,7 +306,11 @@ class TestOptimizerEquivalenceEngine:
         got = engine.run(self.SQL, mode=mode).rows
         planner = Planner(paper_db, engine.vtables, options=engine.config)
         expected = collect(
-            lower(planner.plan_logical(parse_select(self.SQL)), engine.config)
+            lower(
+                planner.plan_logical(parse_select(self.SQL)),
+                engine.config,
+                AsyncContext(engine.pump),
+            )
         )
         # Async emission order varies with call completion for tied sort
         # keys, so compare the row multiset plus the ordering-key sequence.

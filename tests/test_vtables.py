@@ -1,10 +1,9 @@
 """Virtual tables: instances, schemas, calls, EVScan."""
 
-import time
-
-
 import pytest
 
+from repro.asynciter.context import AsyncContext
+from repro.asynciter.pump import RequestPump, drive
 from repro.relational.placeholder import Placeholder, is_placeholder
 from repro.relational.types import DataType
 from repro.util.errors import BindingError, VirtualTableError
@@ -13,19 +12,17 @@ from repro.vtables.webpages import DEFAULT_MAX_RANK
 from repro.web.client import SearchClient
 
 
-def drive(attempt):
-    """Run one attempt generator to its result on this thread, outside
-    any pump: sleep through each wait it yields."""
-    try:
-        while True:
-            time.sleep(next(attempt))
-    except StopIteration as done:
-        return done.value
-
-
 def run_call(call):
     """One attempt of *call*, outside any pump."""
     return drive(call.execute_async())
+
+
+@pytest.fixture()
+def context():
+    """A blocking scan's context, over a pump the test owns."""
+    pump = RequestPump()
+    yield AsyncContext(pump, dedup=False)
+    pump.shutdown()
 
 
 @pytest.fixture()
@@ -182,9 +179,9 @@ class TestWebFetchTables:
 
 
 class TestEVScan:
-    def test_scan_rows(self, av_client):
+    def test_scan_rows(self, av_client, context):
         inst = WebCountDef("WebCount", av_client).instantiate("WC", n=1)
-        scan = EVScan(inst)
+        scan = EVScan(inst, context)
         scan.open({"T1": "Wyoming"})
         row = scan.next()
         assert row[1] == "Wyoming"
@@ -192,9 +189,9 @@ class TestEVScan:
         assert scan.next() is None
         scan.close()
 
-    def test_reopen_with_new_bindings(self, av_client):
+    def test_reopen_with_new_bindings(self, av_client, context):
         inst = WebCountDef("WebCount", av_client).instantiate("WC", n=1)
-        scan = EVScan(inst)
+        scan = EVScan(inst, context)
         scan.open({"T1": "Utah"})
         utah = scan.next()[2]
         scan.close()
@@ -204,14 +201,14 @@ class TestEVScan:
         assert california > utah
         assert scan.calls_registered == 2
 
-    def test_next_before_open(self, av_client):
+    def test_next_before_open(self, av_client, context):
         from repro.util.errors import ExecutionError
 
         inst = WebCountDef("WebCount", av_client).instantiate("WC", n=1)
         with pytest.raises(ExecutionError):
-            EVScan(inst).next()
+            EVScan(inst, context).next()
 
-    def test_label(self, av_client):
+    def test_label(self, av_client, context):
         inst = WebCountDef("WebCount", av_client).instantiate("WC", n=2)
         inst.fixed_bindings["T2"] = "Knuth"
-        assert "Knuth" in EVScan(inst).label()
+        assert "Knuth" in EVScan(inst, context).label()
