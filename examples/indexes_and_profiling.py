@@ -2,10 +2,10 @@
 
 Beyond the paper's scope, this library ships the pieces a production
 deployment of WSQ would want: B+tree secondary indexes, a cost model for
-sync-vs-async decisions (the paper's explicit future work), per-operator
-profiling, and WAL-backed durability.  This example tours them:
+sync-vs-async decisions (the paper's explicit future work) and
+per-operator profiling.  This example tours them:
 
-1. build a persistent, WAL-protected database with an index,
+1. build a persistent database with an index,
 2. compare the plans with and without the index,
 3. profile a WSQ query in both execution modes — watch the time move
    from the EVScan (sequential network waits) into one ReqSync wait,
@@ -32,7 +32,7 @@ QUERY = (
 
 def main():
     directory = tempfile.mkdtemp(prefix="wsq-demo-")
-    with Database(directory, durability="wal") as database:
+    with Database(directory) as database:
         load_all(database)
         engine = WsqEngine(
             database=database,
@@ -64,10 +64,11 @@ def main():
             verdict = "async" if "ReqSync" in plan.explain() else "sync"
             print("  {:<70} -> {}".format(sql[:68], verdict))
 
-    # WAL durability: the database survives without an explicit flush.
-    with Database(directory, durability="wal") as reopened:
+    # Closing (the ``with`` block) writes every page back: the directory
+    # reopens with what the database held.
+    with Database(directory) as reopened:
         count = reopened.table("States").row_count()
-        print("\nreopened WAL database: States has {} rows".format(count))
+        print("\nreopened database: States has {} rows".format(count))
 
 
 if __name__ == "__main__":

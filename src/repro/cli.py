@@ -51,9 +51,6 @@ HELP = """Statements end with ';'.  Dot-commands:
 
 
 def build_engine(args):
-    database = Database(args.db) if args.db else Database()
-    if args.load_datasets and not database.has_table("States"):
-        load_all(database)
     latency = None
     if args.latency > 0:
         seconds = args.latency / 1000.0
@@ -67,18 +64,26 @@ def build_engine(args):
         or getattr(args, "metrics", False)
     ):
         obs = Observability.enabled()
-    return WsqEngine(
-        database=database,
-        latency=latency,
-        cache=cache,
-        faults=faults,
-        resilience=resilience,
-        obs=obs,
-        config=EngineConfig.resolve(
-            on_error=getattr(args, "on_error", None),
-            batch_size=getattr(args, "batch_size", None),
-        ),
+    config = EngineConfig.resolve(
+        on_error=getattr(args, "on_error", None),
+        batch_size=getattr(args, "batch_size", None),
     )
+    database = Database(args.db) if args.db else Database()
+    try:
+        if args.load_datasets and not database.has_table("States"):
+            load_all(database)
+        return WsqEngine(
+            database=database,
+            latency=latency,
+            cache=cache,
+            faults=faults,
+            resilience=resilience,
+            obs=obs,
+            config=config,
+        )
+    except BaseException:
+        database.close()  # an on-disk database keeps what it loaded
+        raise
 
 
 def _cache_config(args):
@@ -260,8 +265,15 @@ def main(argv=None):
         engine = build_engine(args)
     except ConfigError as exc:
         parser.error(str(exc))
-    mode = "sync" if args.sync else "async"
+    try:
+        return _shell(engine, args)
+    finally:
+        engine.database.close()
 
+
+def _shell(engine, args):
+    """Run ``-c`` or the interactive loop; the exit status."""
+    mode = "sync" if args.sync else "async"
     if args.command is not None:
         status = _run_statement(engine, args.command, mode, waterfall=args.waterfall)
         _finish_observability(engine, args)

@@ -83,10 +83,3 @@ STATE_NAMES = [s.name for s in STATES]
 CAPITALS_BEATING_STATES = {
     "Atlanta", "Lincoln", "Boston", "Jackson", "Pierre", "Columbia",
 }
-
-
-def state_by_name(name):
-    for record in STATES:
-        if record.name.lower() == name.lower():
-            return record
-    raise KeyError(name)

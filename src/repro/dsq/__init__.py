@@ -11,6 +11,6 @@ correlation is a WSQ SQL query over ``WebCount``, so DSQ inherits
 asynchronous iteration's concurrency for free.
 """
 
-from repro.dsq.session import Correlation, DsqReport, DsqSession, Refinement
+from repro.dsq.session import Correlation, DsqReport, DsqSession
 
-__all__ = ["Correlation", "DsqReport", "DsqSession", "Refinement"]
+__all__ = ["Correlation", "DsqReport", "DsqSession"]

@@ -10,21 +10,6 @@ def _quote(value):
     return value.replace("'", "''")
 
 
-class Refinement:
-    """A suggested refined search: the phrase narrowed by one DB term."""
-
-    __slots__ = ("expression", "term", "domain", "count")
-
-    def __init__(self, expression, term, domain, count):
-        self.expression = expression
-        self.term = term
-        self.domain = domain
-        self.count = count
-
-    def __repr__(self):
-        return "Refinement({!r}, ~{} pages)".format(self.expression, self.count)
-
-
 class Correlation:
     """Ranked co-occurrence of one phrase with one term domain."""
 
@@ -164,41 +149,6 @@ class DsqSession:
                 phrase, correlations[labels[0]], correlations[labels[1]], top_k
             )
         return DsqReport(phrase, correlations, triples)
-
-    # -- refinement and related-term discovery -------------------------------------
-
-    def refine(self, phrase, top_k=5):
-        """Suggest narrowed searches: *phrase* near each correlated DB term.
-
-        This is DSQ "enhancing" a Web search: the database supplies
-        candidate refinements, the Web supplies their result sizes, and
-        the user gets back concrete next queries ranked by how much
-        material each would surface.
-        """
-        refinements = []
-        for label, correlation in self.correlate_all(phrase).items():
-            for term, count in correlation.nonzero()[:top_k]:
-                expression = '"{}" near "{}"'.format(term, phrase)
-                refinements.append(Refinement(expression, term, label, count))
-        refinements.sort(key=lambda r: (-r.count, r.term))
-        return refinements[:top_k]
-
-    def related(self, term, exclude_self=True):
-        """DB terms that co-occur with *term* on the Web, across domains.
-
-        The converse direction of :meth:`correlate`: instead of explaining
-        a free phrase with database terms, explain one database value by
-        the other database values it shares pages with.
-        """
-        correlations = self.correlate_all(term)
-        if exclude_self:
-            for correlation in correlations.values():
-                correlation.ranking = [
-                    (t, c)
-                    for t, c in correlation.ranking
-                    if t.lower() != term.lower()
-                ]
-        return correlations
 
     def _temp_table(self, terms):
         name = "__dsq_tmp_{}".format(next(self._temp_counter))

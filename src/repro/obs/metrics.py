@@ -240,15 +240,6 @@ class MetricsRegistry:
 
     # -- typed iteration (calibration / exposition) ---------------------------
 
-    def counters_named(self, name):
-        """All counters called *name*, across label sets."""
-        with self._lock:
-            return [c for (n, _), c in self._counters.items() if n == name]
-
-    def gauges_named(self, name):
-        with self._lock:
-            return [g for (n, _), g in self._gauges.items() if n == name]
-
     def histograms_named(self, name):
         """All histograms called *name*, across label sets."""
         with self._lock:

@@ -141,10 +141,6 @@ class ColumnBatch:
             self.schema, self.data, self.rowcount, [base[i] for i in indexes]
         )
 
-    def with_schema(self, schema):
-        """This batch re-tagged with *schema* (zero-copy)."""
-        return ColumnBatch(schema, self.data, self.rowcount, self.selection)
-
     # -- access -------------------------------------------------------------
 
     def __len__(self):

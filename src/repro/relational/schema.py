@@ -86,9 +86,6 @@ class Schema:
     def names(self):
         return [c.name for c in self.columns]
 
-    def qualified_names(self):
-        return [c.qualified_name() for c in self.columns]
-
     def resolve(self, name, qualifier=None):
         """Return the index of the column answering to *name*.
 

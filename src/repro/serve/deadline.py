@@ -23,7 +23,6 @@ stays an optional layer above the engine.
 
 import math
 
-from repro.util.errors import QueryDeadlineExceeded
 from repro.util.timing import resolve_clock
 
 #: Reason recorded by :meth:`Deadline.cancel` when none is given.
@@ -99,16 +98,6 @@ class Deadline:
         if rem == math.inf:
             return cap
         return rem if cap is None else min(cap, rem)
-
-    def raise_if_expired(self, what="query"):
-        """Raise :class:`QueryDeadlineExceeded` once the budget is spent."""
-        if self.expired:
-            raise QueryDeadlineExceeded(
-                "{} abandoned: {}".format(what, self.reason)
-                if self._cancelled
-                else "{} exceeded its deadline".format(what),
-                deadline=self,
-            )
 
     def __repr__(self):
         if self._cancelled:

@@ -51,20 +51,13 @@ class PageGuard:
 
 
 class BufferPool:
-    """An LRU buffer pool over a :class:`~repro.storage.disk.DiskManager`.
+    """An LRU buffer pool over a :class:`~repro.storage.disk.DiskManager`."""
 
-    ``no_steal=True`` forbids writing dirty pages back outside an explicit
-    :meth:`flush_all` — the policy WAL-mode databases need so the on-disk
-    heap always equals the last checkpoint.  When every evictable frame is
-    dirty under no-steal, the pool grows instead of evicting.
-    """
-
-    def __init__(self, disk, capacity=64, no_steal=False):
+    def __init__(self, disk, capacity=64):
         if capacity < 1:
             raise BufferPoolError("buffer pool needs at least one frame")
         self.disk = disk
         self.capacity = capacity
-        self.no_steal = no_steal
         self._frames = OrderedDict()  # page_id -> Frame, LRU order
         # Frame-table lock: queries served concurrently (QueryService
         # workers) scan the same table from several threads at once.
@@ -75,7 +68,6 @@ class BufferPool:
         self.hits = 0
         self.misses = 0
         self.evictions = 0
-        self.growths = 0
 
     # -- public API ---------------------------------------------------------
 
@@ -119,10 +111,6 @@ class BufferPool:
             for frame in self._frames.values():
                 self._write_back(frame)
 
-    def resident_pages(self):
-        with self._lock:
-            return set(self._frames)
-
     def stats(self):
         return {
             "hits": self.hits,
@@ -140,16 +128,9 @@ class BufferPool:
         for page_id, frame in self._frames.items():  # LRU order
             if frame.pin_count != 0:
                 continue
-            if self.no_steal and frame.dirty:
-                continue
             self._write_back(frame)
             del self._frames[page_id]
             self.evictions += 1
-            return
-        if self.no_steal:
-            # Every candidate is dirty: grow rather than violate no-steal.
-            self.capacity += max(16, self.capacity // 2)
-            self.growths += 1
             return
         raise BufferPoolError(
             "all {} frames are pinned; cannot evict".format(self.capacity)

@@ -115,11 +115,6 @@ class Catalog:
         entry["root"] = root_page_id
         self._save()
 
-    def indexes_of(self, table):
-        return [
-            dict(e) for e in self._indexes.values() if e["table"].lower() == table.lower()
-        ]
-
     def index_names(self):
         return sorted(e["name"] for e in self._indexes.values())
 

@@ -30,27 +30,19 @@ class Database:
     value is still the plan a planner would build while it stands.
     """
 
-    def __init__(self, directory=None, buffer_capacity=64, durability="none"):
-        if durability not in ("none", "wal"):
-            raise CatalogError("durability must be 'none' or 'wal'")
-        if durability == "wal" and directory is None:
-            raise CatalogError("WAL durability requires an on-disk database")
+    def __init__(self, directory=None, buffer_capacity=64):
         self.directory = directory
         self.buffer_capacity = buffer_capacity
-        self.durability = durability
         self.catalog = Catalog(directory)
         self._tables = {}  # lower-name -> Table
         self._disks = []  # for close()
         self._index_pools = []  # buffer pools of open indexes, for flush()
-        self.wal = None
         self.generation = 0
         self._generations = itertools.count(1)  # next() is atomic
         for name in self.catalog.table_names():
             self._open_table(name)
         for index_name in self.catalog.index_names():
             self._open_index(index_name)
-        if durability == "wal":
-            self._start_wal()
 
     def _changed(self):
         self.generation = next(self._generations)
@@ -145,19 +137,8 @@ class Database:
         for disk in self._disks:
             disk.sync()
 
-    def checkpoint(self):
-        """Flush all pools to disk; in WAL mode, then truncate the log."""
-        self.flush()
-        if self.wal is not None:
-            self.wal.truncate()
-
     def close(self):
-        if self.wal is not None:
-            self.checkpoint()
-            self.wal.close()
-            self.wal = None
-        else:
-            self.flush()
+        self.flush()
         for disk in self._disks:
             disk.close()
         self._disks = []
@@ -183,40 +164,13 @@ class Database:
     def _open_table(self, name):
         disk = DiskManager(self.catalog.file_of(name))
         self._disks.append(disk)
-        pool = BufferPool(
-            disk,
-            capacity=self.buffer_capacity,
-            no_steal=(self.durability == "wal"),
-        )
+        pool = BufferPool(disk, capacity=self.buffer_capacity)
         table = Table(
             name, self.catalog.schema_of(name), HeapFile(pool), self._changed
         )
         self._tables[name.lower()] = table
         self._changed()
-        if self.wal is not None:
-            self._install_journal(table)
         return table
-
-    def _start_wal(self):
-        """Open the log, redo any post-crash tail, install journal hooks."""
-        import os
-
-        from repro.storage.wal import WriteAheadLog, recover_database
-
-        path = os.path.join(self.directory, "wal.log")
-        self.wal = WriteAheadLog(path)
-        self.recovered_operations = recover_database(self, self.wal)
-        if self.recovered_operations:
-            # Fold the redone tail into a fresh checkpoint immediately.
-            self.checkpoint()
-        for table in self._tables.values():
-            self._install_journal(table)
-
-    def _install_journal(self, table):
-        def journal(op, row, _table=table):
-            self.wal.append(op, _table.name, row)
-
-        table.journal = journal
 
     def _open_index(self, index_name):
         entry = self.catalog.index_entry(index_name)
@@ -225,11 +179,7 @@ class Database:
         key_type = table.schema[column_index].type
         disk = DiskManager(self.catalog.index_file_of(index_name))
         self._disks.append(disk)
-        pool = BufferPool(
-            disk,
-            capacity=self.buffer_capacity,
-            no_steal=(self.durability == "wal"),
-        )
+        pool = BufferPool(disk, capacity=self.buffer_capacity)
         self._index_pools.append(pool)
         tree = BPlusTree(pool, key_type, root_page_id=entry["root"])
 

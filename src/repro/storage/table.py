@@ -15,10 +15,6 @@ class Table:
         self.heap = heap
         self._types = tuple(column.type for column in schema)
         self.indexes = []  # TableIndex objects, kept in sync by DML
-        #: Optional WAL hook: ``journal(op, row)`` called *before* the heap
-        #: is touched (the write-ahead rule); installed by Database in WAL
-        #: mode, absent during recovery replay.
-        self.journal = None
         #: :class:`~repro.storage.stats.TableStats` from the last ANALYZE
         #: (``None`` until one runs; not invalidated by DML — like real
         #: systems, statistics go stale until re-analyzed).
@@ -32,13 +28,6 @@ class Table:
     def attach_index(self, index):
         self.indexes.append(index)
 
-    def index_on(self, column_name):
-        """The index over *column_name*, or None."""
-        for index in self.indexes:
-            if index.column_name.lower() == column_name.lower():
-                return index
-        return None
-
     def insert(self, row):
         """Insert one row (sequence of values in schema order); return RID."""
         return self.insert_many((row,))[0]
@@ -49,8 +38,6 @@ class Table:
         rids = []
         with self.heap.appender() as append:
             for row in rows:
-                if self.journal is not None:
-                    self.journal("insert", row)
                 rid = append(encode_record(row, self.schema))
                 self._rows += 1
                 for index in self.indexes:
@@ -109,9 +96,7 @@ class Table:
 
     def delete(self, rid):
         self.changed()
-        row = self.read(rid) if (self.indexes or self.journal is not None) else None
-        if row is not None and self.journal is not None:
-            self.journal("delete", row)
+        row = self.read(rid) if self.indexes else None
         if row is not None:
             for index in self.indexes:
                 index.delete(row, rid)
@@ -125,40 +110,11 @@ class Table:
             (rid, row) for rid, row in self.scan_with_rids() if predicate(row)
         ]
         for rid, row in victims:
-            if self.journal is not None:
-                self.journal("delete", row)
             for index in self.indexes:
                 index.delete(row, rid)
             self.heap.delete(rid)
             self._rows -= 1
         return len(victims)
-
-    def update_where(self, predicate, updater):
-        """Replace rows matching *predicate* with ``updater(row)``.
-
-        Implemented as delete + re-insert, which is how small heap-file
-        systems handle variable-length updates; returns the update count.
-        """
-        self.changed()
-        changed = 0
-        for rid, row in list(self.scan_with_rids()):
-            if predicate(row):
-                new_row = tuple(updater(row))
-                if len(new_row) != len(self.schema):
-                    raise StorageError("updater changed row arity")
-                if self.journal is not None:
-                    self.journal("delete", row)
-                    self.journal("insert", new_row)
-                for index in self.indexes:
-                    index.delete(row, rid)
-                self.heap.delete(rid)
-                self._rows -= 1
-                new_rid = self.heap.insert(encode_record(new_row, self.schema))
-                self._rows += 1
-                for index in self.indexes:
-                    index.insert(new_row, new_rid)
-                changed += 1
-        return changed
 
     def row_count(self):
         return self._rows

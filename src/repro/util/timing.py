@@ -12,7 +12,6 @@ ad-hoc call site used before this module consolidated them.
 """
 
 import time
-from contextlib import contextmanager
 
 
 class Clock:
@@ -58,47 +57,7 @@ class VirtualClock(Clock):
 SYSTEM_CLOCK = SystemClock()
 
 
-def default_clock():
-    """The shared :class:`SystemClock` instance."""
-    return SYSTEM_CLOCK
-
-
 def resolve_clock(clock):
     """``clock`` if given, else the shared system clock."""
     return clock if clock is not None else SYSTEM_CLOCK
 
-
-class Stopwatch:
-    """Accumulates wall-clock time across repeated start/stop cycles."""
-
-    def __init__(self, clock=None):
-        self.clock = resolve_clock(clock)
-        self.elapsed = 0.0
-        self._started_at = None
-
-    def start(self):
-        if self._started_at is not None:
-            raise RuntimeError("stopwatch already running")
-        self._started_at = self.clock.now()
-
-    def stop(self):
-        if self._started_at is None:
-            raise RuntimeError("stopwatch not running")
-        self.elapsed += self.clock.now() - self._started_at
-        self._started_at = None
-        return self.elapsed
-
-    @contextmanager
-    def measure(self):
-        self.start()
-        try:
-            yield self
-        finally:
-            self.stop()
-
-
-def time_call(fn, *args, **kwargs):
-    """Run ``fn(*args, **kwargs)`` and return ``(result, seconds)``."""
-    start = time.perf_counter()
-    result = fn(*args, **kwargs)
-    return result, time.perf_counter() - start

@@ -119,9 +119,6 @@ class Corpus:
     def lookup_url(self, url):
         return self.by_url.get(url)
 
-    def total_tokens(self):
-        return sum(len(d.tokens) for d in self.documents)
-
 
 def build_corpus(config=None):
     """Generate the corpus for *config* (default :class:`CorpusConfig`)."""

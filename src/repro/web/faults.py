@@ -179,25 +179,6 @@ class FaultModel:
                 return Fault(HANG, hang_seconds=self.hang_seconds)
         return None
 
-    def final_outcome(self, engine_name, expr_text, max_attempts):
-        """Would this request eventually succeed within *max_attempts*?
-
-        Returns ``"ok"`` when some attempt is fault-free (or hangs are
-        the only obstacle and a retry clears them), or the kind of the
-        blocking fault otherwise.  Retry classification note: hard
-        faults block immediately (fatal), transient faults and hangs
-        block only if every attempt draws one.
-        """
-        last = None
-        for attempt in range(max_attempts):
-            fault = self.peek(engine_name, expr_text, attempt)
-            if fault is None:
-                return "ok"
-            if fault.kind in (HARD, OUTAGE):
-                return fault.kind
-            last = fault.kind
-        return last
-
     # -- reporting ---------------------------------------------------------------
 
     def snapshot(self):

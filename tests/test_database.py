@@ -71,19 +71,6 @@ class TestTable:
         assert table.delete_where(lambda r: r[1] < 1000) == 2
         assert list(table.scan()) == [ROWS[0]]
 
-    def test_update_where(self):
-        table = Database().create_table_from_rows("S", COLUMNS, ROWS)
-        changed = table.update_where(
-            lambda r: r[0] == "Alaska", lambda r: (r[0], r[1] + 1)
-        )
-        assert changed == 1
-        assert ("Alaska", 615) in list(table.scan())
-
-    def test_update_arity_check(self):
-        table = Database().create_table_from_rows("S", COLUMNS, ROWS)
-        with pytest.raises(StorageError, match="arity"):
-            table.update_where(lambda r: True, lambda r: (r[0],))
-
     def test_null_values_roundtrip(self):
         table = Database().create_table_from_rows("S", COLUMNS, [("x", None)])
         assert list(table.scan()) == [("x", None)]
@@ -140,3 +127,49 @@ class TestDatabase:
         db = Database()
         table = db.create_table("T", [Column("A", DataType.INT)])
         assert table.schema.names() == ["A"]
+
+
+class TestLiveRowCount:
+    """``Table.row_count()`` is a kept count, not a walk: it must agree
+    with a scan after every kind of change and every way of opening."""
+
+    @staticmethod
+    def check(table):
+        assert table.row_count() == sum(1 for _ in table.scan())
+        return table.row_count()
+
+    def test_follows_dml_and_a_reopen(self, tmp_path):
+        directory = str(tmp_path)
+        db = Database(directory)
+        table = db.create_table("T", [("Name", DataType.STR), ("N", DataType.INT)])
+        assert self.check(table) == 0
+        rids = table.insert_many([("r{}".format(i), i) for i in range(700)])
+        assert self.check(table) == 700
+        table.delete(rids[3])
+        table.delete_where(lambda r: r[1] % 10 == 0)
+        assert self.check(table) == 700 - 1 - 70
+        with pytest.raises(StorageError):
+            table.insert_many([("fits", 1), ("x" * 10000, 2)])
+        assert self.check(table) == 630  # the row before the oversized one stayed
+        table.heap.vacuum()
+        assert self.check(table) == 630
+        db.close()
+        with Database(directory) as reopened:
+            table = reopened.table("T")
+            assert self.check(table) == 630
+            table.insert(("after reopen", 1))
+            table.delete_where(lambda r: r[1] % 10 == 1)
+            assert self.check(table) == 631 - 72
+        with Database(directory) as reopened:
+            assert self.check(reopened.table("T")) == 559
+
+    def test_no_page_is_pinned_to_answer(self):
+        db = Database()
+        table = db.create_table_from_rows(
+            "T",
+            [("Name", DataType.STR), ("N", DataType.INT)],
+            [("r{}".format(i), i) for i in range(2000)],
+        )
+        before = db.buffer_stats()
+        assert table.row_count() == 2000
+        assert db.buffer_stats() == before

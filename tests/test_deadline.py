@@ -59,16 +59,6 @@ class TestDeadlineObject:
         deadline.cancel("second reason")  # idempotent: first reason wins
         assert deadline.reason == "client disconnect"
 
-    def test_raise_if_expired(self):
-        clock = VirtualClock()
-        deadline = Deadline(0.5, clock=clock)
-        deadline.raise_if_expired()  # no-op while live
-        clock.advance(1.0)
-        with pytest.raises(QueryDeadlineExceeded) as info:
-            deadline.raise_if_expired("query 7")
-        assert "query 7" in str(info.value)
-        assert info.value.deadline is deadline
-
 
 def _call(key, run, destination="AV"):
     return ExternalCall(key, destination, lambda attempt: run())

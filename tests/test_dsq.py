@@ -86,36 +86,9 @@ class TestTriples:
         assert "Florida" in text
 
 
-class TestRefinements:
-    def test_refine_suggests_florida_scuba(self, session):
-        refinements = session.refine("scuba diving", top_k=5)
-        assert refinements, "expected suggestions"
-        expressions = [r.expression for r in refinements]
-        assert '"Florida" near "scuba diving"' in expressions
-        counts = [r.count for r in refinements]
-        assert counts == sorted(counts, reverse=True)
-
-    def test_refine_counts_match_web(self, session, web):
-        best = session.refine("scuba diving", top_k=1)[0]
-        assert best.count == web.engine("AV").count(best.expression)
-
-    def test_refine_empty_for_gibberish(self, session):
-        assert session.refine("zzyzzxqq") == []
-
-
 class TestRelatedTerms:
-    def test_related_excludes_self(self, session):
-        correlations = session.related("Florida")
-        state_terms = [t for t, _ in correlations["States.Name"].ranking]
-        assert "Florida" not in state_terms
-
     def test_related_finds_coscripted_movie(self, session):
         # Triple pages mention Florida near "Deep Blue Reef".
-        correlations = session.related("Florida")
+        correlations = session.correlate_all("Florida")
         movies = correlations["Movies.Title"].nonzero()
         assert movies and movies[0][0] == "Deep Blue Reef"
-
-    def test_related_keeps_self_when_asked(self, session):
-        correlations = session.related("Florida", exclude_self=False)
-        state_terms = [t for t, _ in correlations["States.Name"].ranking]
-        assert "Florida" in state_terms

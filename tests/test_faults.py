@@ -80,7 +80,10 @@ def predicted_survivors(names, seed=SEED, rate=RATE, max_attempts=2):
     return {
         name
         for name in names
-        if predictor.final_outcome("AV", av_expr(name), max_attempts) == "ok"
+        if any(
+            predictor.peek("AV", av_expr(name), attempt) is None
+            for attempt in range(max_attempts)
+        )
     }
 
 

@@ -35,11 +35,6 @@ class TestPhrases:
         index = build(["a b"])
         assert index.phrase_occurrences(("a", "zzz")) == {}
 
-    def test_term_frequency(self):
-        index = build(["a a b"])
-        assert index.term_frequency(0, "a") == 2
-        assert index.term_frequency(0, "zzz") == 0
-
 
 class TestMatching:
     def test_and_semantics(self):

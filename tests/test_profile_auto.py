@@ -8,13 +8,20 @@ SIGS_KNUTH = (
 )
 
 
+def busiest(report):
+    """The label of the operator with the largest self(s) in ``render()``."""
+    lines = report.render().splitlines()
+    rows = lines[2 : 2 + len(report.operator_stats)]
+    return max(rows, key=lambda line: float(line.split()[-1]))[:58].strip()
+
+
 class TestProfile:
     def test_report_shape(self, engine):
         report = engine.profile(SIGS_KNUTH, mode="sync")
         assert len(report.result) == 37
         labels = [s.label for s in report.operator_stats]
         assert any("EVScan" in label for label in labels)
-        assert report.total_seconds >= 0
+        assert report.result.elapsed >= 0
 
     def test_rows_counted_per_operator(self, engine):
         report = engine.profile(SIGS_KNUTH, mode="sync")
@@ -32,8 +39,7 @@ class TestProfile:
 
         engine = WsqEngine(database=paper_db, web=web, latency=FixedLatency(0.004))
         report = engine.profile(SIGS_KNUTH, mode="sync")
-        hottest = report.hottest()
-        assert "EVScan" in hottest.label
+        assert "EVScan" in busiest(report)
 
     def test_async_hotspot_is_reqsync(self, web, paper_db):
         # Latency high enough that the ReqSync wait dominates local CPU
@@ -42,7 +48,7 @@ class TestProfile:
 
         engine = WsqEngine(database=paper_db, web=web, latency=FixedLatency(0.03))
         report = engine.profile(SIGS_KNUTH, mode="async")
-        assert "ReqSync" in report.hottest().label
+        assert "ReqSync" in busiest(report)
 
     def test_render_contains_totals(self, engine):
         text = engine.profile(SIGS_KNUTH, mode="async").render()

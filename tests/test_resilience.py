@@ -43,7 +43,7 @@ from repro.util.errors import (
 from repro.util.rng import stable_uniform
 from repro.util.timing import VirtualClock
 from repro.vtables.base import ExternalCall
-from repro.web.faults import HARD, OUTAGE, TRANSIENT, FaultModel
+from repro.web.faults import OUTAGE, FaultModel
 
 
 # ---------------------------------------------------------------------------
@@ -121,16 +121,6 @@ class TestFaultModel:
         # peek never counts
         model.peek("AV", "z", 0)
         assert model.snapshot()["transient_injected"] == 2
-
-    def test_final_outcome(self):
-        ok = FaultModel(seed=0)
-        assert ok.final_outcome("AV", "x", 3) == "ok"
-        hard = FaultModel(seed=0, hard_rate=1.0)
-        assert hard.final_outcome("AV", "x", 3) == HARD
-        down = FaultModel(seed=0, outages=("AV",))
-        assert down.final_outcome("AV", "x", 3) == OUTAGE
-        always = FaultModel(seed=0, transient_rate=1.0)
-        assert always.final_outcome("AV", "x", 3) == TRANSIENT
 
     def test_rate_validation(self):
         with pytest.raises(ValueError):

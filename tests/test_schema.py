@@ -96,4 +96,6 @@ class TestSchema:
 
     def test_with_qualifier(self):
         schema = make_schema().with_qualifier("S")
-        assert schema.qualified_names() == ["S.Name", "S.Population", "S.Capital"]
+        assert [c.qualified_name() for c in schema] == [
+            "S.Name", "S.Population", "S.Capital",
+        ]

@@ -114,17 +114,15 @@ class TestOrAndExclusion:
 
     def test_or_clauses(self):
         expr = parse_search_expression('"Utah" OR "Ohio"')
-        assert expr.has_or()
         assert len(expr.clauses) == 2
         assert expr.phrases == [("utah",), ("ohio",)]
 
     def test_or_case_insensitive(self):
-        assert parse_search_expression('"a" or "b"').has_or()
+        assert len(parse_search_expression('"a" or "b"').clauses) == 2
 
     def test_exclusion_phrase(self):
         expr = parse_search_expression('"Washington" -"four corners"')
         assert expr.clauses[0].exclusions == [("four", "corners")]
-        assert expr.has_exclusions()
 
     def test_exclusion_bare_word(self):
         expr = parse_search_expression('"Washington" -capital')

@@ -296,8 +296,6 @@ class TestGeneration:
         assert moved()
         table.delete_where(lambda row: row[0] == 501)
         assert moved()
-        table.update_where(lambda row: row[0] == 502, lambda row: (502, 3, "z"))
-        assert moved()
         db.create_index("T", "A")
         assert moved()
         db.drop_index("idx_t_a")

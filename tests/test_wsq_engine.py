@@ -108,10 +108,6 @@ class TestStats:
 
 
 class TestQueryResult:
-    def test_as_dicts(self):
-        result = QueryResult(["a", "b"], [(1, 2), (3, 4)])
-        assert result.as_dicts() == [{"a": 1, "b": 2}, {"a": 3, "b": 4}]
-
     def test_column_access(self):
         result = QueryResult(["Name", "Count"], [("x", 1), ("y", 2)])
         assert result.column("count") == [1, 2]
