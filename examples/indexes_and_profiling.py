@@ -31,44 +31,44 @@ QUERY = (
 
 
 def main():
-    directory = tempfile.mkdtemp(prefix="wsq-demo-")
-    with Database(directory) as database:
-        load_all(database)
-        engine = WsqEngine(
-            database=database,
-            latency=UniformLatency(0.01, 0.03),
-            cost_model=CostModel(latency_mean=0.02),
-        )
+    with tempfile.TemporaryDirectory(prefix="wsq-demo-") as directory:
+        with Database(directory) as database:
+            load_all(database)
+            engine = WsqEngine(
+                database=database,
+                latency=UniformLatency(0.01, 0.03),
+                cost_model=CostModel(latency_mean=0.02),
+            )
 
-        print("== B+tree index changes the access path ==")
-        sql = "Select Name From States Where Population Between 600 and 800"
-        print("without index:")
-        print(engine.explain(sql, mode="sync"))
-        engine.run("Create Index idx_pop On States (Population)")
-        print("with index:")
-        print(engine.explain(sql, mode="sync"))
-        print()
+            print("== B+tree index changes the access path ==")
+            sql = "Select Name From States Where Population Between 600 and 800"
+            print("without index:")
+            print(engine.explain(sql, mode="sync"))
+            engine.run("Create Index idx_pop On States (Population)")
+            print("with index:")
+            print(engine.explain(sql, mode="sync"))
+            print()
 
-        print("== profiling: where does the time go? ==")
-        print(engine.profile(QUERY, mode="sync").render())
-        print()
-        print(engine.profile(QUERY, mode="async").render())
-        print()
+            print("== profiling: where does the time go? ==")
+            print(engine.profile(QUERY, mode="sync").render())
+            print()
+            print(engine.profile(QUERY, mode="async").render())
+            print()
 
-        print("== auto mode: the cost model decides ==")
-        for sql in (
-            "Select Count(*) From States",  # local-only -> stays sequential
-            QUERY,  # external calls -> asynchronous iteration
-        ):
-            plan = engine.plan(sql, mode="auto")
-            verdict = "async" if "ReqSync" in plan.explain() else "sync"
-            print("  {:<70} -> {}".format(sql[:68], verdict))
+            print("== auto mode: the cost model decides ==")
+            for sql in (
+                "Select Count(*) From States",  # local-only -> stays sequential
+                QUERY,  # external calls -> asynchronous iteration
+            ):
+                plan = engine.plan(sql, mode="auto")
+                verdict = "async" if "ReqSync" in plan.explain() else "sync"
+                print("  {:<70} -> {}".format(sql[:68], verdict))
 
-    # Closing (the ``with`` block) writes every page back: the directory
-    # reopens with what the database held.
-    with Database(directory) as reopened:
-        count = reopened.table("States").row_count()
-        print("\nreopened database: States has {} rows".format(count))
+        # Closing (the ``with`` block) writes every page back: the directory
+        # reopens with what the database held.
+        with Database(directory) as reopened:
+            count = reopened.table("States").row_count()
+            print("\nreopened database: States has {} rows".format(count))
 
 
 if __name__ == "__main__":

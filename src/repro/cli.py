@@ -70,7 +70,7 @@ def build_engine(args):
     )
     database = Database(args.db) if args.db else Database()
     try:
-        if args.load_datasets and not database.has_table("States"):
+        if args.load_datasets:
             load_all(database)
         return WsqEngine(
             database=database,

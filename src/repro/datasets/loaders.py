@@ -38,9 +38,17 @@ def load_movies_table(db, name="Movies"):
 
 
 def load_all(db):
-    """Load every dataset table; returns the database for chaining."""
-    load_states_table(db)
-    load_sigs_table(db)
-    load_csfields_table(db)
-    load_movies_table(db)
+    """Create each dataset table *db* lacks; returns the database for chaining.
+
+    A table already there under a dataset's name, a user's own
+    included, is left as it is.
+    """
+    for name, load in (
+        ("States", load_states_table),
+        ("Sigs", load_sigs_table),
+        ("CSFields", load_csfields_table),
+        ("Movies", load_movies_table),
+    ):
+        if not db.has_table(name):
+            load(db)
     return db

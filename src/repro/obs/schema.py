@@ -37,7 +37,6 @@ KNOWN_EVENT_NAMES = frozenset(
         _trace.SYNC_DEGRADE,
         _trace.QUERY_SPAN,
         _trace.OP_OPEN,
-        _trace.OP_NEXT,
         _trace.OP_NEXT_BATCH,
         _trace.OP_CLOSE,
         _trace.CACHE_HIT,

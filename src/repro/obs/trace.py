@@ -62,7 +62,6 @@ SYNC_DEGRADE = "reqsync.degrade"
 #: Query / operator events.
 QUERY_SPAN = "query"
 OP_OPEN = "op.open"
-OP_NEXT = "op.next"
 OP_NEXT_BATCH = "op.next_batch"
 OP_CLOSE = "op.close"
 
@@ -76,8 +75,8 @@ CACHE_MISS = "cache.miss"
 CACHE_EVICT = "cache.evict"
 CACHE_COALESCE = "cache.coalesce"
 
-#: Planner events: one per optimizer-rule application (args carry the
-#: rule name and before/after node counts; ``explain(form="rules")``
+#: Planner events: one per ReqSync placement step (args carry the
+#: step's rule name and before/after node counts; ``explain(form="rules")``
 #: shows the same data without tracing).
 PLAN_RULE_FIRED = "plan.rule_fired"
 

@@ -9,10 +9,9 @@ Three-layer planning stack
    ``annotations``, and a *placeholder-attribute* analysis
    (:func:`placeholder_columns`) — the paper's "filled attribute set"
    A_i that drives every ReqSync clash rule.
-2. **Rules** (:mod:`repro.plan.rules`): a fixed-point rule engine
-   running the paper's full ReqSync Insertion → Percolation →
-   Consolidation algorithm as :class:`~repro.plan.rules.Rule` objects
-   over this algebra.
+2. **Placement** (:mod:`repro.asynciter.rewrite`): the paper's ReqSync
+   Insertion → Percolation → Consolidation procedure, run over this
+   algebra by :func:`~repro.asynciter.rewrite.rewrite_logical`.
 3. **Physical** (:mod:`repro.plan.physical`): :func:`~repro.plan.physical.lower`
    maps a (rewritten) logical tree onto the existing exec operators,
    configured by one :class:`~repro.config.EngineConfig`.
@@ -269,7 +268,7 @@ class LogicalLimit(LogicalNode):
 
 
 class LogicalReqSync(LogicalNode):
-    """The logical request synchronizer (placed by the ReqSync rule pack).
+    """The logical request synchronizer (placed by :mod:`repro.asynciter.rewrite`).
 
     Schema-transparent; resolves every placeholder below it, so its own
     placeholder set is empty.  Lowering configures the physical

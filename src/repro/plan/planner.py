@@ -23,8 +23,8 @@ operators.  An ``IN``/``EXISTS`` subquery is bound to its own built
 logical tree, which ``lower`` lowers with the query.
 
 The output is a *synchronous* plan (EVScan leaves); asynchronous
-iteration is :data:`repro.plan.rules.REQSYNC_PACK` applied over the
-logical form (:func:`repro.asynciter.rewrite.rewrite_logical`).
+iteration is ReqSync placement over the logical form
+(:func:`repro.asynciter.rewrite.rewrite_logical`).
 """
 
 from repro.config import EngineConfig
@@ -32,8 +32,17 @@ from repro.exec import AggregateSpec
 from repro.plan import logical as L
 from repro.plan.analysis import analyze_vtables, validate_bindings
 from repro.plan.binder import Binder, collect_aggregates, collect_names
-from repro.plan.rules import access_path
-from repro.relational.expr import ColumnRef, make_conjunction
+from repro.relational.expr import (
+    BinaryOp,
+    ColumnRef,
+    Comparison,
+    Conjunction,
+    Disjunction,
+    Literal,
+    Negation,
+    conjunction_terms,
+    make_conjunction,
+)
 from repro.relational.schema import Column, Schema
 from repro.sql import ast
 from repro.util.errors import BindingError, PlanError
@@ -191,7 +200,7 @@ class Planner:
         Candidates are the conjuncts that bind against this relation's
         own schema and unambiguously refer to it (every name qualified
         with its alias, or any reference in a single-relation query);
-        :func:`repro.plan.rules.access_path` picks the window.
+        :func:`access_path` picks the window.
         Consumed conjuncts are removed from *residual*.
         """
         scan = L.LogicalScan(relation.table, relation.alias)
@@ -543,30 +552,131 @@ class _AggregateRebinder:
                     return ColumnRef(len(self.group_asts) + i, call.sql())
             raise PlanError("aggregate {} not computed".format(node.sql()))
         if isinstance(node, ast.Const):
-            from repro.relational.expr import Literal
-
             return Literal(node.value)
         if isinstance(node, ast.Arith):
-            from repro.relational.expr import BinaryOp
-
             return BinaryOp(node.op, self.rebind(node.left), self.rebind(node.right))
         if isinstance(node, ast.Cmp):
-            from repro.relational.expr import Comparison
-
             return Comparison(node.op, self.rebind(node.left), self.rebind(node.right))
         if isinstance(node, ast.LogicalAnd):
-            from repro.relational.expr import Conjunction
-
             return Conjunction([self.rebind(t) for t in node.terms])
         if isinstance(node, ast.LogicalOr):
-            from repro.relational.expr import Disjunction
-
             return Disjunction([self.rebind(t) for t in node.terms])
         if isinstance(node, ast.LogicalNot):
-            from repro.relational.expr import Negation
-
             return Negation(self.rebind(node.term))
         raise PlanError(
             "expression {} must be a GROUP BY expression or an "
             "aggregate".format(node.sql())
         )
+
+
+# -- access-path selection ------------------------------------------------------------
+
+
+_SARGABLE_OPS = ("=", "<", "<=", ">", ">=")
+_FLIP_OP = {"<": ">", "<=": ">=", ">": "<", ">=": "<="}
+
+
+def _term_bound(term):
+    """``(column_index, op, constant)`` for a sargable comparison, else None.
+
+    Normalizes ``const op col`` to ``col flip(op) const``; NULL and
+    boolean constants are never sargable.
+    """
+    if not isinstance(term, Comparison) or term.op not in _SARGABLE_OPS:
+        return None
+    pairs = (
+        (term.left, term.right, term.op),
+        (term.right, term.left, _FLIP_OP.get(term.op, term.op)),
+    )
+    for column_side, const_side, op in pairs:
+        if (
+            isinstance(column_side, ColumnRef)
+            and isinstance(const_side, Literal)
+            and const_side.value is not None
+            and not isinstance(const_side.value, bool)
+        ):
+            return column_side.index, op, const_side.value
+    return None
+
+
+class _IndexBounds:
+    """Accumulates sargable comparisons into one [low, high] window."""
+
+    def __init__(self):
+        self.low = None
+        self.high = None
+        self.include_low = True
+        self.include_high = True
+        self._have_equality = False
+
+    def tighten(self, op, value):
+        """Fold one comparison in; returns False if it cannot be absorbed."""
+        if self._have_equality:
+            return False  # keep further predicates as ordinary filters
+        if op == "=":
+            if self.low is not None or self.high is not None:
+                return False
+            self.low = self.high = value
+            self._have_equality = True
+            return True
+        if op in (">", ">="):
+            include = op == ">="
+            if self.low is None or value > self.low or (
+                value == self.low and self.include_low and not include
+            ):
+                self.low = value
+                self.include_low = include
+            return True
+        if op in ("<", "<="):
+            include = op == "<="
+            if self.high is None or value < self.high or (
+                value == self.high and self.include_high and not include
+            ):
+                self.high = value
+                self.include_high = include
+            return True
+        return False
+
+
+def access_path(scan, predicates):
+    """Access-path selection: an index window for a bare stored-table scan.
+
+    *predicates* are bound over *scan*'s own schema.  The first of the
+    table's indexes whose column some predicate restricts wins; a
+    predicate is absorbed whole or not at all — every conjunct in it
+    must be a sargable comparison of that column against a constant of
+    the column's kind (so ``BETWEEN`` folds in as one unit) that
+    :class:`_IndexBounds` can tighten.  Returns ``(indexed_scan,
+    absorbed)`` with one flag per predicate, or None when no index
+    applies.
+    """
+    for index in getattr(scan.table, "indexes", None) or ():
+        column = scan.schema.maybe_resolve(index.column_name)
+        if column is None:
+            continue
+        numeric = scan.schema[column].type.is_numeric
+        window = _IndexBounds()
+        absorbed = []
+        for predicate in predicates:
+            bounds = [_term_bound(term) for term in conjunction_terms(predicate)]
+            absorbed.append(
+                all(
+                    bound is not None
+                    and bound[0] == column
+                    and numeric == isinstance(bound[2], (int, float))
+                    for bound in bounds
+                )
+                and all(window.tighten(op, value) for _, op, value in bounds)
+            )
+        if any(absorbed):
+            indexed = L.LogicalScan(
+                scan.table,
+                scan.alias,
+                index=index,
+                low=window.low,
+                high=window.high,
+                include_low=window.include_low,
+                include_high=window.include_high,
+            )
+            return indexed, absorbed
+    return None

@@ -50,11 +50,6 @@ class Deadline:
         self._cancelled = False
         self.reason = None
 
-    @classmethod
-    def after(cls, seconds, clock=None):
-        """A deadline *seconds* from now (``None`` = unbounded)."""
-        return cls(seconds, clock=clock)
-
     # -- state -----------------------------------------------------------------
 
     def remaining(self):

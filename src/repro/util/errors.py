@@ -79,9 +79,10 @@ class ExecutionError(ReproError):
 class PlaceholderError(ExecutionError):
     """An operator touched a placeholder value it must not depend on.
 
-    This always indicates a plan-rewrite bug: the ReqSync percolation rules
-    (Section 4.5.2) are supposed to keep value-dependent operators above the
-    ReqSync that fills the placeholder in.
+    This always indicates a placement bug: the clash rules of ReqSync
+    percolation (Section 4.5.2, :mod:`repro.asynciter.rewrite`) are supposed
+    to keep value-dependent operators above the ReqSync that fills the
+    placeholder in.
     """
 
 

@@ -75,7 +75,6 @@ class SearchClient:
         self.faults = faults
         self.obs = obs  # optional repro.obs.Observability bundle
         self.requests_sent = 0  # actual (non-cache-hit) request round trips
-        self.faults_seen = 0  # injected faults observed by this client
 
     @property
     def name(self):
@@ -118,7 +117,6 @@ class SearchClient:
         if self.faults is not None:
             fault = self.faults.fault_for(destination, expr_text, attempt)
         if fault is not None:
-            self.faults_seen += 1
             if fault.kind == OUTAGE:
                 raise fault.error  # connection refused: no round trip charged
             # The request went out: a transient or hard fault comes back

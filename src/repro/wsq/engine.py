@@ -41,9 +41,9 @@ STATEMENT_CAPACITY = 128
 
 
 class _Statement(namedtuple("_Statement", "logical firings mode external generation")):
-    """What parse → bind → rules → rewrite make of one SELECT text.
+    """What parse → bind → ReqSync placement make of one SELECT text.
 
-    The finished logical tree, every rule firing that produced it, the
+    The finished logical tree, every placement step that produced it, the
     resolved *mode* (never "auto"), whether the tree holds an *external*
     scan or a subquery (either needs the engine's pump), and the
     ``Database.generation`` it was planned under.  A stored
@@ -751,12 +751,6 @@ class WsqEngine:
                 "dropped": tracer.dropped,
             }
         return payload
-
-    def observability(self):
-        """The attached bundle, creating a disabled one on first use."""
-        if self.obs is None:
-            self.obs = Observability(metrics=self.pump.metrics, clock=self.clock)
-        return self.obs
 
 
 def _context_holders(plan):

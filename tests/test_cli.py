@@ -8,7 +8,8 @@ import pytest
 import repro.cli
 from repro.asynciter.resilience import CircuitBreakerConfig
 from repro.cli import HELP, _dot_command, _run_statement, build_engine, main
-from repro.datasets import load_all
+from repro.datasets import MOVIES, load_all
+from repro.relational.types import DataType
 from repro.storage import Database
 
 
@@ -90,6 +91,22 @@ class TestPersistentDatabase:
             main(["--db", directory, "--load-datasets", "-c", self.COUNT])
         assert "REPRO_CACHE" in capsys.readouterr().err
         assert self.stored_rows(directory)["States"] == 50
+
+    def test_a_table_of_the_users_own_leaves_the_others_to_load(self, tmp_path, capsys):
+        directory = str(tmp_path / "db")
+        mine = [("Utopia", 7, "Eden"), ("Atlantis", 0, "Poseidonis")]
+        with Database(directory) as db:
+            db.create_table_from_rows(
+                "States",
+                [("Name", DataType.STR), ("Population", DataType.INT), ("Capital", DataType.STR)],
+                mine,
+            )
+        argv = ["--db", directory, "--load-datasets", "-c", "Select Count(*) From Sigs;"]
+        assert main(argv) == 0
+        assert self.printed_count(capsys.readouterr().out) == 37
+        with Database(directory) as db:
+            assert sorted(db.table("States").scan()) == sorted(mine)
+            assert db.table("Movies").row_count() == len(MOVIES)
 
 
 UTAH_COUNT = "Select Name, Count From States, WebCount Where Name = T1 and Name = 'Utah';"

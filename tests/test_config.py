@@ -405,8 +405,10 @@ RETIRED_OPTIONS = [
 #: conveniences' trip through it and the pump's separate start-up, then
 #: write-ahead logging (the log, its recovery, the journal hooks, the
 #: pool policy that kept dirty pages until a checkpoint, the checkpoint)
-#: and the public names no caller outside ``tests/`` used; none may come
-#: back in code, CI or the docs.
+#: and the public names no caller outside ``tests/`` used, then the rule
+#: framework under ReqSync placement (its engine, context, base class,
+#: rule classes, pack, fire budget and module) and four more names
+#: nothing called or read; none may come back in code, CI or the docs.
 RETIRED = [
     _spell("Planner", "Options"),
     _spell("Rewrite", "Settings"),
@@ -534,6 +536,23 @@ RETIRED = [
     _spell("term", "_frequency"),
     _spell(r"\bhas_", r"(or|exclusions)\b"),
     _spell(r"\bas", r"_dicts\b"),
+    _spell("Rule", "Engine"),
+    _spell("Rule", "Context"),
+    _spell(r"\bclass (\w+\()?", r"Rule\b"),
+    _spell("_ReqSync", "Rule"),
+    _spell("REQSYNC", "_PACK"),
+    _spell("(?i:fire", "_budget)"),
+    _spell(r"\bplan(\.|/| import )", r"rules\b"),
+    _spell("Percolate", "Above"),
+    _spell(r"\bInsertReq", r"Sync\b"),
+    _spell("ConsolidateReq", "Syncs"),
+    _spell("HoistClashing", "Selection"),
+    _spell("JoinToSelection", "OverCrossProduct"),
+    _spell("faults", "_seen"),
+    _spell(r"(def |\.)observ", r"ability\("),
+    _spell(r"(def |Deadline\.)", r"after\("),
+    _spell(r"\bOP_", r"NEXT\b"),
+    _spell(r"['\"]op\.", r"next['\"]"),
 ]
 
 #: Where they may not appear (EXPERIMENTS.md, CHANGES.md and ROADMAP.md
@@ -605,7 +624,7 @@ class TestStructuralGuard:
             _spell("    pull_above_", "order_sensitive: bool = False"),
             _spell("        self.preserve_", "order = True"),
             _spell("        if self.options.cost_", "reorder:"),
-            _spell("class PullAbove", "SortOrdered(_ReqSyncRule):"),
+            _spell("class PullAbove", "SortOrdered(_ReqSync", "Rule):"),
             _spell('    name = "reqsync.pull_above', '_sort"'),
             _spell("        relations = self._order_", "relations(query, relations)"),
             _spell("                self._insert_", "after(original_tid, tid)"),
@@ -667,7 +686,7 @@ class TestStructuralGuard:
             _spell("class DropDistinct", "OverAggregate(Rule):"),
             _spell("class Compose", "Projections(Rule):"),
             _spell("class RemoveIdentity", "Project(Rule):"),
-            _spell("from repro.plan.rules import RELATIONAL_", "PIPELINE, RuleEngine"),
+            _spell("from repro.plan.", "rules import RELATIONAL_", "PIPELINE, Rule", "Engine"),
             _spell("        if not _cheap", "er(ctx, node, candidate):"),
             _spell("            union = L.Logical", "Union(union, branch)"),
             _spell("from repro.exec.union import Union", "All"),
@@ -713,6 +732,23 @@ class TestStructuralGuard:
             _spell("    def has", "_or(self):"),
             _spell("    def has", "_exclusions(self):"),
             _spell("    def as", "_dicts(self):"),
+            _spell("from repro.plan.", "rules import REQSYNC", "_PACK, Rule", "Engine"),
+            _spell("from repro.plan import ", "rules as R"),
+            _spell("class ", "Rule", "Context:"),
+            _spell("class ", "Rule:"),
+            _spell("class InsertReq", "Sync(Rule):"),
+            _spell("class ConsolidateReq", "Syncs(Rule):"),
+            _spell("class Percolate", "AboveFilter(_ReqSync", "Rule):"),
+            _spell("class HoistClashing", "Selection(_ReqSync", "Rule):"),
+            _spell("class JoinToSelection", "OverCrossProduct(_ReqSync", "Rule):"),
+            _spell("        fire", "_budget=DEFAULT_FIRE", "_BUDGET,"),
+            _spell("DEFAULT_FIRE", "_BUDGET = 1000"),
+            _spell("REQSYNC", "_PACK = ("),
+            _spell("        self.faults", "_seen += 1"),
+            _spell("    def observ", "ability(self):"),
+            _spell("    def after", "(cls, seconds, clock=None):"),
+            _spell("OP_", 'NEXT = "op.', 'next"'),
+            _spell("        _trace.OP_", "NEXT,"),
         ],
     )
     def test_retired_guard_catches_a_revived_name(self, mutant):

@@ -14,8 +14,7 @@ from collections import Counter
 import pytest
 
 from repro.plan import logical as L
-from repro.plan.planner import Planner
-from repro.plan.rules import _term_bound
+from repro.plan.planner import Planner, _term_bound
 from repro.relational.expr import ColumnRef, Comparison, Literal
 from repro.relational.types import DataType
 from repro.sql.parser import parse_select

@@ -1,4 +1,4 @@
-"""A/B structural equivalence: rule-driven rewriter vs the frozen seed.
+"""A/B structural equivalence: the placement procedure vs the frozen seed.
 
 ``tests/_legacy_rewrite.py`` is a verbatim copy of the pre-optimizer
 ReqSync placement code.  For a spread of query shapes (and the
@@ -11,6 +11,8 @@ proof that running the placement algorithm over the logical algebra
 changed nothing observable.
 """
 
+import pathlib
+
 import pytest
 
 import _legacy_rewrite as legacy
@@ -18,7 +20,6 @@ from repro.asynciter.aevscan import AEVScan
 from repro.asynciter.context import AsyncContext
 from repro.asynciter.reqsync import ReqSync
 from repro.config import EngineConfig
-from repro.plan.rules import REQSYNC_PACK
 from repro.vtables.evscan import EVScan
 from repro.wsq import WsqEngine
 
@@ -121,18 +122,43 @@ def test_rewriters_agree_structurally(engine, sql, settings_index):
 
 @pytest.mark.parametrize("sql", QUERIES[:4])
 def test_rewrite_is_reproducible(engine, sql):
-    """The rule engine is deterministic: same input, same tree."""
+    """Placement is deterministic: same input, same tree."""
     a = _async_plan(engine, sql)
     b = _async_plan(engine, sql)
     assert _fingerprint(a) == _fingerprint(b)
 
 
+#: The nine placement steps ``explain(form="rules")`` can name.
+PLACEMENT_RULES = {
+    "reqsync.insert",
+    "reqsync.consolidate",
+    "reqsync.percolate_filter",
+    "reqsync.hoist_selection",
+    "reqsync.percolate_project",
+    "reqsync.percolate_depjoin",
+    "reqsync.join_to_selection",
+    "reqsync.percolate_join",
+    "reqsync.percolate_product",
+}
+
+#: ``explain(form="rules")`` of every query above: which steps fire, in
+#: what order, with what node counts.
+FIRINGS_GOLDEN = pathlib.Path(__file__).parent / "golden" / "rule_firings.txt"
+
+
 def test_every_placement_rule_fires_on_some_query(engine):
-    """Each rule of the pack is compared with the legacy rewriter above."""
+    """Each placement step is compared with the legacy rewriter above."""
     fired = {
         line.split()[0]
         for sql in QUERIES
         for line in engine.explain(sql, form="rules").splitlines()
     }
-    pack = {rule.name for group in REQSYNC_PACK for rule in group}
-    assert pack - fired == set()
+    assert PLACEMENT_RULES - fired == set()
+
+
+def test_firing_sequences_match_the_golden(engine):
+    rendered = "\n".join(
+        "-- {}\n{}\n".format(sql, engine.explain(sql, form="rules"))
+        for sql in QUERIES
+    )
+    assert rendered == FIRINGS_GOLDEN.read_text()

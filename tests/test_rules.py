@@ -1,10 +1,9 @@
-"""Unit tests for the rule engine and its rules (layer 2 of the stack)."""
+"""Unit tests for ReqSync placement (layer 2 of the stack)."""
 
 from repro.asynciter.rewrite import rewrite_logical
 from repro.obs import Observability, validate_trace_events
 from repro.obs.trace import PLAN_RULE_FIRED
 from repro.plan import logical as L
-from repro.plan import rules as R
 from repro.sql.parser import parse_select
 from repro.wsq import WsqEngine
 
@@ -19,6 +18,27 @@ Q_TWO_VTABLES = (
 Q_SORT_LOCAL_KEY = (
     "Select Name, Count From States, WebCount Where Name = T1 Order By Name"
 )
+# Both selections read Count, which the ReqSync fills: the join becomes a
+# selection over a cross-product right under the hoisted ``Count > 5``.
+Q_TWO_CLASHING_SELECTIONS = (
+    "Select States.Name, Count, S2.Name From States, WebCount, States S2 "
+    "Where States.Name = T1 and Count < S2.Population and Count > 5"
+)
+
+
+class _FiringCap:
+    """A metrics registry that stops a placement run after *limit* steps."""
+
+    def __init__(self, limit):
+        self.limit = limit
+        self.fired = 0
+
+    def inc(self, name, **labels):
+        self.fired += 1
+        if self.fired > self.limit:
+            raise AssertionError(
+                "placement still firing after {} steps".format(self.limit)
+            )
 
 
 def _logical(engine, sql):
@@ -40,22 +60,6 @@ class TestEngineMechanics:
             payload = firing.as_dict()
             assert set(payload) == {"rule", "before_nodes", "after_nodes"}
 
-    def test_fire_budget_bounds_the_run(self, engine):
-        node = _logical(engine, Q1)
-        rules_engine = R.RuleEngine(R.REQSYNC_PACK, fire_budget=1)
-        rules_engine.run(node)
-        per_rule = {}
-        for firing in rules_engine.firings:
-            per_rule[firing.rule] = per_rule.get(firing.rule, 0) + 1
-        assert per_rule
-        assert max(per_rule.values()) == 1
-
-    def test_budget_exhaustion_is_reported(self, engine):
-        node = _logical(engine, Q_TWO_VTABLES)
-        rules_engine = R.RuleEngine(R.REQSYNC_PACK, fire_budget=1)
-        rules_engine.run(node)
-        assert "reqsync.insert" in rules_engine.exhausted
-
     def test_fixed_point_is_idempotent(self, engine):
         root, first = rewrite_logical(_logical(engine, Q1))
         again, second = rewrite_logical(root)
@@ -68,16 +72,6 @@ class TestReqSyncPack:
         root, _ = rewrite_logical(_logical(engine, Q_TWO_VTABLES))
         assert _kinds(root).count("LogicalReqSync") == 1
 
-    def test_consolidate_off_keeps_both(self, engine):
-        # Consolidation is what merges them: the pack without that group
-        # leaves one ReqSync per virtual table.
-        groups = [
-            group for group in R.REQSYNC_PACK
-            if not isinstance(group[0], R.ConsolidateReqSyncs)
-        ]
-        root = R.RuleEngine(groups).run(_logical(engine, Q_TWO_VTABLES))
-        assert _kinds(root).count("LogicalReqSync") == 2
-
     def test_sort_on_filled_key_blocks_percolation(self, engine):
         root, _ = rewrite_logical(_logical(engine, Q1))
         assert isinstance(root, L.LogicalSort)
@@ -88,6 +82,32 @@ class TestReqSyncPack:
         # stays below it even when no key is filled.
         root, _ = rewrite_logical(_logical(engine, Q_SORT_LOCAL_KEY))
         assert isinstance(root, L.LogicalSort)
+
+
+class TestTermination:
+    def test_clashing_selections_do_not_trade_places(self, engine):
+        root, firings = rewrite_logical(
+            _logical(engine, Q_TWO_CLASHING_SELECTIONS), metrics=_FiringCap(100)
+        )
+        assert [f.rule for f in firings] == [
+            "reqsync.insert",
+            "reqsync.percolate_depjoin",
+            "reqsync.hoist_selection",
+            "reqsync.join_to_selection",
+            "reqsync.percolate_product",
+        ]
+        assert _kinds(root)[:4] == [
+            "LogicalProject",
+            "LogicalFilter",
+            "LogicalFilter",
+            "LogicalReqSync",
+        ]
+
+    def test_clashing_selections_return_the_sync_rows(self, engine):
+        sync_rows = engine.execute(Q_TWO_CLASHING_SELECTIONS, mode="sync").rows
+        async_rows = engine.execute(Q_TWO_CLASHING_SELECTIONS, mode="async").rows
+        assert sync_rows
+        assert sorted(async_rows) == sorted(sync_rows)
 
 
 class TestObservabilityWiring:
