@@ -17,14 +17,19 @@ duplicates arrive); deduplication here is what removes them.  Results are
 lease-counted so every registrant can consume them.
 """
 
+import math
 import threading
+import time
 
 from repro.obs.trace import CALL_DEDUP
-from repro.util.errors import ExecutionError
-from repro.util.timing import resolve_clock
+from repro.util.errors import ExecutionError, QueryDeadlineExceeded
 
 #: Safety valve so a lost completion signal cannot hang a query forever.
 DEFAULT_WAIT_TIMEOUT = 60.0
+
+#: With a deadline attached, the blocking wait is sliced this fine so
+#: expiry/cancellation is observed within one slice, not one wait timeout.
+DEADLINE_POLL_INTERVAL = 0.05
 
 
 class AsyncContext:
@@ -44,7 +49,6 @@ class AsyncContext:
         #: Per-query time budget (duck-typed Deadline), forwarded with
         #: every registration so the pump can fail expired calls fast.
         self.deadline = deadline
-        self.clock = resolve_clock(getattr(pump, "clock", None))
         self._cond = threading.Condition()
         self._waiting = 0  # consumers inside wait_for_any (under _cond)
         self._results = {}  # call_id -> list of result-field dicts
@@ -59,29 +63,54 @@ class AsyncContext:
 
     # -- producer side (pump thread) --------------------------------------------
 
-    def register(self, call, mode="async"):
-        """Launch *call* through the pump (or reuse an identical in-flight
-        call when deduplication applies); returns the call id."""
-        if self.dedup and call.key is not None:
-            existing = self._by_key.get(call.key)
-            if existing is not None:
-                self._reuse_inflight(existing, call)
-                return existing
-        call_id = self.pump.register(
-            call,
+    def register(self, calls, mode="async"):
+        """Launch *calls* through the pump; returns their call ids in order.
+
+        Deduplication applies both against calls already in flight and
+        *within* the list (the paper's Figure 7 workload sends many
+        identical searches per batch); only novel calls reach the pump,
+        in one ``pump.register`` burst.  *mode* is passed through.
+        """
+        calls = list(calls)
+        call_ids = [None] * len(calls)
+        fresh = []  # (position, call) pairs that must reach the pump
+        dup_of = []  # (position, anchor position) duplicates within the list
+        anchors = {}  # call.key -> position of its first fresh call
+        for position, call in enumerate(calls):
+            key = call.key
+            if self.dedup and key is not None:
+                existing = self._by_key.get(key)
+                if existing is not None:
+                    self._reuse_inflight(existing, call)
+                    call_ids[position] = existing
+                    continue
+                anchor = anchors.get(key)
+                if anchor is not None:
+                    dup_of.append((position, anchor))
+                    continue
+                anchors[key] = position
+            fresh.append((position, call))
+        new_ids = self.pump.register(
+            [call for _, call in fresh],
             self._on_complete,
             query_id=self.query_id,
             deadline=self.deadline,
             mode=mode,
         )
-        self.calls_registered += 1
+        self.calls_registered += len(new_ids)
         with self._cond:
-            self._leases[call_id] = 1
-            self._dest_of[call_id] = call.destination
-        if self.dedup and call.key is not None:
-            self._by_key[call.key] = call_id
-            self._key_of[call_id] = call.key
-        return call_id
+            for (position, call), call_id in zip(fresh, new_ids):
+                call_ids[position] = call_id
+                self._leases[call_id] = 1
+                self._dest_of[call_id] = call.destination
+                if self.dedup and call.key is not None:
+                    self._by_key[call.key] = call_id
+                    self._key_of[call_id] = call.key
+        for position, anchor in dup_of:
+            call_id = call_ids[anchor]
+            self._reuse_inflight(call_id, calls[position])
+            call_ids[position] = call_id
+        return call_ids
 
     def run(self, call):
         """Register *call* and wait for it alone: ``(call_id, rows, error)``.
@@ -89,11 +118,12 @@ class AsyncContext:
         The blocking form of :meth:`register`.  A query that reaches the
         pump only through here has one call outstanding at a time — the
         paper's sequential schedule, on the same path as the concurrent
-        one.  The error comes back raw (not wrapped as by
-        :meth:`take_result`), so the caller chooses between raising it
+        one, and under the same deadline checkpoint
+        (:meth:`wait_for_any`).  The error comes back raw (not wrapped as
+        by :meth:`take_result`), so the caller chooses between raising it
         and degrading.
         """
-        call_id = self.register(call, mode="sync")
+        (call_id,) = self.register([call], mode="sync")
         try:
             self.wait_for_any((call_id,), timeout=DEFAULT_WAIT_TIMEOUT)
         except BaseException:
@@ -103,60 +133,6 @@ class AsyncContext:
         if error is not None:
             return call_id, None, error
         return call_id, self.take_result(call_id), None
-
-    def register_batch(self, calls):
-        """Register many calls in one go; returns their call ids in order.
-
-        Deduplication applies exactly as in :meth:`register`, both
-        against already in-flight calls and *within* the batch (the
-        paper's Figure 7 workload sends many identical searches per
-        batch); only novel calls reach the pump, in one burst via
-        ``pump.register_batch``.
-        """
-        calls = list(calls)
-        if not calls:
-            return []
-        call_ids = [None] * len(calls)
-        fresh = []  # (position, call) pairs that must reach the pump
-        dup_of = []  # (position, anchor position) intra-batch duplicates
-        batch_anchor = {}  # call.key -> position of first fresh call
-        for position, call in enumerate(calls):
-            key = call.key
-            if self.dedup and key is not None:
-                existing = self._by_key.get(key)
-                if existing is not None:
-                    self._reuse_inflight(existing, call)
-                    call_ids[position] = existing
-                    continue
-                anchor = batch_anchor.get(key)
-                if anchor is not None:
-                    dup_of.append((position, anchor))
-                    continue
-                batch_anchor[key] = position
-            fresh.append((position, call))
-        if fresh:
-            new_ids = self.pump.register_batch(
-                [call for _, call in fresh],
-                self._on_complete,
-                query_id=self.query_id,
-                deadline=self.deadline,
-            )
-            self.calls_registered += len(new_ids)
-            with self._cond:
-                for (position, call), call_id in zip(fresh, new_ids):
-                    call_ids[position] = call_id
-                    self._leases[call_id] = 1
-                    self._dest_of[call_id] = call.destination
-            if self.dedup:
-                for (position, call), call_id in zip(fresh, new_ids):
-                    if call.key is not None:
-                        self._by_key[call.key] = call_id
-                        self._key_of[call_id] = call.key
-        for position, anchor in dup_of:
-            call_id = call_ids[anchor]
-            self._reuse_inflight(call_id, calls[position])
-            call_ids[position] = call_id
-        return call_ids
 
     def _reuse_inflight(self, call_id, call):
         """Account one dedup hit: a new lease on an in-flight call."""
@@ -201,45 +177,61 @@ class AsyncContext:
     def wait_for_any(self, call_ids, timeout=None):
         """Block until at least one of *call_ids* completes; return those.
 
-        Raises :class:`ExecutionError` on timeout — a safety valve so a
-        lost signal (or a hung destination that slipped past the pump's
-        per-call timeout) can never hang a query forever.  The message
-        names the destinations still outstanding and the elapsed time,
-        so a hung call is diagnosable instead of a bare timeout.
+        This is the query thread's one deadline checkpoint, in either
+        mode.  With a deadline on the context, the wait runs in
+        :data:`DEADLINE_POLL_INTERVAL` slices and raises
+        :class:`QueryDeadlineExceeded` once it has expired, so expiry
+        (including :meth:`Deadline.cancel` from a client disconnect)
+        stops the query within one slice, not when its calls return.
+
+        Raises :class:`ExecutionError` once *timeout* seconds pass with
+        nothing done — a safety valve so a lost signal (or a hung
+        destination that slipped past the pump's per-call timeout) can
+        never hang a query forever.  The message names the destinations
+        still outstanding and the elapsed time, so a hung call is
+        diagnosable instead of a bare timeout.
         """
-        started = self.clock.now()
+        deadline = self.deadline
+        started = time.monotonic()
+        give_up = math.inf if timeout is None else started + timeout
         with self._cond:
             while True:
-                done = {
-                    cid
-                    for cid in call_ids
-                    if cid in self._results or cid in self._errors
-                }
+                if deadline is not None and deadline.expired:
+                    reason = getattr(deadline, "reason", None)
+                    raise QueryDeadlineExceeded(
+                        "query abandoned while awaiting external calls: {}".format(reason)
+                        if reason is not None
+                        else "query deadline exceeded while awaiting external calls",
+                        deadline=deadline,
+                    )
+                done = self.completed(call_ids)  # re-entrant: _cond holds an RLock
                 if done:
                     return done
+                left = give_up - time.monotonic()
+                if left <= 0:
+                    raise self._timed_out(call_ids, time.monotonic() - started)
+                if deadline is not None:
+                    left = min(left, DEADLINE_POLL_INTERVAL, max(deadline.remaining(), 0.001))
                 self._waiting += 1
                 try:
-                    signalled = self._cond.wait(timeout=timeout)
+                    self._cond.wait(timeout=None if left == math.inf else left)
                 finally:
                     self._waiting -= 1
-                if not signalled:
-                    elapsed = self.clock.now() - started
-                    destinations = sorted(
-                        {
-                            str(self._dest_of.get(cid, "unknown"))
-                            for cid in call_ids
-                        }
-                    ) or ["unknown"]
-                    raise ExecutionError(
-                        "timed out after {:.1f}s waiting for {} external "
-                        "call(s) to destination(s) {} (call ids {}); the "
-                        "destination may be hung or the pump torn down".format(
-                            elapsed,
-                            len(call_ids),
-                            ", ".join(destinations),
-                            sorted(call_ids),
-                        )
-                    )
+
+    def _timed_out(self, call_ids, elapsed):
+        destinations = sorted(
+            {str(self._dest_of.get(cid, "unknown")) for cid in call_ids}
+        ) or ["unknown"]
+        return ExecutionError(
+            "timed out after {:.1f}s waiting for {} external "
+            "call(s) to destination(s) {} (call ids {}); the "
+            "destination may be hung or the pump torn down".format(
+                elapsed,
+                len(call_ids),
+                ", ".join(destinations),
+                sorted(call_ids),
+            )
+        )
 
     def take_result(self, call_id):
         """Consume one lease on *call_id*'s rows (raises its error if any).

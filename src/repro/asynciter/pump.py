@@ -443,45 +443,31 @@ class RequestPump:
     # -- registration ---------------------------------------------------------------
 
     def register(
-        self, call, on_complete, query_id=None, deadline=None, mode="async"
+        self, calls, on_complete, query_id=None, deadline=None, mode="async"
     ):
-        """Register *call*; returns its call id.
+        """Register *calls*; returns their call ids in order.
 
-        ``on_complete(call_id, rows, error)`` fires exactly once unless
-        the call is cancelled first (exactly one of *rows*/*error* is not
-        None): on the registering thread, before this method returns,
-        when ``call.probe`` answers; otherwise on the pump thread when
-        the request finishes.  *query_id* and *mode* (``"sync"`` when the
-        registrant waits for this call alone) only label the trace.
-        *deadline* (a :class:`~repro.serve.deadline.Deadline`,
-        duck-typed) bounds the call end-to-end: the per-attempt timeout
-        becomes ``min(policy.call_timeout, deadline.remaining())`` and an
+        ``on_complete(call_id, rows, error)`` fires exactly once per call
+        unless it is cancelled first (exactly one of *rows*/*error* is
+        not None): on the registering thread, before this method
+        returns, when ``call.probe`` answers; otherwise on the pump
+        thread when the request finishes.  Ids are allocated under one
+        lock acquisition and every call the cache cannot answer goes on
+        the heap in one burst that wakes the pump thread once.
+        *query_id* and *mode* (``"sync"`` when the registrant waits for
+        these calls alone, so it does not wait for their hand-off) label
+        the trace; every ``call.register`` event carries ``batch``, the
+        length of *calls*.  *deadline* (a
+        :class:`~repro.serve.deadline.Deadline`, duck-typed) bounds each
+        call end-to-end: the per-attempt timeout becomes
+        ``min(policy.call_timeout, deadline.remaining())`` and an
         already-expired deadline fails the call fast with
         :class:`QueryDeadlineExceeded` before the cache is read or a pump
         slot occupied.  A registration that loses a race with
         :meth:`shutdown` is settled as cancelled and refused with
         :class:`ExecutionError`.
         """
-        return self._register((call,), on_complete, query_id, deadline, mode, None)[0]
-
-    def register_batch(self, calls, on_complete, query_id=None, deadline=None):
-        """Register many calls in one go; returns their call ids in order.
-
-        The batched counterpart of :meth:`register` for vectorized scans:
-        ids are allocated under a single lock acquisition and every
-        request the cache cannot answer goes on the heap in one burst
-        that wakes the pump thread once — the pump can saturate its
-        concurrency limits within one consumer round trip instead of one
-        registration per produced tuple.  Per-call semantics (tracing,
-        stats, settlement) are identical to :meth:`register`.
-        """
         calls = list(calls)
-        return self._register(
-            calls, on_complete, query_id, deadline, "async", len(calls)
-        )
-
-    def _register(self, calls, on_complete, query_id, deadline, mode, batch):
-        """The one registration path: ids, accounting, probe, then flights."""
         if not calls:
             return []
         with self._lock:
@@ -497,13 +483,14 @@ class RequestPump:
             )
             self.stats.bump(call.destination, "registered")
             if tracer is not None:
-                args = {
-                    "mode": mode,
-                    "key": str(call.key) if call.key is not None else None,
-                }
-                if batch is not None:
-                    args["batch"] = batch
-                self._trace(CALL_REGISTER, record, ts=registered_at, **args)
+                self._trace(
+                    CALL_REGISTER,
+                    record,
+                    ts=registered_at,
+                    mode=mode,
+                    key=str(call.key) if call.key is not None else None,
+                    batch=len(calls),
+                )
             if call.probe is None or not self._answer(record):
                 misses.append(record)
         if misses:
@@ -537,8 +524,8 @@ class RequestPump:
         However many flights the burst anchors, the pump thread is woken
         once.  A joiner may carry a tighter deadline than its anchor; the
         anchor's governs the shared request (the joiner notices its own
-        expiry at the ReqSync wait loop — cutting the request short would
-        fail the other queries' call).
+        expiry in ``AsyncContext.wait_for_any``; cutting the request short
+        would fail the other queries' call).
 
         Tabling and :meth:`shutdown` serialise on the lock: a pump
         stopped since the registration began (*stops* counts the
@@ -579,10 +566,7 @@ class RequestPump:
                 self._settle(record, "cancelled")
             raise ExecutionError("request pump is shut down")
         for record in joined:
-            destination = record.call.destination
-            self.stats.bump(destination, "coalesced")
-            self.metrics.counter("cache.coalesce").inc()
-            self.metrics.counter("cache.coalesce", destination=destination).inc()
+            self.stats.bump(record.call.destination, "coalesced")
             self._trace(
                 CACHE_COALESCE,
                 record,

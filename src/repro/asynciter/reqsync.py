@@ -47,11 +47,7 @@ from repro.obs.trace import (
     SYNC_WAIT,
 )
 from repro.relational.placeholder import Placeholder, row_pending_calls
-from repro.util.errors import ExecutionError, QueryDeadlineExceeded
-
-#: With a deadline attached, the blocking wait is sliced this fine so
-#: expiry/cancellation is observed within one slice, not one wait_timeout.
-DEADLINE_POLL_INTERVAL = 0.05
+from repro.util.errors import ExecutionError
 
 #: ``on_error`` policies.
 ON_ERROR_RAISE = "raise"
@@ -172,7 +168,7 @@ class ReqSync(Operator):
                 buffered=len(self._buffered),
             )
         try:
-            done = self._wait_for_any(outstanding)
+            done = self.context.wait_for_any(outstanding, timeout=self.wait_timeout)
         finally:
             if tracer is not None:
                 tracer.emit(
@@ -183,59 +179,11 @@ class ReqSync(Operator):
                 try:
                     rows = self.context.take_result(call_id)
                 except ExecutionError:
-                    # An expired deadline can land here first (the pump
-                    # cut the call and its error won the race against our
-                    # own checkpoint): surface the typed expiry rather
-                    # than degrading or wrapping it.
-                    deadline = self.context.deadline
-                    if deadline is not None:
-                        self._raise_if_expired(deadline)
+                    # Not a spent deadline of this query: the wait checked
+                    # it after these outcomes landed.
                     self._degrade(call_id)
                 else:
                     self._apply_completion(call_id, rows)
-
-    def _wait_for_any(self, outstanding):
-        """Wait for a completion, slicing the block under a deadline.
-
-        The query's deadline travels on the context.  Without one this is
-        the historical single blocking wait.  With one, this loop is the
-        query thread's deadline checkpoint — rows already materialized
-        still flow, but blocking on the network past expiry raises
-        :class:`QueryDeadlineExceeded` — and the wait runs in
-        :data:`DEADLINE_POLL_INTERVAL` slices so expiry (including
-        :meth:`Deadline.cancel` from a client disconnect) interrupts the
-        query within one slice; the overall ``wait_timeout`` safety valve
-        still applies across slices.
-        """
-        deadline = self.context.deadline
-        if deadline is None:
-            return self.context.wait_for_any(outstanding, timeout=self.wait_timeout)
-        budget = (
-            self.wait_timeout if self.wait_timeout is not None else float("inf")
-        )
-        while True:
-            self._raise_if_expired(deadline)
-            piece = min(DEADLINE_POLL_INTERVAL, budget)
-            remaining = deadline.remaining()
-            if remaining < piece:
-                piece = max(remaining, 0.001)
-            try:
-                return self.context.wait_for_any(outstanding, timeout=piece)
-            except ExecutionError:
-                budget -= piece
-                if budget <= 0:
-                    raise  # the genuine lost-signal timeout
-
-    def _raise_if_expired(self, deadline):
-        if not deadline.expired:
-            return
-        reason = getattr(deadline, "reason", None)
-        raise QueryDeadlineExceeded(
-            "query abandoned while awaiting external calls: {}".format(reason)
-            if reason is not None
-            else "query deadline exceeded while awaiting external calls",
-            deadline=deadline,
-        )
 
     def close(self):
         if self._by_call:

@@ -131,19 +131,6 @@ class LogicalScan(LogicalNode):
         return "Scan {}".format(self.alias)
 
 
-class LogicalRowsScan(LogicalNode):
-    """Scan of in-memory rows (bench/DSQ helper plans)."""
-
-    def __init__(self, schema, rows, name="rows"):
-        super().__init__()
-        self.schema = schema
-        self.rows_data = rows
-        self.name = name
-
-    def label(self):
-        return "Rows {} ({})".format(self.name, len(self.rows_data))
-
-
 class LogicalVTableScan(LogicalNode):
     """Scan of one external virtual-table instance.
 

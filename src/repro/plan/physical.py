@@ -90,7 +90,7 @@ def _lower(node, config, context, needed):
     from repro.exec.joins import CrossProduct, DependentJoin, NestedLoopJoin
     from repro.exec.limit import Limit
     from repro.exec.project import Project
-    from repro.exec.scans import RowsScan, TableScan
+    from repro.exec.scans import TableScan
     from repro.exec.sort import Sort
 
     for subquery in subqueries(getattr(node, "predicate", None)):
@@ -124,8 +124,6 @@ def _lower(node, config, context, needed):
                 include_high=node.include_high,
             )
         return TableScan(node.table, node.alias, columns)
-    if isinstance(node, L.LogicalRowsScan):
-        return RowsScan(node.schema, node.rows_data, node.name)
     if isinstance(node, L.LogicalVTableScan):
         return _lower_vtable_scan(node, config, context)
     if isinstance(node, L.LogicalReqSync):

@@ -86,8 +86,7 @@ class Deadline:
         """The effective timeout under *cap*: ``min(cap, remaining())``.
 
         Returns ``None`` (no bound) only when the deadline is unbounded
-        *and* no cap is given — the shape the pump's timeout entry and the
-        ReqSync wait loop expect.
+        *and* no cap is given — the shape the pump's timeout entry expects.
         """
         rem = self.remaining()
         if rem == math.inf:

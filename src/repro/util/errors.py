@@ -91,7 +91,8 @@ class QueryDeadlineExceeded(ExecutionError):
 
     Raised at every deadline checkpoint — registration with the request
     pump, the pre-issue check inside a concurrency slot, the per-attempt
-    timeout entry on the pump's deadline heap, and the ReqSync wait loop — so an
+    timeout entry on the pump's deadline heap, and the query thread's wait
+    (``AsyncContext.wait_for_any``, in either mode) — so an
     expired query fails *fast* instead of burning pump slots or network
     round trips on an answer nobody is waiting for.  ``deadline`` is the
     originating :class:`repro.serve.deadline.Deadline` (or ``None`` for

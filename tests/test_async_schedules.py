@@ -52,12 +52,12 @@ class _ScheduledScan(RowsScan):
         rows = []
         for tag, rows_a, delay_a, rows_b, delay_b in self.specs:
             a = (
-                Placeholder(self.context.register(make_call(rows_a, delay_a)), "v")
+                Placeholder(self.context.register([make_call(rows_a, delay_a)])[0], "v")
                 if rows_a is not None
                 else -1
             )
             b = (
-                Placeholder(self.context.register(make_call(rows_b, delay_b)), "v")
+                Placeholder(self.context.register([make_call(rows_b, delay_b)])[0], "v")
                 if rows_b is not None
                 else -1
             )

@@ -9,7 +9,7 @@ mid-stream.  These tests pin that contract down for the local
 operators, for the external-table operators (EVScan/AEVScan/ReqSync —
 including proliferation and cancellation), and for the batched
 external-call registration chain (DependentJoin -> AEVScan.open_batch ->
-AsyncContext.register_batch -> RequestPump.register_batch).
+AsyncContext.register -> RequestPump.register).
 """
 
 import functools
@@ -576,7 +576,6 @@ class TestBatchedRegistration:
         # Every registration precedes the first wait: the pump gets the
         # whole frontier before the consumer ever blocks.
         assert max(register_idx) < min(wait_idx)
-        assert scan.batches_bound == 1
 
     def test_register_events_carry_batch_size(self):
         tracer = Tracer()
@@ -589,10 +588,10 @@ class TestBatchedRegistration:
         tracer = Tracer()
         rows, scan = self._traced_run(tracer, batch_size=1)
         assert rows == EXPECTED_ROWS
-        assert scan.batches_bound == 0  # degenerate batches use register()
         registers = tracer.events(name=CALL_REGISTER)
         assert len(registers) == len(RESULTS)
-        assert all("batch" not in e.args for e in registers)
+        # One binding per burst: the same route, a batch of one.
+        assert all(e.args["batch"] == 1 for e in registers)
 
     def test_intra_batch_dedup(self, pump):
         # Duplicate outer values must collapse to one external call even
@@ -643,11 +642,11 @@ class TestBatchedRegistration:
             baseline = results[("sync", 1)]
             assert all(rows == baseline for rows in results.values()), sql
 
-    def test_register_batch_dedups_against_in_flight(self, pump):
+    def test_register_dedups_against_in_flight(self, pump):
         context = AsyncContext(pump)
         instance = FakeInstance(RESULTS, delay=0.2)
-        first = context.register(instance.make_call({"T1": "k0"}))
-        ids = context.register_batch(
+        (first,) = context.register([instance.make_call({"T1": "k0"})])
+        ids = context.register(
             [instance.make_call({"T1": t}) for t in ("k0", "k1")]
         )
         assert ids[0] == first  # reused the in-flight call

@@ -387,3 +387,31 @@ class TestModelBased:
         expected = sorted((k, s) for k, s in model)
         actual = sorted((k, r.page_id) for k, r in tree.scan_all())
         assert actual == expected
+
+
+class TestInternalSplits:
+    """Long keys inserted one by one split internal nodes, not just leaves."""
+
+    def test_long_string_keys_split_internal_nodes(self):
+        from repro.storage import Database
+        from repro.wsq import WsqEngine
+
+        db = Database()
+        table = db.create_table("T", [("K", DataType.STR)])
+        db.create_index("T", "K")  # before the rows: every key is an insert
+        rng = random.Random(40)
+        keys = ["{:06d}-".format(rng.randrange(10**6)).ljust(187, "x") for _ in range(6000)]
+        for key in keys:
+            table.insert((key,))
+        (index,) = table.indexes
+        assert index.tree.height() == 4  # splits reached internal nodes twice over
+        expected = sorted(keys)
+        for key in expected[::397]:
+            assert len(index.search(key)) == keys.count(key)
+        assert [key for key, _ in index.range_scan()] == expected
+        engine = WsqEngine(database=db)
+        for key in expected[::1201]:
+            result = engine.execute(
+                "Select Count(*) From T Where K >= '{}'".format(key), mode="sync"
+            )
+            assert result.rows == [(sum(k >= key for k in expected),)]

@@ -87,8 +87,8 @@ class TestSingleFlightStress:
         collector = Collector(n)
         ids = [
             pump.register(
-                gated_call(release), collector, query_id="q{}".format(i)
-            )
+                [gated_call(release)], collector, query_id="q{}".format(i)
+            )[0]
             for i in range(n)
         ]
         release.set()
@@ -113,14 +113,14 @@ class TestSingleFlightStress:
         assert snap["completed"] == n
         assert snap["coalesced"] == n - 1
         assert snap["queued"] == 0
-        assert pump.metrics.counter_value("cache.coalesce") == n - 1
+        assert pump.metrics.counter_value("pump.coalesced") == n - 1
 
-    def test_register_batch_intra_batch_dedup(self, pump):
-        """One batch of identical calls coalesces within the batch."""
+    def test_register_coalesces_within_one_burst(self, pump):
+        """One burst of identical calls coalesces within the burst."""
         n = 6
         release = threading.Event()
         collector = Collector(n)
-        ids = pump.register_batch(
+        ids = pump.register(
             [gated_call(release) for _ in range(n)], collector, query_id="q"
         )
         release.set()
@@ -136,11 +136,11 @@ class TestSingleFlightStress:
         collector = Collector(4)
         rows_a, rows_b = [{"count": 1}], [{"count": 2}]
         ids_a = [
-            pump.register(gated_call(release, key="a", rows=rows_a), collector)
+            pump.register([gated_call(release, key="a", rows=rows_a)], collector)[0]
             for _ in range(2)
         ]
         ids_b = [
-            pump.register(gated_call(release, key="b", rows=rows_b), collector)
+            pump.register([gated_call(release, key="b", rows=rows_b)], collector)[0]
             for _ in range(2)
         ]
         release.set()
@@ -159,11 +159,11 @@ class TestSingleFlightStress:
         release = threading.Event()
         release.set()
         first = Collector(1)
-        pump.register(gated_call(release), first)
+        pump.register([gated_call(release)], first)
         assert first.done.wait(5)
         pump.quiesce()
         second = Collector(1)
-        pump.register(gated_call(release), second)
+        pump.register([gated_call(release)], second)
         assert second.done.wait(5)
         pump.quiesce()
         assert len(events_named(pump.tracer, CALL_ISSUE)) == 2
@@ -175,7 +175,7 @@ class TestSingleFlightStress:
         collector = Collector(n)
         boom = TransientWebError("engine down")
         for _ in range(n):
-            pump.register(gated_call(release, error=boom), collector)
+            pump.register([gated_call(release, error=boom)], collector)
         release.set()
         assert collector.done.wait(5)
         pump.quiesce()
@@ -197,9 +197,9 @@ class TestCancellationPaths:
         release = threading.Event()
         follower = Collector(2)
         leader_seen = Collector(1)
-        leader_id = pump.register(gated_call(release), leader_seen, query_id="q0")
+        (leader_id,) = pump.register([gated_call(release)], leader_seen, query_id="q0")
         follower_ids = [
-            pump.register(gated_call(release), follower, query_id="q{}".format(i))
+            pump.register([gated_call(release)], follower, query_id="q{}".format(i))[0]
             for i in (1, 2)
         ]
         pump.cancel(leader_id)
@@ -228,7 +228,7 @@ class TestCancellationPaths:
         blocker_release = threading.Event()
         blocker_done = Collector(1)
         pump.register(
-            gated_call(blocker_release, key="blocker"), blocker_done
+            [gated_call(blocker_release, key="blocker")], blocker_done
         )
         # Wait until the blocker demonstrably *holds* the slot: without
         # this, a fast release could let it finish before ever blocking,
@@ -240,7 +240,7 @@ class TestCancellationPaths:
         release = threading.Event()
         abandoned = Collector(3)
         ids = [
-            pump.register(gated_call(release, key="doomed"), abandoned)
+            pump.register([gated_call(release, key="doomed")], abandoned)[0]
             for _ in range(3)
         ]
         for call_id in ids:
@@ -259,7 +259,7 @@ class TestCancellationPaths:
         assert not abandoned.results
         # The key is free again: a fresh registration starts a new flight.
         revived = Collector(1)
-        new_id = pump.register(gated_call(release, key="doomed"), revived)
+        (new_id,) = pump.register([gated_call(release, key="doomed")], revived)
         assert revived.done.wait(5)
         pump.quiesce()
         assert new_id in {
@@ -281,7 +281,7 @@ class TestCancellationPaths:
             never = threading.Event()  # the call would block forever
             collector = Collector(n)
             for i in range(n):
-                pump.register(gated_call(never), collector, query_id=i)
+                pump.register([gated_call(never)], collector, query_id=i)
             assert collector.done.wait(5)
             pump.quiesce()
             assert len(events_named(pump.tracer, CALL_ISSUE)) == 1
@@ -304,7 +304,7 @@ class TestOptInBoundaries:
             release = threading.Event()
             collector = Collector(n)
             for _ in range(n):
-                pump.register(gated_call(release), collector)
+                pump.register([gated_call(release)], collector)
             release.set()
             assert collector.done.wait(5)
             pump.quiesce()
@@ -317,7 +317,7 @@ class TestOptInBoundaries:
         release = threading.Event()
         collector = Collector(3)
         for _ in range(3):
-            pump.register(gated_call(release, key=None), collector)
+            pump.register([gated_call(release, key=None)], collector)
         release.set()
         assert collector.done.wait(5)
         pump.quiesce()
@@ -365,7 +365,7 @@ class TestConcurrentQueryStress:
                 barrier.wait()
                 for _ in range(per_thread):
                     call = ExternalCall("hot-key", "AV", _slow_rows)
-                    pump.register(call, collector, query_id="q{}".format(i))
+                    pump.register([call], collector, query_id="q{}".format(i))
                     time.sleep(0.001)
 
             workers = [
@@ -445,13 +445,13 @@ class TestDetachDuringLeaderBackoff:
             keeper = Collector(2)
             detacher = Collector(1)
             pump.register(
-                self._flaky_call(attempts, release), keeper, query_id="q0"
+                [self._flaky_call(attempts, release)], keeper, query_id="q0"
             )
-            detach_id = pump.register(
-                self._flaky_call(attempts, release), detacher, query_id="q1"
+            (detach_id,) = pump.register(
+                [self._flaky_call(attempts, release)], detacher, query_id="q1"
             )
             pump.register(
-                self._flaky_call(attempts, release), keeper, query_id="q2"
+                [self._flaky_call(attempts, release)], keeper, query_id="q2"
             )
             self._wait_for_backoff(pump)
             pump.cancel(detach_id)  # detach while the leader sleeps
@@ -488,11 +488,11 @@ class TestDetachDuringLeaderBackoff:
             release = threading.Event()
             survivor = Collector(1)
             leader_seen = Collector(1)
-            leader_id = pump.register(
-                self._flaky_call(attempts, release), leader_seen, query_id="q0"
+            (leader_id,) = pump.register(
+                [self._flaky_call(attempts, release)], leader_seen, query_id="q0"
             )
             pump.register(
-                self._flaky_call(attempts, release), survivor, query_id="q1"
+                [self._flaky_call(attempts, release)], survivor, query_id="q1"
             )
             self._wait_for_backoff(pump)
             pump.cancel(leader_id)  # the anchor abandons its own flight
@@ -531,7 +531,7 @@ class TestDetachDuringLeaderBackoff:
                 seen(call_id, rows, error)
 
             for _ in range(3):
-                ids.append(pump.register(gated_call(release), cancel_everyone))
+                ids.append(pump.register([gated_call(release)], cancel_everyone)[0])
             release.set()
             assert seen.done.wait(5)
             assert pump.quiesce()

@@ -408,7 +408,10 @@ RETIRED_OPTIONS = [
 #: and the public names no caller outside ``tests/`` used, then the rule
 #: framework under ReqSync placement (its engine, context, base class,
 #: rule classes, pack, fire budget and module) and four more names
-#: nothing called or read; none may come back in code, CI or the docs.
+#: nothing called or read, then the second registration route (the
+#: batched register methods and their burst counter) and the logical
+#: in-memory scan nothing built; none may come back in code, CI or the
+#: docs.
 RETIRED = [
     _spell("Planner", "Options"),
     _spell("Rewrite", "Settings"),
@@ -553,6 +556,9 @@ RETIRED = [
     _spell(r"(def |Deadline\.)", r"after\("),
     _spell(r"\bOP_", r"NEXT\b"),
     _spell(r"['\"]op\.", r"next['\"]"),
+    _spell("register", "_batch"),
+    _spell("batches", "_bound"),
+    _spell("LogicalRows", "Scan"),
 ]
 
 #: Where they may not appear (EXPERIMENTS.md, CHANGES.md and ROADMAP.md
@@ -749,6 +755,11 @@ class TestStructuralGuard:
             _spell("    def after", "(cls, seconds, clock=None):"),
             _spell("OP_", 'NEXT = "op.', 'next"'),
             _spell("        _trace.OP_", "NEXT,"),
+            _spell("    def register", "_batch(self, calls, on_complete, query_id=None,"),
+            _spell("            call_ids = self.context.register", "_batch(calls)"),
+            _spell("        self.batches", "_bound = 0"),
+            _spell("class LogicalRows", "Scan(LogicalNode):"),
+            _spell("    if isinstance(node, L.LogicalRows", "Scan):"),
         ],
     )
     def test_retired_guard_catches_a_revived_name(self, mutant):

@@ -1,14 +1,15 @@
 """End-to-end deadlines: the Deadline object and its propagation path.
 
 The deadline is threaded service → engine → AsyncContext → RequestPump
-(either mode; ReqSync reads it off the context), with checkpoints at
-registration, slot acquisition, the per-attempt timeout, the retry loop,
-and the ReqSync wait loop.  These tests pin each checkpoint plus the composition
-rule: every external call's effective timeout is
-``min(policy.call_timeout, deadline.remaining())``.
+(either mode), with checkpoints at registration, slot acquisition, the
+per-attempt timeout, the retry loop, and the query thread's wait
+(``AsyncContext.wait_for_any``, in either mode).  These tests pin each
+checkpoint plus the composition rule: every external call's effective
+timeout is ``min(policy.call_timeout, deadline.remaining())``.
 """
 
 import math
+import threading
 import time
 
 import pytest
@@ -20,7 +21,7 @@ from repro.storage.database import Database
 from repro.util.errors import QueryDeadlineExceeded
 from repro.util.timing import VirtualClock
 from repro.vtables.base import ExternalCall
-from repro.web.latency import UniformLatency
+from repro.web.latency import FixedLatency, UniformLatency
 from repro.wsq import WsqEngine
 from repro.datasets import load_all
 
@@ -66,8 +67,6 @@ def _call(key, run, destination="AV"):
 
 def _wait_one(pump, call, deadline=None, timeout=5.0):
     """Register one call and wait for its on_complete."""
-    import threading
-
     box = {}
     done = threading.Event()
 
@@ -75,7 +74,7 @@ def _wait_one(pump, call, deadline=None, timeout=5.0):
         box["rows"], box["error"] = rows, error
         done.set()
 
-    pump.register(call, on_complete, deadline=deadline)
+    pump.register([call], on_complete, deadline=deadline)
     assert done.wait(timeout)
     return box["rows"], box["error"]
 
@@ -209,8 +208,6 @@ class TestEngineDeadlines:
         assert sorted(bounded.rows) == sorted(free.rows)
 
     def test_cancelled_deadline_interrupts_midflight(self, slow_engine):
-        import threading
-
         deadline = Deadline()  # unbounded: only cancel can stop it
         errors = []
 
@@ -230,3 +227,34 @@ class TestEngineDeadlines:
         assert "test disconnect" in str(errors[0])
         assert slow_engine.pump.quiesce(timeout=5.0)
         assert slow_engine.pump.stats.snapshot()["queued"] == 0
+
+
+class TestCancelLatency:
+    """Both modes wait through one checkpoint, ``AsyncContext.wait_for_any``:
+    a cancel stops a query within one poll slice, not when its call lands."""
+
+    @pytest.mark.parametrize("mode", ["sync", "async"])
+    def test_cancel_stops_the_query_within_one_slice(self, mode):
+        engine = WsqEngine(
+            database=load_all(Database()), latency=FixedLatency(1.0), cache=False
+        )
+        deadline = Deadline()
+        raised = []
+
+        def run():
+            try:
+                engine.execute(WSQ_SQL, mode=mode, deadline=deadline)
+            except QueryDeadlineExceeded:
+                raised.append(time.monotonic())
+
+        thread = threading.Thread(target=run)
+        try:
+            thread.start()
+            time.sleep(0.1)  # the first call is out
+            cancelled = time.monotonic()
+            deadline.cancel("client disconnect")
+            thread.join(timeout=10.0)
+            assert not thread.is_alive() and len(raised) == 1
+            assert raised[0] - cancelled <= 0.25
+        finally:
+            engine.pump.shutdown()

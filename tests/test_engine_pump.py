@@ -153,7 +153,7 @@ class TestPumpLifecycle:
         outcomes = Outcomes()
         try:
             for round_number in range(1, 4):
-                pump.register(quick_call(("k", round_number)), outcomes)
+                pump.register([quick_call(("k", round_number))], outcomes)
                 assert outcomes.wait(round_number)
                 assert pump.quiesce(timeout=2.0)
                 assert settle_threads(0, pump.name) == 0
@@ -171,12 +171,12 @@ class TestPumpLifecycle:
         outcomes = Outcomes()
         try:
             for n in range(2):
-                pump.register(failing_call(("down", n)), outcomes)
+                pump.register([failing_call(("down", n))], outcomes)
             assert outcomes.wait(2)
             assert pump.quiesce(timeout=2.0)
             assert settle_threads(0, pump.name) == 0
             assert pump.breakers()["AV"]["state"] == "open"
-            pump.register(failing_call(("down", 2)), outcomes)
+            pump.register([failing_call(("down", 2))], outcomes)
             assert outcomes.wait(3)
         finally:
             pump.shutdown()

@@ -109,14 +109,12 @@ def pump():
 
 
 class TestPumpAnswersAtRegistration:
-    @pytest.mark.parametrize("batched", [False, True])
-    def test_hit_settles_before_register_returns(self, pump, batched):
+    @pytest.mark.parametrize("sync", [False, True])
+    def test_hit_settles_before_register_returns(self, pump, sync):
         sink, went_out = Sink(), []
         call = probed_call(went_out=went_out)
-        if batched:
-            (call_id,) = pump.register_batch([call], sink, query_id="q")
-        else:
-            call_id = pump.register(call, sink, query_id="q")
+        mode = "sync" if sync else "async"
+        (call_id,) = pump.register([call], sink, query_id="q", mode=mode)
         # Settled already, on this thread: no waiting, no quiescing.
         assert sink.outcomes == {call_id: (ROWS, None)}
         assert sink.threads == {threading.get_ident()}
@@ -127,7 +125,7 @@ class TestPumpAnswersAtRegistration:
         assert went_out == []  # no attempt was started
         events = call_events(pump.tracer, call_id)
         assert [e.name for e in events] == [CALL_REGISTER, CALL_COMPLETE]
-        assert events[0].args.get("batch") == (1 if batched else None)
+        assert (events[0].args["batch"], events[0].args["mode"]) == (1, mode)
         assert events[1].args["attempts"] == 0
         assert {e.query_id for e in events} == {"q"}
         record = request_table(pump.tracer.events())[call_id]
@@ -149,7 +147,7 @@ class TestPumpAnswersAtRegistration:
             asked.append(1)
             return None
 
-        call_id = pump.register(ExternalCall("k", "AV", run, probe), sink)
+        (call_id,) = pump.register([ExternalCall("k", "AV", run, probe)], sink)
         assert sink.done.wait(5) and pump.quiesce()
         assert asked == [1] and went_out == [0]
         assert sink.outcomes == {call_id: (ROWS, None)}
@@ -161,7 +159,7 @@ class TestPumpAnswersAtRegistration:
     def test_empty_result_is_a_hit_not_a_miss(self, pump):
         # WebPages with no hits caches []; only None means "go and ask".
         sink, went_out = Sink(), []
-        call_id = pump.register(probed_call(answer=[], went_out=went_out), sink)
+        (call_id,) = pump.register([probed_call(answer=[], went_out=went_out)], sink)
         assert sink.outcomes == {call_id: ([], None)} and went_out == []
 
     def test_replayed_failure_fails_inline(self, pump):
@@ -169,7 +167,7 @@ class TestPumpAnswersAtRegistration:
         # is the call's error.
         sink, went_out = Sink(), []
         failure = RuntimeError("replayed failure")
-        call_id = pump.register(probed_call(answer=failure, went_out=went_out), sink)
+        (call_id,) = pump.register([probed_call(answer=failure, went_out=went_out)], sink)
         assert sink.outcomes == {call_id: (None, failure)}
         assert sink.threads == {threading.get_ident()} and went_out == []
         snap = assert_exact(pump)
@@ -191,8 +189,8 @@ class TestPumpAnswersAtRegistration:
             return ROWS
             yield
 
-        call_id = pump.register(
-            ExternalCall("k", "AV", run, probe), sink, deadline=deadline
+        (call_id,) = pump.register(
+            [ExternalCall("k", "AV", run, probe)], sink, deadline=deadline
         )
         rows, error = sink.outcomes[call_id]
         assert rows is None and isinstance(error, QueryDeadlineExceeded)
@@ -204,7 +202,7 @@ class TestPumpAnswersAtRegistration:
 
     def test_cancel_of_an_inline_settled_id_is_a_noop(self, pump):
         sink = Sink()
-        call_id = pump.register(probed_call(), sink)
+        (call_id,) = pump.register([probed_call()], sink)
         pump.cancel(call_id)
         pump.cancel(call_id)
         snap = assert_exact(pump)
@@ -215,7 +213,7 @@ class TestPumpAnswersAtRegistration:
         def explode(call_id, rows, error):
             raise RuntimeError("consumer bug")
 
-        pump.register(probed_call(), explode)
+        pump.register([probed_call()], explode)
         snap = assert_exact(pump)
         assert (snap["failed"], snap["completed"]) == (1, 0)
 
@@ -231,7 +229,7 @@ class TestHitsBypassBreakerAndLimits:
         )
         sink = Sink()
         pump.register(
-            probed_call("boom", answer=None, error=TransientWebError("down")), sink
+            [probed_call("boom", answer=None, error=TransientWebError("down"))], sink
         )
         assert sink.done.wait(5) and pump.quiesce()
         assert pump.breakers()["AV"]["state"] == "open"
@@ -241,12 +239,12 @@ class TestHitsBypassBreakerAndLimits:
         pump = self._tripped_pump(VirtualClock())
         try:
             hit, miss = Sink(), Sink()
-            hit_id = pump.register(probed_call("cached"), hit)
+            (hit_id,) = pump.register([probed_call("cached")], hit)
             assert hit.outcomes == {hit_id: (ROWS, None)}
             assert pump.stats.snapshot()["breaker_open_rejections"] == 0
             assert pump.breakers()["AV"]["rejections"] == 0
             # ... while a request that needs the network is still refused.
-            miss_id = pump.register(probed_call("uncached", answer=None), miss)
+            (miss_id,) = pump.register([probed_call("uncached", answer=None)], miss)
             assert miss.done.wait(5) and pump.quiesce()
             assert isinstance(miss.outcomes[miss_id][1], BreakerOpenError)
             assert pump.stats.snapshot()["breaker_open_rejections"] == 1
@@ -261,14 +259,14 @@ class TestHitsBypassBreakerAndLimits:
             clock.advance(11.0)  # past the recovery timeout
             assert pump.breakers()["AV"]["state"] == "half_open"
             hit = Sink()
-            pump.register(probed_call("cached"), hit)
+            pump.register([probed_call("cached")], hit)
             assert hit.done.is_set()
             state = pump.breakers()["AV"]
             # A hit says nothing about the destination: not closed by it,
             # and the one half-open probe slot is still free ...
             assert state["state"] == "half_open" and state["closes"] == 0
             real = Sink()
-            pump.register(probed_call("real", answer=None), real)
+            pump.register([probed_call("real", answer=None)], real)
             assert real.done.wait(5) and pump.quiesce()
             # ... for the real request that closes it.
             assert pump.breakers()["AV"]["state"] == "closed"
@@ -283,7 +281,7 @@ class TestHitsBypassBreakerAndLimits:
             )
         )
         try:
-            pump.register(probed_call(answer=RuntimeError("replayed failure")), Sink())
+            pump.register([probed_call(answer=RuntimeError("replayed failure"))], Sink())
             assert pump.stats.snapshot()["failed"] == 1
             assert pump.breakers() == {}  # never consulted, never told
         finally:
@@ -295,14 +293,14 @@ class TestHitsBypassBreakerAndLimits:
             release, slow, queued, hit = threading.Event(), Sink(), Sink(), Sink()
             went_out = []
             pump.register(
-                probed_call("slow", None, went_out=went_out, release=release), slow
+                [probed_call("slow", None, went_out=went_out, release=release)], slow
             )
             pump.register(
-                probed_call("next", None, went_out=went_out, release=release), queued
+                [probed_call("next", None, went_out=went_out, release=release)], queued
             )
             while went_out != ["slow"]:  # the one slot is taken
                 assert not slow.done.wait(0.002)
-            hit_id = pump.register(probed_call("cached"), hit)
+            (hit_id,) = pump.register([probed_call("cached")], hit)
             assert hit.outcomes == {hit_id: (ROWS, None)}  # did not wait
             snap = pump.stats.snapshot()
             assert (snap["in_flight"], snap["queued"]) == (1, 1)
@@ -324,7 +322,7 @@ class TestCoalescingStillCounts:
             release, went_out, sink = threading.Event(), [], Sink(3)
             for query in ("q0", "q1", "q2"):
                 pump.register(
-                    probed_call("hot", None, went_out=went_out, release=release),
+                    [probed_call("hot", None, went_out=went_out, release=release)],
                     sink,
                     query_id=query,
                 )
@@ -350,9 +348,9 @@ class TestCoalescingStillCounts:
                 return ROWS
                 yield
 
-            ids = context.register_batch(
+            ids = context.register(
                 [ExternalCall("same", "AV", run, probe) for _ in range(3)]
-            ) + [context.register(ExternalCall("same", "AV", run, probe))]
+            ) + context.register([ExternalCall("same", "AV", run, probe)])
             assert len(set(ids)) == 1 and asked == [1]
             assert context.stats()["dedup_hits"] == 3
             assert context.stats()["calls_registered"] == 1
@@ -380,11 +378,11 @@ def test_registrations_cancels_and_fan_out_race_to_exact_counts():
             key = "k{}".format((seed + i) % 5)
             answer = ROWS if i % 3 == 0 else None
             if i % 2:
-                ids = pump.register_batch(
+                ids = pump.register(
                     [probed_call(key, answer), probed_call(key + "b", None)], on_complete
                 )
             else:
-                ids = [pump.register(probed_call(key, answer), on_complete)]
+                ids = pump.register([probed_call(key, answer)], on_complete)
             if i % 4 == 1:
                 for call_id in ids:
                     pump.cancel(call_id)

@@ -110,7 +110,7 @@ class _GatedScan(RowsScan):
         rows = []
         self.call_ids = []
         for name, call_rows, delay in self.specs:
-            call_id = self.context.register(make_call(call_rows, delay))
+            (call_id,) = self.context.register([make_call(call_rows, delay)])
             self.call_ids.append(call_id)
             rows.append((name, Placeholder(call_id, "value")))
         self.rows_data = rows
@@ -136,7 +136,7 @@ def settle_one(pump, call):
         box["error"] = error
         done.set()
 
-    call_id = pump.register(call, on_complete, query_id=0)
+    (call_id,) = pump.register([call], on_complete, query_id=0)
     assert done.wait(5.0)
     pump.quiesce(timeout=2.0)
     return call_id, box
@@ -172,8 +172,8 @@ class TestProliferationTrace:
         # every copy must carry the slow call's id in inherited_calls —
         # the Section 4.4 nuance, now visible in the trace.
         context = AsyncContext(pump, tracer=tracer, query_id=0)
-        fast = context.register(make_call([{"value": 1}, {"value": 2}]))
-        slow = context.register(make_call([{"value": 9}], delay=0.05))
+        (fast,) = context.register([make_call([{"value": 1}, {"value": 2}])])
+        (slow,) = context.register([make_call([{"value": 9}], delay=0.05)])
         child = RowsScan(
             SCHEMA,
             [("pair", Placeholder(fast, "value"), Placeholder(slow, "value"))],
@@ -339,8 +339,8 @@ class TestFaultPathTraces:
     def test_dedup_is_traced(self, pump, tracer):
         context = AsyncContext(pump, tracer=tracer, query_id=3)
         call = make_call([{"value": 1}], delay=0.05, key=("same", "key"))
-        first = context.register(call)
-        second = context.register(make_call([{"value": 1}], key=("same", "key")))
+        (first,) = context.register([call])
+        (second,) = context.register([make_call([{"value": 1}], key=("same", "key"))])
         assert first == second
         (dedup,) = tracer.events(name=CALL_DEDUP)
         assert dedup.call_id == first

@@ -41,7 +41,7 @@ class TestBasics:
             payload["result"] = (call_id, rows, error)
             done.set()
 
-        call_id = pump.register(make_call(), on_complete)
+        (call_id,) = pump.register([make_call()], on_complete)
         assert done.wait(2)
         assert payload["result"] == (call_id, [{"count": 1}], None)
 
@@ -54,7 +54,7 @@ class TestBasics:
                 done.set()
 
         for _ in range(10):
-            seen.add(pump.register(make_call(), on_complete))
+            seen.add(pump.register([make_call()], on_complete)[0])
         assert len(seen) == 10
 
     def test_error_reported(self, pump):
@@ -65,7 +65,7 @@ class TestBasics:
             payload["error"] = error
             done.set()
 
-        pump.register(make_call(error=ValueError("network down")), on_complete)
+        pump.register([make_call(error=ValueError("network down"))], on_complete)
         assert done.wait(2)
         assert isinstance(payload["error"], ValueError)
         time.sleep(0.05)
@@ -74,12 +74,12 @@ class TestBasics:
     def test_pump_restarts_after_shutdown(self):
         pump = RequestPump()
         started = threading.Event()
-        pump.register(make_call(key="before", delay=0.2), lambda *a: None)
-        pump.register(make_call(key="probe"), lambda *a: started.set())
+        pump.register([make_call(key="before", delay=0.2)], lambda *a: None)
+        pump.register([make_call(key="probe")], lambda *a: started.set())
         assert started.wait(2)
         pump.shutdown()
         done = threading.Event()
-        pump.register(make_call(), lambda *a: done.set())
+        pump.register([make_call()], lambda *a: done.set())
         assert done.wait(2)
         pump.shutdown()
 
@@ -99,7 +99,7 @@ class TestConcurrency:
 
         started = time.perf_counter()
         for i in range(count):
-            pump.register(make_call(key=i, delay=0.05), on_complete)
+            pump.register([make_call(key=i, delay=0.05)], on_complete)
         assert done.wait(3)
         elapsed = time.perf_counter() - started
         # Concurrent: ~0.05s, not 20 * 0.05 = 1s.
@@ -120,7 +120,7 @@ class TestConcurrency:
                         done.set()
 
             for i in range(6):
-                pump.register(make_call(key=i, delay=0.03), on_complete)
+                pump.register([make_call(key=i, delay=0.03)], on_complete)
             assert done.wait(3)
             assert pump.stats.snapshot()["max_in_flight"] <= 2
         finally:
@@ -143,7 +143,7 @@ class TestConcurrency:
 
             started = time.perf_counter()
             for i in range(4):
-                pump.register(make_call(key=i, destination="AV", delay=0.03), on_complete)
+                pump.register([make_call(key=i, destination="AV", delay=0.03)], on_complete)
             assert done.wait(3)
             # Serialized by the destination cap: ~4 * 0.03s.
             assert time.perf_counter() - started >= 0.1
@@ -159,7 +159,7 @@ class TestConcurrency:
 class TestAsyncContext:
     def test_wait_and_take(self, pump):
         context = AsyncContext(pump)
-        call_id = context.register(make_call(rows=[{"count": 42}]))
+        (call_id,) = context.register([make_call(rows=[{"count": 42}])])
         done = context.wait_for_any({call_id}, timeout=2)
         assert done == {call_id}
         assert context.take_result(call_id) == [{"count": 42}]
@@ -174,21 +174,21 @@ class TestAsyncContext:
 
     def test_error_raised_at_take(self, pump):
         context = AsyncContext(pump)
-        call_id = context.register(make_call(error=RuntimeError("boom")))
+        (call_id,) = context.register([make_call(error=RuntimeError("boom"))])
         context.wait_for_any({call_id}, timeout=2)
         with pytest.raises(ExecutionError, match="boom"):
             context.take_result(call_id)
 
     def test_completed_subset(self, pump):
         context = AsyncContext(pump)
-        fast = context.register(make_call(key="fast"))
-        slow = context.register(make_call(key="slow", delay=0.2))
+        (fast,) = context.register([make_call(key="fast")])
+        (slow,) = context.register([make_call(key="slow", delay=0.2)])
         context.wait_for_any({fast}, timeout=2)
         assert fast in context.completed({fast, slow})
 
     def test_wait_returns_multiple_when_ready(self, pump):
         context = AsyncContext(pump)
-        ids = {context.register(make_call(key=i)) for i in range(5)}
+        ids = {context.register([make_call(key=i)])[0] for i in range(5)}
         time.sleep(0.1)
         assert context.wait_for_any(ids, timeout=2) == ids
 
@@ -205,28 +205,28 @@ class TestInFlightDedup:
 
     def test_identical_calls_share_one_id(self, pump):
         context = AsyncContext(pump, dedup=True)
-        first = context.register(self._slow_call([{"count": 1}], key="same"))
-        second = context.register(self._slow_call([{"count": 1}], key="same"))
+        (first,) = context.register([self._slow_call([{"count": 1}], key="same")])
+        (second,) = context.register([self._slow_call([{"count": 1}], key="same")])
         assert first == second
         assert context.dedup_hits == 1
         assert context.calls_registered == 1
 
     def test_distinct_keys_not_merged(self, pump):
         context = AsyncContext(pump, dedup=True)
-        a = context.register(self._slow_call([{"count": 1}], key="a"))
-        b = context.register(self._slow_call([{"count": 2}], key="b"))
+        (a,) = context.register([self._slow_call([{"count": 1}], key="a")])
+        (b,) = context.register([self._slow_call([{"count": 2}], key="b")])
         assert a != b
 
     def test_dedup_disabled(self, pump):
         context = AsyncContext(pump, dedup=False)
-        a = context.register(self._slow_call([{"count": 1}], key="same"))
-        b = context.register(self._slow_call([{"count": 1}], key="same"))
+        (a,) = context.register([self._slow_call([{"count": 1}], key="same")])
+        (b,) = context.register([self._slow_call([{"count": 1}], key="same")])
         assert a != b
 
     def test_each_lease_can_take_the_result(self, pump):
         context = AsyncContext(pump, dedup=True)
-        first = context.register(self._slow_call([{"count": 9}], key="k"))
-        context.register(self._slow_call([{"count": 9}], key="k"))
+        (first,) = context.register([self._slow_call([{"count": 9}], key="k")])
+        context.register([self._slow_call([{"count": 9}], key="k")])
         context.wait_for_any({first}, timeout=2)
         assert context.take_result(first) == [{"count": 9}]
         # Second lease still valid.
@@ -237,16 +237,16 @@ class TestInFlightDedup:
 
     def test_consumed_key_reissues(self, pump):
         context = AsyncContext(pump, dedup=True)
-        first = context.register(self._slow_call([{"count": 1}], key="k"))
+        (first,) = context.register([self._slow_call([{"count": 1}], key="k")])
         context.wait_for_any({first}, timeout=2)
         context.take_result(first)
-        second = context.register(self._slow_call([{"count": 1}], key="k"))
+        (second,) = context.register([self._slow_call([{"count": 1}], key="k")])
         assert second != first  # no stale reuse after full consumption
 
     def test_none_key_never_deduped(self, pump):
         context = AsyncContext(pump, dedup=True)
-        a = context.register(self._slow_call([{"count": 1}], key=None))
-        b = context.register(self._slow_call([{"count": 1}], key=None))
+        (a,) = context.register([self._slow_call([{"count": 1}], key=None)])
+        (b,) = context.register([self._slow_call([{"count": 1}], key=None)])
         assert a != b
 
     def test_dedup_cuts_network_requests_in_figure7_plan(self, web):
@@ -291,7 +291,7 @@ class TestQueuedGauge:
                         done.set()
 
             for i in range(5):
-                pump.register(make_call(key=("q", i), delay=0.05), on_complete)
+                pump.register([make_call(key=("q", i), delay=0.05)], on_complete)
             time.sleep(0.06)  # first call in flight, rest queued
             snapshot = pump.stats.snapshot()
             assert snapshot["queued"] >= 1
@@ -318,7 +318,7 @@ class TestQuiesce:
         pump = RequestPump(tracer=tracer)
         try:
             delivered = threading.Event()
-            pump.register(make_call(), lambda *outcome: delivered.set())
+            pump.register([make_call()], lambda *outcome: delivered.set())
             assert delivered.wait(2)
             assert pump.quiesce(timeout=2.0)
             assert len(tracer.events(name=CALL_COMPLETE)) == 1
@@ -332,7 +332,7 @@ class TestQuiesce:
     def test_quiesce_on_an_idle_pump_does_not_wait(self, pump):
         assert pump.quiesce(timeout=0)
         done = threading.Event()
-        pump.register(make_call(), lambda *outcome: done.set())
+        pump.register([make_call()], lambda *outcome: done.set())
         assert done.wait(2)
         assert pump.quiesce(timeout=2.0)
         assert pump.quiesce(timeout=0)
@@ -353,7 +353,7 @@ class TestQuiesce:
                 delay=0.001 * (i % 4),
                 error=ValueError("boom") if i % 3 == 0 else None,
             )
-            pump.register(call, on_complete)
+            pump.register([call], on_complete)
         assert settled.wait(5)
         assert pump.quiesce(timeout=2.0)
         assert pump.quiesce(timeout=0)
@@ -383,7 +383,7 @@ class TestShutdownRace:
         call = ExternalCall("k", "AV", make_call().execute_async, probe)
         try:
             with pytest.raises(ExecutionError, match="request pump is shut down"):
-                pump.register(call, lambda *outcome: completions.append(outcome))
+                pump.register([call], lambda *outcome: completions.append(outcome))
             assert pump.quiesce(0.5)
             snapshot = pump.stats.snapshot()
             assert snapshot["registered"] == 1
@@ -393,7 +393,7 @@ class TestShutdownRace:
             assert completions == []
             # The pump is usable again afterwards.
             done = threading.Event()
-            pump.register(make_call(key="after"), lambda *outcome: done.set())
+            pump.register([make_call(key="after")], lambda *outcome: done.set())
             assert done.wait(2)
         finally:
             pump.shutdown()
@@ -413,7 +413,7 @@ class TestRegisterCancelStress:
             def worker(n):
                 for i in range(per_thread):
                     call = make_call(key=("stress", i % 7), delay=0.001 * (i % 3))
-                    call_id = pump.register(call, lambda *outcome: None)
+                    (call_id,) = pump.register([call], lambda *outcome: None)
                     if (n + i) % 3 == 0:
                         pump.cancel(call_id)
 
@@ -442,12 +442,12 @@ class TestHandoff:
         it to be issued, so its waits start at registration, not when the
         registrant next blocks."""
         calls = [make_call(key=("burst", i), delay=0.2) for i in range(5)]
-        pump.register_batch(calls, lambda *outcome: None)
+        pump.register(calls, lambda *outcome: None)
         snapshot = pump.stats.snapshot()
         assert (snapshot["in_flight"], snapshot["queued"]) == (5, 0)
         latencies = pump.latencies()
         assert "queue_wait" not in latencies.get("AV", {})  # nothing settled yet
-        pump.register(make_call(key="single", delay=0.2), lambda *outcome: None)
+        pump.register([make_call(key="single", delay=0.2)], lambda *outcome: None)
         assert pump.stats.snapshot()["in_flight"] == 6
 
 
@@ -480,10 +480,10 @@ class TestQueuedCallsThatEndAtOnce:
         )
         errors = []
         try:
-            pump.register(slow, lambda *outcome: None)
+            pump.register([slow], lambda *outcome: None)
             calls = [make_call(key=("queued", i)) for i in range(self.QUEUED)]
-            pump.register_batch(calls, lambda _id, rows, error: errors.append(error),
-                                deadline=deadline)
+            pump.register(calls, lambda _id, rows, error: errors.append(error),
+                          deadline=deadline)
             assert pump.quiesce(timeout=10)
             snapshot = pump.stats.snapshot()
         finally:
@@ -512,14 +512,14 @@ class TestPumpThreadFailure:
         pump = RequestPump()
         completions = []
         try:
-            pump.register(ExternalCall("boom", "AV", run), lambda *o: completions.append(o))
-            pump.register(make_call(key="bystander", delay=0.2), lambda *o: completions.append(o))
+            pump.register([ExternalCall("boom", "AV", run)], lambda *o: completions.append(o))
+            pump.register([make_call(key="bystander", delay=0.2)], lambda *o: completions.append(o))
             assert pump.quiesce(timeout=2)
             assert completions == []  # both cancelled: nobody is told
             snapshot = pump.stats.snapshot()
             assert (snapshot["cancelled"], snapshot["in_flight"], snapshot["queued"]) == (2, 0, 0)
             done = threading.Event()
-            pump.register(make_call(key="after"), lambda *outcome: done.set())
+            pump.register([make_call(key="after")], lambda *outcome: done.set())
             assert done.wait(2)
         finally:
             pump.shutdown()
@@ -550,7 +550,7 @@ class TestNoAttemptWithoutBudget:
         pump = RequestPump(resilience=ResiliencePolicy(retry=SpendingRetry(max_attempts=3)))
         outcome = []
         try:
-            pump.register(ExternalCall("k", "AV", run), lambda *o: outcome.append(o),
+            pump.register([ExternalCall("k", "AV", run)], lambda *o: outcome.append(o),
                           deadline=Deadline(1.0, clock=clock))
             assert pump.quiesce(timeout=2)
             snapshot = pump.stats.snapshot()

@@ -64,7 +64,7 @@ class _GatedScan(RowsScan):
             if call_rows is None:
                 rows.append((name, 0))
             else:
-                call_id = self.context.register(make_call(call_rows, delay))
+                (call_id,) = self.context.register([make_call(call_rows, delay)])
                 rows.append((name, Placeholder(call_id, "value")))
         self.rows_data = rows
         super().open(bindings)
@@ -124,8 +124,8 @@ class TestMultiplePlaceholders:
 
         class TwoCalls(RowsScan):
             def open(self, bindings=None):
-                ca = context.register(make_call(rows_a, delay_a))
-                cb = context.register(make_call(rows_b, delay_b))
+                (ca,) = context.register([make_call(rows_a, delay_a)])
+                (cb,) = context.register([make_call(rows_b, delay_b)])
                 self.rows_data = [
                     (Placeholder(ca, "value"), Placeholder(cb, "value"))
                 ]
@@ -176,7 +176,7 @@ class TestFailureAndLifecycle:
 
         class Failing(RowsScan):
             def open(self, bindings=None):
-                cid = context.register(make_call(None, error=RuntimeError("dns")))
+                (cid,) = context.register([make_call(None, error=RuntimeError("dns"))])
                 self.rows_data = [("x", Placeholder(cid, "value"))]
                 RowsScan.open(self, bindings)
 

@@ -281,7 +281,7 @@ def wait_one(pump, call, deadline=None):
         payload["rows"], payload["error"] = rows, error
         done.set()
 
-    pump.register(call, on_complete, deadline=deadline)
+    pump.register([call], on_complete, deadline=deadline)
     assert done.wait(5)
     return payload["rows"], payload["error"]
 
@@ -469,8 +469,8 @@ class TestPumpResilience:
                 yield 60.0
                 return [{"count": 0}]
 
-            call_id = pump.register(
-                ExternalCall(("probe", next(_KEY_COUNTER)), "AV", hang), lambda *args: None
+            (call_id,) = pump.register(
+                [ExternalCall(("probe", next(_KEY_COUNTER)), "AV", hang)], lambda *args: None
             )
             assert started.wait(5)  # the breaker admitted it as the probe
             pump.cancel(call_id)
@@ -541,7 +541,7 @@ class TestCancellationAccounting:
         try:
             completions = []
             call = attempt_call(lambda a: [{"count": 1}], delay=5.0)
-            call_id = pump.register(call, lambda *a: completions.append(a))
+            (call_id,) = pump.register([call], lambda *a: completions.append(a))
             time.sleep(0.05)  # let the call start
             pump.cancel(call_id)
             deadline = time.time() + 2
@@ -562,7 +562,7 @@ class TestCancellationAccounting:
         pump = RequestPump()
         try:
             call = attempt_call(lambda a: [{"count": 1}], delay=5.0)
-            call_id = pump.register(call, lambda *a: None)
+            (call_id,) = pump.register([call], lambda *a: None)
             time.sleep(0.05)
             pump.cancel(call_id)
             pump.cancel(call_id)  # idempotent
@@ -577,8 +577,8 @@ class TestCancellationAccounting:
         pump = RequestPump()
         try:
             done = threading.Event()
-            call_id = pump.register(
-                attempt_call(lambda a: [{"count": 1}]), lambda *a: done.set()
+            (call_id,) = pump.register(
+                [attempt_call(lambda a: [{"count": 1}])], lambda *a: done.set()
             )
             assert done.wait(2)
             time.sleep(0.05)  # let settlement run
@@ -605,7 +605,7 @@ class TestShutdownWhileBusy:
         completions = []
         for i in range(8):
             pump.register(
-                attempt_call(lambda a: [{"count": 1}], delay=10.0, key=("s", i)),
+                [attempt_call(lambda a: [{"count": 1}], delay=10.0, key=("s", i))],
                 lambda *a: completions.append(a),
             )
         time.sleep(0.05)
@@ -627,7 +627,7 @@ class TestShutdownWhileBusy:
         pump = RequestPump()
         for i in range(4):
             pump.register(
-                attempt_call(lambda a: [{"count": 1}], delay=10.0, key=("r", i)),
+                [attempt_call(lambda a: [{"count": 1}], delay=10.0, key=("r", i))],
                 lambda *a: None,
             )
         time.sleep(0.05)
@@ -639,7 +639,7 @@ class TestShutdownWhileBusy:
             payload["rows"] = rows
             done.set()
 
-        pump.register(attempt_call(lambda a: [{"count": 9}]), on_complete)
+        pump.register([attempt_call(lambda a: [{"count": 9}])], on_complete)
         assert done.wait(2)
         assert payload["rows"] == [{"count": 9}]
         pump.shutdown()
@@ -650,8 +650,8 @@ class TestWaitTimeoutDiagnostics:
         pump = RequestPump()
         try:
             context = AsyncContext(pump)
-            call_id = context.register(
-                attempt_call(lambda a: [{"count": 1}], delay=10.0, destination="Google")
+            (call_id,) = context.register(
+                [attempt_call(lambda a: [{"count": 1}], delay=10.0, destination="Google")]
             )
             with pytest.raises(ExecutionError) as excinfo:
                 context.wait_for_any({call_id}, timeout=0.05)
@@ -670,7 +670,7 @@ class TestWaitTimeoutDiagnostics:
             def boom(attempt):
                 raise TransientWebError("503 service unavailable")
 
-            call_id = context.register(attempt_call(boom, destination="AV"))
+            (call_id,) = context.register([attempt_call(boom, destination="AV")])
             context.wait_for_any({call_id}, timeout=2)
             with pytest.raises(ExecutionError, match="'AV'"):
                 context.take_result(call_id)
@@ -708,7 +708,7 @@ class _MixedScan(RowsScan):
                     raise error
                 return rows
 
-            call_id = self.context.register(attempt_call(behaviour))
+            (call_id,) = self.context.register([attempt_call(behaviour)])
             rows.append((name, Placeholder(call_id, "value")))
         self.rows_data = rows
         super().open(bindings)
