@@ -3,7 +3,7 @@
 The technique has three runtime components plus a plan rewriter:
 
 - :class:`~repro.asynciter.pump.RequestPump` — the "ReqPump", one per
-  engine: an event-driven module (one deadline heap on one daemon thread
+  engine: an event-driven module (one timer heap on one daemon thread
   — the paper cites the Flash web server's single-process event loop as
   the model) that issues many concurrent external calls, stores results
   keyed by call id, enforces global and per-destination concurrency

@@ -46,8 +46,8 @@ class AsyncContext:
         self.dedup = dedup
         self.tracer = tracer
         self.query_id = query_id
-        #: Per-query time budget (duck-typed Deadline), forwarded with
-        #: every registration so the pump can fail expired calls fast.
+        #: Per-query time budget (duck-typed Deadline), checked by
+        #: :meth:`wait_for_any`; the pump never sees it.
         self.deadline = deadline
         self._cond = threading.Condition()
         self._waiting = 0  # consumers inside wait_for_any (under _cond)
@@ -94,7 +94,6 @@ class AsyncContext:
             [call for _, call in fresh],
             self._on_complete,
             query_id=self.query_id,
-            deadline=self.deadline,
             mode=mode,
         )
         self.calls_registered += len(new_ids)

@@ -1,6 +1,6 @@
 """ReqPump: the global asynchronous request module (paper Section 4.1).
 
-One daemon thread runs a deadline heap.  A registered external call is
+One daemon thread runs a heap of due times.  A registered external call is
 an *attempt generator* that yields the seconds of each network wait and
 returns its rows; the thread sleeps on one condition until the earliest
 entry is due, resumes that attempt (its compute runs there and then) and
@@ -19,6 +19,13 @@ is two layers of slot counters: one global, one per destination.
 resource limits, the call is placed on a queue" — a FIFO admitted oldest
 first as slots free up, and the statistics expose how much queueing
 happened.
+
+Like the paper's ReqPump, the pump knows nothing about any one query: it
+reads no query deadline.  A query's deadline is checked by the query
+thread's one wait (``AsyncContext.wait_for_any``), which raises on
+expiry; the query then cancels its calls, and :meth:`RequestPump.cancel`
+only detaches a waiter, so a call shared with another query runs on for
+it.
 
 Resilience (a deliberate departure from the paper, which assumed reliable
 engines): with a :class:`~repro.asynciter.resilience.ResiliencePolicy`
@@ -59,12 +66,7 @@ from repro.obs.trace import (
     CALL_RETRY,
     CALL_TIMEOUT,
 )
-from repro.util.errors import (
-    BreakerOpenError,
-    ExecutionError,
-    QueryDeadlineExceeded,
-    RequestTimeoutError,
-)
+from repro.util.errors import BreakerOpenError, ExecutionError, RequestTimeoutError
 from repro.util.timing import resolve_clock
 
 
@@ -99,7 +101,6 @@ _DEST_COUNTER_KEYS = (
     "timeouts",
     "breaker_open_rejections",
     "coalesced",
-    "deadline_expired",
 )
 
 #: Histogram kinds the pump observes per settled call.
@@ -197,7 +198,7 @@ class _Call:
     """One registered call, from registration to its one settlement.
 
     The pump's only per-call state.  Who waits (``on_complete``,
-    ``query_id``, ``deadline``), when it moved (``registered_at``, and
+    ``query_id``), when it moved (``registered_at``, and
     for a call that went out ``issued_at``/``finished_at``/``attempts``
     — ``finished_at`` is stamped before the slot is freed, so a trace
     never shows ``limit + 1`` overlapping requests), and how it is
@@ -231,7 +232,6 @@ class _Call:
         "call",
         "on_complete",
         "query_id",
-        "deadline",
         "registered_at",
         "issued_at",
         "finished_at",
@@ -247,12 +247,11 @@ class _Call:
         "wake",
     )
 
-    def __init__(self, call_id, call, on_complete, query_id, deadline, registered_at):
+    def __init__(self, call_id, call, on_complete, query_id, registered_at):
         self.call_id = call_id
         self.call = call
         self.on_complete = on_complete
         self.query_id = query_id
-        self.deadline = deadline
         self.registered_at = registered_at
         self.issued_at = None
         self.finished_at = None
@@ -276,7 +275,7 @@ _SETTLE_EVENTS = {
 
 
 class RequestPump:
-    """Issues external calls concurrently from one deadline-heap thread.
+    """Issues external calls concurrently from one timer-heap thread.
 
     ``single_flight=True`` enables cross-registration coalescing of
     identical in-flight calls (see :class:`_Call`).  Every pump a
@@ -442,9 +441,7 @@ class RequestPump:
 
     # -- registration ---------------------------------------------------------------
 
-    def register(
-        self, calls, on_complete, query_id=None, deadline=None, mode="async"
-    ):
+    def register(self, calls, on_complete, query_id=None, mode="async"):
         """Register *calls*; returns their call ids in order.
 
         ``on_complete(call_id, rows, error)`` fires exactly once per call
@@ -457,13 +454,7 @@ class RequestPump:
         *query_id* and *mode* (``"sync"`` when the registrant waits for
         these calls alone, so it does not wait for their hand-off) label
         the trace; every ``call.register`` event carries ``batch``, the
-        length of *calls*.  *deadline* (a
-        :class:`~repro.serve.deadline.Deadline`, duck-typed) bounds each
-        call end-to-end: the per-attempt timeout becomes
-        ``min(policy.call_timeout, deadline.remaining())`` and an
-        already-expired deadline fails the call fast with
-        :class:`QueryDeadlineExceeded` before the cache is read or a pump
-        slot occupied.  A registration that loses a race with
+        length of *calls*.  A registration that loses a race with
         :meth:`shutdown` is settled as cancelled and refused with
         :class:`ExecutionError`.
         """
@@ -478,9 +469,7 @@ class RequestPump:
         tracer = self.tracer
         misses = []
         for call_id, call in enumerate(calls, first_id):
-            record = _Call(
-                call_id, call, on_complete, query_id, deadline, registered_at
-            )
+            record = _Call(call_id, call, on_complete, query_id, registered_at)
             self.stats.bump(call.destination, "registered")
             if tracer is not None:
                 self._trace(
@@ -500,19 +489,15 @@ class RequestPump:
     def _answer(self, record):
         """Settle *record* here and now if its probe can; False on a miss.
 
-        A cached result, a spent deadline or a probe that raised ends the
-        call on the registering thread: no slot is queued for, the
-        breaker is neither asked nor told, nothing reaches the pump
-        thread.  A miss is the cache lookup of record; the request that
-        follows only writes.
+        A cached result or a probe that raised ends the call on the
+        registering thread: no slot is queued for, the breaker is neither
+        asked nor told, nothing reaches the pump thread.  A miss is the
+        cache lookup of record; the request that follows only writes.
         """
-        rows = None
-        error = self._spent(record, "enqueue")
-        if error is None:
-            try:
-                rows = record.call.probe()
-            except Exception as exc:  # noqa: BLE001 - surfaced to the registrant
-                error = exc
+        try:
+            rows, error = record.call.probe(), None
+        except Exception as exc:  # noqa: BLE001 - surfaced to the registrant
+            rows, error = None, exc
         if rows is None and error is None:
             return False
         self._settle(record, self._hand_over(record, rows, error))
@@ -522,10 +507,10 @@ class RequestPump:
         """Table *misses*; each joins a live same-key flight or anchors one.
 
         However many flights the burst anchors, the pump thread is woken
-        once.  A joiner may carry a tighter deadline than its anchor; the
-        anchor's governs the shared request (the joiner notices its own
-        expiry in ``AsyncContext.wait_for_any``; cutting the request short
-        would fail the other queries' call).
+        once.  No waiter's query deadline touches the shared request: a
+        query whose deadline expires raises in its own
+        ``AsyncContext.wait_for_any`` and cancels its calls, which only
+        takes its waiters out of their flights.
 
         Tabling and :meth:`shutdown` serialise on the lock: a pump
         stopped since the registration began (*stops* counts the
@@ -580,23 +565,13 @@ class RequestPump:
     def _begin(self, anchor):
         """Trace the enqueue, then take a slot or join the queue for one."""
         self._trace(CALL_ENQUEUE, anchor)
-        # Fail fast *before* queueing for a slot: a call whose query
-        # already spent its budget must not displace live work.
-        error = self._spent(anchor, "enqueue")
-        if error is not None:
-            self._end(anchor, None, error)
-        elif self._claim(anchor):
+        if self._claim(anchor):
             self._issue(anchor)
         else:
             self._queue.append(anchor)
 
     def _issue(self, anchor):
-        """The slot is held: re-check the deadline, then go out."""
-        # Re-check after the (possibly long) queue wait: issuing a network
-        # round trip nobody is waiting for would waste the slot.
-        error = self._spent(anchor, "issue")
-        if error is not None:
-            return self._end(anchor, None, error)
+        """The slot is held: go out."""
         anchor.issued_at = self.clock.now()
         depth = self.stats.enter_flight()
         self._trace(CALL_ISSUE, anchor, ts=anchor.issued_at, in_flight=depth)
@@ -605,10 +580,8 @@ class RequestPump:
     def _attempt(self, anchor):
         """Start the next attempt under the resilience policy.
 
-        The breaker is asked first.  The attempt's timeout is
-        ``min(policy.call_timeout, deadline.remaining())``; with no
-        budget left the attempt is timed out before it starts, so no
-        request goes out after the deadline.
+        The breaker is asked first; the attempt's timeout is the policy's
+        ``call_timeout``.
         """
         call = anchor.call
         policy = self.resilience
@@ -624,13 +597,10 @@ class RequestPump:
                 )
                 return self._end(anchor, None, error)
             anchor.permit = admitted == HALF_OPEN
-        cap = policy.call_timeout if policy is not None else None
-        timeout = anchor.deadline.budget(cap) if anchor.deadline is not None else cap
+        timeout = policy.call_timeout if policy is not None else None
         number = anchor.attempts
         anchor.attempts += 1
         anchor.timeout = timeout
-        if timeout is not None and timeout <= 0:
-            return self._time_out(anchor)
         try:
             anchor.gen = call.execute_async(number)
         except Exception as exc:  # noqa: BLE001 - classified by _failed
@@ -667,35 +637,20 @@ class RequestPump:
         self._abandon(anchor)
 
     def _time_out(self, anchor):
-        """The cutoff came first: close the attempt.
-
-        Hitting the query *deadline* (rather than the policy timeout) is
-        terminal — retrying could not possibly finish in time — so it is
-        :class:`QueryDeadlineExceeded`, never retried and not a breaker
-        failure (the destination may be healthy).
-        """
+        """The policy's per-attempt cutoff came first: close the attempt
+        and fail it with :class:`RequestTimeoutError`, which the retry
+        policy and the breaker treat like any other failure."""
         self._close(anchor)
-        destination = anchor.call.destination
-        deadline = anchor.deadline
-        if deadline is not None and deadline.expired:
-            self.stats.bump(destination, "deadline_expired")
-            error = QueryDeadlineExceeded(
-                "call to {!r} cut off by query deadline (attempt {})".format(
-                    destination, anchor.attempts
-                ),
-                deadline=deadline,
-            )
-            return self._end(anchor, None, error)
         error = RequestTimeoutError(
             "call to {!r} timed out after {}s (attempt {})".format(
-                destination, anchor.timeout, anchor.attempts
+                anchor.call.destination, anchor.timeout, anchor.attempts
             )
         )
         self._failed(anchor, error)
 
     def _failed(self, anchor, exc):
-        """Retry a failed attempt after its backoff (capped at the
-        deadline's remaining budget), or end the flight with *exc*."""
+        """Retry a failed attempt after its backoff, or end the flight
+        with *exc*."""
         anchor.gen = anchor.cutoff = None
         policy = self.resilience
         if policy is None:
@@ -711,14 +666,10 @@ class RequestPump:
             anchor.permit = False
             breaker.record_failure()
         retry = policy.retry
-        deadline = anchor.deadline
-        spent = deadline is not None and deadline.expired
-        if retry is None or spent or not retry.should_retry(exc, attempt):
+        if retry is None or not retry.should_retry(exc, attempt):
             return self._end(anchor, None, exc)
         self.stats.bump(destination, "retries")
         delay = retry.backoff_delay(call.key, attempt)
-        if deadline is not None:
-            delay = min(delay, deadline.remaining())
         self._trace(CALL_RETRY, anchor, attempt=attempt, backoff_s=delay, error=type(exc).__name__)
         self._schedule(anchor, delay, self._attempt)
 
@@ -740,8 +691,8 @@ class RequestPump:
     def _end(self, anchor, rows, error, cancelled=False):
         """The flight is over: stamp it, fan the outcome out, free the slot.
 
-        A half-open probe that ends here with no verdict (cancelled, or cut
-        off by its query deadline) hands its permit back, or its breaker
+        A half-open probe that ends here with no verdict (every waiter
+        left, or the pump stopped) hands its permit back, or its breaker
         would stay half-open and reject every later call.
         """
         anchor.done = True
@@ -775,9 +726,9 @@ class RequestPump:
         """Give *anchor*'s slot back, then admit queued calls, oldest first.
 
         An admitted call is issued from a heap entry due now, not from
-        here: a run of calls that end as soon as they are issued (a spent
-        deadline, an open breaker) then frees and re-admits in a loop of
-        heap turns instead of recursing once per queued call.
+        here: a run of calls that end as soon as they are issued (an open
+        breaker) then frees and re-admits in a loop of heap turns instead
+        of recursing once per queued call.
         """
         anchor.slot = False
         self._busy -= 1
@@ -874,17 +825,20 @@ class RequestPump:
             )
 
     def quiesce(self, timeout=1.0):
-        """Wait (real time) until every registered call has settled.
+        """Wait (real time) until every registered call has settled and
+        every abandoned request has given back its slot.
 
         The query thread observes results via ``on_complete`` *before*
-        the pump thread finishes the call's accounting, so a reader that
-        wants complete lifecycle traces/latency histograms right after a
-        query returns should quiesce first.  Returns True when the pump
-        settled within *timeout* seconds; the wait is on the pump's
-        condition, which is notified when the call table empties.
+        the pump thread finishes the call's accounting, and a cancelled
+        call settles before the pump thread closes the request it left,
+        so a reader that wants complete lifecycle traces/latency
+        histograms, or an ``in_flight`` of 0, right after a query returns
+        should quiesce first.  Returns True when the pump settled within
+        *timeout* seconds; the wait is on the pump's condition, which is
+        notified when the call table empties and after every heap turn.
         """
         with self._cond:
-            return self._cond.wait_for(lambda: not self._calls, timeout)
+            return self._cond.wait_for(lambda: not self._calls and not self._live, timeout)
 
     def cancel(self, call_id):
         """Best-effort cancellation of one registered call.
@@ -918,18 +872,6 @@ class RequestPump:
             self._settle(record, "cancelled")
         finally:
             self._untable((record,))
-
-    def _spent(self, record, stage):
-        """``QueryDeadlineExceeded`` (counted) if *record*'s deadline is spent."""
-        deadline = record.deadline
-        if deadline is None or not deadline.expired:
-            return None
-        destination = record.call.destination
-        self.stats.bump(destination, "deadline_expired")
-        return QueryDeadlineExceeded(
-            "deadline expired before {} for destination {!r}".format(stage, destination),
-            deadline=deadline,
-        )
 
     def _trace(self, name, record, **args):
         tracer = self.tracer

@@ -179,8 +179,6 @@ class ReqSync(Operator):
                 try:
                     rows = self.context.take_result(call_id)
                 except ExecutionError:
-                    # Not a spent deadline of this query: the wait checked
-                    # it after these outcomes landed.
                     self._degrade(call_id)
                 else:
                     self._apply_completion(call_id, rows)

@@ -19,7 +19,7 @@ Components:
   :data:`RECOVERY_SECONDS` elapse on the owning pump's clock, then one
   half-open probe decides between closing and re-opening.
 - :class:`ResiliencePolicy` — bundle of the above plus the per-call
-  timeout the pump races against each attempt on its deadline heap.
+  timeout the pump races against each attempt on its timer heap.
 """
 
 import threading

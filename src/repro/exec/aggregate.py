@@ -86,12 +86,14 @@ class Aggregate(Operator):
                 ],
             )
         groups = {}
-        while True:
-            batch = self.child.next_batch(self.batch_size)
-            if batch is None:
-                break
-            self._accumulate(batch, groups)
-        self.child.close()
+        try:  # a failed drain closes the child too: a ReqSync below cancels its calls
+            while True:
+                batch = self.child.next_batch(self.batch_size)
+                if batch is None:
+                    break
+                self._accumulate(batch, groups)
+        finally:
+            self.child.close()
         if not self.group_exprs and not groups:
             groups[()] = [value for start, _, _ in folds for value in (0, start)]
         self._results = [

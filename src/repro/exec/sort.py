@@ -32,14 +32,16 @@ class Sort(Operator):
             self._evaluators = [compile_column_eval(expr) for expr, _ in self.keys]
         rows = []
         key_columns = [[] for _ in self.keys]
-        while True:
-            batch = self.child.next_batch(self.batch_size)
-            if batch is None:
-                break
-            rows.extend(batch.to_rows())
-            for column, evaluate in zip(key_columns, self._evaluators):
-                column.extend(evaluate(batch))
-        self.child.close()
+        try:  # a failed drain closes the child too: a ReqSync below cancels its calls
+            while True:
+                batch = self.child.next_batch(self.batch_size)
+                if batch is None:
+                    break
+                rows.extend(batch.to_rows())
+                for column, evaluate in zip(key_columns, self._evaluators):
+                    column.extend(evaluate(batch))
+        finally:
+            self.child.close()
         # One stable pass per key, last key first: NULLs sort as the
         # largest value (last ascending, first descending) and ties keep
         # arrival order under ``reverse`` too.

@@ -1,14 +1,14 @@
 """End-to-end query deadlines (and cooperative cancellation).
 
 A :class:`Deadline` is the per-query time budget the service layer
-threads from its API down through :class:`~repro.wsq.engine.WsqEngine`,
-:class:`~repro.asynciter.context.AsyncContext` (where
-:class:`~repro.asynciter.reqsync.ReqSync` reads it), and
-:meth:`~repro.asynciter.pump.RequestPump.register`: every external
-call's remaining timeout is ``min(policy.call_timeout,
-deadline.remaining())``, and a query that has already spent its budget
-fails fast with :class:`~repro.util.errors.QueryDeadlineExceeded`
-instead of occupying a pump slot.
+threads from its API down through :class:`~repro.wsq.engine.WsqEngine`
+to the query's :class:`~repro.asynciter.context.AsyncContext`.  It is
+checked in one place below the service: the query thread's wait
+(:meth:`~repro.asynciter.context.AsyncContext.wait_for_any`, in either
+mode), which raises :class:`~repro.util.errors.QueryDeadlineExceeded`
+within one poll slice of expiry; the query then cancels its calls.  The
+request pump never reads it, so a call shared with another query never
+dies of this query's budget.
 
 The same object doubles as the *cancellation token* for client
 disconnects: :meth:`cancel` expires the deadline immediately (with a
@@ -16,7 +16,7 @@ recorded reason), so every checkpoint that polls the deadline also
 observes abandonment — one propagation path for both "too late" and
 "nobody is listening".
 
-The consumers duck-type (``remaining()`` / ``expired`` / ``budget()``),
+The consumers duck-type (``remaining()`` / ``expired``),
 so the core asynciter layer never imports this module — ``repro.serve``
 stays an optional layer above the engine.
 """
@@ -79,19 +79,6 @@ class Deadline:
         if not self._cancelled:
             self._cancelled = True
             self.reason = reason
-
-    # -- composition -----------------------------------------------------------
-
-    def budget(self, cap=None):
-        """The effective timeout under *cap*: ``min(cap, remaining())``.
-
-        Returns ``None`` (no bound) only when the deadline is unbounded
-        *and* no cap is given — the shape the pump's timeout entry expects.
-        """
-        rem = self.remaining()
-        if rem == math.inf:
-            return cap
-        return rem if cap is None else min(cap, rem)
 
     def __repr__(self):
         if self._cancelled:

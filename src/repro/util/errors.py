@@ -89,14 +89,14 @@ class PlaceholderError(ExecutionError):
 class QueryDeadlineExceeded(ExecutionError):
     """A query ran out of its end-to-end deadline budget.
 
-    Raised at every deadline checkpoint — registration with the request
-    pump, the pre-issue check inside a concurrency slot, the per-attempt
-    timeout entry on the pump's deadline heap, and the query thread's wait
-    (``AsyncContext.wait_for_any``, in either mode) — so an
-    expired query fails *fast* instead of burning pump slots or network
-    round trips on an answer nobody is waiting for.  ``deadline`` is the
-    originating :class:`repro.serve.deadline.Deadline` (or ``None`` for
-    hand-raised instances).
+    Raised by the one deadline checkpoint below the service, the query
+    thread's wait (``AsyncContext.wait_for_any``, in either mode), within
+    one poll slice of expiry; the query's calls are then cancelled, so it
+    stops holding pump slots.  The request pump never raises it: a call
+    shared by several queries answers to none of their deadlines.  The
+    service also raises it for a query abandoned while queued.
+    ``deadline`` is the originating :class:`repro.serve.deadline.Deadline`
+    (or ``None`` for hand-raised instances).
     """
 
     def __init__(self, message, deadline=None):

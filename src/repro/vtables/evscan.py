@@ -22,7 +22,7 @@ result, and ``"null"`` yields one row whose external attributes are NULL.
 
 from repro.exec.operator import Operator
 from repro.obs.trace import SYNC_DEGRADE
-from repro.util.errors import ExecutionError, QueryDeadlineExceeded, ReproError
+from repro.util.errors import ExecutionError, ReproError
 
 
 class ExternalScan(Operator):
@@ -95,8 +95,6 @@ class EVScan(ExternalScan):
 
     def _degrade(self, call, call_id, error):
         """Apply ``on_error`` to a failed call; returns its stand-in rows."""
-        if isinstance(error, QueryDeadlineExceeded):
-            raise error  # the query's budget is spent: nothing to degrade to
         if self.on_error == "raise":
             if isinstance(error, ReproError):
                 raise error

@@ -13,7 +13,7 @@ cache can answer never becomes an attempt.  Everything around an attempt
 concurrency limits, lifecycle tracing) belongs to the
 :class:`~repro.asynciter.pump.RequestPump` that runs it, whatever the
 execution mode: an asynchronous plan keeps many attempts in flight on the
-pump's deadline heap, a synchronous plan registers one and waits for it
+pump's timer heap, a synchronous plan registers one and waits for it
 — the paper's sequential baseline, where "the query processor is idle
 during the request".
 

@@ -4,7 +4,7 @@ The paper's whole motivation is that a search-engine round trip costs
 "one or more seconds" while the query processor idles.  We model that
 delay explicitly and deterministically: a latency model maps
 ``(engine_name, expression_text)`` to seconds.  An attempt yields that
-delay and the request pump's deadline heap resumes it when the time has
+delay and the request pump's timer heap resumes it when the time has
 passed, so N concurrent requests cost ~max of their delays rather than
 the sum — exactly the effect asynchronous iteration exploits (a
 synchronous plan keeps one request outstanding and pays the sum).

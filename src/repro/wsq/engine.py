@@ -554,10 +554,11 @@ class WsqEngine:
         """Run a SELECT and materialize its result.
 
         *deadline* (a :class:`~repro.serve.deadline.Deadline`) bounds the
-        query end-to-end: it tightens every external call's timeout to
-        ``min(policy.call_timeout, deadline.remaining())`` and raises
-        :class:`~repro.util.errors.QueryDeadlineExceeded` at the next
-        checkpoint once the budget is spent (or the deadline cancelled).
+        query end-to-end: once the budget is spent (or the deadline
+        cancelled) the query's wait for its external calls raises
+        :class:`~repro.util.errors.QueryDeadlineExceeded` within one poll
+        slice and the query's calls are cancelled.  The deadline bounds
+        the query, not its calls: a call another query shares runs on.
         """
         return self._run(sql, mode, deadline)
 

@@ -420,6 +420,43 @@ class TestBatchProtocolEdges:
         assert sent == expected
 
 
+class TestMaterializingOperatorsCloseTheirChild:
+    """Sort and Aggregate drain their child inside ``open``.  When the
+    drain raises (a ReqSync below it whose query's deadline expired),
+    the child is closed all the same, so a ReqSync under it cancels its
+    outstanding calls instead of leaving them out until they land."""
+
+    @pytest.mark.parametrize(
+        "build",
+        [
+            lambda child: Sort(child, [(ColumnRef(0), False)]),
+            lambda child: Aggregate(
+                child,
+                [],
+                [AggregateSpec("COUNT", star=True)],
+                Schema([Column("cnt", DataType.INT)]),
+            ),
+        ],
+        ids=["sort", "aggregate"],
+    )
+    def test_a_failed_drain_closes_the_child(self, build):
+        closed = []
+
+        class FailingScan(RowsScan):
+            def next_batch(self, max_rows=None):
+                raise ExecutionError("drain failed")
+
+            def close(self):
+                closed.append(self)
+                super().close()
+
+        child = FailingScan(Schema([Column("v", DataType.INT, "t")]), [(1,)], name="t")
+        with pytest.raises(ExecutionError, match="drain failed"):
+            with open_plan(build(child)):
+                pass
+        assert closed == [child]
+
+
 # ---------------------------------------------------------------------------
 # External-table operators: fake virtual table + real pump
 # ---------------------------------------------------------------------------

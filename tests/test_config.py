@@ -410,8 +410,10 @@ RETIRED_OPTIONS = [
 #: rule classes, pack, fire budget and module) and four more names
 #: nothing called or read, then the second registration route (the
 #: batched register methods and their burst counter) and the logical
-#: in-memory scan nothing built; none may come back in code, CI or the
-#: docs.
+#: in-memory scan nothing built, then the request pump's reading of query
+#: deadlines (its expiry counter, its spent-deadline check and the
+#: deadline's timeout composition); none may come back in code, CI or
+#: the docs.
 RETIRED = [
     _spell("Planner", "Options"),
     _spell("Rewrite", "Settings"),
@@ -559,6 +561,9 @@ RETIRED = [
     _spell("register", "_batch"),
     _spell("batches", "_bound"),
     _spell("LogicalRows", "Scan"),
+    _spell(r"\bdeadline", r"_expired\b"),
+    _spell(r"\b_sp", r"ent\("),
+    _spell(r"(\.|def )bud", r"get\("),
 ]
 
 #: Where they may not appear (EXPERIMENTS.md, CHANGES.md and ROADMAP.md
@@ -760,6 +765,10 @@ class TestStructuralGuard:
             _spell("        self.batches", "_bound = 0"),
             _spell("class LogicalRows", "Scan(LogicalNode):"),
             _spell("    if isinstance(node, L.LogicalRows", "Scan):"),
+            _spell('    "deadline', '_expired",'),
+            _spell('        error = self._sp', 'ent(anchor, "issue")'),
+            _spell("        timeout = anchor.deadline.bud", "get(cap)"),
+            _spell("    def bud", "get(self, cap=None):"),
         ],
     )
     def test_retired_guard_catches_a_revived_name(self, mutant):

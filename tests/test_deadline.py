@@ -1,11 +1,13 @@
-"""End-to-end deadlines: the Deadline object and its propagation path.
+"""End-to-end deadlines: the Deadline object and its one checkpoint.
 
-The deadline is threaded service → engine → AsyncContext → RequestPump
-(either mode), with checkpoints at registration, slot acquisition, the
-per-attempt timeout, the retry loop, and the query thread's wait
-(``AsyncContext.wait_for_any``, in either mode).  These tests pin each
-checkpoint plus the composition rule: every external call's effective
-timeout is ``min(policy.call_timeout, deadline.remaining())``.
+The deadline is threaded service → engine → AsyncContext and checked in
+one place below the service: the query thread's wait
+(``AsyncContext.wait_for_any``, in either mode), which raises
+``QueryDeadlineExceeded`` within one poll slice; the query then cancels
+its calls.  The request pump reads no deadline, so a request several
+queries share answers to none of their budgets.  These tests pin the
+object, the checkpoint in both modes, how fast a cancel stops a query,
+and that one waiter's deadline never fails another waiter's call.
 """
 
 import math
@@ -14,8 +16,8 @@ import time
 
 import pytest
 
+from repro.asynciter.context import AsyncContext
 from repro.asynciter.pump import RequestPump
-from repro.asynciter.resilience import ResiliencePolicy, RetryPolicy
 from repro.serve import Deadline
 from repro.storage.database import Database
 from repro.util.errors import QueryDeadlineExceeded
@@ -31,8 +33,6 @@ class TestDeadlineObject:
         deadline = Deadline()
         assert deadline.remaining() == math.inf
         assert not deadline.expired
-        assert deadline.budget() is None
-        assert deadline.budget(2.5) == 2.5
 
     def test_bounded_remaining_counts_down(self):
         clock = VirtualClock()
@@ -40,8 +40,6 @@ class TestDeadlineObject:
         assert deadline.remaining() == pytest.approx(1.0)
         clock.advance(0.4)
         assert deadline.remaining() == pytest.approx(0.6)
-        assert deadline.budget(10.0) == pytest.approx(0.6)
-        assert deadline.budget(0.1) == pytest.approx(0.1)
         clock.advance(0.7)
         assert deadline.expired
         assert deadline.remaining() == 0.0
@@ -61,110 +59,34 @@ class TestDeadlineObject:
         assert deadline.reason == "client disconnect"
 
 
-def _call(key, run, destination="AV"):
-    return ExternalCall(key, destination, lambda attempt: run())
+class TestSharedFlight:
+    """Under single-flight two queries share one request: the tighter
+    query's deadline ends its own wait and nothing else."""
 
+    def test_a_waiters_deadline_never_fails_another_waiter(self):
+        pump = RequestPump(single_flight=True)
 
-def _wait_one(pump, call, deadline=None, timeout=5.0):
-    """Register one call and wait for its on_complete."""
-    box = {}
-    done = threading.Event()
+        def slow(attempt=0):
+            yield 0.3
+            return [{"count": 7}]
 
-    def on_complete(call_id, rows, error):
-        box["rows"], box["error"] = rows, error
-        done.set()
-
-    pump.register([call], on_complete, deadline=deadline)
-    assert done.wait(timeout)
-    return box["rows"], box["error"]
-
-
-class TestPumpDeadlines:
-    def test_expired_deadline_fails_fast_without_issuing(self):
-        clock = VirtualClock()
-        deadline = Deadline(0.0, clock=clock)
-        clock.advance(0.001)
-        pump = RequestPump()
-        issued = []
-
-        def run():
-            issued.append(1)
-            return []
-            yield  # an attempt is a generator, even one that never waits
-
+        tight = AsyncContext(pump, deadline=Deadline(0.1))
+        free = AsyncContext(pump)
         try:
-            rows, error = _wait_one(pump, _call("k1", run), deadline=deadline)
-            assert isinstance(error, QueryDeadlineExceeded)
-            assert issued == []  # failed before the network round trip
+            (tight_id,) = tight.register([ExternalCall("shared", "AV", slow)])
+            (free_id,) = free.register([ExternalCall("shared", "AV", slow)])
+            with pytest.raises(QueryDeadlineExceeded):
+                tight.wait_for_any((tight_id,), timeout=5.0)
+            tight.cancel([tight_id])
+            assert free.wait_for_any((free_id,), timeout=5.0) == {free_id}
+            assert free.error_of(free_id) is None
+            assert free.take_result(free_id) == [{"count": 7}]
             assert pump.quiesce(timeout=2.0)
             snapshot = pump.stats.snapshot()
-            assert snapshot["failed"] == 1
-            assert snapshot["per_destination"]["AV"]["deadline_expired"] == 1
-            assert snapshot["queued"] == 0
         finally:
             pump.shutdown()
-
-    def test_deadline_tightens_call_timeout(self):
-        # Policy allows 10s per call, but only ~0.15s of budget remains:
-        # the hang must be cut off by the deadline, not the policy.
-        policy = ResiliencePolicy(retry=None, call_timeout=10.0)
-        pump = RequestPump(resilience=policy)
-
-        def hang():
-            yield 30
-
-        deadline = Deadline(0.15)
-        try:
-            started = time.monotonic()
-            rows, error = _wait_one(pump, _call("k2", hang), deadline=deadline)
-            elapsed = time.monotonic() - started
-            assert isinstance(error, QueryDeadlineExceeded)
-            assert elapsed < 5.0  # nowhere near the 10s policy timeout
-            snapshot = pump.stats.snapshot()
-            assert snapshot["per_destination"]["AV"]["deadline_expired"] == 1
-            assert snapshot["timeouts"] == 0  # not a policy timeout
-        finally:
-            pump.shutdown()
-
-    def test_no_policy_pump_still_honors_deadline(self):
-        pump = RequestPump()  # resilience=None
-
-        def hang():
-            yield 30
-
-        try:
-            rows, error = _wait_one(
-                pump, _call("k3", hang), deadline=Deadline(0.1)
-            )
-            assert isinstance(error, QueryDeadlineExceeded)
-        finally:
-            pump.shutdown()
-
-    def test_expired_deadline_refuses_retries(self):
-        from repro.util.errors import TransientWebError
-
-        policy = ResiliencePolicy(
-            retry=RetryPolicy(max_attempts=5, base_backoff=0.3),
-            call_timeout=10.0,
-        )
-        pump = RequestPump(resilience=policy)
-        attempts = []
-
-        def flaky():
-            attempts.append(1)
-            raise TransientWebError("boom")
-            yield
-
-        try:
-            # Budget covers roughly one attempt + part of one backoff:
-            # the retry loop must stop rather than sleep past expiry.
-            rows, error = _wait_one(
-                pump, _call("k4", flaky), deadline=Deadline(0.2)
-            )
-            assert error is not None
-            assert len(attempts) <= 2
-        finally:
-            pump.shutdown()
+        keys = ("registered", "coalesced", "completed", "cancelled", "failed")
+        assert [snapshot[key] for key in keys] == [2, 1, 1, 1, 0]
 
 
 @pytest.fixture(scope="module")
@@ -186,20 +108,27 @@ WSQ_SQL = (
 )
 
 
+def _assert_drained(pump):
+    """The abort cancelled what it left: every call settled once, none out."""
+    assert pump.quiesce(timeout=5.0)
+    snapshot = pump.stats.snapshot()
+    settled = snapshot["completed"] + snapshot["failed"] + snapshot["cancelled"]
+    assert snapshot["registered"] == settled
+    assert (snapshot["in_flight"], snapshot["queued"]) == (0, 0)
+
+
 class TestEngineDeadlines:
     def test_tight_deadline_aborts_async_query(self, slow_engine):
         with pytest.raises(QueryDeadlineExceeded):
             slow_engine.execute(WSQ_SQL, deadline=Deadline(0.05))
-        # The abort drained cleanly: no leaked registrations.
-        assert slow_engine.pump.quiesce(timeout=5.0)
-        snapshot = slow_engine.pump.stats.snapshot()
-        assert snapshot["queued"] == 0
+        _assert_drained(slow_engine.pump)
 
     def test_tight_deadline_aborts_sync_query(self, slow_engine):
         expired = Deadline(0.0)
         time.sleep(0.001)
         with pytest.raises(QueryDeadlineExceeded):
             slow_engine.execute(WSQ_SQL, mode="sync", deadline=expired)
+        _assert_drained(slow_engine.pump)
 
     def test_generous_deadline_matches_undeadlined_run(self, slow_engine):
         bounded = slow_engine.execute(WSQ_SQL, deadline=Deadline(60.0))

@@ -2,10 +2,10 @@
 
 An :class:`~repro.vtables.base.ExternalCall` carries a ``probe`` — the one
 cache read of its request.  ``RequestPump`` asks it once, at registration;
-a hit, a probe that raises or a spent deadline settles the call there
-and then: counted and traced like any other call
-(``call.register → call.complete|fail``, ``attempts=0``), but with no
-attempt, no slot, no breaker and no pump wake-up.  Only a miss goes out.
+a hit or a probe that raises settles the call there and then: counted
+and traced like any other call (``call.register → call.complete|fail``,
+``attempts=0``), but with no attempt, no slot, no breaker and no pump
+wake-up.  Only a miss goes out.
 
 The first half drives the pump directly with hand-made probes; the second
 runs queries through an engine with a cache in front of it, in both modes.
@@ -30,9 +30,8 @@ from repro.obs.trace import (
     CALL_REGISTER,
     Tracer,
 )
-from repro.serve import Deadline
 from repro.storage import Database
-from repro.util.errors import BreakerOpenError, QueryDeadlineExceeded, TransientWebError
+from repro.util.errors import BreakerOpenError, TransientWebError
 from repro.util.timing import VirtualClock
 from repro.vtables.base import ExternalCall
 from repro.web.cache import ResultCache
@@ -174,31 +173,6 @@ class TestPumpAnswersAtRegistration:
         assert (snap["failed"], snap["completed"]) == (1, 0)
         names = [e.name for e in call_events(pump.tracer, call_id)]
         assert names == [CALL_REGISTER, CALL_FAIL]
-
-    def test_expired_deadline_fails_a_would_be_hit_before_the_read(self, pump):
-        clock = VirtualClock()
-        deadline = Deadline(0.0, clock=clock)
-        clock.advance(0.001)
-        asked, sink = [], Sink()
-
-        def probe():
-            asked.append(1)
-            return ROWS
-
-        def run(attempt=0):
-            return ROWS
-            yield
-
-        (call_id,) = pump.register(
-            [ExternalCall("k", "AV", run, probe)], sink, deadline=deadline
-        )
-        rows, error = sink.outcomes[call_id]
-        assert rows is None and isinstance(error, QueryDeadlineExceeded)
-        assert asked == []  # the cache was not even read
-        snap = assert_exact(pump)
-        assert snap["failed"] == 1
-        # Exactly what the pump's enqueue check counts for a miss.
-        assert snap["per_destination"]["AV"]["deadline_expired"] == 1
 
     def test_cancel_of_an_inline_settled_id_is_a_noop(self, pump):
         sink = Sink()

@@ -7,7 +7,7 @@ convenience's (``SearchClient.count``) run on the calling thread by
 growing back in ``repro.web`` / ``repro.vtables``.  A second guard keeps one
 resilience layer: the pump's retry/timeout/breaker loop is the only place
 a circuit breaker is built, and no web client races probes of its own.  A
-third keeps one clock: the pump's deadline heap is the only scheduler, so
+third keeps one clock: the pump's timer heap is the only scheduler, so
 no ``asyncio`` import, ``async def`` or ``await`` comes back under
 ``src/repro``.
 """
@@ -235,7 +235,7 @@ def event_loop_violations(source):
     """What brings an event loop back, as ``(line, what)`` pairs.
 
     An ``asyncio`` import (of the package or any submodule), an ``async``
-    function, loop or ``with``, and an ``await``: the pump's deadline heap
+    function, loop or ``with``, and an ``await``: the pump's timer heap
     resumes attempt generators, and nothing else schedules.
     """
     found = []

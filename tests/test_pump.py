@@ -457,23 +457,15 @@ class TestQueuedCallsThatEndAtOnce:
 
     QUEUED = 2000
 
-    @pytest.mark.parametrize("reason", ["spent_deadline", "open_breaker"])
+    @pytest.mark.parametrize("reason", ["open_breaker"])
     def test_every_queued_call_settles(self, reason):
         from repro.asynciter.resilience import CircuitBreakerConfig, ResiliencePolicy
-        from repro.serve import Deadline
-        from repro.util.errors import BreakerOpenError, QueryDeadlineExceeded
+        from repro.util.errors import BreakerOpenError
         from repro.util.timing import VirtualClock
 
-        if reason == "spent_deadline":
-            # Alive when queued, spent by the time a slot frees up.
-            resilience, deadline, expected = None, Deadline(0.2), QueryDeadlineExceeded
-            slow = make_call(key="slow", delay=0.4)
-        else:
-            # The slow call's failure opens the breaker for the rest.
-            breaker = CircuitBreakerConfig(failure_threshold=1)
-            resilience = ResiliencePolicy(breaker=breaker)
-            deadline, expected = None, BreakerOpenError
-            slow = make_call(key="slow", delay=0.4, error=ValueError("down"))
+        # The slow call's failure opens the breaker for the rest.
+        resilience = ResiliencePolicy(breaker=CircuitBreakerConfig(failure_threshold=1))
+        slow = make_call(key="slow", delay=0.4, error=ValueError("down"))
         # The breaker stays open: the pump's clock, which it runs on, never moves.
         pump = RequestPump(
             limits=PumpLimits(max_total=1), resilience=resilience, clock=VirtualClock()
@@ -482,14 +474,13 @@ class TestQueuedCallsThatEndAtOnce:
         try:
             pump.register([slow], lambda *outcome: None)
             calls = [make_call(key=("queued", i)) for i in range(self.QUEUED)]
-            pump.register(calls, lambda _id, rows, error: errors.append(error),
-                          deadline=deadline)
+            pump.register(calls, lambda _id, rows, error: errors.append(error))
             assert pump.quiesce(timeout=10)
             snapshot = pump.stats.snapshot()
         finally:
             pump.shutdown()
         assert len(errors) == self.QUEUED
-        assert all(isinstance(error, expected) for error in errors)
+        assert all(isinstance(error, BreakerOpenError) for error in errors)
         settled = snapshot["completed"] + snapshot["failed"] + snapshot["cancelled"]
         assert snapshot["registered"] == settled == self.QUEUED + 1
         assert (snapshot["queued"], snapshot["in_flight"]) == (0, 0)
@@ -523,40 +514,3 @@ class TestPumpThreadFailure:
             assert done.wait(2)
         finally:
             pump.shutdown()
-
-
-class TestNoAttemptWithoutBudget:
-    def test_a_retry_with_no_budget_left_never_starts(self):
-        """The deadline runs out during the backoff: the retry is cut off
-        before its attempt starts, so no second request goes out."""
-        from repro.asynciter.resilience import ResiliencePolicy, RetryPolicy
-        from repro.serve import Deadline
-        from repro.util.errors import QueryDeadlineExceeded, TransientWebError
-        from repro.util.timing import VirtualClock
-
-        clock = VirtualClock()
-        started = []
-
-        class SpendingRetry(RetryPolicy):
-            def backoff_delay(self, key, attempt):
-                clock.advance(10.0)  # the query's budget runs out meanwhile
-                return 0.001
-
-        def run(attempt=0):
-            started.append(attempt)
-            yield 0.001
-            raise TransientWebError("flaky")
-
-        pump = RequestPump(resilience=ResiliencePolicy(retry=SpendingRetry(max_attempts=3)))
-        outcome = []
-        try:
-            pump.register([ExternalCall("k", "AV", run)], lambda *o: outcome.append(o),
-                          deadline=Deadline(1.0, clock=clock))
-            assert pump.quiesce(timeout=2)
-            snapshot = pump.stats.snapshot()
-        finally:
-            pump.shutdown()
-        assert started == [0]
-        ((_, rows, error),) = outcome
-        assert rows is None and isinstance(error, QueryDeadlineExceeded)
-        assert (snapshot["retries"], snapshot["deadline_expired"], snapshot["failed"]) == (1, 1, 1)

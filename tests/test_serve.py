@@ -24,7 +24,7 @@ from repro.serve import (
 )
 from repro.serve.admission import AdmissionController, SHED_QUEUE_FULL
 from repro.storage import Database
-from repro.web.latency import UniformLatency
+from repro.web.latency import FixedLatency, UniformLatency
 from repro.wsq import WsqEngine
 
 WSQ_SQL = (
@@ -254,6 +254,37 @@ class TestServiceBasics:
                 assert exc.reason == "shutdown"
                 outcomes.add("shed")
         assert "shed" in outcomes  # the backlog did not run
+
+
+class TestSharedFlightAcrossTenants:
+    def test_a_tenants_timeout_never_fails_another_tenants_calls(self):
+        """Two tenants run one WSQ query, and the one with the tight
+        timeout registers first, so the other's calls join its requests.
+        The tight query expires alone: the other's rows are a solo run's,
+        not rows that ``on_error="drop"`` degraded because someone else's
+        deadline ran out."""
+        engine = make_engine(latency=FixedLatency(0.3), on_error="drop", cache=False)
+        pump = engine.pump
+        solo = engine.execute(WSQ_SQL).rows
+        per_query = pump.stats.snapshot()["registered"]
+        service = QueryService(
+            engine, tenants=[TenantPolicy("tight"), TenantPolicy("free")]
+        )
+        try:
+            tight = service.submit(WSQ_SQL, "tight", timeout=0.1)
+            gate = time.monotonic() + 5.0
+            while pump.stats.snapshot()["registered"] < 2 * per_query:
+                assert time.monotonic() < gate, "the tight query never registered"
+                time.sleep(0.001)
+            free = service.submit(WSQ_SQL, "free")
+            with pytest.raises(QueryDeadlineExceeded):
+                tight.result(timeout=30.0)
+            rows = free.result(timeout=30.0).rows
+        finally:
+            service.close()
+            pump.shutdown()
+        assert pump.stats.snapshot()["coalesced"] == per_query
+        assert sorted(rows) == sorted(solo)
 
 
 class TestFairnessUnderContention:
