@@ -3,11 +3,12 @@
 The technique has three runtime components plus a plan rewriter:
 
 - :class:`~repro.asynciter.pump.RequestPump` — the "ReqPump", one per
-  engine: an event-driven module (one timer heap on one daemon thread
-  — the paper cites the Flash web server's single-process event loop as
-  the model) that issues many concurrent external calls, stores results
-  keyed by call id, enforces global and per-destination concurrency
-  limits, and queues excess calls.
+  engine: an event-driven module (one timer heap with no thread of its
+  own, driven by the query thread that waits on it — the paper cites the
+  Flash web server's single-process event loop as the model) that issues
+  many concurrent external calls, stores results keyed by call id,
+  enforces global and per-destination concurrency limits, and queues
+  excess calls.
 - :class:`~repro.asynciter.context.AsyncContext` — per-query view of the
   pump: the "ReqPumpHash" result store plus the producer/consumer
   signalling between pump and ReqSync operators.

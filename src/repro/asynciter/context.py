@@ -2,10 +2,12 @@
 
 The paper stores each completed call's data "in a hash table ReqPumpHash,
 keyed on C", and has ReqPump signal the consuming ReqSync.  AsyncContext
-is that pair: a results dict filled by the pump (from its thread, or on the
-registering thread for a call the result cache answers), and a condition
-variable the query thread waits on.  One context serves a whole query, so
-a plan with several ReqSync operators (Figure 7(b)) shares it.
+is that pair: a results dict filled by the pump (by whichever waiting
+thread drives it, or on the registering thread for a call the result
+cache answers), and the query thread's one wait, which blocks in the
+pump's :meth:`~repro.asynciter.pump.RequestPump.wait` and drives the
+pump's heap while it does.  One context serves a whole query, so a plan
+with several ReqSync operators (Figure 7(b)) shares it.
 
 In-flight deduplication (``dedup=True``, the default) extends this with
 the call-minimization idea of Chaudhuri/Dayal/Yan [CDY95]: when the same
@@ -22,7 +24,7 @@ import threading
 import time
 
 from repro.obs.trace import CALL_DEDUP
-from repro.util.errors import ExecutionError, QueryDeadlineExceeded
+from repro.util.errors import ExecutionError, PumpShutDown, QueryDeadlineExceeded
 
 #: Safety valve so a lost completion signal cannot hang a query forever.
 DEFAULT_WAIT_TIMEOUT = 60.0
@@ -49,8 +51,8 @@ class AsyncContext:
         #: Per-query time budget (duck-typed Deadline), checked by
         #: :meth:`wait_for_any`; the pump never sees it.
         self.deadline = deadline
-        self._cond = threading.Condition()
-        self._waiting = 0  # consumers inside wait_for_any (under _cond)
+        # Guards the tables below; never held while waiting on the pump.
+        self._lock = threading.Lock()
         self._results = {}  # call_id -> list of result-field dicts
         self._errors = {}  # call_id -> Exception
         self._by_key = {}  # call.key -> call_id (for dedup)
@@ -61,7 +63,7 @@ class AsyncContext:
         self.calls_registered = 0
         self.call_errors = 0  # errors observed by take_result
 
-    # -- producer side (pump thread) --------------------------------------------
+    # -- producer side ------------------------------------------------------------
 
     def register(self, calls, mode="async"):
         """Launch *calls* through the pump; returns their call ids in order.
@@ -91,13 +93,10 @@ class AsyncContext:
                 anchors[key] = position
             fresh.append((position, call))
         new_ids = self.pump.register(
-            [call for _, call in fresh],
-            self._on_complete,
-            query_id=self.query_id,
-            mode=mode,
+            [call for _, call in fresh], self._on_complete, query_id=self.query_id, mode=mode
         )
         self.calls_registered += len(new_ids)
-        with self._cond:
+        with self._lock:
             for (position, call), call_id in zip(fresh, new_ids):
                 call_ids[position] = call_id
                 self._leases[call_id] = 1
@@ -135,7 +134,7 @@ class AsyncContext:
 
     def _reuse_inflight(self, call_id, call):
         """Account one dedup hit: a new lease on an in-flight call."""
-        with self._cond:
+        with self._lock:
             self._leases[call_id] += 1
         self.dedup_hits += 1
         if self.tracer is not None:
@@ -148,87 +147,83 @@ class AsyncContext:
             )
 
     def _on_complete(self, call_id, rows, error):
-        """Store one outcome; wake the consumer only if it is waiting.
+        """Store one outcome.
 
-        Runs on the pump thread — or, for a call the pump answered from
-        the cache at registration, on the registering thread itself,
+        Runs on the thread that ends the call: a waiter driving the pump
+        (this query's or another's), or, for a call the pump answered
+        from the cache at registration, the registering thread itself,
         before ``register`` has returned.
         """
-        with self._cond:
+        with self._lock:
             if error is not None:
                 self._errors[call_id] = error
             else:
                 self._results[call_id] = rows
-            if self._waiting:
-                self._cond.notify_all()
 
     # -- consumer side (query thread) ----------------------------------------------
 
     def completed(self, call_ids):
         """Subset of *call_ids* whose results (or errors) have arrived."""
-        with self._cond:
-            return {
-                cid
-                for cid in call_ids
-                if cid in self._results or cid in self._errors
-            }
+        with self._lock:
+            return {cid for cid in call_ids if cid in self._results or cid in self._errors}
 
     def wait_for_any(self, call_ids, timeout=None):
         """Block until at least one of *call_ids* completes; return those.
 
-        This is the query thread's one deadline checkpoint, in either
-        mode.  With a deadline on the context, the wait runs in
-        :data:`DEADLINE_POLL_INTERVAL` slices and raises
+        The wait is :meth:`RequestPump.wait`: the query thread drives the
+        pump's heap (or follows another waiter that does) until one of its
+        calls settles.  This is the query thread's one deadline
+        checkpoint, in either mode.  With a deadline on the context, the
+        wait runs in :data:`DEADLINE_POLL_INTERVAL` slices and raises
         :class:`QueryDeadlineExceeded` once it has expired, so expiry
         (including :meth:`Deadline.cancel` from a client disconnect)
         stops the query within one slice, not when its calls return.
 
-        Raises :class:`ExecutionError` once *timeout* seconds pass with
-        nothing done — a safety valve so a lost signal (or a hung
-        destination that slipped past the pump's per-call timeout) can
-        never hang a query forever.  The message names the destinations
-        still outstanding and the elapsed time, so a hung call is
-        diagnosable instead of a bare timeout.
+        Raises :class:`PumpShutDown` if the pump under one of the calls
+        that finished was shut down, and :class:`ExecutionError` once
+        *timeout* seconds pass with
+        nothing done — a safety valve so a hung destination that slipped
+        past the pump's per-call timeout can never hang a query forever.
+        The message names the destinations still outstanding and the
+        elapsed time, so a hung call is diagnosable instead of a bare
+        timeout.
         """
         deadline = self.deadline
         started = time.monotonic()
         give_up = math.inf if timeout is None else started + timeout
-        with self._cond:
-            while True:
-                if deadline is not None and deadline.expired:
-                    reason = getattr(deadline, "reason", None)
-                    raise QueryDeadlineExceeded(
-                        "query abandoned while awaiting external calls: {}".format(reason)
-                        if reason is not None
-                        else "query deadline exceeded while awaiting external calls",
-                        deadline=deadline,
-                    )
-                done = self.completed(call_ids)  # re-entrant: _cond holds an RLock
-                if done:
-                    return done
-                left = give_up - time.monotonic()
-                if left <= 0:
-                    raise self._timed_out(call_ids, time.monotonic() - started)
-                if deadline is not None:
-                    left = min(left, DEADLINE_POLL_INTERVAL, max(deadline.remaining(), 0.001))
-                self._waiting += 1
-                try:
-                    self._cond.wait(timeout=None if left == math.inf else left)
-                finally:
-                    self._waiting -= 1
+
+        def done():
+            return self.completed(call_ids)
+
+        while True:
+            if deadline is not None and deadline.expired:
+                reason = getattr(deadline, "reason", None)
+                raise QueryDeadlineExceeded(
+                    "query abandoned while awaiting external calls: {}".format(reason)
+                    if reason is not None
+                    else "query deadline exceeded while awaiting external calls",
+                    deadline=deadline,
+                )
+            left = give_up - time.monotonic()
+            if deadline is not None:
+                left = min(left, DEADLINE_POLL_INTERVAL, max(deadline.remaining(), 0.001))
+            finished = self.pump.wait(done, None if left == math.inf else max(left, 0.0))
+            if finished:
+                for error in map(self._errors.get, finished) if self._errors else ():
+                    if isinstance(error, PumpShutDown):
+                        raise error  # not a call failure: no on_error degrades it
+                return finished
+            if time.monotonic() >= give_up:
+                raise self._timed_out(call_ids, time.monotonic() - started)
 
     def _timed_out(self, call_ids, elapsed):
         destinations = sorted(
             {str(self._dest_of.get(cid, "unknown")) for cid in call_ids}
         ) or ["unknown"]
         return ExecutionError(
-            "timed out after {:.1f}s waiting for {} external "
-            "call(s) to destination(s) {} (call ids {}); the "
-            "destination may be hung or the pump torn down".format(
-                elapsed,
-                len(call_ids),
-                ", ".join(destinations),
-                sorted(call_ids),
+            "timed out after {:.1f}s waiting for {} external call(s) to destination(s) {} "
+            "(call ids {}); the destination may be hung".format(
+                elapsed, len(call_ids), ", ".join(destinations), sorted(call_ids)
             )
         )
 
@@ -238,20 +233,16 @@ class AsyncContext:
         The rows are freed once every registrant of a deduplicated call
         has taken them.
         """
-        with self._cond:
+        with self._lock:
             if call_id in self._errors:
                 self.call_errors += 1
                 raise ExecutionError(
                     "external call {} to {!r} failed: {}".format(
-                        call_id,
-                        self._dest_of.get(call_id, "unknown"),
-                        self._errors[call_id],
+                        call_id, self._dest_of.get(call_id, "unknown"), self._errors[call_id]
                     )
                 ) from self._errors[call_id]
             if call_id not in self._results:
-                raise ExecutionError(
-                    "result for call {} not available yet".format(call_id)
-                )
+                raise ExecutionError("result for call {} not available yet".format(call_id))
             rows = self._results[call_id]
             self._leases[call_id] = self._leases.get(call_id, 1) - 1
             if self._leases[call_id] <= 0:
@@ -277,17 +268,14 @@ class AsyncContext:
 
     def destination_of(self, call_id):
         """The destination *call_id* was registered against (or None)."""
-        with self._cond:
+        with self._lock:
             return self._dest_of.get(call_id)
 
     def error_of(self, call_id):
         """The raw error for *call_id*, if it failed (else None)."""
-        with self._cond:
+        with self._lock:
             return self._errors.get(call_id)
 
     def stats(self):
-        return {
-            "calls_registered": self.calls_registered,
-            "dedup_hits": self.dedup_hits,
-            "call_errors": self.call_errors,
-        }
+        return {"calls_registered": self.calls_registered, "dedup_hits": self.dedup_hits,
+                "call_errors": self.call_errors}

@@ -1,17 +1,19 @@
 """ReqPump: the global asynchronous request module (paper Section 4.1).
 
-One daemon thread runs a heap of due times.  A registered external call is
-an *attempt generator* that yields the seconds of each network wait and
-returns its rows; the thread sleeps on one condition until the earliest
-entry is due, resumes that attempt (its compute runs there and then) and
-pushes its next wait.  Every wait in this simulation is a known delay,
-so a heap of due times is all the event loop the pump needs.  This is
-deliberately *not* parallel query processing: like the event-driven web
-servers the paper points to, one thread multiplexes many in-flight
-network waits.  The thread lives only while there is work: it exits
-once every call has settled and nothing new came for ``IDLE_LINGER``
-seconds, and the next registration starts a new one, so a pump per
-engine costs no idle thread.
+A registered external call is an *attempt generator* that yields the
+seconds of each network wait and returns its rows.  Every wait in this
+simulation is a known delay, so a heap of due times, one entry per
+running request, is all the event loop the pump needs.  The pump owns no
+thread.  A registration issues its burst on the registering thread, each
+attempt up to its first wait; after that, heap entries run only inside
+:meth:`RequestPump.wait`, where a query thread blocks anyway.  One waiter
+at a time *drives*: it runs the entries that are due (each attempt's
+compute runs there and then) and sleeps until the next one.  The other
+waiters sleep until a settlement wakes them or the driver leaves, and
+one of them takes the role over (leader/follower).  This is deliberately
+*not* parallel query processing: like the event-driven web servers the
+paper points to, one thread at a time multiplexes every in-flight
+network wait.
 
 Resource control (the paper's "monitoring and controlling resource usage")
 is two layers of slot counters: one global, one per destination.
@@ -66,14 +68,8 @@ from repro.obs.trace import (
     CALL_RETRY,
     CALL_TIMEOUT,
 )
-from repro.util.errors import BreakerOpenError, ExecutionError, RequestTimeoutError
+from repro.util.errors import BreakerOpenError, PumpShutDown, RequestTimeoutError
 from repro.util.timing import resolve_clock
-
-
-#: Seconds an idle pump thread waits for work before it exits: the next
-#: call of a sequential query, or the next query, finds it running (a
-#: restart costs about 40 µs), and an engine left unshut soon holds none.
-IDLE_LINGER = 0.05
 
 
 class PumpLimits:
@@ -93,14 +89,8 @@ class PumpLimits:
 
 
 _DEST_COUNTER_KEYS = (
-    "registered",
-    "completed",
-    "failed",
-    "cancelled",
-    "retries",
-    "timeouts",
-    "breaker_open_rejections",
-    "coalesced",
+    "registered", "completed", "failed", "cancelled",
+    "retries", "timeouts", "breaker_open_rejections", "coalesced",
 )
 
 #: Histogram kinds the pump observes per settled call.
@@ -110,23 +100,23 @@ _LATENCY_KINDS = ("queue_wait", "service", "e2e")
 class _PumpStats:
     """Pump statistics, backed by a :class:`MetricsRegistry`.
 
-    The public surface is unchanged from the counter-field era —
-    ``snapshot()`` returns the same dict shape, ``bump`` increments one
-    global and one per-destination counter — but the storage is the
+    ``snapshot()`` returns the counters as one dict; ``bump`` increments
+    one global and one per-destination counter.  The storage is the
     registry, so anything reading ``pump.metrics`` (exporters, the CLI's
-    ``--metrics``, later subsystems) sees the same numbers with no
-    double accounting.
+    ``--metrics``) sees the same numbers with no double accounting.
+    ``queued`` is read from the pump that owns the queue.
 
     The registry is fixed for the pump's life, so each metric is looked
     up once, on first use, and the handle kept: the per-call cost is a
     dict probe and the increment, not a name format and a label sort.
     """
 
-    def __init__(self, metrics=None):
+    def __init__(self, metrics, queued):
         self.metrics = metrics if metrics is not None else MetricsRegistry()
         self._counters = {}  # (destination, key) -> (total, per-destination)
         self._histograms = {}  # (destination, kind) -> Histogram
         self._in_flight = self.metrics.gauge("pump.in_flight")
+        self._queued = queued
 
     # -- write side -----------------------------------------------------------
 
@@ -166,14 +156,9 @@ class _PumpStats:
         payload = {key: counter("pump." + key) for key in _DEST_COUNTER_KEYS}
         payload["in_flight"] = gauge.value
         payload["max_in_flight"] = gauge.max_value
-        settled = (
-            payload["completed"] + payload["failed"] + payload["cancelled"]
-        )
-        # Registered but neither executing nor settled: the paper's
-        # "placed on a queue" calls awaiting a limit slot.
-        payload["queued"] = max(
-            0, payload["registered"] - settled - payload["in_flight"]
-        )
+        # Calls whose request waits for a slot: the paper's "placed on a
+        # queue" calls (a call coalesced onto a flight that is out is not).
+        payload["queued"] = self._queued()
         payload["per_destination"] = {
             destination: {
                 key: counter("pump." + key, destination=destination)
@@ -215,12 +200,14 @@ class _Call:
       and until then it keeps labelling its retry/timeout events with the
       anchor's query id even after the anchor itself left.
 
-    An anchor's flight state belongs to the pump thread: ``gen`` (the
-    running attempt), ``timeout``/``cutoff`` (the attempt's bound,
-    relative and absolute), ``slot`` (a concurrency slot is held),
+    An anchor's flight state belongs to whoever runs it — the registering
+    thread up to the first wait, then the driver of each heap entry:
+    ``gen`` (the running attempt), ``timeout``/``cutoff`` (the attempt's
+    bound, relative and absolute), ``slot`` (a concurrency slot is held),
     ``permit`` (the attempt is its breaker's half-open probe and owes it
-    a verdict), ``done``, and ``wake``, the sequence number of its one
-    live heap entry.
+    a verdict), ``wake``, the sequence number of its one live heap
+    entry, and ``done``, set under the pump lock by whoever ends the
+    flight, so it ends once.
 
     A record is settled by whoever removes it from ``waiters`` under the
     pump lock — the fan-out or ``cancel`` — which is what makes
@@ -228,23 +215,9 @@ class _Call:
     """
 
     __slots__ = (
-        "call_id",
-        "call",
-        "on_complete",
-        "query_id",
-        "registered_at",
-        "issued_at",
-        "finished_at",
-        "attempts",
-        "anchor",
-        "waiters",
-        "gen",
-        "timeout",
-        "cutoff",
-        "slot",
-        "permit",
-        "done",
-        "wake",
+        "call_id", "call", "on_complete", "query_id", "registered_at", "issued_at",
+        "finished_at", "attempts", "anchor", "waiters", "gen", "timeout", "cutoff",
+        "slot", "permit", "done", "wake",
     )
 
     def __init__(self, call_id, call, on_complete, query_id, registered_at):
@@ -275,55 +248,44 @@ _SETTLE_EVENTS = {
 
 
 class RequestPump:
-    """Issues external calls concurrently from one timer-heap thread.
+    """Issues external calls concurrently from one timer heap that its
+    waiters drive.
 
     ``single_flight=True`` enables cross-registration coalescing of
     identical in-flight calls (see :class:`_Call`).  Every pump a
     :class:`~repro.wsq.engine.WsqEngine` builds for itself sets it; a
     pump built by hand issues one request per registration unless it
-    asks for it too.
+    asks for it too.  ``name`` names nothing (the pump starts no
+    thread); it is kept because ``perf/adapter.py`` passes it.
     """
 
-    def __init__(
-        self,
-        limits=None,
-        name="reqpump",
-        resilience=None,
-        tracer=None,
-        metrics=None,
-        clock=None,
-        single_flight=False,
-    ):
+    def __init__(self, limits=None, name="reqpump", resilience=None, tracer=None,
+                 metrics=None, clock=None, single_flight=False):
         self.limits = limits or PumpLimits()
         self.name = name
         self.resilience = resilience  # a ResiliencePolicy, or None
         self.tracer = tracer  # a repro.obs.trace.Tracer, or None
         self.clock = resolve_clock(
-            clock
-            if clock is not None
-            else (tracer.clock if tracer is not None else None)
+            clock if clock is not None else (tracer.clock if tracer is not None else None)
         )
-        self.stats = _PumpStats(metrics)
+        self.stats = _PumpStats(metrics, self._queued)
         self.single_flight = bool(single_flight)
-        # One lock (under one condition) for the thread handle, the id
-        # counter, both tables and the heap: the query threads
-        # (register/cancel/quiesce) and the pump thread meet here and
-        # nowhere else.
+        # One lock (under one condition) for the driver role, the id
+        # counter, both tables, the heap and the slots: every thread that
+        # registers, cancels, waits or drives meets here.
         self._lock = threading.Lock()
         self._cond = threading.Condition(self._lock)
-        self._thread = None
-        self._stops = 0  # shutdown() calls so far: a registration racing one is refused
+        self._driver = None  # ident of the waiter that runs the heap
         self._next_call_id = 0
         self._calls = {}  # call_id -> _Call, every call not yet settled
         self._flights = {}  # call key -> the anchor a same-key call may join
         self._heap = []  # (due, seq): a replaced entry pins nothing
         self._live = {}  # seq -> (handler, anchor), the entries still wanted
         self._seq = 0
-        self._wake_at = -math.inf  # the pump thread's wait target; -inf: awake
-        # Pump-thread state: slots in use, the FIFO waiting for one, breakers.
-        self._busy = 0
+        self._wake_at = -math.inf  # the sleeping driver's target; -inf: none sleeps
+        self._busy = 0  # slots in use
         self._busy_at = {}  # destination -> slots in use
-        self._queue = collections.deque()
+        self._queue = collections.deque()  # anchors waiting for a slot
         self._breakers = {}  # destination -> CircuitBreaker
 
     @property
@@ -331,101 +293,74 @@ class RequestPump:
         """The backing registry (shared with ``stats``)."""
         return self.stats.metrics
 
-    # -- the clock: every schedule reads _now, the thread sleeps in _wait -----------
-
     def _now(self):
+        """The heap's clock: every due time, timeout and backoff."""
         return time.monotonic()
 
-    def _wait(self, seconds):
-        """The pump thread's one sleep (lock held): *seconds* (``None``: no
-        bound), or until a push lands before the current wait target."""
-        self._cond.wait(seconds)
+    # -- the driver: heap entries run only here ---------------------------------------
 
-    # -- lifecycle ----------------------------------------------------------------
+    def wait(self, until, timeout=None):
+        """Block until ``until()`` is true or *timeout* seconds pass
+        (``None``: no bound); returns ``until()``'s last value.
 
-    def shutdown(self):
-        """Stop the pump thread.  Pending calls are cancelled.
-
-        The thread abandons every flight it holds before it exits (each
-        waiter settles as cancelled), so no ``on_complete`` callback can
-        fire after this method returns, and the next registration
-        restarts a clean pump: no breaker survives a shutdown.
+        The one place heap entries run.  One waiter at a time drives: it
+        runs every entry that is due, then sleeps until the next due
+        time, a push that lands before it, or its own timeout.  The
+        others sleep until a settlement wakes them or the driver leaves;
+        the driver leaves once its own *until* holds, and one of them
+        takes the role over.  *until* runs under the pump lock, so it
+        must be quick and must not call into the pump, and no caller may
+        hold a lock that an ``on_complete`` takes while it waits here.
+        An entry that raises ends its own flight with that error and the
+        raise propagates; the rest of the heap waits for the next driver.
         """
-        with self._lock:
-            thread, self._thread = self._thread, None
-            self._stops += 1
-            if thread is None:
-                self._breakers = {}  # idle: no stopping thread to drop them
-            self._cond.notify_all()
-        if thread is not None and thread is not threading.current_thread():
-            thread.join(timeout=5)
-
-    def _run(self):
-        me = threading.current_thread()
-        turn = True
-        try:
-            while turn:
-                turn = self._turn(me)
-        finally:
-            # Went idle (None): nothing is held, and the breakers stay.
-            # Stopped, or a handler raised: either way nothing this
-            # thread held may strand.  A crashed thread lets go of the
-            # handle, so the next registration starts a new one.
-            if turn is not None:
-                with self._lock:
-                    if self._thread is me:
-                        self._thread = None
-                    anchors = [anchor for _, anchor in self._live.values()]
-                    anchors += self._queue
-                    # A handler that raised took its turn's due entries with it.
-                    anchors += [record.anchor or record for record in self._calls.values()]
-                    self._live.clear()
-                    del self._heap[:]
-                    self._cond.notify_all()
-                self._queue.clear()
-                for anchor in anchors:
-                    self._abandon(anchor)
-                self._breakers = {}
-
-    def _turn(self, me):
-        """Sleep until an entry is due, then run every entry that is;
-        False once this thread is no longer the pump's, None once it
-        went idle."""
+        me = threading.get_ident()
+        give_up = math.inf if timeout is None else self._now() + timeout
         heap = self._heap
-        linger = None  # when this thread exits if it stays idle
         with self._lock:
-            while True:
-                if self._thread is not me:
-                    return False
-                now = self._now()
-                if heap and heap[0][0] <= now:
-                    break
-                if not self._live and not self._calls:
-                    # Idle: nothing is wanted.  After IDLE_LINGER, let go
-                    # of the handle and hold nothing (the breakers stay).
-                    del heap[:]
-                    if linger is None:
-                        linger = now + IDLE_LINGER
-                    elif now >= linger:
-                        self._thread = None
-                        return None
-                    self._wake_at = math.inf
-                    self._wait(linger - now)
-                    continue
-                linger = None
-                self._wake_at = heap[0][0] if heap else math.inf
-                self._wait(self._wake_at - now if heap else None)
-            self._wake_at = -math.inf
-            ready = []
-            while heap and heap[0][0] <= now:
-                entry = self._live.pop(heapq.heappop(heap)[1], None)
-                if entry is not None:
-                    ready.append(entry)
-        for handler, anchor in ready:
+            try:
+                while True:
+                    met = until()
+                    now = self._now()
+                    if met or now >= give_up:
+                        return met
+                    if self._driver is None:
+                        self._driver = me
+                    due = give_up
+                    if self._driver == me:
+                        if heap and heap[0][0] <= now:
+                            while heap and heap[0][0] <= now:
+                                self._run_next()
+                            continue
+                        if heap:
+                            due = min(due, heap[0][0])
+                        self._wake_at = due
+                    self._cond.wait(None if due == math.inf else due - now)
+                    if self._driver == me:
+                        self._wake_at = -math.inf
+            finally:
+                if self._driver == me:
+                    self._driver = None
+                    self._wake_at = -math.inf
+                    self._cond.notify_all()  # a follower takes the role over
+
+    def _run_next(self):
+        """Pop the earliest entry and run it with the lock released (held
+        on entry and on exit)."""
+        entry = self._live.pop(heapq.heappop(self._heap)[1], None)
+        if entry is None:
+            return
+        handler, anchor = entry
+        self._lock.release()
+        try:
             handler(anchor)
-        with self._lock:
-            self._cond.notify_all()  # for registrants waiting on their burst
-        return True
+        except BaseException as exc:
+            # Not one more of this flight's waiters may wait for it.
+            self._close(anchor)
+            self._end(anchor, None, exc)
+            raise
+        finally:
+            self._lock.acquire()
 
     def _push(self, due, handler, anchor):
         """Heap ``handler(anchor)`` at *due* in place of the anchor's
@@ -439,6 +374,26 @@ class RequestPump:
             self._wake_at = -math.inf
             self._cond.notify_all()
 
+    def shutdown(self):
+        """Abandon every flight, here and now, and clear the breakers.
+
+        Each call still waiting is told :class:`PumpShutDown` and counted
+        as cancelled, so a query blocked on the pump raises it at once.
+        The pump stays usable: a later registration goes out as usual,
+        past fresh breakers.
+        """
+        with self._lock:
+            # A queued flight has a waiter in the call table, or its
+            # abandonment is a live entry or already done.
+            anchors = [anchor for _, anchor in self._live.values()]
+            anchors += [record.anchor or record for record in self._calls.values()]
+            self._live.clear()
+            del self._heap[:]
+            self._queue.clear()
+        for anchor in anchors:
+            self._abandon(anchor)
+        self._breakers = {}
+
     # -- registration ---------------------------------------------------------------
 
     def register(self, calls, on_complete, query_id=None, mode="async"):
@@ -447,16 +402,14 @@ class RequestPump:
         ``on_complete(call_id, rows, error)`` fires exactly once per call
         unless it is cancelled first (exactly one of *rows*/*error* is
         not None): on the registering thread, before this method
-        returns, when ``call.probe`` answers; otherwise on the pump
-        thread when the request finishes.  Ids are allocated under one
-        lock acquisition and every call the cache cannot answer goes on
-        the heap in one burst that wakes the pump thread once.
-        *query_id* and *mode* (``"sync"`` when the registrant waits for
-        these calls alone, so it does not wait for their hand-off) label
-        the trace; every ``call.register`` event carries ``batch``, the
-        length of *calls*.  A registration that loses a race with
-        :meth:`shutdown` is settled as cancelled and refused with
-        :class:`ExecutionError`.
+        returns, when ``call.probe`` answers; otherwise on whichever
+        thread ends the request, usually a waiter driving the heap.  Ids
+        are allocated under one lock acquisition, the burst is tabled
+        under one more, and every flight it anchors is then issued here,
+        up to its attempt's first wait.  *query_id* and *mode* (``"sync"``
+        when the registrant waits for these calls alone) label the trace;
+        every ``call.register`` event carries ``batch``, the length of
+        *calls*.
         """
         calls = list(calls)
         if not calls:
@@ -464,7 +417,6 @@ class RequestPump:
         with self._lock:
             first_id = self._next_call_id
             self._next_call_id += len(calls)
-            stops = self._stops
         registered_at = self.clock.now()
         tracer = self.tracer
         misses = []
@@ -483,7 +435,7 @@ class RequestPump:
             if call.probe is None or not self._answer(record):
                 misses.append(record)
         if misses:
-            self._launch(misses, handoff=mode != "sync", stops=stops)
+            self._launch(misses)
         return list(range(first_id, first_id + len(calls)))
 
     def _answer(self, record):
@@ -491,8 +443,8 @@ class RequestPump:
 
         A cached result or a probe that raised ends the call on the
         registering thread: no slot is queued for, the breaker is neither
-        asked nor told, nothing reaches the pump thread.  A miss is the
-        cache lookup of record; the request that follows only writes.
+        asked nor told, nothing reaches the heap.  A miss is the cache
+        lookup of record; the request that follows only writes.
         """
         try:
             rows, error = record.call.probe(), None
@@ -503,34 +455,20 @@ class RequestPump:
         self._settle(record, self._hand_over(record, rows, error))
         return True
 
-    def _launch(self, misses, handoff, stops):
+    def _launch(self, misses):
         """Table *misses*; each joins a live same-key flight or anchors one.
 
-        However many flights the burst anchors, the pump thread is woken
-        once.  No waiter's query deadline touches the shared request: a
-        query whose deadline expires raises in its own
+        Every flight the burst anchors is then begun on this thread, so
+        its waits start at registration, before the registrant blocks.
+        No waiter's query deadline touches the shared request: a query
+        whose deadline expires raises in its own
         ``AsyncContext.wait_for_any`` and cancels its calls, which only
         takes its waiters out of their flights.
-
-        Tabling and :meth:`shutdown` serialise on the lock: a pump
-        stopped since the registration began (*stops* counts the
-        shutdowns it saw; a probe may have stopped it) tables nothing,
-        and the misses are settled as cancelled and refused instead of
-        stranded; otherwise a pump with no thread starts one.  With
-        *handoff* the registrant then waits until the pump thread has
-        issued (or queued) the burst: under the GIL the thread could not
-        run before the registrant blocks, and the burst's waits would
-        start late by however long the registrant computes on.
         """
         joined = []
-        last = None
+        anchors = []
         with self._lock:
-            running = self._stops == stops
-            if running and self._thread is None:
-                self._thread = threading.Thread(target=self._run, name=self.name, daemon=True)
-                self._thread.start()
-            now = self._now()
-            for record in misses if running else ():
+            for record in misses:
                 self._calls[record.call_id] = record
                 key = record.call.key if self.single_flight else None
                 anchor = self._flights.get(key) if key is not None else None
@@ -542,14 +480,9 @@ class RequestPump:
                 record.waiters = {record.call_id: record}
                 if key is not None:
                     self._flights[key] = record
-                self._push(now, self._begin, record)
-                last = record.wake
-            if handoff and last is not None and self._thread is not threading.current_thread():
-                self._cond.wait_for(lambda: last not in self._live or self._thread is None, 1.0)
-        if not running:
-            for record in misses:
-                self._settle(record, "cancelled")
-            raise ExecutionError("request pump is shut down")
+                anchors.append(record)
+        for anchor in anchors:
+            self._begin(anchor)
         for record in joined:
             self.stats.bump(record.call.destination, "coalesced")
             self._trace(
@@ -560,15 +493,17 @@ class RequestPump:
                 key=str(record.call.key),
             )
 
-    # -- one flight, on the pump thread -----------------------------------------------
+    # -- one flight -------------------------------------------------------------------
 
     def _begin(self, anchor):
-        """Trace the enqueue, then take a slot or join the queue for one."""
+        """Trace the enqueue, then take a slot and go out, or queue for one."""
         self._trace(CALL_ENQUEUE, anchor)
-        if self._claim(anchor):
+        with self._lock:
+            claimed = self._claim(anchor)
+            if not claimed:
+                self._queue.append(anchor)
+        if claimed:
             self._issue(anchor)
-        else:
-            self._queue.append(anchor)
 
     def _issue(self, anchor):
         """The slot is held: go out."""
@@ -683,19 +618,30 @@ class RequestPump:
                 pass
 
     def _abandon(self, anchor):
-        """Every waiter left, or the pump is stopping: end as cancelled."""
-        if not anchor.done:
-            self._close(anchor)
-            self._end(anchor, None, None, cancelled=True)
+        """Every waiter left, or the pump shut down: end as cancelled."""
+        self._close(anchor)
+        self._end(anchor, None, None, cancelled=True)
 
     def _end(self, anchor, rows, error, cancelled=False):
         """The flight is over: stamp it, fan the outcome out, free the slot.
 
-        A half-open probe that ends here with no verdict (every waiter
-        left, or the pump stopped) hands its permit back, or its breaker
-        would stay half-open and reject every later call.
+        Marking the anchor done, dropping its heap entry, retiring the
+        flight and taking its waiters is one step under the lock, so a
+        second ending (a shutdown racing the driver) does nothing, and a
+        ``cancel`` racing this either got its record out first (and
+        settles it as cancelled) or finds it gone.  Only a shutdown
+        abandons a flight that still has waiters; each is told so.  A
+        half-open probe that ends with no verdict hands its permit back,
+        or its breaker would stay half-open and reject every later call.
         """
-        anchor.done = True
+        with self._lock:
+            if anchor.done:
+                return
+            anchor.done = True
+            self._live.pop(anchor.wake, None)
+            self._retire(anchor)
+            waiters = list(anchor.waiters.values())
+            anchor.waiters.clear()
         anchor.cutoff = None
         if anchor.permit:
             anchor.permit = False
@@ -703,14 +649,24 @@ class RequestPump:
         if anchor.issued_at is not None:
             anchor.finished_at = self.clock.now()
             self.stats.exit_flight()
-        self._deliver(anchor, rows, error, cancelled)
+        try:
+            for record in waiters:
+                if cancelled:
+                    self._hand_over(record, None, PumpShutDown("request pump is shut down"))
+                    self._settle(record, "cancelled")
+                else:
+                    self._settle(record, self._hand_over(record, rows, error))
+        finally:
+            # Last, so that quiesce() returning means every counter,
+            # histogram and closing trace event of these calls is in place.
+            self._untable(waiters)
         if anchor.slot:
             self._free_slot(anchor)
 
     # -- slots --------------------------------------------------------------------
 
     def _claim(self, anchor):
-        """Take a concurrency slot for *anchor* if the limits allow."""
+        """Take a concurrency slot for *anchor* if the limits allow (lock held)."""
         destination = anchor.call.destination
         held = self._busy_at.get(destination, 0)
         cap = self.limits.limit_for(destination)
@@ -727,61 +683,42 @@ class RequestPump:
 
         An admitted call is issued from a heap entry due now, not from
         here: a run of calls that end as soon as they are issued (an open
-        breaker) then frees and re-admits in a loop of heap turns instead
-        of recursing once per queued call.
+        breaker) then frees and re-admits in a loop of heap entries
+        instead of recursing once per queued call.
         """
-        anchor.slot = False
-        self._busy -= 1
-        self._busy_at[anchor.call.destination] -= 1
-        if not self._queue:
-            return
-        waiting, self._queue = self._queue, collections.deque()
-        total = self.limits.max_total
-        admitted = []
-        while waiting and (total is None or self._busy < total):
-            queued = waiting.popleft()
-            if not queued.done:
-                (admitted if self._claim(queued) else self._queue).append(queued)
-        self._queue.extend(waiting)
-        if admitted:
+        with self._lock:
+            anchor.slot = False
+            self._busy -= 1
+            self._busy_at[anchor.call.destination] -= 1
+            if not self._queue:
+                return
+            waiting, self._queue = self._queue, collections.deque()
+            total = self.limits.max_total
+            admitted = []
+            while waiting and (total is None or self._busy < total):
+                queued = waiting.popleft()
+                if not queued.done:
+                    (admitted if self._claim(queued) else self._queue).append(queued)
+            self._queue.extend(waiting)
             now = self._now()
-            with self._lock:
-                for queued in admitted:
-                    # A call whose every waiter left holds its slot until abandoned.
-                    self._push(now, self._issue if queued.waiters else self._abandon, queued)
+            for queued in admitted:
+                # A call whose every waiter left holds its slot until abandoned.
+                self._push(now, self._issue if queued.waiters else self._abandon, queued)
+
+    def _queued(self):
+        """Calls whose request waits for a slot: every queued flight's
+        waiters (read off a copy, without the lock)."""
+        return sum(len(anchor.waiters) for anchor in list(self._queue))
 
     # -- settlement -------------------------------------------------------------------
 
-    def _deliver(self, anchor, rows, error, cancelled=False):
-        """Fan the flight's outcome out to every call still waiting on it.
-
-        Runs on the pump thread as the flight's last act.  Retiring the
-        flight and taking its waiters is one step under the lock, so a
-        ``cancel`` racing this either got its record out first (and
-        settles it as cancelled) or finds it gone.
-        """
-        with self._lock:
-            waiters = list(anchor.waiters.values())
-            anchor.waiters.clear()
-            self._retire(anchor)
-        try:
-            for record in waiters:
-                self._settle(
-                    record,
-                    "cancelled" if cancelled else self._hand_over(record, rows, error),
-                )
-        finally:
-            # Last, so that quiesce() returning means every counter,
-            # histogram and closing trace event of these calls is in place.
-            self._untable(waiters)
-
     def _untable(self, records):
-        """Drop settled *records*; wake ``quiesce`` when the table empties."""
+        """Drop settled *records* and wake every waiter: one of theirs
+        may be among them."""
         with self._lock:
             for record in records:
                 self._calls.pop(record.call_id, None)
-            if not self._calls:
-                self._cond.notify_all()
+            self._cond.notify_all()
 
     def _retire(self, anchor):
         """Stop offering *anchor*'s flight to joiners (lock held)."""
@@ -809,36 +746,25 @@ class RequestPump:
         if settled_at is None:
             settled_at = self.clock.now()
         self.stats.bump(destination, outcome)
+        observe = self.stats.observe_latency
         if record.issued_at is not None:
-            self.stats.observe_latency(
-                "queue_wait", destination, record.issued_at - record.registered_at
-            )
-            self.stats.observe_latency(
-                "service", destination, settled_at - record.issued_at
-            )
-        self.stats.observe_latency(
-            "e2e", destination, settled_at - record.registered_at
-        )
+            observe("queue_wait", destination, record.issued_at - record.registered_at)
+            observe("service", destination, settled_at - record.issued_at)
+        observe("e2e", destination, settled_at - record.registered_at)
         if self.tracer is not None:
-            self._trace(
-                _SETTLE_EVENTS[outcome], record, ts=settled_at, attempts=record.attempts
-            )
+            self._trace(_SETTLE_EVENTS[outcome], record, ts=settled_at, attempts=record.attempts)
 
     def quiesce(self, timeout=1.0):
-        """Wait (real time) until every registered call has settled and
-        every abandoned request has given back its slot.
+        """Drive the heap until every registered call has settled and no
+        entry is live (every abandoned request closed, its slot given
+        back); True if that happened within *timeout* seconds.
 
-        The query thread observes results via ``on_complete`` *before*
-        the pump thread finishes the call's accounting, and a cancelled
-        call settles before the pump thread closes the request it left,
-        so a reader that wants complete lifecycle traces/latency
-        histograms, or an ``in_flight`` of 0, right after a query returns
-        should quiesce first.  Returns True when the pump settled within
-        *timeout* seconds; the wait is on the pump's condition, which is
-        notified when the call table empties and after every heap turn.
+        A waiter takes its result in ``on_complete``, before the call's
+        accounting and closing trace event are recorded, so a reader that
+        wants complete lifecycle traces or latency histograms, or an
+        ``in_flight`` of 0, right after a query returns quiesces first.
         """
-        with self._cond:
-            return self._cond.wait_for(lambda: not self._calls and not self._live, timeout)
+        return self.wait(lambda: not self._calls and not self._live, timeout)
 
     def cancel(self, call_id):
         """Best-effort cancellation of one registered call.
@@ -846,16 +772,15 @@ class RequestPump:
         A call already settled (or settled at registration) is left
         alone; one still waiting is taken out of its flight and counted
         as *cancelled* — exactly once, and never also as
-        completed/failed, so the ``snapshot()["queued"]`` invariant holds
-        under cancellation, double-cancellation, and cancel-vs-complete
-        races.
+        completed/failed, under cancellation, double-cancellation, and
+        cancel-vs-complete races.
 
         Under single-flight that only *detaches* the call: the shared
         request keeps running for the surviving waiters.  Only when the
-        last one leaves is the request abandoned too (an entry due now
-        replaces the flight's pending one, and the pump thread closes the
-        attempt) — so a query abandoning a coalesced call can never fail
-        another query's identical call.
+        last one leaves is the request abandoned too — by the driver,
+        from an entry due now that replaces the flight's pending one, or
+        here when nobody drives — so a query abandoning a coalesced call
+        can never fail another query's identical call.
         """
         with self._lock:
             record = self._calls.get(call_id)
@@ -864,14 +789,20 @@ class RequestPump:
             anchor = record.anchor or record
             if anchor.waiters.pop(call_id, None) is None:
                 return  # the fan-out has it: settling as completed/failed
-            if not anchor.waiters:
+            abandon = not anchor.waiters
+            if abandon:
                 self._retire(anchor)
-                if self._thread is not None:
+                if self._driver is not None:
                     self._push(self._now(), self._abandon, anchor)
+                    abandon = False
+                else:
+                    self._live.pop(anchor.wake, None)
         try:
             self._settle(record, "cancelled")
         finally:
             self._untable((record,))
+        if abandon:
+            self._abandon(anchor)
 
     def _trace(self, name, record, **args):
         tracer = self.tracer
@@ -892,8 +823,9 @@ class RequestPump:
             return None
         breaker = self._breakers.get(destination)
         if breaker is None:
-            breaker = CircuitBreaker(destination, policy.breaker, self.clock)
-            self._breakers[destination] = breaker
+            breaker = self._breakers.setdefault(
+                destination, CircuitBreaker(destination, policy.breaker, self.clock)
+            )
         return breaker
 
     def breakers(self):

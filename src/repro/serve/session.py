@@ -19,7 +19,8 @@ Robustness is the headline contract:
   flight members, without disturbing other tenants' identical calls.
 
 Thread model: ``max_workers`` daemon threads execute admitted queries
-against the shared engine.  The engine is safe to share — the pump,
+against the shared engine; whichever of them waits drives the pump's
+heap, one at a time.  The engine is safe to share — the pump,
 the metrics registry and the result cache are lock-guarded, and the
 cache replaces its files atomically.
 """

@@ -86,6 +86,15 @@ class PlaceholderError(ExecutionError):
     """
 
 
+class PumpShutDown(ExecutionError):
+    """The request pump was shut down while a call waited on it.
+
+    Each abandoned call is told this instead of an outcome, and the
+    query waiting on it raises it whatever its ``on_error`` policy: the
+    call did not fail, the pump under it stopped.
+    """
+
+
 class QueryDeadlineExceeded(ExecutionError):
     """A query ran out of its end-to-end deadline budget.
 

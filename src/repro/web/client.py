@@ -15,10 +15,11 @@ concurrency limits, lifecycle tracing) belongs to the
 execution mode: an asynchronous plan keeps many attempts in flight on the
 pump's timer heap, a synchronous plan registers one and waits for it
 — the paper's sequential baseline, where "the query processor is idle
-during the request".
+during the request".  Either way the query thread issues each attempt
+and, while it waits, resumes it; no thread is started.
 
 A cache hit skips the delay entirely, modelling a local result cache that
-avoids the network round trip — and the pump thread, slot limits and
+avoids the network round trip — and the pump's heap, slot limits and
 circuit breaker with it.
 
 Fault injection
@@ -33,7 +34,7 @@ consults the fault schedule (a stable function of
 - an engine outage raises immediately (connection refused is fast);
 - a hung request waits ``hang_seconds`` and then raises
   :class:`~repro.util.errors.RequestTimeoutError`; the pump's per-call
-  timeout (or the query deadline) cuts the wait short.
+  timeout (or the query's deadline, at its own wait) cuts the wait short.
 
 A failed attempt writes nothing to the cache; whether it is retried is
 the pump's decision alone.

@@ -92,7 +92,7 @@ class TestSingleFlightStress:
             for i in range(n)
         ]
         release.set()
-        assert collector.done.wait(5)
+        assert pump.wait(collector.done.is_set, 5)
         pump.quiesce()
 
         issues = events_named(pump.tracer, CALL_ISSUE)
@@ -124,7 +124,7 @@ class TestSingleFlightStress:
             [gated_call(release) for _ in range(n)], collector, query_id="q"
         )
         release.set()
-        assert collector.done.wait(5)
+        assert pump.wait(collector.done.is_set, 5)
         pump.quiesce()
         assert len(ids) == n
         assert len(events_named(pump.tracer, CALL_ISSUE)) == 1
@@ -144,7 +144,7 @@ class TestSingleFlightStress:
             for _ in range(2)
         ]
         release.set()
-        assert collector.done.wait(5)
+        assert pump.wait(collector.done.is_set, 5)
         pump.quiesce()
         assert len(events_named(pump.tracer, CALL_ISSUE)) == 2
         assert len(events_named(pump.tracer, CACHE_COALESCE)) == 2
@@ -160,11 +160,11 @@ class TestSingleFlightStress:
         release.set()
         first = Collector(1)
         pump.register([gated_call(release)], first)
-        assert first.done.wait(5)
+        assert pump.wait(first.done.is_set, 5)
         pump.quiesce()
         second = Collector(1)
         pump.register([gated_call(release)], second)
-        assert second.done.wait(5)
+        assert pump.wait(second.done.is_set, 5)
         pump.quiesce()
         assert len(events_named(pump.tracer, CALL_ISSUE)) == 2
         assert len(events_named(pump.tracer, CACHE_COALESCE)) == 0
@@ -177,7 +177,7 @@ class TestSingleFlightStress:
         for _ in range(n):
             pump.register([gated_call(release, error=boom)], collector)
         release.set()
-        assert collector.done.wait(5)
+        assert pump.wait(collector.done.is_set, 5)
         pump.quiesce()
         assert len(events_named(pump.tracer, CALL_ISSUE)) == 1
         assert all(
@@ -204,7 +204,7 @@ class TestCancellationPaths:
         ]
         pump.cancel(leader_id)
         release.set()
-        assert follower.done.wait(5)
+        assert pump.wait(follower.done.is_set, 5)
         pump.quiesce()
 
         assert len(events_named(pump.tracer, CALL_ISSUE)) == 1
@@ -230,13 +230,8 @@ class TestCancellationPaths:
         pump.register(
             [gated_call(blocker_release, key="blocker")], blocker_done
         )
-        # Wait until the blocker demonstrably *holds* the slot: without
-        # this, a fast release could let it finish before ever blocking,
-        # handing the slot to the doomed anchor.
-        deadline = time.monotonic() + 5
-        while not events_named(pump.tracer, CALL_ISSUE):
-            assert time.monotonic() < deadline, "blocker never issued"
-            time.sleep(0.002)
+        # The blocker demonstrably *holds* the slot: registration issued it.
+        assert events_named(pump.tracer, CALL_ISSUE)
         release = threading.Event()
         abandoned = Collector(3)
         ids = [
@@ -245,12 +240,11 @@ class TestCancellationPaths:
         ]
         for call_id in ids:
             pump.cancel(call_id)
-        # Give the loop a beat to process the task cancellation while the
-        # blocker still pins the slot, then let the blocker finish.
-        time.sleep(0.05)
+        # Nobody drives, so the last cancel abandoned the flight on this
+        # thread while the blocker still pins the slot; now let it finish.
         blocker_release.set()
         release.set()
-        assert blocker_done.done.wait(5)
+        assert pump.wait(blocker_done.done.is_set, 5)
         pump.quiesce()
 
         issue_ids = {e.call_id for e in events_named(pump.tracer, CALL_ISSUE)}
@@ -260,7 +254,7 @@ class TestCancellationPaths:
         # The key is free again: a fresh registration starts a new flight.
         revived = Collector(1)
         (new_id,) = pump.register([gated_call(release, key="doomed")], revived)
-        assert revived.done.wait(5)
+        assert pump.wait(revived.done.is_set, 5)
         pump.quiesce()
         assert new_id in {
             e.call_id for e in events_named(pump.tracer, CALL_ISSUE)
@@ -282,7 +276,7 @@ class TestCancellationPaths:
             collector = Collector(n)
             for i in range(n):
                 pump.register([gated_call(never)], collector, query_id=i)
-            assert collector.done.wait(5)
+            assert pump.wait(collector.done.is_set, 5)
             pump.quiesce()
             assert len(events_named(pump.tracer, CALL_ISSUE)) == 1
             assert len(events_named(pump.tracer, CACHE_COALESCE)) == n - 1
@@ -306,7 +300,7 @@ class TestOptInBoundaries:
             for _ in range(n):
                 pump.register([gated_call(release)], collector)
             release.set()
-            assert collector.done.wait(5)
+            assert pump.wait(collector.done.is_set, 5)
             pump.quiesce()
             assert len(events_named(pump.tracer, CALL_ISSUE)) == n
             assert len(events_named(pump.tracer, CACHE_COALESCE)) == 0
@@ -319,7 +313,7 @@ class TestOptInBoundaries:
         for _ in range(3):
             pump.register([gated_call(release, key=None)], collector)
         release.set()
-        assert collector.done.wait(5)
+        assert pump.wait(collector.done.is_set, 5)
         pump.quiesce()
         assert len(events_named(pump.tracer, CALL_ISSUE)) == 3
 
@@ -375,7 +369,7 @@ class TestConcurrentQueryStress:
                 w.start()
             for w in workers:
                 w.join()
-            assert collector.done.wait(10)
+            assert pump.wait(collector.done.is_set, 10)
             pump.quiesce(timeout=5)
 
             issues = len(events_named(pump.tracer, CALL_ISSUE))
@@ -431,11 +425,8 @@ class TestDetachDuringLeaderBackoff:
         return ExternalCall("k", "AV", run)
 
     def _wait_for_backoff(self, pump):
-        """Block until attempt 1 has failed and the retry is scheduled."""
-        deadline = time.monotonic() + 5
-        while pump.stats.snapshot()["retries"] < 1:
-            assert time.monotonic() < deadline, "leader never hit backoff"
-            time.sleep(0.005)
+        """Attempt 1 failed at registration and the retry is scheduled."""
+        assert pump.stats.snapshot()["retries"] == 1
 
     def test_follower_detach_mid_backoff(self):
         pump = self._retry_pump()
@@ -456,7 +447,7 @@ class TestDetachDuringLeaderBackoff:
             self._wait_for_backoff(pump)
             pump.cancel(detach_id)  # detach while the leader sleeps
             release.set()
-            assert keeper.done.wait(5)
+            assert pump.wait(keeper.done.is_set, 5)
             pump.quiesce()
 
             snap = pump.stats.snapshot()
@@ -497,7 +488,7 @@ class TestDetachDuringLeaderBackoff:
             self._wait_for_backoff(pump)
             pump.cancel(leader_id)  # the anchor abandons its own flight
             release.set()
-            assert survivor.done.wait(5)
+            assert pump.wait(survivor.done.is_set, 5)
             pump.quiesce()
 
             assert len(attempts) == 2
@@ -533,7 +524,7 @@ class TestDetachDuringLeaderBackoff:
             for _ in range(3):
                 ids.append(pump.register([gated_call(release)], cancel_everyone)[0])
             release.set()
-            assert seen.done.wait(5)
+            assert pump.wait(seen.done.is_set, 5)
             assert pump.quiesce()
 
             snap = pump.stats.snapshot()

@@ -412,7 +412,9 @@ RETIRED_OPTIONS = [
 #: batched register methods and their burst counter) and the logical
 #: in-memory scan nothing built, then the request pump's reading of query
 #: deadlines (its expiry counter, its spent-deadline check and the
-#: deadline's timeout composition); none may come back in code, CI or
+#: deadline's timeout composition), then the pump's own thread (its idle
+#: linger, its turn loop, its shutdown counter and the registrant's wait
+#: for the thread to take a burst); none may come back in code, CI or
 #: the docs.
 RETIRED = [
     _spell("Planner", "Options"),
@@ -564,6 +566,10 @@ RETIRED = [
     _spell(r"\bdeadline", r"_expired\b"),
     _spell(r"\b_sp", r"ent\("),
     _spell(r"(\.|def )bud", r"get\("),
+    _spell("IDLE", "_LINGER"),
+    _spell(r"\b_tu", r"rn\b"),
+    _spell(r"\b_sto", r"ps\b"),
+    _spell("hand", "off"),
 ]
 
 #: Where they may not appear (EXPERIMENTS.md, CHANGES.md and ROADMAP.md

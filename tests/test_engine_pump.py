@@ -1,11 +1,11 @@
-"""One pump per engine, built one way, whose thread runs only while needed.
+"""One pump per engine, built one way, and no thread of its own.
 
 Every engine handed no pump builds its own single-flight pump, observed
 or not, so switching tracing on cannot change what the engine sends.
-The pump's thread exits once every call has settled and nothing new came
-for a short linger, and the next registration starts a new one: hundreds
-of engines left unshut hold no idle thread, and what the pump knows (its
-breakers) outlives the thread.
+The pump starts no thread: the query thread issues its calls and drives
+the pump's heap while it waits, so a query leaves the process's thread
+count as it found it, and what the pump knows (its breakers) lasts until
+``shutdown()``, which also ends a waiting query at once.
 """
 
 import threading
@@ -17,33 +17,19 @@ from repro.asynciter.pump import RequestPump
 from repro.asynciter.resilience import CircuitBreakerConfig, ResiliencePolicy
 from repro.asynciter.rewrite import rewrite_logical
 from repro.bench.workloads import template_queries
+from repro.datasets import load_all
 from repro.obs import Observability
 from repro.plan.physical import lower
 from repro.plan.planner import Planner
 from repro.sql.parser import parse_select
-from repro.util.errors import BreakerOpenError, PlanError
+from repro.storage import Database
+from repro.util.errors import BreakerOpenError, ExecutionError, PlanError, PumpShutDown
 from repro.vtables.base import ExternalCall
-from repro.web.latency import UniformLatency
+from repro.web.latency import FixedLatency, UniformLatency
 from repro.wsq import WsqEngine
 
 WEB_QUERY = "Select Count From WebCount Where T1 = 'Utah'"
-
-
-def pump_threads(name=None):
-    """Live pump threads (all of them, or those called *name*)."""
-    return [
-        thread
-        for thread in threading.enumerate()
-        if thread.name.startswith("reqpump") and (name is None or thread.name == name)
-    ]
-
-
-def settle_threads(bound, name=None, timeout=5.0):
-    """Wait until at most *bound* pump threads are alive; returns the count."""
-    deadline = time.monotonic() + timeout
-    while len(pump_threads(name)) > bound and time.monotonic() < deadline:
-        time.sleep(0.01)
-    return len(pump_threads(name))
+SHUTDOWN_QUERY = "Select Name, Count From States, WebCount Where Name = T1"
 
 
 def quick_call(key):
@@ -60,24 +46,6 @@ def failing_call(key):
         yield  # an attempt generator
 
     return ExternalCall(key, "AV", run)
-
-
-class Outcomes:
-    """``on_complete`` sink: every outcome, and an event per call count."""
-
-    def __init__(self):
-        self.seen = []
-        self.lock = threading.Lock()
-        self.changed = threading.Condition(self.lock)
-
-    def __call__(self, call_id, rows, error):
-        with self.lock:
-            self.seen.append((rows, error))
-            self.changed.notify_all()
-
-    def wait(self, count, timeout=2.0):
-        with self.lock:
-            return self.changed.wait_for(lambda: len(self.seen) >= count, timeout)
 
 
 class TestObservingDoesNotChangeWhatIsSent:
@@ -132,56 +100,99 @@ class TestObservingDoesNotChangeWhatIsSent:
         assert plain["coalesced"] > 0
 
 
-class TestPumpLifecycle:
-    def test_engines_left_unshut_hold_no_idle_thread(self, web, paper_db):
-        """200 observed engines each run one web query and are never shut
-        down; once their pumps settle, their threads are gone."""
-        before = len(pump_threads())
-        engines = []
-        for _ in range(200):
-            engine = WsqEngine(
-                database=paper_db, web=web, cache=False, obs=Observability.enabled()
-            )
-            assert len(engine.execute(WEB_QUERY).rows) == 1
-            assert engine.pump.quiesce(timeout=2.0)
-            engines.append(engine)
-        assert len({id(engine.pump) for engine in engines}) == 200
-        assert settle_threads(before + 2) <= before + 2
+class TestNoPumpThread:
+    @pytest.mark.parametrize("mode", ["sync", "async"])
+    def test_a_web_query_starts_no_thread(self, web, paper_db, mode):
+        """Fifty 2-5 ms calls go out and are waited for on the query
+        thread: the process has as many threads after as before."""
+        engine = WsqEngine(
+            database=paper_db, web=web, cache=False, latency=UniformLatency(0.002, 0.005)
+        )
+        before = threading.active_count()
+        rows = engine.execute(template_queries(1, instances=1)[0], mode=mode).rows
+        assert engine.pump.quiesce(timeout=5.0)
+        assert rows and threading.active_count() == before
+        assert engine.pump.stats.snapshot()["registered"] == 50
 
-    def test_registration_after_an_idle_exit_completes(self):
-        pump = RequestPump(name="reqpump-idle-restart")
-        outcomes = Outcomes()
-        try:
-            for round_number in range(1, 4):
-                pump.register([quick_call(("k", round_number))], outcomes)
-                assert outcomes.wait(round_number)
-                assert pump.quiesce(timeout=2.0)
-                assert settle_threads(0, pump.name) == 0
-        finally:
-            pump.shutdown()
-        assert [rows for rows, _ in outcomes.seen] == [[{"count": 1}]] * 3
-        snapshot = pump.stats.snapshot()
-        assert (snapshot["registered"], snapshot["completed"]) == (3, 3)
 
-    def test_an_open_breaker_outlives_the_thread(self):
+class TestShutdown:
+    @pytest.mark.parametrize("mode", ["sync", "async"])
+    def test_shutdown_mid_query_raises_promptly(self, mode):
+        """A query waiting on 0.3 s calls when its pump shuts down raises
+        within 0.1 s, and the calls it left are counted as cancelled."""
+        engine = WsqEngine(
+            database=load_all(Database()), latency=FixedLatency(0.3), cache=False
+        )
+        raised = []
+
+        def run():
+            try:
+                engine.execute(SHUTDOWN_QUERY, mode=mode)
+            except ExecutionError as exc:
+                raised.append((time.monotonic(), exc))
+
+        thread = threading.Thread(target=run)
+        thread.start()
+        time.sleep(0.1)  # the query waits on its first call(s)
+        stopped = time.monotonic()
+        engine.pump.shutdown()
+        thread.join(timeout=70.0)
+        assert not thread.is_alive() and len(raised) == 1
+        at, error = raised[0]
+        assert "request pump is shut down" in str(error)
+        assert at - stopped <= 0.1
+        assert engine.pump.quiesce(timeout=2.0)
+        snapshot = engine.pump.stats.snapshot()
+        assert snapshot["cancelled"] >= 1 and snapshot["failed"] == 0
+        settled = snapshot["completed"] + snapshot["cancelled"]
+        assert snapshot["registered"] == settled
+
+    @pytest.mark.parametrize("on_error", ["drop", "null"])
+    def test_on_error_does_not_degrade_a_shutdown(self, on_error):
+        """A shutdown is not a failed call: a query that would drop or
+        null a failed call's tuples raises instead of answering short."""
+        engine = WsqEngine(
+            database=load_all(Database()), latency=FixedLatency(0.3), cache=False,
+            on_error=on_error,
+        )
+        raised = []
+
+        def run():
+            try:
+                engine.execute(SHUTDOWN_QUERY)
+            except PumpShutDown as exc:
+                raised.append(exc)
+
+        thread = threading.Thread(target=run)
+        thread.start()
+        time.sleep(0.1)  # the query waits on its calls
+        engine.pump.shutdown()
+        thread.join(timeout=70.0)
+        assert not thread.is_alive() and len(raised) == 1
+
+    def test_an_open_breaker_lasts_until_shutdown(self):
         pump = RequestPump(
-            name="reqpump-idle-breaker",
             resilience=ResiliencePolicy(breaker=CircuitBreakerConfig(failure_threshold=2)),
         )
-        outcomes = Outcomes()
+        outcomes = []
+
+        def sink(call_id, rows, error):
+            outcomes.append((rows, error))
+
         try:
             for n in range(2):
-                pump.register([failing_call(("down", n))], outcomes)
-            assert outcomes.wait(2)
+                pump.register([failing_call(("down", n))], sink)
             assert pump.quiesce(timeout=2.0)
-            assert settle_threads(0, pump.name) == 0
             assert pump.breakers()["AV"]["state"] == "open"
-            pump.register([failing_call(("down", 2))], outcomes)
-            assert outcomes.wait(3)
+            pump.register([failing_call(("down", 2))], sink)
+            assert isinstance(outcomes[2][1], BreakerOpenError)
+            assert pump.stats.snapshot()["breaker_open_rejections"] == 1
+            pump.shutdown()
+            assert pump.breakers() == {}
+            pump.register([quick_call("up")], sink)
+            assert outcomes[3] == ([{"count": 1}], None)
         finally:
             pump.shutdown()
-        assert isinstance(outcomes.seen[2][1], BreakerOpenError)
-        assert pump.stats.snapshot()["breaker_open_rejections"] == 1
 
 
 class TestNoPumpOutsideTheEngine:

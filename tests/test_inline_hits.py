@@ -147,10 +147,11 @@ class TestPumpAnswersAtRegistration:
             return None
 
         (call_id,) = pump.register([ExternalCall("k", "AV", run, probe)], sink)
-        assert sink.done.wait(5) and pump.quiesce()
+        assert pump.wait(sink.done.is_set, 5) and pump.quiesce()
         assert asked == [1] and went_out == [0]
         assert sink.outcomes == {call_id: (ROWS, None)}
-        assert sink.threads != {threading.get_ident()}
+        # No pump thread: a miss that never waits ends on the registering one.
+        assert sink.threads == {threading.get_ident()}
         names = [e.name for e in call_events(pump.tracer, call_id)]
         assert names == [CALL_REGISTER, "call.enqueue", "call.issue", CALL_COMPLETE]
         assert_exact(pump)
@@ -205,7 +206,7 @@ class TestHitsBypassBreakerAndLimits:
         pump.register(
             [probed_call("boom", answer=None, error=TransientWebError("down"))], sink
         )
-        assert sink.done.wait(5) and pump.quiesce()
+        assert pump.wait(sink.done.is_set, 5) and pump.quiesce()
         assert pump.breakers()["AV"]["state"] == "open"
         return pump
 
@@ -219,7 +220,7 @@ class TestHitsBypassBreakerAndLimits:
             assert pump.breakers()["AV"]["rejections"] == 0
             # ... while a request that needs the network is still refused.
             (miss_id,) = pump.register([probed_call("uncached", answer=None)], miss)
-            assert miss.done.wait(5) and pump.quiesce()
+            assert pump.wait(miss.done.is_set, 5) and pump.quiesce()
             assert isinstance(miss.outcomes[miss_id][1], BreakerOpenError)
             assert pump.stats.snapshot()["breaker_open_rejections"] == 1
             assert_exact(pump)
@@ -241,7 +242,7 @@ class TestHitsBypassBreakerAndLimits:
             assert state["state"] == "half_open" and state["closes"] == 0
             real = Sink()
             pump.register([probed_call("real", answer=None)], real)
-            assert real.done.wait(5) and pump.quiesce()
+            assert pump.wait(real.done.is_set, 5) and pump.quiesce()
             # ... for the real request that closes it.
             assert pump.breakers()["AV"]["state"] == "closed"
             assert_exact(pump)
@@ -272,15 +273,15 @@ class TestHitsBypassBreakerAndLimits:
             pump.register(
                 [probed_call("next", None, went_out=went_out, release=release)], queued
             )
-            while went_out != ["slow"]:  # the one slot is taken
-                assert not slow.done.wait(0.002)
+            assert went_out == ["slow"]  # the one slot is taken
             (hit_id,) = pump.register([probed_call("cached")], hit)
             assert hit.outcomes == {hit_id: (ROWS, None)}  # did not wait
             snap = pump.stats.snapshot()
             assert (snap["in_flight"], snap["queued"]) == (1, 1)
             assert not slow.done.is_set() and went_out == ["slow"]
             release.set()
-            assert slow.done.wait(5) and queued.done.wait(5) and pump.quiesce()
+            assert pump.wait(slow.done.is_set, 5) and pump.wait(queued.done.is_set, 5)
+            assert pump.quiesce()
             assert_exact(pump)
         finally:
             pump.shutdown()
@@ -301,7 +302,7 @@ class TestCoalescingStillCounts:
                     query_id=query,
                 )
             release.set()
-            assert sink.done.wait(5) and pump.quiesce()
+            assert pump.wait(sink.done.is_set, 5) and pump.quiesce()
             snap = assert_exact(pump)
             assert (snap["completed"], snap["coalesced"]) == (3, 2)
             assert went_out == ["hot"]

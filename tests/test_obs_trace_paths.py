@@ -137,7 +137,7 @@ def settle_one(pump, call):
         done.set()
 
     (call_id,) = pump.register([call], on_complete, query_id=0)
-    assert done.wait(5.0)
+    assert pump.wait(done.is_set, 5.0)
     pump.quiesce(timeout=2.0)
     return call_id, box
 

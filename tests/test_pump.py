@@ -42,7 +42,7 @@ class TestBasics:
             done.set()
 
         (call_id,) = pump.register([make_call()], on_complete)
-        assert done.wait(2)
+        assert pump.wait(done.is_set, 2)
         assert payload["result"] == (call_id, [{"count": 1}], None)
 
     def test_call_ids_unique(self, pump):
@@ -66,9 +66,9 @@ class TestBasics:
             done.set()
 
         pump.register([make_call(error=ValueError("network down"))], on_complete)
-        assert done.wait(2)
+        assert pump.wait(done.is_set, 2)
         assert isinstance(payload["error"], ValueError)
-        time.sleep(0.05)
+        assert pump.quiesce(timeout=2.0)
         assert pump.stats.snapshot()["failed"] == 1
 
     def test_pump_restarts_after_shutdown(self):
@@ -76,11 +76,11 @@ class TestBasics:
         started = threading.Event()
         pump.register([make_call(key="before", delay=0.2)], lambda *a: None)
         pump.register([make_call(key="probe")], lambda *a: started.set())
-        assert started.wait(2)
+        assert pump.wait(started.is_set, 2)
         pump.shutdown()
         done = threading.Event()
         pump.register([make_call()], lambda *a: done.set())
-        assert done.wait(2)
+        assert pump.wait(done.is_set, 2)
         pump.shutdown()
 
 
@@ -100,7 +100,7 @@ class TestConcurrency:
         started = time.perf_counter()
         for i in range(count):
             pump.register([make_call(key=i, delay=0.05)], on_complete)
-        assert done.wait(3)
+        assert pump.wait(done.is_set, 3)
         elapsed = time.perf_counter() - started
         # Concurrent: ~0.05s, not 20 * 0.05 = 1s.
         assert elapsed < 0.5
@@ -121,7 +121,7 @@ class TestConcurrency:
 
             for i in range(6):
                 pump.register([make_call(key=i, delay=0.03)], on_complete)
-            assert done.wait(3)
+            assert pump.wait(done.is_set, 3)
             assert pump.stats.snapshot()["max_in_flight"] <= 2
         finally:
             pump.shutdown()
@@ -144,7 +144,7 @@ class TestConcurrency:
             started = time.perf_counter()
             for i in range(4):
                 pump.register([make_call(key=i, destination="AV", delay=0.03)], on_complete)
-            assert done.wait(3)
+            assert pump.wait(done.is_set, 3)
             # Serialized by the destination cap: ~4 * 0.03s.
             assert time.perf_counter() - started >= 0.1
         finally:
@@ -189,7 +189,6 @@ class TestAsyncContext:
     def test_wait_returns_multiple_when_ready(self, pump):
         context = AsyncContext(pump)
         ids = {context.register([make_call(key=i)])[0] for i in range(5)}
-        time.sleep(0.1)
         assert context.wait_for_any(ids, timeout=2) == ids
 
 
@@ -292,10 +291,36 @@ class TestQueuedGauge:
 
             for i in range(5):
                 pump.register([make_call(key=("q", i), delay=0.05)], on_complete)
-            time.sleep(0.06)  # first call in flight, rest queued
-            snapshot = pump.stats.snapshot()
+            snapshot = pump.stats.snapshot()  # first call in flight, rest queued
             assert snapshot["queued"] >= 1
-            assert done.wait(3)
+            assert pump.wait(done.is_set, 3)
+            assert pump.stats.snapshot()["queued"] == 0
+        finally:
+            pump.shutdown()
+
+    def test_coalesced_waiters_are_not_queued(self):
+        """Three same-key calls on an unlimited single-flight pump share
+        one request that is out: nothing waits for a slot."""
+        pump = RequestPump(single_flight=True)
+        try:
+            for _ in range(3):
+                pump.register([make_call(key="same", delay=0.3)], lambda *outcome: None)
+            snapshot = pump.stats.snapshot()
+            assert (snapshot["registered"], snapshot["coalesced"]) == (3, 2)
+            assert (snapshot["in_flight"], snapshot["queued"]) == (1, 0)
+            assert pump.quiesce(timeout=2.0)
+        finally:
+            pump.shutdown()
+
+    def test_a_queued_flight_counts_each_of_its_waiters(self):
+        pump = RequestPump(limits=PumpLimits(max_total=1), single_flight=True)
+        try:
+            pump.register([make_call(key="first", delay=0.05)], lambda *outcome: None)
+            for _ in range(3):
+                pump.register([make_call(key="second", delay=0.05)], lambda *outcome: None)
+            snapshot = pump.stats.snapshot()
+            assert (snapshot["in_flight"], snapshot["queued"], snapshot["coalesced"]) == (1, 3, 2)
+            assert pump.quiesce(timeout=2.0)
             assert pump.stats.snapshot()["queued"] == 0
         finally:
             pump.shutdown()
@@ -319,7 +344,7 @@ class TestQuiesce:
         try:
             delivered = threading.Event()
             pump.register([make_call()], lambda *outcome: delivered.set())
-            assert delivered.wait(2)
+            assert pump.wait(delivered.is_set, 2)
             assert pump.quiesce(timeout=2.0)
             assert len(tracer.events(name=CALL_COMPLETE)) == 1
             histogram = pump.metrics.histogram(
@@ -333,7 +358,7 @@ class TestQuiesce:
         assert pump.quiesce(timeout=0)
         done = threading.Event()
         pump.register([make_call()], lambda *outcome: done.set())
-        assert done.wait(2)
+        assert pump.wait(done.is_set, 2)
         assert pump.quiesce(timeout=2.0)
         assert pump.quiesce(timeout=0)
 
@@ -354,7 +379,7 @@ class TestQuiesce:
                 error=ValueError("boom") if i % 3 == 0 else None,
             )
             pump.register([call], on_complete)
-        assert settled.wait(5)
+        assert pump.wait(settled.is_set, 5)
         assert pump.quiesce(timeout=2.0)
         assert pump.quiesce(timeout=0)
         snapshot = pump.stats.snapshot()
@@ -366,37 +391,6 @@ class TestQuiesce:
         assert (snapshot["cancelled"], snapshot["queued"], snapshot["in_flight"]) == (0, 0, 0)
         histogram = pump.metrics.histogram("request.e2e_seconds", destination="AV")
         assert histogram.count == count
-
-
-class TestShutdownRace:
-    def test_registration_racing_shutdown_is_refused_not_stranded(self):
-        """A probe that shuts the pump down runs between the
-        registration's id allocation and the tabling of its miss: the
-        call must be refused and settled, not tabled on a dead pump."""
-        pump = RequestPump()
-        completions = []
-
-        def probe():
-            pump.shutdown()
-            return None  # a miss: the call would go out
-
-        call = ExternalCall("k", "AV", make_call().execute_async, probe)
-        try:
-            with pytest.raises(ExecutionError, match="request pump is shut down"):
-                pump.register([call], lambda *outcome: completions.append(outcome))
-            assert pump.quiesce(0.5)
-            snapshot = pump.stats.snapshot()
-            assert snapshot["registered"] == 1
-            assert snapshot["cancelled"] == 1
-            assert snapshot["queued"] == 0 and snapshot["in_flight"] == 0
-            time.sleep(0.05)
-            assert completions == []
-            # The pump is usable again afterwards.
-            done = threading.Event()
-            pump.register([make_call(key="after")], lambda *outcome: done.set())
-            assert done.wait(2)
-        finally:
-            pump.shutdown()
 
 
 class TestRegisterCancelStress:
@@ -436,11 +430,87 @@ class TestRegisterCancelStress:
         assert pump._calls == {} and pump._flights == {}
 
 
-class TestHandoff:
+class TestManyWaiters:
+    def test_a_follower_takes_over_when_the_driver_leaves(self, pump):
+        """A driver that leaves (here its own wait times out, with nothing
+        settling) hands the role to the waiter that followed it, which
+        then drives its own call instead of sleeping out its timeout."""
+        done = threading.Event()
+        pump.register([make_call(key="late", delay=0.3)], lambda *outcome: done.set())
+        driving = threading.Event()
+
+        def never():
+            driving.set()  # under the pump lock: this waiter takes the role
+            return False
+
+        driver = threading.Thread(target=pump.wait, args=(never, 0.1))
+        driver.start()
+        try:
+            assert driving.wait(5)
+            started = time.monotonic()
+            assert pump.wait(done.is_set, 5)
+            assert time.monotonic() - started < 1.0
+        finally:
+            driver.join(timeout=5)
+        assert not driver.is_alive()
+
+    def test_waiters_take_turns_driving_and_each_gets_its_calls(self):
+        """More waiting threads than cores, a short switch interval: the
+        driver role passes from waiter to waiter, every call waited for
+        reaches its own waiter with its own rows, every call settles
+        once, and the pump ends with nothing tabled or live."""
+        pump = RequestPump(limits=PumpLimits(max_total=4), single_flight=True)
+        threads, per_thread = 6, 20
+        results = {}
+        lock = threading.Lock()
+        old_interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-5)
+        try:
+
+            def worker(n):
+                for i in range(per_thread):
+                    done, box = threading.Event(), []
+
+                    def on_complete(call_id, rows, error, box=box, done=done):
+                        box.append(rows)
+                        done.set()
+
+                    call = make_call(key=("w", i), delay=0.001 * (i % 3), rows=[{"count": i}])
+                    (call_id,) = pump.register([call], on_complete)
+                    if (n + i) % 4 == 0:
+                        pump.cancel(call_id)
+                    elif pump.wait(done.is_set, 10):
+                        with lock:
+                            results[n, i] = box[0]
+
+            workers = [threading.Thread(target=worker, args=(n,)) for n in range(threads)]
+            for thread in workers:
+                thread.start()
+            for thread in workers:
+                thread.join(timeout=30)
+            assert not any(thread.is_alive() for thread in workers)
+            assert pump.quiesce(timeout=10)
+        finally:
+            sys.setswitchinterval(old_interval)
+            pump.shutdown()
+        assert results == {
+            (n, i): [{"count": i}]
+            for n in range(threads)
+            for i in range(per_thread)
+            if (n + i) % 4
+        }
+        snapshot = pump.stats.snapshot()
+        settled = snapshot["completed"] + snapshot["failed"] + snapshot["cancelled"]
+        assert snapshot["registered"] == settled == threads * per_thread
+        assert snapshot["failed"] == 0 and snapshot["max_in_flight"] <= 4
+        assert (snapshot["queued"], snapshot["in_flight"]) == (0, 0)
+        assert pump._calls == {} and pump._flights == {} and pump._live == {}
+
+
+class TestBurstIssue:
     def test_an_async_burst_is_issued_before_register_returns(self, pump):
-        """The registrant hands the burst to the pump thread and waits for
-        it to be issued, so its waits start at registration, not when the
-        registrant next blocks."""
+        """The registering thread issues the burst itself, so its waits
+        start at registration, not when the registrant next blocks."""
         calls = [make_call(key=("burst", i), delay=0.2) for i in range(5)]
         pump.register(calls, lambda *outcome: None)
         snapshot = pump.stats.snapshot()
@@ -486,11 +556,12 @@ class TestQueuedCallsThatEndAtOnce:
         assert (snapshot["queued"], snapshot["in_flight"]) == (0, 0)
 
 
-class TestPumpThreadFailure:
-    def test_a_dead_pump_thread_strands_nothing(self, monkeypatch):
-        """A handler that raises past the pump's own error handling kills
-        the thread: its flights settle as cancelled and the next
-        registration starts a new thread."""
+class TestHandlerFailure:
+    def test_a_raising_handler_strands_nothing(self):
+        """A heap entry that raises past the pump's own error handling
+        ends its flight with that error and propagates out of the wait
+        that ran it; another call's entry stays on the heap, and the
+        next wait drives it to completion."""
 
         class Escaped(BaseException):
             pass
@@ -499,18 +570,21 @@ class TestPumpThreadFailure:
             yield 0.01
             raise Escaped()
 
-        monkeypatch.setattr(threading, "excepthook", lambda args: None)
         pump = RequestPump()
         completions = []
+        bystander = threading.Event()
         try:
             pump.register([ExternalCall("boom", "AV", run)], lambda *o: completions.append(o))
-            pump.register([make_call(key="bystander", delay=0.2)], lambda *o: completions.append(o))
+            pump.register([make_call(key="bystander", delay=0.2)], lambda *o: bystander.set())
+            with pytest.raises(Escaped):
+                pump.quiesce(timeout=2)
+            ((_, rows, error),) = completions
+            assert rows is None and isinstance(error, Escaped)
+            assert not bystander.is_set()
+            assert pump.wait(bystander.is_set, 2)
             assert pump.quiesce(timeout=2)
-            assert completions == []  # both cancelled: nobody is told
             snapshot = pump.stats.snapshot()
-            assert (snapshot["cancelled"], snapshot["in_flight"], snapshot["queued"]) == (2, 0, 0)
-            done = threading.Event()
-            pump.register([make_call(key="after")], lambda *outcome: done.set())
-            assert done.wait(2)
+            assert (snapshot["completed"], snapshot["failed"], snapshot["cancelled"]) == (1, 1, 0)
+            assert (snapshot["in_flight"], snapshot["queued"]) == (0, 0)
         finally:
             pump.shutdown()

@@ -280,21 +280,18 @@ def wait_one(pump, call):
         done.set()
 
     pump.register([call], on_complete)
-    assert done.wait(5)
+    assert pump.wait(done.is_set, 5)
     return payload["rows"], payload["error"]
 
 
 def wait_settled(pump, expected, timeout=2.0):
-    """Poll until *expected* calls have settled (the done-callback ran)."""
-    deadline = time.time() + timeout
-    while time.time() < deadline:
-        snapshot = pump.stats.snapshot()
-        if (
-            snapshot["completed"] + snapshot["failed"] + snapshot["cancelled"]
-            >= expected
-        ):
-            return snapshot
-        time.sleep(0.005)
+    """Drive the pump until *expected* calls have settled (the done-callback ran)."""
+    count = pump.metrics.counter_value
+    pump.wait(
+        lambda: sum(count("pump." + key) for key in ("completed", "failed", "cancelled"))
+        >= expected,
+        timeout,
+    )
     return pump.stats.snapshot()
 
 
@@ -470,7 +467,7 @@ class TestPumpResilience:
             (call_id,) = pump.register(
                 [ExternalCall(("probe", next(_KEY_COUNTER)), "AV", hang)], lambda *args: None
             )
-            assert started.wait(5)  # the breaker admitted it as the probe
+            assert pump.wait(started.is_set, 5)  # the breaker admitted it as the probe
             pump.cancel(call_id)
             assert pump.quiesce(5)
             self._assert_healthy_call_closes(pump, clock)
@@ -528,13 +525,8 @@ class TestCancellationAccounting:
             completions = []
             call = attempt_call(lambda a: [{"count": 1}], delay=5.0)
             (call_id,) = pump.register([call], lambda *a: completions.append(a))
-            time.sleep(0.05)  # let the call start
             pump.cancel(call_id)
-            deadline = time.time() + 2
-            while time.time() < deadline:
-                if pump.stats.snapshot()["cancelled"] == 1:
-                    break
-                time.sleep(0.01)
+            assert pump.quiesce(timeout=2.0)
             snapshot = pump.stats.snapshot()
             assert snapshot["cancelled"] == 1
             assert snapshot["completed"] == 0
@@ -549,10 +541,9 @@ class TestCancellationAccounting:
         try:
             call = attempt_call(lambda a: [{"count": 1}], delay=5.0)
             (call_id,) = pump.register([call], lambda *a: None)
-            time.sleep(0.05)
             pump.cancel(call_id)
             pump.cancel(call_id)  # idempotent
-            time.sleep(0.2)
+            assert pump.quiesce(timeout=2.0)
             snapshot = pump.stats.snapshot()
             assert snapshot["cancelled"] == 1
             assert snapshot["queued"] == 0
@@ -566,10 +557,10 @@ class TestCancellationAccounting:
             (call_id,) = pump.register(
                 [attempt_call(lambda a: [{"count": 1}])], lambda *a: done.set()
             )
-            assert done.wait(2)
-            time.sleep(0.05)  # let settlement run
+            assert pump.wait(done.is_set, 2)
+            assert pump.quiesce(timeout=2.0)
             pump.cancel(call_id)
-            time.sleep(0.05)
+            assert pump.quiesce(timeout=2.0)
             snapshot = pump.stats.snapshot()
             assert snapshot["completed"] == 1
             assert snapshot["cancelled"] == 0
@@ -594,12 +585,11 @@ class TestShutdownWhileBusy:
                 [attempt_call(lambda a: [{"count": 1}], delay=10.0, key=("s", i))],
                 lambda *a: completions.append(a),
             )
-        time.sleep(0.05)
         started = time.perf_counter()
         pump.shutdown()
-        assert time.perf_counter() - started < 5  # no deadlock on the join
+        assert time.perf_counter() - started < 5  # no deadlock
         seen = len(completions)
-        time.sleep(0.2)
+        assert pump.quiesce(timeout=0.2)
         assert len(completions) == seen  # no late on_complete after shutdown
         snapshot = pump.stats.snapshot()
         assert (
@@ -616,7 +606,6 @@ class TestShutdownWhileBusy:
                 [attempt_call(lambda a: [{"count": 1}], delay=10.0, key=("r", i))],
                 lambda *a: None,
             )
-        time.sleep(0.05)
         pump.shutdown()
         done = threading.Event()
         payload = {}
@@ -626,7 +615,7 @@ class TestShutdownWhileBusy:
             done.set()
 
         pump.register([attempt_call(lambda a: [{"count": 9}])], on_complete)
-        assert done.wait(2)
+        assert pump.wait(done.is_set, 2)
         assert payload["rows"] == [{"count": 9}]
         pump.shutdown()
 
