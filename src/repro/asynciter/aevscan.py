@@ -5,10 +5,11 @@ tuple T where the [output] attribute contains as a placeholder the call
 identifier C."  The dependent join above combines that optimistic tuple
 with the outer tuple and keeps iterating — never blocking on the network.
 
-Batched parameterization: ``open_batch(bindings_list)`` accepts a whole
-outer batch at once and registers *all* of its external calls with the
-request pump in one ``AsyncContext.register``, staging one placeholder
-tuple per binding in input order.  ``open(bindings)`` is a batch of one.
+A call whose rows are in the context when ``register`` returns (a cache
+hit, or a miss another query's waiting thread already settled) comes back
+complete (zero, one or n rows, as :class:`~repro.vtables.evscan.EVScan`
+stages them), so nothing above waits for, patches or proliferates it; any
+other call, a failed one included, is a placeholder for ReqSync.
 """
 
 from repro.vtables.evscan import ExternalScan
@@ -19,23 +20,27 @@ class AEVScan(ExternalScan):
     the same registration, without the wait."""
 
     def open(self, bindings=None):
-        self.open_batch([bindings])
+        self._stage(self.open_batch([bindings])[0])
 
     def open_batch(self, bindings_list):
         """Bind a whole batch of outer tuples in one registration burst.
 
-        Every binding's external call is registered with the pump before
-        any tuple is emitted, so the pump can fill its concurrency limits
-        within a single consumer round trip.  Emission order matches the
-        binding order exactly (one placeholder tuple per binding).
+        Every call is registered (one ``AsyncContext.register``) before
+        any row is returned, so the pump can fill its concurrency limits
+        within one consumer round trip.  Returns one group per binding,
+        in input order: the rows of a call answered at registration,
+        else the one placeholder row.  ``open(bindings)`` stages the
+        group of a batch of one.
         """
         pairs = [self._make_call(bindings) for bindings in bindings_list]
-        call_ids = self.context.register([call for _, call in pairs])
-        self._stage(
-            [
-                self.instance.placeholder_row(resolved, call_id)
-                for (resolved, _), call_id in zip(pairs, call_ids)
-            ]
+        context, instance = self.context, self.instance
+        call_ids = context.register([call for _, call in pairs])
+        answered = context.answered(call_ids)
+        return tuple(
+            instance.complete_rows(resolved, context.take_result(call_id))
+            if call_id in answered
+            else (instance.placeholder_row(resolved, call_id),)
+            for (resolved, _), call_id in zip(pairs, call_ids)
         )
 
     def label(self):

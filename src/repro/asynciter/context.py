@@ -167,6 +167,11 @@ class AsyncContext:
         with self._lock:
             return {cid for cid in call_ids if cid in self._results or cid in self._errors}
 
+    def answered(self, call_ids):
+        """Subset of *call_ids* whose rows (not an error) have arrived."""
+        with self._lock:
+            return {cid for cid in call_ids if cid in self._results}
+
     def wait_for_any(self, call_ids, timeout=None):
         """Block until at least one of *call_ids* completes; return those.
 

@@ -183,8 +183,8 @@ class _Call:
     """One registered call, from registration to its one settlement.
 
     The pump's only per-call state.  Who waits (``on_complete``,
-    ``query_id``), when it moved (``registered_at``, and
-    for a call that went out ``issued_at``/``finished_at``/``attempts``
+    ``query_id``), when it moved (``registered_at``, and for a call that
+    went out ``asked_at`` (for a slot)/``issued_at``/``finished_at``/``attempts``
     — ``finished_at`` is stamped before the slot is freed, so a trace
     never shows ``limit + 1`` overlapping requests), and how it is
     answered:
@@ -215,8 +215,8 @@ class _Call:
     """
 
     __slots__ = (
-        "call_id", "call", "on_complete", "query_id", "registered_at", "issued_at",
-        "finished_at", "attempts", "anchor", "waiters", "gen", "timeout", "cutoff",
+        "call_id", "call", "on_complete", "query_id", "registered_at", "asked_at",
+        "issued_at", "finished_at", "attempts", "anchor", "waiters", "gen", "timeout", "cutoff",
         "slot", "permit", "done", "wake",
     )
 
@@ -226,6 +226,7 @@ class _Call:
         self.on_complete = on_complete
         self.query_id = query_id
         self.registered_at = registered_at
+        self.asked_at = None
         self.issued_at = None
         self.finished_at = None
         self.attempts = 0
@@ -496,8 +497,10 @@ class RequestPump:
     # -- one flight -------------------------------------------------------------------
 
     def _begin(self, anchor):
-        """Trace the enqueue, then take a slot and go out, or queue for one."""
-        self._trace(CALL_ENQUEUE, anchor)
+        """Trace the enqueue, then take a slot and go out, or queue for one.
+        The queue wait counts from here, not from the burst's registration."""
+        anchor.asked_at = self.clock.now()
+        self._trace(CALL_ENQUEUE, anchor, ts=anchor.asked_at)
         with self._lock:
             claimed = self._claim(anchor)
             if not claimed:
@@ -748,7 +751,7 @@ class RequestPump:
         self.stats.bump(destination, outcome)
         observe = self.stats.observe_latency
         if record.issued_at is not None:
-            observe("queue_wait", destination, record.issued_at - record.registered_at)
+            observe("queue_wait", destination, record.issued_at - record.asked_at)
             observe("service", destination, settled_at - record.issued_at)
         observe("e2e", destination, settled_at - record.registered_at)
         if self.tracer is not None:

@@ -1,5 +1,6 @@
 """The Table 1 driver: three templates, two runs, sync vs async."""
 
+import gc
 import time
 
 from repro.bench.workloads import bench_engine, template_queries
@@ -23,7 +24,9 @@ class Table1Row:
 
 
 def time_queries(engine, queries, mode):
-    """Mean wall-clock seconds per query for *queries* under *mode*."""
+    """Mean wall-clock seconds per query for *queries* under *mode*, after an
+    untimed full collection (else one the engine's build set off stalls a query)."""
+    gc.collect()
     started = time.perf_counter()
     for sql in queries:
         engine.execute(sql, mode=mode)

@@ -299,12 +299,12 @@ class DependentJoin(Operator):
     inner scan returns.
 
     When the inner side supports batched parameterization
-    (``open_batch(bindings_list)``, i.e. an :class:`AEVScan`, which emits
-    exactly one tuple per binding), a whole outer batch is bound in one
-    call — this is what registers a *batch* of external calls with the
-    request pump in one go.  Otherwise the inner side may yield 0..n rows
-    per outer tuple and we fall back to a per-outer-row nested loop that
-    still pulls the inner side batch-at-a-time.
+    (``open_batch(bindings_list)``, i.e. an :class:`AEVScan`), a whole
+    outer batch is bound in one call — this is what registers a *batch* of
+    external calls with the request pump in one go — and each outer row
+    is joined with its own group of 0..n inner rows.  Otherwise we fall
+    back to a per-outer-row nested loop that still pulls the inner side
+    batch-at-a-time.
     """
 
     def __init__(self, left, right, binding_columns):
@@ -314,12 +314,14 @@ class DependentJoin(Operator):
         self.schema = left.schema.concat(right.schema)
         self.children = (left, right)
         self._outer_row = None
+        self._pending = []  # joined rows of a bound batch not yet emitted
         self._opened = False
 
     def open(self, bindings=None):
         self._reject_bindings(bindings)
         self.left.open()
         self._outer_row = None
+        self._pending = []
         self._opened = True
 
     def next_batch(self, max_rows=None):
@@ -334,32 +336,30 @@ class DependentJoin(Operator):
     def _next_batch_bound(self, open_batch, limit):
         """Fast path: bind one whole outer batch into the inner scan.
 
-        The inner scan contract here is *exactly one row per binding* (an
-        ``AEVScan`` emits a placeholder or resolved tuple per outer row),
-        so output order is identical to the tuple-at-a-time schedule.
+        ``open_batch`` returns exactly one group of inner rows per binding,
+        and each outer row is joined with its own group, in outer order.
+        An outer batch whose groups are all empty is followed by the next.
         """
-        left_batch = self.left.next_batch(limit)
-        if left_batch is None:
-            return None
-        outer_rows = left_batch.to_rows()
         items = tuple(self.binding_columns.items())
-        bindings_list = [
-            {param: row[index] for param, index in items} for row in outer_rows
-        ]
-        open_batch(bindings_list)
-        try:
-            inner_batch = self.right.next_batch(len(bindings_list))
-            inner_rows = [] if inner_batch is None else inner_batch.to_rows()
-            if len(inner_rows) != len(outer_rows):
+        while not self._pending:
+            # *limit* bounds the outer pull: a LIMIT above pays no extra calls.
+            left_batch = self.left.next_batch(limit)
+            if left_batch is None:
+                return None
+            outer_rows = left_batch.to_rows()
+            groups = open_batch(
+                [{param: row[index] for param, index in items} for row in outer_rows]
+            )
+            if len(groups) != len(outer_rows):
                 raise ExecutionError(
-                    "dependent-join batch binding expected {} inner rows, "
-                    "got {}".format(len(outer_rows), len(inner_rows))
+                    "dependent-join batch binding expected {} inner groups, "
+                    "got {}".format(len(outer_rows), len(groups))
                 )
-        finally:
-            self.right.close()
-        return self.make_batch(
-            [outer + inner for outer, inner in zip(outer_rows, inner_rows)]
-        )
+            self._pending = [
+                outer + inner for outer, group in zip(outer_rows, groups) for inner in group
+            ]
+        rows, self._pending = self._pending[:limit], self._pending[limit:]
+        return self.make_batch(rows)
 
     def _next_batch_looped(self, limit):
         """Fallback: per-outer-row rebinding, inner pulled batch-wise."""

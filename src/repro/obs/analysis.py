@@ -65,10 +65,10 @@ class RequestRecord:
 
     @property
     def queue_wait(self):
-        """Seconds between registration and issue (limit-slot wait)."""
-        if self.registered_at is None or self.issued_at is None:
+        """Seconds between asking for a slot (enqueue) and issue."""
+        if self.enqueued_at is None or self.issued_at is None:
             return None
-        return self.issued_at - self.registered_at
+        return self.issued_at - self.enqueued_at
 
     @property
     def service(self):

@@ -6,7 +6,7 @@ the query's :class:`~repro.asynciter.context.AsyncContext` — and differ
 only in what they stage for ``next_batch()``:
 
 - :class:`~repro.asynciter.aevscan.AEVScan` stages one placeholder tuple
-  and returns at once;
+  (or the rows of a call the cache answered) and returns at once;
 - :class:`EVScan` (the paper's Figure-2 operator) *waits* for that one
   call — the query processor idles for the whole round trip — and stages
   the completed rows.  Because ``open()`` returns only after its call

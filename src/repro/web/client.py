@@ -130,16 +130,13 @@ class SearchClient:
                         destination, expr_text, seconds
                     )
                 )
-            if seconds > 0:
-                yield seconds
+            yield seconds
             raise error
         # Result pages arrive sequentially: page k+1 cannot be requested
         # before page k's response names it.
         pages = 1 if kind == "count" else max(1, -(-limit // self.page_size))
         for _ in range(pages):
-            delay = self._round_trip(destination, expr_text)
-            if delay > 0:
-                yield delay
+            yield self._round_trip(destination, expr_text)  # 0 s too: it settles at a wait
         if kind == "count":
             return self.engine.count(expr_text)
         return self.engine.search(expr_text, limit)

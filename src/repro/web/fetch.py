@@ -68,10 +68,8 @@ class FetchService:
 
     def fetch_async(self, url):
         """One fetch attempt, as a generator: yields the latency, returns the page."""
-        delay = self._delay(url)
         self.requests_sent += 1
-        if delay > 0:
-            yield delay
+        yield self._delay(url)  # even 0 s: a fetch settles at a wait
         result = self._resolve(url)
         if self.cache is not None:
             self.cache.put(_cache_key(url), result)

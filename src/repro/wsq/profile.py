@@ -20,6 +20,8 @@ percentiles, and ``report.chrome_trace()`` / ``report.waterfall()``
 export the timeline.
 """
 
+from contextlib import nullcontext
+
 from repro.exec.operator import Operator
 from repro.obs.analysis import destination_latencies, overlap_factor, request_table
 from repro.obs.export import render_waterfall, to_chrome_trace
@@ -30,7 +32,8 @@ class OperatorStats:
     """Counters for one wrapped operator.
 
     ``pulls`` counts ``next_batch()`` round trips (a ``next()`` is one
-    pull of one row); a batch of *n* adds *n* to ``rows``.
+    pull of one row); a batch of *n* adds *n* to ``rows``, and so do the
+    *n* rows an ``open_batch`` returns.
     """
 
     __slots__ = ("label", "depth", "opens", "pulls", "closes", "rows", "seconds")
@@ -63,42 +66,31 @@ class _ProfiledOperator(Operator):
             # ``open_batch`` check, which must see through the wrapper.
             self.open_batch = self._open_batch
 
-    def _timed(self, fn, *args):
-        started = self.clock.now()
-        try:
-            return fn(*args)
-        finally:
-            self.stats.seconds += self.clock.now() - started
+    def _spanned(self, name, fn, *args):
+        """``fn(*args)``, timed into ``seconds``, inside a *name* span when tracing."""
+        tracer = self.tracer
+        with nullcontext() if tracer is None else tracer.span(
+            name, query_id=self.query_id, operator=self.stats.label
+        ):
+            started = self.clock.now()
+            try:
+                return fn(*args)
+            finally:
+                self.stats.seconds += self.clock.now() - started
 
     def open(self, bindings=None):
         self.stats.opens += 1
-        if self.tracer is not None:
-            with self.tracer.span(
-                "op.open", query_id=self.query_id, operator=self.stats.label
-            ):
-                self._timed(self.inner.open, bindings)
-        else:
-            self._timed(self.inner.open, bindings)
+        self._spanned("op.open", self.inner.open, bindings)
 
     def _open_batch(self, bindings_list):
         self.stats.opens += 1
-        if self.tracer is not None:
-            with self.tracer.span(
-                "op.open", query_id=self.query_id, operator=self.stats.label
-            ):
-                self._timed(self.inner.open_batch, bindings_list)
-        else:
-            self._timed(self.inner.open_batch, bindings_list)
+        groups = self._spanned("op.open", self.inner.open_batch, bindings_list)
+        self.stats.rows += sum(map(len, groups))
+        return groups
 
     def next_batch(self, max_rows=None):
         self.stats.pulls += 1
-        if self.tracer is not None:
-            with self.tracer.span(
-                "op.next_batch", query_id=self.query_id, operator=self.stats.label
-            ):
-                batch = self._timed(self.inner.next_batch, max_rows)
-        else:
-            batch = self._timed(self.inner.next_batch, max_rows)
+        batch = self._spanned("op.next_batch", self.inner.next_batch, max_rows)
         if batch is not None:
             self.stats.rows += len(batch)
         return batch
@@ -107,13 +99,7 @@ class _ProfiledOperator(Operator):
         # Teardown is timed too: ReqSync draining/cancelling pending
         # calls on close used to be invisible in cum(s).
         self.stats.closes += 1
-        if self.tracer is not None:
-            with self.tracer.span(
-                "op.close", query_id=self.query_id, operator=self.stats.label
-            ):
-                self._timed(self.inner.close)
-        else:
-            self._timed(self.inner.close)
+        self._spanned("op.close", self.inner.close)
 
     def label(self):
         return self.inner.label()

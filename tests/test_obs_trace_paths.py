@@ -516,9 +516,18 @@ class TestEngineTraces:
                     by_call.setdefault(event.call_id, []).append(event)
             # Warm, every call is answered at registration: no enqueue,
             # no issue (no slot was queued for or taken), no attempt.
+            # Asynchronously, AltaVista's rows arrive complete and
+            # proliferate before the Google join, so one Sig can bind
+            # the same Google call several times: the context dedups
+            # those registrations after the first was answered.  A sync
+            # scan takes each lease before the next registration, so it
+            # never dedups.
+            dedups = {CALL_DEDUP} if mode == "async" else set()
             assert by_call
             for call in by_call.values():
-                assert [e.name for e in call] == answered
+                names = [e.name for e in call]
+                assert names[:2] == answered
+                assert set(names[2:]) <= dedups
                 assert call[0].args["mode"] == mode
                 assert call[1].args["attempts"] == 0
             assert all(r.issued_at is None for r in request_table(events).values())

@@ -521,6 +521,58 @@ class TestBurstIssue:
         assert pump.stats.snapshot()["in_flight"] == 6
 
 
+class TestQueueWait:
+    """The queue wait is the time a call waited for a slot: from asking
+    for one to its issue, not from the registration of its burst."""
+
+    def _run_burst(self, limits, issue):
+        """Two calls in one burst, each taking *issue* seconds of the
+        registering thread to go out and then 0.25 s in flight; returns
+        their trace records and the pump's queue-wait summary."""
+        from repro.obs.analysis import request_table
+        from repro.obs.trace import Tracer
+        from repro.util.timing import VirtualClock
+
+        clock = VirtualClock()
+
+        def serviced(key):
+            def run(attempt=0):
+                clock.advance(issue)
+                yield 0.0
+                clock.advance(0.25)
+                return [{"count": 1}]
+
+            return ExternalCall(key, "AV", run)
+
+        pump = RequestPump(limits=limits, tracer=Tracer(clock=clock))
+        try:
+            ids = pump.register([serviced("first"), serviced("second")], lambda *o: None)
+            assert pump.quiesce(timeout=5)
+            summary = pump.latencies()["AV"]["queue_wait"]
+            table = request_table(pump.tracer.events())
+        finally:
+            pump.shutdown()
+        return [table[call_id] for call_id in ids], summary
+
+    def test_an_unlimited_burst_waits_for_no_slot(self):
+        # Issuing the first call took 0.01 s; the second still got its
+        # slot the moment it asked.
+        records, summary = self._run_burst(PumpLimits(), issue=0.01)
+        assert [record.queue_wait for record in records] == [0.0, 0.0]
+        assert (summary["count"], summary["max"]) == (2, 0.0)
+        # It went out 0.01 s after its burst was registered, and its
+        # end-to-end time still counts from the registration.
+        assert (records[1].registered_at, records[1].enqueued_at) == (0.0, pytest.approx(0.01))
+        assert records[1].e2e == pytest.approx(records[1].settled_at)
+
+    def test_a_queued_call_waits_out_the_call_ahead_of_it(self):
+        (first, second), summary = self._run_burst(PumpLimits(max_total=1), issue=0.0)
+        assert first.queue_wait == 0.0
+        assert second.queue_wait == pytest.approx(first.service) == pytest.approx(0.25)
+        assert summary["count"] == 2
+        assert (summary["min"], summary["max"]) == (0.0, pytest.approx(0.25))
+
+
 class TestQueuedCallsThatEndAtOnce:
     """A long run of queued calls that each end as soon as they are issued
     must settle one after another, not by recursing once per call."""
