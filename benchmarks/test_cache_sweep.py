@@ -5,7 +5,7 @@ The paper's Figure 7(a) plan re-sends identical searches (|R| per Sig);
 repeated-search workload at increasing re-execution counts, so the
 observed hit ratio climbs from 0 toward ``(k-1)/k``, and records the
 speedup the cache bought at each point — the "hit-ratio vs speedup"
-curve that motivates :meth:`repro.plan.cost.CostModel.miss_fraction`.
+curve.
 
 A second table compares *warm* runs across the tier stacks (memory /
 memory+disk): both must clear the >= 2x warm-speedup bar, since a warm

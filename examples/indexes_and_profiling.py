@@ -1,28 +1,22 @@
-"""Indexes, the cost model, and query profiling.
+"""Indexes, auto mode, and query profiling.
 
 Beyond the paper's scope, this library ships the pieces a production
-deployment of WSQ would want: B+tree secondary indexes, a cost model for
-sync-vs-async decisions (the paper's explicit future work) and
-per-operator profiling.  This example tours them:
+deployment of WSQ would want: B+tree secondary indexes, an ``auto``
+execution mode and per-operator profiling.  This example tours them:
 
 1. build a persistent database with an index,
 2. compare the plans with and without the index,
 3. profile a WSQ query in both execution modes — watch the time move
    from the EVScan (sequential network waits) into one ReqSync wait,
-4. let ``mode="auto"`` pick execution strategies via the cost model.
+4. let ``mode="auto"`` pick the execution strategy: asynchronous
+   iteration exactly when the plan has an external scan.
 
 Run:  python examples/indexes_and_profiling.py
 """
 
 import tempfile
 
-from repro import (
-    CostModel,
-    Database,
-    UniformLatency,
-    WsqEngine,
-    load_all,
-)
+from repro import Database, UniformLatency, WsqEngine, load_all
 
 QUERY = (
     "Select Name, Count From Sigs, WebCount "
@@ -37,7 +31,6 @@ def main():
             engine = WsqEngine(
                 database=database,
                 latency=UniformLatency(0.01, 0.03),
-                cost_model=CostModel(latency_mean=0.02),
             )
 
             print("== B+tree index changes the access path ==")
@@ -55,7 +48,7 @@ def main():
             print(engine.profile(QUERY, mode="async").render())
             print()
 
-            print("== auto mode: the cost model decides ==")
+            print("== auto mode: an external scan decides ==")
             for sql in (
                 "Select Count(*) From States",  # local-only -> stays sequential
                 QUERY,  # external calls -> asynchronous iteration

@@ -14,7 +14,6 @@ __version__ = "1.0.0"
 from repro.config import EngineConfig
 from repro.datasets import load_all
 from repro.dsq import DsqSession
-from repro.plan import CostModel
 from repro.relational import Column, DataType, Schema
 from repro.storage import Database
 from repro.web import (
@@ -31,7 +30,6 @@ from repro.wsq import ProfileReport, QueryResult, WsqEngine, format_table
 __all__ = [
     "Column",
     "CorpusConfig",
-    "CostModel",
     "DataType",
     "Database",
     "DsqSession",

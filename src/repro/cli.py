@@ -39,13 +39,12 @@ HELP = """Statements end with ';'.  Dot-commands:
   .tables            list stored tables (and indexes)
   .mode [sync|async|auto]  show or set execution mode
   .explain [FORM] <query>  show the plan without running it; FORM is one
-                     of logical|optimized|physical|rules|costs
+                     of logical|optimized|physical|rules
                      (default physical)
   .profile <query>   run with per-operator instrumentation + trace
   .stats             pump / engine / cache statistics
   .metrics [--prom]  metrics-registry snapshot (latency percentiles);
                      --prom prints Prometheus text exposition instead
-  .recalibrate       re-price the cost model from the live trace/metrics
   .quit              exit
 """
 
@@ -391,8 +390,6 @@ def _dot_command(engine, line, mode):
             print(engine.metrics.to_prometheus(), end="")
         else:
             print(json.dumps(engine.metrics_snapshot(), indent=1, sort_keys=True))
-    elif command == ".recalibrate":
-        print("calibration applied: {}".format(engine.recalibrate().summary()))
     else:
         print("unknown command {!r}; try .help".format(command))
     return mode

@@ -81,22 +81,11 @@ class Operator:
         """One-line description used by plan explanation."""
         return type(self).__name__
 
-    def explain(self, indent=0, annotate=None):
-        """Nested textual rendering of the plan tree.
-
-        *annotate* is an optional callback ``operator -> str``; a
-        non-empty return value is appended to that operator's line (the
-        unified renderer behind cost-annotated explains — see
-        :meth:`repro.plan.cost.CostModel.annotated_explain`).
-        """
-        line = "{}{}".format("  " * indent, self.label())
-        if annotate is not None:
-            extra = annotate(self)
-            if extra:
-                line = "{}  [{}]".format(line, extra)
-        lines = [line]
+    def explain(self, indent=0):
+        """Nested textual rendering of the plan tree."""
+        lines = ["{}{}".format("  " * indent, self.label())]
         for child in self.children:
-            lines.append(child.explain(indent + 1, annotate))
+            lines.append(child.explain(indent + 1))
         return "\n".join(lines)
 
     def _reject_bindings(self, bindings):

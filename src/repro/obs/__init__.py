@@ -14,10 +14,6 @@ Three layers, one bundle:
   slot, so overlap is visible geometry), a CLI waterfall, Prometheus
   text exposition, and JSON metrics dumps, plus tiny schema checkers
   for CI.
-- :class:`~repro.obs.calibration.CalibrationProfile` — the feedback
-  loop: measured per-destination latency and fan-out plus cache hit
-  ratio, distilled from the tracer and registry and fed back into the
-  planner's cost model.
 
 :class:`Observability` is the bundle an engine threads through its
 components; ``Observability.disabled()`` (the default) costs one ``is
@@ -25,7 +21,6 @@ None`` check per would-be event.
 """
 
 from repro.obs.analysis import destination_latencies, overlap_factor, request_table
-from repro.obs.calibration import CalibrationProfile, DestinationCalibration
 from repro.obs.export import (
     metrics_json,
     render_waterfall,
@@ -82,8 +77,6 @@ class Observability:
 
 
 __all__ = [
-    "CalibrationProfile",
-    "DestinationCalibration",
     "MetricsRegistry",
     "Observability",
     "TraceEvent",

@@ -238,13 +238,6 @@ class MetricsRegistry:
         counter = self._counters.get((name, _labels_key(labels)))
         return counter.value if counter is not None else 0
 
-    # -- typed iteration (calibration / exposition) ---------------------------
-
-    def histograms_named(self, name):
-        """All histograms called *name*, across label sets."""
-        with self._lock:
-            return [h for (n, _), h in self._histograms.items() if n == name]
-
     # -- export ---------------------------------------------------------------
 
     def snapshot(self):

@@ -8,13 +8,9 @@ the guarantee the paper notes Informix could not give).
 """
 
 from repro.plan.binder import Binder
-from repro.plan.cost import CostModel, PlanEstimate, predicate_selectivity
 from repro.plan.planner import Planner
 
 __all__ = [
     "Binder",
-    "CostModel",
-    "PlanEstimate",
     "Planner",
-    "predicate_selectivity",
 ]

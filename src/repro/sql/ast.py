@@ -462,7 +462,7 @@ class Exists(AstNode):
 
 
 class Analyze(AstNode):
-    """``ANALYZE [table]`` — collect optimizer statistics."""
+    """``ANALYZE [table]`` — report each table's row and column counts."""
 
     def __init__(self, table=None):
         self.table = table

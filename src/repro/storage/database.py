@@ -25,9 +25,9 @@ class Database:
     ``Database()`` is fully in-memory; ``Database(directory)`` persists the
     catalog and heap files under *directory* and re-opens them next time.
 
-    ``generation`` moves on every DDL statement, ``analyze`` and table
-    mutation — all a planner reads here — so a plan remembered under one
-    value is still the plan a planner would build while it stands.
+    ``generation`` moves on every DDL statement and table mutation — all
+    a planner reads here — and on ``analyze``, so a plan remembered under
+    one value is still the plan a planner would build while it stands.
     """
 
     def __init__(self, directory=None, buffer_capacity=64):
@@ -105,15 +105,18 @@ class Database:
     # -- statistics --------------------------------------------------------------
 
     def analyze(self, table_name=None):
-        """Compute optimizer statistics for one table (or all of them)."""
-        from repro.storage.stats import analyze_table
+        """ANALYZE one table (or all of them): ``{name: (rows, columns)}``.
 
+        The planner reads no statistics, so this only reports each
+        table's size; it moves ``generation`` like any DDL statement.
+        """
         names = [table_name] if table_name else self.table_names()
+        sizes = {}
         for name in names:
             table = self.table(name)
-            table.stats = analyze_table(table)
+            sizes[name] = (table.row_count(), len(table.schema))
         self._changed()
-        return {name: self.table(name).stats for name in names}
+        return sizes
 
     def table(self, name):
         table = self._tables.get(name.lower())

@@ -15,10 +15,6 @@ class Table:
         self.heap = heap
         self._types = tuple(column.type for column in schema)
         self.indexes = []  # TableIndex objects, kept in sync by DML
-        #: :class:`~repro.storage.stats.TableStats` from the last ANALYZE
-        #: (``None`` until one runs; not invalidated by DML — like real
-        #: systems, statistics go stale until re-analyzed).
-        self.stats = None
         #: Called as every mutating method starts; the Database moves its
         #: ``generation`` stamp here.
         self.changed = changed

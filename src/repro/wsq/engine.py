@@ -10,10 +10,8 @@ from repro.asynciter.rewrite import rewrite_logical
 from repro.config import EngineConfig, default_cache
 from repro.exec.operator import execute_batches
 from repro.obs import Observability
-from repro.obs.calibration import CalibrationProfile
 from repro.obs.trace import BEGIN, END, PLAN_RULE_FIRED, QUERY_SPAN, Tracer
 from repro.plan import logical as logical_ir
-from repro.plan.cost import CPU_PER_PATCH, CostModel
 from repro.plan.physical import lower
 from repro.plan.planner import Planner
 from repro.relational.expr import kernel_stats, subqueries
@@ -99,8 +97,9 @@ class WsqEngine:
         in the engine's trace).  ``None`` builds the engine its own
         single-flight pump, the same way whatever else is passed: with
         *resilience*, on the engine's clock, and with *obs*'s tracer and
-        registry when observed.  Its thread exits shortly after the last
-        call settles, so an engine left unshut holds no thread.
+        registry when observed.  The pump owns no thread: it issues
+        on the registering thread and runs its timers inside the waiting
+        query's wait, so an engine left unshut holds no thread.
     obs:
         An :class:`~repro.obs.Observability` bundle.  With one attached
         (e.g. ``Observability.enabled()``), every query is traced —
@@ -111,10 +110,6 @@ class WsqEngine:
         A :class:`~repro.web.faults.FaultModel` for the clients and the
         :class:`~repro.asynciter.resilience.ResiliencePolicy` of the
         engine's pump.
-    cost_model:
-        A :class:`~repro.plan.cost.CostModel` for ``mode="auto"`` and
-        ``explain(form="costs")``; :meth:`recalibrate` re-prices it (or
-        a default one) from the engine's own measurements.
     config:
         The :class:`~repro.config.EngineConfig` (``None`` resolves one
         from the environment).  Any of its field names may also be given
@@ -141,7 +136,6 @@ class WsqEngine:
         obs=None,
         faults=None,
         resilience=None,
-        cost_model=None,
         config=None,
         **overrides
     ):
@@ -162,7 +156,6 @@ class WsqEngine:
         self.clock = resolve_clock(obs.clock if obs is not None else None)
         if pump is None:
             pump = RequestPump(
-                name="reqpump-engine",
                 resilience=resilience,
                 tracer=obs and obs.tracer,
                 metrics=obs and obs.metrics,
@@ -182,7 +175,6 @@ class WsqEngine:
             # registry of an engine that asks for observability, and
             # otherwise into its own.
             cache.attach_observability(metrics=obs.metrics, tracer=obs.tracer)
-        self.cost_model = cost_model
         self.clients = {
             name: self._build_client(name)
             for name in self.web.engine_names()
@@ -194,9 +186,10 @@ class WsqEngine:
         self._statements = OrderedDict()  # (sql, requested mode) -> _Statement
         self._statements_lock = threading.Lock()
 
-    # Three views of ``config`` and the per-query deduplication flag,
-    # kept for the frozen benchmark adapter (perf/adapter.py); nothing
-    # else in src/, tests/, benchmarks/ or examples/ may use them.
+    # Three views of ``config``, the per-query deduplication flag and an
+    # always-absent cost model, kept for the frozen benchmark adapter
+    # (perf/adapter.py); nothing else in src/, tests/, benchmarks/ or
+    # examples/ may use them.
 
     @property
     def planner_options(self):
@@ -210,6 +203,7 @@ class WsqEngine:
         return self.config
 
     dedup_calls = True
+    cost_model = None
 
     @property
     def batch_size(self):
@@ -306,28 +300,24 @@ class WsqEngine:
 
         A hit is exactly what :meth:`_derive` would build now: an entry
         is checked against ``Database.generation``, and what that stamp
-        cannot cover is never stored — a tree holding a subquery
-        predicate, and an ``auto`` statement while a cost model is
-        attached (its mode is a function of live measurements).  A hit's
-        rule firings are traced and counted again under the new query id.  A miss parses with
-        *parser*; what is not a SELECT comes back as ``(parsed, None)``.
+        cannot cover, a tree holding a subquery predicate, is never
+        stored.  A hit's rule firings are traced and counted again under
+        the new query id.  A miss parses with *parser*; what is not a
+        SELECT comes back as ``(parsed, None)``.
         """
         key = (sql, mode)
         metrics = self.pump.metrics
-        entry = None
-        outcome = "unstored"
-        if self.cost_model is None or mode != AUTO:
-            with self._statements_lock:
-                entry = self._statements.get(key)
-                if entry is None:
-                    outcome = "miss"
-                elif entry.generation == self.database.generation:
-                    outcome = "hit"
-                    self._statements.move_to_end(key)
-                else:
-                    outcome = "stale"
-                    entry = None
-                    del self._statements[key]
+        with self._statements_lock:
+            entry = self._statements.get(key)
+            if entry is None:
+                outcome = "miss"
+            elif entry.generation == self.database.generation:
+                outcome = "hit"
+                self._statements.move_to_end(key)
+            else:
+                outcome = "stale"
+                entry = None
+                del self._statements[key]
         if entry is not None:
             query_id = self._next_query_id(tracer)
             for firing in entry.firings:
@@ -340,7 +330,7 @@ class WsqEngine:
                 return query, None
             query_id = self._next_query_id(tracer)
             entry = self._derive(query, mode, tracer, query_id)
-            if outcome == "unstored" or _holds_subquery(entry.logical):
+            if _holds_subquery(entry.logical):
                 outcome = "unstored"
             else:
                 with self._statements_lock:
@@ -354,9 +344,8 @@ class WsqEngine:
         """Build (and for async mode, rewrite) the plan for *sql*.
 
         ``mode="auto"`` applies asynchronous iteration exactly when the
-        plan contains external virtual-table scans (optionally arbitrated
-        by a :class:`~repro.plan.cost.CostModel` passed as
-        ``self.cost_model``): local-only queries skip the rewrite.
+        plan contains external virtual-table scans: local-only queries
+        skip the rewrite.
         """
         tracer = self.tracer
         statement, query_id = self._statement(sql, mode, tracer)
@@ -367,34 +356,15 @@ class WsqEngine:
 
         Local-only queries stay sequential — the rewrite buys nothing and
         the ReqSync machinery is pure overhead.  Plans with external scans
-        go asynchronous; with a :class:`~repro.plan.cost.CostModel`
-        attached, only when the model expects the rewrite to pay off
-        (it essentially always does once a call exists, but a zero-latency
-        model with per-call overhead can disagree).
+        go asynchronous.
         """
         if mode in (SYNC, ASYNC):
             return mode
         if mode != AUTO:
             raise PlanError("unknown execution mode {!r}".format(mode))
-        if not logical_ir.contains_external_scan(logical):
-            return SYNC
-        if self.cost_model is not None:
-            # Priced, never run: the context only lets its scans lower.
-            sync_plan = lower(logical, self.config, AsyncContext(self.pump))
-            sync_estimate = self.cost_model.estimate(sync_plan)
-            sync_seconds = self.cost_model.seconds(sync_plan)
-            # Model the consolidated rewrite without building it: the same
-            # calls collapse into one blocking wave plus patch work.
-            async_seconds = (
-                sync_seconds
-                - sync_estimate.waves * self.cost_model.latency_mean
-                + 1.0 * self.cost_model.latency_mean
-                + sync_estimate.rows * CPU_PER_PATCH
-            )
-            return ASYNC if async_seconds < sync_seconds else SYNC
-        return ASYNC
+        return ASYNC if logical_ir.contains_external_scan(logical) else SYNC
 
-    EXPLAIN_FORMS = ("logical", "optimized", "physical", "rules", "costs")
+    EXPLAIN_FORMS = ("logical", "optimized", "physical", "rules")
 
     def explain(self, sql, mode=ASYNC, form="physical"):
         """The plan as text, at any layer of the planning stack.
@@ -409,9 +379,6 @@ class WsqEngine:
           ReqSync placement.
         - ``"rules"``: one line per fired placement rule with
           before/after node counts.
-        - ``"costs"``: the physical form with a per-operator cost column
-          (uses ``self.cost_model`` or a default
-          :class:`~repro.plan.cost.CostModel`).
         """
         query = parse_select(sql)
         if form == "logical":
@@ -438,62 +405,7 @@ class WsqEngine:
                 )
                 for f in firings
             )
-        plan = self._lower(statement, tracer, query_id)
-        if form == "costs":
-            model = self.cost_model or self._default_cost_model()
-            text = model.annotated_explain(plan)
-            if model.calibrated:
-                static = model.uncalibrated()
-                header = (
-                    "-- cost model: calibrated ({})\n"
-                    "-- this plan: calibrated ~{:.4f}s vs static ~{:.4f}s "
-                    "(latency_mean {:.4f}s vs {:.4f}s)\n".format(
-                        model.profile.summary(),
-                        model.seconds(plan),
-                        static.seconds(plan),
-                        model.latency_mean,
-                        static.latency_mean,
-                    )
-                )
-                return header + text
-            return text
-        return plan.explain()
-
-    def _latency_mean(self):
-        """Mean per-request latency in seconds (for the default cost model)."""
-        mean = getattr(self.latency, "mean", None)
-        if callable(mean):
-            return mean()
-        if isinstance(mean, (int, float)):
-            return float(mean)
-        return 0.05
-
-    # -- calibration -----------------------------------------------------------
-
-    def _default_cost_model(self):
-        """A static model priced from this engine's latency, cache and pump."""
-        return CostModel(
-            latency_mean=self._latency_mean(),
-            cache=self.cache,
-            limits=self.pump.limits,
-        )
-
-    def recalibrate(self):
-        """Re-price ``self.cost_model`` from the engine's own measurements.
-
-        The profile is built from the engine's tracer, metrics registry
-        and cache (so a traced workload is all the setup needed) and
-        applied to ``self.cost_model``, a default one if none is set.
-        Returns the applied
-        :class:`~repro.obs.calibration.CalibrationProfile`.
-        """
-        profile = CalibrationProfile.from_sources(
-            tracer=self.tracer, metrics=self.metrics, cache=self.cache
-        )
-        if self.cost_model is None:
-            self.cost_model = self._default_cost_model()
-        self.cost_model.apply_profile(profile)
-        return profile
+        return self._lower(statement, tracer, query_id).explain()
 
     # -- execution ---------------------------------------------------------------------
 
@@ -569,13 +481,10 @@ class WsqEngine:
     def _run_other(self, statement):
         """Carry out a parsed statement that is not a SELECT."""
         if isinstance(statement, ast.Analyze):
-            stats = self.database.analyze(statement.table)
+            sizes = self.database.analyze(statement.table)
             return QueryResult(
                 ["table", "rows", "columns"],
-                [
-                    (name, table_stats.row_count, len(table_stats.columns))
-                    for name, table_stats in sorted(stats.items())
-                ],
+                [(name,) + size for name, size in sorted(sizes.items())],
             )
         if isinstance(statement, ast.CreateTable):
             self.database.create_table(statement.table, statement.columns)
@@ -735,9 +644,9 @@ class WsqEngine:
         can tell *why* a destination is failing fast, not just how often.
         Retries, timeouts and breakers are the pump's, per engine.
         ``"trace"`` (present only when tracing is on) reports the ring
-        buffer's fill and — crucially for calibration — how many events
-        it has **dropped** since the last clear: a non-zero count means
-        any trace-derived view is incomplete.
+        buffer's fill and how many events it has **dropped** since the
+        last clear: a non-zero count means any trace-derived view is
+        incomplete.
         ``"kernels_process_wide"`` is :func:`~repro.relational.expr.kernel_stats`
         read now: every engine's expression kernels, not this one's alone.
         """

@@ -248,16 +248,6 @@ class TestDotCommands:
         assert "VTableScan" in out
         assert "ReqSync" not in out  # pre-rules form
 
-    def test_explain_form_costs(self, capsys):
-        engine = build_engine(_Args())
-        _dot_command(
-            engine,
-            ".explain costs Select Name, Count From States, WebCount "
-            "Where Name = T1",
-            "async",
-        )
-        assert "rows~" in capsys.readouterr().out
-
     def test_explain_form_alone_prints_usage(self, capsys):
         engine = build_engine(_Args())
         _dot_command(engine, ".explain rules", "async")
@@ -383,17 +373,8 @@ class TestObservabilityCommands:
         out = capsys.readouterr().out
         assert out.lstrip().startswith("{")
 
-    def test_recalibrate_command(self, capsys):
-        engine = build_engine(_Args())
-        _dot_command(engine, ".recalibrate", "async")
-        out = capsys.readouterr().out
-        assert "calibration applied" in out
-        assert engine.cost_model is not None
-        assert engine.cost_model.calibrated
-
     def test_help_lists_new_commands(self, capsys):
         engine = build_engine(_Args())
         _dot_command(engine, ".help", "async")
         out = capsys.readouterr().out
-        assert ".recalibrate" in out
         assert "--prom" in out

@@ -235,6 +235,8 @@ class TestEngineConstruction:
     def test_the_engine_takes_no_calibration_file(self, web, paper_db):
         with pytest.raises(ConfigError, match="calibration"):
             WsqEngine(database=paper_db, web=web, calibration="x")
+        with pytest.raises(ConfigError, match="cost_model"):
+            WsqEngine(database=paper_db, web=web, cost_model=object())
 
     def test_keywords_override_the_given_config(self, web, paper_db):
         config = EngineConfig(on_error="drop", batch_size=9)
@@ -394,7 +396,7 @@ RETIRED_OPTIONS = [
 #: per-tenant active budget and its unused options, then the sharded
 #: search tier (its client, view, stats, cost pricing, variable, flag
 #: and trace events), then the cost model's unset knobs, calibration
-#: profile persistence and policy, and served recalibration, then the
+#: profile persistence and policy, and served re-pricing, then the
 #: result cache's freshness policy (per-kind TTLs, serve-stale, negative
 #: caching and the failure replay) and the breaker's unset knobs, then
 #: the physical rewrite adapter, the physical-to-logical lift, structural
@@ -414,8 +416,11 @@ RETIRED_OPTIONS = [
 #: deadlines (its expiry counter, its spent-deadline check and the
 #: deadline's timeout composition), then the pump's own thread (its idle
 #: linger, its turn loop, its shutdown counter and the registrant's wait
-#: for the thread to take a burst); none may come back in code, CI or
-#: the docs.
+#: for the thread to take a burst), then the cost model (its class, its
+#: calibration profile and how a profile was applied, the engine's
+#: re-pricing from its own trace, the cost-annotated explain, the
+#: Figure 7 chooser and the registry lookup only calibration read); none
+#: may come back in code, CI or the docs.
 RETIRED = [
     _spell("Planner", "Options"),
     _spell("Rewrite", "Settings"),
@@ -462,7 +467,7 @@ RETIRED = [
     _spell("--", "shards"),
     _spell(r"shard\.", "(scatter|gather|outage)"),
     _spell("Calibration", "Policy"),
-    _spell("maybe_", "recalibrate"),
+    _spell("maybe_", "recal", "ibrate"),
     _spell("validate_", "profile"),
     _spell("assert_valid", "_profile"),
     _spell("PROFILE_", "KIND"),
@@ -473,7 +478,7 @@ RETIRED = [
     _spell("per_destination", "_limits"),
     _spell("effective_", "concurrency"),
     _spell("reqsync_", "fanout"),
-    _spell(r"serve\.", "(recalibrate|calibration)"),
+    _spell(r"serve\.", "(re", "calibrate|calibration)"),
     _spell("--", "calibration"),
     _spell("Cache", "Policy"),
     _spell("Cached", "Failure"),
@@ -536,7 +541,7 @@ RETIRED = [
     _spell("Refine", "ment"),
     _spell(r"\brelated", r"\("),
     _spell(r"\braise", r"_if_expired\b"),
-    _spell("(counters|gauges)", "_named"),
+    _spell("(counters|gauges|histograms)", "_named"),
     _spell("resident", "_pages"),
     _spell(r"\bqualified", r"_names\b"),
     _spell(r"\btotal", r"_tokens\b"),
@@ -570,6 +575,12 @@ RETIRED = [
     _spell(r"\b_tu", r"rn\b"),
     _spell(r"\b_sto", r"ps\b"),
     _spell("hand", "off"),
+    _spell("Cost", "Model"),
+    _spell("recali", "brat"),
+    _spell("Calibration", "Profile"),
+    _spell("annotated", "_explain"),
+    _spell("choose_figure7", "_variant"),
+    _spell("apply", "_profile"),
 ]
 
 #: Where they may not appear (EXPERIMENTS.md, CHANGES.md and ROADMAP.md
@@ -665,18 +676,18 @@ class TestStructuralGuard:
             _spell('SHARD_GATHER = "shard.', 'gather"'),
             _spell('SHARD_OUTAGE = "shard.', 'outage"'),
             _spell("class Calibration", "Policy:"),
-            _spell("    def maybe_", "recalibrate(self, force=False):"),
+            _spell("    def maybe_", "recal", "ibrate(self, force=False):"),
             _spell("def validate_", "profile(payload):"),
             _spell("def assert_valid", "_profile(payload):"),
             _spell('PROFILE_', 'KIND = "repro.calibration_profile"'),
             _spell("    def from_", "profile(cls, profile, latency_mean=0.05):"),
-            _spell("    def apply_profile(self, profile, use_observed", "_concurrency=False):"),
+            _spell("    def apply", "_profile(self, profile, use_observed", "_concurrency=False):"),
             _spell("        expected_hit", "_ratio=None,"),
             _spell("        hash_", "joins=False,"),
             _spell("        per_destination", "_limits=None,"),
             _spell("    def effective_", "concurrency(self, destination):"),
             _spell("        self.reqsync_", "fanout = reqsync_", "fanout"),
-            _spell('            metrics.inc("serve.', 'recalibrate.applied")'),
+            _spell('            metrics.inc("serve.', 'recal', 'ibrate.applied")'),
             _spell('            metrics.gauge("serve.', 'calibration.samples")'),
             _spell('        "--', 'calibration",'),
             _spell("from repro.web.cache import Cache", "Policy, ResultCache"),
@@ -775,6 +786,13 @@ class TestStructuralGuard:
             _spell('        error = self._sp', 'ent(anchor, "issue")'),
             _spell("        timeout = anchor.deadline.bud", "get(cap)"),
             _spell("    def bud", "get(self, cap=None):"),
+            _spell("from repro.plan.cost import Cost", "Model"),
+            _spell("    def recali", "brate(self):"),
+            _spell("        profile = Calibration", "Profile.from_sources("),
+            _spell("    def annotated", "_explain(self, plan):"),
+            _spell("def choose_figure7", "_variant(cost_model, sigs_rows, r_rows):"),
+            _spell("        self.cost_model.apply", "_profile(profile)"),
+            _spell("    def histograms", "_named(self, name):"),
         ],
     )
     def test_retired_guard_catches_a_revived_name(self, mutant):

@@ -52,14 +52,19 @@ class TestObservingDoesNotChangeWhatIsSent:
     @pytest.mark.parametrize("mode", ["sync", "async"])
     def test_four_threads_register_and_coalesce_alike(self, web, paper_db, mode):
         """Four threads run one Template-1 query at once, after a warm-up,
-        with no cache and overlapping 5-10 ms calls: the pump's counts are
-        the same whether the engine is observed or not."""
+        with no cache and overlapping calls: the pump's counts are the same
+        whether the engine is observed or not."""
         sql = template_queries(1, instances=1)[0]
+        # An async query registers all 50 calls before it waits (one burst
+        # per row at batch size 1), and a call that settles before another
+        # thread registers it is sent again, not joined.  0.2 s flights
+        # outlast every thread's registrations, so all four threads join
+        # the same flights whichever one the scheduler runs first.
+        latency = FixedLatency(0.2) if mode == "async" else UniformLatency(0.005, 0.010)
 
         def probe(obs):
             engine = WsqEngine(
-                database=paper_db, web=web, cache=False,
-                latency=UniformLatency(0.005, 0.010), obs=obs,
+                database=paper_db, web=web, cache=False, latency=latency, obs=obs,
             )
             try:
                 expected = sorted(engine.execute(sql, mode=mode).rows)

@@ -1,6 +1,5 @@
 """Profiling and auto mode."""
 
-from repro.plan.cost import CostModel
 from repro.wsq import WsqEngine
 
 SIGS_KNUTH = (
@@ -86,12 +85,6 @@ class TestAutoMode:
     def test_execute_auto(self, engine):
         result = engine.execute(SIGS_KNUTH, mode="auto")
         assert len(result) == 37
-
-    def test_cost_model_arbitration(self, web, paper_db):
-        engine = WsqEngine(
-            database=paper_db, web=web, cost_model=CostModel(latency_mean=0.01)
-        )
-        assert "ReqSync" in engine.plan(SIGS_KNUTH, mode="auto").explain()
 
     def test_run_respects_auto(self, engine):
         result = engine.run("Select Count(*) From States", mode="auto")

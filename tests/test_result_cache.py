@@ -19,7 +19,6 @@ import threading
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro.obs.calibration import _observed_hit_ratio
 from repro.obs.metrics import MetricsRegistry
 from repro.obs.trace import CACHE_HIT, CACHE_MISS, Tracer
 from repro.util.timing import VirtualClock
@@ -34,6 +33,12 @@ def key(i):
 
 def outcome_events(tracer):
     return [event.name for event in tracer.events(OUTCOMES)]
+
+
+def traced_hit_ratio(tracer):
+    """The hit ratio the trace shows: CACHE_HIT events over all outcomes."""
+    events = outcome_events(tracer)
+    return events.count(CACHE_HIT) / len(events)
 
 
 def write_by_hand(directory, cache_key, value, stored_at, name_version=2, **override):
@@ -64,10 +69,10 @@ class TestOneOutcomePerLookup:
         for i in range(8):
             assert reader.lookup(key(i)) == [i]
         assert outcome_events(tracer) == [CACHE_HIT] * 8
-        assert _observed_hit_ratio(None, tracer) == reader.hit_ratio() == 1.0
+        assert traced_hit_ratio(tracer) == reader.hit_ratio() == 1.0
         assert reader.lookup(key(99)) is None
         assert outcome_events(tracer) == [CACHE_HIT] * 8 + [CACHE_MISS]
-        assert _observed_hit_ratio(None, tracer) == reader.hit_ratio() == 8 / 9
+        assert traced_hit_ratio(tracer) == reader.hit_ratio() == 8 / 9
 
     @settings(max_examples=60, deadline=None)
     @given(

@@ -16,7 +16,7 @@ from collections import Counter
 import pytest
 from hypothesis import settings
 from hypothesis import strategies as st
-from hypothesis.stateful import RuleBasedStateMachine, invariant, precondition, rule
+from hypothesis.stateful import RuleBasedStateMachine, invariant, rule
 from test_paper_queries import Q1, Q2, Q3, Q4, Q5, Q6
 from test_plan_goldens import TEMPLATES
 from test_rewrite_packs import PACK_TEMPLATES, _pack_db
@@ -26,7 +26,6 @@ from repro.datasets import load_all
 from repro.obs import Observability
 from repro.obs.trace import PLAN_RULE_FIRED
 from repro.plan import logical as logical_ir
-from repro.plan.cost import CostModel
 from repro.relational.types import DataType
 from repro.serve import QueryService
 from repro.storage import Database
@@ -120,7 +119,7 @@ class StatementTableMachine(RuleBasedStateMachine):
 
     @invariant()
     def every_statement_matches_a_fresh_engine(self):
-        fresh = _engine(self.db, cost_model=self.engine.cost_model)
+        fresh = _engine(self.db)
         for sql in STATEMENTS:
             # The requested mode is part of the key, but only a statement
             # with an external scan plans differently under it.
@@ -167,19 +166,6 @@ class StatementTableMachine(RuleBasedStateMachine):
         self.db.create_table("S", columns).insert_many(
             [(3 * i,) * self.s_width for i in range(rows)]
         )
-
-    @rule(latency=st.sampled_from((0.0, 0.05)))
-    def attach_cost_model(self, latency):
-        self.engine.cost_model = CostModel(latency_mean=latency)
-
-    @precondition(lambda self: self.engine.cost_model is not None)
-    @rule()
-    def detach_cost_model(self):
-        self.engine.cost_model = None
-
-    @rule()
-    def recalibrate(self):
-        self.engine.recalibrate()
 
 
 TestStatementTableOracle = StatementTableMachine.TestCase
@@ -242,32 +228,17 @@ class TestNamedRegressions:
         assert engine.run(sql).rows == [(901,)]
         assert engine.execute(sql).rows == [(901,)]
 
-    def test_under_a_cost_model_only_auto_is_unstored(self):
-        # The model picks an ``auto`` statement's mode; no other plan reads it.
-        engine = _engine(_small_db())
-        sql = STATEMENTS[0]
-        before = _outcomes(engine)
-        engine.execute(sql)
-        engine.cost_model = CostModel(latency_mean=0.05)
-        engine.execute(sql)
-        engine.execute(sql, mode="sync")
-        engine.execute(sql, mode="auto")
-        engine.execute(sql, mode="auto")
-        engine.cost_model = None
-        engine.execute(sql, mode="auto")
-        assert _moved(engine, before) == {"miss": 3, "hit": 1, "unstored": 2}
-        assert sorted(engine._statements) == [(sql, "async"), (sql, "auto"), (sql, "sync")]
-
-    def test_recalibrated_engine_keeps_serving_hits(self):
-        engine = _engine(_small_db())
-        sql = STATEMENTS[-2]
-        rows = _bag(engine.execute(sql, mode="async").rows)
-        engine.recalibrate()
-        assert engine.cost_model is not None
-        before = _outcomes(engine)
-        for _ in range(2):
-            assert _bag(engine.execute(sql, mode="async").rows) == rows
-        assert _moved(engine, before) == {"hit": 2}
+    def test_an_auto_statement_is_stored_like_any_other(self):
+        # A local-only statement and one with an external scan.
+        for sql in (STATEMENTS[0], STATEMENTS[-2]):
+            engine = _engine(_small_db())
+            before = _outcomes(engine)
+            for mode in ("async", "sync", "auto", "auto"):
+                engine.execute(sql, mode=mode)
+            assert _moved(engine, before) == {"miss": 3, "hit": 1}
+            assert sorted(engine._statements) == [
+                (sql, "async"), (sql, "auto"), (sql, "sync"),
+            ]
 
     def test_requested_mode_is_part_of_the_key(self):
         engine = _engine(_small_db())

@@ -1,16 +1,13 @@
-"""ANALYZE statistics and their use in the cost model."""
+"""ANALYZE: the statement reports each table's size."""
 
 import pytest
 
-from repro.plan.cost import CostModel, predicate_selectivity
-from repro.relational.expr import ColumnRef, Comparison, Literal, NullCheck
 from repro.relational.types import DataType
 from repro.storage import Database
-from repro.storage.stats import analyze_table
 
 
 @pytest.fixture()
-def stats_table():
+def stats_db():
     db = Database()
     table = db.create_table(
         "T", [("Name", DataType.STR), ("N", DataType.INT)]
@@ -19,136 +16,25 @@ def stats_table():
     rows += [("rare-{}".format(i), 100 + i) for i in range(20)]
     rows += [(None, None)] * 10
     table.insert_many(rows)
-    return table
+    return db
 
 
 class TestAnalyzeTable:
-    def test_row_count(self, stats_table):
-        stats = analyze_table(stats_table)
-        assert stats.row_count == 110
-
-    def test_null_fraction(self, stats_table):
-        stats = analyze_table(stats_table)
-        assert stats.column("Name").null_fraction == pytest.approx(10 / 110)
-
-    def test_ndv(self, stats_table):
-        stats = analyze_table(stats_table)
-        assert stats.column("Name").ndv == 21  # 'common' + 20 rares
-        assert stats.column("N").ndv == 70  # 50 moduli + 20 high values
-
-    def test_min_max(self, stats_table):
-        stats = analyze_table(stats_table)
-        assert stats.column("N").min_value == 0
-        assert stats.column("N").max_value == 119
-
-    def test_mcv_catches_heavy_hitter(self, stats_table):
-        stats = analyze_table(stats_table)
-        assert stats.column("Name").mcv_fraction("common") == pytest.approx(80 / 110)
-
-    def test_equality_selectivity_mcv_vs_tail(self, stats_table):
-        stats = analyze_table(stats_table).column("Name")
-        assert stats.equality_selectivity("common") == pytest.approx(80 / 110)
-        tail = stats.equality_selectivity("rare-7")
-        assert 0 < tail < 0.1
-
-    def test_range_selectivity_interpolates(self, stats_table):
-        stats = analyze_table(stats_table).column("N")
-        half = stats.range_selectivity("<", 60)
-        assert 0.3 < half < 0.7
-
-    def test_range_selectivity_none_for_strings(self, stats_table):
-        stats = analyze_table(stats_table).column("Name")
-        assert stats.range_selectivity("<", "m") is None
+    def test_row_count(self, stats_db):
+        assert stats_db.analyze("T") == {"T": (110, 2)}
 
     def test_empty_table(self):
         db = Database()
-        table = db.create_table("E", [("A", DataType.INT)])
-        stats = analyze_table(table)
-        assert stats.row_count == 0
-        assert stats.column("A").equality_selectivity(1) == 0.0
+        db.create_table("E", [("A", DataType.INT)])
+        assert db.analyze("E") == {"E": (0, 1)}
 
     def test_database_analyze_all(self, paper_db):
         results = paper_db.analyze()
         assert set(results) == {"CSFields", "Movies", "Sigs", "States"}
-        assert paper_db.table("States").stats.row_count == 50
-
-
-class TestStatsInSelectivity:
-    def _stats_map(self, stats_table):
-        stats = analyze_table(stats_table)
-        return {0: stats.column("Name"), 1: stats.column("N")}
-
-    def test_equality_uses_mcv(self, stats_table):
-        column_stats = self._stats_map(stats_table)
-        expr = Comparison("=", ColumnRef(0), Literal("common"))
-        assert predicate_selectivity(expr, column_stats) == pytest.approx(80 / 110)
-
-    def test_equality_reversed_orientation(self, stats_table):
-        column_stats = self._stats_map(stats_table)
-        expr = Comparison("=", Literal("common"), ColumnRef(0))
-        assert predicate_selectivity(expr, column_stats) == pytest.approx(80 / 110)
-
-    def test_range_uses_min_max(self, stats_table):
-        column_stats = self._stats_map(stats_table)
-        narrow = predicate_selectivity(
-            Comparison(">", ColumnRef(1), Literal(110)), column_stats
-        )
-        wide = predicate_selectivity(
-            Comparison(">", ColumnRef(1), Literal(10)), column_stats
-        )
-        assert narrow < wide
-
-    def test_null_check_uses_null_fraction(self, stats_table):
-        column_stats = self._stats_map(stats_table)
-        sel = predicate_selectivity(NullCheck(ColumnRef(0)), column_stats)
-        assert sel == pytest.approx(10 / 110)
-
-    def test_without_stats_falls_back_to_constants(self):
-        from repro.plan.cost import EQUALITY_SELECTIVITY
-
-        expr = Comparison("=", ColumnRef(0), Literal("x"))
-        assert predicate_selectivity(expr, None) == EQUALITY_SELECTIVITY
+        assert results["States"][0] == 50
 
 
 class TestStatsInPlans:
-    def test_analyzed_equality_estimate_is_exact(self, engine):
-        engine.run("Analyze States")
-        model = CostModel(latency_mean=0.005)
-        plan = engine.plan(
-            "Select Population From States Where Name = 'Utah'", mode="sync"
-        )
-        assert model.estimate(plan).rows == pytest.approx(1.0)
-
-    def test_group_count_uses_ndv(self, engine):
-        engine.run("Analyze")
-        model = CostModel(latency_mean=0.005)
-        plan = engine.plan(
-            "Select Capital, Count(*) From States Group By Capital", mode="sync"
-        )
-        assert model.estimate(plan).rows == pytest.approx(50.0)
-
-    def test_stats_survive_joins(self, engine):
-        engine.run("Analyze")
-        model = CostModel(latency_mean=0.005)
-        plan = engine.plan(
-            "Select States.Name From States, Sigs "
-            "Where States.Name = 'Utah'",
-            mode="sync",
-        )
-        # 1 state x 37 sigs.
-        assert model.estimate(plan).rows == pytest.approx(37.0, rel=0.1)
-
     def test_analyze_statement_reports(self, engine):
         result = engine.run("Analyze Sigs")
         assert result.rows == [("Sigs", 37, 1)]
-
-    def test_index_scan_uses_stats(self, engine):
-        engine.database.create_index("States", "Population")
-        engine.run("Analyze States")
-        model = CostModel(latency_mean=0.005)
-        plan = engine.plan(
-            "Select Name From States Where Population > 30000", mode="sync"
-        )
-        assert "IndexScan" in plan.explain()
-        # Only California qualifies; interpolation should say "few".
-        assert model.estimate(plan).rows < 10

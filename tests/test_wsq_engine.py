@@ -1,5 +1,6 @@
 """The WsqEngine facade: execution modes, DDL/DML, stats, results."""
 
+import gc
 import time
 
 import pytest
@@ -36,15 +37,18 @@ class TestExecution:
         assert result.columns == ["Name"]
 
     def test_async_speedup_with_latency(self, web, paper_db):
-        import time
-
+        # No cache (whatever REPRO_CACHE says), so the async run sends the
+        # 37 calls the sync run sent instead of reading them back; a full
+        # collection before each timed query keeps the suite's garbage out.
         latency_engine = WsqEngine(
-            database=paper_db, web=web, latency=FixedLatency(0.01)
+            database=paper_db, web=web, latency=FixedLatency(0.01), cache=False
         )
         sql = "Select Name, Count From Sigs, WebCount Where Name = T1 and T2 = 'Knuth'"
+        gc.collect()
         started = time.perf_counter()
         latency_engine.execute(sql, mode="sync")
         sync_elapsed = time.perf_counter() - started
+        gc.collect()
         started = time.perf_counter()
         latency_engine.execute(sql, mode="async")
         async_elapsed = time.perf_counter() - started
