@@ -264,6 +264,9 @@ def main(argv=None):
         engine = build_engine(args)
     except ConfigError as exc:
         parser.error(str(exc))
+    except ReproError as exc:  # e.g. a --db directory of another page format
+        _print_error(exc)
+        return 1
     try:
         return _shell(engine, args)
     finally:

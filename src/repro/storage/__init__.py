@@ -4,11 +4,11 @@ The paper's prototype extends a student-built DBMS with a page-level buffer
 and iterator-based execution.  This package provides the equivalent
 substrate from scratch:
 
-- :mod:`repro.storage.serialization` — typed record codec with NULL bitmap.
+- :mod:`repro.storage.serialization` — compiled column-at-a-time page decoders.
 - :mod:`repro.storage.disk` — page-granular file I/O (disk or in-memory).
-- :mod:`repro.storage.page` — slotted-page layout over raw page bytes.
+- :mod:`repro.storage.page` — column-major (PAX) page layout over raw page bytes.
 - :mod:`repro.storage.buffer` — pinning LRU buffer pool with write-back.
-- :mod:`repro.storage.heap` — heap files of records addressed by RID.
+- :mod:`repro.storage.heap` — heap files of typed rows addressed by RID.
 - :mod:`repro.storage.catalog` — persistent table catalog.
 - :mod:`repro.storage.database` — the user-facing ``Database`` facade.
 """

@@ -1,7 +1,9 @@
 """The system catalog: table names, schemas, and file locations.
 
 In disk mode the catalog is a JSON document (``catalog.json``) in the
-database directory, with one ``.dat`` heap file per table.  In memory mode
+database directory, with one ``.dat`` heap file per table.  It records the
+heap page format (:data:`repro.storage.page.FORMAT`): a directory written
+in any other format is refused before a page is read.  In memory mode
 nothing is persisted, but the catalog enforces the same invariants (unique
 table names, schema round-tripping).
 """
@@ -11,6 +13,7 @@ import os
 
 from repro.relational.schema import Column, Schema
 from repro.relational.types import DataType
+from repro.storage.page import FORMAT
 from repro.util.errors import CatalogError
 
 CATALOG_FILE = "catalog.json"
@@ -146,6 +149,10 @@ class Catalog:
             return
         with open(path, "r", encoding="utf-8") as f:
             payload = json.load(f)
+        found = payload.get("page_format", "slotted rows (unmarked)")
+        if found != FORMAT:
+            raise CatalogError("{} holds pages of format {!r}; this build reads {!r}".format(
+                self.directory, found, FORMAT))
         for item in payload.get("tables", []):
             self._tables[item["name"].lower()] = {
                 "name": item["name"],
@@ -159,6 +166,7 @@ class Catalog:
         if self.directory is None:
             return
         payload = {
+            "page_format": FORMAT,
             "tables": [
                 {
                     "name": entry["name"],

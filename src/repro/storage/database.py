@@ -26,8 +26,9 @@ class Database:
     catalog and heap files under *directory* and re-opens them next time.
 
     ``generation`` moves on every DDL statement and table mutation — all
-    a planner reads here — and on ``analyze``, so a plan remembered under
-    one value is still the plan a planner would build while it stands.
+    a planner reads here — so a plan remembered under one value is still
+    the plan a planner would build while it stands.  ``analyze`` changes
+    nothing a planner reads, so it does not move it.
     """
 
     def __init__(self, directory=None, buffer_capacity=64):
@@ -108,14 +109,13 @@ class Database:
         """ANALYZE one table (or all of them): ``{name: (rows, columns)}``.
 
         The planner reads no statistics, so this only reports each
-        table's size; it moves ``generation`` like any DDL statement.
+        table's size and leaves ``generation`` (and every stored plan) be.
         """
         names = [table_name] if table_name else self.table_names()
         sizes = {}
         for name in names:
             table = self.table(name)
             sizes[name] = (table.row_count(), len(table.schema))
-        self._changed()
         return sizes
 
     def table(self, name):

@@ -2,7 +2,7 @@
 
 The :class:`DiskManager` reads and writes fixed-size pages identified by a
 zero-based page id.  It deliberately knows nothing about page contents; the
-slotted-page layout lives in :mod:`repro.storage.page`.
+column-major page layout lives in :mod:`repro.storage.page`.
 """
 
 import os

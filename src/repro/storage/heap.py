@@ -1,18 +1,20 @@
-"""Heap files: unordered record storage addressed by RID.
+"""Heap files: unordered row storage addressed by RID.
 
 A heap file owns a contiguous range of page ids inside one
 :class:`~repro.storage.disk.DiskManager` (one disk manager per table keeps
 the layout trivial and matches the one-file-per-relation convention of
 small systems like Redbase).  Inserts fill the last page and allocate a new
-one when full; scans walk pages in order through the buffer pool.
+one when full; scans walk pages in order through the buffer pool.  Pages
+are column-major (:mod:`repro.storage.page`) and typed: a call that reads
+or writes values passes the schema's types.
 """
 
-from repro.storage.page import SlottedPage, max_record_size, read_directory
-from repro.util.errors import StorageError
+from repro.storage import page
+from repro.storage.page import PageWriter
 
 
 class RID:
-    """Record identifier: ``(page_id, slot)``; stable across compaction."""
+    """Record identifier: ``(page_id, slot)``; stable for the row's lifetime."""
 
     __slots__ = ("page_id", "slot")
 
@@ -35,79 +37,62 @@ class RID:
 
 
 class HeapFile:
-    """An append-friendly bag of records over a buffer pool."""
+    """An append-friendly bag of rows over a buffer pool."""
 
     def __init__(self, pool):
         self.pool = pool
 
-    def insert(self, record):
-        """Store *record* bytes; return its :class:`RID`."""
-        with self.appender() as append:
-            return append(record)
+    def insert(self, row, types):
+        """Store *row* (values of *types*); return its :class:`RID`."""
+        with self.appender(types) as append:
+            return append(row)
 
-    def appender(self):
-        """A ``with`` block yielding ``append(record) -> RID``.
+    def appender(self, types):
+        """A ``with`` block yielding ``append(row) -> RID`` for rows of *types*.
 
-        The tail page stays pinned while it fills, so a bulk insert makes
-        one buffer-pool round trip per page instead of one per record.
+        The tail page stays pinned while it fills and is encoded once,
+        when it is full or the block ends (an error included), so a bulk
+        insert makes one buffer-pool round trip and one encode per page.
         """
-        return _Appender(self)
+        return _Appender(self, types)
 
-    def read(self, rid):
-        """Return record bytes for *rid* (``None`` if deleted)."""
+    def read(self, rid, types):
+        """The row at *rid* (``None`` if deleted)."""
         with self.pool.pin(rid.page_id) as guard:
-            return SlottedPage(guard.data).read(rid.slot)
+            return page.read_row(guard.data, types, rid.slot)
 
     def delete(self, rid):
         with self.pool.pin(rid.page_id) as guard:
-            SlottedPage(guard.data).delete(rid.slot)
+            page.delete(guard.data, rid.slot)
             guard.mark_dirty()
 
-    def scan(self):
-        """Yield ``(rid, record_bytes)`` over all live records."""
-        for page_id in range(self.pool.disk.page_count):
-            with self.pool.pin(page_id) as guard:
-                page = SlottedPage(guard.data)
-                rows = list(page.records())
-            for slot, record in rows:
-                yield RID(page_id, slot), record
-
     def scan_pages(self, decode):
-        """Yield ``(page_id, directory, decode(data, directory))`` per page.
+        """Yield ``(page_id, decode(data))`` per page, in page order.
 
-        *decode* (a compiled page decoder) runs under the pin and must
-        return nothing that aliases the frame; ``directory`` is the
-        page's flat slot directory.  Page order matches :meth:`scan`.
+        *decode* runs under the pin and must return nothing that aliases
+        the frame.
         """
         for page_id in range(self.pool.disk.page_count):
             with self.pool.pin(page_id) as guard:
-                directory = read_directory(guard.data)
-                decoded = decode(guard.data, directory)
-            yield page_id, directory, decoded
+                decoded = decode(guard.data)
+            yield page_id, decoded
 
     def record_count(self):
         count = 0
         for page_id in range(self.pool.disk.page_count):
             with self.pool.pin(page_id) as guard:
-                count += SlottedPage(guard.data).live_count()
+                count += len(page.live_slots(guard.data))
         return count
-
-    def vacuum(self):
-        """Compact every page, reclaiming tombstone space in place."""
-        for page_id in range(self.pool.disk.page_count):
-            with self.pool.pin(page_id) as guard:
-                SlottedPage(guard.data).compact()
-                guard.mark_dirty()
 
 
 class _Appender:
     """One :meth:`HeapFile.appender` block: the tail page, pinned while it fills."""
 
-    def __init__(self, heap):
+    def __init__(self, heap, types):
         self.pool = heap.pool
-        self.limit = max_record_size(heap.pool.disk.page_size)
+        self.types = types
         self.guard = None
-        self.page = None
+        self.writer = None
 
     def __enter__(self):
         return self.append
@@ -116,26 +101,27 @@ class _Appender:
         self._turn_to(None)
 
     def _turn_to(self, pin):
-        """Unpin the held page *before* ``pin()`` asks the pool for the next."""
-        if self.guard is not None:
-            self.guard.__exit__()
-        self.guard = self.page = None  # nothing held if pin() raises
+        """Encode and unpin the held page *before* ``pin()`` asks the pool for the next."""
+        guard, writer = self.guard, self.writer
+        self.guard = self.writer = None  # nothing held if pin() raises
+        if guard is not None:
+            try:
+                if writer is not None:
+                    writer.write(guard.data)
+                    guard.mark_dirty()
+            finally:
+                guard.__exit__()
         if pin is not None:
             self.guard = pin()
-            self.page = SlottedPage(self.guard.data)
+            self.writer = PageWriter(self.types, self.guard.data)
 
-    def append(self, record):
-        if len(record) > self.limit:
-            raise StorageError(
-                "record of {} bytes exceeds page capacity {}".format(
-                    len(record), self.limit
-                )
-            )
+    def append(self, row):
         pool = self.pool
-        if self.guard is None and pool.disk.page_count > 0:
-            self._turn_to(lambda: pool.pin(pool.disk.page_count - 1))
-        if self.guard is None or not self.page.has_room_for(len(record)):
+        if self.guard is None:
+            count = pool.disk.page_count
+            self._turn_to(lambda: pool.pin(count - 1) if count else pool.new_page())
+        slot = self.writer.add(row)
+        if slot is None:
             self._turn_to(pool.new_page)
-        slot = self.page.insert(record)
-        self.guard.mark_dirty()
+            slot = self.writer.add(row)
         return RID(self.guard.page_id, slot)

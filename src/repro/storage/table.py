@@ -2,7 +2,7 @@
 
 from repro.storage.heap import RID
 from repro.storage.page import live_slots
-from repro.storage.serialization import decode_record, encode_record, page_decoder
+from repro.storage.serialization import page_decoder
 from repro.util.errors import StorageError
 
 
@@ -32,9 +32,9 @@ class Table:
         """Insert *rows* in order, a heap page per pool round trip; return RIDs."""
         self.changed()
         rids = []
-        with self.heap.appender() as append:
+        with self.heap.appender(self._types) as append:
             for row in rows:
-                rid = append(encode_record(row, self.schema))
+                rid = append(row)
                 self._rows += 1
                 for index in self.indexes:
                     index.insert(row, rid)
@@ -72,7 +72,7 @@ class Table:
         """:meth:`scan_column_batches` through a kept :meth:`decoder`."""
         if decode is None:
             raise StorageError("the predicate may raise: not a scan predicate")
-        return (v for _, _, v in self.heap.scan_pages(decode) if v and len(v[0]))
+        return (v for _, v in self.heap.scan_pages(decode) if v and len(v[0]))
 
     def scan(self):
         """Yield decoded rows (tuples) in storage order."""
@@ -80,15 +80,14 @@ class Table:
             yield from zip(*vectors)
 
     def scan_with_rids(self):
-        for page_id, directory, vectors in self.heap.scan_pages(page_decoder(self._types, None)):
-            for slot, row in zip(live_slots(directory), zip(*vectors)):
+        decode = page_decoder(self._types, None)
+        pages = self.heap.scan_pages(lambda data: (live_slots(data), decode(data)))
+        for page_id, (slots, vectors) in pages:
+            for slot, row in zip(slots, zip(*vectors)):
                 yield RID(page_id, slot), row
 
     def read(self, rid):
-        record = self.heap.read(rid)
-        if record is None:
-            return None
-        return decode_record(record, self.schema)
+        return self.heap.read(rid, self._types)
 
     def delete(self, rid):
         self.changed()

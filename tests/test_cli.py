@@ -1,6 +1,8 @@
 """The interactive shell's non-interactive surface."""
 
 import io
+import json
+import os
 import re
 
 import pytest
@@ -11,6 +13,7 @@ from repro.cli import HELP, _dot_command, _run_statement, build_engine, main
 from repro.datasets import MOVIES, load_all
 from repro.relational.types import DataType
 from repro.storage import Database
+from repro.storage.page import FORMAT
 
 
 class _Args:
@@ -83,6 +86,22 @@ class TestPersistentDatabase:
         monkeypatch.setattr("sys.stdin", io.StringIO(script))
         assert main(["--db", directory, "--load-datasets"]) == 0
         assert self.stored_rows(directory)["States"] == 50
+
+    def test_a_directory_of_another_page_format_is_an_error(self, tmp_path, capsys):
+        directory = str(tmp_path / "db")
+        assert main(["--db", directory, "--load-datasets", "-c", self.COUNT]) == 0
+        capsys.readouterr()
+        catalog = os.path.join(directory, "catalog.json")
+        with open(catalog, encoding="utf-8") as f:
+            payload = json.load(f)
+        del payload["page_format"]  # what every slotted-row directory holds
+        with open(catalog, "w", encoding="utf-8") as f:
+            json.dump(payload, f)
+        assert main(["--db", directory, "-c", self.COUNT]) == 1
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.startswith("error:")
+        assert "slotted rows" in captured.err and FORMAT in captured.err
 
     def test_a_config_error_keeps_them(self, tmp_path, monkeypatch, capsys):
         directory = str(tmp_path / "db")

@@ -419,7 +419,9 @@ RETIRED_OPTIONS = [
 #: for the thread to take a burst), then the cost model (its class, its
 #: calibration profile and how a profile was applied, the engine's
 #: re-pricing from its own trace, the cost-annotated explain, the
-#: Figure 7 chooser and the registry lookup only calibration read); none
+#: Figure 7 chooser and the registry lookup only calibration read), then
+#: the slotted row page (its class, slot-directory reader, record-size
+#: bound, per-record codec, free-slot search and the heap's vacuum); none
 #: may come back in code, CI or the docs.
 RETIRED = [
     _spell("Planner", "Options"),
@@ -581,6 +583,12 @@ RETIRED = [
     _spell("annotated", "_explain"),
     _spell("choose_figure7", "_variant"),
     _spell("apply", "_profile"),
+    _spell("Slotted", "Page"),
+    _spell("read_", "directory"),
+    _spell("max_record", "_size"),
+    _spell("(en|de)code", "_record"),
+    _spell("_find_free", "_slot"),
+    _spell(r"(def |\.)vac", r"uum\("),
 ]
 
 #: Where they may not appear (EXPERIMENTS.md, CHANGES.md and ROADMAP.md
@@ -793,6 +801,13 @@ class TestStructuralGuard:
             _spell("def choose_figure7", "_variant(cost_model, sigs_rows, r_rows):"),
             _spell("        self.cost_model.apply", "_profile(profile)"),
             _spell("    def histograms", "_named(self, name):"),
+            _spell("class Slotted", "Page:"),
+            _spell("    return struct.unpack_from(fmt, data, read_", "directory.size)"),
+            _spell("        self.limit = max_record", "_size(heap.pool.disk.page_size)"),
+            _spell("        return de", "code_record(record, self.schema)"),
+            _spell("                rid = append(en", "code_record(row, self.schema))"),
+            _spell("        slot = self._find_free", "_slot()"),
+            _spell("        table.heap.vac", "uum()"),
         ],
     )
     def test_retired_guard_catches_a_revived_name(self, mutant):

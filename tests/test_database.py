@@ -1,10 +1,14 @@
 """Catalog, tables, and the Database facade."""
 
+import json
+import os
+
 import pytest
 
 from repro.relational.types import DataType
 from repro.storage.catalog import Catalog, schema_from_json, schema_to_json
 from repro.storage.database import Database
+from repro.storage.page import FORMAT
 from repro.relational.schema import Column, Schema
 from repro.util.errors import CatalogError, StorageError
 
@@ -129,6 +133,46 @@ class TestDatabase:
         assert table.schema.names() == ["A"]
 
 
+class TestPageFormatMarker:
+    """``catalog.json`` names the page format; a directory of another one
+    is refused before any page is read, naming both formats."""
+
+    @staticmethod
+    def rewrite(directory, change):
+        path = os.path.join(directory, "catalog.json")
+        with open(path, encoding="utf-8") as f:
+            payload = json.load(f)
+        change(payload)
+        with open(path, "w", encoding="utf-8") as f:
+            json.dump(payload, f)
+
+    def test_written_and_read_back(self, tmp_path):
+        directory = str(tmp_path)
+        with Database(directory) as db:
+            db.create_table_from_rows("S", COLUMNS, ROWS)
+        with open(os.path.join(directory, "catalog.json"), encoding="utf-8") as f:
+            assert json.load(f)["page_format"] == FORMAT
+        with Database(directory) as db:
+            assert list(db.table("S").scan()) == ROWS
+
+    @pytest.mark.parametrize(
+        "change,named",
+        [
+            (lambda payload: payload.pop("page_format"), "slotted rows (unmarked)"),
+            (lambda payload: payload.update(page_format="column-major-v0"), "column-major-v0"),
+        ],
+        ids=["unmarked", "another"],
+    )
+    def test_another_format_is_refused(self, tmp_path, change, named):
+        directory = str(tmp_path)
+        with Database(directory) as db:
+            db.create_table_from_rows("S", COLUMNS, ROWS)
+        self.rewrite(directory, change)
+        with pytest.raises(CatalogError) as raised:
+            Database(directory)
+        assert named in str(raised.value) and FORMAT in str(raised.value)
+
+
 class TestLiveRowCount:
     """``Table.row_count()`` is a kept count, not a walk: it must agree
     with a scan after every kind of change and every way of opening."""
@@ -151,8 +195,6 @@ class TestLiveRowCount:
         with pytest.raises(StorageError):
             table.insert_many([("fits", 1), ("x" * 10000, 2)])
         assert self.check(table) == 630  # the row before the oversized one stayed
-        table.heap.vacuum()
-        assert self.check(table) == 630
         db.close()
         with Database(directory) as reopened:
             table = reopened.table("T")

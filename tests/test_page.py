@@ -1,135 +1,199 @@
-"""Slotted-page layout."""
+"""Column-major page layout: rows in, rows out, slots stable."""
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro.storage.disk import PAGE_SIZE
-from repro.storage.page import SlottedPage, max_record_size
+from repro.relational.schema import Column, Schema
+from repro.relational.types import DataType
+from repro.storage import page
+from repro.storage.buffer import BufferPool
+from repro.storage.disk import DiskManager, PAGE_SIZE
+from repro.storage.heap import HeapFile
+from repro.storage.page import PageWriter
+from repro.storage.table import Table
 from repro.util.errors import StorageError
+
+TYPES = (DataType.STR, DataType.INT)
 
 
 def fresh_page(size=PAGE_SIZE):
-    return SlottedPage(bytearray(size))
+    return bytearray(size)
+
+
+def write(data, rows, types=TYPES):
+    """Add *rows* to the page *data* and encode it; their slots (``None`` once full)."""
+    writer = PageWriter(types, data)
+    slots = [writer.add(row) for row in rows]
+    writer.write(data)
+    return slots
+
+
+def rows_of(data, types=TYPES):
+    """``(slot, row)`` of every live row, in slot order."""
+    return [(slot, page.read_row(data, types, slot)) for slot in page.live_slots(data)]
+
+
+def used(data, types=TYPES):
+    """Where the page's last region ends."""
+    return page.checker(page.widths(types))(data)[1][-1]
 
 
 class TestInsertRead:
     def test_insert_returns_slots_in_order(self):
-        page = fresh_page()
-        assert page.insert(b"alpha") == 0
-        assert page.insert(b"beta") == 1
+        assert write(fresh_page(), [("alpha", 1), ("beta", 2)]) == [0, 1]
 
     def test_read_back(self):
-        page = fresh_page()
-        slot = page.insert(b"payload")
-        assert page.read(slot) == b"payload"
+        data = fresh_page()
+        (slot,) = write(data, [("payload", 7)])
+        assert page.read_row(data, TYPES, slot) == ("payload", 7)
 
     def test_empty_record(self):
-        page = fresh_page()
-        slot = page.insert(b"")
-        assert page.read(slot) == b""
+        data = fresh_page()
+        write(data, [("", 0), (None, None)])
+        assert rows_of(data) == [(0, ("", 0)), (1, (None, None))]
 
     def test_records_iteration(self):
-        page = fresh_page()
-        for payload in (b"a", b"bb", b"ccc"):
-            page.insert(payload)
-        assert list(page.records()) == [(0, b"a"), (1, b"bb"), (2, b"ccc")]
+        data = fresh_page()
+        write(data, [("a", 1), ("bb", 2), ("ccc", 3)])
+        assert rows_of(data) == [(0, ("a", 1)), (1, ("bb", 2)), (2, ("ccc", 3))]
 
     def test_reload_from_bytes(self):
-        data = bytearray(PAGE_SIZE)
-        page = SlottedPage(data)
-        page.insert(b"persist me")
-        reloaded = SlottedPage(data)
-        assert reloaded.read(0) == b"persist me"
+        data = fresh_page()
+        write(data, [("persist me", 1)])
+        copy = bytearray(bytes(data))
+        assert rows_of(copy) == [(0, ("persist me", 1))]
+        assert write(copy, [("more", 2)]) == [1]  # a writer starts from what the page holds
+        assert rows_of(copy) == [(0, ("persist me", 1)), (1, ("more", 2))]
 
     def test_max_record_fits_exactly(self):
-        page = fresh_page()
-        payload = b"x" * max_record_size(PAGE_SIZE)
-        slot = page.insert(payload)
-        assert page.read(slot) == payload
-        assert not page.has_room_for(1)
+        # A 22-byte header (rows + 5 regions), one deleted-bitmap byte,
+        # an INT and a string length: 33 bytes besides the string.
+        payload = "x" * (PAGE_SIZE - 33)
+        data = fresh_page()
+        writer = PageWriter(TYPES, data)
+        assert writer.add((payload, 1)) == 0
+        assert writer.add(("", 2)) is None
+        writer.write(data)
+        assert page.read_row(data, TYPES, 0) == (payload, 1)
+        assert used(data) == PAGE_SIZE
+        with pytest.raises(StorageError, match="exceeds"):
+            PageWriter(TYPES, fresh_page()).add((payload + "x", 1))
 
     def test_page_full(self):
-        page = fresh_page(128)
-        with pytest.raises(StorageError, match="full"):
-            while True:
-                page.insert(b"0123456789")
+        writer = PageWriter(TYPES, fresh_page(128))
+        slots = [writer.add(("0123456789", i)) for i in range(20)]
+        full = slots.index(None)
+        assert 0 < full and slots[:full] == list(range(full))
+        assert slots[full:] == [None] * (20 - full)
 
 
 class TestDelete:
     def test_delete_leaves_tombstone(self):
-        page = fresh_page()
-        page.insert(b"a")
-        page.insert(b"b")
-        page.delete(0)
-        assert page.read(0) is None
-        assert page.read(1) == b"b"
-        assert page.live_count() == 1
+        data = fresh_page()
+        write(data, [("a", 1), ("b", 2)])
+        page.delete(data, 0)
+        assert page.read_row(data, TYPES, 0) is None
+        assert page.read_row(data, TYPES, 1) == ("b", 2)
+        assert page.live_slots(data) == [1]
 
     def test_double_delete_rejected(self):
-        page = fresh_page()
-        page.insert(b"a")
-        page.delete(0)
+        data = fresh_page()
+        write(data, [("a", 1)])
+        page.delete(data, 0)
         with pytest.raises(StorageError, match="already deleted"):
-            page.delete(0)
+            page.delete(data, 0)
 
     def test_slot_reuse_after_delete(self):
-        page = fresh_page()
-        page.insert(b"a")
-        page.insert(b"b")
-        page.delete(0)
-        assert page.insert(b"c") == 0  # tombstoned slot reused
-        assert page.read(0) == b"c"
+        data = fresh_page()
+        write(data, [("a", 1), ("b", 2)])
+        page.delete(data, 0)
+        assert write(data, [("c", 3), ("d", 4)]) == [0, 2]  # the deleted slot first
+        assert rows_of(data) == [(0, ("c", 3)), (1, ("b", 2)), (2, ("d", 4))]
 
     def test_out_of_range_slot(self):
         with pytest.raises(StorageError, match="out of range"):
-            fresh_page().read(0)
+            page.read_row(fresh_page(), TYPES, 0)
+        with pytest.raises(StorageError, match="out of range"):
+            page.delete(fresh_page(), 0)
 
 
 class TestCompact:
+    """A writer re-encodes its page: a deleted row's bytes go, every slot stays."""
+
     def test_compact_reclaims_space(self):
-        page = fresh_page(256)
-        page.insert(b"a" * 60)
-        page.insert(b"b" * 60)
-        page.delete(0)
-        before = page.free_space()
-        page.compact()
-        assert page.free_space() > before
-        assert page.read(1) == b"b" * 60
-        assert page.read(0) is None  # tombstone survives compaction
+        data = fresh_page(256)
+        write(data, [("a" * 60, 1), ("b" * 60, 2)])
+        page.delete(data, 0)
+        before = used(data)
+        write(data, [])
+        assert used(data) == before - 60
+        assert rows_of(data) == [(1, ("b" * 60, 2))]
+        # ... so a row that needs those bytes now fits, in the deleted slot.
+        assert write(data, [("c" * 150, 3)]) == [0]
 
     def test_compact_preserves_rids(self):
-        page = fresh_page()
-        payloads = [b"p%d" % i for i in range(10)]
-        for p in payloads:
-            page.insert(p)
+        data = fresh_page()
+        rows = [("p%d" % i, i) for i in range(10)]
+        write(data, rows)
         for slot in (1, 4, 7):
-            page.delete(slot)
-        page.compact()
-        for slot, p in enumerate(payloads):
-            expected = None if slot in (1, 4, 7) else p
-            assert page.read(slot) == expected
+            page.delete(data, slot)
+        write(data, [])
+        for slot, row in enumerate(rows):
+            expected = None if slot in (1, 4, 7) else row
+            assert page.read_row(data, TYPES, slot) == expected
+
+
+_TYPES = (DataType.INT, DataType.STR, DataType.FLOAT, DataType.BOOL, DataType.DATE)
+_ROWS = st.tuples(
+    st.none() | st.integers(-(2**63), 2**63 - 1),
+    st.none() | st.text(max_size=40),
+    st.none() | st.floats(allow_nan=False),
+    st.none() | st.booleans(),
+    st.none() | st.text(max_size=10),
+)
 
 
 class TestProperties:
     @settings(max_examples=100, deadline=None)
     @given(
         st.lists(
-            st.tuples(st.sampled_from(["insert", "delete"]), st.binary(max_size=40)),
+            st.one_of(
+                st.tuples(st.just("insert"), _ROWS),
+                st.tuples(st.just("delete"), st.integers(0, 200)),
+                st.tuples(st.just("reopen"), st.none()),
+            ),
             max_size=60,
         )
     )
     def test_model_based_operations(self, operations):
-        """Page behaves like a dict slot->bytes under insert/delete."""
-        page = fresh_page()
-        model = {}
-        for action, payload in operations:
-            if action == "insert" and page.has_room_for(len(payload)):
-                slot = page.insert(payload)
-                assert slot not in model
-                model[slot] = payload
-            elif action == "delete" and model:
-                slot = sorted(model)[0]
-                page.delete(slot)
-                del model[slot]
-        assert dict(page.records()) == model
+        """Typed rows over 512-byte pages behave like a dict RID -> row:
+        an insert takes a fresh RID or a deleted one, no RID moves, and a
+        reopened pool reads what the last one wrote."""
+        schema = Schema([Column("c{}".format(i), t) for i, t in enumerate(_TYPES)])
+        disk = DiskManager(page_size=512)
+        heap = HeapFile(BufferPool(disk, capacity=2))
+        model = {}  # RID -> row, None once deleted
+        for action, argument in operations:
+            if action == "insert":
+                rid = heap.insert(argument, _TYPES)
+                assert model.get(rid) is None
+                model[rid] = argument
+            elif action == "delete":
+                live = [rid for rid, row in model.items() if row is not None]
+                if live:
+                    rid = live[argument % len(live)]
+                    heap.delete(rid)
+                    model[rid] = None
+            else:
+                heap.pool.flush_all()
+                heap = HeapFile(BufferPool(disk, capacity=2))
+        for rid, row in model.items():
+            assert heap.read(rid, _TYPES) == row
+        table = Table("T", schema, heap)
+        expected = sorted(
+            ((rid, row) for rid, row in model.items() if row is not None),
+            key=lambda item: (item[0].page_id, item[0].slot),
+        )
+        assert list(table.scan_with_rids()) == expected
+        assert table.row_count() == len(expected)

@@ -299,9 +299,8 @@ def test_plan_explain_and_profile_never_hand_out_the_kept_plan(
     [
         lambda db: db.create_index("T", "N"),
         lambda db: (db.create_index("T", "N"), db.drop_index("idx_t_n")),
-        lambda db: db.analyze(),
     ],
-    ids=["create_index", "drop_index", "analyze"],
+    ids=["create_index", "drop_index"],
 )
 def test_catalog_change_lowers_afresh(engines, change):
     db = _oracle_db(False)

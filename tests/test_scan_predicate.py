@@ -27,9 +27,9 @@ from repro.relational.expr import (
 from repro.relational.placeholder import Placeholder
 from repro.relational.schema import Column, Schema
 from repro.relational.types import DataType
-from repro.storage import Database
-from repro.storage.page import SlottedPage, read_directory
-from repro.storage.serialization import _decoder, encode_record, page_decoder
+from repro.storage import Database, page
+from repro.storage.page import PageWriter
+from repro.storage.serialization import _decoder, page_decoder
 from repro.util import codegen
 from repro.util.errors import PlaceholderError, StorageError, TypeMismatchError
 from repro.wsq import WsqEngine
@@ -382,21 +382,19 @@ class TestDamageStillRaises:
         "types", _SWEEP_TYPES, ids=["-".join(t.value for t in ts) for ts in _SWEEP_TYPES]
     )
     def test_truncation_at_every_byte(self, types):
-        schema = Schema([Column("c{}".format(i), t) for i, t in enumerate(types)])
-        record = encode_record(tuple(_SAMPLE[t] for t in types), schema)
+        data = bytearray(512)
+        writer = PageWriter(types, data)
+        writer.add(tuple(_SAMPLE[t] for t in types))
+        writer.write(data)
+        whole = bytes(data[:page.checker(page.widths(types))(data)[1][-1]])
         fixed = [i for i, t in enumerate(types) if t in _FIXED]
         operand = ColumnRef(fixed[-1]) if fixed else Literal(1)
         sample = Literal(_SAMPLE[types[fixed[-1]]] if fixed else 1)
-        for op in ("=", "<>"):  # keeps the record, drops it
+        for op in ("=", "<>"):  # keeps the row, drops it
             for subset in (None, (), (len(types) - 1,)):
                 decode = page_decoder(tuple(types), subset, Comparison(op, operand, sample))
-                page = SlottedPage(bytearray(512))
-                page.insert(record)
-                kept = decode(page.data, read_directory(page.data))
+                kept = decode(whole)
                 assert len(kept[0]) == (op == "=")
-                for cut in range(len(record)):
-                    page = SlottedPage(bytearray(512))
-                    page.insert(record)
-                    page.insert(record[:cut])
+                for cut in range(len(whole)):
                     with pytest.raises(StorageError):
-                        decode(page.data, read_directory(page.data))
+                        decode(whole[:cut])

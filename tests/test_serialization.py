@@ -1,5 +1,7 @@
-"""Record codec round-trips, including property-based coverage."""
+"""The page codec: rows round-trip through a column-major page, and a
+damaged page raises StorageError, never another exception or rows."""
 
+import struct
 from array import array
 
 import pytest
@@ -9,8 +11,9 @@ from hypothesis import strategies as st
 from repro.relational.expr import ColumnRef, Comparison, Literal
 from repro.relational.schema import Column, Schema
 from repro.relational.types import DataType
-from repro.storage.page import SlottedPage, live_slots, read_directory
-from repro.storage.serialization import _decoder, decode_record, encode_record, page_decoder
+from repro.storage import page
+from repro.storage.page import PageWriter
+from repro.storage.serialization import _decoder, page_decoder
 from repro.util import codegen
 from repro.util.errors import StorageError, TypeMismatchError
 
@@ -25,51 +28,94 @@ SCHEMA = Schema(
 )
 
 
+def _types(schema):
+    return tuple(column.type for column in schema)
+
+
+def image(types, rows, size=512, deleted=()):
+    """A page of *size* bytes holding *rows*, the slots *deleted* deleted."""
+    data = bytearray(size)
+    writer = PageWriter(tuple(types), data)
+    for row in rows:
+        assert writer.add(row) is not None
+    writer.write(data)
+    for slot in deleted:
+        page.delete(data, slot)
+    return data
+
+
+def used(data, types):
+    """The page's bytes up to the end of its last region."""
+    return bytes(data[:page.checker(page.widths(types))(data)[1][-1]])
+
+
+def round_trip(row, schema):
+    """*row* through a page, by the decoder and by a one-row read."""
+    types = _types(schema)
+    data = image(types, [row])
+    decoded = list(zip(*page_decoder(types, None)(data)))
+    assert decoded == [page.read_row(data, types, 0)]
+    return decoded[0]
+
+
+def poke(data, region, value):
+    """Overwrite offset *region* of the page header (0: deleted bitmap start)."""
+    struct.pack_into("=H", data, 2 + 2 * region, value)
+
+
 class TestRoundTrip:
     def test_simple(self):
         row = ("California", 32667, 0.153, "1850-09-09", True)
-        assert decode_record(encode_record(row, SCHEMA), SCHEMA) == row
+        assert round_trip(row, SCHEMA) == row
 
     def test_nulls_everywhere(self):
         row = (None, None, None, None, None)
-        assert decode_record(encode_record(row, SCHEMA), SCHEMA) == row
+        assert round_trip(row, SCHEMA) == row
 
     def test_empty_string(self):
         row = ("", 0, 0.0, "", False)
-        assert decode_record(encode_record(row, SCHEMA), SCHEMA) == row
+        assert round_trip(row, SCHEMA) == row
 
     def test_unicode(self):
         row = ("Škofja Loka — 日本", 1, 1.0, "1999-01-01", False)
-        assert decode_record(encode_record(row, SCHEMA), SCHEMA) == row
+        assert round_trip(row, SCHEMA) == row
 
     def test_int_widened_in_float_column(self):
         row = ("x", 1, 2, "d", True)  # int in FLOAT column
-        decoded = decode_record(encode_record(row, SCHEMA), SCHEMA)
+        decoded = round_trip(row, SCHEMA)
         assert decoded[2] == 2.0 and isinstance(decoded[2], float)
 
     def test_negative_ints(self):
         schema = Schema([Column("A", DataType.INT)])
         row = (-(2**62),)
-        assert decode_record(encode_record(row, schema), schema) == row
+        assert round_trip(row, schema) == row
 
 
 class TestErrors:
     def test_arity_mismatch(self):
-        with pytest.raises(StorageError):
-            encode_record(("only-one",), SCHEMA)
+        with pytest.raises(StorageError, match="arity"):
+            PageWriter(_types(SCHEMA), bytearray(512)).add(("only-one",))
 
     def test_type_mismatch(self):
         with pytest.raises(TypeMismatchError):
-            encode_record((1, 1, 1.0, "d", True), SCHEMA)
+            PageWriter(_types(SCHEMA), bytearray(512)).add((1, 1, 1.0, "d", True))
+        with pytest.raises(StorageError, match="64 bits"):
+            PageWriter((DataType.INT,), bytearray(512)).add((2**63,))
 
     def test_trailing_garbage_detected(self):
-        data = encode_record(("x", 1, 1.0, "d", True), SCHEMA) + b"junk"
+        # The string's length says 0 of its region's 1 byte.
+        data = image(_types(SCHEMA), [("x", 1, 1.0, "d", True)])
+        _, regions, _ = page.checker(page.widths(_types(SCHEMA)))(data)
+        data[regions[4]:regions[4] + 2] = b"\0\0"
         with pytest.raises(StorageError, match="trailing"):
-            decode_record(data, SCHEMA)
+            page_decoder(_types(SCHEMA), None)(data)
+        with pytest.raises(StorageError, match="trailing"):
+            page.read_row(data, _types(SCHEMA), 0)
 
     def test_truncated_bitmap(self):
-        with pytest.raises(StorageError):
-            decode_record(b"", SCHEMA)
+        for data in (b"", b"\x01\x00"):  # no header at all, a row count alone
+            with pytest.raises(StorageError, match="truncated"):
+                page_decoder(_types(SCHEMA), None)(data)
 
 
 _value_strategies = {
@@ -98,7 +144,7 @@ class TestProperties:
     @given(schema_and_row())
     def test_round_trip_property(self, payload):
         schema, row = payload
-        decoded = decode_record(encode_record(row, schema), schema)
+        decoded = round_trip(row, schema)
         expected = tuple(
             float(v)
             if v is not None and schema[i].type is DataType.FLOAT
@@ -108,7 +154,7 @@ class TestProperties:
         assert decoded == expected
 
 
-# -- the compiled page decoder ----------------------------------------------------
+# -- damaged pages ------------------------------------------------------------------
 
 _SAMPLE = {
     DataType.INT: -(2**40),
@@ -118,76 +164,85 @@ _SAMPLE = {
     DataType.BOOL: True,
 }
 
-#: One single-column schema per type, plus the issue's mixed record.
+#: One single-column schema per type, plus two mixed ones.
 _SWEEP_TYPES = [(t,) for t in DataType] + [
     (DataType.INT, DataType.STR, DataType.FLOAT, DataType.BOOL),
     (DataType.STR, DataType.DATE, DataType.INT),
 ]
+_SWEEP_IDS = ["-".join(t.value for t in ts) for ts in _SWEEP_TYPES]
 
 
-def _schema_of(types):
-    return Schema([Column("c{}".format(i), t) for i, t in enumerate(types)])
-
-
-def _page_with(records, size=512):
-    """A slotted page holding *records*, first inserted at the page's end."""
-    page = SlottedPage(bytearray(size))
-    for record in records:
-        page.insert(record)
-    return page.data
+def _raises_everywhere(data, types):
+    """Every decoder of *types* and every one-row read refuse *data*."""
+    for subset in (None, (), (len(types) - 1,)):
+        with pytest.raises(StorageError):
+            page_decoder(tuple(types), subset)(data)
+    with pytest.raises(StorageError):
+        page.read_row(data, tuple(types), 0)
 
 
 class TestDamagedRecords:
-    """A damaged record raises StorageError — never another exception,
-    never its neighbour's bytes — through the record and the page path."""
+    """A damaged page raises StorageError through every decoder: never an
+    IndexError or ``struct.error``, never a row."""
 
-    @pytest.mark.parametrize(
-        "types", _SWEEP_TYPES, ids=["-".join(t.value for t in ts) for ts in _SWEEP_TYPES]
-    )
+    @pytest.mark.parametrize("types", _SWEEP_TYPES, ids=_SWEEP_IDS)
     def test_truncation_at_every_byte(self, types):
-        schema = _schema_of(types)
         row = tuple(_SAMPLE[t] for t in types)
-        record = encode_record(row, schema)
-        assert decode_record(record, schema) == row
-        for subset in (None, (), (len(types) - 1,)):
-            decode = page_decoder(tuple(types), subset)
-            for cut in range(len(record)):
-                with pytest.raises(StorageError):
-                    decode_record(record[:cut], schema)
-                # On a page the cut record's bytes run straight into its
-                # neighbour's: an unbounded read would "succeed".
-                data = _page_with([record, record[:cut]])
-                with pytest.raises(StorageError):
-                    decode(data, read_directory(data))
+        whole = used(image(types, [row, row]), types)
+        assert list(zip(*page_decoder(types, None)(whole))) == [row, row]
+        for cut in range(len(whole)):
+            _raises_everywhere(whole[:cut], types)
 
     def test_truncated_null_carrying_record(self):
         types = (DataType.INT, DataType.STR, DataType.FLOAT, DataType.BOOL)
-        schema = _schema_of(types)
-        record = encode_record((1, None, 2.0, None), schema)
-        for cut in range(len(record)):
-            with pytest.raises(StorageError):
-                decode_record(record[:cut], schema)
-            data = _page_with([record, record[:cut]])
-            with pytest.raises(StorageError):
-                page_decoder(types, None)(data, read_directory(data))
+        whole = used(image(types, [(1, None, 2.0, None), (None, "s", None, True)]), types)
+        for cut in range(len(whole)):
+            _raises_everywhere(whole[:cut], types)
+
+    @pytest.mark.parametrize("types", _SWEEP_TYPES, ids=_SWEEP_IDS)
+    def test_a_region_past_the_page_end(self, types):
+        data = image(types, [tuple(_SAMPLE[t] for t in types)], size=256)
+        for region in range(2 + 4 * len(types)):
+            damaged = bytearray(data)
+            poke(damaged, region, 257)
+            _raises_everywhere(damaged, types)
 
     @pytest.mark.parametrize("claimed", [0, 3, 5, 2**31, 2**32 - 1])
     def test_corrupt_length_prefix(self, claimed):
-        schema = _schema_of((DataType.STR, DataType.INT))
-        record = bytearray(encode_record(("abcd", 7), schema))
-        record[1:5] = claimed.to_bytes(4, "little")
-        with pytest.raises(StorageError):
-            decode_record(bytes(record), schema)
+        """String lengths that do not sum to their region (a length is
+        16 bits: the larger claims are cut to its largest)."""
+        types = (DataType.STR, DataType.INT)
+        data = image(types, [("abcd", 7), ("ef", 8)])
+        _, regions, _ = page.checker(page.widths(types))(data)
+        data[regions[4]:regions[4] + 2] = min(claimed, 0xFFFF).to_bytes(2, "little")
+        for subset in (None, (0,)):
+            with pytest.raises(StorageError):
+                page_decoder(types, subset)(data)
+        for slot in (0, 1):
+            with pytest.raises(StorageError):
+                page.read_row(data, types, slot)
+
+    def test_deleted_bitmap_longer_than_the_row_count(self):
+        types = (DataType.INT,)
+        data = image(types, [(1,), (2,)])
+        longer = bytearray(data)
+        poke(longer, 1, struct.unpack_from("=H", data, 4)[0] + 1)
+        _raises_everywhere(longer, types)
+        stray = bytearray(data)  # the right length, a bit set past the rows
+        stray[struct.unpack_from("=H", data, 2)[0]] = 0b100
+        _raises_everywhere(stray, types)
 
     def test_invalid_utf8_is_wrapped(self):
-        schema = _schema_of((DataType.STR,))
-        record = bytearray(encode_record(("abcd",), schema))
-        record[5] = 0xFF
-        with pytest.raises(StorageError, match="corrupt record"):
-            decode_record(bytes(record), schema)
+        types = (DataType.STR,)
+        data = image(types, [("abcd",)])
+        _, regions, _ = page.checker(page.widths(types))(data)
+        data[regions[4] + 2] = 0xFF
+        with pytest.raises(StorageError, match="corrupt"):
+            page_decoder(types, None)(data)
+        with pytest.raises(StorageError, match="corrupt"):
+            page.read_row(data, types, 0)
         # ... and a string nobody reads is not decoded at all.
-        data = _page_with([bytes(record)])
-        assert page_decoder((DataType.STR,), ())(data, read_directory(data)) == [[None]]
+        assert page_decoder(types, ())(data) == [[None]]
 
     def test_columns_outside_the_schema_rejected(self):
         with pytest.raises(StorageError, match="outside"):
@@ -195,48 +250,49 @@ class TestDamagedRecords:
 
 
 class TestPageDecoder:
-    def test_page_image_written_by_the_parent_commit(self):
-        """The on-disk format did not move: a 192-byte page the previous
-        decoder's commit wrote (five inserts, slot 3 deleted)."""
+    def test_the_on_disk_format_did_not_move(self):
+        """A page this format's first commit wrote: five inserts, slot 3
+        deleted.  The next change to the format must fail this test."""
         image = bytes.fromhex(
-            "0500370094002c009300010079001a00ffff00003700210000000000000000000000"
-            "00000000000000000000000000000000000000000014ffffffffffffff7f06000000"
-            "e697a5e69cac0a000000323030302d30312d30310007000000000000000600000064"
-            "6f6f6d6564000000000000f03f01000000780100000000000000008000000000000000"
-            "000000f0ff00000000001f00010000000000000008000000c3856c6573756e640000"
-            "00000000e03f0a000000313939392d31302d303101"
+            "05002e002f002f003000300058005800590059007700770078007800a000a000a100"
+            "a100c000c000c100c100c60008020100000000000000000000000000000000000000"
+            "000000800700000000000000ffffffffffffff7f0208000000000006000600c3856c"
+            "6573756e64646f6f6d6564e697a5e69cac12000000000000e03f0000000000000000"
+            "000000000000f0ff000000000000f03f0000000000000000020a000000000001000a"
+            "00313939392d31302d303178323030302d30312d3031120100000100"
         )
         types = (DataType.INT, DataType.STR, DataType.FLOAT, DataType.DATE, DataType.BOOL)
-        vectors = page_decoder(types, None)(image, read_directory(image))
+        vectors = page_decoder(types, None)(image)
         assert list(zip(*vectors)) == [
             (1, "Ålesund", 0.5, "1999-10-01", True),
             (None, None, None, None, None),
             (-(2**63), "", float("-inf"), "", False),
             (2**63 - 1, "日本", None, "2000-01-01", None),
         ]
-        assert live_slots(read_directory(image)) == [0, 1, 2, 4]
+        assert page.live_slots(image) == [0, 1, 2, 4]
+        assert page.read_row(image, types, 3) is None
 
     def test_typed_arrays_exactly_where_no_null_fell(self):
         types = (DataType.INT, DataType.FLOAT, DataType.STR)
-        schema = _schema_of(types)
-        data = _page_with(
-            [encode_record(r, schema) for r in [(1, 1.0, "a"), (2, None, None), (3, 3.0, "c")]]
-        )
-        ints, floats, strings = page_decoder(types, None)(data, read_directory(data))
+        data = image(types, [(1, 1.0, "a"), (2, None, None), (3, 3.0, "c")])
+        ints, floats, strings = page_decoder(types, None)(data)
         assert ints == array("q", [1, 2, 3])
         assert floats == [1.0, None, 3.0] and isinstance(floats, list)
         assert strings == ["a", None, "c"]
+        # A NULL the selection drops leaves a typed array behind.
+        kept = page_decoder(types, None, Comparison("<>", ColumnRef(0), Literal(2)))(data)
+        assert kept[1] == array("d", [1.0, 3.0]) and kept[2] == ["a", "c"]
 
     def test_unread_positions_are_null_filled(self):
         types = (DataType.INT, DataType.STR, DataType.FLOAT)
-        schema = _schema_of(types)
-        data = _page_with([encode_record((i, "s", i / 2), schema) for i in range(4)])
-        directory = read_directory(data)
-        assert page_decoder(types, (2,))(data, directory) == [
+        data = image(types, [(i, "s", i / 2) for i in range(4)])
+        assert page_decoder(types, (2,))(data) == [
             [None] * 4, [None] * 4, array("d", [0.0, 0.5, 1.0, 1.5]),
         ]
-        # No column at all still reports every live record.
-        assert page_decoder(types, ())(data, directory) == [[None] * 4] * 3
+        # No column at all still reports every live row.
+        assert page_decoder(types, ())(data) == [[None] * 4] * 3
+        page.delete(data, 1)
+        assert page_decoder(types, ())(data) == [[None] * 3] * 3
 
     def test_compiled_once_per_column_set(self):
         # The memo is process-wide: thirteen columns is a schema no

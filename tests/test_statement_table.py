@@ -251,6 +251,8 @@ class TestNamedRegressions:
 
 class TestGeneration:
     def test_moves_on_every_ddl_analyze_and_mutation_and_on_nothing_else(self):
+        # ANALYZE is the exception the name predates: the planner reads no
+        # statistics, so it moves nothing (test_analyze_stales_no_statement).
         db = _small_db()
         table = db.table("T")
         seen = [db.generation]
@@ -272,7 +274,8 @@ class TestGeneration:
         db.drop_index("idx_t_a")
         assert moved()
         db.analyze("T")
-        assert moved()
+        assert not moved()
+        seen.pop()
         db.create_table("U", [("K", DataType.INT)])
         assert moved()
         db.drop_table("U")
@@ -286,6 +289,18 @@ class TestGeneration:
         engine.plan("Select A From T, S Where A = X")
         assert table.row_count() == sum(1 for _ in table.scan()) == 41
         assert db.generation == settled
+
+    def test_analyze_stales_no_statement(self):
+        db = _small_db()
+        engine = _engine(db)
+        sql = "Select A From T Where B = 2"
+        before = _outcomes(engine)
+        first = engine.execute(sql).rows
+        kept = engine._statements[(sql, "async")].idle[0]
+        assert engine.run("Analyze").rows
+        assert engine.execute(sql).rows == first
+        assert _moved(engine, before) == {"miss": 1, "hit": 1}
+        assert engine._statements[(sql, "async")].idle[0] is kept
 
 
 # -- (iii) stored trees are shared, by repeated and by concurrent executions ------
@@ -419,7 +434,7 @@ def test_table_stays_at_its_constant_and_every_execute_is_counted():
     evicted = "Select A From T Where A = 0"
     engine.execute(recent)
     engine.execute(evicted)
-    db.analyze()
+    db.create_table("U", [("K", DataType.INT)])
     engine.execute(recent)
     engine.execute(STATEMENTS[2])
     assert len(engine._statements) == STATEMENT_CAPACITY
