@@ -73,7 +73,7 @@ class Aggregate(Operator):
     def open(self, bindings=None):
         self._reject_bindings(bindings)
         self.child.open()
-        # One generated loop per typed-column variant evaluates the keys
+        # One generated loop per proven-column variant evaluates the keys
         # and the inputs inline and accumulates into flat per-group slots
         # (first-seen order is the dict's).  Compiled once per operator.
         folds = [_FOLDS[spec.func] for spec in self.specs]
@@ -95,11 +95,12 @@ class Aggregate(Operator):
         finally:
             self.child.close()
         if not self.group_exprs and not groups:
-            groups[()] = [value for start, _, _ in folds for value in (0, start)]
+            groups[()] = [0] + [value for start, _, _ in folds for value in (0, start)]
+        lone = len(self.group_exprs) == 1  # its key is the value, not a tuple
         self._results = [
-            key + tuple(
-                result(count, acc)
-                for (_, _, result), count, acc in zip(folds, slots[::2], slots[1::2])
+            ((key,) if lone else key) + tuple(
+                result(slots[0] - skipped, acc)
+                for (_, _, result), skipped, acc in zip(folds, slots[1::2], slots[2::2])
             )
             for key, slots in groups.items()
         ]

@@ -41,45 +41,44 @@ class TableScan(Operator):
         self.qualifier = qualifier or table.name
         self.schema = table.schema.with_qualifier(self.qualifier)
         self.children = ()
+        #: The positions gathered across pages; the others are NULL-filled once per batch.
+        self._read = range(len(self.schema)) if columns is None else sorted(set(columns))
         self._chunks = None
-        self._pending_cols = None
+        self._pending = None
 
     def open(self, bindings=None):
         self._reject_bindings(bindings)
         self._chunks = self.table.scan_decoded(self.decode)
-        self._pending_cols = None
+        self._pending = None
 
     def next_batch(self, max_rows=None):
         if self._chunks is None:
             raise ExecutionError("TableScan.next_batch() before open()")
         limit = max_rows if max_rows is not None else self.batch_size
-        cols = self._pending_cols
-        count = len(cols[0]) if cols else 0
+        count, cols = self._pending or (0, None)
         while count < limit:
             chunk = next(self._chunks, None)
             if chunk is None:
                 break
-            if not cols:
-                cols = list(chunk)
+            if cols is None:
+                cols = [chunk[i] for i in self._read]
             else:
-                cols = [
-                    _extend_column(dst, src) for dst, src in zip(cols, chunk)
-                ]
-            count = len(cols[0]) if cols else 0
+                cols = [_extend_column(dst, chunk[i]) for dst, i in zip(cols, self._read)]
+            count += len(chunk[0])
+        self._pending = None
         if not count:
-            self._pending_cols = None
             return None
         if count > limit:
-            self._pending_cols = [col[limit:] for col in cols]
+            self._pending = (count - limit, [col[limit:] for col in cols])
             cols = [col[:limit] for col in cols]
             count = limit
-        else:
-            self._pending_cols = None
-        return ColumnBatch.from_columns(self.schema, cols, count)
+        read = dict(zip(self._read, cols))
+        vectors = [read[i] if i in read else [None] * count for i in range(len(self.schema))]
+        return ColumnBatch.from_columns(self.schema, vectors, count)
 
     def close(self):
         self._chunks = None
-        self._pending_cols = None
+        self._pending = None
 
     def label(self):
         where = "" if self.predicate is None else " where " + self.predicate.sql(self.schema)

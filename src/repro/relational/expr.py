@@ -768,9 +768,10 @@ def _columns_read(expr, shape):
     return sorted(set().union(*(e.referenced_columns() for e in exprs)))
 
 
-def _generate(expr, shape, typed=frozenset()):
+def _generate(expr, shape, typed=frozenset(), strings=None):
     """The function computing *expr* in *shape*, given that the columns
-    whose indexes are in *typed* are typed arrays.
+    whose indexes are in *typed* are typed arrays and that each column
+    *strings* maps to "may hold NULL" holds only ``str`` (and ``None``).
 
     Shapes: ``"values"`` and ``"selection"`` are ``run(n, *columns)``, one
     column per referenced index in order, returning the value vector /
@@ -779,9 +780,9 @@ def _generate(expr, shape, typed=frozenset()):
     folds)``, see :func:`compile_grouping`.
     """
     refs = _columns_read(expr, shape)
-    emitter = _Emitter(
-        refs, dict.fromkeys(typed, (False, "num")), "row" if shape == "scalar" else None
-    )
+    proven = dict.fromkeys(typed, (False, "num"))
+    proven.update((index, (nullable, "str")) for index, nullable in (strings or {}).items())
+    emitter = _Emitter(refs, proven, "row" if shape == "scalar" else None)
     names = [emitter.names[index] for index in refs]
     columns = ["c{}".format(j) for j in range(len(refs))]
     head = "def run(n, {}):".format(", ".join(columns))
@@ -793,9 +794,9 @@ def _generate(expr, shape, typed=frozenset()):
         each, source = ", ".join(names), "zip({})".format(", ".join(columns))
     if shape == "values" and isinstance(expr, ColumnRef):
         # A bare column as a value is the column itself, after one
-        # placeholder scan if it is untyped: no per-value copy.
+        # placeholder scan if it is unproven: no per-value copy.
         body = ["return " + source]
-        if not typed:
+        if not proven:
             body.insert(0, "for {} in {}: {}".format(each, source, emitter.emit(expr).code))
     elif shape == "values":
         body = ["return [{} for {} in {}]".format(emitter.emit(expr).code, each, source)]
@@ -816,47 +817,63 @@ def _generate(expr, shape, typed=frozenset()):
 
 def _group_loop(emitter, keys, folds, loop):
     """The body of the ``"groups"`` shape: per row, in ``eval``'s order, the
-    key tuple, its slots (``[count, accumulator]`` per fold, made at the
-    group's first row), then each fold's input into its two slots."""
-    initial = ", ".join("0, {!r}".format(start) for _, start, _ in folds)
+    key (a lone key expression's value, else a tuple), its slots (made at
+    the group's first row: the row count, then ``[NULLs skipped,
+    accumulator]`` per fold), then each fold's input into its slots.  A
+    fold whose input cannot be NULL skips nothing, so it counts nothing:
+    its count is the row count."""
+    initial = "".join(", 0, {!r}".format(start) for _, start, _ in folds)
+    codes = [emitter.emit(key).code for key in keys]
     probe = [
-        "slot = get(key := ({}))".format("".join(emitter.emit(k).code + ", " for k in keys)),
-        "if slot is None: slot = groups[key] = [{}]".format(initial),
+        "slot = get(key := {})".format(
+            codes[0] if len(codes) == 1 else "({})".format("".join(c + ", " for c in codes))
+        ),
+        "if slot is None: slot = groups[key] = [0{}]".format(initial),
     ]
     steps = []
     for j, (argument, _, update) in enumerate(folds):
-        count, accumulator = "slot[{}]".format(2 * j), "slot[{}]".format(2 * j + 1)
-        fold = [count + " += 1"]
         if argument is None:  # COUNT(*)
-            steps += fold
             continue
+        skipped, accumulator = "slot[{}]".format(2 * j + 1), "slot[{}]".format(2 * j + 2)
         value = emitter.emit(argument)
         first, name = emitter.twice(value)
-        if update:
-            fold.append(update.format(acc=accumulator, x=name))
+        fold = [update.format(acc=accumulator, x=name)] if update else []
         if value.nullable:  # aggregates skip NULLs
-            steps.append("if {} is not None:".format(first))
-            steps += ["    " + line for line in fold]
+            steps.append("if {} is None: {} += 1".format(first, skipped))
+            if fold:
+                steps += ["else:"] + ["    " + line for line in fold]
         else:
             steps += ([first] if first != name else []) + fold
     if keys:
-        return ["get = groups.get", loop] + ["    " + line for line in probe + steps]
-    return ["get = groups.get"] + probe + [loop] + ["    " + line for line in steps]
+        return ["get = groups.get", loop] + ["    " + line for line in probe + ["slot[0] += 1"] + steps]
+    body = ["get = groups.get"] + probe + ["slot[0] += n"]
+    return body + ([loop] + ["    " + line for line in steps] if steps else [])
+
+
+#: The value types of a list column that prove it a ``str`` column.
+_STR_TYPES = frozenset((str, type(None)))
 
 
 def _kernel(expr, shape):
     """``(batch, *state) -> result`` for *expr*: one generated variant per
-    set of typed columns, chosen from what each batch is."""
+    proof, chosen from what each batch's columns are.  A typed array
+    proves clean numbers; a list proves ``str`` when its value types lie
+    within ``{str, NoneType}`` (NULLs only if ``NoneType`` is one).  Any
+    other list, a placeholder in it included, keeps every guard."""
     refs = _columns_read(expr, shape)
     variants = {}
 
     def run(batch, *state):
         columns = [batch.column(index) for index in refs]
-        types = tuple(map(type, columns))
-        function = variants.get(types)
+        proof = tuple(frozenset(map(type, c)) if type(c) is list else type(c) for c in columns)
+        function = variants.get(proof)
         if function is None:
-            typed = {i for i, kind in zip(refs, types) if issubclass(kind, array)}
-            function = variants[types] = _generate(expr, shape, typed)
+            typed = {i for i, kind in zip(refs, proof) if kind is array}
+            strings = {
+                i: type(None) in kind for i, kind in zip(refs, proof)
+                if type(kind) is frozenset and kind <= _STR_TYPES
+            }
+            function = variants[proof] = _generate(expr, shape, typed, strings)
         return function(len(batch), *state, *columns)
 
     return run
@@ -924,9 +941,11 @@ def compile_grouping(keys, folds):
 
     *keys* are the group expressions; each of *folds* is ``(input
     expression or None for ``*``, initial accumulator, update statement
-    over ``{acc}`` and ``{x}`` or None)``.  *groups* maps a key tuple, in
-    first-seen order, to flat slots ``[count, accumulator, ...]`` — two
-    per fold: the non-NULL inputs seen and what the updates made of them.
+    over ``{acc}`` and ``{x}`` or None)``.  *groups* maps a key, in
+    first-seen order, to flat slots ``[rows, skipped, accumulator, ...]``:
+    the group's row count, then two per fold, the NULL inputs it skipped
+    and what the updates made of the others.  The key is the value of a
+    lone key expression, else the tuple of the keys' values.
     """
     return _counted(_kernel((list(keys), list(folds)), "groups"))
 

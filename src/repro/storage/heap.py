@@ -119,6 +119,8 @@ class _Appender:
         pool = self.pool
         if self.guard is None:
             count = pool.disk.page_count
+            if not count:  # refuse a row no page can hold before making the first page
+                PageWriter(self.types, bytearray(pool.disk.page_size)).add(row)
             self._turn_to(lambda: pool.pin(count - 1) if count else pool.new_page())
         slot = self.writer.add(row)
         if slot is None:

@@ -12,8 +12,16 @@ and its values.  A bitmap has one bit per row (row *i* is bit ``i % 8``
 of byte ``i // 8``).  The deleted bitmap is always there; a NULL bitmap
 only where the column holds a NULL on this page (else its region is
 empty).  INT and FLOAT values are packed ``int64``/``double`` arrays,
-BOOL one byte a row, STR and DATE a ``uint16`` length array followed by
-the rows' UTF-8 bytes; a NULL or a deleted row holds zero (length 0).
+BOOL one byte a row, STR and DATE a string region; a NULL or a deleted
+row holds zero (the empty string).
+
+A string region starts with a ``uint16`` entry count *m*.  With ``m =
+0`` it is plain: a ``uint16`` length per row, then the rows' UTF-8
+bytes.  Otherwise it is a dictionary: the page's *m* distinct strings,
+sorted, as a ``uint16`` length each and then their bytes, followed by
+one code per row into them (``uint8`` up to 256 entries, else
+``uint16``).  The writer picks the smaller; a page without rows has an
+empty region.
 
 A row's slot is its position: deleting sets its bit and moves nothing,
 so RIDs are stable.  A page does not describe its types: every reader
@@ -31,7 +39,7 @@ from repro.util.codegen import compile_function
 from repro.util.errors import StorageError
 
 #: What ``catalog.json`` records; a directory of any other format is refused.
-FORMAT = "column-major-v1-" + sys.byteorder
+FORMAT = "column-major-v2-" + sys.byteorder
 
 #: Array typecode of each fixed-width type; STR and DATE are variable.
 CODES = {DataType.INT: "q", DataType.FLOAT: "d", DataType.BOOL: "B"}
@@ -39,6 +47,8 @@ _WIDTH = {t: array(code).itemsize for t, code in CODES.items()}
 _ZERO = {DataType.INT: 0, DataType.FLOAT: 0.0, DataType.BOOL: False}
 _BITS = [bytes(b >> i & 1 for i in range(8)) for b in range(256)]
 _FLIP = bytes.maketrans(b"\0\1", b"\1\0")
+_COUNT = struct.Struct("=H")
+_BELOW = [bytes(range(m)) for m in range(257)]  # the valid one-byte codes of m entries
 
 
 @functools.lru_cache(maxsize=None)
@@ -72,7 +82,9 @@ def checker(widths):
     for i, width in enumerate(widths):
         z = 2 + 4 * i
         checks.append("r[{}] - r[{}] in (0, b)".format(z + 1, z))
-        checks.append("r[{}] - r[{}] {}".format(z + 3, z + 2, "== {} * n".format(width) if width else ">= 2 * n"))
+        values = "r[{}] - r[{}]".format(z + 3, z + 2)
+        checks.append("{} == {} * n".format(values, width) if width
+                      else "({} >= 2 if n else {} == 0)".format(values, values))
     checks += ["r[{}] <= size".format(end) for end in range(1, 2 + 4 * len(widths), 2)]
     source = "\n".join([
         "def check(data):",
@@ -108,47 +120,95 @@ def live_slots(data):
     return list(range(n) if live is None else compress(range(n), live))
 
 
-def string_bounds(data, n, start, stop):
-    """``(lengths, offset of the first string)`` of a STR/DATE region; the
-    lengths sum to the region, so no string reaches past it."""
-    lengths = array("H", data[start:start + 2 * n])
-    excess = stop - start - 2 * n - sum(lengths)
+def string_region(data, n, start, stop):
+    """``(lengths, blob, codes)`` of the STR/DATE region ``data[start:stop]``
+    of *n* rows.  Plain, *codes* is ``None``
+    and *lengths* cut *blob* into one string per row; a dictionary,
+    *lengths* cut it into the entries and *codes* name one per row.  The
+    lengths sum to the blob and every code names an entry, so no string
+    reaches past the region.  The region must hold its entry count
+    (:func:`checker` sees to it) unless *n* is 0."""
+    if not n:
+        return array("H"), b"", None
+    (m,) = _COUNT.unpack_from(data, start)
+    width = 0 if not m else 1 if m <= 256 else 2
+    blob, end = start + 2 + 2 * (m or n), stop - width * n
+    if end < blob:
+        raise StorageError("string region of {} bytes cannot hold {} lengths".format(
+            stop - start, m or n))
+    lengths = array("H", data[start + 2:blob])
+    excess = end - blob - sum(lengths)
     if excess:
         raise StorageError("string region has {} {} bytes".format(
             abs(excess), "trailing" if excess > 0 else "missing"))
-    return lengths, start + 2 * n
+    if not m:
+        return lengths, bytes(data[blob:end]), None
+    codes = data[end:stop]
+    if codes.translate(None, _BELOW[m]) if width == 1 else max(array("H", codes)) >= m:
+        raise StorageError("a string code past a dictionary of {} entries".format(m))
+    return lengths, bytes(data[blob:end]), array("B" if width == 1 else "H", codes)
 
 
-def _row(data, types, n, regions, slot, text=True):
-    """The values at *slot*; strings decoded unless *text* is false."""
-    row = []
+def _columns(data, types, n, regions):
+    """Every column of a checked page, strings as UTF-8 bytes, NULLs ``None``."""
+    columns = []
     for i, data_type in enumerate(types):
         nulls, end, start, stop = regions[2 + 4 * i:6 + 4 * i]
-        if nulls < end and data[nulls + slot // 8] >> slot % 8 & 1:
-            row.append(None)
-        elif data_type in CODES:
-            width = _WIDTH[data_type]
-            value = array(CODES[data_type], data[start + slot * width:start + (slot + 1) * width])[0]
-            row.append(bool(value) if data_type is DataType.BOOL else value)
+        if data_type in CODES:
+            column = array(CODES[data_type], data[start:stop])
+            if data_type is DataType.BOOL:
+                column = list(map(bool, column))
         else:
-            lengths, offset = string_bounds(data, n, start, stop)
-            offset += sum(lengths[:slot])
-            raw = bytes(data[offset:offset + lengths[slot]])
-            try:
-                row.append(raw.decode() if text else raw)
-            except UnicodeDecodeError as exc:
-                raise StorageError("corrupt string: {}".format(exc))
-    return tuple(row)
+            lengths, blob, codes = string_region(data, n, start, stop)
+            column = [blob[a:b] for a, b in zip(accumulate(lengths, initial=0), accumulate(lengths))]
+            if codes is not None:
+                column = list(map(column.__getitem__, codes))
+        if nulls < end:
+            column = [None if null else v for null, v in zip(bits(data[nulls:end], n), column)]
+        columns.append(column)
+    return columns
 
 
 def read_row(data, types, slot):
-    """The row at *slot* (``None`` if it was deleted)."""
-    n, regions, live = checker(widths(types))(data)
+    """The row at *slot* (``None`` if it was deleted).
+
+    Checks what it reads, not the whole page: the header, the deleted
+    bitmap and each column's regions.
+    """
+    layout = _layout(len(types))
+    size = len(data)
+    if size < layout.size:
+        raise StorageError("truncated page header: {} bytes".format(size))
+    n, *r = layout.unpack_from(data)
     if not 0 <= slot < n:
         raise StorageError("slot {} out of range [0, {})".format(slot, n))
-    if live is not None and not live[slot]:
+    b = (n + 7) // 8
+    if r[1] - r[0] != b or r[1] > size or n % 8 and data[r[1] - 1] >> n % 8:
+        raise StorageError("deleted bitmap {} does not fit {} rows".format(tuple(r[:2]), n))
+    if data[r[0] + slot // 8] >> slot % 8 & 1:
         return None
-    return _row(data, types, n, regions, slot)
+    row = []
+    for i, data_type in enumerate(types):
+        nulls, end, start, stop = r[2 + 4 * i:6 + 4 * i]
+        width = _WIDTH.get(data_type)
+        if (end - nulls not in (0, b) or max(end, stop) > size
+                or not (stop - start == width * n if width else stop - start >= 2)):
+            raise StorageError("column {} regions {} do not fit {} rows in {} bytes".format(
+                i, (nulls, end, start, stop), n, size))
+        if nulls < end and data[nulls + slot // 8] >> slot % 8 & 1:
+            row.append(None)
+        elif width:
+            value = array(CODES[data_type], data[start + slot * width:start + (slot + 1) * width])[0]
+            row.append(bool(value) if data_type is DataType.BOOL else value)
+        else:
+            lengths, blob, codes = string_region(data, n, start, stop)
+            entry = slot if codes is None else codes[slot]
+            offset = sum(lengths[:entry])
+            try:
+                row.append(blob[offset:offset + lengths[entry]].decode())
+            except UnicodeDecodeError as exc:
+                raise StorageError("corrupt string: {}".format(exc))
+    return tuple(row)
 
 
 def _deleted(data):
@@ -173,6 +233,44 @@ def _bitmap(positions, n):
     return sum(1 << slot for slot in positions).to_bytes((n + 7) // 8, "little")
 
 
+def _string_region(column):
+    """The region of a STR/DATE *column* of UTF-8 bytes (NULLs as ``b""``)."""
+    if not column:
+        return b""
+    strings = _Strings(column)
+    plain, dictionary = strings.sizes(len(column))
+    if dictionary < plain:
+        words = sorted(strings.seen)
+        codes = dict(zip(words, range(len(words))))
+        codes = array("B" if len(words) <= 256 else "H", map(codes.__getitem__, column))
+        entries = array("H", map(len, words)).tobytes()
+        return _COUNT.pack(len(words)) + entries + b"".join(words) + codes.tobytes()
+    return _COUNT.pack(0) + array("H", map(len, column)).tobytes() + b"".join(column)
+
+
+class _Strings:
+    """One string column's values (a NULL's is ``b""``), tallied: the
+    distinct ones, their bytes and every row's, so that both forms of its
+    region have an exact size."""
+
+    __slots__ = ("seen", "entries", "total")
+
+    def __init__(self, values):
+        self.seen = set(values)
+        self.entries, self.total = sum(map(len, self.seen)), sum(map(len, values))
+
+    def add(self, value):
+        self.total += len(value)
+        if value not in self.seen:
+            self.seen.add(value)
+            self.entries += len(value)
+
+    def sizes(self, n):
+        """``(plain, dictionary)``: the bytes of its region of *n* > 0 rows in each form."""
+        m = len(self.seen)
+        return 2 + 2 * n + self.total, 2 + 2 * m + self.entries + n * (1 if m <= 256 else 2)
+
+
 class PageWriter:
     """The rows of one page while they change: :meth:`add` rows, then
     :meth:`write` the page once.
@@ -180,7 +278,9 @@ class PageWriter:
     Starts from the rows already on the page buffer it is given.  A
     deleted row is a *hole* of zeros, the first of which the next added
     row takes; re-encoding drops its old bytes.  Strings are held as
-    UTF-8, so the page's size is known exactly after every row.
+    UTF-8 and tallied per column (:class:`_Strings`), so the page's size,
+    each string region in its smaller form, is known exactly after every
+    row.
     """
 
     def __init__(self, types, data):
@@ -189,17 +289,36 @@ class PageWriter:
         self.strings = [i for i, t in enumerate(types) if t not in CODES]
         self.ints = [i for i, t in enumerate(types) if t is DataType.INT]
         self.fixed = _layout(len(types)).size
-        self.width = sum(w or 2 for w in widths(types))  # a string's is its length
+        self.width = sum(widths(types))
         n, regions, live = checker(widths(types))(data)
         live = live or b"\1" * n
         blank = tuple(_ZERO.get(t, b"") for t in types)
-        self.rows = [_row(data, types, n, regions, s, False) if live[s] else blank for s in range(n)]
+        rows = zip(*_columns(data, types, n, regions))
+        self.rows = [row if alive else blank for row, alive in zip(rows, live)]
         self.holes = [slot for slot in range(n) if not live[slot]]
         self.nulls = {i for row in self.rows if None in row for i, v in enumerate(row) if v is None}
         self.text = sum(len(row[i]) for row in self.rows for i in self.strings if row[i])
+        self.tallies = None  # made when the plain bound first does not fit
 
     def _need(self, n, nulls, text):
         return self.fixed + (1 + nulls) * ((n + 7) // 8) + n * self.width + text
+
+    def _fits(self, nulls):
+        """Whether the rows fit with each string region in its smaller
+        form; asked once the plain regions do not fit, the last row placed
+        just now.  The plain regions only grow as rows are appended, so
+        once the tallies are made every later row is asked about here and
+        tallied, until a hole is refilled or a row refused."""
+        n, last = len(self.rows), self.rows[-1]
+        if self.tallies is None:
+            self.tallies = [_Strings([row[i] or b"" for row in self.rows]) for i in self.strings]
+        else:
+            for i, strings in zip(self.strings, self.tallies):
+                strings.add(last[i] or b"")
+        text = 0
+        for strings in self.tallies:
+            text += min(strings.sizes(n))
+        return self._need(n, nulls, text) <= self.size
 
     def add(self, row):
         """Place *row* in the first hole or after the last row: its slot,
@@ -219,18 +338,29 @@ class PageWriter:
         for i in self.ints:
             if row[i] is not None and not -(2**63) <= row[i] < 2**63:
                 raise StorageError("INT value {} outside 64 bits".format(row[i]))
-        n = len(self.rows) + (not self.holes)
-        if self._need(n, len(nulls), self.text + text) > self.size:
-            if self._need(1, row.count(None), text) > self.size:
+        if self.holes:
+            slot = self.holes[0]
+            old, self.rows[slot] = self.rows[slot], tuple(row)
+            self.tallies = None
+        else:
+            slot = len(self.rows)
+            self.rows.append(tuple(row))
+        n, text = len(self.rows), self.text + text
+        if self._need(n, len(nulls), (2 + 2 * n) * len(self.strings) + text) > self.size and not (
+                self._fits(len(nulls))):
+            if self.holes:
+                self.rows[slot] = old
+            else:
+                self.rows.pop()
+            self.tallies = None
+            alone = sum(4 + len(row[i] or b"") for i in self.strings)
+            if self._need(1, row.count(None), alone) > self.size:
                 raise StorageError("row exceeds the capacity of an empty {}-byte page".format(self.size))
             return None
-        self.nulls, self.text = nulls, self.text + text
+        self.nulls, self.text = nulls, text
         if self.holes:
-            slot = self.holes.pop(0)
-            self.rows[slot] = tuple(row)
-            return slot
-        self.rows.append(tuple(row))
-        return n - 1
+            self.holes.pop(0)
+        return slot
 
     def write(self, data):
         """Encode the rows into the page buffer *data*, zeros after them."""
@@ -246,7 +376,7 @@ class PageWriter:
             if data_type in CODES:
                 chunks.append(array(CODES[data_type], column).tobytes())
             else:
-                chunks.append(array("H", map(len, column)).tobytes() + b"".join(column))
+                chunks.append(_string_region(column))
         ends = list(accumulate(map(len, chunks), initial=self.fixed))
         offsets = [x for region in zip(ends, ends[1:]) for x in region]
         image = _layout(len(self.types)).pack(n, *offsets) + b"".join(chunks)

@@ -5,7 +5,7 @@ selection text), a function over one column-major page
 (:mod:`repro.storage.page`) that reads each column it needs with one C
 call, tests the selection over those columns in one comprehension, and
 gathers the wanted columns of the rows that pass.  Strings are decoded
-only for the rows kept.  Every region is checked against the page and
+only for the rows kept, a dictionary's entries once each.  Every region is checked against the page and
 its row count first, so a damaged page raises
 :class:`~repro.util.errors.StorageError` instead of returning rows.
 """
@@ -17,7 +17,7 @@ from itertools import accumulate, compress
 from repro.relational.batch import type_column
 from repro.relational.expr import compile_row_test
 from repro.relational.types import DataType
-from repro.storage.page import CODES, bits, checker, string_bounds, widths
+from repro.storage.page import CODES, bits, checker, string_region, widths
 from repro.util.codegen import compile_function
 from repro.util.errors import StorageError
 
@@ -32,14 +32,30 @@ def _nulls(column, bitmap, n):
 
 def _strings(data, n, nulls, end, start, stop, keep):
     """A STR/DATE column (its NULL bitmap at ``nulls:end``, its values at
-    ``start:stop``), decoded for the rows *keep* marks (all if ``None``)."""
-    lengths, offset = string_bounds(data, n, start, stop)
-    blob = bytes(data[offset:stop])
-    starts, ends = accumulate(lengths, initial=0), accumulate(lengths)
+    ``start:stop``), decoded for the rows *keep* marks (all if ``None``).
+    A dictionary's entries are decoded once each, unless fewer rows than
+    entries are kept: then only the kept rows' are."""
+    lengths, blob, codes = string_region(data, n, start, stop)
     flags = bits(data[nulls:end], n) if nulls < end else None
+    starts, ends = accumulate(lengths, initial=0), accumulate(lengths)
     if keep is not None:
-        starts, ends = compress(starts, keep), compress(ends, keep)
         flags = None if flags is None else compress(flags, keep)
+    if codes is None:
+        if keep is not None:
+            starts, ends = compress(starts, keep), compress(ends, keep)
+        column = _cut(blob, starts, ends)
+    else:
+        kept = codes if keep is None else list(compress(codes, keep))
+        if len(kept) < len(lengths):
+            bounds = list(starts)
+            column = _cut(blob, map(bounds.__getitem__, kept), [bounds[c + 1] for c in kept])
+        else:
+            column = list(map(_cut(blob, starts, ends).__getitem__, kept))
+    return column if flags is None else [None if null else v for null, v in zip(flags, column)]
+
+
+def _cut(blob, starts, ends):
+    """The strings ``blob[a:b]`` for *a*, *b* in *starts*, *ends*."""
     try:
         text = blob.decode()  # checks every string; ASCII slices as it is stored
         source = text if len(text) == len(blob) else blob
@@ -48,7 +64,7 @@ def _strings(data, n, nulls, end, start, stop, keep):
             column = list(map(bytes.decode, column))
     except UnicodeDecodeError as exc:
         raise StorageError("corrupt string: {}".format(exc))
-    return column if flags is None else [None if null else v for null, v in zip(flags, column)]
+    return column
 
 
 def _gather(column, keep, data_type):

@@ -107,9 +107,8 @@ class TestHeapFile:
 
     def test_spills_to_multiple_pages(self):
         heap = make_heap()
-        big = ("x" * 1000,)
-        for _ in range(10):
-            heap.insert(big, ROW)
+        for i in range(10):  # distinct strings: a dictionary would fold repeats
+            heap.insert((str(i) * 1000,), ROW)
         assert heap.pool.disk.page_count > 1
         assert heap.record_count() == 10
 
@@ -124,6 +123,7 @@ class TestHeapFile:
         heap = make_heap()
         with pytest.raises(StorageError, match="exceeds"):
             heap.insert(("x" * PAGE_SIZE,), ROW)
+        assert heap.pool.disk.page_count == 0  # refused before the first page was made
 
     def test_insert_fills_last_page_first(self):
         heap = make_heap()
@@ -214,11 +214,11 @@ class TestInsertMany:
     def test_fills_a_page_per_pool_round_trip(self):
         heap = make_heap()
         with heap.appender(ROW) as append:
-            rids = [append(("x" * 100,)) for _ in range(200)]
+            rids = [append((str(i).zfill(100),)) for i in range(200)]
         pages = heap.pool.disk.page_count
         assert pages > 1 and len({rid.page_id for rid in rids}) == pages
         assert heap.pool.hits + heap.pool.misses == 0  # only new_page() calls
-        assert stored(heap) == [("x" * 100,)] * 200
+        assert stored(heap) == [(str(i).zfill(100),) for i in range(200)]
 
     def test_appender_continues_the_last_page_and_reuses_tombstones(self):
         heap = make_heap()
@@ -237,6 +237,6 @@ class TestInsertMany:
                 append(("ok",))
                 append(("x" * PAGE_SIZE,))
         with heap.appender(ROW) as append:  # a one-frame pool can still turn pages
-            for _ in range(10):
-                append(("y" * 1000,))
+            for i in range(10):
+                append((str(i) * 1000,))
         assert heap.record_count() == 11

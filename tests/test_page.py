@@ -1,9 +1,13 @@
 """Column-major page layout: rows in, rows out, slots stable."""
 
+import random
+import sys
+
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from repro.relational.expr import ColumnRef, Comparison, Literal
 from repro.relational.schema import Column, Schema
 from repro.relational.types import DataType
 from repro.storage import page
@@ -11,6 +15,7 @@ from repro.storage.buffer import BufferPool
 from repro.storage.disk import DiskManager, PAGE_SIZE
 from repro.storage.heap import HeapFile
 from repro.storage.page import PageWriter
+from repro.storage.serialization import page_decoder
 from repro.storage.table import Table
 from repro.util.errors import StorageError
 
@@ -68,8 +73,9 @@ class TestInsertRead:
 
     def test_max_record_fits_exactly(self):
         # A 22-byte header (rows + 5 regions), one deleted-bitmap byte,
-        # an INT and a string length: 33 bytes besides the string.
-        payload = "x" * (PAGE_SIZE - 33)
+        # an INT, and a plain string region's entry count (0) and one
+        # length: 35 bytes besides the string.
+        payload = "x" * (PAGE_SIZE - 35)
         data = fresh_page()
         writer = PageWriter(TYPES, data)
         assert writer.add((payload, 1)) == 0
@@ -197,3 +203,113 @@ class TestProperties:
         )
         assert list(table.scan_with_rids()) == expected
         assert table.row_count() == len(expected)
+
+
+# -- dictionary-coded string regions ---------------------------------------------
+
+_DICT_TYPES = (DataType.STR, DataType.INT, DataType.DATE)
+_BIG = 65535  # the largest page a uint16 offset addresses
+
+
+def _entry_count(data, types, column):
+    """The entry count that opens *column*'s string region (0: plain)."""
+    regions = page.checker(page.widths(types))(data)[1]
+    start = regions[4 + 4 * column]
+    return int.from_bytes(data[start:start + 2], sys.byteorder)
+
+
+@st.composite
+def dictionary_pages(draw):
+    """Rows over a vocabulary (NULLs, the empty string, any text) of a
+    few, a few dozen or more than 256 distinct strings, each word three
+    times so that the dictionary is the smaller form; then the slots to
+    delete and the rows that refill them."""
+    stem = draw(st.text(max_size=4))
+    words = [""] + [stem + str(i) for i in range(draw(st.sampled_from([3, 40, 300])))]
+    row = st.tuples(st.none() | st.sampled_from(words), st.integers(0, 9),
+                    st.none() | st.sampled_from(["1999-10-01", "2000-01-01", "Ålesund"]))
+    rng = random.Random(draw(st.integers(0, 2**32)))
+    rows = [(w, i % 10, "1999-10-01") for i, w in enumerate(words * 3)]
+    rng.shuffle(rows)
+    rows += draw(st.lists(row, max_size=20))
+    deleted = set(rng.sample(range(len(rows)), min(len(rows), draw(st.integers(0, 40)))))
+    refill = draw(st.lists(row, max_size=len(deleted) + 5))
+    return rows, deleted, refill
+
+
+def _fill(data, rows, model):
+    """Add *rows* to the page until one does not fit; record their slots."""
+    writer = PageWriter(_DICT_TYPES, data)
+    for row in rows:
+        slot = writer.add(row)
+        if slot is None:
+            break
+        model[slot] = row
+    writer.write(data)
+
+
+def _agrees(data, model):
+    live = sorted(model)
+    assert page.live_slots(data) == live
+    expected = [model[slot] for slot in live]
+    assert list(zip(*page_decoder(_DICT_TYPES, None)(data))) == expected
+    assert [page.read_row(data, _DICT_TYPES, slot) for slot in live] == expected
+    few = page_decoder(_DICT_TYPES, (0, 2), Comparison("<", ColumnRef(1), Literal(3)))(data)
+    assert list(zip(few[0], few[2])) == [(s, d) for s, i, d in expected if i < 3]
+
+
+class TestDictionaryPages:
+    @settings(max_examples=40, deadline=None)
+    @given(dictionary_pages())
+    def test_round_trip_with_deletes_refills_and_a_reopen(self, case):
+        rows, deleted, refill = case
+        data, model = bytearray(_BIG), {}
+        _fill(data, rows, model)
+        assert _entry_count(data, _DICT_TYPES, 0) > 0  # repeated words: a dictionary
+        _agrees(data, model)
+        for slot in sorted(deleted & set(model)):
+            page.delete(data, slot)
+            del model[slot]
+        _agrees(data, model)
+        reopened = bytearray(bytes(data))  # what a fresh pool reads back
+        _fill(reopened, refill, model)  # the holes first, then new slots
+        _agrees(reopened, model)
+
+    def test_more_than_256_entries_take_two_byte_codes(self):
+        words = ["w%03d" % i for i in range(300)]
+        data, model = bytearray(_BIG), {}
+        _fill(data, [(w, 1, None) for w in words * 2], model)
+        assert len(model) == 600 and _entry_count(data, _DICT_TYPES, 0) == 300
+        _agrees(data, model)
+
+    @settings(max_examples=60, deadline=None)
+    @given(st.lists(st.tuples(st.none() | st.sampled_from(["", "ab", "Škofja"]) | st.text(max_size=30),
+                              st.integers(0, 9), st.none() | st.text(max_size=6)), max_size=60),
+           st.integers(1, 4))
+    def test_the_writer_refuses_exactly_the_first_row_that_does_not_fit(self, rows, every):
+        _refuses_exactly(rows, every)
+
+    @pytest.mark.parametrize("every", [1, 2, 3])
+    @pytest.mark.parametrize("repeats", [1, 3], ids=["plain", "dictionary"])
+    def test_refilled_holes_count_toward_the_page(self, every, repeats):
+        _refuses_exactly([("s" * 30 + str(i // repeats), i, None) for i in range(40)], every)
+
+
+def _refuses_exactly(rows, every):
+    """The writer's running size is the encoded size: a row is refused
+    exactly when the page it makes would not fit, before and after
+    deleting every *every*-th row leaves holes."""
+    data = bytearray(512)
+    for _ in range(2):
+        writer, added = PageWriter(_DICT_TYPES, data), []
+        for row in rows:
+            trial = data + bytearray(_BIG - len(data))  # the same page, room to spare
+            _fill(trial, added + [row], {})
+            fits = page.checker(page.widths(_DICT_TYPES))(trial)[1][-1] <= len(data)
+            assert (writer.add(row) is not None) == fits
+            if not fits:
+                break
+            added.append(row)
+        writer.write(data)
+        for slot in page.live_slots(data)[::every]:
+            page.delete(data, slot)

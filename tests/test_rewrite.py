@@ -126,6 +126,14 @@ class TestClashRules:
         shape = [s.lstrip(".") for s in plan_shape(plan)]
         assert shape.index("Distinct") < shape.index("ReqSync")
 
+    @pytest.mark.parametrize("mode", ["async", "sync"])
+    def test_computed_projection_of_a_filled_attr_clashes(self, engine, mode):
+        """Clash rule 1: a projection that computes from a filled attribute
+        stays above the ReqSync, so it computes from the patched count."""
+        sql = ("Select S.Name, C.Count, C.Count + 1 From States S, WebCount C "
+               "Where S.Name = C.T1 and S.Name = 'Ohio'")
+        assert engine.execute(sql, mode=mode).rows == [("Ohio", 215, 216)]
+
     def test_projection_keeping_filled_attrs_is_transparent(self, engine):
         plan = rewrite_sql(
             engine,

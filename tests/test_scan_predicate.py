@@ -127,7 +127,7 @@ class TestFusedEqualsUnfused:
 
     def test_a_page_of_nothing_but_tombstones_is_skipped(self):
         types = (INT, STR)
-        rows = [(i, "x" * 70) for i in range(200)]
+        rows = [(i, str(i).zfill(70)) for i in range(200)]  # distinct: no dictionary
         table = _table(types, rows, deleted=range(0, 60))
         predicate = Comparison("<", ColumnRef(0), Literal(100))
         groups = list(table.scan_column_batches((0,), predicate))
@@ -282,7 +282,7 @@ class TestWhatStaysAFilter:
 class TestReadsNoFurtherThanTheFilter:
     def test_limit_one_pins_no_more_pages(self):
         database = Database()
-        rows = [(i, "x" * 380, i % 50) for i in range(2000)]
+        rows = [(i, str(i).zfill(380), i % 50) for i in range(2000)]
         table = database.create_table_from_rows(
             "Wide", [("Id", INT), ("Pad", STR), ("Qty", INT)], rows
         )
@@ -316,7 +316,7 @@ class TestReadsNoFurtherThanTheFilter:
         # a consumer that abandons a stream after one batch must pass its
         # demand down as ``max_rows`` (``Limit`` and the joins do).
         database = Database()
-        rows = [(i, "x" * 380, i % 50) for i in range(2000)]
+        rows = [(i, str(i).zfill(380), i % 50) for i in range(2000)]
         table = database.create_table_from_rows(
             "Wide", [("Id", INT), ("Pad", STR), ("Qty", INT)], rows
         )

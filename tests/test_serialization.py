@@ -103,10 +103,11 @@ class TestErrors:
             PageWriter((DataType.INT,), bytearray(512)).add((2**63,))
 
     def test_trailing_garbage_detected(self):
-        # The string's length says 0 of its region's 1 byte.
+        # The string's length (after the plain region's entry count)
+        # says 0 of its region's 1 byte.
         data = image(_types(SCHEMA), [("x", 1, 1.0, "d", True)])
         _, regions, _ = page.checker(page.widths(_types(SCHEMA)))(data)
-        data[regions[4]:regions[4] + 2] = b"\0\0"
+        data[regions[4] + 2:regions[4] + 4] = b"\0\0"
         with pytest.raises(StorageError, match="trailing"):
             page_decoder(_types(SCHEMA), None)(data)
         with pytest.raises(StorageError, match="trailing"):
@@ -214,13 +215,53 @@ class TestDamagedRecords:
         types = (DataType.STR, DataType.INT)
         data = image(types, [("abcd", 7), ("ef", 8)])
         _, regions, _ = page.checker(page.widths(types))(data)
-        data[regions[4]:regions[4] + 2] = min(claimed, 0xFFFF).to_bytes(2, "little")
+        data[regions[4] + 2:regions[4] + 4] = min(claimed, 0xFFFF).to_bytes(2, "little")
         for subset in (None, (0,)):
             with pytest.raises(StorageError):
                 page_decoder(types, subset)(data)
         for slot in (0, 1):
             with pytest.raises(StorageError):
                 page.read_row(data, types, slot)
+
+    def _dictionary_page(self):
+        """A STR column coded against the dictionary ``["ab", "c"]``:
+        ``02 | 0200 0100 | "abc" | 00 01 00 00``."""
+        types = (DataType.STR, DataType.INT)
+        data = image(types, [("ab", 1), ("c", 2), ("ab", 3), ("ab", 4)])
+        start = page.checker(page.widths(types))(data)[1][4]
+        assert bytes(data[start:start + 13]) == bytes.fromhex("0200 0200 0100 616263 00010000")
+        return types, data, start
+
+    @pytest.mark.parametrize("code", [2, 0xFF])
+    def test_a_code_past_the_dictionary(self, code):
+        types, data, start = self._dictionary_page()
+        data[start + 11] = code  # row 2's code
+        for subset in (None, (0,)):
+            with pytest.raises(StorageError, match="past a dictionary of 2"):
+                page_decoder(types, subset)(data)
+        for slot in (0, 2):
+            with pytest.raises(StorageError, match="past a dictionary of 2"):
+                page.read_row(data, types, slot)
+
+    @pytest.mark.parametrize("length, damage", [(1, "trailing"), (3, "missing"), (0xFFFF, "missing")])
+    def test_dictionary_lengths_that_do_not_sum_to_its_entries(self, length, damage):
+        types, data, start = self._dictionary_page()
+        data[start + 2:start + 4] = length.to_bytes(2, "little")  # "ab" was 2 bytes
+        for subset in (None, (0,)):
+            with pytest.raises(StorageError, match=damage):
+                page_decoder(types, subset)(data)
+        with pytest.raises(StorageError, match=damage):
+            page.read_row(data, types, 1)
+
+    @pytest.mark.parametrize("count", [3, 5, 300, 0xFFFF])
+    def test_an_entry_count_the_region_cannot_hold(self, count):
+        types, data, start = self._dictionary_page()
+        data[start:start + 2] = count.to_bytes(2, "little")
+        for subset in (None, (0,)):
+            with pytest.raises(StorageError):
+                page_decoder(types, subset)(data)
+        with pytest.raises(StorageError):
+            page.read_row(data, types, 0)
 
     def test_deleted_bitmap_longer_than_the_row_count(self):
         types = (DataType.INT,)
@@ -236,7 +277,7 @@ class TestDamagedRecords:
         types = (DataType.STR,)
         data = image(types, [("abcd",)])
         _, regions, _ = page.checker(page.widths(types))(data)
-        data[regions[4] + 2] = 0xFF
+        data[regions[4] + 4] = 0xFF  # past the entry count and the length
         with pytest.raises(StorageError, match="corrupt"):
             page_decoder(types, None)(data)
         with pytest.raises(StorageError, match="corrupt"):
@@ -252,14 +293,16 @@ class TestDamagedRecords:
 class TestPageDecoder:
     def test_the_on_disk_format_did_not_move(self):
         """A page this format's first commit wrote: five inserts, slot 3
-        deleted.  The next change to the format must fail this test."""
+        deleted; the STR column plain, the DATE column a dictionary
+        (``02 | 0000 000a | 1999-10-01 | 01 00 00 01 01``).  The next
+        change to the format must fail this test."""
         image = bytes.fromhex(
-            "05002e002f002f003000300058005800590059007700770078007800a000a000a100"
-            "a100c000c000c100c100c60008020100000000000000000000000000000000000000"
-            "000000800700000000000000ffffffffffffff7f0208000000000006000600c3856c"
-            "6573756e64646f6f6d6564e697a5e69cac12000000000000e03f0000000000000000"
-            "000000000000f0ff000000000000f03f0000000000000000020a000000000001000a"
-            "00313939392d31302d303178323030302d30312d3031120100000100"
+            "05002e002f002f00300030005800580059005900790079007a007a00a200a200a300a3"
+            "00b800b800b900b900be00080201000000000000000000000000000000000000000000"
+            "00800700000000000000ffffffffffffff7f02000008000000000006000600c3856c65"
+            "73756e64646f6f6d6564e697a5e69cac12000000000000e03f00000000000000000000"
+            "00000000f0ff000000000000f03f000000000000000002020000000a00313939392d31"
+            "302d30310100000101120100000100"
         )
         types = (DataType.INT, DataType.STR, DataType.FLOAT, DataType.DATE, DataType.BOOL)
         vectors = page_decoder(types, None)(image)
@@ -267,10 +310,11 @@ class TestPageDecoder:
             (1, "Ålesund", 0.5, "1999-10-01", True),
             (None, None, None, None, None),
             (-(2**63), "", float("-inf"), "", False),
-            (2**63 - 1, "日本", None, "2000-01-01", None),
+            (2**63 - 1, "日本", None, "1999-10-01", None),
         ]
         assert page.live_slots(image) == [0, 1, 2, 4]
         assert page.read_row(image, types, 3) is None
+        assert page.read_row(image, types, 0) == (1, "Ålesund", 0.5, "1999-10-01", True)
 
     def test_typed_arrays_exactly_where_no_null_fell(self):
         types = (DataType.INT, DataType.FLOAT, DataType.STR)
