@@ -25,7 +25,7 @@ class AEVScan(ExternalScan):
     def open_batch(self, bindings_list):
         """Bind a whole batch of outer tuples in one registration burst.
 
-        Every call is registered (one ``AsyncContext.register``) before
+        Every call is registered (one ``AsyncContext.open``) before
         any row is returned, so the pump can fill its concurrency limits
         within one consumer round trip.  Returns one group per binding,
         in input order: the rows of a call answered at registration,
@@ -33,11 +33,10 @@ class AEVScan(ExternalScan):
         group of a batch of one.
         """
         pairs = [self._make_call(bindings) for bindings in bindings_list]
-        context, instance = self.context, self.instance
-        call_ids = context.register([call for _, call in pairs])
-        answered = context.answered(call_ids)
+        instance = self.instance
+        call_ids, answered = self.context.open([call for _, call in pairs])
         return tuple(
-            instance.complete_rows(resolved, context.take_result(call_id))
+            instance.complete_rows(resolved, answered[call_id])
             if call_id in answered
             else (instance.placeholder_row(resolved, call_id),)
             for (resolved, _), call_id in zip(pairs, call_ids)

@@ -72,7 +72,24 @@ class AsyncContext:
         *within* the list (the paper's Figure 7 workload sends many
         identical searches per batch); only novel calls reach the pump,
         in one ``pump.register`` burst.  *mode* is passed through.
+        Every call's outcome is kept for :meth:`take_result`.
         """
+        return self._register(calls, mode, None)
+
+    def open(self, calls, mode="async"):
+        """:meth:`register`, handing back what is already answered:
+        ``(call_ids, answered)``, *answered* mapping the id of each call
+        whose rows arrived before the burst returned (a cache hit, or a
+        miss another thread already settled) to those rows.
+
+        The caller takes them for every registrant in the list, so they
+        are not kept: no lease, no dedup anchor, nothing to free.  A
+        failed call is not answered; its error is kept as usual.
+        """
+        answered = {}
+        return self._register(calls, mode, answered), answered
+
+    def _register(self, calls, mode, answered):
         calls = list(calls)
         call_ids = [None] * len(calls)
         fresh = []  # (position, call) pairs that must reach the pump
@@ -96,9 +113,13 @@ class AsyncContext:
             [call for _, call in fresh], self._on_complete, query_id=self.query_id, mode=mode
         )
         self.calls_registered += len(new_ids)
+        results = self._results
         with self._lock:
             for (position, call), call_id in zip(fresh, new_ids):
                 call_ids[position] = call_id
+                if answered is not None and call_id in results:
+                    answered[call_id] = results.pop(call_id)
+                    continue
                 self._leases[call_id] = 1
                 self._dest_of[call_id] = call.destination
                 if self.dedup and call.key is not None:
@@ -106,7 +127,7 @@ class AsyncContext:
                     self._key_of[call_id] = call.key
         for position, anchor in dup_of:
             call_id = call_ids[anchor]
-            self._reuse_inflight(call_id, calls[position])
+            self._reuse_inflight(call_id, calls[position], answered)
             call_ids[position] = call_id
         return call_ids
 
@@ -121,7 +142,10 @@ class AsyncContext:
         by :meth:`take_result`), so the caller chooses between raising it
         and degrading.
         """
-        (call_id,) = self.register([call], mode="sync")
+        (call_id,), answered = self.open([call], mode="sync")
+        if answered:
+            self._check_deadline()
+            return call_id, answered[call_id], None
         try:
             self.wait_for_any((call_id,), timeout=DEFAULT_WAIT_TIMEOUT)
         except BaseException:
@@ -132,10 +156,12 @@ class AsyncContext:
             return call_id, None, error
         return call_id, self.take_result(call_id), None
 
-    def _reuse_inflight(self, call_id, call):
-        """Account one dedup hit: a new lease on an in-flight call."""
-        with self._lock:
-            self._leases[call_id] += 1
+    def _reuse_inflight(self, call_id, call, answered=None):
+        """Account one dedup hit: a new lease on an in-flight call (none
+        on a call whose rows are handed back in *answered*)."""
+        if answered is None or call_id not in answered:
+            with self._lock:
+                self._leases[call_id] += 1
         self.dedup_hits += 1
         if self.tracer is not None:
             self.tracer.emit(
@@ -152,13 +178,14 @@ class AsyncContext:
         Runs on the thread that ends the call: a waiter driving the pump
         (this query's or another's), or, for a call the pump answered
         from the cache at registration, the registering thread itself,
-        before ``register`` has returned.
+        before ``register`` has returned.  One dict store, atomic on its
+        own: the lock guards only what the query thread reads and
+        changes together (results, leases and dedup anchors).
         """
-        with self._lock:
-            if error is not None:
-                self._errors[call_id] = error
-            else:
-                self._results[call_id] = rows
+        if error is not None:
+            self._errors[call_id] = error
+        else:
+            self._results[call_id] = rows
 
     # -- consumer side (query thread) ----------------------------------------------
 
@@ -166,11 +193,6 @@ class AsyncContext:
         """Subset of *call_ids* whose results (or errors) have arrived."""
         with self._lock:
             return {cid for cid in call_ids if cid in self._results or cid in self._errors}
-
-    def answered(self, call_ids):
-        """Subset of *call_ids* whose rows (not an error) have arrived."""
-        with self._lock:
-            return {cid for cid in call_ids if cid in self._results}
 
     def wait_for_any(self, call_ids, timeout=None):
         """Block until at least one of *call_ids* completes; return those.
@@ -201,14 +223,7 @@ class AsyncContext:
             return self.completed(call_ids)
 
         while True:
-            if deadline is not None and deadline.expired:
-                reason = getattr(deadline, "reason", None)
-                raise QueryDeadlineExceeded(
-                    "query abandoned while awaiting external calls: {}".format(reason)
-                    if reason is not None
-                    else "query deadline exceeded while awaiting external calls",
-                    deadline=deadline,
-                )
+            self._check_deadline()
             left = give_up - time.monotonic()
             if deadline is not None:
                 left = min(left, DEADLINE_POLL_INTERVAL, max(deadline.remaining(), 0.001))
@@ -220,6 +235,17 @@ class AsyncContext:
                 return finished
             if time.monotonic() >= give_up:
                 raise self._timed_out(call_ids, time.monotonic() - started)
+
+    def _check_deadline(self):
+        deadline = self.deadline
+        if deadline is not None and deadline.expired:
+            reason = getattr(deadline, "reason", None)
+            raise QueryDeadlineExceeded(
+                "query abandoned while awaiting external calls: {}".format(reason)
+                if reason is not None
+                else "query deadline exceeded while awaiting external calls",
+                deadline=deadline,
+            )
 
     def _timed_out(self, call_ids, elapsed):
         destinations = sorted(

@@ -37,15 +37,12 @@ per-destination :class:`~repro.asynciter.resilience.CircuitBreaker`, on
 the pump's ``clock``, fails fast while a destination is down.
 
 Observability: the pump's statistics (:class:`_PumpStats`) are a view
-over a :class:`~repro.obs.metrics.MetricsRegistry` — counters and the
-in-flight gauge live there, and every settled call feeds per-destination
-queue-wait / service / end-to-end latency histograms (p50/p95/p99 via
-``pump.metrics``).  With a :class:`~repro.obs.trace.Tracer` attached the
-pump additionally emits the request-lifecycle event chain
-``register → enqueue → issue → (retry|timeout|breaker_reject)* →
-complete|cancel|fail``, correlated by call id and the registrant's
-query id.  Without a tracer each would-be event costs one ``None``
-check.
+over a :class:`~repro.obs.metrics.MetricsRegistry`: counters, the
+in-flight gauge and per-destination queue-wait / service / end-to-end
+latency histograms.  A :class:`~repro.obs.trace.Tracer` attached gets the
+request-lifecycle events ``register → enqueue → issue →
+(retry|timeout|breaker_reject)* → complete|cancel|fail`` by call id and
+query id; without one each costs one ``None`` check.
 """
 
 import collections
@@ -100,15 +97,11 @@ _LATENCY_KINDS = ("queue_wait", "service", "e2e")
 class _PumpStats:
     """Pump statistics, backed by a :class:`MetricsRegistry`.
 
-    ``snapshot()`` returns the counters as one dict; ``bump`` increments
+    ``snapshot()`` returns the counters as one dict; ``bump`` adds to
     one global and one per-destination counter.  The storage is the
-    registry, so anything reading ``pump.metrics`` (exporters, the CLI's
-    ``--metrics``) sees the same numbers with no double accounting.
-    ``queued`` is read from the pump that owns the queue.
-
-    The registry is fixed for the pump's life, so each metric is looked
-    up once, on first use, and the handle kept: the per-call cost is a
-    dict probe and the increment, not a name format and a label sort.
+    registry, so ``pump.metrics`` readers see the same numbers; ``queued``
+    is read from the pump that owns the queue.  Each metric is looked up
+    once, on first use, and its handle kept.
     """
 
     def __init__(self, metrics, queued):
@@ -120,15 +113,15 @@ class _PumpStats:
 
     # -- write side -----------------------------------------------------------
 
-    def bump(self, destination, key):
+    def bump(self, destination, key, amount=1):
         pair = self._counters.get((destination, key))
         if pair is None:
             pair = self._counters[destination, key] = (
                 self.metrics.counter("pump." + key),
                 self.metrics.counter("pump." + key, destination=destination),
             )
-        pair[0].inc()
-        pair[1].inc()
+        pair[0].inc(amount)
+        pair[1].inc(amount)
 
     def enter_flight(self):
         """Returns the new in-flight depth (for max tracking/tracing)."""
@@ -137,13 +130,13 @@ class _PumpStats:
     def exit_flight(self):
         self._in_flight.dec()
 
-    def observe_latency(self, kind, destination, seconds):
+    def observe_latency(self, kind, destination, seconds, count=1):
         histogram = self._histograms.get((destination, kind))
         if histogram is None:
             histogram = self._histograms[destination, kind] = self.metrics.histogram(
                 "request.{}_seconds".format(kind), destination=destination
             )
-        histogram.observe(seconds)
+        histogram.observe(seconds, count)
 
     # -- read side ------------------------------------------------------------
 
@@ -180,25 +173,20 @@ class _PumpStats:
 
 
 class _Call:
-    """One registered call, from registration to its one settlement.
+    """One registered call the probe did not answer, from registration
+    to its one settlement (a call the probe answers gets no record).
 
     The pump's only per-call state.  Who waits (``on_complete``,
-    ``query_id``), when it moved (``registered_at``, and for a call that
-    went out ``asked_at`` (for a slot)/``issued_at``/``finished_at``/``attempts``
-    — ``finished_at`` is stamped before the slot is freed, so a trace
-    never shows ``limit + 1`` overlapping requests), and how it is
-    answered:
-
-    - a call the probe answers is born settled — it never enters the
-      call table, owns no heap entry and waits on nobody;
-    - otherwise it *anchors* a flight: ``waiters`` maps call id → record
-      for every call its one physical request will answer, itself first.
-      Alone that is the whole story; under single-flight (DESIGN.md §11)
-      a later registration with the same key *joins* (``anchor`` points
-      here) instead of going out.  Cancelling a waiter only takes it out
-      of ``waiters``; the request is abandoned when the last one leaves,
-      and until then it keeps labelling its retry/timeout events with the
-      anchor's query id even after the anchor itself left.
+    ``query_id``), when it moved (``registered_at``, ``asked_at`` (for a
+    slot), ``issued_at``, ``finished_at`` — stamped before the slot is
+    freed, so a trace never shows ``limit + 1`` overlapping requests —
+    and ``attempts``), and which flight answers it: a record *anchors*
+    one (``waiters`` maps call id → record for every call its one
+    physical request will answer, itself first), or under single-flight
+    (DESIGN.md §11) it *joins* a live one with its key (``anchor`` points
+    there).  Cancelling a waiter only takes it out of ``waiters``; the
+    request is abandoned when the last one leaves, and until then it
+    labels its retry/timeout events with the anchor's query id.
 
     An anchor's flight state belongs to whoever runs it — the registering
     thread up to the first wait, then the driver of each heap entry:
@@ -241,11 +229,7 @@ class _Call:
         self.wake = None
 
 
-_SETTLE_EVENTS = {
-    "completed": CALL_COMPLETE,
-    "failed": CALL_FAIL,
-    "cancelled": CALL_CANCEL,
-}
+_SETTLE_EVENTS = {"completed": CALL_COMPLETE, "failed": CALL_FAIL, "cancelled": CALL_CANCEL}
 
 
 class RequestPump:
@@ -411,6 +395,14 @@ class RequestPump:
         when the registrant waits for these calls alone) label the trace;
         every ``call.register`` event carries ``batch``, the length of
         *calls*.
+
+        A call whose probe answers (a cached result, or a probe that
+        raised) settles in this one pass: no slot is queued for, the
+        breaker is neither asked nor told, nothing reaches the heap.  A
+        miss is the cache lookup of record; the request that follows only
+        writes.  The burst is accounted per destination, not per call:
+        ``registered`` and each outcome are bumped once by its count, and
+        the ``e2e`` histogram takes the burst's one wait with that count.
         """
         calls = list(calls)
         if not calls:
@@ -421,40 +413,44 @@ class RequestPump:
         registered_at = self.clock.now()
         tracer = self.tracer
         misses = []
+        registered = {}  # destination -> calls in this burst
+        answered = {}  # (destination, outcome) -> calls the probe settled
         for call_id, call in enumerate(calls, first_id):
-            record = _Call(call_id, call, on_complete, query_id, registered_at)
-            self.stats.bump(call.destination, "registered")
+            destination = call.destination
+            registered[destination] = registered.get(destination, 0) + 1
             if tracer is not None:
-                self._trace(
-                    CALL_REGISTER,
-                    record,
-                    ts=registered_at,
-                    mode=mode,
-                    key=str(call.key) if call.key is not None else None,
-                    batch=len(calls),
+                tracer.emit(
+                    CALL_REGISTER, call_id=call_id, query_id=query_id,
+                    destination=destination, ts=registered_at, mode=mode,
+                    key=str(call.key) if call.key is not None else None, batch=len(calls),
                 )
-            if call.probe is None or not self._answer(record):
-                misses.append(record)
+            rows = error = None
+            if call.probe is not None:
+                try:
+                    rows = call.probe()
+                except Exception as exc:  # noqa: BLE001 - surfaced to the registrant
+                    error = exc
+            if rows is None and error is None:
+                misses.append(_Call(call_id, call, on_complete, query_id, registered_at))
+                continue
+            outcome = self._hand_over(on_complete, call_id, rows, error)
+            answered[destination, outcome] = answered.get((destination, outcome), 0) + 1
+            if tracer is not None:
+                tracer.emit(
+                    _SETTLE_EVENTS[outcome], call_id=call_id, query_id=query_id,
+                    destination=destination, ts=self.clock.now(), attempts=0,
+                )
+        bump = self.stats.bump
+        for destination, count in registered.items():
+            bump(destination, "registered", count)
+        if answered:
+            waited = self.clock.now() - registered_at
+            for (destination, outcome), count in answered.items():
+                bump(destination, outcome, count)
+                self.stats.observe_latency("e2e", destination, waited, count)
         if misses:
             self._launch(misses)
         return list(range(first_id, first_id + len(calls)))
-
-    def _answer(self, record):
-        """Settle *record* here and now if its probe can; False on a miss.
-
-        A cached result or a probe that raised ends the call on the
-        registering thread: no slot is queued for, the breaker is neither
-        asked nor told, nothing reaches the heap.  A miss is the cache
-        lookup of record; the request that follows only writes.
-        """
-        try:
-            rows, error = record.call.probe(), None
-        except Exception as exc:  # noqa: BLE001 - surfaced to the registrant
-            rows, error = None, exc
-        if rows is None and error is None:
-            return False
-        self._settle(record, self._hand_over(record, rows, error))
-        return True
 
     def _launch(self, misses):
         """Table *misses*; each joins a live same-key flight or anchors one.
@@ -655,10 +651,12 @@ class RequestPump:
         try:
             for record in waiters:
                 if cancelled:
-                    self._hand_over(record, None, PumpShutDown("request pump is shut down"))
+                    shut = PumpShutDown("request pump is shut down")
+                    self._hand_over(record.on_complete, record.call_id, None, shut)
                     self._settle(record, "cancelled")
                 else:
-                    self._settle(record, self._hand_over(record, rows, error))
+                    outcome = self._hand_over(record.on_complete, record.call_id, rows, error)
+                    self._settle(record, outcome)
         finally:
             # Last, so that quiesce() returning means every counter,
             # histogram and closing trace event of these calls is in place.
@@ -729,10 +727,11 @@ class RequestPump:
         if self._flights.get(key) is anchor:
             del self._flights[key]
 
-    def _hand_over(self, record, rows, error):
+    @staticmethod
+    def _hand_over(on_complete, call_id, rows, error):
         """Give one registrant its outcome; returns how the call ended."""
         try:
-            record.on_complete(record.call_id, rows, error)
+            on_complete(call_id, rows, error)
         except Exception:  # noqa: BLE001 - one callback cannot strand the rest
             return "failed"
         return "failed" if error is not None else "completed"
@@ -740,9 +739,9 @@ class RequestPump:
     def _settle(self, record, outcome):
         """The one settlement: counter, histograms, closing trace event.
 
-        Called exactly once per registered call, by whoever took the
-        record out of its flight (or by :meth:`_answer` for a call that
-        never joined one).
+        Called exactly once per call that joined a flight, by whoever
+        took its record out (:meth:`register` accounts the calls its
+        probes settle).
         """
         destination = record.call.destination
         settled_at = record.finished_at  # stamped before the slot was freed

@@ -114,19 +114,20 @@ class Histogram:
         self.max = None
         self._lock = lock
 
-    def observe(self, value):
+    def observe(self, value, count=1):
+        """Record *count* observations of *value* (one lock, one bucket search)."""
         with self._lock:
-            self.count += 1
-            self.total += value
+            self.count += count
+            self.total += value * count
             if self.min is None or value < self.min:
                 self.min = value
             if self.max is None or value > self.max:
                 self.max = value
             index = bisect.bisect_left(self.buckets, value)
             if index >= len(self.buckets):
-                self.overflow += 1
+                self.overflow += count
             else:
-                self.counts[index] += 1
+                self.counts[index] += count
 
     @property
     def mean(self):

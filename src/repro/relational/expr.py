@@ -768,10 +768,10 @@ def _columns_read(expr, shape):
     return sorted(set().union(*(e.referenced_columns() for e in exprs)))
 
 
-def _generate(expr, shape, typed=frozenset(), strings=None):
-    """The function computing *expr* in *shape*, given that the columns
-    whose indexes are in *typed* are typed arrays and that each column
-    *strings* maps to "may hold NULL" holds only ``str`` (and ``None``).
+def _generate(expr, shape, proven=None):
+    """The function computing *expr* in *shape*, given that each column
+    *proven* maps to ``(may hold NULL, kind)`` holds only values of that
+    kind (and ``None``): never a placeholder.
 
     Shapes: ``"values"`` and ``"selection"`` are ``run(n, *columns)``, one
     column per referenced index in order, returning the value vector /
@@ -780,8 +780,7 @@ def _generate(expr, shape, typed=frozenset(), strings=None):
     folds)``, see :func:`compile_grouping`.
     """
     refs = _columns_read(expr, shape)
-    proven = dict.fromkeys(typed, (False, "num"))
-    proven.update((index, (nullable, "str")) for index, nullable in (strings or {}).items())
+    proven = proven or {}
     emitter = _Emitter(refs, proven, "row" if shape == "scalar" else None)
     names = [emitter.names[index] for index in refs]
     columns = ["c{}".format(j) for j in range(len(refs))]
@@ -850,30 +849,45 @@ def _group_loop(emitter, keys, folds, loop):
     return body + ([loop] + ["    " + line for line in steps] if steps else [])
 
 
-#: The value types of a list column that prove it a ``str`` column.
-_STR_TYPES = frozenset((str, type(None)))
+#: The value-type sets of a list column that prove its kind, tried in
+#: order (an empty or all-NULL list is proven ``str``, as it always was).
+#: ``bool`` is not an ``int`` here: a list mixing them proves nothing.
+_LIST_KINDS = (
+    (frozenset((str, type(None))), "str"),
+    (frozenset((bool, type(None))), "bool"),
+    (frozenset((int, float, type(None))), "num"),
+)
+
+
+def _proof(refs, types):
+    """``{index: (may hold NULL, kind)}`` for the columns *types* prove:
+    a typed array clean numbers, a list whose value types lie within one
+    of :data:`_LIST_KINDS` that kind (NULLs only if ``NoneType`` is one).
+    Any other list, a placeholder in it included, keeps every guard."""
+    proven = {}
+    for index, kind in zip(refs, types):
+        if kind is array:
+            proven[index] = (False, "num")
+        elif type(kind) is frozenset:
+            for allowed, name in _LIST_KINDS:
+                if kind <= allowed:
+                    proven[index] = (type(None) in kind, name)
+                    break
+    return proven
 
 
 def _kernel(expr, shape):
     """``(batch, *state) -> result`` for *expr*: one generated variant per
-    proof, chosen from what each batch's columns are.  A typed array
-    proves clean numbers; a list proves ``str`` when its value types lie
-    within ``{str, NoneType}`` (NULLs only if ``NoneType`` is one).  Any
-    other list, a placeholder in it included, keeps every guard."""
+    proof (:func:`_proof`), chosen from what each batch's columns are."""
     refs = _columns_read(expr, shape)
     variants = {}
 
     def run(batch, *state):
         columns = [batch.column(index) for index in refs]
-        proof = tuple(frozenset(map(type, c)) if type(c) is list else type(c) for c in columns)
-        function = variants.get(proof)
+        types = tuple(frozenset(map(type, c)) if type(c) is list else type(c) for c in columns)
+        function = variants.get(types)
         if function is None:
-            typed = {i for i, kind in zip(refs, proof) if kind is array}
-            strings = {
-                i: type(None) in kind for i, kind in zip(refs, proof)
-                if type(kind) is frozenset and kind <= _STR_TYPES
-            }
-            function = variants[proof] = _generate(expr, shape, typed, strings)
+            function = variants[types] = _generate(expr, shape, _proof(refs, types))
         return function(len(batch), *state, *columns)
 
     return run

@@ -130,6 +130,13 @@ def string_region(data, n, start, stop):
     (:func:`checker` sees to it) unless *n* is 0."""
     if not n:
         return array("H"), b"", None
+    lengths, blob, end, codes = _string_bounds(data, n, start, stop)
+    return lengths, bytes(data[blob:end]), codes
+
+
+def _string_bounds(data, n, start, stop):
+    """:func:`string_region` checked, with the blob left in *data*:
+    ``(lengths, blob start, blob end, codes)``."""
     (m,) = _COUNT.unpack_from(data, start)
     width = 0 if not m else 1 if m <= 256 else 2
     blob, end = start + 2 + 2 * (m or n), stop - width * n
@@ -142,11 +149,11 @@ def string_region(data, n, start, stop):
         raise StorageError("string region has {} {} bytes".format(
             abs(excess), "trailing" if excess > 0 else "missing"))
     if not m:
-        return lengths, bytes(data[blob:end]), None
+        return lengths, blob, end, None
     codes = data[end:stop]
     if codes.translate(None, _BELOW[m]) if width == 1 else max(array("H", codes)) >= m:
         raise StorageError("a string code past a dictionary of {} entries".format(m))
-    return lengths, bytes(data[blob:end]), array("B" if width == 1 else "H", codes)
+    return lengths, blob, end, array("B" if width == 1 else "H", codes)
 
 
 def _columns(data, types, n, regions):
@@ -201,11 +208,11 @@ def read_row(data, types, slot):
             value = array(CODES[data_type], data[start + slot * width:start + (slot + 1) * width])[0]
             row.append(bool(value) if data_type is DataType.BOOL else value)
         else:
-            lengths, blob, codes = string_region(data, n, start, stop)
+            lengths, blob, _, codes = _string_bounds(data, n, start, stop)
             entry = slot if codes is None else codes[slot]
-            offset = sum(lengths[:entry])
+            offset = blob + sum(lengths[:entry])
             try:
-                row.append(blob[offset:offset + lengths[entry]].decode())
+                row.append(str(data[offset:offset + lengths[entry]], "utf-8"))
             except UnicodeDecodeError as exc:
                 raise StorageError("corrupt string: {}".format(exc))
     return tuple(row)

@@ -128,6 +128,7 @@ class VTableInstance:
             (self._positions[column], field)
             for column, field in self.result_fields.items()
         ]
+        self._checked_names = set()  # join-bound name tuples resolve_bindings passed
 
     # -- subclass interface ------------------------------------------------------
 
@@ -159,21 +160,19 @@ class VTableInstance:
         return [p for p in self.input_params if p not in self.fixed_bindings]
 
     def resolve_bindings(self, join_bindings):
-        """Merge fixed and join-supplied bindings; verify completeness."""
+        """Merge fixed and join-supplied bindings; verify completeness.
+
+        Which names a join binds is fixed by the plan, so each set of
+        names is checked once per instance; every call checks its values.
+        """
         bindings = dict(self.fixed_bindings)
+        names = ()
         if join_bindings:
-            for name, value in join_bindings.items():
-                if name not in self.input_params:
-                    raise BindingError(
-                        "{} has no input column {!r}".format(self.qualifier, name)
-                    )
-                bindings[name] = value
-        missing = [p for p in self.input_params if p not in bindings]
-        if missing:
-            raise BindingError(
-                "inputs {} of {} are unbound; bind them with constants or an "
-                "equi-join with an earlier table".format(missing, self.qualifier)
-            )
+            bindings.update(join_bindings)
+            names = tuple(join_bindings)
+        if names not in self._checked_names:
+            self._check_names(names)
+            self._checked_names.add(names)
         for name, value in bindings.items():
             if value is None or isinstance(value, Placeholder):
                 raise VirtualTableError(
@@ -182,6 +181,21 @@ class VTableInstance:
                     )
                 )
         return bindings
+
+    def _check_names(self, names):
+        for name in names:
+            if name not in self.input_params:
+                raise BindingError(
+                    "{} has no input column {!r}".format(self.qualifier, name)
+                )
+        missing = [
+            p for p in self.input_params if p not in self.fixed_bindings and p not in names
+        ]
+        if missing:
+            raise BindingError(
+                "inputs {} of {} are unbound; bind them with constants or an "
+                "equi-join with an earlier table".format(missing, self.qualifier)
+            )
 
     def complete_rows(self, bindings, result_rows):
         """Build fully-resolved output rows from external results."""

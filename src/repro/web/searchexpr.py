@@ -18,6 +18,7 @@ and ``b`` within the window of ``c``.  ``-operand`` excludes pages
 containing the operand; ``OR`` unions clauses.
 """
 
+import functools
 import re
 
 from repro.util.errors import VirtualTableError
@@ -202,7 +203,42 @@ def instantiate_template(template, terms):
     ``template='%1 near %2'`` and ``terms=('Colorado', 'four corners')``
     the result is ``'"Colorado" near "four corners"'``.  Every parameter is
     quoted so multi-word values stay atomic phrases.
+
+    A template is compiled once per term count into one format call
+    (:func:`_compiled`); a result that holds a ``%`` (a term brought it)
+    is made again by :func:`_substitute`, which defines the output and
+    every error.
     """
+    compiled = _compiled(template, len(terms))
+    if compiled is not None:
+        result = compiled.format(*terms)
+        if "%" not in result:
+            return result
+    return _substitute(template, terms)
+
+
+@functools.lru_cache(maxsize=256)
+def _compiled(template, n):
+    """*template* as a format string with one field per ``%i``, or None.
+
+    It is :func:`_substitute` run on the template with fields for terms:
+    where no ``%`` is left, no term that holds none can change which
+    markers the substitution finds or what it leaves behind, so the
+    format's output is the substitution's.  A template with a ``%`` left
+    (an error, or a literal ``%``) compiles to None.
+    """
+    if not isinstance(template, str):
+        return None
+    text = template.replace("{", "{{").replace("}", "}}")
+    for i in range(n, 0, -1):
+        marker = "%{}".format(i)
+        if marker not in text:
+            return None
+        text = text.replace(marker, '"{%d}"' % (i - 1))
+    return None if "%" in text else text
+
+
+def _substitute(template, terms):
     result = template
     # Substitute the highest numbers first so %12 is not clobbered by %1.
     for i in range(len(terms), 0, -1):

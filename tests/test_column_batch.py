@@ -446,9 +446,10 @@ class TestKernelExactness:
                 Comparison(">", ColumnRef(1), Literal(5)),
             ]
         )
-        typed = inspect.getsource(_generate(expr, "selection", {0, 1}))
+        clean = (False, "num")
+        typed = inspect.getsource(_generate(expr, "selection", {0: clean, 1: clean}))
         assert "isinstance" not in typed and "is None" not in typed
-        guarded = inspect.getsource(_generate(expr, "selection", {0}))
+        guarded = inspect.getsource(_generate(expr, "selection", {0: clean}))
         assert "isinstance" in guarded and "is None" in guarded
         rows = [(i, 10 - i) for i in range(10)]
         for types in ([DataType.INT, DataType.INT], [DataType.INT, DataType.STR]):

@@ -381,6 +381,59 @@ def test_registrations_cancels_and_fan_out_race_to_exact_counts():
         pump.shutdown()
 
 
+def test_contexts_sharing_a_pump_take_every_row_once():
+    """Queries on more threads than cores share one single-flight pump;
+    each registers bursts of hits and misses through ``AsyncContext.open``
+    and waits for its misses, which whichever thread drives stores into
+    their contexts without those contexts' lock.  Every query gets each
+    call's own rows exactly once, and the accounting stays exact."""
+    pump = RequestPump(single_flight=True)
+    problems = []
+
+    def call(key, hit):
+        rows = [{"count": key}]
+
+        def run(attempt=0):
+            yield 0.0005
+            return rows
+
+        return ExternalCall(key, "AV", run, (lambda: rows) if hit else (lambda: None))
+
+    def worker(seed):
+        context = AsyncContext(pump)
+        for i in range(60):
+            keys = ["k{}".format((seed + i + j) % 9) for j in range(3)]
+            ids, answered = context.open([call(key, j == 0) for j, key in enumerate(keys)])
+            taken = {cid: answered[cid] for cid in ids if cid in answered}
+            pending = [cid for cid in ids if cid not in answered]
+            while pending:
+                done = context.wait_for_any(pending, timeout=10)
+                taken.update((cid, context.take_result(cid)) for cid in done)
+                pending = [cid for cid in pending if cid not in done]
+            got = [taken[cid][0]["count"] for cid in ids]
+            if got != keys:
+                problems.append((seed, i, got, keys))
+        if context._results or context._leases or context._by_key:
+            problems.append((seed, "left behind"))
+
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-5)
+    try:
+        threads = [threading.Thread(target=worker, args=(n,)) for n in range(6)]
+        for thread in threads:
+            thread.start()
+        for thread in threads:
+            thread.join(timeout=60)
+        assert not any(thread.is_alive() for thread in threads)
+        assert problems == []
+        assert pump.quiesce(timeout=10.0)
+        snap = assert_exact(pump)
+        assert snap["registered"] == 6 * 60 * 3
+    finally:
+        sys.setswitchinterval(interval)
+        pump.shutdown()
+
+
 # -- through an engine ---------------------------------------------------------
 
 SIGS_COUNT = (

@@ -2,7 +2,14 @@
 
 import pytest
 
+from repro.asynciter.context import AsyncContext
+from repro.asynciter.rewrite import rewrite_logical
 from repro.config import EngineConfig
+from repro.exec import collect
+from repro.plan import logical as L
+from repro.plan.physical import lower
+from repro.plan.planner import Planner
+from repro.sql.parser import parse_select
 from repro.wsq import WsqEngine
 
 
@@ -207,3 +214,38 @@ class TestFilterHoist:
     def test_hoist_preserves_predicate_semantics(self, engine):
         for row in engine.execute(self.SQL, mode="async").rows:
             assert row[6] == 3  # W.Rank column
+
+
+class TestReqSyncOnTheRight:
+    """A ReqSync that is a binary node's right child reads its filled
+    columns at the right side's offset.  The planner is left-deep (a
+    virtual table always hangs under a dependent join), so only a
+    hand-built tree handed to ``rewrite_logical`` has this shape."""
+
+    SQL = (
+        "Select Name, Count From States, WebCount "
+        "Where T1 = 'Ohio' and Population > Count"
+    )
+
+    def _join_with_the_scan_on_the_right(self, engine):
+        """``Join(States, WebCount)`` on the planner's ``Population > Count``."""
+        planned = Planner(engine.database, engine.vtables).plan_logical(parse_select(self.SQL))
+        selection = planned.child
+        assert isinstance(selection, L.LogicalFilter)
+        states, scan = selection.child.left, selection.child.right
+        assert isinstance(scan, L.LogicalVTableScan) and not scan.asynchronous
+        return L.LogicalJoin(states, scan, selection.predicate)
+
+    def test_a_join_reading_a_filled_column_becomes_a_selection(self, engine):
+        placed, firings = rewrite_logical(self._join_with_the_scan_on_the_right(engine))
+        assert [firing.rule for firing in firings] == [
+            "reqsync.insert", "reqsync.join_to_selection", "reqsync.percolate_product",
+        ]
+        # The predicate waits above the ReqSync, over the patched counts.
+        assert isinstance(placed, L.LogicalFilter)
+        assert isinstance(placed.child, L.LogicalReqSync)
+        assert isinstance(placed.child.child, L.LogicalCrossProduct)
+        plan = lower(placed, engine.config, AsyncContext(engine.pump))
+        rows = sorted((row[0], row[-1]) for row in collect(plan))
+        assert rows == sorted(engine.execute(self.SQL, mode="sync").rows)
+        assert len(rows) > 0

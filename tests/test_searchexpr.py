@@ -1,6 +1,10 @@
 """Search-expression language: parsing, templates, defaults."""
 
+import re
+
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from repro.util.errors import VirtualTableError
 from repro.web.searchexpr import (
@@ -97,6 +101,12 @@ class TestTemplates:
         with pytest.raises(VirtualTableError, match="was not bound"):
             instantiate_template("%1 near %2", ("a",))
 
+    def test_a_term_holding_a_marker_is_substituted_as_before(self):
+        # A lower marker's substitution reaches into an earlier term.
+        assert instantiate_template("%2 %1", ("x", "%1")) == '""x"" "x"'
+        with pytest.raises(VirtualTableError, match=r"parameter %3 was not bound"):
+            instantiate_template("%1", ("%3",))
+
     def test_default_template_near(self):
         assert default_template(3) == "%1 near %2 near %3"
 
@@ -181,3 +191,53 @@ class TestOrAndExclusionMatching:
     def test_or_search_ranks_across_clauses(self, web):
         hits = web.engine("AV").search('"Wyoming" OR "Vermont"', 15)
         assert len(hits) == 15
+
+
+def _reference_instantiate(template, terms):
+    """The replace-then-search substitution, as it stood before templates
+    were compiled: the definition of the output and of every error."""
+    result = template
+    for i in range(len(terms), 0, -1):
+        marker = "%{}".format(i)
+        if marker not in result:
+            raise VirtualTableError(
+                "search template {!r} has no parameter {}".format(template, marker)
+            )
+        result = result.replace(marker, '"{}"'.format(terms[i - 1]))
+    leftover = re.search(r"%\d+", result)
+    if leftover:
+        raise VirtualTableError(
+            "search template {!r} parameter {} was not bound".format(
+                template, leftover.group(0)
+            )
+        )
+    return result
+
+
+def _outcome(function, *args):
+    try:
+        return "value", function(*args)
+    except VirtualTableError as exc:
+        return "error", str(exc)
+
+
+_PIECES = st.sampled_from(
+    ["%1", "%2", "%3", "%12", "%", "%%", "1", "2", " ", " near ", "{", "}", "{0}", '"', "a", "é"]
+)
+_TEMPLATES = st.lists(_PIECES, max_size=8).map("".join)
+_TERMS = st.lists(st.lists(_PIECES, max_size=4).map("".join), max_size=4)
+
+
+@settings(max_examples=400, deadline=None)
+@given(_TEMPLATES, _TERMS)
+@example("%1 near %2", ["Colorado", "four corners"])
+@example("%1%2", ["%2", "b"])
+@example("{%1}", ["{}"])
+@example("%12", ["a"])
+def test_compiled_templates_match_the_substitution(template, terms):
+    """Byte-identical output and the same error text, for any template and
+    terms, ``%`` and braces in either included; a template is compiled
+    once, so each is asked twice."""
+    expected = _outcome(_reference_instantiate, template, terms)
+    assert _outcome(instantiate_template, template, terms) == expected
+    assert _outcome(instantiate_template, template, tuple(terms)) == expected
