@@ -120,40 +120,41 @@ def test_serve_overload(capsys):
     outcomes = {"completed": 0, "shed": 0, "expired": 0, "failed": 0}
     lock = threading.Lock()
 
-    handles = []
-
-    def submit_burst(chunk):
-        # Submit without waiting: the whole plan lands on the service in
-        # one burst, so offered load ≫ 4× the pump's slot capacity.
+    def client(chunk):
+        # Submit without waiting, so the whole plan lands on the service
+        # in one burst (offered load ≫ 4× the pump's slot capacity), then
+        # wait for each of this client's handles: the service runs its
+        # queries on the threads that wait.
+        handles = []
         for tenant, sql, timeout in chunk:
             try:
-                handle = service.submit(sql, tenant=tenant, timeout=timeout)
+                handles.append(
+                    service.submit(sql, tenant=tenant, timeout=timeout)
+                )
             except AdmissionRejected:
                 with lock:
                     outcomes["shed"] += 1
-                continue
+        for handle in handles:
+            try:
+                handle.result(timeout=120.0)
+                verdict = "completed"
+            except AdmissionRejected:
+                verdict = "shed"
+            except Exception:
+                verdict = "expired" if handle.status == "expired" else "failed"
             with lock:
-                handles.append(handle)
+                outcomes[verdict] += 1
 
     threads = 12
     chunks = [plan[i::threads] for i in range(threads)]
-    submitters = [
-        threading.Thread(target=submit_burst, args=(chunk,))
-        for chunk in chunks
+    clients = [
+        threading.Thread(target=client, args=(chunk,)) for chunk in chunks
     ]
-    for thread in submitters:
+    for thread in clients:
         thread.start()
-    for thread in submitters:
-        thread.join()
-    for handle in handles:
-        try:
-            handle.result(timeout=120.0)
-            verdict = "completed"
-        except AdmissionRejected:
-            verdict = "shed"
-        except Exception:
-            verdict = "expired" if handle.status == "expired" else "failed"
-        outcomes[verdict] += 1
+    for thread in clients:
+        thread.join(timeout=120.0)
+        assert not thread.is_alive()
     service.close()
     assert engine.pump.quiesce(timeout=10.0)
 

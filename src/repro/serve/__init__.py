@@ -7,7 +7,6 @@ costs nothing.
 """
 
 from repro.serve.admission import (
-    ADMITTED,
     DEFAULT_TENANT,
     SHED_DEADLINE,
     SHED_QUEUE_FULL,
@@ -21,7 +20,6 @@ from repro.serve.session import QueryHandle, QueryService
 from repro.util.errors import AdmissionRejected, QueryDeadlineExceeded
 
 __all__ = [
-    "ADMITTED",
     "DEFAULT_TENANT",
     "SHED_DEADLINE",
     "SHED_QUEUE_FULL",

@@ -1,25 +1,32 @@
 """Admission control: bounded queues, load shedding, fair dispatch.
 
 The admission controller is the gate between :class:`~repro.serve.session.QueryService`'s
-API and its worker pool.  Its state machine per query:
+API and the client threads that run its queries.  Its state machine per
+query:
 
 ``submitted`` → (queue full? → **shed** ``queue_full``)
 → ``queued`` → (deadline spent while waiting? → **shed** ``deadline``;
 abandoned? → **cancelled**) → ``dispatched`` → released.
 
-Shedding is *deadline-aware*: a query whose queue wait already consumed
-its deadline is rejected at dispatch time with a typed
+Shedding is *deadline-aware*, and nothing sweeps for it: whoever touches
+the queue (a submit, a waiter's pick, a release, a withdraw, a close)
+first takes out every queued ticket whose deadline is spent, and a
+waiter that sleeps wakes by the earliest queued deadline.  While any
+thread waits through the service, a dead ticket is therefore shed
+within one query's run of its deadline with a typed
 :class:`~repro.util.errors.AdmissionRejected` (``reason="deadline"``,
-``retry_after`` populated from the controller's service-time estimate)
-instead of being handed to a worker that could only burn pump slots on
-it.  Queue-depth rejections happen at submit time, before the query
-consumes any queue memory.
+``retry_after`` from the controller's service-time estimate), instead
+of waiting for its fair-schedule turn or burning pump slots.
+Queue-depth rejections happen at submit time, before the query consumes
+any queue memory.
 
 Fairness across tenants is delegated to
 :class:`~repro.serve.scheduler.FairScheduler` (weighted stride
-scheduling); the worker pool is the only concurrency bound.
+scheduling); ``max_running`` admitted tickets at a time is the only
+concurrency bound.
 """
 
+import math
 import threading
 
 from repro.serve.scheduler import FairScheduler
@@ -34,10 +41,13 @@ SHED_QUEUE_FULL = "queue_full"
 SHED_DEADLINE = "deadline"
 SHED_SHUTDOWN = "shutdown"
 
-#: Dispatch verdicts returned by :meth:`AdmissionController.next_ready`.
-ADMITTED = "admitted"
-SHED = "shed"
+#: The verdict on a ticket withdrawn, or abandoned, while queued.
 CANCELLED = "cancelled"
+
+
+def _seconds_left(ticket):
+    deadline = getattr(ticket, "deadline", None)
+    return math.inf if deadline is None else deadline.remaining()
 
 
 class TenantPolicy:
@@ -111,19 +121,30 @@ class AdmissionController:
     """Bounded, deadline-aware, weighted-fair admission queue.
 
     ``max_queued`` is the *service-wide* queue bound (per-tenant caps
-    come from each :class:`TenantPolicy`).  ``retry_after`` hints come
-    from an EWMA of service times, seeded with 0.1 s and refined by
-    every :meth:`release`.
+    come from each :class:`TenantPolicy`); ``max_running`` bounds the
+    tickets admitted and not yet released.  Every ticket that leaves
+    the queue unrun is reported once, under the controller's lock, as
+    ``settle(tenant, ticket, verdict)`` with *verdict* one of
+    :data:`SHED_DEADLINE`, :data:`SHED_SHUTDOWN` and :data:`CANCELLED`.
+    ``retry_after`` hints come from an EWMA of service times, seeded
+    with 0.1 s and refined by every :meth:`release`.
     """
 
-    def __init__(self, policies=None, max_queued=256, clock=None):
+    def __init__(
+        self, policies=None, max_queued=256, max_running=1, settle=None, clock=None
+    ):
         self.clock = resolve_clock(clock)
         self.max_queued = max_queued
+        self.max_running = max_running
+        self._settle = settle or (lambda tenant, ticket, verdict: None)
         self._cond = threading.Condition()
         self._scheduler = FairScheduler()
         self._states = {}
+        self._running = 0
         self._closed = False
         self._mean_service = 0.1
+        #: No queued ticket's deadline is spent before this clock reading.
+        self._next_expiry = math.inf
         for policy in policies or ():
             self._ensure(policy.name, policy)
 
@@ -143,7 +164,7 @@ class AdmissionController:
         """Queue *ticket* for *tenant*, or shed with ``queue_full``.
 
         The ticket is any object carrying a duck-typed ``deadline``
-        attribute (checked at dispatch) — the service uses its
+        attribute — the service uses its
         :class:`~repro.serve.session.QueryHandle`.
         """
         with self._cond:
@@ -153,6 +174,7 @@ class AdmissionController:
                     tenant=tenant,
                     reason=SHED_SHUTDOWN,
                 )
+            self._expire_locked()
             state = self._ensure(tenant)
             state.submitted += 1
             cap = state.policy.max_queued
@@ -170,7 +192,10 @@ class AdmissionController:
                 )
             state.queued += 1
             self._scheduler.push(tenant, ticket)
-            self._cond.notify()
+            self._next_expiry = min(
+                self._next_expiry, self.clock.now() + _seconds_left(ticket)
+            )
+            self._cond.notify_all()
 
     def _retry_after_locked(self, state):
         """Seconds until a retry plausibly finds room (an estimate).
@@ -180,50 +205,76 @@ class AdmissionController:
         """
         return round(self._mean_service * max(1, state.queued), 4)
 
-    # -- dispatch side (worker threads) ----------------------------------------
+    # -- dispatch side (waiting threads) ---------------------------------------
 
-    def next_ready(self, timeout=None):
-        """Block for the next dispatchable ticket.
+    def next_ticket(self, own=None, give_up=math.inf):
+        """Block until the calling thread has a ticket to run; admit it.
 
-        Returns ``(tenant, ticket, verdict)`` where *verdict* is:
+        *own* is the ticket the caller waits for (duck-typed ``tenant``
+        and ``done()``).  While every queued ticket could be admitted
+        now, the caller runs its own ticket and no other; while tickets
+        outnumber the free slots, it runs the fair-order head, which may
+        be another tenant's.  ``own=None`` is a closing thread: it runs
+        every head a slot is free for.
 
-        - :data:`ADMITTED` — the ticket holds an active slot; the caller
-          must :meth:`release` when the query settles;
-        - :data:`SHED` — the queue wait consumed the ticket's deadline;
-          the caller should fail it fast (no slot held);
-        - :data:`CANCELLED` — the ticket was abandoned while queued (its
-          deadline was *cancelled*, not merely spent); no slot held;
-
-        or ``None`` on timeout / after :meth:`close` with an empty queue.
+        Returns ``(tenant, ticket)``, which holds a running slot until
+        :meth:`release`, or ``None`` once *own* is done (``own=None``:
+        once nothing is queued) or the clock passes *give_up*.
         """
-        deadline = (
-            None if timeout is None else self.clock.now() + timeout
-        )
         with self._cond:
             while True:
-                picked = self._scheduler.pop()
+                self._expire_locked()
+                depth = self._scheduler.total_depth()
+                finished = own.done() if own is not None else not depth
+                if finished:
+                    return None
+                free = self.max_running - self._running
+                picked = None
+                if free > 0:
+                    if own is None or depth > free:
+                        picked = self._scheduler.pop()
+                    elif self._scheduler.remove(own.tenant, own, dispatch=True):
+                        picked = own.tenant, own
                 if picked is not None:
-                    tenant, ticket = picked
-                    state = self._states[tenant]
+                    state = self._states[picked[0]]
                     state.queued -= 1
-                    ticket_deadline = getattr(ticket, "deadline", None)
-                    if ticket_deadline is not None and ticket_deadline.expired:
-                        if ticket_deadline.cancelled:
-                            state.cancelled += 1
-                            return tenant, ticket, CANCELLED
-                        state.shed += 1
-                        return tenant, ticket, SHED
                     state.active += 1
                     state.admitted += 1
-                    return tenant, ticket, ADMITTED
-                if self._closed and self._scheduler.total_depth() == 0:
+                    self._running += 1
+                    return picked
+                now = self.clock.now()
+                if now >= give_up:
                     return None
-                remaining = (
-                    None if deadline is None else deadline - self.clock.now()
+                wake = min(give_up, self._next_expiry)
+                self._cond.wait(None if wake == math.inf else wake - now)
+
+    def _expire_locked(self):
+        """Take out and settle every queued ticket whose deadline is spent."""
+        now = self.clock.now()
+        if now < self._next_expiry:
+            return
+        self._next_expiry = math.inf
+        for tenant, ticket in list(self._scheduler):
+            left = _seconds_left(ticket)
+            if left > 0:
+                self._next_expiry = min(self._next_expiry, now + left)
+            else:
+                self._scheduler.remove(tenant, ticket)
+                self._settle_locked(
+                    tenant,
+                    ticket,
+                    CANCELLED if ticket.deadline.cancelled else SHED_DEADLINE,
                 )
-                if remaining is not None and remaining <= 0:
-                    return None
-                self._cond.wait(timeout=remaining)
+
+    def _settle_locked(self, tenant, ticket, verdict):
+        state = self._states[tenant]
+        state.queued -= 1
+        if verdict == CANCELLED:
+            state.cancelled += 1
+        else:
+            state.shed += 1
+        self._settle(tenant, ticket, verdict)
+        self._cond.notify_all()
 
     def shed_verdict(self, tenant, ticket):
         """The typed rejection for a deadline-shed ticket."""
@@ -237,39 +288,12 @@ class AdmissionController:
             retry_after=retry_after,
         )
 
-    def reap_expired(self):
-        """Shed every queued ticket whose deadline has already expired.
-
-        Returns ``[(tenant, ticket, verdict)]`` — :data:`CANCELLED` for
-        abandoned tickets, :data:`SHED` for spent deadlines — with the
-        tickets already removed from the queue; the caller settles them.
-        Dispatch-time checks alone would discover a dead ticket only at
-        its fair-schedule turn, so its fast-fail latency would grow with
-        the backlog; a periodic reap bounds it by the sweep interval.
-        """
-
-        def _expired(ticket):
-            deadline = getattr(ticket, "deadline", None)
-            return deadline is not None and deadline.expired
-
-        out = []
-        with self._cond:
-            for tenant, ticket in self._scheduler.drain_where(_expired):
-                state = self._states[tenant]
-                state.queued -= 1
-                if ticket.deadline.cancelled:
-                    state.cancelled += 1
-                    out.append((tenant, ticket, CANCELLED))
-                else:
-                    state.shed += 1
-                    out.append((tenant, ticket, SHED))
-        return out
-
     def release(self, tenant, outcome="completed", service_seconds=None):
-        """Return *tenant*'s active slot; *outcome* updates accounting."""
+        """Return *tenant*'s running slot; *outcome* updates accounting."""
         with self._cond:
             state = self._states[tenant]
             state.active -= 1
+            self._running -= 1
             if outcome == "completed":
                 state.completed += 1
             elif outcome == "failed":
@@ -281,48 +305,31 @@ class AdmissionController:
                 self._mean_service += 0.2 * (
                     service_seconds - self._mean_service
                 )
+            self._expire_locked()
+            self._cond.notify_all()
 
     def withdraw(self, tenant, ticket):
-        """Remove an abandoned ticket still sitting in the queue.
-
-        Returns True when the ticket was withdrawn here (the caller
-        settles it); False when it already left the queue (a worker will
-        observe the cancelled deadline at dispatch instead).
-        """
+        """Settle an abandoned ticket as cancelled if it is still queued
+        (a running one observes its cancelled deadline instead)."""
         with self._cond:
-            if not self._scheduler.remove(tenant, ticket):
-                return False
-            state = self._states[tenant]
-            state.queued -= 1
-            state.cancelled += 1
-            return True
+            if self._scheduler.remove(tenant, ticket):
+                self._settle_locked(tenant, ticket, CANCELLED)
+            self._expire_locked()
 
     # -- lifecycle / introspection ---------------------------------------------
 
     def close(self, drain=True):
-        """Stop admitting.  With ``drain=False`` the backlog is returned
-        (un-dispatched tickets, for the caller to settle) instead of
-        being left for the workers."""
-        abandoned = []
+        """Stop admitting.  With ``drain=False`` the backlog is settled
+        as shed with ``reason="shutdown"``; with ``drain=True`` it is left
+        for :meth:`next_ticket` to hand out."""
         with self._cond:
             self._closed = True
+            self._expire_locked()
             if not drain:
-                while True:
-                    picked = self._scheduler.pop()
-                    if picked is None:
-                        break
-                    tenant, ticket = picked
-                    state = self._states[tenant]
-                    state.queued -= 1
-                    state.shed += 1
-                    abandoned.append((tenant, ticket))
+                for tenant, ticket in list(self._scheduler):
+                    self._scheduler.remove(tenant, ticket)
+                    self._settle_locked(tenant, ticket, SHED_SHUTDOWN)
             self._cond.notify_all()
-        return abandoned
-
-    @property
-    def closed(self):
-        with self._cond:
-            return self._closed
 
     def stats(self):
         with self._cond:

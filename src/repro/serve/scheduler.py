@@ -67,35 +67,14 @@ class FairScheduler:
         if best is None:
             return None
         tenant = best[1]
-        item = self._queues[tenant].popleft()
-        advance = 1.0 / self.weight_of(tenant)
-        vtime = self._vtime.get(tenant, 0.0) + advance
-        self._vtime[tenant] = vtime
-        self._clock = max(self._clock, vtime - advance)
-        self.dispatched += 1
+        item = self._queues[tenant][0]
+        self.remove(tenant, item, dispatch=True)
         return tenant, item
 
-    def drain_where(self, predicate):
-        """Remove and return every queued ``(tenant, item)`` matching.
-
-        Queue order among the survivors is preserved.  Used by the
-        admission controller's expiry sweep: without it, a dead ticket
-        would wait for its fair-schedule turn to be discovered.
-        """
-        drained = []
-        for tenant, queue in self._queues.items():
-            kept = deque()
-            for item in queue:
-                if predicate(item):
-                    drained.append((tenant, item))
-                else:
-                    kept.append(item)
-            if len(kept) != len(queue):
-                self._queues[tenant] = kept
-        return drained
-
-    def remove(self, tenant, item):
-        """Withdraw one queued *item* (e.g. an abandoned query)."""
+    def remove(self, tenant, item, dispatch=False):
+        """Withdraw one queued *item* (e.g. an abandoned query); with
+        ``dispatch=True`` it is dispatched out of turn, and its tenant is
+        charged as :meth:`pop` charges it.  False if it is not queued."""
         queue = self._queues.get(tenant)
         if queue is None:
             return False
@@ -103,7 +82,18 @@ class FairScheduler:
             queue.remove(item)
         except ValueError:
             return False
+        if dispatch:
+            vtime = self._vtime.get(tenant, 0.0)
+            self._vtime[tenant] = vtime + 1.0 / self.weight_of(tenant)
+            self._clock = max(self._clock, vtime)
+            self.dispatched += 1
         return True
+
+    def __iter__(self):
+        """Every queued ``(tenant, item)``, each tenant's in queue order."""
+        for tenant, queue in self._queues.items():
+            for item in queue:
+                yield tenant, item
 
     def total_depth(self):
         return sum(len(queue) for queue in self._queues.values())

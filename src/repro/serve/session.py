@@ -1,4 +1,4 @@
-"""The multi-tenant query service: handles and the worker pool.
+"""The multi-tenant query service: handles and the waiting threads that run them.
 
 :class:`QueryService` is the long-lived front end: many concurrent
 clients multiplexed over **one** shared :class:`~repro.wsq.engine.WsqEngine`
@@ -18,16 +18,18 @@ Robustness is the headline contract:
   handle) cancels the query's in-flight work all the way down to coalesced
   flight members, without disturbing other tenants' identical calls.
 
-Thread model: ``max_workers`` daemon threads execute admitted queries
-against the shared engine; whichever of them waits drives the pump's
-heap, one at a time.  The engine is safe to share — the pump,
-the metrics registry and the result cache are lock-guarded, and the
-cache replaces its files atomically.
+Thread model: the service starts no thread.  A query runs on a thread
+that waits through the service — :meth:`QueryHandle.result`,
+:meth:`QueryService.execute` or :meth:`QueryService.close` — and a
+waiter may run another tenant's queued query first (see
+:meth:`~repro.serve.admission.AdmissionController.next_ticket`), as the
+pump's driver runs other queries' calls.  A handle nobody waits on runs
+when some thread waits, or at ``close(drain=True)``.  The engine is safe
+to share — the pump, the metrics registry and the result cache are
+lock-guarded, and the cache replaces its files atomically.
 """
 
-import concurrent.futures
-import threading
-import time
+import math
 
 from repro.obs.trace import (
     SERVE_ADMIT,
@@ -38,7 +40,6 @@ from repro.obs.trace import (
     SERVE_SUBMIT,
 )
 from repro.serve.admission import (
-    ADMITTED,
     CANCELLED,
     DEFAULT_TENANT,
     AdmissionController,
@@ -47,12 +48,6 @@ from repro.serve.admission import (
 from repro.serve.deadline import Deadline
 from repro.util.errors import AdmissionRejected, QueryDeadlineExceeded
 from repro.util.timing import resolve_clock
-
-#: How often the reaper sweeps the admission queue for expired/abandoned
-#: tickets.  This bounds a shed query's fast-fail latency: without the
-#: sweep, a dead ticket would wait for its fair-schedule turn, so its
-#: rejection would take as long as the backlog drain under overload.
-REAP_INTERVAL = 0.05
 
 #: Handle statuses.
 QUEUED = "queued"
@@ -65,14 +60,17 @@ ABANDONED = "cancelled"
 
 
 class QueryHandle:
-    """One submitted query: a future plus its lifecycle bookkeeping.
+    """One submitted query: its outcome plus its lifecycle bookkeeping.
 
-    ``result(timeout)`` blocks for the rows (raising the query's typed
+    ``result(timeout)`` waits for the rows (raising the query's typed
     failure — :class:`AdmissionRejected`, :class:`QueryDeadlineExceeded`,
-    or the execution error).  ``cancel()`` is the client-disconnect
-    signal: it cancels the deadline (the shared token every checkpoint
-    polls), withdraws the query if it is still queued, and otherwise
-    lets the running query observe abandonment at its next checkpoint.
+    or the execution error), running queries on the calling thread while
+    it waits; *timeout* is checked between those runs, and
+    :class:`TimeoutError` says it passed.  ``cancel()`` is the
+    client-disconnect signal: it cancels the deadline (the shared token
+    every checkpoint polls), withdraws the query if it is still queued,
+    and otherwise lets the running query observe abandonment at its next
+    checkpoint.
     """
 
     __slots__ = (
@@ -85,7 +83,9 @@ class QueryHandle:
         "dispatched_at",
         "finished_at",
         "status",
-        "_future",
+        "_result",
+        "_error",
+        "_done",
     )
 
     def __init__(self, service, tenant, sql, mode, deadline, submitted_at):
@@ -98,36 +98,39 @@ class QueryHandle:
         self.dispatched_at = None
         self.finished_at = None
         self.status = QUEUED
-        self._future = concurrent.futures.Future()
+        self._result = self._error = None
+        self._done = False
 
     def result(self, timeout=None):
-        return self._future.result(timeout)
+        error = self.exception(timeout)
+        if error is not None:
+            raise error
+        return self._result
 
     def exception(self, timeout=None):
-        return self._future.exception(timeout)
+        if not self._done:
+            self.service._wait(self, timeout)
+            if not self._done:
+                raise TimeoutError(
+                    "query still {} after {}s".format(self.status, timeout)
+                )
+        return self._error
 
     def done(self):
-        return self._future.done()
+        return self._done
 
     def cancel(self, reason="client disconnect"):
         """Abandon the query; returns False if it already settled."""
-        if self._future.done():
+        if self._done:
             return False
         self.deadline.cancel(reason)
-        self.service._abandon(self)
+        self.service.admission.withdraw(self.tenant, self)
         return True
 
-    def _settle_result(self, value):
-        try:
-            self._future.set_result(value)
-        except concurrent.futures.InvalidStateError:
-            pass
-
-    def _settle_exception(self, exc):
-        try:
-            self._future.set_exception(exc)
-        except concurrent.futures.InvalidStateError:
-            pass
+    def _finish(self, result, error):
+        # The admission controller wakes the waiters: release() after a
+        # run, under its lock for a ticket settled unrun.
+        self._result, self._error, self._done = result, error, True
 
     def __repr__(self):
         return "QueryHandle({!r}, tenant={!r}, {})".format(
@@ -146,8 +149,8 @@ class QueryService:
         Iterable of :class:`TenantPolicy`; unknown tenants get a
         default policy (weight 1, unbounded) on first use.
     max_workers:
-        Worker threads executing admitted queries — the service-wide
-        concurrency ceiling.
+        Queries running at once — the service-wide concurrency bound;
+        each runs on a thread that waits through the service.
     max_queued:
         Service-wide admission-queue bound (per-tenant caps come from
         the policies).
@@ -165,60 +168,26 @@ class QueryService:
         self.engine = engine
         self.clock = resolve_clock(getattr(engine, "clock", None))
         self.admission = AdmissionController(
-            policies=tenants, max_queued=max_queued, clock=self.clock
+            policies=tenants,
+            max_queued=max_queued,
+            max_running=max_workers,
+            settle=self._settle_unrun,
+            clock=self.clock,
         )
         self.max_workers = max_workers
-        self._lock = threading.Lock()
-        self._workers = []
-        self._started = False
-        self._closed = False
 
     # -- lifecycle -------------------------------------------------------------
 
-    def _ensure_workers(self):
-        with self._lock:
-            if self._started:
-                return
-            self._started = True
-            for index in range(self.max_workers):
-                worker = threading.Thread(
-                    target=self._worker_loop,
-                    name="wsq-serve-worker-{}".format(index),
-                    daemon=True,
-                )
-                worker.start()
-                self._workers.append(worker)
-            reaper = threading.Thread(
-                target=self._reaper_loop,
-                name="wsq-serve-reaper",
-                daemon=True,
-            )
-            reaper.start()
-            self._workers.append(reaper)
-
-    def close(self, drain=True, timeout=5.0):
+    def close(self, drain=True):
         """Stop the service.
 
-        ``drain=True`` lets queued queries run to completion first;
+        ``drain=True`` runs the queued queries on this thread first;
         ``drain=False`` sheds the backlog with ``reason="shutdown"``.
-        Either way no new submissions are accepted.
+        Either way no new submissions are accepted, and queries already
+        running finish on the threads that run them.
         """
-        with self._lock:
-            if self._closed:
-                return
-            self._closed = True
-        backlog = self.admission.close(drain=drain)
-        for tenant, handle in backlog:
-            self._settle_shed(
-                handle,
-                AdmissionRejected(
-                    "query service shut down before dispatch",
-                    tenant=tenant,
-                    reason=SHED_SHUTDOWN,
-                ),
-            )
-        for worker in self._workers:
-            worker.join(timeout=timeout)
+        self.admission.close(drain=drain)
+        self._wait(None)
 
     def __enter__(self):
         return self
@@ -233,11 +202,11 @@ class QueryService:
         """Admit one query; returns its :class:`QueryHandle`.
 
         Raises :class:`AdmissionRejected` for submit-time sheds (queue
-        full, shutdown); dispatch-time sheds and execution failures
-        surface from :meth:`QueryHandle.result` instead.  A disconnect
-        is :meth:`QueryHandle.cancel` on each handle still outstanding.
+        full, shutdown); later sheds and execution failures surface from
+        :meth:`QueryHandle.result` instead.  The query runs when a thread
+        waits through the service.  A disconnect is
+        :meth:`QueryHandle.cancel` on each handle still outstanding.
         """
-        self._ensure_workers()
         submitted_at = self.clock.now()
         deadline = Deadline(timeout, clock=self.clock)
         handle = QueryHandle(
@@ -258,40 +227,18 @@ class QueryService:
         """Submit and block for the result (convenience)."""
         return self.submit(sql, tenant=tenant, timeout=timeout, mode=mode).result()
 
-    # -- worker pool -----------------------------------------------------------
+    # -- the waiting thread ----------------------------------------------------
 
-    def _worker_loop(self):
-        admission = self.admission
+    def _wait(self, own, timeout=None):
+        """Run what the admission controller hands this thread until
+        *own* settles (``None``: until nothing is queued) or *timeout*
+        seconds pass."""
+        give_up = math.inf if timeout is None else self.clock.now() + timeout
         while True:
-            item = admission.next_ready(timeout=0.05)
-            if item is None:
-                if admission.closed:
-                    return
-                continue
-            tenant, handle, verdict = item
-            if verdict == CANCELLED:
-                self._settle_abandoned(handle)
-            elif verdict == ADMITTED:
-                self._run_admitted(tenant, handle)
-            else:  # deadline shed at dispatch
-                self._settle_shed(
-                    handle, admission.shed_verdict(tenant, handle)
-                )
-
-    def _reaper_loop(self):
-        """Periodically shed queued tickets whose deadline already died."""
-        admission = self.admission
-        while True:
-            for tenant, handle, verdict in admission.reap_expired():
-                if verdict == CANCELLED:
-                    self._settle_abandoned(handle)
-                else:
-                    self._settle_shed(
-                        handle, admission.shed_verdict(tenant, handle)
-                    )
-            if admission.closed:
+            picked = self.admission.next_ticket(own, give_up)
+            if picked is None:
                 return
-            time.sleep(REAP_INTERVAL)
+            self._run_admitted(*picked)
 
     def _run_admitted(self, tenant, handle):
         metrics = self.engine.metrics
@@ -318,10 +265,7 @@ class QueryService:
         finished_at = handle.finished_at = self.clock.now()
         handle.status = outcome
         # Stamped first: a caller that wakes on the result reads both.
-        if error is not None:
-            handle._settle_exception(error)
-        else:
-            handle._settle_result(result)
+        handle._finish(result, error)
         service_seconds = finished_at - dispatched_at
         metrics.inc("serve." + outcome)
         metrics.inc("serve." + outcome, tenant=tenant)
@@ -370,7 +314,7 @@ class QueryService:
             reason=exc.reason,
             retry_after=exc.retry_after,
         )
-        handle._settle_exception(exc)
+        handle._finish(None, exc)
 
     def _settle_abandoned(self, handle):
         handle.status = ABANDONED
@@ -379,22 +323,32 @@ class QueryService:
         metrics.inc("serve.cancelled")
         metrics.inc("serve.cancelled", tenant=handle.tenant)
         self._emit(SERVE_CANCEL, tenant=handle.tenant, where="queued")
-        handle._settle_exception(
+        handle._finish(
+            None,
             QueryDeadlineExceeded(
                 "query abandoned while queued: {}".format(
                     handle.deadline.reason
                 ),
                 deadline=handle.deadline,
-            )
+            ),
         )
 
-    def _abandon(self, handle):
-        """Client-disconnect path from :meth:`QueryHandle.cancel`."""
-        if self.admission.withdraw(handle.tenant, handle):
+    def _settle_unrun(self, tenant, handle, verdict):
+        """The admission controller's report of a ticket that left the
+        queue unrun (under its lock)."""
+        if verdict == CANCELLED:
             self._settle_abandoned(handle)
-        # Otherwise the query is running (or about to be dispatched):
-        # the cancelled deadline interrupts it at the next checkpoint
-        # and the worker settles it as cancelled.
+        elif verdict == SHED_SHUTDOWN:
+            self._settle_shed(
+                handle,
+                AdmissionRejected(
+                    "query service shut down before dispatch",
+                    tenant=tenant,
+                    reason=SHED_SHUTDOWN,
+                ),
+            )
+        else:
+            self._settle_shed(handle, self.admission.shed_verdict(tenant, handle))
 
     # -- observability ---------------------------------------------------------
 

@@ -18,6 +18,7 @@ Three layers of guarantees:
 
 import inspect
 import sys
+import threading
 import traceback
 from array import array
 
@@ -715,9 +716,24 @@ class TestKernelMetrics:
             return {name: after[name] - before[name] for name in after}
 
         def storm():
+            # Eight clients submit six queries each and wait for them: the
+            # service runs each query on a thread that waits.
             service = QueryService(engine, max_workers=8)
+            pending = []
+
+            def client():
+                mine = [service.submit(sql, timeout=60.0) for _ in range(6)]
+                pending.extend(mine)
+                for query in mine:
+                    query.exception(timeout=60.0)
+
+            clients = [threading.Thread(target=client) for _ in range(8)]
             try:
-                pending = [service.submit(sql, timeout=60.0) for _ in range(48)]
+                for thread in clients:
+                    thread.start()
+                for thread in clients:
+                    thread.join(timeout=120.0)
+                    assert not thread.is_alive()
                 for query in pending:
                     assert len(query.result(timeout=60.0).rows) == len(expected.rows)
             finally:

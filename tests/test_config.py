@@ -421,8 +421,10 @@ RETIRED_OPTIONS = [
 #: re-pricing from its own trace, the cost-annotated explain, the
 #: Figure 7 chooser and the registry lookup only calibration read), then
 #: the slotted row page (its class, slot-directory reader, record-size
-#: bound, per-record codec, free-slot search and the heap's vacuum); none
-#: may come back in code, CI or the docs.
+#: bound, per-record codec, free-slot search and the heap's vacuum), then
+#: the query service's threads (the worker pool, its polling pick, the
+#: reaper, its interval and sweeps, and the thread names); none may come
+#: back in code, CI or the docs.
 RETIRED = [
     _spell("Planner", "Options"),
     _spell("Rewrite", "Settings"),
@@ -589,6 +591,14 @@ RETIRED = [
     _spell("(en|de)code", "_record"),
     _spell("_find_free", "_slot"),
     _spell(r"(def |\.)vac", r"uum\("),
+    _spell("_ensure", "_workers"),
+    _spell("_worker", "_loop"),
+    _spell("next", "_ready"),
+    _spell("_reaper", "_loop"),
+    _spell("REAP_", "INTERVAL"),
+    _spell("reap", "_expired"),
+    _spell("drain", "_where"),
+    _spell("serve-", "(worker|reaper)"),
 ]
 
 #: Where they may not appear (EXPERIMENTS.md, CHANGES.md and ROADMAP.md
@@ -808,6 +818,9 @@ class TestStructuralGuard:
             _spell("                rid = append(en", "code_record(row, self.schema))"),
             _spell("        slot = self._find_free", "_slot()"),
             _spell("        table.heap.vac", "uum()"),
+            _spell("            item = admission.next", "_ready(timeout=0.05)"),
+            _spell("            time.sleep(REAP_", "INTERVAL)"),
+            _spell('                name="wsq-serve-', 'reaper",'),
         ],
     )
     def test_retired_guard_catches_a_revived_name(self, mutant):

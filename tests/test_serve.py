@@ -5,8 +5,13 @@ Covers the DESIGN.md §12 state machine end to end: submit-time
 scheduling, cancellation on disconnect (``QueryHandle.cancel`` on every
 outstanding handle, including a disconnect *storm* with exact pump
 accounting afterwards), and the serve.* trace/metric surfaces.
+
+The service starts no thread: a query runs on a thread that waits for a
+result, so a test that needs queries running while it acts starts client
+threads that wait (``waiting_client``) and gates on what they started.
 """
 
+import threading
 import time
 
 import pytest
@@ -41,6 +46,50 @@ def make_engine(latency=None, obs=False, **kwargs):
         obs=Observability.enabled() if obs else None,
         **kwargs,
     )
+
+
+def waiting_client(*handles):
+    """A started client thread that waits for each handle in turn, and so
+    runs what the service hands it meanwhile."""
+    thread = threading.Thread(
+        target=lambda: [handle.exception(timeout=30.0) for handle in handles]
+    )
+    thread.start()
+    return thread
+
+
+def join(*clients):
+    for client in clients:
+        client.join(timeout=30.0)
+        assert not client.is_alive()
+
+
+def wait_until(condition, message="the condition never held", seconds=5.0):
+    gate = time.monotonic() + seconds
+    while not condition():
+        assert time.monotonic() < gate, message
+        time.sleep(0.001)
+
+
+class Ticket:
+    """An admission ticket shaped like the service's handles: a tenant, a
+    deadline and ``done()``, which the controller's report settles."""
+
+    tenant = "t"
+    verdict = None
+
+    def __init__(self, deadline=None):
+        self.deadline = deadline or Deadline()
+
+    def done(self):
+        return self.verdict is not None
+
+
+def controller(**kwargs):
+    def settle(tenant, ticket, verdict):
+        ticket.verdict = verdict
+
+    return AdmissionController(settle=settle, **kwargs)
 
 
 class TestFairScheduler:
@@ -100,61 +149,43 @@ class TestAdmissionController:
         with pytest.raises(AdmissionRejected):
             admission.submit("b", object())
 
-    def test_reap_expired_sheds_dead_queued_tickets(self):
-        admission = AdmissionController()
-
-        class Ticket:
-            def __init__(self, deadline):
-                self.deadline = deadline
-
+    def test_touching_the_queue_sheds_dead_queued_tickets(self):
+        admission = controller()
         live = Ticket(Deadline(60.0))
-        dead = Ticket(Deadline(0.0))
+        dead = Ticket(Deadline(0.0))  # expired when built: now >= expires_at
         gone = Ticket(Deadline())
         gone.deadline.cancel("client left")
-        time.sleep(0.001)
         for ticket in (live, dead, gone):
             admission.submit("t", ticket)
-        reaped = {
-            id(ticket): verdict
-            for _tenant, ticket, verdict in admission.reap_expired()
-        }
-        assert reaped == {id(dead): "shed", id(gone): "cancelled"}
+        # No sweep: the submits and the next pick settle what died queued
+        # before they hand out a ticket.
+        assert admission.next_ticket(live) == ("t", live)
+        assert (dead.verdict, gone.verdict) == ("deadline", "cancelled")
         # The abandoned ticket counts once, as cancelled (as withdraw()
         # and the serve.cancelled counter count it), not also as shed.
         counts = admission.stats()["tenants"]["t"]
         assert (counts["shed"], counts["cancelled"]) == (1, 1)
-        # The live ticket kept its place and dispatches normally.
-        tenant, ticket, verdict = admission.next_ready(timeout=0.5)
-        assert ticket is live and verdict == "admitted"
+        # The live ticket kept its place and was admitted.
+        assert live.verdict is None and counts["admitted"] == 1
         admission.release("t")
 
     def test_ticket_abandoned_in_queue_counts_once_at_dispatch(self):
-        admission = AdmissionController()
-
-        class Ticket:
-            deadline = Deadline()
-
+        admission = controller()
         ticket = Ticket()
         ticket.deadline.cancel("client left")
         admission.submit("t", ticket)
-        tenant, out, verdict = admission.next_ready(timeout=0.5)
-        assert out is ticket and verdict == "cancelled"
+        assert admission.next_ticket(ticket) is None
+        assert ticket.verdict == "cancelled"
         counts = admission.stats()["tenants"]["t"]
         assert (counts["shed"], counts["cancelled"]) == (0, 1)
 
     def test_deadline_consumed_in_queue_sheds_at_dispatch(self):
-        admission = AdmissionController()
-
-        class Ticket:
-            def __init__(self):
-                self.deadline = Deadline(0.0)
-
-        ticket = Ticket()
-        time.sleep(0.001)
+        admission = controller()
+        ticket = Ticket(Deadline(0.0))
         admission.submit("t", ticket)
-        tenant, out, verdict = admission.next_ready(timeout=0.5)
-        assert out is ticket and verdict == "shed"
-        exc = admission.shed_verdict(tenant, out)
+        assert admission.next_ticket(ticket) is None
+        assert ticket.verdict == "deadline"
+        exc = admission.shed_verdict("t", ticket)
         assert exc.reason == "deadline"
         assert exc.retry_after is not None
 
@@ -178,9 +209,11 @@ class TestServiceBasics:
                 for i in range(4)
                 for _ in range(3)
             ]
+            clients = [waiting_client(*handles[i::4]) for i in range(4)]
             for handle in handles:
                 rows = handle.result(timeout=30.0).rows
                 assert sorted(rows) == sorted(expected.rows)
+            join(*clients)
         stats = service.stats()
         total_completed = sum(
             t["completed"] for t in stats["admission"]["tenants"].values()
@@ -198,7 +231,9 @@ class TestServiceBasics:
         )
         try:
             running = service.submit(WSQ_SQL, tenant="t", timeout=30.0)
-            time.sleep(0.2)  # let it dispatch so the queue is free
+            client = waiting_client(running)
+            # Dispatched, so the queue is free.
+            wait_until(lambda: running.status == "running")
             queued = service.submit(WSQ_SQL, tenant="t", timeout=30.0)
             with pytest.raises(AdmissionRejected) as info:
                 service.submit(WSQ_SQL, tenant="t", timeout=30.0)
@@ -206,6 +241,7 @@ class TestServiceBasics:
             assert info.value.retry_after > 0
             running.result(timeout=30.0)
             queued.result(timeout=30.0)
+            join(client)
         finally:
             service.close()
         counters = engine.metrics_snapshot()["counters"]
@@ -226,6 +262,48 @@ class TestServiceBasics:
             blocker.result(timeout=30.0)
         finally:
             service.close()
+
+    def test_a_dead_ticket_is_shed_while_another_holds_the_slot(self):
+        """The only slot is busy for at least 0.3 s; a queued ticket with
+        a 0.05 s budget is shed at its deadline by the thread that waits
+        for it, with no sweep and without waiting for the slot."""
+        engine = make_engine(latency=FixedLatency(0.3), cache=False)
+        service = QueryService(engine, max_workers=1)
+        try:
+            blocker = service.submit(WSQ_SQL, timeout=30.0)
+            client = waiting_client(blocker)
+            wait_until(lambda: blocker.status == "running")
+            starved = service.submit(LOCAL_SQL, timeout=0.05)
+            with pytest.raises(AdmissionRejected) as info:
+                starved.result(timeout=30.0)
+            assert info.value.reason == "deadline"
+            assert starved.status == "shed"
+            join(client)
+        finally:
+            service.close()
+        assert blocker.status == "completed"
+        assert starved.finished_at < blocker.finished_at
+        late = starved.finished_at - (starved.submitted_at + 0.05)
+        assert late <= blocker.finished_at - blocker.dispatched_at
+
+    def test_close_runs_an_unwaited_query_on_the_closing_thread(self, monkeypatch):
+        engine = make_engine(cache=False)
+        expected = engine.execute(LOCAL_SQL).rows
+        ran_on = []
+        execute = engine.execute
+
+        def recording(*args, **kwargs):
+            ran_on.append(threading.get_ident())
+            return execute(*args, **kwargs)
+
+        monkeypatch.setattr(engine, "execute", recording)
+        service = QueryService(engine)
+        handle = service.submit(LOCAL_SQL, timeout=30.0)
+        assert handle.status == "queued" and not handle.done()
+        service.close()  # drain=True
+        assert ran_on == [threading.get_ident()]
+        assert handle.done() and handle.status == "completed"
+        assert handle.result().rows == expected
 
     def test_deadline_expiry_mid_query_is_typed(self):
         engine = make_engine(latency=UniformLatency(0.2, 0.3))
@@ -272,14 +350,17 @@ class TestSharedFlightAcrossTenants:
         )
         try:
             tight = service.submit(WSQ_SQL, "tight", timeout=0.1)
-            gate = time.monotonic() + 5.0
-            while pump.stats.snapshot()["registered"] < 2 * per_query:
-                assert time.monotonic() < gate, "the tight query never registered"
-                time.sleep(0.001)
+            clients = [waiting_client(tight)]
+            wait_until(
+                lambda: pump.stats.snapshot()["registered"] >= 2 * per_query,
+                "the tight query never registered",
+            )
             free = service.submit(WSQ_SQL, "free")
+            clients.append(waiting_client(free))
             with pytest.raises(QueryDeadlineExceeded):
                 tight.result(timeout=30.0)
             rows = free.result(timeout=30.0).rows
+            join(*clients)
         finally:
             service.close()
             pump.shutdown()
@@ -299,8 +380,9 @@ class TestFairnessUnderContention:
             max_workers=1,  # single slot: scheduling order is the share
         )
         try:
-            # A slow WSQ query pins the only worker while the backlog
-            # builds, so dispatch order is pure fair-schedule, not FIFO.
+            # Nothing runs until this thread waits, and then one query at
+            # a time, so with the backlog built dispatch order is pure
+            # fair-schedule, not FIFO.
             blocker = service.submit(WSQ_SQL, tenant="bronze", timeout=60.0)
             handles = []
             for i in range(8):
@@ -334,7 +416,9 @@ class TestDisconnects:
                 service.submit(WSQ_SQL, tenant="t", timeout=30.0)
                 for _ in range(4)
             ]
-            time.sleep(0.1)  # some running, some queued
+            clients = [waiting_client(handle) for handle in handles[:2]]
+            # Some running, some queued.
+            wait_until(lambda: sum(h.status == "running" for h in handles) == 2)
             for handle in handles:  # the client disconnects
                 handle.cancel()
             for handle in handles:
@@ -343,12 +427,13 @@ class TestDisconnects:
                 assert isinstance(
                     info.value, (QueryDeadlineExceeded, AdmissionRejected)
                 )
+            join(*clients)
         finally:
             service.close()
 
     def test_disconnect_storm_leaves_exact_pump_accounting(self):
-        # No round trip can land before 0.3s, so the 0.15s storm below
-        # is guaranteed to catch every query still in flight.
+        # No round trip can land before 0.3s, so a storm as soon as the
+        # first calls are registered catches every query still in flight.
         engine = make_engine(
             latency=UniformLatency(0.3, 0.5),
             pump=RequestPump(name="storm-pump", single_flight=True),
@@ -360,11 +445,18 @@ class TestDisconnects:
                 for i in range(6)
                 for _ in range(3)
             ]
-            time.sleep(0.15)  # a mix of queued / running / in-flight
+            # One client per tenant, four slots: a mix of queued / running
+            # / in-flight.
+            clients = [waiting_client(*all_handles[i : i + 3]) for i in range(0, 18, 3)]
+            wait_until(
+                lambda: sum(h.status == "running" for h in all_handles) == 4
+                and engine.pump.stats.snapshot()["registered"] > 0
+            )
             for handle in all_handles:  # the storm
                 handle.cancel()
             for handle in all_handles:  # block until each settles
                 assert handle.exception(timeout=30.0) is not None
+            join(*clients)
         finally:
             service.close()
         # Exact accounting: every registered call settled, exactly once.
@@ -379,6 +471,29 @@ class TestDisconnects:
         # No coalesced flight left unsettled (white-box).
         assert engine.pump._flights == {}
         assert engine.pump._calls == {}
+
+
+class TestNoServeThread:
+    def test_the_service_starts_no_thread(self):
+        """Queries run on the threads that wait for them: the process has
+        as many threads after submit, execute and close as before, and a
+        submit on a closed service starts none before it is refused."""
+        engine = make_engine(latency=UniformLatency(0.002, 0.005), cache=False)
+        before = threading.active_count()
+        service = QueryService(engine, max_workers=8)
+        handle = service.submit(LOCAL_SQL, tenant="t")
+        assert threading.active_count() == before
+        rows = service.execute(WSQ_SQL, tenant="t", timeout=30.0).rows
+        assert threading.active_count() == before
+        service.close()
+        assert rows and handle.done() and threading.active_count() == before
+        closed = QueryService(engine)
+        closed.close()
+        with pytest.raises(AdmissionRejected) as info:
+            closed.submit(LOCAL_SQL)
+        assert info.value.reason == "shutdown"
+        assert threading.active_count() == before
+        assert engine.pump.quiesce(timeout=5.0)
 
 
 class TestServeObservability:

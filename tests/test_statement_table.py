@@ -11,6 +11,7 @@ table's bound.
 
 import importlib.util
 import pathlib
+import threading
 from collections import Counter
 
 import pytest
@@ -379,11 +380,24 @@ def test_stored_trees_serve_repeated_and_concurrent_executions_unchanged(web, co
     for _ in range(2):
         for sql in statements:
             assert _bag(engine.execute(sql, mode=mode).rows) == expected[sql]
+    # Eight clients each submit every statement and wait for their own:
+    # the service runs each query on a thread that waits.
     service = QueryService(engine, max_workers=8)
+    handles = []
+
+    def client():
+        mine = [(sql, service.submit(sql, mode=mode)) for sql in statements]
+        handles.extend(mine)
+        for _, handle in mine:
+            handle.exception(timeout=60)
+
+    clients = [threading.Thread(target=client) for _ in range(8)]
     try:
-        handles = [
-            (sql, service.submit(sql, mode=mode)) for _ in range(8) for sql in statements
-        ]
+        for thread in clients:
+            thread.start()
+        for thread in clients:
+            thread.join(timeout=120.0)
+            assert not thread.is_alive()
         for sql, handle in handles:
             assert _bag(handle.result(timeout=60).rows) == expected[sql]
     finally:
