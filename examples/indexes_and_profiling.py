@@ -1,12 +1,12 @@
-"""Indexes, auto mode, and query profiling.
+"""Indexes, auto mode, and per-operator actuals.
 
 Beyond the paper's scope, this library ships the pieces a production
 deployment of WSQ would want: B+tree secondary indexes, an ``auto``
-execution mode and per-operator profiling.  This example tours them:
+execution mode and ``explain(form="analyze")``.  This example tours them:
 
 1. build a persistent database with an index,
 2. compare the plans with and without the index,
-3. profile a WSQ query in both execution modes — watch the time move
+3. analyze a WSQ query in both execution modes — watch the time move
    from the EVScan (sequential network waits) into one ReqSync wait,
 4. let ``mode="auto"`` pick the execution strategy: asynchronous
    iteration exactly when the plan has an external scan.
@@ -42,10 +42,10 @@ def main():
             print(engine.explain(sql, mode="sync"))
             print()
 
-            print("== profiling: where does the time go? ==")
-            print(engine.profile(QUERY, mode="sync").render())
+            print("== explain analyze: where does the time go? ==")
+            print(engine.explain(QUERY, mode="sync", form="analyze"))
             print()
-            print(engine.profile(QUERY, mode="async").render())
+            print(engine.explain(QUERY, mode="async", form="analyze"))
             print()
 
             print("== auto mode: an external scan decides ==")

@@ -25,7 +25,7 @@ from repro.web import (
     ZeroLatency,
     default_web,
 )
-from repro.wsq import ProfileReport, QueryResult, WsqEngine, format_table
+from repro.wsq import QueryResult, WsqEngine, format_table
 
 __all__ = [
     "Column",
@@ -35,7 +35,6 @@ __all__ = [
     "DsqSession",
     "EngineConfig",
     "FixedLatency",
-    "ProfileReport",
     "QueryResult",
     "ResultCache",
     "Schema",

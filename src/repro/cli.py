@@ -8,7 +8,8 @@ queries over our WSQ implementation"; this REPL is ours::
          Order By Count Desc;
 
 Dot-commands: ``.help``, ``.tables``, ``.mode sync|async``,
-``.explain [form] <query>``, ``.stats``, ``.quit``.
+``.explain [form] <query>`` (``.explain analyze <query>`` runs the query
+and shows per-operator rows and seconds), ``.stats``, ``.quit``.
 """
 
 import argparse
@@ -38,10 +39,9 @@ HELP = """Statements end with ';'.  Dot-commands:
   .help              this text
   .tables            list stored tables (and indexes)
   .mode [sync|async|auto]  show or set execution mode
-  .explain [FORM] <query>  show the plan without running it; FORM is one
-                     of logical|optimized|physical|rules
-                     (default physical)
-  .profile <query>   run with per-operator instrumentation + trace
+  .explain [FORM] <query>  show the plan; FORM is logical|optimized|
+                     physical (default)|rules, or analyze: run the
+                     query and show per-operator rows and seconds
   .stats             pump / engine / cache statistics
   .metrics [--prom]  metrics-registry snapshot (latency percentiles);
                      --prom prints Prometheus text exposition instead
@@ -355,14 +355,6 @@ def _dot_command(engine, line, mode):
         else:
             try:
                 print(engine.explain(argument.rstrip(";"), mode=mode, form=form))
-            except ReproError as exc:
-                _print_error(exc)
-    elif command == ".profile":
-        if not argument:
-            print("usage: .profile <query>")
-        else:
-            try:
-                print(engine.profile(argument.rstrip(";"), mode=mode).render())
             except ReproError as exc:
                 _print_error(exc)
     elif command == ".stats":

@@ -24,8 +24,10 @@ stamps the configured size (``EngineConfig.batch_size``, which is what
 tuple-at-a-time schedule.
 """
 
-from contextlib import contextmanager
+from contextlib import contextmanager, nullcontext
+from types import SimpleNamespace
 
+from repro.obs.trace import OP_CLOSE, OP_NEXT_BATCH, OP_OPEN
 from repro.relational.batch import DEFAULT_BATCH_SIZE, ColumnBatch
 from repro.util.errors import ExecutionError
 
@@ -96,22 +98,74 @@ class Operator:
 
 
 def set_batch_size(plan, batch_size):
-    """Stamp *batch_size* over every operator in *plan* (returns *plan*).
-
-    Walks ``children`` plus any ``inner`` wrapper attribute (profiled
-    plans), so the whole tree pulls with one granularity.
-    """
+    """Stamp *batch_size* over every operator in *plan* (returns *plan*)."""
     if batch_size is None:
         return plan
     if batch_size < 1:
         raise ExecutionError("batch_size must be >= 1, got {!r}".format(batch_size))
     plan.batch_size = batch_size
-    inner = getattr(plan, "inner", None)
-    if inner is not None:
-        set_batch_size(inner, batch_size)
     for child in plan.children:
         set_batch_size(child, batch_size)
     return plan
+
+
+_SPANS = {"open": OP_OPEN, "open_batch": OP_OPEN, "next_batch": OP_NEXT_BATCH,
+          "close": OP_CLOSE}
+
+
+def instrument(plan, clock, tracer=None, query_id=None, depth=0):
+    """Count and time every operator of *plan* where it stands.
+
+    Each operator's ``open``/``open_batch``/``next_batch``/``close`` is
+    shadowed by an instance attribute that counts the call and adds its
+    time on *clock*, inside an ``op.*`` span when *tracer* is given.
+    Nothing is rewired, and an operator's calls to its own methods
+    (``AEVScan.open`` runs ``open_batch``) count once.  The shadows stay:
+    instrument only a plan that runs once.  Returns one record per
+    operator in pre-order (``label``, ``depth``, ``children``, ``opens``,
+    ``pulls``, ``closes``, ``rows``, ``seconds``): ``pulls`` counts
+    ``next_batch()`` calls, ``rows`` what they and ``open_batch``
+    returned, and ``seconds`` is cumulative, ``close()`` included.
+    """
+    stats = SimpleNamespace(label=plan.label(), depth=depth, children=[], opens=0,
+                            pulls=0, closes=0, rows=0, seconds=0.0)
+    collected = [stats]
+    for child in plan.children:
+        below = instrument(child, clock, tracer, query_id, depth + 1)
+        stats.children.append(below[0])
+        collected.extend(below)
+    busy = []  # non-empty while one of this operator's own methods runs
+
+    def shadow(name, method):
+        def timed(*args):
+            if busy:
+                return method(*args)
+            busy.append(name)
+            started = clock.now()
+            try:
+                with nullcontext() if tracer is None else tracer.span(
+                    _SPANS[name], query_id=query_id, operator=stats.label
+                ):
+                    result = method(*args)
+            finally:
+                stats.seconds += clock.now() - started
+                busy.pop()
+            if name == "next_batch":
+                stats.pulls += 1
+                stats.rows += 0 if result is None else len(result)
+            elif name == "close":
+                stats.closes += 1
+            else:
+                stats.opens += 1
+                stats.rows += sum(map(len, result)) if name == "open_batch" else 0
+            return result
+
+        setattr(plan, name, timed)
+
+    for name in _SPANS:
+        if hasattr(plan, name):
+            shadow(name, getattr(plan, name))
+    return collected
 
 
 @contextmanager

@@ -84,25 +84,6 @@ class RequestRecord:
             return None
         return self.settled_at - self.registered_at
 
-    def as_dict(self):
-        return {
-            "call_id": self.call_id,
-            "query_id": self.query_id,
-            "destination": self.destination,
-            "mode": self.mode,
-            "registered_at": self.registered_at,
-            "issued_at": self.issued_at,
-            "settled_at": self.settled_at,
-            "outcome": self.outcome,
-            "queue_wait": self.queue_wait,
-            "service": self.service,
-            "e2e": self.e2e,
-            "retries": self.retries,
-            "timeouts": self.timeouts,
-            "breaker_rejections": self.breaker_rejections,
-            "dedup_hits": self.dedup_hits,
-        }
-
     def __repr__(self):
         return "RequestRecord(call={}, dest={}, outcome={})".format(
             self.call_id, self.destination, self.outcome

@@ -283,8 +283,8 @@ def cache_summary_line(events, query_id=None):
     Counts ``cache.{hit,miss}`` events (one per lookup) plus
     ``cache.coalesce`` single-flight joins and derives the hit ratio the
     same way :meth:`~repro.web.cache.ResultCache.hit_ratio` does — so the
-    waterfall footer, ``profile()`` deltas, and ``detailed_stats()`` all
-    tell one story.
+    waterfall footer, ``explain(form="analyze")``'s ``external:`` line and
+    ``detailed_stats()`` all tell one story.
     """
     hits = misses = coalesced = 0
     for event in events:

@@ -140,13 +140,10 @@ class LogicalVTableScan(LogicalNode):
     its result columns form the filled set consumed by the clash rules.
     """
 
-    def __init__(self, instance, asynchronous=False, on_error=None):
+    def __init__(self, instance, asynchronous=False):
         super().__init__()
         self.instance = instance
         self.asynchronous = asynchronous
-        #: Explicit per-scan degradation policy (``None`` = take the
-        #: :class:`~repro.config.EngineConfig` policy).
-        self.on_error = on_error
         self.schema = instance.schema
 
     def label(self):
@@ -385,21 +382,10 @@ def contains_external_scan(node):
     return any(isinstance(n, LogicalVTableScan) for n in walk(node))
 
 
-def render(node, annotate=None, indent=0):
-    """Nested textual rendering of a logical tree (the ``logical`` form).
-
-    *annotate* is an optional callback ``node -> str`` whose non-empty
-    return value is appended to the node's line as a bracketed column
-    (cost notes, fired-rule notes, ...) — the same convention as
-    :meth:`repro.exec.operator.Operator.explain`.
-    """
-    line = "{}{}".format("  " * indent, node.label())
-    if annotate is not None:
-        extra = annotate(node)
-        if extra:
-            line = "{}  [{}]".format(line, extra)
-    lines = [line]
+def render(node, indent=0):
+    """Nested textual rendering of a logical tree (the ``logical`` form)."""
+    lines = ["{}{}".format("  " * indent, node.label())]
     for child in node.children:
-        lines.append(render(child, annotate, indent + 1))
+        lines.append(render(child, indent + 1))
     return "\n".join(lines)
 

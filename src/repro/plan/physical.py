@@ -158,8 +158,7 @@ def _lower_vtable_scan(node, config, context):
         return AEVScan(node.instance, context)
     from repro.vtables.evscan import EVScan
 
-    on_error = node.on_error if node.on_error is not None else config.on_error
-    return EVScan(node.instance, context, on_error=on_error)
+    return EVScan(node.instance, context, on_error=config.on_error)
 
 
 def _lower_reqsync(node, config, context, child):

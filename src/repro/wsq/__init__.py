@@ -9,7 +9,6 @@ rewriter.
 """
 
 from repro.wsq.engine import QueryResult, WsqEngine
-from repro.wsq.profile import ProfileReport
 from repro.wsq.result import format_table
 
-__all__ = ["ProfileReport", "QueryResult", "WsqEngine", "format_table"]
+__all__ = ["QueryResult", "WsqEngine", "format_table"]

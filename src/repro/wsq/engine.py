@@ -8,8 +8,9 @@ from repro.asynciter.pump import RequestPump
 from repro.asynciter.reqsync import ReqSync
 from repro.asynciter.rewrite import rewrite_logical
 from repro.config import EngineConfig, default_cache
-from repro.exec.operator import execute_batches
+from repro.exec.operator import execute_batches, instrument
 from repro.obs import Observability
+from repro.obs.analysis import destination_latencies, overlap_factor, request_table
 from repro.obs.trace import BEGIN, END, PLAN_RULE_FIRED, QUERY_SPAN, Tracer
 from repro.plan import logical as logical_ir
 from repro.plan.physical import lower
@@ -364,7 +365,7 @@ class WsqEngine:
             raise PlanError("unknown execution mode {!r}".format(mode))
         return ASYNC if logical_ir.contains_external_scan(logical) else SYNC
 
-    EXPLAIN_FORMS = ("logical", "optimized", "physical", "rules")
+    EXPLAIN_FORMS = ("logical", "optimized", "physical", "rules", "analyze")
 
     def explain(self, sql, mode=ASYNC, form="physical"):
         """The plan as text, at any layer of the planning stack.
@@ -379,6 +380,10 @@ class WsqEngine:
           ReqSync placement.
         - ``"rules"``: one line per fired placement rule with
           before/after node counts.
+        - ``"analyze"``: runs the query; per operator its rows, pulls and
+          cumulative/self seconds, then the external requests, cache and
+          call counts and the traced requests' overlap and latencies (an
+          untraced engine is traced for this run only).
         """
         query = parse_select(sql)
         if form == "logical":
@@ -389,6 +394,8 @@ class WsqEngine:
                     form, "/".join(self.EXPLAIN_FORMS)
                 )
             )
+        if form == "analyze":
+            return self._analyze(query, mode)
         tracer = self.tracer
         query_id = self._next_query_id(tracer)
         statement = self._derive(query, mode, tracer, query_id)
@@ -406,6 +413,53 @@ class WsqEngine:
                 for f in firings
             )
         return self._lower(statement, tracer, query_id).explain()
+
+    def _analyze(self, query, mode):
+        """The ``analyze`` form: run a freshly lowered plan, instrumented."""
+        tracer = self.tracer if self.tracer is not None else self.pump.tracer
+        borrowed = tracer is None  # then traced for this run only
+        if borrowed:
+            tracer = self.pump.tracer = Tracer(clock=self.clock)
+        try:
+            query_id = self._next_query_id(tracer)
+            statement = self._derive(query, mode, tracer, query_id)
+            context = self._context(statement, tracer, query_id)
+            plan = lower(statement.logical, self.config, context)
+            stats = instrument(plan, self.clock, tracer, query_id)
+            before = self._counts()
+            rows, elapsed = self._drain(plan, tracer, query_id, statement.mode)
+            # Let trailing settlements land so every request is traced.
+            self.pump.quiesce(timeout=0.5)
+        finally:
+            if borrowed:
+                self.pump.tracer = None
+        moved = {key: value - before[key] for key, value in self._counts().items()}
+        misses = moved.pop("cache_misses", 0)
+        if misses + moved.get("cache_hits", 0):
+            moved["cache_hit_ratio"] = round(
+                moved["cache_hits"] / (moved["cache_hits"] + misses), 3
+            )
+        if context is not None:
+            moved.update(context.stats())
+            # Failed calls the plan degraded, as its EVScans or ReqSyncs count them.
+            moved["call_errors"] = sum(
+                getattr(op, "call_errors", 0) for op in _context_holders(plan)
+            )
+        return _render_analysis(
+            "{} mode, {} rows in {:.4f}s".format(statement.mode, len(rows), elapsed),
+            stats,
+            {k: v for k, v in moved.items() if v or k not in _REPORTED_WHEN_MOVED},
+            tracer.events(query_id=query_id),
+        )
+
+    def _counts(self):
+        """The counters whose movement the ``analyze`` form reports."""
+        counts = {key: self.metrics.counter_value("pump." + key) for key in _PUMP_COUNTERS}
+        for name, client in self.clients.items():
+            counts["requests[{}]".format(name)] = client.requests_sent
+        if self.cache is not None:
+            counts.update(cache_hits=self.cache.hits, cache_misses=self.cache.misses)
+        return counts
 
     # -- execution ---------------------------------------------------------------------
 
@@ -428,22 +482,24 @@ class WsqEngine:
             plan, holders = idle
             for operator in holders:
                 operator.context = context
+        rows, elapsed = self._drain(plan, tracer, query_id, statement.mode)
+        # Only a cleanly closed plan goes back, holding nothing of this run.
+        for operator in holders:
+            operator.context = None
+        statement.idle = plan, holders
+        return QueryResult(plan.schema.names(), rows, elapsed=elapsed)
+
+    def _drain(self, plan, tracer, query_id, mode):
+        """Run *plan* inside its query span: ``(rows, seconds)``."""
         if tracer is not None:
-            tracer.emit(
-                QUERY_SPAN, kind=BEGIN, query_id=query_id, mode=statement.mode
-            )
+            tracer.emit(QUERY_SPAN, kind=BEGIN, query_id=query_id, mode=mode)
         started = self.clock.now()
         try:
             rows = self._drain_batches(plan)
         finally:
             if tracer is not None:
                 tracer.emit(QUERY_SPAN, kind=END, query_id=query_id)
-        elapsed = self.clock.now() - started
-        # Only a cleanly closed plan goes back, holding nothing of this run.
-        for operator in holders:
-            operator.context = None
-        statement.idle = plan, holders
-        return QueryResult(plan.schema.names(), rows, elapsed=elapsed)
+        return rows, self.clock.now() - started
 
     def _drain_batches(self, plan):
         """Run *plan* through the batch protocol; returns all rows.
@@ -524,96 +580,6 @@ class WsqEngine:
             return QueryResult(["status"], [("deleted {} rows".format(count),)])
         raise PlanError("unsupported statement {!r}".format(statement))
 
-    # -- profiling --------------------------------------------------------------
-
-    def profile(self, sql, mode=ASYNC):
-        """Execute *sql* with per-operator instrumentation *and* tracing.
-
-        Returns a :class:`~repro.wsq.profile.ProfileReport` carrying the
-        query result, per-operator row/time counters, engine-level
-        deltas (requests sent, cache hits, dedup savings), the trace
-        handle, and the per-external-request breakdown.  When the engine
-        has no tracer of its own, a temporary one is attached to the
-        pump for the duration of the run.
-        """
-        from repro.wsq.profile import ProfileReport, profile_plan
-
-        query = parse_select(sql)
-        tracer = self.tracer
-        borrowed_tracer = False
-        if tracer is None:
-            tracer = Tracer(clock=self.clock)
-            borrowed_tracer = True
-            self.pump.tracer = tracer
-        try:
-            query_id = self._next_query_id(tracer)
-            statement = self._derive(query, mode, tracer, query_id)
-            plan = self._lower(statement, tracer, query_id)
-            mode = statement.mode
-            wrapped, stats = profile_plan(
-                plan, clock=self.clock, tracer=tracer, query_id=query_id
-            )
-            holders = _context_holders(plan)
-            context = holders[0].context if holders else None
-            requests_before = {
-                name: client.requests_sent for name, client in self.clients.items()
-            }
-            cache_hits_before = self.cache.hits if self.cache is not None else 0
-            cache_misses_before = (
-                self.cache.misses if self.cache is not None else 0
-            )
-            pump_before = self.pump.stats.snapshot()
-            tracer.emit(QUERY_SPAN, kind=BEGIN, query_id=query_id, mode=mode, sql=sql)
-            started = self.clock.now()
-            try:
-                rows = self._drain_batches(wrapped)
-            finally:
-                tracer.emit(QUERY_SPAN, kind=END, query_id=query_id)
-            elapsed = self.clock.now() - started
-            # Let trailing settlement callbacks land so the report's
-            # per-request breakdown covers every call.
-            self.pump.quiesce(timeout=0.5)
-        finally:
-            if borrowed_tracer:
-                self.pump.tracer = None
-        result = QueryResult(plan.schema.names(), rows, elapsed=elapsed)
-        deltas = {
-            "requests[{}]".format(name): client.requests_sent
-            - requests_before[name]
-            for name, client in self.clients.items()
-        }
-        if self.cache is not None:
-            hits_moved = self.cache.hits - cache_hits_before
-            misses_moved = self.cache.misses - cache_misses_before
-            deltas["cache_hits"] = hits_moved
-            if hits_moved + misses_moved:
-                deltas["cache_hit_ratio"] = round(
-                    hits_moved / (hits_moved + misses_moved), 3
-                )
-        if context is not None:
-            deltas["dedup_hits"] = context.dedup_hits
-            deltas["calls_registered"] = context.calls_registered
-        # Degradation / resilience accounting (only when anything happened,
-        # so fault-free profiles render exactly as before).
-        call_errors = _sum_plan_attr(wrapped, "call_errors")
-        if context is not None:
-            call_errors = max(call_errors, context.call_errors)
-        if call_errors:
-            deltas["call_errors"] = call_errors
-        pump_after = self.pump.stats.snapshot()
-        for counter in (
-            "retries",
-            "timeouts",
-            "breaker_open_rejections",
-            "coalesced",
-        ):
-            moved = pump_after[counter] - pump_before[counter]
-            if moved:
-                deltas[counter] = moved
-        return ProfileReport(
-            sql, mode, result, stats, deltas, trace=tracer, query_id=query_id
-        )
-
     # -- statistics ------------------------------------------------------------
 
     def stats(self):
@@ -674,12 +640,50 @@ def _context_holders(plan):
     return tuple(holders)
 
 
-def _sum_plan_attr(plan, attribute):
-    """Sum *attribute* over a (possibly profile-wrapped) plan tree."""
-    inner = getattr(plan, "inner", plan)
-    total = getattr(inner, attribute, 0) or 0
-    for child in plan.children:
-        total += _sum_plan_attr(child, attribute)
-    return total
+#: The pump's counters the ``analyze`` form reports the movement of.
+_PUMP_COUNTERS = ("retries", "timeouts", "breaker_open_rejections", "coalesced")
+
+#: External counts the ``analyze`` form shows only when they moved.
+_REPORTED_WHEN_MOVED = _PUMP_COUNTERS + ("call_errors",)
 
 
+def _render_analysis(header, stats, external, events):
+    """The ``analyze`` form's text: operator table, external line, requests."""
+    lines = [
+        "analyze: " + header,
+        "{:<58}{:>8}{:>9}{:>10}{:>10}".format(
+            "operator", "rows", "pulls", "cum(s)", "self(s)"
+        ),
+    ]
+    for stat in stats:
+        label = "  " * stat.depth + stat.label
+        if len(label) > 56:
+            label = label[:53] + "..."
+        self_seconds = stat.seconds - sum(child.seconds for child in stat.children)
+        lines.append(
+            "{:<58}{:>8}{:>9}{:>10.4f}{:>10.4f}".format(
+                label, stat.rows, stat.pulls, stat.seconds, max(0.0, self_seconds)
+            )
+        )
+    lines.append(
+        "external: " + ", ".join("{}={}".format(*item) for item in sorted(external.items()))
+    )
+    traced = len(request_table(events))
+    if traced:
+        lines.append(
+            "requests: {} traced, overlap factor {}".format(
+                traced, overlap_factor(events)
+            )
+        )
+    for destination, kinds in sorted(destination_latencies(events).items()):
+        e2e = sorted(kinds["e2e"])
+        if e2e:
+            p50, p95, p99 = (
+                e2e[min(len(e2e) - 1, int(q * len(e2e)))] * 1e3 for q in (0.5, 0.95, 0.99)
+            )
+            lines.append(
+                "  {}: n={} e2e p50={:.1f}ms p95={:.1f}ms p99={:.1f}ms".format(
+                    destination, len(e2e), p50, p95, p99
+                )
+            )
+    return "\n".join(lines)

@@ -325,7 +325,7 @@ class TestBatchProtocolEdges:
             if cls.__module__.startswith("repro.")
         ]
         # The walk reached every layer that defines operators...
-        assert {"TableScan", "EVScan", "AEVScan", "ReqSync", "_ProfiledOperator"} <= {
+        assert {"TableScan", "EVScan", "AEVScan", "ReqSync"} <= {
             cls.__name__ for cls in operators
         }
         # ...and none of them overrides the inherited row view.

@@ -293,7 +293,7 @@ class TestDotCommands:
 
     def test_every_listed_command_dispatches(self, capsys):
         listed = re.findall(r"^  (\.[a-z]+)", HELP, re.MULTILINE)
-        assert {".help", ".explain", ".profile", ".quit"} <= set(listed)
+        assert {".help", ".explain", ".quit"} <= set(listed)
         engine = build_engine(_Args())
         for command in listed:
             _dot_command(engine, command, "async")
@@ -305,7 +305,7 @@ class TestDotCommands:
         engine = build_engine(_Args())
         _dot_command(
             engine,
-            ".profile Select Name, Count From States, WebCount Where Name = T1;",
+            ".explain analyze Select Name, Count From States, WebCount Where Name = T1;",
             "async",
         )
         lines = capsys.readouterr().out.splitlines()

@@ -423,8 +423,10 @@ RETIRED_OPTIONS = [
 #: the slotted row page (its class, slot-directory reader, record-size
 #: bound, per-record codec, free-slot search and the heap's vacuum), then
 #: the query service's threads (the worker pool, its polling pick, the
-#: reaper, its interval and sweeps, and the thread names); none may come
-#: back in code, CI or the docs.
+#: reaper, its interval and sweeps, and the thread names), then the
+#: profiler's second execution path (its report, its wrapper operator, the
+#: plan wrapping and child rewiring, and the wrapper-aware attribute sum);
+#: none may come back in code, CI or the docs.
 RETIRED = [
     _spell("Planner", "Options"),
     _spell("Rewrite", "Settings"),
@@ -599,6 +601,11 @@ RETIRED = [
     _spell("reap", "_expired"),
     _spell("drain", "_where"),
     _spell("serve-", "(worker|reaper)"),
+    _spell("Profile", "Report"),
+    _spell("profile", "_plan"),
+    _spell("_Profiled", "Operator"),
+    _spell("_rewire", "_children"),
+    _spell("_sum_plan", "_attr"),
 ]
 
 #: Where they may not appear (EXPERIMENTS.md, CHANGES.md and ROADMAP.md
@@ -821,6 +828,11 @@ class TestStructuralGuard:
             _spell("            item = admission.next", "_ready(timeout=0.05)"),
             _spell("            time.sleep(REAP_", "INTERVAL)"),
             _spell('                name="wsq-serve-', 'reaper",'),
+            _spell("        return Profile", "Report(sql, mode, result, stats, deltas)"),
+            _spell("            wrapped, stats = profile", "_plan(plan, clock=self.clock)"),
+            _spell("class _Profiled", "Operator(Operator):"),
+            _spell("    _rewire", "_children(plan, wrapped_children)"),
+            _spell('        call_errors = _sum_plan', '_attr(wrapped, "call_errors")'),
         ],
     )
     def test_retired_guard_catches_a_revived_name(self, mutant):

@@ -304,8 +304,17 @@ class TestOutageAndBreaker:
             engine.pump.shutdown()
 
 
+def analyzed(engine):
+    """``explain(QUERY, form="analyze")``: ``(row count, external deltas)``."""
+    text = engine.explain(QUERY, mode="async", form="analyze")
+    rows = int(text.split(" rows in ")[0].split()[-1])
+    (line,) = [line for line in text.splitlines() if line.startswith("external: ")]
+    pairs = (item.split("=") for item in line[len("external: "):].split(", "))
+    return rows, {key: float(value) for key, value in pairs}
+
+
 class TestSurfacing:
-    """Degradation shows up in profile deltas and the CLI."""
+    """Degradation shows up in explain(form="analyze") deltas and the CLI."""
 
     def test_profile_reports_degradation(self, state_names):
         engine = chaos_engine(
@@ -314,20 +323,17 @@ class TestSurfacing:
             on_error="drop",
         )
         try:
-            report = engine.profile(QUERY, mode="async")
-            deltas = report.engine_deltas
+            rows, deltas = analyzed(engine)
             assert deltas.get("retries", 0) > 0
-            assert deltas.get("call_errors", 0) > 0 or len(
-                report.result.rows
-            ) == len(state_names)
+            assert deltas.get("call_errors", 0) > 0 or rows == len(state_names)
         finally:
             engine.pump.shutdown()
 
     def test_faultfree_profile_has_no_chaos_keys(self):
         engine = bench_engine(latency=None)
-        report = engine.profile(QUERY, mode="async")
+        _, deltas = analyzed(engine)
         for key in ("call_errors", "retries", "timeouts", "breaker_open_rejections"):
-            assert key not in report.engine_deltas
+            assert key not in deltas
 
     def test_cli_runs_a_chaos_statement(self, capsys):
         from repro.cli import main

@@ -149,9 +149,3 @@ class TestLiftLower:
         assert len(lines) == L.node_count(root)
         assert lines[0] == root.label()
         assert all(line.startswith("") for line in lines)
-
-    def test_render_annotation_column(self, engine):
-        root = _logical(engine, Q1)
-        rendered = L.render(root, annotate=lambda node: "depth")
-        for line in rendered.splitlines():
-            assert line.endswith("[depth]")

@@ -2,8 +2,9 @@
 
 Everything here runs on a :class:`VirtualClock`, so every derived number
 (queue wait, service time, percentile, chrome-trace ``dur``) is asserted
-*exactly* — no sleeps, no tolerance bands.  The profile-layer fixes
-(timed ``close()``, an untraced report's request views) are pinned at
+*exactly* — no sleeps, no tolerance bands.  The per-operator actuals
+of ``explain(form="analyze")`` (timed ``close()``, an operator's own
+calls counted once, no request lines without requests) are pinned at
 the bottom.
 """
 
@@ -38,6 +39,7 @@ from repro.obs.trace import (
     END,
     INSTANT,
 )
+from repro.exec.operator import Operator, instrument
 from repro.relational.batch import ColumnBatch
 from repro.util.timing import (
     SYSTEM_CLOCK,
@@ -45,7 +47,7 @@ from repro.util.timing import (
     VirtualClock,
     resolve_clock,
 )
-from repro.wsq.profile import ProfileReport, profile_plan
+from repro.wsq import WsqEngine
 
 # ---------------------------------------------------------------------------
 # Clocks
@@ -289,9 +291,6 @@ class TestAnalysis:
         assert rec.outcome == "complete"
         assert table[1].retries == 1
         assert table[2].queue_wait == pytest.approx(0.0)
-        as_dict = rec.as_dict()
-        assert as_dict["outcome"] == "complete"
-        assert as_dict["e2e"] == pytest.approx(0.05)
 
     def test_overlap_factor(self):
         events = _synthetic_trace().events()
@@ -402,17 +401,16 @@ class TestObservabilityBundle:
 
 
 # ---------------------------------------------------------------------------
-# Profile-layer fixes: timed close(), untraced request views
+# Per-operator actuals (explain(form="analyze")): timed close(), own calls
+# counted once, untraced request views
 # ---------------------------------------------------------------------------
 
 
-class _FakeOp:
-    """Minimal Operator stand-in whose phases advance a virtual clock."""
+class _FakeOp(Operator):
+    """Minimal operator whose phases advance a virtual clock."""
 
     def __init__(self, clock, open_cost=0.0, next_cost=0.0, close_cost=0.0, rows=0):
         self.clock = clock
-        self.schema = None
-        self.children = ()
         self.open_cost = open_cost
         self.next_cost = next_cost
         self.close_cost = close_cost
@@ -435,13 +433,15 @@ class _FakeOp:
         return "FakeOp"
 
 
-class _FakeResult:
-    def __init__(self, elapsed=0.0):
-        self.rows = []
-        self.elapsed = elapsed
+class _FakeBatchScan(_FakeOp):
+    """Opens through its own ``open_batch``, as ``AEVScan`` does."""
 
-    def __len__(self):
-        return 0
+    def open(self, bindings=None):
+        self.open_batch([bindings])
+
+    def open_batch(self, bindings_list):
+        self.clock.advance(self.open_cost)
+        return [[("row",)] for _ in bindings_list]
 
 
 class TestProfileFixes:
@@ -449,35 +449,47 @@ class TestProfileFixes:
         # Teardown cost (e.g. ReqSync draining pending calls on close)
         # must show up in cum(s) instead of vanishing.
         clock = VirtualClock()
-        wrapped, stats = profile_plan(_FakeOp(clock, close_cost=0.25), clock=clock)
-        wrapped.open()
-        wrapped.next()
-        wrapped.close()
-        (stat,) = stats
+        op = _FakeOp(clock, close_cost=0.25)
+        (stat,) = instrument(op, clock)
+        op.open()
+        op.next()
+        op.close()
         assert stat.closes == 1
         assert stat.seconds == pytest.approx(0.25)
 
     def test_all_phases_counted(self):
         clock = VirtualClock()
-        wrapped, stats = profile_plan(
-            _FakeOp(clock, open_cost=0.1, next_cost=0.01, close_cost=0.2, rows=3),
-            clock=clock,
-        )
-        wrapped.open()
-        while wrapped.next() is not None:
+        op = _FakeOp(clock, open_cost=0.1, next_cost=0.01, close_cost=0.2, rows=3)
+        (stat,) = instrument(op, clock)
+        op.open()
+        while op.next() is not None:
             pass
-        wrapped.close()
-        (stat,) = stats
+        op.close()
         assert (stat.opens, stat.closes) == (1, 1)
         assert stat.rows == 3
         assert stat.pulls == 4  # 3 rows + exhausted call
         assert stat.seconds == pytest.approx(0.1 + 4 * 0.01 + 0.2)
 
-    def test_untraced_report_has_empty_request_views(self):
-        report = ProfileReport("Select 1", "sync", _FakeResult(), [], {})
-        assert report.requests() == []
-        assert report.request_latencies() == {}
-        assert report.overlap() == 0
+    def test_own_calls_count_once_inside_one_span(self):
+        clock = VirtualClock()
+        tracer = Tracer(clock=clock)
+        scan = _FakeBatchScan(clock, open_cost=0.5)
+        (stat,) = instrument(scan, clock, tracer, query_id=3)
+        scan.open()
+        assert (stat.opens, stat.rows) == (1, 0)
+        assert scan.open_batch([{}, {}]) == [[("row",)], [("row",)]]
+        assert (stat.opens, stat.rows) == (2, 2)
+        assert stat.seconds == pytest.approx(1.0)
+        assert [(e.name, e.kind, e.query_id) for e in tracer.events()] == [
+            ("op.open", BEGIN, 3), ("op.open", END, 3),
+        ] * 2
+
+    def test_untraced_report_has_empty_request_views(self, web, paper_db):
+        # A query that sends no request shows no request lines.
+        engine = WsqEngine(database=paper_db, web=web, cache=False)
+        text = engine.explain("Select Name From States", mode="auto", form="analyze")
+        assert text.splitlines()[-1] == "external: requests[AV]=0, requests[Google]=0"
+        assert "requests:" not in text
 
 
 class TestPrometheusExport:

@@ -547,17 +547,27 @@ class TestEngineTraces:
         assert snapshot["counters"]["pump.registered{destination=AV}"] == 50
 
     def test_profile_carries_trace(self, web, paper_db):
-        engine = WsqEngine(database=paper_db, web=web)  # tracing off
-        report = engine.profile(QUERY, mode="async")
-        requests = report.requests()
-        assert len(requests) == 50
-        assert {r["outcome"] for r in requests} == {"complete"}
-        assert report.overlap() >= 1
-        assert "AV" in report.waterfall()
-        assert "requests: 50 traced" in report.render()
-        payload = report.chrome_trace()
-        from repro.obs import validate_chrome_trace
+        from repro.obs import render_waterfall, to_chrome_trace, validate_chrome_trace
 
-        assert validate_chrome_trace(payload) == []
-        # Borrowed tracer is detached again: the engine stays untraced.
-        assert engine.tracer is None
+        # explain(form="analyze") traces an untraced engine for its run...
+        engine = WsqEngine(database=paper_db, web=web)  # tracing off
+        text = engine.explain(QUERY, mode="async", form="analyze")
+        assert "requests: 50 traced" in text
+        assert int(text.split("overlap factor ")[1].split()[0]) >= 1
+        # ...and detaches the borrowed tracer again: the engine stays untraced.
+        assert engine.tracer is None and engine.pump.tracer is None
+        # A pump that came with a tracer of its own keeps it.
+        own = Tracer()
+        engine = WsqEngine(database=paper_db, web=web, pump=RequestPump(tracer=own))
+        engine.explain(QUERY, mode="async", form="analyze")
+        assert engine.tracer is None and engine.pump.tracer is own
+        traced = traced_engine(web, paper_db)
+        traced.explain(QUERY, mode="async", form="analyze")
+        query_id = traced.tracer.events(name=QUERY_SPAN)[-1].query_id
+        events = traced.tracer.events(query_id=query_id)
+        requests = request_table(events, query_id=query_id).values()
+        assert len(requests) == 50
+        assert {r.outcome for r in requests} == {"complete"}
+        assert overlap_factor(events, query_id=query_id) >= 1
+        assert "AV" in render_waterfall(events, query_id=query_id)
+        assert validate_chrome_trace(to_chrome_trace(events)) == []

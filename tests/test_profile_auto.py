@@ -1,44 +1,64 @@
-"""Profiling and auto mode."""
+"""Profiling (``explain(form="analyze")``: per-operator actuals and external
+deltas) and auto mode."""
 
 from repro.wsq import WsqEngine
 
 SIGS_KNUTH = (
     "Select Name, Count From Sigs, WebCount Where Name = T1 and T2 = 'Knuth'"
 )
+TOP_STATES = (
+    "Select S.Name, C.Count From States S, WebCount C Where S.Name = C.T1 "
+    "Order By C.Count Desc Limit 3"
+)
 
 
-def busiest(report):
-    """The label of the operator with the largest self(s) in ``render()``."""
-    lines = report.render().splitlines()
-    rows = lines[2 : 2 + len(report.operator_stats)]
-    return max(rows, key=lambda line: float(line.split()[-1]))[:58].strip()
+def analyze(engine, sql, mode):
+    return engine.explain(sql, mode=mode, form="analyze")
+
+
+def operator_rows(text):
+    """``(label, rows, self seconds)`` per line of the operator table."""
+    lines = text.splitlines()
+    end = next(i for i, line in enumerate(lines) if line.startswith("external: "))
+    return [
+        (line[:58].strip(), int(line.split()[-4]), float(line.split()[-1]))
+        for line in lines[2:end]
+    ]
+
+
+def external(text):
+    """The ``external:`` line as ``{key: number}``."""
+    (line,) = [line for line in text.splitlines() if line.startswith("external: ")]
+    pairs = (item.split("=") for item in line[len("external: "):].split(", "))
+    return {key: float(value) for key, value in pairs}
+
+
+def busiest(text):
+    """The label of the operator with the largest self(s)."""
+    return max(operator_rows(text), key=lambda row: row[2])[0]
 
 
 class TestProfile:
     def test_report_shape(self, engine):
-        report = engine.profile(SIGS_KNUTH, mode="sync")
-        assert len(report.result) == 37
-        labels = [s.label for s in report.operator_stats]
-        assert any("EVScan" in label for label in labels)
-        assert report.result.elapsed >= 0
+        text = analyze(engine, SIGS_KNUTH, "sync")
+        assert text.splitlines()[0].startswith("analyze: sync mode, 37 rows in ")
+        assert any("EVScan" in label for label, _, _ in operator_rows(text))
+        assert float(text.splitlines()[0].split()[-1].rstrip("s")) >= 0
 
     def test_rows_counted_per_operator(self, engine):
-        report = engine.profile(SIGS_KNUTH, mode="sync")
-        by_label = {s.label: s for s in report.operator_stats}
-        scan = next(s for label, s in by_label.items() if label.startswith("Scan"))
-        assert scan.rows == 37
+        rows = operator_rows(analyze(engine, SIGS_KNUTH, "sync"))
+        assert next(n for label, n, _ in rows if label.startswith("Scan")) == 37
 
     def test_async_profile_has_reqsync(self, engine):
-        report = engine.profile(SIGS_KNUTH, mode="async")
-        assert any("ReqSync" in s.label for s in report.operator_stats)
-        assert report.engine_deltas["calls_registered"] == 37
+        text = analyze(engine, SIGS_KNUTH, "async")
+        assert any("ReqSync" in label for label, _, _ in operator_rows(text))
+        assert external(text)["calls_registered"] == 37
 
     def test_latency_shows_in_evscan_self_time(self, web, paper_db):
         from repro.web.latency import FixedLatency
 
         engine = WsqEngine(database=paper_db, web=web, latency=FixedLatency(0.004))
-        report = engine.profile(SIGS_KNUTH, mode="sync")
-        assert "EVScan" in busiest(report)
+        assert "EVScan" in busiest(analyze(engine, SIGS_KNUTH, "sync"))
 
     def test_async_hotspot_is_reqsync(self, web, paper_db):
         # Latency high enough that the ReqSync wait dominates local CPU
@@ -46,19 +66,18 @@ class TestProfile:
         from repro.web.latency import FixedLatency
 
         engine = WsqEngine(database=paper_db, web=web, latency=FixedLatency(0.03))
-        report = engine.profile(SIGS_KNUTH, mode="async")
-        assert "ReqSync" in busiest(report)
+        assert "ReqSync" in busiest(analyze(engine, SIGS_KNUTH, "async"))
 
     def test_render_contains_totals(self, engine):
-        text = engine.profile(SIGS_KNUTH, mode="async").render()
+        text = analyze(engine, SIGS_KNUTH, "async")
         assert "37 rows" in text
         assert "cum(s)" in text
         assert "external:" in text
 
     def test_profiled_results_match_execute(self, engine):
         direct = engine.execute(SIGS_KNUTH, mode="sync").rows
-        profiled = engine.profile(SIGS_KNUTH, mode="sync").result.rows
-        assert profiled == direct
+        header = analyze(engine, SIGS_KNUTH, "sync").splitlines()[0]
+        assert " {} rows in ".format(len(direct)) in header
 
     def test_dedup_visible_in_deltas(self, web, paper_db):
         engine = WsqEngine(database=paper_db, web=web)
@@ -68,9 +87,15 @@ class TestProfile:
             "Select A.Count, B.Count From Sigs, WebCount A, WebCount B "
             "Where Name = A.T1 and Name = B.T1"
         )
-        report = engine.profile(sql, mode="async")
-        assert report.engine_deltas["dedup_hits"] == 37
-        assert report.engine_deltas["calls_registered"] == 37
+        deltas = external(analyze(engine, sql, "async"))
+        assert deltas["dedup_hits"] == 37
+        assert deltas["calls_registered"] == 37
+
+    def test_calls_are_counted_whatever_the_root(self, engine):
+        # The context's counts come from the plan's real scans and
+        # ReqSync, found under a Limit/Sort root and in a sync plan alike.
+        assert external(analyze(engine, TOP_STATES, "async"))["calls_registered"] == 50
+        assert external(analyze(engine, SIGS_KNUTH, "sync"))["calls_registered"] == 37
 
 
 class TestAutoMode:
