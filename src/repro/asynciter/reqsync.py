@@ -36,6 +36,7 @@ expose how much degradation a query absorbed.
 from collections import deque
 
 from repro.asynciter.context import DEFAULT_WAIT_TIMEOUT
+from repro.config import ON_ERROR_POLICIES
 from repro.exec.operator import Operator
 from repro.obs.trace import (
     BEGIN,
@@ -48,13 +49,6 @@ from repro.obs.trace import (
 )
 from repro.relational.placeholder import Placeholder, row_pending_calls
 from repro.util.errors import ExecutionError
-
-#: ``on_error`` policies.
-ON_ERROR_RAISE = "raise"
-ON_ERROR_DROP = "drop"
-ON_ERROR_NULL = "null"
-ON_ERROR_POLICIES = (ON_ERROR_RAISE, ON_ERROR_DROP, ON_ERROR_NULL)
-
 
 class _NullResultRow:
     """A result row whose every field reads as NULL (``None``)."""
@@ -85,7 +79,7 @@ class ReqSync(Operator):
     """Patches placeholder-carrying tuples as their external calls land."""
 
     def __init__(
-        self, child, context, wait_timeout=DEFAULT_WAIT_TIMEOUT, on_error=ON_ERROR_RAISE
+        self, child, context, wait_timeout=DEFAULT_WAIT_TIMEOUT, on_error="raise"
     ):
         if on_error not in ON_ERROR_POLICIES:
             raise ExecutionError(
@@ -192,7 +186,7 @@ class ReqSync(Operator):
         self._ready = None
 
     def label(self):
-        if self.on_error != ON_ERROR_RAISE:
+        if self.on_error != "raise":
             return "ReqSync [on_error={}]".format(self.on_error)
         return "ReqSync"
 
@@ -200,7 +194,7 @@ class ReqSync(Operator):
 
     def _degrade(self, call_id):
         """Apply the ``on_error`` policy to a failed call."""
-        if self.on_error == ON_ERROR_RAISE:
+        if self.on_error == "raise":
             raise  # re-raise the ExecutionError from take_result
         self.call_errors += 1
         tracer = self.context.tracer
@@ -212,13 +206,13 @@ class ReqSync(Operator):
                 destination=self.context.destination_of(call_id),
                 policy=self.on_error,
             )
-        if self.on_error == ON_ERROR_DROP:
+        if self.on_error == "drop":
             # A failure behaves like a zero-row result: every tuple
             # referencing the call is cancelled.
             dropped_before = self.tuples_cancelled
             self._apply_completion(call_id, [])
             self.tuples_dropped_on_error += self.tuples_cancelled - dropped_before
-        else:  # ON_ERROR_NULL
+        else:  # "null"
             # A failure behaves like one all-NULL result row: the
             # tuples complete with NULLs in the external attributes.
             patched_before = self.values_patched

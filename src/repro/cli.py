@@ -21,7 +21,7 @@ from repro.asynciter.resilience import (
     ResiliencePolicy,
     RetryPolicy,
 )
-from repro.config import EngineConfig
+from repro.config import ON_ERROR_POLICIES, EngineConfig
 from repro.datasets import load_all
 from repro.obs import Observability, render_waterfall, write_chrome_trace
 from repro.storage import Database
@@ -194,7 +194,7 @@ def main(argv=None):
     chaos = parser.add_argument_group("chaos / resilience")
     chaos.add_argument(
         "--on-error",
-        choices=("raise", "drop", "null"),
+        choices=ON_ERROR_POLICIES,
         default=None,
         dest="on_error",
         help="graceful-degradation policy for failed external calls",

@@ -19,6 +19,7 @@ from dataclasses import dataclass, fields, replace
 from repro.relational.batch import DEFAULT_BATCH_SIZE
 from repro.util.errors import ConfigError
 
+#: The ``on_error`` policies, named here for every module that checks one.
 ON_ERROR_POLICIES = ("raise", "drop", "null")
 
 #: Config field -> the environment variable that overrides its default.

@@ -6,6 +6,8 @@ from repro.relational.expr import (
     Comparison,
     Conjunction,
     Disjunction,
+    ExistsPredicate,
+    InSubqueryPredicate,
     LikePredicate,
     Literal,
     Negation,
@@ -22,14 +24,29 @@ class Binder:
     (``IN (SELECT ...)`` / ``EXISTS (SELECT ...)``) to their logical
     trees, which are lowered with the query; contexts that cannot host
     subqueries leave it unset.
+
+    *outputs*, when provided, binds over an aggregate's output: it maps
+    each GROUP BY expression and aggregate call (as ASTs) to its column
+    of *schema*.  A node it lists is that column; any other column name
+    is an error, and everything else binds as usual.
     """
 
-    def __init__(self, schema, subquery_planner=None):
+    def __init__(self, schema, subquery_planner=None, outputs=None):
         self.schema = schema
         self.subquery_planner = subquery_planner
+        self.outputs = outputs
 
     def bind(self, node):
-        """Bind *node*; aggregate calls are rejected (handled separately)."""
+        """Bind *node*; aggregate calls are rejected unless *outputs* lists them."""
+        if self.outputs is not None:
+            index = self.outputs.get(node)
+            if index is not None:
+                return ColumnRef(index, node.sql())
+            if isinstance(node, ast.Name):
+                raise PlanError(
+                    "expression {} must be a GROUP BY expression or an "
+                    "aggregate".format(node.sql())
+                )
         if isinstance(node, ast.Const):
             return Literal(node.value)
         if isinstance(node, ast.Name):
@@ -65,8 +82,6 @@ class Binder:
             )
             return Negation(window) if node.negated else window
         if isinstance(node, ast.InSelect):
-            from repro.relational.expr import InSubqueryPredicate
-
             logical = self._plan_subquery(node.subquery)
             if len(logical.schema) != 1:
                 raise PlanError("IN subquery must produce exactly one column")
@@ -74,8 +89,6 @@ class Binder:
                 self.bind(node.expr), logical, negated=node.negated
             )
         if isinstance(node, ast.Exists):
-            from repro.relational.expr import ExistsPredicate
-
             return ExistsPredicate(self._plan_subquery(node.subquery))
         if isinstance(node, ast.FuncCall):
             raise PlanError(
@@ -109,75 +122,21 @@ def conjuncts_of(node):
     return [node]
 
 
+def _walk(node):
+    """*node* and every AST node under it, pre-order, through each node's
+    ``_key()``.  A subquery's SELECT is not entered: its names resolve
+    against its own FROM list."""
+    if isinstance(node, ast.AstNode) and not isinstance(node, ast.SelectQuery):
+        yield node
+        for part in node._key():
+            yield from _walk(part)
+
+
 def collect_names(node):
     """All :class:`~repro.sql.ast.Name` nodes inside an AST expression."""
-    names = []
-
-    def walk(n):
-        if isinstance(n, ast.Name):
-            names.append(n)
-        elif isinstance(n, ast.Arith):
-            walk(n.left)
-            walk(n.right)
-        elif isinstance(n, ast.Cmp):
-            walk(n.left)
-            walk(n.right)
-        elif isinstance(n, (ast.LogicalAnd, ast.LogicalOr)):
-            for t in n.terms:
-                walk(t)
-        elif isinstance(n, ast.LogicalNot):
-            walk(n.term)
-        elif isinstance(n, ast.FuncCall):
-            if n.argument is not None:
-                walk(n.argument)
-        elif isinstance(n, (ast.Like, ast.IsNull, ast.InList)):
-            walk(n.expr)
-        elif isinstance(n, ast.Between):
-            walk(n.expr)
-            walk(n.low)
-            walk(n.high)
-        elif isinstance(n, ast.InSelect):
-            # Names inside the subquery resolve against ITS OWN FROM list,
-            # not the outer schema; only the probe expression is outer.
-            walk(n.expr)
-        elif isinstance(n, ast.Exists):
-            pass
-        elif isinstance(n, (ast.Const, ast.Star)):
-            pass
-        elif n is not None:
-            raise PlanError("unexpected AST node {!r}".format(n))
-
-    walk(node)
-    return names
+    return [n for n in _walk(node) if isinstance(n, ast.Name)]
 
 
 def collect_aggregates(node):
     """All aggregate :class:`~repro.sql.ast.FuncCall` nodes inside *node*."""
-    calls = []
-
-    def walk(n):
-        if isinstance(n, ast.FuncCall):
-            calls.append(n)
-        elif isinstance(n, ast.Arith):
-            walk(n.left)
-            walk(n.right)
-        elif isinstance(n, ast.Cmp):
-            walk(n.left)
-            walk(n.right)
-        elif isinstance(n, (ast.LogicalAnd, ast.LogicalOr)):
-            for t in n.terms:
-                walk(t)
-        elif isinstance(n, ast.LogicalNot):
-            walk(n.term)
-        elif isinstance(n, (ast.Like, ast.IsNull, ast.InList)):
-            walk(n.expr)
-        elif isinstance(n, ast.Between):
-            walk(n.expr)
-            walk(n.low)
-            walk(n.high)
-        elif isinstance(n, ast.InSelect):
-            walk(n.expr)
-
-    if node is not None:
-        walk(node)
-    return calls
+    return [n for n in _walk(node) if isinstance(n, ast.FuncCall)]

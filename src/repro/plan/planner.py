@@ -33,13 +33,9 @@ from repro.plan import logical as L
 from repro.plan.analysis import analyze_vtables, validate_bindings
 from repro.plan.binder import Binder, collect_aggregates, collect_names
 from repro.relational.expr import (
-    BinaryOp,
     ColumnRef,
     Comparison,
-    Conjunction,
-    Disjunction,
     Literal,
-    Negation,
     conjunction_terms,
     make_conjunction,
 )
@@ -344,17 +340,18 @@ class Planner:
             aggregates.extend(collect_aggregates(order.expr))
 
         if aggregates or query.group_by:
-            plan, select_exprs, names, select_asts = self._plan_aggregation(
+            plan, binder, select_exprs, names, select_asts = self._plan_aggregation(
                 query, plan, aggregates
             )
         else:
             if query.having is not None:
                 raise PlanError("HAVING requires GROUP BY or aggregates")
-            select_exprs, names, select_asts = self._expand_select(query, plan.schema)
+            binder = Binder(plan.schema)
+            select_exprs, names, select_asts = self._expand_select(query, binder)
 
         output_schema = self._output_schema(plan.schema, select_exprs, names)
         plan, output_schema = self._plan_order_and_project(
-            query, plan, select_exprs, select_asts, output_schema
+            query, plan, binder, select_exprs, select_asts, output_schema
         )
         if query.distinct and not _unique(plan):
             plan = L.LogicalDistinct(plan)
@@ -362,13 +359,13 @@ class Planner:
             plan = L.LogicalLimit(plan, query.limit)
         return plan
 
-    def _expand_select(self, query, schema):
+    def _expand_select(self, query, binder):
         """Returns parallel lists: bound exprs, output names, source ASTs.
 
         Star-expanded outputs have ``None`` ASTs (there is no per-column
         syntax to match ORDER BY items against; name matching covers them).
         """
-        binder = Binder(schema)
+        schema = binder.schema
         exprs = []
         names = []
         asts = []
@@ -436,38 +433,42 @@ class Planner:
         agg_schema = Schema(agg_columns)
         plan = L.LogicalAggregate(plan, group_exprs, specs, agg_schema)
 
-        # Rebind select/having/order expressions over the aggregate output.
-        rebinder = _AggregateRebinder(group_asts, agg_asts, agg_schema)
+        # SELECT, HAVING and ORDER BY bind over the aggregate's output:
+        # group keys first, then the aggregate calls.
+        outputs = {}
+        for index, node in enumerate(group_asts + agg_asts):
+            outputs.setdefault(node, index)
+        binder = Binder(agg_schema, outputs=outputs)
         select_exprs = []
         names = []
         asts = []
         for item in query.select_items:
             if isinstance(item.expr, ast.Star):
                 raise PlanError("SELECT * cannot be combined with GROUP BY")
-            select_exprs.append(rebinder.rebind(item.expr))
+            select_exprs.append(binder.bind(item.expr))
             names.append(self._item_name(item))
             asts.append(item.expr)
         if query.having is not None:
-            plan = L.LogicalFilter(plan, rebinder.rebind(query.having))
-        return plan, select_exprs, names, asts
+            plan = L.LogicalFilter(plan, binder.bind(query.having))
+        return plan, binder, select_exprs, names, asts
 
     # -- ordering & projection ---------------------------------------------------------
 
     def _plan_order_and_project(
-        self, query, plan, select_exprs, select_asts, output_schema
+        self, query, plan, binder, select_exprs, select_asts, output_schema
     ):
-        """Project, then sort — adding hidden sort columns when needed."""
+        """Project, then sort — adding hidden sort columns, bound by
+        *binder* over *plan*'s output, when needed."""
         if not query.order_by:
             return _project(plan, select_exprs, output_schema), output_schema
 
-        input_binder = Binder(plan.schema)
         sort_keys = []  # (index into extended projection, descending)
         extended_exprs = list(select_exprs)
         extended_columns = list(output_schema)
         for order in query.order_by:
             index = self._match_order_item(order.expr, select_asts, output_schema)
             if index is None:
-                expr = input_binder.bind(order.expr)
+                expr = binder.bind(order.expr)
                 data_type = expr.result_type(plan.schema)
                 extended_exprs.append(expr)
                 extended_columns.append(
@@ -528,45 +529,6 @@ def _unique(plan):
 
 def _fail_type(group_ast):
     raise PlanError("cannot type GROUP BY expression {}".format(group_ast.sql()))
-
-
-class _AggregateRebinder:
-    """Rebinds expressions over the Aggregate operator's output schema.
-
-    Group-by expressions map to the leading columns; aggregate calls map
-    to the trailing ones; anything else inside must be built from those.
-    """
-
-    def __init__(self, group_asts, agg_asts, agg_schema):
-        self.group_asts = group_asts
-        self.agg_asts = agg_asts
-        self.agg_schema = agg_schema
-
-    def rebind(self, node):
-        for i, g in enumerate(self.group_asts):
-            if node == g:
-                return ColumnRef(i, g.sql())
-        if isinstance(node, ast.FuncCall):
-            for i, call in enumerate(self.agg_asts):
-                if node == call:
-                    return ColumnRef(len(self.group_asts) + i, call.sql())
-            raise PlanError("aggregate {} not computed".format(node.sql()))
-        if isinstance(node, ast.Const):
-            return Literal(node.value)
-        if isinstance(node, ast.Arith):
-            return BinaryOp(node.op, self.rebind(node.left), self.rebind(node.right))
-        if isinstance(node, ast.Cmp):
-            return Comparison(node.op, self.rebind(node.left), self.rebind(node.right))
-        if isinstance(node, ast.LogicalAnd):
-            return Conjunction([self.rebind(t) for t in node.terms])
-        if isinstance(node, ast.LogicalOr):
-            return Disjunction([self.rebind(t) for t in node.terms])
-        if isinstance(node, ast.LogicalNot):
-            return Negation(self.rebind(node.term))
-        raise PlanError(
-            "expression {} must be a GROUP BY expression or an "
-            "aggregate".format(node.sql())
-        )
 
 
 # -- access-path selection ------------------------------------------------------------

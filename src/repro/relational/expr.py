@@ -23,18 +23,39 @@ from repro.util.errors import TypeMismatchError
 
 
 class BoundExpr:
-    """Base class for bound expressions."""
+    """Base class for bound expressions.
+
+    A subclass names its constructor's parameters, in order, in
+    ``_fields``, and keeps each as the attribute of that name.  The tree
+    methods below are defined once from those fields: a field holding a
+    ``BoundExpr``, or a tuple of them, holds children; any other field
+    is carried as it is.
+    """
+
+    _fields = ()
+
+    def _values(self):
+        return tuple(getattr(self, name) for name in self._fields)
 
     def eval(self, row):
         raise NotImplementedError
 
+    def children(self):
+        """The sub-expressions, in field order."""
+        found = []
+        for value in self._values():
+            for item in value if isinstance(value, tuple) else (value,):
+                if isinstance(item, BoundExpr):
+                    found.append(item)
+        return found
+
     def referenced_columns(self):
         """Set of row indexes this expression reads."""
-        raise NotImplementedError
+        return set().union(*(child.referenced_columns() for child in self.children()))
 
     def remap(self, index_map):
         """Return a copy with column indexes translated via *index_map*."""
-        raise NotImplementedError
+        return type(self)(*(_remap(value, index_map) for value in self._values()))
 
     def result_type(self, schema):
         """Static type of the expression over *schema* (may be ``None``)."""
@@ -44,26 +65,34 @@ class BoundExpr:
         """A human-readable rendering, used in plan explanations."""
         raise NotImplementedError
 
+    def __eq__(self, other):
+        return type(other) is type(self) and other._values() == self._values()
+
+    def __hash__(self):
+        return hash((type(self),) + self._values())
+
     def __repr__(self):
         return "{}({})".format(type(self).__name__, self.sql())
+
+
+def _remap(value, index_map):
+    if isinstance(value, BoundExpr):
+        return value.remap(index_map)
+    if isinstance(value, tuple):
+        return tuple(_remap(item, index_map) for item in value)
+    return value
 
 
 class Literal(BoundExpr):
     """A constant value."""
 
-    __slots__ = ("value",)
+    _fields = __slots__ = ("value",)
 
     def __init__(self, value):
         self.value = value
 
     def eval(self, row):
         return self.value
-
-    def referenced_columns(self):
-        return set()
-
-    def remap(self, index_map):
-        return self
 
     def result_type(self, schema):
         return infer_literal_type(self.value)
@@ -73,17 +102,11 @@ class Literal(BoundExpr):
             return "'{}'".format(self.value.replace("'", "''"))
         return str(self.value)
 
-    def __eq__(self, other):
-        return isinstance(other, Literal) and self.value == other.value
-
-    def __hash__(self):
-        return hash((Literal, self.value))
-
 
 class ColumnRef(BoundExpr):
     """A reference to a row position.  ``display`` is the original name."""
 
-    __slots__ = ("index", "display")
+    _fields = __slots__ = ("index", "display")
 
     def __init__(self, index, display=None):
         self.index = index
@@ -138,7 +161,7 @@ class BinaryOp(BoundExpr):
     division by zero yields NULL rather than an error.
     """
 
-    __slots__ = ("op", "left", "right")
+    _fields = __slots__ = ("op", "left", "right")
 
     def __init__(self, op, left, right):
         if op not in _ARITH_OPS:
@@ -158,12 +181,6 @@ class BinaryOp(BoundExpr):
             return lhs / rhs
         return _ARITH_OPS[self.op](lhs, rhs)
 
-    def referenced_columns(self):
-        return self.left.referenced_columns() | self.right.referenced_columns()
-
-    def remap(self, index_map):
-        return BinaryOp(self.op, self.left.remap(index_map), self.right.remap(index_map))
-
     def result_type(self, schema):
         lt = self.left.result_type(schema)
         rt = self.right.result_type(schema)
@@ -176,17 +193,6 @@ class BinaryOp(BoundExpr):
 
     def sql(self, schema=None):
         return "({} {} {})".format(self.left.sql(schema), self.op, self.right.sql(schema))
-
-    def __eq__(self, other):
-        return (
-            isinstance(other, BinaryOp)
-            and self.op == other.op
-            and self.left == other.left
-            and self.right == other.right
-        )
-
-    def __hash__(self):
-        return hash((BinaryOp, self.op, self.left, self.right))
 
 
 _COMPARATORS = {
@@ -203,7 +209,7 @@ _COMPARATORS = {
 class Comparison(BoundExpr):
     """A comparison predicate; NULL operands yield NULL (unknown)."""
 
-    __slots__ = ("op", "left", "right")
+    _fields = __slots__ = ("op", "left", "right")
 
     def __init__(self, op, left, right):
         if op not in _COMPARATORS:
@@ -223,12 +229,6 @@ class Comparison(BoundExpr):
             )
         return _COMPARATORS[self.op](lhs, rhs)
 
-    def referenced_columns(self):
-        return self.left.referenced_columns() | self.right.referenced_columns()
-
-    def remap(self, index_map):
-        return Comparison(self.op, self.left.remap(index_map), self.right.remap(index_map))
-
     def result_type(self, schema):
         return DataType.BOOL
 
@@ -243,22 +243,11 @@ class Comparison(BoundExpr):
             and isinstance(self.right, ColumnRef)
         )
 
-    def __eq__(self, other):
-        return (
-            isinstance(other, Comparison)
-            and self.op == other.op
-            and self.left == other.left
-            and self.right == other.right
-        )
-
-    def __hash__(self):
-        return hash((Comparison, self.op, self.left, self.right))
-
 
 class Conjunction(BoundExpr):
     """AND over one or more predicates, with 3-valued logic."""
 
-    __slots__ = ("terms",)
+    _fields = __slots__ = ("terms",)
 
     def __init__(self, terms):
         self.terms = tuple(terms)
@@ -275,32 +264,17 @@ class Conjunction(BoundExpr):
                 saw_null = True
         return None if saw_null else True
 
-    def referenced_columns(self):
-        refs = set()
-        for term in self.terms:
-            refs |= term.referenced_columns()
-        return refs
-
-    def remap(self, index_map):
-        return Conjunction(tuple(t.remap(index_map) for t in self.terms))
-
     def result_type(self, schema):
         return DataType.BOOL
 
     def sql(self, schema=None):
         return " AND ".join(t.sql(schema) for t in self.terms)
 
-    def __eq__(self, other):
-        return isinstance(other, Conjunction) and self.terms == other.terms
-
-    def __hash__(self):
-        return hash((Conjunction, self.terms))
-
 
 class Disjunction(BoundExpr):
     """OR over one or more predicates, with 3-valued logic."""
 
-    __slots__ = ("terms",)
+    _fields = __slots__ = ("terms",)
 
     def __init__(self, terms):
         self.terms = tuple(terms)
@@ -317,32 +291,17 @@ class Disjunction(BoundExpr):
                 saw_null = True
         return None if saw_null else False
 
-    def referenced_columns(self):
-        refs = set()
-        for term in self.terms:
-            refs |= term.referenced_columns()
-        return refs
-
-    def remap(self, index_map):
-        return Disjunction(tuple(t.remap(index_map) for t in self.terms))
-
     def result_type(self, schema):
         return DataType.BOOL
 
     def sql(self, schema=None):
         return " OR ".join("({})".format(t.sql(schema)) for t in self.terms)
 
-    def __eq__(self, other):
-        return isinstance(other, Disjunction) and self.terms == other.terms
-
-    def __hash__(self):
-        return hash((Disjunction, self.terms))
-
 
 class Negation(BoundExpr):
     """NOT, with 3-valued logic (NOT NULL is NULL)."""
 
-    __slots__ = ("term",)
+    _fields = __slots__ = ("term",)
 
     def __init__(self, term):
         self.term = term
@@ -353,23 +312,11 @@ class Negation(BoundExpr):
             return None
         return not value
 
-    def referenced_columns(self):
-        return self.term.referenced_columns()
-
-    def remap(self, index_map):
-        return Negation(self.term.remap(index_map))
-
     def result_type(self, schema):
         return DataType.BOOL
 
     def sql(self, schema=None):
         return "NOT ({})".format(self.term.sql(schema))
-
-    def __eq__(self, other):
-        return isinstance(other, Negation) and self.term == other.term
-
-    def __hash__(self):
-        return hash((Negation, self.term))
 
 
 def conjunction_terms(expr):
@@ -401,7 +348,8 @@ class LikePredicate(BoundExpr):
     The pattern is compiled once; NULL input yields NULL.
     """
 
-    __slots__ = ("expr", "pattern", "negated", "_regex")
+    _fields = ("expr", "pattern", "negated")
+    __slots__ = _fields + ("_regex",)
 
     def __init__(self, expr, pattern, negated=False):
         import re
@@ -424,12 +372,6 @@ class LikePredicate(BoundExpr):
         matched = self._regex.match(value) is not None
         return (not matched) if self.negated else matched
 
-    def referenced_columns(self):
-        return self.expr.referenced_columns()
-
-    def remap(self, index_map):
-        return LikePredicate(self.expr.remap(index_map), self.pattern, self.negated)
-
     def result_type(self, schema):
         return DataType.BOOL
 
@@ -440,22 +382,11 @@ class LikePredicate(BoundExpr):
             self.pattern.replace("'", "''"),
         )
 
-    def __eq__(self, other):
-        return (
-            isinstance(other, LikePredicate)
-            and self.expr == other.expr
-            and self.pattern == other.pattern
-            and self.negated == other.negated
-        )
-
-    def __hash__(self):
-        return hash((LikePredicate, self.expr, self.pattern, self.negated))
-
 
 class NullCheck(BoundExpr):
     """``IS NULL`` / ``IS NOT NULL`` — the only two-valued predicate."""
 
-    __slots__ = ("expr", "negated")
+    _fields = __slots__ = ("expr", "negated")
 
     def __init__(self, expr, negated=False):
         self.expr = expr
@@ -469,12 +400,6 @@ class NullCheck(BoundExpr):
         is_null = value is None
         return (not is_null) if self.negated else is_null
 
-    def referenced_columns(self):
-        return self.expr.referenced_columns()
-
-    def remap(self, index_map):
-        return NullCheck(self.expr.remap(index_map), self.negated)
-
     def result_type(self, schema):
         return DataType.BOOL
 
@@ -482,16 +407,6 @@ class NullCheck(BoundExpr):
         return "{} IS {}NULL".format(
             self.expr.sql(schema), "NOT " if self.negated else ""
         )
-
-    def __eq__(self, other):
-        return (
-            isinstance(other, NullCheck)
-            and self.expr == other.expr
-            and self.negated == other.negated
-        )
-
-    def __hash__(self):
-        return hash((NullCheck, self.expr, self.negated))
 
 
 class SubqueryMixin:
@@ -527,7 +442,8 @@ class InSubqueryPredicate(BoundExpr, SubqueryMixin):
     per lowering.
     """
 
-    __slots__ = ("expr", "logical", "negated", "subplan", "_rows", "_members")
+    _fields = ("expr", "logical", "negated")
+    __slots__ = _fields + ("subplan", "_rows", "_members")
 
     def __init__(self, expr, logical, negated=False):
         self.expr = expr
@@ -552,12 +468,6 @@ class InSubqueryPredicate(BoundExpr, SubqueryMixin):
         if saw_null:
             return None
         return self.negated
-
-    def referenced_columns(self):
-        return self.expr.referenced_columns()
-
-    def remap(self, index_map):
-        return InSubqueryPredicate(self.expr.remap(index_map), self.logical, self.negated)
 
     def result_type(self, schema):
         return DataType.BOOL
@@ -992,7 +902,8 @@ def compile_row_test(expr, kinds):
 class ExistsPredicate(BoundExpr, SubqueryMixin):
     """``EXISTS (subquery)``: true iff the subquery returns any row."""
 
-    __slots__ = ("logical", "subplan", "_rows")
+    _fields = ("logical",)
+    __slots__ = _fields + ("subplan", "_rows")
 
     def __init__(self, logical):
         self.logical = logical
@@ -1000,12 +911,6 @@ class ExistsPredicate(BoundExpr, SubqueryMixin):
 
     def eval(self, row):
         return len(self._subplan_rows()) > 0
-
-    def referenced_columns(self):
-        return set()
-
-    def remap(self, index_map):
-        return ExistsPredicate(self.logical)
 
     def result_type(self, schema):
         return DataType.BOOL
@@ -1026,14 +931,10 @@ def subqueries(expr):
     Their own subqueries are not included: lowering one subquery lowers
     what it holds.
     """
-    found, stack = [], [expr]
+    found, stack = [], [expr] if expr is not None else []
     while stack:
         node = stack.pop()
         if isinstance(node, SubqueryMixin):
             found.append(node)
-            stack.append(getattr(node, "expr", None))
-            continue
-        for slot in getattr(type(node), "__slots__", ()):
-            value = getattr(node, slot)
-            stack.extend(value if isinstance(value, tuple) else (value,))
+        stack.extend(node.children())
     return found

@@ -20,6 +20,7 @@ propagates the failure (default), ``"drop"`` behaves like a zero-row
 result, and ``"null"`` yields one row whose external attributes are NULL.
 """
 
+from repro.config import ON_ERROR_POLICIES
 from repro.exec.operator import Operator
 from repro.obs.trace import SYNC_DEGRADE
 from repro.util.errors import ExecutionError, ReproError
@@ -76,10 +77,10 @@ class EVScan(ExternalScan):
     """
 
     def __init__(self, instance, context, on_error="raise"):
-        if on_error not in ("raise", "drop", "null"):
+        if on_error not in ON_ERROR_POLICIES:
             raise ExecutionError(
-                "unknown on_error policy {!r}; expected raise/drop/null".format(
-                    on_error
+                "unknown on_error policy {!r}; expected one of {}".format(
+                    on_error, ON_ERROR_POLICIES
                 )
             )
         super().__init__(instance, context)

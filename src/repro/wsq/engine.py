@@ -13,6 +13,7 @@ from repro.obs import Observability
 from repro.obs.analysis import destination_latencies, overlap_factor, request_table
 from repro.obs.trace import BEGIN, END, PLAN_RULE_FIRED, QUERY_SPAN, Tracer
 from repro.plan import logical as logical_ir
+from repro.plan.binder import Binder
 from repro.plan.physical import lower
 from repro.plan.planner import Planner
 from repro.relational.expr import kernel_stats, subqueries
@@ -571,8 +572,6 @@ class WsqEngine:
             if statement.where is None:
                 count = table.delete_where(lambda row: True)
             else:
-                from repro.plan.binder import Binder
-
                 predicate = Binder(
                     table.schema.with_qualifier(statement.table)
                 ).bind(statement.where)

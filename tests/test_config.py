@@ -425,8 +425,9 @@ RETIRED_OPTIONS = [
 #: the query service's threads (the worker pool, its polling pick, the
 #: reaper, its interval and sweeps, and the thread names), then the
 #: profiler's second execution path (its report, its wrapper operator, the
-#: plan wrapping and child rewiring, and the wrapper-aware attribute sum);
-#: none may come back in code, CI or the docs.
+#: plan wrapping and child rewiring, and the wrapper-aware attribute sum),
+#: then the grouped query's second binder and ReqSync's own copies of the
+#: ``on_error`` policy names; none may come back in code, CI or the docs.
 RETIRED = [
     _spell("Planner", "Options"),
     _spell("Rewrite", "Settings"),
@@ -606,6 +607,8 @@ RETIRED = [
     _spell("_Profiled", "Operator"),
     _spell("_rewire", "_children"),
     _spell("_sum_plan", "_attr"),
+    _spell("_Aggregate", "Rebinder"),
+    _spell(r"\bON_ERROR_", r"(RAISE|DROP|NULL)\b"),
 ]
 
 #: Where they may not appear (EXPERIMENTS.md, CHANGES.md and ROADMAP.md
@@ -833,6 +836,8 @@ class TestStructuralGuard:
             _spell("class _Profiled", "Operator(Operator):"),
             _spell("    _rewire", "_children(plan, wrapped_children)"),
             _spell('        call_errors = _sum_plan', '_attr(wrapped, "call_errors")'),
+            _spell("class _Aggregate", "Rebinder:"),
+            _spell("        if self.on_error == ON_ERROR_", "DROP:"),
         ],
     )
     def test_retired_guard_catches_a_revived_name(self, mutant):

@@ -1,15 +1,22 @@
 """Bound expression evaluation, three-valued logic, placeholder guards."""
 
+import inspect
+
 import pytest
 
 from repro.relational.expr import (
     BinaryOp,
+    BoundExpr,
     ColumnRef,
     Comparison,
     Conjunction,
     Disjunction,
+    ExistsPredicate,
+    InSubqueryPredicate,
+    LikePredicate,
     Literal,
     Negation,
+    NullCheck,
     conjunction_terms,
     make_conjunction,
 )
@@ -161,3 +168,83 @@ class TestPlaceholders:
         row = (Placeholder(1, "count"),)
         with pytest.raises(PlaceholderError):
             Comparison("=", ColumnRef(0), Literal(1)).eval(row)
+
+
+def _expression_classes(base=BoundExpr):
+    found = []
+    for cls in base.__subclasses__():
+        found += [cls] + _expression_classes(cls)
+    return found
+
+
+#: One instance of every expression class, with the columns it reads
+#: (``logical`` is opaque to the tree methods, so any object stands in
+#: for a subquery's tree).
+SAMPLES = [
+    (Literal("x"), set()),
+    (ColumnRef(1, "S.Population"), {1}),
+    (BinaryOp("+", ColumnRef(1), Literal(1)), {1}),
+    (Comparison("<>", ColumnRef(1), ColumnRef(2)), {1, 2}),
+    (Conjunction([Comparison("=", ColumnRef(0), Literal("x")), NullCheck(ColumnRef(2))]), {0, 2}),
+    (Disjunction([Literal(True), Negation(Comparison(">", ColumnRef(2), Literal(3)))]), {2}),
+    (Negation(LikePredicate(ColumnRef(0), "C%")), {0}),
+    (LikePredicate(ColumnRef(0), "C%", negated=True), {0}),
+    (NullCheck(ColumnRef(2), negated=True), {2}),
+    (InSubqueryPredicate(ColumnRef(1), object(), negated=True), {1}),
+    (ExistsPredicate(object()), set()),
+]
+IDENTITY = {i: i for i in range(3)}
+
+
+class TestFieldProtocol:
+    """The tree methods come from each class's ``_fields``."""
+
+    def test_every_class_has_a_sample(self):
+        assert {type(sample) for sample, _ in SAMPLES} == set(_expression_classes())
+
+    @pytest.mark.parametrize("cls", _expression_classes(), ids=lambda c: c.__name__)
+    def test_fields_are_the_constructor_parameters(self, cls):
+        assert cls._fields == tuple(inspect.signature(cls).parameters)
+
+    def test_only_column_ref_and_subqueries_keep_their_own_methods(self):
+        own = {
+            name: sorted(cls.__name__ for cls in _expression_classes() if name in vars(cls))
+            for name in ("children", "referenced_columns", "remap", "__eq__", "__hash__")
+        }
+        subqueries = ["ColumnRef", "ExistsPredicate", "InSubqueryPredicate"]
+        assert own == {
+            "children": [],
+            "referenced_columns": ["ColumnRef"],
+            "remap": ["ColumnRef"],
+            "__eq__": subqueries,
+            "__hash__": subqueries,
+        }
+
+    @pytest.mark.parametrize("sample", [sample for sample, _ in SAMPLES], ids=repr)
+    def test_identity_remap_is_an_equal_copy(self, sample):
+        copy = sample.remap(IDENTITY)
+        assert type(copy) is type(sample)
+        assert copy.children() == sample.children()
+        if not isinstance(sample, (InSubqueryPredicate, ExistsPredicate)):
+            assert copy == sample and hash(copy) == hash(sample)
+            assert copy.sql() == sample.sql()
+
+    @pytest.mark.parametrize("sample, columns", SAMPLES, ids=repr)
+    def test_referenced_columns_are_the_union_over_children(self, sample, columns):
+        assert sample.referenced_columns() == columns
+        if not isinstance(sample, ColumnRef):
+            union = set().union(*(child.referenced_columns() for child in sample.children()))
+            assert union == columns
+        shifted = sample.remap({i: i + 3 for i in range(3)})
+        assert shifted.referenced_columns() == {i + 3 for i in columns}
+
+    def test_equality_is_by_class_and_fields(self):
+        assert Comparison("<>", ColumnRef(1), Literal(2)) == Comparison(
+            "!=", ColumnRef(1, "other display"), Literal(2)
+        )
+        assert Comparison("<", ColumnRef(1), Literal(2)) != BinaryOp(
+            "+", ColumnRef(1), Literal(2)
+        )
+        assert LikePredicate(ColumnRef(0), "C%") != LikePredicate(ColumnRef(0), "C%", True)
+        exists = ExistsPredicate(object())
+        assert exists == exists and exists != exists.remap(IDENTITY)

@@ -1,5 +1,8 @@
 """The planner: plan shapes, binding analysis, errors, options."""
 
+import sqlite3
+from collections import Counter
+
 import pytest
 
 from repro.exec import (
@@ -13,6 +16,7 @@ from repro.exec import (
     Sort,
 )
 from repro.plan.analysis import analyze_vtables
+from repro.plan.binder import collect_aggregates, collect_names
 from repro.relational.types import DataType
 from repro.sql.parser import parse_select
 from repro.storage import Database
@@ -287,6 +291,89 @@ class TestAggregationPlans:
         assert result.rows[0][0] == "Sacramento"
 
 
+#: Grouped queries the stdlib ``sqlite3`` answers too, and whether their
+#: ORDER BY is total (compare sequences) or not (compare multisets).
+GROUPED = [
+    # HAVING: each predicate form over a group key ...
+    ("Select Capital, Count(*) From States Group By Capital Having Capital Like 'A%'", False),
+    ("Select Capital From States Group By Capital Having Capital Not Like '%o%'", False),
+    ("Select Capital From States Group By Capital "
+     "Having Capital In ('Boston', 'Austin', 'Nowhere')", False),
+    ("Select Capital From States Group By Capital Having Capital Not In ('Boston', 'Austin')", False),
+    ("Select Capital From States Group By Capital Having Capital Is Not Null", False),
+    ("Select Capital From States Group By Capital Having Capital Is Null", False),
+    ("Select Capital From States Group By Capital Having Capital Between 'B' And 'D'", False),
+    # ... and over an aggregate.
+    ("Select Capital, Sum(Population) From States Group By Capital "
+     "Having Sum(Population) Between 1000 And 5000", False),
+    ("Select Capital From States Group By Capital "
+     "Having Max(Population) Not Between 1000 And 20000", False),
+    ("Select Capital From States Group By Capital Having Max(Name) Like 'New%'", False),
+    ("Select Capital From States Group By Capital Having Count(*) In (1, 3)", False),
+    ("Select Capital From States Group By Capital Having Min(Population) Not In (614, 480)", False),
+    ("Select Capital From States Group By Capital Having Max(Population) Is Null", False),
+    ("Select Capital From States Group By Capital Having Sum(Population) Is Not Null", False),
+    ("Select Population > 5000, Count(*) From States Group By Population > 5000 "
+     "Having Count(*) Between 5 And 45", False),
+    # SELECT: the same forms over a group key and over an aggregate.
+    ("Select Capital Like 'A%', Count(*) From States Group By Capital", False),
+    ("Select Capital, Count(*) In (1, 2) From States Group By Capital", False),
+    ("Select Capital Is Null, Max(Population) Is Not Null From States Group By Capital", False),
+    ("Select Capital, Sum(Population) Between 1000 And 5000, "
+     "Capital Not Between 'B' And 'D' From States Group By Capital", False),
+    ("Select Max(Name) Like 'N%', Count(*) From States Group By Population > 5000 "
+     "Order By Population > 5000 Desc", True),
+    # ORDER BY an aggregate, or a group key, that the select list does not show.
+    ("Select Capital From States Group By Capital Order By Max(Population) Desc, Capital", True),
+    ("Select Capital From States Group By Capital Order By Count(*) Desc", False),
+    ("Select Max(Population) From States Group By Capital Order By Capital", True),
+    ("Select Population > 5000, Count(*) From States Group By Population > 5000 "
+     "Order By Sum(Population)", True),
+    ("Select Capital Like '%a%', Count(*) From States Group By Capital Like '%a%' "
+     "Having Count(*) Between 10 And 40 Order By Sum(Population) Desc", True),
+]
+
+
+class TestGroupedQueriesAgreeWithSqlite:
+    """SELECT, HAVING and ORDER BY of a grouped query bind every predicate
+    form over group keys and aggregates, and answer what ``sqlite3`` does
+    over the same ``States`` rows (a bool is its 0/1: ``True == 1``)."""
+
+    @pytest.fixture()
+    def oracle(self, engine):
+        rows = engine.execute("Select Name, Population, Capital From States").rows
+        db = sqlite3.connect(":memory:")
+        db.execute("Pragma case_sensitive_like = On")  # LIKE as the engine has it
+        db.execute("Create Table States (Name Text, Population Integer, Capital Text)")
+        db.executemany("Insert Into States Values (?, ?, ?)", rows)
+        yield db
+        db.close()
+
+    @pytest.mark.parametrize("sql, ordered", GROUPED, ids=[sql for sql, _ in GROUPED])
+    def test_agrees_with_sqlite(self, engine, oracle, sql, ordered):
+        ours = engine.execute(sql, mode="sync").rows
+        theirs = oracle.execute(sql).fetchall()
+        if ordered:
+            assert ours == theirs
+        else:
+            assert Counter(ours) == Counter(theirs)
+
+    def test_aggregate_in_where_is_rejected(self, engine):
+        with pytest.raises(PlanError):
+            engine.plan(
+                "Select Capital From States Where Count(*) > 1 Group By Capital",
+                mode="sync",
+            )
+
+    def test_subquery_in_having_is_rejected(self, engine):
+        with pytest.raises(PlanError, match="subqueries are not supported"):
+            engine.plan(
+                "Select Capital From States Group By Capital "
+                "Having Capital In (Select Capital From States)",
+                mode="sync",
+            )
+
+
 class TestSubqueries:
     def test_in_subquery(self, engine):
         result = engine.execute(
@@ -329,6 +416,21 @@ class TestSubqueries:
             mode="sync",
         )
         assert result.rows == [(37,)]
+
+    def test_the_subquery_keeps_its_names_and_aggregates(self, engine):
+        where = parse_select(
+            "Select Name From States Where Population In "
+            "(Select Max(Population) From States Where Capital = 'x') "
+            "And Not Exists (Select Name From Sigs)"
+        ).where
+        assert [name.sql() for name in collect_names(where)] == ["Population"]
+        assert collect_aggregates(where) == []
+        result = engine.execute(
+            "Select Name From States Where Population In "
+            "(Select Max(Population) From States)",
+            mode="sync",
+        )
+        assert result.rows == [("California",)]
 
     def test_subquery_with_outer_vtable_async(self, engine):
         sql = (
